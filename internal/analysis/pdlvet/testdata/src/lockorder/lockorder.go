@@ -214,7 +214,7 @@ func (s *Store) badChannelsDescendingConst() {
 	s.chans[1].mu.Unlock()
 }
 
-// goodChannelsSortedRange is the writePending idiom: sort the involved
+// goodChannelsSortedRange is the programOps idiom: sort the involved
 // channel indices, then lock in slice order.
 func (s *Store) goodChannelsSortedRange(involved []int) {
 	sort.Ints(involved)
@@ -239,9 +239,8 @@ func (s *Store) badChannelsUnsortedRange(involved []int) {
 	}()
 }
 
-// goodChannelsCountingLoop proves ascent through a classic i++ loop
-// (the allocPagesElsewhere extension shape, started from no held
-// channel).
+// goodChannelsCountingLoop proves ascent through a classic i++ loop,
+// started from no held channel.
 func (s *Store) goodChannelsCountingLoop(start int) {
 	for ch := start; ch < len(s.chans); ch++ {
 		s.chans[ch].mu.Lock()
@@ -254,7 +253,7 @@ func (s *Store) goodChannelsCountingLoop(start int) {
 }
 
 // programOnChannel declares the caller-holds convention the per-channel
-// program helpers (allocPageOn, flushShardLocked, relocate) use.
+// program helpers (allocPagesOn, releaseDiffPage, relocate) use.
 //
 //pdlvet:holds channel
 func (s *Store) programOnChannel() {
@@ -272,9 +271,8 @@ func (s *Store) badChannelCaller() {
 	s.programOnChannel() // want `call to programOnChannel requires holding the channel lock \(declared //pdlvet:holds channel\)`
 }
 
-// runUnderChannel is the runOnChannel shape: the callback runs under a
-// channel lock the runner acquires, invisible at the literal's
-// definition site.
+// runUnderChannel runs a callback under a channel lock the runner
+// acquires, invisible at the literal's definition site.
 func (s *Store) runUnderChannel(fn func()) {
 	s.chans[0].mu.Lock()
 	defer s.chans[0].mu.Unlock()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -13,47 +14,256 @@ import (
 
 var _ ftl.BatchWriter = (*Store)(nil)
 
-// pendingOp is one physical page program staged by the batch write path:
-// either a base page (Case 3 of PDL_Writing, or an initial load) or a
-// differential-page spill (Case 2). Staging separates the CPU half of a
-// reflection — reading the base page and computing the differential, which
-// runs per shard in parallel — from the device half, so that every program
-// a batch causes can be issued as one ProgramBatch under one flash-lock
-// acquisition.
+// pendingOp is one physical page program a write step staged: a base page
+// (Case 3 of PDL_Writing, an initial load, a whole-page route, a durable
+// heal) or a differential-page spill (Case 2, Flush). Staging separates
+// the CPU half of a reflection — reading the base page and computing the
+// differential, which a batch runs per shard in parallel — from the device
+// half, which commit performs for every staged op of a call at once.
 type pendingOp struct {
-	// idx is the batch position at which the serial write path would have
-	// issued this program; programs are ordered (and mappings committed)
-	// by it, which together with the monotone per-index time stamps makes
-	// a crash mid-batch recover as a prefix of the batch.
+	// idx is the batch position at which a serial loop of WritePage calls
+	// would have issued this program; programs are ordered (and mappings
+	// committed) by it, which together with the monotone per-index time
+	// stamps makes a crash mid-batch recover as a prefix of the batch.
 	idx int
 	// ts is the header creation time stamp.
 	ts uint64
-	// home is the home channel of the shard that staged the op (shard
-	// index mod channel count); writePending maps homes onto actual
-	// channels, applying the allocator's fall-over policy per home.
-	home int
-
-	// Base-page op (spill == false): pid's logical image becomes a new
-	// base page, tagged with logging mode mode (0 fixed/PDL,
-	// ftl.ModeTagOPU for the adaptive whole-page route). data aliases
-	// the caller's batch entry until programmed.
-	pid  uint32
-	data []byte
-	mode byte
-
-	// Spill op (spill == true): the shard's differential write buffer
-	// became img (a pooled page image) carrying diffs.
+	// home is the home channel of the shard that staged the op; commit
+	// picks the actual channel ch from it (the allocator's fall-over
+	// policy) and allocates ppn there.
+	home, ch int
+	ppn      flash.PPN
+	// data is the page image to program. For a base page it is pid's
+	// logical image, tagged with logging mode mode (0 fixed/PDL,
+	// ftl.ModeTagOPU for the adaptive whole-page route), and aliases the
+	// caller's buffer until programmed; for a spill it is a pooled page
+	// holding the encoded diffs.
+	data  []byte
+	pid   uint32
+	mode  byte
 	spill bool
-	img   []byte
 	diffs []diff.Differential
+	// pin, when set, makes a base-page commit conditional on pid's mapping
+	// still being at that version (the read-path heal; see applyDiff).
+	pin *uint64
+}
+
+// staged is what a writeStage knows, ahead of the mapping table, about a
+// pid an earlier write of the same batch touched: the base image staged
+// for it (nil: its base is still the one on flash), whether a differential
+// page will exist for it once the staged ops commit, and its logging mode.
+type staged struct {
+	img  []byte
+	dif  bool
+	mode byte
+}
+
+// writeStage is the view one run of stageWrite works on: the write buffer
+// it mutates — the live shard buffer for a single WritePage, a clone for a
+// batch, published only after the batch commits — the programs staged so
+// far, and, for a batch, what its earlier writes staged per pid, so later
+// writes of the same pid stay serially consistent although nothing has
+// reached flash yet. A single write has no later write to inform and
+// leaves pend nil.
+type writeStage struct {
+	buf  *writeBuffer
+	home int
+	ops  []pendingOp
+	pend map[uint32]staged
+}
+
+// note records pid's staged state for the later writes of a batch.
+func (st *writeStage) note(pid uint32, p staged) {
+	if st.pend != nil {
+		st.pend[pid] = p
+	}
+}
+
+// stageBase stages data as pid's new base page in logging mode mode. Any
+// buffered differential was computed against the base this replaces and
+// goes with it.
+func (st *writeStage) stageBase(idx int, ts uint64, pid uint32, data []byte, mode byte) {
+	st.buf.remove(pid)
+	st.ops = append(st.ops, pendingOp{idx: idx, ts: ts, home: st.home, pid: pid, data: data, mode: mode})
+	st.note(pid, staged{img: data, mode: mode})
+}
+
+// stageWrite is the PDL_Writing algorithm (Figure 7) for one logical
+// write, the only implementation of it: route, read the base page, create
+// the differential by comparison, and store it in st's write buffer,
+// staging — not issuing — the differential-page spill (Case 2) or new base
+// page (Case 3) the write causes. idx and ts are the write's batch
+// position and time stamp; base is a scratch page. The caller holds pid's
+// shard lock and commits st.ops.
+//
+//pdlvet:holds shard
+func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data, base []byte) error {
+	known, tracked := st.pend[pid]
+
+	// Step 0 (adaptive stores only): the per-page routing decision, taken
+	// BEFORE the base page is read so the whole-page route skips that
+	// read entirely; see adaptive.go.
+	probing := false
+	mode := known.mode
+	whole := func() {
+		s.wtel.opuRoutes.Add(1)
+		if mode != ftl.ModeTagOPU {
+			s.wtel.modeSwitches.Add(1)
+		}
+		st.stageBase(idx, ts, pid, data, ftl.ModeTagOPU)
+	}
+	if s.adap != nil {
+		re, _ := s.mt.snapshot(pid)
+		hasDif := known.dif
+		if !tracked {
+			mode, hasDif = s.mt.modeOf(pid), re.dif != flash.NilPPN
+		}
+		_, buffered := st.buf.get(pid)
+		switch s.adap.route(pid, mode, known.img != nil || re.base != flash.NilPPN, hasDif || buffered) {
+		case routeOPU:
+			whole()
+			return nil
+		case routeProbe:
+			probing = true
+			s.wtel.probes.Add(1)
+		}
+	}
+
+	// Step 1: resolve the base image this write diffs against — the one an
+	// earlier write of the batch staged, else the base page on flash, read
+	// without the flash lock. The versioned snapshot detects a concurrent
+	// garbage-collection relocation of the base page (the only mutation
+	// another goroutine can make to this pid's entry while we hold its
+	// shard lock) and retries; relocation preserves content, so a stable
+	// read is always the current image.
+	img, difExists := known.img, known.dif
+	for img == nil {
+		e, v := s.mt.snapshot(pid)
+		corrupt := false
+		if e.base != flash.NilPPN {
+			stable, bad, err := s.verifiedReadStable(e.base, base, pid, v)
+			if !stable {
+				continue
+			}
+			if err != nil {
+				return fmt.Errorf("core: reading base page of pid %d: %w", pid, err)
+			}
+			corrupt = len(bad) > 0
+		}
+		if e.base == flash.NilPPN || corrupt {
+			// Initial load (only the shard-lock holder creates a pid's base
+			// page, so the nil observation cannot be stale) — or an
+			// uncorrectably corrupt base page, which a write does not need:
+			// data is the complete up-to-date image, so writing it as a new
+			// base page heals the pid outright.
+			if corrupt {
+				s.itel.pagesHealed.Add(1)
+			}
+			if s.adap != nil {
+				s.wtel.pdlRoutes.Add(1)
+			}
+			st.stageBase(idx, ts, pid, data, 0)
+			return nil
+		}
+		img = base
+		if !tracked {
+			difExists = e.dif != flash.NilPPN
+		}
+	}
+
+	// Step 2: create the differential. This is the expensive comparison of
+	// two page images; it runs outside every store-level lock.
+	d, err := diff.Compute(pid, ts, img, data)
+	if err != nil {
+		return fmt.Errorf("core: computing differential of pid %d: %w", pid, err)
+	}
+
+	// Step 3: write the differential into the differential write buffer.
+	st.buf.remove(pid)
+	if d.Empty() && !difExists {
+		// The page is byte-identical to its base and no differential page
+		// exists on flash: the write is a no-op. (If a differential page
+		// does exist, the empty differential must still be written so its
+		// newer time stamp supersedes the stale one durably. GC never
+		// creates or destroys a pid's differential linkage — it only moves
+		// it — so the nil observation holds under the shard lock.)
+		if s.adap != nil {
+			s.wtel.pdlRoutes.Add(1)
+		}
+		return nil
+	}
+	size := d.EncodedSize()
+	if s.adap != nil {
+		if dense := s.adap.noteDensity(pid, size, s.params.DataSize); dense ||
+			s.adap.cut(size, s.params.DataSize) {
+			// The measured differential confirms the page is dense (EWMA)
+			// or this one write is past the instantaneous cut: the
+			// differential route costs as much here as resetting the
+			// escalation outright, so write the page whole.
+			whole()
+			return nil
+		}
+		s.wtel.pdlRoutes.Add(1)
+		if probing {
+			// The probe measured sparse: back to the differential route.
+			// The buffered differential below either flushes (setDiffPage
+			// re-commits PDL durably) or is superseded by a later
+			// whole-page write, so the early flip stays consistent.
+			s.wtel.modeSwitches.Add(1)
+			s.mt.setMode(pid, 0)
+			st.note(pid, staged{img: known.img, dif: difExists})
+		}
+	}
+	switch {
+	case size <= st.buf.free(): // Case 1
+		st.buf.add(d)
+	case size <= s.maxDiff: // Case 2
+		spill := s.snapshotSpill(st.buf, idx, ts, st.home)
+		st.ops = append(st.ops, spill)
+		if st.pend != nil {
+			// Committing a differential page links it and proves the
+			// differential route (see setDiffPage).
+			for _, sd := range spill.diffs {
+				st.pend[sd.PID] = staged{img: st.pend[sd.PID].img, dif: true}
+			}
+		}
+		st.buf.clear()
+		st.buf.add(d)
+	default: // Case 3
+		st.stageBase(idx, ts, pid, data, 0)
+	}
+	return nil
+}
+
+// snapshotSpill stages the current contents of buf as a differential-page
+// spill op without mutating buf: the page image is encoded into a pooled
+// page (recycleSpills returns it) and the differential list copied into a
+// private slice. The caller decides when (and whether) the buffer itself
+// is cleared.
+func (s *Store) snapshotSpill(buf *writeBuffer, idx int, ts uint64, home int) pendingOp {
+	op := pendingOp{idx: idx, ts: ts, home: home, spill: true, pid: ftl.NoPID,
+		data:  s.getPage(),
+		diffs: append([]diff.Differential(nil), buf.diffs...),
+	}
+	buf.encode(op.data)
+	return op
+}
+
+// recycleSpills returns the pooled page images of ops' spills.
+func (s *Store) recycleSpills(ops []pendingOp) {
+	for _, op := range ops {
+		if op.spill {
+			s.putPage(op.data)
+		}
+	}
 }
 
 // WriteBatch reflects a batch of logical pages into flash as if WritePage
 // had been called for each element in slice order, but batch-first: the
-// batch is partitioned by write-buffer shard, each shard computes its
-// differentials in parallel, and every physical page program the batch
-// causes — differential-page spills and new base pages — is coalesced into
-// a single device ProgramBatch issued under one flash-lock acquisition.
+// batch is partitioned by write-buffer shard, each shard runs stageWrite
+// over its writes in parallel, and every physical page program the batch
+// causes — differential-page spills and new base pages — goes to the
+// device in one commit.
 //
 // Crash consistency is the serial path's: programs are issued in time
 // stamp order (time stamps are pre-assigned in batch order), and the
@@ -62,16 +272,15 @@ type pendingOp struct {
 // state of having serially written some prefix of the batch and crashed.
 //
 // Error semantics: staging works on private copies of the shard write
-// buffers, which are swapped in only after the device batch succeeds. A
-// staging error (a base page read failing mid-shard) stops that shard at
-// the failing write — a per-shard prefix — while everything already
-// staged is still programmed and committed. An allocation or device
-// error from the batch program itself applies NOTHING: no mapping is
-// committed and every live write buffer is left exactly as before the
-// call, so previously acknowledged writes keep reading correctly and the
-// batch can be retried; at worst the failed attempt leaked programmed
-// but unreferenced flash pages, which the next crash recovery marks
-// obsolete.
+// buffers, which are swapped in only after the commit succeeds. A staging
+// error (a base page read failing mid-shard) stops that shard at the
+// failing write — a per-shard prefix — while everything already staged is
+// still programmed and committed. An allocation or device error from the
+// commit itself applies NOTHING: no mapping is committed and every live
+// write buffer is left exactly as before the call, so previously
+// acknowledged writes keep reading correctly and the batch can be
+// retried; at worst the failed attempt leaked programmed but unreferenced
+// flash pages, which the next crash recovery marks obsolete.
 func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 	switch len(writes) {
 	case 0:
@@ -115,7 +324,7 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 	// Reserve a contiguous time stamp range so write i carries tsBase+i+1:
 	// batch order and time stamp order coincide no matter how the shards
 	// interleave their staging work. The reservation must happen AFTER the
-	// shard locks are held — the serial path stamps under the pid's shard
+	// shard locks are held — a single write stamps under the pid's shard
 	// lock, so any concurrent writer to one of our pids is now ordered
 	// after this batch and will draw a strictly greater time stamp;
 	// reserving earlier would let such a writer commit a higher TS first
@@ -123,274 +332,87 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 	tsBase := s.ts.Add(uint64(len(writes))) - uint64(len(writes))
 
 	// Stage every shard's slice of the batch: the parallel, CPU-bound
-	// half (base-page reads, differential computation, buffer updates) —
-	// against a private copy of each shard's write buffer, so nothing is
-	// visible until the device batch lands.
-	staged := make([][]pendingOp, len(involved))
+	// half, against a private copy of each shard's write buffer, so
+	// nothing is visible until the commit lands.
+	stages := make([]writeStage, len(involved))
 	bufs := make([]writeBuffer, len(involved))
 	errs := make([]error, len(involved))
+	stage := func(k, si int) {
+		bufs[k] = s.shards[si].dwb.clone()
+		stages[k] = writeStage{buf: &bufs[k], home: s.homeChannel(si), pend: make(map[uint32]staged)}
+		base := s.getPage()
+		defer s.putPage(base)
+		for _, idx := range order[si] {
+			if errs[k] = s.stageWrite(&stages[k], idx, tsBase+uint64(idx)+1, writes[idx].PID, writes[idx].Data, base); errs[k] != nil {
+				return
+			}
+		}
+	}
 	if len(involved) == 1 {
-		si := involved[0]
-		staged[0], bufs[0], errs[0] = s.stageShard(&s.shards[si], si, writes, order[si], tsBase)
+		stage(0, involved[0])
 	} else {
 		var wg sync.WaitGroup
 		for k, si := range involved {
 			wg.Add(1)
 			go func(k, si int) {
 				defer wg.Done()
-				//pdlvet:ignore lockorder the parent WriteBatch holds every involved shard lock for this goroutine's whole lifetime
-				staged[k], bufs[k], errs[k] = s.stageShard(&s.shards[si], si, writes, order[si], tsBase)
+				stage(k, si)
 			}(k, si)
 		}
 		wg.Wait()
 	}
 	var ops []pendingOp
-	for _, r := range staged {
-		ops = append(ops, r...)
+	for k := range stages {
+		ops = append(ops, stages[k].ops...)
 	}
-	defer func() {
-		for _, op := range ops {
-			if op.spill {
-				s.putPage(op.img)
-			}
-		}
-	}()
+	defer s.recycleSpills(ops)
 
 	// Program and commit what was staged (even if a shard stopped partway:
 	// its staged prefix is still valid), then publish the staged buffers.
 	// On failure the live buffers were never touched.
-	if err := s.writePending(ops); err != nil {
-		return err
+	landed, err := s.commit(ops)
+	if landed {
+		for k, si := range involved {
+			s.shards[si].dwb = bufs[k]
+		}
 	}
-	for k, si := range involved {
-		s.shards[si].dwb = bufs[k]
+	if err != nil {
+		return err
 	}
 	return errors.Join(errs...)
 }
 
-// stageShard runs PDL_Writing for one shard's slice of the batch, staging
-// instead of issuing every program the serial path would perform. All
-// write-buffer mutations go to a private clone (returned as buf), which
-// the caller publishes into the shard only after the staged ops are
-// programmed — so a failed batch leaves the live buffer untouched. The
-// caller holds sh.mu.
+// commit is the device half of every foreground write: it allocates,
+// encodes, seals, programs and repoints the staged ops of one call — a
+// WritePage's spill or base page, a WriteBatch's or Flush's many, a
+// heal's one. Each op goes to the channel the allocator picks for its
+// home; the flash lock (shared) is held for the whole call. The caller
+// holds the involved shard locks.
 //
-// Two small tables keep intra-batch writes to the same pid serially
-// consistent even though nothing has reached flash yet: pendImg maps a pid
-// to the base image staged for it earlier in this batch (later writes diff
-// against it instead of flash), and effDif tracks whether a differential
-// page for the pid will exist once the staged ops commit (which decides
-// whether an empty differential may be elided or must be written to
-// supersede a stale one durably).
+// A channel whose blocks are all fully live has nothing to reclaim and
+// answers ErrNoSpace even while a neighbor holds erased blocks —
+// PickChannel diverts on free-pool pressure but cannot know that, and it
+// happens on small multi-channel geometries. Pages are channel-agnostic,
+// so the write follows the space: the exhausted channel's share moves to
+// the untried channel with the most erased blocks and the commit runs
+// again, until it lands or every channel has refused. Nothing was
+// programmed by a refused attempt (allocation precedes every mutation; at
+// worst it leaked pages allocated on lower channels, reclaimed with their
+// blocks), and no channel lock is held between attempts, so a one-op
+// commit holds one channel lock at a time.
 //
-//pdlvet:holds shard
-func (s *Store) stageShard(sh *shard, si int, writes []ftl.PageWrite, idxs []int, tsBase uint64) (ops []pendingOp, buf writeBuffer, err error) {
-	home := s.homeChannel(si)
-	cur := sh.dwb.clone()
-	pendImg := make(map[uint32][]byte)
-	effDif := make(map[uint32]bool)
-	// pendMode tracks the logging mode staged for a pid earlier in this
-	// batch, so later writes of the same pid route against the staged
-	// mode rather than the not-yet-committed mapTable one.
-	var pendMode map[uint32]byte
-	if s.adap != nil {
-		pendMode = make(map[uint32]byte)
-	}
-	base := s.getPage()
-	defer s.putPage(base)
-
-	for _, idx := range idxs {
-		pid, data := writes[idx].PID, writes[idx].Data
-		ts := tsBase + uint64(idx) + 1
-
-		// Step 0 (adaptive stores only): the same per-write routing
-		// decision the serial path takes; see adaptive.go.
-		probing := false
-		var mode byte
-		if s.adap != nil {
-			var known bool
-			if mode, known = pendMode[pid]; !known {
-				mode = s.mt.modeOf(pid)
-			}
-			// Effective base/differential existence for the route: the
-			// batch's own pending state wins; otherwise check the cloned
-			// buffer and the durable mapping, as the serial path does.
-			re, _ := s.mt.snapshot(pid)
-			hasBase := pendImg[pid] != nil || re.base != flash.NilPPN
-			hasDiff, tracked := effDif[pid]
-			if !tracked {
-				if _, ok := cur.get(pid); ok {
-					hasDiff = true
-				} else {
-					hasDiff = re.dif != flash.NilPPN
-				}
-			}
-			switch s.adap.route(pid, mode, hasBase, hasDiff) {
-			case routeOPU:
-				s.wtel.opuRoutes.Add(1)
-				if mode != ftl.ModeTagOPU {
-					s.wtel.modeSwitches.Add(1)
-				}
-				cur.remove(pid)
-				ops = append(ops, pendingOp{idx: idx, ts: ts, home: home, pid: pid, data: data, mode: ftl.ModeTagOPU})
-				pendImg[pid] = data
-				effDif[pid] = false
-				pendMode[pid] = ftl.ModeTagOPU
-				continue
-			case routeProbe:
-				probing = true
-				s.wtel.probes.Add(1)
-			}
-		}
-
-		// Step 1: resolve the base image this write diffs against.
-		img, difExists := pendImg[pid], false
-		if img != nil {
-			difExists = effDif[pid]
-		} else {
-			corrupt := false
-			var e pageEntry
-			for {
-				var v uint64
-				e, v = s.mt.snapshot(pid)
-				if e.base == flash.NilPPN {
-					break
-				}
-				spare := s.getVerifySpare()
-				stable, bad, err := s.verifiedReadStable(e.base, base, spare, pid, v)
-				s.putVerifySpare(spare)
-				if !stable {
-					continue // relocated mid-read; retry on the new mapping
-				}
-				if err != nil {
-					return ops, cur, fmt.Errorf("core: reading base page of pid %d: %w", pid, err)
-				}
-				corrupt = len(bad) > 0
-				break
-			}
-			if e.base == flash.NilPPN || corrupt {
-				// Initial load — or heal-by-overwrite of an uncorrectably
-				// corrupt base: either way data is the complete image and
-				// becomes a (staged) base page, with nothing to diff
-				// against (any buffered differential was computed against
-				// the lost base and is superseded with it).
-				if corrupt {
-					cur.remove(pid)
-					s.itel.pagesHealed.Add(1)
-				}
-				ops = append(ops, pendingOp{idx: idx, ts: ts, home: home, pid: pid, data: data})
-				pendImg[pid] = data
-				effDif[pid] = false
-				continue
-			}
-			img = base
-			if known, ok := effDif[pid]; ok {
-				difExists = known
-			} else {
-				difExists = e.dif != flash.NilPPN
-			}
-		}
-
-		// Step 2: create the differential.
-		d, err := diff.Compute(pid, ts, img, data)
-		if err != nil {
-			return ops, cur, fmt.Errorf("core: computing differential of pid %d: %w", pid, err)
-		}
-
-		// Step 3: store the differential in the (staged) write buffer,
-		// staging a spill or a new base page exactly where the serial
-		// path writes.
-		cur.remove(pid)
-		if d.Empty() && !difExists {
-			if s.adap != nil {
-				s.wtel.pdlRoutes.Add(1)
-			}
-			continue // byte-identical to its base and no stale differential to supersede
-		}
-		size := d.EncodedSize()
-		if s.adap != nil {
-			if dense := s.adap.noteDensity(pid, size, s.params.DataSize); dense ||
-				s.adap.cut(size, s.params.DataSize) {
-				// Measured dense or past the instantaneous whole-page
-				// cut: stage a whole-page write instead.
-				s.wtel.opuRoutes.Add(1)
-				if mode != ftl.ModeTagOPU {
-					s.wtel.modeSwitches.Add(1)
-				}
-				ops = append(ops, pendingOp{idx: idx, ts: ts, home: home, pid: pid, data: data, mode: ftl.ModeTagOPU})
-				pendImg[pid] = data
-				effDif[pid] = false
-				pendMode[pid] = ftl.ModeTagOPU
-				continue
-			}
-			s.wtel.pdlRoutes.Add(1)
-			if probing {
-				// The probe measured sparse: back to the differential
-				// route (same early flip as the serial path).
-				s.wtel.modeSwitches.Add(1)
-				s.mt.setMode(pid, 0)
-				pendMode[pid] = 0
-			}
-		}
-		switch {
-		case size <= cur.free(): // Case 1
-			cur.add(d)
-		case size <= s.maxDiff: // Case 2
-			spill := s.snapshotSpill(&cur, idx, ts, home)
-			ops = append(ops, spill)
-			for _, sd := range spill.diffs {
-				effDif[sd.PID] = true
-			}
-			cur.clear()
-			cur.add(d)
-		default: // Case 3
-			ops = append(ops, pendingOp{idx: idx, ts: ts, home: home, pid: pid, data: data})
-			pendImg[pid] = data
-			effDif[pid] = false
-			if pendMode != nil {
-				pendMode[pid] = 0
-			}
-		}
-	}
-	return ops, cur, nil
-}
-
-// snapshotSpill stages the current contents of buf as a differential-page
-// spill op without mutating buf: the encoded page image goes into a
-// pooled page and the differential list into a private slice. Both the
-// batch write path and the batched Flush build their spills through it;
-// the caller decides when (and whether) the buffer itself is cleared.
-func (s *Store) snapshotSpill(buf *writeBuffer, idx int, ts uint64, home int) pendingOp {
-	op := pendingOp{idx: idx, ts: ts, home: home, spill: true,
-		img:   s.getPage(),
-		diffs: append([]diff.Differential(nil), buf.diffs...),
-	}
-	copy(op.img, buf.encode())
-	return op
-}
-
-// writePending allocates, programs, and commits the staged ops of one
-// batch: each op allocates on its home channel (with fall-over applied
-// per home), the programs go to the device as a single ProgramBatch in
-// batch order (= time stamp order) — which a striped device fans out as
-// one concurrent leg per channel — and the mapping-table commits replay
-// in idx order afterwards. The caller holds the involved shard locks;
-// the flash lock (shared) and the involved channel locks, in ascending
-// channel order, are taken here, once, for the whole batch.
-//
-// On a single-channel device the prefix guarantee is the serial path's:
-// a crash mid-batch leaves exactly a TS-ordered prefix. On a striped
-// device each channel's leg is a prefix of that channel's slice (the
-// union-of-prefixes shape flash.Striped documents); recovery arbitrates
-// per page by TS, so the recovered state is still a serially-explainable
-// subset, and the kill tests assert exactly that.
+// landed reports whether the programs reached the device and their
+// mappings are committed — the point after which the caller must treat
+// its staged buffer changes as applied. An allocation or program error
+// lands nothing; an error retiring the superseded pages afterwards is
+// returned with landed true.
 //
 //pdlvet:holds shard
-func (s *Store) writePending(ops []pendingOp) error {
+func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 	if len(ops) == 0 {
-		return nil
+		return true, nil
 	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].idx < ops[j].idx })
+	slices.SortFunc(ops, func(a, b pendingOp) int { return a.idx - b.idx })
 	if invariantsEnabled {
 		// Batch order and time stamp order must coincide: recovery
 		// arbitrates by TS, so a crash mid-batch only recovers as a
@@ -400,25 +422,65 @@ func (s *Store) writePending(ops []pendingOp) error {
 				"batch TS order broken at position %d: ts %d follows %d", i, ops[i].ts, ops[i-1].ts)
 		}
 	}
-
 	s.flashMu.RLock()
 	defer s.flashMu.RUnlock()
-
-	// Resolve each distinct home channel to an actual channel (fall-over
-	// reads only atomics, so it runs before any channel lock), then take
-	// the involved channel locks in ascending index order — the same
-	// deadlock-freedom argument as the shard locks above.
-	chanOf := make(map[int]int, s.nchan)
-	perChan := make(map[int]int, s.nchan)
-	for _, op := range ops {
-		if _, ok := chanOf[op.home]; !ok {
-			chanOf[op.home] = s.pickChannel(op.home)
-		}
-		perChan[chanOf[op.home]]++
+	for i := range ops {
+		ops[i].ch = s.pickChannel(ops[i].home)
 	}
-	locked := make([]int, 0, len(perChan))
-	for ch := range perChan {
-		locked = append(locked, ch)
+	var refused []bool
+	for {
+		full, landed, err := s.programOps(ops)
+		if landed || s.nchan == 1 || !errors.Is(err, ftl.ErrNoSpace) {
+			return landed, err
+		}
+		if refused == nil {
+			refused = make([]bool, s.nchan)
+		}
+		refused[full] = true
+		to := -1
+		for ch := range refused {
+			if !refused[ch] && (to < 0 || s.alloc.FreeBlocksOn(ch) > s.alloc.FreeBlocksOn(to)) {
+				to = ch
+			}
+		}
+		if to < 0 {
+			return false, err
+		}
+		s.wtel.channelFallOvers.Add(1)
+		for i := range ops {
+			if ops[i].ch == full {
+				ops[i].ch = to
+			}
+		}
+	}
+}
+
+// programOps runs one attempt of commit against the channels picked in
+// ops[i].ch: it takes their locks in ascending index order (the same
+// deadlock-freedom argument as the shard locks), allocates every
+// channel's pages up front (allocPagesOn collects first if needed, so no
+// GC interleaves an allocated-unprogrammed page), programs the ops in idx
+// (= time stamp) order — one op with Program, several as one ProgramBatch,
+// which a striped device fans out as one concurrent leg per channel — and
+// replays the mapping-table commits in the same order. An allocation that
+// fails returns before anything is programmed, naming the channel; past
+// the program every mapping is committed, whatever retiring the
+// superseded pages returns.
+//
+// On a single-channel device a crash mid-batch leaves exactly a
+// TS-ordered prefix. On a striped device each channel's leg is a prefix
+// of that channel's slice (the union-of-prefixes shape flash.Striped
+// documents); recovery arbitrates per page by TS, so the recovered state
+// is still a serially-explainable subset, and the kill tests assert
+// exactly that.
+//
+//pdlvet:holds shard,flash
+func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
+	locked := make([]int, 0, 4) // on the stack for up to four channels
+	for i := range ops {
+		if !slices.Contains(locked, ops[i].ch) {
+			locked = append(locked, ops[i].ch)
+		}
 	}
 	sort.Ints(locked)
 	for _, ch := range locked {
@@ -429,101 +491,96 @@ func (s *Store) writePending(ops []pendingOp) error {
 			s.chans[ch].mu.Unlock()
 		}
 	}()
-
-	// Allocate every channel's pages up front (AllocBatchOn collects
-	// first if needed, so no GC interleaves an allocated-unprogrammed
-	// page), then hand them to the ops in idx order within each channel.
-	// A channel that turns out to have nothing reclaimable (ErrNoSpace)
-	// does not fail the batch while a neighbor has space: its share is
-	// allocated on another channel instead — pages are channel-agnostic,
-	// only the lock that hands them out matters.
-	chanPPNs := make(map[int][]flash.PPN, len(perChan))
-	targets := append([]int(nil), locked...)
-	for _, ch := range targets {
-		ppns, err := s.allocPagesOn(ch, perChan[ch])
-		if errors.Is(err, ftl.ErrNoSpace) {
-			s.wtel.channelFallOvers.Add(1)
-			ppns, err = s.allocPagesElsewhere(ch, perChan[ch], &locked)
+	for _, ch := range locked {
+		n := 0
+		for i := range ops {
+			if ops[i].ch == ch {
+				n++
+			}
 		}
+		ppns, err := s.allocPagesOn(ch, n)
 		if err != nil {
-			return err
+			return ch, false, err
 		}
-		chanPPNs[ch] = ppns
-	}
-	ppns := make([]flash.PPN, len(ops))
-	for i, op := range ops {
-		ch := chanOf[op.home]
-		ppns[i] = chanPPNs[ch][0]
-		chanPPNs[ch] = chanPPNs[ch][1:]
+		for i := range ops {
+			if ops[i].ch == ch {
+				ops[i].ppn, ppns = ppns[0], ppns[1:]
+			}
+		}
 	}
 
+	// One op borrows its channel's spare scratch (held under the channel
+	// lock); a batch needs every spare alive until the device call.
 	spareSize := s.params.SpareSize
-	spares := make([]byte, len(ops)*spareSize)
-	batch := make([]flash.PageProgram, len(ops))
+	spares := s.chans[ops[0].ch].spareBuf
+	if len(ops) > 1 {
+		spares = make([]byte, len(ops)*spareSize)
+	}
 	for i, op := range ops {
 		h := ftl.Header{Type: ftl.TypeBase, PID: op.pid, TS: op.ts,
-			Seq: s.alloc.SeqOf(s.params.BlockOf(ppns[i])), Mode: op.mode}
-		data := op.data
+			Seq: s.alloc.SeqOf(s.params.BlockOf(op.ppn)), Mode: op.mode}
 		if op.spill {
-			h.Type, h.PID = ftl.TypeDiff, ftl.NoPID
-			data = op.img
+			h.Type = ftl.TypeDiff
 		}
 		sp := spares[i*spareSize : (i+1)*spareSize]
 		ftl.EncodeHeaderInto(h, sp)
-		s.seal(data, sp)
-		batch[i] = flash.PageProgram{PPN: ppns[i], Data: data, Spare: sp}
+		s.seal(op.data, sp)
 	}
-	if err := s.dev.ProgramBatch(batch); err != nil {
-		return fmt.Errorf("core: programming batch of %d pages: %w", len(batch), err)
-	}
-	s.wtel.batchWrites.Add(1)
-	s.wtel.batchedPages.Add(int64(len(batch)))
-	for i, op := range ops {
-		if op.spill {
-			// ppns[i] begins a new life as a differential page: fence off
-			// any cached decode of its previous life before the mapping
-			// commits below publish it to readers.
-			s.dcache.invalidate(ppns[i])
+	if len(ops) == 1 {
+		err = s.dev.Program(ops[0].ppn, ops[0].data, spares)
+	} else {
+		batch := make([]flash.PageProgram, len(ops))
+		for i, op := range ops {
+			batch[i] = flash.PageProgram{PPN: op.ppn, Data: op.data, Spare: spares[i*spareSize : (i+1)*spareSize]}
+		}
+		if err = s.dev.ProgramBatch(batch); err == nil {
+			s.wtel.batchWrites.Add(1)
+			s.wtel.batchedPages.Add(int64(len(batch)))
 		}
 	}
+	if err != nil {
+		return 0, false, fmt.Errorf("core: programming %d pages: %w", len(ops), err)
+	}
 
-	for i, op := range ops {
-		ch := chanOf[op.home]
+	for _, op := range ops {
 		if op.spill {
+			// op.ppn begins a new life as a differential page: fence off
+			// any cached decode of its previous life before the mapping
+			// commits below publish it to readers.
+			s.dcache.invalidate(op.ppn)
 			s.wtel.bufferFlushes.Add(1)
 			s.wtel.diffsWritten.Add(int64(len(op.diffs)))
 			for _, d := range op.diffs {
 				s.wtel.diffBytesWritten.Add(int64(d.EncodedSize()))
-				old := s.mt.setDiffPage(d.PID, ppns[i], d.TS)
-				if old != flash.NilPPN {
-					if err := s.releaseDiffPage(old, ch); err != nil {
-						return err
-					}
+				if old := s.mt.setDiffPage(d.PID, op.ppn, d.TS); old != flash.NilPPN {
+					err = errors.Join(err, s.releaseDiffPage(old, op.ch))
 				}
 			}
 			continue
 		}
+		old, ok := s.mt.setBasePage(op.pid, op.ppn, op.ts, op.mode, op.pin)
+		if !ok {
+			// A pinned commit lost its race: the fresh page is unreachable.
+			err = errors.Join(err, s.alloc.MarkObsoleteFrom(op.ppn, op.ch))
+			continue
+		}
 		s.wtel.newBasePages.Add(1)
-		old := s.mt.setBasePage(op.pid, ppns[i], op.ts, op.mode)
 		if old.base != flash.NilPPN {
-			if err := s.alloc.MarkObsoleteFrom(old.base, ch); err != nil {
-				return err
-			}
+			err = errors.Join(err, s.alloc.MarkObsoleteFrom(old.base, op.ch))
 		}
 		if old.dif != flash.NilPPN {
-			if err := s.releaseDiffPage(old.dif, ch); err != nil {
-				return err
-			}
+			err = errors.Join(err, s.releaseDiffPage(old.dif, op.ch))
 		}
 	}
-	return nil
+	return 0, true, err
 }
 
-// allocPagesOn hands out n flash pages of channel ch for one batch
-// program under the channel's lock, with allocPageOn's background-GC
-// etiquette: the channel's engine is kicked at the watermark, and an
-// inline collection (the batch hit the reserve floor) counts as a
-// backpressure fallback.
+// allocPagesOn hands out n flash pages of channel ch for one commit under
+// the channel's lock. In synchronous mode it is the paper's Alloc
+// (collecting inline whenever the reserve would be violated). In
+// background-GC mode the channel's engine is kicked at the watermark, and
+// an inline collection (the commit hit the reserve floor itself) counts
+// as a backpressure fallback.
 //
 //pdlvet:holds flash,channel
 func (s *Store) allocPagesOn(ch, n int) ([]flash.PPN, error) {
@@ -536,40 +593,4 @@ func (s *Store) allocPagesOn(ch, n int) ([]flash.PPN, error) {
 		s.kickEtiquette(ch)
 	}
 	return ppns, err
-}
-
-// allocPagesElsewhere is writePending's fall-over when channel `failed`
-// cannot provide its share of a batch (all of its blocks fully live):
-// the n pages are allocated on some other channel — first the ones whose
-// locks the batch already holds, then, still under the ascending-order
-// discipline, channels ABOVE the highest held index, locking each as it
-// is tried (the new locks join *locked and are released with the rest by
-// the caller's deferred unlock). Channels below the highest held index
-// that the batch did not lock up front stay out of reach — locking one
-// now would invert the channel-lock order — so in the worst case this
-// returns ErrNoSpace even though such a channel had room; the batch
-// paths that matter (Flush, wide WriteBatch) involve every channel and
-// never hit that case.
-//
-//pdlvet:holds flash,channel
-func (s *Store) allocPagesElsewhere(failed, n int, locked *[]int) ([]flash.PPN, error) {
-	for _, ch := range *locked {
-		if ch == failed {
-			continue
-		}
-		ppns, err := s.allocPagesOn(ch, n)
-		if !errors.Is(err, ftl.ErrNoSpace) {
-			return ppns, err
-		}
-	}
-	for ch := (*locked)[len(*locked)-1] + 1; ch < s.nchan; ch++ {
-		//pdlvet:ignore lockorder ascending by construction: the loop starts above the highest held channel index, which the prover cannot see through the slice
-		s.chans[ch].mu.Lock()
-		*locked = append(*locked, ch)
-		ppns, err := s.allocPagesOn(ch, n)
-		if !errors.Is(err, ftl.ErrNoSpace) {
-			return ppns, err
-		}
-	}
-	return nil, ftl.ErrNoSpace
 }

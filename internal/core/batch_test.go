@@ -284,11 +284,13 @@ func TestWriteBatchKillMidBatchEmu(t *testing.T) {
 // prefixFailDev wraps a real device and makes the next ProgramBatch apply
 // only its first failAfter pages before reporting an injected error — the
 // device-contract crash shape (a programmed prefix) without needing power
-// control over the backing file. All other operations pass through.
+// control over the backing file. With failProgram set the next single
+// Program fails too, applying nothing. All other operations pass through.
 type prefixFailDev struct {
 	flash.Device
-	failAfter int
-	fired     bool
+	failAfter   int
+	fired       bool
+	failProgram bool
 }
 
 var errInjectedKill = errors.New("injected mid-batch kill")
@@ -304,6 +306,14 @@ func (d *prefixFailDev) ProgramBatch(batch []flash.PageProgram) error {
 		return errInjectedKill
 	}
 	return d.Device.ProgramBatch(batch)
+}
+
+func (d *prefixFailDev) Program(ppn flash.PPN, data, spare []byte) error {
+	if d.failProgram && !d.fired {
+		d.fired = true
+		return errInjectedKill
+	}
+	return d.Device.Program(ppn, data, spare)
 }
 
 // TestWriteBatchKillMidBatchFile runs the kill-mid-batch matrix over the
@@ -574,7 +584,7 @@ func TestWriteBatchContendedPidRecoversLikeLive(t *testing.T) {
 // silently reverting acknowledged writes.
 func TestFailedFlushPreservesBufferedWrites(t *testing.T) {
 	chip := flash.NewChip(batchParams())
-	dev := &prefixFailDev{Device: chip, failAfter: 0, fired: true} // disarmed
+	dev := &prefixFailDev{Device: chip, failAfter: 0, fired: true, failProgram: true} // disarmed
 	s, err := New(dev, batchNumPages, batchOptions(false))
 	if err != nil {
 		t.Fatal(err)
@@ -587,7 +597,7 @@ func TestFailedFlushPreservesBufferedWrites(t *testing.T) {
 	if err := s.WritePage(7, want); err != nil { // small update: buffered only
 		t.Fatal(err)
 	}
-	dev.fired = false // arm: the next ProgramBatch fails applying nothing
+	dev.fired = false // arm: the next program fails applying nothing
 	if err := s.Flush(); !errors.Is(err, errInjectedKill) {
 		t.Fatalf("Flush err = %v, want the injected device failure", err)
 	}
@@ -613,49 +623,138 @@ func TestFailedFlushPreservesBufferedWrites(t *testing.T) {
 	}
 }
 
-// TestFailedWriteBatchAppliesNothing guards WriteBatch's all-or-nothing
-// device-error contract: staging works on buffer copies, so a failed
-// batch program leaves every page — including pids with pre-batch
-// buffered differentials swept into a staged spill — reading its
-// pre-batch state, and the batch can simply be retried.
+// TestFailedWriteBatchAppliesNothing guards the failure contract every
+// write entry shares: a device error from the commit applies nothing. A
+// batch stages on buffer copies and a single write undoes its one step, so
+// neither loses the pids' pre-call buffered differentials — every page
+// still reads its pre-call state, and the call can simply be retried.
 func TestFailedWriteBatchAppliesNothing(t *testing.T) {
-	chip := flash.NewChip(batchParams())
-	dev := &prefixFailDev{Device: chip, failAfter: 0, fired: true} // disarmed
-	s, err := New(dev, batchNumPages, batchOptions(false))
+	size := batchParams().DataSize
+	rewrite7 := batchPage(7, 9, size)
+	for _, tc := range []struct {
+		name string
+		// call makes the write under test; shadow is the expected content,
+		// which call extends by the writes it got acknowledged on the way.
+		call func(s *Store, shadow [][]byte) error
+	}{
+		{"WritePage/Case3", func(s *Store, _ [][]byte) error { return s.WritePage(7, rewrite7) }},
+		{"WritePage/Case2", func(s *Store, shadow [][]byte) error {
+			// Small updates are buffered (no program), each pass growing
+			// every page's buffered differential, until one no longer fits
+			// its shard's buffer and spills it: that write fails.
+			for pass := 0; pass < 4; pass++ {
+				for pid := range shadow {
+					if pid == 7 {
+						continue
+					}
+					data := append([]byte(nil), shadow[pid]...)
+					for i := 0; i < 16; i++ {
+						data[32+64*pass+i] ^= 0xFF
+					}
+					if err := s.WritePage(uint32(pid), data); err != nil {
+						return err
+					}
+					shadow[pid] = data
+				}
+			}
+			return nil
+		}},
+		{"WriteBatch/1", func(s *Store, _ [][]byte) error {
+			return s.WriteBatch([]ftl.PageWrite{{PID: 7, Data: rewrite7}})
+		}},
+		{"WriteBatch/n", func(s *Store, _ [][]byte) error { return s.WriteBatch(buildTestBatch(size)) }},
+		{"Flush", func(s *Store, _ [][]byte) error { return s.Flush() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			chip := flash.NewChip(batchParams())
+			dev := &prefixFailDev{Device: chip, failAfter: 0, fired: true, failProgram: true} // disarmed
+			s, err := New(dev, batchNumPages, batchOptions(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pre := loadBatchPages(t, s)
+
+			// A pre-call buffered differential that the call removes,
+			// replaces or sweeps to flash.
+			pre[7] = append([]byte(nil), pre[7]...)
+			pre[7][3] ^= 0xFF
+			if err := s.WritePage(7, pre[7]); err != nil {
+				t.Fatal(err)
+			}
+			dev.fired = false // arm
+			if err := tc.call(s, pre); !errors.Is(err, errInjectedKill) {
+				t.Fatalf("err = %v, want the injected device failure", err)
+			}
+			buf := make([]byte, size)
+			for pid := 0; pid < batchNumPages; pid++ {
+				if err := s.ReadPage(uint32(pid), buf); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf, pre[pid]) {
+					t.Fatalf("pid %d: failed call left a visible change", pid)
+				}
+			}
+			// The retry applies the whole call.
+			if err := tc.call(s, pre); err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			for pid := 0; pid < batchNumPages; pid++ {
+				if err := s.ReadPage(uint32(pid), buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestCommitFallsOverToNeighbourChannel drives the ErrNoSpace retry of
+// commit directly: on a small 2-channel device whose one shard is homed on
+// channel 0, loading fresh pages fills channel 0 with fully live blocks —
+// nothing to reclaim, although channel 1 still has room. A single
+// WritePage and then a WriteBatch must both land on the neighbour, each
+// counted in Telemetry.ChannelFallOvers.
+func TestCommitFallsOverToNeighbourChannel(t *testing.T) {
+	p := ftltest.SmallParams(3)
+	p.PagesPerBlock = 4
+	dev, err := flash.NewStriped(flash.NewChip(p), flash.NewChip(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const numPages = 16 // what 2 x 3 blocks of 4 pages hold above the reserve
+	s, err := New(dev, numPages, Options{ReserveBlocks: 2, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	size := s.PageSize()
-	pre := loadBatchPages(t, s)
-
-	// A pre-batch buffered differential that the batch's spills would
-	// sweep to flash.
-	pre[7] = append([]byte(nil), pre[7]...)
-	pre[7][3] ^= 0xFF
-	if err := s.WritePage(7, pre[7]); err != nil {
-		t.Fatal(err)
+	pid := uint32(0)
+	for ; s.Telemetry().ChannelFallOvers == 0; pid++ {
+		if pid == numPages-2 {
+			t.Fatal("loaded every page without a channel fall-over")
+		}
+		if err := s.WritePage(pid, batchPage(pid, 0, size)); err != nil {
+			t.Fatalf("WritePage(%d): %v", pid, err)
+		}
 	}
-	batch := buildTestBatch(size)
-	dev.fired = false // arm
-	if err := s.WriteBatch(batch); !errors.Is(err, errInjectedKill) {
-		t.Fatalf("WriteBatch err = %v, want the injected device failure", err)
+	if free0, free1 := s.Allocator().FreeBlocksOn(0), s.Allocator().FreeBlocksOn(1); free0 != free1 {
+		t.Fatalf("free blocks %d vs %d: the batch would be diverted before it could fall over", free0, free1)
+	}
+	batch := []ftl.PageWrite{
+		{PID: pid, Data: batchPage(pid, 0, size)},
+		{PID: pid + 1, Data: batchPage(pid+1, 0, size)},
+	}
+	if err := s.WriteBatch(batch); err != nil {
+		t.Fatalf("WriteBatch: %v", err)
+	}
+	if got := s.Telemetry().ChannelFallOvers; got != 2 {
+		t.Fatalf("ChannelFallOvers = %d, want 2 (one WritePage, one WriteBatch)", got)
 	}
 	buf := make([]byte, size)
-	for pid := 0; pid < batchNumPages; pid++ {
-		if err := s.ReadPage(uint32(pid), buf); err != nil {
+	for q := uint32(0); q < pid+2; q++ {
+		if err := s.ReadPage(q, buf); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf, pre[pid]) {
-			t.Fatalf("pid %d: failed batch left a visible change", pid)
-		}
-	}
-	// The retry applies the whole batch.
-	if err := s.WriteBatch(batch); err != nil {
-		t.Fatalf("retry: %v", err)
-	}
-	for _, w := range batch {
-		if err := s.ReadPage(w.PID, buf); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(buf, batchPage(q, 0, size)) {
+			t.Fatalf("pid %d: wrong content after the fall-over", q)
 		}
 	}
 }

@@ -12,13 +12,11 @@ type writeBuffer struct {
 	used     int
 	diffs    []diff.Differential
 	index    map[uint32]int // pid -> position in diffs
-	enc      []byte         // scratch page image for encoding
 }
 
 func (b *writeBuffer) init(capacity int) {
 	b.capacity = capacity
 	b.index = make(map[uint32]int)
-	b.enc = make([]byte, 0, capacity)
 }
 
 // clone returns a staging copy of the buffer: same capacity, the same
@@ -32,7 +30,6 @@ func (b *writeBuffer) clone() writeBuffer {
 	for pid, i := range b.index {
 		c.index[pid] = i
 	}
-	c.enc = make([]byte, 0, b.capacity)
 	return c
 }
 
@@ -88,16 +85,15 @@ func (b *writeBuffer) clear() {
 	clear(b.index)
 }
 
-// encode packs the buffered differentials into a full page image, padding
-// the tail with the erased-flash byte so the differential page's unused
-// space terminates the record sequence.
-func (b *writeBuffer) encode() []byte {
-	b.enc = b.enc[:0]
+// encode packs the buffered differentials into page, a full page image,
+// padding the tail with the erased-flash byte so the differential page's
+// unused space terminates the record sequence.
+func (b *writeBuffer) encode(page []byte) {
+	img := page[:0]
 	for _, d := range b.diffs {
-		b.enc = d.AppendTo(b.enc)
+		img = d.AppendTo(img)
 	}
-	for len(b.enc) < b.capacity {
-		b.enc = append(b.enc, 0xFF)
+	for len(img) < b.capacity {
+		img = append(img, 0xFF)
 	}
-	return b.enc
 }

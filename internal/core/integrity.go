@@ -18,7 +18,8 @@
 // a read either returns exactly the bytes written, or the typed error;
 // never silently wrong data, never a panic.
 //
-// Healing decision tree for an uncorrectably corrupt BASE page:
+// Healing decision tree for an uncorrectably corrupt BASE page (the read
+// path's resolveDiff, applyFromPage and applyDiff in readbatch.go):
 //
 //  1. a buffered differential for the pid exists (shard write buffer):
 //     if its ranges cover every corrupt byte, apply it and serve — the
@@ -120,17 +121,19 @@ func (s *Store) verifyData(data, spare []byte) []int {
 // so no read path can bypass verification by construction.
 
 // verifiedReadStable is the raw read of the optimistic (version-checked)
-// paths: it reads ppn's data area — and spare area when verification is
-// on — re-checks the pid's mapping version, and only then verifies, so
-// corrected-bit counts and heal decisions are never taken on bytes a
-// concurrent relocation made stale. A nil spare skips verification.
+// paths: it reads ppn's data area — and, into a pooled scratch, its spare
+// area when verification is on — re-checks the pid's mapping version, and
+// only then verifies, so corrected-bit counts and heal decisions are never
+// taken on bytes a concurrent relocation made stale.
 //
 //pdlvet:ignore deviceio raw-read funnel; every other core read goes through here
-func (s *Store) verifiedReadStable(ppn flash.PPN, data, spare []byte, pid uint32, v uint64) (stable bool, bad []int, err error) {
+func (s *Store) verifiedReadStable(ppn flash.PPN, data []byte, pid uint32, v uint64) (stable bool, bad []int, err error) {
+	spare := s.getVerifySpare()
 	if spare == nil {
 		err = s.dev.ReadData(ppn, data)
 		return s.mt.stable(pid, v), nil, err
 	}
+	defer s.putVerifySpare(spare)
 	err = s.dev.Read(ppn, data, spare)
 	if !s.mt.stable(pid, v) {
 		return false, nil, nil
@@ -156,14 +159,38 @@ func (s *Store) verifiedRead(ppn flash.PPN, data, spare []byte) (bad []int, err 
 	return s.verifyData(data, spare), nil
 }
 
-// verifiedReadBatch is the raw read funnel of the batched read path.
-// Entries carrying a Spare are verified by the caller (readbatch.go)
-// once its per-entry stability checks pass, so this helper only issues
-// the device batch.
+// verifiedReadBatch is the raw read funnel of the batched read path: it
+// gives every entry a spare buffer when verification is on and issues the
+// device batch. The caller verifies each entry with verifyRead once its
+// per-entry stability check passes.
 //
 //pdlvet:ignore deviceio raw-read funnel
 func (s *Store) verifiedReadBatch(reads []flash.PageRead) error {
-	return s.dev.ReadBatch(reads)
+	if len(reads) == 0 {
+		return nil
+	}
+	if s.integ.verify {
+		n := s.params.SpareSize
+		slab := make([]byte, len(reads)*n)
+		for k := range reads {
+			reads[k].Spare = slab[k*n : (k+1)*n]
+		}
+	}
+	if err := s.dev.ReadBatch(reads); err != nil {
+		return err
+	}
+	s.rtel.batchReads.Add(1)
+	s.rtel.batchedReads.Add(int64(len(reads)))
+	return nil
+}
+
+// verifyRead verifies one entry verifiedReadBatch filled; nil when clean
+// or when verification is off.
+func (s *Store) verifyRead(pr flash.PageRead) []int {
+	if pr.Spare == nil {
+		return nil
+	}
+	return s.verifyData(pr.Data, pr.Spare)
 }
 
 // scanRead is the raw read of the recovery and checkpoint scan paths:
@@ -206,126 +233,6 @@ func coversSectors(d diff.Differential, bad []int, pageSize int) bool {
 		}
 	}
 	return true
-}
-
-// healBaseRead implements the healing decision tree (package comment
-// above) for an uncorrectably corrupt base page found by readPageLocked.
-// buf holds the corrupt base image with its correctable sectors already
-// fixed; bad lists the uncorrectable sectors. On (true, nil) buf holds
-// the exact current logical page; on (true, err) the read terminally
-// failed; (false, nil) means the mapping moved mid-heal and the caller
-// should retry from a fresh snapshot. The caller holds pid's shard lock.
-//
-//pdlvet:holds shard
-func (s *Store) healBaseRead(sh *shard, pid uint32, e pageEntry, v uint64, buf []byte, bad []int) (bool, error) {
-	// Source 1: a buffered differential. It is the complete delta against
-	// the lost base, so it either covers every corrupt byte (uncovered
-	// bytes of the current page equal the base's, which are gone) or the
-	// page is unrecoverable. The heal is transient: serving is correct,
-	// but no durable base can be written while the buffered differential
-	// — computed against the lost base — is still the write buffer's
-	// newest truth.
-	if d, ok := sh.dwb.get(pid); ok {
-		if !coversSectors(d, bad, s.params.DataSize) {
-			s.itel.unrecoverablePages.Add(1)
-			return true, &ftl.PageError{PID: pid, PPN: e.base, Kind: ftl.CorruptBase}
-		}
-		if err := d.Apply(buf); err != nil {
-			return true, err
-		}
-		s.itel.pagesHealed.Add(1)
-		return true, nil
-	}
-	// Source 2: the flushed differential chain.
-	if e.dif == flash.NilPPN {
-		s.itel.unrecoverablePages.Add(1)
-		return true, &ftl.PageError{PID: pid, PPN: e.base, Kind: ftl.CorruptBase}
-	}
-	recs, ok := s.dcache.get(e.dif)
-	if ok {
-		if !s.mt.stable(pid, v) {
-			return false, nil
-		}
-	} else {
-		scratch := s.getPage()
-		defer s.putPage(scratch)
-		spare := s.getVerifySpare()
-		stable, dbad, err := s.verifiedReadStable(e.dif, scratch, spare, pid, v)
-		s.putVerifySpare(spare)
-		if !stable {
-			return false, nil
-		}
-		if err != nil {
-			return true, err
-		}
-		if len(dbad) > 0 {
-			// Both the base and its differential page are corrupt: the
-			// failure is no longer single-page.
-			s.itel.unrecoverablePages.Add(1)
-			return true, &ftl.PageError{PID: pid, PPN: e.base, Kind: ftl.CorruptBase}
-		}
-		recs = diff.DecodeAll(scratch)
-	}
-	d, ok := newestFor(recs, pid)
-	if !ok || !coversSectors(d, bad, s.params.DataSize) {
-		s.itel.unrecoverablePages.Add(1)
-		return true, &ftl.PageError{PID: pid, PPN: e.base, Kind: ftl.CorruptBase}
-	}
-	if err := d.Apply(buf); err != nil {
-		return true, err
-	}
-	// buf is now the exact current logical page (base + newest flushed
-	// differential, with no buffered one). Make the heal durable.
-	s.healCommit(pid, v, buf)
-	s.itel.pagesHealed.Add(1)
-	return true, nil
-}
-
-// healCommit makes a healed base read durable: the merged image is
-// programmed as a new base page with a fresh time stamp and the mapping
-// repointed at it, conditional on the version pinned by the heal — a
-// concurrent GC relocation loses nothing (the heal is simply left
-// transient and redone by the next read). Failure here is deliberately
-// swallowed: the read being served is already correct, and a full flash
-// is no reason to fail it. The caller holds pid's shard lock; taking the
-// flash and channel locks under it is the hierarchy's normal order.
-//
-//pdlvet:holds shard
-func (s *Store) healCommit(pid uint32, v uint64, img []byte) {
-	s.flashMu.RLock()
-	defer s.flashMu.RUnlock()
-	_ = s.writeOnSomeChannel(s.shardIndex(pid),
-		//pdlvet:holds shard,flash,channel
-		func(ch int) error {
-			q, err := s.allocPageOn(ch)
-			if err != nil {
-				return err
-			}
-			ts := s.nextTS()
-			spareBuf := s.chans[ch].spareBuf
-			ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeBase, PID: pid, TS: ts,
-				Seq: s.alloc.SeqOf(s.params.BlockOf(q)), Mode: s.mt.modeOf(pid)}, spareBuf)
-			s.seal(img, spareBuf)
-			if err := s.dev.Program(q, img, spareBuf); err != nil {
-				return err
-			}
-			old, ok := s.mt.healBaseTo(pid, v, q, ts)
-			if !ok {
-				// Lost the race: the fresh page is unreachable; retire it.
-				return s.alloc.MarkObsoleteFrom(q, ch)
-			}
-			if old.base != flash.NilPPN {
-				if err := s.alloc.MarkObsoleteFrom(old.base, ch); err != nil {
-					return err
-				}
-			}
-			if old.dif != flash.NilPPN {
-				if err := s.releaseDiffPage(old.dif, ch); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
 }
 
 // IntegrityEnabled reports whether read-path verification and healing

@@ -146,14 +146,23 @@ func (t *mapTable) diffOf(pid uint32) (flash.PPN, uint64) {
 	return t.ppmt[pid].dif, t.diffTS[pid]
 }
 
-// setBasePage commits a writeNewBasePage: pid's base becomes ppn with
+// setBasePage commits a new base page: pid's base becomes ppn with
 // creation time stamp ts and logging mode mode (0 for fixed-method
 // stores), and any previous base/differential linkage is returned to the
-// caller for release. Caller holds the flash lock.
+// caller for release. A non-nil pin makes the commit conditional on pid's
+// entry still being at version *pin — the read-path heal (applyDiff in
+// readbatch.go) pins its merged image to the version it read: on false the
+// copy at ppn is dead and must be discarded by the caller, and the racing
+// mutation (a GC relocation; flushes and writes are excluded by the shard
+// lock the healer holds) owns the mapping. Caller holds the flash lock.
 //
 //pdlvet:holds flash
-func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8) (old pageEntry) {
+func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8, pin *uint64) (old pageEntry, ok bool) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if pin != nil && t.ver[pid] != *pin {
+		return pageEntry{}, false
+	}
 	old = t.ppmt[pid]
 	if invariantsEnabled {
 		assertf(old.base == flash.NilPPN || ts > t.baseTS[pid],
@@ -166,40 +175,6 @@ func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8)
 	t.baseTS[pid] = ts
 	t.diffTS[pid] = 0
 	t.mode[pid] = mode
-	t.reverseBase[ppn] = pid
-	t.ver[pid]++
-	t.mu.Unlock()
-	return old
-}
-
-// healBaseTo commits a read-path self-heal (integrity.go): pid's base
-// becomes ppn with the heal's fresh time stamp and any differential
-// linkage is cleared — the healed image already merges it — but only if
-// pid's entry is still at version v, the version the healing read pinned
-// its merged image to. On false the healed copy at ppn is dead and must
-// be discarded by the caller; the racing mutation (GC relocation; flushes
-// and writes are excluded by the shard lock the healer holds) owns the
-// mapping. The mode hint is deliberately untouched: healing copies the
-// logical content, it does not reroute the pid. Caller holds the flash
-// lock.
-//
-//pdlvet:holds flash
-func (t *mapTable) healBaseTo(pid uint32, v uint64, ppn flash.PPN, ts uint64) (old pageEntry, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.ver[pid] != v {
-		return pageEntry{}, false
-	}
-	old = t.ppmt[pid]
-	if invariantsEnabled {
-		assertf(old.base != flash.NilPPN, "healing pid %d with no base page", pid)
-		assertf(ts > t.baseTS[pid],
-			"heal TS not monotone for pid %d: committed %d after %d", pid, ts, t.baseTS[pid])
-	}
-	delete(t.reverseBase, old.base)
-	t.ppmt[pid] = pageEntry{base: ppn, dif: flash.NilPPN}
-	t.baseTS[pid] = ts
-	t.diffTS[pid] = 0
 	t.reverseBase[ppn] = pid
 	t.ver[pid]++
 	return old, true

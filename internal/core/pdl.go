@@ -19,6 +19,35 @@
 // page with its base page — not by intercepting update operations — PDL
 // lives entirely inside the flash driver and requires no DBMS changes.
 //
+// # One write step, one commit, one read step
+//
+// Each algorithm of the paper is written once. PDL_Writing (Figure 7) is
+// stageWrite (batch.go): route, resolve the base image, heal a corrupt base
+// by overwrite, compute the differential, and take Case 1, 2 or 3 — against
+// a writeStage, which holds the write buffer the step mutates and the page
+// programs it staged. The writing procedures of Figure 8 are commit: it
+// picks channels, allocates, encodes and seals the headers, programs, and
+// repoints the mapping table, for every foreground program there is. The
+// entries are thin drivers of those two:
+//
+//   - WritePage runs one step on the live shard buffer and commits what it
+//     staged; if the step or the commit fails, it puts the buffer back as it
+//     was, so a failed write leaves the pid's previously buffered
+//     differential in place and readable;
+//   - WriteBatch runs the steps of each shard on a clone of its buffer, in
+//     parallel, commits every staged program as one device batch, and only
+//     then publishes the clones, so a failed batch applies nothing;
+//   - Flush stages each non-empty buffer as a spill and commits them;
+//   - the read path's durable heal commits one base page, pinned to the
+//     mapping version it read.
+//
+// PDL_Reading (Figure 9) is resolveDiff and applyFromPage (readbatch.go):
+// given a pid's base image, find its differential in the write buffer or the
+// decoded cache — healing an uncorrectably corrupt base from it when it
+// covers the damage — or name the differential page to read, then decode
+// (and cache) that page and merge. ReadPage wraps them in its two
+// single-page reads; ReadBatch in its two device batches.
+//
 // # Concurrency model
 //
 // A Store is safe for concurrent use by multiple goroutines. State is
@@ -31,18 +60,18 @@
 //	    serializing the buffered differentials of the pids it owns (so
 //	    per-pid write order is well defined); ReadBatch/WriteBatch/Flush
 //	    take several shard locks together, always in ascending index order;
-//	  - the flash lock (flashMu) is now a readers-writer lock over the
-//	    flash mutation domain as a whole: every per-channel mutation path
-//	    holds it SHARED and then takes the channel lock of the one channel
-//	    it mutates, so mutations on different channels run in parallel;
-//	    whole-store operations (checkpointing) hold it EXCLUSIVE, which
-//	    quiesces every channel at once;
+//	  - the flash lock (flashMu) is a readers-writer lock over the flash
+//	    mutation domain as a whole: commit and garbage collection hold it
+//	    SHARED and then take the channel locks of the channels they mutate,
+//	    so mutations on different channels run in parallel; whole-store
+//	    operations (checkpointing) hold it EXCLUSIVE, which quiesces every
+//	    channel at once;
 //	  - each channel lock (one per flash channel; a plain device has
 //	    exactly one) serializes that channel's mutations: allocation, page
 //	    programs with their mapping-table commits, and garbage collection.
-//	    It is held per program — or, in background-GC mode, per collected
-//	    victim — never across a whole collection cycle. Paths touching
-//	    several channels (WriteBatch) lock them in ascending index order;
+//	    It is held per commit — or, in background-GC mode, per collected
+//	    victim — never across a whole collection cycle. A commit touching
+//	    several channels locks them in ascending index order;
 //	  - the mapTable owns the mapping state (ppmt, time stamps, vdct,
 //	    reverseBase) behind its own RWMutex plus a per-pid version counter;
 //	  - the decoded-differential cache (see diffCache) has the innermost
@@ -59,19 +88,17 @@
 // images — likewise runs outside every store-level lock.
 //
 // With Options.BackgroundGC, victim selection and relocation run
-// incrementally on a background goroutine (see internal/gc): foreground
-// reflections allocate through a non-collecting fast path and only fall
-// back to the paper's synchronous collection when the erased-block
-// reserve itself is reached (backpressure). With BackgroundGC off, every
-// allocation collects synchronously, preserving the paper's semantics
-// exactly. Scratch page buffers come from a sync.Pool so concurrent
-// operations never share buffer state.
+// incrementally on a background goroutine (see internal/gc): a commit
+// kicks its channel's collector at the watermark and only collects on its
+// own goroutine when the erased-block reserve itself is reached
+// (backpressure). With BackgroundGC off, every allocation collects
+// synchronously, preserving the paper's semantics exactly. Scratch page
+// buffers come from a sync.Pool so concurrent operations never share
+// buffer state.
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -259,8 +286,10 @@ type Telemetry struct {
 	// BufferFlushes is the number of differential-page writes from the
 	// write buffer (Case 2 spills and explicit Flushes).
 	BufferFlushes int64
-	// NewBasePages is the number of Case 3 fallbacks (differential larger
-	// than Max_Differential_Size) plus initial loads.
+	// NewBasePages is the number of base pages foreground writes committed:
+	// Case 3 fallbacks (differential larger than Max_Differential_Size),
+	// initial loads, whole-page routes, heals by overwrite and durable
+	// read-path heals.
 	NewBasePages int64
 	// DiffBytesWritten sums the encoded differential bytes that went into
 	// flushed differential pages.
@@ -271,10 +300,10 @@ type Telemetry struct {
 	// floor and had to collect synchronously despite background GC — the
 	// backpressure events background mode is meant to make rare.
 	SyncGCFallbacks int64
-	// ChannelFallOvers counts programs that could not be served by the
-	// channel first picked for them — it was out of reclaimable space —
-	// and were retried on another channel. Always zero on single-channel
-	// devices.
+	// ChannelFallOvers counts the times a commit's share of programs could
+	// not be served by the channel picked for it — it was out of
+	// reclaimable space — and moved to another channel. Always zero on
+	// single-channel devices.
 	ChannelFallOvers int64
 	// BatchWrites is the number of device ProgramBatch operations the
 	// batched write path (WriteBatch, batched Flush) issued.
@@ -644,29 +673,6 @@ func (s *Store) getPage() []byte { return s.pages.Get().([]byte) }
 // putPage returns a scratch page buffer to the pool.
 func (s *Store) putPage(b []byte) { s.pages.Put(b) } //nolint:staticcheck // []byte header alloc is fine here
 
-// allocPageOn hands out channel ch's next flash page for a program under
-// the channel's lock. In synchronous mode it is the paper's Alloc
-// (collecting inline whenever the reserve would be violated); in
-// background-GC mode it takes the non-collecting fast path, nudges the
-// channel's engine when its pool sinks to the watermark, and only
-// collects on this goroutine if the reserve floor itself is reached —
-// the backpressure case.
-//
-//pdlvet:holds flash,channel
-func (s *Store) allocPageOn(ch int) (flash.PPN, error) {
-	if s.gcEng == nil {
-		return s.alloc.AllocOn(ch)
-	}
-	ppn, ok, err := s.alloc.TryAllocOn(ch)
-	if ok || err != nil {
-		s.kickEtiquette(ch)
-		return ppn, err
-	}
-	s.gcEng.Kick(ch)
-	s.wtel.syncGCFallbacks.Add(1)
-	return s.alloc.AllocOn(ch)
-}
-
 // kickEtiquette kicks channel ch's background engine at the watermark,
 // but at most once per free-block level: the level only moves when a
 // block is consumed or reclaimed, so a pool parked low with nothing
@@ -687,10 +693,11 @@ func (s *Store) kickEtiquette(ch int) {
 	}
 }
 
-// WritePage implements ftl.Method with the PDL_Writing algorithm
-// (Figure 7): read the base page, create the differential by comparison,
-// and store the differential in the differential write buffer, spilling to
-// a differential page or falling back to a new base page by size.
+// WritePage implements ftl.Method: one run of stageWrite on the live shard
+// write buffer, then one commit of whatever it staged. If the write fails —
+// a base page read, an allocation or a device error — the buffer is put
+// back exactly as it was, so the differential an earlier acknowledged
+// write of pid left buffered stays in place and readable.
 func (s *Store) WritePage(pid uint32, data []byte) error {
 	if err := ftl.CheckPID(pid, s.numPages); err != nil {
 		return err
@@ -698,212 +705,47 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 	if err := ftl.CheckPageBuf(data, s.params.DataSize); err != nil {
 		return err
 	}
-	sh := s.shardOf(pid)
+	si := s.shardIndex(pid)
+	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s.wtel.logicalWrites.Add(1)
 
-	// Step 0 (adaptive stores only): the per-page routing decision, taken
-	// BEFORE the base page is read so the whole-page route skips that
-	// read entirely; see adaptive.go.
-	probing := false
-	var mode byte
-	if s.adap != nil {
-		mode = s.mt.modeOf(pid)
-		re, _ := s.mt.snapshot(pid)
-		_, buffered := sh.dwb.get(pid)
-		switch s.adap.route(pid, mode, re.base != flash.NilPPN,
-			re.dif != flash.NilPPN || buffered) {
-		case routeOPU:
-			s.wtel.opuRoutes.Add(1)
-			if mode != ftl.ModeTagOPU {
-				s.wtel.modeSwitches.Add(1)
-			}
-			// A whole-page write supersedes any buffered differential
-			// (it was computed against the base this write replaces).
-			sh.dwb.remove(pid)
-			return s.writeNewBasePageLocked(pid, data, ftl.ModeTagOPU)
-		case routeProbe:
-			probing = true
-			s.wtel.probes.Add(1)
-		}
-	}
-
-	// Step 1: read the base page, without the flash lock. The versioned
-	// snapshot detects a concurrent garbage-collection relocation of the
-	// base page (the only mutation another goroutine can make to this
-	// pid's entry while we hold its shard lock) and retries; relocation
-	// preserves content, so a stable read is always the current image.
+	prev, had := sh.dwb.get(pid)
+	st := writeStage{buf: &sh.dwb, home: s.homeChannel(si)}
 	base := s.getPage()
-	defer s.putPage(base)
-	var e pageEntry
-	for {
-		var v uint64
-		e, v = s.mt.snapshot(pid)
-		if e.base == flash.NilPPN {
-			// Initial load: no base page exists yet, so there is nothing to
-			// diff against; the logical page itself becomes the base page.
-			// Only the shard-lock holder creates a pid's base page, so the
-			// nil observation cannot be stale. (Adaptive stores rarely get
-			// here — a never-written page is cold and routed whole-page.)
-			if s.adap != nil {
-				s.wtel.pdlRoutes.Add(1)
+	err := s.stageWrite(&st, 0, s.nextTS(), pid, data, base)
+	s.putPage(base)
+	landed := false
+	if err == nil {
+		landed, err = s.commit(st.ops)
+	}
+	if !landed && err != nil {
+		// Undo the one write: a staged spill still lists what it took out
+		// of the buffer, and prev is what the step removed for pid.
+		for _, op := range st.ops {
+			if op.spill {
+				sh.dwb.clear()
+				for _, d := range op.diffs {
+					sh.dwb.add(d)
+				}
 			}
-			return s.writeNewBasePageLocked(pid, data, 0)
 		}
-		spare := s.getVerifySpare()
-		stable, bad, err := s.verifiedReadStable(e.base, base, spare, pid, v)
-		s.putVerifySpare(spare)
-		if !stable {
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("core: reading base page of pid %d: %w", pid, err)
-		}
-		if len(bad) > 0 {
-			// The base page is uncorrectably corrupt, but a write does not
-			// need it: data is the complete up-to-date image, so writing it
-			// as a new base page heals the pid outright (any buffered
-			// differential was computed against the lost base and is
-			// superseded with it).
-			sh.dwb.remove(pid)
-			s.itel.pagesHealed.Add(1)
-			if s.adap != nil {
-				s.wtel.pdlRoutes.Add(1)
-			}
-			return s.writeNewBasePageLocked(pid, data, 0)
-		}
-		break
-	}
-
-	// Step 2: create the differential. This is the expensive comparison of
-	// two page images; it runs outside every store-level lock.
-	d, err := diff.Compute(pid, s.nextTS(), base, data)
-	if err != nil {
-		return fmt.Errorf("core: computing differential of pid %d: %w", pid, err)
-	}
-
-	// Step 3: write the differential into the differential write buffer.
-	sh.dwb.remove(pid)
-	if d.Empty() && e.dif == flash.NilPPN {
-		// The page is byte-identical to its base and no differential page
-		// exists on flash: the write is a no-op. (If a differential page
-		// does exist, the empty differential must still be written so its
-		// newer time stamp supersedes the stale one durably. GC never
-		// creates or destroys a pid's differential linkage — it only moves
-		// it — so the nil observation holds under the shard lock.)
-		if s.adap != nil {
-			s.wtel.pdlRoutes.Add(1)
-		}
-		return nil
-	}
-	size := d.EncodedSize()
-	if s.adap != nil {
-		if dense := s.adap.noteDensity(pid, size, s.params.DataSize); dense ||
-			s.adap.cut(size, s.params.DataSize) {
-			// The measured differential confirms the page is dense (EWMA)
-			// or this one write is past the instantaneous cut: the
-			// differential route costs as much here as resetting the
-			// escalation outright, so write the page whole.
-			s.wtel.opuRoutes.Add(1)
-			if mode != ftl.ModeTagOPU {
-				s.wtel.modeSwitches.Add(1)
-			}
-			return s.writeNewBasePageLocked(pid, data, ftl.ModeTagOPU)
-		}
-		s.wtel.pdlRoutes.Add(1)
-		if probing {
-			// The probe measured sparse: back to the differential route.
-			// The buffered differential below either flushes (setDiffPage
-			// re-commits PDL durably) or is superseded by a later
-			// whole-page write, so the early flip stays consistent.
-			s.wtel.modeSwitches.Add(1)
-			s.mt.setMode(pid, 0)
+		sh.dwb.remove(pid)
+		if had {
+			sh.dwb.add(prev)
 		}
 	}
-	switch {
-	case size <= sh.dwb.free(): // Case 1
-		sh.dwb.add(d)
-	case size <= s.maxDiff: // Case 2
-		if err := s.flushShard(sh, s.shardIndex(pid)); err != nil {
-			return err
-		}
-		sh.dwb.add(d)
-	default: // Case 3
-		return s.writeNewBasePageLocked(pid, data, 0)
-	}
-	return nil
-}
-
-// writeNewBasePageLocked takes the flash lock shared, picks the channel
-// (the pid's shard's home, with fall-over), takes its channel lock, and
-// writes pid's new base page in logging mode mode (0 for the fixed
-// method, ftl.ModeTagOPU for the adaptive whole-page route). The caller
-// holds the pid's shard lock.
-//
-//pdlvet:holds shard
-func (s *Store) writeNewBasePageLocked(pid uint32, data []byte, mode byte) error {
-	s.flashMu.RLock()
-	defer s.flashMu.RUnlock()
-	return s.writeOnSomeChannel(s.shardIndex(pid),
-		//pdlvet:holds shard,flash,channel
-		func(ch int) error {
-			return s.writeNewBasePage(pid, data, ch, mode)
-		})
-}
-
-// writeOnSomeChannel runs one channel-agnostic program (fn must fail
-// cleanly, before any mutation, when allocation fails) under a channel
-// lock, starting from shard si's pick. PickChannel diverts on free-pool
-// pressure but cannot know whether a pressured channel can actually
-// reclaim anything; on small multi-channel geometries a channel whose
-// blocks are all fully live returns ErrNoSpace even while its neighbors
-// hold erased blocks. A single-page program can go to any channel, so
-// the write follows the space: every other channel is tried, the ones
-// with the most erased blocks first. Channel locks are taken one at a
-// time — never two at once — so the retry order cannot deadlock.
-//
-//pdlvet:holds shard,flash
-func (s *Store) writeOnSomeChannel(si int, fn func(ch int) error) error {
-	first := s.pickChannel(si)
-	err := s.runOnChannel(first, fn)
-	if err == nil || s.nchan == 1 || !errors.Is(err, ftl.ErrNoSpace) {
-		return err
-	}
-	rest := make([]int, 0, s.nchan-1)
-	for ch := 0; ch < s.nchan; ch++ {
-		if ch != first {
-			rest = append(rest, ch)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		return s.alloc.FreeBlocksOn(rest[i]) > s.alloc.FreeBlocksOn(rest[j])
-	})
-	for _, ch := range rest {
-		s.wtel.channelFallOvers.Add(1)
-		if err = s.runOnChannel(ch, fn); err == nil || !errors.Is(err, ftl.ErrNoSpace) {
-			return err
-		}
-	}
+	s.recycleSpills(st.ops)
 	return err
 }
 
-// runOnChannel runs fn holding channel ch's lock.
-//
-//pdlvet:holds shard,flash
-func (s *Store) runOnChannel(ch int, fn func(ch int) error) error {
-	sc := &s.chans[ch]
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return fn(ch)
-}
-
 // ReadPage implements ftl.Method with the PDL_Reading algorithm (Figure 9):
-// read the base page, find the differential (write buffer first, then the
-// differential page), and merge. The whole read path runs without the
-// flash lock: concurrent readers proceed in parallel on the device, and a
-// racing garbage-collection relocation is detected by the mapping
-// version and retried.
+// read the base page, find the differential (write buffer, decoded cache,
+// then the differential page), and merge. The whole read path runs without
+// the flash lock: concurrent readers proceed in parallel on the device, and
+// a racing garbage-collection relocation or flush is detected by the
+// mapping version and retried against a fresh snapshot.
 func (s *Store) ReadPage(pid uint32, buf []byte) error {
 	if err := ftl.CheckPID(pid, s.numPages); err != nil {
 		return err
@@ -914,127 +756,60 @@ func (s *Store) ReadPage(pid uint32, buf []byte) error {
 	sh := s.shardOf(pid)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return s.readPageLocked(sh, pid, buf)
+	r := pageRead{pid: pid, buf: buf}
+	for {
+		retry, err := s.readOnce(sh, &r)
+		if !retry {
+			return err
+		}
+		s.rtel.readRetries.Add(1)
+	}
 }
 
-// readPageLocked is ReadPage's body, factored out so the batched read
-// path can route individual pids through it (verification failures, racy
-// entries) without re-taking shard locks. The caller holds pid's shard
-// lock, shared or exclusive.
+// readOnce is one optimistic attempt of ReadPage: at most two single-page
+// device reads around resolveDiff and applyFromPage. retry means the
+// mapping moved under the attempt. The caller holds pid's shard lock.
 //
 //pdlvet:holds shard
-func (s *Store) readPageLocked(sh *shard, pid uint32, buf []byte) error {
-	for {
-		e, v := s.mt.snapshot(pid)
-		if e.base == flash.NilPPN {
-			return fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, pid)
-		}
-		// Step 1: read the base page, verifying its data area against the
-		// spare-area ECC when integrity is on.
-		spare := s.getVerifySpare()
-		stable, bad, err := s.verifiedReadStable(e.base, buf, spare, pid, v)
-		s.putVerifySpare(spare)
-		if !stable {
-			s.rtel.readRetries.Add(1)
-			continue // relocated mid-read; retry on the new mapping
-		}
-		if err != nil {
-			return fmt.Errorf("core: reading base page of pid %d: %w", pid, err)
-		}
-		if len(bad) > 0 {
-			// Uncorrectable base corruption: attempt to heal from a
-			// redundant source (see integrity.go). A false, nil return
-			// means the mapping moved mid-heal; retry from a fresh
-			// snapshot.
-			healed, err := s.healBaseRead(sh, pid, e, v, buf, bad)
-			if healed || err != nil {
-				return err
-			}
-			s.rtel.readRetries.Add(1)
-			continue
-		}
-		// Step 2: find the differential. The shard read lock keeps the
-		// write buffer stable (flushes take the shard lock exclusively).
-		if d, ok := sh.dwb.get(pid); ok {
-			return d.Apply(buf)
-		}
-		if e.dif == flash.NilPPN {
-			return nil // no differential page; the base page is current
-		}
-		// The decoded-differential cache first: a hit saves the second
-		// flash read and the decode. The stability re-check pins the hit to
-		// the snapshot — a passing check proves e.dif is still pid's
-		// differential page, and the coherence protocol (see diffCache)
-		// guarantees a present entry always matches its PPN's current
-		// content.
-		if recs, ok := s.dcache.get(e.dif); ok {
-			if !s.mt.stable(pid, v) {
-				s.rtel.readRetries.Add(1)
-				continue
-			}
-			s.rtel.diffCacheHits.Add(1)
-			d, ok := newestFor(recs, pid)
-			if !ok {
-				return fmt.Errorf("core: differential of pid %d missing from differential page %d", pid, e.dif)
-			}
-			return d.Apply(buf)
-		}
-		gen := s.dcache.genSnapshot()
-		scratch := s.getPage()
-		spare = s.getVerifySpare()
-		stable, dbad, err := s.verifiedReadStable(e.dif, scratch, spare, pid, v)
-		s.putVerifySpare(spare)
-		if !stable {
-			s.putPage(scratch)
-			s.rtel.readRetries.Add(1)
-			continue // compacted mid-read; retry (base may have moved too)
-		}
-		if err != nil {
-			s.putPage(scratch)
-			return fmt.Errorf("core: reading differential page of pid %d: %w", pid, err)
-		}
-		if len(dbad) > 0 {
-			// An uncorrectably corrupt differential page. The write buffer
-			// and the decoded cache were already consulted above, so no
-			// redundant source for pid's newest differential remains.
-			s.putPage(scratch)
-			s.itel.unrecoverablePages.Add(1)
-			return &ftl.PageError{PID: pid, PPN: e.dif, Kind: ftl.CorruptDiff}
-		}
-		if s.dcache != nil {
-			// Decode the whole page once and cache it: the differential
-			// page's other records belong to other (likely hot) pids.
-			s.rtel.diffCacheMisses.Add(1)
-			recs := diff.DecodeAll(scratch)
-			s.dcache.put(e.dif, recs, gen)
-			s.putPage(scratch) // decoded ranges are copies; the scratch can go back
-			d, ok := newestFor(recs, pid)
-			if !ok {
-				return fmt.Errorf("core: differential of pid %d missing from differential page %d", pid, e.dif)
-			}
-			return d.Apply(buf)
-		}
-		// Cache disabled: scan for pid's record in place and apply it
-		// straight from the wire form — no record is decoded or copied.
-		rec, ok := diff.FindIn(scratch, pid)
-		if !ok {
-			s.putPage(scratch)
-			return fmt.Errorf("core: differential of pid %d missing from differential page %d", pid, e.dif)
-		}
-		// Step 3: merge the base page with the differential.
-		err = diff.ApplyRecord(rec, buf)
-		s.putPage(scratch)
-		return err
+func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
+	r.e, r.v = s.mt.snapshot(r.pid)
+	if r.e.base == flash.NilPPN {
+		return false, fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
 	}
+	stable, bad, err := s.verifiedReadStable(r.e.base, r.buf, r.pid, r.v)
+	if !stable {
+		return true, nil // relocated mid-read; retry on the new mapping
+	}
+	if err != nil {
+		return false, fmt.Errorf("core: reading base page of pid %d: %w", r.pid, err)
+	}
+	r.bad = bad
+	need, retry, err := s.resolveDiff(sh, r)
+	if need == flash.NilPPN {
+		return retry, err
+	}
+	gen := s.dcache.genSnapshot()
+	scratch := s.getPage()
+	defer s.putPage(scratch)
+	stable, bad, err = s.verifiedReadStable(need, scratch, r.pid, r.v)
+	if !stable {
+		return true, nil // compacted mid-read; retry (base may have moved too)
+	}
+	if err != nil {
+		return false, fmt.Errorf("core: reading differential page of pid %d: %w", r.pid, err)
+	}
+	if len(bad) > 0 {
+		return false, s.corruptDiff(r)
+	}
+	return false, s.applyFromPage(s.decodePage(need, scratch, gen), scratch, r)
 }
 
 // Flush implements ftl.Method: it writes every shard's differential write
 // buffer out to flash, the action the paper ties to the storage device's
-// write-through command. The non-empty buffers are spilled together as a
-// single device ProgramBatch under one flash-lock acquisition, so a
-// multi-shard flush costs the device one batch program (and, on a
-// write-through backend, one sync barrier) instead of one program and two
-// fsyncs per shard.
+// write-through command. The non-empty buffers are spilled together in one
+// commit, so a multi-shard flush costs the device one batch program (and,
+// on a write-through backend, one sync barrier) instead of one program and
+// two fsyncs per shard.
 func (s *Store) Flush() error {
 	held := make([]bool, len(s.shards))
 	for i := range s.shards {
@@ -1049,7 +824,6 @@ func (s *Store) Flush() error {
 		}
 	}()
 	var ops []pendingOp
-	var spilled []int
 	for i := range s.shards {
 		sh := &s.shards[i]
 		if sh.dwb.empty() {
@@ -1060,24 +834,19 @@ func (s *Store) Flush() error {
 			continue
 		}
 		ops = append(ops, s.snapshotSpill(&sh.dwb, i, s.nextTS(), s.homeChannel(i)))
-		spilled = append(spilled, i)
 	}
-	defer func() {
+	defer s.recycleSpills(ops)
+	// The buffers are cleared only once the programs have landed and their
+	// mappings are committed: a failed flush (allocation or device error)
+	// leaves every buffered differential in place, still serving reads and
+	// still flushable by a retry.
+	landed, err := s.commit(ops)
+	if landed {
 		for _, op := range ops {
-			s.putPage(op.img)
+			s.shards[op.idx].dwb.clear()
 		}
-	}()
-	// The buffers are cleared only once the device batch has landed and
-	// its mappings are committed: a failed flush (allocation or device
-	// error) leaves every buffered differential in place, still serving
-	// reads and still flushable by a retry.
-	if err := s.writePending(ops); err != nil {
-		return err
 	}
-	for _, i := range spilled {
-		s.shards[i].dwb.clear()
-	}
-	return nil
+	return err
 }
 
 // newestFor returns the newest decoded differential for pid among the
@@ -1096,100 +865,6 @@ func newestFor(recs []diff.Differential, pid uint32) (diff.Differential, bool) {
 		}
 	}
 	return best, found
-}
-
-// writeNewBasePage implements the writingNewBasePage procedure (Figure 8):
-// the logical page itself is written into a newly allocated base page on
-// channel ch — carrying mode in its spare-area tag — the old base page is
-// set obsolete, and any old differential is released. The caller holds
-// the flash lock shared, channel ch's lock, and the pid's shard lock.
-//
-//pdlvet:holds shard,flash,channel
-func (s *Store) writeNewBasePage(pid uint32, data []byte, ch int, mode byte) error {
-	q, err := s.allocPageOn(ch)
-	if err != nil {
-		return err
-	}
-	ts := s.nextTS()
-	spareBuf := s.chans[ch].spareBuf
-	ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeBase, PID: pid, TS: ts,
-		Seq: s.alloc.SeqOf(s.params.BlockOf(q)), Mode: mode}, spareBuf)
-	s.seal(data, spareBuf)
-	if err := s.dev.Program(q, data, spareBuf); err != nil {
-		return fmt.Errorf("core: writing base page of pid %d: %w", pid, err)
-	}
-	s.wtel.newBasePages.Add(1)
-	old := s.mt.setBasePage(pid, q, ts, mode)
-	if old.base != flash.NilPPN {
-		if err := s.alloc.MarkObsoleteFrom(old.base, ch); err != nil {
-			return err
-		}
-	}
-	if old.dif != flash.NilPPN {
-		if err := s.releaseDiffPage(old.dif, ch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushShard acquires the flash lock shared plus a channel lock (shard
-// si's home channel, with fall-over) and writes one shard's buffer out.
-// The caller holds the shard lock.
-//
-//pdlvet:holds shard
-func (s *Store) flushShard(sh *shard, si int) error {
-	if sh.dwb.empty() {
-		return nil
-	}
-	s.flashMu.RLock()
-	defer s.flashMu.RUnlock()
-	return s.writeOnSomeChannel(si,
-		//pdlvet:holds shard,flash,channel
-		func(ch int) error {
-			return s.flushShardLocked(sh, ch)
-		})
-}
-
-// flushShardLocked implements the writingDifferentialWriteBuffer procedure
-// (Figure 8) for one shard: the buffer's contents become a new differential
-// page on channel ch, and the mapping and valid-count tables are updated
-// for every differential in it. The caller holds the shard lock, the
-// flash lock shared, and channel ch's lock.
-//
-//pdlvet:holds shard,flash,channel
-func (s *Store) flushShardLocked(sh *shard, ch int) error {
-	if sh.dwb.empty() {
-		return nil
-	}
-	q, err := s.allocPageOn(ch)
-	if err != nil {
-		return err
-	}
-	spareBuf := s.chans[ch].spareBuf
-	ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: s.nextTS(),
-		Seq: s.alloc.SeqOf(s.params.BlockOf(q))}, spareBuf)
-	img := sh.dwb.encode()
-	s.seal(img, spareBuf)
-	if err := s.dev.Program(q, img, spareBuf); err != nil {
-		return fmt.Errorf("core: writing differential page: %w", err)
-	}
-	// q begins a new life as a differential page: fence off any cached
-	// decode of its previous life before a reader can look it up.
-	s.dcache.invalidate(q)
-	s.wtel.bufferFlushes.Add(1)
-	s.wtel.diffsWritten.Add(int64(len(sh.dwb.diffs)))
-	s.wtel.diffBytesWritten.Add(int64(sh.dwb.used))
-	for _, d := range sh.dwb.diffs {
-		old := s.mt.setDiffPage(d.PID, q, d.TS)
-		if old != flash.NilPPN {
-			if err := s.releaseDiffPage(old, ch); err != nil {
-				return err
-			}
-		}
-	}
-	sh.dwb.clear()
-	return nil
 }
 
 // releaseDiffPage implements decreaseValidDifferentialCount of Figure 8:

@@ -45,7 +45,7 @@ func newStripedChips(t *testing.T, p flash.Params, nchan int) (*flash.Striped, [
 
 // TestWriteBatchKillMidBatchStriped truncates the batch as a whole after
 // k pages (the device-contract crash shape) on a 4-channel striped
-// device: because writePending programs in time-stamp order, the
+// device: because commit programs in time-stamp order, the
 // truncated global batch is a TS prefix no matter how the striped device
 // fans the surviving pages out, and recovery must land on a serial
 // prefix of the batch — the single-chip ground truth.
