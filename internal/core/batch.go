@@ -245,7 +245,7 @@ func (s *Store) snapshotSpill(buf *writeBuffer, idx int, ts uint64, home int) pe
 		data:  s.getPage(),
 		diffs: append([]diff.Differential(nil), buf.diffs...),
 	}
-	buf.encode(op.data)
+	diff.EncodePage(op.data, op.diffs)
 	return op
 }
 
@@ -545,7 +545,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 	for _, op := range ops {
 		if op.spill {
 			// op.ppn begins a new life as a differential page: fence off
-			// any cached decode of its previous life before the mapping
+			// any cached image of its previous life before the mapping
 			// commits below publish it to readers.
 			s.dcache.invalidate(op.ppn)
 			s.wtel.bufferFlushes.Add(1)

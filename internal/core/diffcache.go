@@ -4,23 +4,26 @@ import (
 	"container/list"
 	"sync"
 
-	"pdl/internal/diff"
 	"pdl/internal/flash"
 )
 
-// diffCache is the decoded-differential cache: a bounded LRU map from a
-// differential page's PPN to the decoded records it holds. PDL_Reading's
-// structural cost is that a cold read of a diff-bearing page needs two
-// serial flash reads (base page, then differential page) plus a decode of
-// the differential page just to pick one record; differential pages are
-// immutable once programmed and typically carry the differentials of many
-// hot pids, so caching the decoded records in DRAM turns every subsequent
-// hot read into one flash read plus a map lookup.
+// diffCache is the differential-page cache: a bounded LRU map from a
+// differential page's PPN to a copy of the page's used record prefix, in
+// the wire form it has in flash. PDL_Reading's structural cost is that a
+// cold read of a diff-bearing page needs two serial flash reads (base
+// page, then differential page) just to pick one record; differential
+// pages are immutable once programmed and typically carry the
+// differentials of many hot pids, so keeping the page image in DRAM turns
+// every subsequent hot read into one flash read plus a scan of the
+// record headers (diff.FindIn) — the same merge the uncached path runs on
+// the freshly read page, so a hit, a miss and a disabled cache share one
+// code path and no record is ever decoded to be read. An entry costs at
+// most one page of memory.
 //
 // # Coherence
 //
 // A cached entry stays valid for exactly as long as its PPN holds the
-// differential page it was decoded from: flash pages only change content
+// differential page it was copied from: flash pages only change content
 // through erase + reprogram. The store therefore invalidates a PPN at
 // every point where a differential page dies or is (re)born — when its
 // valid-differential count reaches zero (releaseDiffPage), when garbage
@@ -74,12 +77,13 @@ type invalEvent struct {
 // consulting it.
 const invalWindow = 1024
 
-// diffCacheEntry is one cached differential page. recs is shared with
-// readers and must be treated as immutable (Differential.Apply only reads
-// it).
+// diffCacheEntry is one cached differential page. img is shared with
+// readers and is never written after the insert (diff.FindIn and
+// diff.ApplyRecord only read it); a replaced or evicted image is dropped,
+// not recycled, because a reader may still be merging from it.
 type diffCacheEntry struct {
-	ppn  flash.PPN
-	recs []diff.Differential
+	ppn flash.PPN
+	img []byte
 }
 
 // newDiffCache builds a cache bounded to capacity differential pages.
@@ -104,10 +108,9 @@ func (c *diffCache) genSnapshot() uint64 {
 	return g
 }
 
-// get returns the decoded records cached for ppn, marking the entry
-// recently used. The returned slice is shared: callers must not modify it
-// or the records' Range data.
-func (c *diffCache) get(ppn flash.PPN) ([]diff.Differential, bool) {
+// get returns the page image cached for ppn, marking the entry recently
+// used. The returned slice is shared: callers must not modify it.
+func (c *diffCache) get(ppn flash.PPN) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -118,20 +121,21 @@ func (c *diffCache) get(ppn flash.PPN) ([]diff.Differential, bool) {
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	recs := el.Value.(*diffCacheEntry).recs
+	img := el.Value.(*diffCacheEntry).img
 	c.mu.Unlock()
-	return recs, true
+	return img, true
 }
 
-// put caches the decoded records of ppn, evicting the least recently used
-// entry if the cache is full. genBefore must be the genSnapshot taken
-// before the flash read that produced recs: if ppn itself was invalidated
+// put caches img, the used record prefix of differential page ppn, which
+// the cache owns from here on; a full cache hands its least recently used
+// entry over to ppn. genBefore must be the genSnapshot taken
+// before the flash read that produced img: if ppn itself was invalidated
 // since — the read may predate a relocation or reuse of that PPN — the
 // insert is dropped. Invalidations of other PPNs do not suppress it,
 // unless the snapshot is older than the whole invalidation window (then
 // the history needed to judge is gone and the insert is dropped
 // conservatively).
-func (c *diffCache) put(ppn flash.PPN, recs []diff.Differential, genBefore uint64) {
+func (c *diffCache) put(ppn flash.PPN, img []byte, genBefore uint64) {
 	if c == nil {
 		return
 	}
@@ -151,19 +155,18 @@ func (c *diffCache) put(ppn flash.PPN, recs []diff.Differential, genBefore uint6
 		// A pruned entry had g <= gen-invalWindow < genBefore, so absence
 		// from the window proves ppn did not change since the snapshot.
 	}
-	if el, ok := c.entries[ppn]; ok {
-		el.Value.(*diffCacheEntry).recs = recs
-		c.lru.MoveToFront(el)
-		return
-	}
-	if len(c.entries) >= c.cap {
-		victim := c.lru.Back()
-		if victim != nil {
-			c.lru.Remove(victim)
-			delete(c.entries, victim.Value.(*diffCacheEntry).ppn)
+	el, ok := c.entries[ppn]
+	if !ok {
+		if len(c.entries) < c.cap {
+			c.entries[ppn] = c.lru.PushFront(&diffCacheEntry{ppn: ppn, img: img})
+			return
 		}
+		el = c.lru.Back()
+		delete(c.entries, el.Value.(*diffCacheEntry).ppn)
+		c.entries[ppn] = el
 	}
-	c.entries[ppn] = c.lru.PushFront(&diffCacheEntry{ppn: ppn, recs: recs})
+	*el.Value.(*diffCacheEntry) = diffCacheEntry{ppn: ppn, img: img}
+	c.lru.MoveToFront(el)
 }
 
 // invalidate drops ppn's entry and bumps the generation, fencing off any

@@ -84,16 +84,3 @@ func (b *writeBuffer) clear() {
 	b.used = 0
 	clear(b.index)
 }
-
-// encode packs the buffered differentials into page, a full page image,
-// padding the tail with the erased-flash byte so the differential page's
-// unused space terminates the record sequence.
-func (b *writeBuffer) encode(page []byte) {
-	img := page[:0]
-	for _, d := range b.diffs {
-		img = d.AppendTo(img)
-	}
-	for len(img) < b.capacity {
-		img = append(img, 0xFF)
-	}
-}

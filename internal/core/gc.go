@@ -35,7 +35,11 @@ func (s *Store) relocate(victim int) error {
 	// Pass 1: move valid base pages and collect valid differentials.
 	// Base pages move first so that the second pass never packs a
 	// differential whose base page is about to disappear.
-	var keep []pendingDiff
+	// keep[i] survives from differential page from[i]: the repoint checks
+	// that the mapping still points there (a writer on another channel may
+	// have flushed a newer differential mid-collection).
+	var keep []diff.Differential
+	var from []flash.PPN
 	moved := 0
 	for i := 0; i < p.PagesPerBlock; i++ {
 		ppn := p.PPNOf(victim, i)
@@ -51,13 +55,14 @@ func (s *Store) relocate(victim int) error {
 			if err != nil {
 				return err
 			}
-			for _, d := range ds {
-				keep = append(keep, pendingDiff{d: d, src: ppn})
+			keep = append(keep, ds...)
+			for range ds {
+				from = append(from, ppn)
 			}
 			s.mt.dropDiffPage(ppn)
 			// The page is being compacted away and its block erased:
 			// readers will be repointed (and their version checks fail),
-			// so the cached decode must go before the PPN can be reused.
+			// so the cached image must go before the PPN can be reused.
 			s.dcache.invalidate(ppn)
 		}
 	}
@@ -66,18 +71,18 @@ func (s *Store) relocate(victim int) error {
 	// pages, packing as many as fit per page.
 	for len(keep) > 0 {
 		n, used := 0, 0
-		for n < len(keep) && used+keep[n].d.EncodedSize() <= p.DataSize {
-			used += keep[n].d.EncodedSize()
+		for n < len(keep) && used+keep[n].EncodedSize() <= p.DataSize {
+			used += keep[n].EncodedSize()
 			n++
 		}
 		if n == 0 {
-			return fmt.Errorf("core: differential of pid %d too large to compact", keep[0].d.PID)
+			return fmt.Errorf("core: differential of pid %d too large to compact", keep[0].PID)
 		}
-		if err := s.writeCompactedPage(keep[:n], ch); err != nil {
+		if err := s.writeCompactedPage(keep[:n], from[:n], ch); err != nil {
 			return err
 		}
 		moved++
-		keep = keep[n:]
+		keep, from = keep[n:], from[n:]
 	}
 	if s.adap != nil {
 		// Feed the router's GC-pressure heuristic: pages this collection
@@ -86,15 +91,6 @@ func (s *Store) relocate(victim int) error {
 		s.adap.noteVictim(moved)
 	}
 	return nil
-}
-
-// pendingDiff is one surviving differential queued for compaction,
-// remembering the victim page it came from so the repoint can verify
-// the mapping still points there (a writer on another channel may have
-// flushed a newer differential mid-collection).
-type pendingDiff struct {
-	d   diff.Differential
-	src flash.PPN
 }
 
 // relocateBasePage copies one valid base page out of a victim block to
@@ -133,7 +129,7 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 		err   error
 	)
 	if s.integ.fits {
-		spare = s.spares.Get().([]byte)
+		spare = s.spares.get()
 		defer s.putVerifySpare(spare)
 		if s.integ.verify {
 			bad, err = s.verifiedRead(ppn, scratch, spare)
@@ -188,46 +184,49 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 
 // validDifferentials reads a differential page and returns the
 // differentials that are still current (the mapping table still points at
-// this page for their pid).
+// this page for their pid). Currency is judged on each record's wire
+// header, so only the survivors are decoded.
 //
 // The read is verified: an uncorrectably corrupt victim page is healed
-// from the decoded-differential cache when its records are still there
-// (an exact decode of the page's current content, validated against the
-// mapping below like any other), and otherwise fails the collection
-// loudly with the typed error — silently compacting garbage records, or
-// silently dropping the page's survivors, would turn into wrong reads
-// later.
+// from the differential-page cache when its image is still there (an
+// exact copy of the page's current content, validated against the mapping
+// like any other), and otherwise fails the collection loudly with the
+// typed error — silently compacting garbage records, or silently dropping
+// the page's survivors, would turn into wrong reads later.
 //
 //pdlvet:holds flash
 func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
-	scratch := s.getPage()
-	defer s.putPage(scratch)
+	page := s.getPage()
+	defer s.putPage(page)
 	spare := s.getVerifySpare()
-	bad, err := s.verifiedRead(ppn, scratch, spare)
+	bad, err := s.verifiedRead(ppn, page, spare)
 	s.putVerifySpare(spare)
 	if err != nil {
 		return nil, err
 	}
-	var recs []diff.Differential
 	if len(bad) > 0 {
-		cached, ok := s.dcache.get(ppn)
+		img, ok := s.dcache.get(ppn)
 		if !ok {
 			s.itel.unrecoverablePages.Add(1)
 			return nil, &ftl.PageError{PID: ftl.NoPID, PPN: ppn, Kind: ftl.CorruptDiff}
 		}
 		s.itel.pagesHealed.Add(1)
-		recs = cached
-	} else {
-		recs = diff.DecodeAll(scratch)
+		page = img
 	}
 	var out []diff.Differential
-	for _, d := range recs {
-		if int(d.PID) >= s.numPages {
+	for rec := range diff.Records(page) {
+		pid, ts := diff.RecordKey(rec)
+		if int(pid) >= s.numPages {
 			continue
 		}
-		if dif, ts := s.mt.diffOf(d.PID); dif == ppn && ts == d.TS {
-			out = append(out, d)
+		if dif, cur := s.mt.diffOf(pid); dif != ppn || cur != ts {
+			continue
 		}
+		d, _, err := diff.Decode(rec)
+		if err != nil {
+			return nil, fmt.Errorf("core: compacting differential page %d: %w", ppn, err)
+		}
+		out = append(out, d)
 	}
 	return out, nil
 }
@@ -240,21 +239,14 @@ func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
 // increment.
 //
 //pdlvet:holds flash,channel
-func (s *Store) writeCompactedPage(ds []pendingDiff, ch int) error {
-	p := s.params
+func (s *Store) writeCompactedPage(ds []diff.Differential, from []flash.PPN, ch int) error {
 	q, err := s.alloc.AllocGC(ch)
 	if err != nil {
 		return err
 	}
-	scratch := s.getPage()
-	defer s.putPage(scratch)
-	img := scratch[:0]
-	for _, pd := range ds {
-		img = pd.d.AppendTo(img)
-	}
-	for len(img) < p.DataSize {
-		img = append(img, 0xFF)
-	}
+	img := s.getPage()
+	defer s.putPage(img)
+	diff.EncodePage(img, ds)
 	spareBuf := s.chans[ch].spareBuf
 	ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: s.nextTS(),
 		Seq: s.alloc.SeqOf(s.params.BlockOf(q))}, spareBuf)
@@ -263,11 +255,11 @@ func (s *Store) writeCompactedPage(ds []pendingDiff, ch int) error {
 		return err
 	}
 	// q begins a new life as a compaction target: fence off any cached
-	// decode of its previous life before the repoints publish it.
+	// image of its previous life before the repoints publish it.
 	s.dcache.invalidate(q)
 	live := 0
-	for _, pd := range ds {
-		if s.mt.repointDiffFrom(pd.d.PID, pd.src, q, pd.d.TS) {
+	for i, d := range ds {
+		if s.mt.repointDiffFrom(d.PID, from[i], q, d.TS) {
 			live++
 		}
 	}

@@ -28,7 +28,7 @@
 //     until it flushes); if it does not cover, the uncovered bytes are
 //     unrecoverable (they equal the lost base's) -> PageError.
 //  2. no buffered differential, but a differential page is linked: take
-//     its records from the decoded cache or a verified read; if the
+//     its newest record from the cached page image or a verified read; if the
 //     newest record covers every corrupt byte, apply it — buf is then
 //     the current logical page — and make the heal durable: program the
 //     merged image as a new base page and repoint the mapping with a
@@ -36,9 +36,9 @@
 //  3. otherwise -> PageError{pid, ppn, CorruptBase}.
 //
 // A corrupt DIFFERENTIAL page on a foreground read has no redundant
-// source left by construction (the write buffer and decoded cache are
+// source left by construction (the write buffer and the page cache are
 // consulted before the flash read) -> PageError{pid, ppn, CorruptDiff}.
-// During GC compaction the decoded cache can still rescue it (gc.go),
+// During GC compaction the cached image can still rescue it (gc.go),
 // and a whole-page write heals either kind by overwrite.
 package core
 
@@ -77,13 +77,13 @@ func (s *Store) getVerifySpare() []byte {
 	if !s.integ.verify {
 		return nil
 	}
-	return s.spares.Get().([]byte)
+	return s.spares.get()
 }
 
 // putVerifySpare returns a verify scratch to the pool (nil is a no-op).
 func (s *Store) putVerifySpare(b []byte) {
 	if b != nil {
-		s.spares.Put(b) //nolint:staticcheck // []byte header alloc is fine here
+		s.spares.put(b)
 	}
 }
 
@@ -160,21 +160,18 @@ func (s *Store) verifiedRead(ppn flash.PPN, data, spare []byte) (bad []int, err 
 }
 
 // verifiedReadBatch is the raw read funnel of the batched read path: it
-// gives every entry a spare buffer when verification is on and issues the
-// device batch. The caller verifies each entry with verifyRead once its
-// per-entry stability check passes.
+// gives every entry a pooled spare buffer when verification is on and
+// issues the device batch. The caller verifies each entry with verifyRead
+// once its per-entry stability check passes, and hands the spares back
+// with putVerifySpares whether or not the batch succeeded.
 //
 //pdlvet:ignore deviceio raw-read funnel
 func (s *Store) verifiedReadBatch(reads []flash.PageRead) error {
 	if len(reads) == 0 {
 		return nil
 	}
-	if s.integ.verify {
-		n := s.params.SpareSize
-		slab := make([]byte, len(reads)*n)
-		for k := range reads {
-			reads[k].Spare = slab[k*n : (k+1)*n]
-		}
+	for k := range reads {
+		reads[k].Spare = s.getVerifySpare()
 	}
 	if err := s.dev.ReadBatch(reads); err != nil {
 		return err
@@ -182,6 +179,13 @@ func (s *Store) verifiedReadBatch(reads []flash.PageRead) error {
 	s.rtel.batchReads.Add(1)
 	s.rtel.batchedReads.Add(int64(len(reads)))
 	return nil
+}
+
+// putVerifySpares returns the spares verifiedReadBatch gave reads.
+func (s *Store) putVerifySpares(reads []flash.PageRead) {
+	for _, pr := range reads {
+		s.putVerifySpare(pr.Spare)
+	}
 }
 
 // verifyRead verifies one entry verifiedReadBatch filled; nil when clean

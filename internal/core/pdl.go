@@ -42,11 +42,13 @@
 //     mapping version it read.
 //
 // PDL_Reading (Figure 9) is resolveDiff and applyFromPage (readbatch.go):
-// given a pid's base image, find its differential in the write buffer or the
-// decoded cache — healing an uncorrectably corrupt base from it when it
-// covers the damage — or name the differential page to read, then decode
-// (and cache) that page and merge. ReadPage wraps them in its two
-// single-page reads; ReadBatch in its two device batches.
+// given a pid's base image, find its differential in the write buffer or in
+// the cached image of its differential page, or name the differential page
+// to read (and cache), then merge the pid's newest record straight from the
+// page's wire form (diff.FindIn, diff.ApplyRecord). Ranges are decoded only
+// to heal an uncorrectably corrupt base from a differential that covers the
+// damage. ReadPage wraps them in its two single-page reads; ReadBatch in
+// its two device batches.
 //
 // # Concurrency model
 //
@@ -74,7 +76,7 @@
 //	    several channels locks them in ascending index order;
 //	  - the mapTable owns the mapping state (ppmt, time stamps, vdct,
 //	    reverseBase) behind its own RWMutex plus a per-pid version counter;
-//	  - the decoded-differential cache (see diffCache) has the innermost
+//	  - the differential-page cache (see diffCache) has the innermost
 //	    mutex, only ever taken last.
 //
 // Reads take NO store-level lock over the device: ReadPage snapshots the
@@ -155,11 +157,12 @@ type Options struct {
 	// paper's serial single-scan. The recovered state is identical for
 	// every worker count.
 	RecoveryWorkers int
-	// DiffCachePages bounds the decoded-differential cache: the number of
-	// differential pages whose decoded records are kept in DRAM, so hot
-	// reads of diff-bearing pages cost one flash read plus a map lookup
-	// instead of two serial flash reads plus a decode. Zero means a
-	// default of 256 pages (at most a few hundred KB of decoded records);
+	// DiffCachePages bounds the differential-page cache: the number of
+	// differential pages whose images (the used record prefix, as it is
+	// in flash) are kept in DRAM, so hot reads of diff-bearing pages cost
+	// one flash read plus a map lookup instead of two serial flash reads.
+	// The cache holds at most DiffCachePages x page size bytes. Zero
+	// means a default of 256 pages (at most 512 KB of 2 KB pages);
 	// DiffCacheOff disables the cache, restoring the paper's two-read
 	// PDL_Reading exactly. The cache is pure DRAM state — never persisted
 	// — so recovery is identical with and without it.
@@ -176,11 +179,11 @@ type Options struct {
 	DisableVerify bool
 }
 
-// DiffCacheOff disables the decoded-differential cache when assigned to
+// DiffCacheOff disables the differential-page cache when assigned to
 // Options.DiffCachePages.
 const DiffCacheOff = -1
 
-// defaultDiffCachePages is the decoded-differential cache bound used when
+// defaultDiffCachePages is the differential-page cache bound used when
 // Options.DiffCachePages is zero.
 const defaultDiffCachePages = 256
 
@@ -256,8 +259,8 @@ type Store struct {
 	itel  integrityTelemetry
 	// spares pools spare-area scratch buffers for the verifying read
 	// paths (the write paths use the per-channel spareBuf instead).
-	spares sync.Pool
-	// dcache is the decoded-differential cache (nil when disabled); its
+	spares bufPool
+	// dcache is the differential-page cache (nil when disabled); its
 	// coherence protocol is documented on the type.
 	dcache *diffCache
 
@@ -273,7 +276,7 @@ type Store struct {
 	// shards stamp differentials without holding the flash lock).
 	ts atomic.Uint64
 	// pages pools scratch page buffers for the read and write paths.
-	pages sync.Pool
+	pages bufPool
 	// ckpt is the checkpoint region manager (nil unless enabled).
 	ckpt *ckptRegion
 	// adap is the adaptive routing state (nil unless Options.Adaptive
@@ -313,9 +316,9 @@ type Telemetry struct {
 	// width the device saw (pages per program operation).
 	BatchedPages int64
 	// DiffCacheHits counts reads of diff-bearing pages served from the
-	// decoded-differential cache (one flash read instead of two), and
-	// DiffCacheMisses those that had to read and decode the differential
-	// page. Both stay zero when the cache is disabled.
+	// differential-page cache (one flash read instead of two), and
+	// DiffCacheMisses those that had to read the differential page.
+	// Both stay zero when the cache is disabled.
 	DiffCacheHits, DiffCacheMisses int64
 	// ReadRetries counts optimistic read-path retries: a garbage-collection
 	// relocation or a flush moved the pid's mapping mid-read.
@@ -346,7 +349,7 @@ type Telemetry struct {
 	EccCorrectedBits int64
 	// PagesHealed counts reads of uncorrectably corrupt pages that were
 	// served by self-healing: the content was rebuilt from a redundant
-	// source (differential chain, decoded-differential cache, or shard
+	// source (differential chain, differential-page cache, or shard
 	// write buffer) instead of failing the read.
 	PagesHealed int64
 	// UnrecoverablePages counts reads that found uncorrectable corruption
@@ -482,8 +485,8 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		mt:       newMapTable(numPages),
 		shards:   make([]shard, numShards),
 	}
-	s.pages.New = func() any { return make([]byte, p.DataSize) }
-	s.spares.New = func() any { return make([]byte, p.SpareSize) }
+	s.pages.init(p.DataSize)
+	s.spares.init(p.SpareSize)
 	s.integ = integrity{
 		fits: ftl.IntegrityFits(p.DataSize, p.SpareSize),
 	}
@@ -668,10 +671,10 @@ func (s *Store) pickChannel(si int) int {
 }
 
 // getPage borrows a scratch page buffer from the pool.
-func (s *Store) getPage() []byte { return s.pages.Get().([]byte) }
+func (s *Store) getPage() []byte { return s.pages.get() }
 
 // putPage returns a scratch page buffer to the pool.
-func (s *Store) putPage(b []byte) { s.pages.Put(b) } //nolint:staticcheck // []byte header alloc is fine here
+func (s *Store) putPage(b []byte) { s.pages.put(b) }
 
 // kickEtiquette kicks channel ch's background engine at the watermark,
 // but at most once per free-block level: the level only moves when a
@@ -741,7 +744,7 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 }
 
 // ReadPage implements ftl.Method with the PDL_Reading algorithm (Figure 9):
-// read the base page, find the differential (write buffer, decoded cache,
+// read the base page, find the differential (write buffer, cached image,
 // then the differential page), and merge. The whole read path runs without
 // the flash lock: concurrent readers proceed in parallel on the device, and
 // a racing garbage-collection relocation or flush is detected by the
@@ -801,7 +804,8 @@ func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
 	if len(bad) > 0 {
 		return false, s.corruptDiff(r)
 	}
-	return false, s.applyFromPage(s.decodePage(need, scratch, gen), scratch, r)
+	s.cachePage(need, scratch, gen)
+	return false, s.applyFromPage(scratch, r)
 }
 
 // Flush implements ftl.Method: it writes every shard's differential write
@@ -849,24 +853,6 @@ func (s *Store) Flush() error {
 	return err
 }
 
-// newestFor returns the newest decoded differential for pid among the
-// records of one differential page (the read path's arbitration when a
-// page carries several generations for the same pid).
-func newestFor(recs []diff.Differential, pid uint32) (diff.Differential, bool) {
-	var best diff.Differential
-	found := false
-	for _, d := range recs {
-		if d.PID != pid {
-			continue
-		}
-		if !found || d.TS > best.TS {
-			best = d
-			found = true
-		}
-	}
-	return best, found
-}
-
 // releaseDiffPage implements decreaseValidDifferentialCount of Figure 8:
 // decrement the valid differential count of dp and set the page obsolete
 // when it reaches zero (the count entry itself is deleted at zero so the
@@ -879,8 +865,8 @@ func (s *Store) releaseDiffPage(dp flash.PPN, ch int) error {
 	if !s.mt.decDiffCount(dp) {
 		return nil
 	}
-	// The page died: no mapping points at it anymore, so its decoded
-	// records can never be consulted again — drop them from the cache
+	// The page died: no mapping points at it anymore, so its cached
+	// image can never be consulted again — drop it from the cache
 	// before the allocator can reclaim and reuse the PPN.
 	s.dcache.invalidate(dp)
 	if err := s.alloc.MarkObsoleteFrom(dp, ch); err != nil {
@@ -963,8 +949,8 @@ func (s *Store) Telemetry() Telemetry {
 }
 
 // DiffCacheLen returns the number of differential pages currently held by
-// the decoded-differential cache (0 when disabled); for tests and tooling.
+// the differential-page cache (0 when disabled); for tests and tooling.
 func (s *Store) DiffCacheLen() int { return s.dcache.len() }
 
-// DiffCacheEnabled reports whether the decoded-differential cache is on.
+// DiffCacheEnabled reports whether the differential-page cache is on.
 func (s *Store) DiffCacheEnabled() bool { return s.dcache != nil }

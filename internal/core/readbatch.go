@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -25,7 +26,7 @@ type pageRead struct {
 
 // resolveDiff finds the differential of r.pid without touching flash, given
 // its base image in r.buf: the shard write buffer first, then the
-// decoded-differential cache. It returns with r.buf complete (need is
+// differential-page cache. It returns with r.buf complete (need is
 // NilPPN), or asks for a retry because the mapping moved, or names the
 // differential page need that has to be read and handed to applyFromPage.
 // The shard lock the caller holds (shared or exclusive) keeps the write
@@ -42,12 +43,11 @@ func (s *Store) resolveDiff(sh *shard, r *pageRead) (need flash.PPN, retry bool,
 		}
 		return flash.NilPPN, false, nil // no differential page; the base page is current
 	}
-	// A cache hit saves the second flash read and the decode. The stability
-	// re-check pins the hit to the snapshot — a passing check proves r.e.dif
-	// is still pid's differential page, and the coherence protocol (see
-	// diffCache) guarantees a present entry always matches its PPN's
-	// current content.
-	recs, ok := s.dcache.get(r.e.dif)
+	// A cache hit saves the second flash read. The stability re-check pins
+	// the hit to the snapshot — a passing check proves r.e.dif is still
+	// pid's differential page, and the coherence protocol (see diffCache)
+	// guarantees a present entry always matches its PPN's current content.
+	img, ok := s.dcache.get(r.e.dif)
 	if !ok {
 		return r.e.dif, false, nil
 	}
@@ -55,44 +55,43 @@ func (s *Store) resolveDiff(sh *shard, r *pageRead) (need flash.PPN, retry bool,
 		return flash.NilPPN, true, nil
 	}
 	s.rtel.diffCacheHits.Add(1)
-	return flash.NilPPN, false, s.applyFromPage(recs, nil, r)
+	return flash.NilPPN, false, s.applyFromPage(img, r)
 }
 
-// decodePage decodes a verified differential page image once and caches
-// the records — the page's other records belong to other (likely hot)
-// pids. The insert is fenced by gen, taken before the flash read, so a
-// decode of a page that died mid-flight is dropped. With the cache off it
-// returns nil and applyFromPage works on the wire form.
-func (s *Store) decodePage(ppn flash.PPN, page []byte, gen uint64) []diff.Differential {
+// cachePage caches a verified differential page image — the page's other
+// records belong to other (likely hot) pids — as a copy of its used record
+// prefix; page itself is a pooled scratch. The insert is fenced by gen,
+// taken before the flash read, so the image of a page that died mid-flight
+// is dropped. A no-op with the cache off.
+func (s *Store) cachePage(ppn flash.PPN, page []byte, gen uint64) {
 	if s.dcache == nil {
-		return nil
+		return
 	}
 	s.rtel.diffCacheMisses.Add(1)
-	recs := diff.DecodeAll(page) // decoded ranges are copies; page can be recycled
-	s.dcache.put(ppn, recs, gen)
-	return recs
+	s.dcache.put(ppn, bytes.Clone(page[:diff.UsedPrefix(page)]), gen)
 }
 
-// applyFromPage merges r.pid's newest differential from its differential
-// page onto r.buf: from the decoded records recs, or — cache off, base
-// clean — by scanning page for pid's record and applying it straight from
-// the wire form, so no record is decoded or copied. A stable mapping that
-// points at a page without a record for pid is a broken invariant,
-// reported as corruption.
+// applyFromPage merges r.pid's newest differential onto r.buf straight from
+// the wire form of its differential page — a freshly read page or a cached
+// image alike — so no record is decoded or copied. Only a corrupt base
+// decodes the one record, because healing needs its ranges. A stable
+// mapping that points at a page without a record for pid is a broken
+// invariant, reported as corruption.
 //
 //pdlvet:holds shard
-func (s *Store) applyFromPage(recs []diff.Differential, page []byte, r *pageRead) error {
-	if recs == nil && len(r.bad) > 0 {
-		recs = diff.DecodeAll(page) // healing needs the ranges
+func (s *Store) applyFromPage(page []byte, r *pageRead) error {
+	rec, ok := diff.FindIn(page, r.pid)
+	if !ok {
+		return fmt.Errorf("core: differential of pid %d missing from differential page %d", r.pid, r.e.dif)
 	}
-	if recs != nil {
-		if d, ok := newestFor(recs, r.pid); ok {
-			return s.applyDiff(r, d, true)
-		}
-	} else if rec, ok := diff.FindIn(page, r.pid); ok {
+	if len(r.bad) == 0 {
 		return diff.ApplyRecord(rec, r.buf)
 	}
-	return fmt.Errorf("core: differential of pid %d missing from differential page %d", r.pid, r.e.dif)
+	d, _, err := diff.Decode(rec)
+	if err != nil {
+		return err
+	}
+	return s.applyDiff(r, d, true)
 }
 
 // applyDiff merges differential d onto the base image in r.buf — and is
@@ -129,7 +128,7 @@ func (s *Store) applyDiff(r *pageRead, d diff.Differential, flushed bool) error 
 // corruptBase and corruptDiff are the integrity contract's terminal case:
 // uncorrectable corruption with no surviving redundant source. A corrupt
 // differential page has none left by construction — the write buffer and
-// the decoded cache were consulted before the flash read — and with the
+// the page cache were consulted before the flash read — and with the
 // base corrupt too the failure is no longer single-page.
 func (s *Store) corruptBase(r *pageRead) error {
 	s.itel.unrecoverablePages.Add(1)
@@ -206,86 +205,98 @@ func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 		if round > 0 {
 			s.rtel.readRetries.Add(int64(len(todo)))
 		}
-		// Step 1: snapshot every pending pid and read all base pages as
-		// one device batch, straight into the caller's buffers.
-		batch := make([]flash.PageRead, len(todo))
-		for k := range todo {
-			r := &todo[k]
-			r.e, r.v = s.mt.snapshot(r.pid)
-			if r.e.base == flash.NilPPN {
-				return fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
-			}
-			batch[k] = flash.PageRead{PPN: r.e.base, Data: r.buf}
+		var err error
+		if todo, err = s.readRound(todo); err != nil {
+			return err
 		}
-		if err := s.verifiedReadBatch(batch); err != nil {
-			return fmt.Errorf("core: batch-reading %d base pages: %w", len(batch), err)
-		}
+	}
+	return nil
+}
 
-		// Step 2: resolve each pid's differential; whatever still needs
-		// flash is grouped by differential page so each page is read once.
-		gen := s.dcache.genSnapshot()
-		var retry []pageRead
-		difFor := make(map[flash.PPN][]pageRead)
-		var dbatch []flash.PageRead
-		for k, r := range todo {
+// readRound is one optimistic round of ReadBatch over the pending pids:
+// at most two device batches around resolveDiff and applyFromPage. It
+// returns the pids whose mapping moved under the round, to be retried
+// against a fresh snapshot. Every scratch the round borrows goes back to
+// its pool on every way out. The caller holds the shard locks of all pids.
+//
+//pdlvet:holds shard
+func (s *Store) readRound(todo []pageRead) (retry []pageRead, err error) {
+	// Step 1: snapshot every pending pid and read all base pages as one
+	// device batch, straight into the caller's buffers.
+	batch := make([]flash.PageRead, len(todo))
+	for k := range todo {
+		r := &todo[k]
+		r.e, r.v = s.mt.snapshot(r.pid)
+		if r.e.base == flash.NilPPN {
+			return nil, fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
+		}
+		batch[k] = flash.PageRead{PPN: r.e.base, Data: r.buf}
+	}
+	defer s.putVerifySpares(batch)
+	if err := s.verifiedReadBatch(batch); err != nil {
+		return nil, fmt.Errorf("core: batch-reading %d base pages: %w", len(batch), err)
+	}
+
+	// Step 2: resolve each pid's differential; whatever still needs
+	// flash is grouped by differential page so each page is read once.
+	gen := s.dcache.genSnapshot()
+	difFor := make(map[flash.PPN][]pageRead)
+	var dbatch []flash.PageRead
+	defer func() {
+		s.putVerifySpares(dbatch)
+		for _, pr := range dbatch {
+			s.putPage(pr.Data)
+		}
+	}()
+	for k, r := range todo {
+		if !s.mt.stable(r.pid, r.v) {
+			retry = append(retry, r)
+			continue
+		}
+		r.bad = s.verifyRead(batch[k])
+		need, again, err := s.resolveDiff(s.shardOf(r.pid), &r)
+		switch {
+		case err != nil:
+			return nil, err
+		case again:
+			retry = append(retry, r)
+		case need != flash.NilPPN:
+			if difFor[need] == nil {
+				dbatch = append(dbatch, flash.PageRead{PPN: need, Data: s.getPage()})
+			}
+			difFor[need] = append(difFor[need], r)
+		}
+	}
+
+	// Step 3: one device batch for the differential pages, then merge.
+	if err := s.verifiedReadBatch(dbatch); err != nil {
+		return nil, fmt.Errorf("core: batch-reading %d differential pages: %w", len(dbatch), err)
+	}
+	for _, pr := range dbatch {
+		// The first pid still stable proves the bytes read were the live
+		// differential page: only then is the page verified (a corrupt
+		// image must never reach the cache) and cached, once. That insert
+		// is one miss; further pids it serves count as hits, exactly what
+		// serial ReadPage calls would report.
+		checked := false
+		for _, r := range difFor[pr.PPN] {
 			if !s.mt.stable(r.pid, r.v) {
 				retry = append(retry, r)
 				continue
 			}
-			r.bad = s.verifyRead(batch[k])
-			need, again, err := s.resolveDiff(s.shardOf(r.pid), &r)
-			switch {
-			case err != nil:
-				return err
-			case again:
-				retry = append(retry, r)
-			case need != flash.NilPPN:
-				if difFor[need] == nil {
-					dbatch = append(dbatch, flash.PageRead{PPN: need, Data: s.getPage()})
+			if !checked {
+				checked = true
+				if len(s.verifyRead(pr)) > 0 {
+					return nil, s.corruptDiff(&r)
 				}
-				difFor[need] = append(difFor[need], r)
+				s.cachePage(pr.PPN, pr.Data, gen)
+			} else if s.dcache != nil {
+				s.rtel.diffCacheHits.Add(1)
+			}
+			if err := s.applyFromPage(pr.Data, &r); err != nil {
+				return nil, err
 			}
 		}
-
-		// Step 3: one device batch for the differential pages, then merge.
-		err := s.verifiedReadBatch(dbatch)
-		if err != nil {
-			err = fmt.Errorf("core: batch-reading %d differential pages: %w", len(dbatch), err)
-		}
-		for _, pr := range dbatch {
-			// The first pid still stable proves the bytes read were the
-			// live differential page: only then is the page verified (the
-			// corrupt decode must never reach the cache) and decoded, once.
-			// That decode is one miss; further pids it serves count as
-			// hits, exactly what serial ReadPage calls would report.
-			var recs []diff.Differential
-			decoded := false
-			for _, r := range difFor[pr.PPN] {
-				if err != nil {
-					break
-				}
-				if !s.mt.stable(r.pid, r.v) {
-					retry = append(retry, r)
-					continue
-				}
-				if !decoded {
-					decoded = true
-					if len(s.verifyRead(pr)) > 0 {
-						err = s.corruptDiff(&r)
-						break
-					}
-					recs = s.decodePage(pr.PPN, pr.Data, gen)
-				} else if recs != nil {
-					s.rtel.diffCacheHits.Add(1)
-				}
-				err = s.applyFromPage(recs, pr.Data, &r)
-			}
-			s.putPage(pr.Data)
-		}
-		if err != nil {
-			return err
-		}
-		todo = retry
 	}
-	return nil
+	return retry, nil
 }

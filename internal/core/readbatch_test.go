@@ -388,7 +388,7 @@ func TestConcurrentReadBatchWriteBatchGC(t *testing.T) {
 // pages, which track every spill and GC increment, must not suppress it.
 func TestDiffCachePerPPNInsertFence(t *testing.T) {
 	c := newDiffCache(8)
-	recs := []diff.Differential{{PID: 1, TS: 1}}
+	recs := diff.Differential{PID: 1, TS: 1}.AppendTo(nil)
 
 	// Unrelated invalidation between snapshot and insert: insert lands.
 	g := c.genSnapshot()

@@ -1,0 +1,198 @@
+package core
+
+import (
+	"bytes"
+	"runtime/debug"
+	"testing"
+
+	"pdl/internal/diff"
+	"pdl/internal/flash"
+	"pdl/internal/flash/faultdev"
+	"pdl/internal/ftl"
+	"pdl/internal/ftltest"
+)
+
+// generationsStore hand-programs a flash image whose one differential page
+// carries, for pid 5, three generations out of time-stamp order, a record
+// of pid 6 between them, and a torn trailing record newer than all of them
+// — then recovers a store over it. It returns the store, the fault wrapper
+// and the images pids 5 and 6 must read as. Pid 5's newest record rewrites
+// sector 0 whole, so it can heal that sector of the base page.
+func generationsStore(t *testing.T, opts Options) (*Store, *faultdev.Device, map[uint32][]byte) {
+	t.Helper()
+	p := ftltest.SmallParams(8)
+	fd := faultdev.Wrap(flash.NewChip(p))
+	program := func(ppn flash.PPN, data []byte, h ftl.Header) {
+		t.Helper()
+		spare := make([]byte, p.SpareSize)
+		ftl.EncodeHeaderInto(h, spare)
+		ftl.SealSpare(data, spare)
+		if err := fd.Program(ppn, data, spare); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	base5, base6 := make([]byte, p.DataSize), make([]byte, p.DataSize)
+	for i := range base5 {
+		base5[i], base6[i] = byte(i), byte(3*i+1)
+	}
+	program(0, base5, ftl.Header{Type: ftl.TypeBase, PID: 5, TS: 1, Seq: 1})
+	program(1, base6, ftl.Header{Type: ftl.TypeBase, PID: 6, TS: 2, Seq: 1})
+
+	newest := diff.Differential{PID: 5, TS: 9, Ranges: []diff.Range{{Off: 0, Data: fill(256, 0xC3)}}}
+	only6 := diff.Differential{PID: 6, TS: 4, Ranges: []diff.Range{{Off: 10, Data: fill(4, 0xB2)}}}
+	page := make([]byte, p.DataSize)
+	diff.EncodePage(page, []diff.Differential{
+		{PID: 5, TS: 3, Ranges: []diff.Range{{Off: 0, Data: fill(8, 0xA1)}}},
+		only6,
+		newest,
+		{PID: 5, TS: 6, Ranges: []diff.Range{{Off: 300, Data: fill(8, 0xD4)}}},
+	})
+	// The torn tail: a two-range record of pid 5 with the highest time
+	// stamp, cut after its first range. Its size field survives, its second
+	// range header reads as erased flash.
+	torn := diff.Differential{PID: 5, TS: 20, Ranges: []diff.Range{
+		{Off: 400, Data: fill(8, 0xEE)}, {Off: 420, Data: fill(8, 0xEE)}}}.AppendTo(nil)
+	used := diff.UsedPrefix(page)
+	copy(page[used:], torn[:len(torn)-diff.RangeOverhead-8])
+	if got := diff.UsedPrefix(page); got != used {
+		t.Fatalf("the torn record changed the used prefix %d -> %d", used, got)
+	}
+	program(2, page, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 20, Seq: 1})
+
+	opts.ReserveBlocks = 2
+	s, err := Recover(fd, 8, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if e := entryOf(s, 5); e.base != 0 || e.dif != 2 {
+		t.Fatalf("recovered mapping of pid 5 = %+v, want base 0 dif 2", e)
+	}
+	want := map[uint32][]byte{5: base5, 6: base6}
+	if err := newest.Apply(base5); err != nil {
+		t.Fatal(err)
+	}
+	if err := only6.Apply(base6); err != nil {
+		t.Fatal(err)
+	}
+	return s, fd, want
+}
+
+// TestReadPathsAgreeOnWireForm pins the one read path: a differential page
+// read fresh (a cache miss), its cached image (a hit) and a disabled cache
+// merge the same record — the newest complete one — for single and batched
+// reads, and all three heal an uncorrectable base sector from it.
+func TestReadPathsAgreeOnWireForm(t *testing.T) {
+	modes := []struct {
+		name string
+		opts Options
+		warm bool // read pid 6 first, so pid 5 finds the page cached
+	}{
+		{"miss", Options{}, false},
+		{"hit", Options{}, true},
+		{"cache off", Options{DiffCachePages: DiffCacheOff}, false},
+	}
+	for _, m := range modes {
+		for _, heal := range []bool{false, true} {
+			name := m.name
+			if heal {
+				name += "/corrupt base"
+			}
+			t.Run(name, func(t *testing.T) {
+				s, fd, want := generationsStore(t, m.opts)
+				if m.warm {
+					mustReadEqual(t, s, 6, want[6])
+				}
+				if heal {
+					fd.Inject(faultdev.Fault{PPN: 0, Kind: faultdev.SectorCorrupt, Off: 0})
+				}
+				before := s.Telemetry()
+				mustReadEqual(t, s, 5, want[5])
+				tel := s.Telemetry()
+				if hit := tel.DiffCacheHits > before.DiffCacheHits; hit != m.warm {
+					t.Errorf("the read of pid 5 hit the cache: %v, want %v", hit, m.warm)
+				}
+				if healed := tel.PagesHealed > before.PagesHealed; healed != heal {
+					t.Errorf("the read of pid 5 healed a page: %v, want %v", healed, heal)
+				}
+				if heal && entryOf(s, 5).base == 0 {
+					t.Error("the heal left the mapping on the corrupt base page")
+				}
+				bufs := [][]byte{make([]byte, len(want[5])), make([]byte, len(want[6]))}
+				if err := s.ReadBatch([]uint32{5, 6}, bufs); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(bufs[0], want[5]) || !bytes.Equal(bufs[1], want[6]) {
+					t.Error("ReadBatch diverges from ReadPage")
+				}
+			})
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which sync.Pool drops a quarter of its Puts and allocation counts mean
+// nothing.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestReadPageAllocations pins the cost of recreating a diff-bearing page:
+// nothing on a cache hit, and on a miss only the copy of the differential
+// page's used prefix that the cache keeps.
+func TestReadPageAllocations(t *testing.T) {
+	if raceEnabled() || invariantsEnabled {
+		t.Skip("allocation counts are only meaningful in a plain build")
+	}
+	s, chip, shadow := diffStore(t, Options{MaxDifferentialSize: 128, DiffCachePages: 1}, 16, 24)
+	buf := make([]byte, chip.Params().DataSize)
+	// Two pids whose differentials live in different differential pages:
+	// with one cache slot, alternating between them misses every time.
+	a, b := uint32(0), uint32(0)
+	for pid := range shadow {
+		if entryOf(s, uint32(pid)).dif != entryOf(s, a).dif {
+			b = uint32(pid)
+			break
+		}
+	}
+	if entryOf(s, a).dif == flash.NilPPN || entryOf(s, b).dif == flash.NilPPN || b == a {
+		t.Fatal("need two flushed differential pages")
+	}
+	read := func(pid uint32) {
+		if err := s.ReadPage(pid, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, shadow[pid]) {
+			t.Fatalf("pid %d read does not match shadow", pid)
+		}
+	}
+
+	read(a)
+	before := s.Telemetry()
+	if n := testing.AllocsPerRun(200, func() { read(a) }); n != 0 {
+		t.Errorf("a cache hit allocates %v times, want 0", n)
+	}
+	if tel := s.Telemetry(); tel.DiffCacheMisses != before.DiffCacheMisses {
+		t.Fatal("the hit loop missed")
+	}
+
+	next := b
+	before = s.Telemetry()
+	if n := testing.AllocsPerRun(200, func() {
+		read(next)
+		next = a + b - next
+	}); n > 1 {
+		t.Errorf("a cache miss allocates %v times, want at most 1 (the cached image)", n)
+	}
+	if tel := s.Telemetry(); tel.DiffCacheMisses-before.DiffCacheMisses != 201 || tel.DiffCacheHits != before.DiffCacheHits {
+		t.Fatalf("the miss loop counted %d misses and %d hits over 201 reads",
+			tel.DiffCacheMisses-before.DiffCacheMisses, tel.DiffCacheHits-before.DiffCacheHits)
+	}
+}

@@ -174,6 +174,10 @@ func TestFindInMatchesDecodeAll(t *testing.T) {
 			ds = append(ds, d)
 		}
 		page := encodePage(pageSize, ds...)
+		packed := make([]byte, pageSize)
+		if EncodePage(packed, ds); !bytes.Equal(packed, page) {
+			t.Fatalf("iter %d: EncodePage diverges from AppendTo plus 0xFF padding", iter)
+		}
 		if iter%3 == 0 {
 			// Tear the tail: chop the last record mid-way and re-pad, the
 			// state a power failure mid-program leaves behind.
@@ -185,9 +189,21 @@ func TestFindInMatchesDecodeAll(t *testing.T) {
 				page[cut] = 0x00 // ensure the torn record is not just padding
 			}
 		}
+		// The used prefix is exactly what DecodeAll decodes, and it alone
+		// answers every lookup the way the whole page does.
+		used, want := UsedPrefix(page), 0
+		for _, d := range DecodeAll(page) {
+			want += d.EncodedSize()
+		}
+		if used != want {
+			t.Fatalf("iter %d: UsedPrefix = %d, DecodeAll consumed %d", iter, used, want)
+		}
 		for pid := uint32(0); pid < 4; pid++ {
 			wantD, wantOK := findReference(page, pid)
 			rec, ok := FindIn(page, pid)
+			if cut, cutOK := FindIn(page[:used], pid); cutOK != ok || !bytes.Equal(cut, rec) {
+				t.Fatalf("iter %d pid %d: FindIn on the used prefix diverges from the whole page", iter, pid)
+			}
 			if ok != wantOK {
 				t.Fatalf("iter %d pid %d: FindIn ok=%v, DecodeAll says %v", iter, pid, ok, wantOK)
 			}

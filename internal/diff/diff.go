@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
 	"math/bits"
 )
 
@@ -252,30 +253,70 @@ func DecodeAll(pageData []byte) []Differential {
 	return out
 }
 
+// EncodePage packs ds into page, a full differential-page image: the
+// records back to back, then the erased-flash byte to the end so the unused
+// space terminates the record sequence. It is DecodeAll's inverse; the
+// caller has checked that the records fit.
+func EncodePage(page []byte, ds []Differential) {
+	img := page[:0]
+	for _, d := range ds {
+		img = d.AppendTo(img)
+	}
+	tail := page[len(img):]
+	for i := range tail {
+		tail[i] = 0xFF
+	}
+}
+
+// Records iterates over the encoded records packed into a differential
+// page's data area, in page order, each as a subslice of pageData (no
+// decoding, no allocation). Like DecodeAll it stops at the erased-flash end
+// marker or at the first byte sequence that cannot be a record, so a torn
+// trailing record is ignored. It accepts a page image cut at UsedPrefix.
+func Records(pageData []byte) iter.Seq[[]byte] {
+	return func(yield func(rec []byte) bool) {
+		off := 0
+		for off+headerSize <= len(pageData) {
+			size := int(binary.LittleEndian.Uint16(pageData[off:]))
+			if size == endMarker || size < headerSize || off+size > len(pageData) {
+				return
+			}
+			r := pageData[off : off+size]
+			if !validRecord(r) || !yield(r) {
+				return
+			}
+			off += size
+		}
+	}
+}
+
+// RecordKey returns the logical page and the creation time stamp in the
+// header of an encoded record yielded by Records.
+func RecordKey(rec []byte) (pid uint32, ts uint64) {
+	return binary.LittleEndian.Uint32(rec[2:]), binary.LittleEndian.Uint64(rec[6:])
+}
+
+// UsedPrefix returns the length of the well-formed record sequence at the
+// front of a differential page's data area: everything Records, FindIn and
+// DecodeAll will ever look at. The rest is erased padding or a torn tail.
+func UsedPrefix(pageData []byte) int {
+	n := 0
+	for rec := range Records(pageData) {
+		n += len(rec)
+	}
+	return n
+}
+
 // FindIn locates the newest differential record for pid in a differential
 // page's data area, returning the encoded record as a subslice of pageData
-// (no decoding, no allocation). Like DecodeAll it stops at the erased-flash
-// end marker or at the first byte sequence that cannot be a record, so a
-// torn trailing record is ignored. Apply the result with ApplyRecord; the
-// record aliases pageData and is only valid while pageData is.
+// (see Records). Apply the result with ApplyRecord; the record aliases
+// pageData and is only valid while pageData is.
 func FindIn(pageData []byte, pid uint32) (rec []byte, ok bool) {
 	var bestTS uint64
-	off := 0
-	for off+headerSize <= len(pageData) {
-		size := int(binary.LittleEndian.Uint16(pageData[off:]))
-		if size == endMarker || size < headerSize || off+size > len(pageData) {
-			break
+	for r := range Records(pageData) {
+		if p, ts := RecordKey(r); p == pid && (!ok || ts > bestTS) {
+			rec, bestTS, ok = r, ts, true
 		}
-		r := pageData[off : off+size]
-		if !validRecord(r) {
-			break
-		}
-		if binary.LittleEndian.Uint32(r[2:]) == pid {
-			if ts := binary.LittleEndian.Uint64(r[6:]); !ok || ts > bestTS {
-				rec, bestTS, ok = r, ts, true
-			}
-		}
-		off += size
 	}
 	return rec, ok
 }

@@ -14,6 +14,7 @@
 package ecc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -35,12 +36,27 @@ var (
 	ErrCodeSize = errors.New("ecc: code must be exactly 3 bytes")
 )
 
-// parityTab[b] is the even parity of b (1 if odd number of bits).
-var parityTab [256]byte
+// lineTab[a] spreads the eight bits of a to the even bit positions of a
+// 16-bit word (bit k of a lands on bit 2k), the interleave of the line
+// parity pairs. colTab[b] is code[2] for a sector whose bytes XOR to b:
+// the six column parities in bits 2..7 over the two always-set low bits.
+var (
+	lineTab [256]uint16
+	colTab  [256]byte
+)
 
 func init() {
-	for i := range parityTab {
-		parityTab[i] = byte(bits.OnesCount8(uint8(i)) & 1)
+	// Column parity pairs over the bit index: CP0 covers even bits, CP1
+	// odd bits, CP2 bits with bit1=0, CP3 bit1=1, CP4 bit2=0, CP5 bit2=1.
+	masks := [6]uint8{0b01010101, 0b10101010, 0b00110011, 0b11001100, 0b00001111, 0b11110000}
+	for i := range lineTab {
+		for k := 0; k < 8; k++ {
+			lineTab[i] |= uint16(i>>k&1) << (2 * k)
+		}
+		colTab[i] = 0x03 // unused low bits kept erased-compatible
+		for k, m := range masks {
+			colTab[i] |= byte(bits.OnesCount8(uint8(i)&m)&1) << (k + 2)
+		}
 	}
 }
 
@@ -51,43 +67,77 @@ func init() {
 //	code[0] = line parity LP0..LP7   (address bits 0..3 of the byte index)
 //	code[1] = line parity LP8..LP15  (address bits 4..7 of the byte index)
 //	code[2] = column parity CP0..CP5 in bits 2..7, bits 0..1 set to 1
+func Compute(data []byte) ([CodeSize]byte, error) {
+	if len(data) != SectorSize {
+		return [CodeSize]byte{}, fmt.Errorf("%w: got %d bytes", ErrSectorSize, len(data))
+	}
+	c := sectorCode((*[SectorSize]byte)(data))
+	return [CodeSize]byte{byte(c), byte(c >> 8), byte(c >> 16)}, nil
+}
+
+// Lanes of a little-endian 64-bit word whose byte index within the word
+// has bit 0, 1, 2 set.
+const (
+	lane0 = 0xFF00FF00FF00FF00
+	lane1 = 0xFFFF0000FFFF0000
+	lane2 = 0xFFFFFFFF00000000
+)
+
+// sectorCode computes the code of one sector, packed code[0] | code[1]<<8
+// | code[2]<<16. It sits on every verified page read and every seal, so
+// it works a 64-bit word at a time.
 //
 // Line parity bit LP(2k+1) is the parity of the bytes whose index has bit
-// k set; since parity distributes over XOR, the loop folds each byte's
-// one-bit parity into an 8-bit accumulator addressed by the byte's index,
-// and the even half of every pair is the sector parity XOR the odd half.
-// This is on the read path of every verifying page read, hence the
-// table-driven single pass.
-func Compute(data []byte) ([CodeSize]byte, error) {
-	var code [CodeSize]byte
-	if len(data) != SectorSize {
-		return code, fmt.Errorf("%w: got %d bytes", ErrSectorSize, len(data))
+// k set, and parity distributes over XOR, so whole words are XORed into
+// accumulators and one popcount per accumulator at the end replaces a
+// parity lookup per byte. Byte i is lane i%8 of word i/8: address bits
+// 3..7 select words (b0..b4 collect the words whose index has that bit
+// set) and address bits 0..2 select lanes of fold, the XOR of all 32
+// words. The even half of every pair is the sector parity XOR the odd
+// half. The column parities come from the XOR of all bytes, which is
+// fold's eight lanes XORed together.
+func sectorCode(sec *[SectorSize]byte) uint32 {
+	var b0, b1, b2 uint64
+	var g [4]uint64 // XOR of each run of eight words: index bits 3 and 4
+	for k := range g {
+		s := sec[64*k : 64*k+64]
+		x0, x1 := binary.LittleEndian.Uint64(s[0:]), binary.LittleEndian.Uint64(s[8:])
+		x2, x3 := binary.LittleEndian.Uint64(s[16:]), binary.LittleEndian.Uint64(s[24:])
+		x4, x5 := binary.LittleEndian.Uint64(s[32:]), binary.LittleEndian.Uint64(s[40:])
+		x6, x7 := binary.LittleEndian.Uint64(s[48:]), binary.LittleEndian.Uint64(s[56:])
+		t23, t67 := x2^x3, x6^x7
+		hi := x4 ^ x5 ^ t67
+		b0 ^= x1 ^ x3 ^ x5 ^ x7
+		b1 ^= t23 ^ t67
+		b2 ^= hi
+		g[k] = x0 ^ x1 ^ t23 ^ hi
 	}
-	var colAcc byte // XOR of all bytes: basis for column parity
-	var oddAcc byte // bit k = parity of the odd half of line pair k
-	var all byte    // parity of the whole sector
-	for i, b := range data {
-		colAcc ^= b
-		p := parityTab[b]
-		all ^= p
-		oddAcc ^= byte(i) & -p
-	}
-	var line uint16
-	for k := 0; k < 8; k++ {
-		odd := (oddAcc >> k) & 1
-		line |= uint16(all^odd) << (2 * k)
-		line |= uint16(odd) << (2*k + 1)
-	}
-	code[0] = byte(line)
-	code[1] = byte(line >> 8)
-	// Column parity: pairs over bit index. CP0 covers even bits, CP1 odd
-	// bits, CP2 bits with bit1=0, CP3 bit1=1, CP4 bit2=0, CP5 bit2=1.
-	masks := [6]byte{0b01010101, 0b10101010, 0b00110011, 0b11001100, 0b00001111, 0b11110000}
-	for k, m := range masks {
-		code[2] |= parityTab[colAcc&m] << (k + 2)
-	}
-	code[2] |= 0x03 // unused low bits kept erased-compatible
-	return code, nil
+	b3, b4 := g[1]^g[3], g[2]^g[3]
+	fold := g[0] ^ g[1] ^ b4
+	odd := bits.OnesCount64(fold&lane0)&1 |
+		bits.OnesCount64(fold&lane1)&1<<1 |
+		bits.OnesCount64(fold&lane2)&1<<2 |
+		bits.OnesCount64(b0)&1<<3 |
+		bits.OnesCount64(b1)&1<<4 |
+		bits.OnesCount64(b2)&1<<5 |
+		bits.OnesCount64(b3)&1<<6 |
+		bits.OnesCount64(b4)&1<<7
+	even := odd ^ -(bits.OnesCount64(fold)&1)&0xFF
+	col := fold ^ fold>>32
+	col ^= col >> 16
+	col ^= col >> 8
+	return uint32(lineTab[even]) | uint32(lineTab[odd])<<1 | uint32(colTab[byte(col)])<<16
+}
+
+// synMask selects the 22 parity bits of a packed code or syndrome: all of
+// code[0] and code[1], and code[2] without its two unused low bits.
+const synMask = 0xFCFFFF
+
+// pack returns the three code bytes at the front of code in sectorCode's
+// packed form.
+func pack(code []byte) uint32 {
+	_ = code[2]
+	return uint32(code[0]) | uint32(code[1])<<8 | uint32(code[2])<<16
 }
 
 // Correct verifies data against code, fixing a single flipped bit in place
@@ -97,44 +147,44 @@ func Correct(data []byte, code [CodeSize]byte) (int, error) {
 	if len(data) != SectorSize {
 		return 0, fmt.Errorf("%w: got %d bytes", ErrSectorSize, len(data))
 	}
-	fresh, err := Compute(data)
-	if err != nil {
-		return 0, err
-	}
+	return correct((*[SectorSize]byte)(data), pack(code[:]))
+}
+
+// correct is Correct on a packed stored code. The clean case is one
+// sectorCode and one compare.
+func correct(sec *[SectorSize]byte, stored uint32) (int, error) {
 	// Syndrome: XOR of stored and recomputed codes.
-	s0 := fresh[0] ^ code[0]
-	s1 := fresh[1] ^ code[1]
-	s2 := (fresh[2] ^ code[2]) >> 2 // 6 column syndrome bits
-	if s0 == 0 && s1 == 0 && s2 == 0 {
+	syn := (sectorCode(sec) ^ stored) & synMask
+	if syn == 0 {
 		return 0, nil
 	}
 	// For a single-bit error every even/odd parity pair disagrees in
 	// exactly one member: each pair of syndrome bits must be 01 or 10.
-	lineSyn := uint16(s0) | uint16(s1)<<8
-	byteAddr := 0
+	// The odd member (10) says the address bit is 1.
+	const evens = 0x545555 // the even member of all 11 pairs
+	if (syn^syn>>1)&evens != evens {
+		return 0, ErrUncorrectable
+	}
+	byteAddr, bitAddr := 0, 0
 	for k := 0; k < 8; k++ {
-		pair := (lineSyn >> (2 * k)) & 0b11
-		switch pair {
-		case 0b10: // odd half disagrees: address bit k is 1
-			byteAddr |= 1 << k
-		case 0b01: // even half disagrees: address bit k is 0
-		default:
-			return 0, ErrUncorrectable
-		}
+		byteAddr |= int(syn>>(2*k+1)&1) << k
 	}
-	bitAddr := 0
 	for k := 0; k < 3; k++ {
-		pair := (s2 >> (2 * k)) & 0b11
-		switch pair {
-		case 0b10:
-			bitAddr |= 1 << k
-		case 0b01:
-		default:
-			return 0, ErrUncorrectable
-		}
+		bitAddr |= int(syn>>(2*k+19)&1) << k
 	}
-	data[byteAddr] ^= 1 << bitAddr
+	sec[byteAddr] ^= 1 << bitAddr
 	return 1, nil
+}
+
+// checkPage validates a page data area against its concatenated codes.
+func checkPage(data, codes []byte) error {
+	if len(data)%SectorSize != 0 {
+		return fmt.Errorf("%w: page of %d bytes is not sector-aligned", ErrSectorSize, len(data))
+	}
+	if len(codes) != len(data)/SectorSize*CodeSize {
+		return fmt.Errorf("%w: %d code bytes for %d data bytes", ErrCodeSize, len(codes), len(data))
+	}
+	return nil
 }
 
 // ComputePage returns the concatenated ECC for a whole page data area
@@ -142,38 +192,37 @@ func Correct(data []byte, code [CodeSize]byte) (int, error) {
 // the spare area: a 2048-byte page needs 8 sectors x 3 = 24 bytes of the
 // 64-byte spare.
 func ComputePage(data []byte) ([]byte, error) {
-	if len(data)%SectorSize != 0 {
-		return nil, fmt.Errorf("%w: page of %d bytes is not sector-aligned", ErrSectorSize, len(data))
+	codes := make([]byte, len(data)/SectorSize*CodeSize)
+	if err := ComputePageInto(data, codes); err != nil {
+		return nil, err
 	}
-	out := make([]byte, 0, len(data)/SectorSize*CodeSize)
-	for off := 0; off < len(data); off += SectorSize {
-		c, err := Compute(data[off : off+SectorSize])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c[:]...)
+	return codes, nil
+}
+
+// ComputePageInto is ComputePage into the caller's codes, which must hold
+// exactly one code per sector of data — the sealing path writes straight
+// into the spare area.
+func ComputePageInto(data, codes []byte) error {
+	if err := checkPage(data, codes); err != nil {
+		return err
 	}
-	return out, nil
+	for ; len(data) > 0; data, codes = data[SectorSize:], codes[CodeSize:] {
+		c := sectorCode((*[SectorSize]byte)(data))
+		codes[0], codes[1], codes[2] = byte(c), byte(c>>8), byte(c>>16)
+	}
+	return nil
 }
 
 // CorrectPage verifies a whole page against its concatenated ECC,
 // correcting up to one bit per sector. It returns the total corrected
-// bits.
+// bits, and an error naming the first uncorrectable sector if there is
+// one.
 func CorrectPage(data, codes []byte) (int, error) {
-	if len(codes) != len(data)/SectorSize*CodeSize {
-		return 0, fmt.Errorf("%w: %d code bytes for %d data bytes", ErrCodeSize, len(codes), len(data))
+	corrected, bad, err := CorrectPageSectors(data, codes)
+	if err == nil && bad != nil {
+		err = fmt.Errorf("sector %d: %w", bad[0], ErrUncorrectable)
 	}
-	total := 0
-	for i, off := 0, 0; off < len(data); i, off = i+1, off+SectorSize {
-		var c [CodeSize]byte
-		copy(c[:], codes[i*CodeSize:])
-		n, err := Correct(data[off:off+SectorSize], c)
-		if err != nil {
-			return total, fmt.Errorf("sector %d: %w", i, err)
-		}
-		total += n
-	}
-	return total, nil
+	return corrected, err
 }
 
 // CorrectPageSectors verifies a whole page against its concatenated ECC
@@ -185,19 +234,13 @@ func CorrectPage(data, codes []byte) (int, error) {
 // uncorrectable sector indices. The only error is a size mismatch between
 // data and codes.
 func CorrectPageSectors(data, codes []byte) (corrected int, bad []int, err error) {
-	if len(data)%SectorSize != 0 {
-		return 0, nil, fmt.Errorf("%w: page of %d bytes is not sector-aligned", ErrSectorSize, len(data))
+	if err := checkPage(data, codes); err != nil {
+		return 0, nil, err
 	}
-	if len(codes) != len(data)/SectorSize*CodeSize {
-		return 0, nil, fmt.Errorf("%w: %d code bytes for %d data bytes", ErrCodeSize, len(codes), len(data))
-	}
-	for i, off := 0, 0; off < len(data); i, off = i+1, off+SectorSize {
-		var c [CodeSize]byte
-		copy(c[:], codes[i*CodeSize:])
-		n, err := Correct(data[off:off+SectorSize], c)
+	for i := 0; len(data) > 0; i, data, codes = i+1, data[SectorSize:], codes[CodeSize:] {
+		n, err := correct((*[SectorSize]byte)(data), pack(codes))
 		if err != nil {
 			bad = append(bad, i)
-			continue
 		}
 		corrected += n
 	}

@@ -315,29 +315,33 @@ func SpareECC(spare []byte, dataSize int) []byte {
 	return spare[HeaderSpareBytes : HeaderSpareBytes+ECCSpareBytes(dataSize)]
 }
 
-// crc8 updates a CRC-8 (polynomial 0x07, the CCITT/ATM HEC polynomial)
-// over p.
-func crc8(crc byte, p []byte) byte {
-	for _, b := range p {
-		crc ^= b
-		for i := 0; i < 8; i++ {
+// crc8Tab[b] is the CRC-8 (polynomial 0x07, the CCITT/ATM HEC polynomial)
+// of the single byte b; a header checksum is one lookup per header byte.
+var crc8Tab = func() (tab [256]byte) {
+	for i := range tab {
+		crc := byte(i)
+		for k := 0; k < 8; k++ {
 			if crc&0x80 != 0 {
 				crc = crc<<1 ^ 0x07
 			} else {
 				crc <<= 1
 			}
 		}
+		tab[i] = crc
 	}
-	return crc
-}
+	return tab
+}()
 
 // HeaderChecksum computes the CRC-8 of an encoded spare's header fields.
 // The obsolete flag (spare[1]) is deliberately excluded: obsoleting a page
 // is a later partial program of that one byte and must not invalidate the
 // seal.
 func HeaderChecksum(spare []byte) byte {
-	c := crc8(0, spare[:sparePosObsolete])
-	return crc8(c, spare[sparePosObsolete+1:HeaderSpareBytes])
+	crc := crc8Tab[spare[sparePosType]]
+	for _, b := range spare[sparePosObsolete+1 : HeaderSpareBytes] {
+		crc = crc8Tab[crc^b]
+	}
+	return crc
 }
 
 // SealSpare writes the data-area ECC and the header checksum into the
@@ -348,13 +352,8 @@ func SealSpare(data, spare []byte) {
 	if !IntegrityFits(len(data), len(spare)) {
 		return
 	}
-	off := HeaderSpareBytes
-	for s := 0; s < len(data); s += ecc.SectorSize {
-		c, _ := ecc.Compute(data[s : s+ecc.SectorSize])
-		copy(spare[off:], c[:])
-		off += ecc.CodeSize
-	}
-	spare[off] = HeaderChecksum(spare)
+	_ = ecc.ComputePageInto(data, SpareECC(spare, len(data))) // IntegrityFits checked the sizes
+	ResealHeader(spare, len(data))
 }
 
 // ResealHeader recomputes only the header-checksum byte of a sealed

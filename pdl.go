@@ -74,11 +74,13 @@
 //	bufs := [][]byte{p1, p9, p42} // page-sized buffers
 //	err := store.ReadBatch(pids, bufs)
 //
-// A Store also keeps a decoded-differential cache (Options.DiffCachePages;
-// DiffCacheOff disables it): the decoded records of hot differential pages
-// stay in DRAM, so a hot read of a diff-bearing page costs one flash read
-// plus a map lookup instead of the paper's two serial flash reads plus a
-// decode. The cache is pure DRAM state, invalidated wherever a
+// A Store also keeps a differential-page cache (Options.DiffCachePages;
+// DiffCacheOff disables it): the images of hot differential pages stay in
+// DRAM as they are in flash, at most DiffCachePages x page size bytes, so
+// a hot read of a diff-bearing page costs one flash read plus a map lookup
+// instead of the paper's two serial flash reads. Hit or miss, a read merges
+// its record straight from the page's wire form; nothing is decoded to be
+// read. The cache is pure DRAM state, invalidated wherever a
 // differential page dies or moves, and never survives a restart — so
 // recovery is byte-identical with the cache on or off.
 //
@@ -250,7 +252,7 @@ type PageProgram = flash.PageProgram
 // PageRead is one physical page of a Device.ReadBatch.
 type PageRead = flash.PageRead
 
-// DiffCacheOff disables the Store's decoded-differential cache when
+// DiffCacheOff disables the Store's differential-page cache when
 // assigned to Options.DiffCachePages, restoring the paper's two-read
 // PDL_Reading exactly.
 const DiffCacheOff = core.DiffCacheOff
