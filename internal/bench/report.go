@@ -89,8 +89,8 @@ type Report struct {
 	// Pool is the buffer-pool counters (serving-layer runs).
 	Pool *buffer.Stats `json:"pool,omitempty"`
 	// ChannelGC is the per-channel garbage-collection breakdown (runs,
-	// pages moved, cold migrations), indexed by channel; absent for
-	// methods without the channel-aware allocator.
+	// pages moved, cold migrations, differential-stream pages), indexed by
+	// channel; absent for methods without the channel-aware allocator.
 	ChannelGC []ftl.ChannelGCStats `json:"channel_gc,omitempty"`
 	// Extra carries experiment-specific scalars that have no dedicated
 	// field (e.g. gc run counts, per-op microseconds).

@@ -195,6 +195,7 @@ func runTailPoint(g Geometry, mode string, maxDiff, workers, ops int) (TailPoint
 		chGC[ch].Runs -= chBefore[ch].Runs
 		chGC[ch].PagesMoved -= chBefore[ch].PagesMoved
 		chGC[ch].ColdMigrations -= chBefore[ch].ColdMigrations
+		chGC[ch].DiffStreamPages -= chBefore[ch].DiffStreamPages
 	}
 	return TailPoint{
 		Mode:           mode,

@@ -201,7 +201,13 @@ func (a *adaptiveState) decayedHeat(w uint64, now uint64) uint32 {
 
 // route is the per-write routing decision, taken before the base page is
 // read so a whole-page route skips that read entirely. It advances the
-// clock, decays and bumps the pid's heat, and returns the route. hasBase
+// clock, decays and bumps the pid's heat, and returns the route, and
+// whether the pid was dormant: its heat had decayed to zero, so the tracker
+// remembers no write of it (six half-lives after a lone write, more after
+// a burst). A base page this write programs is then expected to live as
+// long as one that survived a collection, and commit places it on the cold
+// stream instead of among the hot base pages that die within a few writes
+// (routing whole pages by lifetime; see ftl.Stream). hasBase
 // reports whether the pid has a base page at all (a first-ever write has
 // nothing to diff against, so whole-page is the only shape it can take);
 // hasDiff reports whether the pid currently has differential state a
@@ -209,11 +215,12 @@ func (a *adaptiveState) decayedHeat(w uint64, now uint64) uint32 {
 // buffered differential). The caller holds the pid's shard lock.
 //
 //pdlvet:holds shard
-func (a *adaptiveState) route(pid uint32, mode byte, hasBase, hasDiff bool) routeKind {
+func (a *adaptiveState) route(pid uint32, mode byte, hasBase, hasDiff bool) (kind routeKind, dormant bool) {
 	now := a.clock.Add(1)
 	w := a.track[pid].Load()
 	heat := a.decayedHeat(w, now)
 	wasCold := heat < a.coldHeat
+	dormant = hasBase && heat == 0
 	heat += heatBump
 	if heat > heatCap {
 		heat = heatCap
@@ -221,7 +228,6 @@ func (a *adaptiveState) route(pid uint32, mode byte, hasBase, hasDiff bool) rout
 	density := uint32(w>>trackDensityShift) & 0xFFFF
 	probe := uint32(w) & trackProbeMask
 
-	var kind routeKind
 	dense := density != densityUnknown && density > a.dense
 	switch {
 	case !hasBase:
@@ -271,7 +277,7 @@ func (a *adaptiveState) route(pid uint32, mode byte, hasBase, hasDiff bool) rout
 		(now&trackSeenMask)<<trackSeenShift |
 		uint64(probe)
 	a.track[pid].Store(w)
-	return kind
+	return kind, dormant
 }
 
 // noteDensity folds one measured encoded-differential size into the pid's

@@ -240,6 +240,62 @@ func checkModeInvariant(t *testing.T, r *Store, numPages int) {
 	}
 }
 
+// TestAdaptivePlacesDormantBasePagesCold: the router's lifetime verdict
+// decides where a base page is programmed. An initial load and the rewrite
+// of a recently written page fill hot-stream blocks; the rewrite of a page
+// whose heat decayed to zero lands in a cold-stream block, which is not a
+// garbage-collection migration, and recovery adopts the partly filled cold
+// block like any other.
+func TestAdaptivePlacesDormantBasePagesCold(t *testing.T) {
+	const numPages = 24
+	s, chip, shadow := loadAdaptiveStore(t, 16, numPages)
+	if !s.alloc.StreamsOn(0) {
+		t.Fatal("a 16-block channel does not run the streams")
+	}
+	streamOfBase := func(pid uint32) ftl.Stream {
+		return s.alloc.BlockStats(s.params.BlockOf(entryOf(s, pid).base)).Stream
+	}
+	for pid := uint32(0); pid < numPages; pid++ {
+		if got := streamOfBase(pid); got != ftl.StreamHot {
+			t.Fatalf("initial load of pid %d landed in a block of stream %d, want the hot stream", pid, got)
+		}
+	}
+	// Seven half-lives of flash no-ops (identical content): every heat
+	// decays to zero and no page moves.
+	for i := 0; i < 7*adaptiveOptions().Adaptive.HeatHalfLife; i++ {
+		if err := s.WritePage(23, shadow[23]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	denseUpdate(t, s, shadow, 5, rng)
+	if got := streamOfBase(5); got != ftl.StreamCold {
+		t.Errorf("rewrite of dormant pid 5 landed in a block of stream %d, want the cold stream", got)
+	}
+	denseUpdate(t, s, shadow, 5, rng)
+	if got := streamOfBase(5); got != ftl.StreamHot {
+		t.Errorf("second rewrite of pid 5 landed in a block of stream %d, want the hot stream", got)
+	}
+	denseUpdate(t, s, shadow, 6, rng)
+	if got := streamOfBase(6); got != ftl.StreamCold {
+		t.Errorf("rewrite of dormant pid 6 landed in a block of stream %d, want the cold stream", got)
+	}
+	if st := s.alloc.ChannelGC(0); st.ColdMigrations != 0 || st.Runs != 0 {
+		t.Errorf("%+v, want no collection and no cold migration", st)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Recover(chip, numPages, adaptiveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStateEquivalent(t, s, r, numPages)
+	for pid := range shadow {
+		mustReadEqual(t, r, uint32(pid), shadow[pid])
+	}
+}
+
 func TestAdaptiveRecoverReproducesModes(t *testing.T) {
 	const numPages = 16
 	s, chip, shadow := loadAdaptiveStore(t, 24, numPages)
@@ -591,6 +647,75 @@ func TestAdaptiveSurvivesRandomPowerLoss(t *testing.T) {
 			}
 		}
 		checkModeInvariant(t, r, 16)
+	}
+}
+
+// TestAdaptiveColdPlacementSurvivesPowerLoss cuts power at random points
+// of a workload that keeps all three append points busy on an adaptive
+// store: eight hot pages (sparse ones spill differential pages, dense ones
+// rewrite into the hot stream) and a long tail of pages rewritten one
+// every tenth write, dormant by their turn, whose base pages go to the cold
+// stream beside the loaded pages collections relocate. Recovery must serve
+// a written version of every page.
+func TestAdaptiveColdPlacementSurvivesPowerLoss(t *testing.T) {
+	const hot, numPages = 8, 200 // half of the chip's 384 pages
+	for trial := 0; trial < 6; trial++ {
+		s, chip, shadow := loadAdaptiveStore(t, 24, numPages)
+		vs := recordVersions(shadow)
+		rng := rand.New(rand.NewSource(int64(300 + trial)))
+		if trial > 0 { // trial 0 runs to the end and checks the scenario
+			chip.SchedulePowerFailure(int64(300 + rng.Intn(1200)))
+		}
+		size := len(shadow[0])
+		coldPlaced, tail := 0, hot
+		for i := 0; i < 1200 && !chip.PowerFailed(); i++ {
+			pid := rng.Intn(hot)
+			switch {
+			case i%10 == 9:
+				pid = tail
+				if tail++; tail == numPages {
+					tail = hot
+				}
+				rng.Read(shadow[pid])
+			case pid < hot/2:
+				off := rng.Intn(size - 8)
+				rng.Read(shadow[pid][off : off+8])
+			default:
+				rng.Read(shadow[pid])
+			}
+			err := s.WritePage(uint32(pid), shadow[pid])
+			recordVersion(vs, pid, shadow[pid]) // an interrupted write may have landed
+			if err != nil {
+				if !errors.Is(err, flash.ErrPowerLoss) {
+					t.Fatalf("trial %d op %d: %v", trial, i, err)
+				}
+				break
+			}
+			if base := entryOf(s, uint32(pid)).base; pid >= hot &&
+				s.alloc.BlockStats(s.params.BlockOf(base)).Stream == ftl.StreamCold {
+				coldPlaced++
+			}
+		}
+		if trial == 0 {
+			st := s.alloc.ChannelGC(0)
+			if coldPlaced < 20 || st.DiffStreamPages == 0 || st.ColdMigrations == 0 {
+				t.Fatalf("scenario: %d tail pages placed cold, %+v; want all three streams busy and relocations in cold blocks", coldPlaced, st)
+			}
+		}
+		r, err := Recover(chip, numPages, adaptiveOptions())
+		if err != nil {
+			t.Fatalf("trial %d: recovery: %v", trial, err)
+		}
+		buf := make([]byte, size)
+		for pid := 0; pid < numPages; pid++ {
+			if err := r.ReadPage(uint32(pid), buf); err != nil {
+				t.Fatalf("trial %d pid %d: %v", trial, pid, err)
+			}
+			if !vs[pid][hash(buf)] {
+				t.Fatalf("trial %d pid %d: recovered content was never written", trial, pid)
+			}
+		}
+		checkModeInvariant(t, r, numPages)
 	}
 }
 

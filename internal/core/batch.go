@@ -42,10 +42,27 @@ type pendingOp struct {
 	pid   uint32
 	mode  byte
 	spill bool
+	// cold marks a base page the adaptive router expects to live long (its
+	// pid was dormant; see adaptiveState.route): it is allocated from the
+	// cold stream. Fixed-method stores never set it.
+	cold  bool
 	diffs []diff.Differential
 	// pin, when set, makes a base-page commit conditional on pid's mapping
 	// still being at that version (the read-path heal; see applyDiff).
 	pin *uint64
+}
+
+// stream names the allocator append point the op's page comes from: a
+// spill is a differential page, everything else a foreground base page,
+// hot unless the router marked it long-lived.
+func (op *pendingOp) stream() ftl.Stream {
+	switch {
+	case op.spill:
+		return ftl.StreamDiff
+	case op.cold:
+		return ftl.StreamCold
+	}
+	return ftl.StreamHot
 }
 
 // staged is what a writeStage knows, ahead of the mapping table, about a
@@ -79,12 +96,12 @@ func (st *writeStage) note(pid uint32, p staged) {
 	}
 }
 
-// stageBase stages data as pid's new base page in logging mode mode. Any
-// buffered differential was computed against the base this replaces and
-// goes with it.
-func (st *writeStage) stageBase(idx int, ts uint64, pid uint32, data []byte, mode byte) {
+// stageBase stages data as pid's new base page in logging mode mode, on
+// the cold stream if cold. Any buffered differential was computed against
+// the base this replaces and goes with it.
+func (st *writeStage) stageBase(idx int, ts uint64, pid uint32, data []byte, mode byte, cold bool) {
 	st.buf.remove(pid)
-	st.ops = append(st.ops, pendingOp{idx: idx, ts: ts, home: st.home, pid: pid, data: data, mode: mode})
+	st.ops = append(st.ops, pendingOp{idx: idx, ts: ts, home: st.home, pid: pid, data: data, mode: mode, cold: cold})
 	st.note(pid, staged{img: data, mode: mode})
 }
 
@@ -102,15 +119,16 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 
 	// Step 0 (adaptive stores only): the per-page routing decision, taken
 	// BEFORE the base page is read so the whole-page route skips that
-	// read entirely; see adaptive.go.
-	probing := false
+	// read entirely; see adaptive.go. cold is its lifetime verdict for any
+	// base page this write stages.
+	probing, cold := false, false
 	mode := known.mode
 	whole := func() {
 		s.wtel.opuRoutes.Add(1)
 		if mode != ftl.ModeTagOPU {
 			s.wtel.modeSwitches.Add(1)
 		}
-		st.stageBase(idx, ts, pid, data, ftl.ModeTagOPU)
+		st.stageBase(idx, ts, pid, data, ftl.ModeTagOPU, cold)
 	}
 	if s.adap != nil {
 		re, _ := s.mt.snapshot(pid)
@@ -119,7 +137,9 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 			mode, hasDif = s.mt.modeOf(pid), re.dif != flash.NilPPN
 		}
 		_, buffered := st.buf.get(pid)
-		switch s.adap.route(pid, mode, known.img != nil || re.base != flash.NilPPN, hasDif || buffered) {
+		var kind routeKind
+		kind, cold = s.adap.route(pid, mode, known.img != nil || re.base != flash.NilPPN, hasDif || buffered)
+		switch kind {
 		case routeOPU:
 			whole()
 			return nil
@@ -162,7 +182,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 			if s.adap != nil {
 				s.wtel.pdlRoutes.Add(1)
 			}
-			st.stageBase(idx, ts, pid, data, 0)
+			st.stageBase(idx, ts, pid, data, 0, cold)
 			return nil
 		}
 		img = base
@@ -230,7 +250,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		st.buf.clear()
 		st.buf.add(d)
 	default: // Case 3
-		st.stageBase(idx, ts, pid, data, 0)
+		st.stageBase(idx, ts, pid, data, 0, cold)
 	}
 	return nil
 }
@@ -458,8 +478,9 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 // programOps runs one attempt of commit against the channels picked in
 // ops[i].ch: it takes their locks in ascending index order (the same
 // deadlock-freedom argument as the shard locks), allocates every
-// channel's pages up front (allocPagesOn collects first if needed, so no
-// GC interleaves an allocated-unprogrammed page), programs the ops in idx
+// channel's pages up front, each from the append point of its kind
+// (allocPagesOn collects first if needed, so no GC interleaves an
+// allocated-unprogrammed page), programs the ops in idx
 // (= time stamp) order — one op with Program, several as one ProgramBatch,
 // which a striped device fans out as one concurrent leg per channel — and
 // replays the mapping-table commits in the same order. An allocation that
@@ -491,20 +512,35 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 			s.chans[ch].mu.Unlock()
 		}
 	}()
+	kinds := make([]ftl.Stream, 0, 8) // on the stack for the usual commit
 	for _, ch := range locked {
-		n := 0
+		kinds = kinds[:0]
 		for i := range ops {
 			if ops[i].ch == ch {
-				n++
+				kinds = append(kinds, ops[i].stream())
 			}
 		}
-		ppns, err := s.allocPagesOn(ch, n)
+		ppns, err := s.allocPagesOn(ch, kinds)
 		if err != nil {
 			return ch, false, err
 		}
 		for i := range ops {
 			if ops[i].ch == ch {
 				ops[i].ppn, ppns = ppns[0], ppns[1:]
+			}
+		}
+	}
+	if invariantsEnabled {
+		// Wherever the channel runs the streams, every page lands in a
+		// block of its own: a spill (or a long-lived base page) in a block
+		// of hot base pages would put the lifetimes the streams separate
+		// back together.
+		for i := range ops {
+			if op := &ops[i]; s.alloc.StreamsOn(op.ch) {
+				blk := s.params.BlockOf(op.ppn)
+				assertf(s.alloc.BlockStats(blk).Stream == op.stream(),
+					"page of ts %d and stream %d landed in block %d of stream %d on channel %d, which runs the streams",
+					op.ts, op.stream(), blk, s.alloc.BlockStats(blk).Stream, op.ch)
 			}
 		}
 	}
@@ -575,16 +611,16 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 	return 0, true, err
 }
 
-// allocPagesOn hands out n flash pages of channel ch for one commit under
-// the channel's lock. In synchronous mode it is the paper's Alloc
-// (collecting inline whenever the reserve would be violated). In
-// background-GC mode the channel's engine is kicked at the watermark, and
-// an inline collection (the commit hit the reserve floor itself) counts
-// as a backpressure fallback.
+// allocPagesOn hands out one flash page of channel ch per element of kinds
+// for one commit under the channel's lock. In synchronous mode it is the
+// paper's Alloc (collecting inline whenever the reserve would be
+// violated). In background-GC mode the channel's engine is kicked at the
+// watermark, and an inline collection (the commit hit the reserve floor
+// itself) counts as a backpressure fallback.
 //
 //pdlvet:holds flash,channel
-func (s *Store) allocPagesOn(ch, n int) ([]flash.PPN, error) {
-	ppns, collected, err := s.alloc.AllocBatchOn(ch, n)
+func (s *Store) allocPagesOn(ch int, kinds []ftl.Stream) ([]flash.PPN, error) {
+	ppns, collected, err := s.alloc.AllocBatchOn(ch, kinds)
 	if s.gcEng != nil {
 		if collected > 0 {
 			s.wtel.syncGCFallbacks.Add(1)

@@ -37,9 +37,14 @@ func (s *Store) relocate(victim int) error {
 	// differential whose base page is about to disappear.
 	// keep[i] survives from differential page from[i]: the repoint checks
 	// that the mapping still points there (a writer on another channel may
-	// have flushed a newer differential mid-collection).
+	// have flushed a newer differential mid-collection). compacted lists
+	// the victim's differential pages, whose valid counts are dropped only
+	// after pass 2 has repointed their survivors: a collection that fails
+	// in between leaves the mappings pointing at them, and a page whose
+	// count is already gone would be marked obsolete by the next superseded
+	// record and erased with its other live differentials still in it.
 	var keep []diff.Differential
-	var from []flash.PPN
+	var from, compacted []flash.PPN
 	moved := 0
 	for i := 0; i < p.PagesPerBlock; i++ {
 		ppn := p.PPNOf(victim, i)
@@ -59,11 +64,7 @@ func (s *Store) relocate(victim int) error {
 			for range ds {
 				from = append(from, ppn)
 			}
-			s.mt.dropDiffPage(ppn)
-			// The page is being compacted away and its block erased:
-			// readers will be repointed (and their version checks fail),
-			// so the cached image must go before the PPN can be reused.
-			s.dcache.invalidate(ppn)
+			compacted = append(compacted, ppn)
 		}
 	}
 
@@ -83,6 +84,13 @@ func (s *Store) relocate(victim int) error {
 		}
 		moved++
 		keep, from = keep[n:], from[n:]
+	}
+	for _, ppn := range compacted {
+		s.mt.dropDiffPage(ppn)
+		// The page is compacted away and its block about to be erased:
+		// readers were repointed (and their version checks fail), so the
+		// cached image must go before the PPN can be reused.
+		s.dcache.invalidate(ppn)
 	}
 	if s.adap != nil {
 		// Feed the router's GC-pressure heuristic: pages this collection
@@ -233,10 +241,13 @@ func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
 
 // writeCompactedPage writes a batch of surviving differentials into a new
 // differential page on the victim's channel and repoints the mapping
-// table. The page image is built in a pooled scratch page — garbage
-// collection compacts a page per surviving batch, and allocating a fresh
-// image each time put a page-sized allocation on every collection
-// increment.
+// table. Like a relocated base page it goes to the cold stream: records
+// that outlived a collection are older than anything in the open
+// differential block, and measured worse there (they keep blocks that
+// would have died whole half alive). The page image is built in a pooled
+// scratch page — garbage collection compacts a page per surviving batch,
+// and allocating a fresh image each time put a page-sized allocation on
+// every collection increment.
 //
 //pdlvet:holds flash,channel
 func (s *Store) writeCompactedPage(ds []diff.Differential, from []flash.PPN, ch int) error {

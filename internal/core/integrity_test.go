@@ -558,3 +558,82 @@ func TestIntegrityVerifyOffServesUncorrupted(t *testing.T) {
 		t.Errorf("verify-off store ran verification: %+v", tel)
 	}
 }
+
+// TestIntegrityFailedCollectionKeepsDiffCounts: a collection that fails
+// after it has gathered a differential page's survivors (here: the typed
+// error of a later, corrupt page of the same victim) must leave that
+// page's valid count alone — the mappings still point at it. Forgetting
+// the count made the next superseded record mark the page obsolete with a
+// live differential still in it, and the next successful collection of
+// the block skipped the page and erased it.
+func TestIntegrityFailedCollectionKeepsDiffCounts(t *testing.T) {
+	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2, DiffCachePages: DiffCacheOff})
+	// touch changes 16 bytes of a page, a differential small enough for
+	// two to share a differential page.
+	touch := func(pid uint32, off int) {
+		t.Helper()
+		for i := off; i < off+16; i++ {
+			shadow[pid][i] ^= 0x5A
+		}
+		if err := s.WritePage(pid, shadow[pid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Page A holds the differentials of pids 1 and 2, page B of pid 3.
+	touch(1, 0)
+	touch(2, 0)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	touch(3, 0)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := entryOf(s, 1).dif, entryOf(s, 3).dif
+	blk := s.params.BlockOf(a)
+	if a == flash.NilPPN || entryOf(s, 2).dif != a || b == flash.NilPPN || b == a || s.params.BlockOf(b) != blk {
+		t.Fatalf("layout: pid 1 -> %d, pid 2 -> %d, pid 3 -> %d, want two pages of one block",
+			a, entryOf(s, 2).dif, b)
+	}
+
+	// The collection of their block fails on B, after A was gathered.
+	fd.Inject(faultdev.Fault{PPN: b, Kind: faultdev.SectorCorrupt, Off: 0})
+	var pe *ftl.PageError
+	if err := s.relocate(blk); !errors.As(err, &pe) || pe.Kind != ftl.CorruptDiff {
+		t.Fatalf("relocate = %v, want CorruptDiff", err)
+	}
+	if got := s.mt.diffCount(a); got != 2 {
+		t.Fatalf("valid count of page %d after the failed collection = %d, want 2", a, got)
+	}
+
+	// Supersede pid 1 (A keeps pid 2's differential) and pid 3 (the corrupt
+	// page dies), then collect the block for real.
+	touch(1, 64)
+	touch(3, 64)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.mt.diffCount(a); got != 1 {
+		t.Fatalf("valid count of page %d = %d, want 1 (pid 2)", a, got)
+	}
+	// Fill the open differential block (each flush supersedes the one
+	// before), so that the victim scan sees it.
+	for i := 0; s.alloc.BlockStats(blk).Written < s.params.PagesPerBlock; i++ {
+		touch(3, 128+16*i)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; !s.alloc.BlockStats(blk).Free; i++ {
+		collected, err := s.alloc.CollectOnceOn(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !collected || i == s.params.NumBlocks {
+			t.Fatalf("block %d not collected after %d collections", blk, i)
+		}
+	}
+	for pid := range shadow {
+		mustReadEqual(t, s, uint32(pid), shadow[pid])
+	}
+}

@@ -19,7 +19,9 @@ const (
 )
 
 type blockInfo struct {
-	state    blockState
+	state blockState
+	// stream is the append point that last activated the block.
+	stream   Stream
 	written  int // pages programmed since erase
 	obsolete int // pages marked obsolete
 	// excluded blocks (checkpoint regions) are never allocated from and
@@ -73,40 +75,82 @@ type obsEntry struct {
 	seq uint64
 }
 
+// Stream names one of a channel's append points. Pages of different
+// lifetimes mixed in one block are what inflates cleaning cost (Dayan &
+// Bonnet), so every channel fills up to three blocks at once, one per
+// page kind:
+//
+//   - StreamHot takes foreground base pages (PDL's Case 3 and initial
+//     loads, every page of OPU), and any page whose own stream has no
+//     block to fill.
+//   - StreamCold takes the pages garbage collection relocates: base
+//     pages and compacted differential pages. They survived at least one
+//     collection, so their blocks accumulate few invalidations and stop
+//     being picked as victims, while hot blocks turn over quickly and are
+//     cleaned cheaply. A foreground caller that knows a base page will
+//     live as long (the adaptive router, for a logical page nobody wrote
+//     in a long while) asks for the cold stream too.
+//   - StreamDiff takes the differential pages foreground writes spill. A
+//     differential page dies wholesale once its handful of records is
+//     superseded, so a block of nothing else becomes completely dead on
+//     its own and is collected for the price of an erase, and base-page
+//     blocks stop being picked half valid.
+type Stream uint8
+
+// The streams, in append-point order.
+const (
+	StreamHot Stream = iota
+	StreamCold
+	StreamDiff
+	numStreams
+)
+
+// minStreamBlocks is how many blocks a channel must own before foreground
+// pages get the append point of their stream as a first-class one. An open
+// block strands its unwritten tail (up to PagesPerBlock-1 pages), which a
+// channel of a handful of blocks cannot afford next to the hot block and
+// the reserve; below the threshold every foreground page rides the hot
+// stream.
+const minStreamBlocks = 16
+
 // allocChan is one channel's allocation state. In single-channel mode
 // there is exactly one, and the allocator behaves like the paper's: one
-// free list, one append point, synchronous collection against one pool.
+// free list, synchronous collection against one pool.
 //
-// Each channel keeps TWO append points: the hot stream serves foreground
-// writes, and the cold stream serves garbage-collection relocation.
-// Relocated pages are by definition cold — they survived at least one
-// collection — so segregating them into their own blocks keeps hot and
-// cold data from mixing: cold blocks accumulate few invalidations and
-// stop being picked as victims (their cost-benefit score stays low),
-// while hot blocks turn over quickly and are cleaned cheaply. The cold
-// stream only claims a dedicated block when the channel has one to spare
-// above its reserve floor; otherwise relocation rides the hot stream
-// (tiny geometries, heavy pressure), which is also the single-channel
-// behavior.
+// ap holds the channel's append points, indexed by Stream. The hot stream
+// is the only one that is always served: it rolls over to a fresh block
+// whenever its block fills, and every allocation entry restores the
+// erased-block reserve before that happens. The other two claim a block
+// only while the channel has one to spare above its reserve floor, and
+// their pages ride the hot stream otherwise (tiny geometries, heavy
+// pressure). What makes a stream first-class for foreground pages where
+// it is opportunistic for relocations is the reserve accounting:
+// AllocBatchOn counts the block a batch's differential (or cold) pages
+// will roll into, so a collection runs before that stream rolls over
+// exactly as for the hot stream, and the spare block is there when take
+// asks. Nobody reserves for a relocation (AllocGC): it joins the open cold
+// block, and claims a fresh one only when one is really spare. With
+// synchronous collection the free list sits at the reserve in steady
+// state, so a stream nobody reserves for never gets a block.
 type allocChan struct {
 	// blocks lists the global block ids this channel owns, ascending.
 	blocks   []int
 	freeList []int
-	hot      appendPoint
-	cold     appendPoint
+	ap       [numStreams]appendPoint
 	inGC     bool
 	gcStats  flash.Stats
 	// gcVictims counts collections per victim block (steady-state checks).
 	gcVictims map[int]int64
 
-	// runs/pagesMoved/coldMigrations are the per-channel GC counters the
-	// benchmark reports record: collections run on this channel, pages
-	// relocated by them, and relocated pages that landed in a dedicated
-	// cold block.
-	runs           atomic.Int64
-	pagesMoved     atomic.Int64
-	coldMigrations atomic.Int64
-	modeMigrations atomic.Int64
+	// The per-channel counters the benchmark reports record: collections
+	// run on this channel, pages relocated by them, how many of those the
+	// cold stream placed in a block of its own, and how many spilled
+	// differential pages the differential stream placed in one of its own.
+	runs            atomic.Int64
+	pagesMoved      atomic.Int64
+	coldMigrations  atomic.Int64
+	diffStreamPages atomic.Int64
+	modeMigrations  atomic.Int64
 
 	// freeCount mirrors len(freeList) atomically so watermark monitors
 	// and cross-channel pressure checks read it without this channel's
@@ -145,6 +189,10 @@ type ChannelGCStats struct {
 	// cold block (hot/cold separation at work); the rest rode the hot
 	// append point.
 	ColdMigrations int64 `json:"cold_migrations"`
+	// DiffStreamPages is how many spilled differential pages the
+	// differential stream handed out of its own blocks; zero on a channel
+	// too small to run the stream.
+	DiffStreamPages int64 `json:"diff_stream_pages"`
 	// ModeMigrations is how many relocated base pages the adaptive
 	// method re-emitted in a different logging mode than they were
 	// stored in (PDL<->OPU migration riding the relocation for free).
@@ -163,16 +211,15 @@ type ChannelGCStats struct {
 // # Channels
 //
 // Built with NewChannelAllocator over a device that implements
-// flash.Channeled, the allocator runs one independent free list, append
-// point pair, and garbage-collection state per channel: AllocOn,
-// TryAllocOn, AllocBatchOn, and CollectOnceOn operate on one channel and
+// flash.Channeled, the allocator runs one independent free list, set of
+// append points, and garbage-collection state per channel: AllocOn,
+// AllocBatchOn, AllocGC and CollectOnceOn operate on one channel and
 // require only that channel's external serialization (the store's
 // per-channel lock), so K channels allocate and collect in parallel.
 // Cross-channel state is confined to atomics (free counts, sequence
 // numbers, GC counters) and the deferred obsolete queues. Built with
 // NewAllocator — or over a plain device — everything collapses to one
-// channel and the legacy methods (Alloc, TryAlloc, AllocBatch,
-// CollectOnce, MarkObsolete) behave exactly as before.
+// channel, which Alloc and MarkObsolete address.
 type Allocator struct {
 	dev      flash.Device
 	params   flash.Params
@@ -246,7 +293,9 @@ func newAllocator(dev flash.Device, reserve, nchan int, chanOf func(int) int) *A
 	}
 	for ch := range a.chans {
 		c := &a.chans[ch]
-		c.hot.active, c.cold.active = -1, -1
+		for st := range c.ap {
+			c.ap[st].active = -1
+		}
 		c.gcVictims = make(map[int]int64)
 		c.obsSpare = make([]byte, p.SpareSize)
 	}
@@ -306,10 +355,6 @@ func (a *Allocator) FreeBlocks() int {
 	return n
 }
 
-// FreeBlockCount is FreeBlocks under the name the background
-// garbage-collection engine's Collector interface documents.
-func (a *Allocator) FreeBlockCount() int { return a.FreeBlocks() }
-
 // FreeBlocksOn returns channel ch's erased-block count. Safe to call
 // from any goroutine (per-channel watermark engines poll it).
 func (a *Allocator) FreeBlocksOn(ch int) int { return int(a.chans[ch].freeCount.Load()) }
@@ -320,6 +365,13 @@ func (a *Allocator) Reserve() int { return a.reserve }
 
 // ChanReserve returns the per-channel erased-block floor.
 func (a *Allocator) ChanReserve() int { return a.chanReserve }
+
+// StreamsOn reports whether channel ch serves foreground pages from the
+// append point of their stream (see minStreamBlocks) rather than all from
+// the hot one.
+func (a *Allocator) StreamsOn(ch int) bool { return a.chans[ch].streamsOn() }
+
+func (c *allocChan) streamsOn() bool { return len(c.blocks) >= minStreamBlocks }
 
 // PickChannel implements the foreground fall-over policy: it returns
 // home unless home's free pool is at or below its reserve floor while
@@ -354,11 +406,8 @@ func (a *Allocator) FreePages() int {
 	for ch := range a.chans {
 		c := &a.chans[ch]
 		n += len(c.freeList) * a.params.PagesPerBlock
-		if c.hot.active >= 0 {
-			n += a.params.PagesPerBlock - c.hot.next
-		}
-		if c.cold.active >= 0 {
-			n += a.params.PagesPerBlock - c.cold.next
+		for st := range c.ap {
+			n += a.tail(&c.ap[st])
 		}
 	}
 	return n
@@ -393,10 +442,11 @@ func (a *Allocator) GCRuns() int64 { return a.gcRuns.Load() }
 func (a *Allocator) ChannelGC(ch int) ChannelGCStats {
 	c := &a.chans[ch]
 	return ChannelGCStats{
-		Runs:           c.runs.Load(),
-		PagesMoved:     c.pagesMoved.Load(),
-		ColdMigrations: c.coldMigrations.Load(),
-		ModeMigrations: c.modeMigrations.Load(),
+		Runs:            c.runs.Load(),
+		PagesMoved:      c.pagesMoved.Load(),
+		ColdMigrations:  c.coldMigrations.Load(),
+		DiffStreamPages: c.diffStreamPages.Load(),
+		ModeMigrations:  c.modeMigrations.Load(),
 	}
 }
 
@@ -449,6 +499,7 @@ func (a *Allocator) ResetGCStats() {
 		c.runs.Store(0)
 		c.pagesMoved.Store(0)
 		c.coldMigrations.Store(0)
+		c.diffStreamPages.Store(0)
 		c.modeMigrations.Store(0)
 	}
 }
@@ -459,8 +510,9 @@ func (a *Allocator) ResetGCStats() {
 // program it exactly once. Single-channel form of AllocOn.
 func (a *Allocator) Alloc() (flash.PPN, error) { return a.AllocOn(0) }
 
-// AllocOn is Alloc against channel ch. The caller holds channel ch's
-// external serialization (and nothing else of the allocator's).
+// AllocOn is Alloc against channel ch, from the hot stream. The caller
+// holds channel ch's external serialization (and nothing else of the
+// allocator's).
 func (a *Allocator) AllocOn(ch int) (flash.PPN, error) {
 	if err := a.drainObsolete(ch); err != nil {
 		return flash.NilPPN, err
@@ -474,33 +526,30 @@ func (a *Allocator) AllocOn(ch int) (flash.PPN, error) {
 	// relocates into a fresh hot block leaves the free list AT the
 	// reserve, but the new hot block has room, so no pop is needed and
 	// the allocation must proceed rather than demand another victim.
-	for (c.hot.active < 0 || c.hot.next == a.params.PagesPerBlock) && !c.inGC &&
-		len(c.freeList) <= a.chanReserve {
-		if err := a.collectOn(ch); err != nil {
+	for a.tail(&c.ap[StreamHot]) == 0 && !c.inGC && len(c.freeList) <= a.chanReserve {
+		if err := a.collectOn(ch, true); err != nil {
 			return flash.NilPPN, err
 		}
 	}
-	return a.takeHot(ch)
+	return a.take(ch, StreamHot)
 }
 
-// AllocBatch returns the next n free pages in append order, restoring the
-// erased-block reserve up front so that NO garbage collection runs between
-// the first and the last page of the batch. That ordering matters: a
-// batch's pages are programmed after all of them are allocated, and a
-// collection in between could pick a block holding allocated-but-still-
-// unprogrammed pages as its victim (relocation would skip them — their
-// spare areas are erased — and the erase would hand them out a second
-// time). Returns ErrNoSpace if the flash cannot provide n pages plus the
-// reserve even after collecting everything reclaimable. Collected is the
-// number of garbage collections the call ran. Single-channel form of
-// AllocBatchOn.
-func (a *Allocator) AllocBatch(n int) (ppns []flash.PPN, collected int, err error) {
-	return a.AllocBatchOn(0, n)
-}
-
-// AllocBatchOn is AllocBatch against channel ch.
-func (a *Allocator) AllocBatchOn(ch, n int) (ppns []flash.PPN, collected int, err error) {
-	if n <= 0 {
+// AllocBatchOn returns one free page of channel ch per element of kinds,
+// in that order, each from the append point of its stream (StreamHot for
+// a base page, StreamDiff for a differential page, StreamCold for a base
+// page the caller expects to outlive its neighbours), restoring the
+// erased-block reserve up front so that NO garbage collection runs
+// between the first and the last page of the batch. That ordering
+// matters: a batch's pages are programmed after all of them are
+// allocated, and a collection in between could pick a block holding
+// allocated-but-still-unprogrammed pages as its victim (relocation would
+// skip them — their spare areas are erased — and the erase would hand
+// them out a second time). Returns ErrNoSpace if the flash cannot provide
+// the pages plus the reserve even after collecting everything
+// reclaimable. Collected is the number of garbage collections the call
+// ran.
+func (a *Allocator) AllocBatchOn(ch int, kinds []Stream) (ppns []flash.PPN, collected int, err error) {
+	if len(kinds) == 0 {
 		return nil, 0, nil
 	}
 	if err := a.drainObsolete(ch); err != nil {
@@ -508,79 +557,88 @@ func (a *Allocator) AllocBatchOn(ch, n int) (ppns []flash.PPN, collected int, er
 	}
 	c := &a.chans[ch]
 	if !c.inGC {
-		for a.blocksNeededFor(ch, n)+a.chanReserve > len(c.freeList) {
-			if err := a.collectOn(ch); err != nil {
+		for a.blocksNeededFor(c, kinds)+a.chanReserve > len(c.freeList) {
+			if err := a.collectOn(ch, true); err != nil {
 				return nil, collected, err
 			}
 			collected++
 		}
 	}
-	ppns = make([]flash.PPN, n)
-	for i := range ppns {
-		if ppns[i], err = a.takeHot(ch); err != nil {
+	ppns = make([]flash.PPN, len(kinds))
+	for i, st := range kinds {
+		if ppns[i], err = a.take(ch, c.foreground(st)); err != nil {
 			return nil, collected, err
+		}
+		if st == StreamDiff && a.streamOf(ppns[i]) == StreamDiff {
+			c.diffStreamPages.Add(1)
 		}
 	}
 	return ppns, collected, nil
 }
 
-// blocksNeededFor returns how many free-list blocks handing out n pages
-// on channel ch would consume, given the hot active block's remaining
-// tail.
-func (a *Allocator) blocksNeededFor(ch, n int) int {
-	c := &a.chans[ch]
-	avail := 0
-	if c.hot.active >= 0 {
-		avail = a.params.PagesPerBlock - c.hot.next
+// foreground returns the stream that serves a foreground page of kind st
+// on this channel: its own where the channel runs the streams, the hot
+// stream otherwise.
+func (c *allocChan) foreground(st Stream) Stream {
+	if c.streamsOn() {
+		return st
 	}
-	if n <= avail {
-		return 0
-	}
-	return (n - avail + a.params.PagesPerBlock - 1) / a.params.PagesPerBlock
+	return StreamHot
 }
 
-// TryAlloc hands out the next free page only if it can do so without
-// garbage collecting: pages of the current active block are always
-// available, and a block switch succeeds as long as it leaves the
-// erased-block reserve intact. ok == false means the caller must reclaim
-// space first — either by waiting on a background collector or by falling
-// back to Alloc, which collects synchronously. This is the foreground
-// allocation path of background-GC mode: the fast case touches no
-// garbage-collection state at all. Single-channel form of TryAllocOn.
-func (a *Allocator) TryAlloc() (ppn flash.PPN, ok bool, err error) { return a.TryAllocOn(0) }
+// streamOf returns the stream of the block holding ppn.
+func (a *Allocator) streamOf(ppn flash.PPN) Stream { return a.blocks[a.params.BlockOf(ppn)].stream }
 
-// TryAllocOn is TryAlloc against channel ch.
-func (a *Allocator) TryAllocOn(ch int) (ppn flash.PPN, ok bool, err error) {
-	if err := a.drainObsolete(ch); err != nil {
-		return flash.NilPPN, false, err
+// tail returns how many pages ap's open block still has to hand out.
+func (a *Allocator) tail(ap *appendPoint) int {
+	if ap.active < 0 {
+		return 0
 	}
-	c := &a.chans[ch]
-	if (c.hot.active < 0 || c.hot.next == a.params.PagesPerBlock) && !c.inGC &&
-		len(c.freeList) <= a.chanReserve {
-		return flash.NilPPN, false, nil
+	return a.params.PagesPerBlock - ap.next
+}
+
+// blocksNeededFor returns how many free-list blocks handing out one page
+// per element of kinds would consume on channel c, given the open blocks'
+// remaining tails. Each page counts against the stream that will really
+// serve it: demanding a block for a differential page that is going to
+// ride the hot block would turn a three-block channel into a spurious
+// ErrNoSpace.
+func (a *Allocator) blocksNeededFor(c *allocChan, kinds []Stream) int {
+	var n [numStreams]int
+	for _, st := range kinds {
+		n[c.foreground(st)]++
 	}
-	ppn, err = a.takeHot(ch)
-	return ppn, err == nil, err
+	ppb := a.params.PagesPerBlock
+	need := 0
+	for st := range n {
+		if over := n[st] - a.tail(&c.ap[st]); over > 0 {
+			need += (over + ppb - 1) / ppb
+		}
+	}
+	return need
 }
 
 // AllocGC hands out the destination page for one garbage-collection
-// relocation on channel ch: the cold append point in multi-channel mode
-// (see allocChan for the hot/cold rationale), the hot append point in
-// single-channel mode, preserving the paper's behavior exactly. The
-// caller is inside a relocation (collection is suppressed), holding
-// channel ch's serialization.
+// relocation on channel ch, from the cold stream. The caller is inside a
+// relocation (collection is suppressed), holding channel ch's
+// serialization; nobody reserved a block for it, so a full cold block
+// rolls over only into a spare block and the page rides the hot stream
+// otherwise (see take).
 func (a *Allocator) AllocGC(ch int) (flash.PPN, error) {
-	a.chans[ch].pagesMoved.Add(1)
-	if a.nchan == 1 {
-		return a.takeHot(ch)
+	c := &a.chans[ch]
+	c.pagesMoved.Add(1)
+	ppn, err := a.take(ch, StreamCold)
+	if err == nil && a.streamOf(ppn) == StreamCold {
+		c.coldMigrations.Add(1)
 	}
-	return a.takeCold(ch)
+	return ppn, err
 }
 
-// activate moves blk out of the free state, stamping its activation
-// sequence.
-func (a *Allocator) activate(blk int) {
+// activate moves blk out of the free state for stream st, stamping its
+// activation sequence.
+func (a *Allocator) activate(blk int, st Stream) {
 	a.blocks[blk].state = blockActive
+	a.blocks[blk].stream = st
 	a.seq[blk].Store(a.seqCounter.Add(1))
 }
 
@@ -596,72 +654,59 @@ func (a *Allocator) popFree(ch int) (blk int, ok bool) {
 	return blk, true
 }
 
-// takeHot hands out the next page of channel ch's hot active block,
-// rolling over to a fresh free block when the active one is full. The
-// caller has already ensured the reserve policy allows a roll-over.
-func (a *Allocator) takeHot(ch int) (flash.PPN, error) {
+// retire closes ap's open block, if any: the block becomes a victim
+// candidate and the append point takes a fresh one at its next page.
+func (a *Allocator) retire(ap *appendPoint) {
+	if ap.active >= 0 {
+		a.blocks[ap.active].state = blockFull
+		ap.active = -1
+	}
+}
+
+// take hands out the next page of stream st on channel ch, rolling over
+// to a fresh free block when the open one is full: the one block-rollover
+// routine of every stream. The hot stream always rolls over; its callers
+// have ensured the reserve policy allows it. The cold and differential
+// streams claim a block only when the channel has one to spare above its
+// reserve floor, and hand the page to the hot stream otherwise; a caller
+// that counted the stream's rollover in its reserve check (AllocBatchOn)
+// always finds that spare block.
+func (a *Allocator) take(ch int, st Stream) (flash.PPN, error) {
 	c := &a.chans[ch]
-	p := a.params
-	if c.hot.active < 0 || c.hot.next == p.PagesPerBlock {
-		if c.hot.active >= 0 {
-			a.blocks[c.hot.active].state = blockFull
-			c.hot.active = -1
+	ap := &c.ap[st]
+	if a.tail(ap) == 0 {
+		a.retire(ap)
+		if st != StreamHot && len(c.freeList) <= a.chanReserve {
+			return a.take(ch, StreamHot)
 		}
 		blk, ok := a.popFree(ch)
 		if !ok {
 			return flash.NilPPN, ErrNoSpace
 		}
-		a.activate(blk)
-		c.hot.active, c.hot.next = blk, 0
+		a.activate(blk, st)
+		ap.active, ap.next = blk, 0
 	}
-	ppn := p.PPNOf(c.hot.active, c.hot.next)
-	c.hot.next++
-	a.blocks[c.hot.active].written++
+	ppn := a.params.PPNOf(ap.active, ap.next)
+	ap.next++
+	a.blocks[ap.active].written++
 	return ppn, nil
 }
 
-// takeCold hands out the next page of channel ch's cold append point,
-// dedicating a fresh cold block only when the channel has one to spare
-// above its reserve floor; otherwise the page rides the hot stream.
-func (a *Allocator) takeCold(ch int) (flash.PPN, error) {
-	c := &a.chans[ch]
-	p := a.params
-	if c.cold.active < 0 || c.cold.next == p.PagesPerBlock {
-		if c.cold.active >= 0 {
-			a.blocks[c.cold.active].state = blockFull
-			c.cold.active = -1
-		}
-		if len(c.freeList) <= a.chanReserve {
-			return a.takeHot(ch)
-		}
-		blk, _ := a.popFree(ch)
-		a.activate(blk)
-		c.cold.active, c.cold.next = blk, 0
-	}
-	ppn := p.PPNOf(c.cold.active, c.cold.next)
-	c.cold.next++
-	a.blocks[c.cold.active].written++
-	c.coldMigrations.Add(1)
-	return ppn, nil
-}
-
-// CollectOnce performs at most one garbage-collection increment (one
-// victim block relocated and erased). It returns collected == false when
-// no full block holds an obsolete page, i.e. there is nothing to reclaim.
-// A background engine calls it repeatedly — under the same serialization
-// as Alloc — releasing the caller's lock between increments so foreground
-// operations interleave with collection. Single-channel form of
-// CollectOnceOn.
-func (a *Allocator) CollectOnce() (collected bool, err error) { return a.CollectOnceOn(0) }
-
-// CollectOnceOn is CollectOnce against channel ch.
+// CollectOnceOn performs at most one garbage-collection increment on
+// channel ch (one victim block relocated and erased). It returns
+// collected == false when no full block holds an obsolete page, i.e.
+// there is nothing to reclaim. A background engine calls it repeatedly —
+// under the same serialization as AllocOn — releasing the caller's lock
+// between increments so foreground operations interleave with collection.
 func (a *Allocator) CollectOnceOn(ch int) (collected bool, err error) {
 	if err := a.drainObsolete(ch); err != nil {
 		return false, err
 	}
 	// collectOn picks its own victim and returns ErrNoSpace before any
 	// side effect when none exists, so no separate (second) victim scan.
-	if err := a.collectOn(ch); err != nil {
+	// Nothing waits on this collection, so an empty scan is just that: the
+	// open cold and differential blocks keep their tails.
+	if err := a.collectOn(ch, false); err != nil {
 		if errors.Is(err, ErrNoSpace) {
 			return false, nil
 		}
@@ -825,32 +870,54 @@ func (a *Allocator) AdoptFullBlock(blk int) {
 	}
 }
 
-// retireFullAppendPoints flips channel ch's hot and cold append blocks
-// to the full state when they have no pages left, exactly as takeHot and
-// takeCold do at rollover — but eagerly, so that a collection entered
-// BEFORE the rollover can see them as victim candidates. On a channel
-// with few blocks above its reserve, the just-filled hot block is often
-// the only block carrying obsolete pages; leaving it formally active
-// until the next takeHot would starve the victim scan.
+// retireFullAppendPoints flips channel ch's open blocks to the full
+// state when they have no pages left, exactly as take does at rollover —
+// but eagerly, so that a collection entered BEFORE the rollover can see
+// them as victim candidates. On a channel with few blocks above its
+// reserve, the just-filled hot block is often the only block carrying
+// obsolete pages; leaving it formally active until the next take would
+// starve the victim scan.
 func (a *Allocator) retireFullAppendPoints(ch int) {
 	c := &a.chans[ch]
-	if c.hot.active >= 0 && c.hot.next == a.params.PagesPerBlock {
-		a.blocks[c.hot.active].state = blockFull
-		c.hot.active = -1
+	for st := range c.ap {
+		if a.tail(&c.ap[st]) == 0 {
+			a.retire(&c.ap[st])
+		}
 	}
-	if c.cold.active >= 0 && c.cold.next == a.params.PagesPerBlock {
-		a.blocks[c.cold.active].state = blockFull
-		c.cold.active = -1
+}
+
+// retireSecondaryAppendPoints closes channel ch's partly filled cold and
+// differential blocks that hold obsolete pages, giving up their unwritten
+// tails, and reports whether it closed any. It is the last step before
+// ErrNoSpace of an allocation whose victim scan came back empty: garbage in
+// an open block is invisible to the scan, and on a channel this short of
+// space the pages stranded behind an open secondary block are worth less
+// than the block.
+func (a *Allocator) retireSecondaryAppendPoints(ch int) bool {
+	c := &a.chans[ch]
+	closed := false
+	for st := StreamHot + 1; st < numStreams; st++ {
+		if ap := &c.ap[st]; ap.active >= 0 && a.blocks[ap.active].obsolete > 0 {
+			a.retire(ap)
+			closed = true
+		}
 	}
+	return closed
 }
 
 // collectOn performs one garbage collection on channel ch: pick a victim
 // block under the configured policy, have the method relocate its valid
-// contents, erase it, and return it to the channel's free list.
-func (a *Allocator) collectOn(ch int) error {
+// contents, erase it, and return it to the channel's free list. pressed
+// says an allocation cannot proceed without the block (the synchronous
+// paths): only then does an empty victim scan close the open secondary
+// blocks and look again.
+func (a *Allocator) collectOn(ch int, pressed bool) error {
 	c := &a.chans[ch]
 	a.retireFullAppendPoints(ch)
 	victim := a.pickVictimOn(ch)
+	if victim < 0 && pressed && a.retireSecondaryAppendPoints(ch) {
+		victim = a.pickVictimOn(ch)
+	}
 	if victim < 0 {
 		return ErrNoSpace
 	}
@@ -938,6 +1005,9 @@ type BlockStats struct {
 	Active   bool
 	Written  int
 	Obsolete int
+	// Stream is the append point that filled (or is filling) the block;
+	// meaningless while Free.
+	Stream Stream
 }
 
 // BlockStats returns the bookkeeping for block blk.
@@ -948,5 +1018,6 @@ func (a *Allocator) BlockStats(blk int) BlockStats {
 		Active:   bi.state == blockActive,
 		Written:  bi.written,
 		Obsolete: bi.obsolete,
+		Stream:   bi.stream,
 	}
 }

@@ -218,8 +218,7 @@ func TestAllocGCUsesColdStreamMultiChannel(t *testing.T) {
 		t.Errorf("ChannelGC(0) = %+v, want PagesMoved=1 ColdMigrations=1", st)
 	}
 
-	// Single channel: AllocGC preserves the paper's behavior and rides
-	// the hot stream.
+	// Single channel: the same cold stream, for every channel count.
 	b := NewChannelAllocator(smallChip(6), 2)
 	h2, err := b.Alloc()
 	if err != nil {
@@ -229,12 +228,36 @@ func TestAllocGCUsesColdStreamMultiChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.params.BlockOf(h2) != b.params.BlockOf(c2) {
-		t.Errorf("single-channel AllocGC left the hot stream: hot block %d, gc block %d",
-			b.params.BlockOf(h2), b.params.BlockOf(c2))
+	if b.params.BlockOf(h2) == b.params.BlockOf(c2) {
+		t.Errorf("single-channel cold allocation rode the hot block %d despite spare free blocks",
+			b.params.BlockOf(h2))
 	}
-	if st := b.ChannelGC(0); st.ColdMigrations != 0 {
-		t.Errorf("single-channel cold migrations = %d, want 0", st.ColdMigrations)
+	if st := b.ChannelGC(0); st.ColdMigrations != 1 {
+		t.Errorf("single-channel cold migrations = %d, want 1", st.ColdMigrations)
+	}
+	// At the reserve floor nothing is spare: a full cold block is not
+	// replaced, and relocation rides the hot stream.
+	ppb := b.params.PagesPerBlock
+	for b.FreeBlocksOn(0) > b.ChanReserve() {
+		if h2, err = b.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < ppb; i++ {
+		if _, err := b.AllocGC(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c3, err := b.AllocGC(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.params.BlockOf(c3) != b.params.BlockOf(h2) {
+		t.Errorf("at the reserve floor relocation went to block %d, want the hot block %d",
+			b.params.BlockOf(c3), b.params.BlockOf(h2))
+	}
+	if st := b.ChannelGC(0); st.ColdMigrations != int64(ppb) || st.PagesMoved != int64(ppb)+1 {
+		t.Errorf("ChannelGC(0) = %+v, want ColdMigrations=%d PagesMoved=%d", st, ppb, ppb+1)
 	}
 }
 
