@@ -87,7 +87,7 @@ func main() {
 		log.Fatal(err)
 	}
 	scan := chip.Stats().Sub(before)
-	fmt.Printf("recovery scan: %d reads, %d obsolete marks, %.1f ms simulated\n",
+	fmt.Printf("recovery scan: %d reads, %d writes (recovery is read-only), %.1f ms simulated\n",
 		scan.Reads, scan.Writes, float64(scan.TimeMicros)/1000)
 
 	// Verify: every page readable; pages equal their last durable version

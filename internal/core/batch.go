@@ -170,12 +170,14 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 			}
 			corrupt = len(bad) > 0
 		}
-		if e.base == flash.NilPPN || corrupt {
+		if e.base == flash.NilPPN || corrupt || s.mt.mustRebase(pid) {
 			// Initial load (only the shard-lock holder creates a pid's base
 			// page, so the nil observation cannot be stale) — or an
 			// uncorrectably corrupt base page, which a write does not need:
 			// data is the complete up-to-date image, so writing it as a new
-			// base page heals the pid outright.
+			// base page heals the pid outright — or a pid recovery brought
+			// back behind a quarantined base, whose differentials the next
+			// restart would veto.
 			if corrupt {
 				s.itel.pagesHealed.Add(1)
 			}
@@ -300,7 +302,7 @@ func (s *Store) recycleSpills(ops []pendingOp) {
 // write buffer is left exactly as before the call, so previously
 // acknowledged writes keep reading correctly and the batch can be
 // retried; at worst the failed attempt leaked programmed but unreferenced
-// flash pages, which the next crash recovery marks obsolete.
+// flash pages, which the next crash recovery counts obsolete.
 func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 	switch len(writes) {
 	case 0:
@@ -424,8 +426,9 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 // landed reports whether the programs reached the device and their
 // mappings are committed — the point after which the caller must treat
 // its staged buffer changes as applied. An allocation or program error
-// lands nothing; an error retiring the superseded pages afterwards is
-// returned with landed true.
+// lands nothing; the one error there can be afterwards, programming the
+// obsolete flag of a heal that lost its race (discardLostHeal), is returned
+// with landed true.
 //
 //pdlvet:holds shard
 func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
@@ -485,8 +488,8 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 // which a striped device fans out as one concurrent leg per channel — and
 // replays the mapping-table commits in the same order. An allocation that
 // fails returns before anything is programmed, naming the channel; past
-// the program every mapping is committed, whatever retiring the
-// superseded pages returns.
+// the program every mapping is committed and every superseded page retired
+// in the allocator's counters (NoteObsoleteFrom: no device operation).
 //
 // On a single-channel device a crash mid-batch leaves exactly a
 // TS-ordered prefix. On a striped device each channel's leg is a prefix
@@ -589,26 +592,48 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 			for _, d := range op.diffs {
 				s.wtel.diffBytesWritten.Add(int64(d.EncodedSize()))
 				if old := s.mt.setDiffPage(d.PID, op.ppn, d.TS); old != flash.NilPPN {
-					err = errors.Join(err, s.releaseDiffPage(old, op.ch))
+					s.releaseDiffPage(old, op.ch)
 				}
 			}
 			continue
 		}
 		old, ok := s.mt.setBasePage(op.pid, op.ppn, op.ts, op.mode, op.pin)
 		if !ok {
-			// A pinned commit lost its race: the fresh page is unreachable.
-			err = errors.Join(err, s.alloc.MarkObsoleteFrom(op.ppn, op.ch))
+			err = errors.Join(err, s.discardLostHeal(op.ppn))
 			continue
 		}
 		s.wtel.newBasePages.Add(1)
+		// What the new base page supersedes carries older time stamps than
+		// it: retiring it is bookkeeping, not a device operation.
 		if old.base != flash.NilPPN {
-			err = errors.Join(err, s.alloc.MarkObsoleteFrom(old.base, op.ch))
+			s.alloc.NoteObsoleteFrom(old.base, op.ch)
 		}
 		if old.dif != flash.NilPPN {
-			err = errors.Join(err, s.releaseDiffPage(old.dif, op.ch))
+			s.releaseDiffPage(old.dif, op.ch)
 		}
 	}
 	return 0, true, err
+}
+
+// discardLostHeal retires the page of a pinned commit that lost its race:
+// the read-path heal programmed its merged image at ppn, and a garbage
+// collection moved the pid's mapping before the commit, so the page is
+// unreachable. It is the one page of the store that dies holding the NEWEST
+// time stamp of its pid, and so the one page whose obsolete flag is
+// programmed: unmarked it would win recovery's arbitration, and a
+// differential written after the race — computed against the older base the
+// mapping kept — would be replayed onto it. Every other superseded page
+// loses to a greater time stamp (or ties with a content-identical twin) and
+// is retired in DRAM alone. ppn was allocated on the channel whose lock the
+// commit holds.
+//
+//pdlvet:physicalmark the only dead page that outranks its live successor by time stamp
+//pdlvet:holds flash,channel
+func (s *Store) discardLostHeal(ppn flash.PPN) error {
+	if err := s.alloc.MarkObsolete(ppn); err != nil {
+		return fmt.Errorf("core: discarding the lost heal at ppn %d: %w", ppn, err)
+	}
+	return nil
 }
 
 // allocPagesOn hands out one flash page of channel ch per element of kinds

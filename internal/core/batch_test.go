@@ -250,7 +250,7 @@ func TestWriteBatchKillMidBatchEmu(t *testing.T) {
 				batchErr := s.WriteBatch(batch)
 				s.Close() // stops a background collector; its sticky power-loss error is the crash itself
 				fail := chip.PowerFailed()
-				chip.SchedulePowerFailure(-1) // disarm before recovery programs obsolete marks
+				chip.SchedulePowerFailure(-1) // disarm: the recovered store programs again
 				if !fail {
 					if batchErr != nil {
 						t.Fatalf("killAt %d: batch failed without a power loss: %v", killAt, batchErr)

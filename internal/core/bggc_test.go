@@ -278,8 +278,8 @@ func TestKillMidBackgroundGCRecovery(t *testing.T) {
 	}
 	// Some churn so garbage collection is active, then schedule the
 	// failure a few hundred flash programs ahead — it may land in a
-	// foreground program, a relocation copy, an obsolete marking, or an
-	// erase, on either the writer goroutines or the collector goroutine.
+	// foreground program, a relocation copy or an erase, on either the
+	// writer goroutines or the collector goroutine.
 	chip.SchedulePowerFailure(300)
 
 	var wg sync.WaitGroup

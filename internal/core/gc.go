@@ -41,7 +41,7 @@ func (s *Store) relocate(victim int) error {
 	// the victim's differential pages, whose valid counts are dropped only
 	// after pass 2 has repointed their survivors: a collection that fails
 	// in between leaves the mappings pointing at them, and a page whose
-	// count is already gone would be marked obsolete by the next superseded
+	// count is already gone would be counted obsolete by the next superseded
 	// record and erased with its other live differentials still in it.
 	var keep []diff.Differential
 	var from, compacted []flash.PPN
@@ -180,9 +180,11 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 	}
 	if !s.mt.relocateBaseFrom(pid, ppn, dst, mode) {
 		// A writer on another channel committed a newer base for pid
-		// between baseOwner and here: the copy at dst is stale content.
-		// Discard it — dst is on our channel, so the mark is direct.
-		return s.alloc.MarkObsolete(dst)
+		// between baseOwner and here: the copy at dst is stale content under
+		// an older time stamp than the winner's. Discard it (dst is on our
+		// channel).
+		s.alloc.NoteObsolete(dst)
+		return nil
 	}
 	if mode != oldMode {
 		s.alloc.NoteModeMigration(ch)
@@ -275,10 +277,11 @@ func (s *Store) writeCompactedPage(ds []diff.Differential, from []flash.PPN, ch 
 		}
 	}
 	if live == 0 {
-		// Writers on other channels superseded every record mid-compaction;
-		// q never entered the valid count, so nothing will ever decrement
-		// it to obsolescence — discard it now (q is on our channel).
-		return s.alloc.MarkObsolete(q)
+		// Writers on other channels superseded every record mid-compaction,
+		// each with a newer time stamp; q never entered the valid count, so
+		// nothing will ever decrement it to obsolescence — discard it now (q
+		// is on our channel).
+		s.alloc.NoteObsolete(q)
 	}
 	return nil
 }

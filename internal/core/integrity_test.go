@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"pdl/internal/diff"
 	"pdl/internal/flash"
 	"pdl/internal/flash/faultdev"
-	"pdl/internal/flash/filedev"
 	"pdl/internal/ftl"
 	"pdl/internal/ftltest"
 )
@@ -321,8 +319,8 @@ func TestIntegrityRecoveryQuarantine(t *testing.T) {
 	if tel.HeaderChecksumFailures == 0 {
 		t.Error("recovery caught no header checksum failure")
 	}
-	// Idempotence: recovering again (quarantined pages now carry obsolete
-	// marks) reproduces the same state.
+	// Idempotence: recovering again (the quarantined pages are still there,
+	// unmarked, and are quarantined again) reproduces the same state.
 	r2, err := Recover(fd, 8, Options{ReserveBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -341,8 +339,9 @@ func TestIntegrityRecoveryQuarantine(t *testing.T) {
 }
 
 // TestIntegrityRecoveryPoisonTS crafts the dangerous crash shape by hand:
-// two live base pages for one pid (the obsolete mark of the older never
-// landed) plus a differential computed against the NEWER one. When the
+// two base pages for one pid in flash (a superseded base page stays there,
+// unmarked, until its block is collected) plus a differential computed
+// against the NEWER one. When the
 // newer base is lost to corruption, recovery must NOT replay the
 // differential onto the older survivor — that would fabricate content that
 // never existed.
@@ -356,23 +355,15 @@ func TestIntegrityRecoveryPoisonTS(t *testing.T) {
 		oldBase[i] = byte(i)
 		newBase[i] = byte(i) ^ 0x0F
 	}
-	program := func(ppn flash.PPN, data []byte, h ftl.Header) {
-		spare := make([]byte, p.SpareSize)
-		ftl.EncodeHeaderInto(h, spare)
-		ftl.SealSpare(data, spare)
-		if err := fd.Program(ppn, data, spare); err != nil {
-			t.Fatal(err)
-		}
-	}
-	program(0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
-	program(1, newBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1})
+	programRaw(t, fd, 0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
+	programRaw(t, fd, 1, newBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1})
 	// The differential (ts 30) patches bytes 0..3 of the NEW base.
 	d := diff.Differential{PID: 0, TS: 30, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}}
 	img := d.AppendTo(nil)
 	for len(img) < p.DataSize {
 		img = append(img, 0xFF)
 	}
-	program(2, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 30, Seq: 1})
+	programRaw(t, fd, 2, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 30, Seq: 1})
 
 	fd.Inject(faultdev.Fault{PPN: 1, Kind: faultdev.SectorCorrupt, Off: 0})
 	s, err := Recover(fd, 4, Options{ReserveBlocks: 2})
@@ -454,13 +445,7 @@ func TestIntegrityFaultCampaign(t *testing.T) {
 		dev  func(t *testing.T, p flash.Params) flash.Device
 	}{
 		{"emu", ftltest.EmulatorDevice},
-		{"filedev", func(t *testing.T, p flash.Params) flash.Device {
-			d, err := filedev.Open(filepath.Join(t.TempDir(), "fault.pdl"), filedev.Options{Params: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}},
+		{"filedev", fileDevice},
 		{"striped4", ftltest.StripedDevice(4, ftltest.EmulatorDevice)},
 	}
 	for _, b := range backends {
@@ -563,7 +548,7 @@ func TestIntegrityVerifyOffServesUncorrupted(t *testing.T) {
 // after it has gathered a differential page's survivors (here: the typed
 // error of a later, corrupt page of the same victim) must leave that
 // page's valid count alone — the mappings still point at it. Forgetting
-// the count made the next superseded record mark the page obsolete with a
+// the count made the next superseded record count the page obsolete with a
 // live differential still in it, and the next successful collection of
 // the block skipped the page and erased it.
 func TestIntegrityFailedCollectionKeepsDiffCounts(t *testing.T) {

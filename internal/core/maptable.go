@@ -64,6 +64,13 @@ type mapTable struct {
 	// obsolete, and keeping dead keys would grow the map for the lifetime
 	// of the store.
 	vdct map[flash.PPN]int
+	// rebase holds the pids recovery brought back behind a quarantined
+	// newer base page (see Recover): a differential written for such a pid
+	// would be vetoed again at the next restart, so its next write commits a
+	// whole base page, which clears the entry. Recover allocates the map,
+	// before the store is shared, only if it met such a pid: nil, which is
+	// what every other store has, is checked without the lock.
+	rebase map[uint32]struct{}
 }
 
 func newMapTable(numPages int) *mapTable {
@@ -80,6 +87,18 @@ func newMapTable(numPages int) *mapTable {
 		t.ppmt[i] = pageEntry{base: flash.NilPPN, dif: flash.NilPPN}
 	}
 	return t
+}
+
+// mustRebase reports whether pid's next write has to be a whole base page
+// (see the rebase field).
+func (t *mapTable) mustRebase(pid uint32) bool {
+	if t.rebase == nil {
+		return false
+	}
+	t.mu.RLock()
+	_, ok := t.rebase[pid]
+	t.mu.RUnlock()
+	return ok
 }
 
 // snapshot returns pid's entry together with its current version.
@@ -176,6 +195,7 @@ func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8,
 	t.diffTS[pid] = 0
 	t.mode[pid] = mode
 	t.reverseBase[ppn] = pid
+	delete(t.rebase, pid)
 	t.ver[pid]++
 	return old, true
 }

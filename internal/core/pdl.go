@@ -50,6 +50,18 @@
 // damage. ReadPage wraps them in its two single-page reads; ReadBatch in
 // its two device batches.
 //
+// # Page validity
+//
+// Which physical pages are valid is DRAM state: the mapping table says what a
+// collection relocates, the allocator's per-block counters pick the victims,
+// and a superseded page is retired by bumping a counter (ftl.NoteObsolete)
+// where PDL_Writing programs its obsolete flag. Recovery rebuilds both from
+// the creation time stamps, as PDL_RecoveringfromCrash must anyway (a crash
+// loses marks), and writes nothing. The invariant that makes this safe: a
+// page goes unmarked only if a page with a greater time stamp, or a
+// content-identical copy with the same one, supersedes it. The one page that
+// breaks it keeps its physical mark (discardLostHeal in batch.go).
+//
 // # Concurrency model
 //
 // A Store is safe for concurrent use by multiple goroutines. State is
@@ -854,25 +866,24 @@ func (s *Store) Flush() error {
 }
 
 // releaseDiffPage implements decreaseValidDifferentialCount of Figure 8:
-// decrement the valid differential count of dp and set the page obsolete
-// when it reaches zero (the count entry itself is deleted at zero so the
-// table only ever holds live pages). The caller holds the flash lock
-// shared and channel ch's lock; if dp lives on a different channel, the
-// physical mark is deferred to that channel's queue.
+// decrement the valid differential count of dp and retire the page when it
+// reaches zero (the count entry itself is deleted at zero so the table only
+// ever holds live pages). Where the paper sets the page obsolete with a spare
+// program, this counts it obsolete in the allocator (ftl.NoteObsolete): every
+// record of dp lost to a newer time stamp, which is all recovery looks at.
+// The caller holds the flash lock shared and channel ch's lock; if dp lives
+// on a different channel, the note is queued on that channel.
 //
 //pdlvet:holds flash,channel
-func (s *Store) releaseDiffPage(dp flash.PPN, ch int) error {
+func (s *Store) releaseDiffPage(dp flash.PPN, ch int) {
 	if !s.mt.decDiffCount(dp) {
-		return nil
+		return
 	}
 	// The page died: no mapping points at it anymore, so its cached
 	// image can never be consulted again — drop it from the cache
 	// before the allocator can reclaim and reuse the PPN.
 	s.dcache.invalidate(dp)
-	if err := s.alloc.MarkObsoleteFrom(dp, ch); err != nil {
-		return fmt.Errorf("core: obsoleting differential page %d: %w", dp, err)
-	}
-	return nil
+	s.alloc.NoteObsoleteFrom(dp, ch)
 }
 
 // WriteBufferBytes returns the used bytes of the differential write buffer,

@@ -15,9 +15,9 @@ import (
 // a system failure, implementing PDL_RecoveringfromCrash (Figure 11): one
 // scan through the physical pages rebuilds the physical page mapping table
 // and the valid differential count table, arbitrating between co-existing
-// versions with the creation time stamps, and sets the useless pages it
+// versions with the creation time stamps, and counts the useless pages it
 // discovers (stale base pages, differential pages with no valid
-// differential) obsolete.
+// differential) obsolete in the allocator.
 //
 // The scan is embarrassingly parallel over blocks — each physical page is
 // judged by its own spare header and contents, and arbitration is a pure
@@ -35,9 +35,16 @@ import (
 // retained in the write buffer only but not written out to flash memory
 // are not recovered").
 //
-// Recovery is idempotent: it only sets useless pages obsolete, which does
-// not change the outcome of a repeated run, so it tolerates repeated
-// failures during restart (section 4.5).
+// Recovery writes nothing. Where the paper's procedure sets the useless
+// pages obsolete in flash, this one counts them obsolete in DRAM: the store
+// it returns reads validity from the allocator's counters and the mapping
+// table alone, and the next recovery arbitrates by time stamp again whatever
+// the flags say. The recovered state is a pure function of the flash
+// content, so recovery is idempotent by construction and a failure during
+// restart (section 4.5) leaves nothing half done. The obsolete flag is still
+// honoured where it is set: by the page-update methods that program it, by
+// stores written before validity moved to DRAM, and on the one page this
+// store marks itself (discardLostHeal).
 func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	s, err := New(dev, numPages, opts)
 	if err != nil {
@@ -121,69 +128,40 @@ func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
 			}
 		}
 	}
-	maxTS := s.ts.Load()
 	for pid := range s.mt.ppmt {
-		if s.mt.ppmt[pid].dif != flash.NilPPN {
+		e := &s.mt.ppmt[pid]
+		if e.dif != flash.NilPPN {
 			// The adaptive mode invariant: a valid differential is newer
 			// than its base, so the differential route won — whatever
 			// mode tag the base page carries (a GC tag-only migration may
 			// have raced the flush that committed this differential).
 			s.mt.mode[pid] = 0
+			s.mt.vdct[e.dif]++
 		}
-		if s.mt.ppmt[pid].base != flash.NilPPN {
-			s.mt.reverseBase[s.mt.ppmt[pid].base] = uint32(pid)
-			if s.mt.baseTS[pid] > maxTS {
-				maxTS = s.mt.baseTS[pid]
+		if e.base != flash.NilPPN {
+			s.mt.reverseBase[e.base] = uint32(pid)
+		}
+	}
+	for pid, pts := range poison {
+		if pts > s.mt.baseTS[pid] {
+			// The pid fell back behind a quarantined base that stays in
+			// flash, unmarked, until its block is collected, and keeps
+			// vetoing differentials newer than itself at every restart: the
+			// pid's next write has to outrank it as a base page.
+			if s.mt.rebase == nil {
+				s.mt.rebase = make(map[uint32]struct{})
 			}
+			s.mt.rebase[pid] = struct{}{}
 		}
-		if s.mt.ppmt[pid].dif != flash.NilPPN {
-			s.mt.vdct[s.mt.ppmt[pid].dif]++
-			if s.mt.diffTS[pid] > maxTS {
-				maxTS = s.mt.diffTS[pid]
-			}
-		}
+	}
+	// New time stamps outrank everything the scan saw, not only what it
+	// adopted: a quarantined page or a vetoed differential is still in flash
+	// and competes again at the next restart.
+	var maxTS uint64
+	for w := range scans {
+		maxTS = max(maxTS, scans[w].maxTS)
 	}
 	s.ts.Store(maxTS)
-
-	// Set the useless pages obsolete: base pages that lost arbitration and
-	// differential pages holding no valid differential (the two kinds of
-	// useless pages of section 4.5).
-	obs := ftl.ObsoleteSpare(p.SpareSize)
-	for ppn := range infos {
-		h := infos[ppn].hdr
-		if h.Obsolete {
-			continue
-		}
-		// A quarantined page is useless by definition: its content (or its
-		// header) failed verification and it competed for nothing, so the
-		// type switch below is skipped — a corrupt header cannot be trusted
-		// to classify the page.
-		useless := infos[ppn].quarantined
-		if !useless {
-			switch h.Type {
-			case ftl.TypeBase:
-				useless = int(h.PID) >= numPages || s.mt.ppmt[h.PID].base != flash.PPN(ppn)
-			case ftl.TypeDiff:
-				useless = s.mt.vdct[flash.PPN(ppn)] == 0
-			case ftl.TypeFree:
-				useless = infos[ppn].torn
-			case ftl.TypeCheckpoint:
-				// Checkpoint chunks are managed by the checkpoint region
-				// (which erases whole halves); never invalidate them here.
-				useless = false
-			default:
-				useless = true // unknown page type: written by another method
-			}
-		}
-		if useless {
-			// Physical marking only; allocator bookkeeping happens
-			// uniformly in the rebuild pass below.
-			if err := dev.ProgramSpare(flash.PPN(ppn), obs); err != nil {
-				return nil, fmt.Errorf("core: recovery obsoleting ppn %d: %w", ppn, err)
-			}
-			infos[ppn].hdr.Obsolete = true
-		}
-	}
 
 	// Rebuild the allocator's view: a block with any programmed page is
 	// adopted as full (its erased tail is reclaimed by the next garbage
@@ -194,31 +172,21 @@ func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
 			continue
 		}
 		written := false
-		for i := 0; i < p.PagesPerBlock; i++ {
-			ppn := blk*p.PagesPerBlock + i
-			if infos[ppn].hdr.Type != ftl.TypeFree || infos[ppn].torn {
-				written = true
-				break
-			}
-		}
-		if !written {
-			continue
-		}
-		s.alloc.AdoptFullBlock(blk)
 		var blockSeq uint64
 		for i := 0; i < p.PagesPerBlock; i++ {
-			ppn := blk*p.PagesPerBlock + i
-			h := infos[ppn].hdr
-			isTorn := infos[ppn].torn && h.Type == ftl.TypeFree
-			if h.Type == ftl.TypeFree && !isTorn {
+			ppn := p.PPNOf(blk, i)
+			pi := &infos[ppn]
+			if pi.hdr.Type == ftl.TypeFree && !pi.torn {
 				continue
 			}
-			if h.Seq > blockSeq {
-				blockSeq = h.Seq
+			if !written {
+				written = true
+				s.alloc.AdoptFullBlock(blk)
 			}
-			s.alloc.NoteWritten(flash.PPN(ppn))
-			if h.Obsolete || isTorn {
-				s.alloc.MarkObsoleteInPlace(flash.PPN(ppn))
+			blockSeq = max(blockSeq, pi.hdr.Seq)
+			s.alloc.NoteWritten(ppn)
+			if s.useless(ppn, pi) {
+				s.alloc.NoteObsolete(ppn)
 			}
 		}
 		if blockSeq > 0 {
@@ -245,8 +213,37 @@ type pageInfo struct {
 	torn bool // spare erased but data programmed (torn base write)
 	// quarantined marks a page that failed integrity verification (header
 	// checksum or uncorrectable data ECC): it is excluded from arbitration
-	// and set obsolete by the useless-page pass.
+	// and counted obsolete.
 	quarantined bool
+}
+
+// useless reports whether the programmed page ppn holds nothing the recovered
+// store can reach, and is therefore counted obsolete: it carries the obsolete
+// flag, it was quarantined, it is a base page that lost arbitration, a
+// differential page holding no valid differential (the two kinds of useless
+// pages of section 4.5), a torn program, or a page of a type this method
+// never writes. The tables must be final.
+func (s *Store) useless(ppn flash.PPN, pi *pageInfo) bool {
+	h := pi.hdr
+	// A quarantined page's content (or header) failed verification and it
+	// competed for nothing; a corrupt header cannot be trusted to classify
+	// the page either.
+	if h.Obsolete || pi.quarantined {
+		return true
+	}
+	switch h.Type {
+	case ftl.TypeBase:
+		return int(h.PID) >= s.numPages || s.mt.ppmt[h.PID].base != ppn
+	case ftl.TypeDiff:
+		return s.mt.vdct[ppn] == 0
+	case ftl.TypeFree:
+		return pi.torn
+	case ftl.TypeCheckpoint:
+		// Checkpoint chunks are managed by the checkpoint region (which
+		// erases whole halves); never invalidate them here.
+		return false
+	}
+	return true // unknown page type: written by another method
 }
 
 // candidate is one page competing to be a pid's base page or newest
@@ -272,7 +269,11 @@ type scanResult struct {
 	// than it may have been computed against the lost image and are
 	// rejected by the merge when the quarantined page would have won.
 	poison map[uint32]uint64
-	err    error
+	// maxTS is the greatest creation time stamp of the programmed pages the
+	// worker could read a trustworthy header from, winners or not. A page's
+	// header stamp is no older than any record it carries.
+	maxTS uint64
+	err   error
 }
 
 // scanBlockRange reads blocks [lo, hi) for recovery: every page's spare
@@ -283,8 +284,8 @@ type scanResult struct {
 // When integrity verification is on, a programmed page must pass its
 // spare-area header checksum and (base and differential pages) its
 // data-area ECC before it may compete: a page that fails either check is
-// quarantined — excluded from arbitration and set obsolete by the
-// useless-page pass — so a corrupt spare can never masquerade as a valid
+// quarantined — excluded from arbitration and counted obsolete — so a
+// corrupt spare can never masquerade as a valid
 // mapping and corrupt data never silently wins arbitration. Single-bit
 // errors are corrected in place (and counted) before differential pages
 // are decoded. Checkpoint chunks are exempt here: the checkpoint region
@@ -323,6 +324,9 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 				infos[ppn].quarantined = true
 				continue
 			}
+			if h.Type == ftl.TypeBase || h.Type == ftl.TypeDiff {
+				res.maxTS = max(res.maxTS, h.TS)
+			}
 			switch h.Type {
 			case ftl.TypeFree:
 				// A free-looking page may hide a torn program whose spare
@@ -355,12 +359,16 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 					infos[ppn].quarantined = true
 					continue
 				}
-				for _, d := range diff.DecodeAll(data) {
-					if int(d.PID) >= numPages {
+				// Arbitration needs each record's key only, and a dead
+				// differential page (unmarked, like every superseded page) is
+				// scanned like a live one: walk the wire form, decode nothing.
+				for rec := range diff.Records(data) {
+					pid, ts := diff.RecordKey(rec)
+					if int(pid) >= numPages {
 						continue
 					}
-					if c, ok := res.diffs[d.PID]; !ok || d.TS > c.ts {
-						res.diffs[d.PID] = candidate{ppn: ppn, ts: d.TS}
+					if c, ok := res.diffs[pid]; !ok || ts > c.ts {
+						res.diffs[pid] = candidate{ppn: ppn, ts: ts}
 					}
 				}
 			}

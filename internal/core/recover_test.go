@@ -242,10 +242,9 @@ func TestRecoverAfterRandomPowerLoss(t *testing.T) {
 			case err == nil:
 				recordVersion(versions, pid, shadow[pid])
 			case errors.Is(err, flash.ErrPowerLoss):
-				// The in-flight version may have committed before the
-				// power loss hit a later operation of the same WritePage
-				// (e.g. the obsolete-mark after a base-page program), so
-				// it is an admissible recovery outcome.
+				// A nil error is the only promise that a write committed;
+				// an error is no promise that it did not, so the in-flight
+				// version stays an admissible recovery outcome.
 				recordVersion(versions, pid, shadow[pid])
 				failed = true
 			default:

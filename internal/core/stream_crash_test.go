@@ -195,7 +195,7 @@ func TestDiffStreamKillPointSweep(t *testing.T) {
 						}
 						break
 					}
-					chips[dead].SchedulePowerFailure(-1) // disarm before recovery marks obsoletes
+					chips[dead].SchedulePowerFailure(-1) // disarm: the recovered store programs again
 					var first [][]byte
 					for _, workers := range []int{1, 2, 4} {
 						o := streamOptions(nchan)

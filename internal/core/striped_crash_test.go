@@ -92,7 +92,7 @@ func TestWriteBatchKillMidBatchStriped(t *testing.T) {
 // TestStripedChannelPowerLossRecovers kills ONE channel's chip at a
 // random operation while the others stay up — the union-of-per-channel-
 // prefixes crash shape — under a GC-heavy workload, so the loss lands in
-// foreground programs, obsolete marks, and collection relocations alike.
+// foreground programs, collection relocations and erases alike.
 // Every recovered page must read back as some previously written
 // version, and recovery must not depend on the scan's parallelism.
 func TestStripedChannelPowerLossRecovers(t *testing.T) {
@@ -144,7 +144,7 @@ func TestStripedChannelPowerLossRecovers(t *testing.T) {
 		if !failed {
 			chips[victim].SchedulePowerFailure(-1)
 		}
-		chips[victim].SchedulePowerFailure(-1) // disarm before recovery marks obsoletes
+		chips[victim].SchedulePowerFailure(-1) // disarm: the recovered store programs again
 
 		// Parallel recovery invariance: every worker count must produce
 		// the identical logical state (recovery is idempotent, so the

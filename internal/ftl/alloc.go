@@ -34,7 +34,7 @@ type blockInfo struct {
 // pages with Alloc (recursive garbage collection is suppressed while a
 // relocation runs) and update their own mapping tables. They must not
 // physically mark pages of the victim obsolete — the erase that follows
-// reclaims the whole block — but they must call MarkObsoleteInPlace for
+// reclaims the whole block — but they must call NoteObsolete for
 // bookkeeping if they track validity through the allocator.
 type Relocator func(victim int) error
 
@@ -65,11 +65,11 @@ const (
 	VictimCostBenefit
 )
 
-// obsEntry is one deferred cross-channel obsolete mark: the PPN to mark
-// and the activation sequence its block had when the mark was queued. A
+// obsEntry is one deferred cross-channel obsolete note: the PPN that died
+// and the activation sequence its block had when the note was queued. A
 // drained entry whose block has since been erased (freed, or reactivated
 // under a newer sequence) is dropped — the page it named no longer
-// exists, so applying the mark would hit a reincarnated page.
+// exists, so counting it would charge a reincarnated page.
 type obsEntry struct {
 	ppn flash.PPN
 	seq uint64
@@ -157,15 +157,16 @@ type allocChan struct {
 	// serialization.
 	freeCount atomic.Int32
 
-	// obsSpare is this channel's reusable obsolete-marking spare image.
+	// obsSpare is this channel's reusable obsolete-marking spare image
+	// (MarkObsolete, the one call that programs the flag).
 	obsSpare []byte
 
 	// obsMu guards the deferred obsolete queue (obsPending, mirrored by
-	// obsLen). It is a leaf lock held only for queue append/swap — never
-	// while calling the device — and deliberately outside the modeled
-	// hierarchy: a writer holding channel c's lock enqueues marks for
-	// pages owned by channel d without touching d's channel lock; d
-	// drains its queue at its next allocation entry, under its own lock.
+	// obsLen). It is a leaf lock held only for queue append/swap and
+	// deliberately outside the modeled hierarchy: a writer holding channel
+	// c's lock enqueues notes for pages owned by channel d without touching
+	// d's channel lock; d drains its queue at its next allocation entry,
+	// under its own lock.
 	obsMu      sync.Mutex
 	obsPending []obsEntry
 	obsLen     atomic.Int32
@@ -514,9 +515,7 @@ func (a *Allocator) Alloc() (flash.PPN, error) { return a.AllocOn(0) }
 // holds channel ch's external serialization (and nothing else of the
 // allocator's).
 func (a *Allocator) AllocOn(ch int) (flash.PPN, error) {
-	if err := a.drainObsolete(ch); err != nil {
-		return flash.NilPPN, err
-	}
+	a.drainObsolete(ch)
 	c := &a.chans[ch]
 	// About to switch blocks: restore the erased-block reserve first.
 	// collect may recursively allocate (relocation), which can itself roll
@@ -552,9 +551,7 @@ func (a *Allocator) AllocBatchOn(ch int, kinds []Stream) (ppns []flash.PPN, coll
 	if len(kinds) == 0 {
 		return nil, 0, nil
 	}
-	if err := a.drainObsolete(ch); err != nil {
-		return nil, 0, err
-	}
+	a.drainObsolete(ch)
 	c := &a.chans[ch]
 	if !c.inGC {
 		for a.blocksNeededFor(c, kinds)+a.chanReserve > len(c.freeList) {
@@ -699,9 +696,7 @@ func (a *Allocator) take(ch int, st Stream) (flash.PPN, error) {
 // under the same serialization as AllocOn — releasing the caller's lock
 // between increments so foreground operations interleave with collection.
 func (a *Allocator) CollectOnceOn(ch int) (collected bool, err error) {
-	if err := a.drainObsolete(ch); err != nil {
-		return false, err
-	}
+	a.drainObsolete(ch)
 	// collectOn picks its own victim and returns ErrNoSpace before any
 	// side effect when none exists, so no separate (second) victim scan.
 	// Nothing waits on this collection, so an empty scan is just that: the
@@ -717,39 +712,47 @@ func (a *Allocator) CollectOnceOn(ch int) (collected bool, err error) {
 
 // MarkObsolete physically sets the page obsolete by partially programming
 // its spare area — which the paper counts as a write operation — and
-// updates validity bookkeeping. The caller holds the serialization of the
-// channel owning ppn (trivially true in single-channel mode); writers
-// holding a DIFFERENT channel's lock must use MarkObsoleteFrom.
+// updates validity bookkeeping. It is for a method whose recovery has
+// nothing but the flag to tell a dead page from a live one: OPU, which keeps
+// no time stamps, and the one page of PDL that dies holding the newest time
+// stamp of its pid (core's discardLostHeal). Everything a later time stamp
+// supersedes is retired with NoteObsolete instead. The caller holds the
+// serialization of the channel owning ppn (trivially true in single-channel
+// mode).
 func (a *Allocator) MarkObsolete(ppn flash.PPN) error {
-	return a.markObsoleteOn(a.ChannelOf(ppn), ppn)
-}
-
-// markObsoleteOn performs the physical mark under channel ch's
-// serialization (ch owns ppn's block).
-func (a *Allocator) markObsoleteOn(ch int, ppn flash.PPN) error {
-	c := &a.chans[ch]
+	c := &a.chans[a.ChannelOf(ppn)]
 	ObsoleteSpareInto(c.obsSpare)
 	if err := a.dev.ProgramSpare(ppn, c.obsSpare); err != nil {
 		return fmt.Errorf("marking ppn %d obsolete: %w", ppn, err)
 	}
-	a.blocks[a.params.BlockOf(ppn)].obsolete++
+	a.NoteObsolete(ppn)
 	return nil
 }
 
-// MarkObsoleteFrom sets ppn obsolete while the caller holds channel
-// heldCh's serialization. If heldCh owns ppn the mark is applied
-// directly; otherwise it is queued on the owning channel, which drains
-// its queue — under its own lock — at its next allocation or collection
-// entry. Queued marks record the block's activation sequence, so a mark
-// whose block was erased (and possibly reincarnated) before draining is
-// dropped rather than applied to a reborn page. A crash loses pending
-// physical marks, which is the crash shape recovery already handles:
-// time-stamp arbitration identifies the stale page and marks it obsolete
-// in place.
-func (a *Allocator) MarkObsoleteFrom(ppn flash.PPN, heldCh int) error {
+// NoteObsolete counts ppn dead in its block's validity bookkeeping — DRAM
+// state only, no device operation. PDL retires every superseded page this
+// way: the allocator's counters pick the victims, the mapping table decides
+// what a collection relocates, and recovery arbitrates co-existing versions
+// by creation time stamp, so nobody would ever read the flag a spare
+// program sets. The caller holds the owning channel's serialization (writers
+// holding a DIFFERENT channel's lock use NoteObsoleteFrom) or runs
+// pre-publication (recovery).
+func (a *Allocator) NoteObsolete(ppn flash.PPN) {
+	a.blocks[a.params.BlockOf(ppn)].obsolete++
+}
+
+// NoteObsoleteFrom is NoteObsolete for a caller holding channel heldCh's
+// serialization. If heldCh owns ppn the count is bumped directly; otherwise
+// the note is queued on the owning channel, which drains its queue — under
+// its own lock — at its next allocation or collection entry. Queued notes
+// record the block's activation sequence, so a note whose block was erased
+// (and possibly reincarnated) before draining is dropped rather than charged
+// to a reborn page.
+func (a *Allocator) NoteObsoleteFrom(ppn flash.PPN, heldCh int) {
 	ch := a.ChannelOf(ppn)
 	if ch == heldCh {
-		return a.markObsoleteOn(ch, ppn)
+		a.NoteObsolete(ppn)
+		return
 	}
 	blk := a.params.BlockOf(ppn)
 	c := &a.chans[ch]
@@ -757,16 +760,15 @@ func (a *Allocator) MarkObsoleteFrom(ppn flash.PPN, heldCh int) error {
 	c.obsPending = append(c.obsPending, obsEntry{ppn: ppn, seq: a.seq[blk].Load()})
 	c.obsLen.Store(int32(len(c.obsPending)))
 	c.obsMu.Unlock()
-	return nil
 }
 
-// drainObsolete applies channel ch's queued cross-channel obsolete marks.
-// The caller holds channel ch's serialization, which is what makes the
-// ProgramSpare safe against this channel's garbage collection.
-func (a *Allocator) drainObsolete(ch int) error {
+// drainObsolete applies channel ch's queued cross-channel obsolete notes.
+// The caller holds channel ch's serialization, which guards the block
+// counters against this channel's garbage collection.
+func (a *Allocator) drainObsolete(ch int) {
 	c := &a.chans[ch]
 	if c.obsLen.Load() == 0 {
-		return nil
+		return
 	}
 	c.obsMu.Lock()
 	pending := c.obsPending
@@ -776,27 +778,15 @@ func (a *Allocator) drainObsolete(ch int) error {
 	for _, e := range pending {
 		blk := a.params.BlockOf(e.ppn)
 		if a.blocks[blk].state == blockFree || a.seq[blk].Load() != e.seq {
-			continue // block erased since the mark was queued; the page is gone
+			continue // block erased since the note was queued; the page is gone
 		}
-		if err := a.markObsoleteOn(ch, e.ppn); err != nil {
-			return fmt.Errorf("deferred obsolete: %w", err)
-		}
+		a.NoteObsolete(e.ppn)
 	}
-	return nil
 }
 
 // PendingObsolete returns the number of queued cross-channel obsolete
-// marks on channel ch (tests and tooling).
+// notes on channel ch (tests and tooling).
 func (a *Allocator) PendingObsolete(ch int) int { return int(a.chans[ch].obsLen.Load()) }
-
-// MarkObsoleteInPlace updates validity bookkeeping without a physical
-// spare program. Garbage collection uses it for pages of a victim block
-// that is about to be erased, and crash recovery uses it when the physical
-// flag was already cleared before the crash. The caller holds the owning
-// channel's serialization (GC) or runs pre-publication (recovery).
-func (a *Allocator) MarkObsoleteInPlace(ppn flash.PPN) {
-	a.blocks[a.params.BlockOf(ppn)].obsolete++
-}
 
 // NoteWritten informs the allocator that ppn was programmed outside Alloc
 // (crash recovery rebuilding state from a chip image).

@@ -163,7 +163,7 @@ func TestNoteWritten(t *testing.T) {
 	if a.BlockStats(1).Written != 1 {
 		t.Errorf("Written = %d", a.BlockStats(1).Written)
 	}
-	a.MarkObsoleteInPlace(flash.PPN(8))
+	a.NoteObsolete(flash.PPN(8))
 	if a.BlockStats(1).Obsolete != 1 {
 		t.Errorf("Obsolete = %d", a.BlockStats(1).Obsolete)
 	}

@@ -76,9 +76,7 @@ func TestDeferredObsoleteCrossChannel(t *testing.T) {
 
 	// Mark it obsolete while holding CHANNEL 1's serialization: the mark
 	// must be deferred (queued), not applied.
-	if err := a.MarkObsoleteFrom(ppn, 1); err != nil {
-		t.Fatal(err)
-	}
+	a.NoteObsoleteFrom(ppn, 1)
 	if got := a.PendingObsolete(0); got != 1 {
 		t.Fatalf("PendingObsolete(0) = %d, want 1", got)
 	}
@@ -105,9 +103,7 @@ func TestDeferredObsoleteCrossChannel(t *testing.T) {
 	if err := dev.Program(ppn2, make([]byte, p.DataSize), EncodeHeader(Header{Type: TypeData, PID: 2, TS: 2}, p.SpareSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.MarkObsoleteFrom(ppn2, 0); err != nil {
-		t.Fatal(err)
-	}
+	a.NoteObsoleteFrom(ppn2, 0)
 	if got := a.PendingObsolete(0); got != 0 {
 		t.Fatalf("same-channel mark queued: PendingObsolete(0) = %d", got)
 	}
@@ -133,16 +129,12 @@ func TestDeferredObsoleteDroppedAfterErase(t *testing.T) {
 	}
 	blk := p.BlockOf(pages[0])
 	// Enqueue a stale cross-channel mark for one page BEFORE the erase.
-	if err := a.MarkObsoleteFrom(pages[3], 1); err != nil {
-		t.Fatal(err)
-	}
+	a.NoteObsoleteFrom(pages[3], 1)
 	for _, ppn := range pages {
 		if ppn == pages[3] {
 			continue
 		}
-		if err := a.MarkObsoleteFrom(ppn, 0); err != nil {
-			t.Fatal(err)
-		}
+		a.NoteObsoleteFrom(ppn, 0)
 	}
 	// Drain applies the queued mark too, making the block fully obsolete;
 	// collect erases and re-activates it.
@@ -161,9 +153,7 @@ func TestDeferredObsoleteDroppedAfterErase(t *testing.T) {
 	// Re-enqueue a mark recorded against the block's PREVIOUS life: it
 	// must be dropped at drain (the sequence moved), not misapplied.
 	stale := pages[0]
-	if err := a.MarkObsoleteFrom(stale, 1); err != nil {
-		t.Fatal(err)
-	}
+	a.NoteObsoleteFrom(stale, 1)
 	if _, err := a.AllocOn(0); err != nil {
 		t.Fatal(err)
 	}

@@ -259,7 +259,7 @@ func ObsoleteSpare(spareSize int) []byte {
 }
 
 // ObsoleteSpareInto fills spare with the obsolete-marking image without
-// allocating; the allocator reuses one scratch for every MarkObsolete.
+// allocating; the allocator reuses one scratch per channel for MarkObsolete.
 func ObsoleteSpareInto(spare []byte) {
 	copy(spare, erasedTemplate(len(spare)))
 	spare[sparePosObsolete] = 0x00

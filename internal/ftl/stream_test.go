@@ -58,7 +58,7 @@ func (m *streamModel) note(ppn flash.PPN, k Stream) {
 
 func (m *streamModel) kill(ppn flash.PPN) {
 	delete(m.kind, ppn)
-	m.a.MarkObsoleteInPlace(ppn)
+	m.a.NoteObsolete(ppn)
 }
 
 func TestDiffStreamBlocksHoldOnlyDifferentialPages(t *testing.T) {
@@ -203,8 +203,8 @@ func TestSmallChannelsAllocateAsOneStream(t *testing.T) {
 					i, round, got, gotGC, want, wantGC)
 			}
 			for _, ppn := range got { // everything dies: the next rollover finds a victim
-				a.MarkObsoleteInPlace(ppn)
-				b.MarkObsoleteInPlace(ppn)
+				a.NoteObsolete(ppn)
+				b.NoteObsolete(ppn)
 			}
 		}
 		if st := a.ChannelGC(0); st.DiffStreamPages != 0 {
@@ -243,7 +243,7 @@ func TestNoVictimRetiresOpenSecondaryBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.MarkObsoleteInPlace(dif[0])
+	a.NoteObsolete(dif[0])
 	difBlk, coldBlk := a.params.BlockOf(dif[0]), a.params.BlockOf(cold)
 	// 13 blocks of valid hot pages bring the free list to the reserve; the
 	// next rollover finds no full block with garbage.
@@ -286,7 +286,7 @@ func TestBackgroundScanLeavesOpenSecondaryBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.MarkObsoleteInPlace(dif[0])
+	a.NoteObsolete(dif[0])
 	difBlk := a.params.BlockOf(dif[0])
 	free := a.FreePages()
 	collected, err := a.CollectOnceOn(0)
@@ -316,7 +316,7 @@ func TestForegroundColdPagesAreReservedFor(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ppn := range ppns {
-			m.a.MarkObsoleteInPlace(ppn)
+			m.a.NoteObsolete(ppn)
 		}
 	}
 	// Roll the hot block over first (one collection), so the relocation

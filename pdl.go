@@ -296,7 +296,9 @@ func Open(dev Device, numPages int, opts Options) (*Store, error) {
 // Options.RecoveryWorkers goroutines; the recovered state is identical
 // for every worker count. Differentials that were only in the in-memory
 // write buffer at the time of the failure are lost, exactly as the paper
-// specifies.
+// specifies. Recover only reads the device: the useless pages it finds are
+// counted obsolete in memory, not marked in flash, so recovering again
+// rebuilds the same state.
 func Recover(dev Device, numPages int, opts Options) (*Store, error) {
 	return core.Recover(dev, numPages, opts)
 }
