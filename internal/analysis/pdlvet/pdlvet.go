@@ -4,5 +4,5 @@ import "pdl/internal/analysis/vetkit"
 
 // Analyzers returns the full pdlvet suite in reporting order.
 func Analyzers() []*vetkit.Analyzer {
-	return []*vetkit.Analyzer{LockOrder, DeviceIO, AtomicCounter, FencedCache}
+	return []*vetkit.Analyzer{LockOrder, DeviceIO, AtomicCounter}
 }

@@ -18,7 +18,3 @@ func TestDeviceIO(t *testing.T) {
 func TestAtomicCounter(t *testing.T) {
 	vettest.Run(t, "testdata/src", []*vetkit.Analyzer{AtomicCounter}, "atomiccounter")
 }
-
-func TestFencedCache(t *testing.T) {
-	vettest.Run(t, "testdata/src", []*vetkit.Analyzer{FencedCache}, "fencedcache")
-}

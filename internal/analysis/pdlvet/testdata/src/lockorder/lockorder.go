@@ -279,18 +279,10 @@ func (s *Store) runUnderChannel(fn func()) {
 	fn()
 }
 
-// goodAnnotatedLiteral declares the convention on the literal itself:
-// //pdlvet:holds on the line above the func keyword seeds its body's
-// entry lock set.
-func (s *Store) goodAnnotatedLiteral() {
-	s.runUnderChannel(
-		//pdlvet:holds channel
-		func() {
-			s.programOnChannel()
-		})
-}
-
-func (s *Store) badUnannotatedLiteral() {
+// badLiteralUnderRunnersLock: a literal is walked with the locks held
+// where it is written, so a convention only its runner satisfies is
+// reported (name the function and declare //pdlvet:holds on it).
+func (s *Store) badLiteralUnderRunnersLock() {
 	s.runUnderChannel(func() {
 		s.programOnChannel() // want `call to programOnChannel requires holding the channel lock \(declared //pdlvet:holds channel\)`
 	})

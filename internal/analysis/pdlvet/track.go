@@ -33,9 +33,6 @@ type hooks struct {
 type tracker struct {
 	pass  *vetkit.Pass
 	hooks hooks
-	// file is the AST file containing the walked function, for resolving
-	// //pdlvet:holds comments attached to function literals.
-	file *ast.File
 	// sorted holds the objects of slices the function passed to a
 	// sorting call (sort.Ints, slices.Sort, sort.Slice, ...): ranging
 	// over one of these yields ascending values.
@@ -51,12 +48,6 @@ func walkFunc(pass *vetkit.Pass, decl *ast.FuncDecl, h hooks) {
 		return
 	}
 	t := &tracker{pass: pass, hooks: h, sorted: make(map[types.Object]bool)}
-	for _, f := range pass.Files {
-		if f.Pos() <= decl.Pos() && decl.Pos() <= f.End() {
-			t.file = f
-			break
-		}
-	}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -145,7 +136,7 @@ func (t *tracker) walkStmt(stmt ast.Stmt, state lockSet) (lockSet, bool) {
 
 	case *ast.GoStmt:
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			t.walkStmts(lit.Body.List, t.seedLitHolds(lit, lockSet{}))
+			t.walkStmts(lit.Body.List, lockSet{})
 		}
 		for _, a := range s.Call.Args {
 			t.visitExpr(a, state)
@@ -303,24 +294,6 @@ func (t *tracker) applyOp(call *ast.CallExpr, op lockOp, state lockSet) {
 	delete(state, op.class)
 }
 
-// seedLitHolds adds the lock classes a function literal's own
-// //pdlvet:holds comment declares to its entry state. Like a
-// declaration-level holds, the declared locks are the invoker's
-// responsibility — the literal's body is checked assuming them.
-func (t *tracker) seedLitHolds(lit *ast.FuncLit, state lockSet) lockSet {
-	if t.file == nil {
-		return state
-	}
-	for _, name := range vetkit.HoldsOfLit(t.pass.Fset, t.file, lit) {
-		if c := classByName(name); c != classNone {
-			if _, ok := state[c]; !ok {
-				state[c] = &heldLock{class: c, exclusive: true, entry: true, pos: lit.Pos(), shardIdx: -1}
-			}
-		}
-	}
-	return state
-}
-
 // applyDefer handles a defer statement: a direct deferred unlock, or a
 // deferred function literal whose body releases locks on return.
 func (t *tracker) applyDefer(call *ast.CallExpr, state lockSet) {
@@ -349,14 +322,12 @@ func (t *tracker) applyDefer(call *ast.CallExpr, state lockSet) {
 // visitExpr scans an expression for calls, firing onCall and applying
 // any lock operations buried in expression position. Function literals
 // are walked with a clone of the current state (they typically run
-// inline, e.g. sort.Slice comparators), plus any //pdlvet:holds
-// directive on the line above the literal (callbacks invoked under a
-// lock their runner acquires); their effects do not escape.
+// inline, e.g. sort.Slice comparators); their effects do not escape.
 func (t *tracker) visitExpr(n ast.Node, state lockSet) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.FuncLit:
-			t.walkStmts(e.Body.List, t.seedLitHolds(e, state.clone()))
+			t.walkStmts(e.Body.List, state.clone())
 			return false
 		case *ast.CallExpr:
 			if op, ok := classifyLockCall(t.pass.TypesInfo, e); ok {

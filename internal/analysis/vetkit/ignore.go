@@ -22,10 +22,7 @@ import (
 // caller holds <lock>": analyzers seed the function's entry lock set
 // with it, and lockorder requires resolvable callers to actually hold
 // it. Lock names are the model's class names (e.g. shard, flash,
-// channel, maptable, dcache, bus). The directive also attaches to a
-// function literal — a comment ending on the line directly above the
-// `func` keyword — declaring the locks whoever invokes the literal
-// holds (a callback run under a lock its runner acquires).
+// channel, maptable, dcache, bus).
 const (
 	ignoreDirective = "//pdlvet:ignore"
 	holdsDirective  = "//pdlvet:holds"
@@ -87,25 +84,6 @@ func HoldsOf(decl *ast.FuncDecl) []string {
 	var out []string
 	for _, c := range decl.Doc.List {
 		out = appendHolds(out, c.Text)
-	}
-	return out
-}
-
-// HoldsOfLit parses a //pdlvet:holds directive attached to a function
-// literal: a comment whose last line ends on the line directly above
-// the literal's `func` keyword. Literals have no doc comment in the
-// AST, so the attachment is positional, like //pdlvet:ignore.
-func HoldsOfLit(fset *token.FileSet, file *ast.File, lit *ast.FuncLit) []string {
-	litPos := fset.Position(lit.Pos())
-	var out []string
-	for _, cg := range file.Comments {
-		end := fset.Position(cg.End())
-		if end.Filename != litPos.Filename || end.Line != litPos.Line-1 {
-			continue
-		}
-		for _, c := range cg.List {
-			out = appendHolds(out, c.Text)
-		}
 	}
 	return out
 }

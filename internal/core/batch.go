@@ -131,7 +131,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		st.stageBase(idx, ts, pid, data, ftl.ModeTagOPU, cold)
 	}
 	if s.adap != nil {
-		re, _ := s.mt.snapshot(pid)
+		re, _, _ := s.mt.snapshot(pid)
 		hasDif := known.dif
 		if !tracked {
 			mode, hasDif = s.mt.modeOf(pid), re.dif != flash.NilPPN
@@ -158,10 +158,10 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 	// read is always the current image.
 	img, difExists := known.img, known.dif
 	for img == nil {
-		e, v := s.mt.snapshot(pid)
+		e, _, v := s.mt.snapshot(pid)
 		corrupt := false
 		if e.base != flash.NilPPN {
-			stable, bad, err := s.verifiedReadStable(e.base, base, pid, v)
+			stable, bad, err := s.verifiedReadStable(readWriteBase, e.base, base, pid, v)
 			if !stable {
 				continue
 			}
@@ -418,10 +418,10 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 // so the write follows the space: the exhausted channel's share moves to
 // the untried channel with the most erased blocks and the commit runs
 // again, until it lands or every channel has refused. Nothing was
-// programmed by a refused attempt (allocation precedes every mutation; at
-// worst it leaked pages allocated on lower channels, reclaimed with their
-// blocks), and no channel lock is held between attempts, so a one-op
-// commit holds one channel lock at a time.
+// programmed by a refused attempt (allocation precedes every mutation; the
+// pages it had allocated on lower channels are counted obsolete), and no
+// channel lock is held between attempts, so a one-op commit holds one
+// channel lock at a time.
 //
 // landed reports whether the programs reached the device and their
 // mappings are committed — the point after which the caller must treat
@@ -487,9 +487,12 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 // (= time stamp) order — one op with Program, several as one ProgramBatch,
 // which a striped device fans out as one concurrent leg per channel — and
 // replays the mapping-table commits in the same order. An allocation that
-// fails returns before anything is programmed, naming the channel; past
+// fails returns before anything is programmed, naming the channel, with the
+// pages already allocated on lower channels counted obsolete (they stay
+// erased, and victim selection must see them as reclaimable); past
 // the program every mapping is committed and every superseded page retired
-// in the allocator's counters (NoteObsoleteFrom: no device operation).
+// in the allocator's counters (NoteObsoleteFrom: no device operation), and
+// every record of a spilled page is in the differential cache.
 //
 // On a single-channel device a crash mid-batch leaves exactly a
 // TS-ordered prefix. On a striped device each channel's leg is a prefix
@@ -525,6 +528,11 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 		}
 		ppns, err := s.allocPagesOn(ch, kinds)
 		if err != nil {
+			for i := range ops {
+				if ops[i].ch < ch {
+					s.alloc.NoteObsolete(ops[i].ppn) // its channel's lock is still held
+				}
+			}
 			return ch, false, err
 		}
 		for i := range ops {
@@ -583,10 +591,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 
 	for _, op := range ops {
 		if op.spill {
-			// op.ppn begins a new life as a differential page: fence off
-			// any cached image of its previous life before the mapping
-			// commits below publish it to readers.
-			s.dcache.invalidate(op.ppn)
+			s.dcache.putPage(op.data)
 			s.wtel.bufferFlushes.Add(1)
 			s.wtel.diffsWritten.Add(int64(len(op.diffs)))
 			for _, d := range op.diffs {

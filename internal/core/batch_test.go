@@ -758,3 +758,81 @@ func TestCommitFallsOverToNeighbourChannel(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedCommitRetiresPagesOfLowerChannels: a commit across two channels
+// allocates channel 0's page first; when channel 1 then has no space and
+// nothing to reclaim, the attempt is refused with that page allocated and
+// never programmed. It must be counted obsolete, or victim selection would
+// see a live page in its block until the block is erased for other reasons.
+func TestRefusedCommitRetiresPagesOfLowerChannels(t *testing.T) {
+	p := ftltest.SmallParams(3)
+	p.PagesPerBlock = 4
+	dev, err := flash.NewStriped(flash.NewChip(p), flash.NewChip(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const numPages = 20
+	s, err := New(dev, numPages, Options{ReserveBlocks: 2, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := s.PageSize()
+	var byShard [2][]uint32
+	for pid := uint32(0); pid < numPages; pid++ {
+		si := s.shardIndex(pid)
+		byShard[si] = append(byShard[si], pid)
+	}
+	// Shard 0 is homed on channel 0, shard 1 on channel 1. Channel 1 gets two
+	// full blocks of live pages: at its reserve, nothing to reclaim. Channel 0
+	// opens its second block, so it sits at its reserve too (no diversion
+	// before the locks are taken) with room in the open block.
+	const on0, on1 = 5, 8
+	if len(byShard[0]) < on0+1 || len(byShard[1]) < on1+1 {
+		t.Fatalf("shards hold %d and %d pids, need %d and %d", len(byShard[0]), len(byShard[1]), on0+1, on1+1)
+	}
+	written := 0
+	load := func(pids []uint32) {
+		t.Helper()
+		for _, pid := range pids {
+			if err := s.WritePage(pid, batchPage(pid, 0, size)); err != nil {
+				t.Fatalf("WritePage(%d): %v", pid, err)
+			}
+			written++
+		}
+	}
+	load(byShard[0][:on0])
+	load(byShard[1][:on1])
+	alloc := s.Allocator()
+	if got := s.Telemetry().ChannelFallOvers; got != 0 || alloc.FreeBlocksOn(0) != alloc.FreeBlocksOn(1) {
+		t.Fatalf("set-up: %d fall-overs, free blocks %d and %d", got, alloc.FreeBlocksOn(0), alloc.FreeBlocksOn(1))
+	}
+	a, b := byShard[0][on0], byShard[1][on1]
+	if err := s.WriteBatch([]ftl.PageWrite{{PID: a, Data: batchPage(a, 0, size)}, {PID: b, Data: batchPage(b, 0, size)}}); err != nil {
+		t.Fatalf("WriteBatch: %v", err)
+	}
+	written += 2
+	if got := s.Telemetry().ChannelFallOvers; got != 1 {
+		t.Fatalf("ChannelFallOvers = %d, want 1", got)
+	}
+	if ca, cb := alloc.ChannelOf(entryOf(s, a).base), alloc.ChannelOf(entryOf(s, b).base); ca != 0 || cb != 0 {
+		t.Fatalf("the batch landed on channels %d and %d, want both on 0", ca, cb)
+	}
+	// Every page handed out is either one of the store's base pages or
+	// counted obsolete: the refused attempt's page is the one obsolete page.
+	var handedOut, obsolete int
+	for blk := 0; blk < dev.Params().NumBlocks; blk++ {
+		bs := alloc.BlockStats(blk)
+		handedOut += bs.Written
+		obsolete += bs.Obsolete
+	}
+	if handedOut != written+1 || obsolete != 1 {
+		t.Errorf("allocator handed out %d pages and counts %d obsolete; want %d and 1 (%d base pages and the refused attempt's)",
+			handedOut, obsolete, written+1, written)
+	}
+	buf := make([]byte, size)
+	for _, pid := range append(append([]uint32{a, b}, byShard[0][:on0]...), byShard[1][:on1]...) {
+		if err := s.ReadPage(pid, buf); err != nil || !bytes.Equal(buf, batchPage(pid, 0, size)) {
+			t.Fatalf("pid %d after the fall-over: err=%v", pid, err)
+		}
+	}
+}

@@ -282,7 +282,7 @@ func RecoverWithCheckpoint(dev flash.Device, numPages int, opts Options) (*Store
 		if s.isCkptBlock(b) {
 			continue
 		}
-		if err := s.scanRead(p.PPNOf(b, 0), data, spare); err != nil {
+		if err := s.scanRead(readRecover, p.PPNOf(b, 0), data, spare); err != nil {
 			return nil, err
 		}
 		h := ftl.DecodeHeader(spare)
@@ -334,7 +334,7 @@ func (s *Store) findCheckpoint() (*foundCkpt, error) {
 		for pg := 0; pg < p.PagesPerBlock; pg++ {
 			ppn := p.PPNOf(b, pg)
 			data := make([]byte, p.DataSize)
-			if err := s.scanRead(ppn, data, spare); err != nil {
+			if err := s.scanRead(readRecover, ppn, data, spare); err != nil {
 				return nil, err
 			}
 			h := ftl.DecodeHeader(spare)
@@ -501,7 +501,7 @@ func (s *Store) scanBlocks(blocks []int) error {
 			ppn := p.PPNOf(b, pg)
 			// One charged read fetches both areas; the data area is needed
 			// for torn-page detection, decoding, and ECC verification.
-			if err := s.scanRead(ppn, data, spare); err != nil {
+			if err := s.scanRead(readRecover, ppn, data, spare); err != nil {
 				return err
 			}
 			h := ftl.DecodeHeader(spare)

@@ -1,215 +1,268 @@
 package core
 
 import (
-	"container/list"
+	"encoding/binary"
+	"math"
 	"sync"
 
-	"pdl/internal/flash"
+	"pdl/internal/diff"
 )
 
-// diffCache is the differential-page cache: a bounded LRU map from a
-// differential page's PPN to a copy of the page's used record prefix, in
-// the wire form it has in flash. PDL_Reading's structural cost is that a
-// cold read of a diff-bearing page needs two serial flash reads (base
-// page, then differential page) just to pick one record; differential
-// pages are immutable once programmed and typically carry the
-// differentials of many hot pids, so keeping the page image in DRAM turns
-// every subsequent hot read into one flash read plus a scan of the
-// record headers (diff.FindIn) — the same merge the uncached path runs on
-// the freshly read page, so a hit, a miss and a disabled cache share one
-// code path and no record is ever decoded to be read. An entry costs at
-// most one page of memory.
+// diffCache is the differential cache: for each logical page, the newest
+// flushed differential record the store has seen, in the wire form it has
+// in flash. PDL_Reading's structural cost is that a cold read of a
+// diff-bearing page needs two serial flash reads (base page, then
+// differential page) just to pick one record; with the record in DRAM the
+// read is one flash read plus the same merge the uncached path runs on a
+// freshly read page (diff.ApplyRecord), so a hit, a miss and a disabled
+// cache share one code path and no record is decoded to be read. Only live
+// records are held: a differential page is two thirds dead records by the
+// time it is read, and caching its image spends the budget on them.
 //
 // # Coherence
 //
-// A cached entry stays valid for exactly as long as its PPN holds the
-// differential page it was copied from: flash pages only change content
-// through erase + reprogram. The store therefore invalidates a PPN at
-// every point where a differential page dies or is (re)born — when its
-// valid-differential count reaches zero (releaseDiffPage), when garbage
-// collection compacts it away (dropDiffPage in relocate), and whenever a
-// new differential page is programmed over a PPN (shard spills, batched
-// spills, GC compaction targets), which closes the reuse window where an
-// erased PPN comes back as a fresh differential page.
+// An entry is valid for a reader iff its time stamp equals the diffTS the
+// reader snapshotted together with the pid's mapping entry (get takes both).
+// Time stamps come from the store's one monotone counter, a retried flush
+// re-commits identical bytes under the identical stamp, and garbage
+// collection re-encodes a record under its own (pid, ts), so for the life
+// of the store (pid, ts) names one content — wherever in flash it lives,
+// and however often that PPN is erased and reused. Nothing is ever
+// invalidated: a superseded entry can never match a snapshot again and is
+// overwritten by the next insert for its pid (put keeps the larger time
+// stamp, so a slow reader cannot replace a newer record with the one it
+// read). The cache is never persisted; a restart starts empty.
 //
-// Inserts come from the lock-free read path, which may have been preempted
-// between reading flash and inserting; an insert therefore carries the
-// cache generation observed before its flash read and is dropped if the
-// insert's own PPN was invalidated in between (the page read might belong
-// to the PPN's previous life). The fence is per PPN — a recent-invalidation
-// window maps each PPN to the generation of its last invalidation, so
-// spills and GC compactions of unrelated pages never suppress an insert;
-// only a read older than the whole window (invalWindow invalidations have
-// passed since its snapshot) is dropped conservatively. Dropped inserts
-// cost only a future miss, never correctness.
+// # Filling
 //
-// The cache holds only DRAM-derived state: it is never persisted, so a
-// restart (and hence recovery) starts from an empty cache and recovered
-// stores are byte-identical whether or not the cache was enabled before
-// the crash.
+// commit inserts every record of a differential page it links (write
+// through): in a read-modify-write stream a record is read at most once
+// before it is superseded, so a cache filled on misses alone never hits
+// there. A read miss inserts the one record it asked for.
+//
+// # Memory
+//
+// The byte bound covers everything the cache allocates per entry. Records
+// are appended back to back (a wire record carries its own size, pid and
+// time stamp) into fixed-size segments, allocated on first use, and found
+// through an offset table of one uint32 per slot: slot pid mod nslots,
+// which is the identity while the table for every pid fits a quarter of the
+// bound and a direct-mapped hash beyond (a collision evicts). When the
+// arena is full the oldest segment is compacted in place and becomes the
+// newest: records the table still points at that were hit since they were
+// written stay (second chance, the hit flag is the table entry's top bit),
+// everything else goes. There is no per-entry node, list link or
+// allocation. Arena bytes are reused, so readers merge or copy out under
+// the mutex and never keep a reference.
 //
 // All methods are safe on a nil receiver (cache disabled).
 type diffCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[flash.PPN]*list.Element
-	lru     *list.List // front = most recently used
-	// gen counts invalidations, and inval maps each PPN invalidated
-	// within the last invalWindow generations to the generation of its
-	// most recent invalidation; together they fence inserts (see put).
-	// invalFIFO holds the same events in generation order so expiry pops
-	// from the head in O(1) amortized instead of sweeping the map.
-	gen       uint64
-	inval     map[flash.PPN]uint64
-	invalFIFO []invalEvent
+	mu sync.Mutex
+	// idx maps a slot to 1 + the arena offset of its record (0: empty), with
+	// refBit set once the record was hit. Allocated by the first insert.
+	idx    []uint32
+	nslots int
+	// segs is the arena: segment k covers offsets [k*segSize, (k+1)*segSize)
+	// and len(segs[k]) of it is in use. head is the segment being appended to.
+	segs    [][]byte
+	segSize int
+	head    int
+	live    int // occupied slots
 }
 
-// invalEvent is one invalidation in the retained history window.
-type invalEvent struct {
-	ppn flash.PPN
-	gen uint64
-}
+const (
+	refBit = 1 << 31
+	// segPages sizes a segment in pages: the unit of reclaim, a thirtieth of
+	// the default bound.
+	segPages = 8
+)
 
-// invalWindow is how many generations of per-PPN invalidation history the
-// cache keeps; it bounds the inval map. An insert whose snapshot is older
-// than the window (≥ invalWindow invalidations elapsed mid-flight, i.e. a
-// reader preempted across an eternity of GC work) is dropped without
-// consulting it.
-const invalWindow = 1024
-
-// diffCacheEntry is one cached differential page. img is shared with
-// readers and is never written after the insert (diff.FindIn and
-// diff.ApplyRecord only read it); a replaced or evicted image is dropped,
-// not recycled, because a reader may still be merging from it.
-type diffCacheEntry struct {
-	ppn flash.PPN
-	img []byte
-}
-
-// newDiffCache builds a cache bounded to capacity differential pages.
-func newDiffCache(capacity int) *diffCache {
-	return &diffCache{
-		cap:     capacity,
-		entries: make(map[flash.PPN]*list.Element, capacity),
-		lru:     list.New(),
-		inval:   make(map[flash.PPN]uint64),
+// newDiffCache builds a cache for numPages logical pages bounded to budget
+// bytes, index included.
+func newDiffCache(budget, numPages, pageSize int) *diffCache {
+	budget = min(budget, math.MaxInt32) // offsets are 31 bits
+	c := &diffCache{nslots: max(1, min(numPages, budget/16)), segSize: segPages * pageSize}
+	arena := budget - 4*c.nslots
+	n := arena / c.segSize
+	if n == 0 {
+		n, c.segSize = 1, max(arena, 0)
 	}
+	c.segs = make([][]byte, n)
+	return c
 }
 
-// genSnapshot returns the current invalidation generation. Readers take it
-// before reading a differential page from flash and pass it to put.
-func (c *diffCache) genSnapshot() uint64 {
+// at returns the record at arena offset off.
+func (c *diffCache) at(off int) []byte {
+	seg := c.segs[off/c.segSize]
+	off %= c.segSize
+	return seg[off : off+int(binary.LittleEndian.Uint16(seg[off:]))]
+}
+
+// slot returns pid's table entry, allocating the table on first use.
+func (c *diffCache) slot(pid uint32) *uint32 {
+	if c.idx == nil {
+		c.idx = make([]uint32, c.nslots)
+	}
+	return &c.idx[int(pid)%c.nslots]
+}
+
+// held returns the record pid's slot points at, if it is pid's (nil for an
+// empty slot or a colliding pid's record), and the slot. The caller holds
+// mu; the record aliases the arena.
+func (c *diffCache) held(pid uint32) ([]byte, *uint32) {
+	if c.idx == nil {
+		return nil, nil // nothing was ever inserted: a lookup allocates nothing
+	}
+	slot := c.slot(pid)
+	if *slot&^refBit == 0 {
+		return nil, slot
+	}
+	rec := c.at(int(*slot&^refBit) - 1)
+	if p, _ := diff.RecordKey(rec); p != pid {
+		return nil, slot
+	}
+	return rec, slot
+}
+
+// find returns pid's record if it carries time stamp ts, flagging it hit.
+func (c *diffCache) find(pid uint32, ts uint64) []byte {
+	rec, slot := c.held(pid)
+	if rec == nil {
+		return nil
+	}
+	if _, t := diff.RecordKey(rec); t != ts {
+		return nil
+	}
+	*slot |= refBit
+	return rec
+}
+
+// merge overlays pid's cached differential onto page, a copy of its base
+// page, if the cache holds the record stamped ts.
+func (c *diffCache) merge(pid uint32, ts uint64, page []byte) (hit bool, err error) {
 	if c == nil {
-		return 0
+		return false, nil
 	}
 	c.mu.Lock()
-	g := c.gen
-	c.mu.Unlock()
-	return g
+	defer c.mu.Unlock()
+	rec := c.find(pid, ts)
+	if rec == nil {
+		return false, nil
+	}
+	return true, diff.ApplyRecord(rec, page)
 }
 
-// get returns the page image cached for ppn, marking the entry recently
-// used. The returned slice is shared: callers must not modify it.
-func (c *diffCache) get(ppn flash.PPN) ([]byte, bool) {
+// copyOut appends pid's cached record stamped ts to dst, for callers that
+// decode it or take locks while they use it.
+func (c *diffCache) copyOut(pid uint32, ts uint64, dst []byte) ([]byte, bool) {
 	if c == nil {
-		return nil, false
+		return dst, false
 	}
 	c.mu.Lock()
-	el, ok := c.entries[ppn]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	img := el.Value.(*diffCacheEntry).img
-	c.mu.Unlock()
-	return img, true
+	defer c.mu.Unlock()
+	rec := c.find(pid, ts)
+	return append(dst, rec...), rec != nil
 }
 
-// put caches img, the used record prefix of differential page ppn, which
-// the cache owns from here on; a full cache hands its least recently used
-// entry over to ppn. genBefore must be the genSnapshot taken
-// before the flash read that produced img: if ppn itself was invalidated
-// since — the read may predate a relocation or reuse of that PPN — the
-// insert is dropped. Invalidations of other PPNs do not suppress it,
-// unless the snapshot is older than the whole invalidation window (then
-// the history needed to judge is gone and the insert is dropped
-// conservatively).
-func (c *diffCache) put(ppn flash.PPN, img []byte, genBefore uint64) {
+// putRead caches rec, the well-formed wire record a read miss found in a
+// verified differential page, the second time its pid misses: the first
+// miss only flags the empty slot. A record read once and then superseded,
+// every record of a read-modify-write stream, would otherwise sit in the
+// arena, dead, until its segment comes round.
+func (c *diffCache) putRead(rec []byte) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if invariantsEnabled {
-		assertf(genBefore <= c.gen,
-			"diff-cache insert of ppn %d carries generation %d from the future (current %d)", ppn, genBefore, c.gen)
+	pid, _ := diff.RecordKey(rec)
+	if slot := c.slot(pid); *slot == 0 {
+		*slot = refBit
+		return
 	}
-	if c.gen != genBefore {
-		if genBefore+invalWindow <= c.gen {
-			return // snapshot predates the retained history
-		}
-		if g, ok := c.inval[ppn]; ok && g > genBefore {
-			return // this PPN changed since the flash read began
-		}
-		// A pruned entry had g <= gen-invalWindow < genBefore, so absence
-		// from the window proves ppn did not change since the snapshot.
-	}
-	el, ok := c.entries[ppn]
-	if !ok {
-		if len(c.entries) < c.cap {
-			c.entries[ppn] = c.lru.PushFront(&diffCacheEntry{ppn: ppn, img: img})
-			return
-		}
-		el = c.lru.Back()
-		delete(c.entries, el.Value.(*diffCacheEntry).ppn)
-		c.entries[ppn] = el
-	}
-	*el.Value.(*diffCacheEntry) = diffCacheEntry{ppn: ppn, img: img}
-	c.lru.MoveToFront(el)
+	c.insert(rec)
 }
 
-// invalidate drops ppn's entry and bumps the generation, fencing off any
-// insert whose flash read began before this call. Called wherever a
-// differential page dies, moves, or is programmed anew; the callers all
-// hold the flash lock, so invalidations are serialized with the mutation
-// they fence.
-//
-//pdlvet:holds flash
-func (c *diffCache) invalidate(ppn flash.PPN) {
+// putPage caches every record of page, a differential page image commit
+// has just programmed.
+func (c *diffCache) putPage(page []byte) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.gen++
-	c.inval[ppn] = c.gen
-	c.invalFIFO = append(c.invalFIFO, invalEvent{ppn: ppn, gen: c.gen})
-	// Expire history older than the window from the FIFO head: O(1)
-	// amortized (each event is appended and popped exactly once), so the
-	// flash-lock holders calling here never sweep the whole map. A PPN
-	// re-invalidated within the window appears twice in the FIFO; the map
-	// entry is only dropped when its newest event expires.
-	for len(c.invalFIFO) > 0 && c.invalFIFO[0].gen+invalWindow <= c.gen {
-		ev := c.invalFIFO[0]
-		c.invalFIFO = c.invalFIFO[1:]
-		if c.inval[ev.ppn] == ev.gen {
-			delete(c.inval, ev.ppn)
-		}
+	defer c.mu.Unlock()
+	for rec := range diff.Records(page) {
+		c.insert(rec)
 	}
-	if el, ok := c.entries[ppn]; ok {
-		c.lru.Remove(el)
-		delete(c.entries, ppn)
-	}
-	c.mu.Unlock()
 }
 
-// len returns the number of cached differential pages (for tests).
+// insert appends rec to the arena and points its pid's slot at it, unless
+// the cache already holds the pid at the same or a later time stamp or rec
+// is larger than a segment. The caller holds mu.
+func (c *diffCache) insert(rec []byte) {
+	pid, ts := diff.RecordKey(rec)
+	if len(rec) > c.segSize {
+		return
+	}
+	if cur, _ := c.held(pid); cur != nil {
+		if _, t := diff.RecordKey(cur); t >= ts {
+			return
+		}
+	}
+	c.makeRoom(len(rec))
+	slot := c.slot(pid) // after makeRoom, which may have cleared it
+	if *slot&^refBit == 0 {
+		c.live++
+	}
+	*slot = uint32(c.head*c.segSize + len(c.segs[c.head]) + 1)
+	c.segs[c.head] = append(c.segs[c.head], rec...)
+}
+
+// makeRoom leaves the head segment with n free bytes, n at most segSize. It
+// ends: a reclaim clears the hit flags of what it keeps, so, with mu held,
+// the second reclaim of a segment empties it.
+func (c *diffCache) makeRoom(n int) {
+	for {
+		if c.segs[c.head] == nil {
+			c.segs[c.head] = make([]byte, 0, c.segSize)
+		}
+		if len(c.segs[c.head])+n <= c.segSize {
+			return
+		}
+		c.head = (c.head + 1) % len(c.segs)
+		c.reclaim(c.head)
+	}
+}
+
+// reclaim compacts segment k in place: a record stays iff its slot still
+// points at it (no later insert for the pid, no colliding pid) and it was
+// hit since it was written; its flag is cleared.
+func (c *diffCache) reclaim(k int) {
+	seg, w := c.segs[k], 0
+	for r := 0; r < len(seg); {
+		n := int(binary.LittleEndian.Uint16(seg[r:]))
+		pid, _ := diff.RecordKey(seg[r:])
+		slot := c.slot(pid)
+		switch *slot {
+		case uint32(k*c.segSize+r+1) | refBit:
+			copy(seg[w:], seg[r:r+n])
+			*slot = uint32(k*c.segSize + w + 1)
+			w += n
+		case uint32(k*c.segSize + r + 1):
+			*slot = 0
+			c.live--
+		}
+		r += n
+	}
+	c.segs[k] = seg[:w]
+}
+
+// len returns the number of cached records (for tests and tooling).
 func (c *diffCache) len() int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
-	n := len(c.entries)
-	c.mu.Unlock()
-	return n
+	defer c.mu.Unlock()
+	return c.live
 }

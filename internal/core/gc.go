@@ -87,10 +87,6 @@ func (s *Store) relocate(victim int) error {
 	}
 	for _, ppn := range compacted {
 		s.mt.dropDiffPage(ppn)
-		// The page is compacted away and its block about to be erased:
-		// readers were repointed (and their version checks fail), so the
-		// cached image must go before the PPN can be reused.
-		s.dcache.invalidate(ppn)
 	}
 	if s.adap != nil {
 		// Feed the router's GC-pressure heuristic: pages this collection
@@ -144,7 +140,7 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 		} else {
 			// Verification off: a content-and-trailer-preserving move, so
 			// a later verifying open still sees the original seal.
-			err = s.scanRead(ppn, scratch, spare)
+			err = s.scanRead(readGC, ppn, scratch, spare)
 		}
 	} else {
 		_, err = s.verifiedRead(ppn, scratch, nil)
@@ -197,12 +193,11 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 // this page for their pid). Currency is judged on each record's wire
 // header, so only the survivors are decoded.
 //
-// The read is verified: an uncorrectably corrupt victim page is healed
-// from the differential-page cache when its image is still there (an
-// exact copy of the page's current content, validated against the mapping
-// like any other), and otherwise fails the collection loudly with the
-// typed error — silently compacting garbage records, or silently dropping
-// the page's survivors, would turn into wrong reads later.
+// The read is verified: an uncorrectably corrupt victim page is rebuilt
+// from the differential cache when every one of its current records is
+// still there (rescuedDifferentials), and otherwise fails the collection
+// loudly with the typed error — silently compacting garbage records, or
+// silently dropping the page's survivors, would turn into wrong reads later.
 //
 //pdlvet:holds flash
 func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
@@ -215,13 +210,13 @@ func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
 		return nil, err
 	}
 	if len(bad) > 0 {
-		img, ok := s.dcache.get(ppn)
+		out, ok := s.rescuedDifferentials(ppn, page[:0])
 		if !ok {
 			s.itel.unrecoverablePages.Add(1)
 			return nil, &ftl.PageError{PID: ftl.NoPID, PPN: ppn, Kind: ftl.CorruptDiff}
 		}
 		s.itel.pagesHealed.Add(1)
-		page = img
+		return out, nil
 	}
 	var out []diff.Differential
 	for rec := range diff.Records(page) {
@@ -239,6 +234,30 @@ func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
 		out = append(out, d)
 	}
 	return out, nil
+}
+
+// rescuedDifferentials rebuilds the current differentials of differential
+// page ppn, whose flash copy is lost, from the differential cache: the
+// mapping table says which pids' differentials live there and under which
+// time stamps, and the rescue holds iff the cache has every one of them.
+// scratch is an empty slice with a page of capacity.
+//
+//pdlvet:holds flash
+func (s *Store) rescuedDifferentials(ppn flash.PPN, scratch []byte) ([]diff.Differential, bool) {
+	keys := s.mt.diffsIn(ppn)
+	out := make([]diff.Differential, 0, len(keys))
+	for _, k := range keys {
+		rec, ok := s.dcache.copyOut(k.pid, k.ts, scratch)
+		if !ok {
+			return nil, false
+		}
+		d, _, err := diff.Decode(rec)
+		if err != nil {
+			return nil, false
+		}
+		out = append(out, d)
+	}
+	return out, true
 }
 
 // writeCompactedPage writes a batch of surviving differentials into a new
@@ -267,9 +286,6 @@ func (s *Store) writeCompactedPage(ds []diff.Differential, from []flash.PPN, ch 
 	if err := s.dev.Program(q, img, spareBuf); err != nil {
 		return err
 	}
-	// q begins a new life as a compaction target: fence off any cached
-	// image of its previous life before the repoints publish it.
-	s.dcache.invalidate(q)
 	live := 0
 	for i, d := range ds {
 		if s.mt.repointDiffFrom(d.PID, from[i], q, d.TS) {

@@ -28,18 +28,27 @@
 //     until it flushes); if it does not cover, the uncovered bytes are
 //     unrecoverable (they equal the lost base's) -> PageError.
 //  2. no buffered differential, but a differential page is linked: take
-//     its newest record from the cached page image or a verified read; if the
-//     newest record covers every corrupt byte, apply it — buf is then
+//     its newest record from the differential cache or a verified read; if
+//     the record covers every corrupt byte, apply it — buf is then
 //     the current logical page — and make the heal durable: program the
 //     merged image as a new base page and repoint the mapping with a
 //     fresh time stamp, releasing the old base and differential.
 //  3. otherwise -> PageError{pid, ppn, CorruptBase}.
 //
 // A corrupt DIFFERENTIAL page on a foreground read has no redundant
-// source left by construction (the write buffer and the page cache are
-// consulted before the flash read) -> PageError{pid, ppn, CorruptDiff}.
-// During GC compaction the cached image can still rescue it (gc.go),
-// and a whole-page write heals either kind by overwrite.
+// source left by construction (the write buffer and the differential cache
+// are consulted before the flash read) -> PageError{pid, ppn, CorruptDiff}.
+// A whole-page write heals either kind by overwrite.
+//
+// A cached record ranks with the write buffer as a redundant source: the
+// cache is filled from the page image commit programs (and from verified
+// reads), never from the flash copy it stands in for, so while a pid's
+// record is cached its reads succeed, byte-exact, although the differential
+// page in flash may have gone bad meanwhile; the corruption surfaces at the
+// first read after the record left the cache. Garbage collection uses the
+// same source: a corrupt victim differential page is rebuilt from the cache
+// if every one of its valid records is there (gc.go), and fails the
+// collection with the typed error otherwise.
 package core
 
 import (
@@ -116,6 +125,19 @@ func (s *Store) verifyData(data, spare []byte) []int {
 	return bad
 }
 
+// readKind says what a raw device read was for; the funnels below count
+// every page they read under one, so the kinds sum to the reads the store
+// cost the device (Telemetry.BaseReads and the fields after it).
+type readKind int
+
+const (
+	readBase      readKind = iota // PDL_Reading: a base page
+	readDiff                      // PDL_Reading: a differential page
+	readWriteBase                 // PDL_Writing step 1: the base page a write is compared with
+	readGC                        // relocation out of a victim block
+	readRecover                   // recovery and checkpoint scans
+)
+
 // The four functions below are the package's raw device READ funnels;
 // pdlvet's deviceio analyzer rejects device reads anywhere else in core,
 // so no read path can bypass verification by construction.
@@ -127,14 +149,16 @@ func (s *Store) verifyData(data, spare []byte) []int {
 // taken on bytes a concurrent relocation made stale.
 //
 //pdlvet:ignore deviceio raw-read funnel; every other core read goes through here
-func (s *Store) verifiedReadStable(ppn flash.PPN, data []byte, pid uint32, v uint64) (stable bool, bad []int, err error) {
+func (s *Store) verifiedReadStable(kind readKind, ppn flash.PPN, data []byte, pid uint32, v uint64) (stable bool, bad []int, err error) {
 	spare := s.getVerifySpare()
 	if spare == nil {
 		err = s.dev.ReadData(ppn, data)
+		s.countReads(kind, 1, err)
 		return s.mt.stable(pid, v), nil, err
 	}
 	defer s.putVerifySpare(spare)
 	err = s.dev.Read(ppn, data, spare)
+	s.countReads(kind, 1, err)
 	if !s.mt.stable(pid, v) {
 		return false, nil, nil
 	}
@@ -144,19 +168,43 @@ func (s *Store) verifiedReadStable(ppn flash.PPN, data []byte, pid uint32, v uin
 	return true, s.verifyData(data, spare), nil
 }
 
-// verifiedRead is the raw read of the locked paths (GC relocation holds
+// verifiedRead is the raw read of the locked path, GC relocation (it holds
 // the victim's channel lock, so no version check is needed): read and
 // verify in one step. A nil spare skips verification.
 //
 //pdlvet:ignore deviceio raw-read funnel
 func (s *Store) verifiedRead(ppn flash.PPN, data, spare []byte) (bad []int, err error) {
 	if spare == nil {
-		return nil, s.dev.ReadData(ppn, data)
+		err = s.dev.ReadData(ppn, data)
+		s.countReads(readGC, 1, err)
+		return nil, err
 	}
-	if err := s.dev.Read(ppn, data, spare); err != nil {
+	err = s.dev.Read(ppn, data, spare)
+	s.countReads(readGC, 1, err)
+	if err != nil {
 		return nil, err
 	}
 	return s.verifyData(data, spare), nil
+}
+
+// countReads attributes n pages of a device read that returned err: devices
+// count a read when it succeeds, and so do the funnels.
+func (s *Store) countReads(kind readKind, n int, err error) {
+	if err != nil {
+		return
+	}
+	switch kind {
+	case readBase:
+		s.rtel.baseReads.Add(int64(n))
+	case readDiff:
+		s.rtel.diffReads.Add(int64(n))
+	case readWriteBase:
+		s.rtel.writeBaseReads.Add(int64(n))
+	case readGC:
+		s.rtel.gcReads.Add(int64(n))
+	case readRecover:
+		s.rtel.recoverReads.Add(int64(n))
+	}
 }
 
 // verifiedReadBatch is the raw read funnel of the batched read path: it
@@ -166,7 +214,7 @@ func (s *Store) verifiedRead(ppn flash.PPN, data, spare []byte) (bad []int, err 
 // with putVerifySpares whether or not the batch succeeded.
 //
 //pdlvet:ignore deviceio raw-read funnel
-func (s *Store) verifiedReadBatch(reads []flash.PageRead) error {
+func (s *Store) verifiedReadBatch(kind readKind, reads []flash.PageRead) error {
 	if len(reads) == 0 {
 		return nil
 	}
@@ -176,6 +224,7 @@ func (s *Store) verifiedReadBatch(reads []flash.PageRead) error {
 	if err := s.dev.ReadBatch(reads); err != nil {
 		return err
 	}
+	s.countReads(kind, len(reads), nil)
 	s.rtel.batchReads.Add(1)
 	s.rtel.batchedReads.Add(int64(len(reads)))
 	return nil
@@ -197,15 +246,18 @@ func (s *Store) verifyRead(pr flash.PageRead) []int {
 	return s.verifyData(pr.Data, pr.Spare)
 }
 
-// scanRead is the raw read of the recovery and checkpoint scan paths:
+// scanRead is the raw read of the recovery and checkpoint scan paths (and
+// of a relocation with verification off):
 // one charged device read returning both areas, with header-checksum and
 // ECC interpretation left to the scan (erased and torn pages are exempt
 // from verification by construction, so the scan cannot delegate to
 // verifyData blindly).
 //
 //pdlvet:ignore deviceio raw-read funnel
-func (s *Store) scanRead(ppn flash.PPN, data, spare []byte) error {
-	return s.dev.Read(ppn, data, spare)
+func (s *Store) scanRead(kind readKind, ppn flash.PPN, data, spare []byte) error {
+	err := s.dev.Read(ppn, data, spare)
+	s.countReads(kind, 1, err)
+	return err
 }
 
 // coversSectors reports whether differential d overwrites every byte of

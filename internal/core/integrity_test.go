@@ -59,7 +59,7 @@ func rewriteSector(t *testing.T, s *Store, shadow [][]byte, pid uint32, sector i
 }
 
 func entryOf(s *Store, pid uint32) pageEntry {
-	e, _ := s.mt.snapshot(pid)
+	e, _, _ := s.mt.snapshot(pid)
 	return e
 }
 
@@ -247,34 +247,65 @@ func TestIntegrityReadBatchHealsAndFailsTyped(t *testing.T) {
 }
 
 func TestIntegrityGCCompactionRescue(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+	opts := Options{ReserveBlocks: 2}
+	s, fd, shadow := faultedStore(t, 16, 8, opts)
+	base := map[uint32][]byte{3: bytes.Clone(shadow[3]), 5: bytes.Clone(shadow[5])}
 	rewriteSector(t, s, shadow, 3, 1)
+	shadow[5][7] ^= 0x5A
+	if err := s.WritePage(5, shadow[5]); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	e := entryOf(s, 3)
-	if e.dif == flash.NilPPN {
-		t.Fatal("expected a flushed differential page")
+	if e.dif == flash.NilPPN || entryOf(s, 5).dif != e.dif {
+		t.Fatal("expected pids 3 and 5 to share one flushed differential page")
 	}
-	// Populate the decoded-differential cache, then corrupt the page: the
-	// cached decode is an exact copy of the page's current records.
-	mustReadEqual(t, s, 3, shadow[3])
+	// A second store over the same flash starts with an empty cache; its two
+	// reads cache the record of pid 3 and not the one of pid 5.
+	half, err := Recover(fd, 8, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustReadEqual(t, half, 3, shadow[3])
+	mustReadEqual(t, half, 3, shadow[3])
+
 	fd.Inject(faultdev.Fault{PPN: e.dif, Kind: faultdev.SectorCorrupt, Off: 0})
+
+	// The flush put both records in the first store's cache: the page is
+	// rebuilt from them, and foreground reads never notice the loss.
 	ds, err := s.validDifferentials(e.dif)
 	if err != nil {
-		t.Fatalf("validDifferentials with cached decode: %v", err)
+		t.Fatalf("validDifferentials with every record cached: %v", err)
 	}
-	if len(ds) != 1 || ds[0].PID != 3 {
+	if len(ds) != 2 || ds[0].PID+ds[1].PID != 8 {
 		t.Fatalf("rescued differentials = %+v", ds)
+	}
+	for _, d := range ds {
+		page := base[d.PID]
+		if err := d.Apply(page); err != nil || !bytes.Equal(page, shadow[d.PID]) {
+			t.Fatalf("rescued differential of pid %d does not rebuild the page (%v)", d.PID, err)
+		}
 	}
 	if tel := s.Telemetry(); tel.PagesHealed == 0 {
 		t.Error("PagesHealed = 0 after a compaction rescue")
 	}
-	// Without the cached decode the collection must fail loudly.
-	s.dcache.invalidate(e.dif)
+	mustReadEqual(t, s, 3, shadow[3])
+	mustReadEqual(t, s, 5, shadow[5])
+
+	// With one of the two records missing the collection must fail loudly,
+	// although the cached one still serves its pid.
 	var pe *ftl.PageError
-	if _, err := s.validDifferentials(e.dif); !errors.As(err, &pe) || pe.Kind != ftl.CorruptDiff {
-		t.Fatalf("validDifferentials without cache = %v, want CorruptDiff", err)
+	if _, err := half.validDifferentials(e.dif); !errors.As(err, &pe) || pe.Kind != ftl.CorruptDiff {
+		t.Fatalf("validDifferentials with a record missing = %v, want CorruptDiff", err)
+	}
+	if tel := half.Telemetry(); tel.UnrecoverablePages == 0 {
+		t.Error("UnrecoverablePages = 0 after a failed rescue")
+	}
+	mustReadEqual(t, half, 3, shadow[3])
+	if err := half.ReadPage(5, make([]byte, len(shadow[5]))); !errors.As(err, &pe) || pe.Kind != ftl.CorruptDiff {
+		t.Fatalf("ReadPage of the uncached pid = %v, want CorruptDiff", err)
 	}
 }
 
@@ -452,7 +483,10 @@ func TestIntegrityFaultCampaign(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			p := ftltest.SmallParams(24)
 			fd := faultdev.Wrap(b.dev(t, p))
-			s, err := New(fd, 32, Options{ReserveBlocks: 2, Shards: 2})
+			// A differential cache far smaller than the live records, as in any
+			// deployment: while a record is cached its reads never meet the
+			// faults of its differential page, and here most must.
+			s, err := New(fd, 32, Options{ReserveBlocks: 2, Shards: 2, DiffCachePages: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

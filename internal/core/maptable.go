@@ -19,7 +19,7 @@ import (
 // deliberately take no store-level lock). Readers use an optimistic
 // versioned-snapshot protocol:
 //
-//	e, v := mt.snapshot(pid)    // entry + per-pid version
+//	e, ts, v := mt.snapshot(pid)    // entry + differential time stamp + per-pid version
 //	... read flash pages e points at, with no store-level lock held ...
 //	if !mt.stable(pid, v) { retry }
 //
@@ -101,12 +101,14 @@ func (t *mapTable) mustRebase(pid uint32) bool {
 	return ok
 }
 
-// snapshot returns pid's entry together with its current version.
-func (t *mapTable) snapshot(pid uint32) (pageEntry, uint64) {
+// snapshot returns pid's entry and the time stamp of its differential (0
+// without one), which names the record in the differential cache, together
+// with the entry's current version.
+func (t *mapTable) snapshot(pid uint32) (e pageEntry, diffTS, v uint64) {
 	t.mu.RLock()
-	e, v := t.ppmt[pid], t.ver[pid]
+	e, diffTS, v = t.ppmt[pid], t.diffTS[pid], t.ver[pid]
 	t.mu.RUnlock()
-	return e, v
+	return e, diffTS, v
 }
 
 // stable reports whether pid's entry is still at version v: flash reads
@@ -293,6 +295,28 @@ func (t *mapTable) decDiffCount(dp flash.PPN) (obsolete bool) {
 	}
 	t.mu.Unlock()
 	return obsolete
+}
+
+// diffKey names one differential: the logical page and the creation time
+// stamp, which is also its key in the differential cache.
+type diffKey struct {
+	pid uint32
+	ts  uint64
+}
+
+// diffsIn returns, as one consistent set, the differentials that live in
+// differential page dp: a scan of the whole table, for garbage
+// collection's rescue of a corrupt page.
+func (t *mapTable) diffsIn(dp flash.PPN) []diffKey {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var keys []diffKey
+	for pid, e := range t.ppmt {
+		if e.dif == dp {
+			keys = append(keys, diffKey{uint32(pid), t.diffTS[pid]})
+		}
+	}
+	return keys
 }
 
 // diffCount returns dp's valid differential count (0 if absent).

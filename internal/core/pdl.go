@@ -43,9 +43,9 @@
 //
 // PDL_Reading (Figure 9) is resolveDiff and applyFromPage (readbatch.go):
 // given a pid's base image, find its differential in the write buffer or in
-// the cached image of its differential page, or name the differential page
-// to read (and cache), then merge the pid's newest record straight from the
-// page's wire form (diff.FindIn, diff.ApplyRecord). Ranges are decoded only
+// the differential cache (see diffCache), or name the differential page to
+// read, then merge the pid's record straight from its wire form
+// (diff.FindIn, diff.ApplyRecord) and cache it. Ranges are decoded only
 // to heal an uncorrectably corrupt base from a differential that covers the
 // damage. ReadPage wraps them in its two single-page reads; ReadBatch in
 // its two device batches.
@@ -88,8 +88,8 @@
 //	    several channels locks them in ascending index order;
 //	  - the mapTable owns the mapping state (ppmt, time stamps, vdct,
 //	    reverseBase) behind its own RWMutex plus a per-pid version counter;
-//	  - the differential-page cache (see diffCache) has the innermost
-//	    mutex, only ever taken last.
+//	  - the differential cache (see diffCache) has the innermost mutex, only
+//	    ever taken last.
 //
 // Reads take NO store-level lock over the device: ReadPage snapshots the
 // pid's mapping entry with its version, reads the flash pages it points
@@ -169,15 +169,16 @@ type Options struct {
 	// paper's serial single-scan. The recovered state is identical for
 	// every worker count.
 	RecoveryWorkers int
-	// DiffCachePages bounds the differential-page cache: the number of
-	// differential pages whose images (the used record prefix, as it is
-	// in flash) are kept in DRAM, so hot reads of diff-bearing pages cost
-	// one flash read plus a map lookup instead of two serial flash reads.
-	// The cache holds at most DiffCachePages x page size bytes. Zero
-	// means a default of 256 pages (at most 512 KB of 2 KB pages);
-	// DiffCacheOff disables the cache, restoring the paper's two-read
-	// PDL_Reading exactly. The cache is pure DRAM state — never persisted
-	// — so recovery is identical with and without it.
+	// DiffCachePages bounds the differential cache, as a byte budget of
+	// DiffCachePages x page size: the cache keeps each logical page's
+	// newest flushed differential record (as it is in flash) in DRAM, so
+	// reads of diff-bearing pages cost one flash read plus a table lookup
+	// instead of two serial flash reads, and everything it allocates —
+	// records and index — stays inside the budget. Zero means a default
+	// of 256 pages' worth (512 KB of 2 KB pages); DiffCacheOff disables
+	// the cache, restoring the paper's two-read PDL_Reading exactly. The
+	// cache is pure DRAM state — never persisted — so recovery is
+	// identical with and without it.
 	DiffCachePages int
 	// Adaptive configures per-page adaptive routing between the
 	// differential (PDL) and whole-page (OPU) routes; see adaptive.go.
@@ -191,11 +192,11 @@ type Options struct {
 	DisableVerify bool
 }
 
-// DiffCacheOff disables the differential-page cache when assigned to
+// DiffCacheOff disables the differential cache when assigned to
 // Options.DiffCachePages.
 const DiffCacheOff = -1
 
-// defaultDiffCachePages is the differential-page cache bound used when
+// defaultDiffCachePages is the differential cache bound used when
 // Options.DiffCachePages is zero.
 const defaultDiffCachePages = 256
 
@@ -272,8 +273,8 @@ type Store struct {
 	// spares pools spare-area scratch buffers for the verifying read
 	// paths (the write paths use the per-channel spareBuf instead).
 	spares bufPool
-	// dcache is the differential-page cache (nil when disabled); its
-	// coherence protocol is documented on the type.
+	// dcache is the differential cache (nil when disabled); its coherence
+	// rule is documented on the type.
 	dcache *diffCache
 
 	// gcEng is the background garbage-collection engine — one collection
@@ -328,10 +329,17 @@ type Telemetry struct {
 	// width the device saw (pages per program operation).
 	BatchedPages int64
 	// DiffCacheHits counts reads of diff-bearing pages served from the
-	// differential-page cache (one flash read instead of two), and
-	// DiffCacheMisses those that had to read the differential page.
-	// Both stay zero when the cache is disabled.
+	// differential cache (one flash read instead of two), and
+	// DiffCacheMisses the differential-page flash reads of the others (a
+	// page one ReadBatch reads for several pids is one miss; the further
+	// pids count as hits). Both stay zero when the cache is disabled.
 	DiffCacheHits, DiffCacheMisses int64
+	// BaseReads, DiffReads, WriteBaseReads, GCReads and RecoverReads
+	// attribute every flash page the store read: base and differential
+	// pages for PDL_Reading, the base page PDL_Writing step 1 compares a
+	// write with, relocation reads of garbage collection, and recovery and
+	// checkpoint scans. They sum to the device's read count.
+	BaseReads, DiffReads, WriteBaseReads, GCReads, RecoverReads int64
 	// ReadRetries counts optimistic read-path retries: a garbage-collection
 	// relocation or a flush moved the pid's mapping mid-read.
 	ReadRetries int64
@@ -361,7 +369,7 @@ type Telemetry struct {
 	EccCorrectedBits int64
 	// PagesHealed counts reads of uncorrectably corrupt pages that were
 	// served by self-healing: the content was rebuilt from a redundant
-	// source (differential chain, differential-page cache, or shard
+	// source (differential chain, differential cache, or shard
 	// write buffer) instead of failing the read.
 	PagesHealed int64
 	// UnrecoverablePages counts reads that found uncorrectable corruption
@@ -418,6 +426,10 @@ type readTelemetry struct {
 	diffCacheHits, diffCacheMisses atomic.Int64
 	readRetries                    atomic.Int64
 	batchReads, batchedReads       atomic.Int64
+	// The flash pages read, by what they were read for (countReads). Garbage
+	// collection and recovery bump theirs under locks; they live here with
+	// the other counters of the raw-read funnels.
+	baseReads, diffReads, writeBaseReads, gcReads, recoverReads atomic.Int64
 }
 
 // writeTelemetry is the write-path counters. Each is bumped under SOME
@@ -512,7 +524,7 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		s.adap.halfBlock = uint32(p.PagesPerBlock) / 2
 	}
 	if cachePages > 0 {
-		s.dcache = newDiffCache(cachePages)
+		s.dcache = newDiffCache(cachePages*p.DataSize, numPages, p.DataSize)
 	}
 	for i := range s.shards {
 		s.shards[i].dwb.init(p.DataSize)
@@ -756,7 +768,7 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 }
 
 // ReadPage implements ftl.Method with the PDL_Reading algorithm (Figure 9):
-// read the base page, find the differential (write buffer, cached image,
+// read the base page, find the differential (write buffer, cached record,
 // then the differential page), and merge. The whole read path runs without
 // the flash lock: concurrent readers proceed in parallel on the device, and
 // a racing garbage-collection relocation or flush is detected by the
@@ -787,11 +799,11 @@ func (s *Store) ReadPage(pid uint32, buf []byte) error {
 //
 //pdlvet:holds shard
 func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
-	r.e, r.v = s.mt.snapshot(r.pid)
+	r.e, r.ts, r.v = s.mt.snapshot(r.pid)
 	if r.e.base == flash.NilPPN {
 		return false, fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
 	}
-	stable, bad, err := s.verifiedReadStable(r.e.base, r.buf, r.pid, r.v)
+	stable, bad, err := s.verifiedReadStable(readBase, r.e.base, r.buf, r.pid, r.v)
 	if !stable {
 		return true, nil // relocated mid-read; retry on the new mapping
 	}
@@ -799,14 +811,13 @@ func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
 		return false, fmt.Errorf("core: reading base page of pid %d: %w", r.pid, err)
 	}
 	r.bad = bad
-	need, retry, err := s.resolveDiff(sh, r)
+	need, err := s.resolveDiff(sh, r)
 	if need == flash.NilPPN {
-		return retry, err
+		return false, err
 	}
-	gen := s.dcache.genSnapshot()
 	scratch := s.getPage()
 	defer s.putPage(scratch)
-	stable, bad, err = s.verifiedReadStable(need, scratch, r.pid, r.v)
+	stable, bad, err = s.verifiedReadStable(readDiff, need, scratch, r.pid, r.v)
 	if !stable {
 		return true, nil // compacted mid-read; retry (base may have moved too)
 	}
@@ -816,7 +827,9 @@ func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
 	if len(bad) > 0 {
 		return false, s.corruptDiff(r)
 	}
-	s.cachePage(need, scratch, gen)
+	if s.dcache != nil {
+		s.rtel.diffCacheMisses.Add(1)
+	}
 	return false, s.applyFromPage(scratch, r)
 }
 
@@ -876,14 +889,9 @@ func (s *Store) Flush() error {
 //
 //pdlvet:holds flash,channel
 func (s *Store) releaseDiffPage(dp flash.PPN, ch int) {
-	if !s.mt.decDiffCount(dp) {
-		return
+	if s.mt.decDiffCount(dp) {
+		s.alloc.NoteObsoleteFrom(dp, ch)
 	}
-	// The page died: no mapping points at it anymore, so its cached
-	// image can never be consulted again — drop it from the cache
-	// before the allocator can reclaim and reuse the PPN.
-	s.dcache.invalidate(dp)
-	s.alloc.NoteObsoleteFrom(dp, ch)
 }
 
 // WriteBufferBytes returns the used bytes of the differential write buffer,
@@ -947,6 +955,11 @@ func (s *Store) Telemetry() Telemetry {
 	t.ReadRetries = s.rtel.readRetries.Load()
 	t.BatchReads = s.rtel.batchReads.Load()
 	t.BatchedReads = s.rtel.batchedReads.Load()
+	t.BaseReads = s.rtel.baseReads.Load()
+	t.DiffReads = s.rtel.diffReads.Load()
+	t.WriteBaseReads = s.rtel.writeBaseReads.Load()
+	t.GCReads = s.rtel.gcReads.Load()
+	t.RecoverReads = s.rtel.recoverReads.Load()
 	t.LogicalWrites = s.wtel.logicalWrites.Load()
 	t.AdaptivePDLRoutes = s.wtel.pdlRoutes.Load()
 	t.AdaptiveOPURoutes = s.wtel.opuRoutes.Load()
@@ -959,9 +972,9 @@ func (s *Store) Telemetry() Telemetry {
 	return t
 }
 
-// DiffCacheLen returns the number of differential pages currently held by
-// the differential-page cache (0 when disabled); for tests and tooling.
+// DiffCacheLen returns the number of differential records currently held by
+// the differential cache (0 when disabled); for tests and tooling.
 func (s *Store) DiffCacheLen() int { return s.dcache.len() }
 
-// DiffCacheEnabled reports whether the differential-page cache is on.
+// DiffCacheEnabled reports whether the differential cache is on.
 func (s *Store) DiffCacheEnabled() bool { return s.dcache != nil }

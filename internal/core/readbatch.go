@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -13,70 +12,67 @@ import (
 var _ ftl.BatchReader = (*Store)(nil)
 
 // pageRead is one logical page being recreated (PDL_Reading, Figure 9):
-// the pid, the mapping snapshot e at version v the current attempt reads
-// against, the caller's buffer — holding the base page image once it is
-// read — and the base page's uncorrectable sectors (nil when clean).
+// the pid, the mapping snapshot the current attempt reads against — entry e
+// and the time stamp ts of its differential, at version v — the caller's
+// buffer, holding the base page image once it is read, and the base page's
+// uncorrectable sectors (nil when clean).
 type pageRead struct {
-	pid uint32
-	e   pageEntry
-	v   uint64
-	buf []byte
-	bad []int
+	pid   uint32
+	e     pageEntry
+	ts, v uint64
+	buf   []byte
+	bad   []int
 }
 
 // resolveDiff finds the differential of r.pid without touching flash, given
 // its base image in r.buf: the shard write buffer first, then the
-// differential-page cache. It returns with r.buf complete (need is
-// NilPPN), or asks for a retry because the mapping moved, or names the
-// differential page need that has to be read and handed to applyFromPage.
-// The shard lock the caller holds (shared or exclusive) keeps the write
-// buffer stable: flushes take it exclusively.
+// differential cache. It returns with r.buf complete (need is NilPPN), or
+// names the differential page need that has to be read and handed to
+// applyFromPage. The shard lock the caller holds (shared or exclusive)
+// keeps the write buffer stable: flushes take it exclusively.
+//
+// A cache hit saves the second flash read and needs no stability re-check:
+// the record is named by the time stamp snapshotted with the base page's
+// address, and the base image under r.buf was checked against that snapshot
+// when it was read, so the two are one version of the page wherever the
+// mapping has moved since.
 //
 //pdlvet:holds shard
-func (s *Store) resolveDiff(sh *shard, r *pageRead) (need flash.PPN, retry bool, err error) {
+func (s *Store) resolveDiff(sh *shard, r *pageRead) (need flash.PPN, err error) {
 	if d, ok := sh.dwb.get(r.pid); ok {
-		return flash.NilPPN, false, s.applyDiff(r, d, false)
+		return flash.NilPPN, s.applyDiff(r, d, false)
 	}
 	if r.e.dif == flash.NilPPN {
 		if len(r.bad) > 0 {
-			return flash.NilPPN, false, s.corruptBase(r)
+			return flash.NilPPN, s.corruptBase(r)
 		}
-		return flash.NilPPN, false, nil // no differential page; the base page is current
+		return flash.NilPPN, nil // no differential page; the base page is current
 	}
-	// A cache hit saves the second flash read. The stability re-check pins
-	// the hit to the snapshot — a passing check proves r.e.dif is still
-	// pid's differential page, and the coherence protocol (see diffCache)
-	// guarantees a present entry always matches its PPN's current content.
-	img, ok := s.dcache.get(r.e.dif)
-	if !ok {
-		return r.e.dif, false, nil
+	var hit bool
+	if len(r.bad) == 0 {
+		hit, err = s.dcache.merge(r.pid, r.ts, r.buf)
+	} else if s.dcache != nil {
+		// Healing decodes the record and may commit a new base page: on a
+		// copy, outside the cache's lock.
+		scratch := s.getPage()
+		defer s.putPage(scratch)
+		var rec []byte
+		if rec, hit = s.dcache.copyOut(r.pid, r.ts, scratch[:0]); hit {
+			err = s.applyRecord(rec, r)
+		}
 	}
-	if !s.mt.stable(r.pid, r.v) {
-		return flash.NilPPN, true, nil
+	if !hit {
+		return r.e.dif, nil
 	}
 	s.rtel.diffCacheHits.Add(1)
-	return flash.NilPPN, false, s.applyFromPage(img, r)
+	return flash.NilPPN, err
 }
 
-// cachePage caches a verified differential page image — the page's other
-// records belong to other (likely hot) pids — as a copy of its used record
-// prefix; page itself is a pooled scratch. The insert is fenced by gen,
-// taken before the flash read, so the image of a page that died mid-flight
-// is dropped. A no-op with the cache off.
-func (s *Store) cachePage(ppn flash.PPN, page []byte, gen uint64) {
-	if s.dcache == nil {
-		return
-	}
-	s.rtel.diffCacheMisses.Add(1)
-	s.dcache.put(ppn, bytes.Clone(page[:diff.UsedPrefix(page)]), gen)
-}
-
-// applyFromPage merges r.pid's newest differential onto r.buf straight from
-// the wire form of its differential page — a freshly read page or a cached
-// image alike — so no record is decoded or copied. Only a corrupt base
-// decodes the one record, because healing needs its ranges. A stable
-// mapping that points at a page without a record for pid is a broken
-// invariant, reported as corruption.
+// applyFromPage merges r.pid's differential onto r.buf straight from the
+// wire form of its differential page, verified and read under a mapping
+// that stayed stable, and caches the record. A stable mapping that points
+// at a page whose newest record for pid is missing, or is not the one the
+// mapping's time stamp names, is a broken invariant, reported as corruption.
 //
 //pdlvet:holds shard
 func (s *Store) applyFromPage(page []byte, r *pageRead) error {
@@ -84,6 +80,19 @@ func (s *Store) applyFromPage(page []byte, r *pageRead) error {
 	if !ok {
 		return fmt.Errorf("core: differential of pid %d missing from differential page %d", r.pid, r.e.dif)
 	}
+	if _, ts := diff.RecordKey(rec); ts != r.ts {
+		return fmt.Errorf("core: differential page %d holds time stamp %d for pid %d, the mapping says %d", r.e.dif, ts, r.pid, r.ts)
+	}
+	s.dcache.putRead(rec)
+	return s.applyRecord(rec, r)
+}
+
+// applyRecord merges rec, r.pid's differential in wire form, onto r.buf
+// without decoding or copying it. Only a corrupt base decodes the record,
+// because healing needs its ranges.
+//
+//pdlvet:holds shard
+func (s *Store) applyRecord(rec []byte, r *pageRead) error {
 	if len(r.bad) == 0 {
 		return diff.ApplyRecord(rec, r.buf)
 	}
@@ -128,8 +137,8 @@ func (s *Store) applyDiff(r *pageRead, d diff.Differential, flushed bool) error 
 // corruptBase and corruptDiff are the integrity contract's terminal case:
 // uncorrectable corruption with no surviving redundant source. A corrupt
 // differential page has none left by construction — the write buffer and
-// the page cache were consulted before the flash read — and with the
-// base corrupt too the failure is no longer single-page.
+// the differential cache were consulted before the flash read — and with
+// the base corrupt too the failure is no longer single-page.
 func (s *Store) corruptBase(r *pageRead) error {
 	s.itel.unrecoverablePages.Add(1)
 	return &ftl.PageError{PID: r.pid, PPN: r.e.base, Kind: ftl.CorruptBase}
@@ -226,20 +235,19 @@ func (s *Store) readRound(todo []pageRead) (retry []pageRead, err error) {
 	batch := make([]flash.PageRead, len(todo))
 	for k := range todo {
 		r := &todo[k]
-		r.e, r.v = s.mt.snapshot(r.pid)
+		r.e, r.ts, r.v = s.mt.snapshot(r.pid)
 		if r.e.base == flash.NilPPN {
 			return nil, fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
 		}
 		batch[k] = flash.PageRead{PPN: r.e.base, Data: r.buf}
 	}
 	defer s.putVerifySpares(batch)
-	if err := s.verifiedReadBatch(batch); err != nil {
+	if err := s.verifiedReadBatch(readBase, batch); err != nil {
 		return nil, fmt.Errorf("core: batch-reading %d base pages: %w", len(batch), err)
 	}
 
 	// Step 2: resolve each pid's differential; whatever still needs
 	// flash is grouped by differential page so each page is read once.
-	gen := s.dcache.genSnapshot()
 	difFor := make(map[flash.PPN][]pageRead)
 	var dbatch []flash.PageRead
 	defer func() {
@@ -254,12 +262,10 @@ func (s *Store) readRound(todo []pageRead) (retry []pageRead, err error) {
 			continue
 		}
 		r.bad = s.verifyRead(batch[k])
-		need, again, err := s.resolveDiff(s.shardOf(r.pid), &r)
+		need, err := s.resolveDiff(s.shardOf(r.pid), &r)
 		switch {
 		case err != nil:
 			return nil, err
-		case again:
-			retry = append(retry, r)
 		case need != flash.NilPPN:
 			if difFor[need] == nil {
 				dbatch = append(dbatch, flash.PageRead{PPN: need, Data: s.getPage()})
@@ -269,15 +275,14 @@ func (s *Store) readRound(todo []pageRead) (retry []pageRead, err error) {
 	}
 
 	// Step 3: one device batch for the differential pages, then merge.
-	if err := s.verifiedReadBatch(dbatch); err != nil {
+	if err := s.verifiedReadBatch(readDiff, dbatch); err != nil {
 		return nil, fmt.Errorf("core: batch-reading %d differential pages: %w", len(dbatch), err)
 	}
 	for _, pr := range dbatch {
 		// The first pid still stable proves the bytes read were the live
 		// differential page: only then is the page verified (a corrupt
-		// image must never reach the cache) and cached, once. That insert
-		// is one miss; further pids it serves count as hits, exactly what
-		// serial ReadPage calls would report.
+		// record must never reach the cache), once. That flash read is one
+		// miss; the further pids it serves count as hits.
 		checked := false
 		for _, r := range difFor[pr.PPN] {
 			if !s.mt.stable(r.pid, r.v) {
@@ -289,7 +294,9 @@ func (s *Store) readRound(todo []pageRead) (retry []pageRead, err error) {
 				if len(s.verifyRead(pr)) > 0 {
 					return nil, s.corruptDiff(&r)
 				}
-				s.cachePage(pr.PPN, pr.Data, gen)
+				if s.dcache != nil {
+					s.rtel.diffCacheMisses.Add(1)
+				}
 			} else if s.dcache != nil {
 				s.rtel.diffCacheHits.Add(1)
 			}

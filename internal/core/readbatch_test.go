@@ -1,11 +1,11 @@
 package core
 
-// Tests for the batch-first, cache-aware read path: the decoded-
-// differential cache must turn the second flash read of a hot diff-bearing
-// page into a map lookup, must be invalidated at every point a
-// differential page dies or moves, must never survive into recovery, and
-// the whole read path must stay correct under concurrent batched writes
-// and background garbage collection (run with -race).
+// Tests for the batch-first, cache-aware read path: the differential cache
+// must turn the second flash read of a diff-bearing page into a table
+// lookup, must never serve a superseded record wherever differential pages
+// die or move, must never survive into recovery, and the whole read path
+// must stay correct under concurrent batched writes and background garbage
+// collection (run with -race).
 
 import (
 	"bytes"
@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"pdl/internal/diff"
 	"pdl/internal/flash"
 	"pdl/internal/ftl"
 	"pdl/internal/ftltest"
@@ -54,54 +53,70 @@ func diffStore(t *testing.T, opts Options, numBlocks, numPages int) (*Store, *fl
 	return s, chip, shadow
 }
 
+// coldStore recovers a second store over s's flash: the same mappings, an
+// empty differential cache.
+func coldStore(t *testing.T, chip *flash.Chip, numPages int, opts Options) *Store {
+	t.Helper()
+	s, err := Recover(chip, numPages, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 func TestDiffCacheCutsSecondRead(t *testing.T) {
-	s, chip, shadow := diffStore(t, Options{MaxDifferentialSize: 128}, 16, 24)
-	size := chip.Params().DataSize
-	buf := make([]byte, size)
-
-	// Cold read: base page + differential page = 2 device reads, one miss.
-	chip.ResetStats()
-	if err := s.ReadPage(3, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, shadow[3]) {
-		t.Fatal("cold read returned wrong content")
-	}
-	if got := chip.Stats().Reads; got != 2 {
-		t.Errorf("cold read cost %d device reads, want 2", got)
-	}
-	tel := s.Telemetry()
-	if tel.DiffCacheMisses != 1 || tel.DiffCacheHits != 0 {
-		t.Errorf("after cold read: hits=%d misses=%d, want 0/1", tel.DiffCacheHits, tel.DiffCacheMisses)
+	opts := Options{MaxDifferentialSize: 128}
+	warm, chip, shadow := diffStore(t, opts, 16, 24)
+	buf := make([]byte, chip.Params().DataSize)
+	// read reads pid through s and returns what it cost the device.
+	read := func(s *Store, pid uint32) int64 {
+		t.Helper()
+		chip.ResetStats()
+		if err := s.ReadPage(pid, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, shadow[pid]) {
+			t.Fatalf("pid %d read returned wrong content", pid)
+		}
+		return chip.Stats().Reads
 	}
 
-	// Hot read: the differential page's decode is cached = 1 device read.
-	chip.ResetStats()
-	if err := s.ReadPage(3, buf); err != nil {
-		t.Fatal(err)
+	// Write-through: the flush cached every record it programmed, so the
+	// store that wrote them never pays the second read.
+	if got := read(warm, 3); got != 1 {
+		t.Errorf("first read after the flush cost %d device reads, want 1", got)
 	}
-	if !bytes.Equal(buf, shadow[3]) {
-		t.Fatal("hot read returned wrong content")
+	if tel := warm.Telemetry(); tel.DiffCacheMisses != 0 || tel.DiffCacheHits != 1 {
+		t.Errorf("after the write-through read: hits=%d misses=%d, want 1/0", tel.DiffCacheHits, tel.DiffCacheMisses)
 	}
-	if got := chip.Stats().Reads; got != 1 {
+
+	// Cold reads: base page + differential page = 2 device reads, one miss.
+	// The first miss only flags the pid, the second caches its record.
+	s := coldStore(t, chip, 24, opts)
+	if first, second := read(s, 3), read(s, 3); first != 2 || second != 2 {
+		t.Errorf("cold reads cost %d and %d device reads, want 2 and 2", first, second)
+	}
+	if tel := s.Telemetry(); tel.DiffCacheMisses != 2 || tel.DiffCacheHits != 0 {
+		t.Errorf("after the cold reads: hits=%d misses=%d, want 0/2", tel.DiffCacheHits, tel.DiffCacheMisses)
+	}
+	// Hot read: the record is cached = 1 device read.
+	if got := read(s, 3); got != 1 {
 		t.Errorf("hot read cost %d device reads, want 1", got)
 	}
 	if tel := s.Telemetry(); tel.DiffCacheHits != 1 {
 		t.Errorf("after hot read: hits=%d, want 1", tel.DiffCacheHits)
 	}
-
-	// A pid sharing the same differential page hits without ever missing:
-	// the miss decoded the whole page. With one shard, all flushed pids
-	// share one differential page.
-	chip.ResetStats()
-	if err := s.ReadPage(4, buf); err != nil {
-		t.Fatal(err)
+	// The misses cached the one record they asked for: a pid sharing the
+	// differential page (with one shard, all flushed pids do) pays its own.
+	if entryOf(s, 4).dif != entryOf(s, 3).dif {
+		t.Fatal("pids 3 and 4 do not share a differential page")
 	}
-	if !bytes.Equal(buf, shadow[4]) {
-		t.Fatal("sibling read returned wrong content")
+	if a, b, c := read(s, 4), read(s, 4), read(s, 4); a != 2 || b != 2 || c != 1 {
+		t.Errorf("sibling reads cost %d, %d, %d device reads, want 2, 2, 1", a, b, c)
 	}
-	if got := chip.Stats().Reads; got != 1 {
-		t.Errorf("sibling hot read cost %d device reads, want 1", got)
+	if got := s.DiffCacheLen(); got != 2 {
+		t.Errorf("cache holds %d records, want 2", got)
 	}
 }
 
@@ -129,19 +144,19 @@ func TestDiffCacheOffRestoresTwoReads(t *testing.T) {
 }
 
 func TestDiffCacheInvalidatedOnSupersede(t *testing.T) {
-	// A new flush that supersedes a pid's differential releases the old
-	// differential page when its count drains; the cached decode must die
-	// with it, and subsequent reads must see the new differential.
+	// A new flush supersedes every pid's differential. Nothing tells the
+	// cache: the old records simply stop matching the mapping's time stamps,
+	// the new ones replace them pid by pid, and reads see the new content.
 	s, chip, shadow := diffStore(t, Options{MaxDifferentialSize: 256}, 16, 8)
 	size := chip.Params().DataSize
 	buf := make([]byte, size)
 	for pid := range shadow {
-		if err := s.ReadPage(uint32(pid), buf); err != nil { // populate the cache
+		if err := s.ReadPage(uint32(pid), buf); err != nil { // flag every record hit
 			t.Fatal(err)
 		}
 	}
-	if s.DiffCacheLen() == 0 {
-		t.Fatal("cache empty after diff-bearing reads")
+	if got := s.DiffCacheLen(); got != len(shadow) {
+		t.Fatalf("cache holds %d records after the flush, want %d", got, len(shadow))
 	}
 	// Supersede every pid's differential: new small updates + flush drain
 	// the old differential page's count to zero, releasing it.
@@ -156,9 +171,10 @@ func TestDiffCacheInvalidatedOnSupersede(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.DiffCacheLen(), s.ValidDifferentialPages(); got > want {
-		t.Errorf("cache holds %d pages, only %d differential pages are live (stale entries survived release)", got, want)
+	if got := s.DiffCacheLen(); got != len(shadow) {
+		t.Errorf("cache holds %d records, want one per pid (%d)", got, len(shadow))
 	}
+	chip.ResetStats()
 	for pid := range shadow {
 		if err := s.ReadPage(uint32(pid), buf); err != nil {
 			t.Fatal(err)
@@ -166,6 +182,9 @@ func TestDiffCacheInvalidatedOnSupersede(t *testing.T) {
 		if !bytes.Equal(buf, shadow[pid]) {
 			t.Fatalf("pid %d: stale content after supersede", pid)
 		}
+	}
+	if got, want := chip.Stats().Reads, int64(len(shadow)); got != want {
+		t.Errorf("reading %d superseded pids cost %d device reads, want one each", want, got)
 	}
 }
 
@@ -216,7 +235,9 @@ func TestDiffCacheCoherentAcrossGC(t *testing.T) {
 }
 
 func TestReadBatchTelemetryAndDedup(t *testing.T) {
-	s, chip, shadow := diffStore(t, Options{MaxDifferentialSize: 128}, 16, 24)
+	opts := Options{MaxDifferentialSize: 128}
+	_, chip, shadow := diffStore(t, opts, 16, 24)
+	s := coldStore(t, chip, 24, opts)
 	size := chip.Params().DataSize
 	pids := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
 	bufs := make([][]byte, len(pids))
@@ -245,15 +266,25 @@ func TestReadBatchTelemetryAndDedup(t *testing.T) {
 	if tel.BatchedReads != int64(len(pids))+1 {
 		t.Errorf("BatchedReads = %d, want %d", tel.BatchedReads, len(pids)+1)
 	}
-
-	// A second batch over the same pids hits the cache: no diff batch at
-	// all, exactly one base read per pid.
-	chip.ResetStats()
-	if err := s.ReadBatch(pids, bufs); err != nil {
-		t.Fatal(err)
+	// That one physical read is one miss; the other pids it served are hits.
+	if tel.DiffCacheMisses != 1 || tel.DiffCacheHits != int64(len(pids))-1 {
+		t.Errorf("cold batch: hits=%d misses=%d, want %d/1", tel.DiffCacheHits, tel.DiffCacheMisses, len(pids)-1)
 	}
-	if got, want := chip.Stats().Reads, int64(len(pids)); got != want {
-		t.Errorf("hot batch cost %d device reads, want %d", got, want)
+
+	// The second batch over the same pids misses once more and caches every
+	// record it asked for; the third hits: no diff batch at all, exactly one
+	// base read per pid.
+	for _, want := range []int64{int64(len(pids)) + 1, int64(len(pids))} {
+		chip.ResetStats()
+		if err := s.ReadBatch(pids, bufs); err != nil {
+			t.Fatal(err)
+		}
+		if got := chip.Stats().Reads; got != want {
+			t.Errorf("repeated batch cost %d device reads, want %d", got, want)
+		}
+	}
+	if got := s.DiffCacheLen(); got != len(pids) {
+		t.Errorf("cache holds %d records, want %d", got, len(pids))
 	}
 }
 
@@ -379,52 +410,6 @@ func TestConcurrentReadBatchWriteBatchGC(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestDiffCachePerPPNInsertFence pins the fence granularity: an insert is
-// dropped only when its own PPN was invalidated since the snapshot (or
-// the snapshot predates the retained history) — invalidations of other
-// pages, which track every spill and GC increment, must not suppress it.
-func TestDiffCachePerPPNInsertFence(t *testing.T) {
-	c := newDiffCache(8)
-	recs := diff.Differential{PID: 1, TS: 1}.AppendTo(nil)
-
-	// Unrelated invalidation between snapshot and insert: insert lands.
-	g := c.genSnapshot()
-	c.invalidate(99)
-	c.put(7, recs, g)
-	if _, ok := c.get(7); !ok {
-		t.Error("insert dropped by an unrelated PPN's invalidation")
-	}
-
-	// Same-PPN invalidation between snapshot and insert: insert dropped.
-	g = c.genSnapshot()
-	c.invalidate(7)
-	c.put(7, recs, g)
-	if _, ok := c.get(7); ok {
-		t.Error("insert survived its own PPN's invalidation")
-	}
-
-	// A snapshot older than the whole retained window: dropped even
-	// though this PPN was never invalidated within it.
-	g = c.genSnapshot()
-	for i := 0; i < invalWindow+1; i++ {
-		c.invalidate(flash.PPN(1000 + i))
-	}
-	c.put(8, recs, g)
-	if _, ok := c.get(8); ok {
-		t.Error("insert with a pre-history snapshot accepted")
-	}
-	if n := len(c.inval); n > invalWindow+1 {
-		t.Errorf("invalidation history holds %d entries, want <= %d", n, invalWindow+1)
-	}
-
-	// A fresh snapshot after all that churn works normally again.
-	g = c.genSnapshot()
-	c.put(8, recs, g)
-	if _, ok := c.get(8); !ok {
-		t.Error("insert with a current snapshot dropped")
 	}
 }
 

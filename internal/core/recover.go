@@ -310,7 +310,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 			// One charged device read fetches both areas: the data area is
 			// needed anyway for torn-page detection, differential decoding,
 			// and ECC verification.
-			if err := s.scanRead(ppn, data, spare); err != nil {
+			if err := s.scanRead(readRecover, ppn, data, spare); err != nil {
 				return fmt.Errorf("core: recovery scan of ppn %d: %w", ppn, err)
 			}
 			h := ftl.DecodeHeader(spare)

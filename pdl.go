@@ -74,15 +74,19 @@
 //	bufs := [][]byte{p1, p9, p42} // page-sized buffers
 //	err := store.ReadBatch(pids, bufs)
 //
-// A Store also keeps a differential-page cache (Options.DiffCachePages;
-// DiffCacheOff disables it): the images of hot differential pages stay in
-// DRAM as they are in flash, at most DiffCachePages x page size bytes, so
-// a hot read of a diff-bearing page costs one flash read plus a map lookup
-// instead of the paper's two serial flash reads. Hit or miss, a read merges
-// its record straight from the page's wire form; nothing is decoded to be
-// read. The cache is pure DRAM state, invalidated wherever a
-// differential page dies or moves, and never survives a restart — so
-// recovery is byte-identical with the cache on or off.
+// A Store also keeps a differential cache (Options.DiffCachePages, a byte
+// budget of that many pages; DiffCacheOff disables it): each logical page's
+// newest flushed differential record stays in DRAM as it is in flash —
+// records and index together inside DiffCachePages x page size bytes — so a
+// read of a diff-bearing page whose record is cached costs one flash read
+// plus a table lookup instead of the paper's two serial flash reads. The
+// cache is filled as differential pages are written and as reads miss, and
+// Store.DiffCacheLen counts the records it holds. Hit or miss, a read merges
+// its record straight from the wire form; nothing is decoded to be read. A
+// record is valid by its creation time stamp alone, so nothing is
+// invalidated when garbage collection moves or erases differential pages.
+// The cache is pure DRAM state and never survives a restart — so recovery
+// is byte-identical with the cache on or off.
 //
 // Pool.GetMany faults a group of pages through ReadBatch when the method
 // supports it (Pool.Readahead prefetches speculatively the same way), and
@@ -252,9 +256,9 @@ type PageProgram = flash.PageProgram
 // PageRead is one physical page of a Device.ReadBatch.
 type PageRead = flash.PageRead
 
-// DiffCacheOff disables the Store's differential-page cache when
-// assigned to Options.DiffCachePages, restoring the paper's two-read
-// PDL_Reading exactly.
+// DiffCacheOff disables the Store's differential cache when assigned to
+// Options.DiffCachePages, restoring the paper's two-read PDL_Reading
+// exactly.
 const DiffCacheOff = core.DiffCacheOff
 
 // Errors shared by all methods.
