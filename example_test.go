@@ -7,9 +7,10 @@ import (
 	"pdl"
 )
 
-// Example demonstrates the core loop: a small update costs PDL one
-// base-page read and no program at all until the differential write
-// buffer fills.
+// Example demonstrates the core loop: a small update costs PDL the one
+// flash read that recreates the page (the write diffs against the base
+// image that read has just fetched) and no program at all until the
+// differential write buffer fills.
 func Example() {
 	chip := pdl.NewChip(pdl.ScaledFlashParams(32))
 	store, err := pdl.Open(chip, 256, pdl.Options{MaxDifferentialSize: 256})
@@ -42,7 +43,7 @@ func Example() {
 	}
 	fmt.Printf("content: %s\n", page[:11])
 	// Output:
-	// small update: 2 reads, 0 writes
+	// small update: 1 reads, 0 writes
 	// content: HELLO flash
 }
 

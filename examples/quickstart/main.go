@@ -53,7 +53,7 @@ func main() {
 	if err := store.WritePage(7, page); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("one small update: %v  <- recreate + base-page read; zero writes (differential buffered)\n", chip.Stats())
+	fmt.Printf("one small update: %v  <- recreate; the write diffs against the base image just read; zero writes (differential buffered)\n", chip.Stats())
 
 	// The differential write buffer persists on Flush (write-through).
 	chip.ResetStats()

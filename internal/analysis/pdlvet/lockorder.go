@@ -12,9 +12,10 @@ import (
 //
 //	kv > shard > flash > channel > bus > maptable > dcache
 //
-// (README "Architecture"): acquiring an outer lock while an inner one
-// is held — directly or by calling a same-package function that may
-// acquire one — re-acquiring a class already held, multi-instance
+// (README "Architecture"; dcache is the leaf class, the differential
+// cache's mutex and the retained base images'): acquiring an outer lock
+// while an inner one is held — directly or by calling a same-package
+// function that may acquire one — re-acquiring a class already held, multi-instance
 // (kv bucket, shard, flash channel) acquisitions whose index order
 // cannot be proven ascending, locks still held at a return without a
 // deferred or explicit unlock, and calls into functions that declare
@@ -25,10 +26,14 @@ import (
 // definition site cannot see.
 var LockOrder = &vetkit.Analyzer{
 	Name: "lockorder",
-	Doc: "check lock acquisitions against the kv > shard > flash > channel > bus > maptable > dcache hierarchy,\n" +
+	Doc: "check lock acquisitions against the " + lockHierarchy + " hierarchy,\n" +
 		"ascending bucket/shard/channel-lock order, unlock-on-return discipline, and //pdlvet:holds declarations",
 	Run: runLockOrder,
 }
+
+// lockHierarchy spells the hierarchy in diagnostics, outermost first. The
+// leaf class is written with both its members.
+const lockHierarchy = "kv > shard > flash > channel > bus > maptable > dcache (diff cache, base images)"
 
 func runLockOrder(pass *vetkit.Pass) error {
 	sums := summarize(pass)
@@ -49,8 +54,8 @@ func checkLockOrder(pass *vetkit.Pass, decl *ast.FuncDecl, sums map[types.Object
 		onAcquire: func(t *tracker, call *ast.CallExpr, op lockOp, before lockSet) {
 			if r, c := before.maxRank(); r > op.class.rank() {
 				pass.Reportf(call.Pos(),
-					"acquiring the %s lock while holding the %s lock inverts the lock hierarchy (kv > shard > flash > channel > bus > maptable > dcache)",
-					op.class, c)
+					"acquiring the %s lock while holding the %s lock inverts the lock hierarchy (%s)",
+					op.class, c, lockHierarchy)
 				return
 			}
 			held, already := before[op.class]

@@ -19,7 +19,7 @@ import (
 // lockClass identifies one lock of the documented hierarchy
 // (README "Architecture", core package comment):
 //
-//	kv bucket lock > shard lock > flash lock > channel lock > device bus lock > mapTable lock > diff-cache lock
+//	kv bucket lock > shard lock > flash lock > channel lock > device bus lock > mapTable lock > diff-cache lock, base-image lock
 //
 // The kv bucket locks are the serving layer's outermost tier: a bucket
 // operation faults pages through its pool, which re-enters the engine
@@ -31,7 +31,10 @@ import (
 // (flash.Chip.mu, filedev.Device.mu) sit between the channel lock and
 // the mapTable lock: programs run under the channel lock and every
 // mapping commit happens after the device call returns, never inside
-// it.
+// it. The innermost class has two members, the differential cache's
+// mutex and the retained base images' (core.diffCache.mu,
+// core.baseImages.mu): both are leaves, and being one class they are
+// never held together.
 type lockClass int
 
 const (
@@ -99,6 +102,7 @@ var lockModel = map[[2]string]lockClass{
 	{"Device", "mu"}:     classBus,
 	{"mapTable", "mu"}:   classMapTable,
 	{"diffCache", "mu"}:  classDCache,
+	{"baseImages", "mu"}: classDCache,
 }
 
 // lockOp describes one Lock/Unlock-family call on a modeled lock.

@@ -13,6 +13,8 @@ type mapTable struct{ mu sync.RWMutex }
 
 type diffCache struct{ mu sync.Mutex }
 
+type baseImages struct{ mu sync.Mutex }
+
 type shard struct{ mu sync.Mutex }
 
 type storeChan struct{ mu sync.Mutex }
@@ -23,6 +25,7 @@ type Store struct {
 	chans   []storeChan
 	mt      *mapTable
 	dcache  *diffCache
+	bimg    *baseImages
 }
 
 // goodOrder acquires outer-to-inner with deferred releases.
@@ -31,6 +34,31 @@ func (s *Store) goodOrder() {
 	defer s.flashMu.Unlock()
 	s.mt.mu.Lock()
 	defer s.mt.mu.Unlock()
+}
+
+// goodBaseImagesLeaf takes the retained base images' mutex last, alone.
+func (s *Store) goodBaseImagesLeaf() {
+	s.mt.mu.RLock()
+	s.mt.mu.RUnlock()
+	s.bimg.mu.Lock()
+	defer s.bimg.mu.Unlock()
+}
+
+// badMapTableUnderBaseImages: the base images' mutex is a leaf, in the
+// differential cache's class.
+func (s *Store) badMapTableUnderBaseImages() {
+	s.bimg.mu.Lock()
+	defer s.bimg.mu.Unlock()
+	s.mt.mu.RLock() // want `acquiring the maptable lock while holding the dcache lock inverts the lock hierarchy`
+	s.mt.mu.RUnlock()
+}
+
+// badBothLeaves: the two leaf mutexes are one class, never held together.
+func (s *Store) badBothLeaves() {
+	s.dcache.mu.Lock()
+	defer s.dcache.mu.Unlock()
+	s.bimg.mu.Lock() // want `re-acquiring the dcache lock already held \(self-deadlock\)`
+	s.bimg.mu.Unlock()
 }
 
 func (s *Store) badInversion() {

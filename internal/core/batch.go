@@ -106,8 +106,8 @@ func (st *writeStage) stageBase(idx int, ts uint64, pid uint32, data []byte, mod
 }
 
 // stageWrite is the PDL_Writing algorithm (Figure 7) for one logical
-// write, the only implementation of it: route, read the base page, create
-// the differential by comparison, and store it in st's write buffer,
+// write, the only implementation of it: route, resolve the base image,
+// create the differential by comparison, and store it in st's write buffer,
 // staging — not issuing — the differential-page spill (Case 2) or new base
 // page (Case 3) the write causes. idx and ts are the write's batch
 // position and time stamp; base is a scratch page. The caller holds pid's
@@ -116,6 +116,9 @@ func (st *writeStage) stageBase(idx int, ts uint64, pid uint32, data []byte, mod
 //pdlvet:holds shard
 func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data, base []byte) error {
 	known, tracked := st.pend[pid]
+	// The one mapping snapshot of the write: steps 0 and 1 share it, and step
+	// 1 takes another only after a relocation moved the base under its read.
+	e, baseTS, _, v := s.mt.snapshot(pid)
 
 	// Step 0 (adaptive stores only): the per-page routing decision, taken
 	// BEFORE the base page is read so the whole-page route skips that
@@ -131,14 +134,13 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		st.stageBase(idx, ts, pid, data, ftl.ModeTagOPU, cold)
 	}
 	if s.adap != nil {
-		re, _, _ := s.mt.snapshot(pid)
 		hasDif := known.dif
 		if !tracked {
-			mode, hasDif = s.mt.modeOf(pid), re.dif != flash.NilPPN
+			mode, hasDif = s.mt.modeOf(pid), e.dif != flash.NilPPN
 		}
 		_, buffered := st.buf.get(pid)
 		var kind routeKind
-		kind, cold = s.adap.route(pid, mode, known.img != nil || re.base != flash.NilPPN, hasDif || buffered)
+		kind, cold = s.adap.route(pid, mode, known.img != nil || e.base != flash.NilPPN, hasDif || buffered)
 		switch kind {
 		case routeOPU:
 			whole()
@@ -150,7 +152,10 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 	}
 
 	// Step 1: resolve the base image this write diffs against — the one an
-	// earlier write of the batch staged, else the base page on flash, read
+	// earlier write of the batch staged, else the one a read has just
+	// retained under the base time stamp of the snapshot (baseImages: the
+	// stamp cannot move under the shard lock, so a hit is the current image
+	// wherever the page lives by now), else the base page on flash, read
 	// without the flash lock. The versioned snapshot detects a concurrent
 	// garbage-collection relocation of the base page (the only mutation
 	// another goroutine can make to this pid's entry while we hold its
@@ -158,11 +163,15 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 	// read is always the current image.
 	img, difExists := known.img, known.dif
 	for img == nil {
-		e, _, v := s.mt.snapshot(pid)
 		corrupt := false
-		if e.base != flash.NilPPN {
+		switch {
+		case e.base == flash.NilPPN: // nothing to read: the initial load below
+		case s.bimg.get(pid, baseTS, base):
+			s.wtel.writeBaseHits.Add(1)
+		default:
 			stable, bad, err := s.verifiedReadStable(readWriteBase, e.base, base, pid, v)
 			if !stable {
+				e, baseTS, _, v = s.mt.snapshot(pid)
 				continue
 			}
 			if err != nil {

@@ -38,7 +38,9 @@ import (
 // commit inserts every record of a differential page it links (write
 // through): in a read-modify-write stream a record is read at most once
 // before it is superseded, so a cache filled on misses alone never hits
-// there. A read miss inserts the one record it asked for.
+// there. A read miss of a pid with an empty slot only flags the slot; the
+// pid's next miss inserts the one record it asked for (putRead), so a record
+// that is read once and then superseded does not occupy the arena.
 //
 // # Memory
 //

@@ -248,6 +248,23 @@ func TestDiffCacheIdleCostsNothing(t *testing.T) {
 	if got := c.bytes(); got != 0 {
 		t.Errorf("a cache nothing was put into allocated %d bytes", got)
 	}
+
+	// The window of retained base images is filled by reads alone, a slot at
+	// a time: a store that never read holds no image, one that read three
+	// pages holds three.
+	s, _, _ := diffStore(t, Options{MaxDifferentialSize: 128}, 16, 40)
+	if s.bimg.keys != nil || s.bimg.len() != 0 {
+		t.Fatalf("a store that never read holds %d base images", s.bimg.len())
+	}
+	buf := make([]byte, s.PageSize())
+	for pid := uint32(0); pid < 3; pid++ {
+		if err := s.ReadPage(pid, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.bimg.len(); got != 3 {
+		t.Errorf("three reads left %d base images", got)
+	}
 }
 
 // TestApplyFromPageChecksTimeStamp: a differential page whose newest record
@@ -353,7 +370,7 @@ func TestDiffCacheCoherentAcrossPPNReuse(t *testing.T) {
 
 			update(A, 8)
 			X := entryOf(s, A).dif
-			_, firstTS, _ := s.mt.snapshot(A)
+			_, _, firstTS, _ := s.mt.snapshot(A)
 			blkX := p.BlockOf(X)
 			if _, ok := cached(s.dcache, A, firstTS); !ok {
 				t.Fatal("the flush did not cache A's record")
@@ -393,7 +410,7 @@ func TestDiffCacheCoherentAcrossPPNReuse(t *testing.T) {
 				if _, ok := cached(s.dcache, A, firstTS); !ok {
 					t.Error("the record of X's first life left the cache: the test pinned nothing")
 				}
-				if _, ts, _ := s.mt.snapshot(A); ts == firstTS {
+				if _, _, ts, _ := s.mt.snapshot(A); ts == firstTS {
 					t.Error("A's differential still carries its first time stamp")
 				}
 			}

@@ -49,6 +49,21 @@
 // same source: a corrupt victim differential page is rebuilt from the cache
 // if every one of its valid records is there (gc.go), and fails the
 // collection with the typed error otherwise.
+//
+// A retained base image (baseImages) is the same kind of copy on the write
+// side: the read path keeps the base page it verified clean, and the write
+// that follows within the window diffs against that copy and does not read,
+// or re-verify, the flash page. What it gives up is one heal opportunity: a
+// base page that rots between a read and the write that follows it is not
+// replaced at that write, as a write that read it would have done (heal by
+// overwrite). The differential the write buffers is still computed against
+// the true base content, so nothing wrong is ever stored, and the rot is met
+// by the next read of the pid: healed there if the differential covers the
+// rotten sectors (case 1 or 2 above), reported as PageError{CorruptBase} if
+// not, never returned as wrong bytes. A base image with uncorrectable sectors
+// is never retained, so the write after a read that found corruption reads
+// the page itself and heals it by overwrite as before.
+// TestWriteFromRetainedImageOverRottenBase holds both halves.
 package core
 
 import (

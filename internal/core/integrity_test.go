@@ -59,7 +59,7 @@ func rewriteSector(t *testing.T, s *Store, shadow [][]byte, pid uint32, sector i
 }
 
 func entryOf(s *Store, pid uint32) pageEntry {
-	e, _, _ := s.mt.snapshot(pid)
+	e, _, _, _ := s.mt.snapshot(pid)
 	return e
 }
 
@@ -207,6 +207,97 @@ func TestIntegrityWritePageHealsByOverwrite(t *testing.T) {
 		t.Error("mapping still points at the corrupt base page")
 	}
 	mustReadEqual(t, s, 6, shadow[6])
+}
+
+// TestWriteFromRetainedImageOverRottenBase bounds what the window of retained
+// base images gives up: a write served from it does not look at the flash
+// copy, so a base page that rots between a read and the write that follows
+// is not healed by overwrite at that write. The next read heals it, if the
+// differential covers the rotten sector, or reports it typed; it never
+// returns wrong bytes. A base read with uncorrectable sectors is never
+// retained, so the write after such a read still heals by overwrite.
+func TestWriteFromRetainedImageOverRottenBase(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		change func(page []byte)
+		heals  bool
+	}{
+		{"the change covers the rotten sector", func(page []byte) {
+			for i := 256; i < 512; i++ {
+				page[i] ^= 0x5A
+			}
+		}, true},
+		{"a 2% change elsewhere", func(page []byte) {
+			for i := 40; i < 50; i++ {
+				page[i] ^= 0x5A
+			}
+		}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+			const pid = 3
+			mustReadEqual(t, s, pid, shadow[pid])
+			e := entryOf(s, pid)
+			fd.Inject(faultdev.Fault{PPN: e.base, Kind: faultdev.SectorCorrupt, Off: 256})
+			c.change(shadow[pid])
+			before, reads := s.Telemetry(), fd.Stats().Reads
+			if err := s.WritePage(pid, shadow[pid]); err != nil {
+				t.Fatalf("WritePage: %v", err)
+			}
+			tel := s.Telemetry()
+			if got := fd.Stats().Reads - reads; got != 0 || tel.WriteBaseHits-before.WriteBaseHits != 1 {
+				t.Fatalf("the write cost %d flash reads and %d hits, want 0 and 1", got, tel.WriteBaseHits-before.WriteBaseHits)
+			}
+			if entryOf(s, pid).base != e.base || tel.PagesHealed != before.PagesHealed {
+				t.Fatal("the write replaced the base page: it looked at the flash copy after all")
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, len(shadow[pid]))
+			err := s.ReadPage(pid, buf)
+			if c.heals {
+				if err != nil || !bytes.Equal(buf, shadow[pid]) {
+					t.Fatalf("ReadPage = %v, want the bytes written", err)
+				}
+				if s.Telemetry().PagesHealed == before.PagesHealed || entryOf(s, pid).base == e.base {
+					t.Error("the read did not heal the rotten base page")
+				}
+				mustReadEqual(t, s, pid, shadow[pid])
+				return
+			}
+			var pe *ftl.PageError
+			if !errors.As(err, &pe) || pe.Kind != ftl.CorruptBase || pe.PID != pid || pe.PPN != e.base {
+				t.Fatalf("ReadPage = %v, want *ftl.PageError{CorruptBase} for pid %d at %d", err, pid, e.base)
+			}
+		})
+	}
+
+	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+	const pid = 6
+	e := entryOf(s, pid)
+	fd.Inject(faultdev.Fault{PPN: e.base, Kind: faultdev.SectorCorrupt, Off: 256})
+	var pe *ftl.PageError
+	if err := s.ReadPage(pid, make([]byte, len(shadow[pid]))); !errors.As(err, &pe) || pe.Kind != ftl.CorruptBase {
+		t.Fatalf("ReadPage of a corrupt base = %v, want CorruptBase", err)
+	}
+	if s.bimg.len() != 0 {
+		t.Fatal("a base image with uncorrectable sectors was retained")
+	}
+	before := s.Telemetry()
+	shadow[pid][10] ^= 0xFF
+	if err := s.WritePage(pid, shadow[pid]); err != nil {
+		t.Fatalf("WritePage over a corrupt base: %v", err)
+	}
+	tel := s.Telemetry()
+	if tel.WriteBaseReads-before.WriteBaseReads != 1 || tel.WriteBaseHits != before.WriteBaseHits {
+		t.Errorf("the write after the corrupt read: %d base reads and %d hits, want 1 and 0",
+			tel.WriteBaseReads-before.WriteBaseReads, tel.WriteBaseHits-before.WriteBaseHits)
+	}
+	if tel.PagesHealed == before.PagesHealed || entryOf(s, pid).base == e.base {
+		t.Error("the write did not heal the corrupt base page by overwrite")
+	}
+	mustReadEqual(t, s, pid, shadow[pid])
 }
 
 func TestIntegrityReadBatchHealsAndFailsTyped(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 // deliberately take no store-level lock). Readers use an optimistic
 // versioned-snapshot protocol:
 //
-//	e, ts, v := mt.snapshot(pid)    // entry + differential time stamp + per-pid version
+//	e, baseTS, diffTS, v := mt.snapshot(pid)    // entry + its two time stamps + per-pid version
 //	... read flash pages e points at, with no store-level lock held ...
 //	if !mt.stable(pid, v) { retry }
 //
@@ -50,8 +50,12 @@ type mapTable struct {
 	diffTS []uint64
 	// ver counts mutations of each pid's entry, for the reader protocol.
 	ver []uint64
-	// reverseBase maps a base page's PPN back to its pid for GC.
-	reverseBase map[flash.PPN]uint32
+	// reverseBase maps a base page's PPN back to its pid for GC: one slot per
+	// physical page of the device, written when a base page is committed at
+	// that PPN and never cleared. A slot is only a hint — a page that is no
+	// longer a base, or was never one (slot 0, pid 0), still names a pid —
+	// and baseOwner checks it against the forward mapping.
+	reverseBase []uint32
 	// mode is each pid's adaptive logging mode (0 differential/PDL,
 	// ftl.ModeTagOPU whole-page) — a pure routing hint for the adaptive
 	// store, mutated only through the committers below so it always
@@ -73,14 +77,16 @@ type mapTable struct {
 	rebase map[uint32]struct{}
 }
 
-func newMapTable(numPages int) *mapTable {
+// newMapTable builds the tables of a database of numPages logical pages over
+// a device of flashPages physical ones.
+func newMapTable(numPages, flashPages int) *mapTable {
 	t := &mapTable{
 		ppmt:        make([]pageEntry, numPages),
 		baseTS:      make([]uint64, numPages),
 		diffTS:      make([]uint64, numPages),
 		ver:         make([]uint64, numPages),
 		mode:        make([]uint8, numPages),
-		reverseBase: make(map[flash.PPN]uint32, numPages),
+		reverseBase: make([]uint32, flashPages),
 		vdct:        make(map[flash.PPN]int),
 	}
 	for i := range t.ppmt {
@@ -101,14 +107,15 @@ func (t *mapTable) mustRebase(pid uint32) bool {
 	return ok
 }
 
-// snapshot returns pid's entry and the time stamp of its differential (0
-// without one), which names the record in the differential cache, together
-// with the entry's current version.
-func (t *mapTable) snapshot(pid uint32) (e pageEntry, diffTS, v uint64) {
+// snapshot returns pid's entry with the time stamps of its base page and of
+// its differential (0 without one), which name the base image among the
+// retained ones (baseImages) and the record in the differential cache,
+// together with the entry's current version.
+func (t *mapTable) snapshot(pid uint32) (e pageEntry, baseTS, diffTS, v uint64) {
 	t.mu.RLock()
-	e, diffTS, v = t.ppmt[pid], t.diffTS[pid], t.ver[pid]
+	e, baseTS, diffTS, v = t.ppmt[pid], t.baseTS[pid], t.diffTS[pid], t.ver[pid]
 	t.mu.RUnlock()
-	return e, diffTS, v
+	return e, baseTS, diffTS, v
 }
 
 // stable reports whether pid's entry is still at version v: flash reads
@@ -145,15 +152,16 @@ func (t *mapTable) setMode(pid uint32, mode uint8) {
 }
 
 // baseOwner returns the pid whose CURRENT base page is ppn, with its
-// creation time stamp. The reverse-index hit is validated against the
-// forward mapping inside one critical section, so a concurrent
-// setBasePage on another channel cannot leave the caller holding a
-// stale (pid, ts) pair for a page that is no longer anyone's base.
+// creation time stamp. The reverse-index slot is validated against the
+// forward mapping inside one critical section, so neither a slot that was
+// never cleared nor a concurrent setBasePage on another channel can leave
+// the caller holding a stale (pid, ts) pair for a page that is no longer
+// anyone's base.
 func (t *mapTable) baseOwner(ppn flash.PPN) (pid uint32, ts uint64, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	pid, ok = t.reverseBase[ppn]
-	if !ok || t.ppmt[pid].base != ppn {
+	pid = t.reverseBase[ppn]
+	if t.ppmt[pid].base != ppn {
 		return 0, 0, false
 	}
 	return pid, t.baseTS[pid], true
@@ -189,9 +197,6 @@ func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8,
 		assertf(old.base == flash.NilPPN || ts > t.baseTS[pid],
 			"base page TS not monotone for pid %d: committed %d after %d", pid, ts, t.baseTS[pid])
 	}
-	if old.base != flash.NilPPN {
-		delete(t.reverseBase, old.base)
-	}
 	t.ppmt[pid] = pageEntry{base: ppn, dif: flash.NilPPN}
 	t.baseTS[pid] = ts
 	t.diffTS[pid] = 0
@@ -224,7 +229,6 @@ func (t *mapTable) relocateBaseFrom(pid uint32, src, dst flash.PPN, mode uint8) 
 	if mode != 0 && t.ppmt[pid].dif != flash.NilPPN {
 		mode = 0
 	}
-	delete(t.reverseBase, src)
 	t.ppmt[pid].base = dst
 	t.mode[pid] = mode
 	t.reverseBase[dst] = pid
@@ -297,9 +301,11 @@ func (t *mapTable) decDiffCount(dp flash.PPN) (obsolete bool) {
 	return obsolete
 }
 
-// diffKey names one differential: the logical page and the creation time
-// stamp, which is also its key in the differential cache.
-type diffKey struct {
+// pageStamp names one differential, or one base page image, for the life of
+// the store: the logical page and the creation time stamp. It is the key of
+// a record in the differential cache and of an image among the retained base
+// images. No written page carries time stamp 0.
+type pageStamp struct {
 	pid uint32
 	ts  uint64
 }
@@ -307,13 +313,13 @@ type diffKey struct {
 // diffsIn returns, as one consistent set, the differentials that live in
 // differential page dp: a scan of the whole table, for garbage
 // collection's rescue of a corrupt page.
-func (t *mapTable) diffsIn(dp flash.PPN) []diffKey {
+func (t *mapTable) diffsIn(dp flash.PPN) []pageStamp {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var keys []diffKey
+	var keys []pageStamp
 	for pid, e := range t.ppmt {
 		if e.dif == dp {
-			keys = append(keys, diffKey{uint32(pid), t.diffTS[pid]})
+			keys = append(keys, pageStamp{uint32(pid), t.diffTS[pid]})
 		}
 	}
 	return keys

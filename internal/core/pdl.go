@@ -22,13 +22,14 @@
 // # One write step, one commit, one read step
 //
 // Each algorithm of the paper is written once. PDL_Writing (Figure 7) is
-// stageWrite (batch.go): route, resolve the base image, heal a corrupt base
-// by overwrite, compute the differential, and take Case 1, 2 or 3 — against
-// a writeStage, which holds the write buffer the step mutates and the page
-// programs it staged. The writing procedures of Figure 8 are commit: it
-// picks channels, allocates, encodes and seals the headers, programs, and
-// repoints the mapping table, for every foreground program there is. The
-// entries are thin drivers of those two:
+// stageWrite (batch.go): route, resolve the base image — the one the read
+// path has just served, if it is still retained (see baseImages), else a
+// flash read — heal a corrupt base by overwrite, compute the differential,
+// and take Case 1, 2 or 3 — against a writeStage, which holds the write
+// buffer the step mutates and the page programs it staged. The writing
+// procedures of Figure 8 are commit: it picks channels, allocates, encodes
+// and seals the headers, programs, and repoints the mapping table, for every
+// foreground program there is. The entries are thin drivers of those two:
 //
 //   - WritePage runs one step on the live shard buffer and commits what it
 //     staged; if the step or the commit fails, it puts the buffer back as it
@@ -48,7 +49,8 @@
 // (diff.FindIn, diff.ApplyRecord) and cache it. Ranges are decoded only
 // to heal an uncorrectably corrupt base from a differential that covers the
 // damage. ReadPage wraps them in its two single-page reads; ReadBatch in
-// its two device batches.
+// its two device batches; both retain the clean base image they read, before
+// the merge, for the write that follows (retainBase).
 //
 // # Page validity
 //
@@ -68,7 +70,7 @@
 // decomposed into purpose-built components, each with its own
 // synchronization, in a strict lock hierarchy (outer to inner):
 //
-//		shard lock  >  flash lock  >  channel lock  >  mapTable lock  >  diff-cache lock
+//		shard lock  >  flash lock  >  channel lock  >  mapTable lock  >  diff-cache lock, base-image lock
 //
 //	  - each of the Options.Shards write-buffer shards has its own RWMutex
 //	    serializing the buffered differentials of the pids it owns (so
@@ -87,9 +89,12 @@
 //	    victim — never across a whole collection cycle. A commit touching
 //	    several channels locks them in ascending index order;
 //	  - the mapTable owns the mapping state (ppmt, time stamps, vdct,
-//	    reverseBase) behind its own RWMutex plus a per-pid version counter;
-//	  - the differential cache (see diffCache) has the innermost mutex, only
-//	    ever taken last.
+//	    reverseBase, a slot per physical page that is checked against ppmt
+//	    and never cleared) behind its own RWMutex plus a per-pid version
+//	    counter;
+//	  - the differential cache (see diffCache) and the retained base images
+//	    (see baseImages) each have an innermost mutex, only ever taken last
+//	    and never together.
 //
 // Reads take NO store-level lock over the device: ReadPage snapshots the
 // pid's mapping entry with its version, reads the flash pages it points
@@ -175,10 +180,22 @@ type Options struct {
 	// reads of diff-bearing pages cost one flash read plus a table lookup
 	// instead of two serial flash reads, and everything it allocates —
 	// records and index — stays inside the budget. Zero means a default
-	// of 256 pages' worth (512 KB of 2 KB pages); DiffCacheOff disables
-	// the cache, restoring the paper's two-read PDL_Reading exactly. The
-	// cache is pure DRAM state — never persisted — so recovery is
-	// identical with and without it.
+	// of 256 pages' worth (512 KB of 2 KB pages).
+	//
+	// It also sizes the window of retained base images (see baseImages),
+	// DiffCachePages / 8 pages (32 at the default, none below 8), which
+	// saves the write that follows a read its base page read. The window
+	// is beside the budget, not inside it: carving its 32 pages out of the
+	// record arena was measured and rejected (ycsb_c_cold 243.6 -> 247.7
+	// sim-us a Get, +1.7%, the hit ratio falling with the arena, for
+	// nothing in return on a workload that never writes). Its slots are
+	// allocated as reads fill them, and reads stop filling them while no
+	// write is being served from the window.
+	//
+	// DiffCacheOff disables both, restoring the paper's two-read
+	// PDL_Reading and the base page read of PDL_Writing step 1 exactly.
+	// Both are pure DRAM state — never persisted — so recovery is
+	// identical with and without them.
 	DiffCachePages int
 	// Adaptive configures per-page adaptive routing between the
 	// differential (PDL) and whole-page (OPU) routes; see adaptive.go.
@@ -192,13 +209,17 @@ type Options struct {
 	DisableVerify bool
 }
 
-// DiffCacheOff disables the differential cache when assigned to
-// Options.DiffCachePages.
+// DiffCacheOff disables the differential cache and the retained base images
+// when assigned to Options.DiffCachePages.
 const DiffCacheOff = -1
 
 // defaultDiffCachePages is the differential cache bound used when
 // Options.DiffCachePages is zero.
 const defaultDiffCachePages = 256
+
+// baseImagesShare sizes the window of retained base images: one page for
+// every baseImagesShare pages of the differential cache bound.
+const baseImagesShare = 8
 
 // pageEntry is one row of the physical page mapping table: the pair
 // <base page address, differential page address> of section 4.2.
@@ -276,6 +297,9 @@ type Store struct {
 	// dcache is the differential cache (nil when disabled); its coherence
 	// rule is documented on the type.
 	dcache *diffCache
+	// bimg is the window of base images the read path retained for the
+	// writes that follow (nil when off).
+	bimg *baseImages
 
 	// gcEng is the background garbage-collection engine — one collection
 	// goroutine per channel (nil in synchronous mode) — and gcLow the
@@ -340,6 +364,12 @@ type Telemetry struct {
 	// write with, relocation reads of garbage collection, and recovery and
 	// checkpoint scans. They sum to the device's read count.
 	BaseReads, DiffReads, WriteBaseReads, GCReads, RecoverReads int64
+	// WriteBaseHits counts the writes whose step 1 found the base image a
+	// read had just retained and read nothing: WriteBaseHits over
+	// WriteBaseHits + WriteBaseReads is the share of base-bearing writes
+	// that followed a read of their page closely enough. Zero with
+	// DiffCacheOff.
+	WriteBaseHits int64
 	// ReadRetries counts optimistic read-path retries: a garbage-collection
 	// relocation or a flush moved the pid's mapping mid-read.
 	ReadRetries int64
@@ -447,6 +477,7 @@ type writeTelemetry struct {
 	// logicalWrites and the adaptive route counters are bumped under
 	// shard locks (different shards run concurrently).
 	logicalWrites atomic.Int64
+	writeBaseHits atomic.Int64
 	pdlRoutes     atomic.Int64
 	opuRoutes     atomic.Int64
 	probes        atomic.Int64
@@ -506,7 +537,7 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		chans:    make([]storeChan, nchan),
 		numPages: numPages,
 		maxDiff:  maxDiff,
-		mt:       newMapTable(numPages),
+		mt:       newMapTable(numPages, p.NumPages()),
 		shards:   make([]shard, numShards),
 	}
 	s.pages.init(p.DataSize)
@@ -525,6 +556,7 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	}
 	if cachePages > 0 {
 		s.dcache = newDiffCache(cachePages*p.DataSize, numPages, p.DataSize)
+		s.bimg = newBaseImages(cachePages / baseImagesShare)
 	}
 	for i := range s.shards {
 		s.shards[i].dwb.init(p.DataSize)
@@ -799,7 +831,7 @@ func (s *Store) ReadPage(pid uint32, buf []byte) error {
 //
 //pdlvet:holds shard
 func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
-	r.e, r.ts, r.v = s.mt.snapshot(r.pid)
+	r.snapshot(s.mt)
 	if r.e.base == flash.NilPPN {
 		return false, fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
 	}
@@ -811,6 +843,7 @@ func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
 		return false, fmt.Errorf("core: reading base page of pid %d: %w", r.pid, err)
 	}
 	r.bad = bad
+	s.retainBase(r)
 	need, err := s.resolveDiff(sh, r)
 	if need == flash.NilPPN {
 		return false, err
@@ -958,6 +991,7 @@ func (s *Store) Telemetry() Telemetry {
 	t.BaseReads = s.rtel.baseReads.Load()
 	t.DiffReads = s.rtel.diffReads.Load()
 	t.WriteBaseReads = s.rtel.writeBaseReads.Load()
+	t.WriteBaseHits = s.wtel.writeBaseHits.Load()
 	t.GCReads = s.rtel.gcReads.Load()
 	t.RecoverReads = s.rtel.recoverReads.Load()
 	t.LogicalWrites = s.wtel.logicalWrites.Load()

@@ -12,16 +12,32 @@ import (
 var _ ftl.BatchReader = (*Store)(nil)
 
 // pageRead is one logical page being recreated (PDL_Reading, Figure 9):
-// the pid, the mapping snapshot the current attempt reads against — entry e
-// and the time stamp ts of its differential, at version v — the caller's
-// buffer, holding the base page image once it is read, and the base page's
-// uncorrectable sectors (nil when clean).
+// the pid, the mapping snapshot the current attempt reads against — entry e,
+// the time stamps baseTS of its base page and ts of its differential, at
+// version v — the caller's buffer, holding the base page image once it is
+// read, and the base page's uncorrectable sectors (nil when clean).
 type pageRead struct {
-	pid   uint32
-	e     pageEntry
-	ts, v uint64
-	buf   []byte
-	bad   []int
+	pid           uint32
+	e             pageEntry
+	baseTS, ts, v uint64
+	buf           []byte
+	bad           []int
+}
+
+// snapshot takes the mapping snapshot of one attempt.
+func (r *pageRead) snapshot(mt *mapTable) {
+	r.e, r.baseTS, r.ts, r.v = mt.snapshot(r.pid)
+}
+
+// retainBase keeps r.buf, the base image of r.pid as it was just read — under
+// a mapping that stayed stable, and before any differential is merged onto
+// it — for the write that follows the read (see baseImages). A base with
+// uncorrectable sectors is not kept: the write that finds none reads the page
+// itself and heals it by overwrite.
+func (s *Store) retainBase(r *pageRead) {
+	if len(r.bad) == 0 {
+		s.bimg.put(r.pid, r.baseTS, r.buf)
+	}
 }
 
 // resolveDiff finds the differential of r.pid without touching flash, given
@@ -235,7 +251,7 @@ func (s *Store) readRound(todo []pageRead) (retry []pageRead, err error) {
 	batch := make([]flash.PageRead, len(todo))
 	for k := range todo {
 		r := &todo[k]
-		r.e, r.ts, r.v = s.mt.snapshot(r.pid)
+		r.snapshot(s.mt)
 		if r.e.base == flash.NilPPN {
 			return nil, fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
 		}
@@ -262,6 +278,7 @@ func (s *Store) readRound(todo []pageRead) (retry []pageRead, err error) {
 			continue
 		}
 		r.bad = s.verifyRead(batch[k])
+		s.retainBase(&r)
 		need, err := s.resolveDiff(s.shardOf(r.pid), &r)
 		switch {
 		case err != nil:

@@ -193,4 +193,19 @@ func TestReadPageAllocations(t *testing.T) {
 		t.Fatalf("the miss loop counted %d misses and %d hits over 201 reads",
 			tel.DiffCacheMisses-before.DiffCacheMisses, tel.DiffCacheHits-before.DiffCacheHits)
 	}
+
+	// With default options a read also retains its base image: that allocates
+	// a page per slot of the window while the slots fill and nothing once they
+	// are warm, whether the read copies its image (the first of the reads
+	// below) or, with no write served for two laps, leaves the window alone.
+	s, _, shadow = diffStore(t, Options{MaxDifferentialSize: 128}, 16, 40)
+	for i := 0; i <= s.bimg.n; i++ {
+		read(uint32(i % len(shadow)))
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		read(next)
+		next = (next + 1) % uint32(len(shadow))
+	}); n != 0 {
+		t.Errorf("a read into a warm window of base images allocates %v times, want 0", n)
+	}
 }

@@ -17,6 +17,8 @@
 //	store.WritePage(42, page)  // buffers only the page-differential
 //	store.Flush()              // write-through of the differential buffer
 //	store.ReadPage(42, page)   // base page + differential, at most 2 reads
+//	page[100] ^= 1
+//	store.WritePage(42, page)  // diffs against the base image that read fetched: 0 reads
 //	fmt.Println(store.Stats()) // simulated I/O time and op counts
 //
 // Every constructor takes a Device — the flash backend interface — so the
@@ -87,6 +89,13 @@
 // invalidated when garbage collection moves or erases differential pages.
 // The cache is pure DRAM state and never survives a restart — so recovery
 // is byte-identical with the cache on or off.
+//
+// Beside it the Store retains the last base page images its reads fetched
+// (DiffCachePages / 8 of them, 32 by default; none with DiffCacheOff), named
+// by page id and base time stamp: the paper's update operation reads a page,
+// changes it and writes it back, and the write then diffs against the
+// retained image instead of reading the base page from flash a second time
+// (Telemetry.WriteBaseHits against WriteBaseReads).
 //
 // Pool.GetMany faults a group of pages through ReadBatch when the method
 // supports it (Pool.Readahead prefetches speculatively the same way), and
@@ -256,9 +265,9 @@ type PageProgram = flash.PageProgram
 // PageRead is one physical page of a Device.ReadBatch.
 type PageRead = flash.PageRead
 
-// DiffCacheOff disables the Store's differential cache when assigned to
-// Options.DiffCachePages, restoring the paper's two-read PDL_Reading
-// exactly.
+// DiffCacheOff disables the Store's differential cache and its retained
+// base images when assigned to Options.DiffCachePages, restoring the
+// paper's two-read PDL_Reading and PDL_Writing's base page read exactly.
 const DiffCacheOff = core.DiffCacheOff
 
 // Errors shared by all methods.
