@@ -369,66 +369,6 @@ func BenchmarkParallelIPUWritePage(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCheckpointRecovery compares full-scan recovery against
-// checkpointed recovery (the paper's further-study extension) on the same
-// chip image, reporting the simulated scan cost of each.
-func BenchmarkAblationCheckpointRecovery(b *testing.B) {
-	opts := pdl.Options{MaxDifferentialSize: 256, CheckpointBlocks: 8}
-	chip := pdl.NewChip(pdl.ScaledFlashParams(128))
-	store, err := pdl.Open(chip, 2048, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	size := chip.Params().DataSize
-	rng := rand.New(rand.NewSource(1))
-	page := make([]byte, size)
-	for pid := 0; pid < 2048; pid++ {
-		rng.Read(page)
-		if err := store.WritePage(uint32(pid), page); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := store.WriteCheckpoint(); err != nil {
-		b.Fatal(err)
-	}
-	// A little post-checkpoint traffic so some blocks are dirty.
-	for i := 0; i < 200; i++ {
-		pid := uint32(rng.Intn(2048))
-		if err := store.ReadPage(pid, page); err != nil {
-			b.Fatal(err)
-		}
-		rng.Read(page[:64])
-		if err := store.WritePage(pid, page); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := store.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("full-scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			before := chip.Stats()
-			if _, err := pdl.Recover(chip, 2048, opts); err != nil {
-				b.Fatal(err)
-			}
-			d := chip.Stats().Sub(before)
-			b.ReportMetric(float64(d.Reads), "scan-reads")
-			b.ReportMetric(float64(d.TimeMicros)/1000, "scan-ms")
-		}
-	})
-	b.Run("checkpointed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			before := chip.Stats()
-			if _, err := pdl.RecoverWithCheckpoint(chip, 2048, opts); err != nil {
-				b.Fatal(err)
-			}
-			d := chip.Stats().Sub(before)
-			b.ReportMetric(float64(d.Reads), "scan-reads")
-			b.ReportMetric(float64(d.TimeMicros)/1000, "scan-ms")
-		}
-	})
-}
-
 // BenchmarkAblationWearLeveling compares the greedy and wear-aware
 // garbage-collection victim policies (paper footnote 4 calls wear-leveling
 // orthogonal): same update workload, reported erase-count spread.

@@ -2,7 +2,6 @@ package pdl_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -250,58 +249,6 @@ func TestIPLLogUpdateMatchesWritePage(t *testing.T) {
 		}
 		if !bytes.Equal(bufT, bufL) {
 			t.Fatalf("pid %d: coupling modes diverged", pid)
-		}
-	}
-}
-
-// TestEndToEndCheckpointWorkflow exercises the full public checkpoint API:
-// open with a region, work, checkpoint, crash, fast-recover, verify.
-func TestEndToEndCheckpointWorkflow(t *testing.T) {
-	opts := pdl.Options{MaxDifferentialSize: 256, CheckpointBlocks: 4}
-	chip := pdl.NewChip(pdl.ScaledFlashParams(64))
-	store, err := pdl.Open(chip, 512, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := chip.Params().DataSize
-	page := make([]byte, size)
-	for pid := uint32(0); pid < 512; pid++ {
-		binary.LittleEndian.PutUint64(page, uint64(pid))
-		if err := store.WritePage(pid, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := store.WriteCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-checkpoint updates, flushed.
-	for pid := uint32(0); pid < 50; pid++ {
-		binary.LittleEndian.PutUint64(page, uint64(pid))
-		binary.LittleEndian.PutUint64(page[8:], 0xBEEF)
-		if err := store.WritePage(pid, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := pdl.RecoverWithCheckpoint(chip, 512, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pid := uint32(0); pid < 512; pid++ {
-		if err := r.ReadPage(pid, page); err != nil {
-			t.Fatalf("pid %d: %v", pid, err)
-		}
-		if got := binary.LittleEndian.Uint64(page); got != uint64(pid) {
-			t.Fatalf("pid %d: id field = %d", pid, got)
-		}
-		marker := binary.LittleEndian.Uint64(page[8:])
-		if pid < 50 && marker != 0xBEEF {
-			t.Fatalf("pid %d: post-checkpoint update lost", pid)
-		}
-		if pid >= 50 && marker == 0xBEEF {
-			t.Fatalf("pid %d: spurious marker", pid)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 //     ReadSpare, ReadBatch) may only be issued from the designated
 //     verifying read funnels — functions whose doc comment carries a
 //     `//pdlvet:ignore deviceio` directive. Everything else (foreground
-//     reads, GC relocation, recovery and checkpoint scans) must go
+//     reads, GC relocation, the recovery scan) must go
 //     through a funnel, so no read path can bypass spare-area
 //     verification by construction;
 //   - inside the core package, page validity is DRAM state: ProgramSpare

@@ -10,7 +10,7 @@ import (
 
 // LockOrder reports violations of the documented lock hierarchy
 //
-//	kv > shard > flash > channel > bus > maptable > dcache
+//	kv > shard > channel > bus > maptable > dcache
 //
 // (README "Architecture"; dcache is the leaf class, the differential
 // cache's mutex and the retained base images'): acquiring an outer lock
@@ -33,7 +33,7 @@ var LockOrder = &vetkit.Analyzer{
 
 // lockHierarchy spells the hierarchy in diagnostics, outermost first. The
 // leaf class is written with both its members.
-const lockHierarchy = "kv > shard > flash > channel > bus > maptable > dcache (diff cache, base images)"
+const lockHierarchy = "kv > shard > channel > bus > maptable > dcache (diff cache, base images)"
 
 func runLockOrder(pass *vetkit.Pass) error {
 	sums := summarize(pass)

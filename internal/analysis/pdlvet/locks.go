@@ -19,19 +19,18 @@ import (
 // lockClass identifies one lock of the documented hierarchy
 // (README "Architecture", core package comment):
 //
-//	kv bucket lock > shard lock > flash lock > channel lock > device bus lock > mapTable lock > diff-cache lock, base-image lock
+//	kv bucket lock > shard lock > channel lock > device bus lock > mapTable lock > diff-cache lock, base-image lock
 //
 // The kv bucket locks are the serving layer's outermost tier: a bucket
 // operation faults pages through its pool, which re-enters the engine
 // and takes shard locks below. The channel locks (core.storeChan.mu,
 // one per flash channel) serialize each channel's allocation and
-// program stream under the flash lock held shared; like the shard and
-// bucket locks they are a family, taken in ascending channel-index
-// order when a batch spans channels. The device bus locks
-// (flash.Chip.mu, filedev.Device.mu) sit between the channel lock and
-// the mapTable lock: programs run under the channel lock and every
-// mapping commit happens after the device call returns, never inside
-// it. The innermost class has two members, the differential cache's
+// program stream; like the shard and bucket locks they are a family,
+// taken in ascending channel-index order when a batch spans channels.
+// The device bus locks (flash.Chip.mu, filedev.Device.mu) sit between
+// the channel lock and the mapTable lock: programs run under the channel
+// lock and every mapping commit happens after the device call returns,
+// never inside it. The innermost class has two members, the differential cache's
 // mutex and the retained base images' (core.diffCache.mu,
 // core.baseImages.mu): both are leaves, and being one class they are
 // never held together.
@@ -41,7 +40,6 @@ const (
 	classNone lockClass = iota
 	classKV
 	classShard
-	classFlash
 	classChannel
 	classBus
 	classMapTable
@@ -65,8 +63,6 @@ func (c lockClass) String() string {
 		return "kv"
 	case classShard:
 		return "shard"
-	case classFlash:
-		return "flash"
 	case classChannel:
 		return "channel"
 	case classBus:
@@ -81,7 +77,7 @@ func (c lockClass) String() string {
 
 // classByName resolves a //pdlvet:holds name.
 func classByName(name string) lockClass {
-	for _, c := range []lockClass{classKV, classShard, classFlash, classChannel, classBus, classMapTable, classDCache} {
+	for _, c := range []lockClass{classKV, classShard, classChannel, classBus, classMapTable, classDCache} {
 		if c.String() == name {
 			return c
 		}
@@ -96,7 +92,6 @@ func classByName(name string) lockClass {
 var lockModel = map[[2]string]lockClass{
 	{"bucket", "mu"}:     classKV,
 	{"shard", "mu"}:      classShard,
-	{"Store", "flashMu"}: classFlash,
 	{"storeChan", "mu"}:  classChannel,
 	{"Chip", "mu"}:       classBus,
 	{"Device", "mu"}:     classBus,

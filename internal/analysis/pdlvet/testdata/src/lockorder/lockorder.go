@@ -20,20 +20,11 @@ type shard struct{ mu sync.Mutex }
 type storeChan struct{ mu sync.Mutex }
 
 type Store struct {
-	flashMu sync.Mutex
-	shards  []shard
-	chans   []storeChan
-	mt      *mapTable
-	dcache  *diffCache
-	bimg    *baseImages
-}
-
-// goodOrder acquires outer-to-inner with deferred releases.
-func (s *Store) goodOrder() {
-	s.flashMu.Lock()
-	defer s.flashMu.Unlock()
-	s.mt.mu.Lock()
-	defer s.mt.mu.Unlock()
+	shards []shard
+	chans  []storeChan
+	mt     *mapTable
+	dcache *diffCache
+	bimg   *baseImages
 }
 
 // goodBaseImagesLeaf takes the retained base images' mutex last, alone.
@@ -61,17 +52,10 @@ func (s *Store) badBothLeaves() {
 	s.bimg.mu.Unlock()
 }
 
-func (s *Store) badInversion() {
-	s.mt.mu.Lock()
-	s.flashMu.Lock() // want `acquiring the flash lock while holding the maptable lock inverts the lock hierarchy`
-	s.flashMu.Unlock()
-	s.mt.mu.Unlock()
-}
-
 func (s *Store) badReacquire() {
-	s.flashMu.Lock()
-	defer s.flashMu.Unlock()
-	s.flashMu.Lock() // want `re-acquiring the flash lock already held \(self-deadlock\)`
+	s.mt.mu.Lock()
+	defer s.mt.mu.Unlock()
+	s.mt.mu.Lock() // want `re-acquiring the maptable lock already held \(self-deadlock\)`
 }
 
 func (s *Store) goodShardsAscendingConst() {
@@ -134,30 +118,11 @@ func (s *Store) badShardsUnsortedRange(involved []int) {
 }
 
 func (s *Store) badLeak(cond bool) {
-	s.flashMu.Lock() // want `flash lock acquired here is still held at the return on line \d+ without a deferred unlock`
+	s.mt.mu.Lock() // want `maptable lock acquired here is still held at the return on line \d+ without a deferred unlock`
 	if cond {
 		return
 	}
-	s.flashMu.Unlock()
-}
-
-// commitLocked declares the caller-holds convention the real mapping
-// committers use.
-//
-//pdlvet:holds flash
-func (s *Store) commitLocked() {
-	s.mt.mu.Lock()
 	s.mt.mu.Unlock()
-}
-
-func (s *Store) goodCaller() {
-	s.flashMu.Lock()
-	defer s.flashMu.Unlock()
-	s.commitLocked()
-}
-
-func (s *Store) badCaller() {
-	s.commitLocked() // want `call to commitLocked requires holding the flash lock \(declared //pdlvet:holds flash\)`
 }
 
 // routeLocked declares the adaptive-tracker convention: per-page routing
@@ -176,42 +141,42 @@ func (s *Store) badRouter() {
 	s.routeLocked() // want `call to routeLocked requires holding the shard lock \(declared //pdlvet:holds shard\)`
 }
 
-func (s *Store) takesFlash() {
-	s.flashMu.Lock()
-	defer s.flashMu.Unlock()
+func (s *Store) takesMapTable() {
+	s.mt.mu.Lock()
+	defer s.mt.mu.Unlock()
 }
 
 func (s *Store) badIndirectInversion() {
-	s.mt.mu.Lock()
-	defer s.mt.mu.Unlock()
-	s.takesFlash() // want `call to takesFlash may acquire the flash lock while the maptable lock is held`
+	s.dcache.mu.Lock()
+	defer s.dcache.mu.Unlock()
+	s.takesMapTable() // want `call to takesMapTable may acquire the maptable lock while the dcache lock is held`
 }
 
 func (s *Store) badIndirectReacquire() {
-	s.flashMu.Lock()
-	defer s.flashMu.Unlock()
-	s.takesFlash() // want `call to takesFlash may re-acquire the flash lock already held`
+	s.mt.mu.Lock()
+	defer s.mt.mu.Unlock()
+	s.takesMapTable() // want `call to takesMapTable may re-acquire the maptable lock already held`
 }
 
 // suppressed shows a documented suppression: the inversion below is
 // intentional corpus material and carries an ignore directive.
 func (s *Store) suppressed() {
-	s.mt.mu.Lock()
+	s.dcache.mu.Lock()
 	//pdlvet:ignore lockorder seeded violation kept quiet to exercise the directive
-	s.flashMu.Lock()
-	s.flashMu.Unlock()
+	s.mt.mu.Lock()
 	s.mt.mu.Unlock()
+	s.dcache.mu.Unlock()
 }
 
-// goodChannelUnderFlash descends the hierarchy: the channel lock sits
-// directly below the flash lock.
-func (s *Store) goodChannelUnderFlash() {
-	s.flashMu.Lock()
-	defer s.flashMu.Unlock()
+// goodChannelUnderShard descends the hierarchy outer-to-inner with
+// deferred releases: the channel lock sits directly below the shard lock.
+func (s *Store) goodChannelUnderShard() {
+	s.shards[0].mu.Lock()
+	defer s.shards[0].mu.Unlock()
 	s.chans[0].mu.Lock()
 	defer s.chans[0].mu.Unlock()
 	s.mt.mu.Lock()
-	s.mt.mu.Unlock()
+	defer s.mt.mu.Unlock()
 }
 
 func (s *Store) badChannelUnderMapTable() {
@@ -281,7 +246,8 @@ func (s *Store) goodChannelsCountingLoop(start int) {
 }
 
 // programOnChannel declares the caller-holds convention the per-channel
-// program helpers (allocPagesOn, releaseDiffPage, relocate) use.
+// program helpers (allocPagesOn, releaseDiffPage, relocate) and the
+// mapping committers use.
 //
 //pdlvet:holds channel
 func (s *Store) programOnChannel() {
@@ -330,14 +296,14 @@ type DB struct {
 func (d *DB) goodBucketThenEngine() {
 	d.buckets[0].mu.Lock()
 	defer d.buckets[0].mu.Unlock()
-	d.store.flashMu.Lock()
-	defer d.store.flashMu.Unlock()
+	d.store.chans[0].mu.Lock()
+	defer d.store.chans[0].mu.Unlock()
 }
 
-func (d *DB) badBucketUnderFlash() {
-	d.store.flashMu.Lock()
-	defer d.store.flashMu.Unlock()
-	d.buckets[0].mu.Lock() // want `acquiring the kv lock while holding the flash lock inverts the lock hierarchy`
+func (d *DB) badBucketUnderChannel() {
+	d.store.chans[0].mu.Lock()
+	defer d.store.chans[0].mu.Unlock()
+	d.buckets[0].mu.Lock() // want `acquiring the kv lock while holding the channel lock inverts the lock hierarchy`
 	d.buckets[0].mu.Unlock()
 }
 

@@ -34,14 +34,14 @@ import (
 // an OPU migration while a valid differential is linked — which makes
 // recovery's rule ("the winning base page's tag, overridden to PDL when
 // a newer differential wins") reproduce the pre-crash routing state
-// exactly, on both the full-scan and checkpointed paths.
+// exactly.
 //
 // Migration PDL→OPU by garbage collection is TAG-ONLY: the collector
 // re-emits the relocated base page byte-identical with the target mode
 // tag and an unchanged time stamp. It deliberately does NOT merge the
 // base with its differential — a shard buffer may hold a newer
 // differential computed against the old base image, and GC cannot look
-// (shard locks order above the flash lock) — so the differential linkage
+// (shard locks order above the channel locks) — so the differential linkage
 // survives until the next foreground write releases it.
 
 // AdaptiveOptions configures the adaptive per-page routing policy.

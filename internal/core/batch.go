@@ -156,7 +156,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 	// retained under the base time stamp of the snapshot (baseImages: the
 	// stamp cannot move under the shard lock, so a hit is the current image
 	// wherever the page lives by now), else the base page on flash, read
-	// without the flash lock. The versioned snapshot detects a concurrent
+	// under no channel lock. The versioned snapshot detects a concurrent
 	// garbage-collection relocation of the base page (the only mutation
 	// another goroutine can make to this pid's entry while we hold its
 	// shard lock) and retries; relocation preserves content, so a stable
@@ -417,8 +417,7 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 // encodes, seals, programs and repoints the staged ops of one call — a
 // WritePage's spill or base page, a WriteBatch's or Flush's many, a
 // heal's one. Each op goes to the channel the allocator picks for its
-// home; the flash lock (shared) is held for the whole call. The caller
-// holds the involved shard locks.
+// home. The caller holds the involved shard locks.
 //
 // A channel whose blocks are all fully live has nothing to reclaim and
 // answers ErrNoSpace even while a neighbor holds erased blocks —
@@ -454,8 +453,6 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 				"batch TS order broken at position %d: ts %d follows %d", i, ops[i].ts, ops[i-1].ts)
 		}
 	}
-	s.flashMu.RLock()
-	defer s.flashMu.RUnlock()
 	for i := range ops {
 		ops[i].ch = s.pickChannel(ops[i].home)
 	}
@@ -510,7 +507,7 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 // is still a serially-explainable subset, and the kill tests assert
 // exactly that.
 //
-//pdlvet:holds shard,flash
+//pdlvet:holds shard
 func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 	locked := make([]int, 0, 4) // on the stack for up to four channels
 	for i := range ops {
@@ -642,7 +639,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 // commit holds.
 //
 //pdlvet:physicalmark the only dead page that outranks its live successor by time stamp
-//pdlvet:holds flash,channel
+//pdlvet:holds channel
 func (s *Store) discardLostHeal(ppn flash.PPN) error {
 	if err := s.alloc.MarkObsolete(ppn); err != nil {
 		return fmt.Errorf("core: discarding the lost heal at ppn %d: %w", ppn, err)
@@ -657,7 +654,7 @@ func (s *Store) discardLostHeal(ppn flash.PPN) error {
 // watermark, and an inline collection (the commit hit the reserve floor
 // itself) counts as a backpressure fallback.
 //
-//pdlvet:holds flash,channel
+//pdlvet:holds channel
 func (s *Store) allocPagesOn(ch int, kinds []ftl.Stream) ([]flash.PPN, error) {
 	ppns, collected, err := s.alloc.AllocBatchOn(ch, kinds)
 	if s.gcEng != nil {

@@ -16,7 +16,7 @@ import (
 // TestBackgroundGCHammer drives all shards from many goroutines while the
 // background garbage collector runs, under the race detector: the
 // foreground allocation (AllocBatchOn, which collects inline only at the
-// reserve floor), the watermark kicks, the engine's per-victim flash-lock
+// reserve floor), the watermark kicks, the engine's per-victim channel-lock
 // increments, and the lock-free read path all race here. Each worker owns a disjoint pid slice so it can verify exact
 // content.
 func TestBackgroundGCHammer(t *testing.T) {

@@ -15,19 +15,18 @@ import (
 // new differential page, i.e., we do compaction here").
 //
 // It runs inside the allocator's collect, which is only reached while
-// the victim's channel lock is held (under the shared flash lock) —
-// from a foreground allocation in synchronous mode, or from the
-// channel's background CollectOne increment — so it may mutate the
-// mapping tables (through the mapTable's versioned committers, which
-// readers observe), and it must never take a shard lock (shard locks
-// order before the flash lock). Every mapping repoint happens before the
-// allocator erases the victim, which is what the lock-free read path's
-// version check relies on. Relocation stays channel-local: replacement
+// the victim's channel lock is held — from a foreground allocation in
+// synchronous mode, or from the channel's background CollectOne
+// increment — so it may mutate the mapping tables (through the
+// mapTable's versioned committers, which readers observe), and it must
+// never take a shard lock (shard locks order before the channel locks).
+// Every mapping repoint happens before the allocator erases the victim,
+// which is what the lock-free read path's version check relies on. Relocation stays channel-local: replacement
 // pages are allocated on the victim's own channel through the cold
 // append point (AllocGC), so collections on different channels never
 // contend and relocated (cold) data segregates from the hot stream.
 //
-//pdlvet:holds flash,channel
+//pdlvet:holds channel
 func (s *Store) relocate(victim int) error {
 	p := s.params
 	ch := s.alloc.ChannelOfBlock(victim)
@@ -122,7 +121,7 @@ func (s *Store) relocate(victim int) error {
 // take shard locks, so it cannot consult the write buffer and must leave
 // healing to the next foreground read (or fail that read loudly).
 //
-//pdlvet:holds flash,channel
+//pdlvet:holds channel
 func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) error {
 	p := s.params
 	scratch := s.getPage()
@@ -199,7 +198,7 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 // loudly with the typed error — silently compacting garbage records, or
 // silently dropping the page's survivors, would turn into wrong reads later.
 //
-//pdlvet:holds flash
+//pdlvet:holds channel
 func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
 	page := s.getPage()
 	defer s.putPage(page)
@@ -242,7 +241,7 @@ func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
 // time stamps, and the rescue holds iff the cache has every one of them.
 // scratch is an empty slice with a page of capacity.
 //
-//pdlvet:holds flash
+//pdlvet:holds channel
 func (s *Store) rescuedDifferentials(ppn flash.PPN, scratch []byte) ([]diff.Differential, bool) {
 	keys := s.mt.diffsIn(ppn)
 	out := make([]diff.Differential, 0, len(keys))
@@ -270,7 +269,7 @@ func (s *Store) rescuedDifferentials(ppn flash.PPN, scratch []byte) ([]diff.Diff
 // and allocating a fresh image each time put a page-sized allocation on
 // every collection increment.
 //
-//pdlvet:holds flash,channel
+//pdlvet:holds channel
 func (s *Store) writeCompactedPage(ds []diff.Differential, from []flash.PPN, ch int) error {
 	q, err := s.alloc.AllocGC(ch)
 	if err != nil {

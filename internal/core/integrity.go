@@ -1,8 +1,8 @@
 // Page integrity: spare-area sealing, read-path verification, and
 // single-page self-healing.
 //
-// Every base, differential, and checkpoint page the store programs is
-// "sealed" when the geometry allows it: the spare area carries, after the
+// Every base and differential page the store programs is "sealed" when
+// the geometry allows it: the spare area carries, after the
 // 23-byte header, a SEC-DED ECC over the data area (3 bytes per 256-byte
 // sector, internal/flash/ecc) and a CRC-8 checksum over the header fields
 // (see the layout comment in internal/ftl). Sealing is pure CPU — the
@@ -150,7 +150,7 @@ const (
 	readDiff                      // PDL_Reading: a differential page
 	readWriteBase                 // PDL_Writing step 1: the base page a write is compared with
 	readGC                        // relocation out of a victim block
-	readRecover                   // recovery and checkpoint scans
+	readRecover                   // the recovery scan
 )
 
 // The four functions below are the package's raw device READ funnels;
@@ -261,12 +261,11 @@ func (s *Store) verifyRead(pr flash.PageRead) []int {
 	return s.verifyData(pr.Data, pr.Spare)
 }
 
-// scanRead is the raw read of the recovery and checkpoint scan paths (and
-// of a relocation with verification off):
-// one charged device read returning both areas, with header-checksum and
-// ECC interpretation left to the scan (erased and torn pages are exempt
-// from verification by construction, so the scan cannot delegate to
-// verifyData blindly).
+// scanRead is the raw read of the recovery scan (and of a relocation with
+// verification off): one charged device read returning both areas, with
+// header-checksum and ECC interpretation left to the scan (erased and torn
+// pages are exempt from verification by construction, so the scan cannot
+// delegate to verifyData blindly).
 //
 //pdlvet:ignore deviceio raw-read funnel
 func (s *Store) scanRead(kind readKind, ppn flash.PPN, data, spare []byte) error {

@@ -9,15 +9,14 @@ import (
 // mapTable owns PDL's mapping state — the physical page mapping table
 // (pid -> <base, differential>), the per-pid creation time stamps, the
 // reverse base-page index, and the valid differential count table — with
-// its own synchronization, decoupled from the flash lock.
+// its own synchronization, decoupled from the channel locks.
 //
-// Concurrency model. Mutators hold the store's flash lock SHARED plus
-// their channel's lock, so mutators on different channels run
-// concurrently — the mapTable's RWMutex is the real serializer for the
-// maps and slices below, and it additionally orders mutations against
-// lock-free readers (ReadPage and the read half of WritePage, which
-// deliberately take no store-level lock). Readers use an optimistic
-// versioned-snapshot protocol:
+// Concurrency model. Mutators hold their channel's lock, so mutators on
+// different channels run concurrently — the mapTable's RWMutex is the
+// real serializer for the maps and slices below, and it additionally
+// orders mutations against lock-free readers (ReadPage and the read half
+// of WritePage, which deliberately take no store-level lock). Readers use
+// an optimistic versioned-snapshot protocol:
 //
 //	e, baseTS, diffTS, v := mt.snapshot(pid)    // entry + its two time stamps + per-pid version
 //	... read flash pages e points at, with no store-level lock held ...
@@ -183,9 +182,9 @@ func (t *mapTable) diffOf(pid uint32) (flash.PPN, uint64) {
 // readbatch.go) pins its merged image to the version it read: on false the
 // copy at ppn is dead and must be discarded by the caller, and the racing
 // mutation (a GC relocation; flushes and writes are excluded by the shard
-// lock the healer holds) owns the mapping. Caller holds the flash lock.
+// lock the healer holds) owns the mapping. Caller holds a channel lock.
 //
-//pdlvet:holds flash
+//pdlvet:holds channel
 func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8, pin *uint64) (old pageEntry, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -239,9 +238,9 @@ func (t *mapTable) relocateBaseFrom(pid uint32, src, dst flash.PPN, mode uint8) 
 // setDiffPage commits one flushed differential: pid's differential page
 // becomes ppn with time stamp ts, ppn's valid count grows, and the
 // previous differential page (if any) is returned for release. Caller
-// holds the flash lock.
+// holds a channel lock.
 //
-//pdlvet:holds flash
+//pdlvet:holds channel
 func (t *mapTable) setDiffPage(pid uint32, ppn flash.PPN, ts uint64) (old flash.PPN) {
 	t.mu.Lock()
 	old = t.ppmt[pid].dif
@@ -287,9 +286,9 @@ func (t *mapTable) repointDiffFrom(pid uint32, src, dst flash.PPN, ts uint64) bo
 // decDiffCount implements decreaseValidDifferentialCount's bookkeeping
 // half (Figure 8): decrement dp's valid count, deleting the entry when it
 // reaches zero, and report whether the page just became obsolete. Caller
-// holds the flash lock.
+// holds a channel lock.
 //
-//pdlvet:holds flash
+//pdlvet:holds channel
 func (t *mapTable) decDiffCount(dp flash.PPN) (obsolete bool) {
 	t.mu.Lock()
 	t.vdct[dp]--
@@ -335,9 +334,9 @@ func (t *mapTable) diffCount(dp flash.PPN) int {
 
 // dropDiffPage forgets a differential page wholesale (its survivors have
 // been compacted elsewhere and its block is about to be erased). Caller
-// holds the flash lock.
+// holds a channel lock.
 //
-//pdlvet:holds flash
+//pdlvet:holds channel
 func (t *mapTable) dropDiffPage(dp flash.PPN) {
 	t.mu.Lock()
 	delete(t.vdct, dp)

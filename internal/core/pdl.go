@@ -70,24 +70,20 @@
 // decomposed into purpose-built components, each with its own
 // synchronization, in a strict lock hierarchy (outer to inner):
 //
-//		shard lock  >  flash lock  >  channel lock  >  mapTable lock  >  diff-cache lock, base-image lock
+//		shard lock  >  channel lock  >  mapTable lock  >  diff-cache lock, base-image lock
 //
 //	  - each of the Options.Shards write-buffer shards has its own RWMutex
 //	    serializing the buffered differentials of the pids it owns (so
 //	    per-pid write order is well defined); ReadBatch/WriteBatch/Flush
 //	    take several shard locks together, always in ascending index order;
-//	  - the flash lock (flashMu) is a readers-writer lock over the flash
-//	    mutation domain as a whole: commit and garbage collection hold it
-//	    SHARED and then take the channel locks of the channels they mutate,
-//	    so mutations on different channels run in parallel; whole-store
-//	    operations (checkpointing) hold it EXCLUSIVE, which quiesces every
-//	    channel at once;
 //	  - each channel lock (one per flash channel; a plain device has
 //	    exactly one) serializes that channel's mutations: allocation, page
-//	    programs with their mapping-table commits, and garbage collection.
-//	    It is held per commit — or, in background-GC mode, per collected
-//	    victim — never across a whole collection cycle. A commit touching
-//	    several channels locks them in ascending index order;
+//	    programs with their mapping-table commits, and garbage collection;
+//	    commit and garbage collection take the locks of the channels they
+//	    mutate and no other, so mutations on different channels run in
+//	    parallel. It is held per commit — or, in background-GC mode, per
+//	    collected victim — never across a whole collection cycle. A commit
+//	    touching several channels locks them in ascending index order;
 //	  - the mapTable owns the mapping state (ppmt, time stamps, vdct,
 //	    reverseBase, a slot per physical page that is checked against ppmt
 //	    and never cleared) behind its own RWMutex plus a per-pid version
@@ -138,12 +134,6 @@ type Options struct {
 	// ReserveBlocks is the number of erased blocks kept aside for garbage
 	// collection. Zero means 2.
 	ReserveBlocks int
-	// CheckpointBlocks, when positive (an even number >= 2), reserves
-	// that many blocks as a checkpoint region and enables
-	// Store.WriteCheckpoint and RecoverWithCheckpoint — the fast-recovery
-	// extension the paper leaves as further study (section 4.5). Zero
-	// disables checkpointing.
-	CheckpointBlocks int
 	// WearAwareGC selects the wear-aware garbage-collection victim policy
 	// instead of pure greedy selection (a longevity ablation; see
 	// internal/ftl).
@@ -238,7 +228,7 @@ type shard struct {
 }
 
 // storeChan is the store-side state of one flash channel: the channel
-// lock (below the shared flash lock, above the mapTable lock in the
+// lock (below the shard locks, above the mapTable lock in the
 // hierarchy; multi-channel paths acquire channel locks in ascending
 // index order), the channel's spare-header scratch (every header encode
 // happens under the owning channel's lock, so one buffer per channel
@@ -266,14 +256,9 @@ type Store struct {
 	numPages int
 	maxDiff  int
 
-	// flashMu is the flash lock: per-channel mutation paths hold it
-	// SHARED before taking their channel lock; whole-store operations
-	// (checkpointing) hold it EXCLUSIVE, quiescing every channel. Reads
-	// do not take it; see the package comment.
-	flashMu sync.RWMutex
 	// chans is the per-channel mutation state; a plain single-channel
-	// device has exactly one entry, and the channel lock then plays the
-	// role the single flash mutex played before striping.
+	// device has exactly one entry. Reads take none of its locks; see the
+	// package comment.
 	chans []storeChan
 	nchan int
 	// mt owns the mapping tables with their own synchronization.
@@ -310,12 +295,10 @@ type Store struct {
 	// shards partitions the differential write buffer by pid hash.
 	shards []shard
 	// ts is the creation time stamp counter (atomic: writers on different
-	// shards stamp differentials without holding the flash lock).
+	// shards stamp differentials under no common lock).
 	ts atomic.Uint64
 	// pages pools scratch page buffers for the read and write paths.
 	pages bufPool
-	// ckpt is the checkpoint region manager (nil unless enabled).
-	ckpt *ckptRegion
 	// adap is the adaptive routing state (nil unless Options.Adaptive
 	// is enabled); see adaptive.go.
 	adap *adaptiveState
@@ -361,8 +344,8 @@ type Telemetry struct {
 	// BaseReads, DiffReads, WriteBaseReads, GCReads and RecoverReads
 	// attribute every flash page the store read: base and differential
 	// pages for PDL_Reading, the base page PDL_Writing step 1 compares a
-	// write with, relocation reads of garbage collection, and recovery and
-	// checkpoint scans. They sum to the device's read count.
+	// write with, relocation reads of garbage collection, and the recovery
+	// scan. They sum to the device's read count.
 	BaseReads, DiffReads, WriteBaseReads, GCReads, RecoverReads int64
 	// WriteBaseHits counts the writes whose step 1 found the base image a
 	// read had just retained and read nothing: WriteBaseHits over
@@ -575,11 +558,6 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		// ratio scoring stops GC from repeatedly recycling cold blocks.
 		s.alloc.SetVictimPolicy(ftl.VictimCostBenefit)
 	}
-	if opts.CheckpointBlocks > 0 {
-		if err := s.enableCheckpoints(opts.CheckpointBlocks); err != nil {
-			return nil, err
-		}
-	}
 	if opts.BackgroundGC {
 		low := opts.GCLowWater
 		if low == 0 {
@@ -607,18 +585,15 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 }
 
 // chanCollector adapts one channel of a Store to the background engine's
-// Collector interface: one collection increment holds the flash lock
-// shared and the channel lock for exactly one victim block, so foreground
-// reflections — on this channel and every other — interleave between
-// increments.
+// Collector interface: one collection increment holds the channel lock
+// for exactly one victim block, so foreground reflections on this channel
+// interleave between increments, and those on every other never wait.
 type chanCollector struct {
 	s  *Store
 	ch int
 }
 
 func (c chanCollector) CollectOne() (bool, error) {
-	c.s.flashMu.RLock()
-	defer c.s.flashMu.RUnlock()
 	sc := &c.s.chans[c.ch]
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -739,7 +714,7 @@ func (s *Store) putPage(b []byte) { s.pages.put(b) }
 // every page allocation. The caller holds channel ch's lock (which
 // guards lastKickFree).
 //
-//pdlvet:holds flash,channel
+//pdlvet:holds channel
 func (s *Store) kickEtiquette(ch int) {
 	c := &s.chans[ch]
 	if free := s.alloc.FreeBlocksOn(ch); free <= s.gcLow {
@@ -802,7 +777,7 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 // ReadPage implements ftl.Method with the PDL_Reading algorithm (Figure 9):
 // read the base page, find the differential (write buffer, cached record,
 // then the differential page), and merge. The whole read path runs without
-// the flash lock: concurrent readers proceed in parallel on the device, and
+// a channel lock: concurrent readers proceed in parallel on the device, and
 // a racing garbage-collection relocation or flush is detected by the
 // mapping version and retried against a fresh snapshot.
 func (s *Store) ReadPage(pid uint32, buf []byte) error {
@@ -917,10 +892,10 @@ func (s *Store) Flush() error {
 // ever holds live pages). Where the paper sets the page obsolete with a spare
 // program, this counts it obsolete in the allocator (ftl.NoteObsolete): every
 // record of dp lost to a newer time stamp, which is all recovery looks at.
-// The caller holds the flash lock shared and channel ch's lock; if dp lives
-// on a different channel, the note is queued on that channel.
+// The caller holds channel ch's lock; if dp lives on a different channel,
+// the note is queued on that channel.
 //
-//pdlvet:holds flash,channel
+//pdlvet:holds channel
 func (s *Store) releaseDiffPage(dp flash.PPN, ch int) {
 	if s.mt.decDiffCount(dp) {
 		s.alloc.NoteObsoleteFrom(dp, ch)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -166,11 +165,7 @@ func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	// Rebuild the allocator's view: a block with any programmed page is
 	// adopted as full (its erased tail is reclaimed by the next garbage
 	// collection of the block); fully erased blocks stay on the free list.
-	// Checkpoint-region blocks have their own manager and are skipped.
 	for blk := 0; blk < p.NumBlocks; blk++ {
-		if s.isCkptBlock(blk) {
-			continue
-		}
 		written := false
 		var blockSeq uint64
 		for i := 0; i < p.PagesPerBlock; i++ {
@@ -191,17 +186,6 @@ func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		}
 		if blockSeq > 0 {
 			s.alloc.AdoptSeq(blk, blockSeq)
-		}
-	}
-
-	// If a checkpoint region exists, restore its cursor so the next
-	// WriteCheckpoint gets a fresh id and targets the half that does not
-	// hold the newest complete checkpoint.
-	if s.ckpt != nil {
-		if best, err := s.findCheckpoint(); err == nil {
-			s.ckpt.noteLatest(best.id, best.blk)
-		} else if !errors.Is(err, ErrNoCheckpoint) {
-			return nil, err
 		}
 	}
 	return s, nil
@@ -238,10 +222,6 @@ func (s *Store) useless(ppn flash.PPN, pi *pageInfo) bool {
 		return s.mt.vdct[ppn] == 0
 	case ftl.TypeFree:
 		return pi.torn
-	case ftl.TypeCheckpoint:
-		// Checkpoint chunks are managed by the checkpoint region (which
-		// erases whole halves); never invalidate them here.
-		return false
 	}
 	return true // unknown page type: written by another method
 }
@@ -288,9 +268,7 @@ type scanResult struct {
 // corrupt spare can never masquerade as a valid
 // mapping and corrupt data never silently wins arbitration. Single-bit
 // errors are corrected in place (and counted) before differential pages
-// are decoded. Checkpoint chunks are exempt here: the checkpoint region
-// verifies its own chunks in findCheckpoint, where a corrupt chunk
-// demotes the whole checkpoint to incomplete.
+// are decoded.
 func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) error {
 	dev, p, numPages := s.dev, s.params, s.numPages
 	res.bases = make(map[uint32]candidate)
@@ -318,7 +296,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 			if h.Obsolete {
 				continue
 			}
-			if s.integ.verify && h.Type != ftl.TypeFree && h.Type != ftl.TypeCheckpoint &&
+			if s.integ.verify && h.Type != ftl.TypeFree &&
 				!ftl.VerifyHeaderChecksum(spare, p.DataSize) {
 				s.itel.headerChecksumFailures.Add(1)
 				infos[ppn].quarantined = true

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pdl/internal/flash"
+	"pdl/internal/ftl"
 	"pdl/internal/ftltest"
 )
 
@@ -313,6 +314,63 @@ func TestRecoverEmptyChip(t *testing.T) {
 	// And it can be used as a fresh store.
 	if err := r.WritePage(0, buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverReclaimsForeignPages recovers an image that holds sealed pages
+// of a type this method never writes, as a file image does that an earlier
+// version left Checkpoint chunks (spare type 0xC0) in: every logical page
+// comes back, and the blocks holding the foreign pages are garbage like any
+// other, collected and erased once the store churns (they are planted full,
+// so greedy victim selection has nothing better to pick first).
+func TestRecoverReclaimsForeignPages(t *testing.T) {
+	s, chip, shadow := loadStore(t, 16, 64, 128)
+	runWorkload(t, s, shadow, 100, 21, 10)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p := chip.Params()
+	var foreign []int
+	for b := p.NumBlocks - 1; b >= 0 && len(foreign) < 2; b-- {
+		if s.Allocator().BlockStats(b).Free {
+			foreign = append(foreign, b)
+		}
+	}
+	if len(foreign) < 2 {
+		t.Fatal("no two erased blocks to plant foreign pages in")
+	}
+	chunk := make([]byte, p.DataSize)
+	rng := rand.New(rand.NewSource(23))
+	for _, b := range foreign {
+		for pg := 0; pg < p.PagesPerBlock; pg++ {
+			rng.Read(chunk)
+			programRaw(t, chip, p.PPNOf(b, pg), chunk, ftl.Header{Type: 0xC0, PID: uint32(pg), TS: 1})
+		}
+	}
+
+	r, err := Recover(chip, len(shadow), Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid := range shadow {
+		mustReadEqual(t, r, uint32(pid), shadow[pid])
+	}
+	for _, b := range foreign {
+		if bs := r.Allocator().BlockStats(b); bs.Obsolete != p.PagesPerBlock {
+			t.Errorf("foreign block %d adopted with %d of %d pages obsolete", b, bs.Obsolete, bs.Written)
+		}
+	}
+	runWorkload(t, r, shadow, 3000, 22, 25)
+	if r.Allocator().GCRuns() == 0 {
+		t.Fatal("GC never ran; churn insufficient")
+	}
+	for _, b := range foreign {
+		if chip.EraseCount(b) == 0 {
+			t.Errorf("block %d still holds its foreign pages after %d collections: leaked", b, r.Allocator().GCRuns())
+		}
+	}
+	for pid := range shadow {
+		mustReadEqual(t, r, uint32(pid), shadow[pid])
 	}
 }
 

@@ -4,7 +4,7 @@ package filedev_test
 // over the file-backed device, plus the durability tests the emulator
 // cannot express: a PDL store is written, flushed, and its process "dies"
 // (the device is abandoned or closed); reopening the same file and
-// running Recover / RecoverWithCheckpoint must reconstruct byte-identical
+// running Recover must reconstruct byte-identical
 // logical pages.
 
 import (
@@ -214,14 +214,14 @@ func TestPDLKillAndReopen(t *testing.T) {
 }
 
 // TestPDLRecoveryEquivalenceOnFile copies the device file after a restart
-// and recovers one copy with the full scan and the other with the
-// checkpointed fast path: both must reconstruct identical logical pages.
+// and recovers one copy with the serial scan and the other with the
+// parallel one: both must reconstruct identical logical pages.
 func TestPDLRecoveryEquivalenceOnFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "flash.img")
 	p := ftltest.SmallParams(24)
 	const numPages = 96
-	opts := core.Options{MaxDifferentialSize: 128, ReserveBlocks: 2, CheckpointBlocks: 4}
+	opts := core.Options{MaxDifferentialSize: 128, ReserveBlocks: 2}
 
 	dev, err := filedev.Open(path, filedev.Options{Params: p})
 	if err != nil {
@@ -232,11 +232,6 @@ func TestPDLRecoveryEquivalenceOnFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	shadow := writeWorkload(t, store, numPages, p.DataSize, 37)
-	if _, err := store.WriteCheckpoint(); err != nil {
-		t.Fatalf("WriteCheckpoint: %v", err)
-	}
-	// Keep mutating after the checkpoint so the fast path has dirty
-	// blocks to rescan.
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 150; i++ {
 		pid := rng.Intn(numPages)
@@ -256,27 +251,23 @@ func TestPDLRecoveryEquivalenceOnFile(t *testing.T) {
 	copyPath := filepath.Join(dir, "copy.img")
 	copyFile(t, path, copyPath)
 
-	devFull, err := filedev.Open(path, filedev.Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		path    string
+		workers int
+		label   string
+	}{{path, 1, "serial recovery"}, {copyPath, 4, "parallel recovery"}} {
+		dev, err := filedev.Open(c.path, filedev.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dev.Close()
+		opts.RecoveryWorkers = c.workers
+		r, err := core.Recover(dev, numPages, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		verifyPages(t, r, shadow, c.label)
 	}
-	defer devFull.Close()
-	full, err := core.Recover(devFull, numPages, opts)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	devCkpt, err := filedev.Open(copyPath, filedev.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devCkpt.Close()
-	fast, err := core.RecoverWithCheckpoint(devCkpt, numPages, opts)
-	if err != nil {
-		t.Fatalf("RecoverWithCheckpoint: %v", err)
-	}
-
-	verifyPages(t, full, shadow, "full-scan recovery")
-	verifyPages(t, fast, shadow, "checkpointed recovery")
 }
 
 func copyFile(t *testing.T, src, dst string) {

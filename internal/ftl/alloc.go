@@ -24,9 +24,6 @@ type blockInfo struct {
 	stream   Stream
 	written  int // pages programmed since erase
 	obsolete int // pages marked obsolete
-	// excluded blocks (checkpoint regions) are never allocated from and
-	// never chosen as garbage-collection victims.
-	excluded bool
 }
 
 // Relocator moves the still-valid contents of a victim block elsewhere
@@ -245,10 +242,11 @@ type Allocator struct {
 
 	// seq tracks each block's activation sequence number: a monotonic
 	// counter bumped whenever a block leaves a free list. Pages carry
-	// it in their spare headers, letting checkpointed recovery detect
-	// blocks rewritten since the checkpoint. Entries are atomic because
-	// cross-channel obsolete enqueues read a block's sequence without
-	// its owning channel's lock.
+	// it in their spare headers, so recovery restores it: cost-benefit
+	// victim selection reads it as a block's age, and a queued obsolete
+	// note uses it to tell a block from its next life. Entries are atomic
+	// because cross-channel obsolete enqueues read a block's sequence
+	// without its owning channel's lock.
 	seq        []atomic.Uint64
 	seqCounter atomic.Uint64
 }
@@ -305,8 +303,7 @@ func newAllocator(dev flash.Device, reserve, nchan int, chanOf func(int) int) *A
 		c.blocks = append(c.blocks, b)
 	}
 	// Free lists are built descending so tail pops hand blocks out in
-	// ascending order, matching the append-order expectations of tests
-	// and the checkpoint region layout.
+	// ascending order, matching the append-order expectations of tests.
 	for b := p.NumBlocks - 1; b >= 0; b-- {
 		if !dev.IsBad(b) {
 			c := &a.chans[a.chanOf(b)]
@@ -810,41 +807,6 @@ func (a *Allocator) AdoptSeq(blk int, seq uint64) {
 	}
 }
 
-// ExcludeBlocks permanently removes n blocks from the free lists,
-// drawing round-robin from the channel tails so a checkpoint region is
-// spread across channels, and returns their ids. Checkpointing reserves
-// its region this way before any allocation happens.
-func (a *Allocator) ExcludeBlocks(n int) []int {
-	var out []int
-	for len(out) < n {
-		progressed := false
-		for ch := range a.chans {
-			if len(out) == n {
-				break
-			}
-			blk, ok := a.popFree(ch)
-			if !ok {
-				continue
-			}
-			a.blocks[blk].state = blockFull
-			a.blocks[blk].excluded = true
-			out = append(out, blk)
-			progressed = true
-		}
-		if !progressed {
-			break
-		}
-	}
-	return out
-}
-
-// AdoptCounts restores a block's written/obsolete bookkeeping from a
-// checkpoint during recovery.
-func (a *Allocator) AdoptCounts(blk, written, obsolete int) {
-	a.blocks[blk].written = written
-	a.blocks[blk].obsolete = obsolete
-}
-
 // AdoptFullBlock marks blk as fully written during recovery scans.
 func (a *Allocator) AdoptFullBlock(blk int) {
 	if a.blocks[blk].state == blockFree {
@@ -951,7 +913,7 @@ func (a *Allocator) pickVictimOn(ch int) int {
 		minWear = 1 << 30
 		for _, b := range c.blocks {
 			bi := &a.blocks[b]
-			if bi.state == blockFull && !bi.excluded && bi.obsolete > 0 {
+			if bi.state == blockFull && bi.obsolete > 0 {
 				if ec := a.dev.EraseCount(b); ec < minWear {
 					minWear = ec
 				}
@@ -961,7 +923,7 @@ func (a *Allocator) pickVictimOn(ch int) int {
 	seqNow := a.seqCounter.Load()
 	for _, b := range c.blocks {
 		bi := &a.blocks[b]
-		if bi.state != blockFull || bi.excluded || bi.obsolete == 0 {
+		if bi.state != blockFull || bi.obsolete == 0 {
 			continue
 		}
 		var score float64

@@ -6,63 +6,6 @@ import (
 	"pdl/internal/flash"
 )
 
-func TestExcludeBlocks(t *testing.T) {
-	c := smallChip(8)
-	a := NewAllocator(c, 1)
-	got := a.ExcludeBlocks(3)
-	if len(got) != 3 {
-		t.Fatalf("excluded %d blocks, want 3", len(got))
-	}
-	if a.FreeBlocks() != 5 {
-		t.Errorf("FreeBlocks = %d, want 5", a.FreeBlocks())
-	}
-	// Excluded blocks are never handed out.
-	excluded := map[int]bool{}
-	for _, b := range got {
-		excluded[b] = true
-		bs := a.BlockStats(b)
-		if bs.Free || bs.Active {
-			t.Errorf("excluded block %d still free/active", b)
-		}
-	}
-	data := make([]byte, c.Params().DataSize)
-	for i := 0; i < 4*8; i++ {
-		ppn, err := a.Alloc()
-		if err != nil {
-			break
-		}
-		if excluded[c.BlockOf(ppn)] {
-			t.Fatalf("allocated from excluded block %d", c.BlockOf(ppn))
-		}
-		_ = c.Program(ppn, data, nil)
-		_ = a.MarkObsolete(ppn)
-	}
-	// Excluded blocks never become GC victims even when everything else
-	// is churned.
-	for i := 0; i < 40; i++ {
-		ppn, err := a.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = c.Program(ppn, data, nil)
-		_ = a.MarkObsolete(ppn)
-	}
-	for _, b := range got {
-		if c.EraseCount(b) != 0 {
-			t.Errorf("excluded block %d was erased by GC", b)
-		}
-	}
-}
-
-func TestExcludeBlocksMoreThanFree(t *testing.T) {
-	c := smallChip(4)
-	a := NewAllocator(c, 1)
-	got := a.ExcludeBlocks(10)
-	if len(got) != 4 {
-		t.Errorf("excluded %d, want clamp to 4", len(got))
-	}
-}
-
 func TestSeqAssignmentMonotone(t *testing.T) {
 	c := smallChip(4)
 	a := NewAllocator(c, 1)
@@ -112,11 +55,16 @@ func TestAdoptSeqRaisesCounter(t *testing.T) {
 	}
 }
 
-func TestAdoptCountsAndFullBlock(t *testing.T) {
+func TestAdoptFullBlock(t *testing.T) {
 	c := smallChip(4)
 	a := NewAllocator(c, 1)
 	a.AdoptFullBlock(1)
-	a.AdoptCounts(1, 8, 3)
+	for pg := 0; pg < 8; pg++ {
+		a.NoteWritten(flash.PPN(8 + pg))
+		if pg < 3 {
+			a.NoteObsolete(flash.PPN(8 + pg))
+		}
+	}
 	bs := a.BlockStats(1)
 	if bs.Free || bs.Written != 8 || bs.Obsolete != 3 {
 		t.Errorf("adopted block stats = %+v", bs)

@@ -82,7 +82,7 @@ func TestGoldenSeal(t *testing.T) {
 	}{
 		{Header{Type: TypeBase}, 0x61},
 		{Header{Type: TypeDiff, PID: NoPID, TS: 1, Seq: 1}, 0xa4},
-		{Header{Type: TypeCheckpoint, PID: 7, TS: 1 << 40, Seq: 1 << 33}, 0x0b},
+		{Header{Type: 0xC0, PID: 7, TS: 1 << 40, Seq: 1 << 33}, 0x0b},
 		{Header{Type: TypeBase, PID: 123456, TS: 987654321, Seq: 5, Mode: ModeTagOPU}, 0x46},
 	} {
 		EncodeHeaderInto(g.h, spare)

@@ -113,8 +113,7 @@ const (
 	TypeDiff byte = 0xD0
 	// TypeLog marks an IPL log page.
 	TypeLog byte = 0x90
-	// TypeCheckpoint marks a PDL mapping-table checkpoint chunk.
-	TypeCheckpoint byte = 0xC0
+	// 0xC0 stays reserved: old file images hold Checkpoint chunks under it.
 )
 
 // Spare-area layout (within the 64-byte spare area of each page):
@@ -124,8 +123,9 @@ const (
 //	[2:6]    logical page id (PID), little endian
 //	[6:14]   creation time stamp, little endian
 //	[14:22]  block sequence number, little endian (the activation sequence
-//	         of the containing block; checkpointed recovery uses it to
-//	         detect blocks rewritten since the last checkpoint)
+//	         of the containing block; recovery restores the allocator's
+//	         per-block sequence from it, which is a block's age to
+//	         cost-benefit victim selection)
 //	[22]     logging-mode tag (adaptive method): 0xFF/0x00 differential
 //	         (PDL) or unset, ModeTagOPU whole-page; recovery reads it to
 //	         rebuild per-page logging state without replaying history

@@ -34,8 +34,8 @@ import (
 )
 
 // Collector is the engine's view of the thing being collected. The PDL
-// store implements it over its allocator: CollectOne takes the store's
-// flash lock, runs one allocator garbage-collection increment (victim
+// store implements it over its allocator: CollectOne takes the
+// channel's lock, runs one allocator garbage-collection increment (victim
 // selection, relocation, erase), and releases the lock.
 type Collector interface {
 	// CollectOne performs one bounded collection increment, returning

@@ -134,8 +134,8 @@
 //	})
 //	defer store.Close()
 //
-// Crash recovery (Recover, RecoverWithCheckpoint) rebuilds a store with
-// whatever shard count the Options request; the on-flash format is
+// Crash recovery (Recover) rebuilds a store with whatever
+// shard count the Options request; the on-flash format is
 // identical for every shard count and GC mode, so a multi-shard store
 // recovers the same logical state a single-shard store would. Recover
 // fans its spare-area scan over Options.RecoveryWorkers goroutines
@@ -314,20 +314,6 @@ func Open(dev Device, numPages int, opts Options) (*Store, error) {
 // rebuilds the same state.
 func Recover(dev Device, numPages int, opts Options) (*Store, error) {
 	return core.Recover(dev, numPages, opts)
-}
-
-// ErrNoCheckpoint reports that RecoverWithCheckpoint found no complete
-// checkpoint; fall back to Recover.
-var ErrNoCheckpoint = core.ErrNoCheckpoint
-
-// RecoverWithCheckpoint rebuilds a PDL store from the newest complete
-// mapping-table checkpoint, scanning in full only the blocks rewritten
-// since then — the fast-recovery extension the paper leaves as further
-// study. The store must have been opened with Options.CheckpointBlocks > 0
-// and have called Store.WriteCheckpoint at least once; otherwise it fails
-// with ErrNoCheckpoint.
-func RecoverWithCheckpoint(dev Device, numPages int, opts Options) (*Store, error) {
-	return core.RecoverWithCheckpoint(dev, numPages, opts)
 }
 
 // OPUStore is the out-place update page-based baseline.
