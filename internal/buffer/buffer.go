@@ -33,15 +33,24 @@ type frame struct {
 // store), falling back to per-page WritePage calls in the same pid order
 // otherwise.
 //
+// When the method keeps previous page images for its writes
+// (ftl.BaseRetainer, the PDL store), the pool names each page the moment its
+// clean frame is first marked dirty, so that the write-back, an eviction
+// away, does not have to read the page's base from flash again.
+//
 // Pool is not safe for concurrent use; the storage layers in this module
 // are single-threaded, like the I/O path of the paper's experiments.
 type Pool struct {
 	method   ftl.Method
-	batcher  ftl.BatchWriter // method, if it accepts write batches; nil otherwise
-	breader  ftl.BatchReader // method, if it accepts read batches; nil otherwise
+	batcher  ftl.BatchWriter  // method, if it accepts write batches; nil otherwise
+	breader  ftl.BatchReader  // method, if it accepts read batches; nil otherwise
+	retainer ftl.BaseRetainer // method, if it takes the first-dirty hint; nil otherwise
 	capacity int
 	frames   map[uint32]*frame
 	lru      *list.List // front = most recently used
+	// spare holds the frames, with their page buffers, of faults whose read
+	// failed, for the next misses.
+	spare    []*frame
 	pageSize int
 	// evictionBatch is how many dirty frames one dirty eviction may write
 	// back together (write-back clustering); see Options.
@@ -111,6 +120,9 @@ func NewPoolOpts(method ftl.Method, capacity int, opts Options) (*Pool, error) {
 	}
 	if br, ok := method.(ftl.BatchReader); ok {
 		p.breader = br
+	}
+	if r, ok := method.(ftl.BaseRetainer); ok {
+		p.retainer = r
 	}
 	return p, nil
 }
@@ -321,11 +333,17 @@ func (p *Pool) GetNew(pid uint32) ([]byte, error) {
 	return f.data, nil
 }
 
-// MarkDirty records that pid's frame has been modified.
+// MarkDirty records that pid's frame has been modified. The first time a
+// clean frame is, a method that takes the hint is told the page will be
+// written back (ftl.BaseRetainer); a frame GetNew created is dirty from the
+// start and has no previous image to name.
 func (p *Pool) MarkDirty(pid uint32) error {
 	f, ok := p.frames[pid]
 	if !ok {
 		return fmt.Errorf("buffer: MarkDirty(%d): page not resident", pid)
+	}
+	if !f.dirty && p.retainer != nil {
+		p.retainer.RetainBase(pid)
 	}
 	f.dirty = true
 	return nil
@@ -401,7 +419,10 @@ func (p *Pool) Close() error {
 // the pool is full. A dirty victim is written back first; with
 // Options.EvictionBatch > 1 the write-back clusters further dirty frames
 // from the cold end of the LRU into the same pid-ordered batch, so the
-// evictions that follow find clean victims.
+// evictions that follow find clean victims. The new page takes over the
+// victim's frame, page buffer and list element: a miss on a full pool
+// allocates nothing. The buffer still holds the victim's bytes; every caller
+// overwrites all of it.
 func (p *Pool) allocFrame(pid uint32) (*frame, error) {
 	if len(p.frames) >= p.capacity {
 		victim := p.lru.Back()
@@ -421,15 +442,28 @@ func (p *Pool) allocFrame(pid uint32) (*frame, error) {
 			}
 		}
 		p.evictions++
-		p.dropFrame(vf)
+		delete(p.frames, vf.pid)
+		vf.pid = pid
+		p.lru.MoveToFront(victim)
+		p.frames[pid] = vf
+		return vf, nil
 	}
-	f := &frame{pid: pid, data: make([]byte, p.pageSize)}
+	var f *frame
+	if n := len(p.spare); n > 0 {
+		f, p.spare = p.spare[n-1], p.spare[:n-1]
+		f.pid = pid
+	} else {
+		f = &frame{pid: pid, data: make([]byte, p.pageSize)}
+	}
 	f.elem = p.lru.PushFront(f)
 	p.frames[pid] = f
 	return f, nil
 }
 
+// dropFrame takes f, whose page could not be read, out of the pool and keeps
+// it for the next miss.
 func (p *Pool) dropFrame(f *frame) {
 	p.lru.Remove(f.elem)
 	delete(p.frames, f.pid)
+	p.spare = append(p.spare, f)
 }

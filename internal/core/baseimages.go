@@ -41,21 +41,37 @@ import (
 // images are beside the differential cache's byte bound, sized by it (see
 // Options.DiffCachePages). A lookup scans the keys from the newest: a
 // single update finds its image at once, a batched one within the batch's
-// width, and a write nobody read for pays n compares and no flash read more
+// width, and a write nobody read for pays the compares and no flash read more
 // than before.
 //
 // Copying a page on every read is paid by readers that never write (7% of
 // ReadPage's own time on the read-only serving workload, and the mutex is one
 // more line for concurrent readers to pass around), so reads retain images
-// only while the window has served a write within its last two laps (two, so
-// that a batch wider than the window is not cut short): idle counts the reads
-// since a write last found its page here, and at 2n the window goes dormant,
-// which a read sees in one atomic load and nothing else. The images stay, and
-// a write that still finds one wakes the window; so does every
-// baseImagesProbe-th write that finds none, for two laps, which is how a
-// store that turns from serving reads to updating pages is noticed. A
-// write-back that comes hundreds of reads after its page was fetched (the KV
-// pool's) never hits, and pays for 2n copies every baseImagesProbe writes.
+// only while the window has served a write, or a hold, within its last two
+// laps (two, so that a batch wider than the window is not cut short): idle
+// counts the reads since a write or a hold last found its page here, and at 2n
+// the window goes dormant, which a read sees in one atomic load and nothing
+// else. The window's images stay, and a write or a hold that still finds one
+// wakes the window; so does every baseImagesProbe-th that finds none, for two
+// laps, which is how a store that turns from serving reads to updating pages
+// is noticed.
+//
+// # Held images
+//
+// A write-back that comes hundreds of reads after its page was fetched (a
+// buffer pool's, at eviction) is beyond any window the store could afford to
+// fill from every read. The store cannot tell at fetch time which pages will
+// be written; the pool can, one call later, when the page is first dirtied
+// (ftl.BaseRetainer): hold moves that page's image, if the window still has
+// it, out of the window into the held region, a second FIFO of up to
+// maxHeld slots under the same names and the same coherence rule. No bytes
+// are copied: the two slots swap buffers, so the region grows by one page
+// buffer for each slot it fills for the first time and by nothing after. get
+// asks the window, then the held region, and leaves a held image where it is:
+// a differential-route write does not change the base, so the same image
+// serves the page's next write-back too. put never touches the region. When
+// the window goes dormant the region is released, so a store that has turned
+// read-only gives the memory back.
 //
 // mu is a leaf lock, never held with any other. All methods are safe on a
 // nil receiver (window off).
@@ -63,26 +79,62 @@ type baseImages struct {
 	// dormant is read by put without mu and written under it.
 	dormant atomic.Bool
 
-	mu   sync.Mutex
-	keys []pageStamp // allocated by the first put; keys[i] names imgs[i], the zero key nothing
-	imgs [][]byte
-	n    int
-	next int // the slot the next put fills: the oldest once the window is full
-	idle int // puts since a get last found its image
-	// missed counts the gets that found nothing while the window is dormant.
+	mu        sync.Mutex
+	win, held imageFIFO
+	idle      int // puts since a get or a hold last found its image
+	// missed counts the gets and holds that found nothing while the window is
+	// dormant.
 	missed int
 }
 
-// baseImagesProbe is the number of writes a dormant window lets miss before
-// it retains images again to see whether writes have started to follow reads.
+// imageFIFO is a ring of at most max page images, each named by the pageStamp
+// it was read under.
+type imageFIFO struct {
+	keys []pageStamp // allocated by the first take; keys[i] names imgs[i], the zero key nothing
+	imgs [][]byte
+	max  int
+	next int // the slot the next take hands out: the oldest once the ring is full
+}
+
+// find returns the slot of the image named want, or -1.
+func (f *imageFIFO) find(want pageStamp) int {
+	i := f.next
+	for range f.keys { // from the newest back, round the ring
+		if i == 0 {
+			i = f.max
+		}
+		i--
+		if f.keys[i] == want {
+			return i
+		}
+	}
+	return -1
+}
+
+// take returns the slot the next image goes into.
+func (f *imageFIFO) take() int {
+	if f.keys == nil {
+		f.keys, f.imgs = make([]pageStamp, f.max), make([][]byte, f.max)
+	}
+	i := f.next
+	if f.next++; f.next == f.max {
+		f.next = 0
+	}
+	return i
+}
+
+// baseImagesProbe is the number of writes and holds a dormant window lets miss
+// before it retains images again to see whether writes have started to follow
+// reads.
 const baseImagesProbe = 1024
 
-// newBaseImages returns a window of n images, nil (off) for n < 1.
-func newBaseImages(n int) *baseImages {
+// newBaseImages returns a window of n images beside a held region of at most
+// held, nil (off) for n < 1.
+func newBaseImages(n, held int) *baseImages {
 	if n < 1 {
 		return nil
 	}
-	return &baseImages{n: n}
+	return &baseImages{win: imageFIFO{max: n}, held: imageFIFO{max: held}}
 }
 
 // put retains img, the verified base page image of pid stamped ts, unless the
@@ -93,47 +145,70 @@ func (b *baseImages) put(pid uint32, ts uint64, img []byte) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.keys == nil {
-		b.keys, b.imgs = make([]pageStamp, b.n), make([][]byte, b.n)
+	i := b.win.take()
+	if b.win.imgs[i] == nil {
+		b.win.imgs[i] = make([]byte, len(img))
 	}
-	if b.imgs[b.next] == nil {
-		b.imgs[b.next] = make([]byte, len(img))
-	}
-	copy(b.imgs[b.next], img)
-	b.keys[b.next] = pageStamp{pid, ts}
-	if b.next++; b.next == b.n {
-		b.next = 0
-	}
-	if b.idle++; b.idle >= 2*b.n {
+	copy(b.win.imgs[i], img)
+	b.win.keys[i] = pageStamp{pid, ts}
+	if b.idle++; b.idle >= 2*b.win.max {
 		b.dormant.Store(true)
+		b.held = imageFIFO{max: b.held.max}
 	}
 }
 
-// get copies pid's base image stamped ts into dst if the window holds it.
+// get copies pid's base image stamped ts into dst if the window or the held
+// region has it.
 func (b *baseImages) get(pid uint32, ts uint64, dst []byte) bool {
 	if b == nil {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	want, i := pageStamp{pid, ts}, b.next
-	for range b.keys { // from the newest back, round the ring
-		if i == 0 {
-			i = b.n
-		}
-		i--
-		if b.keys[i] == want {
-			copy(dst, b.imgs[i])
-			b.wake()
-			return true
-		}
+	want := pageStamp{pid, ts}
+	if i := b.win.find(want); i >= 0 {
+		copy(dst, b.win.imgs[i])
+	} else if i := b.held.find(want); i >= 0 {
+		copy(dst, b.held.imgs[i])
+	} else {
+		b.miss()
+		return false
 	}
+	b.wake()
+	return true
+}
+
+// hold moves pid's base image stamped ts from the window into the held
+// region, where reads do not push it out, and reports whether the image is
+// held now. The two slots swap buffers: the window gets back the buffer of the
+// held image that left.
+func (b *baseImages) hold(pid uint32, ts uint64) bool {
+	if b == nil {
+		return false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	want := pageStamp{pid, ts}
+	if i := b.win.find(want); i >= 0 {
+		j := b.held.take()
+		b.win.imgs[i], b.held.imgs[j] = b.held.imgs[j], b.win.imgs[i]
+		b.win.keys[i], b.held.keys[j] = pageStamp{}, want
+	} else if b.held.find(want) < 0 {
+		b.miss()
+		return false
+	}
+	b.wake()
+	return true
+}
+
+// miss counts a get or a hold that found nothing toward the next probe. The
+// caller holds mu.
+func (b *baseImages) miss() {
 	if b.dormant.Load() {
 		if b.missed++; b.missed == baseImagesProbe {
 			b.wake()
 		}
 	}
-	return false
 }
 
 // wake gives reads two laps to retain images in. The caller holds mu.
@@ -144,16 +219,23 @@ func (b *baseImages) wake() {
 	}
 }
 
-// len returns the number of images held (for tests and tooling).
-func (b *baseImages) len() int {
+// len returns the number of images in the window, heldLen in the held region
+// (for tests).
+func (b *baseImages) len() int     { return b.count(false) }
+func (b *baseImages) heldLen() int { return b.count(true) }
+
+func (b *baseImages) count(held bool) (n int) {
 	if b == nil {
 		return 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := 0
-	for _, img := range b.imgs {
-		if img != nil {
+	f := &b.win
+	if held {
+		f = &b.held
+	}
+	for _, key := range f.keys {
+		if key != (pageStamp{}) {
 			n++
 		}
 	}

@@ -153,10 +153,10 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 
 	// Step 1: resolve the base image this write diffs against — the one an
 	// earlier write of the batch staged, else the one a read has just
-	// retained under the base time stamp of the snapshot (baseImages: the
-	// stamp cannot move under the shard lock, so a hit is the current image
-	// wherever the page lives by now), else the base page on flash, read
-	// under no channel lock. The versioned snapshot detects a concurrent
+	// retained, or RetainBase has had held, under the base time stamp of the
+	// snapshot (baseImages: the stamp cannot move under the shard lock, so a
+	// hit is the current image wherever the page lives by now), else the base
+	// page on flash, read under no channel lock. The versioned snapshot detects a concurrent
 	// garbage-collection relocation of the base page (the only mutation
 	// another goroutine can make to this pid's entry while we hold its
 	// shard lock) and retries; relocation preserves content, so a stable

@@ -91,6 +91,13 @@ func TestConcurrentHammer(t *testing.T) {
 					errs <- fmt.Errorf("worker %d op %d: pid %d content diverged", w, i, pid)
 					return
 				}
+				// The first-dirty hint, as a pool gives it for its own page, and
+				// for a page another worker is writing, which it must survive.
+				if i%2 == 0 {
+					s.RetainBase(pid)
+				} else {
+					s.RetainBase(uint32(i % numPages))
+				}
 				off := rng.Intn(size - changeSpan)
 				rng.Read(shadow[pid][off : off+changeSpan])
 				copy(page, shadow[pid])

@@ -253,7 +253,7 @@ func TestDiffCacheIdleCostsNothing(t *testing.T) {
 	// a time: a store that never read holds no image, one that read three
 	// pages holds three.
 	s, _, _ := diffStore(t, Options{MaxDifferentialSize: 128}, 16, 40)
-	if s.bimg.keys != nil || s.bimg.len() != 0 {
+	if s.bimg.win.keys != nil || s.bimg.held.keys != nil || s.bimg.len() != 0 {
 		t.Fatalf("a store that never read holds %d base images", s.bimg.len())
 	}
 	buf := make([]byte, s.PageSize())

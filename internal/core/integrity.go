@@ -63,7 +63,16 @@
 // not, never returned as wrong bytes. A base image with uncorrectable sectors
 // is never retained, so the write after a read that found corruption reads
 // the page itself and heals it by overwrite as before.
-// TestWriteFromRetainedImageOverRottenBase holds both halves.
+//
+// How long the flash copy goes unlooked-at depends on who writes. A caller
+// that writes what it has just read leaves one call between the verified read
+// and the write. A buffer pool that names the page when it dirties it
+// (RetainBase) has the image held until the frame is evicted: the unverified
+// interval is a pool residency, hundreds of reads instead of one call, and a
+// page that rots in it waits that much longer for the read that heals or
+// reports it. The contract is widened in time, not in kind: what is stored is
+// still computed against the true base content, and what is read is still
+// verified. TestWriteFromRetainedImageOverRottenBase holds all of it.
 package core
 
 import (

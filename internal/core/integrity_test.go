@@ -215,28 +215,48 @@ func TestIntegrityWritePageHealsByOverwrite(t *testing.T) {
 // is not healed by overwrite at that write. The next read heals it, if the
 // differential covers the rotten sector, or reports it typed; it never
 // returns wrong bytes. A base read with uncorrectable sectors is never
-// retained, so the write after such a read still heals by overwrite.
+// retained, so the write after such a read still heals by overwrite. A held
+// image (RetainBase) widens the interval from one call to a pool residency —
+// here a hundred reads of other pages, more than a lap of the window — and
+// nothing else.
 func TestWriteFromRetainedImageOverRottenBase(t *testing.T) {
+	flip := func(from, to int) func(page []byte) {
+		return func(page []byte) {
+			for i := from; i < to; i++ {
+				page[i] ^= 0x5A
+			}
+		}
+	}
 	for _, c := range []struct {
 		name   string
 		change func(page []byte)
 		heals  bool
+		held   bool
 	}{
-		{"the change covers the rotten sector", func(page []byte) {
-			for i := 256; i < 512; i++ {
-				page[i] ^= 0x5A
-			}
-		}, true},
-		{"a 2% change elsewhere", func(page []byte) {
-			for i := 40; i < 50; i++ {
-				page[i] ^= 0x5A
-			}
-		}, false},
+		{"the change covers the rotten sector", flip(256, 512), true, false},
+		{"a 2% change elsewhere", flip(40, 50), false, false},
+		{"held, the change covers the rotten sector", flip(256, 512), true, true},
+		{"held, a 2% change elsewhere", flip(40, 50), false, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+			opts := Options{ReserveBlocks: 2}
+			if c.held {
+				opts.DiffCachePages = 64 * baseImagesShare // 100 reads: past one lap of the window, short of the two that end in dormancy
+			}
+			s, fd, shadow := faultedStore(t, 16, 8, opts)
 			const pid = 3
 			mustReadEqual(t, s, pid, shadow[pid])
+			if c.held {
+				s.RetainBase(pid)
+				for other := uint32(0); other < 100; other++ {
+					if other%8 != pid {
+						mustReadEqual(t, s, other%8, shadow[other%8])
+					}
+				}
+				if tel := s.Telemetry(); tel.BaseHolds != 1 || tel.BaseHoldMisses != 0 || s.bimg.heldLen() != 1 {
+					t.Fatalf("%d holds, %d misses, %d images held, want 1, 0 and 1", tel.BaseHolds, tel.BaseHoldMisses, s.bimg.heldLen())
+				}
+			}
 			e := entryOf(s, pid)
 			fd.Inject(faultdev.Fault{PPN: e.base, Kind: faultdev.SectorCorrupt, Off: 256})
 			c.change(shadow[pid])

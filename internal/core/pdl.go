@@ -23,8 +23,9 @@
 //
 // Each algorithm of the paper is written once. PDL_Writing (Figure 7) is
 // stageWrite (batch.go): route, resolve the base image — the one the read
-// path has just served, if it is still retained (see baseImages), else a
-// flash read — heal a corrupt base by overwrite, compute the differential,
+// path has just served, if it is still retained or a buffer pool's hint has
+// had it held (see baseImages, RetainBase), else a flash read — heal a
+// corrupt base by overwrite, compute the differential,
 // and take Case 1, 2 or 3 — against a writeStage, which holds the write
 // buffer the step mutates and the page programs it staged. The writing
 // procedures of Figure 8 are commit: it picks channels, allocates, encodes
@@ -50,7 +51,7 @@
 // to heal an uncorrectably corrupt base from a differential that covers the
 // damage. ReadPage wraps them in its two single-page reads; ReadBatch in
 // its two device batches; both retain the clean base image they read, before
-// the merge, for the write that follows (retainBase).
+// the merge, for the write that follows (keepBaseImage).
 //
 // # Page validity
 //
@@ -182,9 +183,14 @@ type Options struct {
 	// allocated as reads fill them, and reads stop filling them while no
 	// write is being served from the window.
 	//
-	// DiffCacheOff disables both, restoring the paper's two-read
+	// And it bounds the images held for a buffer pool's write-backs
+	// (RetainBase): up to DiffCachePages more page buffers, beside the
+	// budget like the window, allocated only while a pool is naming the
+	// pages it dirties and released when the window goes dormant.
+	//
+	// DiffCacheOff disables all three, restoring the paper's two-read
 	// PDL_Reading and the base page read of PDL_Writing step 1 exactly.
-	// Both are pure DRAM state — never persisted — so recovery is
+	// All are pure DRAM state — never persisted — so recovery is
 	// identical with and without them.
 	DiffCachePages int
 	// Adaptive configures per-page adaptive routing between the
@@ -353,6 +359,13 @@ type Telemetry struct {
 	// that followed a read of their page closely enough. Zero with
 	// DiffCacheOff.
 	WriteBaseHits int64
+	// BaseHolds counts the RetainBase calls that found the named page's base
+	// image still retained (or already held) and hold it for the page's
+	// write-back, BaseHoldMisses the calls that came too late for it: their
+	// write-backs are the WriteBaseReads a pool still pays. Calls for a page
+	// with no base page count as neither. Both zero with DiffCacheOff and
+	// without a caller that implements the hint's other side (buffer.Pool).
+	BaseHolds, BaseHoldMisses int64
 	// ReadRetries counts optimistic read-path retries: a garbage-collection
 	// relocation or a flush moved the pid's mapping mid-read.
 	ReadRetries int64
@@ -461,13 +474,20 @@ type writeTelemetry struct {
 	// shard locks (different shards run concurrently).
 	logicalWrites atomic.Int64
 	writeBaseHits atomic.Int64
-	pdlRoutes     atomic.Int64
-	opuRoutes     atomic.Int64
-	probes        atomic.Int64
-	modeSwitches  atomic.Int64
+	// baseHolds and baseHoldMisses are bumped by RetainBase under no store
+	// lock.
+	baseHolds      atomic.Int64
+	baseHoldMisses atomic.Int64
+	pdlRoutes      atomic.Int64
+	opuRoutes      atomic.Int64
+	probes         atomic.Int64
+	modeSwitches   atomic.Int64
 }
 
-var _ ftl.Method = (*Store)(nil)
+var (
+	_ ftl.Method       = (*Store)(nil)
+	_ ftl.BaseRetainer = (*Store)(nil)
+)
 
 // New builds a PDL store for a database of numPages logical pages over any
 // flash device (the in-memory emulator or a persistent backend).
@@ -539,7 +559,7 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	}
 	if cachePages > 0 {
 		s.dcache = newDiffCache(cachePages*p.DataSize, numPages, p.DataSize)
-		s.bimg = newBaseImages(cachePages / baseImagesShare)
+		s.bimg = newBaseImages(cachePages/baseImagesShare, cachePages)
 	}
 	for i := range s.shards {
 		s.shards[i].dwb.init(p.DataSize)
@@ -774,6 +794,30 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 	return err
 }
 
+// RetainBase implements ftl.BaseRetainer: the caller has modified its copy of
+// pid and will write it back later — a buffer pool's frame going from clean to
+// dirty — so the base image the read path retained when it served the page is
+// moved to where later reads do not push it out (see baseImages), and the
+// write-back, however many reads later, finds it in stageWrite's one lookup.
+// The image is named by the base time stamp as of this call. It is a hint: the
+// mapping snapshot is taken under no shard lock, because only the caller
+// writes pid between its read and its write-back, and if that is not so the
+// stamp held is one the write's own snapshot does not ask for, which costs
+// that write its base page read and nothing else.
+func (s *Store) RetainBase(pid uint32) {
+	if s.bimg == nil || int(pid) >= s.numPages {
+		return
+	}
+	_, baseTS, _, _ := s.mt.snapshot(pid)
+	switch {
+	case baseTS == 0: // never written: the write-back is an initial load
+	case s.bimg.hold(pid, baseTS):
+		s.wtel.baseHolds.Add(1)
+	default:
+		s.wtel.baseHoldMisses.Add(1)
+	}
+}
+
 // ReadPage implements ftl.Method with the PDL_Reading algorithm (Figure 9):
 // read the base page, find the differential (write buffer, cached record,
 // then the differential page), and merge. The whole read path runs without
@@ -818,7 +862,7 @@ func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
 		return false, fmt.Errorf("core: reading base page of pid %d: %w", r.pid, err)
 	}
 	r.bad = bad
-	s.retainBase(r)
+	s.keepBaseImage(r)
 	need, err := s.resolveDiff(sh, r)
 	if need == flash.NilPPN {
 		return false, err
@@ -967,6 +1011,8 @@ func (s *Store) Telemetry() Telemetry {
 	t.DiffReads = s.rtel.diffReads.Load()
 	t.WriteBaseReads = s.rtel.writeBaseReads.Load()
 	t.WriteBaseHits = s.wtel.writeBaseHits.Load()
+	t.BaseHolds = s.wtel.baseHolds.Load()
+	t.BaseHoldMisses = s.wtel.baseHoldMisses.Load()
 	t.GCReads = s.rtel.gcReads.Load()
 	t.RecoverReads = s.rtel.recoverReads.Load()
 	t.LogicalWrites = s.wtel.logicalWrites.Load()

@@ -29,12 +29,12 @@ func (r *pageRead) snapshot(mt *mapTable) {
 	r.e, r.baseTS, r.ts, r.v = mt.snapshot(r.pid)
 }
 
-// retainBase keeps r.buf, the base image of r.pid as it was just read — under
+// keepBaseImage keeps r.buf, the base image of r.pid as it was just read — under
 // a mapping that stayed stable, and before any differential is merged onto
 // it — for the write that follows the read (see baseImages). A base with
 // uncorrectable sectors is not kept: the write that finds none reads the page
 // itself and heals it by overwrite.
-func (s *Store) retainBase(r *pageRead) {
+func (s *Store) keepBaseImage(r *pageRead) {
 	if len(r.bad) == 0 {
 		s.bimg.put(r.pid, r.baseTS, r.buf)
 	}
@@ -278,7 +278,7 @@ func (s *Store) readRound(todo []pageRead) (retry []pageRead, err error) {
 			continue
 		}
 		r.bad = s.verifyRead(batch[k])
-		s.retainBase(&r)
+		s.keepBaseImage(&r)
 		need, err := s.resolveDiff(s.shardOf(r.pid), &r)
 		switch {
 		case err != nil:

@@ -199,7 +199,7 @@ func TestReadPageAllocations(t *testing.T) {
 	// are warm, whether the read copies its image (the first of the reads
 	// below) or, with no write served for two laps, leaves the window alone.
 	s, _, shadow = diffStore(t, Options{MaxDifferentialSize: 128}, 16, 40)
-	for i := 0; i <= s.bimg.n; i++ {
+	for i := 0; i <= s.bimg.win.max; i++ {
 		read(uint32(i % len(shadow)))
 	}
 	if n := testing.AllocsPerRun(200, func() {

@@ -48,6 +48,14 @@ var (
 // and Stats accessors that cover what upper layers actually need, so the
 // same store runs over the in-memory emulator or the persistent
 // file-backed device (internal/flash/filedev) unchanged.
+//
+// A method may implement three optional interfaces beside it, which callers
+// probe for and do without: BatchWriter and BatchReader carry the same reads
+// and writes several at a time, and BaseRetainer is a hint. None of them asks
+// the layer above for anything a disk driver's caller does not already know —
+// which pages it is about to write — and a caller that uses none of them gets
+// the same pages back, so the method stays DBMS-independent in the paper's
+// sense.
 type Method interface {
 	// Name identifies the method and its configuration, e.g. "PDL(256B)".
 	Name() string
@@ -97,6 +105,19 @@ type BatchWriter interface {
 // interface when available and falls back to per-page ReadPage otherwise.
 type BatchReader interface {
 	ReadBatch(pids []uint32, bufs [][]byte) error
+}
+
+// BaseRetainer is implemented by page-update methods that compare a write
+// with the page's previous image and can keep that image in memory (the PDL
+// store). RetainBase(pid) is a hint that the caller has modified its copy of
+// page pid, which it read a moment ago, and will write it back some time
+// later: the method may keep what it needs of the image it served, so that the
+// write does not read it from flash again. It names a page, never its
+// content, returns nothing and may be ignored; nothing about correctness
+// depends on the call being made, made once, or made for the right page. The
+// buffer pool calls it when a clean frame is first marked dirty.
+type BaseRetainer interface {
+	RetainBase(pid uint32)
 }
 
 // Page type tags stored in spare[0]. 0xFF is the erased value, so a free

@@ -95,7 +95,12 @@
 // by page id and base time stamp: the paper's update operation reads a page,
 // changes it and writes it back, and the write then diffs against the
 // retained image instead of reading the base page from flash a second time
-// (Telemetry.WriteBaseHits against WriteBaseReads).
+// (Telemetry.WriteBaseHits against WriteBaseReads). A buffer pool writes a
+// page back long after it fetched it, so a Pool over a Store names each page
+// when its frame is first dirtied (BaseRetainer), and the Store holds that
+// page's image, out of the way of later reads, until the write-back comes
+// (Telemetry.BaseHolds, BaseHoldMisses): up to DiffCachePages more page
+// buffers while a pool is dirtying pages, none once it stops.
 //
 // Pool.GetMany faults a group of pages through ReadBatch when the method
 // supports it (Pool.Readahead prefetches speculatively the same way), and
@@ -258,6 +263,10 @@ type BatchWriter = ftl.BatchWriter
 // implements it (Store.ReadBatch), and the buffer pool's GetMany and
 // Readahead feed any method that does.
 type BatchReader = ftl.BatchReader
+
+// BaseRetainer is the optional first-dirty hint; the PDL Store implements it
+// (Store.RetainBase), and the buffer pool gives it to any method that does.
+type BaseRetainer = ftl.BaseRetainer
 
 // PageProgram is one physical page of a Device.ProgramBatch.
 type PageProgram = flash.PageProgram
