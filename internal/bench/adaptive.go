@@ -23,8 +23,7 @@ import (
 
 // AdaptivePoint is one measured method of the adaptive experiment.
 type AdaptivePoint struct {
-	Method   string
-	Channels int
+	Method string
 	// Ops is the number of measured logical writes.
 	Ops int64
 	// FlashOps is the cost metric over the measured phase, computed from
@@ -32,11 +31,6 @@ type AdaptivePoint struct {
 	// same window for every method (the route split stays zero for
 	// non-adaptive methods other than PDLRouted == Ops).
 	FlashOps core.FlashOpsPerLogicalWrite
-	// Flash is the device-counter delta of the measured phase.
-	Flash flash.Stats
-	// Telemetry is the PDL-family store's counter snapshot (nil for
-	// OPU/IPU/IPL).
-	Telemetry *core.Telemetry
 	// ChannelGC is the per-channel collection breakdown of the measured
 	// phase (nil for methods without the channel-aware allocator); its
 	// ModeMigrations column counts GC-driven mode flips.
@@ -213,9 +207,7 @@ func runAdaptiveOne(g Geometry, m ftl.Method, theta float64) (AdaptivePoint, err
 
 	st := dev.Stats()
 	p := AdaptivePoint{
-		Channels:  maxInt(g.Channels, 1),
 		Ops:       int64(ops),
-		Flash:     st,
 		ChannelGC: ChannelGCOf(m),
 	}
 	p.FlashOps = core.FlashOpsPerLogicalWrite{
@@ -228,13 +220,10 @@ func runAdaptiveOne(g Geometry, m ftl.Method, theta float64) (AdaptivePoint, err
 		p.FlashOps.PerWrite = float64(p.FlashOps.Programs+p.FlashOps.Erases) /
 			float64(p.FlashOps.LogicalWrites)
 	}
-	if store != nil {
+	if store != nil && store.Adaptive() {
 		tel := store.Telemetry()
-		p.Telemetry = &tel
-		if store.Adaptive() {
-			p.FlashOps.PDLRouted = tel.AdaptivePDLRoutes - telBefore.AdaptivePDLRoutes
-			p.FlashOps.OPURouted = tel.AdaptiveOPURoutes - telBefore.AdaptiveOPURoutes
-		}
+		p.FlashOps.PDLRouted = tel.AdaptivePDLRoutes - telBefore.AdaptivePDLRoutes
+		p.FlashOps.OPURouted = tel.AdaptiveOPURoutes - telBefore.AdaptiveOPURoutes
 	}
 	return p, nil
 }
@@ -268,11 +257,4 @@ func meanGCRounds(m ftl.Method) float64 {
 	default:
 		return float64(m.Stats().Erases) / numBlocks
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -73,9 +73,6 @@ func TestExpAdaptiveRuns(t *testing.T) {
 	if got := adaptive.FlashOps.PDLRouted + adaptive.FlashOps.OPURouted; got != adaptive.Ops {
 		t.Errorf("route split sums to %d, want %d", got, adaptive.Ops)
 	}
-	if adaptive.Telemetry == nil {
-		t.Error("adaptive point missing telemetry")
-	}
 	var b bytes.Buffer
 	WriteAdaptiveTable(&b, points)
 	for _, col := range []string{"flashops/wr", "pdl_routed", "gc_migr", "Adaptive", "OPU"} {

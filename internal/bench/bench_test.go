@@ -2,16 +2,11 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
-	"pdl/internal/core"
 	"pdl/internal/flash"
-	"pdl/internal/ftl"
 	"pdl/internal/tpcc"
 )
 
@@ -27,6 +22,13 @@ func testGeometry() Geometry {
 		Seed:            1,
 	}
 }
+
+// exp1Emu is Exp1 of the standard methods at testGeometry() over the
+// emulator, run once for the tests that read its rows.
+var exp1Emu = sync.OnceValues(func() ([]Row, error) {
+	g := testGeometry()
+	return Exp1(g, StandardMethods(g.Params))
+})
 
 func rowOf(t *testing.T, rows []Row, method string, x float64) Row {
 	t.Helper()
@@ -54,8 +56,7 @@ func TestExp1Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are slow")
 	}
-	g := testGeometry()
-	rows, err := Exp1(g, StandardMethods(g.Params))
+	rows, err := exp1Emu()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,158 +346,5 @@ func TestReportWriters(t *testing.T) {
 	WriteExp7Table(&b, []Exp7Point{{Method: "OPU", BufferPct: 1, MicrosPerTxn: 5000}})
 	if !strings.Contains(b.String(), "buf %") {
 		t.Error("exp7 table missing header")
-	}
-}
-
-func TestReportRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	want := Report{
-		Experiment: "par-4w-c4",
-		Method:     "PDL(256B)",
-		Backend:    "emu",
-		Params: ReportParams{
-			NumBlocks:     512,
-			PagesPerBlock: 64,
-			PageSize:      2048,
-			Channels:      4,
-			NumPages:      13107,
-			Workers:       4,
-			Seed:          1,
-		},
-		Ops:           20_000,
-		ElapsedMicros: 123_456,
-		OpsPerSec:     162_000,
-		ChannelGC: []ftl.ChannelGCStats{
-			{Runs: 10, PagesMoved: 400, ColdMigrations: 12},
-			{Runs: 9, PagesMoved: 380, ColdMigrations: 8},
-			{Runs: 11, PagesMoved: 420, ColdMigrations: 15},
-			{Runs: 10, PagesMoved: 390, ColdMigrations: 11},
-		},
-		FlashOps: &core.FlashOpsPerLogicalWrite{
-			LogicalWrites: 20_000,
-			Programs:      9_000,
-			Erases:        150,
-			PerWrite:      0.4575,
-			PDLRouted:     14_000,
-			OPURouted:     6_000,
-		},
-		Telemetry: &core.Telemetry{
-			BufferFlushes:          310,
-			EccCorrectedBits:       7,
-			PagesHealed:            2,
-			UnrecoverablePages:     1,
-			HeaderChecksumFailures: 1,
-		},
-	}
-	path, err := WriteReportFile(dir, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadReportFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want.SchemaVersion = ReportSchemaVersion
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-
-	// The channel section must survive serialization under its wire names,
-	// not just as Go struct equality.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"channels": 4`, `"channel_gc"`, `"pages_moved"`, `"cold_migrations"`,
-		`"flash_ops"`, `"per_write"`, `"pdl_routed"`, `"opu_routed"`,
-		`"EccCorrectedBits": 7`, `"PagesHealed": 2`, `"UnrecoverablePages": 1`, `"HeaderChecksumFailures": 1`} {
-		if !strings.Contains(string(raw), key) {
-			t.Errorf("serialized report missing %s", key)
-		}
-	}
-
-	// A report from an older schema version is refused, not misread.
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["schema_version"] = ReportSchemaVersion - 1
-	stale, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stalePath := filepath.Join(dir, "stale.json")
-	if err := os.WriteFile(stalePath, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReportFile(stalePath); err == nil {
-		t.Error("ReadReportFile accepted a report with an old schema version")
-	}
-}
-
-func TestExpGCTailRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runs are slow")
-	}
-	g := testGeometry()
-	g.MeasureOps = 2_000
-	points, err := ExpGCTail(g, g.Params.DataSize/8, 4, g.MeasureOps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 || points[0].Mode != "sync" || points[1].Mode != "background" {
-		t.Fatalf("points = %+v, want a sync and a background point", points)
-	}
-	for _, p := range points {
-		if p.Ops != int64(g.MeasureOps) {
-			t.Errorf("%s: measured %d ops, want %d", p.Mode, p.Ops, g.MeasureOps)
-		}
-		if p.GCRuns == 0 {
-			t.Errorf("%s: no garbage collection during measurement; the tail comparison is vacuous", p.Mode)
-		}
-		if p.P50 <= 0 || p.P99 < p.P50 || p.Max < p.P99 {
-			t.Errorf("%s: implausible percentiles p50=%v p99=%v max=%v", p.Mode, p.P50, p.P99, p.Max)
-		}
-	}
-	if points[1].BackgroundRuns == 0 {
-		t.Error("background mode collected nothing in background")
-	}
-	var b bytes.Buffer
-	WriteGCTailTable(&b, points)
-	if !strings.Contains(b.String(), "background") || !strings.Contains(b.String(), "p99-us") {
-		t.Error("gctail table missing expected columns")
-	}
-}
-
-func TestExpBatchRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runs are slow")
-	}
-	g := testGeometry()
-	points, err := ExpBatch(g, g.Params.DataSize/8, 32, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 || points[0].Mode != "per-page" || points[1].Mode != "batched" {
-		t.Fatalf("points = %+v, want a per-page and a batched point", points)
-	}
-	perPage, batched := points[0], points[1]
-	if perPage.Ops != batched.Ops || perPage.Ops == 0 {
-		t.Errorf("unequal offered work: %d vs %d ops", perPage.Ops, batched.Ops)
-	}
-	// Both modes reflect the identical workload: the page programs (and
-	// hence the flash layout pressure) must match exactly.
-	if perPage.Flash.Writes != batched.Flash.Writes {
-		t.Errorf("writes: per-page %d, batched %d; batching must not change the write pattern",
-			perPage.Flash.Writes, batched.Flash.Writes)
-	}
-	if batched.BatchWrites == 0 || batched.PagesPerProgram() <= perPage.PagesPerProgram() {
-		t.Errorf("batched mode saw %.1f pages/program (per-page %.1f); batching is not visible",
-			batched.PagesPerProgram(), perPage.PagesPerProgram())
-	}
-	var b bytes.Buffer
-	WriteBatchTable(&b, points)
-	if !strings.Contains(b.String(), "pages/prog") || !strings.Contains(b.String(), "batched") {
-		t.Error("batch table missing expected columns")
 	}
 }

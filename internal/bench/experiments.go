@@ -88,17 +88,23 @@ func (g Geometry) NumPages() int {
 }
 
 // prepare builds, loads, and conditions one method instance, leaving the
-// device and GC stats zeroed, ready for measurement.
-func (g Geometry) prepare(spec MethodSpec, cfg workload.Config) (*workload.Driver, error) {
+// device and GC stats zeroed, ready for measurement. The caller owns the
+// device (releaseDevice); a prepare that fails closes it itself.
+func (g Geometry) prepare(spec MethodSpec, cfg workload.Config) (d *workload.Driver, err error) {
 	dev, err := g.device(g.Params, spec.Name(g.Params))
 	if err != nil {
 		return nil, fmt.Errorf("bench: device for %s: %w", spec.Name(g.Params), err)
 	}
+	defer func() {
+		if err != nil {
+			dev.Close()
+		}
+	}()
 	m, err := spec.Build(dev, cfg.NumPages)
 	if err != nil {
 		return nil, fmt.Errorf("bench: building %s: %w", spec.Name(g.Params), err)
 	}
-	d, err := workload.NewDriver(m, cfg)
+	d, err = workload.NewDriver(m, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -380,40 +386,53 @@ func Exp7(g Geometry, specs []MethodSpec, cfg Exp7Config) ([]Exp7Point, error) {
 	var points []Exp7Point
 	for _, spec := range specs {
 		for _, pct := range cfg.BufferPcts {
-			bufPages := int(float64(pages) * pct / 100)
-			if bufPages < 4 {
-				bufPages = 4
-			}
-			dev, err := g.device(params, fmt.Sprintf("%s-buf%g", spec.Name(params), pct))
-			if err != nil {
-				return nil, err
-			}
-			m, err := spec.Build(dev, pages)
-			if err != nil {
-				return nil, err
-			}
-			db, err := tpcc.Load(m, cfg.Scale, bufPages, cfg.Seed)
+			micros, err := g.exp7Point(params, spec, pct, pages, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("bench: exp7 %s: %w", spec.Name(params), err)
 			}
-			for i := 0; i < cfg.WarmupTxns; i++ {
-				if err := db.Run(db.NextTx()); err != nil {
-					return nil, fmt.Errorf("bench: exp7 warmup: %w", err)
-				}
-			}
-			dev.ResetStats()
-			for i := 0; i < cfg.MeasureTxn; i++ {
-				if err := db.Run(db.NextTx()); err != nil {
-					return nil, fmt.Errorf("bench: exp7 measure: %w", err)
-				}
-			}
 			points = append(points, Exp7Point{
-				Method:       m.Name(),
+				Method:       spec.Name(params),
 				BufferPct:    pct,
-				MicrosPerTxn: float64(m.Stats().TimeMicros) / float64(cfg.MeasureTxn),
+				MicrosPerTxn: micros,
 				Txns:         int64(cfg.MeasureTxn),
 			})
 		}
 	}
 	return points, nil
+}
+
+// exp7Point loads TPC-C over one method, behind a DBMS buffer of pct percent
+// of the database's pages, on a device of its own and returns the simulated
+// I/O time per measured transaction. The device is closed on every path.
+func (g Geometry) exp7Point(params flash.Params, spec MethodSpec, pct float64,
+	pages int, cfg Exp7Config) (float64, error) {
+	bufPages := int(float64(pages) * pct / 100)
+	if bufPages < 4 {
+		bufPages = 4
+	}
+	dev, err := g.device(params, fmt.Sprintf("%s-buf%g", spec.Name(params), pct))
+	if err != nil {
+		return 0, err
+	}
+	defer dev.Close()
+	m, err := spec.Build(dev, pages)
+	if err != nil {
+		return 0, err
+	}
+	db, err := tpcc.Load(m, cfg.Scale, bufPages, cfg.Seed)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < cfg.WarmupTxns; i++ {
+		if err := db.Run(db.NextTx()); err != nil {
+			return 0, fmt.Errorf("warmup: %w", err)
+		}
+	}
+	dev.ResetStats()
+	for i := 0; i < cfg.MeasureTxn; i++ {
+		if err := db.Run(db.NextTx()); err != nil {
+			return 0, fmt.Errorf("measure: %w", err)
+		}
+	}
+	return float64(m.Stats().TimeMicros) / float64(cfg.MeasureTxn), nil
 }

@@ -39,11 +39,6 @@ type MethodSpec struct {
 	// Param is Max_Differential_Size in bytes for PDL, or log pages per
 	// block for IPL. Ignored for OPU and IPU.
 	Param int
-	// Label overrides the method's own Name for reporting (optional).
-	Label string
-	// Shards is the PDL write-buffer shard count for concurrent runs
-	// (0 means 1, the paper's single buffer). Ignored for other kinds.
-	Shards int
 }
 
 // StandardMethods returns the six configurations of Figure 12, scaled to
@@ -69,18 +64,16 @@ func (s MethodSpec) Build(dev flash.Device, numPages int) (ftl.Method, error) {
 		return core.New(dev, numPages, core.Options{
 			MaxDifferentialSize: s.Param,
 			ReserveBlocks:       2,
-			Shards:              s.Shards,
 			// The paper-reproduction experiments measure PDL_Reading as
 			// published — two flash reads for a diff-bearing page — so the
-			// decoded-differential cache is pinned off here; -exp read
-			// measures the cache's effect explicitly.
+			// differential cache is pinned off here; the ycsb_c_cold
+			// workload of benchmark/ measures the cache's effect.
 			DiffCachePages: core.DiffCacheOff,
 		})
 	case KindAdaptive:
 		return core.New(dev, numPages, core.Options{
 			MaxDifferentialSize: s.Param,
 			ReserveBlocks:       2,
-			Shards:              s.Shards,
 			DiffCachePages:      core.DiffCacheOff,
 			Adaptive:            core.AdaptiveOptions{Enabled: true, ProbeEvery: 2},
 		})
@@ -97,33 +90,27 @@ func (s MethodSpec) Build(dev flash.Device, numPages int) (ftl.Method, error) {
 
 // Name returns the reporting label of the spec for the given geometry.
 func (s MethodSpec) Name(p flash.Params) string {
-	if s.Label != "" {
-		return s.Label
-	}
-	chipless := func() string {
-		switch s.Kind {
-		case KindPDL:
-			if s.Param >= 1024 && s.Param%1024 == 0 {
-				return fmt.Sprintf("PDL(%dKB)", s.Param/1024)
-			}
-			return fmt.Sprintf("PDL(%dB)", s.Param)
-		case KindAdaptive:
-			return "Adaptive"
-		case KindOPU:
-			return "OPU"
-		case KindIPU:
-			return "IPU"
-		case KindIPL:
-			b := s.Param * p.DataSize
-			if b >= 1024 && b%1024 == 0 {
-				return fmt.Sprintf("IPL(%dKB)", b/1024)
-			}
-			return fmt.Sprintf("IPL(%dB)", b)
-		default:
-			return "?"
+	switch s.Kind {
+	case KindPDL:
+		if s.Param >= 1024 && s.Param%1024 == 0 {
+			return fmt.Sprintf("PDL(%dKB)", s.Param/1024)
 		}
+		return fmt.Sprintf("PDL(%dB)", s.Param)
+	case KindAdaptive:
+		return "Adaptive"
+	case KindOPU:
+		return "OPU"
+	case KindIPU:
+		return "IPU"
+	case KindIPL:
+		b := s.Param * p.DataSize
+		if b >= 1024 && b%1024 == 0 {
+			return fmt.Sprintf("IPL(%dKB)", b/1024)
+		}
+		return fmt.Sprintf("IPL(%dB)", b)
+	default:
+		return "?"
 	}
-	return chipless()
 }
 
 // GCStatsOf extracts the garbage-collection cost a method accumulated

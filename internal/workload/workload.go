@@ -38,10 +38,6 @@ type Config struct {
 	PctUpdateOps float64
 	// Seed makes runs reproducible.
 	Seed int64
-	// ZipfS, when > 1, skews page selection with a Zipf distribution of
-	// parameter s (an extension beyond the paper's uniformly random
-	// selection; 0 or 1 means uniform).
-	ZipfS float64
 }
 
 // Validate checks the configuration.
@@ -110,7 +106,6 @@ type Driver struct {
 	logger *ipl.Store // non-nil when the method accepts update logs
 	cfg    Config
 	rng    *rand.Rand
-	zipf   *rand.Zipf
 	page   []byte
 	loaded bool
 }
@@ -130,9 +125,6 @@ func NewDriver(method ftl.Method, cfg Config) (*Driver, error) {
 		// IPL is tightly coupled: the driver plays the modified storage
 		// manager and hands it individual update logs.
 		d.logger = s
-	}
-	if cfg.ZipfS > 1 {
-		d.zipf = rand.NewZipf(d.rng, cfg.ZipfS, 1, uint64(cfg.NumPages-1))
 	}
 	return d, nil
 }
@@ -180,21 +172,19 @@ func (d *Driver) Load() error {
 	return nil
 }
 
-// pickPage selects the next page to address.
+// pickPage selects the next page to address, uniformly at random as in
+// the paper.
 func (d *Driver) pickPage() uint32 {
-	if d.zipf != nil {
-		return uint32(d.zipf.Uint64())
-	}
 	return uint32(d.rng.Intn(d.cfg.NumPages))
 }
 
-// mutateInto applies one update operation's change to page using rng,
-// returning the changed range for methods that consume update logs: one
-// contiguous run of %ChangedByOneU_Op of the page at a uniformly random
-// offset ("the portion of data to be changed is randomly selected"). It is
-// the single mutation rule shared by the sequential and parallel drivers.
-func (c Config) mutateInto(rng *rand.Rand, page []byte) (off int, length int) {
-	length = int(float64(len(page)) * c.PctChanged / 100.0)
+// mutate applies one update operation's change to the driver's in-memory
+// page, returning the changed range for methods that consume update logs:
+// one contiguous run of %ChangedByOneU_Op of the page at a uniformly random
+// offset ("the portion of data to be changed is randomly selected").
+func (d *Driver) mutate() (off int, length int) {
+	page := d.page
+	length = int(float64(len(page)) * d.cfg.PctChanged / 100.0)
 	if length < 1 {
 		length = 1
 	}
@@ -203,28 +193,22 @@ func (c Config) mutateInto(rng *rand.Rand, page []byte) (off int, length int) {
 	}
 	off = 0
 	if length < len(page) {
-		off = rng.Intn(len(page) - length + 1)
+		off = d.rng.Intn(len(page) - length + 1)
 	}
-	rng.Read(page[off : off+length])
+	d.rng.Read(page[off : off+length])
 	return off, length
-}
-
-// mutate applies one update operation's change to the driver's in-memory
-// page.
-func (d *Driver) mutate() (off int, length int) {
-	return d.cfg.mutateInto(d.rng, d.page)
 }
 
 // updateCycle performs one reflection cycle: read the page, apply
 // NUpdatesTillWrite update operations, write the page back. It returns the
-// cost split between the reading and writing steps. The read/log/write
-// dispatch is shared with the parallel driver (readPage, logUpdate,
-// writePage in parallel.go), called here without serialization.
+// cost split between the reading and writing steps. Over IPL the driver
+// plays the modified storage manager: it hands the store each update log
+// and evicts the page where the other methods write it.
 func (d *Driver) updateCycle() (readCost, writeCost flash.Stats, err error) {
 	pid := d.pickPage()
 
 	before := d.method.Stats()
-	if err := d.readPage(pid, d.page, nil); err != nil {
+	if err := d.method.ReadPage(pid, d.page); err != nil {
 		return flash.Stats{}, flash.Stats{}, err
 	}
 	readCost = d.method.Stats().Sub(before)
@@ -233,12 +217,17 @@ func (d *Driver) updateCycle() (readCost, writeCost flash.Stats, err error) {
 	for u := 0; u < d.cfg.NUpdatesTillWrite; u++ {
 		off, length := d.mutate()
 		if d.logger != nil {
-			if err := d.logUpdate(pid, off, d.page[off:off+length], nil); err != nil {
+			if err := d.logger.LogUpdate(pid, off, d.page[off:off+length]); err != nil {
 				return flash.Stats{}, flash.Stats{}, err
 			}
 		}
 	}
-	if err := d.writePage(pid, d.page, nil); err != nil {
+	if d.logger != nil {
+		err = d.logger.Evict(pid)
+	} else {
+		err = d.method.WritePage(pid, d.page)
+	}
+	if err != nil {
 		return flash.Stats{}, flash.Stats{}, err
 	}
 	writeCost = d.method.Stats().Sub(before)

@@ -201,27 +201,6 @@ func TestNUpdatesTillWriteGroupsCycles(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	chip := flash.NewChip(ftltest.SmallParams(16))
-	m, err := opu.New(chip, 64, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(64)
-	cfg.ZipfS = 1.5
-	d, err := NewDriver(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[uint32]int{}
-	for i := 0; i < 5000; i++ {
-		counts[d.pickPage()]++
-	}
-	if counts[0] < 1000 {
-		t.Errorf("zipf: page 0 hit %d of 5000, want heavy skew", counts[0])
-	}
-}
-
 func TestConditionReachesSteadyState(t *testing.T) {
 	chip := flash.NewChip(ftltest.SmallParams(10))
 	numPages := 10 * chip.Params().PagesPerBlock / 2

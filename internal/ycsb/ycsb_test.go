@@ -3,33 +3,7 @@ package ycsb
 import (
 	"math/rand"
 	"testing"
-
-	"pdl/internal/core"
-	"pdl/internal/flash"
-	"pdl/internal/ftltest"
-	"pdl/internal/kv"
 )
-
-func TestCoreWorkloadsValid(t *testing.T) {
-	ws := CoreWorkloads()
-	if len(ws) != 6 {
-		t.Fatalf("got %d core workloads, want 6", len(ws))
-	}
-	for _, w := range ws {
-		if err := w.validate(); err != nil {
-			t.Errorf("workload %s: %v", w.Name, err)
-		}
-		if _, err := w.chooser(Config{}.withDefaults()); err != nil {
-			t.Errorf("workload %s chooser: %v", w.Name, err)
-		}
-	}
-	if _, err := Lookup("A"); err != nil {
-		t.Error(err)
-	}
-	if _, err := Lookup("Z"); err == nil {
-		t.Error("Lookup(Z) succeeded")
-	}
-}
 
 // TestZipfianSkew checks the generator's defining property: under
 // theta=0.99 a small head of the rank space absorbs most of the draws,
@@ -51,127 +25,5 @@ func TestZipfianSkew(t *testing.T) {
 	frac := float64(head) / draws
 	if frac < 0.4 {
 		t.Errorf("top 1%% of ranks got %.0f%% of draws, want zipfian head (>40%%)", frac*100)
-	}
-}
-
-func TestUniformChooserCoversSpace(t *testing.T) {
-	w := Workload{Name: "u", ReadProp: 1, Distribution: "uniform"}
-	choose, err := w.chooser(Config{Records: 1000}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(3))
-	var buckets [10]int
-	for i := 0; i < 100000; i++ {
-		k := choose(r, 1000)
-		if k >= 1000 {
-			t.Fatalf("key %d out of bound", k)
-		}
-		buckets[k/100]++
-	}
-	for i, n := range buckets {
-		if n < 8000 || n > 12000 {
-			t.Errorf("uniform decile %d got %d of 100000 draws", i, n)
-		}
-	}
-}
-
-func TestLatestChooserSkewsRecent(t *testing.T) {
-	w := Workload{Name: "d", ReadProp: 1, Distribution: "latest"}
-	choose, err := w.chooser(Config{Records: 10000}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(5))
-	recent := 0
-	const bound = 10000
-	for i := 0; i < 100000; i++ {
-		k := choose(r, bound)
-		if k >= bound {
-			t.Fatalf("key %d out of bound", k)
-		}
-		if k >= bound-bound/100 {
-			recent++
-		}
-	}
-	if frac := float64(recent) / 100000; frac < 0.4 {
-		t.Errorf("newest 1%% of keys got %.0f%% of draws, want latest skew (>40%%)", frac*100)
-	}
-}
-
-// TestRunWorkloads end-to-ends every core workload over a small PDL
-// store, checking mixes, op accounting, and latency plumbing.
-func TestRunWorkloads(t *testing.T) {
-	cfg := Config{
-		Records:    800,
-		Ops:        2000,
-		WarmupOps:  200,
-		Clients:    4,
-		ValueSize:  32,
-		ScanMaxLen: 20,
-		Seed:       9,
-	}
-	kvOpts := kv.Options{Buckets: 8, PoolPages: 24}
-	// Headroom for the insert-heavy phases that precede later workloads.
-	numPages := kv.PagesNeeded(cfg.Records+cfg.Ops/2, cfg.ValueSize, 512, kvOpts)
-	chip := flash.NewChip(ftltest.SmallParams(int(numPages)/16 + 24))
-	s, err := core.New(chip, int(numPages), core.Options{
-		MaxDifferentialSize: 128,
-		ReserveBlocks:       2,
-		Shards:              4,
-		BackgroundGC:        true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	db, err := kv.Open(s, numPages, kvOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := Load(db, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != cfg.Records {
-		t.Fatalf("loaded %d keys, want %d", db.Len(), cfg.Records)
-	}
-	for _, w := range CoreWorkloads() {
-		res, err := Run(db, w, cfg)
-		if err != nil {
-			t.Fatalf("workload %s: %v", w.Name, err)
-		}
-		if res.Ops != int64(cfg.Ops) {
-			t.Errorf("workload %s: measured %d ops, want %d", w.Name, res.Ops, cfg.Ops)
-		}
-		c := res.Counts
-		sum := c.Reads + c.Updates + c.Inserts + c.Scans + c.RMWs
-		if sum != res.Ops {
-			t.Errorf("workload %s: counts sum to %d, ops %d", w.Name, sum, res.Ops)
-		}
-		if res.Latency.Count != res.Ops || res.Latency.P99Micros <= 0 {
-			t.Errorf("workload %s: bad latency summary %+v", w.Name, res.Latency)
-		}
-		if res.OpsPerSecond() <= 0 {
-			t.Errorf("workload %s: nonpositive throughput", w.Name)
-		}
-		// The realized mix should be near the declared proportions.
-		checkProp := func(name string, got int64, want float64) {
-			frac := float64(got) / float64(res.Ops)
-			if want == 0 && got != 0 {
-				t.Errorf("workload %s: %s = %d, want none", w.Name, name, got)
-			}
-			if want > 0 && (frac < want-0.05 || frac > want+0.05) {
-				t.Errorf("workload %s: %s fraction %.3f, want ~%.2f", w.Name, name, frac, want)
-			}
-		}
-		checkProp("reads", c.Reads, w.ReadProp)
-		checkProp("updates", c.Updates, w.UpdateProp)
-		checkProp("inserts", c.Inserts, w.InsertProp)
-		checkProp("scans", c.Scans, w.ScanProp)
-		checkProp("rmws", c.RMWs, w.RMWProp)
-		if w.ScanProp > 0 && c.ScannedEntries <= c.Scans {
-			t.Errorf("workload %s: scans returned %d entries over %d scans", w.Name, c.ScannedEntries, c.Scans)
-		}
 	}
 }
