@@ -63,6 +63,8 @@ type Tree struct {
 	nextAlloc uint32 // bump allocator within the range
 	height    int
 	size      int
+
+	leaf []byte // Range's copy of the leaf it is walking
 }
 
 // New builds an empty tree over pages [first, first+numPages).
@@ -534,6 +536,10 @@ func (t *Tree) Range(lo, hi uint64, fn func(k, v uint64) bool) error {
 		if err != nil {
 			return err
 		}
+		// fn may use the pool (kv reads its heap through it), and a fault
+		// there may evict this leaf: walk a copy of it.
+		t.leaf = append(t.leaf[:0], buf...)
+		buf = t.leaf
 		n := nodeN(buf)
 		for i := leafSearch(buf, lo); i < n; i++ {
 			k := leafKey(buf, i)

@@ -398,3 +398,51 @@ func TestOpenRejectsBadState(t *testing.T) {
 		}
 	}
 }
+
+// TestRangeCallbackMayUseThePool: kv's scan reads the heap, through the
+// tree's own pool, from inside Range's callback, and each of those reads may
+// evict the leaf the walk is on — under the pool's policy a page seen once can
+// be the very next victim. The walk must not read a frame it no longer owns.
+func TestRangeCallbackMayUseThePool(t *testing.T) {
+	const keys = 1500
+	chip := flash.NewChip(ftltest.SmallParams(48))
+	m, err := core.New(chip, 256, core.Options{ReserveBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := buffer.NewPool(m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(pool, 0, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < keys; k++ {
+		if err := tr.Insert(k, k+7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Pages 128..255 stand for the heap: created here, faulted from the callback.
+	for pid := uint32(128); pid < 256; pid++ {
+		if _, err := pool.GetNew(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := uint64(0)
+	err = tr.Range(0, keys, func(k, v uint64) bool {
+		if k != next || v != k+7 {
+			t.Fatalf("Range delivered (%d, %d), want (%d, %d)", k, v, next, next+7)
+		}
+		next++
+		for i := uint32(0); i < 2; i++ { // two faults: more than an LRU of 4 forgives, too
+			if _, err := pool.Get(128 + (uint32(k)*2+i)%128); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return true
+	})
+	if err != nil || next != keys {
+		t.Fatalf("Range = %v after %d of %d keys", err, next, keys)
+	}
+}

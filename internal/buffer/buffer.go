@@ -1,15 +1,28 @@
-// Package buffer implements an LRU buffer pool over a flash page-update
-// method, playing the role of the DBMS buffer in the paper's architecture
-// (Figure 10). Experiment 7 varies this pool's size from 0.1% to 10% of the
-// database; the other experiments bypass buffering entirely, which the
-// paper arranges by designing the update operation as read-change-write.
+// Package buffer implements a buffer pool over a flash page-update method,
+// playing the role of the DBMS buffer in the paper's architecture (Figure 10).
+// Experiment 7 varies this pool's size from 0.1% to 10% of the database; the
+// other experiments bypass buffering entirely, which the paper arranges by
+// designing the update operation as read-change-write.
+//
+// Replacement is adaptive (ARC, Megiddo and Modha) with a clean-first tail
+// (CFLRU, Park et al.). The directory is four lists: T1 holds the resident
+// pages seen once since they entered it, T2 the resident pages seen again, and
+// B1 and B2 the page ids (no page buffer) of the pages T1 and T2 evicted last.
+// A miss on a pid in B1 says T1 was too short and raises the target size of
+// T1; a miss on a pid in B2 lowers it; a miss evicts from T1 when T1 is over
+// its target and from T2 otherwise, so a scan of once-touched pages flows
+// through T1 and leaves the re-used pages of T2 alone, and nothing is tuned by
+// hand. Inside the list ARC evicts from, the victim is the coldest clean frame
+// of the tail quarter (a quarter of the capacity), because evicting a dirty
+// page costs a program and its share of garbage collection where re-reading a
+// clean one costs a read; only when the tail quarter is all dirty is the tail
+// page itself written back and evicted.
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pdl/internal/ftl"
 )
@@ -17,21 +30,46 @@ import (
 // ErrClosed reports use of a closed pool.
 var ErrClosed = errors.New("buffer: pool is closed")
 
-// frame is one cached logical page.
-type frame struct {
-	pid   uint32
-	data  []byte
-	dirty bool
-	elem  *list.Element
+// The four lists of the directory. The resident lists come first.
+const (
+	listT1 = iota // resident, seen once
+	listT2        // resident, seen again
+	listB1        // ghosts of T1's evictions
+	listB2        // ghosts of T2's evictions
+	numLists
+)
+
+// node is one directory entry: a frame (a cached logical page) while it is on
+// T1 or T2, a ghost (data == nil) while it is on B1 or B2. Nodes link
+// themselves into their list.
+type node struct {
+	prev, next *node
+	data       []byte
+	pid        uint32
+	list       uint8
+	dirty      bool
+	// pinned keeps a frame that a GetMany or Readahead in progress has handed
+	// out or is faulting from being that same call's victim; loading marks
+	// the ones whose read is still to come.
+	pinned, loading bool
 }
 
-// Pool is a fixed-capacity LRU buffer pool. Dirty pages are written back
-// through the underlying method on eviction and on Flush. Write-back is
-// batch-first: dirty frames are collected in ascending pid order — so the
-// device sees a deterministic, reproducible write pattern — and handed to
-// the method as one WriteBatch when it implements ftl.BatchWriter (the PDL
-// store), falling back to per-page WritePage calls in the same pid order
-// otherwise.
+func (n *node) resident() bool { return n.list <= listT2 }
+
+// list is a ring through root: root.next is the most recently used node,
+// root.prev the least.
+type list struct {
+	root node
+	len  int
+}
+
+// Pool is a fixed-capacity buffer pool; the package comment describes its
+// replacement policy. Dirty pages are written back through the underlying
+// method on eviction and on Flush. Write-back is batch-first: dirty frames
+// are collected in ascending pid order — so the device sees a deterministic,
+// reproducible write pattern — and handed to the method as one WriteBatch
+// when it implements ftl.BatchWriter (the PDL store), falling back to
+// per-page WritePage calls in the same pid order otherwise.
 //
 // When the method keeps previous page images for its writes
 // (ftl.BaseRetainer, the PDL store), the pool names each page the moment its
@@ -46,11 +84,22 @@ type Pool struct {
 	breader  ftl.BatchReader  // method, if it accepts read batches; nil otherwise
 	retainer ftl.BaseRetainer // method, if it takes the first-dirty hint; nil otherwise
 	capacity int
-	frames   map[uint32]*frame
-	lru      *list.List // front = most recently used
-	// spare holds the frames, with their page buffers, of faults whose read
-	// failed, for the next misses.
-	spare    []*frame
+	// dir finds every pid of the directory, resident or ghost: at most
+	// capacity of the first and 2 x capacity in all.
+	dir   map[uint32]*node
+	lists [numLists]list
+	// target is ARC's p, the size T1 is steered towards (0..capacity).
+	target int
+	// window is how many frames from a list's cold end a clean victim is
+	// looked for before the tail page is written back.
+	window int
+	// free chains, through next, the nodes no pid owns. The ghosts' nodes are
+	// allocated together, by the pool's first eviction.
+	free *node
+	// spare holds the page buffers of faults whose read failed, for the next
+	// misses.
+	spare    [][]byte
+	cluster  []uint32 // scratch: the pids of one eviction's write-back
 	pageSize int
 	// evictionBatch is how many dirty frames one dirty eviction may write
 	// back together (write-back clustering); see Options.
@@ -67,10 +116,10 @@ type Pool struct {
 type Options struct {
 	// EvictionBatch enables write-back clustering under eviction pressure:
 	// when the pool must evict a dirty victim, up to EvictionBatch dirty
-	// frames from the cold (LRU) end — the victim included — are written
-	// back together in one pid-ordered batch, and only the victim leaves
-	// the pool. The clustered frames stay resident but clean, so the next
-	// evictions find clean victims and cost no device work. 0 or 1
+	// frames from the cold end of the victim's list — the victim included —
+	// are written back together in one pid-ordered batch, and only the victim
+	// leaves the pool. The clustered frames stay resident but clean, so the
+	// next evictions find clean victims and cost no device work. 0 or 1
 	// preserves the classic evict-one-write-one behavior (the default).
 	// Clustering never changes page contents, only when a still-resident
 	// dirty page is reflected; a page re-dirtied after an early write-back
@@ -98,22 +147,18 @@ func NewPoolOpts(method ftl.Method, capacity int, opts Options) (*Pool, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("buffer: capacity must be positive, got %d", capacity)
 	}
-	eb := opts.EvictionBatch
-	if eb < 1 {
-		eb = 1
-	}
-	ra := opts.Readahead
-	if ra < 0 {
-		ra = 0
-	}
 	p := &Pool{
 		method:        method,
 		capacity:      capacity,
-		frames:        make(map[uint32]*frame, capacity),
-		lru:           list.New(),
+		dir:           make(map[uint32]*node, capacity),
+		window:        max(1, capacity/4),
 		pageSize:      method.PageSize(),
-		evictionBatch: eb,
-		readahead:     ra,
+		evictionBatch: max(1, opts.EvictionBatch),
+		readahead:     max(0, opts.Readahead),
+	}
+	for i := range p.lists {
+		r := &p.lists[i].root
+		r.prev, r.next = r, r
 	}
 	if bw, ok := method.(ftl.BatchWriter); ok {
 		p.batcher = bw
@@ -131,7 +176,7 @@ func NewPoolOpts(method ftl.Method, capacity int, opts Options) (*Pool, error) {
 func (p *Pool) Capacity() int { return p.capacity }
 
 // Len returns the number of resident pages.
-func (p *Pool) Len() int { return len(p.frames) }
+func (p *Pool) Len() int { return p.lists[listT1].len + p.lists[listT2].len }
 
 // PageSize returns the logical page size.
 func (p *Pool) PageSize() int { return p.pageSize }
@@ -160,28 +205,48 @@ func (p *Pool) Stats() Stats {
 // (0 = readahead off); scanning storage layers consult it.
 func (p *Pool) ReadaheadWindow() int { return p.readahead }
 
+// frame returns pid's resident frame, or nil.
+func (p *Pool) frame(pid uint32) *node {
+	if n := p.dir[pid]; n != nil && n.resident() {
+		return n
+	}
+	return nil
+}
+
+// hit records a use of the resident frame n: it has now been seen again.
+func (p *Pool) hit(n *node) {
+	p.hits++
+	if p.lists[listT2].root.next != n {
+		p.unlink(n)
+		p.pushMRU(n, listT2)
+	}
+}
+
 // Get returns the content of logical page pid, faulting it in on a miss.
 // The returned slice aliases the frame; callers that modify it must call
-// MarkDirty before the page can be evicted.
+// MarkDirty before the page can be evicted. It is good until the next call
+// that can fault a page (Get, GetNew, GetMany, Readahead) and no longer: the
+// policy may choose the frame it has just returned as that call's victim (a
+// once-seen page while T1's target is 0), so a caller working on two pages
+// fetches the first again after fetching the second, as btree and storage do.
 func (p *Pool) Get(pid uint32) ([]byte, error) {
 	if p.closed {
 		return nil, ErrClosed
 	}
-	if f, ok := p.frames[pid]; ok {
-		p.hits++
-		p.lru.MoveToFront(f.elem)
-		return f.data, nil
+	if n := p.frame(pid); n != nil {
+		p.hit(n)
+		return n.data, nil
 	}
 	p.misses++
-	f, err := p.allocFrame(pid)
+	n, err := p.allocFrame(pid)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.method.ReadPage(pid, f.data); err != nil {
-		p.dropFrame(f)
+	if err := p.method.ReadPage(pid, n.data); err != nil {
+		p.dropFrame(n)
 		return nil, err
 	}
-	return f.data, nil
+	return n.data, nil
 }
 
 // GetMany returns the contents of the given logical pages, faulting all
@@ -191,8 +256,9 @@ func (p *Pool) Get(pid uint32) ([]byte, error) {
 // per page — with a per-page ReadPage fallback otherwise. The returned
 // slices alias pool frames exactly like Get's; duplicates are allowed and
 // alias the same frame. len(pids) must not exceed the pool capacity, so
-// every returned frame is resident simultaneously. On error no new pages
-// are resident (though eviction write-backs may already have happened).
+// every returned frame is resident simultaneously: the call pins each frame
+// it hands out until it returns. On error no new pages are resident (though
+// eviction write-backs may already have happened).
 func (p *Pool) GetMany(pids []uint32) ([][]byte, error) {
 	if p.closed {
 		return nil, ErrClosed
@@ -200,34 +266,29 @@ func (p *Pool) GetMany(pids []uint32) ([][]byte, error) {
 	if len(pids) > p.capacity {
 		return nil, fmt.Errorf("buffer: GetMany of %d pages exceeds pool capacity %d", len(pids), p.capacity)
 	}
+	defer p.unpin(pids)
 	out := make([][]byte, len(pids))
 	var missPids []uint32
-	var missFrames []*frame
-	var inflight map[uint32]bool // misses of this call, not yet read
+	var missFrames []*node
 	for i, pid := range pids {
-		if f, ok := p.frames[pid]; ok {
+		n := p.frame(pid)
+		if n == nil {
+			p.misses++
+			var err error
+			if n, err = p.allocFrame(pid); err != nil {
+				p.dropFrames(missFrames)
+				return nil, err
+			}
+			n.loading = true
+			missPids = append(missPids, pid)
+			missFrames = append(missFrames, n)
+		} else if !n.loading {
 			// A duplicate of a miss from this same call aliases the frame
 			// but is not a cache hit — the device read is still pending.
-			if !inflight[pid] {
-				p.hits++
-				p.lru.MoveToFront(f.elem)
-			}
-			out[i] = f.data
-			continue
+			p.hit(n)
 		}
-		p.misses++
-		f, err := p.allocFrame(pid)
-		if err != nil {
-			p.dropFrames(missFrames)
-			return nil, err
-		}
-		out[i] = f.data
-		missPids = append(missPids, pid)
-		missFrames = append(missFrames, f)
-		if inflight == nil {
-			inflight = make(map[uint32]bool)
-		}
-		inflight[pid] = true
+		n.pinned = true
+		out[i] = n.data
 	}
 	if err := p.faultIn(missPids, missFrames); err != nil {
 		p.dropFrames(missFrames)
@@ -240,38 +301,38 @@ func (p *Pool) GetMany(pids []uint32) ([][]byte, error) {
 // method ReadBatch when available), skipping pages already resident and
 // capping the faulted count at half the pool capacity — a speculation
 // must never wipe out the resident set it is meant to serve. It returns
-// the number of pids covered (resident after the call): a prefix of pids,
-// so callers advancing a prefetch window know exactly where the cap
-// stopped it (Stats().Readaheads counts the pages actually faulted).
-// Unlike Get, resident pages are not promoted in the LRU — a prefetch is
-// not a use. Callers must only name pages that have been written; an
-// unwritten pid fails the whole call.
+// the number of pids covered (found resident, or faulted by the call): a
+// prefix of pids, so callers advancing a prefetch window know exactly where
+// the cap stopped it (Stats().Readaheads counts the pages actually faulted).
+// Unlike Get, resident pages are not promoted — a prefetch is not a use —
+// and the frames being faulted are pinned until the read has filled them.
+// Callers must only name pages that have been written; an unwritten pid
+// fails the whole call.
 func (p *Pool) Readahead(pids []uint32) (int, error) {
 	if p.closed {
 		return 0, ErrClosed
 	}
-	limit := p.capacity / 2
-	if limit < 1 {
-		limit = 1
-	}
+	limit := max(1, p.capacity/2)
 	covered := 0
 	var missPids []uint32
-	var missFrames []*frame
+	var missFrames []*node
+	defer func() { p.unpin(missPids) }()
 	for _, pid := range pids {
-		if _, ok := p.frames[pid]; ok {
+		if p.frame(pid) != nil {
 			covered++
 			continue
 		}
 		if len(missPids) >= limit {
 			break
 		}
-		f, err := p.allocFrame(pid)
+		n, err := p.allocFrame(pid)
 		if err != nil {
 			p.dropFrames(missFrames)
 			return 0, err
 		}
+		n.pinned = true
 		missPids = append(missPids, pid)
-		missFrames = append(missFrames, f)
+		missFrames = append(missFrames, n)
 		covered++
 	}
 	if err := p.faultIn(missPids, missFrames); err != nil {
@@ -282,9 +343,18 @@ func (p *Pool) Readahead(pids []uint32) (int, error) {
 	return covered, nil
 }
 
+// unpin releases the frames a GetMany or Readahead pinned, at its return.
+func (p *Pool) unpin(pids []uint32) {
+	for _, pid := range pids {
+		if n := p.dir[pid]; n != nil {
+			n.pinned, n.loading = false, false
+		}
+	}
+}
+
 // faultIn reads the given pages into their freshly allocated frames, as
 // one method ReadBatch when the method supports it.
-func (p *Pool) faultIn(pids []uint32, frames []*frame) error {
+func (p *Pool) faultIn(pids []uint32, frames []*node) error {
 	switch {
 	case len(pids) == 0:
 		return nil
@@ -304,7 +374,7 @@ func (p *Pool) faultIn(pids []uint32, frames []*frame) error {
 	}
 }
 
-func (p *Pool) dropFrames(frames []*frame) {
+func (p *Pool) dropFrames(frames []*node) {
 	for _, f := range frames {
 		p.dropFrame(f)
 	}
@@ -316,21 +386,18 @@ func (p *Pool) GetNew(pid uint32) ([]byte, error) {
 	if p.closed {
 		return nil, ErrClosed
 	}
-	if f, ok := p.frames[pid]; ok {
-		p.hits++
-		p.lru.MoveToFront(f.elem)
-		return f.data, nil
+	if n := p.frame(pid); n != nil {
+		p.hit(n)
+		return n.data, nil
 	}
 	p.misses++
-	f, err := p.allocFrame(pid)
+	n, err := p.allocFrame(pid)
 	if err != nil {
 		return nil, err
 	}
-	for i := range f.data {
-		f.data[i] = 0
-	}
-	f.dirty = true
-	return f.data, nil
+	clear(n.data)
+	n.dirty = true
+	return n.data, nil
 }
 
 // MarkDirty records that pid's frame has been modified. The first time a
@@ -338,14 +405,14 @@ func (p *Pool) GetNew(pid uint32) ([]byte, error) {
 // written back (ftl.BaseRetainer); a frame GetNew created is dirty from the
 // start and has no previous image to name.
 func (p *Pool) MarkDirty(pid uint32) error {
-	f, ok := p.frames[pid]
-	if !ok {
+	n := p.frame(pid)
+	if n == nil {
 		return fmt.Errorf("buffer: MarkDirty(%d): page not resident", pid)
 	}
-	if !f.dirty && p.retainer != nil {
+	if !n.dirty && p.retainer != nil {
 		p.retainer.RetainBase(pid)
 	}
-	f.dirty = true
+	n.dirty = true
 	return nil
 }
 
@@ -357,9 +424,12 @@ func (p *Pool) Flush() error {
 		return ErrClosed
 	}
 	var dirty []uint32
-	for pid, f := range p.frames {
-		if f.dirty {
-			dirty = append(dirty, pid)
+	for l := listT1; l <= listT2; l++ {
+		root := &p.lists[l].root
+		for n := root.next; n != root; n = n.next {
+			if n.dirty {
+				dirty = append(dirty, n.pid)
+			}
 		}
 	}
 	if err := p.writeBack(dirty); err != nil {
@@ -369,36 +439,36 @@ func (p *Pool) Flush() error {
 }
 
 // writeBack reflects the given resident frames into the method, sorting
-// them into ascending pid order first (the frame map iterates in random
-// order; sorted write-back makes the device's write pattern — and every
-// test depending on it — reproducible) and marking them clean. It is the
-// single funnel both Flush and eviction clustering go through.
+// them into ascending pid order first (sorted write-back makes the device's
+// write pattern — and every test depending on it — reproducible) and marking
+// them clean. It is the single funnel both Flush and eviction clustering go
+// through.
 func (p *Pool) writeBack(pids []uint32) error {
 	if len(pids) == 0 {
 		return nil
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	slices.Sort(pids)
 	if p.batcher != nil && len(pids) > 1 {
 		batch := make([]ftl.PageWrite, len(pids))
 		for i, pid := range pids {
-			batch[i] = ftl.PageWrite{PID: pid, Data: p.frames[pid].data}
+			batch[i] = ftl.PageWrite{PID: pid, Data: p.dir[pid].data}
 		}
 		if err := p.batcher.WriteBatch(batch); err != nil {
 			return err
 		}
 		for _, pid := range pids {
-			p.frames[pid].dirty = false
+			p.dir[pid].dirty = false
 			p.writebacks++
 		}
 		return nil
 	}
 	for _, pid := range pids {
-		f := p.frames[pid]
-		if err := p.method.WritePage(f.pid, f.data); err != nil {
+		n := p.dir[pid]
+		if err := p.method.WritePage(pid, n.data); err != nil {
 			return err
 		}
 		p.writebacks++
-		f.dirty = false
+		n.dirty = false
 	}
 	return nil
 }
@@ -415,55 +485,166 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// allocFrame returns a resident frame for pid, evicting the LRU victim if
-// the pool is full. A dirty victim is written back first; with
-// Options.EvictionBatch > 1 the write-back clusters further dirty frames
-// from the cold end of the LRU into the same pid-ordered batch, so the
-// evictions that follow find clean victims. The new page takes over the
-// victim's frame, page buffer and list element: a miss on a full pool
-// allocates nothing. The buffer still holds the victim's bytes; every caller
-// overwrites all of it.
-func (p *Pool) allocFrame(pid uint32) (*frame, error) {
-	if len(p.frames) >= p.capacity {
-		victim := p.lru.Back()
-		if victim == nil {
+func (p *Pool) unlink(n *node) {
+	n.prev.next = n.next
+	n.next.prev = n.prev
+	p.lists[n.list].len--
+}
+
+func (p *Pool) pushMRU(n *node, l uint8) {
+	root := &p.lists[l].root
+	n.list = l
+	n.prev, n.next = root, root.next
+	root.next.prev = n
+	root.next = n
+	p.lists[l].len++
+}
+
+// release takes n out of the directory and keeps the node for a later page.
+func (p *Pool) release(n *node) {
+	p.unlink(n)
+	delete(p.dir, n.pid)
+	*n = node{next: p.free}
+	p.free = n
+}
+
+// forget releases the least recently used ghost of list l.
+func (p *Pool) forget(l uint8) { p.release(p.lists[l].root.prev) }
+
+// victim chooses the frame list l gives up: the coldest clean frame among the
+// window coldest, or else the coldest frame; nil if a call in progress has
+// pinned them all.
+func (p *Pool) victim(l uint8) *node {
+	root := &p.lists[l].root
+	var tail *node
+	for n, seen := root.prev, 0; n != root && seen < p.window; n = n.prev {
+		if n.pinned {
+			continue
+		}
+		if !n.dirty {
+			return n
+		}
+		if tail == nil {
+			tail = n
+		}
+		seen++
+	}
+	return tail
+}
+
+// allocFrame makes pid, which is not resident, a resident frame and returns
+// it; every caller overwrites all of its page buffer, which may hold another
+// page's bytes. On a full pool it evicts: from T1 if T1 is over its target and
+// from T2 otherwise (ARC's REPLACE), the frame victim chooses there. A dirty
+// victim is written back first; with Options.EvictionBatch > 1 the write-back
+// clusters further dirty frames from the cold end of the same list into the
+// same pid-ordered batch, so the evictions that follow find clean victims.
+// The victim's node stays behind as a ghost and the new page takes over its
+// page buffer, in its own ghost's node when it has one: a miss on a full pool
+// allocates nothing.
+func (p *Pool) allocFrame(pid uint32) (*node, error) {
+	c := p.capacity
+	t1, b1 := p.lists[listT1].len, p.lists[listB1].len
+	t2, b2 := p.lists[listT2].len, p.lists[listB2].len
+	n := p.dir[pid] // a ghost, or nil
+	to, wasB2 := uint8(listT1), false
+	if n != nil {
+		// The page was evicted too early: by T1 if its ghost is in B1, and
+		// T1's target grows; by T2 otherwise, and it shrinks.
+		to = listT2
+		if n.list == listB1 {
+			p.target = min(c, p.target+max(1, b2/b1))
+		} else {
+			p.target = max(0, p.target-max(1, b1/b2))
+			wasB2 = true
+		}
+	}
+	var v *node
+	if t1+t2 >= c {
+		from := uint8(listT2)
+		if t1 > 0 && (t1 > p.target || (wasB2 && t1 == p.target)) {
+			from = listT1
+		}
+		if v = p.victim(from); v == nil {
+			v = p.victim(from ^ 1)
+		}
+		if v == nil {
 			return nil, errors.New("buffer: pool full with no evictable frame")
 		}
-		vf := victim.Value.(*frame)
-		if vf.dirty {
-			cluster := []uint32{vf.pid}
-			for e := victim.Prev(); e != nil && len(cluster) < p.evictionBatch; e = e.Prev() {
-				if f := e.Value.(*frame); f.dirty {
-					cluster = append(cluster, f.pid)
-				}
+		if v.dirty {
+			if err := p.writeBack(p.coldDirty(v)); err != nil {
+				return nil, fmt.Errorf("buffer: evicting pid %d: %w", v.pid, err)
 			}
-			if err := p.writeBack(cluster); err != nil {
-				return nil, fmt.Errorf("buffer: evicting pid %d: %w", vf.pid, err)
+		}
+		if p.evictions == 0 {
+			// From here on the directory grows to 2c pids: the ghosts' nodes,
+			// in one piece.
+			ghosts := make([]node, c)
+			for i := range ghosts {
+				ghosts[i].next, p.free = p.free, &ghosts[i]
 			}
 		}
 		p.evictions++
-		delete(p.frames, vf.pid)
-		vf.pid = pid
-		p.lru.MoveToFront(victim)
-		p.frames[pid] = vf
-		return vf, nil
 	}
-	var f *frame
-	if n := len(p.spare); n > 0 {
-		f, p.spare = p.spare[n-1], p.spare[:n-1]
-		f.pid = pid
+	// The directory keeps at most c pids in T1 and B1 together and 2c in all.
+	keepGhost := true
+	if n == nil {
+		switch {
+		case t1+b1 >= c && b1 > 0:
+			p.forget(listB1)
+		case t1+b1 >= c:
+			keepGhost = false // T1 alone fills the pool, so v is of T1
+		case t1+t2+b1+b2 >= 2*c:
+			p.forget(listB2)
+		}
+	}
+	var data []byte
+	if v != nil {
+		data, v.data = v.data, nil
+		if keepGhost {
+			p.unlink(v)
+			p.pushMRU(v, v.list+listB1)
+		} else {
+			p.release(v)
+		}
+	} else if k := len(p.spare); k > 0 {
+		data, p.spare = p.spare[k-1], p.spare[:k-1]
 	} else {
-		f = &frame{pid: pid, data: make([]byte, p.pageSize)}
+		data = make([]byte, p.pageSize)
 	}
-	f.elem = p.lru.PushFront(f)
-	p.frames[pid] = f
-	return f, nil
+	if n != nil {
+		p.unlink(n)
+	} else {
+		if n = p.free; n != nil {
+			p.free = n.next
+		} else {
+			n = new(node)
+		}
+		n.pid = pid
+		p.dir[pid] = n
+	}
+	n.data = data
+	p.pushMRU(n, to)
+	return n, nil
 }
 
-// dropFrame takes f, whose page could not be read, out of the pool and keeps
-// it for the next miss.
-func (p *Pool) dropFrame(f *frame) {
-	p.lru.Remove(f.elem)
-	delete(p.frames, f.pid)
-	p.spare = append(p.spare, f)
+// coldDirty returns the pids of one eviction's write-back: the dirty victim v
+// and, up to Options.EvictionBatch in all, the dirty frames that follow it
+// from the cold end of its list.
+func (p *Pool) coldDirty(v *node) []uint32 {
+	root := &p.lists[v.list].root
+	p.cluster = append(p.cluster[:0], v.pid)
+	for n := v.prev; n != root && len(p.cluster) < p.evictionBatch; n = n.prev {
+		if n.dirty {
+			p.cluster = append(p.cluster, n.pid)
+		}
+	}
+	return p.cluster
+}
+
+// dropFrame takes n, whose page could not be read, out of the directory and
+// keeps its page buffer for the next miss.
+func (p *Pool) dropFrame(n *node) {
+	p.spare = append(p.spare, n.data)
+	p.release(n)
 }

@@ -215,7 +215,7 @@ func TestEvictionClustersColdDirtyFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirtyPages(t, p, 10, 11, 12, 13) // LRU order: 10 coldest
+	dirtyPages(t, p, 10, 11, 12, 13) // all seen once, 10 coldest
 	// Faulting a fifth page evicts pid 10 and clusters the two next-coldest
 	// dirty frames (11, 12) into the same pid-ordered write-back.
 	if _, err := p.GetNew(20); err != nil {

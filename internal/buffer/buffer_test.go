@@ -139,34 +139,6 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 	}
 }
 
-func TestLRUOrder(t *testing.T) {
-	p, _ := newPool(t, 2, 16)
-	for pid := uint32(0); pid < 2; pid++ {
-		if _, err := p.GetNew(pid); err != nil {
-			t.Fatal(err)
-		}
-		_ = p.MarkDirty(pid)
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Touch 0 so 1 becomes LRU.
-	if _, err := p.Get(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.GetNew(2); err != nil {
-		t.Fatal(err)
-	}
-	// 0 must still be resident (hit without miss increment).
-	misses := p.Stats().Misses
-	if _, err := p.Get(0); err != nil {
-		t.Fatal(err)
-	}
-	if p.Stats().Misses != misses {
-		t.Error("recently used page was evicted instead of LRU")
-	}
-}
-
 func TestMarkDirtyNonResident(t *testing.T) {
 	p, _ := newPool(t, 2, 16)
 	if err := p.MarkDirty(5); err == nil {

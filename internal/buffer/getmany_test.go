@@ -7,6 +7,7 @@ package buffer
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"pdl/internal/core"
@@ -208,5 +209,96 @@ func TestReadaheadPrefetchesWithoutPromoting(t *testing.T) {
 	// only the covered prefix is claimed.
 	if n, err := p.Readahead([]uint32{20, 21, 22, 23, 24, 25}); err != nil || n != 4 {
 		t.Errorf("capped Readahead = (%d, %v), want (4, nil) on a capacity-8 pool", n, err)
+	}
+}
+
+// fullPoolAt returns a full pool at one end of the policy's range: T1's
+// target 0 with a single once-seen page in T1, or the target at the capacity
+// (raised by misses on B1's ghosts) with T2 down to a page or two.
+func fullPoolAt(t *testing.T, capacity, target int) *Pool {
+	t.Helper()
+	p := stubPool(t, &stubMethod{failing: noPage}, capacity, Options{})
+	if target == 0 {
+		get(t, p, seq(1, uint32(capacity))...)
+		get(t, p, seq(1, uint32(capacity))...)
+		get(t, p, 0)
+	}
+	fresh := uint32(1 << 20)
+	for steps := 0; p.target != target; steps++ {
+		if steps > 100*capacity {
+			t.Fatalf("T1's target is %d after %d fetches, want %d", p.target, steps, target)
+		}
+		if b1 := &p.lists[listB1]; b1.len > 0 {
+			get(t, p, b1.root.next.pid)
+			continue
+		}
+		get(t, p, fresh)
+		if p.lists[listT2].len == 0 {
+			get(t, p, fresh) // T1 leaves ghosts only while T2 holds something
+		}
+		fresh++
+	}
+	if p.Len() != capacity || p.target != target {
+		t.Fatalf("%d resident and a target of %d, want %d and %d", p.Len(), p.target, capacity, target)
+	}
+	return p
+}
+
+// TestCallsPinTheFramesTheyHandOut: under the adaptive policy the frame a
+// fault has just filled can be the next fault's victim (T1 of one page with a
+// target of 0), and so can a frame just hit (T2 of one page with a target of
+// the capacity). GetMany and Readahead must not let one call do that to
+// itself: every frame of a GetMany is resident, distinct and intact when it
+// returns, duplicates alias one frame, and a window read ahead is all there.
+func TestCallsPinTheFramesTheyHandOut(t *testing.T) {
+	const capacity = 8
+	for _, target := range []int{0, capacity} {
+		t.Run(fmt.Sprint("target=", target), func(t *testing.T) {
+			checkMany := func(p *Pool, pids []uint32) {
+				t.Helper()
+				out, err := p.GetMany(pids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, pid := range pids {
+					n := p.frame(pid)
+					if n == nil || &n.data[0] != &out[i][0] || n.pinned || n.loading {
+						t.Fatalf("element %d (pid %d): frame %+v does not hold the slice returned, unpinned", i, pid, n)
+					}
+					if out[i][0] != byte(pid) || out[i][len(out[i])-1] != byte(pid) {
+						t.Fatalf("element %d (pid %d) holds page %d", i, pid, out[i][0])
+					}
+				}
+			}
+			newPool := func() *Pool { return fullPoolAt(t, capacity, target) }
+
+			// All misses, as many as the pool holds.
+			p := newPool()
+			checkMany(p, seq(100, 100+capacity))
+
+			// Hits first — the coldest frame of each list, which the misses
+			// that follow would take — then misses, then duplicates of both.
+			p = newPool()
+			var pids []uint32
+			for l := listT1; l <= listT2; l++ {
+				if p.lists[l].len > 0 {
+					pids = append(pids, p.lists[l].root.prev.pid)
+				}
+			}
+			pids = append(pids, 200, 201, 202, pids[0], 201, 203)
+			checkMany(p, pids[:capacity])
+
+			// A window read ahead in one batch: every page of it arrives.
+			p = newPool()
+			window := seq(300, 300+capacity/2)
+			if n, err := p.Readahead(window); err != nil || n != len(window) {
+				t.Fatalf("Readahead = %d, %v", n, err)
+			}
+			before := p.Stats()
+			get(t, p, window...)
+			if after := p.Stats(); after.Misses != before.Misses {
+				t.Errorf("%d of the %d pages read ahead were not resident", after.Misses-before.Misses, len(window))
+			}
+		})
 	}
 }

@@ -111,8 +111,10 @@ func TestMarkDirtyNamesThePageAtFirstDirty(t *testing.T) {
 	}
 }
 
-// TestPoolMissAllocations: a miss on a full pool takes over the victim's
-// frame, page buffer and list element.
+// TestPoolMissAllocations: a miss on a full pool takes over the victim's page
+// buffer and a node the directory already owns (its own ghost's, a forgotten
+// ghost's, or one of those the first eviction set aside), and a hit moves a
+// node between lists: neither allocates, whichever list gives up the victim.
 func TestPoolMissAllocations(t *testing.T) {
 	const capacity = 8
 	p, err := NewPool(&stubMethod{failing: noPage}, capacity)
@@ -120,13 +122,13 @@ func TestPoolMissAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	pid := uint32(0)
-	miss := func() {
+	fetch := func(pid uint32) {
 		buf, err := p.Get(pid)
 		if err != nil || buf[0] != byte(pid) || buf[len(buf)-1] != byte(pid) {
 			t.Fatalf("Get(%d) = %v, %v", pid, buf[:1], err)
 		}
-		pid++
 	}
+	miss := func() { fetch(pid); pid++ }
 	for i := 0; i < 3*capacity; i++ {
 		miss()
 	}
@@ -136,6 +138,44 @@ func TestPoolMissAllocations(t *testing.T) {
 	}
 	if after := p.Stats(); after.Hits != before.Hits || after.Evictions-before.Evictions != 201 {
 		t.Errorf("the measured calls were not all evicting misses: %+v then %+v", before, after)
+	}
+
+	// Misses on ghosts: with two pages seen again, evictions leave ghosts, and
+	// fetching the latest ghost of B1 and of B2 in turn evicts the next one.
+	fetch(pid - 1)
+	fetch(pid - 2)
+	ghosts := 0
+	ghostMiss := func() {
+		for _, l := range []int{listB1 + ghosts%2, listB2 - ghosts%2} {
+			if g := &p.lists[l]; g.len > 0 {
+				fetch(g.root.next.pid)
+				ghosts++
+				return
+			}
+		}
+		miss()
+	}
+	for i := 0; i < 3*capacity; i++ {
+		ghostMiss()
+	}
+	before, ghosts = p.Stats(), 0
+	if allocs := testing.AllocsPerRun(200, ghostMiss); allocs != 0 {
+		t.Errorf("a Get miss on a ghost allocates %v times, want 0", allocs)
+	}
+	if after := p.Stats(); after.Hits != before.Hits || ghosts != 201 {
+		t.Errorf("%d of the 201 measured calls were misses on ghosts: %+v then %+v", ghosts, before, after)
+	}
+
+	hit := func() { fetch(pid % capacity); pid++ }
+	for i := 0; i < 2*capacity; i++ {
+		hit()
+	}
+	before = p.Stats()
+	if allocs := testing.AllocsPerRun(200, hit); allocs != 0 {
+		t.Errorf("a Get hit allocates %v times, want 0", allocs)
+	}
+	if after := p.Stats(); after.Misses != before.Misses {
+		t.Errorf("the measured calls were not all hits: %+v then %+v", before, after)
 	}
 }
 
@@ -159,7 +199,7 @@ func TestFailedFaultKeepsItsFrame(t *testing.T) {
 	if p.Len() != 1 || len(p.spare) != 1 {
 		t.Fatalf("after the failed fault: %d resident and %d spare frames, want 1 and 1", p.Len(), len(p.spare))
 	}
-	spare := &p.spare[0].data[0]
+	spare := &p.spare[0][0]
 	buf, err := p.Get(3)
 	if err != nil || buf[0] != 3 || &buf[0] != spare {
 		t.Fatalf("the next miss: %v, page starts %d, took the spare buffer: %v", err, buf[0], &buf[0] == spare)
@@ -167,8 +207,10 @@ func TestFailedFaultKeepsItsFrame(t *testing.T) {
 	if err := p.MarkDirty(3); err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 2 || len(p.spare) != 0 || p.lru.Len() != 2 {
-		t.Fatalf("%d resident, %d spare, %d listed; want 2, 0, 2", p.Len(), len(p.spare), p.lru.Len())
+	// The failed page left no ghost behind, nor did the page evicted for it,
+	// which T1 gave up while it filled the pool alone.
+	if p.Len() != 2 || len(p.spare) != 0 || len(p.dir) != 2 {
+		t.Fatalf("%d resident, %d spare, %d in the directory; want 2, 0, 2", p.Len(), len(p.spare), len(p.dir))
 	}
 	// Page 2 is still resident and intact; page 3's frame is not clean by
 	// inheritance from the frame's last tenant, nor dirty by it.

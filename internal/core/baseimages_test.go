@@ -564,7 +564,13 @@ func TestBaseImagesOnAndOffAreOneStore(t *testing.T) {
 		t.Run(backend.name, func(t *testing.T) {
 			for _, loop := range []updateLoop{
 				{"paper", paperLoop, 12, 96, 150, 0.02},
-				{"pool", poolLoop, 128, 1280, 12000, 0.05},
+				// 0.066 measured on both backends (0.007 under the LRU pool
+				// the gate of 0.05 was set for): the adaptive pool keeps a
+				// page that was used again resident for longer, so more pages
+				// are first dirtied, on a hit, after their image has left the
+				// 32-page window of recent reads that the first-dirty hint
+				// takes it from, and those writes read their base again.
+				{"pool", poolLoop, 128, 1280, 12000, 0.07},
 			} {
 				t.Run(loop.name, func(t *testing.T) { onAndOffAreOneStore(t, backend.dev, loop) })
 			}

@@ -180,7 +180,8 @@ func (h *Heap) Delete(rid RID) error {
 }
 
 // Scan calls fn for every live record in the heap, in page order. The rec
-// slice aliases the page frame and must not be retained or modified.
+// slice aliases the page frame and must not be retained or modified, and fn
+// must not use the heap's pool, which may give the frame to another page.
 // Returning a non-nil error from fn stops the scan.
 func (h *Heap) Scan(fn func(rid RID, rec []byte) error) error {
 	for idx := uint32(0); idx < h.numPages; idx++ {

@@ -6,7 +6,7 @@
 // module's own heap/buffer stack. What Experiment 7 actually measures is
 // the flash cost of the TPC-C page reference string — a skewed mix of
 // small record updates (New-Order, Payment) and reads (Order-Status,
-// Stock-Level) — filtered through an LRU buffer, and that is preserved.
+// Stock-Level) — filtered through a DBMS buffer, and that is preserved.
 // Record layouts carry the TPC-C fields at realistic sizes; row counts
 // scale down with the warehouse count and a scale factor so the database
 // fits an emulated chip. Primary-key lookups go through in-memory indexes:

@@ -3,9 +3,9 @@
 // Logging: An Efficient and DBMS-independent Approach for Storing Data
 // into Flash Memory" (SIGMOD 2010), together with the complete substrate
 // the paper evaluates it on: a bit-accurate NAND flash emulator, the
-// page-based (OPU, IPU) and log-based (IPL) baseline methods, an LRU
-// buffer pool, a slotted-page heap, a B+-tree, and workload generators
-// including a scaled TPC-C.
+// page-based (OPU, IPU) and log-based (IPL) baseline methods, a buffer
+// pool with adaptive, clean-first replacement, a slotted-page heap, a
+// B+-tree, and workload generators including a scaled TPC-C.
 //
 // # Quick start
 //
@@ -356,10 +356,14 @@ func OpenIPL(dev Device, numPages int, opts IPLOptions) (*IPLStore, error) {
 	return ipl.New(dev, numPages, opts)
 }
 
-// Pool is an LRU buffer pool over any Method (the DBMS buffer of the
-// paper's Figure 10). Its write-back path is batch-first: Flush collects
-// dirty frames in ascending pid order and hands them to the method as one
-// WriteBatch when the method implements BatchWriter.
+// Pool is a buffer pool over any Method (the DBMS buffer of the paper's
+// Figure 10). Replacement adapts between recency and frequency (ARC) and
+// prefers a clean victim among the coldest quarter, since a dirty one costs
+// a program where a clean one costs a re-read; there is nothing to set. A
+// slice Get returns is good until the next call that can fault a page. Its
+// write-back path is batch-first: Flush collects dirty frames in ascending
+// pid order and hands them to the method as one WriteBatch when the method
+// implements BatchWriter.
 type Pool = buffer.Pool
 
 // PoolOptions tunes a buffer pool beyond its capacity (write-back
