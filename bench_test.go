@@ -1,5 +1,5 @@
-// Host-side micro-benchmarks of the PDL store and two ablations of its
-// design knobs, reported through b.ReportMetric. The paper's tables and
+// Host-side micro-benchmarks of the PDL store and one ablation of its
+// design knob, reported through b.ReportMetric. The paper's tables and
 // figures are reproduced by cmd/pdlbench (-exp 1..7) and asserted by the
 // TestExp*Shapes tests of internal/bench; end-to-end and per-layer cost is
 // measured by `go run ./benchmark`.
@@ -45,60 +45,6 @@ func BenchmarkPDLWritePage(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationWearLeveling compares the greedy and wear-aware
-// garbage-collection victim policies (paper footnote 4 calls wear-leveling
-// orthogonal): same update workload, reported erase-count spread.
-func BenchmarkAblationWearLeveling(b *testing.B) {
-	run := func(wearAware bool) (spread int, mean float64, ios int64) {
-		chip := pdl.NewChip(pdl.ScaledFlashParams(64))
-		store, err := pdl.Open(chip, 1600, pdl.Options{
-			MaxDifferentialSize: 256,
-			WearAwareGC:         wearAware,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		size := chip.Params().DataSize
-		rng := rand.New(rand.NewSource(1))
-		page := make([]byte, size)
-		for pid := 0; pid < 1600; pid++ {
-			rng.Read(page)
-			if err := store.WritePage(uint32(pid), page); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Heavily skewed updates: a hot set hammers the same blocks.
-		for i := 0; i < 60000; i++ {
-			pid := uint32(rng.Intn(64)) // hot 4% of the database
-			if err := store.ReadPage(pid, page); err != nil {
-				b.Fatal(err)
-			}
-			rng.Read(page[:300])
-			if err := store.WritePage(pid, page); err != nil {
-				b.Fatal(err)
-			}
-		}
-		w := chip.Wear()
-		return w.MaxErase - w.MinErase, w.MeanErase, chip.Stats().TimeMicros
-	}
-	b.Run("greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			spread, mean, ios := run(false)
-			b.ReportMetric(float64(spread), "erase-spread")
-			b.ReportMetric(mean, "erase-mean")
-			b.ReportMetric(float64(ios)/1000, "io-ms")
-		}
-	})
-	b.Run("wear-aware", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			spread, mean, ios := run(true)
-			b.ReportMetric(float64(spread), "erase-spread")
-			b.ReportMetric(mean, "erase-mean")
-			b.ReportMetric(float64(ios)/1000, "io-ms")
-		}
-	})
 }
 
 // BenchmarkAblationMaxDifferentialSize sweeps Max_Differential_Size, the

@@ -1,6 +1,5 @@
 // Command pdlbench reproduces the paper's evaluation (Experiments 1-7,
-// Figures 12-18) and prints the measured tables, plus the adaptive-routing
-// experiment beyond the paper.
+// Figures 12-18) and prints the measured tables.
 //
 // Usage:
 //
@@ -9,15 +8,11 @@
 //	pdlbench -exp all -gcrounds 10   # experiments 1-7, paper-grade conditioning
 //	pdlbench -exp 3 -csv             # CSV for external plotting
 //	pdlbench -exp 1 -backend file    # same experiment on the persistent backend
-//	pdlbench -exp adaptive -channels 4 -assertadaptive
-//	                                 # adaptive routing vs every fixed method,
-//	                                 # flash ops per logical write, channels 1, 2 and 4
 //	pdlbench -exp 7 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // All reported times are simulated flash I/O times derived from the
-// datasheet parameters (Table 1), and the adaptive experiment reports
-// flash operation counts, so every run is deterministic for a seed and
-// prints the same table on either backend. Host-side cost (throughput,
+// datasheet parameters (Table 1), so every run is deterministic for a seed
+// and prints the same table on either backend. Host-side cost (throughput,
 // latency, per-layer time) is measured by `go run ./benchmark`.
 package main
 
@@ -56,7 +51,7 @@ func main() { os.Exit(realMain()) }
 
 func realMain() int {
 	var (
-		exp       = flag.String("exp", "1", "experiment to run: 1..7, adaptive, or all (= 1..7)")
+		exp       = flag.String("exp", "1", "experiment to run: 1..7, or all")
 		blocks    = flag.Int("blocks", 512, "flash size in 132-KB blocks (512 = 64 MB)")
 		dbfrac    = flag.Float64("dbfrac", 0.4, "database size as a fraction of flash capacity")
 		gcrounds  = flag.Float64("gcrounds", 3, "steady-state criterion: mean GC rounds per block before measuring (paper: 10)")
@@ -66,11 +61,9 @@ func realMain() int {
 		pageSize  = flag.Int("pagesize", flash.DefaultDataSize, "logical/physical page size in bytes (Figure 13(b) uses 8192)")
 		nupdates  = flag.Int("n", 1, "N_updates_till_write for experiments 3 and 4")
 		warehouse = flag.Int("warehouses", 1, "TPC-C warehouses for experiment 7")
-		channels  = flag.Int("channels", 1, "stripe every run's device over N channels (block-granular, flash.Striped); -exp adaptive sweeps channel counts 1..N in powers of two")
+		channels  = flag.Int("channels", 1, "stripe every run's device over N channels (block-granular, flash.Striped)")
 		backend   = flag.String("backend", "emu", "flash backend: emu (in-memory) or file (persistent)")
 		path      = flag.String("path", "", "directory for -backend file device files (default: a temp dir)")
-		theta     = flag.Float64("theta", 0.99, "zipfian skew of the -exp adaptive mixed workload")
-		assertA   = flag.Bool("assertadaptive", false, "with -exp adaptive: exit nonzero unless the adaptive method's flash ops per logical write is no worse than every fixed method at every channel count")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file (profile GC and lock behavior directly)")
 		memprof   = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
@@ -234,19 +227,13 @@ func realMain() int {
 				return err
 			}
 			bench.WriteExp7Table(os.Stdout, points)
-		case "adaptive":
-			if err := runAdaptive(g, *channels, *theta, *assertA); err != nil {
-				return err
-			}
 		default:
-			return fmt.Errorf("unknown experiment %q (want 1..7, adaptive, or all)", id)
+			return fmt.Errorf("unknown experiment %q (want 1..7, or all)", id)
 		}
 		fmt.Println()
 		return nil
 	}
 
-	// "all" is the paper's evaluation, experiments 1-7; the adaptive
-	// experiment is beyond the paper and is requested by name.
 	ids := []string{*exp}
 	if strings.EqualFold(*exp, "all") {
 		ids = []string{"1", "2", "3", "4", "5", "6", "7"}
@@ -258,67 +245,4 @@ func realMain() int {
 		}
 	}
 	return 0
-}
-
-// channelSweep returns the channel counts an experiment sweeps for the
-// -channels flag: powers of two up to max, plus max itself.
-func channelSweep(max int) []int {
-	if max < 1 {
-		max = 1
-	}
-	var counts []int
-	for c := 1; c < max; c *= 2 {
-		counts = append(counts, c)
-	}
-	return append(counts, max)
-}
-
-// runAdaptive runs the adaptive-routing experiment (-exp adaptive): flash
-// operations per logical write under a mixed zipfian workload, the
-// adaptive router against every fixed method, swept over channel counts.
-// With assert set it exits nonzero unless the adaptive method is no worse
-// than every fixed method at every channel count — the experiment's
-// headline claim, enforced in CI.
-func runAdaptive(g bench.Geometry, maxChannels int, theta float64, assert bool) error {
-	fmt.Printf("Adaptive routing experiment: flash ops per logical write, mixed zipfian workload (theta=%.2f)\n", theta)
-	fmt.Printf("# geometry: %s, DB = %.0f%%, conditioning %.1f GC rounds/block, %d measured ops\n",
-		g.Params, g.DBFrac*100, g.GCRounds, g.MeasureOps)
-	fmt.Printf("# density classes by pid hash: 60%% sparse (16B slots), 25%% medium (eighth-page regions), 15%% dense (full page)\n")
-	ok := true
-	for _, nchan := range channelSweep(maxChannels) {
-		cg := g
-		cg.Channels = nchan
-		points, err := bench.ExpAdaptive(cg, theta)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nchannels = %d\n", nchan)
-		bench.WriteAdaptiveTable(os.Stdout, points)
-		var adaptive *bench.AdaptivePoint
-		for i := range points {
-			if points[i].Method == "Adaptive" {
-				adaptive = &points[i]
-			}
-		}
-		if adaptive == nil {
-			return fmt.Errorf("adaptive experiment produced no Adaptive point")
-		}
-		for _, p := range points {
-			if p.Method == "Adaptive" {
-				continue
-			}
-			if adaptive.FlashOps.PerWrite > p.FlashOps.PerWrite {
-				fmt.Printf("# ASSERT adaptive: Adaptive %.4f ops/write worse than %s %.4f at %d channels\n",
-					adaptive.FlashOps.PerWrite, p.Method, p.FlashOps.PerWrite, nchan)
-				ok = false
-			}
-		}
-	}
-	if assert && !ok {
-		return fmt.Errorf("adaptive method lost to a fixed method on flash ops per logical write (see ASSERT lines)")
-	}
-	if assert {
-		fmt.Printf("# assert ok: adaptive ≤ every fixed method at every channel count\n")
-	}
-	return nil
 }

@@ -125,8 +125,8 @@ func (s *Store) badLeak(cond bool) {
 	s.mt.mu.Unlock()
 }
 
-// routeLocked declares the adaptive-tracker convention: per-page routing
-// state is read-modify-written only under the owning pid's shard lock.
+// routeLocked declares a caller-holds convention: its per-page state is
+// read-modify-written only under the owning pid's shard lock.
 //
 //pdlvet:holds shard
 func (s *Store) routeLocked() {}

@@ -28,9 +28,6 @@ const (
 	KindOPU
 	KindIPU
 	KindIPL
-	// KindAdaptive is the PDL store with per-page adaptive routing
-	// between the differential and whole-page paths (core/adaptive.go).
-	KindAdaptive
 )
 
 // MethodSpec describes one method configuration.
@@ -70,13 +67,6 @@ func (s MethodSpec) Build(dev flash.Device, numPages int) (ftl.Method, error) {
 			// workload of benchmark/ measures the cache's effect.
 			DiffCachePages: core.DiffCacheOff,
 		})
-	case KindAdaptive:
-		return core.New(dev, numPages, core.Options{
-			MaxDifferentialSize: s.Param,
-			ReserveBlocks:       2,
-			DiffCachePages:      core.DiffCacheOff,
-			Adaptive:            core.AdaptiveOptions{Enabled: true, ProbeEvery: 2},
-		})
 	case KindOPU:
 		return opu.New(dev, numPages, 2)
 	case KindIPU:
@@ -96,8 +86,6 @@ func (s MethodSpec) Name(p flash.Params) string {
 			return fmt.Sprintf("PDL(%dKB)", s.Param/1024)
 		}
 		return fmt.Sprintf("PDL(%dB)", s.Param)
-	case KindAdaptive:
-		return "Adaptive"
 	case KindOPU:
 		return "OPU"
 	case KindIPU:
@@ -124,21 +112,6 @@ func GCStatsOf(m ftl.Method) flash.Stats {
 	default:
 		return flash.Stats{}
 	}
-}
-
-// ChannelGCOf extracts a method's per-channel garbage-collection
-// breakdown (nil for methods without the channel-aware allocator).
-func ChannelGCOf(m ftl.Method) []ftl.ChannelGCStats {
-	v, ok := m.(interface{ Allocator() *ftl.Allocator })
-	if !ok {
-		return nil
-	}
-	a := v.Allocator()
-	out := make([]ftl.ChannelGCStats, a.Channels())
-	for ch := range out {
-		out[ch] = a.ChannelGC(ch)
-	}
-	return out
 }
 
 // ResetGCStatsOf zeroes a method's garbage-collection accounting.

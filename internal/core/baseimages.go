@@ -20,8 +20,8 @@ import (
 // mapping entry the image was read under, and it is the differential cache's
 // rule over again (see diffCache): base time stamps come from the store's one
 // monotone counter, garbage collection relocates a base page with its content
-// and its stamp, and every new base page — a Case 3 rewrite, a whole-page
-// route, a heal, a rebase — draws a new stamp, so for the life of the store
+// and its stamp, and every new base page — an initial load, a Case 3
+// rewrite, a heal, a rebase — draws a new stamp, so for the life of the store
 // (pid, baseTS) names one content wherever in flash it lives. Nothing is ever
 // invalidated: a superseded image cannot match a snapshot again and leaves
 // when its slot comes round. The writer holds the pid's shard lock, under
@@ -68,10 +68,10 @@ import (
 // are copied: the two slots swap buffers, so the region grows by one page
 // buffer for each slot it fills for the first time and by nothing after. get
 // asks the window, then the held region, and leaves a held image where it is:
-// a differential-route write does not change the base, so the same image
-// serves the page's next write-back too. put never touches the region. When
-// the window goes dormant the region is released, so a store that has turned
-// read-only gives the memory back.
+// a write that buffers a differential does not change the base, so the same
+// image serves the page's next write-back too. put never touches the region.
+// When the window goes dormant the region is released, so a store that has
+// turned read-only gives the memory back.
 //
 // mu is a leaf lock, never held with any other. All methods are safe on a
 // nil receiver (window off).

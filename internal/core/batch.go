@@ -15,11 +15,11 @@ import (
 var _ ftl.BatchWriter = (*Store)(nil)
 
 // pendingOp is one physical page program a write step staged: a base page
-// (Case 3 of PDL_Writing, an initial load, a whole-page route, a durable
-// heal) or a differential-page spill (Case 2, Flush). Staging separates
-// the CPU half of a reflection — reading the base page and computing the
-// differential, which a batch runs per shard in parallel — from the device
-// half, which commit performs for every staged op of a call at once.
+// (Case 3 of PDL_Writing, an initial load, a heal) or a differential-page
+// spill (Case 2, Flush). Staging separates the CPU half of a reflection —
+// reading the base page and computing the differential, which a batch runs
+// per shard in parallel — from the device half, which commit performs for
+// every staged op of a call at once.
 type pendingOp struct {
 	// idx is the batch position at which a serial loop of WritePage calls
 	// would have issued this program; programs are ordered (and mappings
@@ -34,18 +34,11 @@ type pendingOp struct {
 	home, ch int
 	ppn      flash.PPN
 	// data is the page image to program. For a base page it is pid's
-	// logical image, tagged with logging mode mode (0 fixed/PDL,
-	// ftl.ModeTagOPU for the adaptive whole-page route), and aliases the
-	// caller's buffer until programmed; for a spill it is a pooled page
-	// holding the encoded diffs.
+	// logical image and aliases the caller's buffer until programmed; for
+	// a spill it is a pooled page holding the encoded diffs.
 	data  []byte
 	pid   uint32
-	mode  byte
 	spill bool
-	// cold marks a base page the adaptive router expects to live long (its
-	// pid was dormant; see adaptiveState.route): it is allocated from the
-	// cold stream. Fixed-method stores never set it.
-	cold  bool
 	diffs []diff.Differential
 	// pin, when set, makes a base-page commit conditional on pid's mapping
 	// still being at that version (the read-path heal; see applyDiff).
@@ -53,26 +46,21 @@ type pendingOp struct {
 }
 
 // stream names the allocator append point the op's page comes from: a
-// spill is a differential page, everything else a foreground base page,
-// hot unless the router marked it long-lived.
+// spill is a differential page, everything else a foreground base page.
 func (op *pendingOp) stream() ftl.Stream {
-	switch {
-	case op.spill:
+	if op.spill {
 		return ftl.StreamDiff
-	case op.cold:
-		return ftl.StreamCold
 	}
 	return ftl.StreamHot
 }
 
 // staged is what a writeStage knows, ahead of the mapping table, about a
 // pid an earlier write of the same batch touched: the base image staged
-// for it (nil: its base is still the one on flash), whether a differential
-// page will exist for it once the staged ops commit, and its logging mode.
+// for it (nil: its base is still the one on flash) and whether a
+// differential page will exist for it once the staged ops commit.
 type staged struct {
-	img  []byte
-	dif  bool
-	mode byte
+	img []byte
+	dif bool
 }
 
 // writeStage is the view one run of stageWrite works on: the write buffer
@@ -96,71 +84,39 @@ func (st *writeStage) note(pid uint32, p staged) {
 	}
 }
 
-// stageBase stages data as pid's new base page in logging mode mode, on
-// the cold stream if cold. Any buffered differential was computed against
-// the base this replaces and goes with it.
-func (st *writeStage) stageBase(idx int, ts uint64, pid uint32, data []byte, mode byte, cold bool) {
+// stageBase stages data as pid's new base page. Any buffered differential
+// was computed against the base this replaces and goes with it.
+func (st *writeStage) stageBase(idx int, ts uint64, pid uint32, data []byte) {
 	st.buf.remove(pid)
-	st.ops = append(st.ops, pendingOp{idx: idx, ts: ts, home: st.home, pid: pid, data: data, mode: mode, cold: cold})
-	st.note(pid, staged{img: data, mode: mode})
+	st.ops = append(st.ops, pendingOp{idx: idx, ts: ts, home: st.home, pid: pid, data: data})
+	st.note(pid, staged{img: data})
 }
 
 // stageWrite is the PDL_Writing algorithm (Figure 7) for one logical
-// write, the only implementation of it: route, resolve the base image,
-// create the differential by comparison, and store it in st's write buffer,
-// staging — not issuing — the differential-page spill (Case 2) or new base
-// page (Case 3) the write causes. idx and ts are the write's batch
-// position and time stamp; base is a scratch page. The caller holds pid's
-// shard lock and commits st.ops.
+// write, the only implementation of it: resolve the base image, create the
+// differential by comparison, and store it in st's write buffer, staging —
+// not issuing — the differential-page spill (Case 2) or new base page
+// (Case 3) the write causes. idx and ts are the write's batch position and
+// time stamp; base is a scratch page. The caller holds pid's shard lock and
+// commits st.ops.
 //
 //pdlvet:holds shard
 func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data, base []byte) error {
 	known, tracked := st.pend[pid]
-	// The one mapping snapshot of the write: steps 0 and 1 share it, and step
-	// 1 takes another only after a relocation moved the base under its read.
+	// The one mapping snapshot of the write; step 1 takes another only after
+	// a relocation moved the base under its read.
 	e, baseTS, _, v := s.mt.snapshot(pid)
-
-	// Step 0 (adaptive stores only): the per-page routing decision, taken
-	// BEFORE the base page is read so the whole-page route skips that
-	// read entirely; see adaptive.go. cold is its lifetime verdict for any
-	// base page this write stages.
-	probing, cold := false, false
-	mode := known.mode
-	whole := func() {
-		s.wtel.opuRoutes.Add(1)
-		if mode != ftl.ModeTagOPU {
-			s.wtel.modeSwitches.Add(1)
-		}
-		st.stageBase(idx, ts, pid, data, ftl.ModeTagOPU, cold)
-	}
-	if s.adap != nil {
-		hasDif := known.dif
-		if !tracked {
-			mode, hasDif = s.mt.modeOf(pid), e.dif != flash.NilPPN
-		}
-		_, buffered := st.buf.get(pid)
-		var kind routeKind
-		kind, cold = s.adap.route(pid, mode, known.img != nil || e.base != flash.NilPPN, hasDif || buffered)
-		switch kind {
-		case routeOPU:
-			whole()
-			return nil
-		case routeProbe:
-			probing = true
-			s.wtel.probes.Add(1)
-		}
-	}
 
 	// Step 1: resolve the base image this write diffs against — the one an
 	// earlier write of the batch staged, else the one a read has just
 	// retained, or RetainBase has had held, under the base time stamp of the
 	// snapshot (baseImages: the stamp cannot move under the shard lock, so a
 	// hit is the current image wherever the page lives by now), else the base
-	// page on flash, read under no channel lock. The versioned snapshot detects a concurrent
-	// garbage-collection relocation of the base page (the only mutation
-	// another goroutine can make to this pid's entry while we hold its
-	// shard lock) and retries; relocation preserves content, so a stable
-	// read is always the current image.
+	// page on flash, read under no channel lock. The versioned snapshot
+	// detects a concurrent garbage-collection relocation of the base page
+	// (the only mutation another goroutine can make to this pid's entry
+	// while we hold its shard lock) and retries; relocation preserves
+	// content, so a stable read is always the current image.
 	img, difExists := known.img, known.dif
 	for img == nil {
 		corrupt := false
@@ -190,10 +146,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 			if corrupt {
 				s.itel.pagesHealed.Add(1)
 			}
-			if s.adap != nil {
-				s.wtel.pdlRoutes.Add(1)
-			}
-			st.stageBase(idx, ts, pid, data, 0, cold)
+			st.stageBase(idx, ts, pid, data)
 			return nil
 		}
 		img = base
@@ -218,33 +171,9 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		// newer time stamp supersedes the stale one durably. GC never
 		// creates or destroys a pid's differential linkage — it only moves
 		// it — so the nil observation holds under the shard lock.)
-		if s.adap != nil {
-			s.wtel.pdlRoutes.Add(1)
-		}
 		return nil
 	}
 	size := d.EncodedSize()
-	if s.adap != nil {
-		if dense := s.adap.noteDensity(pid, size, s.params.DataSize); dense ||
-			s.adap.cut(size, s.params.DataSize) {
-			// The measured differential confirms the page is dense (EWMA)
-			// or this one write is past the instantaneous cut: the
-			// differential route costs as much here as resetting the
-			// escalation outright, so write the page whole.
-			whole()
-			return nil
-		}
-		s.wtel.pdlRoutes.Add(1)
-		if probing {
-			// The probe measured sparse: back to the differential route.
-			// The buffered differential below either flushes (setDiffPage
-			// re-commits PDL durably) or is superseded by a later
-			// whole-page write, so the early flip stays consistent.
-			s.wtel.modeSwitches.Add(1)
-			s.mt.setMode(pid, 0)
-			st.note(pid, staged{img: known.img, dif: difExists})
-		}
-	}
 	switch {
 	case size <= st.buf.free(): // Case 1
 		st.buf.add(d)
@@ -252,8 +181,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		spill := s.snapshotSpill(st.buf, idx, ts, st.home)
 		st.ops = append(st.ops, spill)
 		if st.pend != nil {
-			// Committing a differential page links it and proves the
-			// differential route (see setDiffPage).
+			// Committing a differential page links it.
 			for _, sd := range spill.diffs {
 				st.pend[sd.PID] = staged{img: st.pend[sd.PID].img, dif: true}
 			}
@@ -261,7 +189,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		st.buf.clear()
 		st.buf.add(d)
 	default: // Case 3
-		st.stageBase(idx, ts, pid, data, 0, cold)
+		st.stageBase(idx, ts, pid, data)
 	}
 	return nil
 }
@@ -571,7 +499,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 	}
 	for i, op := range ops {
 		h := ftl.Header{Type: ftl.TypeBase, PID: op.pid, TS: op.ts,
-			Seq: s.alloc.SeqOf(s.params.BlockOf(op.ppn)), Mode: op.mode}
+			Seq: s.alloc.SeqOf(s.params.BlockOf(op.ppn))}
 		if op.spill {
 			h.Type = ftl.TypeDiff
 		}
@@ -608,7 +536,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 			}
 			continue
 		}
-		old, ok := s.mt.setBasePage(op.pid, op.ppn, op.ts, op.mode, op.pin)
+		old, ok := s.mt.setBasePage(op.pid, op.ppn, op.ts, op.pin)
 		if !ok {
 			err = errors.Join(err, s.discardLostHeal(op.ppn))
 			continue

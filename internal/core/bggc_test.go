@@ -132,9 +132,6 @@ func TestBackgroundGCConformance(t *testing.T) {
 // TestBackgroundGCOptionValidation pins down the new option contracts.
 func TestBackgroundGCOptionValidation(t *testing.T) {
 	chip := flash.NewChip(ftltest.SmallParams(8))
-	if _, err := New(chip, 8, Options{BackgroundGC: true, ReserveBlocks: 3, GCLowWater: 3}); err == nil {
-		t.Error("GCLowWater <= ReserveBlocks accepted")
-	}
 	s, err := New(chip, 8, Options{BackgroundGC: true, ReserveBlocks: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -44,14 +44,12 @@ func (s *Store) relocate(victim int) error {
 	// record and erased with its other live differentials still in it.
 	var keep []diff.Differential
 	var from, compacted []flash.PPN
-	moved := 0
 	for i := 0; i < p.PagesPerBlock; i++ {
 		ppn := p.PPNOf(victim, i)
 		if pid, ts, ok := s.mt.baseOwner(ppn); ok {
 			if err := s.relocateBasePage(pid, ts, ppn, ch); err != nil {
 				return err
 			}
-			moved++
 			continue
 		}
 		if s.mt.diffCount(ppn) > 0 {
@@ -81,17 +79,10 @@ func (s *Store) relocate(victim int) error {
 		if err := s.writeCompactedPage(keep[:n], from[:n], ch); err != nil {
 			return err
 		}
-		moved++
 		keep, from = keep[n:], from[n:]
 	}
 	for _, ppn := range compacted {
 		s.mt.dropDiffPage(ppn)
-	}
-	if s.adap != nil {
-		// Feed the router's GC-pressure heuristic: pages this collection
-		// had to program (relocated bases + compacted differential pages)
-		// approximate how valid the victim still was.
-		s.adap.noteVictim(moved)
 	}
 	return nil
 }
@@ -101,17 +92,6 @@ func (s *Store) relocate(victim int) error {
 // baseOwner validated; the copy keeps it — relocation does not make the
 // content newer, and recovery must still see any later differential as
 // the winner.
-//
-// Adaptive stores piggyback mode migration on the relocation: the
-// collector re-evaluates the page's tracker (lock-free — it must not
-// take shard locks) and emits the copy tagged with the target mode, so
-// the routing steady state converges without foreground cost. Migration
-// is TAG-ONLY: the content and time stamp are untouched, and in
-// particular a PDL→OPU migration does NOT merge the base with its
-// differential — a shard buffer may hold a newer differential computed
-// against this very base image, which a merged page would corrupt. The
-// differential linkage is instead released by the pid's next foreground
-// whole-page write.
 //
 // Relocation is also the integrity layer's scrubbing pass: the copy is
 // verified against its spare-area ECC, single-bit flips are corrected
@@ -126,24 +106,9 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 	p := s.params
 	scratch := s.getPage()
 	defer s.putPage(scratch)
-	var (
-		bad   []int
-		spare []byte
-		err   error
-	)
-	if s.integ.fits {
-		spare = s.spares.get()
-		defer s.putVerifySpare(spare)
-		if s.integ.verify {
-			bad, err = s.verifiedRead(ppn, scratch, spare)
-		} else {
-			// Verification off: a content-and-trailer-preserving move, so
-			// a later verifying open still sees the original seal.
-			err = s.scanRead(readGC, ppn, scratch, spare)
-		}
-	} else {
-		_, err = s.verifiedRead(ppn, scratch, nil)
-	}
+	spare := s.getVerifySpare()
+	defer s.putVerifySpare(spare)
+	bad, err := s.verifiedRead(ppn, scratch, spare)
 	if err != nil {
 		return err
 	}
@@ -151,38 +116,27 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 	if err != nil {
 		return err
 	}
-	var mode, oldMode byte
-	if s.adap != nil {
-		oldMode = s.mt.modeOf(pid)
-		mode = s.adap.gcTargetMode(pid, oldMode)
-	}
 	spareBuf := s.chans[ch].spareBuf
 	ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeBase, PID: pid, TS: ts,
-		Seq: s.alloc.SeqOf(s.params.BlockOf(dst)), Mode: mode}, spareBuf)
-	if s.integ.fits {
-		if s.integ.verify && len(bad) == 0 {
-			ftl.SealSpare(scratch, spareBuf) // verified copy: fresh seal (scrub)
-		} else {
-			// Unverified or uncorrectable content: carry the original ECC
-			// so corruption stays detectable; only the header checksum is
-			// recomputed (Seq and mode changed with the move).
-			copy(ftl.SpareECC(spareBuf, p.DataSize), ftl.SpareECC(spare, p.DataSize))
-			ftl.ResealHeader(spareBuf, p.DataSize)
-		}
+		Seq: s.alloc.SeqOf(s.params.BlockOf(dst))}, spareBuf)
+	if len(bad) == 0 {
+		s.seal(scratch, spareBuf) // verified copy: fresh seal (scrub)
+	} else {
+		// Uncorrectable content: carry the original ECC so corruption
+		// stays detectable; only the header checksum is recomputed (Seq
+		// changed with the move).
+		copy(ftl.SpareECC(spareBuf, p.DataSize), ftl.SpareECC(spare, p.DataSize))
+		ftl.ResealHeader(spareBuf, p.DataSize)
 	}
 	if err := s.dev.Program(dst, scratch, spareBuf); err != nil {
 		return err
 	}
-	if !s.mt.relocateBaseFrom(pid, ppn, dst, mode) {
+	if !s.mt.relocateBaseFrom(pid, ppn, dst) {
 		// A writer on another channel committed a newer base for pid
 		// between baseOwner and here: the copy at dst is stale content under
 		// an older time stamp than the winner's. Discard it (dst is on our
 		// channel).
 		s.alloc.NoteObsolete(dst)
-		return nil
-	}
-	if mode != oldMode {
-		s.alloc.NoteModeMigration(ch)
 	}
 	return nil
 }

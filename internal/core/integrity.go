@@ -84,16 +84,6 @@ import (
 	"pdl/internal/ftl"
 )
 
-// integrity is the store's page-integrity configuration, fixed at New.
-type integrity struct {
-	// fits reports whether the geometry carries the integrity trailer
-	// (ftl.IntegrityFits); pages are sealed on program iff fits.
-	fits bool
-	// verify reports whether read paths check and heal:
-	// fits && !Options.DisableVerify.
-	verify bool
-}
-
 // integrityTelemetry holds the integrity counters. They are atomics
 // because verifying reads run with no store-level lock held.
 type integrityTelemetry struct {
@@ -104,10 +94,10 @@ type integrityTelemetry struct {
 }
 
 // getVerifySpare returns a pooled spare-area scratch for a verifying
-// read, or nil when verification is off (the read funnels then skip the
-// spare area entirely, which is the -verify=off baseline).
+// read, or nil when the geometry carries no trailer to verify against (the
+// read funnels then skip the spare area entirely).
 func (s *Store) getVerifySpare() []byte {
-	if !s.integ.verify {
+	if !s.sealed {
 		return nil
 	}
 	return s.spares.get()
@@ -125,7 +115,7 @@ func (s *Store) putVerifySpare(b []byte) {
 // trailer, so every program site calls it unconditionally between
 // EncodeHeaderInto and the program.
 func (s *Store) seal(data, spare []byte) {
-	if s.integ.fits {
+	if s.sealed {
 		ftl.SealSpare(data, spare)
 	}
 }
@@ -168,7 +158,7 @@ const (
 
 // verifiedReadStable is the raw read of the optimistic (version-checked)
 // paths: it reads ppn's data area — and, into a pooled scratch, its spare
-// area when verification is on — re-checks the pid's mapping version, and
+// area on a sealed store — re-checks the pid's mapping version, and
 // only then verifies, so corrected-bit counts and heal decisions are never
 // taken on bytes a concurrent relocation made stale.
 //
@@ -232,7 +222,7 @@ func (s *Store) countReads(kind readKind, n int, err error) {
 }
 
 // verifiedReadBatch is the raw read funnel of the batched read path: it
-// gives every entry a pooled spare buffer when verification is on and
+// gives every entry a pooled spare buffer on a sealed store and
 // issues the device batch. The caller verifies each entry with verifyRead
 // once its per-entry stability check passes, and hands the spares back
 // with putVerifySpares whether or not the batch succeeded.
@@ -262,7 +252,7 @@ func (s *Store) putVerifySpares(reads []flash.PageRead) {
 }
 
 // verifyRead verifies one entry verifiedReadBatch filled; nil when clean
-// or when verification is off.
+// or when the store is not sealed.
 func (s *Store) verifyRead(pr flash.PageRead) []int {
 	if pr.Spare == nil {
 		return nil
@@ -270,16 +260,15 @@ func (s *Store) verifyRead(pr flash.PageRead) []int {
 	return s.verifyData(pr.Data, pr.Spare)
 }
 
-// scanRead is the raw read of the recovery scan (and of a relocation with
-// verification off): one charged device read returning both areas, with
-// header-checksum and ECC interpretation left to the scan (erased and torn
-// pages are exempt from verification by construction, so the scan cannot
-// delegate to verifyData blindly).
+// scanRead is the raw read of the recovery scan: one charged device read
+// returning both areas, with header-checksum and ECC interpretation left to
+// the scan (erased and torn pages are exempt from verification by
+// construction, so the scan cannot delegate to verifyData blindly).
 //
 //pdlvet:ignore deviceio raw-read funnel
-func (s *Store) scanRead(kind readKind, ppn flash.PPN, data, spare []byte) error {
+func (s *Store) scanRead(ppn flash.PPN, data, spare []byte) error {
 	err := s.dev.Read(ppn, data, spare)
-	s.countReads(kind, 1, err)
+	s.countReads(readRecover, 1, err)
 	return err
 }
 
@@ -313,7 +302,3 @@ func coversSectors(d diff.Differential, bad []int, pageSize int) bool {
 	}
 	return true
 }
-
-// IntegrityEnabled reports whether read-path verification and healing
-// are active (geometry fits and Options.DisableVerify is unset).
-func (s *Store) IntegrityEnabled() bool { return s.integ.verify }

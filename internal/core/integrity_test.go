@@ -668,27 +668,6 @@ func TestIntegrityFaultCampaign(t *testing.T) {
 	}
 }
 
-// TestIntegrityVerifyOffServesUncorrupted checks the -verify=off baseline:
-// sealing still happens (so a later verifying open can check the pages),
-// but reads skip verification entirely.
-func TestIntegrityVerifyOffServesUncorrupted(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2, DisableVerify: true})
-	e := entryOf(s, 3)
-	fd.Inject(faultdev.Fault{PPN: e.base, Kind: faultdev.BitFlip, Off: 100, Bit: 3})
-	buf := make([]byte, s.params.DataSize)
-	if err := s.ReadPage(3, buf); err != nil {
-		t.Fatal(err)
-	}
-	want := append([]byte(nil), shadow[3]...)
-	want[100] ^= 1 << 3
-	if !bytes.Equal(buf, want) {
-		t.Fatal("verify-off read did not pass the raw (corrupt) bytes through")
-	}
-	if tel := s.Telemetry(); tel.EccCorrectedBits != 0 || tel.PagesHealed != 0 {
-		t.Errorf("verify-off store ran verification: %+v", tel)
-	}
-}
-
 // TestIntegrityFailedCollectionKeepsDiffCounts: a collection that fails
 // after it has gathered a differential page's survivors (here: the typed
 // error of a later, corrupt page of the same victim) must leave that

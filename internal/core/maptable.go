@@ -55,12 +55,6 @@ type mapTable struct {
 	// longer a base, or was never one (slot 0, pid 0), still names a pid —
 	// and baseOwner checks it against the forward mapping.
 	reverseBase []uint32
-	// mode is each pid's adaptive logging mode (0 differential/PDL,
-	// ftl.ModeTagOPU whole-page) — a pure routing hint for the adaptive
-	// store, mutated only through the committers below so it always
-	// describes the mapping it sits next to. Fixed-method stores leave
-	// it zero. It is versioned like the rest of the entry.
-	mode []uint8
 	// vdct is the valid differential count table: differential page ->
 	// number of valid differentials it holds. Entries are removed the
 	// moment their count reaches zero — a zero count means the page is
@@ -84,7 +78,6 @@ func newMapTable(numPages, flashPages int) *mapTable {
 		baseTS:      make([]uint64, numPages),
 		diffTS:      make([]uint64, numPages),
 		ver:         make([]uint64, numPages),
-		mode:        make([]uint8, numPages),
 		reverseBase: make([]uint32, flashPages),
 		vdct:        make(map[flash.PPN]int),
 	}
@@ -130,26 +123,6 @@ func (t *mapTable) stable(pid uint32, v uint64) bool {
 	return cur == v
 }
 
-// modeOf returns pid's current adaptive logging mode.
-func (t *mapTable) modeOf(pid uint32) uint8 {
-	t.mu.RLock()
-	m := t.mode[pid]
-	t.mu.RUnlock()
-	return m
-}
-
-// setMode flips pid's routing mode without touching the mapping — the
-// adaptive probe path uses it when a whole-page-routed pid measures
-// sparse again and its next differential is already buffered. The flip
-// is consistent with recovery because the buffered differential either
-// flushes (setDiffPage re-commits PDL durably) or is superseded by a
-// whole-page write (which re-commits OPU).
-func (t *mapTable) setMode(pid uint32, mode uint8) {
-	t.mu.Lock()
-	t.mode[pid] = mode
-	t.mu.Unlock()
-}
-
 // baseOwner returns the pid whose CURRENT base page is ppn, with its
 // creation time stamp. The reverse-index slot is validated against the
 // forward mapping inside one critical section, so neither a slot that was
@@ -175,17 +148,17 @@ func (t *mapTable) diffOf(pid uint32) (flash.PPN, uint64) {
 }
 
 // setBasePage commits a new base page: pid's base becomes ppn with
-// creation time stamp ts and logging mode mode (0 for fixed-method
-// stores), and any previous base/differential linkage is returned to the
-// caller for release. A non-nil pin makes the commit conditional on pid's
-// entry still being at version *pin — the read-path heal (applyDiff in
-// readbatch.go) pins its merged image to the version it read: on false the
-// copy at ppn is dead and must be discarded by the caller, and the racing
-// mutation (a GC relocation; flushes and writes are excluded by the shard
-// lock the healer holds) owns the mapping. Caller holds a channel lock.
+// creation time stamp ts, and any previous base/differential linkage is
+// returned to the caller for release. A non-nil pin makes the commit
+// conditional on pid's entry still being at version *pin — the read-path
+// heal (applyDiff in readbatch.go) pins its merged image to the version it
+// read: on false the copy at ppn is dead and must be discarded by the
+// caller, and the racing mutation (a GC relocation; flushes and writes are
+// excluded by the shard lock the healer holds) owns the mapping. Caller
+// holds a channel lock.
 //
 //pdlvet:holds channel
-func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8, pin *uint64) (old pageEntry, ok bool) {
+func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, pin *uint64) (old pageEntry, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if pin != nil && t.ver[pid] != *pin {
@@ -199,7 +172,6 @@ func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8,
 	t.ppmt[pid] = pageEntry{base: ppn, dif: flash.NilPPN}
 	t.baseTS[pid] = ts
 	t.diffTS[pid] = 0
-	t.mode[pid] = mode
 	t.reverseBase[ppn] = pid
 	delete(t.rebase, pid)
 	t.ver[pid]++
@@ -213,23 +185,13 @@ func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8,
 // the collector's copy at dst is dead and must be discarded. The
 // creation time stamp is deliberately unchanged: relocation copies
 // content, it does not make it newer.
-//
-// mode is the logging mode the collector emitted the copy in (its
-// GC-driven migration). An OPU migration is refused — demoted back to
-// PDL — while a valid differential is linked: a differential newer than
-// the base always wins at recovery, so committing OPU here would let the
-// in-memory hint diverge from the durable rule.
-func (t *mapTable) relocateBaseFrom(pid uint32, src, dst flash.PPN, mode uint8) bool {
+func (t *mapTable) relocateBaseFrom(pid uint32, src, dst flash.PPN) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.ppmt[pid].base != src {
 		return false
 	}
-	if mode != 0 && t.ppmt[pid].dif != flash.NilPPN {
-		mode = 0
-	}
 	t.ppmt[pid].base = dst
-	t.mode[pid] = mode
 	t.reverseBase[dst] = pid
 	t.ver[pid]++
 	return true
@@ -253,10 +215,6 @@ func (t *mapTable) setDiffPage(pid uint32, ppn flash.PPN, ts uint64) (old flash.
 	}
 	t.ppmt[pid].dif = ppn
 	t.diffTS[pid] = ts
-	// A differential commit proves the differential route: it is newer
-	// than the base, so recovery will route the pid PDL — force the
-	// in-memory hint to agree, whatever mode tag the base carries.
-	t.mode[pid] = 0
 	t.vdct[ppn]++
 	t.ver[pid]++
 	t.mu.Unlock()

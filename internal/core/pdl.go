@@ -22,7 +22,7 @@
 // # One write step, one commit, one read step
 //
 // Each algorithm of the paper is written once. PDL_Writing (Figure 7) is
-// stageWrite (batch.go): route, resolve the base image — the one the read
+// stageWrite (batch.go): resolve the base image — the one the read
 // path has just served, if it is still retained or a buffer pool's hint has
 // had it held (see baseImages, RetainBase), else a flash read — heal a
 // corrupt base by overwrite, compute the differential,
@@ -135,10 +135,6 @@ type Options struct {
 	// ReserveBlocks is the number of erased blocks kept aside for garbage
 	// collection. Zero means 2.
 	ReserveBlocks int
-	// WearAwareGC selects the wear-aware garbage-collection victim policy
-	// instead of pure greedy selection (a longevity ablation; see
-	// internal/ftl).
-	WearAwareGC bool
 	// Shards is the number of differential write buffer shards. Zero means
 	// 1, which preserves the paper's single one-page write buffer exactly.
 	// Concurrent workloads should use roughly one shard per worker
@@ -150,16 +146,12 @@ type Options struct {
 	Shards int
 	// BackgroundGC moves garbage collection off the write path: a
 	// background goroutine collects victim blocks incrementally whenever
-	// the erased-block pool drains to GCLowWater, and foreground
+	// the erased-block pool drains to ReserveBlocks + 2, and foreground
 	// reflections only collect synchronously if the pool hits the reserve
 	// floor first (backpressure). Off by default, which preserves the
 	// paper's stop-the-world foreground cleaning. Stores with background
 	// GC should be Closed when no longer needed.
 	BackgroundGC bool
-	// GCLowWater is the free-block watermark (in erased blocks) that
-	// triggers background collection. It must exceed ReserveBlocks; zero
-	// means ReserveBlocks + 2. Ignored unless BackgroundGC is set.
-	GCLowWater int
 	// RecoveryWorkers is the number of goroutines Recover fans the
 	// spare-area scan over. Zero means one per GOMAXPROCS; 1 forces the
 	// paper's serial single-scan. The recovered state is identical for
@@ -193,16 +185,6 @@ type Options struct {
 	// All are pure DRAM state — never persisted — so recovery is
 	// identical with and without them.
 	DiffCachePages int
-	// Adaptive configures per-page adaptive routing between the
-	// differential (PDL) and whole-page (OPU) routes; see adaptive.go.
-	// Disabled by default, which preserves the paper's fixed method.
-	Adaptive AdaptiveOptions
-	// DisableVerify turns off read-path integrity verification (ECC
-	// checks, single-bit correction, and self-healing; see integrity.go).
-	// Pages are still sealed on program whenever the geometry allows, so
-	// a store reopened with verification on can check everything this
-	// store wrote. Used by benchmarks to measure verification overhead.
-	DisableVerify bool
 }
 
 // DiffCacheOff disables the differential cache and the retained base images
@@ -277,11 +259,12 @@ type Store struct {
 	// held (the read path takes no store-level lock) and folded into
 	// Telemetry snapshots.
 	rtel readTelemetry
-	// integ is the page-integrity configuration (spare-area ECC sealing
-	// and read-path verification; see integrity.go), and itel its event
-	// counters (atomics: verifying reads run with no store-level lock).
-	integ integrity
-	itel  integrityTelemetry
+	// sealed reports whether the geometry carries the integrity trailer
+	// (ftl.IntegrityFits): pages are then sealed on program and verified on
+	// read (see integrity.go). itel holds the event counters (atomics:
+	// verifying reads run with no store-level lock).
+	sealed bool
+	itel   integrityTelemetry
 	// spares pools spare-area scratch buffers for the verifying read
 	// paths (the write paths use the per-channel spareBuf instead).
 	spares bufPool
@@ -305,9 +288,6 @@ type Store struct {
 	ts atomic.Uint64
 	// pages pools scratch page buffers for the read and write paths.
 	pages bufPool
-	// adap is the adaptive routing state (nil unless Options.Adaptive
-	// is enabled); see adaptive.go.
-	adap *adaptiveState
 }
 
 // Telemetry counts PDL-internal events, exposed for analysis and tests.
@@ -317,8 +297,7 @@ type Telemetry struct {
 	BufferFlushes int64
 	// NewBasePages is the number of base pages foreground writes committed:
 	// Case 3 fallbacks (differential larger than Max_Differential_Size),
-	// initial loads, whole-page routes, heals by overwrite and durable
-	// read-path heals.
+	// initial loads, heals by overwrite and durable read-path heals.
 	NewBasePages int64
 	// DiffBytesWritten sums the encoded differential bytes that went into
 	// flushed differential pages.
@@ -376,19 +355,8 @@ type Telemetry struct {
 	// LogicalWrites is the number of logical page reflections the store
 	// accepted (WritePage calls plus WriteBatch elements) — the
 	// denominator of the paper's flash-operations-per-logical-write
-	// metric; see Store.FlashOpsPerLogicalWrite.
+	// metric.
 	LogicalWrites int64
-	// AdaptivePDLRoutes and AdaptiveOPURoutes split LogicalWrites by the
-	// adaptive router's decision: differential path vs whole-page path.
-	// Both stay zero when adaptive routing is off (every write is then
-	// implicitly PDL-routed).
-	AdaptivePDLRoutes, AdaptiveOPURoutes int64
-	// AdaptiveProbes counts density probes: writes of whole-page-routed
-	// hot pids that ran the differential path once to re-measure.
-	AdaptiveProbes int64
-	// AdaptiveModeSwitches counts foreground mode flips (either
-	// direction); GC-driven flips are in ftl.ChannelGCStats.ModeMigrations.
-	AdaptiveModeSwitches int64
 	// EccCorrectedBits counts single-bit flips the spare-area SEC-DED
 	// ECC silently corrected across every verifying read path (foreground
 	// reads, GC relocation reads, recovery scans).
@@ -406,44 +374,6 @@ type Telemetry struct {
 	// checksum (corrupt spares quarantined during recovery scans rather
 	// than trusted as mappings).
 	HeaderChecksumFailures int64
-}
-
-// FlashOpsPerLogicalWrite is the paper's cost metric — flash programs and
-// erases per logical page reflection — as measured by the store itself,
-// with the adaptive route split alongside.
-type FlashOpsPerLogicalWrite struct {
-	// LogicalWrites is the denominator: logical page reflections.
-	LogicalWrites int64 `json:"logical_writes"`
-	// Programs and Erases are the device operation counts (flash.Stats
-	// Writes and Erases at snapshot time).
-	Programs int64 `json:"programs"`
-	Erases   int64 `json:"erases"`
-	// PerWrite is (Programs+Erases)/LogicalWrites, 0 when no writes.
-	PerWrite float64 `json:"per_write"`
-	// PDLRouted and OPURouted split the logical writes by adaptive
-	// route (PDLRouted == LogicalWrites for fixed-method stores).
-	PDLRouted int64 `json:"pdl_routed"`
-	OPURouted int64 `json:"opu_routed"`
-}
-
-// FlashOpsPerLogicalWrite snapshots the paper's cost metric from the
-// device counters and the store's logical-write telemetry.
-func (s *Store) FlashOpsPerLogicalWrite() FlashOpsPerLogicalWrite {
-	st := s.dev.Stats()
-	f := FlashOpsPerLogicalWrite{
-		LogicalWrites: s.wtel.logicalWrites.Load(),
-		Programs:      st.Writes,
-		Erases:        st.Erases,
-		PDLRouted:     s.wtel.pdlRoutes.Load(),
-		OPURouted:     s.wtel.opuRoutes.Load(),
-	}
-	if s.adap == nil {
-		f.PDLRouted = f.LogicalWrites
-	}
-	if f.LogicalWrites > 0 {
-		f.PerWrite = float64(f.Programs+f.Erases) / float64(f.LogicalWrites)
-	}
-	return f
 }
 
 // readTelemetry is the lock-free half of the telemetry: counters the read
@@ -470,18 +400,14 @@ type writeTelemetry struct {
 	channelFallOvers atomic.Int64
 	batchWrites      atomic.Int64
 	batchedPages     atomic.Int64
-	// logicalWrites and the adaptive route counters are bumped under
-	// shard locks (different shards run concurrently).
+	// logicalWrites is bumped under shard locks (different shards run
+	// concurrently).
 	logicalWrites atomic.Int64
 	writeBaseHits atomic.Int64
 	// baseHolds and baseHoldMisses are bumped by RetainBase under no store
 	// lock.
 	baseHolds      atomic.Int64
 	baseHoldMisses atomic.Int64
-	pdlRoutes      atomic.Int64
-	opuRoutes      atomic.Int64
-	probes         atomic.Int64
-	modeSwitches   atomic.Int64
 }
 
 var (
@@ -545,18 +471,7 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	}
 	s.pages.init(p.DataSize)
 	s.spares.init(p.SpareSize)
-	s.integ = integrity{
-		fits: ftl.IntegrityFits(p.DataSize, p.SpareSize),
-	}
-	s.integ.verify = s.integ.fits && !opts.DisableVerify
-	if opts.Adaptive.Enabled {
-		if p.SpareSize < ftl.HeaderSpareBytes {
-			return nil, fmt.Errorf("core: adaptive routing needs %d spare bytes for the mode tag, device has %d",
-				ftl.HeaderSpareBytes, p.SpareSize)
-		}
-		s.adap = newAdaptiveState(opts.Adaptive, numPages)
-		s.adap.halfBlock = uint32(p.PagesPerBlock) / 2
-	}
+	s.sealed = ftl.IntegrityFits(p.DataSize, p.SpareSize)
 	if cachePages > 0 {
 		s.dcache = newDiffCache(cachePages*p.DataSize, numPages, p.DataSize)
 		s.bimg = newBaseImages(cachePages/baseImagesShare, cachePages)
@@ -569,27 +484,16 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		s.chans[ch].lastKickFree = -1
 	}
 	s.alloc.SetRelocator(s.relocate)
-	switch {
-	case opts.WearAwareGC:
-		s.alloc.SetVictimPolicy(ftl.VictimWearAware)
-	case nchan > 1:
-		// Multi-channel stores default to cost-benefit victim selection:
-		// with relocation output segregated into cold blocks, age×invalid-
+	if nchan > 1 {
+		// Multi-channel stores select victims by cost-benefit: with
+		// relocation output segregated into cold blocks, age×invalid-
 		// ratio scoring stops GC from repeatedly recycling cold blocks.
 		s.alloc.SetVictimPolicy(ftl.VictimCostBenefit)
 	}
 	if opts.BackgroundGC {
-		low := opts.GCLowWater
-		if low == 0 {
-			low = reserve + 2
-		}
-		if low <= reserve {
-			return nil, fmt.Errorf("core: GCLowWater %d must exceed ReserveBlocks %d", low, reserve)
-		}
-		// The configured watermark describes the whole device; each
-		// channel's engine watches its share of it (identical to the
-		// legacy watermark when there is one channel).
-		chLow := (low + nchan - 1) / nchan
+		// The watermark, ReserveBlocks + 2 erased blocks, describes the
+		// whole device; each channel's engine watches its share of it.
+		chLow := (reserve + 2 + nchan - 1) / nchan
 		if chLow <= s.alloc.ChanReserve() {
 			chLow = s.alloc.ChanReserve() + 1
 		}
@@ -647,17 +551,12 @@ func (s *Store) BackgroundGCStats() gc.Stats {
 	return s.gcEng.Stats()
 }
 
-// Name implements ftl.Method, e.g. "PDL(256B)" (or "Adaptive(256B)" when
-// per-page routing is on).
+// Name implements ftl.Method, e.g. "PDL(256B)".
 func (s *Store) Name() string {
-	kind := "PDL"
-	if s.adap != nil {
-		kind = "Adaptive"
-	}
 	if s.maxDiff >= 1024 && s.maxDiff%1024 == 0 {
-		return fmt.Sprintf("%s(%dKB)", kind, s.maxDiff/1024)
+		return fmt.Sprintf("PDL(%dKB)", s.maxDiff/1024)
 	}
-	return fmt.Sprintf("%s(%dB)", kind, s.maxDiff)
+	return fmt.Sprintf("PDL(%dB)", s.maxDiff)
 }
 
 // Device implements ftl.Method.
@@ -1016,10 +915,6 @@ func (s *Store) Telemetry() Telemetry {
 	t.GCReads = s.rtel.gcReads.Load()
 	t.RecoverReads = s.rtel.recoverReads.Load()
 	t.LogicalWrites = s.wtel.logicalWrites.Load()
-	t.AdaptivePDLRoutes = s.wtel.pdlRoutes.Load()
-	t.AdaptiveOPURoutes = s.wtel.opuRoutes.Load()
-	t.AdaptiveProbes = s.wtel.probes.Load()
-	t.AdaptiveModeSwitches = s.wtel.modeSwitches.Load()
 	t.EccCorrectedBits = s.itel.eccCorrectedBits.Load()
 	t.PagesHealed = s.itel.pagesHealed.Load()
 	t.UnrecoverablePages = s.itel.unrecoverablePages.Load()

@@ -144,7 +144,7 @@ func (s *Store) applyDiff(r *pageRead, d diff.Differential, flushed bool) error 
 	if flushed {
 		v := r.v
 		_, _ = s.commit([]pendingOp{{ts: s.nextTS(), home: s.homeChannel(s.shardIndex(r.pid)),
-			pid: r.pid, data: r.buf, mode: s.mt.modeOf(r.pid), pin: &v}})
+			pid: r.pid, data: r.buf, pin: &v}})
 	}
 	s.itel.pagesHealed.Add(1)
 	return nil

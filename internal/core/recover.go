@@ -91,7 +91,6 @@ func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
 			if s.mt.ppmt[pid].base == flash.NilPPN || c.ts > s.mt.baseTS[pid] {
 				s.mt.ppmt[pid].base = c.ppn
 				s.mt.baseTS[pid] = c.ts
-				s.mt.mode[pid] = c.mode
 			}
 		}
 	}
@@ -130,11 +129,6 @@ func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	for pid := range s.mt.ppmt {
 		e := &s.mt.ppmt[pid]
 		if e.dif != flash.NilPPN {
-			// The adaptive mode invariant: a valid differential is newer
-			// than its base, so the differential route won — whatever
-			// mode tag the base page carries (a GC tag-only migration may
-			// have raced the flush that committed this differential).
-			s.mt.mode[pid] = 0
 			s.mt.vdct[e.dif]++
 		}
 		if e.base != flash.NilPPN {
@@ -231,9 +225,6 @@ func (s *Store) useless(ppn flash.PPN, pi *pageInfo) bool {
 type candidate struct {
 	ppn flash.PPN
 	ts  uint64
-	// mode is the base page's logging-mode tag (unused for differential
-	// candidates, which always imply differential mode).
-	mode byte
 }
 
 // scanResult is one worker's private reduction of its block range: the
@@ -261,14 +252,13 @@ type scanResult struct {
 // worker's candidate tables collect base pages and decoded differentials.
 // Each worker owns its buffers, and devices serve concurrent reads.
 //
-// When integrity verification is on, a programmed page must pass its
-// spare-area header checksum and (base and differential pages) its
-// data-area ECC before it may compete: a page that fails either check is
-// quarantined — excluded from arbitration and counted obsolete — so a
-// corrupt spare can never masquerade as a valid
-// mapping and corrupt data never silently wins arbitration. Single-bit
-// errors are corrected in place (and counted) before differential pages
-// are decoded.
+// On a sealed store a programmed page must pass its spare-area header
+// checksum and (base and differential pages) its data-area ECC before it
+// may compete: a page that fails either check is quarantined — excluded
+// from arbitration and counted obsolete — so a corrupt spare can never
+// masquerade as a valid mapping and corrupt data never silently wins
+// arbitration. Single-bit errors are corrected in place (and counted)
+// before differential pages are decoded.
 func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) error {
 	dev, p, numPages := s.dev, s.params, s.numPages
 	res.bases = make(map[uint32]candidate)
@@ -288,7 +278,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 			// One charged device read fetches both areas: the data area is
 			// needed anyway for torn-page detection, differential decoding,
 			// and ECC verification.
-			if err := s.scanRead(readRecover, ppn, data, spare); err != nil {
+			if err := s.scanRead(ppn, data, spare); err != nil {
 				return fmt.Errorf("core: recovery scan of ppn %d: %w", ppn, err)
 			}
 			h := ftl.DecodeHeader(spare)
@@ -296,7 +286,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 			if h.Obsolete {
 				continue
 			}
-			if s.integ.verify && h.Type != ftl.TypeFree &&
+			if s.sealed && h.Type != ftl.TypeFree &&
 				!ftl.VerifyHeaderChecksum(spare, p.DataSize) {
 				s.itel.headerChecksumFailures.Add(1)
 				infos[ppn].quarantined = true
@@ -317,7 +307,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 				if int(h.PID) >= numPages {
 					continue
 				}
-				if s.integ.verify && len(s.verifyData(data, spare)) > 0 {
+				if s.sealed && len(s.verifyData(data, spare)) > 0 {
 					s.itel.unrecoverablePages.Add(1)
 					infos[ppn].quarantined = true
 					if ts, ok := res.poison[h.PID]; !ok || h.TS < ts {
@@ -326,10 +316,10 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 					continue
 				}
 				if c, ok := res.bases[h.PID]; !ok || h.TS > c.ts {
-					res.bases[h.PID] = candidate{ppn: ppn, ts: h.TS, mode: h.Mode}
+					res.bases[h.PID] = candidate{ppn: ppn, ts: h.TS}
 				}
 			case ftl.TypeDiff:
-				if s.integ.verify && len(s.verifyData(data, spare)) > 0 {
+				if s.sealed && len(s.verifyData(data, spare)) > 0 {
 					// The page's records are unreadable; the pids it served
 					// fall back to their base images (or an older surviving
 					// differential), which is consistent — just older.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"path/filepath"
 	"sync/atomic"
@@ -368,10 +369,11 @@ func TestLostHealKeepsItsObsoleteFlag(t *testing.T) {
 }
 
 // TestMixedRunProgramsNoSpare runs everything that retires pages at once —
-// two shards over two channels, background collectors, the adaptive router,
-// WriteBatch beside WritePage and Flush, cross-channel supersedes — until
-// the collectors have erased two blocks for every block of the device, and
-// counts the spare programs that reached the chips: none. The store it leaves recovers to the model.
+// two shards over two channels, background collectors, WriteBatch beside
+// WritePage and Flush, whole-page rewrites (Case 3) beside small
+// differentials, cross-channel supersedes — until the collectors have erased
+// two blocks for every block of the device, and counts the spare programs
+// that reached the chips: none. The store it leaves recovers to the model.
 func TestMixedRunProgramsNoSpare(t *testing.T) {
 	const numPages = 96
 	sub := ftltest.SmallParams(16)
@@ -380,9 +382,7 @@ func TestMixedRunProgramsNoSpare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := adaptiveOptions()
-	opts.Shards = 2
-	opts.BackgroundGC = true
+	opts := Options{MaxDifferentialSize: 64, ReserveBlocks: 2, Shards: 2, BackgroundGC: true}
 	s, err := New(dev, numPages, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +437,7 @@ func TestMixedRunProgramsNoSpare(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := s.Telemetry()
-	if tel.BatchWrites == 0 || tel.AdaptiveOPURoutes == 0 || tel.AdaptivePDLRoutes == 0 || tel.BufferFlushes == 0 {
+	if tel.BatchWrites == 0 || tel.NewBasePages <= numPages || tel.BufferFlushes == 0 {
 		t.Fatalf("scenario: the run missed a path: %+v", tel)
 	}
 	for pid := range shadow {
@@ -456,5 +456,120 @@ func TestMixedRunProgramsNoSpare(t *testing.T) {
 	}
 	if got := flaggedPages(t, dev); len(got) != 0 {
 		t.Fatalf("pages %v carry the obsolete flag", got)
+	}
+}
+
+// TestRecoverOldTaggedImage recovers an image whose base pages carry 0x4F at
+// spare byte 22, as a store that routed writes per page left them (the byte
+// is reserved now and was a hint no reader consulted): the byte is inside the
+// header checksum, so the pages verify; arbitration is by time stamp alone,
+// whether the differential linked to such a page is older or newer than it;
+// recovery programs nothing; and the next write of such a pid is an ordinary
+// differential.
+func TestRecoverOldTaggedImage(t *testing.T) {
+	for _, b := range []struct {
+		name string
+		dev  ftltest.DeviceFactory
+	}{
+		{"emu", ftltest.EmulatorDevice},
+		{"filedev", fileDevice},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			const numPages = 6
+			dev := b.dev(t, ftltest.SmallParams(8))
+			p := dev.Params()
+			spare := make([]byte, p.SpareSize)
+			program := func(ppn flash.PPN, data []byte, h ftl.Header) {
+				t.Helper()
+				ftl.EncodeHeaderInto(h, spare)
+				if h.Type == ftl.TypeBase {
+					spare[22] = 0x4F
+				}
+				ftl.SealSpare(data, spare)
+				if err := dev.Program(ppn, data, spare); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Block 0: one tagged base page per pid. Block 1: one
+			// differential page, whose records for pids 2 and 3 are newer
+			// than their base pages and apply, and for pids 4 and 5 older (a
+			// whole-page write superseded them) and do not.
+			rng := rand.New(rand.NewSource(22))
+			model := make([][]byte, numPages)
+			var ds []diff.Differential
+			var maxTS uint64
+			for pid := range model {
+				base := make([]byte, p.DataSize)
+				rng.Read(base)
+				baseTS := uint64(100 * (pid + 1))
+				program(p.PPNOf(0, pid), base, ftl.Header{Type: ftl.TypeBase, PID: uint32(pid), TS: baseTS, Seq: 1})
+				model[pid] = base
+				if pid < 2 {
+					continue
+				}
+				changed := bytes.Clone(base)
+				rng.Read(changed[40:56])
+				ts := baseTS - 50
+				if pid < 4 {
+					ts = baseTS + 1000
+					model[pid] = changed
+				}
+				d, err := diff.Compute(uint32(pid), ts, base, changed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds = append(ds, d)
+				maxTS = max(maxTS, ts)
+			}
+			page := make([]byte, p.DataSize)
+			diff.EncodePage(page, ds)
+			diffPage := p.PPNOf(1, 0)
+			program(diffPage, page, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: maxTS, Seq: 2})
+			for pid := range model {
+				if err := dev.ReadSpare(p.PPNOf(0, pid), spare); err != nil {
+					t.Fatal(err)
+				}
+				if ok := ftl.VerifyHeaderChecksum(spare, p.DataSize); spare[22] != 0x4F || !ok {
+					t.Fatalf("pid %d: byte 22 = %#02x, header checksum holds = %v", pid, spare[22], ok)
+				}
+			}
+
+			before := dev.Stats()
+			r, err := Recover(dev, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := dev.Stats(); after.Writes != before.Writes || after.Erases != before.Erases {
+				t.Fatalf("recovery cost %d programs and %d erases, want none",
+					after.Writes-before.Writes, after.Erases-before.Erases)
+			}
+			if tel := r.Telemetry(); tel.HeaderChecksumFailures != 0 || tel.UnrecoverablePages != 0 {
+				t.Fatalf("recovery quarantined pages of the old image: %+v", tel)
+			}
+			for pid := range model {
+				mustReadEqual(t, r, uint32(pid), model[pid])
+				want := flash.NilPPN
+				if pid == 2 || pid == 3 {
+					want = diffPage
+				}
+				if e := entryOf(r, uint32(pid)); e.base != p.PPNOf(0, pid) || e.dif != want {
+					t.Errorf("pid %d recovered as %+v, want base %d and differential page %d", pid, e, p.PPNOf(0, pid), want)
+				}
+			}
+
+			model[0][7] ^= 0xFF
+			if err := r.WritePage(0, model[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			tel := r.Telemetry()
+			if e := entryOf(r, 0); tel.NewBasePages != 0 || tel.DiffsWritten != 1 || e.base != p.PPNOf(0, 0) || e.dif == flash.NilPPN {
+				t.Fatalf("write of a tagged pid: %d new base pages, %d differentials written, mapping %+v; want an ordinary differential",
+					tel.NewBasePages, tel.DiffsWritten, e)
+			}
+			mustReadEqual(t, r, 0, model[0])
+		})
 	}
 }

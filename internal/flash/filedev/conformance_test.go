@@ -56,16 +56,6 @@ func TestPDLBackgroundGCConformanceOnFileDevice(t *testing.T) {
 	})
 }
 
-func TestAdaptiveConformanceOnFileDevice(t *testing.T) {
-	ftltest.RunMethodSuiteOn(t, fileDevice, func(dev flash.Device, numPages int) (ftl.Method, error) {
-		return core.New(dev, numPages, core.Options{
-			MaxDifferentialSize: 128,
-			ReserveBlocks:       2,
-			Adaptive:            core.AdaptiveOptions{Enabled: true, ProbeEvery: 4, HeatHalfLife: 64},
-		})
-	})
-}
-
 func TestOPUConformanceOnFileDevice(t *testing.T) {
 	ftltest.RunMethodSuiteOn(t, fileDevice, func(dev flash.Device, numPages int) (ftl.Method, error) {
 		return opu.New(dev, numPages, 2)

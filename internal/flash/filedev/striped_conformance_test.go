@@ -66,18 +66,6 @@ func TestPDLBackgroundGCConformanceOnStripedFileDevice(t *testing.T) {
 	})
 }
 
-func TestAdaptiveConformanceOnStripedFileDevice(t *testing.T) {
-	forEachStripedFileDevice(t, func(t *testing.T, dev ftltest.DeviceFactory) {
-		ftltest.RunMethodSuiteOn(t, dev, func(d flash.Device, numPages int) (ftl.Method, error) {
-			return core.New(d, numPages, core.Options{
-				MaxDifferentialSize: 128,
-				ReserveBlocks:       2,
-				Adaptive:            core.AdaptiveOptions{Enabled: true, ProbeEvery: 4, HeatHalfLife: 64},
-			})
-		})
-	})
-}
-
 func TestOPUConformanceOnStripedFileDevice(t *testing.T) {
 	forEachStripedFileDevice(t, func(t *testing.T, dev ftltest.DeviceFactory) {
 		ftltest.RunMethodSuiteOn(t, dev, func(d flash.Device, numPages int) (ftl.Method, error) {

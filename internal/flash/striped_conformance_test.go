@@ -55,18 +55,6 @@ func TestPDLBackgroundGCConformanceOnStriped(t *testing.T) {
 	})
 }
 
-func TestAdaptiveConformanceOnStriped(t *testing.T) {
-	forEachChannelCount(t, func(t *testing.T, dev ftltest.DeviceFactory) {
-		ftltest.RunMethodSuiteOn(t, dev, func(d flash.Device, numPages int) (ftl.Method, error) {
-			return core.New(d, numPages, core.Options{
-				MaxDifferentialSize: 128,
-				ReserveBlocks:       2,
-				Adaptive:            core.AdaptiveOptions{Enabled: true, ProbeEvery: 4, HeatHalfLife: 64},
-			})
-		})
-	})
-}
-
 func TestOPUConformanceOnStriped(t *testing.T) {
 	forEachChannelCount(t, func(t *testing.T, dev ftltest.DeviceFactory) {
 		ftltest.RunMethodSuiteOn(t, dev, func(d flash.Device, numPages int) (ftl.Method, error) {

@@ -45,12 +45,6 @@ const (
 	// for all methods (footnote 14). It maximizes reclaimed space per
 	// erase but ignores wear.
 	VictimGreedy VictimPolicy = iota
-	// VictimWearAware discounts blocks that have already sustained many
-	// erases, trading some reclamation efficiency for a narrower
-	// erase-count distribution. Wear-leveling is orthogonal to the
-	// page-update methods (paper footnote 4); this policy exists for the
-	// wear ablation in the benchmarks.
-	VictimWearAware
 	// VictimCostBenefit scores blocks by age times invalid ratio
 	// (Dayan & Bonnet, "Garbage Collection Techniques for Flash-Resident
 	// Page-Mapping FTLs"): a block's age is how many activations the
@@ -84,9 +78,7 @@ type obsEntry struct {
 //     pages and compacted differential pages. They survived at least one
 //     collection, so their blocks accumulate few invalidations and stop
 //     being picked as victims, while hot blocks turn over quickly and are
-//     cleaned cheaply. A foreground caller that knows a base page will
-//     live as long (the adaptive router, for a logical page nobody wrote
-//     in a long while) asks for the cold stream too.
+//     cleaned cheaply.
 //   - StreamDiff takes the differential pages foreground writes spill. A
 //     differential page dies wholesale once its handful of records is
 //     superseded, so a block of nothing else becomes completely dead on
@@ -147,7 +139,6 @@ type allocChan struct {
 	pagesMoved      atomic.Int64
 	coldMigrations  atomic.Int64
 	diffStreamPages atomic.Int64
-	modeMigrations  atomic.Int64
 
 	// freeCount mirrors len(freeList) atomically so watermark monitors
 	// and cross-channel pressure checks read it without this channel's
@@ -191,10 +182,6 @@ type ChannelGCStats struct {
 	// differential stream handed out of its own blocks; zero on a channel
 	// too small to run the stream.
 	DiffStreamPages int64 `json:"diff_stream_pages"`
-	// ModeMigrations is how many relocated base pages the adaptive
-	// method re-emitted in a different logging mode than they were
-	// stored in (PDL<->OPU migration riding the relocation for free).
-	ModeMigrations int64 `json:"mode_migrations"`
 }
 
 // Allocator hands out free flash pages in append order and reclaims space
@@ -444,15 +431,7 @@ func (a *Allocator) ChannelGC(ch int) ChannelGCStats {
 		PagesMoved:      c.pagesMoved.Load(),
 		ColdMigrations:  c.coldMigrations.Load(),
 		DiffStreamPages: c.diffStreamPages.Load(),
-		ModeMigrations:  c.modeMigrations.Load(),
 	}
-}
-
-// NoteModeMigration records that a garbage-collection relocation on
-// channel ch re-emitted a base page in a different logging mode. Called
-// by the adaptive store's relocation callback; safe from any goroutine.
-func (a *Allocator) NoteModeMigration(ch int) {
-	a.chans[ch].modeMigrations.Add(1)
 }
 
 // MinVictimRounds returns the minimum number of times any single block has
@@ -498,7 +477,6 @@ func (a *Allocator) ResetGCStats() {
 		c.pagesMoved.Store(0)
 		c.coldMigrations.Store(0)
 		c.diffStreamPages.Store(0)
-		c.modeMigrations.Store(0)
 	}
 }
 
@@ -908,39 +886,19 @@ func (a *Allocator) pickVictimOn(ch int) int {
 	c := &a.chans[ch]
 	victim := -1
 	best := float64(0)
-	var minWear int
-	if a.policy == VictimWearAware {
-		minWear = 1 << 30
-		for _, b := range c.blocks {
-			bi := &a.blocks[b]
-			if bi.state == blockFull && bi.obsolete > 0 {
-				if ec := a.dev.EraseCount(b); ec < minWear {
-					minWear = ec
-				}
-			}
-		}
-	}
 	seqNow := a.seqCounter.Load()
 	for _, b := range c.blocks {
 		bi := &a.blocks[b]
 		if bi.state != blockFull || bi.obsolete == 0 {
 			continue
 		}
-		var score float64
-		switch a.policy {
-		case VictimWearAware:
-			// Penalize blocks ahead of the minimum wear: each extra erase
-			// costs one obsolete page of score. Heavily worn blocks are
-			// only collected when their garbage payoff dominates.
-			score = float64(bi.obsolete) - float64(a.dev.EraseCount(b)-minWear)
-		case VictimCostBenefit:
+		score := float64(bi.obsolete)
+		if a.policy == VictimCostBenefit {
 			// Age (activations since this block was filled) times invalid
 			// ratio: old blocks whose garbage has stabilized win over hot
 			// blocks still absorbing invalidations.
 			score = float64(seqNow-a.seq[b].Load()+1) *
 				float64(bi.obsolete) / float64(bi.written)
-		default:
-			score = float64(bi.obsolete)
 		}
 		if score > best {
 			best = score

@@ -104,6 +104,38 @@ func TestMinVictimRounds(t *testing.T) {
 	}
 }
 
+func TestPickVictimPrefersMostObsolete(t *testing.T) {
+	c := smallChip(4)
+	a := NewAllocator(c, 1)
+	data := make([]byte, c.Params().DataSize)
+	var pages []flash.PPN
+	for i := 0; i < 16; i++ { // fill two blocks
+		ppn, err := a.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Program(ppn, data, nil); err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, ppn)
+	}
+	// First block: 3 obsolete. Second block: 6 obsolete.
+	for _, ppn := range pages[:3] {
+		_ = a.MarkObsolete(ppn)
+	}
+	for _, ppn := range pages[8:14] {
+		_ = a.MarkObsolete(ppn)
+	}
+	// Force both blocks into the full state.
+	if _, err := a.Alloc(); err != nil {
+		t.Fatal(err)
+	}
+	want := c.BlockOf(pages[8])
+	if got := a.pickVictim(); got != want {
+		t.Errorf("pickVictim = %d, want %d (6 obsoletes)", got, want)
+	}
+}
+
 func TestNoteWritten(t *testing.T) {
 	c := smallChip(4)
 	a := NewAllocator(c, 1)

@@ -77,15 +77,17 @@ func lcg(seed uint64, b []byte) {
 func TestGoldenSeal(t *testing.T) {
 	spare := make([]byte, 64)
 	for _, g := range []struct {
-		h   Header
-		sum byte
+		h      Header
+		byte22 byte // the reserved byte; old images hold 0x4F there
+		sum    byte
 	}{
-		{Header{Type: TypeBase}, 0x61},
-		{Header{Type: TypeDiff, PID: NoPID, TS: 1, Seq: 1}, 0xa4},
-		{Header{Type: 0xC0, PID: 7, TS: 1 << 40, Seq: 1 << 33}, 0x0b},
-		{Header{Type: TypeBase, PID: 123456, TS: 987654321, Seq: 5, Mode: ModeTagOPU}, 0x46},
+		{Header{Type: TypeBase}, 0xFF, 0x61},
+		{Header{Type: TypeDiff, PID: NoPID, TS: 1, Seq: 1}, 0xFF, 0xa4},
+		{Header{Type: 0xC0, PID: 7, TS: 1 << 40, Seq: 1 << 33}, 0xFF, 0x0b},
+		{Header{Type: TypeBase, PID: 123456, TS: 987654321, Seq: 5}, 0x4F, 0x46},
 	} {
 		EncodeHeaderInto(g.h, spare)
+		spare[22] = g.byte22
 		if got := HeaderChecksum(spare); got != g.sum {
 			t.Errorf("HeaderChecksum(%+v) = %#02x, the parent commit wrote %#02x", g.h, got, g.sum)
 		}
@@ -93,7 +95,9 @@ func TestGoldenSeal(t *testing.T) {
 
 	page := make([]byte, 2048)
 	lcg(99, page)
-	EncodeHeaderInto(Header{Type: TypeBase, PID: 0x01020304, TS: 0x1122334455667788, Seq: 42, Mode: ModeTagOPU}, spare)
+	h := Header{Type: TypeBase, PID: 0x01020304, TS: 0x1122334455667788, Seq: 42}
+	EncodeHeaderInto(h, spare)
+	spare[22] = 0x4F
 	SealSpare(page, spare)
 	want := []byte{0xb0, 0xff, 0x04, 0x03, 0x02, 0x01, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
 		0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4f,
@@ -106,6 +110,9 @@ func TestGoldenSeal(t *testing.T) {
 	}
 	if !VerifyHeaderChecksum(want, len(page)) {
 		t.Error("the parent commit's sealed spare fails VerifyHeaderChecksum")
+	}
+	if got := DecodeHeader(want); got != h {
+		t.Errorf("DecodeHeader of a spare holding 0x4F at the reserved byte = %+v, want %+v", got, h)
 	}
 }
 

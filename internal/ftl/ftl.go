@@ -147,9 +147,9 @@ const (
 //	         of the containing block; recovery restores the allocator's
 //	         per-block sequence from it, which is a block's age to
 //	         cost-benefit victim selection)
-//	[22]     logging-mode tag (adaptive method): 0xFF/0x00 differential
-//	         (PDL) or unset, ModeTagOPU whole-page; recovery reads it to
-//	         rebuild per-page logging state without replaying history
+//	[22]     reserved; old file images hold 0x4F here (a routing hint no
+//	         reader consults). Left erased, never decoded, and inside the
+//	         header checksum, so those images still verify
 //
 // When the geometry permits (data area sector-aligned, spare area large
 // enough), a sealed page additionally carries, immediately after the
@@ -172,17 +172,9 @@ const (
 	sparePosPID      = 2
 	sparePosTS       = 6
 	sparePosSeq      = 14
-	sparePosMode     = 22
 	// HeaderSpareBytes is the number of spare bytes the header consumes.
 	HeaderSpareBytes = 23
 )
-
-// ModeTagOPU in spare[22] of a base page marks it as written by the
-// adaptive method's whole-page (OPU-style) route. The erased value 0xFF —
-// and 0x00, in case a writer clears instead of skipping the byte — both
-// decode as "differential mode / untagged", so every pre-adaptive page
-// reads as plain PDL and the tag is purely additive.
-const ModeTagOPU byte = 0x4F
 
 // NoPID is the PID stored for pages that do not belong to a single logical
 // page (differential pages, log pages); it is the erased value.
@@ -198,10 +190,6 @@ type Header struct {
 	// the time the page was programmed (0 when the writer does not track
 	// sequences).
 	Seq uint64
-	// Mode is the logging-mode tag (spare[22]): ModeTagOPU for a
-	// whole-page adaptive write, 0 for differential mode or when the
-	// writer does not tag modes (the erased byte decodes to 0).
-	Mode byte
 }
 
 // erasedTemplates caches one immutable all-0xFF image per spare size, so
@@ -245,9 +233,6 @@ func EncodeHeaderInto(h Header, spare []byte) {
 	binary.LittleEndian.PutUint32(spare[sparePosPID:], h.PID)
 	binary.LittleEndian.PutUint64(spare[sparePosTS:], h.TS)
 	binary.LittleEndian.PutUint64(spare[sparePosSeq:], h.Seq)
-	if h.Mode != 0 && len(spare) > sparePosMode {
-		spare[sparePosMode] = h.Mode
-	}
 }
 
 // DecodeHeader parses the spare-area header.
@@ -261,11 +246,6 @@ func DecodeHeader(spare []byte) Header {
 	}
 	if h.Seq == ^uint64(0) { // erased field: writer did not track sequences
 		h.Seq = 0
-	}
-	if len(spare) > sparePosMode {
-		if m := spare[sparePosMode]; m != 0xFF && m != 0x00 { // erased/cleared: untagged
-			h.Mode = m
-		}
 	}
 	return h
 }

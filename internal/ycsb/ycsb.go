@@ -1,9 +1,8 @@
 // Package ycsb is the key chooser of the Yahoo! Cloud Serving Benchmark
 // (Cooper et al., SoCC 2010): the zipfian rank generator YCSB ships and
-// the hash that scatters its ranks over a key space. The workloads that
-// draw from it live with their callers: the repository benchmark's kv
-// loader (benchmark/kvload.go) and the adaptive experiment's density mix
-// (internal/bench/adaptive.go).
+// the hash that scatters its ranks over a key space. The workload that
+// draws from it lives with its caller, the repository benchmark's kv
+// loader (benchmark/kvload.go).
 package ycsb
 
 import (

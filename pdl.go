@@ -36,11 +36,6 @@
 //	dev, err = pdl.OpenFileDevice("db.flash", pdl.FileDeviceOptions{})
 //	store, err = pdl.Recover(dev, 4096, pdl.Options{MaxDifferentialSize: 256})
 //
-// Migration note: Method.Chip() *flash.Chip is gone. Use Device() for the
-// backend, PageSize() for buffer sizing, and Stats() for I/O accounting;
-// emulator-only controls (SchedulePowerFailure, Wear) remain available on
-// the concrete *Chip you constructed with NewChip.
-//
 // A Store implements the same Method interface as the baseline methods
 // (OpenOPU, OpenIPU, OpenIPL), so higher layers — the buffer pool, heap
 // files, B+-trees, TPC-C — run unchanged over any of them. That interface
@@ -118,14 +113,16 @@
 // store-level lock over the device at all: the mapping tables live in
 // their own versioned component, and both flash backends serve reads
 // concurrently, so readers only retry in the rare case garbage collection
-// relocated a page mid-read. A flash lock serializes mutations (programs
-// and their mapping commits, allocation, garbage collection).
+// relocated a page mid-read. Per-channel locks serialize mutations
+// (programs and their mapping commits, allocation, garbage collection) on
+// each flash channel; the lock hierarchy is shard > channel > mapTable >
+// caches.
 //
 // Garbage collection runs synchronously inside allocation by default (the
 // paper's foreground cleaning). Options.BackgroundGC moves it to a
 // background goroutine that collects one victim block at a time whenever
-// the free pool drains to Options.GCLowWater, which takes whole
-// collection cycles out of the write-path tail; foreground writes fall
+// the free pool drains to ReserveBlocks + 2 erased blocks, which takes
+// whole collection cycles out of the write-path tail; foreground writes fall
 // back to synchronous collection only if the erased-block reserve itself
 // runs out. Close a store opened with BackgroundGC when done with it.
 // The default of one shard preserves the paper's single write buffer
@@ -299,11 +296,6 @@ type Store = core.Store
 
 // Options configures a PDL store.
 type Options = core.Options
-
-// AdaptiveOptions configures Options.Adaptive: per-page routing between
-// differential (PDL) and whole-page out-of-place (OPU) writes, driven by
-// a per-page heat/density tracker, with GC migrating modes tag-only.
-type AdaptiveOptions = core.AdaptiveOptions
 
 // Open builds a PDL store for a database of numPages logical pages over a
 // fresh device (emulated or file-backed). Use Recover to rebuild a store
