@@ -509,14 +509,6 @@ func (t *Tree) Delete(k uint64) error {
 
 // Range calls fn for every (k, v) with lo <= k <= hi in ascending order,
 // stopping early if fn returns false.
-//
-// When the pool is configured with a readahead window
-// (buffer.Options.Readahead), the leaf-chain walk prefetches ahead of its
-// position: leaf pages are bump-allocated in ascending pid order, so the
-// pages following the current leaf within the tree's allocated span are
-// overwhelmingly the next leaves of the chain, and faulting them as one
-// batched device read overlaps the scan's I/O instead of paying one
-// demand fault per leaf.
 func (t *Tree) Range(lo, hi uint64, fn func(k, v uint64) bool) error {
 	// Descend to the leaf containing lo.
 	pid := t.root
@@ -530,7 +522,6 @@ func (t *Tree) Range(lo, hi uint64, fn func(k, v uint64) bool) error {
 		}
 		pid = intRoute(buf, lo)
 	}
-	raEnd := uint32(0) // first page past the last prefetched window
 	for pid != noPage {
 		buf, err := t.frame(pid)
 		if err != nil {
@@ -551,54 +542,8 @@ func (t *Tree) Range(lo, hi uint64, fn func(k, v uint64) bool) error {
 			}
 		}
 		pid = leafNext(buf)
-		if pid != noPage {
-			// Prefetch only once the scan actually continues: a scan that
-			// ends on its first leaf costs zero speculative I/O.
-			raEnd = t.readahead(pid, raEnd)
-		}
 	}
 	return nil
-}
-
-// readahead speculatively faults a window of pages starting at from,
-// within the tree's allocated span — a no-op unless the pool has a
-// readahead window. raEnd is the first page past the window already
-// prefetched; nothing happens while from is still inside it, so each
-// prefetch is a full window (one batched device read) rather than a
-// degenerate one-page top-up per leaf. Every allocated page has been
-// written (freshly created nodes are resident until evicted, and eviction
-// writes them back), so the prefetch can only race the scan's own demand
-// faults, never invent pages; a prefetch failure is ignored because the
-// demand fault will surface any real error. Returns the new window end.
-func (t *Tree) readahead(from, raEnd uint32) uint32 {
-	w := t.pool.ReadaheadWindow()
-	if w <= 0 {
-		return raEnd
-	}
-	if from < raEnd {
-		return raEnd // the current window still covers the next pages
-	}
-	end := t.first + t.nextAlloc
-	if from >= end {
-		return raEnd
-	}
-	n := uint32(w)
-	if from+n > end {
-		n = end - from
-	}
-	pids := make([]uint32, n)
-	for i := range pids {
-		pids[i] = from + uint32(i)
-	}
-	// The pool may cap the speculation below the requested window; advance
-	// only past what it actually covered, so the rest is prefetched (not
-	// demand-faulted) when the scan gets there. Errors are ignored: the
-	// demand fault will surface any real one.
-	covered, err := t.pool.Readahead(pids)
-	if err != nil || covered == 0 {
-		return raEnd
-	}
-	return from + uint32(covered)
 }
 
 // Flush writes all dirty index pages through to flash. The pool collects

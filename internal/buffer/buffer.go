@@ -48,10 +48,6 @@ type node struct {
 	pid        uint32
 	list       uint8
 	dirty      bool
-	// pinned keeps a frame that a GetMany or Readahead in progress has handed
-	// out or is faulting from being that same call's victim; loading marks
-	// the ones whose read is still to come.
-	pinned, loading bool
 }
 
 func (n *node) resident() bool { return n.list <= listT2 }
@@ -65,11 +61,13 @@ type list struct {
 
 // Pool is a fixed-capacity buffer pool; the package comment describes its
 // replacement policy. Dirty pages are written back through the underlying
-// method on eviction and on Flush. Write-back is batch-first: dirty frames
-// are collected in ascending pid order — so the device sees a deterministic,
-// reproducible write pattern — and handed to the method as one WriteBatch
-// when it implements ftl.BatchWriter (the PDL store), falling back to
-// per-page WritePage calls in the same pid order otherwise.
+// method: the victim alone when an eviction finds it dirty, every dirty frame
+// at Flush, in ascending pid order — so the device sees a deterministic,
+// reproducible write pattern — and as one WriteBatch when the method
+// implements ftl.BatchWriter (the PDL store), falling back to per-page
+// WritePage calls in the same pid order otherwise. Pages enter one at a time,
+// on the miss that asks for them (demand paging; Experiment 7 varies the
+// pool's size and nothing else).
 //
 // When the method keeps previous page images for its writes
 // (ftl.BaseRetainer, the PDL store), the pool names each page the moment its
@@ -81,7 +79,6 @@ type list struct {
 type Pool struct {
 	method   ftl.Method
 	batcher  ftl.BatchWriter  // method, if it accepts write batches; nil otherwise
-	breader  ftl.BatchReader  // method, if it accepts read batches; nil otherwise
 	retainer ftl.BaseRetainer // method, if it takes the first-dirty hint; nil otherwise
 	capacity int
 	// dir finds every pid of the directory, resident or ghost: at most
@@ -99,62 +96,23 @@ type Pool struct {
 	// spare holds the page buffers of faults whose read failed, for the next
 	// misses.
 	spare    [][]byte
-	cluster  []uint32 // scratch: the pids of one eviction's write-back
 	pageSize int
-	// evictionBatch is how many dirty frames one dirty eviction may write
-	// back together (write-back clustering); see Options.
-	evictionBatch int
-	// readahead is the speculative prefetch window storage layers may use
-	// (0 = off); see Options.
-	readahead int
-	closed    bool
+	closed   bool
 
-	hits, misses, evictions, writebacks, readaheads int64
+	hits, misses, evictions, writebacks int64
 }
 
-// Options tunes a pool beyond its capacity.
-type Options struct {
-	// EvictionBatch enables write-back clustering under eviction pressure:
-	// when the pool must evict a dirty victim, up to EvictionBatch dirty
-	// frames from the cold end of the victim's list — the victim included —
-	// are written back together in one pid-ordered batch, and only the victim
-	// leaves the pool. The clustered frames stay resident but clean, so the
-	// next evictions find clean victims and cost no device work. 0 or 1
-	// preserves the classic evict-one-write-one behavior (the default).
-	// Clustering never changes page contents, only when a still-resident
-	// dirty page is reflected; a page re-dirtied after an early write-back
-	// costs one extra reflection, which is why it is opt-in.
-	EvictionBatch int
-	// Readahead is the speculative prefetch window for storage layers
-	// that scan (the B+-tree's Range walks its leaf chain with it): when
-	// positive, such layers call Pool.Readahead for up to Readahead pages
-	// past their current position, which the pool faults in as one method
-	// ReadBatch. 0 (the default) disables readahead, preserving strict
-	// demand paging and the paper's read counts. Readahead never evicts
-	// more of the pool than the window and never changes results — only
-	// when pages are faulted, and in how many device operations.
-	Readahead int
-}
-
-// NewPool builds a pool of capacity pages over method with default
-// options.
+// NewPool builds a pool of capacity pages over method.
 func NewPool(method ftl.Method, capacity int) (*Pool, error) {
-	return NewPoolOpts(method, capacity, Options{})
-}
-
-// NewPoolOpts builds a pool of capacity pages over method.
-func NewPoolOpts(method ftl.Method, capacity int, opts Options) (*Pool, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("buffer: capacity must be positive, got %d", capacity)
 	}
 	p := &Pool{
-		method:        method,
-		capacity:      capacity,
-		dir:           make(map[uint32]*node, capacity),
-		window:        max(1, capacity/4),
-		pageSize:      method.PageSize(),
-		evictionBatch: max(1, opts.EvictionBatch),
-		readahead:     max(0, opts.Readahead),
+		method:   method,
+		capacity: capacity,
+		dir:      make(map[uint32]*node, capacity),
+		window:   max(1, capacity/4),
+		pageSize: method.PageSize(),
 	}
 	for i := range p.lists {
 		r := &p.lists[i].root
@@ -162,9 +120,6 @@ func NewPoolOpts(method ftl.Method, capacity int, opts Options) (*Pool, error) {
 	}
 	if bw, ok := method.(ftl.BatchWriter); ok {
 		p.batcher = bw
-	}
-	if br, ok := method.(ftl.BatchReader); ok {
-		p.breader = br
 	}
 	if r, ok := method.(ftl.BaseRetainer); ok {
 		p.retainer = r
@@ -190,20 +145,12 @@ type Stats struct {
 	Misses     int64
 	Evictions  int64
 	Writebacks int64
-	// Readaheads counts pages faulted in speculatively by Readahead
-	// (misses counts only demand faults).
-	Readaheads int64
 }
 
 // Stats returns the pool counters.
 func (p *Pool) Stats() Stats {
-	return Stats{Hits: p.hits, Misses: p.misses, Evictions: p.evictions,
-		Writebacks: p.writebacks, Readaheads: p.readaheads}
+	return Stats{Hits: p.hits, Misses: p.misses, Evictions: p.evictions, Writebacks: p.writebacks}
 }
-
-// ReadaheadWindow returns the configured speculative prefetch window
-// (0 = readahead off); scanning storage layers consult it.
-func (p *Pool) ReadaheadWindow() int { return p.readahead }
 
 // frame returns pid's resident frame, or nil.
 func (p *Pool) frame(pid uint32) *node {
@@ -225,10 +172,10 @@ func (p *Pool) hit(n *node) {
 // Get returns the content of logical page pid, faulting it in on a miss.
 // The returned slice aliases the frame; callers that modify it must call
 // MarkDirty before the page can be evicted. It is good until the next call
-// that can fault a page (Get, GetNew, GetMany, Readahead) and no longer: the
-// policy may choose the frame it has just returned as that call's victim (a
-// once-seen page while T1's target is 0), so a caller working on two pages
-// fetches the first again after fetching the second, as btree and storage do.
+// that can fault a page (Get, GetNew) and no longer: the policy may choose the
+// frame it has just returned as that call's victim (a once-seen page while
+// T1's target is 0), so a caller working on two pages fetches the first again
+// after fetching the second, as btree and storage do.
 func (p *Pool) Get(pid uint32) ([]byte, error) {
 	if p.closed {
 		return nil, ErrClosed
@@ -247,137 +194,6 @@ func (p *Pool) Get(pid uint32) ([]byte, error) {
 		return nil, err
 	}
 	return n.data, nil
-}
-
-// GetMany returns the contents of the given logical pages, faulting all
-// misses in together: when the method accepts read batches
-// (ftl.BatchReader, the PDL store), every missing page of the call becomes
-// one method ReadBatch — one device batch operation instead of one read
-// per page — with a per-page ReadPage fallback otherwise. The returned
-// slices alias pool frames exactly like Get's; duplicates are allowed and
-// alias the same frame. len(pids) must not exceed the pool capacity, so
-// every returned frame is resident simultaneously: the call pins each frame
-// it hands out until it returns. On error no new pages are resident (though
-// eviction write-backs may already have happened).
-func (p *Pool) GetMany(pids []uint32) ([][]byte, error) {
-	if p.closed {
-		return nil, ErrClosed
-	}
-	if len(pids) > p.capacity {
-		return nil, fmt.Errorf("buffer: GetMany of %d pages exceeds pool capacity %d", len(pids), p.capacity)
-	}
-	defer p.unpin(pids)
-	out := make([][]byte, len(pids))
-	var missPids []uint32
-	var missFrames []*node
-	for i, pid := range pids {
-		n := p.frame(pid)
-		if n == nil {
-			p.misses++
-			var err error
-			if n, err = p.allocFrame(pid); err != nil {
-				p.dropFrames(missFrames)
-				return nil, err
-			}
-			n.loading = true
-			missPids = append(missPids, pid)
-			missFrames = append(missFrames, n)
-		} else if !n.loading {
-			// A duplicate of a miss from this same call aliases the frame
-			// but is not a cache hit — the device read is still pending.
-			p.hit(n)
-		}
-		n.pinned = true
-		out[i] = n.data
-	}
-	if err := p.faultIn(missPids, missFrames); err != nil {
-		p.dropFrames(missFrames)
-		return nil, err
-	}
-	return out, nil
-}
-
-// Readahead speculatively faults the given pages into the pool (one
-// method ReadBatch when available), skipping pages already resident and
-// capping the faulted count at half the pool capacity — a speculation
-// must never wipe out the resident set it is meant to serve. It returns
-// the number of pids covered (found resident, or faulted by the call): a
-// prefix of pids, so callers advancing a prefetch window know exactly where
-// the cap stopped it (Stats().Readaheads counts the pages actually faulted).
-// Unlike Get, resident pages are not promoted — a prefetch is not a use —
-// and the frames being faulted are pinned until the read has filled them.
-// Callers must only name pages that have been written; an unwritten pid
-// fails the whole call.
-func (p *Pool) Readahead(pids []uint32) (int, error) {
-	if p.closed {
-		return 0, ErrClosed
-	}
-	limit := max(1, p.capacity/2)
-	covered := 0
-	var missPids []uint32
-	var missFrames []*node
-	defer func() { p.unpin(missPids) }()
-	for _, pid := range pids {
-		if p.frame(pid) != nil {
-			covered++
-			continue
-		}
-		if len(missPids) >= limit {
-			break
-		}
-		n, err := p.allocFrame(pid)
-		if err != nil {
-			p.dropFrames(missFrames)
-			return 0, err
-		}
-		n.pinned = true
-		missPids = append(missPids, pid)
-		missFrames = append(missFrames, n)
-		covered++
-	}
-	if err := p.faultIn(missPids, missFrames); err != nil {
-		p.dropFrames(missFrames)
-		return 0, err
-	}
-	p.readaheads += int64(len(missPids))
-	return covered, nil
-}
-
-// unpin releases the frames a GetMany or Readahead pinned, at its return.
-func (p *Pool) unpin(pids []uint32) {
-	for _, pid := range pids {
-		if n := p.dir[pid]; n != nil {
-			n.pinned, n.loading = false, false
-		}
-	}
-}
-
-// faultIn reads the given pages into their freshly allocated frames, as
-// one method ReadBatch when the method supports it.
-func (p *Pool) faultIn(pids []uint32, frames []*node) error {
-	switch {
-	case len(pids) == 0:
-		return nil
-	case p.breader != nil && len(pids) > 1:
-		bufs := make([][]byte, len(frames))
-		for i, f := range frames {
-			bufs[i] = f.data
-		}
-		return p.breader.ReadBatch(pids, bufs)
-	default:
-		for i, f := range frames {
-			if err := p.method.ReadPage(pids[i], f.data); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-func (p *Pool) dropFrames(frames []*node) {
-	for _, f := range frames {
-		p.dropFrame(f)
-	}
 }
 
 // GetNew returns a zeroed frame for a page being created, without reading
@@ -441,8 +257,7 @@ func (p *Pool) Flush() error {
 // writeBack reflects the given resident frames into the method, sorting
 // them into ascending pid order first (sorted write-back makes the device's
 // write pattern — and every test depending on it — reproducible) and marking
-// them clean. It is the single funnel both Flush and eviction clustering go
-// through.
+// them clean. It is the single funnel both Flush and eviction go through.
 func (p *Pool) writeBack(pids []uint32) error {
 	if len(pids) == 0 {
 		return nil
@@ -512,33 +327,26 @@ func (p *Pool) release(n *node) {
 func (p *Pool) forget(l uint8) { p.release(p.lists[l].root.prev) }
 
 // victim chooses the frame list l gives up: the coldest clean frame among the
-// window coldest, or else the coldest frame; nil if a call in progress has
-// pinned them all.
+// window coldest, or else the coldest frame; nil if the list is empty.
 func (p *Pool) victim(l uint8) *node {
 	root := &p.lists[l].root
-	var tail *node
-	for n, seen := root.prev, 0; n != root && seen < p.window; n = n.prev {
-		if n.pinned {
-			continue
-		}
+	for n, seen := root.prev, 0; n != root && seen < p.window; n, seen = n.prev, seen+1 {
 		if !n.dirty {
 			return n
 		}
-		if tail == nil {
-			tail = n
-		}
-		seen++
 	}
-	return tail
+	if p.lists[l].len == 0 {
+		return nil
+	}
+	return root.prev
 }
 
 // allocFrame makes pid, which is not resident, a resident frame and returns
 // it; every caller overwrites all of its page buffer, which may hold another
 // page's bytes. On a full pool it evicts: from T1 if T1 is over its target and
 // from T2 otherwise (ARC's REPLACE), the frame victim chooses there. A dirty
-// victim is written back first; with Options.EvictionBatch > 1 the write-back
-// clusters further dirty frames from the cold end of the same list into the
-// same pid-ordered batch, so the evictions that follow find clean victims.
+// victim is written back first, alone: the dirty frames behind it stay dirty,
+// because one re-dirtied after an early write-back costs a second program.
 // The victim's node stays behind as a ghost and the new page takes over its
 // page buffer, in its own ghost's node when it has one: a miss on a full pool
 // allocates nothing.
@@ -566,13 +374,12 @@ func (p *Pool) allocFrame(pid uint32) (*node, error) {
 			from = listT1
 		}
 		if v = p.victim(from); v == nil {
-			v = p.victim(from ^ 1)
-		}
-		if v == nil {
-			return nil, errors.New("buffer: pool full with no evictable frame")
+			// T2 is empty: once-seen pages fill the pool and T1's target is the
+			// whole of it (ARC deletes the LRU page of T1 here, as its own case).
+			v = p.victim(listT1)
 		}
 		if v.dirty {
-			if err := p.writeBack(p.coldDirty(v)); err != nil {
+			if err := p.writeBack([]uint32{v.pid}); err != nil {
 				return nil, fmt.Errorf("buffer: evicting pid %d: %w", v.pid, err)
 			}
 		}
@@ -626,20 +433,6 @@ func (p *Pool) allocFrame(pid uint32) (*node, error) {
 	n.data = data
 	p.pushMRU(n, to)
 	return n, nil
-}
-
-// coldDirty returns the pids of one eviction's write-back: the dirty victim v
-// and, up to Options.EvictionBatch in all, the dirty frames that follow it
-// from the cold end of its list.
-func (p *Pool) coldDirty(v *node) []uint32 {
-	root := &p.lists[v.list].root
-	p.cluster = append(p.cluster[:0], v.pid)
-	for n := v.prev; n != root && len(p.cluster) < p.evictionBatch; n = n.prev {
-		if n.dirty {
-			p.cluster = append(p.cluster, n.pid)
-		}
-	}
-	return p.cluster
 }
 
 // dropFrame takes n, whose page could not be read, out of the directory and

@@ -203,51 +203,3 @@ func TestFlushBatchesThroughBatchWriter(t *testing.T) {
 		t.Errorf("writebacks = %d, want 5", wb)
 	}
 }
-
-func TestEvictionClustersColdDirtyFrames(t *testing.T) {
-	chip := flash.NewChip(ftltest.SmallParams(8))
-	m, err := opu.New(chip, 32, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recordingMethod{Method: m}
-	p, err := NewPoolOpts(rec, 4, Options{EvictionBatch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirtyPages(t, p, 10, 11, 12, 13) // all seen once, 10 coldest
-	// Faulting a fifth page evicts pid 10 and clusters the two next-coldest
-	// dirty frames (11, 12) into the same pid-ordered write-back.
-	if _, err := p.GetNew(20); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1 (clustering must not evict extra frames)", st.Evictions)
-	}
-	if st.Writebacks != 3 || !ascending(rec.writes) || len(rec.writes) != 3 {
-		t.Errorf("writebacks = %d, writes = %v; want 3 ascending", st.Writebacks, rec.writes)
-	}
-	if p.Len() != 4 {
-		t.Errorf("Len = %d, want capacity 4", p.Len())
-	}
-	// The clustered frames are clean now: the next two evictions are free.
-	rec.writes = nil
-	if _, err := p.GetNew(21); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.GetNew(22); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.writes) != 0 {
-		t.Errorf("clean evictions wrote back %v", rec.writes)
-	}
-	// Pid 13 is still dirty and still resident; a flush picks it up along
-	// with the freshly created (dirty) pages, in pid order.
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.writes) != 4 || rec.writes[0] != 13 || !ascending(rec.writes) {
-		t.Errorf("final flush wrote %v, want [13 20 21 22]", rec.writes)
-	}
-}

@@ -52,23 +52,14 @@ func (m *modelMethod) WritePage(pid uint32, data []byte) error {
 	return nil
 }
 
-// batchModelMethod is a modelMethod that takes batches and the first-dirty
-// hint. A failing batch read fills the pages that come before the failing one.
+// batchModelMethod is a modelMethod that takes write batches and the
+// first-dirty hint.
 type batchModelMethod struct {
 	modelMethod
 	named int
 }
 
 func (m *batchModelMethod) RetainBase(uint32) { m.named++ }
-
-func (m *batchModelMethod) ReadBatch(pids []uint32, bufs [][]byte) error {
-	for i, pid := range pids {
-		if err := m.ReadPage(pid, bufs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 func (m *batchModelMethod) WriteBatch(writes []ftl.PageWrite) error {
 	for _, w := range writes {
@@ -93,8 +84,8 @@ type poolModel struct {
 }
 
 // newPoolModel builds a pool over a method that fails reads on demand; with
-// retainer the method also takes batches and the first-dirty hint.
-func newPoolModel(t testing.TB, capacity int, opts Options, retainer bool) *poolModel {
+// retainer the method also takes write batches and the first-dirty hint.
+func newPoolModel(t testing.TB, capacity int, retainer bool) *poolModel {
 	h := &poolModel{t: t, want: map[uint32][]byte{}, pids: 3*capacity + 5}
 	var method ftl.Method
 	if retainer {
@@ -104,7 +95,7 @@ func newPoolModel(t testing.TB, capacity int, opts Options, retainer bool) *pool
 		m := newModelMethod()
 		h.m, method = &m, &m
 	}
-	p, err := NewPoolOpts(method, capacity, opts)
+	p, err := NewPool(method, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,33 +139,13 @@ func (h *poolModel) scribble(pid uint32, buf []byte, pick func(int) int) {
 	h.markDirty(pid)
 }
 
-// batch picks up to max pids, duplicates welcome.
-func (h *poolModel) batch(max int, pick func(int) int) []uint32 {
-	pids := make([]uint32, 1+pick(max))
-	for i := range pids {
-		if pids[i] = uint32(pick(h.pids)); i > 0 && pick(6) == 0 {
-			pids[i] = pids[pick(i)]
-		}
-	}
-	return pids
-}
-
-// residents reports which of pids are resident.
-func (h *poolModel) residents(pids []uint32) []bool {
-	in := make([]bool, len(pids))
-	for i, pid := range pids {
-		in[i] = h.p.frame(pid) != nil
-	}
-	return in
-}
-
 // do makes one call, chosen by pick (pick(n) is in [0, n)), and checks what
 // it returns and what it leaves.
 func (h *poolModel) do(pick func(int) int) {
 	h.step++
 	p := h.p
 	switch op := pick(100); {
-	case op < 55: // Get, and in two cases of five an update
+	case op < 71: // Get, and in two cases of five an update
 		pid := uint32(pick(h.pids))
 		was := p.frame(pid) != nil
 		buf, err := p.Get(pid)
@@ -187,10 +158,10 @@ func (h *poolModel) do(pick func(int) int) {
 		if err != nil || !bytes.Equal(buf, h.want[pid]) {
 			h.fatalf("Get(%d) = %x, %v; want %x", pid, buf, err, h.want[pid])
 		}
-		if op < 22 {
+		if op < 28 {
 			h.scribble(pid, buf, pick)
 		}
-	case op < 63: // GetNew: a resident page as it is, any other zeroed
+	case op < 81: // GetNew: a resident page as it is, any other zeroed
 		pid := uint32(pick(h.pids))
 		if p.frame(pid) == nil {
 			h.want[pid] = make([]byte, modelPageSize)
@@ -202,13 +173,9 @@ func (h *poolModel) do(pick func(int) int) {
 		if pick(2) == 0 {
 			h.scribble(pid, buf, pick)
 		}
-	case op < 78:
-		h.getMany(h.batch(p.capacity, pick), pick)
-	case op < 86:
-		h.readahead(h.batch(p.capacity+2, pick))
-	case op < 89:
+	case op < 85:
 		h.markDirty(uint32(pick(h.pids)))
-	case op < 92:
+	case op < 89:
 		if err := p.Flush(); err != nil {
 			h.fatalf("Flush: %v", err)
 		}
@@ -228,80 +195,6 @@ func (h *poolModel) do(pick func(int) int) {
 	h.check()
 }
 
-// getMany: the call succeeds if every page can be faulted, fails if one was
-// never written, and may do either if one that fails to read happens to be
-// resident when the call reaches it. A success hands out every frame at once;
-// a failure leaves no page resident that was not.
-func (h *poolModel) getMany(pids []uint32, pick func(int) int) {
-	p := h.p
-	was := h.residents(pids)
-	var mayFail, mustFail error
-	for _, pid := range pids {
-		if err := h.faultError(pid); err != nil {
-			mayFail = err
-			if errors.Is(err, ftl.ErrNotWritten) {
-				mustFail = err
-			}
-		}
-	}
-	out, err := p.GetMany(pids)
-	if err != nil {
-		if mayFail == nil || !errors.Is(err, errStubRead) && !errors.Is(err, ftl.ErrNotWritten) {
-			h.fatalf("GetMany(%v) = %v; the worst a fault of these can end in is %v", pids, err, mayFail)
-		}
-		for i, in := range h.residents(pids) {
-			if in && !was[i] {
-				h.fatalf("the failed GetMany(%v) left page %d resident", pids, pids[i])
-			}
-		}
-		return
-	}
-	if mustFail != nil {
-		h.fatalf("GetMany(%v) succeeded; want %v", pids, mustFail)
-	}
-	for i, pid := range pids {
-		n := p.frame(pid)
-		if n == nil || &n.data[0] != &out[i][0] || !bytes.Equal(out[i], h.want[pid]) {
-			h.fatalf("GetMany(%v): element %d is %x and page %d's frame is %+v; want %x, resident", pids, i, out[i], pid, n, h.want[pid])
-		}
-	}
-	if i := pick(2 * len(pids)); i < len(pids) {
-		h.scribble(pids[i], out[i], pick)
-	}
-}
-
-// readahead: a prefetch either fails, for a reason, and leaves no page
-// resident that was not, or covers a prefix and faults no more than half the
-// pool. What it brought in is checked with everything else, in check.
-func (h *poolModel) readahead(pids []uint32) {
-	p := h.p
-	was := h.residents(pids)
-	var mayFail error
-	for _, pid := range pids {
-		if err := h.faultError(pid); err != nil {
-			mayFail = err
-		}
-	}
-	before := p.Stats()
-	n, err := p.Readahead(pids)
-	after := p.Stats()
-	if err != nil {
-		if mayFail == nil || n != 0 || after.Readaheads != before.Readaheads {
-			h.fatalf("Readahead(%v) = %d, %v; the worst a fault of these can end in is %v", pids, n, err, mayFail)
-		}
-		for i, in := range h.residents(pids) {
-			if in && !was[i] {
-				h.fatalf("the failed Readahead(%v) left page %d resident", pids, pids[i])
-			}
-		}
-		return
-	}
-	faulted := int(after.Readaheads - before.Readaheads)
-	if n > len(pids) || faulted > n || faulted > max(1, p.capacity/2) || after.Misses != before.Misses || after.Hits != before.Hits {
-		h.fatalf("Readahead(%v) covered %d and faulted %d in a pool of %d: %+v then %+v", pids, n, faulted, p.capacity, before, after)
-	}
-}
-
 // check asserts what must hold between any two calls.
 func (h *poolModel) check() {
 	p, c := h.p, h.p.capacity
@@ -315,9 +208,6 @@ func (h *poolModel) check() {
 				h.fatalf("list %d holds %+v; page listed twice: %v; the directory has %p for it", l, n, seen[n.pid], p.dir[n.pid])
 			}
 			seen[n.pid] = true
-			if n.pinned || n.loading {
-				h.fatalf("page %d is still pinned (%v) or loading (%v)", n.pid, n.pinned, n.loading)
-			}
 			if !n.resident() {
 				if n.data != nil || n.dirty {
 					h.fatalf("the ghost of page %d holds a page buffer (%v) or is dirty (%v)", n.pid, n.data != nil, n.dirty)
@@ -359,53 +249,60 @@ func (h *poolModel) check() {
 	}
 }
 
-// TestPoolAgainstModel: 10^5 seeded calls at each capacity, a quarter of them
-// in each of four set-ups: with and without EvictionBatch and Readahead (the
-// option changes nothing the model can see; the calls are made either way),
-// over a plain method and over one that takes batches and the first-dirty hint.
-// Reads fail, on and off, in all of them.
+// TestPoolAgainstModel: 10^5 seeded calls at each capacity, half of them over
+// a plain method and half over one that takes write batches and the
+// first-dirty hint. Reads fail, on and off, in both.
 func TestPoolAgainstModel(t *testing.T) {
-	steps := 25000
+	steps := 50000
 	if testing.Short() {
-		steps = 2500
+		steps = 5000
 	}
 	for _, capacity := range []int{1, 2, 8, 64} {
-		for i, opts := range []Options{{}, {EvictionBatch: 5, Readahead: 4}} {
-			for _, retainer := range []bool{false, true} {
-				name := fmt.Sprintf("capacity=%d/options=%v/retainer=%v", capacity, i == 1, retainer)
-				t.Run(name, func(t *testing.T) {
-					h := newPoolModel(t, capacity, opts, retainer)
-					rng := rand.New(rand.NewSource(int64(capacity)*4 + int64(i)*2 + int64(len(name))))
-					for s := 0; s < steps; s++ {
-						h.do(rng.Intn)
-					}
-					st := h.p.Stats()
-					if st.Evictions == 0 || st.Writebacks == 0 || st.Readaheads == 0 || st.Hits == 0 {
-						t.Errorf("the run did not reach every path: %+v", st)
-					}
-				})
-			}
+		for _, retainer := range []bool{false, true} {
+			name := fmt.Sprintf("capacity=%d/retainer=%v", capacity, retainer)
+			t.Run(name, func(t *testing.T) {
+				h := newPoolModel(t, capacity, retainer)
+				rng := rand.New(rand.NewSource(int64(capacity)*4 + int64(len(name))))
+				for s := 0; s < steps; s++ {
+					h.do(rng.Intn)
+				}
+				st := h.p.Stats()
+				if st.Evictions == 0 || st.Writebacks == 0 || st.Hits == 0 {
+					t.Errorf("the run did not reach every path: %+v", st)
+				}
+			})
 		}
 	}
 }
 
 // FuzzPoolAgainstModel reads its input as the model test's choices: a byte of
-// set-up, then one call's worth of choices after another until it runs out.
+// set-up (capacity - 1 in the low four bits, 0x10 for the method that takes
+// write batches and the hint), then one call's worth of choices after another
+// until it runs out.
 func FuzzPoolAgainstModel(f *testing.F) {
 	f.Add([]byte{0})
-	f.Add(bytes.Repeat([]byte{7, 3, 90, 1, 60, 2, 0, 80, 5, 5, 70, 9, 200, 13}, 40))
-	f.Add(bytes.Repeat([]byte{0x1f, 10, 4, 1, 2, 3, 4, 5, 6, 95, 4, 10, 4, 70, 3, 4, 4, 4}, 60))
+	// Two frames, three pages: create and update, read, flush, a page whose
+	// read fails while it is asked for, a bare MarkDirty.
+	f.Add(append([]byte{0x01}, bytes.Repeat([]byte{
+		75, 0, 0, 1, 2, 3, 4, 5, 6, 75, 1, 1, 75, 2, 0, 7, 8, 9, 10, 11, 12,
+		10, 0, 3, 4, 5, 6, 7, 8, 60, 1, 86, 95, 2, 60, 2, 95, 2, 82, 1}, 6)...))
+	// Eight frames over the batch method: twelve pages created, then updated
+	// in turn, so every update faults and evicts a dirty page; then a Flush.
+	var churn []byte
+	for pid := byte(0); pid < 12; pid++ {
+		churn = append(churn, 75, pid, 1)
+	}
+	for pid := byte(0); pid < 12; pid++ {
+		churn = append(churn, 10, pid, 1, 2, 3, 4, 5, 6)
+	}
+	f.Add(append([]byte{0x17}, bytes.Repeat(append(churn, 86), 2)...))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
 			return
 		}
 		setup := in[0]
 		in = in[1:]
-		opts := Options{}
-		if setup&0x10 != 0 {
-			opts = Options{EvictionBatch: 3, Readahead: 2}
-		}
-		h := newPoolModel(t, 1+int(setup&0x0f), opts, setup&0x20 != 0)
+		h := newPoolModel(t, 1+int(setup&0x0f), setup&0x10 != 0)
 		pick := func(n int) int {
 			if len(in) == 0 {
 				return 0

@@ -27,9 +27,9 @@ func (m *logMethod) WritePage(pid uint32, data []byte) error {
 	return m.stubMethod.WritePage(pid, data)
 }
 
-func stubPool(t *testing.T, m ftl.Method, capacity int, opts Options) *Pool {
+func stubPool(t *testing.T, m ftl.Method, capacity int) *Pool {
 	t.Helper()
-	p, err := NewPoolOpts(m, capacity, opts)
+	p, err := NewPool(m, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func seq(from, to uint32) []uint32 {
 // is. (An LRU of 8 has forgotten the page after 8 of the 16.)
 func TestTwiceTouchedPageSurvivesAScan(t *testing.T) {
 	const capacity = 8
-	p := stubPool(t, &stubMethod{failing: noPage}, capacity, Options{})
+	p := stubPool(t, &stubMethod{failing: noPage}, capacity)
 	get(t, p, 1, 1)
 	get(t, p, seq(100, 100+2*capacity)...)
 	before := p.Stats()
@@ -93,7 +93,7 @@ func TestTwiceTouchedPageSurvivesAScan(t *testing.T) {
 // dirty, the policy is first in, first out.
 func TestOnceTouchedPagesLeaveInArrivalOrder(t *testing.T) {
 	const capacity = 8
-	p := stubPool(t, &stubMethod{failing: noPage}, capacity, Options{})
+	p := stubPool(t, &stubMethod{failing: noPage}, capacity)
 	get(t, p, seq(0, capacity)...)
 	for next := uint32(0); next < 3*capacity; next++ {
 		get(t, p, capacity+next)
@@ -109,7 +109,7 @@ func TestOnceTouchedPagesLeaveInArrivalOrder(t *testing.T) {
 func TestCleanPageInTheTailQuarterLeavesFirst(t *testing.T) {
 	const capacity = 8 // the tail quarter is 2 frames
 	m := &logMethod{stubMethod: stubMethod{failing: noPage}}
-	p := stubPool(t, m, capacity, Options{})
+	p := stubPool(t, m, capacity)
 	get(t, p, seq(0, capacity)...) // coldest first: 0, 1, 2, ...
 	dirty(t, p, 0, 2, 3)
 	m.log = nil
@@ -139,44 +139,11 @@ func TestCleanPageInTheTailQuarterLeavesFirst(t *testing.T) {
 	}
 }
 
-// TestEvictionClustersWithinTheVictimsList: EvictionBatch gathers the cold
-// dirty frames of the list the victim leaves, not of the other one, in
-// ascending pid order with the victim among them.
-func TestEvictionClustersWithinTheVictimsList(t *testing.T) {
-	const capacity = 8
-	m := &logMethod{stubMethod: stubMethod{failing: noPage}}
-	p := stubPool(t, m, capacity, Options{EvictionBatch: 3})
-	// T2 (seen again), coldest first: 50, 51, 52, 53. T1: 9, 8, 7, 6.
-	get(t, p, 50, 51, 52, 53, 50, 51, 52, 53)
-	get(t, p, 9, 8, 7, 6)
-	dirty(t, p, 50, 51, 52, 53, 9, 8, 7, 6)
-	m.log = nil
-
-	get(t, p, 30) // T1 is over its target of 0: 9 leaves, with 8 and 7
-	if want := []string{"write 7", "write 8", "write 9", "read 30"}; !slices.Equal(m.log, want) {
-		t.Fatalf("evicting from T1 did %v, want %v", m.log, want)
-	}
-	if got, want := resident(p, 6, 7, 8, 9, 50, 51, 52, 53), []uint32{6, 7, 8, 50, 51, 52, 53}; !slices.Equal(got, want) {
-		t.Fatalf("resident %v, want %v: clustering evicts the victim alone", got, want)
-	}
-	// Empty T1 into T2; the next victim is T2's, and so is its cluster.
-	get(t, p, 8, 7, 6, 30)
-	dirty(t, p, 30)
-	m.log = nil
-	get(t, p, 31)
-	if want := []string{"write 50", "write 51", "write 52", "read 31"}; !slices.Equal(m.log, want) {
-		t.Fatalf("evicting from T2 did %v, want %v", m.log, want)
-	}
-	if st := p.Stats(); st.Evictions != 2 || st.Writebacks != 6 {
-		t.Errorf("stats %+v, want 2 evictions and 6 write-backs", st)
-	}
-}
-
 // TestGhostHitsMoveTheTarget: a miss on a page T1 evicted grows T1's target,
 // a miss on a page T2 evicted shrinks it, and both come back as seen again.
 func TestGhostHitsMoveTheTarget(t *testing.T) {
 	const capacity = 4
-	p := stubPool(t, &stubMethod{failing: noPage}, capacity, Options{})
+	p := stubPool(t, &stubMethod{failing: noPage}, capacity)
 	get(t, p, 1, 1, 2, 3, 4) // T2: 1; T1: 2, 3, 4
 	get(t, p, 5)             // 2 leaves T1 for B1
 	if p.target != 0 || p.dir[2] == nil || p.dir[2].list != listB1 || p.dir[2].data != nil {

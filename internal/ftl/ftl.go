@@ -101,8 +101,9 @@ type BatchWriter interface {
 // calling ReadPage for each pair would, but lets the method group its
 // physical page reads into device batch operations. On error the buffer
 // contents are unspecified; no mapping or flash state changes (reads never
-// mutate). The buffer pool's batched fault path feeds methods through this
-// interface when available and falls back to per-page ReadPage otherwise.
+// mutate). Callers are drivers that hold a list of pages and probe the method
+// for it (the benchmark's page_file workload, the conformance suite of
+// ftltest); the buffer pool faults one page per miss and does not.
 type BatchReader interface {
 	ReadBatch(pids []uint32, bufs [][]byte) error
 }

@@ -18,9 +18,9 @@
 // parallel, while the baselines (OPU/IPU/IPL) are wrapped in a
 // serializing adapter, exactly as the page-level parallel workload
 // driver treats them. Bucket locks rank above every engine lock
-// (kv > shard > flash > bus > ...); multi-bucket operations acquire
-// them in ascending index order, and pdlvet's lockorder pass proves
-// both facts.
+// (kv > shard > channel > bus > mapTable > caches); multi-bucket
+// operations acquire them in ascending index order, and pdlvet's
+// lockorder pass proves both facts.
 //
 // # Snapshot scans
 //
@@ -83,13 +83,6 @@ type Options struct {
 	// PoolPages is each bucket's buffer-pool capacity in pages.
 	// Default 64, minimum 8.
 	PoolPages int
-	// Readahead is each bucket pool's speculative prefetch window for
-	// range scans (see buffer.Options.Readahead). Default 0 (off).
-	Readahead int
-	// TreeFrac is the fraction of each bucket's page span given to the
-	// B+-tree index; the rest holds the heap. Default 0.25, clamped to
-	// [0.05, 0.90]. Reopen ignores it (the layout is persisted).
-	TreeFrac float64
 }
 
 func (o Options) withDefaults() Options {
@@ -104,15 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PoolPages < 8 {
 		o.PoolPages = 8
-	}
-	if o.TreeFrac == 0 {
-		o.TreeFrac = 0.25
-	}
-	if o.TreeFrac < 0.05 {
-		o.TreeFrac = 0.05
-	}
-	if o.TreeFrac > 0.90 {
-		o.TreeFrac = 0.90
 	}
 	return o
 }
@@ -190,37 +174,6 @@ func (s *serialMethod) Stats() flash.Stats {
 	return s.m.Stats()
 }
 
-// WriteBatch keeps the pools' batched write-back path available through
-// the wrapper, delegating to the method's own batcher when it has one.
-func (s *serialMethod) WriteBatch(writes []ftl.PageWrite) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if bw, ok := s.m.(ftl.BatchWriter); ok {
-		return bw.WriteBatch(writes)
-	}
-	for _, w := range writes {
-		if err := s.m.WritePage(w.PID, w.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadBatch mirrors WriteBatch for the pools' batched fault path.
-func (s *serialMethod) ReadBatch(pids []uint32, bufs [][]byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if br, ok := s.m.(ftl.BatchReader); ok {
-		return br.ReadBatch(pids, bufs)
-	}
-	for i, pid := range pids {
-		if err := s.m.ReadPage(pid, bufs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // newMethod returns m itself when it is safe under concurrency, or a
 // serializing wrapper when it is not.
 func newMethod(m ftl.Method) ftl.Method {
@@ -243,26 +196,31 @@ func mix(k uint64) uint64 {
 
 func (d *DB) bucketOf(k uint64) int { return int(mix(k) % uint64(len(d.buckets))) }
 
+// bucketSpan is how many of numPages each of the buckets gets, page 0 being
+// the metadata's. A layout needs at least 4.
+func bucketSpan(numPages uint32, buckets int) uint32 {
+	if numPages < 2 {
+		return 0
+	}
+	return (numPages - 1) / uint32(buckets)
+}
+
+// indexPages is how many pages of a bucket's span hold its B+-tree index: a
+// quarter, and at least 2. The rest holds the heap, which a span of 4 or more
+// leaves at least 2 pages as well.
+func indexPages(span uint32) uint32 { return max(2, span/4) }
+
 // Open creates a fresh store over the first numPages logical pages of
 // method's device. Page 0 is reserved for recovery metadata; the rest is
 // split into equal per-bucket spans. Nothing is durable until Sync.
 func Open(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	span := uint32(0)
-	if numPages > 1 {
-		span = (numPages - 1) / uint32(opts.Buckets)
-	}
+	span := bucketSpan(numPages, opts.Buckets)
 	if span < 4 {
 		return nil, fmt.Errorf("kv: %d pages cannot hold %d buckets (need >= %d)",
 			numPages, opts.Buckets, 1+4*opts.Buckets)
 	}
-	treePages := uint32(float64(span) * opts.TreeFrac)
-	if treePages < 2 {
-		treePages = 2
-	}
-	if treePages > span-2 {
-		treePages = span - 2
-	}
+	treePages := indexPages(span)
 	d := &DB{
 		method:    newMethod(method),
 		buckets:   make([]bucket, opts.Buckets),
@@ -275,8 +233,7 @@ func Open(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 	}
 	for i := range d.buckets {
 		first := 1 + uint32(i)*span
-		pool, err := buffer.NewPoolOpts(d.method, opts.PoolPages,
-			buffer.Options{Readahead: opts.Readahead})
+		pool, err := buffer.NewPool(d.method, opts.PoolPages)
 		if err != nil {
 			return nil, err
 		}
@@ -295,8 +252,8 @@ func Open(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 
 // Reopen rebuilds a store from the recovery metadata its last Sync
 // persisted. The layout (bucket count, page split) comes from the
-// metadata page; opts supplies only the runtime knobs (PoolPages,
-// Readahead). numPages must match the value the store was opened with.
+// metadata page; opts supplies only PoolPages. numPages must match the
+// value the store was opened with.
 func Reopen(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	m := newMethod(method)
@@ -308,17 +265,23 @@ func Reopen(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("kv: store was created over %d pages, reopened with %d",
 			meta.numPages, numPages)
 	}
+	// The checksum covers the bucket records only: the split is checked here,
+	// against what Open can lay out, before any page id is computed from it.
+	span := bucketSpan(numPages, len(meta.states))
+	if span < 4 || meta.treePages < 2 || meta.treePages > span-2 {
+		return nil, fmt.Errorf("kv: metadata names %d index pages in a bucket span of %d",
+			meta.treePages, span)
+	}
 	d := &DB{
 		method:    m,
 		buckets:   make([]bucket, len(meta.states)),
 		numPages:  meta.numPages,
 		treePages: meta.treePages,
-		span:      (meta.numPages - 1) / uint32(len(meta.states)),
+		span:      span,
 	}
 	for i := range d.buckets {
 		first := 1 + uint32(i)*d.span
-		pool, err := buffer.NewPoolOpts(d.method, opts.PoolPages,
-			buffer.Options{Readahead: opts.Readahead})
+		pool, err := buffer.NewPool(d.method, opts.PoolPages)
 		if err != nil {
 			return nil, err
 		}
@@ -362,14 +325,10 @@ func PagesNeeded(records int, valueSize, pageSize int, opts Options) uint32 {
 	leafCap := (pageSize - 7) / 16
 	treePages := 2*(perBucket/leafCap+1) + 4
 	span := heapPages + treePages
-	// Respect the Open-time TreeFrac split: grow the span until both
-	// halves fit their side.
+	// Respect Open's split: grow the span until both halves fit their side.
 	fracSpan := span
 	for {
-		tp := int(float64(fracSpan) * opts.TreeFrac)
-		if tp < 2 {
-			tp = 2
-		}
+		tp := int(indexPages(uint32(fracSpan)))
 		if tp >= treePages && fracSpan-tp >= heapPages {
 			break
 		}
@@ -700,7 +659,6 @@ func (d *DB) PoolStats() buffer.Stats {
 		total.Misses += s.Misses
 		total.Evictions += s.Evictions
 		total.Writebacks += s.Writebacks
-		total.Readaheads += s.Readaheads
 	}
 	return total
 }

@@ -488,6 +488,52 @@ func TestReopenRejectsFresh(t *testing.T) {
 	}
 }
 
+// TestReopenRejectsBadLayout: the metadata checksum covers the bucket records
+// only, so a page 0 with a valid magic, version and checksum can still name a
+// split no Open lays out. Reopen refuses it: an index that takes the whole
+// span, or more, would hand the heap the pages of the buckets that follow.
+func TestReopenRejectsBadLayout(t *testing.T) {
+	const numPages = 200
+	opts := Options{Buckets: 4, PoolPages: 8}
+	chip := flash.NewChip(ftltest.SmallParams(32))
+	m := newPDL(t, chip, numPages, false)
+	db, err := Open(m, numPages, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put(1, val(1, 1, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	page0 := make([]byte, m.PageSize())
+	if err := m.ReadPage(0, page0); err != nil {
+		t.Fatal(err)
+	}
+	span := bucketSpan(numPages, opts.Buckets)
+	good := binary.LittleEndian.Uint32(page0[20:])
+	for _, treePages := range []uint32{0, 1, span - 1, span, span + 1, ^uint32(0), good} {
+		binary.LittleEndian.PutUint32(page0[20:], treePages)
+		if err := m.WritePage(0, page0); err != nil {
+			t.Fatal(err)
+		}
+		rdb, err := Reopen(m, numPages, opts)
+		if treePages == good {
+			if err != nil {
+				t.Fatalf("Reopen with the synced split of %d index pages: %v", good, err)
+			}
+			if v, err := rdb.Get(1, nil); err != nil || !equalBytes(v, val(1, 1, 32)) {
+				t.Fatalf("Get(1) after Reopen = %v, %v", v, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("Reopen accepted %d index pages in a bucket span of %d", treePages, span)
+		}
+	}
+}
+
 // TestSerializedBaseline runs concurrent clients over OPU — a method
 // with no internal locking — relying on the serializing wrapper.
 func TestSerializedBaseline(t *testing.T) {

@@ -46,9 +46,6 @@ func NewHeap(pool *buffer.Pool, first, numPages uint32) (*Heap, error) {
 	}, nil
 }
 
-// First returns the first logical page of the heap's range.
-func (h *Heap) First() uint32 { return h.first }
-
 // NumPages returns the number of pages in the heap's range.
 func (h *Heap) NumPages() uint32 { return h.numPages }
 
@@ -177,29 +174,6 @@ func (h *Heap) Delete(rid RID) error {
 		return fmt.Errorf("%v: %w", rid, err)
 	}
 	return h.pool.MarkDirty(rid.Page)
-}
-
-// Scan calls fn for every live record in the heap, in page order. The rec
-// slice aliases the page frame and must not be retained or modified, and fn
-// must not use the heap's pool, which may give the frame to another page.
-// Returning a non-nil error from fn stops the scan.
-func (h *Heap) Scan(fn func(rid RID, rec []byte) error) error {
-	for idx := uint32(0); idx < h.numPages; idx++ {
-		p, err := h.frame(idx)
-		if err != nil {
-			return err
-		}
-		for s := 0; s < p.slotCount(); s++ {
-			rec, err := p.get(s)
-			if err != nil {
-				continue // dead slot
-			}
-			if err := fn(RID{Page: h.first + idx, Slot: uint16(s)}, rec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Flush writes dirty pages and method buffers through to flash.

@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -219,32 +218,6 @@ func TestHeapFull(t *testing.T) {
 	}
 	if !errors.Is(err, ErrNoSpace) {
 		t.Errorf("err = %v, want ErrNoSpace", err)
-	}
-}
-
-func TestHeapScan(t *testing.T) {
-	h := newHeap(t, 4, 8)
-	want := map[string]bool{}
-	for i := 0; i < 50; i++ {
-		rec := []byte(fmt.Sprintf("record-%02d", i))
-		if _, err := h.Insert(rec); err != nil {
-			t.Fatal(err)
-		}
-		want[string(rec)] = true
-	}
-	got := 0
-	err := h.Scan(func(rid RID, rec []byte) error {
-		if !want[string(rec)] {
-			return fmt.Errorf("unexpected record %q", rec)
-		}
-		got++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 50 {
-		t.Errorf("scanned %d records, want 50", got)
 	}
 }
 

@@ -93,12 +93,7 @@ func Load(method ftl.Method, s Scale, bufferPages int, seed int64) (*DB, error) 
 	if customerSize+16 > pageSize {
 		return nil, fmt.Errorf("tpcc: page size %d too small for customer records", pageSize)
 	}
-	// TPC-C is the pool's heaviest eviction workload (the measured pools
-	// hold as little as 0.1% of the database), so its commit points ride
-	// the batched write-back pipeline: dirty evictions cluster cold dirty
-	// frames into one pid-ordered WriteBatch instead of trickling out one
-	// WritePage per fault.
-	pool, err := buffer.NewPoolOpts(method, bufferPages, buffer.Options{EvictionBatch: 8})
+	pool, err := buffer.NewPool(method, bufferPages)
 	if err != nil {
 		return nil, err
 	}

@@ -56,9 +56,8 @@
 //	err := store.WriteBatch(batch) // one device batch, TS-ordered
 //
 // Pool.Flush rides the same path automatically: dirty frames are written
-// back as one pid-ordered WriteBatch whenever the method supports it, and
-// NewPoolOpts can additionally cluster cold dirty frames into the batch
-// on eviction pressure (PoolOptions.EvictionBatch).
+// back as one pid-ordered WriteBatch whenever the method supports it. An
+// eviction writes back its victim and nothing else.
 //
 // # Batched, cache-aware reads
 //
@@ -97,10 +96,8 @@
 // (Telemetry.BaseHolds, BaseHoldMisses): up to DiffCachePages more page
 // buffers while a pool is dirtying pages, none once it stops.
 //
-// Pool.GetMany faults a group of pages through ReadBatch when the method
-// supports it (Pool.Readahead prefetches speculatively the same way), and
-// a pool built with PoolOptions.Readahead > 0 makes B+-tree range scans
-// prefetch their leaf chain in batches.
+// A Pool is demand paging: one miss, one ReadPage. ReadBatch is for callers
+// that know a group of pages ahead of time and drive the Store directly.
 //
 // # Concurrency
 //
@@ -257,8 +254,8 @@ type PageWrite = ftl.PageWrite
 type BatchWriter = ftl.BatchWriter
 
 // BatchReader is the optional batched read interface; the PDL Store
-// implements it (Store.ReadBatch), and the buffer pool's GetMany and
-// Readahead feed any method that does.
+// implements it (Store.ReadBatch) for callers that drive it directly. The
+// buffer pool faults one page at a time and does not call it.
 type BatchReader = ftl.BatchReader
 
 // BaseRetainer is the optional first-dirty hint; the PDL Store implements it
@@ -352,25 +349,15 @@ func OpenIPL(dev Device, numPages int, opts IPLOptions) (*IPLStore, error) {
 // Figure 10). Replacement adapts between recency and frequency (ARC) and
 // prefers a clean victim among the coldest quarter, since a dirty one costs
 // a program where a clean one costs a re-read; there is nothing to set. A
-// slice Get returns is good until the next call that can fault a page. Its
-// write-back path is batch-first: Flush collects dirty frames in ascending
-// pid order and hands them to the method as one WriteBatch when the method
-// implements BatchWriter.
+// page enters on the miss that asks for it, and a slice Get returns is good
+// until the next call that can fault a page. A dirty victim is written back
+// alone; Flush collects dirty frames in ascending pid order and hands them
+// to the method as one WriteBatch when the method implements BatchWriter.
 type Pool = buffer.Pool
-
-// PoolOptions tunes a buffer pool beyond its capacity (write-back
-// clustering under eviction pressure).
-type PoolOptions = buffer.Options
 
 // NewPool builds a buffer pool of capacity pages over method.
 func NewPool(method Method, capacity int) (*Pool, error) {
 	return buffer.NewPool(method, capacity)
-}
-
-// NewPoolOpts builds a buffer pool of capacity pages over method with
-// explicit options.
-func NewPoolOpts(method Method, capacity int, opts PoolOptions) (*Pool, error) {
-	return buffer.NewPoolOpts(method, capacity, opts)
 }
 
 // Heap is a slotted-page heap file over a buffer pool.

@@ -188,9 +188,8 @@ func TestFacadeWriteBatch(t *testing.T) {
 		t.Errorf("batch telemetry not counted: %+v", tel)
 	}
 
-	// A pool over the store flushes through the batch path, and eviction
-	// clustering is reachable through the facade options.
-	pool, err := pdl.NewPoolOpts(store, 4, pdl.PoolOptions{EvictionBatch: 4})
+	// A pool over the store flushes through the batch path.
+	pool, err := pdl.NewPool(store, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,21 +290,4 @@ func TestFacadeReadBatchAndDiffCache(t *testing.T) {
 		t.Errorf("cache-off read cost %d device reads, want 2", got)
 	}
 
-	// Pool.GetMany and Readahead are reachable through the facade.
-	pool, err := pdl.NewPoolOpts(store, 8, pdl.PoolOptions{Readahead: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := pool.GetMany([]uint32{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pid := range []uint32{1, 2, 3} {
-		if !bytes.Equal(out[i], shadow[pid]) {
-			t.Fatalf("GetMany pid %d wrong", pid)
-		}
-	}
-	if n, err := pool.Readahead([]uint32{10, 11}); err != nil || n != 2 {
-		t.Fatalf("Readahead = (%d, %v), want (2, nil)", n, err)
-	}
 }
