@@ -1,7 +1,6 @@
 package pdlvet
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -13,8 +12,9 @@ import (
 // AtomicCounter enforces the telemetry-counter discipline that PR 2
 // fixed by hand in Chip.Stats:
 //
-//   - fields of the dedicated atomic counter structs (flash.Counters,
-//     core.readTelemetry) may only be touched through their sync/atomic
+//   - fields of the dedicated atomic counter structs (flash.Counters and
+//     core's three counter blocks, readTelemetry, writeTelemetry and
+//     integrityTelemetry) may only be touched through their sync/atomic
 //     API — a plain read, write, or copy of such a field is a data race
 //     with any concurrent monitor;
 //   - a counter field must not mix sync/atomic access at one site with
@@ -34,7 +34,12 @@ var AtomicCounter = &vetkit.Analyzer{
 
 // atomicStructNames are the structs whose fields carry sync/atomic
 // types and must only be used through that API.
-var atomicStructNames = map[string]bool{"Counters": true, "readTelemetry": true}
+var atomicStructNames = map[string]bool{
+	"Counters":           true,
+	"readTelemetry":      true,
+	"writeTelemetry":     true,
+	"integrityTelemetry": true,
+}
 
 // containerNames are the plain counter snapshot structs; when one is a
 // field of a shared struct, its access discipline is inferred.
@@ -318,5 +323,3 @@ func parentMap(f *ast.File) map[ast.Node]ast.Node {
 	})
 	return parents
 }
-
-var _ = fmt.Sprintf // keep fmt for diagnostics formatting growth

@@ -27,6 +27,32 @@ func (d *Dev) badPlainField() int64 {
 	return r.Load()
 }
 
+// writeTelemetry and integrityTelemetry mirror core's write-path and
+// integrity counter blocks, which are checked like its readTelemetry.
+type writeTelemetry struct {
+	bufferFlushes atomic.Int64
+}
+
+type integrityTelemetry struct {
+	pagesHealed atomic.Int64
+}
+
+type Store struct {
+	wtel writeTelemetry
+	itel integrityTelemetry
+}
+
+func (s *Store) goodBlocks() int64 {
+	s.wtel.bufferFlushes.Add(1)
+	return s.itel.pagesHealed.Load()
+}
+
+func (s *Store) badCopies() {
+	w := s.wtel.bufferFlushes // want `field bufferFlushes of atomic counter struct writeTelemetry accessed outside the sync/atomic API`
+	h := &s.itel.pagesHealed  // want `field pagesHealed of atomic counter struct integrityTelemetry accessed outside the sync/atomic API`
+	_, _ = w.Load(), h.Load()
+}
+
 // Telemetry mirrors core.Telemetry: a plain counter container.
 type Telemetry struct {
 	Flushes int64

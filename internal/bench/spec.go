@@ -60,7 +60,6 @@ func (s MethodSpec) Build(dev flash.Device, numPages int) (ftl.Method, error) {
 	case KindPDL:
 		return core.New(dev, numPages, core.Options{
 			MaxDifferentialSize: s.Param,
-			ReserveBlocks:       2,
 			// The paper-reproduction experiments measure PDL_Reading as
 			// published — two flash reads for a diff-bearing page — so the
 			// differential cache is pinned off here; the ycsb_c_cold

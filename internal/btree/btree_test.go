@@ -15,7 +15,7 @@ import (
 
 func buildTree(poolFrames int, treePages uint32) (*Tree, error) {
 	chip := flash.NewChip(ftltest.SmallParams(40))
-	m, err := core.New(chip, int(treePages), core.Options{ReserveBlocks: 2})
+	m, err := core.New(chip, int(treePages), core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +406,7 @@ func TestOpenRejectsBadState(t *testing.T) {
 func TestRangeCallbackMayUseThePool(t *testing.T) {
 	const keys = 1500
 	chip := flash.NewChip(ftltest.SmallParams(48))
-	m, err := core.New(chip, 256, core.Options{ReserveBlocks: 2})
+	m, err := core.New(chip, 256, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

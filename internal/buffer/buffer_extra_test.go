@@ -180,7 +180,7 @@ func TestFlushBatchesThroughBatchWriter(t *testing.T) {
 	// Over a batch-capable method, Flush issues one pid-ordered WriteBatch
 	// instead of per-page writes.
 	chip := flash.NewChip(ftltest.SmallParams(8))
-	m, err := core.New(chip, 32, core.Options{ReserveBlocks: 2})
+	m, err := core.New(chip, 32, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func newPool(t *testing.T, capacity, numPages int) (*Pool, *flash.Chip) {
 	t.Helper()
 	chip := flash.NewChip(ftltest.SmallParams(16))
-	m, err := core.New(chip, numPages, core.Options{ReserveBlocks: 2})
+	m, err := core.New(chip, numPages, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

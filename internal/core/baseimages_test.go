@@ -207,7 +207,7 @@ func TestBaseImagesHold(t *testing.T) {
 func TestRetainBaseIsAHint(t *testing.T) {
 	const numPages = 40
 	chip := flash.NewChip(ftltest.SmallParams(12))
-	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestBaseImagesServeTheWriteThatFollowsARead(t *testing.T) {
 func TestBaseImagesCoherence(t *testing.T) {
 	const numPages = 40
 	chip := flash.NewChip(ftltest.SmallParams(12))
-	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestBaseImagesOnAndOffAreOneStore(t *testing.T) {
 func onAndOffAreOneStore(t *testing.T, dev ftltest.DeviceFactory, loop updateLoop) {
 	run := func(cachePages int) (*Store, Telemetry, [][]byte) {
 		s, err := New(dev(t, ftltest.SmallParams(loop.numBlocks)), loop.numPages,
-			Options{MaxDifferentialSize: 128, ReserveBlocks: 2, DiffCachePages: cachePages})
+			Options{MaxDifferentialSize: 128, DiffCachePages: cachePages})
 		if err != nil {
 			t.Fatal(err)
 		}

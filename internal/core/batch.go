@@ -35,13 +35,13 @@ type pendingOp struct {
 	ppn      flash.PPN
 	// data is the page image to program. For a base page it is pid's
 	// logical image and aliases the caller's buffer until programmed; for
-	// a spill it is a pooled page holding the encoded diffs.
+	// a spill it is a pooled page, the differential page image itself: what
+	// the spill carries is read off it (diff.Records).
 	data  []byte
 	pid   uint32
 	spill bool
-	diffs []diff.Differential
 	// pin, when set, makes a base-page commit conditional on pid's mapping
-	// still being at that version (the read-path heal; see applyDiff).
+	// still being at that version (the read-path heal; see applyRecord).
 	pin *uint64
 }
 
@@ -178,12 +178,11 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 	case size <= st.buf.free(): // Case 1
 		st.buf.add(d)
 	case size <= s.maxDiff: // Case 2
-		spill := s.snapshotSpill(st.buf, idx, ts, st.home)
-		st.ops = append(st.ops, spill)
+		st.ops = append(st.ops, s.snapshotSpill(st.buf, idx, ts, st.home))
 		if st.pend != nil {
 			// Committing a differential page links it.
-			for _, sd := range spill.diffs {
-				st.pend[sd.PID] = staged{img: st.pend[sd.PID].img, dif: true}
+			for sp := range st.buf.index {
+				st.pend[sp] = staged{img: st.pend[sp].img, dif: true}
 			}
 		}
 		st.buf.clear()
@@ -195,16 +194,12 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 }
 
 // snapshotSpill stages the current contents of buf as a differential-page
-// spill op without mutating buf: the page image is encoded into a pooled
-// page (recycleSpills returns it) and the differential list copied into a
-// private slice. The caller decides when (and whether) the buffer itself
-// is cleared.
+// spill op without mutating buf: the page image is the slab copied into a
+// pooled page (recycleSpills returns it). The caller decides when (and
+// whether) the buffer itself is cleared.
 func (s *Store) snapshotSpill(buf *writeBuffer, idx int, ts uint64, home int) pendingOp {
-	op := pendingOp{idx: idx, ts: ts, home: home, spill: true, pid: ftl.NoPID,
-		data:  s.getPage(),
-		diffs: append([]diff.Differential(nil), buf.diffs...),
-	}
-	diff.EncodePage(op.data, op.diffs)
+	op := pendingOp{idx: idx, ts: ts, home: home, spill: true, pid: ftl.NoPID, data: s.getPage()}
+	packDiffPage(op.data, buf.slab)
 	return op
 }
 
@@ -527,10 +522,11 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 		if op.spill {
 			s.dcache.putPage(op.data)
 			s.wtel.bufferFlushes.Add(1)
-			s.wtel.diffsWritten.Add(int64(len(op.diffs)))
-			for _, d := range op.diffs {
-				s.wtel.diffBytesWritten.Add(int64(d.EncodedSize()))
-				if old := s.mt.setDiffPage(d.PID, op.ppn, d.TS); old != flash.NilPPN {
+			for rec := range diff.Records(op.data) {
+				s.wtel.diffsWritten.Add(1)
+				s.wtel.diffBytesWritten.Add(int64(len(rec)))
+				pid, ts := diff.RecordKey(rec)
+				if old := s.mt.setDiffPage(pid, op.ppn, ts); old != flash.NilPPN {
 					s.releaseDiffPage(old, op.ch)
 				}
 			}

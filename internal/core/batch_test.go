@@ -9,7 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"pdl/internal/diff"
 	"pdl/internal/flash"
+	"pdl/internal/flash/faultdev"
 	"pdl/internal/flash/filedev"
 	"pdl/internal/ftl"
 	"pdl/internal/ftltest"
@@ -33,7 +35,6 @@ func batchParams() flash.Params { return ftltest.SmallParams(16) }
 func batchOptions(bg bool) Options {
 	return Options{
 		MaxDifferentialSize: batchMaxDiff,
-		ReserveBlocks:       2,
 		Shards:              batchShards,
 		BackgroundGC:        bg,
 	}
@@ -285,12 +286,14 @@ func TestWriteBatchKillMidBatchEmu(t *testing.T) {
 // only its first failAfter pages before reporting an injected error — the
 // device-contract crash shape (a programmed prefix) without needing power
 // control over the backing file. With failProgram set the next single
-// Program fails too, applying nothing. All other operations pass through.
+// Program fails too, applying nothing; with failRead set the next single
+// page read fails instead. All other operations pass through.
 type prefixFailDev struct {
 	flash.Device
 	failAfter   int
 	fired       bool
 	failProgram bool
+	failRead    bool
 }
 
 var errInjectedKill = errors.New("injected mid-batch kill")
@@ -314,6 +317,14 @@ func (d *prefixFailDev) Program(ppn flash.PPN, data, spare []byte) error {
 		return errInjectedKill
 	}
 	return d.Device.Program(ppn, data, spare)
+}
+
+func (d *prefixFailDev) Read(ppn flash.PPN, data, spare []byte) error {
+	if d.failRead && !d.fired {
+		d.fired = true
+		return errInjectedKill
+	}
+	return d.Device.Read(ppn, data, spare)
 }
 
 // TestWriteBatchKillMidBatchFile runs the kill-mid-batch matrix over the
@@ -387,7 +398,6 @@ func TestWriteBatchConcurrentHammer(t *testing.T) {
 	chip := flash.NewChip(ftltest.SmallParams(24))
 	s, err := New(chip, batchNumPages, Options{
 		MaxDifferentialSize: batchMaxDiff,
-		ReserveBlocks:       2,
 		Shards:              workers,
 		BackgroundGC:        true,
 	})
@@ -624,21 +634,56 @@ func TestFailedFlushPreservesBufferedWrites(t *testing.T) {
 }
 
 // TestFailedWriteBatchAppliesNothing guards the failure contract every
-// write entry shares: a device error from the commit applies nothing. A
-// batch stages on buffer copies and a single write undoes its one step, so
-// neither loses the pids' pre-call buffered differentials — every page
-// still reads its pre-call state, and the call can simply be retried.
+// write entry shares: a failed call applies nothing. A batch stages on buffer
+// copies and a single write puts the saved bytes of its shard buffer back, so
+// neither loses the pids' pre-call buffered differentials — every slab is
+// byte-equal to its pre-image, every page still reads its pre-call state, and
+// the call can simply be retried.
 func TestFailedWriteBatchAppliesNothing(t *testing.T) {
 	size := batchParams().DataSize
 	rewrite7 := batchPage(7, 9, size)
+	// smallUpdate writes pid with one more byte flipped.
+	smallUpdate := func(s *Store, shadow [][]byte, pid uint32) error {
+		data := append([]byte(nil), shadow[pid]...)
+		data[40] ^= 0xFF
+		if err := s.WritePage(pid, data); err != nil {
+			return err
+		}
+		shadow[pid] = data
+		return nil
+	}
+	type slabs [][]byte
+	slabsOf := func(s *Store) slabs {
+		out := make(slabs, len(s.shards))
+		for i := range s.shards {
+			out[i] = bytes.Clone(s.shards[i].dwb.slab)
+		}
+		return out
+	}
 	for _, tc := range []struct {
 		name string
 		// call makes the write under test; shadow is the expected content,
-		// which call extends by the writes it got acknowledged on the way.
-		call func(s *Store, shadow [][]byte) error
+		// which call extends by the writes it got acknowledged on the way. A
+		// call of several writes takes *pre anew before each.
+		call func(s *Store, shadow [][]byte, pre *slabs) error
+		// failRead: the injected failure is the next page read, not the next
+		// program (a Case 1 write programs nothing: its base page read is all
+		// that can fail).
+		failRead bool
+		// rotBase7: pid 7's base page has an uncorrectable sector, which the
+		// write heals by overwrite and no read can serve until it has.
+		rotBase7 bool
 	}{
-		{"WritePage/Case3", func(s *Store, _ [][]byte) error { return s.WritePage(7, rewrite7) }},
-		{"WritePage/Case2", func(s *Store, shadow [][]byte) error {
+		{name: "WritePage/Case1", failRead: true, call: func(s *Store, shadow [][]byte, _ *slabs) error {
+			// A write to the shard buffer that holds pid 7's differential.
+			pid := uint32(8)
+			for s.shardIndex(pid) != s.shardIndex(7) {
+				pid++
+			}
+			return smallUpdate(s, shadow, pid)
+		}},
+		{name: "WritePage/Case3", call: func(s *Store, _ [][]byte, _ *slabs) error { return s.WritePage(7, rewrite7) }},
+		{name: "WritePage/Case2", call: func(s *Store, shadow [][]byte, pre *slabs) error {
 			// Small updates are buffered (no program), each pass growing
 			// every page's buffered differential, until one no longer fits
 			// its shard's buffer and spills it: that write fails.
@@ -651,6 +696,7 @@ func TestFailedWriteBatchAppliesNothing(t *testing.T) {
 					for i := 0; i < 16; i++ {
 						data[32+64*pass+i] ^= 0xFF
 					}
+					*pre = slabsOf(s)
 					if err := s.WritePage(uint32(pid), data); err != nil {
 						return err
 					}
@@ -659,15 +705,18 @@ func TestFailedWriteBatchAppliesNothing(t *testing.T) {
 			}
 			return nil
 		}},
-		{"WriteBatch/1", func(s *Store, _ [][]byte) error {
+		{name: "WritePage/HealByOverwrite", rotBase7: true, call: func(s *Store, shadow [][]byte, _ *slabs) error {
+			return smallUpdate(s, shadow, 7)
+		}},
+		{name: "WriteBatch/1", call: func(s *Store, _ [][]byte, _ *slabs) error {
 			return s.WriteBatch([]ftl.PageWrite{{PID: 7, Data: rewrite7}})
 		}},
-		{"WriteBatch/n", func(s *Store, _ [][]byte) error { return s.WriteBatch(buildTestBatch(size)) }},
-		{"Flush", func(s *Store, _ [][]byte) error { return s.Flush() }},
+		{name: "WriteBatch/n", call: func(s *Store, _ [][]byte, _ *slabs) error { return s.WriteBatch(buildTestBatch(size)) }},
+		{name: "Flush", call: func(s *Store, _ [][]byte, _ *slabs) error { return s.Flush() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			chip := flash.NewChip(batchParams())
-			dev := &prefixFailDev{Device: chip, failAfter: 0, fired: true, failProgram: true} // disarmed
+			fd := faultdev.Wrap(flash.NewChip(batchParams()))
+			dev := &prefixFailDev{Device: fd, failAfter: 0, fired: true, failProgram: !tc.failRead, failRead: tc.failRead} // disarmed
 			s, err := New(dev, batchNumPages, batchOptions(false))
 			if err != nil {
 				t.Fatal(err)
@@ -681,12 +730,27 @@ func TestFailedWriteBatchAppliesNothing(t *testing.T) {
 			if err := s.WritePage(7, pre[7]); err != nil {
 				t.Fatal(err)
 			}
+			if tc.rotBase7 {
+				fd.Inject(faultdev.Fault{PPN: entryOf(s, 7).base, Kind: faultdev.SectorCorrupt, Off: 256})
+			}
+			want := slabsOf(s)
 			dev.fired = false // arm
-			if err := tc.call(s, pre); !errors.Is(err, errInjectedKill) {
+			if err := tc.call(s, pre, &want); !errors.Is(err, errInjectedKill) {
 				t.Fatalf("err = %v, want the injected device failure", err)
+			}
+			for i, got := range slabsOf(s) {
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("shard %d: the failed call left its write buffer changed:\n got %x\nwant %x", i, got, want[i])
+				}
+				if n := len(diff.DecodeAll(got)); n != len(s.shards[i].dwb.index) {
+					t.Errorf("shard %d: %d records in the slab, %d in the index", i, n, len(s.shards[i].dwb.index))
+				}
 			}
 			buf := make([]byte, size)
 			for pid := 0; pid < batchNumPages; pid++ {
+				if tc.rotBase7 && pid == 7 {
+					continue // unreadable until the retry heals it
+				}
 				if err := s.ReadPage(uint32(pid), buf); err != nil {
 					t.Fatal(err)
 				}
@@ -695,7 +759,7 @@ func TestFailedWriteBatchAppliesNothing(t *testing.T) {
 				}
 			}
 			// The retry applies the whole call.
-			if err := tc.call(s, pre); err != nil {
+			if err := tc.call(s, pre, &want); err != nil {
 				t.Fatalf("retry: %v", err)
 			}
 			for pid := 0; pid < batchNumPages; pid++ {
@@ -721,7 +785,7 @@ func TestCommitFallsOverToNeighbourChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	const numPages = 16 // what 2 x 3 blocks of 4 pages hold above the reserve
-	s, err := New(dev, numPages, Options{ReserveBlocks: 2, Shards: 1})
+	s, err := New(dev, numPages, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -772,7 +836,7 @@ func TestRefusedCommitRetiresPagesOfLowerChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	const numPages = 20
-	s, err := New(dev, numPages, Options{ReserveBlocks: 2, Shards: 2})
+	s, err := New(dev, numPages, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

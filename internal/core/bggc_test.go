@@ -30,7 +30,6 @@ func TestBackgroundGCHammer(t *testing.T) {
 	chip := flash.NewChip(ftltest.SmallParams(numBlocks))
 	s, err := New(chip, numPages, Options{
 		MaxDifferentialSize: 128,
-		ReserveBlocks:       2,
 		Shards:              workers,
 		BackgroundGC:        true,
 	})
@@ -117,7 +116,6 @@ func TestBackgroundGCConformance(t *testing.T) {
 	ftltest.RunMethodSuite(t, func(dev flash.Device, numPages int) (ftl.Method, error) {
 		s, err := New(dev, numPages, Options{
 			MaxDifferentialSize: 64,
-			ReserveBlocks:       2,
 			Shards:              4,
 			BackgroundGC:        true,
 		})
@@ -132,7 +130,7 @@ func TestBackgroundGCConformance(t *testing.T) {
 // TestBackgroundGCOptionValidation pins down the new option contracts.
 func TestBackgroundGCOptionValidation(t *testing.T) {
 	chip := flash.NewChip(ftltest.SmallParams(8))
-	s, err := New(chip, 8, Options{BackgroundGC: true, ReserveBlocks: 2})
+	s, err := New(chip, 8, Options{BackgroundGC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +177,7 @@ func TestParallelRecoveryMatchesSerial(t *testing.T) {
 		numPages  = 64
 	)
 	chip := flash.NewChip(ftltest.SmallParams(numBlocks))
-	opts := Options{MaxDifferentialSize: 128, ReserveBlocks: 2}
+	opts := Options{MaxDifferentialSize: 128}
 	s, err := New(chip, numPages, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +255,6 @@ func TestKillMidBackgroundGCRecovery(t *testing.T) {
 	chip := flash.NewChip(ftltest.SmallParams(numBlocks))
 	s, err := New(chip, numPages, Options{
 		MaxDifferentialSize: 128,
-		ReserveBlocks:       2,
 		Shards:              workers,
 		BackgroundGC:        true,
 	})
@@ -313,7 +310,7 @@ func TestKillMidBackgroundGCRecovery(t *testing.T) {
 		t.Skip("workload finished before the scheduled failure; nothing to recover")
 	}
 
-	opts := Options{MaxDifferentialSize: 128, ReserveBlocks: 2}
+	opts := Options{MaxDifferentialSize: 128}
 	par := opts
 	par.RecoveryWorkers = 5
 	rp, err := Recover(chip, numPages, par)
@@ -368,7 +365,7 @@ func TestVDCTHoldsOnlyLivePages(t *testing.T) {
 		numPages  = 64
 	)
 	chip := flash.NewChip(ftltest.SmallParams(numBlocks))
-	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2, Shards: 2})
+	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +420,7 @@ func TestVDCTHoldsOnlyLivePages(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Recover(chip, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2, Shards: 2})
+	r, err := Recover(chip, numPages, Options{MaxDifferentialSize: 128, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ func TestConcurrentHammer(t *testing.T) {
 	chip := flash.NewChip(ftltest.SmallParams(numBlocks))
 	s, err := New(chip, numPages, Options{
 		MaxDifferentialSize: 128,
-		ReserveBlocks:       2,
 		Shards:              workers,
 	})
 	if err != nil {
@@ -206,7 +205,6 @@ func TestMultiShardRecoveryMatchesSingleShard(t *testing.T) {
 		chip := flash.NewChip(ftltest.SmallParams(numBlocks))
 		s, err := New(chip, numPages, Options{
 			MaxDifferentialSize: 128,
-			ReserveBlocks:       2,
 			Shards:              shards,
 		})
 		if err != nil {
@@ -249,11 +247,11 @@ func TestMultiShardRecoveryMatchesSingleShard(t *testing.T) {
 
 	// "Crash": rebuild both stores from their chip images alone. The
 	// multi-shard store recovers into a multi-shard configuration.
-	r1, err := Recover(chip1, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2, Shards: 1})
+	r1, err := Recover(chip1, numPages, Options{MaxDifferentialSize: 128, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Recover(chip8, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2, Shards: 8})
+	r8, err := Recover(chip8, numPages, Options{MaxDifferentialSize: 128, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,6 +437,6 @@ func TestShardOptionValidation(t *testing.T) {
 // multi-shard store: sharding must not change single-threaded semantics.
 func TestShardedConformance(t *testing.T) {
 	ftltest.RunMethodSuite(t, func(dev flash.Device, numPages int) (ftl.Method, error) {
-		return New(dev, numPages, Options{MaxDifferentialSize: 64, ReserveBlocks: 2, Shards: 4})
+		return New(dev, numPages, Options{MaxDifferentialSize: 64, Shards: 4})
 	})
 }

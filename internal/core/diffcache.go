@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"math"
 	"sync"
 
@@ -25,7 +24,7 @@ import (
 // reader snapshotted together with the pid's mapping entry (get takes both).
 // Time stamps come from the store's one monotone counter, a retried flush
 // re-commits identical bytes under the identical stamp, and garbage
-// collection re-encodes a record under its own (pid, ts), so for the life
+// collection copies a record as it is, so for the life
 // of the store (pid, ts) names one content — wherever in flash it lives,
 // and however often that PPN is erased and reused. Nothing is ever
 // invalidated: a superseded entry can never match a snapshot again and is
@@ -95,9 +94,7 @@ func newDiffCache(budget, numPages, pageSize int) *diffCache {
 
 // at returns the record at arena offset off.
 func (c *diffCache) at(off int) []byte {
-	seg := c.segs[off/c.segSize]
-	off %= c.segSize
-	return seg[off : off+int(binary.LittleEndian.Uint16(seg[off:]))]
+	return recordAt(c.segs[off/c.segSize], off%c.segSize)
 }
 
 // slot returns pid's table entry, allocating the table on first use.
@@ -242,7 +239,7 @@ func (c *diffCache) makeRoom(n int) {
 func (c *diffCache) reclaim(k int) {
 	seg, w := c.segs[k], 0
 	for r := 0; r < len(seg); {
-		n := int(binary.LittleEndian.Uint16(seg[r:]))
+		n := len(recordAt(seg, r))
 		pid, _ := diff.RecordKey(seg[r:])
 		slot := c.slot(pid)
 		switch *slot {

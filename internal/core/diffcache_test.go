@@ -274,7 +274,7 @@ func TestApplyFromPageChecksTimeStamp(t *testing.T) {
 	s, _, _ := loadStore(t, 8, 4, 0)
 	size := s.PageSize()
 	page := make([]byte, size)
-	diff.EncodePage(page, []diff.Differential{
+	encodeDiffPage(page, []diff.Differential{
 		{PID: 1, TS: 7, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA}}}},
 		{PID: 2, TS: 8, Ranges: []diff.Range{{Off: 0, Data: []byte{0xBB}}}},
 		{PID: 1, TS: 9, Ranges: []diff.Range{{Off: 1, Data: []byte{0xCC}}}},
@@ -325,7 +325,7 @@ func TestDiffCacheCoherentAcrossPPNReuse(t *testing.T) {
 			p.PagesPerBlock = 4
 			chip := flash.NewChip(p)
 			const numPages, A = 8, uint32(0)
-			opts := Options{ReserveBlocks: 2}
+			opts := Options{}
 			if pinned {
 				opts.DiffCachePages = 1
 			}
@@ -438,7 +438,7 @@ func TestDiffCacheOnAndOffReadTheSameBytes(t *testing.T) {
 		pages int
 	}{{"default", 0}, {"two pages", 2}, {"off", DiffCacheOff}} {
 		s, err := New(flash.NewChip(ftltest.SmallParams(numBlocks)), numPages,
-			Options{MaxDifferentialSize: 200, ReserveBlocks: 2, Shards: 2, DiffCachePages: c.pages})
+			Options{MaxDifferentialSize: 200, Shards: 2, DiffCachePages: c.pages})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,7 +547,7 @@ func TestDiffCacheOnAndOffReadTheSameBytes(t *testing.T) {
 func TestReadAttributionSumsToDeviceReads(t *testing.T) {
 	const numBlocks, numPages = 10, 48
 	chip := flash.NewChip(ftltest.SmallParams(numBlocks))
-	opts := Options{MaxDifferentialSize: 128, ReserveBlocks: 2, DiffCachePages: 2}
+	opts := Options{MaxDifferentialSize: 128, DiffCachePages: 2}
 	s, err := New(chip, numPages, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,86 +1,119 @@
 package core
 
-import "pdl/internal/diff"
+import (
+	"encoding/binary"
+
+	"pdl/internal/diff"
+)
 
 // writeBuffer is the differential write buffer of section 4.2: a single
 // page's worth of memory that collects differentials of logical pages and
-// is written into a differential page in flash when it fills. It holds at
-// most one differential per logical page — writing a new differential for
-// a page removes the old one first (Step 3 of PDL_Writing).
+// is written into a differential page in flash when it fills. It is that
+// page: slab holds the buffered differentials as wire records back to back,
+// in the form a differential page, the differential cache and the read
+// path's merge all use, so a differential is encoded once, when it enters,
+// and a spill is a copy. It holds at most one record per logical page —
+// writing a new differential for a page removes the old one first (Step 3 of
+// PDL_Writing).
 type writeBuffer struct {
-	capacity int
-	used     int
-	diffs    []diff.Differential
-	index    map[uint32]int // pid -> position in diffs
+	// slab is the records; its capacity is the page size and never changes.
+	slab []byte
+	// index maps a pid to the offset of its record in slab: every ReadPage
+	// asks the buffer first, and a walk over the record headers costs ten
+	// times the lookup at the usual fill.
+	index map[uint32]int
+}
+
+// recordAt returns the wire record that starts at offset off of buf, a run of
+// well-formed records: a record leads with its own size.
+func recordAt(buf []byte, off int) []byte {
+	return buf[off : off+int(binary.LittleEndian.Uint16(buf[off:]))]
+}
+
+// packDiffPage makes page the image of a differential page holding recs: the
+// records, then the erased-flash byte to the end, so the unused space
+// terminates the record sequence.
+func packDiffPage(page, recs []byte) {
+	tail := page[copy(page, recs):]
+	for i := range tail {
+		tail[i] = 0xFF
+	}
 }
 
 func (b *writeBuffer) init(capacity int) {
-	b.capacity = capacity
+	b.slab = make([]byte, 0, capacity)
 	b.index = make(map[uint32]int)
 }
 
-// clone returns a staging copy of the buffer: same capacity, the same
-// buffered differentials in a private backing array. The batch write path
-// stages against the copy and swaps it in only after the device batch
-// commits, so a failed batch leaves the live buffer untouched.
+// clone returns a staging copy of the buffer: the same records in a private
+// slab. The batch write path stages against the copy and swaps it in only
+// after the device batch commits, so a failed batch leaves the live buffer
+// untouched.
 func (b *writeBuffer) clone() writeBuffer {
-	c := writeBuffer{capacity: b.capacity, used: b.used}
-	c.diffs = append(make([]diff.Differential, 0, len(b.diffs)), b.diffs...)
+	c := writeBuffer{slab: append(make([]byte, 0, cap(b.slab)), b.slab...)}
 	c.index = make(map[uint32]int, len(b.index))
-	for pid, i := range b.index {
-		c.index[pid] = i
+	for pid, off := range b.index {
+		c.index[pid] = off
 	}
 	return c
 }
 
 // free returns the remaining capacity in bytes.
-func (b *writeBuffer) free() int { return b.capacity - b.used }
+func (b *writeBuffer) free() int { return cap(b.slab) - len(b.slab) }
 
 // empty reports whether the buffer holds no differentials.
-func (b *writeBuffer) empty() bool { return len(b.diffs) == 0 }
+func (b *writeBuffer) empty() bool { return len(b.slab) == 0 }
 
-// get returns the buffered differential for pid, if any.
-func (b *writeBuffer) get(pid uint32) (diff.Differential, bool) {
-	i, ok := b.index[pid]
+// get returns the buffered record for pid, if any. It aliases the slab: good
+// while the caller holds the shard lock.
+func (b *writeBuffer) get(pid uint32) ([]byte, bool) {
+	off, ok := b.index[pid]
 	if !ok {
-		return diff.Differential{}, false
+		return nil, false
 	}
-	return b.diffs[i], true
+	return recordAt(b.slab, off), true
 }
 
-// add appends a differential. The caller has already checked capacity and
+// add appends d's record. The caller has already checked capacity and
 // removed any older differential for the same pid.
 func (b *writeBuffer) add(d diff.Differential) {
-	b.index[d.PID] = len(b.diffs)
-	b.diffs = append(b.diffs, d)
-	b.used += d.EncodedSize()
+	b.index[d.PID] = len(b.slab)
+	b.slab = d.AppendTo(b.slab)
 }
 
-// remove drops the buffered differential for pid, if present. The vacated
-// tail slot is zeroed so the backing array does not retain the removed
-// differential's Range.Data byte slices (up to a page of dead data).
+// remove drops the buffered record for pid, if present, closing the gap: the
+// records behind it keep their order and move down by its length.
 func (b *writeBuffer) remove(pid uint32) {
-	i, ok := b.index[pid]
+	off, ok := b.index[pid]
 	if !ok {
 		return
 	}
-	b.used -= b.diffs[i].EncodedSize()
-	last := len(b.diffs) - 1
-	if i != last {
-		b.diffs[i] = b.diffs[last]
-		b.index[b.diffs[i].PID] = i
-	}
-	b.diffs[last] = diff.Differential{}
-	b.diffs = b.diffs[:last]
 	delete(b.index, pid)
+	n := len(recordAt(b.slab, off))
+	b.slab = append(b.slab[:off], b.slab[off+n:]...)
+	b.reindex(off)
 }
 
-// clear empties the buffer, zeroing the backing array so flushed
-// differentials (and their Range.Data slices) become collectable instead
-// of living on indefinitely behind the truncated slice.
+// restore makes the buffer hold exactly the records of saved, a copy of its
+// slab taken earlier: the undo of a write step that failed.
+func (b *writeBuffer) restore(saved []byte) {
+	b.slab = append(b.slab[:0], saved...)
+	clear(b.index)
+	b.reindex(0)
+}
+
+// reindex points the index at the records from offset off on.
+func (b *writeBuffer) reindex(off int) {
+	for off < len(b.slab) {
+		rec := recordAt(b.slab, off)
+		pid, _ := diff.RecordKey(rec)
+		b.index[pid] = off
+		off += len(rec)
+	}
+}
+
+// clear empties the buffer.
 func (b *writeBuffer) clear() {
-	clear(b.diffs)
-	b.diffs = b.diffs[:0]
-	b.used = 0
+	b.slab = b.slab[:0]
 	clear(b.index)
 }

@@ -34,7 +34,9 @@ func (s *Store) relocate(victim int) error {
 	// Pass 1: move valid base pages and collect valid differentials.
 	// Base pages move first so that the second pass never packs a
 	// differential whose base page is about to disappear.
-	// keep[i] survives from differential page from[i]: the repoint checks
+	// keep is the surviving records, back to back in the wire form they had
+	// in the victim's pages and will have in the new ones; the i-th of them
+	// survives from differential page from[i]: the repoint checks
 	// that the mapping still points there (a writer on another channel may
 	// have flushed a newer differential mid-collection). compacted lists
 	// the victim's differential pages, whose valid counts are dropped only
@@ -42,7 +44,7 @@ func (s *Store) relocate(victim int) error {
 	// in between leaves the mappings pointing at them, and a page whose
 	// count is already gone would be counted obsolete by the next superseded
 	// record and erased with its other live differentials still in it.
-	var keep []diff.Differential
+	var keep []byte
 	var from, compacted []flash.PPN
 	for i := 0; i < p.PagesPerBlock; i++ {
 		ppn := p.PPNOf(victim, i)
@@ -53,12 +55,12 @@ func (s *Store) relocate(victim int) error {
 			continue
 		}
 		if s.mt.diffCount(ppn) > 0 {
-			ds, err := s.validDifferentials(ppn)
-			if err != nil {
+			var n int
+			var err error
+			if keep, n, err = s.validDifferentials(ppn, keep); err != nil {
 				return err
 			}
-			keep = append(keep, ds...)
-			for range ds {
+			for ; n > 0; n-- {
 				from = append(from, ppn)
 			}
 			compacted = append(compacted, ppn)
@@ -66,20 +68,24 @@ func (s *Store) relocate(victim int) error {
 	}
 
 	// Pass 2: compact the surviving differentials into new differential
-	// pages, packing as many as fit per page.
+	// pages, packing as many as fit per page: each page is the next run of
+	// keep, copied.
 	for len(keep) > 0 {
 		n, used := 0, 0
-		for n < len(keep) && used+keep[n].EncodedSize() <= p.DataSize {
-			used += keep[n].EncodedSize()
+		for rec := range diff.Records(keep) {
+			if used+len(rec) > p.DataSize {
+				break
+			}
+			used += len(rec)
 			n++
 		}
 		if n == 0 {
-			return fmt.Errorf("core: differential of pid %d too large to compact", keep[0].PID)
+			return fmt.Errorf("core: %d bytes of surviving differentials do not start with a record that fits a page", len(keep))
 		}
-		if err := s.writeCompactedPage(keep[:n], from[:n], ch); err != nil {
+		if err := s.writeCompactedPage(keep[:used], from[:n], ch); err != nil {
 			return err
 		}
-		keep, from = keep[n:], from[n:]
+		keep, from = keep[used:], from[n:]
 	}
 	for _, ppn := range compacted {
 		s.mt.dropDiffPage(ppn)
@@ -141,10 +147,10 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 	return nil
 }
 
-// validDifferentials reads a differential page and returns the
-// differentials that are still current (the mapping table still points at
-// this page for their pid). Currency is judged on each record's wire
-// header, so only the survivors are decoded.
+// validDifferentials reads a differential page and appends to keep the
+// records that are still current (the mapping table still points at this
+// page for their pid), as they are; n is how many. Currency is judged on each
+// record's wire header, and nothing is decoded.
 //
 // The read is verified: an uncorrectably corrupt victim page is rebuilt
 // from the differential cache when every one of its current records is
@@ -153,25 +159,24 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 // silently dropping the page's survivors, would turn into wrong reads later.
 //
 //pdlvet:holds channel
-func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
+func (s *Store) validDifferentials(ppn flash.PPN, keep []byte) (_ []byte, n int, err error) {
 	page := s.getPage()
 	defer s.putPage(page)
 	spare := s.getVerifySpare()
 	bad, err := s.verifiedRead(ppn, page, spare)
 	s.putVerifySpare(spare)
 	if err != nil {
-		return nil, err
+		return keep, 0, err
 	}
 	if len(bad) > 0 {
-		out, ok := s.rescuedDifferentials(ppn, page[:0])
-		if !ok {
+		var ok bool
+		if keep, n, ok = s.rescuedDifferentials(ppn, keep); !ok {
 			s.itel.unrecoverablePages.Add(1)
-			return nil, &ftl.PageError{PID: ftl.NoPID, PPN: ppn, Kind: ftl.CorruptDiff}
+			return keep, 0, &ftl.PageError{PID: ftl.NoPID, PPN: ppn, Kind: ftl.CorruptDiff}
 		}
 		s.itel.pagesHealed.Add(1)
-		return out, nil
+		return keep, n, nil
 	}
-	var out []diff.Differential
 	for rec := range diff.Records(page) {
 		pid, ts := diff.RecordKey(rec)
 		if int(pid) >= s.numPages {
@@ -180,42 +185,34 @@ func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
 		if dif, cur := s.mt.diffOf(pid); dif != ppn || cur != ts {
 			continue
 		}
-		d, _, err := diff.Decode(rec)
-		if err != nil {
-			return nil, fmt.Errorf("core: compacting differential page %d: %w", ppn, err)
-		}
-		out = append(out, d)
+		keep = append(keep, rec...)
+		n++
 	}
-	return out, nil
+	return keep, n, nil
 }
 
-// rescuedDifferentials rebuilds the current differentials of differential
-// page ppn, whose flash copy is lost, from the differential cache: the
-// mapping table says which pids' differentials live there and under which
-// time stamps, and the rescue holds iff the cache has every one of them.
-// scratch is an empty slice with a page of capacity.
+// rescuedDifferentials rebuilds the current records of differential page
+// ppn, whose flash copy is lost, from the differential cache, appending them
+// to keep: the mapping table says which pids' differentials live there and
+// under which time stamps, and the rescue holds iff the cache has every one
+// of them (a cached record was well formed when it went in).
 //
 //pdlvet:holds channel
-func (s *Store) rescuedDifferentials(ppn flash.PPN, scratch []byte) ([]diff.Differential, bool) {
+func (s *Store) rescuedDifferentials(ppn flash.PPN, keep []byte) (_ []byte, n int, ok bool) {
 	keys := s.mt.diffsIn(ppn)
-	out := make([]diff.Differential, 0, len(keys))
+	out := keep
 	for _, k := range keys {
-		rec, ok := s.dcache.copyOut(k.pid, k.ts, scratch)
-		if !ok {
-			return nil, false
+		if out, ok = s.dcache.copyOut(k.pid, k.ts, out); !ok {
+			return keep, 0, false
 		}
-		d, _, err := diff.Decode(rec)
-		if err != nil {
-			return nil, false
-		}
-		out = append(out, d)
 	}
-	return out, true
+	return out, len(keys), true
 }
 
-// writeCompactedPage writes a batch of surviving differentials into a new
-// differential page on the victim's channel and repoints the mapping
-// table. Like a relocated base page it goes to the cold stream: records
+// writeCompactedPage writes recs, a run of surviving records that fits a
+// page, into a new differential page on the victim's channel and repoints
+// the mapping table; the i-th record came from page from[i]. Like a
+// relocated base page it goes to the cold stream: records
 // that outlived a collection are older than anything in the open
 // differential block, and measured worse there (they keep blocks that
 // would have died whole half alive). The page image is built in a pooled
@@ -224,14 +221,14 @@ func (s *Store) rescuedDifferentials(ppn flash.PPN, scratch []byte) ([]diff.Diff
 // every collection increment.
 //
 //pdlvet:holds channel
-func (s *Store) writeCompactedPage(ds []diff.Differential, from []flash.PPN, ch int) error {
+func (s *Store) writeCompactedPage(recs []byte, from []flash.PPN, ch int) error {
 	q, err := s.alloc.AllocGC(ch)
 	if err != nil {
 		return err
 	}
 	img := s.getPage()
 	defer s.putPage(img)
-	diff.EncodePage(img, ds)
+	packDiffPage(img, recs)
 	spareBuf := s.chans[ch].spareBuf
 	ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: s.nextTS(),
 		Seq: s.alloc.SeqOf(s.params.BlockOf(q))}, spareBuf)
@@ -239,11 +236,13 @@ func (s *Store) writeCompactedPage(ds []diff.Differential, from []flash.PPN, ch 
 	if err := s.dev.Program(q, img, spareBuf); err != nil {
 		return err
 	}
-	live := 0
-	for i, d := range ds {
-		if s.mt.repointDiffFrom(d.PID, from[i], q, d.TS) {
+	i, live := 0, 0
+	for rec := range diff.Records(recs) {
+		pid, ts := diff.RecordKey(rec)
+		if s.mt.repointDiffFrom(pid, from[i], q, ts) {
 			live++
 		}
+		i++
 	}
 	if live == 0 {
 		// Writers on other channels superseded every record mid-compaction,

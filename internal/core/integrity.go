@@ -19,7 +19,7 @@
 // never silently wrong data, never a panic.
 //
 // Healing decision tree for an uncorrectably corrupt BASE page (the read
-// path's resolveDiff, applyFromPage and applyDiff in readbatch.go):
+// path's resolveDiff, applyFromPage and applyRecord in readbatch.go):
 //
 //  1. a buffered differential for the pid exists (shard write buffer):
 //     if its ranges cover every corrupt byte, apply it and serve — the

@@ -75,7 +75,7 @@ func mustReadEqual(t *testing.T, s *Store, pid uint32, want []byte) {
 }
 
 func TestIntegritySingleBitFlipCorrects(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+	s, fd, shadow := faultedStore(t, 16, 8, Options{})
 	e := entryOf(s, 3)
 	fd.Inject(faultdev.Fault{PPN: e.base, Kind: faultdev.BitFlip, Off: 100, Bit: 3})
 	mustReadEqual(t, s, 3, shadow[3])
@@ -87,7 +87,7 @@ func TestIntegritySingleBitFlipCorrects(t *testing.T) {
 }
 
 func TestIntegrityHealFromBufferedDiff(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+	s, fd, shadow := faultedStore(t, 16, 8, Options{})
 	e := entryOf(s, 2)
 	rewriteSector(t, s, shadow, 2, 1) // buffered differential covering sector 1
 	if s.WriteBufferLen() == 0 {
@@ -104,7 +104,7 @@ func TestIntegrityHealFromBufferedDiff(t *testing.T) {
 }
 
 func TestIntegrityHealFromFlushedDiffIsDurable(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+	s, fd, shadow := faultedStore(t, 16, 8, Options{})
 	e := entryOf(s, 4)
 	rewriteSector(t, s, shadow, 4, 1)
 	if err := s.Flush(); err != nil {
@@ -129,7 +129,7 @@ func TestIntegrityHealFromFlushedDiffIsDurable(t *testing.T) {
 	}
 	mustReadEqual(t, s, 4, shadow[4])
 	// And the healed state survives a full-scan recovery.
-	r, err := Recover(s.dev, 8, Options{ReserveBlocks: 2})
+	r, err := Recover(s.dev, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestIntegrityHealFromFlushedDiffIsDurable(t *testing.T) {
 }
 
 func TestIntegrityCorruptBaseTypedError(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+	s, fd, shadow := faultedStore(t, 16, 8, Options{})
 	// Sector 0 is corrupted but the only redundancy (a differential)
 	// covers sector 1: healing must refuse and fail loudly.
 	e := entryOf(s, 5)
@@ -169,7 +169,7 @@ func TestIntegrityCorruptBaseTypedError(t *testing.T) {
 func TestIntegrityCorruptDiffTypedError(t *testing.T) {
 	// The decoded-differential cache must be off: with it on, the decode
 	// made at flush/read time would serve as a redundant source.
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2, DiffCachePages: DiffCacheOff})
+	s, fd, shadow := faultedStore(t, 16, 8, Options{DiffCachePages: DiffCacheOff})
 	rewriteSector(t, s, shadow, 1, 1)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestIntegrityCorruptDiffTypedError(t *testing.T) {
 }
 
 func TestIntegrityWritePageHealsByOverwrite(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+	s, fd, shadow := faultedStore(t, 16, 8, Options{})
 	e := entryOf(s, 6)
 	fd.Inject(faultdev.Fault{PPN: e.base, Kind: faultdev.SectorCorrupt, Off: 256})
 	// A foreground write holds the complete new image: the corrupt base is
@@ -239,7 +239,7 @@ func TestWriteFromRetainedImageOverRottenBase(t *testing.T) {
 		{"held, a 2% change elsewhere", flip(40, 50), false, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			opts := Options{ReserveBlocks: 2}
+			opts := Options{}
 			if c.held {
 				opts.DiffCachePages = 64 * baseImagesShare // 100 reads: past one lap of the window, short of the two that end in dormancy
 			}
@@ -293,7 +293,7 @@ func TestWriteFromRetainedImageOverRottenBase(t *testing.T) {
 		})
 	}
 
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+	s, fd, shadow := faultedStore(t, 16, 8, Options{})
 	const pid = 6
 	e := entryOf(s, pid)
 	fd.Inject(faultdev.Fault{PPN: e.base, Kind: faultdev.SectorCorrupt, Off: 256})
@@ -321,7 +321,7 @@ func TestWriteFromRetainedImageOverRottenBase(t *testing.T) {
 }
 
 func TestIntegrityReadBatchHealsAndFailsTyped(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 12, Options{ReserveBlocks: 2})
+	s, fd, shadow := faultedStore(t, 16, 12, Options{})
 	// pid 1: single-bit flip (corrects); pid 2: corrupt base covered by a
 	// flushed differential (heals); the rest clean.
 	e1, e2 := entryOf(s, 1), entryOf(s, 2)
@@ -358,7 +358,7 @@ func TestIntegrityReadBatchHealsAndFailsTyped(t *testing.T) {
 }
 
 func TestIntegrityGCCompactionRescue(t *testing.T) {
-	opts := Options{ReserveBlocks: 2}
+	opts := Options{}
 	s, fd, shadow := faultedStore(t, 16, 8, opts)
 	base := map[uint32][]byte{3: bytes.Clone(shadow[3]), 5: bytes.Clone(shadow[5])}
 	rewriteSector(t, s, shadow, 3, 1)
@@ -386,12 +386,13 @@ func TestIntegrityGCCompactionRescue(t *testing.T) {
 
 	// The flush put both records in the first store's cache: the page is
 	// rebuilt from them, and foreground reads never notice the loss.
-	ds, err := s.validDifferentials(e.dif)
+	recs, n, err := s.validDifferentials(e.dif, nil)
 	if err != nil {
 		t.Fatalf("validDifferentials with every record cached: %v", err)
 	}
-	if len(ds) != 2 || ds[0].PID+ds[1].PID != 8 {
-		t.Fatalf("rescued differentials = %+v", ds)
+	ds := diff.DecodeAll(recs)
+	if n != 2 || len(ds) != 2 || ds[0].PID+ds[1].PID != 8 {
+		t.Fatalf("rescued %d differentials = %+v", n, ds)
 	}
 	for _, d := range ds {
 		page := base[d.PID]
@@ -408,7 +409,7 @@ func TestIntegrityGCCompactionRescue(t *testing.T) {
 	// With one of the two records missing the collection must fail loudly,
 	// although the cached one still serves its pid.
 	var pe *ftl.PageError
-	if _, err := half.validDifferentials(e.dif); !errors.As(err, &pe) || pe.Kind != ftl.CorruptDiff {
+	if _, _, err := half.validDifferentials(e.dif, nil); !errors.As(err, &pe) || pe.Kind != ftl.CorruptDiff {
 		t.Fatalf("validDifferentials with a record missing = %v, want CorruptDiff", err)
 	}
 	if tel := half.Telemetry(); tel.UnrecoverablePages == 0 {
@@ -421,14 +422,14 @@ func TestIntegrityGCCompactionRescue(t *testing.T) {
 }
 
 func TestIntegrityRecoveryQuarantine(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2})
+	s, fd, shadow := faultedStore(t, 16, 8, Options{})
 	eBit, eSec, eHdr := entryOf(s, 1), entryOf(s, 2), entryOf(s, 3)
 	fd.Inject(faultdev.Fault{PPN: eBit.base, Kind: faultdev.BitFlip, Off: 77, Bit: 6})
 	fd.Inject(faultdev.Fault{PPN: eSec.base, Kind: faultdev.SectorCorrupt, Off: 256})
 	// Offset 4 lands in the header's PID field: the checksum must catch it.
 	fd.Inject(faultdev.Fault{PPN: eHdr.base, Kind: faultdev.SpareCorrupt, Off: 4})
 
-	r, err := Recover(fd, 8, Options{ReserveBlocks: 2})
+	r, err := Recover(fd, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +464,7 @@ func TestIntegrityRecoveryQuarantine(t *testing.T) {
 	}
 	// Idempotence: recovering again (the quarantined pages are still there,
 	// unmarked, and are quarantined again) reproduces the same state.
-	r2, err := Recover(fd, 8, Options{ReserveBlocks: 2})
+	r2, err := Recover(fd, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +509,7 @@ func TestIntegrityRecoveryPoisonTS(t *testing.T) {
 	programRaw(t, fd, 2, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 30, Seq: 1})
 
 	fd.Inject(faultdev.Fault{PPN: 1, Kind: faultdev.SectorCorrupt, Off: 0})
-	s, err := Recover(fd, 4, Options{ReserveBlocks: 2})
+	s, err := Recover(fd, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +529,7 @@ func TestIntegrityRecoveryPoisonTS(t *testing.T) {
 func TestIntegrityKillMidHealRecovery(t *testing.T) {
 	chip := flash.NewChip(ftltest.SmallParams(16))
 	fd := faultdev.Wrap(chip)
-	s, err := New(fd, 8, Options{ReserveBlocks: 2})
+	s, err := New(fd, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +549,7 @@ func TestIntegrityKillMidHealRecovery(t *testing.T) {
 		t.Fatal("heal did not attempt a durable commit")
 	}
 
-	r, err := Recover(fd, 8, Options{ReserveBlocks: 2})
+	r, err := Recover(fd, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +598,7 @@ func TestIntegrityFaultCampaign(t *testing.T) {
 			// A differential cache far smaller than the live records, as in any
 			// deployment: while a record is cached its reads never meet the
 			// faults of its differential page, and here most must.
-			s, err := New(fd, 32, Options{ReserveBlocks: 2, Shards: 2, DiffCachePages: 1})
+			s, err := New(fd, 32, Options{Shards: 2, DiffCachePages: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -676,7 +677,7 @@ func TestIntegrityFaultCampaign(t *testing.T) {
 // live differential still in it, and the next successful collection of
 // the block skipped the page and erased it.
 func TestIntegrityFailedCollectionKeepsDiffCounts(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 8, Options{ReserveBlocks: 2, DiffCachePages: DiffCacheOff})
+	s, fd, shadow := faultedStore(t, 16, 8, Options{DiffCachePages: DiffCacheOff})
 	// touch changes 16 bytes of a page, a differential small enough for
 	// two to share a differential page.
 	touch := func(pid uint32, off int) {

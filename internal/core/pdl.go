@@ -33,8 +33,8 @@
 // foreground program there is. The entries are thin drivers of those two:
 //
 //   - WritePage runs one step on the live shard buffer and commits what it
-//     staged; if the step or the commit fails, it puts the buffer back as it
-//     was, so a failed write leaves the pid's previously buffered
+//     staged; if the step or the commit fails, it puts the buffer's saved
+//     bytes back, so a failed write leaves the pid's previously buffered
 //     differential in place and readable;
 //   - WriteBatch runs the steps of each shard on a clone of its buffer, in
 //     parallel, commits every staged program as one device batch, and only
@@ -44,14 +44,24 @@
 //     mapping version it read.
 //
 // PDL_Reading (Figure 9) is resolveDiff and applyFromPage (readbatch.go):
-// given a pid's base image, find its differential in the write buffer or in
+// given a pid's base image, find its record in the write buffer or in
 // the differential cache (see diffCache), or name the differential page to
-// read, then merge the pid's record straight from its wire form
-// (diff.FindIn, diff.ApplyRecord) and cache it. Ranges are decoded only
-// to heal an uncorrectably corrupt base from a differential that covers the
-// damage. ReadPage wraps them in its two single-page reads; ReadBatch in
-// its two device batches; both retain the clean base image they read, before
-// the merge, for the write that follows (keepBaseImage).
+// read and find it there (diff.FindIn), then merge it with applyRecord,
+// whichever of the three it came from, and cache it. ReadPage wraps them in
+// its two single-page reads; ReadBatch in its two device batches; both retain
+// the clean base image they read, before the merge, for the write that
+// follows (keepBaseImage).
+//
+// And a differential has one representation, the wire record of
+// internal/diff, from the moment stageWrite appends diff.Compute's result to
+// the write buffer: the buffer is a page of such records (writeBuffer), a
+// spill is that page copied and padded, commit reads what a spill carries off
+// the page image (diff.Records), the differential cache holds the same
+// records, every read merges one with diff.ApplyRecord, and garbage
+// collection compacts by copying the records still current (gc.go). The
+// decoded diff.Differential exists as diff.Compute's result, until it is
+// appended, and in the read path's heal of an uncorrectably corrupt base,
+// which decodes the record to check that its ranges cover the damage.
 //
 // # Page validity
 //
@@ -132,9 +142,6 @@ type Options struct {
 	// the PDL_Writing algorithm). The paper evaluates PDL(2KB) and
 	// PDL(256B). Zero means the flash data-area size (one page).
 	MaxDifferentialSize int
-	// ReserveBlocks is the number of erased blocks kept aside for garbage
-	// collection. Zero means 2.
-	ReserveBlocks int
 	// Shards is the number of differential write buffer shards. Zero means
 	// 1, which preserves the paper's single one-page write buffer exactly.
 	// Concurrent workloads should use roughly one shard per worker
@@ -146,11 +153,11 @@ type Options struct {
 	Shards int
 	// BackgroundGC moves garbage collection off the write path: a
 	// background goroutine collects victim blocks incrementally whenever
-	// the erased-block pool drains to ReserveBlocks + 2, and foreground
-	// reflections only collect synchronously if the pool hits the reserve
-	// floor first (backpressure). Off by default, which preserves the
-	// paper's stop-the-world foreground cleaning. Stores with background
-	// GC should be Closed when no longer needed.
+	// the erased-block pool drains to two blocks above the garbage-collection
+	// reserve, and foreground reflections only collect synchronously if the
+	// pool hits the reserve floor first (backpressure). Off by default, which
+	// preserves the paper's stop-the-world foreground cleaning. Stores with
+	// background GC should be Closed when no longer needed.
 	BackgroundGC bool
 	// RecoveryWorkers is the number of goroutines Recover fans the
 	// spare-area scan over. Zero means one per GOMAXPROCS; 1 forces the
@@ -194,6 +201,11 @@ const DiffCacheOff = -1
 // defaultDiffCachePages is the differential cache bound used when
 // Options.DiffCachePages is zero.
 const defaultDiffCachePages = 256
+
+// reserveBlocks is the number of erased blocks kept aside for garbage
+// collection, device-wide; a channel's floor is its share of them, at least
+// one (ftl.NewChannelAllocator).
+const reserveBlocks = 2
 
 // baseImagesShare sizes the window of retained base images: one page for
 // every baseImagesShare pages of the differential cache bound.
@@ -438,11 +450,7 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("core: MaxDifferentialSize %d exceeds page data area %d",
 			maxDiff, p.DataSize)
 	}
-	reserve := opts.ReserveBlocks
-	if reserve == 0 {
-		reserve = 2
-	}
-	alloc := ftl.NewChannelAllocator(dev, reserve)
+	alloc := ftl.NewChannelAllocator(dev, reserveBlocks)
 	nchan := alloc.Channels()
 	numShards := opts.Shards
 	if numShards == 0 {
@@ -491,9 +499,9 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		s.alloc.SetVictimPolicy(ftl.VictimCostBenefit)
 	}
 	if opts.BackgroundGC {
-		// The watermark, ReserveBlocks + 2 erased blocks, describes the
+		// The watermark, two erased blocks above the reserve, describes the
 		// whole device; each channel's engine watches its share of it.
-		chLow := (reserve + 2 + nchan - 1) / nchan
+		chLow := (reserveBlocks + 2 + nchan - 1) / nchan
 		if chLow <= s.alloc.ChanReserve() {
 			chLow = s.alloc.ChanReserve() + 1
 		}
@@ -578,8 +586,8 @@ func (s *Store) MaxDifferentialSize() int { return s.maxDiff }
 func (s *Store) Shards() int { return len(s.shards) }
 
 // ConcurrencySafe marks the store safe for concurrent use by multiple
-// goroutines; the workload driver's parallel mode dispatches on exactly
-// this method (methods without it are serialized behind a mutex).
+// goroutines; kv probes for exactly this method and serializes the methods
+// without it behind a mutex.
 func (s *Store) ConcurrencySafe() bool { return true }
 
 // Allocator exposes the allocator for stats inspection.
@@ -664,7 +672,8 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 	defer sh.mu.Unlock()
 	s.wtel.logicalWrites.Add(1)
 
-	prev, had := sh.dwb.get(pid)
+	saved := append(s.getPage()[:0], sh.dwb.slab...)
+	defer s.putPage(saved)
 	st := writeStage{buf: &sh.dwb, home: s.homeChannel(si)}
 	base := s.getPage()
 	err := s.stageWrite(&st, 0, s.nextTS(), pid, data, base)
@@ -674,20 +683,7 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 		landed, err = s.commit(st.ops)
 	}
 	if !landed && err != nil {
-		// Undo the one write: a staged spill still lists what it took out
-		// of the buffer, and prev is what the step removed for pid.
-		for _, op := range st.ops {
-			if op.spill {
-				sh.dwb.clear()
-				for _, d := range op.diffs {
-					sh.dwb.add(d)
-				}
-			}
-		}
-		sh.dwb.remove(pid)
-		if had {
-			sh.dwb.add(prev)
-		}
+		sh.dwb.restore(saved) // undo the one write: put the saved bytes back
 	}
 	s.recycleSpills(st.ops)
 	return err
@@ -852,7 +848,7 @@ func (s *Store) WriteBufferBytes() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += sh.dwb.used
+		n += len(sh.dwb.slab)
 		sh.mu.RUnlock()
 	}
 	return n
@@ -865,19 +861,10 @@ func (s *Store) WriteBufferLen() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.dwb.diffs)
+		n += len(sh.dwb.index)
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// bufferedDifferential returns the buffered differential for pid, if any
-// (for tests).
-func (s *Store) bufferedDifferential(pid uint32) (diff.Differential, bool) {
-	sh := s.shardOf(pid)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.dwb.get(pid)
 }
 
 // ValidDifferentialPages returns the number of differential pages holding

@@ -14,7 +14,7 @@ import (
 
 func factory(maxDiff int) ftltest.Factory {
 	return func(dev flash.Device, numPages int) (ftl.Method, error) {
-		return New(dev, numPages, Options{MaxDifferentialSize: maxDiff, ReserveBlocks: 2})
+		return New(dev, numPages, Options{MaxDifferentialSize: maxDiff})
 	}
 }
 
@@ -68,7 +68,7 @@ func TestName(t *testing.T) {
 func loadStore(t *testing.T, numBlocks, numPages, maxDiff int) (*Store, *flash.Chip, [][]byte) {
 	t.Helper()
 	chip := flash.NewChip(ftltest.SmallParams(numBlocks))
-	s, err := New(chip, numPages, Options{MaxDifferentialSize: maxDiff, ReserveBlocks: 2})
+	s, err := New(chip, numPages, Options{MaxDifferentialSize: maxDiff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +83,16 @@ func loadStore(t *testing.T, numBlocks, numPages, maxDiff int) (*Store, *flash.C
 		}
 	}
 	return s, chip, shadow
+}
+
+// bufferedRecord returns a copy of the record pid's shard buffer holds for
+// it, if any.
+func bufferedRecord(s *Store, pid uint32) ([]byte, bool) {
+	sh := s.shardOf(pid)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	rec, ok := sh.dwb.get(pid)
+	return bytes.Clone(rec), ok
 }
 
 func TestUpdateCostOneReadBuffered(t *testing.T) {
@@ -150,7 +160,7 @@ func TestAtMostTwoPageReading(t *testing.T) {
 	for _, c := range []struct {
 		store *Store
 		reads int64
-	}{{coldStore(t, chip, 16, Options{ReserveBlocks: 2}), 2}, {s, 1}} {
+	}{{coldStore(t, chip, 16, Options{}), 2}, {s, 1}} {
 		before = chip.Stats()
 		if err := c.store.ReadPage(2, buf); err != nil {
 			t.Fatal(err)
@@ -281,15 +291,15 @@ func TestDifferentialGrowsAgainstFixedBase(t *testing.T) {
 		if err := s.WritePage(2, shadow[2]); err != nil {
 			t.Fatal(err)
 		}
-		d, ok := s.bufferedDifferential(2)
+		rec, ok := bufferedRecord(s, 2)
 		if !ok {
 			t.Fatal("differential not in buffer")
 		}
-		if d.EncodedSize() <= last {
+		if len(rec) <= last {
 			t.Errorf("iteration %d: differential size %d did not grow past %d",
-				i, d.EncodedSize(), last)
+				i, len(rec), last)
 		}
-		last = d.EncodedSize()
+		last = len(rec)
 	}
 	_ = chip
 }
@@ -364,7 +374,7 @@ func TestGCCompaction(t *testing.T) {
 	params := ftltest.SmallParams(10)
 	chip := flash.NewChip(params)
 	numPages := 6 * params.PagesPerBlock / 2
-	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,6 +410,88 @@ func TestGCCompaction(t *testing.T) {
 		if !bytes.Equal(buf, shadow[pid]) {
 			t.Fatalf("pid %d content mismatch after GC churn", pid)
 		}
+	}
+}
+
+// TestCompactionCopiesLiveRecords holds compaction by copy: the records of a
+// victim differential page that are still current arrive in the compacted
+// page byte for byte, header and ranges, under the time stamps they were
+// written with, and a superseded record does not arrive.
+func TestCompactionCopiesLiveRecords(t *testing.T) {
+	s, chip, shadow := loadStore(t, 16, 8, 0)
+	touch := func(pid uint32, off, n int) {
+		t.Helper()
+		for i := off; i < off+n; i++ {
+			shadow[pid][i] ^= 0x5A
+		}
+		if err := s.WritePage(pid, shadow[pid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recordsOf := func(ppn flash.PPN) map[uint32][]byte {
+		t.Helper()
+		page := make([]byte, chip.Params().DataSize)
+		if err := chip.ReadData(ppn, page); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[uint32][]byte)
+		for rec := range diff.Records(page) {
+			pid, _ := diff.RecordKey(rec)
+			out[pid] = rec
+		}
+		return out
+	}
+	// The victim page: three records of three shapes (one range, two ranges,
+	// a long range).
+	touch(1, 0, 16)
+	touch(2, 100, 8)
+	touch(2, 300, 8)
+	touch(3, 200, 120)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	victim := entryOf(s, 1).dif
+	blk := s.params.BlockOf(victim)
+	before := recordsOf(victim)
+	if len(before) != 3 || entryOf(s, 2).dif != victim || entryOf(s, 3).dif != victim {
+		t.Fatalf("layout: the victim page %d holds %d records, want those of pids 1, 2 and 3", victim, len(before))
+	}
+	// Supersede pid 2's record, then fill the open differential block (each
+	// flush supersedes the one before) so that the victim scan sees it.
+	for i := 0; s.alloc.BlockStats(blk).Written < s.params.PagesPerBlock; i++ {
+		touch(2, 400+4*i, 4)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; !s.alloc.BlockStats(blk).Free; i++ {
+		collected, err := s.alloc.CollectOnceOn(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !collected || i == s.params.NumBlocks {
+			t.Fatalf("block %d not collected after %d collections", blk, i)
+		}
+	}
+
+	compacted := entryOf(s, 1).dif
+	if compacted == victim || entryOf(s, 3).dif != compacted {
+		t.Fatalf("pids 1 and 3 map to differential pages %d and %d, want one new page", compacted, entryOf(s, 3).dif)
+	}
+	after := recordsOf(compacted)
+	for _, pid := range []uint32{1, 3} {
+		if !bytes.Equal(after[pid], before[pid]) {
+			t.Errorf("pid %d: the compacted record differs from the victim's:\n got %x\nwant %x", pid, after[pid], before[pid])
+		}
+	}
+	for pid, rec := range after {
+		_, ts := diff.RecordKey(rec)
+		if dif, cur := s.mt.diffOf(pid); dif != compacted || cur != ts {
+			t.Errorf("the compacted page carries a dead record: pid %d at time stamp %d, the mapping says page %d, time stamp %d", pid, ts, dif, cur)
+		}
+	}
+	for pid := range shadow {
+		mustReadEqual(t, s, uint32(pid), shadow[pid])
 	}
 }
 

@@ -20,7 +20,7 @@ func TestQuickPDLMatchesShadow(t *testing.T) {
 		// Max_Differential_Size drawn from a meaningful range.
 		maxDiff := 32 + int(maxDiffSel)%(chip.Params().DataSize-32)
 		const numPages = 24
-		s, err := New(chip, numPages, Options{MaxDifferentialSize: maxDiff, ReserveBlocks: 2})
+		s, err := New(chip, numPages, Options{MaxDifferentialSize: maxDiff})
 		if err != nil {
 			return false
 		}
@@ -91,7 +91,7 @@ func TestQuickRecoverAlwaysConsistent(t *testing.T) {
 			maxDiff = 64
 		}
 		const numPages = 20
-		opts := Options{MaxDifferentialSize: maxDiff, ReserveBlocks: 2}
+		opts := Options{MaxDifferentialSize: maxDiff}
 		s, err := New(chip, numPages, opts)
 		if err != nil {
 			return false

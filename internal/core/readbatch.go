@@ -55,8 +55,8 @@ func (s *Store) keepBaseImage(r *pageRead) {
 //
 //pdlvet:holds shard
 func (s *Store) resolveDiff(sh *shard, r *pageRead) (need flash.PPN, err error) {
-	if d, ok := sh.dwb.get(r.pid); ok {
-		return flash.NilPPN, s.applyDiff(r, d, false)
+	if rec, ok := sh.dwb.get(r.pid); ok {
+		return flash.NilPPN, s.applyRecord(rec, r, false)
 	}
 	if r.e.dif == flash.NilPPN {
 		if len(r.bad) > 0 {
@@ -74,7 +74,7 @@ func (s *Store) resolveDiff(sh *shard, r *pageRead) (need flash.PPN, err error) 
 		defer s.putPage(scratch)
 		var rec []byte
 		if rec, hit = s.dcache.copyOut(r.pid, r.ts, scratch[:0]); hit {
-			err = s.applyRecord(rec, r)
+			err = s.applyRecord(rec, r, true)
 		}
 	}
 	if !hit {
@@ -100,45 +100,39 @@ func (s *Store) applyFromPage(page []byte, r *pageRead) error {
 		return fmt.Errorf("core: differential page %d holds time stamp %d for pid %d, the mapping says %d", r.e.dif, ts, r.pid, r.ts)
 	}
 	s.dcache.putRead(rec)
-	return s.applyRecord(rec, r)
+	return s.applyRecord(rec, r, true)
 }
 
-// applyRecord merges rec, r.pid's differential in wire form, onto r.buf
-// without decoding or copying it. Only a corrupt base decodes the record,
-// because healing needs its ranges.
+// applyRecord merges rec, r.pid's differential in wire form, onto the base
+// image in r.buf: the one merge of the read path, whether rec is still in
+// the shard write buffer (flushed false) or came from the differential cache
+// or a differential page. It is also where an uncorrectably corrupt base page
+// heals (the decision tree in integrity.go), the only place a record is
+// decoded: rec is the complete delta against the lost base, so its ranges
+// either overwrite every corrupt byte or the page is unrecoverable.
+//
+// A flushed differential makes r.buf the exact current logical page (no
+// buffered one exists), so the heal is made durable: the merged image is
+// committed as a new base page with a fresh time stamp, pinned to the version
+// the read saw — a concurrent GC relocation loses nothing (the heal is simply
+// redone by the next read) — and a failure to commit is deliberately
+// swallowed: the read being served is already correct, and a full flash is no
+// reason to fail it. A buffered differential heals only this read: no durable
+// base can be written while the write buffer's newest truth is a delta
+// against the lost one.
 //
 //pdlvet:holds shard
-func (s *Store) applyRecord(rec []byte, r *pageRead) error {
-	if len(r.bad) == 0 {
-		return diff.ApplyRecord(rec, r.buf)
+func (s *Store) applyRecord(rec []byte, r *pageRead, flushed bool) error {
+	if len(r.bad) > 0 {
+		d, _, err := diff.Decode(rec)
+		if err != nil {
+			return err
+		}
+		if !coversSectors(d, r.bad, s.params.DataSize) {
+			return s.corruptBase(r)
+		}
 	}
-	d, _, err := diff.Decode(rec)
-	if err != nil {
-		return err
-	}
-	return s.applyDiff(r, d, true)
-}
-
-// applyDiff merges differential d onto the base image in r.buf — and is
-// where an uncorrectably corrupt base page heals (the decision tree in
-// integrity.go): d is the complete delta against the lost base, so it
-// either overwrites every corrupt byte or the page is unrecoverable.
-// flushed tells where d came from. A flushed differential makes r.buf the
-// exact current logical page (no buffered one exists), so the heal is made
-// durable: the merged image is committed as a new base page with a fresh
-// time stamp, pinned to the version the read saw — a concurrent GC
-// relocation loses nothing (the heal is simply redone by the next read) —
-// and a failure to commit is deliberately swallowed: the read being served
-// is already correct, and a full flash is no reason to fail it. A buffered
-// differential heals only this read: no durable base can be written while
-// the write buffer's newest truth is a delta against the lost one.
-//
-//pdlvet:holds shard
-func (s *Store) applyDiff(r *pageRead, d diff.Differential, flushed bool) error {
-	if len(r.bad) > 0 && !coversSectors(d, r.bad, s.params.DataSize) {
-		return s.corruptBase(r)
-	}
-	if err := d.Apply(r.buf); err != nil || len(r.bad) == 0 {
+	if err := diff.ApplyRecord(rec, r.buf); err != nil || len(r.bad) == 0 {
 		return err
 	}
 	if flushed {

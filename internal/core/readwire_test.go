@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime/debug"
 	"testing"
 
@@ -42,7 +43,7 @@ func generationsStore(t *testing.T, opts Options) (*Store, *faultdev.Device, map
 	newest := diff.Differential{PID: 5, TS: 9, Ranges: []diff.Range{{Off: 0, Data: fill(256, 0xC3)}}}
 	only6 := diff.Differential{PID: 6, TS: 4, Ranges: []diff.Range{{Off: 10, Data: fill(4, 0xB2)}}}
 	page := make([]byte, p.DataSize)
-	diff.EncodePage(page, []diff.Differential{
+	encodeDiffPage(page, []diff.Differential{
 		{PID: 5, TS: 3, Ranges: []diff.Range{{Off: 0, Data: fill(8, 0xA1)}}},
 		only6,
 		newest,
@@ -60,7 +61,6 @@ func generationsStore(t *testing.T, opts Options) (*Store, *faultdev.Device, map
 	}
 	program(2, page, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 20, Seq: 1})
 
-	opts.ReserveBlocks = 2
 	s, err := Recover(fd, 8, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -80,18 +80,22 @@ func generationsStore(t *testing.T, opts Options) (*Store, *faultdev.Device, map
 }
 
 // TestReadPathsAgreeOnWireForm pins the one read path: a differential page
-// read fresh (a cache miss), the cached record (a hit) and a disabled cache
-// merge the same record — the newest complete one — for single and batched
-// reads, and all three heal an uncorrectable base sector from it.
+// read fresh (a cache miss), the cached record (a hit), a disabled cache and
+// a record still in the shard write buffer give the same bytes — the newest
+// complete record merged by the one applyRecord — for single and batched
+// reads, and all four heal an uncorrectable base sector from it: durably from
+// a flushed record, for this read only from a buffered one.
 func TestReadPathsAgreeOnWireForm(t *testing.T) {
 	modes := []struct {
-		name string
-		opts Options
-		warm bool // read pid 5 twice first, so the measured read finds its record cached
+		name     string
+		opts     Options
+		warm     bool // read pid 5 twice first, so the measured read finds its record cached
+		buffered bool // write pid 5's image back first, so its differential is in the shard buffer
 	}{
-		{"miss", Options{}, false},
-		{"hit", Options{}, true},
-		{"cache off", Options{DiffCachePages: DiffCacheOff}, false},
+		{"miss", Options{}, false, false},
+		{"hit", Options{}, true, false},
+		{"cache off", Options{DiffCachePages: DiffCacheOff}, false, false},
+		{"buffered", Options{}, false, true},
 	}
 	for _, m := range modes {
 		for _, heal := range []bool{false, true} {
@@ -105,10 +109,18 @@ func TestReadPathsAgreeOnWireForm(t *testing.T) {
 					mustReadEqual(t, s, 5, want[5])
 					mustReadEqual(t, s, 5, want[5])
 				}
+				if m.buffered {
+					if err := s.WritePage(5, want[5]); err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := bufferedRecord(s, 5); !ok {
+						t.Fatal("the write of pid 5 left no record in its shard buffer")
+					}
+				}
 				if heal {
 					fd.Inject(faultdev.Fault{PPN: 0, Kind: faultdev.SectorCorrupt, Off: 0})
 				}
-				before := s.Telemetry()
+				before, programs := s.Telemetry(), fd.Stats().Writes
 				mustReadEqual(t, s, 5, want[5])
 				tel := s.Telemetry()
 				if hit := tel.DiffCacheHits > before.DiffCacheHits; hit != m.warm {
@@ -117,8 +129,11 @@ func TestReadPathsAgreeOnWireForm(t *testing.T) {
 				if healed := tel.PagesHealed > before.PagesHealed; healed != heal {
 					t.Errorf("the read of pid 5 healed a page: %v, want %v", healed, heal)
 				}
-				if heal && entryOf(s, 5).base == 0 {
-					t.Error("the heal left the mapping on the corrupt base page")
+				if durable := entryOf(s, 5).base != 0; durable != (heal && !m.buffered) {
+					t.Errorf("the read moved pid 5 to a new base page: %v, want %v", durable, heal && !m.buffered)
+				}
+				if m.buffered && fd.Stats().Writes != programs {
+					t.Errorf("a read served from the shard buffer programmed %d pages", fd.Stats().Writes-programs)
 				}
 				bufs := [][]byte{make([]byte, len(want[5])), make([]byte, len(want[6]))}
 				if err := s.ReadBatch([]uint32{5, 6}, bufs); err != nil {
@@ -209,3 +224,93 @@ func TestReadPageAllocations(t *testing.T) {
 		t.Errorf("a read into a warm window of base images allocates %v times, want 0", n)
 	}
 }
+
+// TestWritePathAllocations holds the two places where a differential used to
+// change form on its way to flash, a Case 2 spill and a garbage-collection
+// increment, to the allocation counts of the decoded-form buffer (measured at
+// the commit before the buffer became a slab of wire records).
+func TestWritePathAllocations(t *testing.T) {
+	if raceEnabled() || invariantsEnabled {
+		t.Skip("allocation counts are only meaningful in a plain build")
+	}
+	// Case 2: every page's differential is more than half a buffer, so each
+	// write of another pid spills the one before it.
+	const numPages = 8
+	chip := flash.NewChip(ftltest.SmallParams(64))
+	size := chip.Params().DataSize
+	s, err := New(chip, numPages, Options{DiffCachePages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(24))
+	updated := make([][]byte, numPages)
+	for pid := range updated {
+		updated[pid] = make([]byte, size)
+		rng.Read(updated[pid])
+		if err := s.WritePage(uint32(pid), updated[pid]); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < size/2+24; i++ {
+			updated[pid][i] ^= 0xFF
+		}
+	}
+	next := 0
+	write := func() {
+		if err := s.WritePage(uint32(next), updated[next]); err != nil {
+			t.Fatal(err)
+		}
+		next = (next + 1) % numPages
+	}
+	for i := 0; i < 2*numPages; i++ {
+		write()
+	}
+	before := s.Telemetry()
+	n := testing.AllocsPerRun(100, write)
+	if tel := s.Telemetry(); tel.BufferFlushes-before.BufferFlushes != 101 || tel.NewBasePages != before.NewBasePages {
+		t.Fatalf("101 writes made %d spills and %d base pages, want a Case 2 each",
+			tel.BufferFlushes-before.BufferFlushes, tel.NewBasePages-before.NewBasePages)
+	}
+	t.Logf("a Case 2 WritePage allocates %v times", n)
+	if n > case2Allocs {
+		t.Errorf("a Case 2 WritePage allocates %v times, want at most %d", n, case2Allocs)
+	}
+
+	// One increment: a victim block relocated, its differential pages
+	// compacted, erased. The update loop never has to collect on its own, and
+	// leaves full blocks whose differential pages are part dead, part live.
+	s, chip, shadow := diffStore(t, Options{MaxDifferentialSize: 128}, 64, 256)
+	for i := 0; i < 1200; i++ {
+		pid := rng.Intn(len(shadow))
+		off := rng.Intn(size - 16)
+		rng.Read(shadow[pid][off : off+16])
+		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs := s.Allocator().GCRuns(); runs != 0 {
+		t.Fatalf("the update loop collected %d times on its own", runs)
+	}
+	gcBefore := s.Telemetry().GCReads
+	n = testing.AllocsPerRun(8, func() {
+		s.chans[0].mu.Lock()
+		collected, err := s.alloc.CollectOnceOn(0)
+		s.chans[0].mu.Unlock()
+		if err != nil || !collected {
+			t.Fatalf("CollectOnceOn = %v, %v", collected, err)
+		}
+	})
+	t.Logf("a collection increment allocates %v times (%d relocation reads over 9)", n, s.Telemetry().GCReads-gcBefore)
+	if n > gcIncrementAllocs {
+		t.Errorf("a collection increment allocates %v times, want at most %d", n, gcIncrementAllocs)
+	}
+	for pid := range shadow {
+		mustReadEqual(t, s, uint32(pid), shadow[pid])
+	}
+}
+
+// What the decoded-form buffer cost on the two paths above; the slab makes
+// it 4 and 6.
+const (
+	case2Allocs       = 5
+	gcIncrementAllocs = 28
+)

@@ -49,7 +49,7 @@ func TestRecoverAfterCleanFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "Crash": abandon s, rebuild from the chip alone.
-	r, err := Recover(chip, 32, Options{ReserveBlocks: 2})
+	r, err := Recover(chip, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRecoverLosesUnflushedBuffer(t *testing.T) {
 	if err := s.WritePage(2, shadow[2]); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Recover(chip, 8, Options{ReserveBlocks: 2})
+	r, err := Recover(chip, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRecoverContinuesOperating(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Recover(chip, 40, Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+	r, err := Recover(chip, 40, Options{MaxDifferentialSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +135,12 @@ func TestRecoverIdempotent(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Recover(chip, 16, Options{ReserveBlocks: 2})
+	r1, err := Recover(chip, 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap1 := snapshotMapping(r1)
-	r2, err := Recover(chip, 16, Options{ReserveBlocks: 2})
+	r2, err := Recover(chip, 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRecoverAfterTornFlush(t *testing.T) {
 	if !errors.Is(err, flash.ErrPowerLoss) {
 		t.Fatalf("flush err = %v, want ErrPowerLoss", err)
 	}
-	r, rerr := Recover(chip, 16, Options{ReserveBlocks: 2})
+	r, rerr := Recover(chip, 16, Options{})
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
@@ -218,7 +218,7 @@ func TestRecoverAfterRandomPowerLoss(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		chip := flash.NewChip(ftltest.SmallParams(12))
 		numPages := 30
-		s, err := New(chip, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+		s, err := New(chip, numPages, Options{MaxDifferentialSize: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestRecoverAfterRandomPowerLoss(t *testing.T) {
 			// The failure fired inside GC or never; both fine — recover anyway.
 			chip.SchedulePowerFailure(-1)
 		}
-		r, err := Recover(chip, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+		r, err := Recover(chip, numPages, Options{MaxDifferentialSize: 128})
 		if err != nil {
 			t.Fatalf("trial %d recover: %v", trial, err)
 		}
@@ -348,7 +348,7 @@ func TestRecoverReclaimsForeignPages(t *testing.T) {
 		}
 	}
 
-	r, err := Recover(chip, len(shadow), Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+	r, err := Recover(chip, len(shadow), Options{MaxDifferentialSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func streamParams(nchan int) flash.Params {
 }
 
 func streamOptions(nchan int) Options {
-	return Options{MaxDifferentialSize: 128, ReserveBlocks: 2 * nchan, Shards: nchan}
+	return Options{MaxDifferentialSize: 128, Shards: nchan}
 }
 
 // streamStep is one logical step of the update loop: a page write, or a

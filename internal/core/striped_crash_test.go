@@ -98,7 +98,7 @@ func TestWriteBatchKillMidBatchStriped(t *testing.T) {
 func TestStripedChannelPowerLossRecovers(t *testing.T) {
 	const nchan = 4
 	const numPages = 30
-	opts := Options{MaxDifferentialSize: 128, ReserveBlocks: 2}
+	opts := Options{MaxDifferentialSize: 128}
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
 		sdev, chips := newStripedChips(t, ftltest.SmallParams(12), nchan)
@@ -186,7 +186,7 @@ func TestStripedChannelPowerLossRecovers(t *testing.T) {
 func TestStripedKillMidGCRecovers(t *testing.T) {
 	const nchan = 4
 	const numPages = 40
-	opts := Options{MaxDifferentialSize: 128, ReserveBlocks: 2, Shards: 4, BackgroundGC: true}
+	opts := Options{MaxDifferentialSize: 128, Shards: 4, BackgroundGC: true}
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(900 + trial)))
 		sdev, chips := newStripedChips(t, ftltest.SmallParams(16), nchan)
@@ -223,7 +223,7 @@ func TestStripedKillMidGCRecovers(t *testing.T) {
 		s.Close() // joins the collectors; a sticky power-loss error is the crash itself
 		chips[victim].SchedulePowerFailure(-1)
 
-		r, err := Recover(sdev, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+		r, err := Recover(sdev, numPages, Options{MaxDifferentialSize: 128})
 		if err != nil {
 			t.Fatalf("trial %d: recover: %v", trial, err)
 		}

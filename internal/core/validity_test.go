@@ -67,6 +67,15 @@ func programRaw(t *testing.T, dev flash.Device, ppn flash.PPN, data []byte, h ft
 	}
 }
 
+// encodeDiffPage makes page the image of a differential page holding ds.
+func encodeDiffPage(page []byte, ds []diff.Differential) {
+	var recs []byte
+	for _, d := range ds {
+		recs = d.AppendTo(recs)
+	}
+	packDiffPage(page, recs)
+}
+
 // flaggedPages returns the pages of dev whose obsolete flag is programmed.
 func flaggedPages(t *testing.T, dev flash.Device) []flash.PPN {
 	t.Helper()
@@ -98,7 +107,7 @@ func TestRecoverIsReadOnlyAndIdempotent(t *testing.T) {
 		{"striped2", ftltest.StripedDevice(2, ftltest.EmulatorDevice)},
 	}
 	const numPages = 32
-	opts := Options{ReserveBlocks: 2}
+	opts := Options{}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			dev := b.dev(t, ftltest.SmallParams(12))
@@ -204,7 +213,7 @@ func TestRecoverIsReadOnlyAndIdempotent(t *testing.T) {
 func TestRecoverQuarantinesAtEveryRestart(t *testing.T) {
 	p := ftltest.SmallParams(8)
 	dev := flash.NewChip(p)
-	opts := Options{ReserveBlocks: 2}
+	opts := Options{}
 
 	oldBase := make([]byte, p.DataSize) // pid 0, ts 10: the survivor
 	newBase := make([]byte, p.DataSize) // pid 0, ts 20: decays
@@ -223,7 +232,7 @@ func TestRecoverQuarantinesAtEveryRestart(t *testing.T) {
 		{PID: 1, TS: 31, Ranges: []diff.Range{{Off: 8, Data: []byte{1, 2, 3, 4}}}},
 	}
 	img := make([]byte, p.DataSize)
-	diff.EncodePage(img, ds)
+	encodeDiffPage(img, ds)
 	programRaw(t, dev, 3, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 31, Seq: 1})
 	// The new base page, sealed for its content and programmed two bits off.
 	spare := make([]byte, p.SpareSize)
@@ -293,7 +302,7 @@ func TestLostHealKeepsItsObsoleteFlag(t *testing.T) {
 	// next allocation has to collect block 0, where only pid 4's base page
 	// is still valid.
 	dev := newProbeDev(flash.NewChip(ftltest.SmallParams(4)))
-	opts := Options{ReserveBlocks: 2}
+	opts := Options{}
 	s, err := New(dev, numPages, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +391,7 @@ func TestMixedRunProgramsNoSpare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{MaxDifferentialSize: 64, ReserveBlocks: 2, Shards: 2, BackgroundGC: true}
+	opts := Options{MaxDifferentialSize: 64, Shards: 2, BackgroundGC: true}
 	s, err := New(dev, numPages, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +531,7 @@ func TestRecoverOldTaggedImage(t *testing.T) {
 				maxTS = max(maxTS, ts)
 			}
 			page := make([]byte, p.DataSize)
-			diff.EncodePage(page, ds)
+			encodeDiffPage(page, ds)
 			diffPage := p.PPNOf(1, 0)
 			program(diffPage, page, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: maxTS, Seq: 2})
 			for pid := range model {
@@ -535,7 +544,7 @@ func TestRecoverOldTaggedImage(t *testing.T) {
 			}
 
 			before := dev.Stats()
-			r, err := Recover(dev, numPages, Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+			r, err := Recover(dev, numPages, Options{MaxDifferentialSize: 128})
 			if err != nil {
 				t.Fatal(err)
 			}

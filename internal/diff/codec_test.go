@@ -174,10 +174,6 @@ func TestFindInMatchesDecodeAll(t *testing.T) {
 			ds = append(ds, d)
 		}
 		page := encodePage(pageSize, ds...)
-		packed := make([]byte, pageSize)
-		if EncodePage(packed, ds); !bytes.Equal(packed, page) {
-			t.Fatalf("iter %d: EncodePage diverges from AppendTo plus 0xFF padding", iter)
-		}
 		if iter%3 == 0 {
 			// Tear the tail: chop the last record mid-way and re-pad, the
 			// state a power failure mid-program leaves behind.

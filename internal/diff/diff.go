@@ -11,6 +11,15 @@
 // multiple differentials can be packed into one differential page and
 // parsed back. Because erased flash reads as 0xFF, a size field of 0xFFFF
 // terminates the record sequence in a partially filled differential page.
+//
+// The wire record is the form a differential lives in: the store's write
+// buffer, differential pages, differential cache and read path hold and merge
+// records (Records, RecordKey, FindIn, ApplyRecord) and decode none. The
+// decoded Differential is the right form in three places: as Compute's
+// result, sized (EncodedSize) and then appended (AppendTo) once; where ranges
+// are walked, the store's check that a record covers a corrupt base sector
+// before it heals from it (Decode); and as the reference the tests hold the
+// wire-form functions to (DecodeAll and Apply, the MatchesDecodeAll tests).
 package diff
 
 import (
@@ -253,21 +262,6 @@ func DecodeAll(pageData []byte) []Differential {
 	return out
 }
 
-// EncodePage packs ds into page, a full differential-page image: the
-// records back to back, then the erased-flash byte to the end so the unused
-// space terminates the record sequence. It is DecodeAll's inverse; the
-// caller has checked that the records fit.
-func EncodePage(page []byte, ds []Differential) {
-	img := page[:0]
-	for _, d := range ds {
-		img = d.AppendTo(img)
-	}
-	tail := page[len(img):]
-	for i := range tail {
-		tail[i] = 0xFF
-	}
-}
-
 // Records iterates over the encoded records packed into a differential
 // page's data area, in page order, each as a subslice of pageData (no
 // decoding, no allocation). Like DecodeAll it stops at the erased-flash end
@@ -387,10 +381,4 @@ func (d Differential) Apply(page []byte) error {
 		copy(page[r.Off:], r.Data)
 	}
 	return nil
-}
-
-// String summarizes the differential for debugging.
-func (d Differential) String() string {
-	return fmt.Sprintf("diff(pid=%d ts=%d ranges=%d bytes=%d enc=%d)",
-		d.PID, d.TS, len(d.Ranges), d.ChangedBytes(), d.EncodedSize())
 }

@@ -146,13 +146,6 @@ func (d *Device) Inject(f Fault) {
 	d.injected[f.Kind].Add(1)
 }
 
-// ClearAll removes every registered fault (the campaign stays armed).
-func (d *Device) ClearAll() {
-	d.mu.Lock()
-	d.faults = make(map[flash.PPN][]Fault)
-	d.mu.Unlock()
-}
-
 // FaultsAt returns the faults registered for ppn.
 func (d *Device) FaultsAt(ppn flash.PPN) []Fault {
 	d.mu.RLock()

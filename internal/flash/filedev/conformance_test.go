@@ -36,7 +36,7 @@ func fileDevice(t *testing.T, p flash.Params) flash.Device {
 
 func TestPDLConformanceOnFileDevice(t *testing.T) {
 	ftltest.RunMethodSuiteOn(t, fileDevice, func(dev flash.Device, numPages int) (ftl.Method, error) {
-		return core.New(dev, numPages, core.Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+		return core.New(dev, numPages, core.Options{MaxDifferentialSize: 128})
 	})
 }
 
@@ -44,7 +44,6 @@ func TestPDLBackgroundGCConformanceOnFileDevice(t *testing.T) {
 	ftltest.RunMethodSuiteOn(t, fileDevice, func(dev flash.Device, numPages int) (ftl.Method, error) {
 		s, err := core.New(dev, numPages, core.Options{
 			MaxDifferentialSize: 128,
-			ReserveBlocks:       2,
 			Shards:              4,
 			BackgroundGC:        true,
 		})
@@ -122,7 +121,7 @@ func TestPDLSurvivesProcessRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flash.img")
 	p := ftltest.SmallParams(16)
 	const numPages = 96
-	opts := core.Options{MaxDifferentialSize: 128, ReserveBlocks: 2}
+	opts := core.Options{MaxDifferentialSize: 128}
 
 	dev, err := filedev.Open(path, filedev.Options{Params: p})
 	if err != nil {
@@ -169,7 +168,7 @@ func TestPDLKillAndReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flash.img")
 	p := ftltest.SmallParams(16)
 	const numPages = 96
-	opts := core.Options{MaxDifferentialSize: 128, ReserveBlocks: 2}
+	opts := core.Options{MaxDifferentialSize: 128}
 
 	dev, err := filedev.Open(path, filedev.Options{Params: p, Sync: filedev.SyncNever})
 	if err != nil {
@@ -211,7 +210,7 @@ func TestPDLRecoveryEquivalenceOnFile(t *testing.T) {
 	path := filepath.Join(dir, "flash.img")
 	p := ftltest.SmallParams(24)
 	const numPages = 96
-	opts := core.Options{MaxDifferentialSize: 128, ReserveBlocks: 2}
+	opts := core.Options{MaxDifferentialSize: 128}
 
 	dev, err := filedev.Open(path, filedev.Options{Params: p})
 	if err != nil {

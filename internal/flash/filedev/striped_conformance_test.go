@@ -43,7 +43,7 @@ func forEachStripedFileDevice(t *testing.T, run func(t *testing.T, dev ftltest.D
 func TestPDLConformanceOnStripedFileDevice(t *testing.T) {
 	forEachStripedFileDevice(t, func(t *testing.T, dev ftltest.DeviceFactory) {
 		ftltest.RunMethodSuiteOn(t, dev, func(d flash.Device, numPages int) (ftl.Method, error) {
-			return core.New(d, numPages, core.Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+			return core.New(d, numPages, core.Options{MaxDifferentialSize: 128})
 		})
 	})
 }
@@ -53,7 +53,6 @@ func TestPDLBackgroundGCConformanceOnStripedFileDevice(t *testing.T) {
 		ftltest.RunMethodSuiteOn(t, dev, func(d flash.Device, numPages int) (ftl.Method, error) {
 			s, err := core.New(d, numPages, core.Options{
 				MaxDifferentialSize: 128,
-				ReserveBlocks:       2,
 				Shards:              4,
 				BackgroundGC:        true,
 			})

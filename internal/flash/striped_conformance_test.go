@@ -32,7 +32,7 @@ func forEachChannelCount(t *testing.T, run func(t *testing.T, dev ftltest.Device
 func TestPDLConformanceOnStriped(t *testing.T) {
 	forEachChannelCount(t, func(t *testing.T, dev ftltest.DeviceFactory) {
 		ftltest.RunMethodSuiteOn(t, dev, func(d flash.Device, numPages int) (ftl.Method, error) {
-			return core.New(d, numPages, core.Options{MaxDifferentialSize: 128, ReserveBlocks: 2})
+			return core.New(d, numPages, core.Options{MaxDifferentialSize: 128})
 		})
 	})
 }
@@ -42,7 +42,6 @@ func TestPDLBackgroundGCConformanceOnStriped(t *testing.T) {
 		ftltest.RunMethodSuiteOn(t, dev, func(d flash.Device, numPages int) (ftl.Method, error) {
 			s, err := core.New(d, numPages, core.Options{
 				MaxDifferentialSize: 128,
-				ReserveBlocks:       2,
 				Shards:              4,
 				BackgroundGC:        true,
 			})

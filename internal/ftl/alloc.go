@@ -215,9 +215,8 @@ type Allocator struct {
 	nchan  int
 	chanOf func(blk int) int
 
-	// reserve is the total configured erased-block reserve; chanReserve
-	// is the per-channel floor derived from it (max(1, reserve/nchan)).
-	reserve     int
+	// chanReserve is the per-channel erased-block floor, the channel's share
+	// of the configured reserve (max(1, reserve/nchan)).
 	chanReserve int
 
 	policy VictimPolicy
@@ -273,7 +272,6 @@ func newAllocator(dev flash.Device, reserve, nchan int, chanOf func(int) int) *A
 		chans:       make([]allocChan, nchan),
 		nchan:       nchan,
 		chanOf:      chanOf,
-		reserve:     reserve,
 		chanReserve: max(1, reserve/nchan),
 		seq:         make([]atomic.Uint64, p.NumBlocks),
 	}
@@ -343,10 +341,6 @@ func (a *Allocator) FreeBlocks() int {
 // FreeBlocksOn returns channel ch's erased-block count. Safe to call
 // from any goroutine (per-channel watermark engines poll it).
 func (a *Allocator) FreeBlocksOn(ch int) int { return int(a.chans[ch].freeCount.Load()) }
-
-// Reserve returns the total number of erased blocks the allocator keeps
-// aside for garbage collection, summed over channels.
-func (a *Allocator) Reserve() int { return a.reserve }
 
 // ChanReserve returns the per-channel erased-block floor.
 func (a *Allocator) ChanReserve() int { return a.chanReserve }

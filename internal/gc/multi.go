@@ -44,14 +44,6 @@ func (m *MultiEngine) Start() {
 // Kick nudges channel ch's engine. Like Engine.Kick it never blocks.
 func (m *MultiEngine) Kick(ch int) { m.engines[ch].Kick() }
 
-// KickAll nudges every channel's engine (store close/flush paths that
-// want any pending reclamation to proceed).
-func (m *MultiEngine) KickAll() {
-	for _, e := range m.engines {
-		e.Kick()
-	}
-}
-
 // Stop shuts every engine down, waits for all goroutines to exit, and
 // joins their sticky errors.
 func (m *MultiEngine) Stop() error {

@@ -16,8 +16,7 @@
 // bucket lock that sees real concurrency: the PDL store is
 // concurrency-safe (sharded) and takes cross-bucket operations in
 // parallel, while the baselines (OPU/IPU/IPL) are wrapped in a
-// serializing adapter, exactly as the page-level parallel workload
-// driver treats them. Bucket locks rank above every engine lock
+// serializing adapter (newMethod). Bucket locks rank above every engine lock
 // (kv > shard > channel > bus > mapTable > caches); multi-bucket
 // operations acquire them in ascending index order, and pdlvet's
 // lockorder pass proves both facts.
@@ -131,14 +130,12 @@ type DB struct {
 }
 
 // concurrencySafe is the advertisement the PDL store makes (and the
-// baselines do not); the page-level parallel workload driver keys off
-// the same interface.
+// baselines do not); newMethod is its one prober.
 type concurrencySafe interface{ ConcurrencySafe() bool }
 
 // serialMethod funnels every method call through one mutex, making a
 // single-threaded baseline safe under the concurrent serving layer at
-// the cost of serializing its device work — the same trade the
-// page-level parallel driver makes for baselines.
+// the cost of serializing its device work.
 type serialMethod struct {
 	mu sync.Mutex
 	m  ftl.Method

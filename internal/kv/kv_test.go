@@ -23,7 +23,6 @@ func newPDL(t *testing.T, dev flash.Device, numPages int, bg bool) ftl.Method {
 	t.Helper()
 	s, err := core.New(dev, numPages, core.Options{
 		MaxDifferentialSize: dev.Params().DataSize / 4,
-		ReserveBlocks:       2,
 		Shards:              4,
 		BackgroundGC:        bg,
 	})
@@ -365,7 +364,6 @@ func killReopenDump(t *testing.T, dev flash.Device, reopen func() flash.Device) 
 	numPages := PagesNeeded(records, valSize, 512, opts)
 	coreOpts := core.Options{
 		MaxDifferentialSize: 128,
-		ReserveBlocks:       2,
 		Shards:              2,
 	}
 	s, err := core.New(dev, int(numPages), coreOpts)

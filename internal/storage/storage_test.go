@@ -16,7 +16,7 @@ import (
 func newHeap(t *testing.T, poolPages int, heapPages uint32) *Heap {
 	t.Helper()
 	chip := flash.NewChip(ftltest.SmallParams(16))
-	m, err := core.New(chip, int(heapPages)+4, core.Options{ReserveBlocks: 2})
+	m, err := core.New(chip, int(heapPages)+4, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func newDB(t *testing.T, method func(chip *flash.Chip, numPages int) (ftl.Method
 }
 
 func pdlMethod(chip *flash.Chip, numPages int) (ftl.Method, error) {
-	return core.New(chip, numPages, core.Options{MaxDifferentialSize: 256, ReserveBlocks: 2})
+	return core.New(chip, numPages, core.Options{MaxDifferentialSize: 256})
 }
 
 func opuMethod(chip *flash.Chip, numPages int) (ftl.Method, error) {

@@ -46,7 +46,7 @@ func methods(t *testing.T, numBlocks, numPages int) []ftl.Method {
 	var out []ftl.Method
 	{
 		chip := flash.NewChip(ftltest.SmallParams(numBlocks))
-		m, err := core.New(chip, numPages, core.Options{MaxDifferentialSize: 64, ReserveBlocks: 2})
+		m, err := core.New(chip, numPages, core.Options{MaxDifferentialSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestNUpdatesTillWriteGroupsCycles(t *testing.T) {
 func TestConditionReachesSteadyState(t *testing.T) {
 	chip := flash.NewChip(ftltest.SmallParams(10))
 	numPages := 10 * chip.Params().PagesPerBlock / 2
-	m, err := core.New(chip, numPages, core.Options{MaxDifferentialSize: 64, ReserveBlocks: 2})
+	m, err := core.New(chip, numPages, core.Options{MaxDifferentialSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@
 // Garbage collection runs synchronously inside allocation by default (the
 // paper's foreground cleaning). Options.BackgroundGC moves it to a
 // background goroutine that collects one victim block at a time whenever
-// the free pool drains to ReserveBlocks + 2 erased blocks, which takes
+// the free pool drains to two erased blocks above its reserve, which takes
 // whole collection cycles out of the write-path tail; foreground writes fall
 // back to synchronous collection only if the erased-block reserve itself
 // runs out. Close a store opened with BackgroundGC when done with it.
