@@ -427,7 +427,7 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 // TS-ordered prefix. On a striped device each channel's leg is a prefix
 // of that channel's slice (the union-of-prefixes shape flash.Striped
 // documents); recovery arbitrates per page by TS, so the recovered state
-// is still a serially-explainable subset, and the kill tests assert
+// is still a serially-explainable subset, and TestSim's crash oracle asserts
 // exactly that.
 //
 //pdlvet:holds shard
@@ -584,7 +584,7 @@ func (s *Store) allocPagesOn(ch int, kinds []ftl.Stream) ([]flash.PPN, error) {
 	if s.gcEng != nil {
 		if collected > 0 {
 			s.wtel.syncGCFallbacks.Add(1)
-			s.gcEng.Kick(ch)
+			s.gcEng[ch].Kick()
 		}
 		s.kickEtiquette(ch)
 	}

@@ -5,14 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"pdl/internal/diff"
 	"pdl/internal/flash"
 	"pdl/internal/flash/faultdev"
-	"pdl/internal/flash/filedev"
 	"pdl/internal/ftl"
 	"pdl/internal/ftltest"
 )
@@ -93,225 +92,28 @@ func buildTestBatch(size int) []ftl.PageWrite {
 	return batch
 }
 
-// readAllRecovered reads every logical page out of a store.
-func readAllRecovered(t *testing.T, s *Store) [][]byte {
-	t.Helper()
-	out := make([][]byte, batchNumPages)
-	for pid := 0; pid < batchNumPages; pid++ {
-		out[pid] = make([]byte, s.PageSize())
-		if err := s.ReadPage(uint32(pid), out[pid]); err != nil {
-			t.Fatalf("reading recovered pid %d: %v", pid, err)
-		}
-	}
-	return out
-}
-
-func statesEqual(a, b [][]byte) bool {
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// serialPrefixStates returns, for every j in [0, len(batch)], the logical
-// contents crash recovery reconstructs after serially writing batch[:j]
-// over the identical pre-state and then crashing without a flush. This is
-// the ground truth the batched write path must land on for ANY kill point:
-// the recovered state of a batch interrupted anywhere must be byte-
-// identical to one of these serial prefixes.
-func serialPrefixStates(t *testing.T, batch []ftl.PageWrite) [][][]byte {
-	t.Helper()
-	states := make([][][]byte, len(batch)+1)
-	for j := range states {
-		chip := flash.NewChip(batchParams())
-		s, err := New(chip, batchNumPages, batchOptions(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		loadBatchPages(t, s)
-		for i := 0; i < j; i++ {
-			if err := s.WritePage(batch[i].PID, batch[i].Data); err != nil {
-				t.Fatalf("serial prefix %d, write %d: %v", j, i, err)
-			}
-		}
-		r, err := Recover(chip, batchNumPages, batchOptions(false))
-		if err != nil {
-			t.Fatalf("recovering serial prefix %d: %v", j, err)
-		}
-		states[j] = readAllRecovered(t, r)
-	}
-	return states
-}
-
-// assertSomePrefix fails unless got matches one of the serial prefix
-// states, reporting the closest diagnosis otherwise.
-func assertSomePrefix(t *testing.T, label string, got [][]byte, states [][][]byte) {
-	t.Helper()
-	for j := range states {
-		if statesEqual(got, states[j]) {
-			return
-		}
-	}
-	t.Fatalf("%s: recovered state matches no serial prefix of the batch", label)
-}
-
-// TestWriteBatchMatchesSerial pins the zeroth property: an uninterrupted
-// WriteBatch is indistinguishable from serial WritePage calls — same
-// visible contents, same number of physical page programs, and the same
-// recovered state after a flush and crash.
-func TestWriteBatchMatchesSerial(t *testing.T) {
-	chipB, chipS := flash.NewChip(batchParams()), flash.NewChip(batchParams())
-	sb, err := New(chipB, batchNumPages, batchOptions(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := New(chipS, batchNumPages, batchOptions(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadBatchPages(t, sb)
-	loadBatchPages(t, ss)
-	batch := buildTestBatch(sb.PageSize())
-
-	wb, ws := chipB.Stats().Writes, chipS.Stats().Writes
-	if err := sb.WriteBatch(batch); err != nil {
-		t.Fatalf("WriteBatch: %v", err)
-	}
-	for _, w := range batch {
-		if err := ss.WritePage(w.PID, w.Data); err != nil {
-			t.Fatalf("serial WritePage(%d): %v", w.PID, err)
-		}
-	}
-	if bw, sw := chipB.Stats().Writes-wb, chipS.Stats().Writes-ws; bw != sw {
-		t.Errorf("page programs: batched %d, serial %d (batching must not change the write pattern)", bw, sw)
-	}
-	bufB, bufS := make([]byte, sb.PageSize()), make([]byte, ss.PageSize())
-	for pid := 0; pid < batchNumPages; pid++ {
-		if err := sb.ReadPage(uint32(pid), bufB); err != nil {
-			t.Fatal(err)
-		}
-		if err := ss.ReadPage(uint32(pid), bufS); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bufB, bufS) {
-			t.Fatalf("pid %d: batched and serial stores diverge", pid)
-		}
-	}
-	tel := sb.Telemetry()
-	if tel.BatchWrites == 0 || tel.BatchedPages < tel.BatchWrites {
-		t.Errorf("telemetry did not count the batch: %+v", tel)
-	}
-
-	// Flush both and crash: the recovered states must also agree.
-	if err := sb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rb, err := Recover(chipB, batchNumPages, batchOptions(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Recover(chipS, batchNumPages, batchOptions(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !statesEqual(readAllRecovered(t, rb), readAllRecovered(t, rs)) {
-		t.Error("recovered states diverge after flush")
-	}
-}
-
-// TestWriteBatchKillMidBatchEmu crashes the emulator at every possible
-// program of the batch (and, with background GC, wherever the scheduled
-// power failure happens to land) and asserts recovery reconstructs a state
-// byte-identical to having serially written a prefix of the batch.
-func TestWriteBatchKillMidBatchEmu(t *testing.T) {
-	size := batchParams().DataSize
-	batch := buildTestBatch(size)
-	states := serialPrefixStates(t, batch)
-	for _, bg := range []bool{false, true} {
-		name := "SyncGC"
-		if bg {
-			name = "BackgroundGC"
-		}
-		t.Run(name, func(t *testing.T) {
-			const maxKill = 200
-			fired := 0
-			for killAt := 1; killAt <= maxKill; killAt++ {
-				chip := flash.NewChip(batchParams())
-				s, err := New(chip, batchNumPages, batchOptions(bg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				loadBatchPages(t, s)
-				chip.SchedulePowerFailure(int64(killAt))
-				batchErr := s.WriteBatch(batch)
-				s.Close() // stops a background collector; its sticky power-loss error is the crash itself
-				fail := chip.PowerFailed()
-				chip.SchedulePowerFailure(-1) // disarm: the recovered store programs again
-				if !fail {
-					if batchErr != nil {
-						t.Fatalf("killAt %d: batch failed without a power loss: %v", killAt, batchErr)
-					}
-					// The batch completed before the scheduled failure:
-					// crashing now loses only buffered differentials,
-					// which is exactly the full serial prefix.
-					r, err := Recover(chip, batchNumPages, batchOptions(false))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := readAllRecovered(t, r); !statesEqual(got, states[len(batch)]) {
-						t.Fatalf("killAt %d: completed batch does not recover as the full prefix", killAt)
-					}
-					break
-				}
-				fired++
-				r, err := Recover(chip, batchNumPages, batchOptions(false))
-				if err != nil {
-					t.Fatalf("killAt %d: recover: %v", killAt, err)
-				}
-				assertSomePrefix(t, fmt.Sprintf("killAt %d", killAt), readAllRecovered(t, r), states)
-			}
-			if fired == 0 {
-				t.Fatal("no power failure ever fired; the batch issued no programs")
-			}
-		})
-	}
-}
-
-// prefixFailDev wraps a real device and makes the next ProgramBatch apply
-// only its first failAfter pages before reporting an injected error — the
-// device-contract crash shape (a programmed prefix) without needing power
-// control over the backing file. With failProgram set the next single
-// Program fails too, applying nothing; with failRead set the next single
-// page read fails instead. All other operations pass through.
-type prefixFailDev struct {
+// failDev wraps a real device and, until it has fired once, fails the
+// next ProgramBatch, applying nothing. With failProgram set the next single
+// Program fails the same way; with failRead set the next single page read
+// fails instead. All other operations pass through.
+type failDev struct {
 	flash.Device
-	failAfter   int
 	fired       bool
 	failProgram bool
 	failRead    bool
 }
 
-var errInjectedKill = errors.New("injected mid-batch kill")
+var errInjectedKill = errors.New("injected device failure")
 
-func (d *prefixFailDev) ProgramBatch(batch []flash.PageProgram) error {
-	if !d.fired && len(batch) > d.failAfter {
+func (d *failDev) ProgramBatch(batch []flash.PageProgram) error {
+	if !d.fired {
 		d.fired = true
-		if d.failAfter > 0 {
-			if err := d.Device.ProgramBatch(batch[:d.failAfter]); err != nil {
-				return err
-			}
-		}
 		return errInjectedKill
 	}
 	return d.Device.ProgramBatch(batch)
 }
 
-func (d *prefixFailDev) Program(ppn flash.PPN, data, spare []byte) error {
+func (d *failDev) Program(ppn flash.PPN, data, spare []byte) error {
 	if d.failProgram && !d.fired {
 		d.fired = true
 		return errInjectedKill
@@ -319,70 +121,12 @@ func (d *prefixFailDev) Program(ppn flash.PPN, data, spare []byte) error {
 	return d.Device.Program(ppn, data, spare)
 }
 
-func (d *prefixFailDev) Read(ppn flash.PPN, data, spare []byte) error {
+func (d *failDev) Read(ppn flash.PPN, data, spare []byte) error {
 	if d.failRead && !d.fired {
 		d.fired = true
 		return errInjectedKill
 	}
 	return d.Device.Read(ppn, data, spare)
-}
-
-// TestWriteBatchKillMidBatchFile runs the kill-mid-batch matrix over the
-// persistent backend: the batch is truncated after k pages, the file is
-// reopened as after a process kill, and recovery must reconstruct a serial
-// prefix of the batch — byte-identical to the emulator ground truth.
-func TestWriteBatchKillMidBatchFile(t *testing.T) {
-	size := batchParams().DataSize
-	batch := buildTestBatch(size)
-	states := serialPrefixStates(t, batch)
-	dir := t.TempDir()
-	for _, bg := range []bool{false, true} {
-		name := "SyncGC"
-		if bg {
-			name = "BackgroundGC"
-		}
-		t.Run(name, func(t *testing.T) {
-			for killAt := 0; ; killAt++ {
-				path := filepath.Join(dir, fmt.Sprintf("%s-kill%d.flash", name, killAt))
-				fdev, err := filedev.Open(path, filedev.Options{Params: batchParams()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				dev := &prefixFailDev{Device: fdev, failAfter: killAt}
-				s, err := New(dev, batchNumPages, batchOptions(bg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				loadBatchPages(t, s)
-				batchErr := s.WriteBatch(batch)
-				s.Close()
-				if err := fdev.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if !dev.fired {
-					// killAt exceeded the batch's op count: done, after one
-					// last check that the untouched run completed.
-					if batchErr != nil {
-						t.Fatalf("killAt %d: %v", killAt, batchErr)
-					}
-					break
-				}
-				if !errors.Is(batchErr, errInjectedKill) {
-					t.Fatalf("killAt %d: err = %v, want injected kill", killAt, batchErr)
-				}
-				reopened, err := filedev.Open(path, filedev.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := Recover(reopened, batchNumPages, batchOptions(false))
-				if err != nil {
-					t.Fatalf("killAt %d: recover: %v", killAt, err)
-				}
-				assertSomePrefix(t, fmt.Sprintf("killAt %d", killAt), readAllRecovered(t, r), states)
-				reopened.Close()
-			}
-		})
-	}
 }
 
 // TestWriteBatchConcurrentHammer drives concurrent WriteBatch, WritePage,
@@ -574,7 +318,7 @@ func TestWriteBatchContendedPidRecoversLikeLive(t *testing.T) {
 		if errB != nil || errW != nil {
 			t.Fatalf("round %d: batch err %v, write err %v", r, errB, errW)
 		}
-		live := readAllRecovered(t, s)
+		live, _ := pagesOf(s)
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -582,54 +326,9 @@ func TestWriteBatchContendedPidRecoversLikeLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !statesEqual(live, readAllRecovered(t, rec)) {
+		if got, _ := pagesOf(rec); !slices.EqualFunc(live, got, bytes.Equal) {
 			t.Fatalf("round %d: recovery disagrees with the live store about a contended pid", r)
 		}
-	}
-}
-
-// TestFailedFlushPreservesBufferedWrites guards the staging discipline:
-// a Flush whose device batch fails must leave every buffered differential
-// in place — still serving reads, still flushable by a retry — instead of
-// silently reverting acknowledged writes.
-func TestFailedFlushPreservesBufferedWrites(t *testing.T) {
-	chip := flash.NewChip(batchParams())
-	dev := &prefixFailDev{Device: chip, failAfter: 0, fired: true, failProgram: true} // disarmed
-	s, err := New(dev, batchNumPages, batchOptions(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := s.PageSize()
-	loadBatchPages(t, s)
-
-	want := batchPage(7, 0, size)
-	want[3] ^= 0xFF
-	if err := s.WritePage(7, want); err != nil { // small update: buffered only
-		t.Fatal(err)
-	}
-	dev.fired = false // arm: the next program fails applying nothing
-	if err := s.Flush(); !errors.Is(err, errInjectedKill) {
-		t.Fatalf("Flush err = %v, want the injected device failure", err)
-	}
-	buf := make([]byte, size)
-	if err := s.ReadPage(7, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatal("buffered write lost by a failed flush")
-	}
-	if err := s.Flush(); err != nil { // the retry drains the preserved buffer
-		t.Fatalf("retry flush: %v", err)
-	}
-	r, err := Recover(chip, batchNumPages, batchOptions(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ReadPage(7, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatal("retried flush did not make the write durable")
 	}
 }
 
@@ -716,7 +415,7 @@ func TestFailedWriteBatchAppliesNothing(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fd := faultdev.Wrap(flash.NewChip(batchParams()))
-			dev := &prefixFailDev{Device: fd, failAfter: 0, fired: true, failProgram: !tc.failRead, failRead: tc.failRead} // disarmed
+			dev := &failDev{Device: fd, fired: true, failProgram: !tc.failRead, failRead: tc.failRead} // disarmed
 			s, err := New(dev, batchNumPages, batchOptions(false))
 			if err != nil {
 				t.Fatal(err)

@@ -190,106 +190,6 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestMultiShardRecoveryMatchesSingleShard runs the same workload against a
-// single-shard store and a multi-shard store, crashes both (recovery from
-// the raw chip image), and requires the recovered logical states to agree
-// page for page. Shard count changes how differentials are packed into
-// differential pages, but never what recovery reconstructs.
-func TestMultiShardRecoveryMatchesSingleShard(t *testing.T) {
-	const (
-		numBlocks = 20
-		numPages  = 64
-		ops       = 1200
-	)
-	run := func(shards int) (*flash.Chip, [][]byte) {
-		chip := flash.NewChip(ftltest.SmallParams(numBlocks))
-		s, err := New(chip, numPages, Options{
-			MaxDifferentialSize: 128,
-			Shards:              shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		size := chip.Params().DataSize
-		shadow := make([][]byte, numPages)
-		rng := rand.New(rand.NewSource(77))
-		for pid := 0; pid < numPages; pid++ {
-			shadow[pid] = make([]byte, size)
-			rng.Read(shadow[pid])
-			if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < ops; i++ {
-			pid := rng.Intn(numPages)
-			off := rng.Intn(size - 32)
-			rng.Read(shadow[pid][off : off+32])
-			if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Flush so both stores have identical durable logical state (what
-		// was still buffered differs per shard count and is legitimately
-		// lost in a crash, per the paper).
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return chip, shadow
-	}
-
-	chip1, shadow := run(1)
-	chip8, shadow8 := run(8)
-	for pid := range shadow {
-		if !bytes.Equal(shadow[pid], shadow8[pid]) {
-			t.Fatal("workloads diverged; test bug")
-		}
-	}
-
-	// "Crash": rebuild both stores from their chip images alone. The
-	// multi-shard store recovers into a multi-shard configuration.
-	r1, err := Recover(chip1, numPages, Options{MaxDifferentialSize: 128, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := Recover(chip8, numPages, Options{MaxDifferentialSize: 128, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r8.Shards(); got != 8 {
-		t.Fatalf("recovered store has %d shards, want 8", got)
-	}
-	size := chip1.Params().DataSize
-	b1 := make([]byte, size)
-	b8 := make([]byte, size)
-	for pid := 0; pid < numPages; pid++ {
-		if err := r1.ReadPage(uint32(pid), b1); err != nil {
-			t.Fatalf("single-shard recovery read pid %d: %v", pid, err)
-		}
-		if err := r8.ReadPage(uint32(pid), b8); err != nil {
-			t.Fatalf("multi-shard recovery read pid %d: %v", pid, err)
-		}
-		if !bytes.Equal(b1, shadow[pid]) {
-			t.Fatalf("single-shard recovery lost pid %d", pid)
-		}
-		if !bytes.Equal(b1, b8) {
-			t.Fatalf("recovered states differ on pid %d", pid)
-		}
-	}
-	// Both recovered stores must remain fully usable (writes + GC).
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		pid := uint32(rng.Intn(numPages))
-		rng.Read(b8[:64])
-		copy(b1, b8)
-		if err := r8.WritePage(pid, b8); err != nil {
-			t.Fatalf("multi-shard post-recovery write: %v", err)
-		}
-		if err := r1.WritePage(pid, b1); err != nil {
-			t.Fatalf("single-shard post-recovery write: %v", err)
-		}
-	}
-}
-
 // TestUnchangedWriteIsNoOp is the regression test for the empty-differential
 // bug: writing a page byte-identical to its base page must not consume
 // write-buffer space, and must not dirty the mapping tables on flush.

@@ -13,9 +13,6 @@ import (
 	"testing"
 
 	"pdl/internal/diff"
-	"pdl/internal/flash"
-	"pdl/internal/ftl"
-	"pdl/internal/ftltest"
 )
 
 // bytes returns what the cache has allocated: the table and the segments
@@ -305,322 +302,6 @@ func TestApplyFromPageChecksTimeStamp(t *testing.T) {
 	}
 	if s.DiffCacheLen() != 0 {
 		t.Error("a refused or first-miss record reached the cache")
-	}
-}
-
-// TestDiffCacheCoherentAcrossPPNReuse takes one physical page X through
-// three lives: pid A's differential, then — after A's differential was
-// superseded and X's block erased — the differentials of other pids, then
-// A's differential again. Whatever the cache still holds from an earlier
-// life of X, or of A, reads return current bytes.
-//
-// In the pinned variant A's later differentials are larger than the cache's
-// one segment, so the cache refuses them and keeps, to the end, the record
-// A had in X's first life: the mapping points at X again, the entry under
-// A's pid was read from X, and only the time stamp tells them apart.
-func TestDiffCacheCoherentAcrossPPNReuse(t *testing.T) {
-	for _, pinned := range []bool{false, true} {
-		t.Run(fmt.Sprintf("pinned=%v", pinned), func(t *testing.T) {
-			p := ftltest.SmallParams(8)
-			p.PagesPerBlock = 4
-			chip := flash.NewChip(p)
-			const numPages, A = 8, uint32(0)
-			opts := Options{}
-			if pinned {
-				opts.DiffCachePages = 1
-			}
-			s, err := New(chip, numPages, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			size := p.DataSize
-			shadow := make([][]byte, numPages)
-			for pid := range shadow {
-				shadow[pid] = batchPage(uint32(pid), 0, size)
-				if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			buf := make([]byte, size)
-			// update changes pid's first n bytes to values no earlier version
-			// had there, writes the page and flushes: one differential page.
-			version := byte(0)
-			update := func(pid uint32, n int) {
-				t.Helper()
-				version++
-				base := batchPage(pid, 0, size)
-				for i := 0; i < n; i++ {
-					shadow[pid][i] = base[i] ^ version
-				}
-				if err := s.WritePage(pid, shadow[pid]); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				for q := range shadow {
-					if err := s.ReadPage(uint32(q), buf); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(buf, shadow[q]) {
-						t.Fatalf("after version %d of pid %d: pid %d reads stale or foreign bytes", version, pid, q)
-					}
-				}
-			}
-
-			update(A, 8)
-			X := entryOf(s, A).dif
-			_, _, firstTS, _ := s.mt.snapshot(A)
-			blkX := p.BlockOf(X)
-			if _, ok := cached(s.dcache, A, firstTS); !ok {
-				t.Fatal("the flush did not cache A's record")
-			}
-			large := 8
-			if pinned {
-				large = s.dcache.segSize // the record is 20 bytes longer: refused
-			}
-			life := 1
-			rng := rand.New(rand.NewSource(3))
-			for i := 0; life < 3; i++ {
-				if i == 2000 {
-					t.Fatalf("page %d never came back to pid %d (reached life %d)", X, A, life)
-				}
-				if rng.Intn(2) == 0 {
-					update(A, large)
-				} else {
-					update(uint32(1+rng.Intn(numPages-1)), 8)
-				}
-				if pinned {
-					// A reader still holding the first snapshot keeps the entry
-					// hit, so it outlives every reclaim of its segment.
-					cached(s.dcache, A, firstTS)
-				}
-				switch {
-				case life == 1 && entryOf(s, A).dif != X:
-					for pid := uint32(1); pid < numPages; pid++ {
-						if entryOf(s, pid).dif == X && chip.EraseCount(blkX) > 0 {
-							life = 2 // X holds other pids' records now
-						}
-					}
-				case life == 2 && entryOf(s, A).dif == X:
-					life = 3
-				}
-			}
-			if pinned {
-				if _, ok := cached(s.dcache, A, firstTS); !ok {
-					t.Error("the record of X's first life left the cache: the test pinned nothing")
-				}
-				if _, _, ts, _ := s.mt.snapshot(A); ts == firstTS {
-					t.Error("A's differential still carries its first time stamp")
-				}
-			}
-			if chip.Stats().Erases == 0 {
-				t.Error("no block was ever erased")
-			}
-		})
-	}
-}
-
-// TestDiffCacheOnAndOffReadTheSameBytes runs one seeded program of single
-// and batched writes and reads, flushes and collections on a tiny device
-// against three stores — the default cache, a cache of two pages that
-// reclaims all the time, and no cache — and holds every read of every store
-// to the model. CI runs it under -race and -tags pdlinvariants.
-func TestDiffCacheOnAndOffReadTheSameBytes(t *testing.T) {
-	const numBlocks, numPages, steps = 10, 40, 4000
-	type subject struct {
-		name string
-		s    *Store
-	}
-	var subjects []subject
-	for _, c := range []struct {
-		name  string
-		pages int
-	}{{"default", 0}, {"two pages", 2}, {"off", DiffCacheOff}} {
-		s, err := New(flash.NewChip(ftltest.SmallParams(numBlocks)), numPages,
-			Options{MaxDifferentialSize: 200, Shards: 2, DiffCachePages: c.pages})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		subjects = append(subjects, subject{c.name, s})
-	}
-	size := subjects[0].s.PageSize()
-	rng := rand.New(rand.NewSource(20260929))
-	model := make([][]byte, numPages)
-	each := func(step int, op string, f func(s *Store) error) {
-		t.Helper()
-		for _, sub := range subjects {
-			if err := f(sub.s); err != nil {
-				t.Fatalf("step %d, %s, cache %s: %v", step, op, sub.name, err)
-			}
-		}
-	}
-	mutate := func(pid uint32) []byte {
-		next := bytes.Clone(model[pid])
-		for k := rng.Intn(3); k >= 0; k-- {
-			off := rng.Intn(size - 24)
-			rng.Read(next[off : off+1+rng.Intn(24)])
-		}
-		model[pid] = next
-		return next
-	}
-	for pid := range model {
-		model[pid] = make([]byte, size)
-		rng.Read(model[pid])
-		each(-1, "load", func(s *Store) error { return s.WritePage(uint32(pid), model[pid]) })
-	}
-	buf := make([]byte, size)
-	bufs := make([][]byte, 6)
-	for i := range bufs {
-		bufs[i] = make([]byte, size)
-	}
-	for step := 0; step < steps; step++ {
-		pid := uint32(rng.Intn(numPages))
-		switch op := rng.Intn(10); {
-		case op < 3:
-			data := mutate(pid)
-			each(step, "WritePage", func(s *Store) error { return s.WritePage(pid, data) })
-		case op < 4:
-			var ws []ftl.PageWrite
-			for _, q := range rng.Perm(numPages)[:2+rng.Intn(5)] {
-				ws = append(ws, ftl.PageWrite{PID: uint32(q), Data: mutate(uint32(q))})
-			}
-			each(step, "WriteBatch", func(s *Store) error { return s.WriteBatch(ws) })
-		case op < 7:
-			each(step, "ReadPage", func(s *Store) error {
-				if err := s.ReadPage(pid, buf); err != nil {
-					return err
-				}
-				if !bytes.Equal(buf, model[pid]) {
-					return fmt.Errorf("pid %d differs from the model", pid)
-				}
-				return nil
-			})
-		case op < 8:
-			pids := make([]uint32, 2+rng.Intn(5))
-			for i := range pids {
-				pids[i] = uint32(rng.Intn(numPages))
-			}
-			each(step, "ReadBatch", func(s *Store) error {
-				if err := s.ReadBatch(pids, bufs[:len(pids)]); err != nil {
-					return err
-				}
-				for i, q := range pids {
-					if !bytes.Equal(bufs[i], model[q]) {
-						return fmt.Errorf("pid %d differs from the model", q)
-					}
-				}
-				return nil
-			})
-		case op < 9:
-			each(step, "Flush", func(s *Store) error { return s.Flush() })
-		default:
-			each(step, "collect", func(s *Store) error {
-				_, err := chanCollector{s: s, ch: 0}.CollectOne()
-				return err
-			})
-		}
-	}
-	on, small, off := subjects[0].s, subjects[1].s, subjects[2].s
-	if on.Stats().Erases == 0 {
-		t.Error("the program never collected a block")
-	}
-	if tel := on.Telemetry(); tel.DiffCacheHits == 0 || tel.DiffCacheMisses != 0 {
-		// Everything this store ever flushed fits its cache.
-		t.Errorf("default cache: %d hits, %d misses; want hits only", tel.DiffCacheHits, tel.DiffCacheMisses)
-	}
-	if tel := small.Telemetry(); tel.DiffCacheHits == 0 || tel.DiffCacheMisses == 0 {
-		t.Errorf("two-page cache: %d hits, %d misses; want both", tel.DiffCacheHits, tel.DiffCacheMisses)
-	}
-	if got := small.dcache.bytes(); got > 2*size {
-		t.Errorf("two-page cache allocated %d bytes", got)
-	}
-	if a, b := on.Stats(), off.Stats(); a.Writes != b.Writes || a.Erases != b.Erases || a.Reads >= b.Reads {
-		t.Errorf("cache on %v, cache off %v: want the same programs and erases and fewer reads", a, b)
-	}
-}
-
-// TestReadAttributionSumsToDeviceReads: every page the store reads is
-// counted under what it was read for, across single and batched reads and
-// writes, garbage collection and recovery.
-func TestReadAttributionSumsToDeviceReads(t *testing.T) {
-	const numBlocks, numPages = 10, 48
-	chip := flash.NewChip(ftltest.SmallParams(numBlocks))
-	opts := Options{MaxDifferentialSize: 128, DiffCachePages: 2}
-	s, err := New(chip, numPages, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := s.PageSize()
-	rng := rand.New(rand.NewSource(5))
-	shadow := make([][]byte, numPages)
-	for pid := range shadow {
-		shadow[pid] = batchPage(uint32(pid), 0, size)
-		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bufs := make([][]byte, 4)
-	for i := range bufs {
-		bufs[i] = make([]byte, size)
-	}
-	for i := 0; s.Telemetry().GCReads == 0; i++ {
-		if i == 5000 {
-			t.Fatal("no garbage collection had to relocate a page")
-		}
-		pids := rng.Perm(numPages)[:4]
-		var ws []ftl.PageWrite
-		for k, pid := range pids {
-			n := 8
-			if k == 0 && i%4 == 0 {
-				n = size // a new base page: the old one dies among live neighbours
-			}
-			rng.Read(shadow[pid][:n])
-			ws = append(ws, ftl.PageWrite{PID: uint32(pid), Data: shadow[pid]})
-		}
-		if err := s.WriteBatch(ws[:3]); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.WritePage(ws[3].PID, ws[3].Data); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ReadPage(uint32(rng.Intn(numPages)), bufs[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ReadBatch([]uint32{uint32(pids[0]), uint32(rng.Intn(numPages)), uint32(rng.Intn(numPages))}, bufs[:3]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tel := s.Telemetry()
-	for name, n := range map[string]int64{"BaseReads": tel.BaseReads, "DiffReads": tel.DiffReads,
-		"WriteBaseReads": tel.WriteBaseReads, "GCReads": tel.GCReads} {
-		if n == 0 {
-			t.Errorf("%s = 0 after a run that did all of it", name)
-		}
-	}
-	if tel.RecoverReads != 0 {
-		t.Errorf("RecoverReads = %d on a store that never recovered", tel.RecoverReads)
-	}
-	if sum, dev := tel.BaseReads+tel.DiffReads+tel.WriteBaseReads+tel.GCReads, chip.Stats().Reads; sum != dev {
-		t.Errorf("attributed reads %d (base %d, diff %d, write-base %d, gc %d), the device counted %d",
-			sum, tel.BaseReads, tel.DiffReads, tel.WriteBaseReads, tel.GCReads, dev)
-	}
-	if tel.DiffReads != tel.DiffCacheMisses {
-		t.Errorf("DiffReads = %d, DiffCacheMisses = %d: a miss is one differential-page read", tel.DiffReads, tel.DiffCacheMisses)
-	}
-
-	before := chip.Stats().Reads
-	r, err := Recover(chip, numPages, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtel := r.Telemetry()
-	if got, want := rtel.RecoverReads, chip.Stats().Reads-before; got != want || got != int64(chip.Params().NumPages()) {
-		t.Errorf("RecoverReads = %d, the device counted %d for a scan of %d pages", got, want, chip.Params().NumPages())
-	}
-	if rtel.BaseReads+rtel.DiffReads+rtel.WriteBaseReads+rtel.GCReads != 0 {
-		t.Errorf("recovery counted reads under another kind: %+v", rtel)
 	}
 }
 

@@ -523,152 +523,6 @@ func TestIntegrityRecoveryPoisonTS(t *testing.T) {
 	mustReadEqual(t, s, 0, oldBase)
 }
 
-// TestIntegrityKillMidHealRecovery kills the device on the heal's program
-// and checks the contract across restart: the pid either reads its correct
-// content or fails typed — never wrong bytes.
-func TestIntegrityKillMidHealRecovery(t *testing.T) {
-	chip := flash.NewChip(ftltest.SmallParams(16))
-	fd := faultdev.Wrap(chip)
-	s, err := New(fd, 8, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shadow := loadInto(t, s, 8)
-	e := entryOf(s, 4)
-	rewriteSector(t, s, shadow, 4, 1)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fd.Inject(faultdev.Fault{PPN: e.base, Kind: faultdev.SectorCorrupt, Off: 256})
-	chip.SchedulePowerFailure(1) // the heal's fresh base program tears
-
-	// The read itself still succeeds: the merged image was already in the
-	// caller's buffer; only the durable commit died with the power.
-	mustReadEqual(t, s, 4, shadow[4])
-	if !chip.PowerFailed() {
-		t.Fatal("heal did not attempt a durable commit")
-	}
-
-	r, err := Recover(fd, 8, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, r.params.DataSize)
-	switch err := r.ReadPage(4, buf); {
-	case err == nil:
-		if !bytes.Equal(buf, shadow[4]) {
-			t.Fatal("silent corruption: recovered pid 4 reads wrong bytes")
-		}
-	case errors.Is(err, ftl.ErrNotWritten):
-		// The corrupt base was quarantined and its differential poisoned:
-		// honest, typed loss.
-	default:
-		var pe *ftl.PageError
-		if !errors.As(err, &pe) {
-			t.Fatalf("recovered read failed untyped: %v", err)
-		}
-	}
-	// Every other pid is untouched by the heal and must survive exactly.
-	for pid := 0; pid < 8; pid++ {
-		if pid == 4 {
-			continue
-		}
-		mustReadEqual(t, r, uint32(pid), shadow[pid])
-	}
-}
-
-// TestIntegrityFaultCampaign runs a seeded mixed workload under an armed
-// fault campaign on each backend and asserts the end-to-end contract:
-// every read either returns bytes identical to the model or a typed
-// *ftl.PageError; every write either applies or fails typed. Anything
-// else is silent corruption.
-func TestIntegrityFaultCampaign(t *testing.T) {
-	backends := []struct {
-		name string
-		dev  func(t *testing.T, p flash.Params) flash.Device
-	}{
-		{"emu", ftltest.EmulatorDevice},
-		{"filedev", fileDevice},
-		{"striped4", ftltest.StripedDevice(4, ftltest.EmulatorDevice)},
-	}
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			p := ftltest.SmallParams(24)
-			fd := faultdev.Wrap(b.dev(t, p))
-			// A differential cache far smaller than the live records, as in any
-			// deployment: while a record is cached its reads never meet the
-			// faults of its differential page, and here most must.
-			s, err := New(fd, 32, Options{Shards: 2, DiffCachePages: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			model := loadInto(t, s, 32)
-			fd.Arm(&faultdev.Campaign{Seed: 7, Rate: 0.05})
-
-			rng := rand.New(rand.NewSource(3))
-			buf := make([]byte, p.DataSize)
-			var pe *ftl.PageError
-			typedReadErrs, typedWriteErrs := 0, 0
-			for step := 0; step < 500; step++ {
-				pid := uint32(rng.Intn(32))
-				switch rng.Intn(4) {
-				case 0, 1: // partial update
-					next := append([]byte(nil), model[pid]...)
-					for k := 0; k < 8; k++ {
-						next[rng.Intn(p.DataSize)] ^= byte(1 + rng.Intn(255))
-					}
-					if err := s.WritePage(pid, next); err != nil {
-						if !errors.As(err, &pe) {
-							t.Fatalf("step %d: write failed untyped: %v", step, err)
-						}
-						typedWriteErrs++
-						continue
-					}
-					model[pid] = next
-				case 2: // read
-					if err := s.ReadPage(pid, buf); err != nil {
-						if !errors.As(err, &pe) {
-							t.Fatalf("step %d: read failed untyped: %v", step, err)
-						}
-						typedReadErrs++
-						continue
-					}
-					if !bytes.Equal(buf, model[pid]) {
-						t.Fatalf("step %d: SILENT CORRUPTION on pid %d", step, pid)
-					}
-				case 3: // occasional flush
-					if rng.Intn(4) == 0 {
-						if err := s.Flush(); err != nil && !errors.As(err, &pe) {
-							t.Fatalf("step %d: flush failed untyped: %v", step, err)
-						}
-					}
-				}
-			}
-			// Final sweep: every pid is byte-identical or fails typed.
-			lost := 0
-			for pid := uint32(0); pid < 32; pid++ {
-				if err := s.ReadPage(pid, buf); err != nil {
-					if !errors.As(err, &pe) {
-						t.Fatalf("sweep pid %d: untyped error %v", pid, err)
-					}
-					lost++
-					continue
-				}
-				if !bytes.Equal(buf, model[pid]) {
-					t.Fatalf("sweep pid %d: SILENT CORRUPTION", pid)
-				}
-			}
-			tel := s.Telemetry()
-			t.Logf("%s: injected=%v corrected=%d healed=%d lost=%d typedRead=%d typedWrite=%d",
-				b.name, fd.Snapshot().Injected, tel.EccCorrectedBits, tel.PagesHealed, lost, typedReadErrs, typedWriteErrs)
-			if tel.EccCorrectedBits == 0 && tel.PagesHealed == 0 && lost == 0 {
-				t.Error("campaign exercised no integrity machinery (rate too low?)")
-			}
-		})
-	}
-}
-
 // TestIntegrityFailedCollectionKeepsDiffCounts: a collection that fails
 // after it has gathered a differential page's survivors (here: the typed
 // error of a later, corrupt page of the same victim) must leave that

@@ -124,6 +124,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -159,11 +160,6 @@ type Options struct {
 	// preserves the paper's stop-the-world foreground cleaning. Stores with
 	// background GC should be Closed when no longer needed.
 	BackgroundGC bool
-	// RecoveryWorkers is the number of goroutines Recover fans the
-	// spare-area scan over. Zero means one per GOMAXPROCS; 1 forces the
-	// paper's serial single-scan. The recovered state is identical for
-	// every worker count.
-	RecoveryWorkers int
 	// DiffCachePages bounds the differential cache, as a byte budget of
 	// DiffCachePages x page size: the cache keeps each logical page's
 	// newest flushed differential record (as it is in flash) in DRAM, so
@@ -287,10 +283,10 @@ type Store struct {
 	// writes that follow (nil when off).
 	bimg *baseImages
 
-	// gcEng is the background garbage-collection engine — one collection
-	// goroutine per channel (nil in synchronous mode) — and gcLow the
-	// per-channel trigger watermark.
-	gcEng *gc.MultiEngine
+	// gcEng holds the background garbage-collection engines, one collection
+	// goroutine per channel, indexed by channel (nil in synchronous mode), and
+	// gcLow the per-channel trigger watermark they share.
+	gcEng []*gc.Engine
 	gcLow int
 
 	// shards partitions the differential write buffer by pid hash.
@@ -506,12 +502,11 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 			chLow = s.alloc.ChanReserve() + 1
 		}
 		s.gcLow = chLow
-		collectors := make([]gc.Collector, nchan)
-		for ch := range collectors {
-			collectors[ch] = chanCollector{s: s, ch: ch}
+		s.gcEng = make([]*gc.Engine, nchan)
+		for ch := range s.gcEng {
+			s.gcEng[ch] = gc.New(chanCollector{s: s, ch: ch}, gc.Config{LowWater: chLow, HighWater: chLow + 2})
+			s.gcEng[ch].Start()
 		}
-		s.gcEng = gc.NewMulti(collectors, gc.Config{LowWater: chLow, HighWater: chLow + 2})
-		s.gcEng.Start()
 	}
 	return s, nil
 }
@@ -534,29 +529,33 @@ func (c chanCollector) CollectOne() (bool, error) {
 
 func (c chanCollector) FreeBlocks() int { return c.s.alloc.FreeBlocksOn(c.ch) }
 
-// Close stops the background garbage-collection goroutine (if any) and
-// returns the first error it encountered. It does not close the
+// Close stops the background garbage-collection goroutines (if any) and
+// returns the errors they encountered, joined. It does not close the
 // underlying device, which the caller owns. Close is idempotent, and the
 // store remains usable afterwards: allocations simply collect
 // synchronously again.
 func (s *Store) Close() error {
-	if s.gcEng == nil {
-		return nil
+	errs := make([]error, len(s.gcEng))
+	for ch, e := range s.gcEng {
+		errs[ch] = e.Stop()
 	}
-	return s.gcEng.Stop()
+	return errors.Join(errs...)
 }
 
 // BackgroundGC reports whether the store was opened with a background
 // garbage collector.
 func (s *Store) BackgroundGC() bool { return s.gcEng != nil }
 
-// BackgroundGCStats returns what the background collector has done (zero
-// in synchronous mode).
+// BackgroundGCStats returns what the background collectors have done,
+// summed over channels (zero in synchronous mode).
 func (s *Store) BackgroundGCStats() gc.Stats {
-	if s.gcEng == nil {
-		return gc.Stats{}
+	var st gc.Stats
+	for _, e := range s.gcEng {
+		es := e.Stats()
+		st.Wakeups += es.Wakeups
+		st.Collected += es.Collected
 	}
-	return s.gcEng.Stats()
+	return st
 }
 
 // Name implements ftl.Method, e.g. "PDL(256B)".
@@ -647,7 +646,7 @@ func (s *Store) kickEtiquette(ch int) {
 	if free := s.alloc.FreeBlocksOn(ch); free <= s.gcLow {
 		if free != c.lastKickFree {
 			c.lastKickFree = free
-			s.gcEng.Kick(ch)
+			s.gcEng[ch].Kick()
 		}
 	} else {
 		c.lastKickFree = -1

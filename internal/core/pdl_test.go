@@ -219,39 +219,6 @@ func TestCase3LargeDiffBecomesBasePage(t *testing.T) {
 	}
 }
 
-func TestCase2BufferSpill(t *testing.T) {
-	// Filling the write buffer forces one differential-page write (Case 2).
-	s, chip, shadow := loadStore(t, 16, 32, 0)
-	rng := rand.New(rand.NewSource(2))
-	writesBefore := chip.Stats().Writes
-	flushed := false
-	for pid := 0; pid < 32 && !flushed; pid++ {
-		// ~1/3 of each page changed: encoded diff ~ 190 bytes, so the
-		// 512-byte buffer fills within a few updates.
-		off := rng.Intn(300)
-		rng.Read(shadow[pid][off : off+170])
-		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-			t.Fatal(err)
-		}
-		if chip.Stats().Writes > writesBefore {
-			flushed = true
-		}
-	}
-	if !flushed {
-		t.Fatal("write buffer never spilled")
-	}
-	// Every page still reads back correctly.
-	buf := make([]byte, chip.Params().DataSize)
-	for pid := 0; pid < 32; pid++ {
-		if err := s.ReadPage(uint32(pid), buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, shadow[pid]) {
-			t.Fatalf("pid %d mismatch", pid)
-		}
-	}
-}
-
 func TestRewriteInBufferReplacesOldDifferential(t *testing.T) {
 	// Step 3 of PDL_Writing: an old differential for the same page is
 	// removed from the buffer before the new one is written, so buffer
@@ -304,49 +271,6 @@ func TestDifferentialGrowsAgainstFixedBase(t *testing.T) {
 	_ = chip
 }
 
-func TestVDCTObsoletesEmptyDifferentialPages(t *testing.T) {
-	// When every differential in a differential page has been superseded,
-	// the page is retired (valid differential count reaches zero).
-	s, chip, shadow := loadStore(t, 16, 4, 0)
-	size := chip.Params().DataSize
-	// Update pages 0 and 1 and force a flush: one differential page holds
-	// both differentials.
-	shadow[0][0] ^= 1
-	shadow[1][0] ^= 1
-	if err := s.WritePage(0, shadow[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WritePage(1, shadow[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ValidDifferentialPages(); got != 1 {
-		t.Fatalf("ValidDifferentialPages = %d, want 1", got)
-	}
-	// Supersede both differentials via Case 3 (full rewrites).
-	rng := rand.New(rand.NewSource(5))
-	for pid := uint32(0); pid <= 1; pid++ {
-		rng.Read(shadow[pid])
-		if err := s.WritePage(pid, shadow[pid]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.ValidDifferentialPages(); got != 0 {
-		t.Errorf("ValidDifferentialPages = %d, want 0 after superseding", got)
-	}
-	buf := make([]byte, size)
-	for pid := uint32(0); pid <= 1; pid++ {
-		if err := s.ReadPage(pid, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, shadow[pid]) {
-			t.Fatalf("pid %d mismatch", pid)
-		}
-	}
-}
-
 func TestReadOnlyDatabaseReadsLikePageBased(t *testing.T) {
 	// Section 4.4: "if a database is used for read-only access, PDL reads
 	// only one physical page just like page-based methods".
@@ -364,52 +288,6 @@ func TestReadOnlyDatabaseReadsLikePageBased(t *testing.T) {
 	d := chip.Stats().Sub(before)
 	if d.Reads != 32 || d.Writes != 0 {
 		t.Errorf("32 clean reads cost %+v, want exactly 32 reads", d)
-	}
-}
-
-func TestGCCompaction(t *testing.T) {
-	// Under heavy updates, garbage collection must compact differential
-	// pages without losing any logical page content, and the store keeps
-	// functioning after many GC rounds.
-	params := ftltest.SmallParams(10)
-	chip := flash.NewChip(params)
-	numPages := 6 * params.PagesPerBlock / 2
-	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := params.DataSize
-	shadow := make([][]byte, numPages)
-	rng := rand.New(rand.NewSource(11))
-	for pid := 0; pid < numPages; pid++ {
-		shadow[pid] = make([]byte, size)
-		rng.Read(shadow[pid])
-		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3000; i++ {
-		pid := rng.Intn(numPages)
-		off := rng.Intn(size - 24)
-		rng.Read(shadow[pid][off : off+24])
-		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	if s.Allocator().GCRuns() == 0 {
-		t.Fatal("GC never ran")
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, size)
-	for pid := 0; pid < numPages; pid++ {
-		if err := s.ReadPage(uint32(pid), buf); err != nil {
-			t.Fatalf("pid %d: %v", pid, err)
-		}
-		if !bytes.Equal(buf, shadow[pid]) {
-			t.Fatalf("pid %d content mismatch after GC churn", pid)
-		}
 	}
 }
 
@@ -492,25 +370,6 @@ func TestCompactionCopiesLiveRecords(t *testing.T) {
 	}
 	for pid := range shadow {
 		mustReadEqual(t, s, uint32(pid), shadow[pid])
-	}
-}
-
-func TestEmptyDifferentialIsHarmless(t *testing.T) {
-	// Writing back an unchanged page produces an empty differential; it
-	// must not corrupt anything.
-	s, chip, shadow := loadStore(t, 16, 4, 0)
-	if err := s.WritePage(0, shadow[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, chip.Params().DataSize)
-	if err := s.ReadPage(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, shadow[0]) {
-		t.Error("unchanged page corrupted by empty differential")
 	}
 }
 

@@ -143,97 +143,6 @@ func TestDiffCacheOffRestoresTwoReads(t *testing.T) {
 	}
 }
 
-func TestDiffCacheInvalidatedOnSupersede(t *testing.T) {
-	// A new flush supersedes every pid's differential. Nothing tells the
-	// cache: the old records simply stop matching the mapping's time stamps,
-	// the new ones replace them pid by pid, and reads see the new content.
-	s, chip, shadow := diffStore(t, Options{MaxDifferentialSize: 256}, 16, 8)
-	size := chip.Params().DataSize
-	buf := make([]byte, size)
-	for pid := range shadow {
-		if err := s.ReadPage(uint32(pid), buf); err != nil { // flag every record hit
-			t.Fatal(err)
-		}
-	}
-	if got := s.DiffCacheLen(); got != len(shadow) {
-		t.Fatalf("cache holds %d records after the flush, want %d", got, len(shadow))
-	}
-	// Supersede every pid's differential: new small updates + flush drain
-	// the old differential page's count to zero, releasing it.
-	rng := rand.New(rand.NewSource(8))
-	for pid := range shadow {
-		off := rng.Intn(size - 4)
-		rng.Read(shadow[pid][off : off+4])
-		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.DiffCacheLen(); got != len(shadow) {
-		t.Errorf("cache holds %d records, want one per pid (%d)", got, len(shadow))
-	}
-	chip.ResetStats()
-	for pid := range shadow {
-		if err := s.ReadPage(uint32(pid), buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, shadow[pid]) {
-			t.Fatalf("pid %d: stale content after supersede", pid)
-		}
-	}
-	if got, want := chip.Stats().Reads, int64(len(shadow)); got != want {
-		t.Errorf("reading %d superseded pids cost %d device reads, want one each", want, got)
-	}
-}
-
-func TestDiffCacheCoherentAcrossGC(t *testing.T) {
-	// Heavy update volume forces garbage collection to compact and
-	// relocate differential pages repeatedly; with reads interleaved so the
-	// cache is always warm, every read must still return the shadow.
-	const numBlocks = 12
-	params := ftltest.SmallParams(numBlocks)
-	numPages := numBlocks * params.PagesPerBlock * 45 / 100
-	chip := flash.NewChip(params)
-	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := params.DataSize
-	rng := rand.New(rand.NewSource(91))
-	shadow := make([][]byte, numPages)
-	for pid := 0; pid < numPages; pid++ {
-		shadow[pid] = make([]byte, size)
-		rng.Read(shadow[pid])
-		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	buf := make([]byte, size)
-	for i := 0; i < numBlocks*params.PagesPerBlock*6; i++ {
-		pid := uint32(rng.Intn(numPages))
-		off := rng.Intn(size - 8)
-		rng.Read(shadow[pid][off : off+8])
-		if err := s.WritePage(pid, shadow[pid]); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-		rpid := uint32(rng.Intn(numPages))
-		if err := s.ReadPage(rpid, buf); err != nil {
-			t.Fatalf("op %d read: %v", i, err)
-		}
-		if !bytes.Equal(buf, shadow[rpid]) {
-			t.Fatalf("op %d: pid %d read stale/corrupt content", i, rpid)
-		}
-	}
-	if chip.Stats().Erases == 0 {
-		t.Fatal("no GC happened; the test exercised nothing")
-	}
-	if tel := s.Telemetry(); tel.DiffCacheHits == 0 {
-		t.Error("cache never hit across the workload")
-	}
-}
-
 func TestReadBatchTelemetryAndDedup(t *testing.T) {
 	opts := Options{MaxDifferentialSize: 128}
 	_, chip, shadow := diffStore(t, opts, 16, 24)
@@ -410,69 +319,5 @@ func TestConcurrentReadBatchWriteBatchGC(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestRecoveryIdenticalWithAndWithoutCache pins the volatile-cache
-// argument: the cache never touches flash, so the flash image a cached
-// store leaves behind recovers byte-identically under any cache setting.
-func TestRecoveryIdenticalWithAndWithoutCache(t *testing.T) {
-	chip := flash.NewChip(ftltest.SmallParams(16))
-	const numPages = 64
-	size := chip.Params().DataSize
-	s, err := New(chip, numPages, Options{MaxDifferentialSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	shadow := make([][]byte, numPages)
-	buf := make([]byte, size)
-	for pid := 0; pid < numPages; pid++ {
-		shadow[pid] = make([]byte, size)
-		rng.Read(shadow[pid])
-		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 300; i++ {
-		pid := rng.Intn(numPages)
-		off := rng.Intn(size - 8)
-		rng.Read(shadow[pid][off : off+8])
-		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-			t.Fatal(err)
-		}
-		// Interleave reads so the cache is populated while flash mutates.
-		rpid := uint32(rng.Intn(numPages))
-		if err := s.ReadPage(rpid, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Telemetry().DiffCacheHits == 0 {
-		t.Fatal("cache never hit; the pre-crash store did not exercise it")
-	}
-
-	// "Crash": abandon s, recover the same chip twice — cache on and off.
-	for _, opts := range []Options{
-		{MaxDifferentialSize: 128},
-		{MaxDifferentialSize: 128, DiffCachePages: DiffCacheOff},
-	} {
-		r, err := Recover(chip, numPages, opts)
-		if err != nil {
-			t.Fatalf("Recover(cache=%v): %v", opts.DiffCachePages == 0, err)
-		}
-		if r.DiffCacheLen() != 0 {
-			t.Error("recovered store's cache is not empty (cache must never survive restart)")
-		}
-		for pid := 0; pid < numPages; pid++ {
-			if err := r.ReadPage(uint32(pid), buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf, shadow[pid]) {
-				t.Fatalf("recovered pid %d differs (DiffCachePages=%d)", pid, opts.DiffCachePages)
-			}
-		}
 	}
 }

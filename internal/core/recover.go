@@ -20,13 +20,13 @@ import (
 //
 // The scan is embarrassingly parallel over blocks — each physical page is
 // judged by its own spare header and contents, and arbitration is a pure
-// merge by time stamp — so Recover fans it out across
-// Options.RecoveryWorkers goroutines, each scanning a contiguous block
+// merge by time stamp — so Recover fans it out across one goroutine per
+// GOMAXPROCS (at most one per block), each scanning a contiguous block
 // range into a private candidate table; the tables are then merged in
 // block order with exactly the serial algorithm's arbitration rule
 // (greatest time stamp wins, first seen — i.e. lowest physical page —
 // wins ties). The recovered state is therefore identical for every
-// worker count, including the serial scan (RecoveryWorkers = 1).
+// worker count, including the paper's serial scan (one worker).
 //
 // The recovered state reflects exactly the data that had been written out
 // to flash; differentials that were still in the differential write buffer
@@ -45,19 +45,18 @@ import (
 // stores written before validity moved to DRAM, and on the one page this
 // store marks itself (discardLostHeal).
 func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
+	return recoverWith(dev, numPages, opts, runtime.GOMAXPROCS(0))
+}
+
+// recoverWith is Recover with the scan fanned out over workers goroutines,
+// at most one per block.
+func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*Store, error) {
 	s, err := New(dev, numPages, opts)
 	if err != nil {
 		return nil, err
 	}
 	p := dev.Params()
-
-	workers := opts.RecoveryWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > p.NumBlocks {
-		workers = p.NumBlocks
-	}
+	workers = min(workers, p.NumBlocks)
 
 	// Phase 1: scan every physical page's spare area (and the data area of
 	// differential pages and of suspicious free pages), one worker per

@@ -1,0 +1,1365 @@
+package core
+
+// TestSim is the store's one simulation harness. Each subtest runs one seeded
+// program through the whole API of a Store on one cell of the option matrix
+// and holds it to the oracles no cell changes:
+//
+//   - every read returns the bytes the acknowledged writes left (the model);
+//   - the crash contract: what recovery reads back after a crash is a state
+//     of the serial re-run of the same calls (every batch as its writes one by
+//     one) — on one channel one of its states at and inside the calls around
+//     the crash, on a striped device one of them page by page;
+//   - recovery is read-only and a pure function of flash: four recoveries of
+//     one image (the scan with one worker, one per block, GOMAXPROCS, and the
+//     cell's options) rebuild one state, adopt exactly the pages flash holds,
+//     and cost no program and no erase; after a crash the recovered store
+//     carries on;
+//   - on a deterministic cell (synchronous collection) the store with its RAM
+//     caches and a DiffCacheOff twin given the same program read the same
+//     bytes behind the same programs, erases, base and GC reads, and every
+//     read the caches saved is a counted hit;
+//   - Telemetry's read attribution sums to the device's reads;
+//   - at every quiescent point a valid-page bitmap the harness keeps from the
+//     programs and erases it saw (the validbitmap of the wiscsee FTL
+//     simulator) agrees with the allocator's written - obsolete per block, the
+//     mapping table and the valid differential counts, no erase ever takes a
+//     valid page, and no spare area is programmed;
+//   - every injected fault ends in the model's bytes or a typed
+//     *ftl.PageError, and recovery after one reads back no byte no write
+//     carried.
+//
+// A failing program is shrunk by dropping steps and printed with the one
+// line that runs its subtest again.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"pdl/internal/buffer"
+	"pdl/internal/diff"
+	"pdl/internal/flash"
+	"pdl/internal/flash/faultdev"
+	"pdl/internal/flash/filedev"
+	"pdl/internal/ftl"
+	"pdl/internal/ftltest"
+)
+
+// simCell is one cell of the matrix: a value of every axis.
+type simCell struct {
+	backend string // "emu", "file" (filedev under t.TempDir()) or "striped" (two emulated channels)
+	big     bool   // 16 blocks per channel, the allocator's stream gate, else fewer
+	shards  int    // Options.Shards: 0 (one per channel), 4, or 1 on the striped device
+	bg      bool   // Options.BackgroundGC
+	cache   int    // Options.DiffCachePages: DiffCacheOff, 1, 7 (no base-image window) or 0 (the default)
+	pool    bool   // the caller is a buffer.Pool, else the Store itself
+	short   bool   // in the -short subset
+}
+
+// simCells is the matrix: every pair of axis values meets in some cell, and
+// the short cells hold every value at least once.
+var simCells = []simCell{
+	{"emu", false, 0, false, DiffCacheOff, false, true},
+	{"emu", false, 4, true, 1, true, false},
+	{"emu", false, 0, false, 7, true, false},
+	{"emu", false, 4, false, 0, false, false},
+	{"emu", true, 0, true, 0, false, true},
+	{"emu", true, 4, false, DiffCacheOff, true, false},
+	{"emu", true, 0, false, 1, false, false},
+	{"emu", true, 4, true, 7, false, false},
+	{"file", false, 0, true, DiffCacheOff, true, false},
+	{"file", false, 4, false, 0, true, true},
+	{"file", false, 0, false, 1, false, false},
+	{"file", true, 4, false, 7, false, true},
+	{"file", true, 0, true, 1, true, false},
+	{"file", true, 4, false, 0, false, false},
+	{"striped", false, 0, false, 0, true, false},
+	{"striped", false, 1, true, DiffCacheOff, false, true},
+	{"striped", false, 4, false, 1, false, false},
+	{"striped", false, 1, false, 7, true, false},
+	{"striped", true, 0, false, DiffCacheOff, false, false},
+	{"striped", true, 1, false, 0, false, false},
+	{"striped", true, 4, true, 0, true, false},
+	{"striped", true, 1, true, 1, true, true},
+	{"striped", true, 0, true, 7, false, false},
+}
+
+// simSeeds is how many programs every cell runs.
+const simSeeds = 20
+
+func TestSim(t *testing.T) {
+	for _, short := range []bool{false, true} {
+		values := map[string]bool{}
+		for _, c := range simCells {
+			if c.short || !short {
+				for _, v := range strings.Split(c.String(), "-") {
+					values[v] = true
+				}
+			}
+		}
+		if len(values) != 3+2+3+2+4+2 {
+			t.Fatalf("short=%v: the cells hold %d axis values, not all 16: %v", short, len(values), values)
+		}
+	}
+	for _, c := range simCells {
+		if testing.Short() && !c.short {
+			continue
+		}
+		t.Run(c.String(), func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(1); seed <= simSeeds; seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					prog := c.program(seed)
+					if err := c.simulate(t, prog); err != nil {
+						prog, err = shrink(prog, err, func(p simProg) error { return c.simulate(t, p) })
+						t.Fatalf("%v\nreproduce: go test -run 'TestSim/%s/seed=%d$' ./internal/core/\nshrunk to:\n%v", err, c, seed, prog)
+					}
+				})
+			}
+		})
+	}
+}
+
+func (c simCell) String() string {
+	shards := "ch"
+	if c.shards > 0 {
+		shards = fmt.Sprint(c.shards)
+	}
+	cache := map[int]string{DiffCacheOff: "off", 0: "default", 1: "1", 7: "7"}[c.cache]
+	return fmt.Sprintf("%s-%s-shards=%s-%s-cache=%s-%s", c.backend, either(c.big, "big", "small"), shards,
+		either(c.bg, "bg", "sync"), cache, either(c.pool, "pool", "store"))
+}
+
+func either(b bool, yes, no string) string {
+	if b {
+		return yes
+	}
+	return no
+}
+
+func (c simCell) nchan() int {
+	if c.backend == "striped" {
+		return 2
+	}
+	return 1
+}
+
+// channel returns the geometry of one channel: eight blocks of 16 pages, or
+// 16 blocks of 4, so that a hundred steps collect blocks of every stream.
+// (At six blocks of 16 a recovered store can run out of space: a block that
+// recovery adopts with an erased tail and no obsolete page is never a
+// victim. ROADMAP item 1 carries it.)
+func (c simCell) channel() flash.Params {
+	if !c.big {
+		return ftltest.SmallParams(8)
+	}
+	p := ftltest.SmallParams(16)
+	p.PagesPerBlock = 4
+	return p
+}
+
+// numPages fills three eighths of the device.
+func (c simCell) numPages() int {
+	if c.big {
+		return 24 * c.nchan()
+	}
+	return 48 * c.nchan()
+}
+
+func (c simCell) options(maxDiff int) Options {
+	return Options{MaxDifferentialSize: maxDiff, Shards: c.shards, BackgroundGC: c.bg, DiffCachePages: c.cache}
+}
+
+// stepKind is what one step of a program does. Writes, reads and retains
+// reach the store through the cell's caller.
+type stepKind uint8
+
+const (
+	stepWrite     stepKind = iota // one page: WritePage, or Get, change and MarkDirty through the pool
+	stepUpdate                    // the paper's update: read the page, change it, write it back
+	stepBatch                     // several pages: WriteBatch, or one change each through the pool
+	stepRead                      // ReadPage, or Get
+	stepReadBatch                 // ReadBatch, or a Get each
+	stepRetain                    // RetainBase, or MarkDirty of an unchanged frame
+	stepFlush                     // Flush, or the pool's Flush
+	stepCollect                   // one CollectOne per channel, then the quiescent oracles
+	stepKill                      // channel ch loses power at its nth program or erase from here
+	stepTear                      // channel ch tears its nth program from here and lives on
+	stepFault                     // a faultdev fault on pid's base or differential page
+)
+
+var stepNames = [...]string{"write", "update", "batch", "read", "readbatch", "retain", "flush", "collect", "kill", "tear", "fault"}
+
+// simMix is the mix of a program's body, a twentieth each.
+var simMix = [20]stepKind{stepWrite, stepWrite, stepWrite, stepWrite, stepWrite, stepUpdate, stepUpdate,
+	stepUpdate, stepUpdate, stepBatch, stepBatch, stepReadBatch, stepRead, stepRead, stepRead, stepRetain,
+	stepFlush, stepFlush, stepCollect, stepCollect}
+
+type simStep struct {
+	kind    stepKind
+	pids    []uint32
+	edits   []simEdit // one per pid of a write
+	ch, nth int       // stepKill, stepTear
+	fault   faultdev.Fault
+	onDiff  bool // stepFault: the differential page, else the base page
+	mid     bool // stepFault: between the read and the write of the update that follows
+}
+
+func (st simStep) String() string {
+	switch st.kind {
+	case stepKill, stepTear:
+		return fmt.Sprintf("%s channel %d at its program or erase #%d from here", stepNames[st.kind], st.ch, st.nth)
+	case stepFault:
+		return fmt.Sprintf("fault %v at byte %d of pid %d's %s page (mid-update: %v)",
+			st.fault.Kind, st.fault.Off, st.pids[0], either(st.onDiff, "differential", "base"), st.mid)
+	}
+	return fmt.Sprintf("%s %v %v", stepNames[st.kind], st.pids, st.edits)
+}
+
+// simEdit overwrites n bytes from off with a run drawn from seed.
+type simEdit struct {
+	off, n int
+	seed   int64
+}
+
+func (e simEdit) String() string { return fmt.Sprintf("%d+%d", e.off, e.n) }
+
+// apply returns page (zeros for nil) with e applied.
+func (e simEdit) apply(page []byte, size int) []byte {
+	out := make([]byte, size)
+	copy(out, page)
+	x := uint64(e.seed)*0x9E3779B97F4A7C15 | 1
+	for i := e.off; i < e.off+e.n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		out[i] = byte(x)
+	}
+	return out
+}
+
+// simProg is one program: steps[:load] write every page whole and flush.
+type simProg struct {
+	maxDiff int
+	load    int
+	steps   []simStep
+}
+
+func (p simProg) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "MaxDifferentialSize %d; steps 0-%d load every page and flush\n", p.maxDiff, p.load-1)
+	for i, st := range p.steps[p.load:] {
+		fmt.Fprintf(&b, "%4d %v\n", p.load+i, st)
+	}
+	return b.String()
+}
+
+// program draws seed's program: the load, a hundred steps on a hot set and
+// the rest of the pages, with writes of every size (Case 1, the Case 2 spill
+// as the buffer fills, Case 3 by size), and an ending: a crash for two seeds
+// in three, else a fault the run goes on through, half the time followed by
+// a crash.
+func (c simCell) program(seed int64) simProg {
+	rng := rand.New(rand.NewSource(seed))
+	n, size := c.numPages(), c.channel().DataSize
+	p := simProg{maxDiff: []int{128, 0}[rng.Intn(2)]}
+	edit := func() simEdit {
+		w := size
+		switch r := rng.Intn(20); {
+		case r < 8:
+			w = 4 + rng.Intn(12)
+		case r < 11:
+			w = 40 + rng.Intn(60)
+		case r < 17:
+			w = 280 + rng.Intn(180)
+		}
+		return simEdit{off: rng.Intn(size - w + 1), n: w, seed: rng.Int63()}
+	}
+	for pid := range n {
+		p.steps = append(p.steps, simStep{kind: stepWrite, pids: []uint32{uint32(pid)}, edits: []simEdit{{n: size, seed: rng.Int63()}}})
+	}
+	p.steps = append(p.steps, simStep{kind: stepFlush})
+	p.load = len(p.steps)
+	hot := rng.Perm(n)[:4]
+	pid := func() uint32 {
+		if rng.Intn(2) == 0 {
+			return uint32(hot[rng.Intn(len(hot))])
+		}
+		return uint32(rng.Intn(n))
+	}
+	for range 100 {
+		st := simStep{kind: simMix[rng.Intn(len(simMix))], pids: []uint32{pid()}}
+		if st.kind == stepBatch || st.kind == stepReadBatch {
+			for range 1 + rng.Intn(5) {
+				st.pids = append(st.pids, pid())
+			}
+		}
+		if st.kind <= stepBatch {
+			for range st.pids {
+				st.edits = append(st.edits, edit())
+			}
+		}
+		p.steps = append(p.steps, st)
+	}
+	// insert puts sts before a drawn step from from on that programs or
+	// erases, a batch one time in three, and returns the index of the last.
+	insert := func(from int, sts ...simStep) int {
+		var at, batches []int
+		for i := from; i < len(p.steps); i++ {
+			switch p.steps[i].kind {
+			case stepBatch:
+				batches = append(batches, i)
+				fallthrough
+			case stepWrite, stepUpdate, stepFlush, stepCollect:
+				at = append(at, i)
+			}
+		}
+		if len(batches) > 0 && rng.Intn(3) == 0 {
+			at = batches
+		}
+		i := len(p.steps)
+		if len(at) > 0 {
+			i = at[rng.Intn(len(at))]
+		}
+		p.steps = slices.Insert(p.steps, i, sts...)
+		if i < p.load {
+			p.load += len(sts)
+		}
+		return i + len(sts) - 1
+	}
+	kill := func(from int) { insert(from, simStep{kind: stepKill, ch: rng.Intn(c.nchan()), nth: 1 + rng.Intn(4)}) }
+	if seed%3 != 0 {
+		kill(p.load / 2)
+		return p
+	}
+	var at int
+	if k := rng.Intn(4); k == 3 {
+		at = insert(p.load, simStep{kind: stepTear, ch: rng.Intn(c.nchan()), nth: 1 + rng.Intn(3)})
+	} else {
+		f := simStep{kind: stepFault, pids: []uint32{pid()}, onDiff: rng.Intn(3) == 0}
+		f.fault.Kind = []faultdev.Kind{faultdev.BitFlip, faultdev.SectorCorrupt, faultdev.PageLoss}[k]
+		f.fault.Off, f.fault.Bit = rng.Intn(size/256)*256, uint8(rng.Intn(8))
+		if f.fault.Kind == faultdev.BitFlip {
+			f.fault.Off += rng.Intn(256)
+		}
+		if !f.onDiff && rng.Intn(2) == 0 {
+			// Between a read and the write that reuses its retained image.
+			f.mid = true
+			at = insert(p.load, f, simStep{kind: stepUpdate, pids: f.pids, edits: []simEdit{edit()}})
+		} else {
+			at = insert(p.load, f)
+		}
+	}
+	if rng.Intn(2) == 0 {
+		kill(at + 1)
+	}
+	return p
+}
+
+// shrink drops runs of body steps from a failing program for as long as it
+// keeps failing, at most 200 re-runs, and returns the smallest program found
+// with its failure.
+func shrink(p simProg, err error, fails func(simProg) error) (simProg, error) {
+	runs := 0
+	for chunk := (len(p.steps) - p.load) / 2; chunk >= 1 && runs < 200; chunk /= 2 {
+		for i := p.load; i+chunk <= len(p.steps) && runs < 200; runs++ {
+			q := p
+			q.steps = slices.Concat(p.steps[:i], p.steps[i+chunk:])
+			if e := fails(q); e != nil {
+				p, err = q, e
+			} else {
+				i += chunk
+			}
+		}
+	}
+	return p, err
+}
+
+// simulate runs prog on the cell — clean, as the DiffCacheOff twin on a
+// deterministic cell with caches, and with its ending — and returns the first
+// oracle it breaks.
+func (c simCell) simulate(t *testing.T, prog simProg) error {
+	opts := c.options(prog.maxDiff)
+	r, err := c.start(t, opts)
+	if err != nil {
+		return err
+	}
+	defer r.close()
+	if err := r.run(prog.steps, true); err != nil {
+		return err
+	}
+	if !c.bg && c.cache != DiffCacheOff {
+		off := opts
+		off.DiffCachePages = DiffCacheOff
+		twin, err := c.start(t, off)
+		if err != nil {
+			return err
+		}
+		defer twin.close()
+		if err := twin.run(prog.steps, true); err != nil {
+			return fmt.Errorf("the DiffCacheOff twin: %w", err)
+		}
+		if err := savedReadsOnly(r, twin); err != nil {
+			return err
+		}
+	}
+	if err := r.finish(); err != nil {
+		return err
+	}
+	rec, err := r.recovered()
+	if err != nil {
+		return err
+	}
+	got, errs := pagesOf(rec)
+	rec.Close()
+	if !slices.EqualFunc(got, r.m.pages, bytes.Equal) || errors.Join(errs...) != nil {
+		return fmt.Errorf("recovery after the last flush did not read back every write (%v)", errors.Join(errs...))
+	}
+	return c.crash(t, prog, opts)
+}
+
+// crash runs prog with its ending and recovers after it: what recovery reads
+// back must be a state of the serial re-run around the crash (after a fault:
+// contents some write carried), and after a crash the recovered store must
+// carry on through some more steps whose writes survive one more restart.
+func (c simCell) crash(t *testing.T, prog simProg, opts Options) error {
+	r, err := c.start(t, opts)
+	if err != nil {
+		return err
+	}
+	defer func() { r.close() }()
+	if err := r.run(prog.steps, false); err != nil {
+		return err
+	}
+	trace, faulted, versions := r.m.trace, r.m.faulted, r.m.versions
+	r.s.Close() // the process dies: its buffers are lost, its collectors stop
+	fired := len(trace)
+	for _, d := range r.chans {
+		if d.fired && !d.tear {
+			fired = min(fired, int(d.firedAt))
+		}
+		d.revive()
+	}
+	rec, err := r.recovered()
+	if err != nil {
+		return err
+	}
+	r.attach(rec, false)
+	r.trusted = false
+	got, errs := pagesOf(rec)
+	if faulted {
+		var pe *ftl.PageError
+		for pid, page := range got {
+			switch {
+			case errs[pid] != nil && !errors.As(errs[pid], &pe):
+				return fmt.Errorf("after the fault recovery failed to read pid %d untyped: %v", pid, errs[pid])
+			case page != nil && !slices.ContainsFunc(versions[pid], func(v []byte) bool { return bytes.Equal(v, page) }):
+				return fmt.Errorf("after the fault recovery read back pid %d with bytes no write carried", pid)
+			}
+		}
+		return nil // faultdev's lost page reads erased over programmed cells: a recovered store may reprogram it
+	}
+	states, err := c.replay(t, prog.maxDiff, trace, fired)
+	if err = errors.Join(err, errors.Join(errs...)); err == nil {
+		err = c.crashed(got, states)
+	}
+	if err != nil {
+		return fmt.Errorf("%w (the crash fired in call %d of %d)", err, fired, len(trace))
+	}
+	copy(r.m.pages, got)
+	var tail []simStep
+	for _, st := range prog.steps[prog.load:] {
+		if st.kind <= stepCollect && len(tail) < 16 {
+			tail = append(tail, st)
+		}
+	}
+	if err := r.run(tail, true); err != nil {
+		return fmt.Errorf("after recovery: %w", err)
+	}
+	r.m.Flush()
+	rec.Close()
+	again, err := Recover(r.dev, c.numPages(), Options{MaxDifferentialSize: prog.maxDiff})
+	if err != nil {
+		return err
+	}
+	got, errs = pagesOf(again)
+	for pid := range got {
+		r.m.read(uint32(pid), got[pid], errs[pid])
+	}
+	if r.m.err != nil {
+		return fmt.Errorf("restarting the recovered store: %w", r.m.err)
+	}
+	return nil
+}
+
+// crashed holds got, what recovery read back after the crash, to the states
+// of the serial re-run: one of them on one channel, and page by page one of
+// them on a striped device, whose channels die one at a time.
+func (c simCell) crashed(got [][]byte, states [][][]byte) error {
+	for pid := range got {
+		if !slices.ContainsFunc(states, func(st [][]byte) bool { return bytes.Equal(st[pid], got[pid]) }) {
+			return fmt.Errorf("recovery read back pid %d with its content in none of the %d states of the serial re-run around the crash", pid, len(states))
+		}
+	}
+	if c.nchan() == 1 && !slices.ContainsFunc(states, func(st [][]byte) bool { return slices.EqualFunc(st, got, bytes.Equal) }) {
+		return fmt.Errorf("recovery read back a mix of the %d states of the serial re-run around the crash, and none of them", len(states))
+	}
+	return nil
+}
+
+// replay re-runs trace serially on a store over an emulated copy of the
+// cell's device, with synchronous collection — each batch as its writes one
+// by one, each flush from call lo on shard by shard — and returns what
+// recovery reads back from that image at every boundary of the calls from lo
+// on, and inside them.
+func (c simCell) replay(t *testing.T, maxDiff int, trace []simOp, lo int) ([][][]byte, error) {
+	opts := Options{MaxDifferentialSize: maxDiff, Shards: c.shards, DiffCachePages: DiffCacheOff}
+	if opts.Shards == 0 {
+		opts.Shards = c.nchan()
+	}
+	ref, err := simCell{backend: either(c.nchan() > 1, "striped", "emu"), big: c.big}.start(t, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer ref.close()
+	s := ref.s
+	var states [][][]byte
+	capture := func(here bool) error {
+		if !here {
+			return nil
+		}
+		rec, err := Recover(ref.dev, c.numPages(), opts)
+		if err != nil {
+			return err
+		}
+		got, errs := pagesOf(rec)
+		states = append(states, got)
+		return errors.Join(errs...)
+	}
+	for i, op := range trace {
+		err := capture(i >= lo)
+		switch op.kind {
+		case stepWrite, stepBatch:
+			for _, w := range op.writes {
+				err = errors.Join(err, s.WritePage(w.PID, w.Data), capture(i >= lo && op.kind == stepBatch))
+			}
+		case stepFlush:
+			if i < lo {
+				err = s.Flush()
+			}
+			for sh := range s.shards {
+				if i >= lo && !s.shards[sh].dwb.empty() {
+					err = errors.Join(err, flushShard(s, sh), capture(true))
+				}
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("the serial re-run, call %d: %w", i, err)
+		}
+	}
+	return states, capture(true)
+}
+
+// flushShard is Flush of shard i alone: Flush programs every non-empty shard
+// in one device batch, in shard order, and this is one step of that order.
+func flushShard(s *Store, i int) error {
+	sh := &s.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ops := []pendingOp{s.snapshotSpill(&sh.dwb, i, s.nextTS(), s.homeChannel(i))}
+	defer s.recycleSpills(ops)
+	landed, err := s.commit(ops)
+	if landed {
+		sh.dwb.clear()
+	}
+	return err
+}
+
+// pagesOf reads every logical page of s: nil for a page never written, and
+// errs[pid] for a read that failed otherwise.
+func pagesOf(s *Store) (pages [][]byte, errs []error) {
+	pages, errs = make([][]byte, s.numPages), make([]error, s.numPages)
+	for pid := range pages {
+		buf := make([]byte, s.PageSize())
+		switch err := s.ReadPage(uint32(pid), buf); {
+		case err == nil:
+			pages[pid] = buf
+		case !errors.Is(err, ftl.ErrNotWritten):
+			errs[pid] = err
+		}
+	}
+	return pages, errs
+}
+
+// imageOf prints the state recovery rebuilt (maps print sorted).
+func imageOf(s *Store) string {
+	var blocks []ftl.BlockStats
+	for blk := range s.params.NumBlocks {
+		blocks = append(blocks, s.alloc.BlockStats(blk))
+	}
+	return fmt.Sprint(s.mt.ppmt, s.mt.baseTS, s.mt.diffTS, s.mt.vdct, s.mt.rebase, blocks, s.ts.Load(), s.Telemetry())
+}
+
+// adopted holds a recovered store's allocator to the flash under it: a block
+// is free iff every page of it is erased, and written with every page that
+// is not, a torn one included.
+func adopted(s *Store) error {
+	p := s.params
+	data, spare := make([]byte, p.DataSize), make([]byte, p.SpareSize)
+	for blk := range p.NumBlocks {
+		n := 0
+		for i := range p.PagesPerBlock {
+			if err := s.dev.Read(p.PPNOf(blk, i), data, spare); err != nil {
+				return err
+			}
+			if !allErased(data) || !allErased(spare) {
+				n++
+			}
+		}
+		if bs := s.alloc.BlockStats(blk); bs.Written != n || bs.Free != (n == 0) {
+			return fmt.Errorf("recovery adopted block %d as %+v, flash holds %d programmed pages in it", blk, bs, n)
+		}
+	}
+	return nil
+}
+
+// simRun is one run of a program on a fresh device of the cell.
+type simRun struct {
+	c       simCell
+	opts    Options
+	dev     flash.Device       // what the store is opened on
+	bits    *simBitmap         // what the harness saw reach flash
+	chans   []*simChan         // per channel, under the fault overlay
+	fds     []*faultdev.Device // per channel
+	s       *Store
+	m       *simModel
+	pool    *buffer.Pool // the caller, or nil for the Store itself
+	app     [][]byte     // what the pool's caller wrote to each page
+	pending *simStep     // a fault for the update that follows
+	trusted bool         // the bitmap follows the store: no crash, fault or recovery since it opened
+	reads0  int64        // the device reads that are not the store's
+}
+
+// start opens a store of the cell on a fresh device: per channel the backend
+// under a simChan under a faultdev overlay, and the channels striped.
+func (c simCell) start(t *testing.T, opts Options) (*simRun, error) {
+	r := &simRun{c: c, opts: opts, trusted: true}
+	p := c.channel()
+	p.NumBlocks *= c.nchan()
+	r.bits = newSimBitmap(p, c.nchan(), c.numPages())
+	var subs []flash.Device
+	for ch := range c.nchan() {
+		var dev flash.Device
+		if c.backend != "file" {
+			dev = flash.NewChip(c.channel())
+		} else if f, err := filedev.Open(filepath.Join(t.TempDir(), "flash"), filedev.Options{Params: c.channel()}); err != nil {
+			return nil, err
+		} else {
+			dev = f
+		}
+		r.chans = append(r.chans, &simChan{Device: dev, bits: r.bits, ch: ch})
+		r.fds = append(r.fds, faultdev.Wrap(r.chans[ch]))
+		subs = append(subs, r.fds[ch])
+	}
+	r.dev = subs[0]
+	if len(subs) > 1 {
+		r.dev, _ = flash.NewStriped(subs...)
+	}
+	s, err := New(r.dev, c.numPages(), opts)
+	if err != nil {
+		return nil, errors.Join(err, r.dev.Close())
+	}
+	r.attach(s, c.pool)
+	return r, nil
+}
+
+// attach makes s the store the run drives, with an empty model.
+func (r *simRun) attach(s *Store, pool bool) {
+	n := r.c.numPages()
+	r.s, r.m = s, &simModel{Store: s, pages: make([][]byte, n), maybe: make([][][]byte, n), versions: make([][][]byte, n)}
+	r.reads0 = r.dev.Stats().Reads - readsOf(s.Telemetry())
+	r.pool, r.app, r.pending = nil, nil, nil
+	if pool {
+		r.pool, _ = buffer.NewPool(r.m, n/5)
+		r.app = make([][]byte, n)
+	}
+}
+
+func (r *simRun) close() {
+	r.s.Close()
+	r.dev.Close()
+}
+
+func readsOf(t Telemetry) int64 {
+	return t.BaseReads + t.DiffReads + t.WriteBaseReads + t.GCReads + t.RecoverReads
+}
+
+func (r *simRun) dead() bool { return slices.ContainsFunc(r.chans, (*simChan).isDead) }
+
+// run drives steps through the caller, holding every read to the model and
+// the store to the quiescent oracles after every collection step; a clean
+// run skips the crash and the faults. It stops at the first broken oracle
+// and, as a dead process does, at the first step after a device died. With
+// background collection it yields after every step: a run takes
+// milliseconds, and the collectors would otherwise wait it out.
+func (r *simRun) run(steps []simStep, clean bool) error {
+	for i := range steps {
+		if r.s.BackgroundGC() {
+			runtime.Gosched()
+		}
+		if r.m.err != nil || r.dead() {
+			break
+		}
+		switch st := &steps[i]; st.kind {
+		case stepKill, stepTear:
+			if !clean {
+				r.chans[st.ch].arm(st.nth, st.kind == stepTear, &r.m.op)
+				r.m.faulted = r.m.faulted || st.kind == stepTear
+				r.trusted = r.trusted && st.kind == stepKill
+			}
+		case stepFault:
+			switch {
+			case clean:
+			case st.mid:
+				r.pending = st
+			default:
+				r.inject(st)
+			}
+		case stepCollect:
+			r.m.collect()
+			if err := r.quiescent(); err != nil {
+				return err
+			}
+		default:
+			if r.pool != nil {
+				r.poolStep(st)
+			} else {
+				r.storeStep(st)
+			}
+		}
+	}
+	return r.m.err
+}
+
+func (r *simRun) storeStep(st *simStep) {
+	m, pid, size := r.m, st.pids, r.s.PageSize()
+	switch st.kind {
+	case stepWrite:
+		m.WritePage(pid[0], st.edits[0].apply(m.pages[pid[0]], size))
+	case stepUpdate:
+		buf := make([]byte, size)
+		if m.ReadPage(pid[0], buf) == nil {
+			r.injectPending()
+			m.WritePage(pid[0], st.edits[0].apply(buf, size))
+		}
+	case stepBatch:
+		writes := make([]ftl.PageWrite, len(pid))
+		next := map[uint32][]byte{}
+		for i, p := range pid {
+			prev, ok := next[p]
+			if !ok {
+				prev = m.pages[p]
+			}
+			next[p] = st.edits[i].apply(prev, size)
+			writes[i] = ftl.PageWrite{PID: p, Data: next[p]}
+		}
+		m.WriteBatch(writes)
+	case stepRead:
+		m.ReadPage(pid[0], make([]byte, size))
+	case stepReadBatch:
+		bufs := make([][]byte, len(pid))
+		for i := range bufs {
+			bufs[i] = make([]byte, size)
+		}
+		m.ReadBatch(pid, bufs)
+	case stepRetain:
+		m.RetainBase(pid[0])
+	case stepFlush:
+		m.Flush()
+	}
+}
+
+// poolStep is a step as a DBMS makes it through its buffer pool. A failed
+// pool call needs no check of its own: the model judged the store call under
+// it.
+func (r *simRun) poolStep(st *simStep) {
+	switch st.kind {
+	case stepWrite, stepUpdate, stepBatch:
+		for i, pid := range st.pids {
+			r.poolEdit(pid, &st.edits[i])
+		}
+	case stepRetain:
+		r.poolEdit(st.pids[0], nil)
+	case stepRead, stepReadBatch:
+		for _, pid := range st.pids {
+			if page, err := r.pool.Get(pid); err == nil && !bytes.Equal(page, r.app[pid]) {
+				r.m.failf("the pool served pid %d other bytes than its caller wrote", pid)
+			}
+		}
+	case stepFlush:
+		r.pool.Flush()
+	}
+}
+
+// poolEdit fetches pid, applies e and marks the frame dirty; a nil e marks it
+// dirty unchanged.
+func (r *simRun) poolEdit(pid uint32, e *simEdit) {
+	get := r.pool.Get
+	if r.app[pid] == nil {
+		get = r.pool.GetNew
+	}
+	page, err := get(pid)
+	switch {
+	case err != nil:
+		return
+	case r.app[pid] != nil && !bytes.Equal(page, r.app[pid]):
+		r.m.failf("the pool served pid %d other bytes than its caller wrote", pid)
+		return
+	case e != nil:
+		copy(page, e.apply(page, len(page)))
+		r.app[pid] = bytes.Clone(page)
+	}
+	r.pool.MarkDirty(pid)
+	r.injectPending()
+}
+
+func (r *simRun) injectPending() {
+	if r.pending != nil {
+		r.inject(r.pending)
+		r.pending = nil
+	}
+}
+
+// inject plants st's fault on the page pid maps to now.
+func (r *simRun) inject(st *simStep) {
+	e, _, _, _ := r.s.mt.snapshot(st.pids[0])
+	ppn := e.base
+	if st.onDiff {
+		ppn = e.dif
+	}
+	if ppn == flash.NilPPN {
+		return
+	}
+	p, n, f := r.bits.p, len(r.fds), st.fault
+	f.PPN = p.PPNOf(p.BlockOf(ppn)/n, p.PageOf(ppn))
+	r.fds[p.BlockOf(ppn)%n].Inject(f)
+	r.m.faulted, r.trusted = true, false
+}
+
+// finish writes back the caller's pages and flushes the store, checks the
+// quiescent oracles once more, and stops the collectors.
+func (r *simRun) finish() error {
+	if r.pool != nil {
+		r.pool.Flush()
+		for pid, page := range r.app {
+			if !bytes.Equal(page, r.m.pages[pid]) {
+				r.m.failf("pid %d: the pool wrote back other bytes than its caller's", pid)
+			}
+		}
+	} else {
+		r.m.Flush()
+	}
+	r.m.collect()
+	if err := r.quiescent(); err != nil {
+		return err
+	}
+	if err := r.s.Close(); err != nil {
+		r.m.failf("closing: %v", err)
+	}
+	return r.m.err
+}
+
+// quiescent holds the idle store, its collectors stopped at their channel
+// locks, to what the harness saw: Telemetry's read attribution sums to the
+// device's reads, the valid differential count table holds no dead page and,
+// while the bitmap follows the store, every block's valid pages are the
+// allocator's written - obsolete, every pid maps to the pages the bitmap
+// arbitrated, the valid differential counts are the bitmap's, no valid page
+// was ever erased and no spare area programmed.
+func (r *simRun) quiescent() error {
+	s, b, p := r.s, r.bits, r.bits.p
+	for ch := range s.chans {
+		s.chans[ch].mu.Lock()
+		defer s.chans[ch].mu.Unlock()
+	}
+	tel := s.Telemetry()
+	if got, want := readsOf(tel), r.dev.Stats().Reads-r.reads0; got != want {
+		return fmt.Errorf("Telemetry attributes %d reads, the device counted %d", got, want)
+	}
+	s.mt.mu.RLock()
+	defer s.mt.mu.RUnlock()
+	for ppn, n := range s.mt.vdct {
+		if n <= 0 {
+			return fmt.Errorf("the valid differential count table holds page %d at %d", ppn, n)
+		}
+	}
+	if !r.trusted || r.dead() {
+		return nil
+	}
+	if s.dcache != nil && tel.ReadRetries == 0 && tel.DiffReads != tel.DiffCacheMisses {
+		return fmt.Errorf("%d differential page reads for %d cache misses", tel.DiffReads, tel.DiffCacheMisses)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.err != nil {
+		return b.err
+	}
+	if b.spares != 0 {
+		return fmt.Errorf("%d spare areas programmed: validity is DRAM state", b.spares)
+	}
+	valid := make([]int, p.NumBlocks)
+	for ppn, v := range b.valid {
+		if v {
+			valid[p.BlockOf(flash.PPN(ppn))]++
+		}
+	}
+	for blk, n := range valid {
+		if bs := s.alloc.BlockStats(blk); n != bs.Written-bs.Obsolete {
+			return fmt.Errorf("block %d holds %d valid pages, the allocator counts %d written and %d obsolete", blk, n, bs.Written, bs.Obsolete)
+		}
+	}
+	for pid, e := range s.mt.ppmt {
+		bp, df := b.base[pid], b.dif[pid]
+		if e != (pageEntry{bp.ppn, df.ppn}) || s.mt.baseTS[pid] != bp.ts || s.mt.diffTS[pid] != df.ts {
+			return fmt.Errorf("pid %d maps to %+v at time stamps %d and %d, the bitmap to %+v and %+v", pid, e, s.mt.baseTS[pid], s.mt.diffTS[pid], bp, df)
+		}
+	}
+	live := 0
+	for ppn, n := range b.refs {
+		if n > 0 {
+			live++
+		}
+		if got := s.mt.vdct[flash.PPN(ppn)]; got != n {
+			return fmt.Errorf("differential page %d counts %d valid differentials, the bitmap %d", ppn, got, n)
+		}
+	}
+	if live != len(s.mt.vdct) {
+		return fmt.Errorf("the valid differential count table holds %d pages, %d live", len(s.mt.vdct), live)
+	}
+	return nil
+}
+
+// recovered recovers the run's image four times — the scan with one worker,
+// with one per block, with GOMAXPROCS, and Recover with the cell's options —
+// and holds them to one state that adopts exactly the pages flash holds and
+// cost no program and no erase. It returns the last for the caller to use and
+// close.
+func (r *simRun) recovered() (*Store, error) {
+	before, n := r.dev.Stats(), r.c.numPages()
+	sync := r.opts
+	sync.BackgroundGC = false
+	var want string
+	var s *Store
+	for i, w := range []int{1, r.bits.p.NumBlocks, runtime.GOMAXPROCS(0), 0} {
+		var err error
+		if w > 0 {
+			s, err = recoverWith(r.dev, n, sync, w)
+		} else {
+			s, err = Recover(r.dev, n, r.opts)
+		}
+		switch {
+		case err != nil:
+			return nil, err
+		case i == 0:
+			want, err = imageOf(s), adopted(s)
+		case imageOf(s) != want:
+			err = fmt.Errorf("recovery %d (%d workers; 0: Recover) rebuilt another state than the first", i+1, w)
+		}
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
+	if d := r.dev.Stats().Sub(before); d.Writes != 0 || d.Erases != 0 {
+		s.Close()
+		return nil, fmt.Errorf("four recoveries programmed %d pages and erased %d blocks", d.Writes, d.Erases)
+	}
+	return s, nil
+}
+
+// savedReadsOnly holds a store with its caches (on) and its DiffCacheOff twin
+// (off) after one program to the same programs, erases, base and GC reads,
+// and every read the caches saved to a counted hit.
+func savedReadsOnly(on, off *simRun) error {
+	a, b, ad, bd := on.s.Telemetry(), off.s.Telemetry(), on.dev.Stats(), off.dev.Stats()
+	savedDiff := b.DiffReads - a.DiffReads
+	switch {
+	case ad.Writes != bd.Writes || ad.Erases != bd.Erases:
+		return fmt.Errorf("%d programs and %d erases with the caches, %d and %d without", ad.Writes, ad.Erases, bd.Writes, bd.Erases)
+	case a.BaseReads != b.BaseReads || a.GCReads != b.GCReads:
+		return fmt.Errorf("%d base and %d GC reads with the caches, %d and %d without", a.BaseReads, a.GCReads, b.BaseReads, b.GCReads)
+	case b.WriteBaseHits != 0 || b.DiffCacheHits != 0:
+		return fmt.Errorf("DiffCacheOff counted %d base-image and %d cache hits", b.WriteBaseHits, b.DiffCacheHits)
+	case b.WriteBaseReads-a.WriteBaseReads != a.WriteBaseHits:
+		return fmt.Errorf("the caches saved %d base reads of writes and counted %d hits", b.WriteBaseReads-a.WriteBaseReads, a.WriteBaseHits)
+	case savedDiff > a.DiffCacheHits || bd.Reads-ad.Reads != savedDiff+a.WriteBaseHits:
+		return fmt.Errorf("the caches saved %d reads: %d differential pages for %d hits and %d base images",
+			bd.Reads-ad.Reads, savedDiff, a.DiffCacheHits, a.WriteBaseHits)
+	}
+	return nil
+}
+
+// simModel is the store as its caller knows it: every call reaches the store
+// through it, and it holds every read to the contents the acknowledged writes
+// left and records the calls, in order, as the trace the crash oracle
+// replays. A buffer.Pool is opened on it, so it carries every interface of
+// the store the pool probes for (ftl.BatchWriter, ftl.BaseRetainer): without
+// one the pool cells would test another store.
+type simModel struct {
+	*Store
+	pages    [][]byte   // per pid: the newest acknowledged content; nil: never written
+	maybe    [][][]byte // per pid: the contents of failed writes, which may have landed
+	versions [][][]byte // per pid: every content a write carried
+	trace    []simOp
+	op       atomic.Int64 // the index in trace of the call in progress
+	faulted  bool         // a fault was injected: calls may fail typed
+	err      error        // the first broken oracle
+}
+
+// simOp is one call of a trace, with the pages a write carried.
+type simOp struct {
+	kind   stepKind
+	writes []ftl.PageWrite
+}
+
+func (m *simModel) call(kind stepKind, writes []ftl.PageWrite) {
+	m.op.Store(int64(len(m.trace)))
+	m.trace = append(m.trace, simOp{kind, writes})
+}
+
+func (m *simModel) failf(format string, args ...any) {
+	if m.err == nil {
+		m.err = fmt.Errorf(format, args...)
+	}
+}
+
+// allowed reports whether a call may end in err: on a device that died, and
+// after a fault, typed or with the torn program's error.
+func (m *simModel) allowed(err error) bool {
+	var pe *ftl.PageError
+	return err == nil || errors.Is(err, errKilled) || m.faulted && (errors.As(err, &pe) || errors.Is(err, errTorn))
+}
+
+func (m *simModel) WritePage(pid uint32, data []byte) error {
+	return m.WriteBatch([]ftl.PageWrite{{PID: pid, Data: data}})
+}
+
+// WriteBatch is the write of one page or several, which it records and
+// applies to the model: in order if it succeeded, as contents that may have
+// landed if it failed.
+func (m *simModel) WriteBatch(writes []ftl.PageWrite) error {
+	w := make([]ftl.PageWrite, len(writes))
+	for i, pw := range writes {
+		w[i] = ftl.PageWrite{PID: pw.PID, Data: bytes.Clone(pw.Data)}
+	}
+	var err error
+	if len(w) == 1 {
+		m.call(stepWrite, w)
+		err = m.Store.WritePage(w[0].PID, writes[0].Data)
+	} else {
+		m.call(stepBatch, w)
+		err = m.Store.WriteBatch(writes)
+	}
+	if !m.allowed(err) {
+		m.failf("writing pid %d: %v", w[0].PID, err)
+	}
+	for _, pw := range w {
+		m.versions[pw.PID] = append(m.versions[pw.PID], pw.Data)
+		if err == nil {
+			m.pages[pw.PID], m.maybe[pw.PID] = pw.Data, nil
+		} else {
+			m.maybe[pw.PID] = append(m.maybe[pw.PID], pw.Data)
+		}
+	}
+	return err
+}
+
+func (m *simModel) ReadPage(pid uint32, buf []byte) error {
+	m.call(stepRead, nil)
+	err := m.Store.ReadPage(pid, buf)
+	m.read(pid, buf, err)
+	return err
+}
+
+func (m *simModel) ReadBatch(pids []uint32, bufs [][]byte) error {
+	m.call(stepReadBatch, nil)
+	err := m.Store.ReadBatch(pids, bufs)
+	for i, pid := range pids {
+		if err == nil {
+			m.read(pid, bufs[i], nil)
+		}
+	}
+	if !m.allowed(err) && !(errors.Is(err, ftl.ErrNotWritten) && slices.ContainsFunc(pids, func(p uint32) bool { return m.pages[p] == nil })) {
+		m.failf("ReadBatch: %v", err)
+	}
+	return err
+}
+
+// read holds one read of pid, which returned got and err, to the model; a
+// read of a failed write's content settles that the write landed.
+func (m *simModel) read(pid uint32, got []byte, err error) {
+	switch {
+	case err == nil && bytes.Equal(got, m.pages[pid]):
+	case err == nil:
+		i := slices.IndexFunc(m.maybe[pid], func(b []byte) bool { return bytes.Equal(got, b) })
+		if i < 0 {
+			m.failf("pid %d read bytes no write left there", pid)
+			return
+		}
+		m.pages[pid], m.maybe[pid] = m.maybe[pid][i], nil
+	case errors.Is(err, ftl.ErrNotWritten) && m.pages[pid] == nil:
+	case !m.allowed(err):
+		m.failf("reading pid %d: %v", pid, err)
+	}
+}
+
+func (m *simModel) Flush() error {
+	m.call(stepFlush, nil)
+	err := m.Store.Flush()
+	if !m.allowed(err) {
+		m.failf("flushing: %v", err)
+	}
+	return err
+}
+
+func (m *simModel) RetainBase(pid uint32) {
+	m.call(stepRetain, nil)
+	m.Store.RetainBase(pid)
+}
+
+// collect runs one garbage-collection increment on every channel, as the
+// background engine does.
+func (m *simModel) collect() {
+	m.call(stepCollect, nil)
+	for ch := range m.nchan {
+		if _, err := (chanCollector{s: m.Store, ch: ch}).CollectOne(); !m.allowed(err) {
+			m.failf("collecting on channel %d: %v", ch, err)
+		}
+	}
+}
+
+// simBitmap is the harness's own valid-page bitmap of the device, kept the
+// way the wiscsee FTL simulator keeps its validbitmap: from the programs and
+// erases that reach flash, arbitrating the headers by time stamp as recovery
+// does, so a page is valid while it is its pid's newest base page or holds
+// some pid's newest differential.
+type simBitmap struct {
+	p      flash.Params // of the whole device
+	nchan  int
+	mu     sync.Mutex
+	valid  []bool   // per page
+	base   []simRef // per pid: its base page
+	dif    []simRef // per pid: its differential
+	refs   []int    // per page: the pids whose differential it holds
+	spares int      // spare-area programs
+	err    error    // the first erase of a valid page
+}
+
+// simRef is a page with the time stamp that put it there; ppn NilPPN: none.
+type simRef struct {
+	ppn flash.PPN
+	ts  uint64
+}
+
+func newSimBitmap(p flash.Params, nchan, numPages int) *simBitmap {
+	b := &simBitmap{p: p, nchan: nchan, valid: make([]bool, p.NumPages()), refs: make([]int, p.NumPages()),
+		base: make([]simRef, numPages), dif: make([]simRef, numPages)}
+	for pid := range b.base {
+		b.base[pid].ppn, b.dif[pid].ppn = flash.NilPPN, flash.NilPPN
+	}
+	return b
+}
+
+// global is the device's number of page ppn of channel ch (flash.Striped:
+// block g is channel g%n's block g/n).
+func (b *simBitmap) global(ch int, ppn flash.PPN) flash.PPN {
+	return b.p.PPNOf(b.p.BlockOf(ppn)*b.nchan+ch, b.p.PageOf(ppn))
+}
+
+// programmed arbitrates pages that channel ch programmed.
+func (b *simBitmap) programmed(ch int, pps []flash.PageProgram) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, pp := range pps {
+		ppn := b.global(ch, pp.PPN)
+		switch h := ftl.DecodeHeader(pp.Spare); h.Type {
+		case ftl.TypeBase:
+			cur := &b.base[h.PID]
+			if cur.ppn != flash.NilPPN {
+				if h.TS < cur.ts {
+					continue // a relocated copy that lost its race to a newer base
+				}
+				b.valid[cur.ppn] = false // superseded, or relocated under its stamp
+			}
+			*cur = simRef{ppn, h.TS}
+			b.valid[ppn] = true
+			if df := b.dif[h.PID]; df.ppn != flash.NilPPN && df.ts < h.TS {
+				b.unlink(h.PID)
+			}
+		case ftl.TypeDiff:
+			for rec := range diff.Records(pp.Data) {
+				pid, ts := diff.RecordKey(rec)
+				if df := b.dif[pid]; ts <= b.base[pid].ts || df.ppn != flash.NilPPN && ts < df.ts {
+					continue
+				}
+				if b.dif[pid].ppn != flash.NilPPN {
+					b.unlink(pid)
+				}
+				b.dif[pid] = simRef{ppn, ts}
+				b.refs[ppn]++
+			}
+			b.valid[ppn] = b.refs[ppn] > 0
+		}
+	}
+}
+
+func (b *simBitmap) unlink(pid uint32) {
+	ppn := b.dif[pid].ppn
+	if b.refs[ppn]--; b.refs[ppn] == 0 {
+		b.valid[ppn] = false
+	}
+	b.dif[pid] = simRef{ppn: flash.NilPPN}
+}
+
+// erased empties block blk of channel ch.
+func (b *simBitmap) erased(ch, blk int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i := range b.p.PagesPerBlock {
+		ppn := b.global(ch, b.p.PPNOf(blk, i))
+		if b.valid[ppn] && b.err == nil {
+			b.err = fmt.Errorf("page %d was erased valid", ppn)
+		}
+		b.valid[ppn], b.refs[ppn] = false, 0
+	}
+}
+
+// simChan is one channel's device as the harness drives it: it feeds what
+// reaches flash to the bitmap, and it is the channel's power. Armed, the nth
+// program or erase from then on is its last: a program is torn (the first
+// half of its data, an erased spare), an erase is not begun, and every
+// mutation after it fails. Armed to tear, it tears the nth program and lets
+// everything else through: a program that failed on a device that lives on.
+type simChan struct {
+	flash.Device
+	bits    *simBitmap
+	ch      int
+	mu      sync.Mutex
+	left    int
+	tear    bool
+	dead    bool
+	fired   bool
+	firedAt int64 // the model's call in progress when it fired
+	op      *atomic.Int64
+}
+
+var (
+	errKilled = errors.New("sim: power lost")
+	errTorn   = errors.New("sim: torn program")
+)
+
+func (d *simChan) arm(nth int, tear bool, op *atomic.Int64) {
+	d.mu.Lock()
+	d.left, d.tear, d.op = nth, tear, op
+	d.mu.Unlock()
+}
+
+func (d *simChan) revive() {
+	d.mu.Lock()
+	d.left, d.dead = 0, false
+	d.mu.Unlock()
+}
+
+func (d *simChan) isDead() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dead
+}
+
+// mutate counts one mutation, a program of data at ppn (data nil for a spare
+// program) or an erase, and returns the error that stops it: always on a
+// dead device, and on the armed one, after tearing a program. The caller
+// holds mu.
+func (d *simChan) mutate(program bool, ppn flash.PPN, data []byte) error {
+	switch {
+	case d.dead:
+		return errKilled
+	case d.left == 0 || d.tear && !program:
+		return nil
+	}
+	if d.left--; d.left > 0 {
+		return nil
+	}
+	d.fired, d.firedAt, d.dead = true, d.op.Load(), !d.tear
+	if data != nil {
+		torn := bytes.Repeat([]byte{0xFF}, len(data))
+		copy(torn, data[:len(data)/2])
+		d.Device.Program(ppn, torn, nil)
+	}
+	if d.tear {
+		return errTorn
+	}
+	return errKilled
+}
+
+func (d *simChan) Program(ppn flash.PPN, data, spare []byte) error {
+	pp := []flash.PageProgram{{PPN: ppn, Data: data, Spare: spare}}
+	return d.program(pp, func() error { return d.Device.Program(ppn, data, spare) })
+}
+
+func (d *simChan) ProgramBatch(batch []flash.PageProgram) error {
+	return d.program(batch, func() error { return d.Device.ProgramBatch(batch) })
+}
+
+// program lets pps through unless the power goes in them, and feeds them to
+// the bitmap once they landed.
+func (d *simChan) program(pps []flash.PageProgram, do func() error) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, pp := range pps {
+		if err := d.mutate(true, pp.PPN, pp.Data); err != nil {
+			if i > 0 {
+				d.Device.ProgramBatch(pps[:i])
+			}
+			return err
+		}
+	}
+	err := do()
+	if err == nil {
+		d.bits.programmed(d.ch, pps)
+	}
+	return err
+}
+
+func (d *simChan) ProgramSpare(ppn flash.PPN, spare []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.bits.mu.Lock()
+	d.bits.spares++
+	d.bits.mu.Unlock()
+	if err := d.mutate(true, ppn, nil); err != nil {
+		return err
+	}
+	return d.Device.ProgramSpare(ppn, spare)
+}
+
+func (d *simChan) Erase(blk int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	err := d.mutate(false, 0, nil)
+	if err == nil {
+		err = d.Device.Erase(blk)
+	}
+	if err == nil {
+		d.bits.erased(d.ch, blk)
+	}
+	return err
+}

@@ -92,115 +92,6 @@ func flaggedPages(t *testing.T, dev flash.Device) []flash.PPN {
 	return out
 }
 
-// TestRecoverIsReadOnlyAndIdempotent recovers, twice, an image holding every
-// kind of useless page there is — superseded base pages and dead
-// differential pages nobody marked, a torn program, an uncorrectably corrupt
-// base page — on each backend: recovery programs and erases nothing, and the
-// second run rebuilds exactly the state of the first.
-func TestRecoverIsReadOnlyAndIdempotent(t *testing.T) {
-	backends := []struct {
-		name string
-		dev  ftltest.DeviceFactory
-	}{
-		{"emu", ftltest.EmulatorDevice},
-		{"filedev", fileDevice},
-		{"striped2", ftltest.StripedDevice(2, ftltest.EmulatorDevice)},
-	}
-	const numPages = 32
-	opts := Options{}
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			dev := b.dev(t, ftltest.SmallParams(12))
-			p := dev.Params()
-			s, err := New(dev, numPages, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shadow := loadInto(t, s, numPages)
-			runWorkload(t, s, shadow, 1500, 21, 5)
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if s.alloc.GCRuns() == 0 {
-				t.Fatal("scenario: the workload never collected a block")
-			}
-			// A torn program (data landed, spare did not) and a newest base
-			// page of pid 5 whose second sector decayed beyond correction.
-			torn, err := s.alloc.AllocOn(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			erased := make([]byte, p.SpareSize)
-			for i := range erased {
-				erased[i] = 0xFF
-			}
-			if err := dev.Program(torn, shadow[0], erased); err != nil {
-				t.Fatal(err)
-			}
-			corrupt, err := s.alloc.AllocOn(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spare := make([]byte, p.SpareSize)
-			ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeBase, PID: 5, TS: s.nextTS(),
-				Seq: s.alloc.SeqOf(p.BlockOf(corrupt))}, spare)
-			ftl.SealSpare(shadow[6], spare)
-			decayed := append([]byte(nil), shadow[6]...)
-			decayed[256] ^= 0x01
-			decayed[511] ^= 0x80
-			if err := dev.Program(corrupt, decayed, spare); err != nil {
-				t.Fatal(err)
-			}
-			if got := flaggedPages(t, dev); len(got) != 0 {
-				t.Fatalf("pages %v carry the obsolete flag; the store programs none", got)
-			}
-
-			before := dev.Stats()
-			r1, err := Recover(dev, numPages, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := dev.Stats().Sub(before); d.Writes != 0 || d.Erases != 0 {
-				t.Fatalf("recovery cost %+v, want reads only", d)
-			}
-			r2, err := Recover(dev, numPages, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := dev.Stats().Sub(before); d.Writes != 0 || d.Erases != 0 {
-				t.Fatalf("two recoveries cost %+v, want reads only", d)
-			}
-			if snapshotMapping(r1) != snapshotMapping(r2) {
-				t.Error("two consecutive recoveries disagree on the mapping table")
-			}
-			if a, b := r1.ValidDifferentialPages(), r2.ValidDifferentialPages(); a != b {
-				t.Errorf("valid differential pages: %d, then %d", a, b)
-			}
-			useless := 0
-			for blk := 0; blk < p.NumBlocks; blk++ {
-				a, b := r1.alloc.BlockStats(blk), r2.alloc.BlockStats(blk)
-				if a != b {
-					t.Errorf("block %d: %+v, then %+v", blk, a, b)
-				}
-				useless += a.Obsolete
-			}
-			if useless <= 2 {
-				t.Fatalf("scenario: %d useless pages, want stale and dead ones beside the torn and the corrupt page", useless)
-			}
-			if bs := r1.alloc.BlockStats(p.BlockOf(torn)); bs.Obsolete < 2 {
-				t.Errorf("torn and quarantined page not both counted obsolete: %+v", bs)
-			}
-			if r1.Telemetry().UnrecoverablePages == 0 || r2.Telemetry().UnrecoverablePages == 0 {
-				t.Error("a recovery did not quarantine the corrupt base page")
-			}
-			for pid := 0; pid < numPages; pid++ {
-				mustReadEqual(t, r1, uint32(pid), shadow[pid])
-				mustReadEqual(t, r2, uint32(pid), shadow[pid])
-			}
-		})
-	}
-}
-
 // TestRecoverQuarantinesAtEveryRestart is the poison-TS crash shape of
 // TestIntegrityRecoveryPoisonTS with one more fact: the differential
 // computed against the lost base shares its page with another pid's live
@@ -374,97 +265,6 @@ func TestLostHealKeepsItsObsoleteFlag(t *testing.T) {
 	}
 	if n := dev.spares.Load(); n != 1 {
 		t.Fatalf("%d spare programs after recovery, want still 1", n)
-	}
-}
-
-// TestMixedRunProgramsNoSpare runs everything that retires pages at once —
-// two shards over two channels, background collectors, WriteBatch beside
-// WritePage and Flush, whole-page rewrites (Case 3) beside small
-// differentials, cross-channel supersedes — until the collectors have erased
-// two blocks for every block of the device, and counts the spare programs
-// that reached the chips: none. The store it leaves recovers to the model.
-func TestMixedRunProgramsNoSpare(t *testing.T) {
-	const numPages = 96
-	sub := ftltest.SmallParams(16)
-	probes := []*probeDev{newProbeDev(flash.NewChip(sub)), newProbeDev(flash.NewChip(sub))}
-	dev, err := flash.NewStriped(probes[0], probes[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{MaxDifferentialSize: 64, Shards: 2, BackgroundGC: true}
-	s, err := New(dev, numPages, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	shadow := loadInto(t, s, numPages)
-
-	// The erased-block floor of a channel is never allocated from while the
-	// collectors keep up, so "every block" is taken on the average.
-	collectedAll := func() bool { return s.alloc.MeanVictimRounds() >= 2 }
-	rng := rand.New(rand.NewSource(15))
-	size := len(shadow[0])
-	update := func(pid int) {
-		if rng.Intn(4) == 0 {
-			rng.Read(shadow[pid])
-		} else {
-			off := rng.Intn(size - 8)
-			rng.Read(shadow[pid][off : off+8])
-		}
-	}
-	rounds := 0
-	for ; rounds < 400 && !collectedAll(); rounds++ {
-		batch := make([]ftl.PageWrite, 6)
-		for i := range batch {
-			pid := (rounds*len(batch) + i) % numPages // distinct within the batch
-			update(pid)
-			batch[i] = ftl.PageWrite{PID: uint32(pid), Data: shadow[pid]}
-		}
-		if err := s.WriteBatch(batch); err != nil {
-			t.Fatalf("round %d: WriteBatch: %v", rounds, err)
-		}
-		for i := 0; i < 6; i++ {
-			pid := rng.Intn(numPages)
-			update(pid)
-			if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
-				t.Fatalf("round %d: WritePage: %v", rounds, err)
-			}
-		}
-		if rounds%5 == 4 {
-			if err := s.Flush(); err != nil {
-				t.Fatalf("round %d: Flush: %v", rounds, err)
-			}
-		}
-	}
-	if !collectedAll() {
-		t.Fatalf("scenario: %d collections in %d rounds, want two per block", s.alloc.GCRuns(), rounds)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tel := s.Telemetry()
-	if tel.BatchWrites == 0 || tel.NewBasePages <= numPages || tel.BufferFlushes == 0 {
-		t.Fatalf("scenario: the run missed a path: %+v", tel)
-	}
-	for pid := range shadow {
-		mustReadEqual(t, s, uint32(pid), shadow[pid])
-	}
-	r, err := Recover(dev, numPages, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for pid := range shadow {
-		mustReadEqual(t, r, uint32(pid), shadow[pid])
-	}
-	if n := probes[0].spares.Load() + probes[1].spares.Load(); n != 0 {
-		t.Fatalf("%d spare programs reached the chips, want none", n)
-	}
-	if got := flaggedPages(t, dev); len(got) != 0 {
-		t.Fatalf("pages %v carry the obsolete flag", got)
 	}
 }
 

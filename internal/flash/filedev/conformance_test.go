@@ -203,8 +203,9 @@ func TestPDLKillAndReopen(t *testing.T) {
 }
 
 // TestPDLRecoveryEquivalenceOnFile copies the device file after a restart
-// and recovers one copy with the serial scan and the other with the
-// parallel one: both must reconstruct identical logical pages.
+// and recovers both the original and the copy: recovery depends on the
+// file's bytes alone, so both must reconstruct the written pages. (That the
+// worker count of the scan changes nothing is core's TestSim oracle.)
 func TestPDLRecoveryEquivalenceOnFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "flash.img")
@@ -240,22 +241,17 @@ func TestPDLRecoveryEquivalenceOnFile(t *testing.T) {
 	copyPath := filepath.Join(dir, "copy.img")
 	copyFile(t, path, copyPath)
 
-	for _, c := range []struct {
-		path    string
-		workers int
-		label   string
-	}{{path, 1, "serial recovery"}, {copyPath, 4, "parallel recovery"}} {
-		dev, err := filedev.Open(c.path, filedev.Options{})
+	for _, p := range []string{path, copyPath} {
+		dev, err := filedev.Open(p, filedev.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer dev.Close()
-		opts.RecoveryWorkers = c.workers
 		r, err := core.Recover(dev, numPages, opts)
 		if err != nil {
-			t.Fatalf("%s: %v", c.label, err)
+			t.Fatalf("recovering %s: %v", p, err)
 		}
-		verifyPages(t, r, shadow, c.label)
+		verifyPages(t, r, shadow, p)
 	}
 }
 

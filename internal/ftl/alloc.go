@@ -310,9 +310,6 @@ func (a *Allocator) SetRelocator(r Relocator) { a.relocate = r }
 // SetVictimPolicy selects how garbage-collection victims are chosen.
 func (a *Allocator) SetVictimPolicy(p VictimPolicy) { a.policy = p }
 
-// VictimPolicy returns the configured victim policy.
-func (a *Allocator) VictimPolicy() VictimPolicy { return a.policy }
-
 // Device returns the underlying flash device.
 func (a *Allocator) Device() flash.Device { return a.dev }
 

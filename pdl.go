@@ -137,9 +137,8 @@
 // shard count the Options request; the on-flash format is
 // identical for every shard count and GC mode, so a multi-shard store
 // recovers the same logical state a single-shard store would. Recover
-// fans its spare-area scan over Options.RecoveryWorkers goroutines
-// (default one per CPU); the recovered state is identical for every
-// worker count.
+// fans its spare-area scan over one goroutine per CPU; the recovered
+// state is the serial scan's.
 //
 // # Serving layer
 //
@@ -303,9 +302,8 @@ func Open(dev Device, numPages int, opts Options) (*Store, error) {
 
 // Recover reconstructs a PDL store from flash contents after a system
 // failure by one scan through the physical pages (the paper's
-// PDL_RecoveringfromCrash algorithm), fanned out across
-// Options.RecoveryWorkers goroutines; the recovered state is identical
-// for every worker count. Differentials that were only in the in-memory
+// PDL_RecoveringfromCrash algorithm), fanned out across one goroutine per
+// CPU; the recovered state is the serial scan's. Differentials that were only in the in-memory
 // write buffer at the time of the failure are lost, exactly as the paper
 // specifies. Recover only reads the device: the useless pages it finds are
 // counted obsolete in memory, not marked in flash, so recovering again
