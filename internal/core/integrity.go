@@ -19,7 +19,7 @@
 // never silently wrong data, never a panic.
 //
 // Healing decision tree for an uncorrectably corrupt BASE page (the read
-// path's resolveDiff, applyFromPage and applyRecord in readbatch.go):
+// path's resolveDiff, applyFromPage and applyRecord in read.go):
 //
 //  1. a buffered differential for the pid exists (shard write buffer):
 //     if its ranges cover every corrupt byte, apply it and serve — the
@@ -152,7 +152,7 @@ const (
 	readRecover                   // the recovery scan
 )
 
-// The four functions below are the package's raw device READ funnels;
+// The three functions below are the package's raw device READ funnels;
 // pdlvet's deviceio analyzer rejects device reads anywhere else in core,
 // so no read path can bypass verification by construction.
 
@@ -167,12 +167,12 @@ func (s *Store) verifiedReadStable(kind readKind, ppn flash.PPN, data []byte, pi
 	spare := s.getVerifySpare()
 	if spare == nil {
 		err = s.dev.ReadData(ppn, data)
-		s.countReads(kind, 1, err)
+		s.countReads(kind, err)
 		return s.mt.stable(pid, v), nil, err
 	}
 	defer s.putVerifySpare(spare)
 	err = s.dev.Read(ppn, data, spare)
-	s.countReads(kind, 1, err)
+	s.countReads(kind, err)
 	if !s.mt.stable(pid, v) {
 		return false, nil, nil
 	}
@@ -190,74 +190,35 @@ func (s *Store) verifiedReadStable(kind readKind, ppn flash.PPN, data []byte, pi
 func (s *Store) verifiedRead(ppn flash.PPN, data, spare []byte) (bad []int, err error) {
 	if spare == nil {
 		err = s.dev.ReadData(ppn, data)
-		s.countReads(readGC, 1, err)
+		s.countReads(readGC, err)
 		return nil, err
 	}
 	err = s.dev.Read(ppn, data, spare)
-	s.countReads(readGC, 1, err)
+	s.countReads(readGC, err)
 	if err != nil {
 		return nil, err
 	}
 	return s.verifyData(data, spare), nil
 }
 
-// countReads attributes n pages of a device read that returned err: devices
+// countReads attributes a one-page device read that returned err: devices
 // count a read when it succeeds, and so do the funnels.
-func (s *Store) countReads(kind readKind, n int, err error) {
+func (s *Store) countReads(kind readKind, err error) {
 	if err != nil {
 		return
 	}
 	switch kind {
 	case readBase:
-		s.rtel.baseReads.Add(int64(n))
+		s.rtel.baseReads.Add(1)
 	case readDiff:
-		s.rtel.diffReads.Add(int64(n))
+		s.rtel.diffReads.Add(1)
 	case readWriteBase:
-		s.rtel.writeBaseReads.Add(int64(n))
+		s.rtel.writeBaseReads.Add(1)
 	case readGC:
-		s.rtel.gcReads.Add(int64(n))
+		s.rtel.gcReads.Add(1)
 	case readRecover:
-		s.rtel.recoverReads.Add(int64(n))
+		s.rtel.recoverReads.Add(1)
 	}
-}
-
-// verifiedReadBatch is the raw read funnel of the batched read path: it
-// gives every entry a pooled spare buffer on a sealed store and
-// issues the device batch. The caller verifies each entry with verifyRead
-// once its per-entry stability check passes, and hands the spares back
-// with putVerifySpares whether or not the batch succeeded.
-//
-//pdlvet:ignore deviceio raw-read funnel
-func (s *Store) verifiedReadBatch(kind readKind, reads []flash.PageRead) error {
-	if len(reads) == 0 {
-		return nil
-	}
-	for k := range reads {
-		reads[k].Spare = s.getVerifySpare()
-	}
-	if err := s.dev.ReadBatch(reads); err != nil {
-		return err
-	}
-	s.countReads(kind, len(reads), nil)
-	s.rtel.batchReads.Add(1)
-	s.rtel.batchedReads.Add(int64(len(reads)))
-	return nil
-}
-
-// putVerifySpares returns the spares verifiedReadBatch gave reads.
-func (s *Store) putVerifySpares(reads []flash.PageRead) {
-	for _, pr := range reads {
-		s.putVerifySpare(pr.Spare)
-	}
-}
-
-// verifyRead verifies one entry verifiedReadBatch filled; nil when clean
-// or when the store is not sealed.
-func (s *Store) verifyRead(pr flash.PageRead) []int {
-	if pr.Spare == nil {
-		return nil
-	}
-	return s.verifyData(pr.Data, pr.Spare)
 }
 
 // scanRead is the raw read of the recovery scan: one charged device read
@@ -268,7 +229,7 @@ func (s *Store) verifyRead(pr flash.PageRead) []int {
 //pdlvet:ignore deviceio raw-read funnel
 func (s *Store) scanRead(ppn flash.PPN, data, spare []byte) error {
 	err := s.dev.Read(ppn, data, spare)
-	s.countReads(readRecover, 1, err)
+	s.countReads(readRecover, err)
 	return err
 }
 

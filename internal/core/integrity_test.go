@@ -166,27 +166,50 @@ func TestIntegrityCorruptBaseTypedError(t *testing.T) {
 	}
 }
 
+// TestIntegrityCorruptDiffTypedError reads a pid whose differential page is
+// uncorrectable and whose record no cache holds: with the cache off, and with
+// it on over a recovered store (the flush cached the record it wrote, which
+// would serve as a redundant source), where the read is one cache miss.
 func TestIntegrityCorruptDiffTypedError(t *testing.T) {
-	// The decoded-differential cache must be off: with it on, the decode
-	// made at flush/read time would serve as a redundant source.
-	s, fd, shadow := faultedStore(t, 16, 8, Options{DiffCachePages: DiffCacheOff})
-	rewriteSector(t, s, shadow, 1, 1)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	e := entryOf(s, 1)
-	if e.dif == flash.NilPPN {
-		t.Fatal("expected a flushed differential page")
-	}
-	fd.Inject(faultdev.Fault{PPN: e.dif, Kind: faultdev.SectorCorrupt, Off: 0})
-	buf := make([]byte, s.params.DataSize)
-	err := s.ReadPage(1, buf)
-	var pe *ftl.PageError
-	if !errors.As(err, &pe) {
-		t.Fatalf("ReadPage = %v, want *ftl.PageError", err)
-	}
-	if pe.Kind != ftl.CorruptDiff || pe.PID != 1 || pe.PPN != e.dif {
-		t.Fatalf("PageError = %+v", pe)
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"cache off", Options{DiffCachePages: DiffCacheOff}}, {"cache on", Options{}}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, fd, shadow := faultedStore(t, 16, 8, c.opts)
+			rewriteSector(t, s, shadow, 1, 1)
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if s.DiffCacheEnabled() {
+				var err error
+				if s, err = Recover(fd, 8, c.opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e := entryOf(s, 1)
+			if e.dif == flash.NilPPN {
+				t.Fatal("expected a flushed differential page")
+			}
+			fd.Inject(faultdev.Fault{PPN: e.dif, Kind: faultdev.SectorCorrupt, Off: 0})
+			before := s.Telemetry()
+			err := s.ReadPage(1, make([]byte, s.params.DataSize))
+			var pe *ftl.PageError
+			if !errors.As(err, &pe) {
+				t.Fatalf("ReadPage = %v, want *ftl.PageError", err)
+			}
+			if pe.Kind != ftl.CorruptDiff || pe.PID != 1 || pe.PPN != e.dif {
+				t.Fatalf("PageError = %+v", pe)
+			}
+			tel := s.Telemetry()
+			want := int64(0)
+			if s.DiffCacheEnabled() {
+				want = 1
+			}
+			if got := tel.DiffCacheMisses - before.DiffCacheMisses; got != want || tel.DiffCacheHits != before.DiffCacheHits {
+				t.Errorf("the read counted %d misses and %d hits, want %d and 0", got, tel.DiffCacheHits-before.DiffCacheHits, want)
+			}
+		})
 	}
 }
 

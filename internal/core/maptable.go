@@ -151,7 +151,7 @@ func (t *mapTable) diffOf(pid uint32) (flash.PPN, uint64) {
 // creation time stamp ts, and any previous base/differential linkage is
 // returned to the caller for release. A non-nil pin makes the commit
 // conditional on pid's entry still being at version *pin — the read-path
-// heal (applyRecord in readbatch.go) pins its merged image to the version it
+// heal (applyRecord in read.go) pins its merged image to the version it
 // read: on false the copy at ppn is dead and must be discarded by the
 // caller, and the racing mutation (a GC relocation; flushes and writes are
 // excluded by the shard lock the healer holds) owns the mapping. Caller

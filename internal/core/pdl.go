@@ -43,14 +43,14 @@
 //   - the read path's durable heal commits one base page, pinned to the
 //     mapping version it read.
 //
-// PDL_Reading (Figure 9) is resolveDiff and applyFromPage (readbatch.go):
-// given a pid's base image, find its record in the write buffer or in
-// the differential cache (see diffCache), or name the differential page to
-// read and find it there (diff.FindIn), then merge it with applyRecord,
-// whichever of the three it came from, and cache it. ReadPage wraps them in
-// its two single-page reads; ReadBatch in its two device batches; both retain
-// the clean base image they read, before the merge, for the write that
-// follows (keepBaseImage).
+// PDL_Reading (Figure 9) is readOnce (read.go): read the base page, then,
+// given the pid's base image, find its record in the write buffer or in the
+// differential cache (see diffCache) with resolveDiff, or name the
+// differential page to read and find it there (diff.FindIn), then merge it
+// with applyRecord, whichever of the three it came from, and cache it. It
+// retains the clean base image it read, before the merge, for the write that
+// follows (keepBaseImage). ReadPage runs it on one pid until the mapping
+// holds still under it, and ReadBatch does the same for each pid of a batch.
 //
 // And a differential has one representation, the wire record of
 // internal/diff, from the moment stageWrite appends diff.Compute's result to
@@ -144,13 +144,13 @@ type Options struct {
 	// PDL(256B). Zero means the flash data-area size (one page).
 	MaxDifferentialSize int
 	// Shards is the number of differential write buffer shards. Zero means
-	// 1, which preserves the paper's single one-page write buffer exactly.
-	// Concurrent workloads should use roughly one shard per worker
-	// goroutine: writers hashing to different shards compute and buffer
-	// their differentials in parallel. Each shard buffers up to one page
-	// of differentials and spills to its own differential page, so the
-	// at-most-one-page-writing principle holds per reflection regardless
-	// of the shard count.
+	// one per flash channel: 1 over a plain device, which preserves the
+	// paper's single one-page write buffer exactly. Concurrent workloads
+	// should use roughly one shard per worker goroutine: writers hashing to
+	// different shards compute and buffer their differentials in parallel.
+	// Each shard buffers up to one page of differentials and spills to its
+	// own differential page, so the at-most-one-page-writing principle holds
+	// per reflection regardless of the shard count.
 	Shards int
 	// BackgroundGC moves garbage collection off the write path: a
 	// background goroutine collects victim blocks incrementally whenever
@@ -330,9 +330,9 @@ type Telemetry struct {
 	BatchedPages int64
 	// DiffCacheHits counts reads of diff-bearing pages served from the
 	// differential cache (one flash read instead of two), and
-	// DiffCacheMisses the differential-page flash reads of the others (a
-	// page one ReadBatch reads for several pids is one miss; the further
-	// pids count as hits). Both stay zero when the cache is disabled.
+	// DiffCacheMisses the differential-page flash reads of the others,
+	// including those that found the page uncorrectable. Both stay zero when
+	// the cache is disabled.
 	DiffCacheHits, DiffCacheMisses int64
 	// BaseReads, DiffReads, WriteBaseReads, GCReads and RecoverReads
 	// attribute every flash page the store read: base and differential
@@ -356,9 +356,10 @@ type Telemetry struct {
 	// ReadRetries counts optimistic read-path retries: a garbage-collection
 	// relocation or a flush moved the pid's mapping mid-read.
 	ReadRetries int64
-	// BatchReads is the number of device ReadBatch operations the batched
-	// read path issued, and BatchedReads the physical pages read through
-	// them; BatchedReads/BatchReads is the mean read-batch width.
+	// BatchReads is the number of completed ReadBatch calls of two or more
+	// pids, and BatchedReads the pids those calls read; BatchedReads/BatchReads
+	// is the mean read-batch width. The calls' flash reads are counted with
+	// ReadPage's, under BaseReads and DiffReads.
 	BatchReads, BatchedReads int64
 	// LogicalWrites is the number of logical page reflections the store
 	// accepted (WritePage calls plus WriteBatch elements) — the
@@ -710,73 +711,6 @@ func (s *Store) RetainBase(pid uint32) {
 	default:
 		s.wtel.baseHoldMisses.Add(1)
 	}
-}
-
-// ReadPage implements ftl.Method with the PDL_Reading algorithm (Figure 9):
-// read the base page, find the differential (write buffer, cached record,
-// then the differential page), and merge. The whole read path runs without
-// a channel lock: concurrent readers proceed in parallel on the device, and
-// a racing garbage-collection relocation or flush is detected by the
-// mapping version and retried against a fresh snapshot.
-func (s *Store) ReadPage(pid uint32, buf []byte) error {
-	if err := ftl.CheckPID(pid, s.numPages); err != nil {
-		return err
-	}
-	if err := ftl.CheckPageBuf(buf, s.params.DataSize); err != nil {
-		return err
-	}
-	sh := s.shardOf(pid)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	r := pageRead{pid: pid, buf: buf}
-	for {
-		retry, err := s.readOnce(sh, &r)
-		if !retry {
-			return err
-		}
-		s.rtel.readRetries.Add(1)
-	}
-}
-
-// readOnce is one optimistic attempt of ReadPage: at most two single-page
-// device reads around resolveDiff and applyFromPage. retry means the
-// mapping moved under the attempt. The caller holds pid's shard lock.
-//
-//pdlvet:holds shard
-func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
-	r.snapshot(s.mt)
-	if r.e.base == flash.NilPPN {
-		return false, fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
-	}
-	stable, bad, err := s.verifiedReadStable(readBase, r.e.base, r.buf, r.pid, r.v)
-	if !stable {
-		return true, nil // relocated mid-read; retry on the new mapping
-	}
-	if err != nil {
-		return false, fmt.Errorf("core: reading base page of pid %d: %w", r.pid, err)
-	}
-	r.bad = bad
-	s.keepBaseImage(r)
-	need, err := s.resolveDiff(sh, r)
-	if need == flash.NilPPN {
-		return false, err
-	}
-	scratch := s.getPage()
-	defer s.putPage(scratch)
-	stable, bad, err = s.verifiedReadStable(readDiff, need, scratch, r.pid, r.v)
-	if !stable {
-		return true, nil // compacted mid-read; retry (base may have moved too)
-	}
-	if err != nil {
-		return false, fmt.Errorf("core: reading differential page of pid %d: %w", r.pid, err)
-	}
-	if len(bad) > 0 {
-		return false, s.corruptDiff(r)
-	}
-	if s.dcache != nil {
-		s.rtel.diffCacheMisses.Add(1)
-	}
-	return false, s.applyFromPage(scratch, r)
 }
 
 // Flush implements ftl.Method: it writes every shard's differential write

@@ -40,6 +40,129 @@ func (s *Store) keepBaseImage(r *pageRead) {
 	}
 }
 
+// ReadPage implements ftl.Method with the PDL_Reading algorithm (Figure 9):
+// read the base page, find the differential (write buffer, cached record,
+// then the differential page), and merge. The whole read path runs without
+// a channel lock: concurrent readers proceed in parallel on the device, and
+// a racing garbage-collection relocation or flush is detected by the
+// mapping version and retried against a fresh snapshot.
+func (s *Store) ReadPage(pid uint32, buf []byte) error {
+	if err := ftl.CheckPID(pid, s.numPages); err != nil {
+		return err
+	}
+	if err := ftl.CheckPageBuf(buf, s.params.DataSize); err != nil {
+		return err
+	}
+	sh := s.shardOf(pid)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return s.readRetrying(sh, pid, buf)
+}
+
+// ReadBatch implements ftl.BatchReader: it fills bufs[i] with the content of
+// pids[i] by running ReadPage's attempt on each pid in slice order, under the
+// read locks of every shard involved, taken once for the call in ascending
+// index order (the module-wide shard lock order, so concurrent WriteBatch and
+// Flush calls cannot deadlock against it). Each buffer therefore holds some
+// consistent version of its page from during the call, exactly as serial
+// ReadPage calls would return. On error the buffer contents are unspecified.
+func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
+	if len(pids) != len(bufs) {
+		return fmt.Errorf("core: ReadBatch of %d pids given %d buffers", len(pids), len(bufs))
+	}
+	for i, pid := range pids {
+		if err := ftl.CheckPID(pid, s.numPages); err != nil {
+			return err
+		}
+		if err := ftl.CheckPageBuf(bufs[i], s.params.DataSize); err != nil {
+			return err
+		}
+	}
+	seen := make([]bool, len(s.shards))
+	var involved []int
+	for _, pid := range pids {
+		if si := s.shardIndex(pid); !seen[si] {
+			seen[si] = true
+			involved = append(involved, si)
+		}
+	}
+	sort.Ints(involved)
+	for _, si := range involved {
+		s.shards[si].mu.RLock()
+	}
+	defer func() {
+		for _, si := range involved {
+			s.shards[si].mu.RUnlock()
+		}
+	}()
+	for i, pid := range pids {
+		if err := s.readRetrying(s.shardOf(pid), pid, bufs[i]); err != nil {
+			return err
+		}
+	}
+	if len(pids) > 1 {
+		s.rtel.batchReads.Add(1)
+		s.rtel.batchedReads.Add(int64(len(pids)))
+	}
+	return nil
+}
+
+// readRetrying recreates pid into buf, retrying readOnce until an attempt
+// ends with the mapping unmoved. The caller holds pid's shard lock.
+//
+//pdlvet:holds shard
+func (s *Store) readRetrying(sh *shard, pid uint32, buf []byte) error {
+	r := pageRead{pid: pid, buf: buf}
+	for {
+		retry, err := s.readOnce(sh, &r)
+		if !retry {
+			return err
+		}
+		s.rtel.readRetries.Add(1)
+	}
+}
+
+// readOnce is one optimistic attempt of PDL_Reading: at most two single-page
+// device reads around resolveDiff and applyFromPage. retry means the mapping
+// moved under the attempt. The caller holds pid's shard lock.
+//
+//pdlvet:holds shard
+func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
+	r.snapshot(s.mt)
+	if r.e.base == flash.NilPPN {
+		return false, fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
+	}
+	stable, bad, err := s.verifiedReadStable(readBase, r.e.base, r.buf, r.pid, r.v)
+	if !stable {
+		return true, nil // relocated mid-read; retry on the new mapping
+	}
+	if err != nil {
+		return false, fmt.Errorf("core: reading base page of pid %d: %w", r.pid, err)
+	}
+	r.bad = bad
+	s.keepBaseImage(r)
+	need, err := s.resolveDiff(sh, r)
+	if need == flash.NilPPN {
+		return false, err
+	}
+	scratch := s.getPage()
+	defer s.putPage(scratch)
+	stable, bad, err = s.verifiedReadStable(readDiff, need, scratch, r.pid, r.v)
+	if !stable {
+		return true, nil // compacted mid-read; retry (base may have moved too)
+	}
+	if err != nil {
+		return false, fmt.Errorf("core: reading differential page of pid %d: %w", r.pid, err)
+	}
+	if s.dcache != nil {
+		s.rtel.diffCacheMisses.Add(1)
+	}
+	if len(bad) > 0 {
+		return false, s.corruptDiff(r)
+	}
+	return false, s.applyFromPage(scratch, r)
+}
+
 // resolveDiff finds the differential of r.pid without touching flash, given
 // its base image in r.buf: the shard write buffer first, then the
 // differential cache. It returns with r.buf complete (need is NilPPN), or
@@ -160,161 +283,4 @@ func (s *Store) corruptDiff(r *pageRead) error {
 	}
 	s.itel.unrecoverablePages.Add(1)
 	return &ftl.PageError{PID: r.pid, PPN: r.e.dif, Kind: ftl.CorruptDiff}
-}
-
-// ReadBatch recreates a batch of logical pages, filling bufs[i] with the
-// content of pids[i] exactly as a loop of ReadPage calls would — but
-// batch-first, the mirror image of WriteBatch: the base pages of the whole
-// batch are read in one device ReadBatch under one bus grant, and the
-// differential pages the batch still needs after resolveDiff are
-// deduplicated (one physical read serves every pid whose differential
-// lives in the same page) and fetched as a second device batch.
-//
-// Consistency is ReadPage's: each pid's mapping entry is snapshotted with
-// its version, and any pid whose version moved while its flash pages were
-// in flight — a garbage-collection relocation or a flush of that pid — is
-// retried in the next round against a fresh snapshot; a round only
-// re-reads the retried pids. Each returned buffer therefore holds some
-// consistent version of its page from during the call, exactly as serial
-// ReadPage calls would return. On error the buffer contents are
-// unspecified.
-func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
-	if len(pids) != len(bufs) {
-		return fmt.Errorf("core: ReadBatch of %d pids given %d buffers", len(pids), len(bufs))
-	}
-	switch len(pids) {
-	case 0:
-		return nil
-	case 1:
-		return s.ReadPage(pids[0], bufs[0])
-	}
-	todo := make([]pageRead, len(pids))
-	for i, pid := range pids {
-		if err := ftl.CheckPID(pid, s.numPages); err != nil {
-			return err
-		}
-		if err := ftl.CheckPageBuf(bufs[i], s.params.DataSize); err != nil {
-			return err
-		}
-		todo[i] = pageRead{pid: pid, buf: bufs[i]}
-	}
-
-	// Take the involved shards' read locks in ascending index order (the
-	// module-wide shard lock order), so the write buffers stay stable for
-	// the whole call and concurrent WriteBatch/Flush cannot deadlock.
-	seen := make([]bool, len(s.shards))
-	var involved []int
-	for _, pid := range pids {
-		if si := s.shardIndex(pid); !seen[si] {
-			seen[si] = true
-			involved = append(involved, si)
-		}
-	}
-	sort.Ints(involved)
-	for _, si := range involved {
-		s.shards[si].mu.RLock()
-	}
-	defer func() {
-		for _, si := range involved {
-			s.shards[si].mu.RUnlock()
-		}
-	}()
-
-	for round := 0; len(todo) > 0; round++ {
-		if round > 0 {
-			s.rtel.readRetries.Add(int64(len(todo)))
-		}
-		var err error
-		if todo, err = s.readRound(todo); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readRound is one optimistic round of ReadBatch over the pending pids:
-// at most two device batches around resolveDiff and applyFromPage. It
-// returns the pids whose mapping moved under the round, to be retried
-// against a fresh snapshot. Every scratch the round borrows goes back to
-// its pool on every way out. The caller holds the shard locks of all pids.
-//
-//pdlvet:holds shard
-func (s *Store) readRound(todo []pageRead) (retry []pageRead, err error) {
-	// Step 1: snapshot every pending pid and read all base pages as one
-	// device batch, straight into the caller's buffers.
-	batch := make([]flash.PageRead, len(todo))
-	for k := range todo {
-		r := &todo[k]
-		r.snapshot(s.mt)
-		if r.e.base == flash.NilPPN {
-			return nil, fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
-		}
-		batch[k] = flash.PageRead{PPN: r.e.base, Data: r.buf}
-	}
-	defer s.putVerifySpares(batch)
-	if err := s.verifiedReadBatch(readBase, batch); err != nil {
-		return nil, fmt.Errorf("core: batch-reading %d base pages: %w", len(batch), err)
-	}
-
-	// Step 2: resolve each pid's differential; whatever still needs
-	// flash is grouped by differential page so each page is read once.
-	difFor := make(map[flash.PPN][]pageRead)
-	var dbatch []flash.PageRead
-	defer func() {
-		s.putVerifySpares(dbatch)
-		for _, pr := range dbatch {
-			s.putPage(pr.Data)
-		}
-	}()
-	for k, r := range todo {
-		if !s.mt.stable(r.pid, r.v) {
-			retry = append(retry, r)
-			continue
-		}
-		r.bad = s.verifyRead(batch[k])
-		s.keepBaseImage(&r)
-		need, err := s.resolveDiff(s.shardOf(r.pid), &r)
-		switch {
-		case err != nil:
-			return nil, err
-		case need != flash.NilPPN:
-			if difFor[need] == nil {
-				dbatch = append(dbatch, flash.PageRead{PPN: need, Data: s.getPage()})
-			}
-			difFor[need] = append(difFor[need], r)
-		}
-	}
-
-	// Step 3: one device batch for the differential pages, then merge.
-	if err := s.verifiedReadBatch(readDiff, dbatch); err != nil {
-		return nil, fmt.Errorf("core: batch-reading %d differential pages: %w", len(dbatch), err)
-	}
-	for _, pr := range dbatch {
-		// The first pid still stable proves the bytes read were the live
-		// differential page: only then is the page verified (a corrupt
-		// record must never reach the cache), once. That flash read is one
-		// miss; the further pids it serves count as hits.
-		checked := false
-		for _, r := range difFor[pr.PPN] {
-			if !s.mt.stable(r.pid, r.v) {
-				retry = append(retry, r)
-				continue
-			}
-			if !checked {
-				checked = true
-				if len(s.verifyRead(pr)) > 0 {
-					return nil, s.corruptDiff(&r)
-				}
-				if s.dcache != nil {
-					s.rtel.diffCacheMisses.Add(1)
-				}
-			} else if s.dcache != nil {
-				s.rtel.diffCacheHits.Add(1)
-			}
-			if err := s.applyFromPage(pr.Data, &r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return retry, nil
 }

@@ -1,11 +1,10 @@
 package core
 
-// Tests for the batch-first, cache-aware read path: the differential cache
-// must turn the second flash read of a diff-bearing page into a table
-// lookup, must never serve a superseded record wherever differential pages
-// die or move, must never survive into recovery, and the whole read path
-// must stay correct under concurrent batched writes and background garbage
-// collection (run with -race).
+// Tests for the cache-aware read path: the differential cache must turn the
+// second flash read of a diff-bearing page into a table lookup, ReadBatch
+// must be a loop of ReadPage's attempt, and the whole read path must stay
+// correct under concurrent batched writes and background garbage collection
+// (run with -race).
 
 import (
 	"bytes"
@@ -143,57 +142,64 @@ func TestDiffCacheOffRestoresTwoReads(t *testing.T) {
 	}
 }
 
-func TestReadBatchTelemetryAndDedup(t *testing.T) {
+// TestReadBatchIsAReadPageLoop holds ReadBatch to its definition: of twin
+// stores given the same writes, one read by ReadBatch and the other by a loop
+// of ReadPage, return the same bytes for the same device reads and the same
+// cache hits and misses, cold, warming and hot, with a pid repeated and one
+// differential still in its shard buffer. A batch of two or more pids counts
+// one BatchReads and its pids in BatchedReads; a batch of one counts neither.
+func TestReadBatchIsAReadPageLoop(t *testing.T) {
 	opts := Options{MaxDifferentialSize: 128}
-	_, chip, shadow := diffStore(t, opts, 16, 24)
-	s := coldStore(t, chip, 24, opts)
-	size := chip.Params().DataSize
-	pids := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	_, chipA, shadow := diffStore(t, opts, 16, 24)
+	_, chipB, _ := diffStore(t, opts, 16, 24)
+	batch, loop := coldStore(t, chipA, 24, opts), coldStore(t, chipB, 24, opts)
+	size := chipA.Params().DataSize
+	shadow[2][9] ^= 0xFF
+	for _, s := range []*Store{batch, loop} {
+		if err := s.WritePage(2, shadow[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pids := []uint32{1, 2, 3, 4, 5, 6, 7, 8, 3}
 	bufs := make([][]byte, len(pids))
 	for i := range bufs {
 		bufs[i] = make([]byte, size)
 	}
-	chip.ResetStats()
-	if err := s.ReadBatch(pids, bufs); err != nil {
-		t.Fatal(err)
-	}
-	for i, pid := range pids {
-		if !bytes.Equal(bufs[i], shadow[pid]) {
-			t.Fatalf("pid %d wrong content", pid)
-		}
-	}
-	tel := s.Telemetry()
-	if tel.BatchReads != 2 {
-		t.Errorf("BatchReads = %d, want 2 (one base batch + one diff batch)", tel.BatchReads)
-	}
-	// With one shard every pid's differential lives in the same page:
-	// the diff batch dedups to a single physical read, so the whole batch
-	// costs len(pids) base reads + 1.
-	if got, want := chip.Stats().Reads, int64(len(pids))+1; got != want {
-		t.Errorf("batch cost %d device reads, want %d (deduped diff page)", got, want)
-	}
-	if tel.BatchedReads != int64(len(pids))+1 {
-		t.Errorf("BatchedReads = %d, want %d", tel.BatchedReads, len(pids)+1)
-	}
-	// That one physical read is one miss; the other pids it served are hits.
-	if tel.DiffCacheMisses != 1 || tel.DiffCacheHits != int64(len(pids))-1 {
-		t.Errorf("cold batch: hits=%d misses=%d, want %d/1", tel.DiffCacheHits, tel.DiffCacheMisses, len(pids)-1)
-	}
-
-	// The second batch over the same pids misses once more and caches every
-	// record it asked for; the third hits: no diff batch at all, exactly one
-	// base read per pid.
-	for _, want := range []int64{int64(len(pids)) + 1, int64(len(pids))} {
-		chip.ResetStats()
-		if err := s.ReadBatch(pids, bufs); err != nil {
+	buf := make([]byte, size)
+	for round := int64(1); round <= 3; round++ {
+		readsA, readsB := chipA.Stats().Reads, chipB.Stats().Reads
+		if err := batch.ReadBatch(pids, bufs); err != nil {
 			t.Fatal(err)
 		}
-		if got := chip.Stats().Reads; got != want {
-			t.Errorf("repeated batch cost %d device reads, want %d", got, want)
+		for i, pid := range pids {
+			if err := loop.ReadPage(pid, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bufs[i], shadow[pid]) || !bytes.Equal(buf, shadow[pid]) {
+				t.Fatalf("round %d: pid %d read back other bytes than written", round, pid)
+			}
+		}
+		if a, b := chipA.Stats().Reads-readsA, chipB.Stats().Reads-readsB; a != b {
+			t.Errorf("round %d: ReadBatch cost %d device reads, the ReadPage loop %d", round, a, b)
+		}
+		a, b := batch.Telemetry(), loop.Telemetry()
+		if a.DiffCacheHits != b.DiffCacheHits || a.DiffCacheMisses != b.DiffCacheMisses {
+			t.Errorf("round %d: ReadBatch counted %d hits and %d misses, the ReadPage loop %d and %d",
+				round, a.DiffCacheHits, a.DiffCacheMisses, b.DiffCacheHits, b.DiffCacheMisses)
+		}
+		if a.BatchReads != round || a.BatchedReads != round*int64(len(pids)) || b.BatchReads != 0 || b.BatchedReads != 0 {
+			t.Errorf("round %d: BatchReads %d and BatchedReads %d (ReadPage loop: %d and %d), want %d and %d",
+				round, a.BatchReads, a.BatchedReads, b.BatchReads, b.BatchedReads, round, round*int64(len(pids)))
 		}
 	}
-	if got := s.DiffCacheLen(); got != len(pids) {
-		t.Errorf("cache holds %d records, want %d", got, len(pids))
+	if tel := batch.Telemetry(); tel.DiffCacheHits == 0 || tel.DiffCacheMisses == 0 {
+		t.Errorf("the rounds counted %d hits and %d misses: the cache was not exercised", tel.DiffCacheHits, tel.DiffCacheMisses)
+	}
+	if err := batch.ReadBatch(pids[:1], bufs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if tel := batch.Telemetry(); tel.BatchReads != 3 || tel.BatchedReads != 3*int64(len(pids)) {
+		t.Errorf("a one-pid ReadBatch counted as a batch: BatchReads %d, BatchedReads %d", tel.BatchReads, tel.BatchedReads)
 	}
 }
 

@@ -134,10 +134,20 @@ func (c *Chip) PageOf(ppn PPN) int { return c.params.PageOf(ppn) }
 func (c *Chip) Read(ppn PPN, data, spare []byte) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	p, err := c.checkRead(ppn, data, spare)
+	blk, pg, err := c.addr(ppn)
 	if err != nil {
 		return err
 	}
+	if c.blocks[blk].bad {
+		return fmt.Errorf("%w: block %d", ErrBadBlock, blk)
+	}
+	if data != nil && len(data) != c.params.DataSize {
+		return fmt.Errorf("%w: data len %d, want %d (ppn %d)", ErrBufSize, len(data), c.params.DataSize, ppn)
+	}
+	if spare != nil && len(spare) != c.params.SpareSize {
+		return fmt.Errorf("%w: spare len %d, want %d (ppn %d)", ErrBufSize, len(spare), c.params.SpareSize, ppn)
+	}
+	p := &c.blocks[blk].pages[pg]
 	if data != nil {
 		copy(data, p.data)
 	}
@@ -148,53 +158,8 @@ func (c *Chip) Read(ppn PPN, data, spare []byte) error {
 	return nil
 }
 
-// checkRead validates one page read — address, bad block, buffer sizes —
-// and returns the source page. It is the shared validation of Read and
-// ReadBatch. The caller holds mu (shared suffices).
-func (c *Chip) checkRead(ppn PPN, data, spare []byte) (*page, error) {
-	blk, pg, err := c.addr(ppn)
-	if err != nil {
-		return nil, err
-	}
-	if c.blocks[blk].bad {
-		return nil, fmt.Errorf("%w: block %d", ErrBadBlock, blk)
-	}
-	if data != nil && len(data) != c.params.DataSize {
-		return nil, fmt.Errorf("%w: data len %d, want %d (ppn %d)", ErrBufSize, len(data), c.params.DataSize, ppn)
-	}
-	if spare != nil && len(spare) != c.params.SpareSize {
-		return nil, fmt.Errorf("%w: spare len %d, want %d (ppn %d)", ErrBufSize, len(spare), c.params.SpareSize, ppn)
-	}
-	return &c.blocks[blk].pages[pg], nil
-}
-
-// ReadBatch implements the batched half of the read contract: the whole
-// batch is validated first (a failure fills no buffer), then every page is
-// copied out under the same single bus-lock grant, charging Tread per
-// page. Concurrent mutations observe the batch as one read operation,
-// exactly as a serial Read loop under one RLock would behave.
-func (c *Chip) ReadBatch(batch []PageRead) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	pages := make([]*page, len(batch))
-	for i, pr := range batch {
-		p, err := c.checkRead(pr.PPN, pr.Data, pr.Spare)
-		if err != nil {
-			return err
-		}
-		pages[i] = p
-	}
-	for i, pr := range batch {
-		if pr.Data != nil {
-			copy(pr.Data, pages[i].data)
-		}
-		if pr.Spare != nil {
-			copy(pr.Spare, pages[i].spare)
-		}
-		c.stats.AddRead(c.params.ReadMicros)
-	}
-	return nil
-}
+// ReadBatch implements Device (ReadEach).
+func (c *Chip) ReadBatch(batch []PageRead) error { return ReadEach(c, batch) }
 
 // ReadData reads only the data area of ppn, charging Tread.
 func (c *Chip) ReadData(ppn PPN, data []byte) error { return c.Read(ppn, data, nil) }

@@ -1,5 +1,7 @@
 package flash
 
+import "fmt"
+
 // Device is the hardware seam of this module: the set of operations a
 // flash page-update method needs from a NAND device. The emulated Chip is
 // one implementation; internal/flash/filedev provides a persistent
@@ -35,17 +37,13 @@ type Device interface {
 	ReadData(ppn PPN, data []byte) error
 	// ReadSpare reads only the spare area of ppn.
 	ReadSpare(ppn PPN, spare []byte) error
-	// ReadBatch reads a group of pages as one device operation, charging
-	// Tread per page; the filled buffers are indistinguishable from a loop
-	// of Read calls in slice order. The whole batch is validated first —
-	// addresses, buffer sizes, bad blocks — so a validation failure fills
-	// no buffer at all and reports the first offending page; reads are
-	// non-destructive, so unlike ProgramBatch there is no partial-prefix
-	// state to reason about. Implementations serve the batch under a
-	// single read-lock acquisition (batches ride one bus grant, and
-	// backends with positioned I/O coalesce PPN-contiguous runs into
-	// single transfers), which is what makes a batch cheaper than the
-	// equivalent loop. Duplicate PPNs are allowed.
+	// ReadBatch reads a group of pages, charging Tread per page; the filled
+	// buffers are those of a loop of Read calls in slice order, and every
+	// implementation in this module is that loop (ReadEach). The whole batch
+	// is validated first — addresses, buffer sizes, bad blocks — so a
+	// validation failure fills no buffer at all and reports the first
+	// offending page; reads are non-destructive, so unlike ProgramBatch there
+	// is no partial-prefix state to reason about. Duplicate PPNs are allowed.
 	ReadBatch(batch []PageRead) error
 
 	// Program programs the full page at ppn, charging Twrite. Programming
@@ -121,6 +119,34 @@ type PageRead struct {
 	PPN   PPN
 	Data  []byte
 	Spare []byte
+}
+
+// ReadEach is the ReadBatch of every Device in this module: it validates the
+// whole batch against d's geometry and bad-block table — so a failure fills no
+// buffer and charges no read — then reads each element with d.Read, in slice
+// order.
+func ReadEach(d Device, batch []PageRead) error {
+	p := d.Params()
+	for _, pr := range batch {
+		if pr.PPN < 0 || int(pr.PPN) >= p.NumPages() {
+			return fmt.Errorf("%w: ppn %d", ErrOutOfRange, pr.PPN)
+		}
+		if blk := p.BlockOf(pr.PPN); d.IsBad(blk) {
+			return fmt.Errorf("%w: block %d", ErrBadBlock, blk)
+		}
+		if pr.Data != nil && len(pr.Data) != p.DataSize {
+			return fmt.Errorf("%w: data len %d, want %d (ppn %d)", ErrBufSize, len(pr.Data), p.DataSize, pr.PPN)
+		}
+		if pr.Spare != nil && len(pr.Spare) != p.SpareSize {
+			return fmt.Errorf("%w: spare len %d, want %d (ppn %d)", ErrBufSize, len(pr.Spare), p.SpareSize, pr.PPN)
+		}
+	}
+	for _, pr := range batch {
+		if err := d.Read(pr.PPN, pr.Data, pr.Spare); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 var _ Device = (*Chip)(nil)

@@ -287,16 +287,9 @@ func (d *Device) ReadSpare(ppn flash.PPN, spare []byte) error {
 	return nil
 }
 
-// ReadBatch implements flash.Device.
-func (d *Device) ReadBatch(batch []flash.PageRead) error {
-	if err := d.inner.ReadBatch(batch); err != nil {
-		return err
-	}
-	for _, r := range batch {
-		d.apply(r.PPN, r.Data, r.Spare)
-	}
-	return nil
-}
+// ReadBatch implements flash.Device (flash.ReadEach), so every page of the
+// batch goes through Read and its faults.
+func (d *Device) ReadBatch(batch []flash.PageRead) error { return flash.ReadEach(d, batch) }
 
 // Program implements flash.Device. A successful program replaces the
 // page's content: prior faults are cleared, then the campaign (if armed)

@@ -129,10 +129,6 @@ type Device struct {
 	// readBufs pools stored-domain page records for Read, which runs
 	// shared-locked on any number of goroutines and so cannot touch scratch.
 	readBufs sync.Pool
-	// runBufs pools the larger stored-domain buffers ReadBatch uses for
-	// PPN-contiguous runs (kept apart from readBufs, whose buffers must
-	// stay exactly one record long).
-	runBufs sync.Pool
 	// zeros is an erased (stored-domain) block image reused by Erase.
 	zeros []byte
 
@@ -384,70 +380,8 @@ func (d *Device) Read(ppn flash.PPN, data, spare []byte) error {
 // ReadData implements flash.Device.
 func (d *Device) ReadData(ppn flash.PPN, data []byte) error { return d.Read(ppn, data, nil) }
 
-// ReadBatch implements the batched half of the read contract. The whole
-// batch is validated first, so a failure fills no buffer; the batch then
-// runs under one shared-lock acquisition, with maximal runs of contiguous
-// PPNs coalesced into single preads — a readahead-shaped batch (ascending
-// mostly-adjacent pages) costs one positioned read per run instead of one
-// per page. Tread is charged per page, as the contract requires.
-func (d *Device) ReadBatch(batch []flash.PageRead) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	p := d.params
-	for _, pr := range batch {
-		if _, err := d.addr(pr.PPN); err != nil {
-			return err
-		}
-		if pr.Data != nil && len(pr.Data) != p.DataSize {
-			return fmt.Errorf("%w: data len %d, want %d (ppn %d)", flash.ErrBufSize, len(pr.Data), p.DataSize, pr.PPN)
-		}
-		if pr.Spare != nil && len(pr.Spare) != p.SpareSize {
-			return fmt.Errorf("%w: spare len %d, want %d (ppn %d)", flash.ErrBufSize, len(pr.Spare), p.SpareSize, pr.PPN)
-		}
-	}
-	for i := 0; i < len(batch); {
-		j := i + 1
-		for j < len(batch) && batch[j].PPN == batch[j-1].PPN+1 {
-			j++
-		}
-		if err := d.readRun(batch[i:j]); err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
-}
-
-// readRun serves one PPN-contiguous slice of a read batch with a single
-// pread into a pooled stored-domain buffer. The caller holds mu shared and
-// has validated every element.
-func (d *Device) readRun(run []flash.PageRead) error {
-	p := d.params
-	need := len(run) * int(d.recordSize)
-	var rec []byte
-	if v := d.runBufs.Get(); v != nil {
-		rec = v.([]byte)
-	}
-	if cap(rec) < need {
-		rec = make([]byte, need)
-	}
-	rec = rec[:need]
-	defer d.runBufs.Put(rec) //nolint:staticcheck // []byte header alloc is fine here
-	if _, err := d.f.ReadAt(rec, d.recordOff(run[0].PPN)); err != nil {
-		return err
-	}
-	for i, pr := range run {
-		r := rec[i*int(d.recordSize) : (i+1)*int(d.recordSize)]
-		if pr.Data != nil {
-			complementInto(pr.Data, r[:p.DataSize])
-		}
-		if pr.Spare != nil {
-			complementInto(pr.Spare, r[p.DataSize:])
-		}
-		d.stats.AddRead(p.ReadMicros)
-	}
-	return nil
-}
+// ReadBatch implements flash.Device (flash.ReadEach).
+func (d *Device) ReadBatch(batch []flash.PageRead) error { return flash.ReadEach(d, batch) }
 
 // ReadSpare implements flash.Device.
 func (d *Device) ReadSpare(ppn flash.PPN, spare []byte) error { return d.Read(ppn, nil, spare) }

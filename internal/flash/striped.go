@@ -177,12 +177,12 @@ func (s *Striped) EraseCount(blk int) int {
 	return s.subs[blk%len(s.subs)].EraseCount(blk / len(s.subs))
 }
 
-// checkStriped validates one batch element against the striped geometry
-// — address, bad block, buffer sizes — mirroring the per-device batch
-// validation so a cross-channel batch still programs (or fills) nothing
-// on validation failure. AND-legality requires reading flash contents
-// and stays with the owning channel.
-func (s *Striped) checkStriped(ppn PPN, data, spare []byte, dataRequired bool) (int, PPN, error) {
+// checkStriped validates one program-batch element against the striped
+// geometry — address, bad block, buffer sizes — mirroring the per-device
+// batch validation so a cross-channel batch still programs nothing on
+// validation failure. AND-legality requires reading flash contents and
+// stays with the owning channel.
+func (s *Striped) checkStriped(ppn PPN, data, spare []byte) (int, PPN, error) {
 	if int(ppn) >= s.params.NumPages() {
 		return 0, 0, fmt.Errorf("%w: ppn %d", ErrOutOfRange, ppn)
 	}
@@ -193,7 +193,7 @@ func (s *Striped) checkStriped(ppn PPN, data, spare []byte, dataRequired bool) (
 	if blk := s.params.BlockOf(ppn); s.IsBad(blk) {
 		return 0, 0, fmt.Errorf("%w: block %d", ErrBadBlock, blk)
 	}
-	if (data != nil || dataRequired) && len(data) != s.params.DataSize {
+	if len(data) != s.params.DataSize {
 		return 0, 0, fmt.Errorf("%w: data len %d, want %d (ppn %d)", ErrBufSize, len(data), s.params.DataSize, ppn)
 	}
 	if spare != nil && len(spare) != s.params.SpareSize {
@@ -215,38 +215,22 @@ func (s *Striped) ProgramBatch(batch []PageProgram) error {
 			return fmt.Errorf("%w: ppn %d", ErrDuplicatePPN, pp.PPN)
 		}
 		seen[pp.PPN] = struct{}{}
-		ch, lp, err := s.checkStriped(pp.PPN, pp.Data, pp.Spare, true)
+		ch, lp, err := s.checkStriped(pp.PPN, pp.Data, pp.Spare)
 		if err != nil {
 			return err
 		}
 		legs[ch] = append(legs[ch], PageProgram{PPN: lp, Data: pp.Data, Spare: pp.Spare})
 	}
-	return dispatchLegs(legs, func(ch int, leg []PageProgram) error {
-		return s.subs[ch].ProgramBatch(leg)
-	})
+	return s.programLegs(legs)
 }
 
-// ReadBatch implements Device: global up-front validation (a failure
-// fills no buffer), then one concurrent sub-batch per involved channel.
-// Reads are non-destructive, so cross-channel concurrency introduces no
-// new failure state. Duplicate PPNs are allowed, as for any device.
-func (s *Striped) ReadBatch(batch []PageRead) error {
-	legs := make([][]PageRead, len(s.subs))
-	for _, pr := range batch {
-		ch, lp, err := s.checkStriped(pr.PPN, pr.Data, pr.Spare, false)
-		if err != nil {
-			return err
-		}
-		legs[ch] = append(legs[ch], PageRead{PPN: lp, Data: pr.Data, Spare: pr.Spare})
-	}
-	return dispatchLegs(legs, func(ch int, leg []PageRead) error {
-		return s.subs[ch].ReadBatch(leg)
-	})
-}
+// ReadBatch implements Device (ReadEach).
+func (s *Striped) ReadBatch(batch []PageRead) error { return ReadEach(s, batch) }
 
-// dispatchLegs runs one leg per involved channel, concurrently when more
+// programLegs programs one leg per involved channel, concurrently when more
 // than one channel is involved, and joins the per-channel errors.
-func dispatchLegs[E any](legs [][]E, run func(ch int, leg []E) error) error {
+func (s *Striped) programLegs(legs [][]PageProgram) error {
+	run := func(ch int) error { return s.subs[ch].ProgramBatch(legs[ch]) }
 	involved := 0
 	last := -1
 	for ch, leg := range legs {
@@ -259,7 +243,7 @@ func dispatchLegs[E any](legs [][]E, run func(ch int, leg []E) error) error {
 	case 0:
 		return nil
 	case 1:
-		return run(last, legs[last])
+		return run(last)
 	}
 	errs := make([]error, len(legs))
 	var wg sync.WaitGroup
@@ -268,10 +252,10 @@ func dispatchLegs[E any](legs [][]E, run func(ch int, leg []E) error) error {
 			continue
 		}
 		wg.Add(1)
-		go func(ch int, leg []E) {
+		go func(ch int) {
 			defer wg.Done()
-			errs[ch] = run(ch, leg)
-		}(ch, leg)
+			errs[ch] = run(ch)
+		}(ch)
 	}
 	wg.Wait()
 	return errors.Join(errs...)

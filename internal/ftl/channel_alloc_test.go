@@ -109,15 +109,19 @@ func TestDeferredObsoleteCrossChannel(t *testing.T) {
 	}
 }
 
+// TestDeferredObsoleteDroppedAfterErase queues a cross-channel note against a
+// block between the entry drain of the AllocOn that collects it and its erase,
+// and lets that same AllocOn reactivate the block: the next drain finds the
+// block active again, so only its activation sequence tells the note's page
+// from the reborn block's.
 func TestDeferredObsoleteDroppedAfterErase(t *testing.T) {
 	dev, a := stripedChip(t, 2, 4, 2)
 	p := dev.Params()
-	a.SetRelocator(func(victim int) error { return nil })
 
-	// Fill channel 0's first active block and mark all pages obsolete
-	// directly, then collect it.
+	// Fill three of channel 0's four blocks: the free list is then at the
+	// reserve floor, and the next AllocOn collects before it takes a page.
 	var pages []flash.PPN
-	for i := 0; i < p.PagesPerBlock; i++ {
+	for i := 0; i < 3*p.PagesPerBlock; i++ {
 		ppn, err := a.AllocOn(0)
 		if err != nil {
 			t.Fatal(err)
@@ -127,38 +131,32 @@ func TestDeferredObsoleteDroppedAfterErase(t *testing.T) {
 		}
 		pages = append(pages, ppn)
 	}
-	blk := p.BlockOf(pages[0])
-	// Enqueue a stale cross-channel mark for one page BEFORE the erase.
-	a.NoteObsoleteFrom(pages[3], 1)
-	for _, ppn := range pages {
-		if ppn == pages[3] {
-			continue
+	victim, live := p.BlockOf(pages[0]), pages[3]
+	for _, ppn := range pages[:p.PagesPerBlock] {
+		if ppn != live {
+			a.NoteObsoleteFrom(ppn, 0)
 		}
-		a.NoteObsoleteFrom(ppn, 0)
 	}
-	// Drain applies the queued mark too, making the block fully obsolete;
-	// collect erases and re-activates it.
-	for a.BlockStats(blk).Written > 0 {
-		collected, err := a.CollectOnceOn(0)
-		if err != nil {
-			t.Fatal(err)
+	// The relocator moves nothing; while it runs, a writer holding channel 1
+	// supersedes the victim's live page and queues the note.
+	a.SetRelocator(func(blk int) error {
+		if blk == victim {
+			a.NoteObsoleteFrom(live, 1)
 		}
-		if collected {
-			break
-		}
-		// Not yet collectible: drain happened; the block must now be fully
-		// obsolete, so the next increment must collect.
+		return nil
+	})
+	ppn, err := a.AllocOn(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Re-enqueue a mark recorded against the block's PREVIOUS life: it
-	// must be dropped at drain (the sequence moved), not misapplied.
-	stale := pages[0]
-	a.NoteObsoleteFrom(stale, 1)
+	if p.BlockOf(ppn) != victim || a.PendingObsolete(0) != 1 {
+		t.Fatalf("AllocOn took block %d with %d notes queued, want the reborn victim %d and 1", p.BlockOf(ppn), a.PendingObsolete(0), victim)
+	}
 	if _, err := a.AllocOn(0); err != nil {
 		t.Fatal(err)
 	}
-	if bs := a.BlockStats(blk); bs.Obsolete > bs.Written {
-		t.Fatalf("stale queued mark misapplied: %+v", bs)
+	if bs := a.BlockStats(victim); a.PendingObsolete(0) != 0 || bs.Obsolete != 0 {
+		t.Fatalf("a note from block %d's erased life was charged to the reborn block: %+v", victim, bs)
 	}
 }
 

@@ -98,8 +98,8 @@ type BatchWriter interface {
 // BatchReader is implemented by page-update methods whose read path
 // accepts whole batches of logical page reads at once (the PDL store). A
 // ReadBatch call fills bufs[i] with the content of pids[i] exactly as
-// calling ReadPage for each pair would, but lets the method group its
-// physical page reads into device batch operations. On error the buffer
+// calling ReadPage for each pair would, and lets the method take its locks
+// once for the whole group. On error the buffer
 // contents are unspecified; no mapping or flash state changes (reads never
 // mutate). Callers are drivers that hold a list of pages and probe the method
 // for it (the benchmark's page_file workload, the conformance suite of

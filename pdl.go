@@ -59,12 +59,12 @@
 // back as one pid-ordered WriteBatch whenever the method supports it. An
 // eviction writes back its victim and nothing else.
 //
-// # Batched, cache-aware reads
+// # Cache-aware reads
 //
-// The read pipeline mirrors the write pipeline. Store.ReadBatch recreates
-// a group of logical pages as if ReadPage had been called for each, but
-// reads all their base pages as one device ReadBatch and deduplicates the
-// differential pages they share into a second one:
+// PDL_Reading recreates one page from at most two dependent flash reads, and
+// a Store has one implementation of it. Store.ReadBatch runs it for each page
+// of a group, under the group's shard locks taken once; the flash reads are
+// the same as a loop of ReadPage calls:
 //
 //	pids := []uint32{1, 9, 42}
 //	bufs := [][]byte{p1, p9, p42} // page-sized buffers
@@ -122,9 +122,10 @@
 // whole collection cycles out of the write-path tail; foreground writes fall
 // back to synchronous collection only if the erased-block reserve itself
 // runs out. Close a store opened with BackgroundGC when done with it.
-// The default of one shard preserves the paper's single write buffer
-// exactly; concurrent workloads should set Shards to roughly the number
-// of worker goroutines:
+// The default of one shard per flash channel — one over a plain device —
+// preserves the paper's single write buffer exactly on one channel;
+// concurrent workloads should set Shards to roughly the number of worker
+// goroutines:
 //
 //	store, err := pdl.Open(chip, 4096, pdl.Options{
 //		MaxDifferentialSize: 256,
@@ -264,7 +265,8 @@ type BaseRetainer = ftl.BaseRetainer
 // PageProgram is one physical page of a Device.ProgramBatch.
 type PageProgram = flash.PageProgram
 
-// PageRead is one physical page of a Device.ReadBatch.
+// PageRead is one physical page of a Device.ReadBatch, which every Device
+// of this module serves as a validated loop of Read calls.
 type PageRead = flash.PageRead
 
 // DiffCacheOff disables the Store's differential cache and its retained
