@@ -38,8 +38,8 @@ import (
 //
 // The window is a FIFO of n slots, each a page buffer allocated the first
 // time the slot is filled: a store that never reads allocates nothing. The
-// images are beside the differential cache's byte bound, sized by it (see
-// Options.DiffCachePages). A lookup scans the keys from the newest: a
+// window and the held region below share one budget with the differential
+// cache (see Options.DiffCachePages). A lookup scans the keys from the newest: a
 // single update finds its image at once, a batched one within the batch's
 // width, and a write nobody read for pays the compares and no flash read more
 // than before.
@@ -71,7 +71,10 @@ import (
 // a write that buffers a differential does not change the base, so the same
 // image serves the page's next write-back too. put never touches the region.
 // When the window goes dormant the region is released, so a store that has
-// turned read-only gives the memory back.
+// turned read-only gives the memory back, and the differential cache's arena
+// may borrow it (see diffCache): it reads dormant, and whoever wakes the
+// window (Store.baseImage, RetainBase) has the arena repay it once mu is
+// released.
 //
 // mu is a leaf lock, never held with any other. All methods are safe on a
 // nil receiver (window off).
@@ -217,6 +220,22 @@ func (b *baseImages) wake() {
 	if b.dormant.Load() { // every hit comes here: leave the line readers load alone
 		b.dormant.Store(false)
 	}
+}
+
+// bytes returns the bytes of the page buffers the window and the held region
+// have allocated.
+func (b *baseImages) bytes() (n int) {
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, f := range []*imageFIFO{&b.win, &b.held} {
+		for _, img := range f.imgs {
+			n += len(img)
+		}
+	}
+	return n
 }
 
 // len returns the number of images in the window, heldLen in the held region

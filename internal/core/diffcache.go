@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"pdl/internal/diff"
 )
@@ -56,6 +57,16 @@ import (
 // allocation. Arena bytes are reused, so readers merge or copy out under
 // the mutex and never keep a reference.
 //
+// The bound is the arena's floor. It shares one budget with the base images
+// held for a buffer pool's write-backs (see baseImages), and those are
+// released while the base-image window is dormant, which is what a store
+// serving only reads makes it: the arena may then borrow the held region's
+// bytes, a segment at a time past the floor, appended when the head wraps so
+// the ring stays oldest-first. When the window wakes, repay drops the borrowed
+// segments (every slot that points into one is cleared) before the held
+// region can fill again; makeRoom does the same if it finds the window awake
+// first. The arena reads the window's dormant flag and nothing else of it.
+//
 // All methods are safe on a nil receiver (cache disabled).
 type diffCache struct {
 	mu sync.Mutex
@@ -69,6 +80,13 @@ type diffCache struct {
 	segSize int
 	head    int
 	live    int // occupied slots
+	// floor is the number of segments the bound pays for; up to
+	// cap(segs) - floor more are borrowed while *lend is set (the base-image
+	// window is dormant).
+	floor int
+	lend  *atomic.Bool
+	// grown is set while len(segs) > floor: repay's one load when not.
+	grown atomic.Bool
 }
 
 const (
@@ -89,7 +107,19 @@ func newDiffCache(budget, numPages, pageSize int) *diffCache {
 		n, c.segSize = 1, max(arena, 0)
 	}
 	c.segs = make([][]byte, n)
+	c.floor = n
 	return c
+}
+
+// borrow lets the arena grow by up to bytes past its floor while *dormant is
+// set: the bytes of the held base images, which a dormant window has released.
+func (c *diffCache) borrow(dormant *atomic.Bool, bytes int) {
+	if c == nil || c.segSize == 0 {
+		return
+	}
+	n := min(c.floor+bytes/c.segSize, (math.MaxInt32-1)/c.segSize) // offsets are 31 bits
+	c.segs = append(make([][]byte, 0, n), c.segs...)
+	c.lend = dormant
 }
 
 // at returns the record at arena offset off.
@@ -221,6 +251,9 @@ func (c *diffCache) insert(rec []byte) {
 // ends: a reclaim clears the hit flags of what it keeps, so, with mu held,
 // the second reclaim of a segment empties it.
 func (c *diffCache) makeRoom(n int) {
+	if len(c.segs) > c.floor && !c.lend.Load() {
+		c.dropBorrowed()
+	}
 	for {
 		if c.segs[c.head] == nil {
 			c.segs[c.head] = make([]byte, 0, c.segSize)
@@ -228,32 +261,90 @@ func (c *diffCache) makeRoom(n int) {
 		if len(c.segs[c.head])+n <= c.segSize {
 			return
 		}
+		if c.head == len(c.segs)-1 && len(c.segs) < cap(c.segs) && c.lend.Load() {
+			c.segs = append(c.segs, nil)
+			c.grown.Store(true)
+			c.head++
+			continue
+		}
 		c.head = (c.head + 1) % len(c.segs)
-		c.reclaim(c.head)
+		c.reclaim(c.head, true)
 	}
 }
 
-// reclaim compacts segment k in place: a record stays iff its slot still
-// points at it (no later insert for the pid, no colliding pid) and it was
-// hit since it was written; its flag is cleared.
-func (c *diffCache) reclaim(k int) {
+// reclaim compacts segment k in place: with keepHit, a record stays iff its
+// slot still points at it (no later insert for the pid, no colliding pid) and
+// it was hit since it was written, and its flag is cleared; without, nothing
+// stays. The slot of every record that goes is cleared.
+func (c *diffCache) reclaim(k int, keepHit bool) {
 	seg, w := c.segs[k], 0
 	for r := 0; r < len(seg); {
 		n := len(recordAt(seg, r))
 		pid, _ := diff.RecordKey(seg[r:])
-		slot := c.slot(pid)
-		switch *slot {
-		case uint32(k*c.segSize+r+1) | refBit:
+		switch slot := c.slot(pid); {
+		case *slot&^refBit != uint32(k*c.segSize+r+1):
+		case keepHit && *slot&refBit != 0:
 			copy(seg[w:], seg[r:r+n])
 			*slot = uint32(k*c.segSize + w + 1)
 			w += n
-		case uint32(k*c.segSize + r + 1):
+		default:
 			*slot = 0
 			c.live--
 		}
 		r += n
 	}
 	c.segs[k] = seg[:w]
+}
+
+// repay drops the segments the arena borrowed if the window is awake. The
+// caller holds no lock: the window's wake path calls it after releasing
+// bimg.mu.
+func (c *diffCache) repay() {
+	if c == nil || !c.grown.Load() || c.lend.Load() {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.lend.Load() {
+		c.dropBorrowed()
+	}
+}
+
+// dropBorrowed empties and frees every segment past the floor; a head among
+// them goes back to the last floor segment. The caller holds mu.
+func (c *diffCache) dropBorrowed() {
+	for k := c.floor; k < len(c.segs); k++ {
+		c.reclaim(k, false)
+	}
+	clear(c.segs[c.floor:])
+	c.segs = c.segs[:c.floor]
+	c.head = min(c.head, c.floor-1)
+	c.grown.Store(false)
+	if invariantsEnabled {
+		occupied := 0
+		for pid, slot := range c.idx {
+			off := int(slot &^ refBit)
+			assertf(off <= c.floor*c.segSize, "diff cache: slot %d points at %d, past the floor's %d bytes", pid, off-1, c.floor*c.segSize)
+			if off != 0 {
+				occupied++
+			}
+		}
+		assertf(occupied == c.live, "diff cache: %d occupied slots, live %d", occupied, c.live)
+	}
+}
+
+// bytes returns what the cache has allocated: the table and the segments.
+func (c *diffCache) bytes() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 4 * len(c.idx)
+	for _, seg := range c.segs {
+		n += cap(seg)
+	}
+	return n
 }
 
 // len returns the number of cached records (for tests and tooling).

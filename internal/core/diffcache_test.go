@@ -15,18 +15,6 @@ import (
 	"pdl/internal/diff"
 )
 
-// bytes returns what the cache has allocated: the table and the segments
-// in use.
-func (c *diffCache) bytes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 4 * len(c.idx)
-	for _, seg := range c.segs {
-		n += cap(seg)
-	}
-	return n
-}
-
 // testRecord is the wire form of a differential of pid stamped ts that
 // changes n bytes, each to fill.
 func testRecord(pid uint32, ts uint64, n int, fill byte) []byte {
@@ -355,5 +343,126 @@ func BenchmarkDiffCache(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDiffCacheLendingLifecycle: the record arena and the held base images
+// share one budget. While writes are served the arena stays at its floor and
+// holds are held; once the store only reads, the window goes dormant and the
+// arena grows into the bytes the held region released, which buys hits; when
+// writes come back the borrowed segments go before anything is held again.
+// After every step the RAM below the pool is inside (2 + 1/8) x the bound.
+func TestDiffCacheLendingLifecycle(t *testing.T) {
+	const numPages, cachePages = 200, 16
+	s, _, shadow := diffStore(t, Options{MaxDifferentialSize: 128, DiffCachePages: cachePages}, 64, numPages)
+	c, size := s.dcache, s.PageSize()
+	if c.floor != 1 || cap(c.segs) != 3 {
+		t.Fatalf("arena of %d floor segments growing to %d, want 1 and 3", c.floor, cap(c.segs))
+	}
+	limit := int64((2*baseImagesShare + 1) * cachePages * size / baseImagesShare)
+	floorBytes := int64(4*c.nslots + c.floor*c.segSize)
+	rng := rand.New(rand.NewSource(5))
+	buf := make([]byte, size)
+	step := func(what string) Telemetry {
+		t.Helper()
+		tel := s.Telemetry()
+		if got := tel.DiffCacheBytes + tel.BaseImageBytes; got > limit {
+			t.Fatalf("%s: arena %d + base images %d = %d bytes, past the budget's %d",
+				what, tel.DiffCacheBytes, tel.BaseImageBytes, got, limit)
+		}
+		return tel
+	}
+	read := func(pid uint32) {
+		t.Helper()
+		if err := s.ReadPage(pid, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, shadow[pid]) {
+			t.Fatalf("pid %d read does not match shadow", pid)
+		}
+		step(fmt.Sprintf("read %d", pid))
+	}
+	// update is a pool's round trip: fault, first dirty, write-back.
+	update := func(pid uint32) {
+		t.Helper()
+		read(pid)
+		s.RetainBase(pid)
+		step(fmt.Sprintf("hold %d", pid))
+		off := rng.Intn(size - 24)
+		rng.Read(shadow[pid][off : off+24])
+		if err := s.WritePage(pid, shadow[pid]); err != nil {
+			t.Fatal(err)
+		}
+		step(fmt.Sprintf("write %d", pid))
+	}
+	atFloor := func(what string) {
+		t.Helper()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		occupied := 0
+		for pid, slot := range c.idx {
+			if off := int(slot &^ refBit); off > c.floor*c.segSize {
+				t.Fatalf("%s: slot %d points at offset %d, past the floor's %d bytes", what, pid, off-1, c.floor*c.segSize)
+			} else if off != 0 {
+				occupied++
+			}
+		}
+		if len(c.segs) != c.floor || occupied != c.live {
+			t.Fatalf("%s: %d segments (floor %d), %d occupied slots, live %d", what, len(c.segs), c.floor, occupied, c.live)
+		}
+	}
+
+	// Writes: holds are served and the arena keeps to its floor.
+	before := step("load")
+	for pid := uint32(0); pid < numPages; pid++ {
+		update(pid)
+	}
+	tel := step("writes")
+	if tel.BaseHolds-before.BaseHolds != numPages || s.bimg.heldLen() == 0 {
+		t.Fatalf("writes: %d holds, %d images held", tel.BaseHolds-before.BaseHolds, s.bimg.heldLen())
+	}
+	atFloor("writes")
+
+	// Reads only: the window sleeps, the held region is released, and the
+	// arena borrows it, a segment past the floor at a time.
+	hitsPerRound := make([]int64, 4)
+	for round := range hitsPerRound {
+		before = step("reads")
+		for pid := uint32(0); pid < numPages; pid++ {
+			read(pid)
+		}
+		hitsPerRound[round] = step("reads").DiffCacheHits - before.DiffCacheHits
+	}
+	tel = step("reads")
+	if !s.bimg.dormant.Load() || s.bimg.heldLen() != 0 || tel.DiffCacheBytes <= floorBytes {
+		t.Fatalf("reads: dormant %v, %d held, arena %d bytes against a floor of %d",
+			s.bimg.dormant.Load(), s.bimg.heldLen(), tel.DiffCacheBytes, floorBytes)
+	}
+	if last := hitsPerRound[len(hitsPerRound)-1]; last <= hitsPerRound[0] {
+		t.Fatalf("read-only rounds hit %v times: the borrowed bytes bought no hits", hitsPerRound)
+	}
+
+	// Writes again: the hold or write that wakes the window has the arena pay
+	// back what it borrowed, and from then on it stays at its floor.
+	pid := uint32(0)
+	for s.bimg.dormant.Load() {
+		if pid == 2*baseImagesProbe {
+			t.Fatal("the window never woke under writes")
+		}
+		update(pid % numPages)
+		pid++
+	}
+	atFloor("the wake")
+	before = step("the wake")
+	for range numPages {
+		update(pid % numPages)
+		pid++
+	}
+	if tel = step("writes again"); tel.BaseHolds-before.BaseHolds != numPages || tel.DiffCacheBytes > floorBytes {
+		t.Fatalf("writes again: %d holds, arena %d bytes against a floor of %d", tel.BaseHolds-before.BaseHolds, tel.DiffCacheBytes, floorBytes)
+	}
+	atFloor("writes again")
+	for pid := range shadow {
+		mustReadEqual(t, s, uint32(pid), shadow[pid])
 	}
 }

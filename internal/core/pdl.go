@@ -160,28 +160,32 @@ type Options struct {
 	// preserves the paper's stop-the-world foreground cleaning. Stores with
 	// background GC should be Closed when no longer needed.
 	BackgroundGC bool
-	// DiffCachePages bounds the differential cache, as a byte budget of
-	// DiffCachePages x page size: the cache keeps each logical page's
-	// newest flushed differential record (as it is in flash) in DRAM, so
-	// reads of diff-bearing pages cost one flash read plus a table lookup
-	// instead of two serial flash reads, and everything it allocates —
-	// records and index — stays inside the budget. Zero means a default
-	// of 256 pages' worth (512 KB of 2 KB pages).
+	// DiffCachePages is the one RAM budget below a buffer pool, in pages:
+	// with P = DiffCachePages x page size, the store's read caches never
+	// allocate more than (2 + 1/8) x P between them. Zero means a default of
+	// 256 pages' worth (P = 512 KB of 2 KB pages).
 	//
-	// It also sizes the window of retained base images (see baseImages),
-	// DiffCachePages / 8 pages (32 at the default, none below 8), which
-	// saves the write that follows a read its base page read. The window
-	// is beside the budget, not inside it: carving its 32 pages out of the
-	// record arena was measured and rejected (ycsb_c_cold 243.6 -> 247.7
-	// sim-us a Get, +1.7%, the hit ratio falling with the arena, for
-	// nothing in return on a workload that never writes). Its slots are
-	// allocated as reads fill them, and reads stop filling them while no
-	// write is being served from the window.
+	// The differential cache keeps each logical page's newest flushed
+	// differential record (as it is in flash) in DRAM, so reads of
+	// diff-bearing pages cost one flash read plus a table lookup instead of
+	// two serial flash reads. Its floor is P, records and index included.
 	//
-	// And it bounds the images held for a buffer pool's write-backs
-	// (RetainBase): up to DiffCachePages more page buffers, beside the
-	// budget like the window, allocated only while a pool is naming the
-	// pages it dirties and released when the window goes dormant.
+	// The window of retained base images (see baseImages) is P / 8, the
+	// last DiffCachePages / 8 base images reads fetched (32 at the default,
+	// none below 8), which saves the write that follows a read its base page
+	// read. Carving it out of the record arena was measured and rejected
+	// (ycsb_c_cold 243.6 -> 247.7 sim-us a Get, +1.7%). Its slots are
+	// allocated as reads fill them, and reads stop filling them, the window
+	// goes dormant, while no write is being served from it.
+	//
+	// The last P is lent. While a buffer pool is naming the pages it dirties
+	// (RetainBase) it holds their base images for the write-backs, up to
+	// DiffCachePages of them. A dormant window releases them, and the record
+	// arena may then grow into those P bytes, which is what a store that only
+	// serves reads gets out of them (ycsb_c_cold 231 -> 194 sim-us a Get).
+	// When the window wakes, the arena drops what it borrowed before any
+	// image is held again. Telemetry.DiffCacheBytes and BaseImageBytes
+	// report the two sides.
 	//
 	// DiffCacheOff disables all three, restoring the paper's two-read
 	// PDL_Reading and the base page read of PDL_Writing step 1 exactly.
@@ -353,6 +357,11 @@ type Telemetry struct {
 	// with no base page count as neither. Both zero with DiffCacheOff and
 	// without a caller that implements the hint's other side (buffer.Pool).
 	BaseHolds, BaseHoldMisses int64
+	// DiffCacheBytes is what the differential cache has allocated, index and
+	// record arena, and BaseImageBytes the page buffers of the retained base
+	// images, window and held region: with DiffCachePages x page size as P,
+	// their sum stays within (2 + 1/8) x P (see Options.DiffCachePages).
+	DiffCacheBytes, BaseImageBytes int64
 	// ReadRetries counts optimistic read-path retries: a garbage-collection
 	// relocation or a flush moved the pid's mapping mid-read.
 	ReadRetries int64
@@ -480,6 +489,9 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	if cachePages > 0 {
 		s.dcache = newDiffCache(cachePages*p.DataSize, numPages, p.DataSize)
 		s.bimg = newBaseImages(cachePages/baseImagesShare, cachePages)
+		if s.bimg != nil { // the held region's bytes, lent to the arena while the window is dormant
+			s.dcache.borrow(&s.bimg.dormant, cachePages*p.DataSize)
+		}
 	}
 	for i := range s.shards {
 		s.shards[i].dwb.init(p.DataSize)
@@ -705,6 +717,7 @@ func (s *Store) RetainBase(pid uint32) {
 	default:
 		s.wtel.baseHoldMisses.Add(1)
 	}
+	s.dcache.repay() // the hold may have woken the window
 }
 
 // Flush implements ftl.Method: it writes every shard's differential write
@@ -802,9 +815,10 @@ func (s *Store) ValidDifferentialPages() int {
 	return len(s.mt.vdct)
 }
 
-// Telemetry returns the store's internal event counters. Every field is
-// an atomic load, so the snapshot is per-field consistent and can be
-// taken while writers on several channels are in flight.
+// Telemetry returns the store's internal event counters. Every counter is
+// an atomic load and each byte count is taken under its cache's leaf lock,
+// so the snapshot is per-field consistent and can be taken while writers on
+// several channels are in flight.
 func (s *Store) Telemetry() Telemetry {
 	var t Telemetry
 	t.BufferFlushes = s.wtel.bufferFlushes.Load()
@@ -817,6 +831,8 @@ func (s *Store) Telemetry() Telemetry {
 	t.BatchedPages = s.wtel.batchedPages.Load()
 	t.DiffCacheHits = s.rtel.diffCacheHits.Load()
 	t.DiffCacheMisses = s.rtel.diffCacheMisses.Load()
+	t.DiffCacheBytes = int64(s.dcache.bytes())
+	t.BaseImageBytes = int64(s.bimg.bytes())
 	t.ReadRetries = s.rtel.readRetries.Load()
 	t.BatchReads = s.rtel.batchReads.Load()
 	t.BatchedReads = s.rtel.batchedReads.Load()

@@ -60,7 +60,7 @@ type simCell struct {
 	big     bool   // 16 blocks per channel, the allocator's stream gate, else fewer
 	shards  int    // Options.Shards: 0 (one per channel), 4, or 1 on the striped device
 	bg      bool   // Options.BackgroundGC
-	cache   int    // Options.DiffCachePages: DiffCacheOff, 1, 7 (no base-image window) or 0 (the default)
+	cache   int    // Options.DiffCachePages: DiffCacheOff, 1, 7 (no base-image window), 8 (a one-page window whose held bytes the arena borrows) or 0 (the default)
 	pool    bool   // the caller is a buffer.Pool, else the Store itself
 	short   bool   // in the -short subset
 }
@@ -91,6 +91,9 @@ var simCells = []simCell{
 	{"striped", true, 4, true, 0, true, false},
 	{"striped", true, 1, true, 1, true, true},
 	{"striped", true, 0, true, 7, false, false},
+	{"emu", false, 4, true, 8, true, true},
+	{"file", true, 0, false, 8, false, false},
+	{"striped", false, 1, false, 8, true, false},
 }
 
 // simSeeds is how many programs every cell runs.
@@ -106,8 +109,8 @@ func TestSim(t *testing.T) {
 				}
 			}
 		}
-		if len(values) != 3+2+3+2+4+2 {
-			t.Fatalf("short=%v: the cells hold %d axis values, not all 16: %v", short, len(values), values)
+		if len(values) != 3+2+3+2+5+2 {
+			t.Fatalf("short=%v: the cells hold %d axis values, not all 17: %v", short, len(values), values)
 		}
 	}
 	for _, c := range simCells {
@@ -134,7 +137,7 @@ func (c simCell) String() string {
 	if c.shards > 0 {
 		shards = fmt.Sprint(c.shards)
 	}
-	cache := map[int]string{DiffCacheOff: "off", 0: "default", 1: "1", 7: "7"}[c.cache]
+	cache := map[int]string{DiffCacheOff: "off", 0: "default", 1: "1", 7: "7", 8: "8"}[c.cache]
 	return fmt.Sprintf("%s-%s-shards=%s-%s-cache=%s-%s", c.backend, either(c.big, "big", "small"), shards,
 		either(c.bg, "bg", "sync"), cache, either(c.pool, "pool", "store"))
 }

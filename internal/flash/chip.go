@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -76,6 +77,9 @@ type Chip struct {
 	// erase; when it reaches zero the operation is interrupted mid-flight.
 	powerFailAfter int64
 	failed         bool
+
+	// erased is an erased page image, data or spare, that eraseNow copies.
+	erased []byte
 }
 
 // NewChip allocates an emulated chip in the erased state (all bits 1).
@@ -85,7 +89,7 @@ func NewChip(p Params) *Chip {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Chip{params: p, powerFailAfter: -1}
+	c := &Chip{params: p, powerFailAfter: -1, erased: newErased(max(p.DataSize, p.SpareSize))}
 	c.blocks = make([]block, p.NumBlocks)
 	for i := range c.blocks {
 		c.blocks[i].pages = make([]page, p.PagesPerBlock)
@@ -367,12 +371,8 @@ func (c *Chip) Erase(blk int) error {
 func (c *Chip) eraseNow(b *block) {
 	for i := range b.pages {
 		p := &b.pages[i]
-		for j := range p.data {
-			p.data[j] = 0xFF
-		}
-		for j := range p.spare {
-			p.spare[j] = 0xFF
-		}
+		copy(p.data, c.erased)
+		copy(p.spare, c.erased)
 		p.sparePrograms = 0
 		p.programmed = false
 	}
@@ -453,9 +453,16 @@ func (c *Chip) tickPowerFail() bool {
 }
 
 // checkProgrammable reports ErrProgramConflict if want has a 1 bit where
-// cur has a 0 bit.
+// cur has a 0 bit. It compares eight bytes at a time, then the tail.
 func checkProgrammable(cur, want []byte) error {
-	for i := range want {
+	cur = cur[:len(want)]
+	i := 0
+	for ; i+8 <= len(want); i += 8 {
+		if binary.LittleEndian.Uint64(want[i:])&^binary.LittleEndian.Uint64(cur[i:]) != 0 {
+			return ErrProgramConflict
+		}
+	}
+	for ; i < len(want); i++ {
 		if want[i]&^cur[i] != 0 {
 			return ErrProgramConflict
 		}
@@ -463,9 +470,14 @@ func checkProgrammable(cur, want []byte) error {
 	return nil
 }
 
-// andInto stores dst &= src.
+// andInto stores dst &= src, eight bytes at a time, then the tail.
 func andInto(dst, src []byte) {
-	for i := range src {
+	dst = dst[:len(src)]
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])&binary.LittleEndian.Uint64(src[i:]))
+	}
+	for ; i < len(src); i++ {
 		dst[i] &= src[i]
 	}
 }

@@ -758,9 +758,16 @@ func (d *Device) maxSparePrograms() int {
 	return d.params.MaxSparePrograms
 }
 
+// The three kernels below work eight bytes at a time, then the tail.
+
 // complementInto stores dst = ^src (stored domain -> logical domain).
 func complementInto(dst, src []byte) {
-	for i := range dst {
+	src = src[:len(dst)]
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], ^binary.LittleEndian.Uint64(src[i:]))
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = ^src[i]
 	}
 }
@@ -770,7 +777,14 @@ func complementInto(dst, src []byte) {
 // already 0: in the stored domain a programmed-to-0 bit is 1, so the
 // conflict condition is want & stored != 0.
 func checkProgrammable(stored, want []byte) error {
-	for i := range want {
+	stored = stored[:len(want)]
+	i := 0
+	for ; i+8 <= len(want); i += 8 {
+		if binary.LittleEndian.Uint64(want[i:])&binary.LittleEndian.Uint64(stored[i:]) != 0 {
+			return flash.ErrProgramConflict
+		}
+	}
+	for ; i < len(want); i++ {
 		if want[i]&stored[i] != 0 {
 			return flash.ErrProgramConflict
 		}
@@ -781,7 +795,12 @@ func checkProgrammable(stored, want []byte) error {
 // programInto applies a logical AND-program to a stored-domain image:
 // stored |= ^want.
 func programInto(stored, want []byte) {
-	for i := range want {
+	stored = stored[:len(want)]
+	i := 0
+	for ; i+8 <= len(want); i += 8 {
+		binary.LittleEndian.PutUint64(stored[i:], binary.LittleEndian.Uint64(stored[i:])|^binary.LittleEndian.Uint64(want[i:]))
+	}
+	for ; i < len(want); i++ {
 		stored[i] |= ^want[i]
 	}
 }

@@ -96,6 +96,14 @@
 // (Telemetry.BaseHolds, BaseHoldMisses): up to DiffCachePages more page
 // buffers while a pool is dirtying pages, none once it stops.
 //
+// The three share one RAM budget: the record cache keeps DiffCachePages
+// pages' worth, the window an eighth of that, and the held images up to
+// DiffCachePages pages more. A store serving only reads releases its held
+// images, and the record cache then borrows their bytes, which it gives
+// back before any image is held again, so the whole never passes
+// (2 + 1/8) x DiffCachePages pages (Telemetry.DiffCacheBytes,
+// BaseImageBytes).
+//
 // A Pool is demand paging: one miss, one ReadPage. ReadBatch is for callers
 // that know a group of pages ahead of time and drive the Store directly.
 //
@@ -289,6 +297,10 @@ type Store = core.Store
 
 // Options configures a PDL store.
 type Options = core.Options
+
+// Telemetry is a Store's event counters and the bytes its read caches hold
+// (DiffCacheBytes, BaseImageBytes); see Store.Telemetry.
+type Telemetry = core.Telemetry
 
 // Open builds a PDL store for a database of numPages logical pages over a
 // fresh device (emulated or file-backed). Use Recover to rebuild a store

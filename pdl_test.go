@@ -273,4 +273,10 @@ func TestFacadeReadBatchAndDiffCache(t *testing.T) {
 	if store.Telemetry().DiffCacheHits == 0 {
 		t.Error("no cache hit recorded")
 	}
+	// The bytes below the pool: records cached, base images retained, inside
+	// the one budget of (2 + 1/8) x DiffCachePages pages (256 by default).
+	var bytesTel pdl.Telemetry = store.Telemetry()
+	if c, b := bytesTel.DiffCacheBytes, bytesTel.BaseImageBytes; c == 0 || b == 0 || c+b > 17*256*int64(size)/8 {
+		t.Errorf("DiffCacheBytes %d, BaseImageBytes %d", c, b)
+	}
 }
