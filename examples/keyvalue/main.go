@@ -1,6 +1,6 @@
 // Keyvalue: the serving layer's concurrent key-value store — lock-striped
-// buckets of B+-tree index over heap records, each behind its own buffer
-// pool — run over page-differential logging and over the page-based
+// buckets of B+-trees whose leaves hold the records, each behind its own
+// buffer pool — run over page-differential logging and over the page-based
 // baseline, comparing simulated flash I/O.
 //
 // The workload is the one the paper's motivation targets: many small

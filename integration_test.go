@@ -2,6 +2,7 @@ package pdl_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -110,8 +111,9 @@ func TestHeapOverEveryMethod(t *testing.T) {
 	}
 }
 
-// TestBTreeOverPDLWithEviction stresses the index through a tiny pool so
-// every split and update round-trips through the differential machinery.
+// TestBTreeOverPDLWithEviction stresses the tree through a tiny pool so
+// every split, rotation and leaf rebuild round-trips through the
+// differential machinery.
 func TestBTreeOverPDLWithEviction(t *testing.T) {
 	chip := pdl.NewChip(pdl.ScaledFlashParams(64))
 	store, err := pdl.Open(chip, 1024, pdl.Options{MaxDifferentialSize: 256})
@@ -126,10 +128,15 @@ func TestBTreeOverPDLWithEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Values of 8 to 47 bytes: k*7, then k's low byte repeated.
+	value := func(k int) []byte {
+		v := binary.LittleEndian.AppendUint64(nil, uint64(k)*7)
+		return append(v, bytes.Repeat([]byte{byte(k)}, k%40)...)
+	}
 	rng := rand.New(rand.NewSource(7))
 	keys := rng.Perm(3000)
 	for _, k := range keys {
-		if err := tree.Insert(uint64(k), uint64(k)*7); err != nil {
+		if err := tree.Insert(uint64(k), value(k)); err != nil {
 			t.Fatalf("insert %d: %v", k, err)
 		}
 	}
@@ -137,9 +144,9 @@ func TestBTreeOverPDLWithEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
-		v, err := tree.Get(uint64(k))
-		if err != nil || v != uint64(k)*7 {
-			t.Fatalf("Get(%d) = %d, %v", k, v, err)
+		v, err := tree.Get(uint64(k), nil)
+		if err != nil || !bytes.Equal(v, value(k)) {
+			t.Fatalf("Get(%d) = %x, %v", k, v, err)
 		}
 	}
 	if chip.Stats().Erases == 0 {

@@ -1,7 +1,10 @@
 package btree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -35,47 +38,66 @@ func newTree(t *testing.T, poolFrames int, treePages uint32) *Tree {
 	return tr
 }
 
+// u64 is the 8-byte value most tests store.
+func u64(x uint64) []byte { return binary.LittleEndian.AppendUint64(nil, x) }
+
+// get returns the 8-byte value under k.
+func get(t *testing.T, tr *Tree, k uint64) uint64 {
+	t.Helper()
+	v, err := tr.Get(k, nil)
+	if err != nil || len(v) != 8 {
+		t.Fatalf("Get(%d) = %x, %v", k, v, err)
+	}
+	return binary.LittleEndian.Uint64(v)
+}
+
 func TestInsertGetSmall(t *testing.T) {
 	tr := newTree(t, 8, 64)
 	for k := uint64(1); k <= 10; k++ {
-		if err := tr.Insert(k, k*100); err != nil {
+		if err := tr.Insert(k, u64(k*100)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := uint64(1); k <= 10; k++ {
-		v, err := tr.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != k*100 {
+		if v := get(t, tr, k); v != k*100 {
 			t.Errorf("Get(%d) = %d, want %d", k, v, k*100)
 		}
 	}
-	if _, err := tr.Get(999); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing key: %v", err)
+	if _, err := tr.Get(999, nil); err != ErrNotFound {
+		t.Errorf("missing key: %v, want the bare ErrNotFound", err)
 	}
 	if tr.Size() != 10 {
 		t.Errorf("Size = %d", tr.Size())
+	}
+	// Get appends to out.
+	if v, err := tr.Get(3, []byte("x")); err != nil || !bytes.Equal(v, append([]byte("x"), u64(300)...)) {
+		t.Errorf("Get(3, \"x\") = %x, %v", v, err)
 	}
 }
 
 func TestDuplicateInsert(t *testing.T) {
 	tr := newTree(t, 8, 64)
-	if err := tr.Insert(5, 1); err != nil {
+	if err := tr.Insert(5, u64(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(5, 2); !errors.Is(err, ErrDuplicate) {
-		t.Errorf("duplicate: %v", err)
+	if err := tr.Insert(5, u64(2)); err != ErrDuplicate {
+		t.Errorf("duplicate: %v, want the bare ErrDuplicate", err)
+	}
+	if err := tr.Put(5, u64(3)); err != nil || get(t, tr, 5) != 3 || tr.Size() != 1 {
+		t.Errorf("Put over an existing key: %v, Size %d", err, tr.Size())
+	}
+	if err := tr.Put(5, make([]byte, tr.MaxValueSize()+1)); !errors.Is(err, ErrValueTooLarge) {
+		t.Errorf("oversized value: %v", err)
 	}
 }
 
 func TestSplitsAndHeight(t *testing.T) {
 	tr := newTree(t, 16, 256)
-	// Suite pages are 512 B: leafCap = (512-7)/16 = 31. Insert enough to
-	// force multiple levels.
+	// Suite pages are 512 B: a leaf holds (512-9)/20 = 25 8-byte values and
+	// an internal node 41 keys. Insert enough to force three levels.
 	n := uint64(2000)
 	for k := uint64(0); k < n; k++ {
-		if err := tr.Insert(k, k); err != nil {
+		if err := tr.Insert(k, u64(k)); err != nil {
 			t.Fatalf("insert %d: %v", k, err)
 		}
 	}
@@ -83,9 +105,8 @@ func TestSplitsAndHeight(t *testing.T) {
 		t.Errorf("height = %d, want >= 3 after %d sequential inserts", tr.Height(), n)
 	}
 	for k := uint64(0); k < n; k += 37 {
-		v, err := tr.Get(k)
-		if err != nil || v != k {
-			t.Fatalf("Get(%d) = %d, %v", k, v, err)
+		if v := get(t, tr, k); v != k {
+			t.Fatalf("Get(%d) = %d", k, v)
 		}
 	}
 }
@@ -95,14 +116,13 @@ func TestRandomOrderInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	keys := rng.Perm(1500)
 	for _, k := range keys {
-		if err := tr.Insert(uint64(k), uint64(k)*3); err != nil {
+		if err := tr.Insert(uint64(k), u64(uint64(k)*3)); err != nil {
 			t.Fatalf("insert %d: %v", k, err)
 		}
 	}
 	for _, k := range keys {
-		v, err := tr.Get(uint64(k))
-		if err != nil || v != uint64(k)*3 {
-			t.Fatalf("Get(%d) = %d, %v", k, v, err)
+		if v := get(t, tr, uint64(k)); v != uint64(k)*3 {
+			t.Fatalf("Get(%d) = %d", k, v)
 		}
 	}
 }
@@ -110,12 +130,12 @@ func TestRandomOrderInsert(t *testing.T) {
 func TestUpdate(t *testing.T) {
 	tr := newTree(t, 8, 64)
 	for k := uint64(0); k < 100; k++ {
-		if err := tr.Insert(k, k); err != nil {
+		if err := tr.Insert(k, u64(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := uint64(0); k < 100; k += 2 {
-		if err := tr.Update(k, k+1000); err != nil {
+		if err := tr.Update(k, u64(k+1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,20 +144,35 @@ func TestUpdate(t *testing.T) {
 		if k%2 == 0 {
 			want = k + 1000
 		}
-		v, err := tr.Get(k)
-		if err != nil || v != want {
-			t.Fatalf("Get(%d) = %d, %v", k, v, err)
+		if v := get(t, tr, k); v != want {
+			t.Fatalf("Get(%d) = %d, want %d", k, v, want)
 		}
 	}
-	if err := tr.Update(9999, 1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("update missing: %v", err)
+	if err := tr.Update(9999, u64(1)); err != ErrNotFound {
+		t.Errorf("update missing: %v, want the bare ErrNotFound", err)
+	}
+	// Resizing overwrites: shrink in place, grow into the gap or a rebuild.
+	for k := uint64(0); k < 100; k++ {
+		v := bytes.Repeat([]byte{byte(k)}, 1+int(k*7%60))
+		if err := tr.Update(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(0); k < 100; k++ {
+		v, err := tr.Get(k, nil)
+		if err != nil || !bytes.Equal(v, bytes.Repeat([]byte{byte(k)}, 1+int(k*7%60))) {
+			t.Fatalf("Get(%d) after resize = %x, %v", k, v, err)
+		}
+	}
+	if tr.Size() != 100 {
+		t.Errorf("Size = %d after overwrites", tr.Size())
 	}
 }
 
 func TestDelete(t *testing.T) {
 	tr := newTree(t, 8, 64)
 	for k := uint64(0); k < 200; k++ {
-		if err := tr.Insert(k, k); err != nil {
+		if err := tr.Insert(k, u64(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,16 +182,16 @@ func TestDelete(t *testing.T) {
 		}
 	}
 	for k := uint64(0); k < 200; k++ {
-		_, err := tr.Get(k)
+		_, err := tr.Get(k, nil)
 		if k%3 == 0 {
-			if !errors.Is(err, ErrNotFound) {
+			if err != ErrNotFound {
 				t.Fatalf("Get(%d) after delete: %v", k, err)
 			}
 		} else if err != nil {
 			t.Fatalf("Get(%d): %v", k, err)
 		}
 	}
-	if err := tr.Delete(0); !errors.Is(err, ErrNotFound) {
+	if err := tr.Delete(0); err != ErrNotFound {
 		t.Errorf("double delete: %v", err)
 	}
 }
@@ -164,14 +199,14 @@ func TestDelete(t *testing.T) {
 func TestRange(t *testing.T) {
 	tr := newTree(t, 16, 128)
 	for k := uint64(0); k < 500; k += 5 {
-		if err := tr.Insert(k, k*2); err != nil {
+		if err := tr.Insert(k, u64(k*2)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var got []uint64
-	err := tr.Range(100, 200, func(k, v uint64) bool {
-		if v != k*2 {
-			t.Errorf("value of %d = %d", k, v)
+	err := tr.Range(100, 200, func(k uint64, v []byte) bool {
+		if binary.LittleEndian.Uint64(v) != k*2 {
+			t.Errorf("value of %d = %x", k, v)
 		}
 		got = append(got, k)
 		return true
@@ -187,7 +222,7 @@ func TestRange(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	if err := tr.Range(0, 1<<60, func(k, v uint64) bool { count++; return count < 7 }); err != nil {
+	if err := tr.Range(0, 1<<60, func(uint64, []byte) bool { count++; return count < 7 }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 7 {
@@ -198,7 +233,7 @@ func TestRange(t *testing.T) {
 func TestPersistsThroughFlush(t *testing.T) {
 	tr := newTree(t, 2, 128) // tiny pool forces constant eviction
 	for k := uint64(0); k < 600; k++ {
-		if err := tr.Insert(k, k^0xABCD); err != nil {
+		if err := tr.Insert(k, u64(k^0xABCD)); err != nil {
 			t.Fatalf("insert %d: %v", k, err)
 		}
 	}
@@ -206,9 +241,8 @@ func TestPersistsThroughFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < 600; k++ {
-		v, err := tr.Get(k)
-		if err != nil || v != k^0xABCD {
-			t.Fatalf("Get(%d) = %d, %v", k, v, err)
+		if v := get(t, tr, k); v != k^0xABCD {
+			t.Fatalf("Get(%d) = %d", k, v)
 		}
 	}
 }
@@ -216,13 +250,24 @@ func TestPersistsThroughFlush(t *testing.T) {
 func TestPageRangeExhaustion(t *testing.T) {
 	tr := newTree(t, 8, 3) // root leaf + 2 pages: splits quickly exhaust
 	var err error
-	for k := uint64(0); k < 1000; k++ {
-		if err = tr.Insert(k, k); err != nil {
+	k := uint64(0)
+	for ; k < 1000; k++ {
+		if err = tr.Insert(k, u64(k)); err != nil {
 			break
 		}
 	}
 	if !errors.Is(err, ErrNoSpace) {
-		t.Errorf("err = %v, want ErrNoSpace", err)
+		t.Fatalf("err = %v, want ErrNoSpace", err)
+	}
+	// A split is refused before it writes anything: every key that went in
+	// is still there.
+	if tr.Size() != int(k) {
+		t.Errorf("Size = %d after %d inserts", tr.Size(), k)
+	}
+	for j := uint64(0); j < k; j++ {
+		if v := get(t, tr, j); v != j {
+			t.Fatalf("Get(%d) = %d", j, v)
+		}
 	}
 }
 
@@ -239,9 +284,9 @@ func TestQuickAgainstMap(t *testing.T) {
 			k := uint64(rng.Intn(200))
 			switch rng.Intn(4) {
 			case 0:
-				err := tr.Insert(k, k+1)
+				err := tr.Insert(k, u64(k+1))
 				if _, exists := ref[k]; exists {
-					if !errors.Is(err, ErrDuplicate) {
+					if err != ErrDuplicate {
 						return false
 					}
 				} else if err != nil {
@@ -256,26 +301,26 @@ func TestQuickAgainstMap(t *testing.T) {
 						return false
 					}
 					delete(ref, k)
-				} else if !errors.Is(err, ErrNotFound) {
+				} else if err != ErrNotFound {
 					return false
 				}
 			case 2:
-				err := tr.Update(k, k+7)
+				err := tr.Update(k, u64(k+7))
 				if _, exists := ref[k]; exists {
 					if err != nil {
 						return false
 					}
 					ref[k] = k + 7
-				} else if !errors.Is(err, ErrNotFound) {
+				} else if err != ErrNotFound {
 					return false
 				}
 			case 3:
-				v, err := tr.Get(k)
+				v, err := tr.Get(k, nil)
 				want, exists := ref[k]
-				if exists && (err != nil || v != want) {
+				if exists && (err != nil || binary.LittleEndian.Uint64(v) != want) {
 					return false
 				}
-				if !exists && !errors.Is(err, ErrNotFound) {
+				if !exists && err != ErrNotFound {
 					return false
 				}
 			}
@@ -290,7 +335,7 @@ func TestQuickAgainstMap(t *testing.T) {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		var walked []uint64
-		if err := tr.Range(0, 1<<62, func(k, v uint64) bool {
+		if err := tr.Range(0, 1<<62, func(k uint64, _ []byte) bool {
 			walked = append(walked, k)
 			return true
 		}); err != nil {
@@ -311,6 +356,160 @@ func TestQuickAgainstMap(t *testing.T) {
 	}
 }
 
+// TestModelAgainstMap drives random Puts, Deletes and resizing overwrites,
+// with values from 1 byte to MaxValueSize, through a pool of 3 frames and one
+// of 64, and after every batch requires Get, Range and Size to match a map.
+// The value sizes mix small and large so that leaves carry dead bytes, get
+// rebuilt, move entries into their left siblings and split by bytes.
+func TestModelAgainstMap(t *testing.T) {
+	for _, frames := range []int{3, 64} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("frames=%d/seed=%d", frames, seed), func(t *testing.T) {
+				tr := newTree(t, frames, 256)
+				maxV := tr.MaxValueSize()
+				rng := rand.New(rand.NewSource(seed))
+				size := func() int {
+					switch r := rng.Intn(20); {
+					case r < 10:
+						return 1 + rng.Intn(16)
+					case r < 17:
+						return 17 + rng.Intn(48)
+					case r < 19:
+						return 65 + rng.Intn(maxV-65)
+					}
+					return maxV
+				}
+				ref := map[uint64][]byte{}
+				for batch := 0; batch < 12; batch++ {
+					for range 250 {
+						k := uint64(rng.Intn(500)) * 3
+						if rng.Intn(4) == 0 {
+							err := tr.Delete(k)
+							if _, ok := ref[k]; ok != (err == nil) || (!ok && err != ErrNotFound) {
+								t.Fatalf("Delete(%d) = %v, present %v", k, err, ok)
+							}
+							delete(ref, k)
+							continue
+						}
+						v := make([]byte, size())
+						rng.Read(v)
+						if err := tr.Put(k, v); err != nil {
+							t.Fatalf("Put(%d, %d bytes): %v", k, len(v), err)
+						}
+						ref[k] = v
+					}
+					checkModel(t, tr, ref)
+				}
+			})
+		}
+	}
+}
+
+// checkModel requires tr to hold exactly ref.
+func checkModel(t *testing.T, tr *Tree, ref map[uint64][]byte) {
+	t.Helper()
+	if tr.Size() != len(ref) {
+		t.Fatalf("Size = %d, model has %d", tr.Size(), len(ref))
+	}
+	keys := make([]uint64, 0, len(ref))
+	for k, want := range ref {
+		keys = append(keys, k)
+		if got, err := tr.Get(k, nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%d) = %d bytes, %v; model has %d bytes", k, len(got), err, len(want))
+		}
+		if _, err := tr.Get(k+1, nil); err != ErrNotFound {
+			t.Fatalf("Get(%d) of an absent key: %v", k+1, err)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	i := 0
+	if err := tr.Range(0, ^uint64(0), func(k uint64, v []byte) bool {
+		if i >= len(keys) || k != keys[i] || !bytes.Equal(v, ref[k]) {
+			t.Fatalf("Range entry %d is key %d (%d bytes), model's is %v", i, k, len(v), keys[i:min(i+1, len(keys))])
+		}
+		i++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(keys) {
+		t.Fatalf("Range gave %d entries, model has %d", i, len(keys))
+	}
+}
+
+// leafFill walks the leaf chain and returns the leaves and the entries they
+// hold.
+func leafFill(t *testing.T, tr *Tree) (leaves, entries int) {
+	t.Helper()
+	_, buf, err := tr.descend(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		leaves++
+		entries += nodeN(buf)
+		next := leafNext(buf)
+		if next == noPage {
+			return leaves, entries
+		}
+		if buf, err = tr.pool.Get(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLeafFill loads ascending keys the way the benchmark's two load
+// clients do: two interleaved streams, one lagging the other by several
+// leaves, and then one ascending stream alone. Either way the leaves must
+// end at least 85% full: an overflowing leaf fills its left sibling before
+// it splits.
+func TestLeafFill(t *testing.T) {
+	const (
+		valSize = 20 // 15 entries a leaf
+		records = 3000
+	)
+	for _, tc := range []struct {
+		name string
+		lag  int // in records of the lagging stream; -1: one stream
+	}{{"interleaved", 60}, {"ascending", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := newTree(t, 64, 512)
+			perLeaf := (tr.pageSize - leafHdrSize) / entrySize(valSize)
+			v := make([]byte, valSize)
+			put := func(k uint64) {
+				if err := tr.Insert(k, v); err != nil {
+					t.Fatalf("insert %d: %v", k, err)
+				}
+			}
+			if tc.lag < 0 {
+				for k := uint64(0); k < records; k++ {
+					put(k)
+				}
+			} else {
+				// Stream A puts the even keys, stream B the odd ones, tc.lag
+				// of its keys behind: about tc.lag/perLeaf*2 leaves.
+				for i := 0; i < records/2+tc.lag; i++ {
+					if i < records/2 {
+						put(uint64(2 * i))
+					}
+					if j := i - tc.lag; j >= 0 {
+						put(uint64(2*j + 1))
+					}
+				}
+			}
+			leaves, entries := leafFill(t, tr)
+			if entries != records {
+				t.Fatalf("leaves hold %d entries, want %d", entries, records)
+			}
+			fill := float64(entries) / float64(leaves*perLeaf)
+			t.Logf("%d leaves of %d entries each at most: %.1f%% full", leaves, perLeaf, 100*fill)
+			if fill < 0.85 {
+				t.Errorf("leaves %.1f%% full, want at least 85%%", 100*fill)
+			}
+		})
+	}
+}
+
 func TestOpenFromState(t *testing.T) {
 	chip := flash.NewChip(flash.ScaledParams(64))
 	m, err := core.New(chip, 512, core.Options{MaxDifferentialSize: 256})
@@ -327,7 +526,7 @@ func TestOpenFromState(t *testing.T) {
 	}
 	const n = 2000
 	for k := uint64(0); k < n; k++ {
-		if err := tr.Insert(k*7, k); err != nil {
+		if err := tr.Insert(k*7, u64(k)); err != nil {
 			t.Fatalf("insert %d: %v", k, err)
 		}
 	}
@@ -353,22 +552,18 @@ func TestOpenFromState(t *testing.T) {
 		t.Fatalf("reopened size/height = %d/%d, want %d/%d", tr2.Size(), tr2.Height(), n, st.Height)
 	}
 	for k := uint64(0); k < n; k++ {
-		v, err := tr2.Get(k * 7)
-		if err != nil {
-			t.Fatalf("get %d after reopen: %v", k*7, err)
-		}
-		if v != k {
+		if v := get(t, tr2, k*7); v != k {
 			t.Fatalf("get %d = %d, want %d", k*7, v, k)
 		}
 	}
 	// Mutations keep working (allocator must not hand out used pages).
 	for k := uint64(0); k < 500; k++ {
-		if err := tr2.Insert(1_000_000+k, k); err != nil {
+		if err := tr2.Insert(1_000_000+k, u64(k)); err != nil {
 			t.Fatalf("post-reopen insert: %v", err)
 		}
 	}
 	got := 0
-	if err := tr2.Range(0, ^uint64(0), func(k, v uint64) bool { got++; return true }); err != nil {
+	if err := tr2.Range(0, ^uint64(0), func(uint64, []byte) bool { got++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if got != n+500 {
@@ -399,10 +594,10 @@ func TestOpenRejectsBadState(t *testing.T) {
 	}
 }
 
-// TestRangeCallbackMayUseThePool: kv's scan reads the heap, through the
-// tree's own pool, from inside Range's callback, and each of those reads may
-// evict the leaf the walk is on — under the pool's policy a page seen once can
-// be the very next victim. The walk must not read a frame it no longer owns.
+// TestRangeCallbackMayUseThePool: Range's callback may fault pages through
+// the tree's own pool, and each of those faults may evict the leaf the walk
+// is on — under the pool's policy a page seen once can be the very next
+// victim. The walk must not read a frame it no longer owns.
 func TestRangeCallbackMayUseThePool(t *testing.T) {
 	const keys = 1500
 	chip := flash.NewChip(ftltest.SmallParams(48))
@@ -419,20 +614,21 @@ func TestRangeCallbackMayUseThePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < keys; k++ {
-		if err := tr.Insert(k, k+7); err != nil {
+		if err := tr.Insert(k, u64(k+7)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Pages 128..255 stand for the heap: created here, faulted from the callback.
+	// Pages 128..255 are other pages of the pool: created here, faulted from
+	// the callback.
 	for pid := uint32(128); pid < 256; pid++ {
 		if _, err := pool.GetNew(pid); err != nil {
 			t.Fatal(err)
 		}
 	}
 	next := uint64(0)
-	err = tr.Range(0, keys, func(k, v uint64) bool {
-		if k != next || v != k+7 {
-			t.Fatalf("Range delivered (%d, %d), want (%d, %d)", k, v, next, next+7)
+	err = tr.Range(0, keys, func(k uint64, v []byte) bool {
+		if k != next || binary.LittleEndian.Uint64(v) != k+7 {
+			t.Fatalf("Range delivered (%d, %x), want (%d, %d)", k, v, next, next+7)
 		}
 		next++
 		for i := uint32(0); i < 2; i++ { // two faults: more than an LRU of 4 forgives, too

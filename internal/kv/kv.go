@@ -1,6 +1,6 @@
 // Package kv is the serving layer: a concurrent ordered key-value store
-// built from the module's storage engine — a B+-tree index and a
-// slotted-page heap per hash bucket, all sharing one page-update method
+// built from the module's storage engine — one B+-tree per hash bucket,
+// whose leaves hold the records, all sharing one page-update method
 // (PDL or a baseline) over one flash device. It exists to exercise the
 // engine the way a database serving layer would (YCSB-style mixes of
 // point reads, updates, inserts, and range scans from many client
@@ -10,10 +10,11 @@
 // # Concurrency model
 //
 // Keys are hash-partitioned across buckets. Each bucket owns an
-// exclusive lock, a private buffer pool, a B+-tree mapping key -> record
-// id, and a heap holding the record bytes; the pools of every bucket
-// share the method underneath. The method is the only layer below the
-// bucket lock that sees real concurrency: the PDL store is
+// exclusive lock, a private buffer pool, and a B+-tree whose leaves hold
+// the (key, value) records, so a Get faults at most the pages of one
+// root-to-leaf path; the pools of every bucket share the method
+// underneath. The method is the only layer below the bucket lock that
+// sees real concurrency: the PDL store is
 // concurrency-safe (sharded) and takes cross-bucket operations in
 // parallel, while the baselines (OPU/IPU/IPL) are wrapped in a
 // serializing adapter (newMethod). Bucket locks rank above every engine lock
@@ -34,7 +35,7 @@
 //
 // The store is durable to its last successful Sync: Sync flushes every
 // bucket's pool, persists the per-bucket recovery states (tree roots,
-// allocation cursors, heap insert hints) into a metadata page, flushes
+// allocation cursors, sizes) into a metadata page, flushes
 // the method, and syncs the device. Reopen reads the metadata page back
 // and rebuilds every bucket without replaying anything.
 //
@@ -60,7 +61,6 @@ import (
 	"pdl/internal/buffer"
 	"pdl/internal/flash"
 	"pdl/internal/ftl"
-	"pdl/internal/storage"
 )
 
 var (
@@ -68,9 +68,9 @@ var (
 	ErrNotFound = errors.New("kv: key not found")
 	// ErrClosed reports use of a closed store.
 	ErrClosed = errors.New("kv: store is closed")
-	// ErrValueTooLarge reports a value that cannot fit one heap page.
+	// ErrValueTooLarge reports a value over MaxValueSize.
 	ErrValueTooLarge = errors.New("kv: value too large")
-	// ErrFull reports that a bucket's heap or tree ran out of pages.
+	// ErrFull reports that a bucket's tree ran out of pages.
 	ErrFull = errors.New("kv: store is full")
 )
 
@@ -107,26 +107,23 @@ type Entry struct {
 }
 
 // bucket is one hash partition: an exclusive lock over a private buffer
-// pool, a B+-tree index (key -> packed record id), and a heap holding
-// the record bytes. The type and field names are load-bearing: pdlvet's
-// lockModel maps (bucket, mu) to the kv lock class, the top of the
-// module's lock hierarchy.
+// pool and a B+-tree whose leaves hold the records. The type and field
+// names are load-bearing: pdlvet's lockModel maps (bucket, mu) to the kv
+// lock class, the top of the module's lock hierarchy.
 type bucket struct {
 	mu   sync.Mutex
 	pool *buffer.Pool
 	tree *btree.Tree
-	heap *storage.Heap
 }
 
 // DB is a concurrent key-value store over one page-update method. All
 // methods are safe for concurrent use by multiple goroutines.
 type DB struct {
-	method    ftl.Method // possibly a serializing wrapper; see newMethod
-	buckets   []bucket
-	numPages  uint32
-	treePages uint32 // per bucket
-	span      uint32 // pages per bucket (tree + heap)
-	closed    atomic.Bool
+	method   ftl.Method // possibly a serializing wrapper; see newMethod
+	buckets  []bucket
+	numPages uint32
+	span     uint32 // pages per bucket, all of them its tree's
+	closed   atomic.Bool
 }
 
 // concurrencySafe is the advertisement the PDL store makes (and the
@@ -202,14 +199,10 @@ func bucketSpan(numPages uint32, buckets int) uint32 {
 	return (numPages - 1) / uint32(buckets)
 }
 
-// indexPages is how many pages of a bucket's span hold its B+-tree index: a
-// quarter, and at least 2. The rest holds the heap, which a span of 4 or more
-// leaves at least 2 pages as well.
-func indexPages(span uint32) uint32 { return max(2, span/4) }
-
 // Open creates a fresh store over the first numPages logical pages of
 // method's device. Page 0 is reserved for recovery metadata; the rest is
-// split into equal per-bucket spans. Nothing is durable until Sync.
+// split into equal per-bucket spans, each one bucket's B+-tree. Nothing is
+// durable until Sync.
 func Open(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	span := bucketSpan(numPages, opts.Buckets)
@@ -217,35 +210,31 @@ func Open(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("kv: %d pages cannot hold %d buckets (need >= %d)",
 			numPages, opts.Buckets, 1+4*opts.Buckets)
 	}
-	treePages := indexPages(span)
 	d := &DB{
-		method:    newMethod(method),
-		buckets:   make([]bucket, opts.Buckets),
-		numPages:  numPages,
-		treePages: treePages,
-		span:      span,
+		method:   newMethod(method),
+		buckets:  make([]bucket, opts.Buckets),
+		numPages: numPages,
+		span:     span,
 	}
 	if err := checkMetaFits(d.method.PageSize(), opts.Buckets); err != nil {
 		return nil, err
 	}
 	for i := range d.buckets {
-		first := 1 + uint32(i)*span
 		pool, err := buffer.NewPool(d.method, opts.PoolPages)
 		if err != nil {
 			return nil, err
 		}
-		tree, err := btree.New(pool, first, treePages)
+		tree, err := btree.New(pool, d.first(i), span)
 		if err != nil {
-			return nil, fmt.Errorf("kv: bucket %d index: %w", i, err)
+			return nil, fmt.Errorf("kv: bucket %d: %w", i, err)
 		}
-		heap, err := storage.NewHeap(pool, first+treePages, span-treePages)
-		if err != nil {
-			return nil, fmt.Errorf("kv: bucket %d heap: %w", i, err)
-		}
-		d.buckets[i] = bucket{pool: pool, tree: tree, heap: heap}
+		d.buckets[i] = bucket{pool: pool, tree: tree}
 	}
 	return d, nil
 }
+
+// first is bucket i's first page.
+func (d *DB) first(i int) uint32 { return 1 + uint32(i)*d.span }
 
 // Reopen rebuilds a store from the recovery metadata its last Sync
 // persisted. The layout (bucket count, page split) comes from the
@@ -263,43 +252,36 @@ func Reopen(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 			meta.numPages, numPages)
 	}
 	// The checksum covers the bucket records only: the split is checked here,
-	// against what Open can lay out, before any page id is computed from it.
+	// against what Open lays out, before any page id is computed from it.
 	span := bucketSpan(numPages, len(meta.states))
-	if span < 4 || meta.treePages < 2 || meta.treePages > span-2 {
-		return nil, fmt.Errorf("kv: metadata names %d index pages in a bucket span of %d",
+	if span < 4 || meta.treePages != span {
+		return nil, fmt.Errorf("kv: metadata names %d tree pages a bucket, Open lays out %d",
 			meta.treePages, span)
 	}
 	d := &DB{
-		method:    m,
-		buckets:   make([]bucket, len(meta.states)),
-		numPages:  meta.numPages,
-		treePages: meta.treePages,
-		span:      span,
+		method:   m,
+		buckets:  make([]bucket, len(meta.states)),
+		numPages: meta.numPages,
+		span:     span,
 	}
 	for i := range d.buckets {
-		first := 1 + uint32(i)*d.span
 		pool, err := buffer.NewPool(d.method, opts.PoolPages)
 		if err != nil {
 			return nil, err
 		}
-		tree, err := btree.Open(pool, first, d.treePages, meta.states[i].tree)
+		tree, err := btree.Open(pool, d.first(i), span, meta.states[i])
 		if err != nil {
-			return nil, fmt.Errorf("kv: bucket %d index: %w", i, err)
+			return nil, fmt.Errorf("kv: bucket %d: %w", i, err)
 		}
-		heap, err := storage.NewHeap(pool, first+d.treePages, d.span-d.treePages)
-		if err != nil {
-			return nil, fmt.Errorf("kv: bucket %d heap: %w", i, err)
-		}
-		heap.SetInsertHint(meta.states[i].heapHint)
-		d.buckets[i] = bucket{pool: pool, tree: tree, heap: heap}
+		d.buckets[i] = bucket{pool: pool, tree: tree}
 	}
 	return d, nil
 }
 
 // PagesNeeded returns a logical page count that comfortably holds
 // records values of valueSize bytes under opts, including the metadata
-// page, index fan-out, hash imbalance across buckets, and slotted-page
-// slack. Size the device's logical capacity to at least this.
+// page, internal nodes, hash imbalance across buckets, and leaves left
+// part full by splits. Size the device's logical capacity to at least this.
 func PagesNeeded(records int, valueSize, pageSize int, opts Options) uint32 {
 	opts = opts.withDefaults()
 	if records < 1 {
@@ -308,42 +290,32 @@ func PagesNeeded(records int, valueSize, pageSize int, opts Options) uint32 {
 	// Expected records per bucket, plus 25% hash-imbalance headroom.
 	perBucket := records/opts.Buckets + 1
 	perBucket += perBucket / 4
-	// Heap: each record costs a key prefix plus a slot; each page loses a
-	// header. 30% slack for fragmentation under updates.
-	recSize := valueSize + recKeySize + 4
-	recsPerPage := (pageSize - 8) / recSize
-	if recsPerPage < 1 {
-		recsPerPage = 1
-	}
-	heapPages := perBucket/recsPerPage + 1
-	heapPages += heapPages*3/10 + 2
-	// Tree: leaves average ~2/3 full after splits; double the packed
-	// count covers leaves plus internals with room to spare.
-	leafCap := (pageSize - 7) / 16
-	treePages := 2*(perBucket/leafCap+1) + 4
-	span := heapPages + treePages
-	// Respect Open's split: grow the span until both halves fit their side.
-	fracSpan := span
+	// Leaves packed full: a record costs its key, its value and a slot, and
+	// a leaf loses its header, about 8 bytes. 30% more for leaves that
+	// splits leave part full and for dead bytes under resizing updates.
+	recsPerLeaf := max(1, (pageSize-8)/(8+valueSize+4))
+	leaves := perBucket/recsPerLeaf + 1
+	leaves += leaves*3/10 + 2
+	// Internal nodes: two pages for every leaf of 16-byte entries, which is
+	// far more than they take. Then the span grows by eighths until three
+	// quarters of it hold the leaves and a quarter the internal nodes. This
+	// is the arithmetic of the heap-and-index layout the leaves replaced,
+	// kept so that a device sized for a store keeps its size.
+	internal := 2*(perBucket/((pageSize-7)/16)+1) + 4
+	span := leaves + internal
 	for {
-		tp := int(indexPages(uint32(fracSpan)))
-		if tp >= treePages && fracSpan-tp >= heapPages {
+		quarter := max(2, span/4)
+		if quarter >= internal && span-quarter >= leaves {
 			break
 		}
-		fracSpan += fracSpan/8 + 1
+		span += span/8 + 1
 	}
-	if fracSpan < 4 {
-		fracSpan = 4
-	}
-	return 1 + uint32(opts.Buckets)*uint32(fracSpan)
+	return 1 + uint32(opts.Buckets)*uint32(max(4, span))
 }
 
-// recKeySize is the big-endian key prefix stored ahead of every heap
-// record, making records self-describing (and letting Get verify that
-// the index and heap agree).
-const recKeySize = 8
-
-// MaxValueSize returns the largest storable value.
-func (d *DB) MaxValueSize() int { return d.buckets[0].heap.MaxRecordSize() - recKeySize }
+// MaxValueSize returns the largest storable value: the largest of which a
+// leaf page holds two.
+func (d *DB) MaxValueSize() int { return d.buckets[0].tree.MaxValueSize() }
 
 // Buckets returns the hash-partition count.
 func (d *DB) Buckets() int { return len(d.buckets) }
@@ -351,75 +323,15 @@ func (d *DB) Buckets() int { return len(d.buckets) }
 // NumPages returns the logical page span the store occupies.
 func (d *DB) NumPages() uint32 { return d.numPages }
 
-func packRID(rid storage.RID) uint64 { return uint64(rid.Page)<<16 | uint64(rid.Slot) }
-
-func unpackRID(v uint64) storage.RID {
-	return storage.RID{Page: uint32(v >> 16), Slot: uint16(v & 0xFFFF)}
-}
-
 // put applies one upsert inside a locked bucket.
 //
 //pdlvet:holds kv
 func (b *bucket) put(k uint64, v []byte) error {
-	rec := make([]byte, recKeySize+len(v))
-	putKeyPrefix(rec, k)
-	copy(rec[recKeySize:], v)
-	old, err := b.tree.Get(k)
-	switch {
-	case err == nil:
-		rid := unpackRID(old)
-		uerr := b.heap.Update(rid, rec)
-		if uerr == nil {
-			return nil
-		}
-		if !errors.Is(uerr, storage.ErrNoSpace) {
-			return uerr
-		}
-		// The grown record no longer fits its page: relocate it and
-		// repoint the index.
-		if derr := b.heap.Delete(rid); derr != nil {
-			return derr
-		}
-		nrid, ierr := b.heap.Insert(rec)
-		if ierr != nil {
-			return wrapFull(ierr)
-		}
-		return b.tree.Update(k, packRID(nrid))
-	case errors.Is(err, btree.ErrNotFound):
-		rid, ierr := b.heap.Insert(rec)
-		if ierr != nil {
-			return wrapFull(ierr)
-		}
-		if terr := b.tree.Insert(k, packRID(rid)); terr != nil {
-			// Undo the heap insert so a full index does not leak a record.
-			_ = b.heap.Delete(rid)
-			return wrapFull(terr)
-		}
-		return nil
-	default:
-		return err
-	}
-}
-
-func wrapFull(err error) error {
-	if errors.Is(err, storage.ErrNoSpace) || errors.Is(err, btree.ErrNoSpace) {
+	err := b.tree.Put(k, v)
+	if errors.Is(err, btree.ErrNoSpace) {
 		return fmt.Errorf("%w: %v", ErrFull, err)
 	}
 	return err
-}
-
-func putKeyPrefix(rec []byte, k uint64) {
-	for i := 0; i < recKeySize; i++ {
-		rec[i] = byte(k >> (56 - 8*i))
-	}
-}
-
-func keyPrefix(rec []byte) uint64 {
-	var k uint64
-	for i := 0; i < recKeySize; i++ {
-		k = k<<8 | uint64(rec[i])
-	}
-	return k
 }
 
 // Put inserts or overwrites one key.
@@ -491,7 +403,7 @@ func (d *DB) lockAll() (unlock func()) {
 	}
 }
 
-// Get returns the value of k, appended into buf when it has capacity
+// Get returns the value of k, in buf's storage when it has the capacity
 // (pass nil to allocate). Returns ErrNotFound for absent keys.
 func (d *DB) Get(k uint64, buf []byte) ([]byte, error) {
 	if d.closed.Load() {
@@ -505,21 +417,11 @@ func (d *DB) Get(k uint64, buf []byte) ([]byte, error) {
 
 //pdlvet:holds kv
 func (b *bucket) get(k uint64, buf []byte) ([]byte, error) {
-	packed, err := b.tree.Get(k)
+	v, err := b.tree.Get(k, buf[:0])
 	if errors.Is(err, btree.ErrNotFound) {
 		return nil, fmt.Errorf("%w: %d", ErrNotFound, k)
 	}
-	if err != nil {
-		return nil, err
-	}
-	rec, err := b.heap.Get(unpackRID(packed), buf)
-	if err != nil {
-		return nil, err
-	}
-	if len(rec) < recKeySize || keyPrefix(rec) != k {
-		return nil, fmt.Errorf("kv: index and heap disagree on key %d", k)
-	}
-	return append(rec[:0], rec[recKeySize:]...), nil
+	return v, err
 }
 
 // Delete removes k, returning ErrNotFound when absent.
@@ -530,17 +432,11 @@ func (d *DB) Delete(k uint64) error {
 	b := &d.buckets[d.bucketOf(k)]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	packed, err := b.tree.Get(k)
+	err := b.tree.Delete(k)
 	if errors.Is(err, btree.ErrNotFound) {
 		return fmt.Errorf("%w: %d", ErrNotFound, k)
 	}
-	if err != nil {
-		return err
-	}
-	if err := b.heap.Delete(unpackRID(packed)); err != nil {
-		return err
-	}
-	return b.tree.Delete(k)
+	return err
 }
 
 // Scan streams the entries with lo <= key <= hi in ascending key order,
@@ -590,25 +486,10 @@ func (d *DB) snapshot(lo, hi uint64, limit int) ([]Entry, error) {
 //pdlvet:holds kv
 func (b *bucket) collectRange(lo, hi uint64, limit int, ents []Entry) ([]Entry, error) {
 	start := len(ents)
-	var inner error
-	err := b.tree.Range(lo, hi, func(k, packed uint64) bool {
-		rec, err := b.heap.Get(unpackRID(packed), nil)
-		if err != nil {
-			inner = err
-			return false
-		}
-		if len(rec) < recKeySize || keyPrefix(rec) != k {
-			inner = fmt.Errorf("kv: index and heap disagree on key %d", k)
-			return false
-		}
-		val := make([]byte, len(rec)-recKeySize)
-		copy(val, rec[recKeySize:])
-		ents = append(ents, Entry{Key: k, Value: val})
+	err := b.tree.Range(lo, hi, func(k uint64, v []byte) bool {
+		ents = append(ents, Entry{Key: k, Value: append([]byte(nil), v...)})
 		return limit <= 0 || len(ents)-start < limit
 	})
-	if inner != nil {
-		return nil, inner
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -656,17 +537,17 @@ func (d *DB) Sync() error {
 
 func (d *DB) sync() error {
 	defer d.lockAll()()
-	states := make([]bucketState, len(d.buckets))
+	states := make([]btree.State, len(d.buckets))
 	for i := range d.buckets {
 		b := &d.buckets[i]
 		if err := b.pool.Flush(); err != nil {
 			return fmt.Errorf("kv: sync bucket %d: %w", i, err)
 		}
-		states[i] = bucketState{tree: b.tree.State(), heapHint: b.heap.InsertHint()}
+		states[i] = b.tree.State()
 	}
 	if err := writeMeta(d.method, metaState{
 		numPages:  d.numPages,
-		treePages: d.treePages,
+		treePages: d.span,
 		states:    states,
 	}); err != nil {
 		return fmt.Errorf("kv: sync metadata: %w", err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,7 +66,7 @@ func TestPutGetDeleteScanLen(t *testing.T) {
 	if _, err := db.Get(1, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(absent) err = %v, want ErrNotFound", err)
 	}
-	// Overwrites, including a size change that forces relocation.
+	// Overwrites, including one that grows the value.
 	if err := db.Put(3*7, val(3*7, 2, 40)); err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +75,20 @@ func TestPutGetDeleteScanLen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, _ := db.Get(3*8, nil); !equalBytes(got, big) {
-		t.Fatalf("relocated value mismatch")
+		t.Fatalf("grown value mismatch")
 	}
 	if db.Len() != records {
 		t.Fatalf("Len after overwrite = %d, want %d", db.Len(), records)
+	}
+	// Values go in the leaves: the largest is what a 512-byte leaf holds two of.
+	if got := db.MaxValueSize(); got != (512-9)/2-12 {
+		t.Fatalf("MaxValueSize = %d at 512-byte pages", got)
+	}
+	if err := db.Put(3*9, make([]byte, db.MaxValueSize())); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put(3*9, make([]byte, db.MaxValueSize()+1)); !errors.Is(err, ErrValueTooLarge) {
+		t.Fatalf("oversized Put err = %v", err)
 	}
 	// Range scan with bounds and limit.
 	var keys []uint64
@@ -487,9 +498,11 @@ func TestReopenRejectsFresh(t *testing.T) {
 }
 
 // TestReopenRejectsBadLayout: the metadata checksum covers the bucket records
-// only, so a page 0 with a valid magic, version and checksum can still name a
-// split no Open lays out. Reopen refuses it: an index that takes the whole
-// span, or more, would hand the heap the pages of the buckets that follow.
+// only, so a page 0 with a valid magic and checksum can still name a layout no
+// Open makes. Reopen refuses it: a bucket's tree takes exactly its span (a
+// smaller range would hide pages the tree allocated, a larger one hand it the
+// pages of the bucket that follows), and a version-1 page, the layout of heap
+// pages beside an index, or any other version is refused by name.
 func TestReopenRejectsBadLayout(t *testing.T) {
 	const numPages = 200
 	opts := Options{Buckets: 4, PoolPages: 8}
@@ -510,25 +523,50 @@ func TestReopenRejectsBadLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	span := bucketSpan(numPages, opts.Buckets)
-	good := binary.LittleEndian.Uint32(page0[20:])
-	for _, treePages := range []uint32{0, 1, span - 1, span, span + 1, ^uint32(0), good} {
+	if got := binary.LittleEndian.Uint32(page0[20:]); got != span {
+		t.Fatalf("Sync wrote %d tree pages a bucket, want the span %d", got, span)
+	}
+	if got := binary.LittleEndian.Uint32(page0[8:]); got != metaVersion {
+		t.Fatalf("Sync wrote version %d, want %d", got, metaVersion)
+	}
+	reopen := func(version, treePages uint32) error {
+		t.Helper()
+		binary.LittleEndian.PutUint32(page0[8:], version)
 		binary.LittleEndian.PutUint32(page0[20:], treePages)
 		if err := m.WritePage(0, page0); err != nil {
 			t.Fatal(err)
 		}
-		rdb, err := Reopen(m, numPages, opts)
-		if treePages == good {
-			if err != nil {
-				t.Fatalf("Reopen with the synced split of %d index pages: %v", good, err)
-			}
-			if v, err := rdb.Get(1, nil); err != nil || !equalBytes(v, val(1, 1, 32)) {
-				t.Fatalf("Get(1) after Reopen = %v, %v", v, err)
-			}
-			continue
+		_, err := Reopen(m, numPages, opts)
+		return err
+	}
+	for _, treePages := range []uint32{0, 1, 2, span / 4, span - 1, span + 1, ^uint32(0)} {
+		if err := reopen(metaVersion, treePages); err == nil {
+			t.Errorf("Reopen accepted %d tree pages in a bucket span of %d", treePages, span)
 		}
-		if err == nil {
-			t.Errorf("Reopen accepted %d index pages in a bucket span of %d", treePages, span)
+	}
+	for _, version := range []uint32{0, 1, metaVersion + 1} {
+		err := reopen(version, span)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+			t.Errorf("Reopen of a version-%d page: %v", version, err)
 		}
+	}
+	if err := reopen(metaVersion, span); err != nil {
+		t.Fatalf("Reopen of the synced page: %v", err)
+	}
+	rdb, err := Reopen(m, numPages, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := rdb.Get(1, nil); err != nil || !equalBytes(v, val(1, 1, 32)) {
+		t.Fatalf("Get(1) after Reopen = %v, %v", v, err)
+	}
+}
+
+// TestPagesNeededPinned: the benchmark sizes its device, its pools and its
+// space amplification from PagesNeeded, so the count at its sizes stays put.
+func TestPagesNeededPinned(t *testing.T) {
+	if got := PagesNeeded(100000, 100, 2048, Options{}); got != 12449 {
+		t.Fatalf("PagesNeeded(100000, 100, 2048) = %d, want 12449", got)
 	}
 }
 

@@ -13,36 +13,31 @@ import (
 // every Sync, after the bucket pools flush and before the final method
 // flush + device sync. It carries everything Reopen needs that is not
 // reconstructible from flash: the store layout and each bucket's B+-tree
-// state and heap insert hint. Little-endian throughout, like the rest of
-// the on-flash structures.
+// state. Little-endian throughout, like the rest of the on-flash
+// structures.
 //
 //	off  0  magic     u64  "PDLKV\x01" (little-endian packed)
-//	off  8  version   u32
+//	off  8  version   u32  2; version 1 was the heap-and-index layout
 //	off 12  buckets   u32
 //	off 16  numPages  u32
-//	off 20  treePages u32  (per bucket)
+//	off 20  treePages u32  (per bucket: the whole span)
 //	off 24  checksum  u64  FNV-1a over the bucket records
 //	off 32  bucket records, metaRecSize bytes each:
-//	        root u32, nextAlloc u32, height u32, size u64, heapHint u32
+//	        root u32, nextAlloc u32, height u32, size u64
 const (
 	metaMagic   = uint64(0x01564B4C4450) // "PDLKV\x01" read as little-endian
-	metaVersion = uint32(1)
+	metaVersion = uint32(2)
 	metaHdrSize = 32
-	metaRecSize = 24
+	metaRecSize = 20
 	// maxBuckets caps Options.Buckets; 64 bucket records need
-	// 32+64*24 = 1568 bytes, within the smallest supported page.
+	// 32+64*20 = 1312 bytes, within the smallest supported page.
 	maxBuckets = 64
 )
-
-type bucketState struct {
-	tree     btree.State
-	heapHint uint32
-}
 
 type metaState struct {
 	numPages  uint32
 	treePages uint32
-	states    []bucketState
+	states    []btree.State
 }
 
 // checkMetaFits rejects geometries whose metadata cannot fit page 0.
@@ -62,13 +57,12 @@ func writeMeta(m ftl.Method, st metaState) error {
 	binary.LittleEndian.PutUint32(buf[16:], st.numPages)
 	binary.LittleEndian.PutUint32(buf[20:], st.treePages)
 	recs := buf[metaHdrSize : metaHdrSize+len(st.states)*metaRecSize]
-	for i, bs := range st.states {
+	for i, ts := range st.states {
 		r := recs[i*metaRecSize:]
-		binary.LittleEndian.PutUint32(r[0:], bs.tree.Root)
-		binary.LittleEndian.PutUint32(r[4:], bs.tree.NextAlloc)
-		binary.LittleEndian.PutUint32(r[8:], uint32(bs.tree.Height))
-		binary.LittleEndian.PutUint64(r[12:], uint64(bs.tree.Size))
-		binary.LittleEndian.PutUint32(r[20:], bs.heapHint)
+		binary.LittleEndian.PutUint32(r[0:], ts.Root)
+		binary.LittleEndian.PutUint32(r[4:], ts.NextAlloc)
+		binary.LittleEndian.PutUint32(r[8:], uint32(ts.Height))
+		binary.LittleEndian.PutUint64(r[12:], uint64(ts.Size))
 	}
 	h := fnv.New64a()
 	h.Write(recs)
@@ -84,7 +78,11 @@ func readMeta(m ftl.Method) (metaState, error) {
 	if got := binary.LittleEndian.Uint64(buf[0:]); got != metaMagic {
 		return metaState{}, fmt.Errorf("kv: bad metadata magic %#x", got)
 	}
-	if v := binary.LittleEndian.Uint32(buf[8:]); v != metaVersion {
+	switch v := binary.LittleEndian.Uint32(buf[8:]); v {
+	case metaVersion:
+	case 1:
+		return metaState{}, fmt.Errorf("kv: metadata version 1 names the heap-and-index layout, which is no longer read (want version %d)", metaVersion)
+	default:
 		return metaState{}, fmt.Errorf("kv: metadata version %d, want %d", v, metaVersion)
 	}
 	buckets := int(binary.LittleEndian.Uint32(buf[12:]))
@@ -100,18 +98,15 @@ func readMeta(m ftl.Method) (metaState, error) {
 	st := metaState{
 		numPages:  binary.LittleEndian.Uint32(buf[16:]),
 		treePages: binary.LittleEndian.Uint32(buf[20:]),
-		states:    make([]bucketState, buckets),
+		states:    make([]btree.State, buckets),
 	}
 	for i := range st.states {
 		r := recs[i*metaRecSize:]
-		st.states[i] = bucketState{
-			tree: btree.State{
-				Root:      binary.LittleEndian.Uint32(r[0:]),
-				NextAlloc: binary.LittleEndian.Uint32(r[4:]),
-				Height:    int(binary.LittleEndian.Uint32(r[8:])),
-				Size:      int(binary.LittleEndian.Uint64(r[12:])),
-			},
-			heapHint: binary.LittleEndian.Uint32(r[20:]),
+		st.states[i] = btree.State{
+			Root:      binary.LittleEndian.Uint32(r[0:]),
+			NextAlloc: binary.LittleEndian.Uint32(r[4:]),
+			Height:    int(binary.LittleEndian.Uint32(r[8:])),
+			Size:      int(binary.LittleEndian.Uint64(r[12:])),
 		}
 	}
 	return st, nil

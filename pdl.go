@@ -152,9 +152,9 @@
 // # Serving layer
 //
 // The kv subsystem is a concurrent key-value store assembled from the
-// repository's own layers — B+-tree index over a slotted heap, behind
-// per-bucket buffer pools — over any Method. It hash-partitions the key
-// space into lock-striped buckets so Put/Get/Delete from many
+// repository's own layers — per bucket, a B+-tree whose leaves hold the
+// records, behind a buffer pool — over any Method. It hash-partitions the
+// key space into lock-striped buckets so Put/Get/Delete from many
 // goroutines proceed in parallel (over a PDL store the engine below is
 // concurrent too; the baselines are funneled through one mutex), and
 // its Scan is snapshot-consistent: it locks every bucket, collects, and
@@ -378,7 +378,9 @@ func NewHeap(pool *Pool, first, numPages uint32) (*Heap, error) {
 	return storage.NewHeap(pool, first, numPages)
 }
 
-// BTree is a B+-tree index over a buffer pool with uint64 keys and values.
+// BTree is a B+-tree over a buffer pool with uint64 keys and byte-slice
+// values, which its leaves hold: Put, Get, Delete and Range, with values of
+// up to MaxValueSize bytes, the largest of which a leaf page holds two.
 type BTree = btree.Tree
 
 // NewBTree builds an empty B+-tree over logical pages
@@ -389,8 +391,9 @@ func NewBTree(pool *Pool, first, numPages uint32) (*BTree, error) {
 
 // KV is the serving layer: a concurrent key-value store (uint64 keys,
 // byte-slice values) with snapshot-consistent range scans and crash
-// recovery, layered on the repository's B+-tree, heap, and buffer pool
-// over any Method. See OpenKV.
+// recovery, layered on the repository's B+-tree and buffer pool over any
+// Method. Values go in the tree's leaves: KV.MaxValueSize is the largest of
+// which one page holds two (1,007 bytes on 2 KB pages). See OpenKV.
 type KV = kv.DB
 
 // KVOptions tunes a KV store's bucket count and per-bucket pool.
@@ -405,7 +408,8 @@ var (
 	ErrKeyNotFound = kv.ErrNotFound
 	// ErrKVClosed reports an operation on a closed KV store.
 	ErrKVClosed = kv.ErrClosed
-	// ErrValueTooLarge reports a value over KV.MaxValueSize.
+	// ErrValueTooLarge reports a value over KV.MaxValueSize, the largest
+	// value a leaf page holds two of.
 	ErrValueTooLarge = kv.ErrValueTooLarge
 	// ErrKVFull reports page-space exhaustion in a bucket; size the
 	// store with KVPagesNeeded.

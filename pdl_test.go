@@ -2,6 +2,7 @@ package pdl_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -125,14 +126,19 @@ func TestPublicAPIPoolHeapBTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Index heap records by key through the tree.
+	// Index heap records by key through the tree: its values are the packed
+	// record ids, and it holds values of its own beside them.
 	for k := uint64(0); k < 300; k++ {
 		rid, err := heap.Insert([]byte{byte(k), byte(k >> 8), 0xEE})
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed := uint64(rid.Page)<<16 | uint64(rid.Slot)
+		packed := binary.LittleEndian.AppendUint32(nil, rid.Page)
+		packed = binary.LittleEndian.AppendUint16(packed, rid.Slot)
 		if err := tree.Insert(k, packed); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Put(1000+k, bytes.Repeat([]byte{byte(k)}, int(k%200))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,17 +146,20 @@ func TestPublicAPIPoolHeapBTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < 300; k += 17 {
-		packed, err := tree.Get(k)
+		packed, err := tree.Get(k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rid := pdl.RID{Page: uint32(packed >> 16), Slot: uint16(packed & 0xFFFF)}
+		rid := pdl.RID{Page: binary.LittleEndian.Uint32(packed), Slot: binary.LittleEndian.Uint16(packed[4:])}
 		rec, err := heap.Get(rid, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rec[0] != byte(k) || rec[1] != byte(k>>8) {
 			t.Fatalf("key %d resolved to wrong record", k)
+		}
+		if v, err := tree.Get(1000+k, nil); err != nil || !bytes.Equal(v, bytes.Repeat([]byte{byte(k)}, int(k%200))) {
+			t.Fatalf("Get(%d) = %x, %v", 1000+k, v, err)
 		}
 	}
 }
