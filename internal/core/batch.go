@@ -105,7 +105,9 @@ func (s *Store) baseImage(pid uint32, ts uint64, dst []byte) bool {
 // write, the only implementation of it: resolve the base image, create the
 // differential by comparison, and store it in st's write buffer, staging —
 // not issuing — the differential-page spill (Case 2) or new base page
-// (Case 3) the write causes. idx and ts are the write's batch position and
+// (Case 3) the write causes. The cases are decided in the order 3, 1, 2: a
+// differential over Max_Differential_Size becomes a new base page even when
+// the buffer has room for it. idx and ts are the write's batch position and
 // time stamp; base is a scratch page. The caller holds pid's shard lock and
 // commits st.ops.
 //
@@ -183,10 +185,11 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		return nil
 	}
 	size := d.EncodedSize()
-	switch {
-	case size <= st.buf.free(): // Case 1
-		st.buf.add(d)
-	case size <= s.maxDiff: // Case 2
+	if size > s.maxDiff { // Case 3
+		st.stageBase(idx, ts, pid, data)
+		return nil
+	}
+	if size > st.buf.free() { // Case 2: spill the buffer's records first
 		st.ops = append(st.ops, s.snapshotSpill(st.buf, idx, ts, st.home))
 		if st.pend != nil {
 			// Committing a differential page links it.
@@ -195,9 +198,11 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 			}
 		}
 		st.buf.clear()
-		st.buf.add(d)
-	default: // Case 3
-		st.stageBase(idx, ts, pid, data)
+	}
+	st.buf.add(d) // Case 1, or Case 2 after its spill
+	if invariantsEnabled {
+		rec, _ := st.buf.get(pid)
+		assertf(len(rec) <= s.maxDiff, "pid %d: a %d-byte record entered the write buffer over MaxDifferentialSize %d", pid, len(rec), s.maxDiff)
 	}
 	return nil
 }

@@ -26,7 +26,8 @@
 // path has just served, if it is still retained or a buffer pool's hint has
 // had it held (see baseImages, RetainBase), else a flash read — heal a
 // corrupt base by overwrite, compute the differential,
-// and take Case 1, 2 or 3 — against a writeStage, which holds the write
+// and take Case 3 if it is over MaxDifferentialSize, else Case 1 or 2 —
+// against a writeStage, which holds the write
 // buffer the step mutates and the page programs it staged. The writing
 // procedures of Figure 8 are commit: it picks channels, allocates, encodes
 // and seals the headers, programs, and repoints the mapping table, for every
@@ -140,8 +141,15 @@ type Options struct {
 	// MaxDifferentialSize is the largest encoded differential (bytes) that
 	// will be stored in a differential page; larger differentials cause
 	// the whole logical page to be rewritten as a new base page (Case 3 of
-	// the PDL_Writing algorithm). The paper evaluates PDL(2KB) and
-	// PDL(256B). Zero means the flash data-area size (one page).
+	// the PDL_Writing algorithm), however much room the write buffer has.
+	// The paper evaluates PDL(2KB) and PDL(256B). Zero means the flash
+	// data-area size (one page).
+	//
+	// The bound governs what the store writes and is not persisted: a store
+	// recovered under a smaller bound than the one its flash was written
+	// under reads the larger records, and garbage collection relocates them
+	// unchanged; the next write of such a page whose differential is over
+	// the new bound is Case 3.
 	MaxDifferentialSize int
 	// Shards is the number of differential write buffer shards. Zero means
 	// one per flash channel: 1 over a plain device, which preserves the

@@ -219,6 +219,81 @@ func TestCase3LargeDiffBecomesBasePage(t *testing.T) {
 	}
 }
 
+// TestBoundDecidesBeforeBufferRoom holds the order of PDL_Writing's cases:
+// with an empty write buffer, which has room for it, a differential over
+// Max_Differential_Size is still Case 3 and never reaches a differential
+// page, on WritePage and WriteBatch alike; one within the bound buffers
+// (Case 1).
+func TestBoundDecidesBeforeBufferRoom(t *testing.T) {
+	chip := flash.NewChip(flash.ScaledParams(16))
+	s, err := New(chip, 8, Options{MaxDifferentialSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := chip.Params().DataSize
+	shadow := make([][]byte, 8)
+	rng := rand.New(rand.NewSource(3))
+	for pid := range shadow {
+		shadow[pid] = make([]byte, size)
+		rng.Read(shadow[pid])
+		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// change returns pid's page with a run of bytes flipped whose
+	// differential encodes to want bytes.
+	change := func(pid uint32, want int) []byte {
+		t.Helper()
+		page := bytes.Clone(shadow[pid])
+		for i := 0; i < want-diff.HeaderSize-diff.RangeOverhead; i++ {
+			page[100+i] ^= 0xFF
+		}
+		d, err := diff.Compute(pid, 1, shadow[pid], page)
+		if err != nil || d.EncodedSize() != want {
+			t.Fatalf("pid %d: a %d-byte differential, want %d (%v)", pid, d.EncodedSize(), want, err)
+		}
+		shadow[pid] = page
+		return page
+	}
+	check := func(what string, bases, diffs int64, buffered int) {
+		t.Helper()
+		tel := s.Telemetry()
+		if tel.NewBasePages != bases || tel.DiffsWritten != diffs || s.WriteBufferLen() != buffered {
+			t.Errorf("%s: %d new base pages, %d differentials written, %d buffered; want %d, %d, %d",
+				what, tel.NewBasePages, tel.DiffsWritten, s.WriteBufferLen(), bases, diffs, buffered)
+		}
+	}
+	tel := s.Telemetry()
+	bases, diffs := tel.NewBasePages, tel.DiffsWritten
+	check("after the load", bases, diffs, 0)
+
+	if err := s.WritePage(1, change(1, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("a 300-byte differential, flushed", bases+1, diffs, 0)
+
+	if err := s.WritePage(2, change(2, 200)); err != nil {
+		t.Fatal(err)
+	}
+	check("a 200-byte differential", bases+1, diffs, 1)
+
+	batch := []ftl.PageWrite{{PID: 3, Data: change(3, 300)}, {PID: 4, Data: change(4, 200)}}
+	if err := s.WriteBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	check("a batch of a 300- and a 200-byte differential", bases+2, diffs, 2)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("the two buffered differentials, flushed", bases+2, diffs+2, 0)
+	for pid := range shadow {
+		mustReadEqual(t, s, uint32(pid), shadow[pid])
+	}
+}
+
 func TestRewriteInBufferReplacesOldDifferential(t *testing.T) {
 	// Step 3 of PDL_Writing: an old differential for the same page is
 	// removed from the buffer before the new one is written, so buffer
@@ -291,6 +366,35 @@ func TestReadOnlyDatabaseReadsLikePageBased(t *testing.T) {
 	}
 }
 
+// recordsOn returns the records of the differential page at ppn by pid.
+func recordsOn(t *testing.T, chip *flash.Chip, ppn flash.PPN) map[uint32][]byte {
+	t.Helper()
+	page := make([]byte, chip.Params().DataSize)
+	if err := chip.ReadData(ppn, page); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[uint32][]byte)
+	for rec := range diff.Records(page) {
+		pid, _ := diff.RecordKey(rec)
+		out[pid] = rec
+	}
+	return out
+}
+
+// collectBlock runs garbage collection on channel 0 until block blk is free.
+func collectBlock(t *testing.T, s *Store, blk int) {
+	t.Helper()
+	for i := 0; !s.alloc.BlockStats(blk).Free; i++ {
+		collected, err := s.alloc.CollectOnceOn(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !collected || i == s.params.NumBlocks {
+			t.Fatalf("block %d not collected after %d collections", blk, i)
+		}
+	}
+}
+
 // TestCompactionCopiesLiveRecords holds compaction by copy: the records of a
 // victim differential page that are still current arrive in the compacted
 // page byte for byte, header and ranges, under the time stamps they were
@@ -306,19 +410,6 @@ func TestCompactionCopiesLiveRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recordsOf := func(ppn flash.PPN) map[uint32][]byte {
-		t.Helper()
-		page := make([]byte, chip.Params().DataSize)
-		if err := chip.ReadData(ppn, page); err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[uint32][]byte)
-		for rec := range diff.Records(page) {
-			pid, _ := diff.RecordKey(rec)
-			out[pid] = rec
-		}
-		return out
-	}
 	// The victim page: three records of three shapes (one range, two ranges,
 	// a long range).
 	touch(1, 0, 16)
@@ -330,7 +421,7 @@ func TestCompactionCopiesLiveRecords(t *testing.T) {
 	}
 	victim := entryOf(s, 1).dif
 	blk := s.params.BlockOf(victim)
-	before := recordsOf(victim)
+	before := recordsOn(t, chip, victim)
 	if len(before) != 3 || entryOf(s, 2).dif != victim || entryOf(s, 3).dif != victim {
 		t.Fatalf("layout: the victim page %d holds %d records, want those of pids 1, 2 and 3", victim, len(before))
 	}
@@ -342,21 +433,13 @@ func TestCompactionCopiesLiveRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; !s.alloc.BlockStats(blk).Free; i++ {
-		collected, err := s.alloc.CollectOnceOn(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !collected || i == s.params.NumBlocks {
-			t.Fatalf("block %d not collected after %d collections", blk, i)
-		}
-	}
+	collectBlock(t, s, blk)
 
 	compacted := entryOf(s, 1).dif
 	if compacted == victim || entryOf(s, 3).dif != compacted {
 		t.Fatalf("pids 1 and 3 map to differential pages %d and %d, want one new page", compacted, entryOf(s, 3).dif)
 	}
-	after := recordsOf(compacted)
+	after := recordsOn(t, chip, compacted)
 	for _, pid := range []uint32{1, 3} {
 		if !bytes.Equal(after[pid], before[pid]) {
 			t.Errorf("pid %d: the compacted record differs from the victim's:\n got %x\nwant %x", pid, after[pid], before[pid])

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -109,5 +110,89 @@ func TestRecoverReclaimsForeignPages(t *testing.T) {
 	}
 	for pid := range shadow {
 		mustReadEqual(t, r, uint32(pid), shadow[pid])
+	}
+}
+
+// TestRecoverUnderSmallerBound recovers records a PDL(2KB) store wrote, of
+// about 1 KB, under PDL(256B): the bound governs what a store writes and is
+// not persisted, so the recovered store reads them, and garbage collection
+// relocates them byte for byte, but the next write of such a page whose
+// differential is over the new bound is Case 3.
+func TestRecoverUnderSmallerBound(t *testing.T) {
+	p := flash.ScaledParams(24)
+	p.PagesPerBlock = 8
+	chip := flash.NewChip(p)
+	s, err := New(chip, 16, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := make([][]byte, 16)
+	rng := rand.New(rand.NewSource(5))
+	for pid := range shadow {
+		shadow[pid] = make([]byte, p.DataSize)
+		rng.Read(shadow[pid])
+		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, pid := range []uint32{1, 2} {
+		for j := 100; j < 1100-100*i; j++ {
+			shadow[pid][j] ^= 0xFF
+		}
+		if err := s.WritePage(pid, shadow[pid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	victim := entryOf(s, 1).dif
+	before := recordsOn(t, chip, victim)
+	if len(before[1]) <= 256 || len(before[2]) <= 256 || entryOf(s, 2).dif != victim {
+		t.Fatalf("layout: differential page %d holds records of %d and %d bytes, want both over 256", victim, len(before[1]), len(before[2]))
+	}
+	s.Close()
+
+	r, err := Recover(chip, len(shadow), Options{MaxDifferentialSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for pid := range shadow {
+		mustReadEqual(t, r, uint32(pid), shadow[pid])
+	}
+
+	collectBlock(t, r, p.BlockOf(victim))
+	moved := entryOf(r, 1).dif
+	if moved == victim || entryOf(r, 2).dif != moved {
+		t.Fatalf("pids 1 and 2 map to differential pages %d and %d, want one new page", moved, entryOf(r, 2).dif)
+	}
+	after := recordsOn(t, chip, moved)
+	for _, pid := range []uint32{1, 2} {
+		if !bytes.Equal(after[pid], before[pid]) {
+			t.Errorf("pid %d: the relocated record differs:\n got %x\nwant %x", pid, after[pid], before[pid])
+		}
+		mustReadEqual(t, r, pid, shadow[pid])
+	}
+
+	bases := r.Telemetry().NewBasePages
+	shadow[1][1500] ^= 0xFF
+	if err := r.WritePage(1, shadow[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Telemetry().NewBasePages; got != bases+1 || r.WriteBufferLen() != 0 || entryOf(r, 1).dif != flash.NilPPN {
+		t.Errorf("an over-bound write of pid 1: %d new base pages, %d buffered, differential page %d; want Case 3",
+			got-bases, r.WriteBufferLen(), entryOf(r, 1).dif)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Recover(chip, len(shadow), Options{MaxDifferentialSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	for pid := range shadow {
+		mustReadEqual(t, again, uint32(pid), shadow[pid])
 	}
 }

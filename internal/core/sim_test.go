@@ -20,6 +20,8 @@ package core
 //     bytes behind the same programs, erases, base and GC reads, and every
 //     read the caches saved is a counted hit;
 //   - Telemetry's read attribution sums to the device's reads;
+//   - no differential record in a shard buffer or on a differential page the
+//     store programmed is larger than its MaxDifferentialSize;
 //   - at every quiescent point a valid-page bitmap the harness keeps from the
 //     programs and erases it saw (the validbitmap of the wiscsee FTL
 //     simulator) agrees with the allocator's written - obsolete per block, the
@@ -901,6 +903,9 @@ func (r *simRun) finish() error {
 // arbitrated, the valid differential counts are the bitmap's, no valid page
 // was ever erased and no spare area programmed.
 func (r *simRun) quiescent() error {
+	if err := r.bounded(); err != nil {
+		return err
+	}
 	s, b, p := r.s, r.bits, r.bits.p
 	for ch := range s.chans {
 		s.chans[ch].mu.Lock()
@@ -961,6 +966,36 @@ func (r *simRun) quiescent() error {
 		return fmt.Errorf("the valid differential count table holds %d pages, %d live", len(s.mt.vdct), live)
 	}
 	return nil
+}
+
+// bounded holds every differential record the store made to its
+// MaxDifferentialSize: those its shard buffers hold and those on every
+// differential page it programmed, compacted copies included.
+func (r *simRun) bounded() error {
+	limit := r.s.MaxDifferentialSize()
+	r.bits.mu.Lock()
+	largest := r.bits.largest
+	r.bits.mu.Unlock()
+	if largest > limit {
+		return fmt.Errorf("a differential page carries a %d-byte record, over MaxDifferentialSize %d", largest, limit)
+	}
+	for i := range r.s.shards {
+		if n := largestBuffered(&r.s.shards[i]); n > limit {
+			return fmt.Errorf("shard %d buffers a %d-byte record, over MaxDifferentialSize %d", i, n, limit)
+		}
+	}
+	return nil
+}
+
+// largestBuffered returns the bytes in the largest record sh buffers.
+func largestBuffered(sh *shard) int {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	n := 0
+	for _, off := range sh.dwb.index {
+		n = max(n, len(recordAt(sh.dwb.slab, off)))
+	}
+	return n
 }
 
 // recovered recovers the run's image four times — the scan with one worker,
@@ -1177,6 +1212,7 @@ type simBitmap struct {
 	dif     []simRef // per pid: its differential
 	refs    []int    // per page: the pids whose differential it holds
 	spares  int      // spare-area programs
+	largest int      // bytes in the largest differential record programmed
 	err     error    // the first erase of a valid page
 }
 
@@ -1232,6 +1268,7 @@ func (b *simBitmap) programmed(ch int, pps []flash.PageProgram) {
 			}
 		case ftl.TypeDiff:
 			for rec := range diff.Records(pp.Data) {
+				b.largest = max(b.largest, len(rec))
 				pid, ts := diff.RecordKey(rec)
 				if df := b.dif[pid]; ts <= b.base[pid].ts || df.ppn != flash.NilPPN && ts < df.ts {
 					continue

@@ -295,7 +295,10 @@ var (
 // Store is a page-differential logging store (the paper's contribution).
 type Store = core.Store
 
-// Options configures a PDL store.
+// Options configures a PDL store. Its MaxDifferentialSize bounds the
+// differentials the store writes, not those it reads: it is not persisted,
+// so Recover under a smaller bound reads, and garbage collection relocates,
+// the records a larger one let through.
 type Options = core.Options
 
 // Telemetry is a Store's event counters and the bytes its read caches hold
