@@ -104,15 +104,16 @@ func TestExp1Shapes(t *testing.T) {
 	}
 
 	// The rows themselves, to one decimal: the methods run one greedy victim
-	// rule, and nothing below them may move a row without a reason.
+	// rule, and nothing below them may move a row without a reason. PDL's
+	// victims also count the dead records of their live differential pages.
 	for _, w := range []struct {
 		method                   string
 		read, write, gc, overall float64
 	}{
 		{"IPL(18KB)", 241.8, 1512.4, 502.4, 1754.2},
 		{"IPL(64KB)", 604.5, 1285.8, 275.8, 1890.3},
-		{"PDL(2KB)", 219.8, 598.7, 38.0, 818.5},
-		{"PDL(256B)", 203.1, 342.2, 9.8, 545.3},
+		{"PDL(2KB)", 219.8, 599.4, 38.7, 819.2},
+		{"PDL(256B)", 203.1, 340.7, 8.2, 543.8},
 		{"OPU", 110.0, 2190.5, 170.5, 2300.5},
 		{"IPU", 110.0, 72414.8, 0.0, 72524.8},
 	} {

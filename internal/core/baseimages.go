@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -63,18 +64,21 @@ import (
 // fill from every read. The store cannot tell at fetch time which pages will
 // be written; the pool can, one call later, when the page is first dirtied
 // (ftl.BaseRetainer): hold moves that page's image, if the window still has
-// it, out of the window into the held region, a second FIFO of up to
-// maxHeld slots under the same names and the same coherence rule. No bytes
-// are copied: the two slots swap buffers, so the region grows by one page
-// buffer for each slot it fills for the first time and by nothing after. get
-// asks the window, then the held region, and leaves a held image where it is:
-// a write that buffers a differential does not change the base, so the same
-// image serves the page's next write-back too. put never touches the region.
-// When the window goes dormant the region is released, so a store that has
-// turned read-only gives the memory back, and the differential cache's arena
-// may borrow it (see diffCache): it reads dormant, and whoever wakes the
-// window (Store.baseImage, RetainBase) has the arena repay it once mu is
-// released.
+// it, out of the window into the held region, up to maxHeld slots under the
+// same names and the same coherence rule. No bytes are copied: the two slots
+// swap buffers, so the region grows by one page buffer for each slot it fills
+// for the first time and by nothing after. get asks the held region, then the
+// window, and a held image it finds is the write-back the hold was for: get
+// hands it back to the window the same way, swapping buffers, and frees its
+// slot. So the region holds the pages a pool has dirty and nothing else, a
+// hold takes a freed slot before the oldest live hold leaves, and a page
+// dirtied again soon after its write-back (a Sync's) still finds its image in
+// the window: a write that buffers a differential does not change the base.
+// put never touches the region. When the window goes dormant the region is
+// released, so a store that has turned read-only gives the memory back, and
+// the differential cache's arena may borrow it (see diffCache): it reads
+// dormant, and whoever wakes the window (Store.baseImage, RetainBase) has the
+// arena repay it once mu is released.
 //
 // mu is a leaf lock, never held with any other. All methods are safe on a
 // nil receiver (window off).
@@ -82,9 +86,10 @@ type baseImages struct {
 	// dormant is read by put without mu and written under it.
 	dormant atomic.Bool
 
-	mu        sync.Mutex
-	win, held imageFIFO
-	idle      int // puts since a get or a hold last found its image
+	mu   sync.Mutex
+	win  imageFIFO
+	held heldImages
+	idle int // puts since a get or a hold last found its image
 	// missed counts the gets and holds that found nothing while the window is
 	// dormant.
 	missed int
@@ -126,6 +131,43 @@ func (f *imageFIFO) take() int {
 	return i
 }
 
+// heldImages is the held region: up to max page images, each named by the
+// pageStamp it was read under, in slots a write-back frees.
+type heldImages struct {
+	keys []pageStamp // keys[i] names imgs[i], the zero key a free slot
+	imgs [][]byte
+	// age is the number of holds when each slot was filled: the smallest
+	// one leaves when a hold finds no free slot.
+	age   []uint64
+	holds uint64
+	max   int
+}
+
+// find returns the slot of the image named want, or -1.
+func (h *heldImages) find(want pageStamp) int { return slices.Index(h.keys, want) }
+
+// take returns the slot the next held image goes into: a freed one, a new
+// one while fewer than max exist, else the oldest hold's.
+func (h *heldImages) take() int {
+	h.holds++
+	i := h.find(pageStamp{})
+	switch {
+	case i >= 0:
+	case len(h.keys) < h.max:
+		i = len(h.keys)
+		h.keys, h.imgs, h.age = append(h.keys, pageStamp{}), append(h.imgs, nil), append(h.age, 0)
+	default:
+		i = 0
+		for j, a := range h.age {
+			if a < h.age[i] {
+				i = j
+			}
+		}
+	}
+	h.age[i] = h.holds
+	return i
+}
+
 // baseImagesProbe is the number of writes and holds a dormant window lets miss
 // before it retains images again to see whether writes have started to follow
 // reads.
@@ -137,7 +179,7 @@ func newBaseImages(n, held int) *baseImages {
 	if n < 1 {
 		return nil
 	}
-	return &baseImages{win: imageFIFO{max: n}, held: imageFIFO{max: held}}
+	return &baseImages{win: imageFIFO{max: n}, held: heldImages{max: held}}
 }
 
 // put retains img, the verified base page image of pid stamped ts, unless the
@@ -156,12 +198,13 @@ func (b *baseImages) put(pid uint32, ts uint64, img []byte) {
 	b.win.keys[i] = pageStamp{pid, ts}
 	if b.idle++; b.idle >= 2*b.win.max {
 		b.dormant.Store(true)
-		b.held = imageFIFO{max: b.held.max}
+		b.held = heldImages{max: b.held.max}
 	}
 }
 
 // get copies pid's base image stamped ts into dst if the window or the held
-// region has it.
+// region has it. A held image goes back to the window, swapping buffers as hold
+// does: the write asking is the write-back it was held for.
 func (b *baseImages) get(pid uint32, ts uint64, dst []byte) bool {
 	if b == nil {
 		return false
@@ -169,10 +212,13 @@ func (b *baseImages) get(pid uint32, ts uint64, dst []byte) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	want := pageStamp{pid, ts}
-	if i := b.win.find(want); i >= 0 {
-		copy(dst, b.win.imgs[i])
-	} else if i := b.held.find(want); i >= 0 {
+	if i := b.held.find(want); i >= 0 {
 		copy(dst, b.held.imgs[i])
+		j := b.win.take()
+		b.win.imgs[j], b.held.imgs[i] = b.held.imgs[i], b.win.imgs[j]
+		b.win.keys[j], b.held.keys[i] = want, pageStamp{}
+	} else if i := b.win.find(want); i >= 0 {
+		copy(dst, b.win.imgs[i])
 	} else {
 		b.miss()
 		return false
@@ -184,7 +230,7 @@ func (b *baseImages) get(pid uint32, ts uint64, dst []byte) bool {
 // hold moves pid's base image stamped ts from the window into the held
 // region, where reads do not push it out, and reports whether the image is
 // held now. The two slots swap buffers: the window gets back the buffer of the
-// held image that left.
+// freed slot, or of the held image that left.
 func (b *baseImages) hold(pid uint32, ts uint64) bool {
 	if b == nil {
 		return false
@@ -230,8 +276,8 @@ func (b *baseImages) bytes() (n int) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, f := range []*imageFIFO{&b.win, &b.held} {
-		for _, img := range f.imgs {
+	for _, imgs := range [][][]byte{b.win.imgs, b.held.imgs} {
+		for _, img := range imgs {
 			n += len(img)
 		}
 	}
@@ -249,11 +295,11 @@ func (b *baseImages) count(held bool) (n int) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	f := &b.win
+	keys := b.win.keys
 	if held {
-		f = &b.held
+		keys = b.held.keys
 	}
-	for _, key := range f.keys {
+	for _, key := range keys {
 		if key != (pageStamp{}) {
 			n++
 		}

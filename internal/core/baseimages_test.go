@@ -106,9 +106,12 @@ func TestBaseImagesCopyOnlyWhileWritesAreServed(t *testing.T) {
 }
 
 // TestBaseImagesHold: hold moves an image from the window into the held region
-// by swapping buffers; there no read pushes it out, a hit leaves it in place,
-// the next hold past the bound pushes the oldest out, and dormancy releases the
-// region. A hold that finds nothing is a miss like a write's.
+// by swapping buffers, and there no read pushes it out. Its write-back's hit
+// hands it back to the window the same way and frees its slot, so a page named
+// again after its write-back still finds its image; a hold takes a freed slot
+// before the oldest live hold leaves, the next hold past the bound pushes the
+// oldest out, and dormancy releases the region. A hold that finds nothing is a
+// miss like a write's.
 func TestBaseImagesHold(t *testing.T) {
 	const n, maxHeld = 4, 3
 	img := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 64) }
@@ -149,33 +152,55 @@ func TestBaseImagesHold(t *testing.T) {
 			t.Fatal("the newest image of the window does not serve")
 		}
 	}
-	if !serves(1, 10, 0xA1) || !serves(1, 10, 0xA1) {
-		t.Fatal("the held image did not survive two laps of the window, or left at its first hit")
+	if b.heldLen() != 1 {
+		t.Fatal("the held image did not survive two laps of the window")
 	}
 
-	// The bound: the third further hold refills the oldest slot, and its
-	// buffer goes back to the window slot the new image came from.
-	for i := uint32(0); i < maxHeld; i++ {
-		ts++
-		b.put(20+i, ts, img(byte(0xB0+i)))
-		slot = b.win.find(pageStamp{20 + i, ts})
-		if !b.hold(20+i, ts) {
-			t.Fatalf("hold %d missed the image just put", i)
-		}
+	// The write-back: the image serves, and goes back to the window in its
+	// buffer; its slot is free, and the page named again holds it again.
+	if !serves(1, 10, 0xA1) {
+		t.Fatal("the held image does not serve its write-back")
 	}
-	if b.get(1, 10, dst) || b.heldLen() != maxHeld {
+	if b.heldLen() != 0 || b.win.find(pageStamp{1, 10}) < 0 || &b.win.imgs[b.win.find(pageStamp{1, 10})][0] != buf {
+		t.Fatalf("after the write-back %d images held, want the image back in the window in its own buffer", b.heldLen())
+	}
+	if !serves(1, 10, 0xA1) || !b.hold(1, 10) || b.heldLen() != 1 || &b.held.imgs[0][0] != buf {
+		t.Fatal("the page named again after its write-back did not find its image, or not in the freed slot")
+	}
+
+	// The bound: two more holds fill the region, a write-back frees the
+	// middle one, and the next hold takes that slot, not the oldest's.
+	hold := func(pid uint32) uint64 {
+		ts++
+		b.put(pid, ts, img(byte(pid)))
+		if !b.hold(pid, ts) {
+			t.Fatalf("hold of pid %d missed the image just put", pid)
+		}
+		return ts
+	}
+	ts21, ts22 := hold(21), hold(22)
+	if !serves(21, ts21, 21) || b.heldLen() != maxHeld-1 {
+		t.Fatal("the write-back of pid 21 did not free its slot")
+	}
+	ts23 := hold(23)
+	if b.heldLen() != maxHeld || b.held.find(pageStamp{1, 10}) < 0 || len(b.held.keys) != maxHeld {
+		t.Fatal("a hold with a slot free pushed a live hold out")
+	}
+	ts24 := hold(24) // past the bound: pid 1's, the oldest hold, leaves
+	if b.held.find(pageStamp{1, 10}) >= 0 || b.heldLen() != maxHeld {
 		t.Fatalf("the oldest held image outlived the bound: %d held", b.heldLen())
 	}
-	if &b.win.imgs[slot][0] != buf {
-		t.Error("the buffer of the image that left was not handed back to the window")
-	}
-	for i := uint32(0); i < maxHeld; i++ {
-		if !serves(20+i, ts-uint64(maxHeld-1-i), byte(0xB0+i)) {
-			t.Errorf("held image %d does not serve", i)
+	for _, h := range []struct {
+		pid uint32
+		ts  uint64
+	}{{22, ts22}, {23, ts23}, {24, ts24}} {
+		if b.held.find(pageStamp{h.pid, h.ts}) < 0 || !serves(h.pid, h.ts, byte(h.pid)) {
+			t.Errorf("held image of pid %d does not serve", h.pid)
 		}
 	}
 
 	// Dormancy gives the region back; misses while dormant count to the probe.
+	hold(25)
 	for i := 0; i < 2*n; i++ {
 		ts++
 		b.put(9, ts, img(0x99))

@@ -435,7 +435,8 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 // erased, and victim selection must see them as reclaimable); past
 // the program every mapping is committed and every superseded page retired
 // in the allocator's counters (NoteObsoleteFrom: no device operation), and
-// every record of a spilled page is in the differential cache.
+// every record of a spilled page is in the differential cache, and none a
+// new base page superseded.
 //
 // On a single-channel device a crash mid-batch leaves exactly a
 // TS-ordered prefix. On a striped device each channel's leg is a prefix
@@ -539,13 +540,13 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 				s.wtel.diffsWritten.Add(1)
 				s.wtel.diffBytesWritten.Add(int64(len(rec)))
 				pid, ts := diff.RecordKey(rec)
-				if old := s.mt.setDiffPage(pid, op.ppn, ts); old != flash.NilPPN {
-					s.releaseDiffPage(old, op.ch)
+				if old, n := s.mt.setDiffPage(pid, op.ppn, ts, len(rec)); old != flash.NilPPN {
+					s.releaseDiffPage(old, n, op.ch)
 				}
 			}
 			continue
 		}
-		old, ok := s.mt.setBasePage(op.pid, op.ppn, op.ts, op.pin)
+		old, n, ok := s.mt.setBasePage(op.pid, op.ppn, op.ts, op.pin)
 		if !ok {
 			err = errors.Join(err, s.discardLostHeal(op.ppn))
 			continue
@@ -557,7 +558,8 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 			s.alloc.NoteObsoleteFrom(old.base, op.ch)
 		}
 		if old.dif != flash.NilPPN {
-			s.releaseDiffPage(old.dif, op.ch)
+			s.releaseDiffPage(old.dif, n, op.ch)
+			s.dcache.drop(op.pid, op.ts)
 		}
 	}
 	return 0, true, err

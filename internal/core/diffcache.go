@@ -27,11 +27,13 @@ import (
 // re-commits identical bytes under the identical stamp, and garbage
 // collection copies a record as it is, so for the life
 // of the store (pid, ts) names one content — wherever in flash it lives,
-// and however often that PPN is erased and reused. Nothing is ever
+// and however often that PPN is erased and reused. Nothing needs to be
 // invalidated: a superseded entry can never match a snapshot again and is
 // overwritten by the next insert for its pid (put keeps the larger time
 // stamp, so a slow reader cannot replace a newer record with the one it
-// read). The cache is never persisted; a restart starts empty.
+// read). A new base page supersedes the pid's differential with no insert to
+// overwrite it, so commit drops that record (drop), for the room and not for
+// coherence. The cache is never persisted; a restart starts empty.
 //
 // # Filling
 //
@@ -49,13 +51,20 @@ import (
 // time stamp) into fixed-size segments, allocated on first use, and found
 // through an offset table of one uint32 per slot: slot pid mod nslots,
 // which is the identity while the table for every pid fits a quarter of the
-// bound and a direct-mapped hash beyond (a collision evicts). When the
-// arena is full the oldest segment is compacted in place and becomes the
-// newest: records the table still points at that were hit since they were
-// written stay (second chance, the hit flag is the table entry's top bit),
-// everything else goes. There is no per-entry node, list link or
-// allocation. Arena bytes are reused, so readers merge or copy out under
-// the mutex and never keep a reference.
+// bound and a direct-mapped hash beyond (a collision evicts). A record no
+// slot points at any more, superseded by a later insert for its pid or by
+// its pid's new base page, or pushed out by a colliding pid's, is dead, and
+// each segment counts its dead bytes. When the head segment is full, the
+// segment with the most dead bytes is compacted in place and becomes the
+// head, if dropping its dead records makes the room the insert needs: no
+// live record goes while dead ones can make room, and in a read-modify-write
+// stream much of the arena is records a later write superseded. Only when
+// none does, the segment after the head is compacted and becomes the head:
+// records the table still points at that were hit since they were written
+// stay (second chance, the hit flag is the table entry's top bit),
+// everything else goes. There is no per-entry node, list link or allocation.
+// Arena bytes are reused, so readers merge or copy out under the mutex and
+// never keep a reference.
 //
 // The bound is the arena's floor. It shares one budget with the base images
 // held for a buffer pool's write-backs (see baseImages), and those are
@@ -79,7 +88,9 @@ type diffCache struct {
 	segs    [][]byte
 	segSize int
 	head    int
-	live    int // occupied slots
+	// dead[k] is the bytes of segment k's records no slot points at.
+	dead []int
+	live int // occupied slots
 	// floor is the number of segments the bound pays for; up to
 	// cap(segs) - floor more are borrowed while *lend is set (the base-image
 	// window is dormant).
@@ -106,7 +117,7 @@ func newDiffCache(budget, numPages, pageSize int) *diffCache {
 	if n == 0 {
 		n, c.segSize = 1, max(arena, 0)
 	}
-	c.segs = make([][]byte, n)
+	c.segs, c.dead = make([][]byte, n), make([]int, n)
 	c.floor = n
 	return c
 }
@@ -119,6 +130,7 @@ func (c *diffCache) borrow(dormant *atomic.Bool, bytes int) {
 	}
 	n := min(c.floor+bytes/c.segSize, (math.MaxInt32-1)/c.segSize) // offsets are 31 bits
 	c.segs = append(make([][]byte, 0, n), c.segs...)
+	c.dead = make([]int, n)
 	c.lend = dormant
 }
 
@@ -240,16 +252,38 @@ func (c *diffCache) insert(rec []byte) {
 	}
 	c.makeRoom(len(rec))
 	slot := c.slot(pid) // after makeRoom, which may have cleared it
-	if *slot&^refBit == 0 {
+	if old := int(*slot &^ refBit); old == 0 {
 		c.live++
+	} else { // pid's older record, or a colliding pid's, is dead now
+		c.dead[(old-1)/c.segSize] += len(c.at(old - 1))
 	}
 	*slot = uint32(c.head*c.segSize + len(c.segs[c.head]) + 1)
 	c.segs[c.head] = append(c.segs[c.head], rec...)
 }
 
+// drop forgets pid's record if it is older than ts, the time stamp of the
+// base page that has just superseded it.
+func (c *diffCache) drop(pid uint32, ts uint64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec, slot := c.held(pid)
+	if rec == nil {
+		return
+	}
+	if _, t := diff.RecordKey(rec); t >= ts {
+		return
+	}
+	c.dead[int(*slot&^refBit-1)/c.segSize] += len(rec)
+	*slot = 0
+	c.live--
+}
+
 // makeRoom leaves the head segment with n free bytes, n at most segSize. It
-// ends: a reclaim clears the hit flags of what it keeps, so, with mu held,
-// the second reclaim of a segment empties it.
+// ends: a second-chance reclaim clears the hit flags of what it keeps, so,
+// with mu held, the second one of a segment empties it.
 func (c *diffCache) makeRoom(n int) {
 	if len(c.segs) > c.floor && !c.lend.Load() {
 		c.dropBorrowed()
@@ -267,25 +301,53 @@ func (c *diffCache) makeRoom(n int) {
 			c.head++
 			continue
 		}
+		if k := c.deadest(n); k >= 0 {
+			c.head = k
+			c.reclaim(k, keepLive)
+			continue
+		}
 		c.head = (c.head + 1) % len(c.segs)
-		c.reclaim(c.head, true)
+		c.reclaim(c.head, keepHit)
 	}
 }
 
-// reclaim compacts segment k in place: with keepHit, a record stays iff its
-// slot still points at it (no later insert for the pid, no colliding pid) and
-// it was hit since it was written, and its flag is cleared; without, nothing
-// stays. The slot of every record that goes is cleared.
-func (c *diffCache) reclaim(k int, keepHit bool) {
-	seg, w := c.segs[k], 0
+// deadest returns the segment with the most dead bytes among those that
+// dropping them leaves n bytes free in, or -1.
+func (c *diffCache) deadest(n int) int {
+	best := -1
+	for k, seg := range c.segs {
+		if len(seg)-c.dead[k]+n <= c.segSize && c.dead[k] > 0 && (best < 0 || c.dead[k] > c.dead[best]) {
+			best = k
+		}
+	}
+	return best
+}
+
+// The records a reclaim keeps of a segment, beside those no slot points at,
+// which always go.
+const (
+	keepNone = iota // nothing
+	keepHit         // those hit since they were written (second chance), their flags cleared
+	keepLive        // every record a slot points at
+)
+
+// reclaim compacts segment k in place, keeping the records keep says and
+// dropping the rest; the slot of every live record that goes is cleared.
+func (c *diffCache) reclaim(k int, keep int) {
+	seg, w, dead := c.segs[k], 0, 0
 	for r := 0; r < len(seg); {
 		n := len(recordAt(seg, r))
 		pid, _ := diff.RecordKey(seg[r:])
 		switch slot := c.slot(pid); {
 		case *slot&^refBit != uint32(k*c.segSize+r+1):
-		case keepHit && *slot&refBit != 0:
+			dead += n
+		case keep == keepLive || keep == keepHit && *slot&refBit != 0:
 			copy(seg[w:], seg[r:r+n])
-			*slot = uint32(k*c.segSize + w + 1)
+			ref := *slot & refBit
+			if keep == keepHit {
+				ref = 0
+			}
+			*slot = uint32(k*c.segSize+w+1) | ref
 			w += n
 		default:
 			*slot = 0
@@ -293,7 +355,10 @@ func (c *diffCache) reclaim(k int, keepHit bool) {
 		}
 		r += n
 	}
-	c.segs[k] = seg[:w]
+	if invariantsEnabled {
+		assertf(dead == c.dead[k], "diff cache: segment %d counts %d dead bytes, its records %d", k, c.dead[k], dead)
+	}
+	c.segs[k], c.dead[k] = seg[:w], 0
 }
 
 // repay drops the segments the arena borrowed if the window is awake. The
@@ -314,7 +379,7 @@ func (c *diffCache) repay() {
 // them goes back to the last floor segment. The caller holds mu.
 func (c *diffCache) dropBorrowed() {
 	for k := c.floor; k < len(c.segs); k++ {
-		c.reclaim(k, false)
+		c.reclaim(k, keepNone)
 	}
 	clear(c.segs[c.floor:])
 	c.segs = c.segs[:c.floor]

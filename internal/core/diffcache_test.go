@@ -169,6 +169,36 @@ func TestDiffCacheReclaim(t *testing.T) {
 	}
 }
 
+// TestDiffCacheReclaimsDeadFirst: while the records later inserts superseded
+// cover the room an insert needs, the arena makes the room out of them and
+// evicts no live record, though none was ever hit. A live set of two thirds
+// of the arena leaves some segment a sixth of dead bytes at every insert.
+func TestDiffCacheReclaimsDeadFirst(t *testing.T) {
+	const pageSize, budget, live = 512, 3*segPages*512 + 4*64, 40
+	c := newDiffCache(budget, 64, pageSize)
+	if n := len(testRecord(0, 1, 180, 0)); live*n > 2*len(c.segs)*c.segSize/3 {
+		t.Fatalf("%d records of %d bytes fill more than two thirds of the arena", live, n)
+	}
+	rng := rand.New(rand.NewSource(7))
+	newest := make([]uint64, live)
+	for ts := uint64(1); ts <= 50*live; ts++ {
+		pid := uint32(ts - 1)
+		if pid >= live {
+			pid = uint32(rng.Intn(live))
+		}
+		c.putPage(testRecord(pid, ts, 180, byte(ts)))
+		newest[pid] = ts
+		if want := min(int(ts), live); c.len() != want {
+			t.Fatalf("insert %d: %d records cached, want all %d live ones", ts, c.len(), want)
+		}
+	}
+	for pid, ts := range newest {
+		if got, ok := cached(c, uint32(pid), ts); !ok || !bytes.Equal(got, testRecord(uint32(pid), ts, 180, byte(ts))) {
+			t.Errorf("pid %d: its newest record does not hit", pid)
+		}
+	}
+}
+
 // TestDiffCacheRandomOpsStayInsideBudget drives a small cache with random
 // inserts and lookups against a model of the newest record per pid: the
 // allocation never passes the budget, a hit is always the newest record,
@@ -347,8 +377,9 @@ func BenchmarkDiffCache(b *testing.B) {
 }
 
 // TestDiffCacheLendingLifecycle: the record arena and the held base images
-// share one budget. While writes are served the arena stays at its floor and
-// holds are held; once the store only reads, the window goes dormant and the
+// share one budget. While writes are served the arena stays at its floor,
+// holds are held and each write-back hands its image back to the window; once
+// the store only reads, the window goes dormant and the
 // arena grows into the bytes the held region released, which buys hits; when
 // writes come back the borrowed segments go before anything is held again.
 // After every step the RAM below the pool is inside (2 + 1/8) x the bound.
@@ -418,8 +449,8 @@ func TestDiffCacheLendingLifecycle(t *testing.T) {
 		update(pid)
 	}
 	tel := step("writes")
-	if tel.BaseHolds-before.BaseHolds != numPages || s.bimg.heldLen() == 0 {
-		t.Fatalf("writes: %d holds, %d images held", tel.BaseHolds-before.BaseHolds, s.bimg.heldLen())
+	if holds, hits := tel.BaseHolds-before.BaseHolds, tel.WriteBaseHits-before.WriteBaseHits; holds != numPages || hits != numPages || s.bimg.heldLen() != 0 {
+		t.Fatalf("writes: %d holds, %d write-backs served, %d images still held, want %d, %d and 0", holds, hits, s.bimg.heldLen(), numPages, numPages)
 	}
 	atFloor("writes")
 

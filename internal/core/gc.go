@@ -234,20 +234,14 @@ func (s *Store) writeCompactedPage(recs []byte, from []flash.PPN, ch int) error 
 	if err := s.dev.Program(q, img, spareBuf); err != nil {
 		return err
 	}
-	i, live := 0, 0
-	for rec := range diff.Records(recs) {
-		pid, ts := diff.RecordKey(rec)
-		if s.mt.repointDiffFrom(pid, from[i], q, ts) {
-			live++
-		}
-		i++
-	}
-	if live == 0 {
+	if valid, lost := s.mt.repointCompacted(q, recs, from); valid == 0 {
 		// Writers on other channels superseded every record mid-compaction,
 		// each with a newer time stamp; q never entered the valid count, so
 		// nothing will ever decrement it to obsolescence — discard it now (q
 		// is on our channel).
 		s.alloc.NoteObsolete(q)
+	} else {
+		s.alloc.NoteDead(q, lost) // the records that lost their repoint
 	}
 	return nil
 }

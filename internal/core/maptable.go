@@ -3,13 +3,15 @@ package core
 import (
 	"sync"
 
+	"pdl/internal/diff"
 	"pdl/internal/flash"
 )
 
 // mapTable owns PDL's mapping state — the physical page mapping table
-// (pid -> <base, differential>), the per-pid creation time stamps, the
-// reverse base-page index, and the valid differential count table — with
-// its own synchronization, decoupled from the channel locks.
+// (pid -> <base, differential>), the per-pid creation time stamps and
+// record lengths, the reverse base-page index, and the valid differential
+// count table — with its own synchronization, decoupled from the channel
+// locks.
 //
 // Concurrency model. Mutators hold their channel's lock, so mutators on
 // different channels run concurrently — the mapTable's RWMutex is the
@@ -32,7 +34,7 @@ import (
 // Garbage collection is a CONCURRENT mutator too: one collector per
 // channel, each racing foreground writers on other channels for the
 // same pid. Collection therefore commits through conditional repoints
-// (relocateBaseFrom, repointDiffFrom) that re-validate inside the
+// (relocateBaseFrom, repointCompacted) that re-validate inside the
 // critical section that the mapping still points where the collector's
 // earlier check saw it — if a writer won the race with a newer base or
 // differential, the conditional commit refuses and the collector
@@ -47,6 +49,10 @@ type mapTable struct {
 	// diffTS of its newest differential; crash recovery rebuilds both.
 	baseTS []uint64
 	diffTS []uint64
+	// recLen is the wire length of each pid's newest differential record (0
+	// without one): the bytes its differential page loses when it is
+	// superseded. Crash recovery rebuilds it.
+	recLen []uint16
 	// ver counts mutations of each pid's entry, for the reader protocol.
 	ver []uint64
 	// reverseBase maps a base page's PPN back to its pid for GC: one slot per
@@ -56,11 +62,12 @@ type mapTable struct {
 	// and baseOwner checks it against the forward mapping.
 	reverseBase []uint32
 	// vdct is the valid differential count table: differential page ->
-	// number of valid differentials it holds. Entries are removed the
-	// moment their count reaches zero — a zero count means the page is
-	// obsolete, and keeping dead keys would grow the map for the lifetime
-	// of the store.
-	vdct map[flash.PPN]int
+	// number of valid differentials it holds, and the bytes of the records
+	// on it that are no longer valid (the allocator's dead bytes of the
+	// page, which pick victims). Entries are removed the moment their count
+	// reaches zero — a zero count means the page is obsolete, and keeping
+	// dead keys would grow the map for the lifetime of the store.
+	vdct map[flash.PPN]diffPage
 	// rebase holds the pids recovery brought back behind a quarantined
 	// newer base page (see Recover): a differential written for such a pid
 	// would be vetoed again at the next restart, so its next write commits a
@@ -77,9 +84,10 @@ func newMapTable(numPages, flashPages int) *mapTable {
 		ppmt:        make([]pageEntry, numPages),
 		baseTS:      make([]uint64, numPages),
 		diffTS:      make([]uint64, numPages),
+		recLen:      make([]uint16, numPages),
 		ver:         make([]uint64, numPages),
 		reverseBase: make([]uint32, flashPages),
-		vdct:        make(map[flash.PPN]int),
+		vdct:        make(map[flash.PPN]diffPage),
 	}
 	for i := range t.ppmt {
 		t.ppmt[i] = pageEntry{base: flash.NilPPN, dif: flash.NilPPN}
@@ -147,9 +155,17 @@ func (t *mapTable) diffOf(pid uint32) (flash.PPN, uint64) {
 	return t.ppmt[pid].dif, t.diffTS[pid]
 }
 
+// diffPage is a differential page's entry in the valid differential count
+// table.
+type diffPage struct {
+	valid int32 // records on the page that are their pid's newest differential
+	dead  int32 // bytes of the records on the page that are not
+}
+
 // setBasePage commits a new base page: pid's base becomes ppn with
 // creation time stamp ts, and any previous base/differential linkage is
-// returned to the caller for release. A non-nil pin makes the commit
+// returned to the caller for release, with the length of the differential
+// record it drops (0 without one). A non-nil pin makes the commit
 // conditional on pid's entry still being at version *pin — the read-path
 // heal (applyRecord in read.go) pins its merged image to the version it
 // read: on false the copy at ppn is dead and must be discarded by the
@@ -158,13 +174,13 @@ func (t *mapTable) diffOf(pid uint32) (flash.PPN, uint64) {
 // holds a channel lock.
 //
 //pdlvet:holds channel
-func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, pin *uint64) (old pageEntry, ok bool) {
+func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, pin *uint64) (old pageEntry, oldLen int, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if pin != nil && t.ver[pid] != *pin {
-		return pageEntry{}, false
+		return pageEntry{}, 0, false
 	}
-	old = t.ppmt[pid]
+	old, oldLen = t.ppmt[pid], int(t.recLen[pid])
 	if invariantsEnabled {
 		assertf(old.base == flash.NilPPN || ts > t.baseTS[pid],
 			"base page TS not monotone for pid %d: committed %d after %d", pid, ts, t.baseTS[pid])
@@ -172,10 +188,11 @@ func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, pin *uint64
 	t.ppmt[pid] = pageEntry{base: ppn, dif: flash.NilPPN}
 	t.baseTS[pid] = ts
 	t.diffTS[pid] = 0
+	t.recLen[pid] = 0
 	t.reverseBase[ppn] = pid
 	delete(t.rebase, pid)
 	t.ver[pid]++
-	return old, true
+	return old, oldLen, true
 }
 
 // relocateBaseFrom moves pid's base page mapping from src to dst during
@@ -197,15 +214,15 @@ func (t *mapTable) relocateBaseFrom(pid uint32, src, dst flash.PPN) bool {
 	return true
 }
 
-// setDiffPage commits one flushed differential: pid's differential page
-// becomes ppn with time stamp ts, ppn's valid count grows, and the
-// previous differential page (if any) is returned for release. Caller
-// holds a channel lock.
+// setDiffPage commits one flushed differential, a record of n bytes: pid's
+// differential page becomes ppn with time stamp ts, ppn's valid count grows,
+// and the previous differential page (if any) is returned for release with
+// the length of the record it loses. Caller holds a channel lock.
 //
 //pdlvet:holds channel
-func (t *mapTable) setDiffPage(pid uint32, ppn flash.PPN, ts uint64) (old flash.PPN) {
+func (t *mapTable) setDiffPage(pid uint32, ppn flash.PPN, ts uint64, n int) (old flash.PPN, oldLen int) {
 	t.mu.Lock()
-	old = t.ppmt[pid].dif
+	old, oldLen = t.ppmt[pid].dif, int(t.recLen[pid])
 	if invariantsEnabled {
 		// Equality is legal: a flush that failed after committing some
 		// mappings leaves the buffer intact, and the retry re-commits
@@ -215,47 +232,64 @@ func (t *mapTable) setDiffPage(pid uint32, ppn flash.PPN, ts uint64) (old flash.
 	}
 	t.ppmt[pid].dif = ppn
 	t.diffTS[pid] = ts
-	t.vdct[ppn]++
+	t.recLen[pid] = uint16(n)
+	e := t.vdct[ppn]
+	e.valid++
+	t.vdct[ppn] = e
 	t.ver[pid]++
 	t.mu.Unlock()
-	return old
+	return old, oldLen
 }
 
-// repointDiffFrom redirects pid's differential from src (a victim page
-// being compacted) to dst, but only if the mapping still carries the
-// (src, ts) pair the collector validated — a writer on another channel
-// may have flushed a newer differential since. It reports whether the
-// repoint was applied; on false the compacted record at dst is dead
-// weight and simply never enters the valid count. The old page's count
-// is not touched either way: compaction drops whole victim pages via
-// dropDiffPage.
-func (t *mapTable) repointDiffFrom(pid uint32, src, dst flash.PPN, ts uint64) bool {
+// repointCompacted redirects the pids of recs, the records a collection has
+// just programmed into differential page dst, from[i] being the victim page
+// the i-th came from — each only if the mapping still carries the (from[i],
+// ts) pair the collector validated: a writer on another channel may have
+// flushed a newer differential since. It returns how many records dst holds
+// valid and the bytes of those that lost their repoint, which are dead on dst
+// from its birth (counted only if dst holds a valid one: a page with none is
+// obsolete). The victim pages' counts are not touched: compaction drops them
+// whole via dropDiffPage.
+func (t *mapTable) repointCompacted(dst flash.PPN, recs []byte, from []flash.PPN) (valid, lost int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.ppmt[pid].dif != src || t.diffTS[pid] != ts {
-		return false
+	i := 0
+	for rec := range diff.Records(recs) {
+		pid, ts := diff.RecordKey(rec)
+		if t.ppmt[pid].dif == from[i] && t.diffTS[pid] == ts {
+			t.ppmt[pid].dif = dst
+			t.ver[pid]++
+			valid++
+		} else {
+			lost += len(rec)
+		}
+		i++
 	}
-	t.ppmt[pid].dif = dst
-	t.vdct[dst]++
-	t.ver[pid]++
-	return true
+	if valid > 0 {
+		t.vdct[dst] = diffPage{valid: int32(valid), dead: int32(lost)}
+	}
+	return valid, lost
 }
 
 // decDiffCount implements decreaseValidDifferentialCount's bookkeeping
-// half (Figure 8): decrement dp's valid count, deleting the entry when it
-// reaches zero, and report whether the page just became obsolete. Caller
-// holds a channel lock.
+// half (Figure 8): one record of n bytes on dp is superseded. It decrements
+// dp's valid count and reports the bytes dp's dead count gains: n, or, when
+// the count reaches zero and the page just became obsolete, minus the dead
+// bytes it had, which leave the count with the page (its entry is deleted).
+// Caller holds a channel lock.
 //
 //pdlvet:holds channel
-func (t *mapTable) decDiffCount(dp flash.PPN) (obsolete bool) {
+func (t *mapTable) decDiffCount(dp flash.PPN, n int) (obsolete bool, dead int) {
 	t.mu.Lock()
-	t.vdct[dp]--
-	obsolete = t.vdct[dp] <= 0
-	if obsolete {
+	defer t.mu.Unlock()
+	e := t.vdct[dp]
+	if e.valid--; e.valid <= 0 {
 		delete(t.vdct, dp)
+		return true, -int(e.dead)
 	}
-	t.mu.Unlock()
-	return obsolete
+	e.dead += int32(n)
+	t.vdct[dp] = e
+	return false, n
 }
 
 // pageStamp names one differential, or one base page image, for the life of
@@ -285,9 +319,9 @@ func (t *mapTable) diffsIn(dp flash.PPN) []pageStamp {
 // diffCount returns dp's valid differential count (0 if absent).
 func (t *mapTable) diffCount(dp flash.PPN) int {
 	t.mu.RLock()
-	n := t.vdct[dp]
+	n := t.vdct[dp].valid
 	t.mu.RUnlock()
-	return n
+	return int(n)
 }
 
 // dropDiffPage forgets a differential page wholesale (its survivors have

@@ -69,7 +69,9 @@
 // Which physical pages are valid is DRAM state: the mapping table says what a
 // collection relocates, the allocator's per-block counters pick the victims,
 // and a superseded page is retired by bumping a counter (ftl.NoteObsolete)
-// where PDL_Writing programs its obsolete flag. Recovery rebuilds both from
+// where PDL_Writing programs its obsolete flag. A superseded record on a page
+// that stays valid adds its bytes to its block's dead bytes (ftl.NoteDead),
+// which a collection's compaction gives back too. Recovery rebuilds both from
 // the creation time stamps, as PDL_RecoveringfromCrash must anyway (a crash
 // loses marks), and writes nothing. The invariant that makes this safe: a
 // page goes unmarked only if a page with a greater time stamp, or a
@@ -188,7 +190,9 @@ type Options struct {
 	//
 	// The last P is lent. While a buffer pool is naming the pages it dirties
 	// (RetainBase) it holds their base images for the write-backs, up to
-	// DiffCachePages of them. A dormant window releases them, and the record
+	// DiffCachePages of them, and each write-back hands its image back to the
+	// window, so what is held is what the pool has dirty. A dormant window
+	// releases them, and the record
 	// arena may then grow into those P bytes, which is what a store that only
 	// serves reads gets out of them (ycsb_c_cold 231 -> 194 sim-us a Get).
 	// When the window wakes, the arena drops what it borrowed before any
@@ -707,8 +711,8 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 // pid and will write it back later — a buffer pool's frame going from clean to
 // dirty — so the base image the read path retained when it served the page is
 // moved to where later reads do not push it out (see baseImages), and the
-// write-back, however many reads later, finds it in stageWrite's one lookup.
-// The image is named by the base time stamp as of this call. It is a hint: the
+// write-back, however many reads later, finds it in stageWrite's one lookup,
+// which hands it back to the window. The image is named by the base time stamp as of this call. It is a hint: the
 // mapping snapshot is taken under no shard lock, because only the caller
 // writes pid between its read and its write-back, and if that is not so the
 // stamp held is one the write's own snapshot does not ask for, which costs
@@ -773,20 +777,25 @@ func (s *Store) Flush() error {
 	return err
 }
 
-// releaseDiffPage implements decreaseValidDifferentialCount of Figure 8:
-// decrement the valid differential count of dp and retire the page when it
-// reaches zero (the count entry itself is deleted at zero so the table only
-// ever holds live pages). Where the paper sets the page obsolete with a spare
-// program, this counts it obsolete in the allocator (ftl.NoteObsolete): every
-// record of dp lost to a newer time stamp, which is all recovery looks at.
-// The caller holds channel ch's lock; if dp lives on a different channel,
-// the note is queued on that channel.
+// releaseDiffPage implements decreaseValidDifferentialCount of Figure 8 for
+// a superseded record of n bytes on dp: decrement the valid differential
+// count of dp and retire the page when it reaches zero (the count entry
+// itself is deleted at zero so the table only ever holds live pages). Where
+// the paper sets the page obsolete with a spare program, this counts it
+// obsolete in the allocator (ftl.NoteObsolete): every record of dp lost to a
+// newer time stamp, which is all recovery looks at. Until then the record's
+// bytes are dead on a live page, and the allocator counts them toward what a
+// collection of dp's block gives back (ftl.NoteDead); the page takes them
+// out again when it goes. The caller holds channel ch's lock; if dp lives on
+// a different channel, the notes are queued on that channel.
 //
 //pdlvet:holds channel
-func (s *Store) releaseDiffPage(dp flash.PPN, ch int) {
-	if s.mt.decDiffCount(dp) {
+func (s *Store) releaseDiffPage(dp flash.PPN, n, ch int) {
+	obsolete, dead := s.mt.decDiffCount(dp, n)
+	if obsolete {
 		s.alloc.NoteObsoleteFrom(dp, ch)
 	}
+	s.alloc.NoteDeadFrom(dp, dead, ch)
 }
 
 // WriteBufferBytes returns the used bytes of the differential write buffer,

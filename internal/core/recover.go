@@ -16,7 +16,8 @@ import (
 // and the valid differential count table, arbitrating between co-existing
 // versions with the creation time stamps, and counts the useless pages it
 // discovers (stale base pages, differential pages with no valid
-// differential) obsolete in the allocator.
+// differential) obsolete in the allocator, and the records that lost
+// arbitration on the pages it keeps as their dead bytes.
 //
 // The scan is embarrassingly parallel over blocks — each physical page is
 // judged by its own spare header and contents, and arbitration is a pure
@@ -122,13 +123,22 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 			if s.mt.ppmt[pid].dif == flash.NilPPN || c.ts > s.mt.diffTS[pid] {
 				s.mt.ppmt[pid].dif = c.ppn
 				s.mt.diffTS[pid] = c.ts
+				s.mt.recLen[pid] = c.n
 			}
 		}
 	}
+	// A valid differential page's records that lost arbitration are dead
+	// bytes on it: all it carries, less the records it is valid for.
 	for pid := range s.mt.ppmt {
 		e := &s.mt.ppmt[pid]
 		if e.dif != flash.NilPPN {
-			s.mt.vdct[e.dif]++
+			dp, ok := s.mt.vdct[e.dif]
+			if !ok {
+				dp.dead = infos[e.dif].recBytes
+			}
+			dp.valid++
+			dp.dead -= int32(s.mt.recLen[pid])
+			s.mt.vdct[e.dif] = dp
 		}
 		if e.base != flash.NilPPN {
 			s.mt.reverseBase[e.base] = uint32(pid)
@@ -174,6 +184,8 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 			s.alloc.NoteWritten(ppn)
 			if s.useless(ppn, pi) {
 				s.alloc.NoteObsolete(ppn)
+			} else if pi.hdr.Type == ftl.TypeDiff {
+				s.alloc.NoteDead(ppn, int(s.mt.vdct[ppn].dead))
 			}
 		}
 	}
@@ -188,6 +200,8 @@ type pageInfo struct {
 	// checksum or uncorrectable data ECC): it is excluded from arbitration
 	// and counted obsolete.
 	quarantined bool
+	// recBytes is the bytes of the records on a differential page.
+	recBytes int32
 }
 
 // useless reports whether the programmed page ppn holds nothing the recovered
@@ -208,7 +222,7 @@ func (s *Store) useless(ppn flash.PPN, pi *pageInfo) bool {
 	case ftl.TypeBase:
 		return int(h.PID) >= s.numPages || s.mt.ppmt[h.PID].base != ppn
 	case ftl.TypeDiff:
-		return s.mt.vdct[ppn] == 0
+		return s.mt.vdct[ppn].valid == 0
 	case ftl.TypeFree:
 		return pi.torn
 	}
@@ -216,10 +230,11 @@ func (s *Store) useless(ppn flash.PPN, pi *pageInfo) bool {
 }
 
 // candidate is one page competing to be a pid's base page or newest
-// differential.
+// differential, with the differential record's length.
 type candidate struct {
 	ppn flash.PPN
 	ts  uint64
+	n   uint16
 }
 
 // scanResult is one worker's private reduction of its block range: the
@@ -326,12 +341,13 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 				// differential page (unmarked, like every superseded page) is
 				// scanned like a live one: walk the wire form, decode nothing.
 				for rec := range diff.Records(data) {
+					infos[ppn].recBytes += int32(len(rec))
 					pid, ts := diff.RecordKey(rec)
 					if int(pid) >= numPages {
 						continue
 					}
 					if c, ok := res.diffs[pid]; !ok || ts > c.ts {
-						res.diffs[pid] = candidate{ppn: ppn, ts: ts}
+						res.diffs[pid] = candidate{ppn: ppn, ts: ts, n: uint16(len(rec))}
 					}
 				}
 			}

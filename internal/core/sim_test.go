@@ -27,6 +27,10 @@ package core
 //     simulator) agrees with the allocator's written - obsolete per block, the
 //     mapping table and the valid differential counts, no erase ever takes a
 //     valid page, and no spare area is programmed;
+//   - at every quiescent point and after every recovery, each valid
+//     differential page's dead bytes, and each block's, are a recount of the
+//     records the harness saw programmed there that are not their pid's
+//     newest differential (deadbytes);
 //   - every injected fault ends in the model's bytes or a typed
 //     *ftl.PageError, and recovery after one reads back no byte no write
 //     carried.
@@ -608,7 +612,7 @@ func imageOf(s *Store) string {
 	for blk := range s.params.NumBlocks {
 		blocks = append(blocks, s.alloc.BlockStats(blk))
 	}
-	return fmt.Sprint(s.mt.ppmt, s.mt.baseTS, s.mt.diffTS, s.mt.vdct, s.mt.rebase, blocks, s.ts.Load(), s.Telemetry())
+	return fmt.Sprint(s.mt.ppmt, s.mt.baseTS, s.mt.diffTS, s.mt.recLen, s.mt.vdct, s.mt.rebase, blocks, s.ts.Load(), s.Telemetry())
 }
 
 // adopted holds a recovered store's allocator to the flash under it: a block
@@ -917,12 +921,18 @@ func (r *simRun) quiescent() error {
 	}
 	s.mt.mu.RLock()
 	defer s.mt.mu.RUnlock()
-	for ppn, n := range s.mt.vdct {
-		if n <= 0 {
-			return fmt.Errorf("the valid differential count table holds page %d at %d", ppn, n)
+	for ppn, e := range s.mt.vdct {
+		if e.valid <= 0 {
+			return fmt.Errorf("the valid differential count table holds page %d at %d", ppn, e.valid)
 		}
 	}
-	if !r.trusted || r.dead() {
+	if r.dead() {
+		return nil
+	}
+	if err := deadBytes(s, b); err != nil {
+		return err
+	}
+	if !r.trusted {
 		return nil
 	}
 	if s.dcache != nil && tel.ReadRetries == 0 && tel.DiffReads != tel.DiffCacheMisses {
@@ -958,12 +968,41 @@ func (r *simRun) quiescent() error {
 		if n > 0 {
 			live++
 		}
-		if got := s.mt.vdct[flash.PPN(ppn)]; got != n {
+		if got := int(s.mt.vdct[flash.PPN(ppn)].valid); got != n {
 			return fmt.Errorf("differential page %d counts %d valid differentials, the bitmap %d", ppn, got, n)
 		}
 	}
 	if live != len(s.mt.vdct) {
 		return fmt.Errorf("the valid differential count table holds %d pages, %d live", len(s.mt.vdct), live)
+	}
+	return nil
+}
+
+// deadBytes holds the dead bytes s counts, per differential page in the
+// valid differential count table and per block in the allocator, to a recount
+// from the mapping and the records of the pages b saw programmed: a valid
+// page's dead bytes are its records that are not their pid's newest
+// differential, and a block's are its valid pages'.
+func deadBytes(s *Store, b *simBitmap) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	perBlock := make([]int, b.p.NumBlocks)
+	for ppn, e := range s.mt.vdct {
+		dead := 0
+		for _, rec := range b.recs[ppn] {
+			if int(rec.pid) >= s.numPages || s.mt.ppmt[rec.pid].dif != ppn || s.mt.diffTS[rec.pid] != rec.ts {
+				dead += rec.n
+			}
+		}
+		if int(e.dead) != dead {
+			return fmt.Errorf("differential page %d counts %d dead bytes, its records %d", ppn, e.dead, dead)
+		}
+		perBlock[b.p.BlockOf(ppn)] += dead
+	}
+	for blk, dead := range perBlock {
+		if got := s.alloc.BlockStats(blk).DeadBytes; got != dead {
+			return fmt.Errorf("block %d counts %d dead bytes, its valid differential pages %d", blk, got, dead)
+		}
 	}
 	return nil
 }
@@ -1020,7 +1059,7 @@ func (r *simRun) recovered() (*Store, error) {
 		case err != nil:
 			return nil, err
 		case i == 0:
-			want, err = imageOf(s), errors.Join(adopted(s), unstranded(s, r.bits))
+			want, err = imageOf(s), errors.Join(adopted(s), unstranded(s, r.bits), deadBytes(s, r.bits))
 		case imageOf(s) != want:
 			err = fmt.Errorf("recovery %d (%d workers; 0: Recover) rebuilt another state than the first", i+1, w)
 		}
@@ -1206,14 +1245,22 @@ type simBitmap struct {
 	p       flash.Params // of the whole device
 	nchan   int
 	mu      sync.Mutex
-	valid   []bool   // per page
-	written []bool   // per page: programmed since its last erase, torn included
-	base    []simRef // per pid: its base page
-	dif     []simRef // per pid: its differential
-	refs    []int    // per page: the pids whose differential it holds
-	spares  int      // spare-area programs
-	largest int      // bytes in the largest differential record programmed
-	err     error    // the first erase of a valid page
+	valid   []bool     // per page
+	written []bool     // per page: programmed since its last erase, torn included
+	base    []simRef   // per pid: its base page
+	dif     []simRef   // per pid: its differential
+	refs    []int      // per page: the pids whose differential it holds
+	recs    [][]simRec // per page: the records of a differential page programmed there
+	spares  int        // spare-area programs
+	largest int        // bytes in the largest differential record programmed
+	err     error      // the first erase of a valid page
+}
+
+// simRec is one record of a differential page: its key and its bytes.
+type simRec struct {
+	pid uint32
+	ts  uint64
+	n   int
 }
 
 // simRef is a page with the time stamp that put it there; ppn NilPPN: none.
@@ -1224,7 +1271,7 @@ type simRef struct {
 
 func newSimBitmap(p flash.Params, nchan, numPages int) *simBitmap {
 	b := &simBitmap{p: p, nchan: nchan, valid: make([]bool, p.NumPages()), written: make([]bool, p.NumPages()),
-		refs: make([]int, p.NumPages()), base: make([]simRef, numPages), dif: make([]simRef, numPages)}
+		refs: make([]int, p.NumPages()), recs: make([][]simRec, p.NumPages()), base: make([]simRef, numPages), dif: make([]simRef, numPages)}
 	for pid := range b.base {
 		b.base[pid].ppn, b.dif[pid].ppn = flash.NilPPN, flash.NilPPN
 	}
@@ -1238,11 +1285,26 @@ func (b *simBitmap) global(ch int, ppn flash.PPN) flash.PPN {
 }
 
 // wrote records a page of channel ch that a power loss programmed without
-// arbitration: the torn one, or one of its batch before it.
-func (b *simBitmap) wrote(ch int, ppn flash.PPN) {
+// arbitration: the torn one (spare nil), or one of its batch before it.
+func (b *simBitmap) wrote(ch int, pp flash.PageProgram) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.written[b.global(ch, ppn)] = true
+	ppn := b.global(ch, pp.PPN)
+	b.written[ppn] = true
+	b.recs[ppn] = nil
+	if pp.Spare != nil && ftl.DecodeHeader(pp.Spare).Type == ftl.TypeDiff {
+		b.recs[ppn] = recsOf(pp.Data)
+	}
+}
+
+// recsOf returns the records of a differential page image.
+func recsOf(page []byte) []simRec {
+	var recs []simRec
+	for rec := range diff.Records(page) {
+		pid, ts := diff.RecordKey(rec)
+		recs = append(recs, simRec{pid, ts, len(rec)})
+	}
+	return recs
 }
 
 // programmed arbitrates pages that channel ch programmed.
@@ -1252,6 +1314,7 @@ func (b *simBitmap) programmed(ch int, pps []flash.PageProgram) {
 	for _, pp := range pps {
 		ppn := b.global(ch, pp.PPN)
 		b.written[ppn] = true
+		b.recs[ppn] = nil
 		switch h := ftl.DecodeHeader(pp.Spare); h.Type {
 		case ftl.TypeBase:
 			cur := &b.base[h.PID]
@@ -1267,6 +1330,7 @@ func (b *simBitmap) programmed(ch int, pps []flash.PageProgram) {
 				b.unlink(h.PID)
 			}
 		case ftl.TypeDiff:
+			b.recs[ppn] = recsOf(pp.Data)
 			for rec := range diff.Records(pp.Data) {
 				b.largest = max(b.largest, len(rec))
 				pid, ts := diff.RecordKey(rec)
@@ -1301,7 +1365,7 @@ func (b *simBitmap) erased(ch, blk int) {
 		if b.valid[ppn] && b.err == nil {
 			b.err = fmt.Errorf("page %d was erased valid", ppn)
 		}
-		b.valid[ppn], b.written[ppn], b.refs[ppn] = false, false, 0
+		b.valid[ppn], b.written[ppn], b.refs[ppn], b.recs[ppn] = false, false, 0, nil
 	}
 }
 
@@ -1366,7 +1430,7 @@ func (d *simChan) mutate(program bool, ppn flash.PPN, data []byte) error {
 		torn := bytes.Repeat([]byte{0xFF}, len(data))
 		copy(torn, data[:len(data)/2])
 		d.Device.Program(ppn, torn, nil)
-		d.bits.wrote(d.ch, ppn)
+		d.bits.wrote(d.ch, flash.PageProgram{PPN: ppn})
 	}
 	if d.tear {
 		return errTorn
@@ -1393,7 +1457,7 @@ func (d *simChan) program(pps []flash.PageProgram, do func() error) error {
 			if i > 0 {
 				d.Device.ProgramBatch(pps[:i])
 				for _, pp := range pps[:i] {
-					d.bits.wrote(d.ch, pp.PPN)
+					d.bits.wrote(d.ch, pp)
 				}
 			}
 			return err

@@ -24,6 +24,9 @@ type blockInfo struct {
 	stream   Stream
 	written  int // pages programmed since erase
 	obsolete int // pages marked obsolete
+	// dead is the bytes of superseded records on the block's pages that are
+	// not obsolete: what compacting them gives back short of a whole page.
+	dead int
 }
 
 // Relocator moves the still-valid contents of a victim block elsewhere
@@ -35,14 +38,17 @@ type blockInfo struct {
 // bookkeeping if they track validity through the allocator.
 type Relocator func(victim int) error
 
-// obsEntry is one deferred cross-channel obsolete note: the PPN that died
-// and the activation sequence its block had when the note was queued. A
-// drained entry whose block has since been erased (freed, or reactivated
-// under a newer sequence) is dropped — the page it named no longer
-// exists, so counting it would charge a reincarnated page.
+// obsEntry is one deferred cross-channel note: the PPN that died (dead
+// 0), or that holds dead more bytes of superseded records (dead nonzero,
+// negative when an obsolete page takes its dead bytes out of the count), and
+// the activation sequence its block had when the note was queued. A drained
+// entry whose block has since been erased (freed, or reactivated under a
+// newer sequence) is dropped — the page it named no longer exists, so
+// counting it would charge a reincarnated page.
 type obsEntry struct {
-	ppn flash.PPN
-	seq uint64
+	ppn  flash.PPN
+	dead int32
+	seq  uint64
 }
 
 // Stream names one of a channel's append points. Pages of different
@@ -688,21 +694,50 @@ func (a *Allocator) NoteObsolete(ppn flash.PPN) {
 // record the block's activation sequence, so a note whose block was erased
 // (and possibly reincarnated) before draining is dropped rather than charged
 // to a reborn page.
-func (a *Allocator) NoteObsoleteFrom(ppn flash.PPN, heldCh int) {
+func (a *Allocator) NoteObsoleteFrom(ppn flash.PPN, heldCh int) { a.noteFrom(ppn, 0, heldCh) }
+
+// NoteDead adds n bytes to the superseded records counted on ppn's block
+// (n < 0 takes them out again, when the page holding them goes obsolete).
+// Like NoteObsolete it is DRAM state only, and the caller holds the owning
+// channel's serialization or runs pre-publication (recovery).
+func (a *Allocator) NoteDead(ppn flash.PPN, n int) {
+	a.blocks[a.params.BlockOf(ppn)].dead += n
+}
+
+// NoteDeadFrom is NoteDead for a caller holding channel heldCh's
+// serialization, queued like NoteObsoleteFrom when another channel owns ppn.
+func (a *Allocator) NoteDeadFrom(ppn flash.PPN, n, heldCh int) {
+	if n != 0 {
+		a.noteFrom(ppn, n, heldCh)
+	}
+}
+
+// noteFrom applies a note (dead 0: ppn is obsolete; else dead bytes) now if
+// heldCh owns ppn, and queues it on the owning channel otherwise.
+func (a *Allocator) noteFrom(ppn flash.PPN, dead, heldCh int) {
 	ch := a.ChannelOf(ppn)
 	if ch == heldCh {
-		a.NoteObsolete(ppn)
+		a.note(ppn, dead)
 		return
 	}
 	blk := a.params.BlockOf(ppn)
 	c := &a.chans[ch]
 	c.obsMu.Lock()
-	c.obsPending = append(c.obsPending, obsEntry{ppn: ppn, seq: a.seq[blk].Load()})
+	c.obsPending = append(c.obsPending, obsEntry{ppn: ppn, dead: int32(dead), seq: a.seq[blk].Load()})
 	c.obsLen.Store(int32(len(c.obsPending)))
 	c.obsMu.Unlock()
 }
 
-// drainObsolete applies channel ch's queued cross-channel obsolete notes.
+// note applies one note under the owning channel's serialization.
+func (a *Allocator) note(ppn flash.PPN, dead int) {
+	if dead == 0 {
+		a.NoteObsolete(ppn)
+	} else {
+		a.NoteDead(ppn, dead)
+	}
+}
+
+// drainObsolete applies channel ch's queued cross-channel notes.
 // The caller holds channel ch's serialization, which guards the block
 // counters against this channel's garbage collection.
 func (a *Allocator) drainObsolete(ch int) {
@@ -720,7 +755,7 @@ func (a *Allocator) drainObsolete(ch int) {
 		if a.blocks[blk].state == blockFree || a.seq[blk].Load() != e.seq {
 			continue // block erased since the note was queued; the page is gone
 		}
-		a.NoteObsolete(e.ppn)
+		a.note(e.ppn, int(e.dead))
 	}
 }
 
@@ -822,6 +857,7 @@ func (a *Allocator) collectOn(ch int, pressed bool) error {
 	bi.state = blockFree
 	bi.written = 0
 	bi.obsolete = 0
+	bi.dead = 0
 	c.freeList = append(c.freeList, victim)
 	c.freeCount.Store(int32(len(c.freeList)))
 	return nil
@@ -831,8 +867,9 @@ func (a *Allocator) collectOn(ch int, pressed bool) error {
 func (a *Allocator) pickVictim() int { return a.pickVictimOn(0) }
 
 // pickVictimOn selects channel ch's garbage-collection victim: the full
-// block with the most reclaimable pages, the lowest block id among equals,
-// or -1 if no full block of the channel has one.
+// block with the most reclaimable pages, obsolete ones and the dead records
+// of live differential pages counted in pages (see reclaimable), the lowest
+// block id among equals, or -1 if no full block of the channel has one.
 func (a *Allocator) pickVictimOn(ch int) int {
 	victim, best := -1, 0
 	for _, b := range a.chans[ch].blocks {
@@ -844,15 +881,18 @@ func (a *Allocator) pickVictimOn(ch int) int {
 }
 
 // reclaimable returns how many pages a collection of block bi gives back,
-// every page but its live ones: on a block its append point filled that is
-// the obsolete pages, the paper's greedy score, and on one a recovery
-// adopted or retireSecondaryAppendPoints closed the erased tail counts too.
-// A free or open block gives back nothing.
+// every page but its live ones and the pages' worth of dead records their
+// compaction drops: on a block its append point filled that is the obsolete
+// pages, the paper's greedy score, plus the superseded records still sitting
+// on differential pages with a live one (the compaction of section 4.1 moves
+// "only valid differentials"), and on a block a recovery adopted or
+// retireSecondaryAppendPoints closed the erased tail counts too. A free or
+// open block gives back nothing.
 func (a *Allocator) reclaimable(bi *blockInfo) int {
 	if bi.state != blockFull {
 		return 0
 	}
-	return a.params.PagesPerBlock - (bi.written - bi.obsolete)
+	return a.params.PagesPerBlock - (bi.written - bi.obsolete) + bi.dead/a.params.DataSize
 }
 
 // BlockStats describes the allocator's bookkeeping for one block, exposed
@@ -862,6 +902,10 @@ type BlockStats struct {
 	Active   bool
 	Written  int
 	Obsolete int
+	// DeadBytes is the bytes of superseded records on the block's pages that
+	// are not obsolete (NoteDead); every DataSize of them adds a page to
+	// Reclaimable.
+	DeadBytes int
 	// Stream is the append point that filled (or is filling) the block;
 	// meaningless while Free.
 	Stream Stream
@@ -878,6 +922,7 @@ func (a *Allocator) BlockStats(blk int) BlockStats {
 		Active:      bi.state == blockActive,
 		Written:     bi.written,
 		Obsolete:    bi.obsolete,
+		DeadBytes:   bi.dead,
 		Stream:      bi.stream,
 		Reclaimable: a.reclaimable(bi),
 	}

@@ -134,6 +134,60 @@ func TestPickVictimPrefersMostObsolete(t *testing.T) {
 	}
 }
 
+// TestPickVictimCountsDeadBytes holds the victim rule to the dead records of
+// live differential pages: every DataSize of a block's dead bytes counts as
+// one more reclaimable page, a remainder counts for nothing, a page that goes
+// obsolete takes its dead bytes out again, and an erase resets the count.
+func TestPickVictimCountsDeadBytes(t *testing.T) {
+	c := smallChip(4)
+	p := c.Params()
+	a := NewAllocator(c, 1)
+	adopt := func(blk, obsolete int) {
+		a.AdoptFullBlock(blk)
+		for pg := range p.PagesPerBlock {
+			a.NoteWritten(p.PPNOf(blk, pg))
+			if pg < obsolete {
+				a.NoteObsolete(p.PPNOf(blk, pg))
+			}
+		}
+	}
+	adopt(0, 2)
+	adopt(1, 1)
+	a.NoteDead(p.PPNOf(1, 3), p.DataSize-1)
+	if bs := a.BlockStats(1); bs.DeadBytes != p.DataSize-1 || bs.Reclaimable != 1 {
+		t.Fatalf("block 1 with %d dead bytes: %+v, want Reclaimable 1", p.DataSize-1, bs)
+	}
+	if got := a.pickVictim(); got != 0 {
+		t.Errorf("pickVictim = %d, want 0: under a page of dead bytes adds nothing to block 1's one obsolete page", got)
+	}
+	a.NoteDeadFrom(p.PPNOf(1, 5), 1+p.DataSize, 0)
+	if bs := a.BlockStats(1); bs.Reclaimable != 3 {
+		t.Fatalf("block 1 with %d dead bytes: %+v, want Reclaimable 3", 2*p.DataSize, bs)
+	}
+	if got := a.pickVictim(); got != 1 {
+		t.Errorf("pickVictim = %d, want 1: two pages of dead bytes beat block 0's two obsolete pages", got)
+	}
+	// Page 5 goes obsolete and takes its dead bytes with it.
+	a.NoteObsoleteFrom(p.PPNOf(1, 5), 0)
+	a.NoteDeadFrom(p.PPNOf(1, 5), -(1 + p.DataSize), 0)
+	if bs := a.BlockStats(1); bs.DeadBytes != p.DataSize-1 || bs.Reclaimable != 2 {
+		t.Fatalf("block 1 after a page went obsolete: %+v, want %d dead bytes and Reclaimable 2", bs, p.DataSize-1)
+	}
+	if got := a.pickVictim(); got != 0 {
+		t.Errorf("pickVictim = %d, want 0, the lower id among two blocks of 2 reclaimable pages", got)
+	}
+	a.SetRelocator(func(int) error { return nil })
+	if err := a.collectOn(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.collectOn(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if bs := a.BlockStats(1); !bs.Free || bs.DeadBytes != 0 {
+		t.Errorf("block 1 after its collection: %+v, want free with no dead bytes", bs)
+	}
+}
+
 func TestNoteWritten(t *testing.T) {
 	c := smallChip(4)
 	a := NewAllocator(c, 1)

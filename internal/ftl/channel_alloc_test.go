@@ -109,11 +109,11 @@ func TestDeferredObsoleteCrossChannel(t *testing.T) {
 	}
 }
 
-// TestDeferredObsoleteDroppedAfterErase queues a cross-channel note against a
-// block between the entry drain of the AllocOn that collects it and its erase,
-// and lets that same AllocOn reactivate the block: the next drain finds the
-// block active again, so only its activation sequence tells the note's page
-// from the reborn block's.
+// TestDeferredObsoleteDroppedAfterErase queues cross-channel notes, an
+// obsolete page and dead bytes, against a block between the entry drain of the
+// AllocOn that collects it and its erase, and lets that same AllocOn
+// reactivate the block: the next drain finds the block active again, so only
+// its activation sequence tells the notes' page from the reborn block's.
 func TestDeferredObsoleteDroppedAfterErase(t *testing.T) {
 	dev, a := stripedChip(t, 2, 4, 2)
 	p := dev.Params()
@@ -141,6 +141,7 @@ func TestDeferredObsoleteDroppedAfterErase(t *testing.T) {
 	// supersedes the victim's live page and queues the note.
 	a.SetRelocator(func(blk int) error {
 		if blk == victim {
+			a.NoteDeadFrom(live, 40, 1)
 			a.NoteObsoleteFrom(live, 1)
 		}
 		return nil
@@ -149,13 +150,13 @@ func TestDeferredObsoleteDroppedAfterErase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.BlockOf(ppn) != victim || a.PendingObsolete(0) != 1 {
-		t.Fatalf("AllocOn took block %d with %d notes queued, want the reborn victim %d and 1", p.BlockOf(ppn), a.PendingObsolete(0), victim)
+	if p.BlockOf(ppn) != victim || a.PendingObsolete(0) != 2 {
+		t.Fatalf("AllocOn took block %d with %d notes queued, want the reborn victim %d and 2", p.BlockOf(ppn), a.PendingObsolete(0), victim)
 	}
 	if _, err := a.AllocOn(0); err != nil {
 		t.Fatal(err)
 	}
-	if bs := a.BlockStats(victim); a.PendingObsolete(0) != 0 || bs.Obsolete != 0 {
+	if bs := a.BlockStats(victim); a.PendingObsolete(0) != 0 || bs.Obsolete != 0 || bs.DeadBytes != 0 {
 		t.Fatalf("a note from block %d's erased life was charged to the reborn block: %+v", victim, bs)
 	}
 }
