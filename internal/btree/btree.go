@@ -8,9 +8,11 @@
 // [25]): small in-place modifications of index pages, the workload on which
 // page-differential logging's writing-difference-only principle pays off
 // most. A same-size overwrite changes a value's bytes and nothing else. A
-// leaf that overflows first moves its front entries into its left sibling
-// and splits by bytes only when that sibling is full, which keeps leaves
-// near full under the ascending, interleaved loads a serving layer sees.
+// leaf that overflows first moves its front entries into its left sibling,
+// then its tail into a right sibling the buffer pool holds, and splits only
+// when neither takes any: full when both siblings are resident and full, by
+// bytes otherwise. That keeps leaves full under the ascending, interleaved
+// loads a serving layer sees, and never faults a page in to fill it.
 // Deletes are lazy (entries are removed but nodes are not rebalanced),
 // which is sufficient for the workloads in this module and keeps the page
 // format simple.
@@ -78,10 +80,13 @@ type Tree struct {
 	// path is the last descent: the internal nodes from the root down and
 	// the child position taken in each.
 	path []step
-	// scratch is one page: the image of the node being rebuilt, split or
-	// rotated, so that no two pool frames are held at once, and Range's copy
-	// of the leaf it walks.
+	// scratch is one page: the image of a node being rebuilt or split, so
+	// that a frame is not read after a fault may have evicted it, and Range's
+	// copy of the leaf it walks.
 	scratch []byte
+	// newLeaf is one page: the image of a split's new leaf, written before
+	// the old leaf's frame is rewritten.
+	newLeaf []byte
 }
 
 // step is one internal node of a descent and the child position taken: 0 is
@@ -104,6 +109,7 @@ func makeTree(pool *buffer.Pool, first, numPages uint32) (*Tree, error) {
 		intCap:   (ps - nodeHdrSize - 4) / intEntrySize,
 		path:     make([]step, 0, 8),
 		scratch:  make([]byte, ps),
+		newLeaf:  make([]byte, ps),
 	}
 	if t.MaxValueSize() < 1 || t.intCap < 2 || ps > 0xFFFF {
 		return nil, fmt.Errorf("btree: page size %d out of range", ps)
@@ -180,6 +186,22 @@ func (t *Tree) Size() int { return t.size }
 
 // Height returns the tree height (1 = a single leaf).
 func (t *Tree) Height() int { return t.height }
+
+// Leaves walks the leaf chain and returns how many leaves the tree has.
+func (t *Tree) Leaves() (int, error) {
+	_, buf, err := t.descend(0)
+	if err != nil {
+		return 0, err
+	}
+	n := 1
+	for next := leafNext(buf); next != noPage; next = leafNext(buf) {
+		if buf, err = t.pool.Get(next); err != nil {
+			return 0, err
+		}
+		n++
+	}
+	return n, nil
+}
 
 // MaxValueSize returns the largest value the tree stores: the largest of
 // which a leaf holds two, so that an overflowing leaf always splits into
@@ -374,7 +396,7 @@ func (t *Tree) Update(k uint64, v []byte) error { return t.put(k, v, updateOnly)
 // put walks to k's leaf once. A value no longer than the one it replaces is
 // written over it in place; anything else is added to the leaf, which is
 // rebuilt without its dead bytes when only that makes room, and overflows
-// into its left sibling or a split when nothing does.
+// into a sibling or a split when nothing does.
 func (t *Tree) put(k uint64, v []byte, mode putMode) error {
 	if len(v) > t.MaxValueSize() {
 		return ErrValueTooLarge
@@ -403,8 +425,7 @@ func (t *Tree) put(k uint64, v []byte, mode putMode) error {
 		grow = len(v) - vlen
 	}
 	m := merged{src: buf, k: k, v: v, pos: i, replace: found}
-	switch {
-	case recKeySize+len(v)+slotSize*m.added() <= leafGap(buf):
+	if recKeySize+len(v)+slotSize*m.added() <= leafGap(buf) {
 		off := leafStart(buf) - recKeySize - len(v)
 		binary.LittleEndian.PutUint64(buf[off:], k)
 		copy(buf[off+recKeySize:], v)
@@ -415,11 +436,11 @@ func (t *Tree) put(k uint64, v []byte, mode putMode) error {
 		}
 		setLeafSlot(buf, i, off, len(v))
 		err = t.pool.MarkDirty(pid)
-	case leafBytes(buf)+grow <= t.pageSize-leafHdrSize:
+	} else if m.total = leafBytes(buf) + grow; m.total <= t.pageSize-leafHdrSize {
 		if err = t.snapshot(pid, &m); err == nil {
 			err = t.rebuild(pid, &m, 0, m.len(), leafNext(t.scratch))
 		}
-	default:
+	} else {
 		err = t.overflow(pid, &m)
 	}
 	if err == nil && !found {
@@ -437,6 +458,9 @@ type merged struct {
 	v       []byte
 	pos     int
 	replace bool
+	// total is what the entries cost a leaf, slots included, once the put
+	// has found no room in the leaf's gap.
+	total int
 }
 
 // added is how many entries the put adds: 0 or 1.
@@ -461,40 +485,96 @@ func (m *merged) at(j int) (uint64, []byte) {
 }
 
 func (m *merged) size(j int) int {
-	_, v := m.at(j)
-	return entrySize(len(v))
-}
-
-// bytes is what the entries cost a leaf, slots included.
-func (m *merged) bytes() int {
-	b := 0
-	for j := range m.len() {
-		b += m.size(j)
+	if j == m.pos {
+		return entrySize(len(m.v))
 	}
-	return b
+	if j > m.pos {
+		j -= m.added()
+	}
+	_, vlen := leafSlot(m.src, j)
+	return entrySize(vlen)
 }
 
 // writeLeaf rebuilds dst as a leaf of entries [from, to) of m, packed, with
 // next as its right neighbour. dst must not be m.src.
 func writeLeaf(dst []byte, m *merged, from, to int, next uint32) {
 	initLeaf(dst, next)
-	appendLeaf(dst, m, from, to)
+	insertLeaf(dst, m, from, to, 0)
 }
 
-// appendLeaf adds entries [from, to) of m after the last entry of leaf dst,
-// whose keys are all smaller. dst must have the room in its gap.
-func appendLeaf(dst []byte, m *merged, from, to int) {
+// insertLeaf adds entries [from, to) of m to leaf dst as its entries from
+// index at on; their keys fall between those of dst's entries at-1 and at.
+// dst must have the room in its gap.
+func insertLeaf(dst []byte, m *merged, from, to, at int) {
 	n, off := nodeN(dst), leafStart(dst)
+	copy(dst[leafHdrSize+(at+to-from)*slotSize:], dst[leafHdrSize+at*slotSize:leafHdrSize+n*slotSize])
 	for j := from; j < to; j++ {
 		k, v := m.at(j)
 		off -= recKeySize + len(v)
 		binary.LittleEndian.PutUint64(dst[off:], k)
 		copy(dst[off+recKeySize:], v)
-		setLeafSlot(dst, n, off, len(v))
-		n++
+		setLeafSlot(dst, at+j-from, off, len(v))
 	}
-	setNodeN(dst, n)
+	setNodeN(dst, n+to-from)
 	setLeafStart(dst, off)
+}
+
+// srcRange is the entries of m.src that are among m's entries [from, to).
+func (m *merged) srcRange(from, to int) (int, int) {
+	if !m.replace {
+		if from > m.pos {
+			from--
+		}
+		if to > m.pos {
+			to--
+		}
+	}
+	return from, to
+}
+
+// keepInPlace rewrites the leaf image m.src in place as entries [from, to)
+// of m, with next as its right neighbour, without moving a record that
+// stays: the other entries' slots go, and the put's record, if it stays,
+// goes over a record that goes and is at least as long, or else under the
+// lowest record that stays. It reports false, having changed nothing, when
+// the leaf has no such room for it.
+func (m *merged) keepInPlace(from, to int, next uint32) bool {
+	buf := m.src
+	a, b := m.srcRange(from, to)
+	put := from <= m.pos && m.pos < to
+	need := recKeySize + len(m.v)
+	low, at := len(buf), -1
+	for i := range nodeN(buf) {
+		off, vlen := leafSlot(buf, i)
+		if i >= a && i < b && (i != m.pos || !m.replace) {
+			low = min(low, off)
+		} else if put && at < 0 && recKeySize+vlen >= need {
+			at = off
+		}
+	}
+	if put {
+		if at < 0 {
+			at = low - need
+		}
+		low = min(low, at)
+	}
+	if low < leafHdrSize+slotSize*(to-from) {
+		return false
+	}
+	copy(buf[leafHdrSize:], buf[leafHdrSize+a*slotSize:leafHdrSize+b*slotSize])
+	if put {
+		i := m.pos - from
+		if !m.replace {
+			copy(buf[leafHdrSize+(i+1)*slotSize:], buf[leafHdrSize+i*slotSize:leafHdrSize+(b-a)*slotSize])
+		}
+		binary.LittleEndian.PutUint64(buf[at:], m.k)
+		copy(buf[at+recKeySize:], m.v)
+		setLeafSlot(buf, i, at, len(m.v))
+	}
+	setNodeN(buf, to-from)
+	setLeafStart(buf, low)
+	setLeafNext(buf, next)
+	return true
 }
 
 // snapshot copies the leaf at pid into t.scratch and points m at the copy,
@@ -519,106 +599,179 @@ func (t *Tree) rebuild(pid uint32, m *merged, from, to int, next uint32) error {
 	return t.pool.MarkDirty(pid)
 }
 
-// overflow places m, the entries of the leaf at pid (m.src is its frame)
-// with a put applied that no longer fit one leaf. When the leaf has a left
-// sibling under the same parent, the front of m moves into that sibling for
-// as long as it has room, provided the rest then fits the leaf, and the
-// parent's separator rises to the leaf's new first key. Otherwise m splits
-// by bytes into the leaf and a new right sibling.
+// shrink rewrites the leaf at pid, whose frame m.src is, as entries
+// [from, to) of m: in place when no record that stays has to move, and
+// rebuilt from a snapshot otherwise.
+func (t *Tree) shrink(pid uint32, m *merged, from, to int, next uint32) error {
+	if m.keepInPlace(from, to, next) {
+		return t.pool.MarkDirty(pid)
+	}
+	if err := t.snapshot(pid, m); err != nil {
+		return err
+	}
+	return t.rebuild(pid, m, from, to, next)
+}
+
+// overflow places m, the entries of the leaf at pid with a put applied, which
+// no longer fit one leaf. The leaf's siblings under the same parent come
+// first. The front of m moves into the left sibling for as long as it has
+// room. Failing that, the fewest entries of m's tail that leave the leaf room
+// for one more entry like the put's move into the right sibling, if the pool
+// holds it: a right sibling is never faulted in to be filled. Either way the
+// parent's separator follows. When no sibling takes entries, m splits into
+// the leaf and a new right sibling. The leaf stays full when both siblings
+// are resident and full (or absent), as under ascending and interleaved
+// loads, whose next keys go right of the split; the halves are closest in
+// bytes otherwise.
 func (t *Tree) overflow(pid uint32, m *merged) error {
-	if len(t.path) > 0 && t.path[len(t.path)-1].pos > 0 {
-		moved, err := t.rotateLeft(pid, m)
+	dense := true
+	for side := -1; side <= 1 && len(t.path) > 0; side += 2 {
+		moved, full, err := t.rotate(pid, m, side)
 		if moved || err != nil {
 			return err
 		}
+		dense = dense && full
 	}
 	// A split takes at most one new page a level, and one more for a new
 	// root: refuse it before anything is written when they are not there.
 	if t.num-t.nextAlloc < uint32(len(t.path))+2 {
 		return ErrNoSpace
 	}
-	if err := t.snapshot(pid, m); err != nil {
+	buf, err := t.pool.Get(pid)
+	if err != nil {
 		return err
 	}
-	// Split where the halves' bytes are closest: with every entry at most
-	// half a leaf, both halves then fit.
-	n, total := m.len(), m.bytes()
+	m.src = buf
+	// With every entry at most half a leaf, both sides fit either way.
+	n, room := m.len(), t.pageSize-leafHdrSize
 	s, left := 1, m.size(0)
-	for s < n-1 && 2*(left+m.size(s)) <= total+m.size(s) {
-		left += m.size(s)
-		s++
+	if dense {
+		for s < n-1 && left+m.size(s) <= room {
+			left += m.size(s)
+			s++
+		}
+	} else {
+		for s < n-1 && 2*(left+m.size(s)) <= m.total+m.size(s) {
+			left += m.size(s)
+			s++
+		}
 	}
+	sep, _ := m.at(s)
 	right, err := t.alloc()
 	if err != nil {
+		return err
+	}
+	writeLeaf(t.newLeaf, m, s, n, leafNext(buf))
+	if err := t.shrink(pid, m, 0, s, right); err != nil {
 		return err
 	}
 	rbuf, err := t.pool.GetNew(right)
 	if err != nil {
 		return err
 	}
-	writeLeaf(rbuf, m, s, n, leafNext(t.scratch))
-	if err := t.rebuild(pid, m, 0, s, right); err != nil {
-		return err
-	}
-	sep, _ := m.at(s)
+	copy(rbuf, t.newLeaf)
 	return t.promote(sep, right)
 }
 
-// rotateLeft moves the front of m into the left sibling of the leaf at pid
-// if the sibling has room for at least one entry and the rest then fits the
-// leaf; it reports whether it did. m.src is the leaf's frame on entry.
-func (t *Tree) rotateLeft(pid uint32, m *merged) (bool, error) {
+// rotate moves entries of m, the leaf at pid with a put applied, into the
+// leaf's sibling on one side (-1 left, +1 right) under the parent last on
+// t.path: the front of m into a left sibling for as long as it has room, the
+// fewest entries of m's tail that leave the leaf room for one more entry
+// like the put's into a right one. The separator between the two becomes
+// the right page's first key. It reports whether it moved entries, and
+// whether the side is full: without a sibling under the parent, or with one
+// that was resident and takes none.
+//
+// The rotation itself holds the parent's, the sibling's and the leaf's
+// frames at once, which is sound only while every Get is a hit: it runs on
+// resident pages alone. A left sibling is faulted in first, as the fill of
+// a descending or random-order load needs; a right one never is.
+func (t *Tree) rotate(pid uint32, m *merged, side int) (moved, full bool, err error) {
 	parent := t.path[len(t.path)-1]
 	pbuf, err := t.pool.Get(parent.pid)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
-	sib := intChildAt(pbuf, parent.pos-1)
+	spos := parent.pos + side
+	if spos < 0 || spos > nodeN(pbuf) {
+		return false, true, nil
+	}
+	sib := intChildAt(pbuf, spos)
+	held := t.pool.Resident(sib)
+	if side < 0 && !held {
+		// Each fault may evict the page fetched before it.
+		for _, p := range [...]uint32{sib, pid, sib} {
+			if !t.pool.Resident(p) {
+				if _, err := t.pool.Get(p); err != nil {
+					return false, false, err
+				}
+			}
+		}
+		if !t.pool.Resident(parent.pid) {
+			return false, false, nil
+		}
+		if pbuf, err = t.pool.Get(parent.pid); err != nil {
+			return false, false, err
+		}
+	}
+	if !t.pool.Resident(sib) || !t.pool.Resident(pid) {
+		return false, false, nil
+	}
 	sbuf, err := t.pool.Get(sib)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
-	room, gap := t.pageSize-leafHdrSize-leafBytes(sbuf), leafGap(sbuf)
 	if m.src, err = t.pool.Get(pid); err != nil {
-		return false, err
+		return false, false, err
 	}
-	n, mv, moved := m.len(), 0, 0
-	for mv < n-1 && moved+m.size(mv) <= room {
-		moved += m.size(mv)
-		mv++
+	n, room, total := m.len(), t.pageSize-leafHdrSize, m.total
+	free, bytes := room-leafBytes(sbuf), 0
+	from, to := 0, 0 // the entries that move
+	if side < 0 {
+		for to < n-1 && bytes+m.size(to) <= free {
+			bytes += m.size(to)
+			to++
+		}
+	} else {
+		from, to = n, n
+		// Enough that the leaf takes one more entry like the put's: an
+		// interleaved load's next key lands in the same leaf.
+		for from > 1 && total-bytes+entrySize(len(m.v)) > room && bytes+m.size(from-1) <= free {
+			from--
+			bytes += m.size(from)
+		}
 	}
-	if mv == 0 || m.bytes()-moved > t.pageSize-leafHdrSize {
-		return false, nil
+	if from == to || total-bytes > room {
+		return false, held, nil
 	}
-	if moved > gap {
+	if bytes > leafGap(sbuf) {
 		// The sibling has the room only once its dead bytes go.
 		all := merged{pos: -1, replace: true}
 		if err := t.snapshot(sib, &all); err != nil {
-			return false, err
+			return false, false, err
 		}
 		if err := t.rebuild(sib, &all, 0, all.len(), leafNext(t.scratch)); err != nil {
-			return false, err
+			return false, false, err
 		}
 	}
-	if err := t.snapshot(pid, m); err != nil {
-		return false, err
+	var sep uint64
+	if side < 0 {
+		insertLeaf(sbuf, m, from, to, nodeN(sbuf))
+		sep, _ = m.at(to)
+		from, to = to, n // what the leaf keeps
+	} else {
+		insertLeaf(sbuf, m, from, to, 0)
+		sep, _ = m.at(from)
+		from, to = 0, from
 	}
-	if sbuf, err = t.pool.Get(sib); err != nil {
-		return false, err
-	}
-	appendLeaf(sbuf, m, 0, mv)
 	if err := t.pool.MarkDirty(sib); err != nil {
-		return false, err
+		return false, false, err
 	}
-	if err := t.rebuild(pid, m, mv, n, leafNext(t.scratch)); err != nil {
-		return false, err
+	if err := t.shrink(pid, m, from, to, leafNext(m.src)); err != nil {
+		return false, false, err
 	}
-	if pbuf, err = t.pool.Get(parent.pid); err != nil {
-		return false, err
-	}
-	sep, _ := m.at(mv)
-	setIntKey(pbuf, parent.pos-1, sep)
-	return true, t.pool.MarkDirty(parent.pid)
+	setIntKey(pbuf, min(parent.pos, spos), sep)
+	return true, false, t.pool.MarkDirty(parent.pid)
 }
 
 // promote adds separator k with its right child to the internal nodes of

@@ -357,13 +357,16 @@ func TestQuickAgainstMap(t *testing.T) {
 }
 
 // TestModelAgainstMap drives random Puts, Deletes and resizing overwrites,
-// with values from 1 byte to MaxValueSize, through a pool of 3 frames and one
-// of 64, and after every batch requires Get, Range and Size to match a map.
+// with values from 1 byte to MaxValueSize, through pools of 3, 4 and 64
+// frames, and after every batch requires Get, Range and Size to match a map.
 // The value sizes mix small and large so that leaves carry dead bytes, get
-// rebuilt, move entries into their left siblings and split by bytes.
+// rebuilt, move entries into their siblings and split by bytes. Every third
+// batch is a load instead: two ascending streams of fresh keys, interleaved
+// by a coin, whose overflowing leaves move their tails into resident right
+// siblings and split full.
 func TestModelAgainstMap(t *testing.T) {
-	for _, frames := range []int{3, 64} {
-		for seed := int64(1); seed <= 3; seed++ {
+	for _, frames := range []int{3, 4, 64} {
+		for seed := int64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("frames=%d/seed=%d", frames, seed), func(t *testing.T) {
 				tr := newTree(t, frames, 256)
 				maxV := tr.MaxValueSize()
@@ -380,7 +383,26 @@ func TestModelAgainstMap(t *testing.T) {
 					return maxV
 				}
 				ref := map[uint64][]byte{}
+				put := func(k uint64, v []byte) {
+					rng.Read(v)
+					if err := tr.Put(k, v); err != nil {
+						t.Fatalf("Put(%d, %d bytes): %v", k, len(v), err)
+					}
+					ref[k] = v
+				}
 				for batch := 0; batch < 12; batch++ {
+					if batch%3 == 2 {
+						// Multiples of 3 above the random keys, 1200 a load.
+						base := 1500 + 1200*uint64(batch)
+						next := [2]uint64{base, base + 3}
+						for range 200 {
+							c := rng.Intn(2)
+							put(next[c], make([]byte, 1+rng.Intn(16)))
+							next[c] += 6
+						}
+						checkModel(t, tr, ref)
+						continue
+					}
 					for range 250 {
 						k := uint64(rng.Intn(500)) * 3
 						if rng.Intn(4) == 0 {
@@ -391,12 +413,7 @@ func TestModelAgainstMap(t *testing.T) {
 							delete(ref, k)
 							continue
 						}
-						v := make([]byte, size())
-						rng.Read(v)
-						if err := tr.Put(k, v); err != nil {
-							t.Fatalf("Put(%d, %d bytes): %v", k, len(v), err)
-						}
-						ref[k] = v
+						put(k, make([]byte, size()))
 					}
 					checkModel(t, tr, ref)
 				}
@@ -460,9 +477,10 @@ func leafFill(t *testing.T, tr *Tree) (leaves, entries int) {
 
 // TestLeafFill loads ascending keys the way the benchmark's two load
 // clients do: two interleaved streams, one lagging the other by several
-// leaves, and then one ascending stream alone. Either way the leaves must
-// end at least 85% full: an overflowing leaf fills its left sibling before
-// it splits.
+// leaves or by a random walk, and then one ascending stream alone. Every
+// way the leaves must end at least 98% full: an overflowing leaf fills its
+// left sibling, then moves its tail into its right sibling, and splits full
+// when both are full.
 func TestLeafFill(t *testing.T) {
 	const (
 		valSize = 20 // 15 entries a leaf
@@ -470,8 +488,8 @@ func TestLeafFill(t *testing.T) {
 	)
 	for _, tc := range []struct {
 		name string
-		lag  int // in records of the lagging stream; -1: one stream
-	}{{"interleaved", 60}, {"ascending", -1}} {
+		lag  int // in records of the lagging stream; 0: a coin picks; -1: one stream
+	}{{"interleaved", 60}, {"random-walk", 0}, {"ascending", -1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := newTree(t, 64, 512)
 			perLeaf := (tr.pageSize - leafHdrSize) / entrySize(valSize)
@@ -481,11 +499,24 @@ func TestLeafFill(t *testing.T) {
 					t.Fatalf("insert %d: %v", k, err)
 				}
 			}
-			if tc.lag < 0 {
+			switch {
+			case tc.lag < 0:
 				for k := uint64(0); k < records; k++ {
 					put(k)
 				}
-			} else {
+			case tc.lag == 0:
+				// The even and the odd stream, the lag between them a
+				// random walk.
+				rng := rand.New(rand.NewSource(2))
+				for next := [2]uint64{0, 1}; next[0] < records || next[1] < records; {
+					c := rng.Intn(2)
+					if next[c] >= records {
+						c = 1 - c
+					}
+					put(next[c])
+					next[c] += 2
+				}
+			default:
 				// Stream A puts the even keys, stream B the odd ones, tc.lag
 				// of its keys behind: about tc.lag/perLeaf*2 leaves.
 				for i := 0; i < records/2+tc.lag; i++ {
@@ -503,10 +534,124 @@ func TestLeafFill(t *testing.T) {
 			}
 			fill := float64(entries) / float64(leaves*perLeaf)
 			t.Logf("%d leaves of %d entries each at most: %.1f%% full", leaves, perLeaf, 100*fill)
-			if fill < 0.85 {
-				t.Errorf("leaves %.1f%% full, want at least 85%%", 100*fill)
+			if fill < 0.98 {
+				t.Errorf("leaves %.1f%% full, want at least 98%%", 100*fill)
 			}
 		})
+	}
+}
+
+// TestLeafFillRandomOrder inserts keys in random order through a pool that
+// holds a few percent of the tree, where a leaf's right sibling is seldom
+// resident. Moving entries right and splitting full are for the loads of
+// TestLeafFill; here the leaves must stay 77% full, and the pool may write
+// back at most 2% more than a tree whose leaves fill only their left
+// siblings does (36,332 pages).
+func TestLeafFillRandomOrder(t *testing.T) {
+	const (
+		keys    = 30000
+		valSize = 100 // 18 entries a leaf of 2 KB
+		pages   = 6000
+	)
+	chip := flash.NewChip(flash.ScaledParams(160))
+	m, err := core.New(chip, pages, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := buffer.NewPool(m, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(pool, 0, pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := make([]byte, valSize)
+	for _, k := range rand.New(rand.NewSource(1)).Perm(keys) {
+		if err := tr.Insert(uint64(k), v); err != nil {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+	}
+	leaves, entries := leafFill(t, tr)
+	if entries != keys {
+		t.Fatalf("leaves hold %d entries, want %d", entries, keys)
+	}
+	perLeaf := (tr.pageSize - leafHdrSize) / entrySize(valSize)
+	fill := float64(entries) / float64(leaves*perLeaf)
+	wb := pool.Stats().Writebacks
+	t.Logf("%d leaves, %.1f%% full; %d write-backs, %d sim-us", leaves, 100*fill, wb, chip.Stats().TimeMicros)
+	if fill < 0.77 {
+		t.Errorf("leaves %.1f%% full, want at least 77%%", 100*fill)
+	}
+	if wb > 37058 {
+		t.Errorf("%d pool write-backs, want at most 37058", wb)
+	}
+}
+
+// TestRightSiblingNeverFaultedIn: an overflowing leaf whose right sibling
+// has room but is not in the pool splits; the rotation that would fill the
+// sibling does not fault it in.
+func TestRightSiblingNeverFaultedIn(t *testing.T) {
+	chip := flash.NewChip(ftltest.SmallParams(40))
+	m, err := core.New(chip, 64, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := buffer.NewPool(m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(pool, 0, 32) // pages 32.. are other pages of the pool
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 25 entries a leaf: two full leaves and a third of 10.
+	for k := uint64(0); k < 60; k++ {
+		if err := tr.Insert(10*k, u64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var leaves [3]uint32
+	pid, buf, err := tr.descend(0)
+	for i := range leaves {
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves[i] = pid
+		if pid = leafNext(buf); i < 2 {
+			buf, err = pool.Get(pid)
+		}
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Evict the tree with pages seen twice, then fault in the root and the
+	// first two leaves.
+	for p := uint32(40); p < 44; p++ {
+		if _, err := pool.GetNew(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pool.Get(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []uint32{tr.root, leaves[0], leaves[1]} {
+		if _, err := pool.Get(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pool.Resident(leaves[2]) || !pool.Resident(leaves[0]) || !pool.Resident(leaves[1]) {
+		t.Fatalf("set-up: leaves resident %v %v %v, want true true false",
+			pool.Resident(leaves[0]), pool.Resident(leaves[1]), pool.Resident(leaves[2]))
+	}
+	if err := tr.Insert(305, u64(1)); err != nil { // into the full middle leaf
+		t.Fatal(err)
+	}
+	if pool.Resident(leaves[2]) {
+		t.Error("the right sibling was faulted in")
+	}
+	if n, err := tr.Leaves(); err != nil || n != 4 {
+		t.Errorf("Leaves = %d, %v; want 4 after a split", n, err)
 	}
 }
 

@@ -160,6 +160,10 @@ func (p *Pool) frame(pid uint32) *node {
 	return nil
 }
 
+// Resident reports whether pid's page is in a frame, so that a Get of it
+// would not fault and would evict nothing. It counts no use of the page.
+func (p *Pool) Resident(pid uint32) bool { return p.frame(pid) != nil }
+
 // hit records a use of the resident frame n: it has now been seen again.
 func (p *Pool) hit(n *node) {
 	p.hits++
@@ -175,7 +179,8 @@ func (p *Pool) hit(n *node) {
 // that can fault a page (Get, GetNew) and no longer: the policy may choose the
 // frame it has just returned as that call's victim (a once-seen page while
 // T1's target is 0), so a caller working on two pages fetches the first again
-// after fetching the second, as btree and storage do.
+// after fetching the second, as btree and storage do, or holds both only once
+// Resident says neither Get will fault, as btree's rotations do.
 func (p *Pool) Get(pid uint32) ([]byte, error) {
 	if p.closed {
 		return nil, ErrClosed

@@ -118,6 +118,31 @@ func TestEvictionWritesBackDirty(t *testing.T) {
 	}
 }
 
+// TestResidentCountsNoUse: Resident answers without faulting, and without
+// the use a Get would count, so the page it asks about stays the next victim.
+func TestResidentCountsNoUse(t *testing.T) {
+	p, chip := newPool(t, 2, 16)
+	for pid := uint32(0); pid < 2; pid++ {
+		if _, err := p.GetNew(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, stats := chip.Stats(), p.Stats()
+	if !p.Resident(0) || !p.Resident(1) || p.Resident(2) {
+		t.Fatalf("Resident(0, 1, 2) = %v %v %v, want true true false", p.Resident(0), p.Resident(1), p.Resident(2))
+	}
+	if p.Stats() != stats || chip.Stats().Sub(before).Ops() != 0 {
+		t.Fatalf("Resident moved the counters: pool %+v -> %+v", stats, p.Stats())
+	}
+	// pid 0 is still the least recently used: the next fault evicts it.
+	if _, err := p.GetNew(2); err != nil {
+		t.Fatal(err)
+	}
+	if p.Resident(0) || !p.Resident(1) || !p.Resident(2) {
+		t.Errorf("after a fault Resident(0, 1, 2) = %v %v %v, want false true true", p.Resident(0), p.Resident(1), p.Resident(2))
+	}
+}
+
 func TestCleanEvictionNoWriteback(t *testing.T) {
 	p, _ := newPool(t, 2, 16)
 	// Create two pages, flush so they're clean.

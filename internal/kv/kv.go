@@ -33,18 +33,24 @@
 //
 // # Durability
 //
-// The store is durable to its last successful Sync: Sync flushes every
-// bucket's pool, persists the per-bucket recovery states (tree roots,
-// allocation cursors, sizes) into a metadata page, flushes
-// the method, and syncs the device. Reopen reads the metadata page back
-// and rebuilds every bucket without replaying anything.
+// Sync flushes every bucket's pool, persists the per-bucket recovery
+// states (tree roots, allocation cursors, sizes) into a metadata page,
+// flushes the method, and syncs the device. Reopen reads the metadata page
+// back and rebuilds every bucket without replaying anything.
 //
 // Like any steal-policy buffer-pool database without a redo log, a
 // crash between Syncs loses unsynced writes still sitting in the pools
 // but may retain unsynced updates that eviction had already written
-// back; what Reopen guarantees is the structure of the last successful
-// Sync (every synced key present, carrying its synced value or a later
-// unsynced overwrite). Sync at the points that must be crash-atomic.
+// back. What Reopen then guarantees depends on those writes. If they
+// were same-size overwrites, which change no page's shape, every synced
+// key is present, carrying its synced value or a later unsynced
+// overwrite. An insert, or a value that grows, can split a leaf or move
+// records between siblings and their parent's separators, and eviction
+// writes those pages back one at a time: a crash can leave some of them
+// new and some as the Sync left them, and synced keys can be lost too.
+// Sync at the points that must be crash-atomic; between Syncs, only
+// same-size overwrites leave every synced key safe.
+//
 // The paper's own recovery story concerns the FTL mapping below this
 // layer, which each method already rebuilds from flash spare areas
 // (see core.Recover).
@@ -526,8 +532,8 @@ func (d *DB) PoolStats() buffer.Stats {
 // Sync makes the current contents durable: every bucket pool's dirty
 // pages are written back, the per-bucket recovery states are persisted
 // to the metadata page, the method's buffers are flushed, and the device
-// is synced. A Reopen after a crash recovers the structure of the last
-// successful Sync (see the package comment for the exact contract).
+// is synced. A Reopen after a crash starts from the metadata the last
+// successful Sync wrote (the package comment says what that keeps).
 func (d *DB) Sync() error {
 	if d.closed.Load() {
 		return ErrClosed

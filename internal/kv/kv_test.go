@@ -644,3 +644,56 @@ func TestPagesNeededHolds(t *testing.T) {
 		}
 	}
 }
+
+// leaves counts the leaves of every bucket's tree.
+func leaves(t *testing.T, db *DB) int {
+	t.Helper()
+	n := 0
+	for i := range db.buckets {
+		l, err := db.buckets[i].tree.Leaves()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += l
+	}
+	return n
+}
+
+// TestLeafFillTwoLoaders loads ascending keys the way the benchmark's two
+// load clients do, one putting the even keys and one the odd ones, here
+// interleaved by a seeded coin in one goroutine so that the run repeats.
+// Whichever stream lags inserts between the other's keys, into leaves it
+// has filled. The pools hold the whole store, and the leaves must end at
+// least 17.5 records full of 18: an overflowing leaf moves its tail into
+// its right sibling, and splits full when both siblings are full.
+func TestLeafFillTwoLoaders(t *testing.T) {
+	const (
+		records = 100000
+		valSize = 100
+	)
+	opts := Options{}
+	numPages := PagesNeeded(records, valSize, flash.DefaultDataSize, opts)
+	opts.PoolPages = int(numPages)/opts.withDefaults().Buckets + 1
+	chip := flash.NewChip(flash.ScaledParams(int(numPages)/flash.DefaultPagesPerBlock*5/4 + 8))
+	db, err := Open(newPDL(t, chip, int(numPages), false), numPages, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := make([]byte, valSize)
+	rng := rand.New(rand.NewSource(1))
+	for next := [2]uint64{0, 1}; next[0] < records || next[1] < records; {
+		c := rng.Intn(2)
+		if next[c] >= records {
+			c = 1 - c
+		}
+		if err := db.Put(next[c], v); err != nil {
+			t.Fatalf("put %d: %v", next[c], err)
+		}
+		next[c] += 2
+	}
+	perLeaf := float64(records) / float64(leaves(t, db))
+	t.Logf("%.2f records a leaf", perLeaf)
+	if perLeaf < 17.5 {
+		t.Errorf("%.2f records a leaf of 18, want at least 17.5", perLeaf)
+	}
+}
