@@ -75,10 +75,8 @@ import (
 // dirtied again soon after its write-back (a Sync's) still finds its image in
 // the window: a write that buffers a differential does not change the base.
 // put never touches the region. When the window goes dormant the region is
-// released, so a store that has turned read-only gives the memory back, and
-// the differential cache's arena may borrow it (see diffCache): it reads
-// dormant, and whoever wakes the window (Store.baseImage, RetainBase) has the
-// arena repay it once mu is released.
+// released, so a store that has turned read-only gives the memory back; no
+// other part of the budget takes it (see Options.DiffCachePages).
 //
 // mu is a leaf lock, never held with any other. All methods are safe on a
 // nil receiver (window off).

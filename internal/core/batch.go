@@ -92,15 +92,6 @@ func (st *writeStage) stageBase(idx int, ts uint64, pid uint32, data []byte) {
 	st.note(pid, staged{img: data})
 }
 
-// baseImage copies pid's retained base image stamped ts into dst, if there is
-// one. The ask can wake the window, so the record arena then repays what it
-// borrowed, once bimg.mu is released.
-func (s *Store) baseImage(pid uint32, ts uint64, dst []byte) bool {
-	ok := s.bimg.get(pid, ts, dst)
-	s.dcache.repay()
-	return ok
-}
-
 // stageWrite is the PDL_Writing algorithm (Figure 7) for one logical
 // write, the only implementation of it: resolve the base image, create the
 // differential by comparison, and store it in st's write buffer, staging —
@@ -133,7 +124,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		corrupt := false
 		switch {
 		case e.base == flash.NilPPN: // nothing to read: the initial load below
-		case s.baseImage(pid, baseTS, base):
+		case s.bimg.get(pid, baseTS, base):
 			s.wtel.writeBaseHits.Add(1)
 		default:
 			stable, bad, err := s.verifiedReadStable(readWriteBase, e.base, base, pid, v)
@@ -167,7 +158,8 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 	}
 
 	// Step 2: create the differential. This is the expensive comparison of
-	// two page images; it runs outside every store-level lock.
+	// two page images; it runs under pid's shard lock, held exclusively, so
+	// the shard's other writers wait for it.
 	d, err := diff.Compute(pid, ts, img, data)
 	if err != nil {
 		return fmt.Errorf("core: computing differential of pid %d: %w", pid, err)

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"pdl/internal/diff"
 )
@@ -66,15 +65,10 @@ import (
 // Arena bytes are reused, so readers merge or copy out under the mutex and
 // never keep a reference.
 //
-// The bound is the arena's floor. It shares one budget with the base images
-// held for a buffer pool's write-backs (see baseImages), and those are
-// released while the base-image window is dormant, which is what a store
-// serving only reads makes it: the arena may then borrow the held region's
-// bytes, a segment at a time past the floor, appended when the head wraps so
-// the ring stays oldest-first. When the window wakes, repay drops the borrowed
-// segments (every slot that points into one is cleared) before the held
-// region can fill again; makeRoom does the same if it finds the window awake
-// first. The arena reads the window's dormant flag and nothing else of it.
+// The arena never grows past the segments the bound pays for. The base
+// images held for a buffer pool's write-backs (see baseImages) have a share
+// of the same budget but their own bytes: the two never trade (see
+// Options.DiffCachePages).
 //
 // All methods are safe on a nil receiver (cache disabled).
 type diffCache struct {
@@ -91,19 +85,12 @@ type diffCache struct {
 	// dead[k] is the bytes of segment k's records no slot points at.
 	dead []int
 	live int // occupied slots
-	// floor is the number of segments the bound pays for; up to
-	// cap(segs) - floor more are borrowed while *lend is set (the base-image
-	// window is dormant).
-	floor int
-	lend  *atomic.Bool
-	// grown is set while len(segs) > floor: repay's one load when not.
-	grown atomic.Bool
 }
 
 const (
 	refBit = 1 << 31
-	// segPages sizes a segment in pages: the unit of reclaim, a thirtieth of
-	// the default bound.
+	// segPages sizes a segment in pages: the unit of reclaim, a thirty-second
+	// of the smallest default bound.
 	segPages = 8
 )
 
@@ -118,20 +105,7 @@ func newDiffCache(budget, numPages, pageSize int) *diffCache {
 		n, c.segSize = 1, max(arena, 0)
 	}
 	c.segs, c.dead = make([][]byte, n), make([]int, n)
-	c.floor = n
 	return c
-}
-
-// borrow lets the arena grow by up to bytes past its floor while *dormant is
-// set: the bytes of the held base images, which a dormant window has released.
-func (c *diffCache) borrow(dormant *atomic.Bool, bytes int) {
-	if c == nil || c.segSize == 0 {
-		return
-	}
-	n := min(c.floor+bytes/c.segSize, (math.MaxInt32-1)/c.segSize) // offsets are 31 bits
-	c.segs = append(make([][]byte, 0, n), c.segs...)
-	c.dead = make([]int, n)
-	c.lend = dormant
 }
 
 // at returns the record at arena offset off.
@@ -285,8 +259,8 @@ func (c *diffCache) drop(pid uint32, ts uint64) {
 // ends: a second-chance reclaim clears the hit flags of what it keeps, so,
 // with mu held, the second one of a segment empties it.
 func (c *diffCache) makeRoom(n int) {
-	if len(c.segs) > c.floor && !c.lend.Load() {
-		c.dropBorrowed()
+	if invariantsEnabled {
+		assertf(len(c.segs) == cap(c.segs), "diff cache: %d segments in a table of %d: the arena grew past its bound", len(c.segs), cap(c.segs))
 	}
 	for {
 		if c.segs[c.head] == nil {
@@ -294,12 +268,6 @@ func (c *diffCache) makeRoom(n int) {
 		}
 		if len(c.segs[c.head])+n <= c.segSize {
 			return
-		}
-		if c.head == len(c.segs)-1 && len(c.segs) < cap(c.segs) && c.lend.Load() {
-			c.segs = append(c.segs, nil)
-			c.grown.Store(true)
-			c.head++
-			continue
 		}
 		if k := c.deadest(n); k >= 0 {
 			c.head = k
@@ -326,8 +294,7 @@ func (c *diffCache) deadest(n int) int {
 // The records a reclaim keeps of a segment, beside those no slot points at,
 // which always go.
 const (
-	keepNone = iota // nothing
-	keepHit         // those hit since they were written (second chance), their flags cleared
+	keepHit  = iota // those hit since they were written (second chance), their flags cleared
 	keepLive        // every record a slot points at
 )
 
@@ -359,43 +326,6 @@ func (c *diffCache) reclaim(k int, keep int) {
 		assertf(dead == c.dead[k], "diff cache: segment %d counts %d dead bytes, its records %d", k, c.dead[k], dead)
 	}
 	c.segs[k], c.dead[k] = seg[:w], 0
-}
-
-// repay drops the segments the arena borrowed if the window is awake. The
-// caller holds no lock: the window's wake path calls it after releasing
-// bimg.mu.
-func (c *diffCache) repay() {
-	if c == nil || !c.grown.Load() || c.lend.Load() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.lend.Load() {
-		c.dropBorrowed()
-	}
-}
-
-// dropBorrowed empties and frees every segment past the floor; a head among
-// them goes back to the last floor segment. The caller holds mu.
-func (c *diffCache) dropBorrowed() {
-	for k := c.floor; k < len(c.segs); k++ {
-		c.reclaim(k, keepNone)
-	}
-	clear(c.segs[c.floor:])
-	c.segs = c.segs[:c.floor]
-	c.head = min(c.head, c.floor-1)
-	c.grown.Store(false)
-	if invariantsEnabled {
-		occupied := 0
-		for pid, slot := range c.idx {
-			off := int(slot &^ refBit)
-			assertf(off <= c.floor*c.segSize, "diff cache: slot %d points at %d, past the floor's %d bytes", pid, off-1, c.floor*c.segSize)
-			if off != 0 {
-				occupied++
-			}
-		}
-		assertf(occupied == c.live, "diff cache: %d occupied slots, live %d", occupied, c.live)
-	}
 }
 
 // bytes returns what the cache has allocated: the table and the segments.

@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"pdl/internal/diff"
+	"pdl/internal/flash"
+	"pdl/internal/ftltest"
 )
 
 // testRecord is the wire form of a differential of pid stamped ts that
@@ -376,30 +378,56 @@ func BenchmarkDiffCache(b *testing.B) {
 	}
 }
 
-// TestDiffCacheLendingLifecycle: the record arena and the held base images
-// share one budget. While writes are served the arena stays at its floor,
-// holds are held and each write-back hands its image back to the window; once
-// the store only reads, the window goes dormant and the
-// arena grows into the bytes the held region released, which buys hits; when
-// writes come back the borrowed segments go before anything is held again.
-// After every step the RAM below the pool is inside (2 + 1/8) x the bound.
-func TestDiffCacheLendingLifecycle(t *testing.T) {
+// TestDefaultCacheBudgetFollowsLogicalPages: with DiffCachePages zero the
+// budget P is one page for every pagesPerCachePage logical pages the store is
+// opened with, never fewer than defaultDiffCachePages; an explicit budget
+// wins, and DiffCacheOff turns the record arena, the window and the held
+// region off. Then a store that writes, turns read-only and writes again: the
+// arena never allocates past P, the window and the held region never past
+// P/8 + P, and the dormant window releases the held images.
+func TestDefaultCacheBudgetFollowsLogicalPages(t *testing.T) {
+	for _, c := range []struct{ numPages, opt, want int }{
+		{100, 0, 256},
+		{8192, 0, 256},
+		{12449, 0, 389},
+		{12449, 64, 64},
+		{12449, DiffCacheOff, 0},
+	} {
+		params := ftltest.SmallParams((c.numPages + 15) / 16)
+		s, err := New(flash.NewChip(params), c.numPages, Options{DiffCachePages: c.opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if c.want == 0 {
+			if s.dcache != nil || s.bimg != nil {
+				t.Fatalf("%d pages, DiffCacheOff: a cache was built", c.numPages)
+			}
+			continue
+		}
+		bound := c.want * params.DataSize
+		dc := s.dcache
+		arena := 4*dc.nslots + len(dc.segs)*dc.segSize
+		if arena > bound || arena <= bound-dc.segSize {
+			t.Errorf("%d pages, option %d: arena of %d bytes, want the most segments within %d", c.numPages, c.opt, arena, bound)
+		}
+		if s.bimg.held.max != c.want || s.bimg.win.max != c.want/baseImagesShare {
+			t.Errorf("%d pages, option %d: %d held and %d window slots, want %d and %d",
+				c.numPages, c.opt, s.bimg.held.max, s.bimg.win.max, c.want, c.want/baseImagesShare)
+		}
+	}
+
 	const numPages, cachePages = 200, 16
 	s, _, shadow := diffStore(t, Options{MaxDifferentialSize: 128, DiffCachePages: cachePages}, 64, numPages)
-	c, size := s.dcache, s.PageSize()
-	if c.floor != 1 || cap(c.segs) != 3 {
-		t.Fatalf("arena of %d floor segments growing to %d, want 1 and 3", c.floor, cap(c.segs))
-	}
-	limit := int64((2*baseImagesShare + 1) * cachePages * size / baseImagesShare)
-	floorBytes := int64(4*c.nslots + c.floor*c.segSize)
+	size := s.PageSize()
+	bound := int64(cachePages * size)
 	rng := rand.New(rand.NewSource(5))
 	buf := make([]byte, size)
 	step := func(what string) Telemetry {
 		t.Helper()
 		tel := s.Telemetry()
-		if got := tel.DiffCacheBytes + tel.BaseImageBytes; got > limit {
-			t.Fatalf("%s: arena %d + base images %d = %d bytes, past the budget's %d",
-				what, tel.DiffCacheBytes, tel.BaseImageBytes, got, limit)
+		if tel.DiffCacheBytes > bound || tel.BaseImageBytes > bound+bound/baseImagesShare {
+			t.Fatalf("%s: arena %d bytes, base images %d, past P = %d or P/8 + P", what, tel.DiffCacheBytes, tel.BaseImageBytes, bound)
 		}
 		return tel
 	}
@@ -426,73 +454,40 @@ func TestDiffCacheLendingLifecycle(t *testing.T) {
 		}
 		step(fmt.Sprintf("write %d", pid))
 	}
-	atFloor := func(what string) {
+	writes := func(what string, from uint32) {
 		t.Helper()
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		occupied := 0
-		for pid, slot := range c.idx {
-			if off := int(slot &^ refBit); off > c.floor*c.segSize {
-				t.Fatalf("%s: slot %d points at offset %d, past the floor's %d bytes", what, pid, off-1, c.floor*c.segSize)
-			} else if off != 0 {
-				occupied++
-			}
+		before := step(what)
+		for pid := from; pid < from+numPages; pid++ {
+			update(pid % numPages)
 		}
-		if len(c.segs) != c.floor || occupied != c.live {
-			t.Fatalf("%s: %d segments (floor %d), %d occupied slots, live %d", what, len(c.segs), c.floor, occupied, c.live)
+		tel := step(what)
+		if holds, hits := tel.BaseHolds-before.BaseHolds, tel.WriteBaseHits-before.WriteBaseHits; holds != numPages || hits != numPages || s.bimg.heldLen() != 0 {
+			t.Fatalf("%s: %d holds, %d write-backs served, %d images still held, want %d, %d and 0", what, holds, hits, s.bimg.heldLen(), numPages, numPages)
 		}
 	}
 
-	// Writes: holds are served and the arena keeps to its floor.
-	before := step("load")
-	for pid := uint32(0); pid < numPages; pid++ {
-		update(pid)
-	}
-	tel := step("writes")
-	if holds, hits := tel.BaseHolds-before.BaseHolds, tel.WriteBaseHits-before.WriteBaseHits; holds != numPages || hits != numPages || s.bimg.heldLen() != 0 {
-		t.Fatalf("writes: %d holds, %d write-backs served, %d images still held, want %d, %d and 0", holds, hits, s.bimg.heldLen(), numPages, numPages)
-	}
-	atFloor("writes")
-
-	// Reads only: the window sleeps, the held region is released, and the
-	// arena borrows it, a segment past the floor at a time.
-	hitsPerRound := make([]int64, 4)
-	for round := range hitsPerRound {
-		before = step("reads")
+	writes("writes", 0)
+	// Reads only: the window sleeps and the held region is released.
+	for round := 0; !s.bimg.dormant.Load(); round++ {
+		if round == 4 {
+			t.Fatal("the window never went dormant under reads")
+		}
 		for pid := uint32(0); pid < numPages; pid++ {
 			read(pid)
 		}
-		hitsPerRound[round] = step("reads").DiffCacheHits - before.DiffCacheHits
 	}
-	tel = step("reads")
-	if !s.bimg.dormant.Load() || s.bimg.heldLen() != 0 || tel.DiffCacheBytes <= floorBytes {
-		t.Fatalf("reads: dormant %v, %d held, arena %d bytes against a floor of %d",
-			s.bimg.dormant.Load(), s.bimg.heldLen(), tel.DiffCacheBytes, floorBytes)
+	if tel := step("reads"); s.bimg.heldLen() != 0 || tel.BaseImageBytes > bound/baseImagesShare {
+		t.Fatalf("reads: %d held, base images %d bytes against a window of %d", s.bimg.heldLen(), tel.BaseImageBytes, bound/baseImagesShare)
 	}
-	if last := hitsPerRound[len(hitsPerRound)-1]; last <= hitsPerRound[0] {
-		t.Fatalf("read-only rounds hit %v times: the borrowed bytes bought no hits", hitsPerRound)
-	}
-
-	// Writes again: the hold or write that wakes the window has the arena pay
-	// back what it borrowed, and from then on it stays at its floor.
+	// Writes again: a write or a hold wakes the window, and holds are served.
 	pid := uint32(0)
-	for s.bimg.dormant.Load() {
+	for ; s.bimg.dormant.Load(); pid++ {
 		if pid == 2*baseImagesProbe {
 			t.Fatal("the window never woke under writes")
 		}
 		update(pid % numPages)
-		pid++
 	}
-	atFloor("the wake")
-	before = step("the wake")
-	for range numPages {
-		update(pid % numPages)
-		pid++
-	}
-	if tel = step("writes again"); tel.BaseHolds-before.BaseHolds != numPages || tel.DiffCacheBytes > floorBytes {
-		t.Fatalf("writes again: %d holds, arena %d bytes against a floor of %d", tel.BaseHolds-before.BaseHolds, tel.DiffCacheBytes, floorBytes)
-	}
-	atFloor("writes again")
+	writes("writes again", pid)
 	for pid := range shadow {
 		mustReadEqual(t, s, uint32(pid), shadow[pid])
 	}

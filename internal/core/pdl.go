@@ -172,32 +172,32 @@ type Options struct {
 	BackgroundGC bool
 	// DiffCachePages is the one RAM budget below a buffer pool, in pages:
 	// with P = DiffCachePages x page size, the store's read caches never
-	// allocate more than (2 + 1/8) x P between them. Zero means a default of
-	// 256 pages' worth (P = 512 KB of 2 KB pages).
+	// allocate more than (2 + 1/8) x P between them. Zero means a default
+	// that follows the database: one page for every 32 logical pages the
+	// store is opened with (64 bytes a logical page of 2 KB), and never
+	// fewer than 256 (P = 512 KB of 2 KB pages).
 	//
 	// The differential cache keeps each logical page's newest flushed
 	// differential record (as it is in flash) in DRAM, so reads of
 	// diff-bearing pages cost one flash read plus a table lookup instead of
-	// two serial flash reads. Its floor is P, records and index included.
+	// two serial flash reads. It stays within P, records and index
+	// included.
 	//
 	// The window of retained base images (see baseImages) is P / 8, the
-	// last DiffCachePages / 8 base images reads fetched (32 at the default,
+	// last DiffCachePages / 8 base images reads fetched (32 at 256 pages,
 	// none below 8), which saves the write that follows a read its base page
 	// read. Carving it out of the record arena was measured and rejected
 	// (ycsb_c_cold 243.6 -> 247.7 sim-us a Get, +1.7%). Its slots are
 	// allocated as reads fill them, and reads stop filling them, the window
 	// goes dormant, while no write is being served from it.
 	//
-	// The last P is lent. While a buffer pool is naming the pages it dirties
-	// (RetainBase) it holds their base images for the write-backs, up to
-	// DiffCachePages of them, and each write-back hands its image back to the
-	// window, so what is held is what the pool has dirty. A dormant window
-	// releases them, and the record
-	// arena may then grow into those P bytes, which is what a store that only
-	// serves reads gets out of them (ycsb_c_cold 231 -> 194 sim-us a Get).
-	// When the window wakes, the arena drops what it borrowed before any
-	// image is held again. Telemetry.DiffCacheBytes and BaseImageBytes
-	// report the two sides.
+	// The last P holds base images for a buffer pool: while the pool is
+	// naming the pages it dirties (RetainBase) the store holds their base
+	// images for the write-backs, up to DiffCachePages of them, and each
+	// write-back hands its image back to the window, so what is held is
+	// what the pool has dirty. A dormant window releases them. The three
+	// parts keep to their own shares, so the bound holds part by part;
+	// Telemetry.DiffCacheBytes and BaseImageBytes report them.
 	//
 	// DiffCacheOff disables all three, restoring the paper's two-read
 	// PDL_Reading and the base page read of PDL_Writing step 1 exactly.
@@ -210,9 +210,13 @@ type Options struct {
 // when assigned to Options.DiffCachePages.
 const DiffCacheOff = -1
 
-// defaultDiffCachePages is the differential cache bound used when
-// Options.DiffCachePages is zero.
-const defaultDiffCachePages = 256
+// defaultDiffCachePages is the smallest budget Options.DiffCachePages
+// defaults to; pagesPerCachePage grows it with the database: one page of
+// budget for every pagesPerCachePage logical pages.
+const (
+	defaultDiffCachePages = 256
+	pagesPerCachePage     = 32
+)
 
 // reserveBlocks is the number of erased blocks kept aside for garbage
 // collection, device-wide; a channel's floor is its share of them, at least
@@ -482,7 +486,7 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	}
 	cachePages := opts.DiffCachePages
 	if cachePages == 0 {
-		cachePages = defaultDiffCachePages
+		cachePages = max(defaultDiffCachePages, numPages/pagesPerCachePage)
 	}
 	s := &Store{
 		dev:      dev,
@@ -501,9 +505,6 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	if cachePages > 0 {
 		s.dcache = newDiffCache(cachePages*p.DataSize, numPages, p.DataSize)
 		s.bimg = newBaseImages(cachePages/baseImagesShare, cachePages)
-		if s.bimg != nil { // the held region's bytes, lent to the arena while the window is dormant
-			s.dcache.borrow(&s.bimg.dormant, cachePages*p.DataSize)
-		}
 	}
 	for i := range s.shards {
 		s.shards[i].dwb.init(p.DataSize)
@@ -729,7 +730,6 @@ func (s *Store) RetainBase(pid uint32) {
 	default:
 		s.wtel.baseHoldMisses.Add(1)
 	}
-	s.dcache.repay() // the hold may have woken the window
 }
 
 // Flush implements ftl.Method: it writes every shard's differential write

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -356,9 +358,17 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 	return nil
 }
 
+// allErased reports whether every byte of b is 0xFF, the erased state. It
+// compares eight bytes at a time, then the tail.
 func allErased(b []byte) bool {
-	for _, x := range b {
-		if x != 0xFF {
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		if binary.LittleEndian.Uint64(b[i:]) != math.MaxUint64 {
+			return false
+		}
+	}
+	for ; i < len(b); i++ {
+		if b[i] != 0xFF {
 			return false
 		}
 	}

@@ -10,6 +10,49 @@ import (
 	"pdl/internal/ftltest"
 )
 
+// refAllErased is the byte loop allErased replaced: the reference it must
+// match.
+func refAllErased(b []byte) bool {
+	for _, x := range b {
+		if x != 0xFF {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAllErasedMatchesByteLoop checks the restart's free-page test against
+// the byte loop on every length up to three words, a spare area and a data
+// page, on slices that start off a word boundary: an erased image, one with a
+// programmed byte anywhere, and one whose only programmed bit is in the last
+// byte, which for most lengths is in the tail.
+func TestAllErasedMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ns := []int{32, 64, 512, 2048}
+	for n := 0; n <= 24; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		for trial := 0; trial < 50; trial++ {
+			off := rng.Intn(8)
+			erased := bytes.Repeat([]byte{0xFF}, off+n)[off:]
+			imgs := [][]byte{erased}
+			if n > 0 {
+				anywhere := bytes.Clone(erased)
+				anywhere[rng.Intn(n)] = byte(rng.Intn(0xFF))
+				last := bytes.Clone(erased)
+				last[n-1] &^= 1 << (trial % 8)
+				imgs = append(imgs, anywhere, last)
+			}
+			for k, img := range imgs {
+				if got, ref := allErased(img), refAllErased(img); got != ref || got != (k == 0) {
+					t.Fatalf("len %d trial %d image %d: allErased = %v, byte loop %v", n, trial, k, got, ref)
+				}
+			}
+		}
+	}
+}
+
 // runWorkload drives a store through n random partial updates, returning
 // the shadow (latest content) and the durable shadow (content as of the
 // last completed Flush).

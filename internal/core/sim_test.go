@@ -66,7 +66,7 @@ type simCell struct {
 	big     bool   // 16 blocks per channel, the allocator's stream gate, else fewer
 	shards  int    // Options.Shards: 0 (one per channel), 4, or 1 on the striped device
 	bg      bool   // Options.BackgroundGC
-	cache   int    // Options.DiffCachePages: DiffCacheOff, 1, 7 (no base-image window), 8 (a one-page window whose held bytes the arena borrows) or 0 (the default)
+	cache   int    // Options.DiffCachePages: DiffCacheOff, 1, 7 (no base-image window), 8 (a one-page window beside eight held images) or 0 (the default)
 	pool    bool   // the caller is a buffer.Pool, else the Store itself
 	short   bool   // in the -short subset
 }

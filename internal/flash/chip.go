@@ -92,20 +92,30 @@ func NewChip(p Params) *Chip {
 	c := &Chip{params: p, powerFailAfter: -1, erased: newErased(max(p.DataSize, p.SpareSize))}
 	c.blocks = make([]block, p.NumBlocks)
 	for i := range c.blocks {
-		c.blocks[i].pages = make([]page, p.PagesPerBlock)
-		for j := range c.blocks[i].pages {
-			pg := &c.blocks[i].pages[j]
-			pg.data = newErased(p.DataSize)
-			pg.spare = newErased(p.SpareSize)
+		// One data slab and one spare slab a block; each page's areas are
+		// cut out with their capacity capped, so no page reaches the next.
+		pages := make([]page, p.PagesPerBlock)
+		data := newErased(p.PagesPerBlock * p.DataSize)
+		spare := newErased(p.PagesPerBlock * p.SpareSize)
+		for j := range pages {
+			d, s := j*p.DataSize, j*p.SpareSize
+			pages[j].data = data[d : d+p.DataSize : d+p.DataSize]
+			pages[j].spare = spare[s : s+p.SpareSize : s+p.SpareSize]
 		}
+		c.blocks[i].pages = pages
 	}
 	return c
 }
 
+// newErased returns n bytes of 0xFF, filled by copies that double the
+// filled prefix.
 func newErased(n int) []byte {
 	b := make([]byte, n)
-	for i := range b {
-		b[i] = 0xFF
+	if n > 0 {
+		b[0] = 0xFF
+	}
+	for i := 1; i < n; i *= 2 {
+		copy(b[i:], b[:i])
 	}
 	return b
 }

@@ -72,6 +72,61 @@ func TestNewChipErased(t *testing.T) {
 	}
 }
 
+// TestChipSlabsKeepPagesApart: a block's pages are cut from one data slab
+// and one spare slab. A fresh chip reads erased everywhere, and programming a
+// page whole, torn by a power failure, at the end of its data area or in its
+// spare area changes that page and leaves every other page erased.
+func TestChipSlabsKeepPagesApart(t *testing.T) {
+	for _, p := range []Params{
+		{NumBlocks: 2, PagesPerBlock: 4, DataSize: 512, SpareSize: 16, ReadMicros: 1, WriteMicros: 1, EraseMicros: 1},
+		{NumBlocks: 2, PagesPerBlock: 4, DataSize: 24, SpareSize: 40, ReadMicros: 1, WriteMicros: 1, EraseMicros: 1},
+	} {
+		c := NewChip(p)
+		want := make([][2][]byte, p.NumPages()) // each page's data and spare
+		for ppn := range want {
+			want[ppn] = [2][]byte{filled(p.DataSize, 0xFF), filled(p.SpareSize, 0xFF)}
+		}
+		check := func(what string) {
+			t.Helper()
+			data, spare := make([]byte, p.DataSize), make([]byte, p.SpareSize)
+			for ppn := range want {
+				if err := c.Read(PPN(ppn), data, spare); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(data, want[ppn][0]) || !bytes.Equal(spare, want[ppn][1]) {
+					t.Fatalf("%+v, %s: page %d reads %x / %x, want %x / %x", p, what, ppn, data, spare, want[ppn][0], want[ppn][1])
+				}
+			}
+		}
+		check("fresh chip")
+
+		if err := c.Program(1, filled(p.DataSize, 0), filled(p.SpareSize, 0)); err != nil {
+			t.Fatal(err)
+		}
+		want[1] = [2][]byte{filled(p.DataSize, 0), filled(p.SpareSize, 0)}
+		check("program of page 1")
+
+		c.SchedulePowerFailure(1)
+		if err := c.Program(2, filled(p.DataSize, 0), filled(p.SpareSize, 0)); !errors.Is(err, ErrPowerLoss) {
+			t.Fatalf("torn program: %v, want ErrPowerLoss", err)
+		}
+		clear(want[2][0][:p.DataSize/2])
+		check("torn program of page 2")
+
+		if err := c.ProgramPartial(3, p.DataSize-4, filled(4, 0)); err != nil {
+			t.Fatal(err)
+		}
+		clear(want[3][0][p.DataSize-4:])
+		check("program of page 3's last bytes")
+
+		if err := c.ProgramSpare(4, filled(p.SpareSize, 0)); err != nil {
+			t.Fatal(err)
+		}
+		clear(want[4][1])
+		check("spare program of page 4")
+	}
+}
+
 func TestNewChipPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {

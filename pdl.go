@@ -71,7 +71,8 @@
 //	err := store.ReadBatch(pids, bufs)
 //
 // A Store also keeps a differential cache (Options.DiffCachePages, a byte
-// budget of that many pages): each logical page's
+// budget of that many pages, by default one for every 32 logical pages and
+// never fewer than 256): each logical page's
 // newest flushed differential record stays in DRAM as it is in flash —
 // records and index together inside DiffCachePages x page size bytes — so a
 // read of a diff-bearing page whose record is cached costs one flash read
@@ -85,7 +86,7 @@
 // is byte-identical with the cache on or off.
 //
 // Beside it the Store retains the last base page images its reads fetched
-// (DiffCachePages / 8 of them, 32 by default; none below 8), named
+// (DiffCachePages / 8 of them, 32 at 256 pages; none below 8), named
 // by page id and base time stamp: the paper's update operation reads a page,
 // changes it and writes it back, and the write then diffs against the
 // retained image instead of reading the base page from flash a second time
@@ -96,11 +97,10 @@
 // (Telemetry.BaseHolds, BaseHoldMisses): up to DiffCachePages more page
 // buffers while a pool is dirtying pages, none once it stops.
 //
-// The three share one RAM budget: the record cache keeps DiffCachePages
-// pages' worth, the window an eighth of that, and the held images up to
-// DiffCachePages pages more. A store serving only reads releases its held
-// images, and the record cache then borrows their bytes, which it gives
-// back before any image is held again, so the whole never passes
+// The three share one RAM budget and keep to their own shares of it: the
+// record cache DiffCachePages pages' worth, the window an eighth of that,
+// and the held images up to DiffCachePages pages more, which a store
+// serving only reads releases. The whole never passes
 // (2 + 1/8) x DiffCachePages pages (Telemetry.DiffCacheBytes,
 // BaseImageBytes).
 //

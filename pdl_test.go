@@ -283,7 +283,8 @@ func TestFacadeReadBatchAndDiffCache(t *testing.T) {
 		t.Error("no cache hit recorded")
 	}
 	// The bytes below the pool: records cached, base images retained, inside
-	// the one budget of (2 + 1/8) x DiffCachePages pages (256 by default).
+	// the one budget of (2 + 1/8) x DiffCachePages pages (256 by default at
+	// this size).
 	var bytesTel pdl.Telemetry = store.Telemetry()
 	if c, b := bytesTel.DiffCacheBytes, bytesTel.BaseImageBytes; c == 0 || b == 0 || c+b > 17*256*int64(size)/8 {
 		t.Errorf("DiffCacheBytes %d, BaseImageBytes %d", c, b)
