@@ -28,7 +28,9 @@ import (
 
 	"pdl/internal/bench"
 	"pdl/internal/flash"
+	"pdl/internal/flash/ecc"
 	"pdl/internal/flash/filedev"
+	"pdl/internal/ftl"
 	"pdl/internal/tpcc"
 )
 
@@ -58,10 +60,9 @@ func realMain() int {
 		ops       = flag.Int("ops", 20000, "measured operations per data point")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		csv       = flag.Bool("csv", false, "emit CSV instead of tables")
-		pageSize  = flag.Int("pagesize", flash.DefaultDataSize, "logical/physical page size in bytes (Figure 13(b) uses 8192)")
+		pageSize  = flag.Int("pagesize", flash.DefaultDataSize, "logical/physical page size in bytes, a multiple of 256 (Figure 13(b) uses 8192)")
 		nupdates  = flag.Int("n", 1, "N_updates_till_write for experiments 3 and 4")
 		warehouse = flag.Int("warehouses", 1, "TPC-C warehouses for experiment 7")
-		channels  = flag.Int("channels", 1, "stripe every run's device over N channels (block-granular, flash.Striped)")
 		backend   = flag.String("backend", "emu", "flash backend: emu (in-memory) or file (persistent)")
 		path      = flag.String("path", "", "directory for -backend file device files (default: a temp dir)")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file (profile GC and lock behavior directly)")
@@ -100,21 +101,22 @@ func realMain() int {
 		}()
 	}
 
+	if *pageSize <= 0 || *pageSize%ecc.SectorSize != 0 {
+		fmt.Fprintf(os.Stderr, "pdlbench: -pagesize %d is not a positive multiple of %d\n", *pageSize, ecc.SectorSize)
+		return 1
+	}
 	g := bench.DefaultGeometry()
 	g.Params.NumBlocks = *blocks
-	if *pageSize != flash.DefaultDataSize {
-		g.Params.DataSize = *pageSize
-		g.Params.SpareSize = *pageSize / 32
-	}
+	// The spare area scales with the page (64 bytes for 2 KB, as in
+	// Table 1), but never below what the header and the integrity trailer
+	// take: 30 bytes at 512, 36 at 1024.
+	g.Params.DataSize = *pageSize
+	g.Params.SpareSize = max(*pageSize/32, ftl.HeaderSpareBytes+ftl.IntegritySpareBytes(*pageSize))
 	g.DBFrac = *dbfrac
 	g.GCRounds = *gcrounds
 	g.ConditionMaxOps = 20_000_000
 	g.MeasureOps = *ops
 	g.Seed = *seed
-	if *channels < 1 {
-		*channels = 1
-	}
-	g.Channels = *channels
 	switch *backend {
 	case "emu":
 		// Default: fresh emulated chips.

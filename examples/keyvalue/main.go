@@ -38,7 +38,7 @@ func main() {
 }
 
 func run(method string) (pdl.FlashStats, error) {
-	opts := pdl.KVOptions{Buckets: 8, PoolPages: 8}
+	opts := pdl.KVOptions{PoolPages: 8}
 	numPages := pdl.KVPagesNeeded(numKeys, valueSize, pdl.ScaledFlashParams(1).DataSize, opts)
 	chip := pdl.NewChip(pdl.ScaledFlashParams(256)) // 32 MB
 	var m pdl.Method

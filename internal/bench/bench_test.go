@@ -173,6 +173,50 @@ func TestExp2Shapes(t *testing.T) {
 	}
 }
 
+// TestExp3Shapes checks Figure 14 at N=1: OPU rewrites a whole page
+// whatever changed, so its cost is flat; PDL(256B) grows with the share of
+// the page an update changes, as its differentials grow, and stays below
+// OPU throughout; IPL(18KB) fills its log sectors and merges ever more often,
+// far above OPU by 50%.
+func TestExp3Shapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs are slow")
+	}
+	g := testGeometry()
+	specs := []MethodSpec{
+		{Kind: KindOPU},
+		{Kind: KindPDL, Param: g.Params.DataSize / 8},
+		{Kind: KindIPL, Param: 9 * g.Params.PagesPerBlock / 64},
+	}
+	pcts := []float64{0.5, 5, 50}
+	rows, err := Exp3(g, specs, pcts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		t.Logf("%-10s %4g%% %9.1f us", r.Method, r.X, r.Overall)
+	}
+	opu0 := rowOf(t, rows, "OPU", pcts[0]).Overall
+	var lastPDL float64
+	for _, pct := range pcts {
+		opu := rowOf(t, rows, "OPU", pct).Overall
+		pdl := rowOf(t, rows, "PDL(256B)", pct).Overall
+		if opu < 0.95*opu0 || opu > 1.05*opu0 {
+			t.Errorf("OPU at %g%% (%.1f) should stay within 5%% of its %g%% cost (%.1f)", pct, opu, pcts[0], opu0)
+		}
+		if !(pdl < opu) {
+			t.Errorf("PDL(256B) at %g%% (%.1f) should beat OPU (%.1f)", pct, pdl, opu)
+		}
+		if !(pdl > lastPDL) {
+			t.Errorf("PDL(256B) at %g%% (%.1f) should cost more than at the smaller change (%.1f)", pct, pdl, lastPDL)
+		}
+		lastPDL = pdl
+	}
+	if ipl, opu := rowOf(t, rows, "IPL(18KB)", 50).Overall, rowOf(t, rows, "OPU", 50).Overall; !(ipl > 2*opu) {
+		t.Errorf("IPL(18KB) at 50%% (%.1f) should cost over twice OPU (%.1f)", ipl, opu)
+	}
+}
+
 func TestExp4Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are slow")

@@ -27,45 +27,20 @@ type Geometry struct {
 	MeasureOps int
 	// Seed drives all randomness.
 	Seed int64
-	// Channels stripes every run's device over this many sub-devices
-	// (block-granular, flash.Striped). 0 or 1 means a plain single-chip
-	// device. NumBlocks is rounded up to a multiple of Channels.
-	Channels int
 	// NewDevice builds the flash backend for one method run; label is a
 	// unique human-readable tag for the run (backends that allocate files
 	// can derive names from it). Nil means a fresh in-memory emulated
-	// chip with the run's params. Under Channels > 1 the hook builds each
-	// sub-device (labels get a "-chN" suffix).
+	// chip with the run's params.
 	NewDevice func(p flash.Params, label string) (flash.Device, error)
 }
 
 // device builds one run's backend through the NewDevice hook (or the
-// emulator default), striping it over g.Channels sub-devices when the
-// geometry is multi-channel.
+// emulator default).
 func (g Geometry) device(p flash.Params, label string) (flash.Device, error) {
-	one := func(p flash.Params, label string) (flash.Device, error) {
-		if g.NewDevice == nil {
-			return flash.NewChip(p), nil
-		}
-		return g.NewDevice(p, label)
+	if g.NewDevice == nil {
+		return flash.NewChip(p), nil
 	}
-	if g.Channels <= 1 {
-		return one(p, label)
-	}
-	sp := p
-	sp.NumBlocks = (p.NumBlocks + g.Channels - 1) / g.Channels
-	subs := make([]flash.Device, g.Channels)
-	for ch := range subs {
-		sub, err := one(sp, fmt.Sprintf("%s-ch%d", label, ch))
-		if err != nil {
-			for _, s := range subs[:ch] {
-				s.Close()
-			}
-			return nil, err
-		}
-		subs[ch] = sub
-	}
-	return flash.NewStriped(subs...)
+	return g.NewDevice(p, label)
 }
 
 // DefaultGeometry returns a laptop-scale default: a 64-Mbyte chip with the

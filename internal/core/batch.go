@@ -506,7 +506,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 		}
 		sp := spares[i*spareSize : (i+1)*spareSize]
 		ftl.EncodeHeaderInto(h, sp)
-		s.seal(op.data, sp)
+		ftl.SealSpare(op.data, sp)
 	}
 	if len(ops) == 1 {
 		err = s.dev.Program(ops[0].ppn, ops[0].data, spares)

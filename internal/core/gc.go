@@ -112,8 +112,8 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 	p := s.params
 	scratch := s.getPage()
 	defer s.putPage(scratch)
-	spare := s.getVerifySpare()
-	defer s.putVerifySpare(spare)
+	spare := s.spares.get()
+	defer s.spares.put(spare)
 	bad, err := s.verifiedRead(ppn, scratch, spare)
 	if err != nil {
 		return err
@@ -125,7 +125,7 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 	spareBuf := s.chans[ch].spareBuf
 	ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeBase, PID: pid, TS: ts}, spareBuf)
 	if len(bad) == 0 {
-		s.seal(scratch, spareBuf) // verified copy: fresh seal (scrub)
+		ftl.SealSpare(scratch, spareBuf) // verified copy: fresh seal (scrub)
 	} else {
 		// Uncorrectable content: carry the original ECC so corruption
 		// stays detectable; only the header checksum is recomputed over
@@ -161,9 +161,9 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 func (s *Store) validDifferentials(ppn flash.PPN, keep []byte) (_ []byte, n int, err error) {
 	page := s.getPage()
 	defer s.putPage(page)
-	spare := s.getVerifySpare()
+	spare := s.spares.get()
 	bad, err := s.verifiedRead(ppn, page, spare)
-	s.putVerifySpare(spare)
+	s.spares.put(spare)
 	if err != nil {
 		return keep, 0, err
 	}
@@ -230,7 +230,7 @@ func (s *Store) writeCompactedPage(recs []byte, from []flash.PPN, ch int) error 
 	packDiffPage(img, recs)
 	spareBuf := s.chans[ch].spareBuf
 	ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: s.nextTS()}, spareBuf)
-	s.seal(img, spareBuf)
+	ftl.SealSpare(img, spareBuf)
 	if err := s.dev.Program(q, img, spareBuf); err != nil {
 		return err
 	}

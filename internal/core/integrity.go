@@ -1,13 +1,13 @@
 // Page integrity: spare-area sealing, read-path verification, and
 // single-page self-healing.
 //
-// Every base and differential page the store programs is "sealed" when
-// the geometry allows it: the spare area carries, after the
-// 23-byte header, a SEC-DED ECC over the data area (3 bytes per 256-byte
-// sector, internal/flash/ecc) and a CRC-8 checksum over the header fields
-// (see the layout comment in internal/ftl). Sealing is pure CPU — the
-// trailer rides the page's one program operation — so it is always on
-// when it fits.
+// Every base and differential page the store programs is "sealed": the
+// spare area carries, after the 23-byte header, a SEC-DED ECC over the
+// data area (3 bytes per 256-byte sector, internal/flash/ecc) and a CRC-8
+// checksum over the header fields (see the layout comment in internal/ftl). Sealing is pure CPU — the
+// trailer rides the page's one program operation — and New refuses a
+// geometry whose spare area cannot carry it, so there is no unsealed page
+// format.
 //
 // On read, the verifying paths correct single-bit flips silently
 // (Telemetry.EccCorrectedBits) and treat an uncorrectable sector as a
@@ -93,33 +93,6 @@ type integrityTelemetry struct {
 	headerChecksumFailures atomic.Int64
 }
 
-// getVerifySpare returns a pooled spare-area scratch for a verifying
-// read, or nil when the geometry carries no trailer to verify against (the
-// read funnels then skip the spare area entirely).
-func (s *Store) getVerifySpare() []byte {
-	if !s.sealed {
-		return nil
-	}
-	return s.spares.get()
-}
-
-// putVerifySpare returns a verify scratch to the pool (nil is a no-op).
-func (s *Store) putVerifySpare(b []byte) {
-	if b != nil {
-		s.spares.put(b)
-	}
-}
-
-// seal writes the data-area ECC and header checksum into an encoded
-// spare (ftl.SealSpare); a no-op when the geometry cannot carry the
-// trailer, so every program site calls it unconditionally between
-// EncodeHeaderInto and the program.
-func (s *Store) seal(data, spare []byte) {
-	if s.sealed {
-		ftl.SealSpare(data, spare)
-	}
-}
-
 // verifyData checks data against the ECC in its sealed spare, correcting
 // single-bit flips in place (counted in telemetry) and returning the
 // indices of uncorrectable sectors (nil when clean).
@@ -157,20 +130,15 @@ const (
 // so no read path can bypass verification by construction.
 
 // verifiedReadStable is the raw read of the optimistic (version-checked)
-// paths: it reads ppn's data area — and, into a pooled scratch, its spare
-// area on a sealed store — re-checks the pid's mapping version, and
-// only then verifies, so corrected-bit counts and heal decisions are never
-// taken on bytes a concurrent relocation made stale.
+// paths: it reads ppn's data area and, into a pooled scratch, its spare
+// area, re-checks the pid's mapping version, and only then verifies, so
+// corrected-bit counts and heal decisions are never taken on bytes a
+// concurrent relocation made stale.
 //
 //pdlvet:ignore deviceio raw-read funnel; every other core read goes through here
 func (s *Store) verifiedReadStable(kind readKind, ppn flash.PPN, data []byte, pid uint32, v uint64) (stable bool, bad []int, err error) {
-	spare := s.getVerifySpare()
-	if spare == nil {
-		err = s.dev.ReadData(ppn, data)
-		s.countReads(kind, err)
-		return s.mt.stable(pid, v), nil, err
-	}
-	defer s.putVerifySpare(spare)
+	spare := s.spares.get()
+	defer s.spares.put(spare)
 	err = s.dev.Read(ppn, data, spare)
 	s.countReads(kind, err)
 	if !s.mt.stable(pid, v) {
@@ -184,15 +152,10 @@ func (s *Store) verifiedReadStable(kind readKind, ppn flash.PPN, data []byte, pi
 
 // verifiedRead is the raw read of the locked path, GC relocation (it holds
 // the victim's channel lock, so no version check is needed): read and
-// verify in one step. A nil spare skips verification.
+// verify in one step.
 //
 //pdlvet:ignore deviceio raw-read funnel
 func (s *Store) verifiedRead(ppn flash.PPN, data, spare []byte) (bad []int, err error) {
-	if spare == nil {
-		err = s.dev.ReadData(ppn, data)
-		s.countReads(readGC, err)
-		return nil, err
-	}
 	err = s.dev.Read(ppn, data, spare)
 	s.countReads(readGC, err)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pdl/internal/diff"
@@ -25,6 +26,37 @@ func faultedStore(t *testing.T, numBlocks, numPages int, opts Options) (*Store, 
 	}
 	shadow := loadInto(t, s, numPages)
 	return s, fd, shadow
+}
+
+// TestNewRejectsUnsealableGeometry: every page a store programs is sealed,
+// so New (and Recover, which calls it) refuses a geometry whose spare area
+// cannot carry the header and the integrity trailer, naming the bytes a page
+// needs, and a data area that is not a whole number of ECC sectors.
+func TestNewRejectsUnsealableGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		data, spare int
+		want        string
+	}{
+		{1024, 32, "a 1024-byte page needs 36 spare bytes"},
+		{512, 16, "a 512-byte page needs 30 spare bytes"},
+		{1000, 64, "not a multiple of the 256-byte ECC sector"},
+	} {
+		p := ftltest.SmallParams(8)
+		p.DataSize, p.SpareSize = tc.data, tc.spare
+		for name, open := range map[string]func(flash.Device, int, Options) (*Store, error){
+			"New": New, "Recover": Recover,
+		} {
+			_, err := open(flash.NewChip(p), 16, Options{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s over %d+%d: %v, want an error containing %q", name, tc.data, tc.spare, err, tc.want)
+			}
+		}
+	}
+	p := ftltest.SmallParams(8)
+	p.DataSize, p.SpareSize = 1024, 36
+	if _, err := New(flash.NewChip(p), 16, Options{}); err != nil {
+		t.Fatalf("New over 1024+36: %v", err)
+	}
 }
 
 func loadInto(t *testing.T, s *Store, numPages int) [][]byte {

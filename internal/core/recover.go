@@ -264,7 +264,7 @@ type scanResult struct {
 // worker's candidate tables collect base pages and decoded differentials.
 // Each worker owns its buffers, and devices serve concurrent reads.
 //
-// On a sealed store a programmed page must pass its spare-area header
+// A programmed page must pass its spare-area header
 // checksum and (base and differential pages) its data-area ECC before it
 // may compete: a page that fails either check is quarantined — excluded
 // from arbitration and counted obsolete — so a corrupt spare can never
@@ -298,7 +298,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 			if h.Obsolete {
 				continue
 			}
-			if s.sealed && h.Type != ftl.TypeFree &&
+			if h.Type != ftl.TypeFree &&
 				!ftl.VerifyHeaderChecksum(spare, p.DataSize) {
 				s.itel.headerChecksumFailures.Add(1)
 				infos[ppn].quarantined = true
@@ -319,7 +319,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 				if int(h.PID) >= numPages {
 					continue
 				}
-				if s.sealed && len(s.verifyData(data, spare)) > 0 {
+				if len(s.verifyData(data, spare)) > 0 {
 					s.itel.unrecoverablePages.Add(1)
 					infos[ppn].quarantined = true
 					if ts, ok := res.poison[h.PID]; !ok || h.TS < ts {
@@ -331,7 +331,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 					res.bases[h.PID] = candidate{ppn: ppn, ts: h.TS}
 				}
 			case ftl.TypeDiff:
-				if s.sealed && len(s.verifyData(data, spare)) > 0 {
+				if len(s.verifyData(data, spare)) > 0 {
 					// The page's records are unreadable; the pids it served
 					// fall back to their base images (or an older surviving
 					// differential), which is consistent — just older.

@@ -152,9 +152,9 @@ const (
 //	         reader consults). Left erased, never decoded, and inside the
 //	         header checksum, so those images still verify
 //
-// When the geometry permits (data area sector-aligned, spare area large
-// enough), a sealed page additionally carries, immediately after the
-// header:
+// A sealed page additionally carries, immediately after the header (the
+// geometry must pass CheckSealable: data area sector-aligned, spare area
+// large enough):
 //
 //	[23:23+E]  SEC-DED ECC over the data area, 3 bytes per 256-byte
 //	           sector (internal/flash/ecc); E = DataSize/256*3, 24 bytes
@@ -285,7 +285,7 @@ func CheckPageBuf(buf []byte, dataSize int) error {
 
 // ECCSpareBytes returns the spare bytes the per-sector ECC of a data area
 // occupies: 3 per 256-byte sector, or 0 when the data area is not
-// sector-aligned (integrity disabled).
+// sector-aligned (CheckSealable rejects such a geometry).
 func ECCSpareBytes(dataSize int) int {
 	if dataSize <= 0 || dataSize%ecc.SectorSize != 0 {
 		return 0
@@ -304,11 +304,29 @@ func IntegritySpareBytes(dataSize int) int {
 	return e + 1
 }
 
-// IntegrityFits reports whether a page of the given geometry can carry the
-// integrity trailer after its header.
-func IntegrityFits(dataSize, spareSize int) bool {
-	n := IntegritySpareBytes(dataSize)
-	return n > 0 && spareSize >= HeaderSpareBytes+n
+// CheckHeaderFits reports whether a spare area can hold the page header.
+// Like CheckSealable, its error is unprefixed for the caller to wrap.
+func CheckHeaderFits(spareSize int) error {
+	if spareSize < HeaderSpareBytes {
+		return fmt.Errorf("a %d-byte spare area cannot hold the %d-byte page header",
+			spareSize, HeaderSpareBytes)
+	}
+	return nil
+}
+
+// CheckSealable reports whether a page of the given geometry can carry the
+// header and, after it, the integrity trailer: the data area must be a whole
+// number of ECC sectors, and the error names the spare bytes a page needs.
+func CheckSealable(dataSize, spareSize int) error {
+	if ECCSpareBytes(dataSize) == 0 {
+		return fmt.Errorf("a %d-byte data area is not a multiple of the %d-byte ECC sector",
+			dataSize, ecc.SectorSize)
+	}
+	if need := HeaderSpareBytes + IntegritySpareBytes(dataSize); spareSize < need {
+		return fmt.Errorf("a %d-byte page needs %d spare bytes for its header and integrity trailer, the device has %d",
+			dataSize, need, spareSize)
+	}
+	return nil
 }
 
 // SpareECC returns the ECC region of a spare for the given data size. It
@@ -347,14 +365,10 @@ func HeaderChecksum(spare []byte) byte {
 }
 
 // SealSpare writes the data-area ECC and the header checksum into the
-// integrity trailer of an encoded spare. It allocates nothing and is a
-// no-op when the geometry cannot carry the trailer, so writers may call it
-// unconditionally after EncodeHeaderInto.
+// integrity trailer of an encoded spare. It allocates nothing; the geometry
+// must pass CheckSealable.
 func SealSpare(data, spare []byte) {
-	if !IntegrityFits(len(data), len(spare)) {
-		return
-	}
-	_ = ecc.ComputePageInto(data, SpareECC(spare, len(data))) // IntegrityFits checked the sizes
+	_ = ecc.ComputePageInto(data, SpareECC(spare, len(data))) // CheckSealable checked the sizes
 	ResealHeader(spare, len(data))
 }
 

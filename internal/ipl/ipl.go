@@ -84,6 +84,9 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	if numPages <= 0 {
 		return nil, fmt.Errorf("ipl: numPages must be positive, got %d", numPages)
 	}
+	if err := ftl.CheckHeaderFits(p.SpareSize); err != nil {
+		return nil, fmt.Errorf("ipl: %w", err)
+	}
 	logPages := opts.LogPagesPerBlock
 	if logPages == 0 {
 		logPages = p.PagesPerBlock / 4

@@ -44,6 +44,9 @@ func New(dev flash.Device, numPages int) (*Store, error) {
 		return nil, fmt.Errorf("ipu: database of %d pages exceeds flash capacity of %d pages",
 			numPages, p.NumPages())
 	}
+	if err := ftl.CheckHeaderFits(p.SpareSize); err != nil {
+		return nil, fmt.Errorf("ipu: %w", err)
+	}
 	s := &Store{
 		dev:        dev,
 		params:     p,

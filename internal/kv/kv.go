@@ -80,23 +80,18 @@ var (
 	ErrFull = errors.New("kv: store is full")
 )
 
+// numBuckets is the hash-partition count, the store's write concurrency
+// width. Every store has this many; Reopen refuses metadata naming another.
+const numBuckets = 8
+
 // Options tunes a store. The zero value picks serviceable defaults.
 type Options struct {
-	// Buckets is the hash-partition count — the store's write
-	// concurrency width. Default 8, clamped to [1, 64].
-	Buckets int
 	// PoolPages is each bucket's buffer-pool capacity in pages.
 	// Default 64, minimum 8.
 	PoolPages int
 }
 
 func (o Options) withDefaults() Options {
-	if o.Buckets <= 0 {
-		o.Buckets = 8
-	}
-	if o.Buckets > maxBuckets {
-		o.Buckets = maxBuckets
-	}
 	if o.PoolPages <= 0 {
 		o.PoolPages = 64
 	}
@@ -198,11 +193,11 @@ func (d *DB) bucketOf(k uint64) int { return int(mix(k) % uint64(len(d.buckets))
 
 // bucketSpan is how many of numPages each of the buckets gets, page 0 being
 // the metadata's. A layout needs at least 4.
-func bucketSpan(numPages uint32, buckets int) uint32 {
+func bucketSpan(numPages uint32) uint32 {
 	if numPages < 2 {
 		return 0
 	}
-	return (numPages - 1) / uint32(buckets)
+	return (numPages - 1) / numBuckets
 }
 
 // Open creates a fresh store over the first numPages logical pages of
@@ -211,18 +206,18 @@ func bucketSpan(numPages uint32, buckets int) uint32 {
 // durable until Sync.
 func Open(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	span := bucketSpan(numPages, opts.Buckets)
+	span := bucketSpan(numPages)
 	if span < 4 {
 		return nil, fmt.Errorf("kv: %d pages cannot hold %d buckets (need >= %d)",
-			numPages, opts.Buckets, 1+4*opts.Buckets)
+			numPages, numBuckets, 1+4*numBuckets)
 	}
 	d := &DB{
 		method:   newMethod(method),
-		buckets:  make([]bucket, opts.Buckets),
+		buckets:  make([]bucket, numBuckets),
 		numPages: numPages,
 		span:     span,
 	}
-	if err := checkMetaFits(d.method.PageSize(), opts.Buckets); err != nil {
+	if err := checkMetaFits(d.method.PageSize()); err != nil {
 		return nil, err
 	}
 	for i := range d.buckets {
@@ -243,9 +238,9 @@ func Open(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 func (d *DB) first(i int) uint32 { return 1 + uint32(i)*d.span }
 
 // Reopen rebuilds a store from the recovery metadata its last Sync
-// persisted. The layout (bucket count, page split) comes from the
-// metadata page; opts supplies only PoolPages. numPages must match the
-// value the store was opened with.
+// persisted; opts supplies only PoolPages. numPages must match the value
+// the store was opened with, and the metadata must name the page split
+// Open lays out over it.
 func Reopen(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	m := newMethod(method)
@@ -259,14 +254,14 @@ func Reopen(method ftl.Method, numPages uint32, opts Options) (*DB, error) {
 	}
 	// The checksum covers the bucket records only: the split is checked here,
 	// against what Open lays out, before any page id is computed from it.
-	span := bucketSpan(numPages, len(meta.states))
+	span := bucketSpan(numPages)
 	if span < 4 || meta.treePages != span {
 		return nil, fmt.Errorf("kv: metadata names %d tree pages a bucket, Open lays out %d",
 			meta.treePages, span)
 	}
 	d := &DB{
 		method:   m,
-		buckets:  make([]bucket, len(meta.states)),
+		buckets:  make([]bucket, numBuckets),
 		numPages: meta.numPages,
 		span:     span,
 	}
@@ -294,7 +289,7 @@ func PagesNeeded(records int, valueSize, pageSize int, opts Options) uint32 {
 		records = 1
 	}
 	// Expected records per bucket, plus 25% hash-imbalance headroom.
-	perBucket := records/opts.Buckets + 1
+	perBucket := records/numBuckets + 1
 	perBucket += perBucket / 4
 	// Leaves packed full: a record costs its key, its value and a slot, and
 	// a leaf loses its header, about 8 bytes. 30% more for leaves that
@@ -316,15 +311,12 @@ func PagesNeeded(records int, valueSize, pageSize int, opts Options) uint32 {
 		}
 		span += span/8 + 1
 	}
-	return 1 + uint32(opts.Buckets)*uint32(max(4, span))
+	return 1 + numBuckets*uint32(max(4, span))
 }
 
 // MaxValueSize returns the largest storable value: the largest of which a
 // leaf page holds two.
 func (d *DB) MaxValueSize() int { return d.buckets[0].tree.MaxValueSize() }
-
-// Buckets returns the hash-partition count.
-func (d *DB) Buckets() int { return len(d.buckets) }
 
 // NumPages returns the logical page span the store occupies.
 func (d *DB) NumPages() uint32 { return d.numPages }
@@ -367,7 +359,7 @@ func (d *DB) PutBatch(entries []Entry) error {
 			return fmt.Errorf("%w: %d bytes, max %d", ErrValueTooLarge, len(e.Value), d.MaxValueSize())
 		}
 	}
-	var want [maxBuckets]bool
+	var want [numBuckets]bool
 	for _, e := range entries {
 		want[d.bucketOf(e.Key)] = true
 	}

@@ -43,7 +43,7 @@ func val(k uint64, ver uint64, size int) []byte {
 
 func TestPutGetDeleteScanLen(t *testing.T) {
 	const records = 600
-	opts := Options{Buckets: 4, PoolPages: 32}
+	opts := Options{PoolPages: 32}
 	numPages := PagesNeeded(records, 40, 512, opts)
 	chip := flash.NewChip(ftltest.SmallParams(int(numPages)/16 + 24))
 	db, err := Open(newPDL(t, chip, int(numPages), false), numPages, opts)
@@ -163,7 +163,7 @@ func TestScanSnapshotNoTornBatch(t *testing.T) {
 		valSize   = 16
 	)
 	records := groups*groupSize + churnKeys
-	opts := Options{Buckets: 8, PoolPages: 24}
+	opts := Options{PoolPages: 24}
 	numPages := PagesNeeded(records, valSize, 512, opts)
 	chip := flash.NewChip(ftltest.SmallParams(int(numPages)/16 + 24))
 	db, err := Open(newPDL(t, chip, int(numPages), true), numPages, opts)
@@ -261,7 +261,7 @@ func TestConcurrentHammer(t *testing.T) {
 		ops     = 400 // per worker
 		valSize = 24
 	)
-	opts := Options{Buckets: 8, PoolPages: 24}
+	opts := Options{PoolPages: 24}
 	numPages := PagesNeeded(workers*keys, valSize, 512, opts)
 	chip := flash.NewChip(ftltest.SmallParams(int(numPages)/16 + 24))
 	db, err := Open(newPDL(t, chip, int(numPages), true), numPages, opts)
@@ -371,7 +371,7 @@ func killReopenDump(t *testing.T, dev flash.Device, reopen func() flash.Device) 
 		syncVer  = uint64(1)
 		crashVer = uint64(2)
 	)
-	opts := Options{Buckets: 4, PoolPages: 16}
+	opts := Options{PoolPages: 16}
 	numPages := PagesNeeded(records, valSize, 512, opts)
 	coreOpts := core.Options{
 		MaxDifferentialSize: 128,
@@ -502,10 +502,11 @@ func TestReopenRejectsFresh(t *testing.T) {
 // Open makes. Reopen refuses it: a bucket's tree takes exactly its span (a
 // smaller range would hide pages the tree allocated, a larger one hand it the
 // pages of the bucket that follows), and a version-1 page, the layout of heap
-// pages beside an index, or any other version is refused by name.
+// pages beside an index, or any other version is refused by name, and so is
+// a bucket count other than the one every store has.
 func TestReopenRejectsBadLayout(t *testing.T) {
 	const numPages = 200
-	opts := Options{Buckets: 4, PoolPages: 8}
+	opts := Options{PoolPages: 8}
 	chip := flash.NewChip(ftltest.SmallParams(32))
 	m := newPDL(t, chip, numPages, false)
 	db, err := Open(m, numPages, opts)
@@ -522,7 +523,7 @@ func TestReopenRejectsBadLayout(t *testing.T) {
 	if err := m.ReadPage(0, page0); err != nil {
 		t.Fatal(err)
 	}
-	span := bucketSpan(numPages, opts.Buckets)
+	span := bucketSpan(numPages)
 	if got := binary.LittleEndian.Uint32(page0[20:]); got != span {
 		t.Fatalf("Sync wrote %d tree pages a bucket, want the span %d", got, span)
 	}
@@ -550,6 +551,14 @@ func TestReopenRejectsBadLayout(t *testing.T) {
 			t.Errorf("Reopen of a version-%d page: %v", version, err)
 		}
 	}
+	for _, buckets := range []uint32{0, 1, numBuckets / 2, numBuckets + 1, 64} {
+		binary.LittleEndian.PutUint32(page0[12:], buckets)
+		err := reopen(metaVersion, span)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("names %d buckets", buckets)) {
+			t.Errorf("Reopen of a page naming %d buckets: %v", buckets, err)
+		}
+	}
+	binary.LittleEndian.PutUint32(page0[12:], numBuckets)
 	if err := reopen(metaVersion, span); err != nil {
 		t.Fatalf("Reopen of the synced page: %v", err)
 	}
@@ -574,7 +583,7 @@ func TestPagesNeededPinned(t *testing.T) {
 // with no internal locking — relying on the serializing wrapper.
 func TestSerializedBaseline(t *testing.T) {
 	const records = 240
-	opts := Options{Buckets: 4, PoolPages: 16}
+	opts := Options{PoolPages: 16}
 	numPages := PagesNeeded(records, 24, 512, opts)
 	chip := flash.NewChip(ftltest.SmallParams(int(numPages)/16 + 24))
 	m, err := opu.New(chip, int(numPages), 2)
@@ -622,11 +631,11 @@ func TestSerializedBaseline(t *testing.T) {
 // opened at exactly PagesNeeded accepts the declared record count.
 func TestPagesNeededHolds(t *testing.T) {
 	for _, tc := range []struct {
-		records, valSize, buckets int
+		records, valSize int
 	}{
-		{500, 40, 4}, {2000, 16, 8}, {300, 120, 2},
+		{500, 40}, {2000, 16}, {300, 120},
 	} {
-		opts := Options{Buckets: tc.buckets, PoolPages: 32}
+		opts := Options{PoolPages: 32}
 		numPages := PagesNeeded(tc.records, tc.valSize, 512, opts)
 		chip := flash.NewChip(ftltest.SmallParams(int(numPages)/16 + 24))
 		db, err := Open(newPDL(t, chip, int(numPages), false), numPages, opts)
@@ -635,8 +644,8 @@ func TestPagesNeededHolds(t *testing.T) {
 		}
 		for k := 0; k < tc.records; k++ {
 			if err := db.Put(uint64(k)*2654435761, val(uint64(k), 1, tc.valSize)); err != nil {
-				t.Fatalf("records=%d valSize=%d buckets=%d: put %d/%d: %v",
-					tc.records, tc.valSize, tc.buckets, k, tc.records, err)
+				t.Fatalf("records=%d valSize=%d: put %d/%d: %v",
+					tc.records, tc.valSize, k, tc.records, err)
 			}
 		}
 		if err := db.Close(); err != nil {
@@ -673,7 +682,7 @@ func TestLeafFillTwoLoaders(t *testing.T) {
 	)
 	opts := Options{}
 	numPages := PagesNeeded(records, valSize, flash.DefaultDataSize, opts)
-	opts.PoolPages = int(numPages)/opts.withDefaults().Buckets + 1
+	opts.PoolPages = int(numPages)/numBuckets + 1
 	chip := flash.NewChip(flash.ScaledParams(int(numPages)/flash.DefaultPagesPerBlock*5/4 + 8))
 	db, err := Open(newPDL(t, chip, int(numPages), false), numPages, opts)
 	if err != nil {

@@ -29,9 +29,6 @@ const (
 	metaVersion = uint32(2)
 	metaHdrSize = 32
 	metaRecSize = 20
-	// maxBuckets caps Options.Buckets; 64 bucket records need
-	// 32+64*20 = 1312 bytes, within the smallest supported page.
-	maxBuckets = 64
 )
 
 type metaState struct {
@@ -41,10 +38,10 @@ type metaState struct {
 }
 
 // checkMetaFits rejects geometries whose metadata cannot fit page 0.
-func checkMetaFits(pageSize, buckets int) error {
-	if need := metaHdrSize + buckets*metaRecSize; need > pageSize {
+func checkMetaFits(pageSize int) error {
+	if need := metaHdrSize + numBuckets*metaRecSize; need > pageSize {
 		return fmt.Errorf("kv: metadata for %d buckets needs %d bytes, page holds %d",
-			buckets, need, pageSize)
+			numBuckets, need, pageSize)
 	}
 	return nil
 }
@@ -71,6 +68,9 @@ func writeMeta(m ftl.Method, st metaState) error {
 }
 
 func readMeta(m ftl.Method) (metaState, error) {
+	if err := checkMetaFits(m.PageSize()); err != nil {
+		return metaState{}, err
+	}
 	buf := make([]byte, m.PageSize())
 	if err := m.ReadPage(0, buf); err != nil {
 		return metaState{}, fmt.Errorf("kv: no recovery metadata (store never synced?): %w", err)
@@ -85,11 +85,10 @@ func readMeta(m ftl.Method) (metaState, error) {
 	default:
 		return metaState{}, fmt.Errorf("kv: metadata version %d, want %d", v, metaVersion)
 	}
-	buckets := int(binary.LittleEndian.Uint32(buf[12:]))
-	if buckets < 1 || buckets > maxBuckets || metaHdrSize+buckets*metaRecSize > len(buf) {
-		return metaState{}, fmt.Errorf("kv: metadata names %d buckets", buckets)
+	if buckets := binary.LittleEndian.Uint32(buf[12:]); buckets != numBuckets {
+		return metaState{}, fmt.Errorf("kv: metadata names %d buckets, want %d", buckets, numBuckets)
 	}
-	recs := buf[metaHdrSize : metaHdrSize+buckets*metaRecSize]
+	recs := buf[metaHdrSize : metaHdrSize+numBuckets*metaRecSize]
 	h := fnv.New64a()
 	h.Write(recs)
 	if want := binary.LittleEndian.Uint64(buf[24:]); h.Sum64() != want {
@@ -98,7 +97,7 @@ func readMeta(m ftl.Method) (metaState, error) {
 	st := metaState{
 		numPages:  binary.LittleEndian.Uint32(buf[16:]),
 		treePages: binary.LittleEndian.Uint32(buf[20:]),
-		states:    make([]btree.State, buckets),
+		states:    make([]btree.State, numBuckets),
 	}
 	for i := range st.states {
 		r := recs[i*metaRecSize:]

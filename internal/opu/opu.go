@@ -47,6 +47,9 @@ func New(dev flash.Device, numPages, reserveBlocks int) (*Store, error) {
 		return nil, fmt.Errorf("opu: database of %d pages exceeds flash capacity of %d pages",
 			numPages, p.NumPages())
 	}
+	if err := ftl.CheckHeaderFits(p.SpareSize); err != nil {
+		return nil, fmt.Errorf("opu: %w", err)
+	}
 	s := &Store{
 		dev:      dev,
 		params:   p,

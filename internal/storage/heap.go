@@ -52,22 +52,6 @@ func (h *Heap) NumPages() uint32 { return h.numPages }
 // MaxRecordSize returns the largest insertable record.
 func (h *Heap) MaxRecordSize() int { return h.pageSize - pageHdrSize - slotSize }
 
-// InsertHint returns the page index (relative to the heap's range) where
-// the last insert landed. Persisting it across a restart and restoring it
-// with SetInsertHint keeps post-reopen inserts O(1) instead of re-probing
-// the full pages at the front of the range; it is purely a performance
-// hint and never affects contents.
-func (h *Heap) InsertHint() uint32 { return h.nextInsert }
-
-// SetInsertHint restores a persisted insert position. Out-of-range values
-// are clamped into the heap.
-func (h *Heap) SetInsertHint(idx uint32) {
-	if idx >= h.numPages {
-		idx = 0
-	}
-	h.nextInsert = idx
-}
-
 // frame fetches the page'th page of the heap as a slotted page, faulting
 // it in from flash, or creating a fresh zeroed page if it has never been
 // written.

@@ -3,6 +3,7 @@ package pdl_test
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pdl"
@@ -108,6 +109,24 @@ func TestEightKBRecovery(t *testing.T) {
 		}
 		if !bytes.Equal(buf, shadow[pid]) {
 			t.Fatalf("pid %d mismatch after recovery", pid)
+		}
+	}
+}
+
+// TestOpenRejectsSmallSpare: a 512-byte page with a 16-byte spare area (the
+// N/32 scaling of Table 1) cannot hold the 23-byte page header, so every
+// method refuses the chip at open instead of failing its first write.
+func TestOpenRejectsSmallSpare(t *testing.T) {
+	p := pdl.ScaledFlashParams(16)
+	p.DataSize, p.SpareSize = 512, 16
+	for name, open := range map[string]func(*pdl.Chip) (pdl.Method, error){
+		"PDL": func(c *pdl.Chip) (pdl.Method, error) { return pdl.Open(c, 64, pdl.Options{}) },
+		"OPU": func(c *pdl.Chip) (pdl.Method, error) { return pdl.OpenOPU(c, 64) },
+		"IPU": func(c *pdl.Chip) (pdl.Method, error) { return pdl.OpenIPU(c, 64) },
+		"IPL": func(c *pdl.Chip) (pdl.Method, error) { return pdl.OpenIPL(c, 64, pdl.IPLOptions{}) },
+	} {
+		if _, err := open(pdl.NewChip(p)); err == nil || !strings.Contains(err.Error(), "spare") {
+			t.Errorf("%s over a 512+16 chip: %v, want a spare-size error", name, err)
 		}
 	}
 }

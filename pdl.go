@@ -130,14 +130,13 @@
 // whole collection cycles out of the write-path tail; foreground writes fall
 // back to synchronous collection only if the erased-block reserve itself
 // runs out. Close a store opened with BackgroundGC when done with it.
-// The default of one shard per flash channel — one over a plain device —
-// preserves the paper's single write buffer exactly on one channel;
-// concurrent workloads should set Shards to roughly the number of worker
-// goroutines:
+// Shards defaults to one per flash channel, which over a plain device is
+// the paper's single write buffer. Keep the default: a shard writes to its
+// home channel, so at Shards 1 on 2 channels the benchmark's ycsb_a ran 10x
+// slower, and 4 shards bought nothing over 2:
 //
 //	store, err := pdl.Open(chip, 4096, pdl.Options{
 //		MaxDifferentialSize: 256,
-//		Shards:              16,   // concurrent writers land on distinct buffers
 //		BackgroundGC:        true, // collection off the write path
 //	})
 //	defer store.Close()
@@ -399,7 +398,8 @@ func NewBTree(pool *Pool, first, numPages uint32) (*BTree, error) {
 // which one page holds two (1,007 bytes on 2 KB pages). See OpenKV.
 type KV = kv.DB
 
-// KVOptions tunes a KV store's bucket count and per-bucket pool.
+// KVOptions tunes a KV store's per-bucket buffer pool; every store has 8
+// buckets.
 type KVOptions = kv.Options
 
 // KVEntry is one key-value pair yielded by KV.Scan.
