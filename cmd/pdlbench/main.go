@@ -117,6 +117,10 @@ func realMain() int {
 	g.ConditionMaxOps = 20_000_000
 	g.MeasureOps = *ops
 	g.Seed = *seed
+	if err := g.Check(); err != nil {
+		fmt.Fprintf(os.Stderr, "pdlbench: %v\n", err)
+		return 1
+	}
 	switch *backend {
 	case "emu":
 		// Default: fresh emulated chips.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -378,6 +379,40 @@ func TestExp7Shapes(t *testing.T) {
 	if !(get("PDL(256B)", 0.5) < get("OPU", 0.5)) {
 		t.Errorf("TPC-C: PDL(256B) (%.1f) should beat OPU (%.1f) at small buffers",
 			get("PDL(256B)", 0.5), get("OPU", 0.5))
+	}
+}
+
+// TestBadGeometryIsRejected runs every experiment path — prepare and
+// exp7Point — on a geometry with no blocks or no measured operations: each
+// returns a *GeometryError before it builds a device, where it used to
+// panic in flash.NewChip or print NaN and zero rows.
+func TestBadGeometryIsRejected(t *testing.T) {
+	cfg := Exp7Config{Scale: tpcc.DefaultScale(1), BufferPcts: []float64{1}, MeasureTxn: 1}
+	exps := map[string]func(Geometry) error{
+		"Exp1": func(g Geometry) error { _, err := Exp1(g, StandardMethods(g.Params)); return err },
+		"Exp3": func(g Geometry) error { _, err := Exp3(g, StandardMethods(g.Params), nil, 1); return err },
+		"Exp7": func(g Geometry) error { _, err := Exp7(g, StandardMethods(g.Params), cfg); return err },
+	}
+	for _, tc := range []struct {
+		name        string
+		blocks, ops int
+		field       string
+	}{
+		{"blocks=0", 0, 10, "NumBlocks"},
+		{"blocks=-1", -1, 10, "NumBlocks"},
+		{"ops=0", 64, 0, "MeasureOps"},
+		{"ops=-5", 64, -5, "MeasureOps"},
+	} {
+		for name, exp := range exps {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				g := testGeometry()
+				g.Params.NumBlocks, g.MeasureOps = tc.blocks, tc.ops
+				var ge *GeometryError
+				if err := exp(g); !errors.As(err, &ge) || ge.Field != tc.field {
+					t.Fatalf("err = %v, want a *GeometryError on %s", err, tc.field)
+				}
+			})
+		}
 	}
 }
 

@@ -34,6 +34,29 @@ type Geometry struct {
 	NewDevice func(p flash.Params, label string) (flash.Device, error)
 }
 
+// GeometryError reports a Geometry no experiment can run: a field that
+// must be at least one is not.
+type GeometryError struct {
+	Field string // "NumBlocks" or "MeasureOps"
+	Value int
+}
+
+func (e *GeometryError) Error() string {
+	return fmt.Sprintf("bench: geometry %s is %d, must be at least 1", e.Field, e.Value)
+}
+
+// Check returns a *GeometryError if g has no flash block or measures no
+// operation; every experiment runs it before it builds a device.
+func (g Geometry) Check() error {
+	switch {
+	case g.Params.NumBlocks < 1:
+		return &GeometryError{Field: "NumBlocks", Value: g.Params.NumBlocks}
+	case g.MeasureOps < 1:
+		return &GeometryError{Field: "MeasureOps", Value: g.MeasureOps}
+	}
+	return nil
+}
+
 // device builds one run's backend through the NewDevice hook (or the
 // emulator default).
 func (g Geometry) device(p flash.Params, label string) (flash.Device, error) {
@@ -66,6 +89,9 @@ func (g Geometry) NumPages() int {
 // device and GC stats zeroed, ready for measurement. The caller owns the
 // device (releaseDevice); a prepare that fails closes it itself.
 func (g Geometry) prepare(spec MethodSpec, cfg workload.Config) (d *workload.Driver, err error) {
+	if err := g.Check(); err != nil {
+		return nil, err
+	}
 	dev, err := g.device(g.Params, spec.Name(g.Params))
 	if err != nil {
 		return nil, fmt.Errorf("bench: device for %s: %w", spec.Name(g.Params), err)
@@ -381,6 +407,9 @@ func Exp7(g Geometry, specs []MethodSpec, cfg Exp7Config) ([]Exp7Point, error) {
 // I/O time per measured transaction. The device is closed on every path.
 func (g Geometry) exp7Point(params flash.Params, spec MethodSpec, pct float64,
 	pages int, cfg Exp7Config) (float64, error) {
+	if err := g.Check(); err != nil {
+		return 0, err
+	}
 	bufPages := int(float64(pages) * pct / 100)
 	if bufPages < 4 {
 		bufPages = 4

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"pdl/internal/diff"
 	"pdl/internal/flash"
@@ -17,9 +16,8 @@ var _ ftl.BatchWriter = (*Store)(nil)
 // pendingOp is one physical page program a write step staged: a base page
 // (Case 3 of PDL_Writing, an initial load, a heal) or a differential-page
 // spill (Case 2, Flush). Staging separates the CPU half of a reflection —
-// reading the base page and computing the differential, which a batch runs
-// per shard in parallel — from the device half, which commit performs for
-// every staged op of a call at once.
+// reading the base page and computing the differential — from the device
+// half, which commit performs for every staged op of a call at once.
 type pendingOp struct {
 	// idx is the batch position at which a serial loop of WritePage calls
 	// would have issued this program; programs are ordered (and mappings
@@ -63,13 +61,13 @@ type staged struct {
 	dif bool
 }
 
-// writeStage is the view one run of stageWrite works on: the write buffer
-// it mutates — the live shard buffer for a single WritePage, a clone for a
-// batch, published only after the batch commits — the programs staged so
-// far, and, for a batch, what its earlier writes staged per pid, so later
-// writes of the same pid stay serially consistent although nothing has
-// reached flash yet. A single write has no later write to inform and
-// leaves pend nil.
+// writeStage is the view one run of stageWrite works on: the live shard
+// write buffer it mutates, whose saved bytes WriteBatch puts back if the
+// commit lands nothing, the programs staged so far, and, for a shard with
+// several writes in the call, what its earlier writes staged per pid, so
+// later writes of the same pid stay serially consistent although nothing
+// has reached flash yet. A shard's only write has no later write to inform
+// and leaves pend nil.
 type writeStage struct {
 	buf  *writeBuffer
 	home int
@@ -219,11 +217,11 @@ func (s *Store) recycleSpills(ops []pendingOp) {
 }
 
 // WriteBatch reflects a batch of logical pages into flash as if WritePage
-// had been called for each element in slice order, but batch-first: the
-// batch is partitioned by write-buffer shard, each shard runs stageWrite
-// over its writes in parallel, and every physical page program the batch
-// causes — differential-page spills and new base pages — goes to the
-// device in one commit.
+// had been called for each element in slice order, but batch-first: it runs
+// stageWrite over each involved shard's writes in turn, on the live shard
+// write buffer, and every physical page program the batch causes —
+// differential-page spills and new base pages — goes to the device in one
+// commit. It is the one write driver: WritePage is a batch of one.
 //
 // Crash consistency is the serial path's: programs are issued in time
 // stamp order (time stamps are pre-assigned in batch order), and the
@@ -231,22 +229,20 @@ func (s *Store) recycleSpills(ops []pendingOp) {
 // prefix, so recovery after a kill mid-batch reconstructs exactly the
 // state of having serially written some prefix of the batch and crashed.
 //
-// Error semantics: staging works on private copies of the shard write
-// buffers, which are swapped in only after the commit succeeds. A staging
-// error (a base page read failing mid-shard) stops that shard at the
-// failing write — a per-shard prefix — while everything already staged is
-// still programmed and committed. An allocation or device error from the
-// commit itself applies NOTHING: no mapping is committed and every live
-// write buffer is left exactly as before the call, so previously
-// acknowledged writes keep reading correctly and the batch can be
-// retried; at worst the failed attempt leaked programmed but unreferenced
-// flash pages, which the next crash recovery counts obsolete.
+// Error semantics: staging mutates the live buffers under their shard
+// locks, which every reader of a buffer takes, so nothing is visible before
+// the commit; each buffer's bytes are saved first. A staging error (a base
+// page read failing mid-shard) stops that shard at the failing write — a
+// per-shard prefix — while everything already staged is still programmed
+// and committed. An allocation or device error from the commit itself
+// applies NOTHING: no mapping is committed and every involved buffer gets
+// its saved bytes back, so previously acknowledged writes keep reading
+// correctly and the batch can be retried; at worst the failed attempt
+// leaked programmed but unreferenced flash pages, which the next crash
+// recovery counts obsolete.
 func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
-	switch len(writes) {
-	case 0:
+	if len(writes) == 0 {
 		return nil
-	case 1:
-		return s.WritePage(writes[0].PID, writes[0].Data)
 	}
 	for _, w := range writes {
 		if err := ftl.CheckPID(w.PID, s.numPages); err != nil {
@@ -258,18 +254,13 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 	}
 	s.wtel.logicalWrites.Add(int64(len(writes)))
 
-	// Partition the batch by shard, preserving batch order within each
-	// shard (per-pid write order is defined by it), and take the involved
-	// shard locks in ascending index order — the lock order that keeps
-	// concurrent WriteBatch calls deadlock-free.
-	order := make([][]int, len(s.shards))
-	var involved []int
-	for i, w := range writes {
-		si := s.shardIndex(w.PID)
-		if order[si] == nil {
+	// Take the involved shard locks in ascending index order — the lock
+	// order that keeps concurrent WriteBatch calls deadlock-free.
+	involved := make([]int, 0, 4) // on the stack for the usual batch
+	for _, w := range writes {
+		if si := s.shardIndex(w.PID); !slices.Contains(involved, si) {
 			involved = append(involved, si)
 		}
-		order[si] = append(order[si], i)
 	}
 	sort.Ints(involved)
 	for _, si := range involved {
@@ -282,59 +273,56 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 	}()
 
 	// Reserve a contiguous time stamp range so write i carries tsBase+i+1:
-	// batch order and time stamp order coincide no matter how the shards
-	// interleave their staging work. The reservation must happen AFTER the
-	// shard locks are held — a single write stamps under the pid's shard
-	// lock, so any concurrent writer to one of our pids is now ordered
-	// after this batch and will draw a strictly greater time stamp;
-	// reserving earlier would let such a writer commit a higher TS first
-	// and make recovery arbitrate against the live commit order.
+	// batch order and time stamp order coincide whatever order the shards
+	// are staged in. The reservation must happen AFTER the shard locks are
+	// held — any concurrent writer to one of our pids is now ordered after
+	// this batch and will draw a strictly greater time stamp; reserving
+	// earlier would let such a writer commit a higher TS first and make
+	// recovery arbitrate against the live commit order.
 	tsBase := s.ts.Add(uint64(len(writes))) - uint64(len(writes))
 
-	// Stage every shard's slice of the batch: the parallel, CPU-bound
-	// half, against a private copy of each shard's write buffer, so
-	// nothing is visible until the commit lands.
-	stages := make([]writeStage, len(involved))
-	bufs := make([]writeBuffer, len(involved))
-	errs := make([]error, len(involved))
-	stage := func(k, si int) {
-		bufs[k] = s.shards[si].dwb.clone()
-		stages[k] = writeStage{buf: &bufs[k], home: s.homeChannel(si), pend: make(map[uint32]staged)}
-		base := s.getPage()
-		defer s.putPage(base)
-		for _, idx := range order[si] {
-			if errs[k] = s.stageWrite(&stages[k], idx, tsBase+uint64(idx)+1, writes[idx].PID, writes[idx].Data, base); errs[k] != nil {
-				return
+	// Stage each shard's writes, in batch order (per-pid write order is
+	// defined by it), on its live buffer, after saving the buffer's bytes.
+	saved := make([][]byte, 0, 4)
+	base := s.getPage()
+	var ops []pendingOp
+	var errs []error
+	for _, si := range involved {
+		sh := &s.shards[si]
+		saved = append(saved, append(s.getPage()[:0], sh.dwb.slab...))
+		st := writeStage{buf: &sh.dwb, home: s.homeChannel(si), ops: ops}
+		n := 0
+		for _, w := range writes {
+			if s.shardIndex(w.PID) == si {
+				n++
 			}
 		}
-	}
-	if len(involved) == 1 {
-		stage(0, involved[0])
-	} else {
-		var wg sync.WaitGroup
-		for k, si := range involved {
-			wg.Add(1)
-			go func(k, si int) {
-				defer wg.Done()
-				stage(k, si)
-			}(k, si)
+		if n > 1 {
+			st.pend = make(map[uint32]staged)
 		}
-		wg.Wait()
+		for idx, w := range writes {
+			if s.shardIndex(w.PID) != si {
+				continue
+			}
+			if err := s.stageWrite(&st, idx, tsBase+uint64(idx)+1, w.PID, w.Data, base); err != nil {
+				errs = append(errs, err)
+				break
+			}
+		}
+		ops = st.ops
 	}
-	var ops []pendingOp
-	for k := range stages {
-		ops = append(ops, stages[k].ops...)
-	}
+	s.putPage(base)
 	defer s.recycleSpills(ops)
 
 	// Program and commit what was staged (even if a shard stopped partway:
-	// its staged prefix is still valid), then publish the staged buffers.
-	// On failure the live buffers were never touched.
+	// its staged prefix is still valid). If nothing landed, every involved
+	// buffer gets its saved bytes back.
 	landed, err := s.commit(ops)
-	if landed {
-		for k, si := range involved {
-			s.shards[si].dwb = bufs[k]
+	for k, si := range involved {
+		if !landed {
+			s.shards[si].dwb.restore(saved[k])
 		}
+		s.putPage(saved[k])
 	}
 	if err != nil {
 		return err

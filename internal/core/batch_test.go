@@ -95,12 +95,13 @@ func buildTestBatch(size int) []ftl.PageWrite {
 // failDev wraps a real device and, until it has fired once, fails the
 // next ProgramBatch, applying nothing. With failProgram set the next single
 // Program fails the same way; with failRead set the next single page read
-// fails instead. All other operations pass through.
+// after skipReads more fails instead. All other operations pass through.
 type failDev struct {
 	flash.Device
 	fired       bool
 	failProgram bool
 	failRead    bool
+	skipReads   int
 }
 
 var errInjectedKill = errors.New("injected device failure")
@@ -123,6 +124,10 @@ func (d *failDev) Program(ppn flash.PPN, data, spare []byte) error {
 
 func (d *failDev) Read(ppn flash.PPN, data, spare []byte) error {
 	if d.failRead && !d.fired {
+		if d.skipReads > 0 {
+			d.skipReads--
+			return d.Device.Read(ppn, data, spare)
+		}
 		d.fired = true
 		return errInjectedKill
 	}
@@ -333,11 +338,12 @@ func TestWriteBatchContendedPidRecoversLikeLive(t *testing.T) {
 }
 
 // TestFailedWriteBatchAppliesNothing guards the failure contract every
-// write entry shares: a failed call applies nothing. A batch stages on buffer
-// copies and a single write puts the saved bytes of its shard buffer back, so
-// neither loses the pids' pre-call buffered differentials — every slab is
-// byte-equal to its pre-image, every page still reads its pre-call state, and
-// the call can simply be retried.
+// write entry shares: a failed call applies nothing. WriteBatch, which a
+// single WritePage is one of, puts the saved bytes of each shard buffer it
+// staged on back when its commit lands nothing, and Flush clears a buffer
+// only after its spill lands, so no call loses the pids' pre-call buffered
+// differentials — every slab is byte-equal to its pre-image, every page still
+// reads its pre-call state, and the call can simply be retried.
 func TestFailedWriteBatchAppliesNothing(t *testing.T) {
 	size := batchParams().DataSize
 	rewrite7 := batchPage(7, 9, size)
@@ -467,6 +473,78 @@ func TestFailedWriteBatchAppliesNothing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWriteBatchStagingErrorCommitsShardPrefix guards the other half of the
+// failure contract: a staging error — here the base page read of a shard's
+// third write — stops that shard at the failing write, while its earlier
+// writes and every write of the other shard still commit. The other shard's
+// writes are initial loads, which read nothing, so the one failing read is
+// the failing shard's whatever order the shards are staged in.
+func TestWriteBatchStagingErrorCommitsShardPrefix(t *testing.T) {
+	const numPages = batchNumPages + 16
+	opts := batchOptions(false)
+	// Cache off: every Case 1 write reads its base page.
+	opts.DiffCachePages = DiffCacheOff
+	dev := &failDev{Device: flash.NewChip(batchParams()), fired: true, failRead: true} // disarmed
+	s, err := New(dev, numPages, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := s.PageSize()
+	shadow := loadBatchPages(t, s)
+
+	// Four loaded pids of the failing shard, two never-written pids of another.
+	failing, other := s.shardIndex(0), -1
+	var fpids, opids []uint32
+	for pid := uint32(0); pid < numPages; pid++ {
+		switch si := s.shardIndex(pid); {
+		case si == failing && pid < batchNumPages && len(fpids) < 4:
+			fpids = append(fpids, pid)
+		case si != failing && pid >= batchNumPages && len(opids) < 2 && (other < 0 || si == other):
+			other = si
+			opids = append(opids, pid)
+		}
+	}
+	if len(fpids) < 4 || len(opids) < 2 {
+		t.Fatalf("scenario needs 4 loaded pids of shard %d and 2 free pids of another: %v %v", failing, fpids, opids)
+	}
+	want := make(map[uint32][]byte)
+	update := func(pid uint32) ftl.PageWrite {
+		data := batchPage(pid, 0, size)
+		data[40] ^= 0xFF // a Case 1 differential: buffered, no program
+		want[pid] = data
+		return ftl.PageWrite{PID: pid, Data: data}
+	}
+	load := func(pid uint32) ftl.PageWrite {
+		want[pid] = batchPage(pid, 1, size)
+		return ftl.PageWrite{PID: pid, Data: want[pid]}
+	}
+	batch := []ftl.PageWrite{update(fpids[0]), load(opids[0]), update(fpids[1]), load(opids[1]), update(fpids[2]), update(fpids[3])}
+
+	dev.skipReads, dev.fired = 2, false // the failing shard's third base page read
+	if err := s.WriteBatch(batch); !errors.Is(err, errInjectedKill) {
+		t.Fatalf("err = %v, want the injected read failure", err)
+	}
+	buf := make([]byte, size)
+	check := func(pid uint32, exp []byte, what string) {
+		t.Helper()
+		if err := s.ReadPage(pid, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, exp) {
+			t.Errorf("pid %d (%s) does not read back its expected image", pid, what)
+		}
+	}
+	for _, pid := range opids {
+		check(pid, want[pid], "other shard, written")
+	}
+	for _, pid := range fpids[:2] {
+		check(pid, want[pid], "failing shard, before the failure")
+	}
+	for _, pid := range fpids[2:] {
+		check(pid, shadow[pid], "failing shard, from the failure on")
 	}
 }
 

@@ -45,19 +45,6 @@ func (b *writeBuffer) init(capacity int) {
 	b.index = make(map[uint32]int)
 }
 
-// clone returns a staging copy of the buffer: the same records in a private
-// slab. The batch write path stages against the copy and swaps it in only
-// after the device batch commits, so a failed batch leaves the live buffer
-// untouched.
-func (b *writeBuffer) clone() writeBuffer {
-	c := writeBuffer{slab: append(make([]byte, 0, cap(b.slab)), b.slab...)}
-	c.index = make(map[uint32]int, len(b.index))
-	for pid, off := range b.index {
-		c.index[pid] = off
-	}
-	return c
-}
-
 // free returns the remaining capacity in bytes.
 func (b *writeBuffer) free() int { return cap(b.slab) - len(b.slab) }
 

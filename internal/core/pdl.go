@@ -33,13 +33,11 @@
 // and seals the headers, programs, and repoints the mapping table, for every
 // foreground program there is. The entries are thin drivers of those two:
 //
-//   - WritePage runs one step on the live shard buffer and commits what it
-//     staged; if the step or the commit fails, it puts the buffer's saved
-//     bytes back, so a failed write leaves the pid's previously buffered
-//     differential in place and readable;
-//   - WriteBatch runs the steps of each shard on a clone of its buffer, in
-//     parallel, commits every staged program as one device batch, and only
-//     then publishes the clones, so a failed batch applies nothing;
+//   - WriteBatch saves each involved shard buffer's bytes, runs the steps of
+//     each shard in turn on its live buffer, and commits every staged
+//     program at once; if the commit lands nothing, it puts the saved bytes
+//     back, so a failed call leaves every previously buffered differential
+//     in place and readable. WritePage is a WriteBatch of one write;
 //   - Flush stages each non-empty buffer as a spill and commits them;
 //   - the read path's durable heal commits one base page, pinned to the
 //     mapping version it read.
@@ -114,7 +112,8 @@
 // before erasing a victim block, so a passing version check proves the
 // bytes read belonged to the looked-up entry. The expensive CPU work of
 // the write path — computing the differential by comparing two page
-// images — likewise runs outside every store-level lock.
+// images — runs under the pid's shard lock, held exclusively, and outside
+// the channel and mapTable locks.
 //
 // With Options.BackgroundGC, victim selection and relocation run
 // incrementally on a background goroutine (see internal/gc): a commit
@@ -674,39 +673,12 @@ func (s *Store) kickEtiquette(ch int) {
 	}
 }
 
-// WritePage implements ftl.Method: one run of stageWrite on the live shard
-// write buffer, then one commit of whatever it staged. If the write fails —
-// a base page read, an allocation or a device error — the buffer is put
-// back exactly as it was, so the differential an earlier acknowledged
-// write of pid left buffered stays in place and readable.
+// WritePage implements ftl.Method: a WriteBatch of one write. If the write
+// fails — a base page read, an allocation or a device error — pid's shard
+// buffer is left exactly as it was, so the differential an earlier
+// acknowledged write of pid left buffered stays in place and readable.
 func (s *Store) WritePage(pid uint32, data []byte) error {
-	if err := ftl.CheckPID(pid, s.numPages); err != nil {
-		return err
-	}
-	if err := ftl.CheckPageBuf(data, s.params.DataSize); err != nil {
-		return err
-	}
-	si := s.shardIndex(pid)
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.wtel.logicalWrites.Add(1)
-
-	saved := append(s.getPage()[:0], sh.dwb.slab...)
-	defer s.putPage(saved)
-	st := writeStage{buf: &sh.dwb, home: s.homeChannel(si)}
-	base := s.getPage()
-	err := s.stageWrite(&st, 0, s.nextTS(), pid, data, base)
-	s.putPage(base)
-	landed := false
-	if err == nil {
-		landed, err = s.commit(st.ops)
-	}
-	if !landed && err != nil {
-		sh.dwb.restore(saved) // undo the one write: put the saved bytes back
-	}
-	s.recycleSpills(st.ops)
-	return err
+	return s.WriteBatch([]ftl.PageWrite{{PID: pid, Data: data}})
 }
 
 // RetainBase implements ftl.BaseRetainer: the caller has modified its copy of
