@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -138,7 +139,7 @@ func TestExp2Shapes(t *testing.T) {
 		{Kind: KindPDL, Param: g.Params.DataSize / 8},
 		{Kind: KindIPL, Param: 9 * g.Params.PagesPerBlock / 64},
 	}
-	rows, err := Exp2(g, specs, []int{1, 4, 8})
+	rows, err := Exp2(g, specs, []float64{1, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,28 +254,18 @@ func TestExp5RecomputationConsistency(t *testing.T) {
 	}
 	g := testGeometry()
 	g.MeasureOps = 2000
-	specs := []MethodSpec{{Kind: KindOPU}}
-	points, err := Exp5(g, specs, []int64{g.Params.ReadMicros}, []int64{g.Params.WriteMicros})
+	exp1, err := Exp1(g, []MethodSpec{{Kind: KindOPU}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 1 {
-		t.Fatalf("points = %d", len(points))
+	rows := Exp5(g.Params, exp1, []int64{g.Params.ReadMicros}, g.Params.WriteMicros)
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	// Recomputing with the baseline parameters must match a direct run's
-	// per-op time derived from the same counts.
-	p := points[0]
-	direct := float64(p.BaselineCounts.TimeMicros)
-	recomputed := p.OverallPerOp * float64(2000)
-	// Erase time differs only if erase counts differ; both derive from the
-	// same counts, so they must agree within rounding.
-	if diff := recomputed - direct; diff > 1 || diff < -1 {
-		// OverallPerOp uses ops from Raw, which may exceed MeasureOps by
-		// cycle granularity; tolerate small drift.
-		ratio := recomputed / direct
-		if ratio < 0.99 || ratio > 1.01 {
-			t.Errorf("recomputed %.0f vs direct %.0f", recomputed, direct)
-		}
+	// Recomputing with the baseline parameters must give the measured
+	// per-op time back: both derive from the same counts.
+	if got, want := rows[0].Overall, exp1[0].Overall; got != want {
+		t.Errorf("recomputed %.3f us per op, measured %.3f", got, want)
 	}
 }
 
@@ -284,27 +275,28 @@ func TestExp5MorePointsCheaperThanReruns(t *testing.T) {
 	}
 	g := testGeometry()
 	g.MeasureOps = 1000
-	points, err := Exp5(g, []MethodSpec{{Kind: KindOPU}}, nil, nil)
+	exp1, err := Exp1(g, []MethodSpec{{Kind: KindOPU}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 7 Tread values x 2 Twrite values from a single run.
-	if len(points) != 14 {
-		t.Errorf("points = %d, want 14", len(points))
-	}
-	// Overall time strictly increases with Tread at fixed Twrite.
-	var last float64
-	for _, p := range points {
-		if p.Twrite != 500 {
-			continue
+	// 7 Tread values at each of 2 Twrite values from a single run.
+	for _, tw := range []int64{500, 1000} {
+		rows := Exp5(g.Params, exp1, nil, tw)
+		if len(rows) != 7 {
+			t.Errorf("Twrite %d: rows = %d, want 7", tw, len(rows))
 		}
-		if p.OverallPerOp < last {
-			t.Errorf("overall not monotone in Tread: %.2f after %.2f", p.OverallPerOp, last)
+		// Overall time strictly increases with Tread at fixed Twrite.
+		for i := 1; i < len(rows); i++ {
+			if !(rows[i].Overall > rows[i-1].Overall) {
+				t.Errorf("Twrite %d: overall not increasing in Tread: %.2f after %.2f",
+					tw, rows[i].Overall, rows[i-1].Overall)
+			}
 		}
-		last = p.OverallPerOp
 	}
 }
 
+// TestExp6ErasesShape reads Figure 17 where pdlbench does: the erase
+// counts of Experiment 2's rows.
 func TestExp6ErasesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are slow")
@@ -315,7 +307,7 @@ func TestExp6ErasesShape(t *testing.T) {
 		{Kind: KindOPU},
 		{Kind: KindPDL, Param: g.Params.DataSize / 8},
 	}
-	rows, err := Exp6(g, specs, []int{1})
+	rows, err := Exp2(g, specs, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,19 +347,11 @@ func TestExp7Shapes(t *testing.T) {
 		{Kind: KindOPU},
 		{Kind: KindPDL, Param: g.Params.DataSize / 8},
 	}
-	points, err := Exp7(g, specs, cfg)
+	rows, err := Exp7(g, specs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(method string, pct float64) float64 {
-		for _, p := range points {
-			if p.Method == method && p.BufferPct == pct {
-				return p.MicrosPerTxn
-			}
-		}
-		t.Fatalf("missing point %s %g", method, pct)
-		return 0
-	}
+	get := func(method string, pct float64) float64 { return rowOf(t, rows, method, pct).Overall }
 	// Larger buffer -> less I/O per transaction, for both methods.
 	if !(get("OPU", 10) < get("OPU", 0.5)) {
 		t.Error("OPU: bigger buffer did not reduce I/O")
@@ -382,10 +366,11 @@ func TestExp7Shapes(t *testing.T) {
 	}
 }
 
-// TestBadGeometryIsRejected runs every experiment path — prepare and
-// exp7Point — on a geometry with no blocks or no measured operations: each
-// returns a *GeometryError before it builds a device, where it used to
-// panic in flash.NewChip or print NaN and zero rows.
+// TestBadGeometryIsRejected runs every experiment path — the sweep and
+// Exp7 — on a geometry with no blocks, no measured operations or a
+// database of no pages: each returns a *GeometryError before it builds a
+// device, where it used to panic in flash.NewChip or print NaN and zero
+// rows.
 func TestBadGeometryIsRejected(t *testing.T) {
 	cfg := Exp7Config{Scale: tpcc.DefaultScale(1), BufferPcts: []float64{1}, MeasureTxn: 1}
 	exps := map[string]func(Geometry) error{
@@ -396,17 +381,19 @@ func TestBadGeometryIsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		blocks, ops int
+		dbfrac      float64
 		field       string
 	}{
-		{"blocks=0", 0, 10, "NumBlocks"},
-		{"blocks=-1", -1, 10, "NumBlocks"},
-		{"ops=0", 64, 0, "MeasureOps"},
-		{"ops=-5", 64, -5, "MeasureOps"},
+		{"blocks=0", 0, 10, 0.4, "NumBlocks"},
+		{"blocks=-1", -1, 10, 0.4, "NumBlocks"},
+		{"ops=0", 64, 0, 0.4, "MeasureOps"},
+		{"ops=-5", 64, -5, 0.4, "MeasureOps"},
+		{"dbfrac=0", 64, 10, 0, "NumPages"},
 	} {
 		for name, exp := range exps {
 			t.Run(tc.name+"/"+name, func(t *testing.T) {
 				g := testGeometry()
-				g.Params.NumBlocks, g.MeasureOps = tc.blocks, tc.ops
+				g.Params.NumBlocks, g.MeasureOps, g.DBFrac = tc.blocks, tc.ops, tc.dbfrac
 				var ge *GeometryError
 				if err := exp(g); !errors.As(err, &ge) || ge.Field != tc.field {
 					t.Fatalf("err = %v, want a *GeometryError on %s", err, tc.field)
@@ -416,10 +403,39 @@ func TestBadGeometryIsRejected(t *testing.T) {
 	}
 }
 
+// TestSuiteRejectsBadSettings holds the refusals pdlbench makes before it
+// runs anything that are not the geometry's: an unknown experiment id,
+// N_updates_till_write under 1 and a TPC-C scale with no warehouse.
+func TestSuiteRejectsBadSettings(t *testing.T) {
+	if ids, err := ExperimentIDs("all"); err != nil || len(ids) != 7 {
+		t.Errorf("ExperimentIDs(all) = %v, %v; want the seven ids", ids, err)
+	}
+	for _, exp := range []string{"0", "8", ""} {
+		if _, err := ExperimentIDs(exp); err == nil {
+			t.Errorf("ExperimentIDs(%q) accepted it", exp)
+		}
+	}
+	ok := Suite{Geometry: testGeometry(), NUpdates: 1, TPCC: DefaultExp7Config()}
+	if err := ok.Check(); err != nil {
+		t.Fatalf("Check of a runnable suite: %v", err)
+	}
+	if err := ok.Run(io.Discard, "all"); err == nil {
+		t.Error(`Run("all") accepted an id that names no experiment`)
+	}
+	noN, noWarehouse := ok, ok
+	noN.NUpdates = 0
+	noWarehouse.TPCC.Scale.Warehouses = 0
+	for name, s := range map[string]Suite{"n=0": noN, "warehouses=0": noWarehouse} {
+		if err := s.Check(); err == nil {
+			t.Errorf("%s: Check accepted it", name)
+		}
+	}
+}
+
 func TestReportWriters(t *testing.T) {
 	rows := []Row{
 		{Method: "OPU", X: 1, Read: 110, Write: 2020, GC: 10, Overall: 2130, ErasesPerOp: 0.02},
-		{Method: "PDL(256B)", X: 1, Read: 160, Write: 400, GC: 5, Overall: 560, ErasesPerOp: 0.004},
+		{Method: "PDL(256B)", X: 1, Read: 160, Write: 400, GC: 5, Overall: 560, ErasesPerOp: 0.0049},
 	}
 	var b bytes.Buffer
 	WriteExp1Table(&b, rows)
@@ -427,23 +443,49 @@ func TestReportWriters(t *testing.T) {
 		t.Error("exp1 table missing method")
 	}
 	b.Reset()
-	WriteSeriesTable(&b, rows, "N", func(r Row) float64 { return r.Overall })
-	if !strings.Contains(b.String(), "OPU") {
-		t.Error("series table missing method")
+	WriteSeriesTable(&b, rows, "N", 2, func(r Row) float64 { return r.Overall })
+	if !strings.Contains(b.String(), "OPU") || !strings.Contains(b.String(), "560.00") {
+		t.Errorf("series table missing method or cell:\n%s", b.String())
 	}
+	// Figure 17's cells are a few erases per thousand operations: at four
+	// decimals 0.0049 is not printed as zeros.
 	b.Reset()
-	WriteCSV(&b, rows, "N")
-	if !strings.Contains(b.String(), "method,N") {
-		t.Error("csv header missing")
+	WriteSeriesTable(&b, rows, "N", 4, func(r Row) float64 { return r.ErasesPerOp })
+	if out := b.String(); !strings.Contains(out, " 0.0049\n") || strings.Contains(out, " 0.00\n") {
+		t.Errorf("erase cell 0.0049 printed as:\n%s", out)
 	}
-	b.Reset()
-	WriteExp5Table(&b, []Exp5Point{{Method: "OPU", Tread: 110, Twrite: 500, OverallPerOp: 2000}})
-	if !strings.Contains(b.String(), "Twrite = 500") {
-		t.Error("exp5 table missing twrite header")
+}
+
+// TestSuiteRunsEachRunOnce counts the devices a Suite builds: Figure 16
+// is recomputed from Experiment 1's run and Figure 17 read from Experiment
+// 2's, so one spec costs one device for ids 1 and 5, and eight (one per N)
+// for ids 2 and 6.
+func TestSuiteRunsEachRunOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs are slow")
 	}
-	b.Reset()
-	WriteExp7Table(&b, []Exp7Point{{Method: "OPU", BufferPct: 1, MicrosPerTxn: 5000}})
-	if !strings.Contains(b.String(), "buf %") {
-		t.Error("exp7 table missing header")
+	for _, tc := range []struct {
+		ids     []string
+		devices int
+	}{
+		{[]string{"1", "5"}, 1},
+		{[]string{"2", "6"}, 8},
+	} {
+		var devices int
+		g := testGeometry()
+		g.MeasureOps = 500
+		g.NewDevice = func(p flash.Params, label string) (flash.Device, error) {
+			devices++
+			return flash.NewChip(p), nil
+		}
+		s := Suite{Geometry: g, Specs: []MethodSpec{{Kind: KindOPU}}, NUpdates: 1, TPCC: DefaultExp7Config()}
+		for _, id := range tc.ids {
+			if err := s.Run(io.Discard, id); err != nil {
+				t.Fatalf("experiment %s: %v", id, err)
+			}
+		}
+		if devices != tc.devices {
+			t.Errorf("experiments %v built %d devices, want %d", tc.ids, devices, tc.devices)
+		}
 	}
 }

@@ -37,7 +37,7 @@ type Geometry struct {
 // GeometryError reports a Geometry no experiment can run: a field that
 // must be at least one is not.
 type GeometryError struct {
-	Field string // "NumBlocks" or "MeasureOps"
+	Field string // "NumBlocks", "MeasureOps" or "NumPages" (what DBFrac leaves)
 	Value int
 }
 
@@ -45,14 +45,17 @@ func (e *GeometryError) Error() string {
 	return fmt.Sprintf("bench: geometry %s is %d, must be at least 1", e.Field, e.Value)
 }
 
-// Check returns a *GeometryError if g has no flash block or measures no
-// operation; every experiment runs it before it builds a device.
+// Check returns a *GeometryError if g has no flash block, measures no
+// operation or has a DBFrac that leaves no logical page; every experiment
+// runs it before it builds a device.
 func (g Geometry) Check() error {
 	switch {
 	case g.Params.NumBlocks < 1:
 		return &GeometryError{Field: "NumBlocks", Value: g.Params.NumBlocks}
 	case g.MeasureOps < 1:
 		return &GeometryError{Field: "MeasureOps", Value: g.MeasureOps}
+	case g.NumPages() < 1:
+		return &GeometryError{Field: "NumPages", Value: g.NumPages()}
 	}
 	return nil
 }
@@ -89,9 +92,6 @@ func (g Geometry) NumPages() int {
 // device and GC stats zeroed, ready for measurement. The caller owns the
 // device (releaseDevice); a prepare that fails closes it itself.
 func (g Geometry) prepare(spec MethodSpec, cfg workload.Config) (d *workload.Driver, err error) {
-	if err := g.Check(); err != nil {
-		return nil, err
-	}
 	dev, err := g.device(g.Params, spec.Name(g.Params))
 	if err != nil {
 		return nil, fmt.Errorf("bench: device for %s: %w", spec.Name(g.Params), err)
@@ -135,9 +135,9 @@ type Row struct {
 	Method string
 	// X is the swept parameter value (meaning depends on the experiment).
 	X float64
-	// Read, Write, GC, Overall are simulated microseconds per operation;
-	// GC is the slice of Write spent in garbage collection (Figure 12(b)'s
-	// slashed area).
+	// Read, Write, GC, Overall are simulated microseconds per operation
+	// (per transaction in Experiment 7); GC is the slice of Write spent in
+	// garbage collection (Figure 12(b)'s slashed area).
 	Read, Write, GC, Overall float64
 	// ErasesPerOp supports the longevity experiment.
 	ErasesPerOp float64
@@ -145,81 +145,64 @@ type Row struct {
 	Raw workload.Totals
 }
 
-// measureUpdateOps runs the standard update-operation measurement for one
-// prepared driver.
-func measureUpdateOps(d *workload.Driver, ops int, x float64) (Row, error) {
-	t, err := d.RunUpdateOps(ops)
-	if err != nil {
-		return Row{}, err
+// sweep is the one loop of Experiments 1-4: for each spec and each x it
+// prepares a driver on the workload cfg(x) describes (at the geometry's
+// database size and seed), measures g.MeasureOps operations of run
+// (RunUpdateOps or RunMixedOps), closes the device and keeps the point as
+// a Row.
+func (g Geometry) sweep(specs []MethodSpec, xs []float64, cfg func(x float64) workload.Config,
+	run func(*workload.Driver, int) (workload.Totals, error)) ([]Row, error) {
+	if err := g.Check(); err != nil {
+		return nil, err
 	}
-	gc := GCStatsOf(d.Method())
-	r := Row{
-		Method:      d.Method().Name(),
-		X:           x,
-		Read:        float64(t.ReadPhase.TimeMicros) / float64(t.Ops),
-		Write:       float64(t.WritePhase.TimeMicros) / float64(t.Ops),
-		GC:          float64(gc.TimeMicros) / float64(t.Ops),
-		Overall:     t.MicrosPerOp(),
-		ErasesPerOp: t.ErasesPerOp(),
-		Raw:         t,
+	var rows []Row
+	for _, spec := range specs {
+		for _, x := range xs {
+			c := cfg(x)
+			c.NumPages, c.Seed = g.NumPages(), g.Seed
+			d, err := g.prepare(spec, c)
+			if err != nil {
+				return nil, err
+			}
+			t, err := run(d, g.MeasureOps)
+			gc := GCStatsOf(d.Method())
+			releaseDevice(d)
+			if err != nil {
+				return nil, fmt.Errorf("bench: %s at x=%g: %w", spec.Name(g.Params), x, err)
+			}
+			rows = append(rows, Row{
+				Method:      d.Method().Name(),
+				X:           x,
+				Read:        float64(t.ReadPhase.TimeMicros) / float64(t.Ops),
+				Write:       float64(t.WritePhase.TimeMicros) / float64(t.Ops),
+				GC:          float64(gc.TimeMicros) / float64(t.Ops),
+				Overall:     t.MicrosPerOp(),
+				ErasesPerOp: t.ErasesPerOp(),
+				Raw:         t,
+			})
+		}
 	}
-	return r, nil
+	return rows, nil
 }
 
 // Exp1 reproduces Figure 12: read, write, and overall time per update
 // operation for the standard methods (N_updates_till_write = 1,
 // %ChangedByOneU_Op = 2).
 func Exp1(g Geometry, specs []MethodSpec) ([]Row, error) {
-	var rows []Row
-	for _, spec := range specs {
-		cfg := workload.Config{
-			NumPages:          g.NumPages(),
-			PctChanged:        2,
-			NUpdatesTillWrite: 1,
-			Seed:              g.Seed,
-		}
-		d, err := g.prepare(spec, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row, err := measureUpdateOps(d, g.MeasureOps, 0)
-		releaseDevice(d)
-		if err != nil {
-			return nil, fmt.Errorf("bench: exp1 %s: %w", spec.Name(g.Params), err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return g.sweep(specs, []float64{0}, func(float64) workload.Config {
+		return workload.Config{PctChanged: 2, NUpdatesTillWrite: 1}
+	}, (*workload.Driver).RunUpdateOps)
 }
 
-// Exp2 reproduces Figure 13 (and supplies Figure 17's erase counts):
-// overall time per update operation as N_updates_till_write varies.
-func Exp2(g Geometry, specs []MethodSpec, nValues []int) ([]Row, error) {
+// Exp2 reproduces Figure 13 (and, through ErasesPerOp, Figure 17): overall
+// time per update operation as N_updates_till_write varies.
+func Exp2(g Geometry, specs []MethodSpec, nValues []float64) ([]Row, error) {
 	if len(nValues) == 0 {
-		nValues = []int{1, 2, 3, 4, 5, 6, 7, 8}
+		nValues = []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	}
-	var rows []Row
-	for _, spec := range specs {
-		for _, n := range nValues {
-			cfg := workload.Config{
-				NumPages:          g.NumPages(),
-				PctChanged:        2,
-				NUpdatesTillWrite: n,
-				Seed:              g.Seed,
-			}
-			d, err := g.prepare(spec, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row, err := measureUpdateOps(d, g.MeasureOps, float64(n))
-			releaseDevice(d)
-			if err != nil {
-				return nil, fmt.Errorf("bench: exp2 %s N=%d: %w", spec.Name(g.Params), n, err)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	return g.sweep(specs, nValues, func(n float64) workload.Config {
+		return workload.Config{PctChanged: 2, NUpdatesTillWrite: int(n)}
+	}, (*workload.Driver).RunUpdateOps)
 }
 
 // Exp3 reproduces Figure 14: overall time per update operation as
@@ -228,28 +211,9 @@ func Exp3(g Geometry, specs []MethodSpec, pcts []float64, nUpdates int) ([]Row, 
 	if len(pcts) == 0 {
 		pcts = []float64{0.1, 0.5, 1, 2, 5, 10, 20, 50, 100}
 	}
-	var rows []Row
-	for _, spec := range specs {
-		for _, pct := range pcts {
-			cfg := workload.Config{
-				NumPages:          g.NumPages(),
-				PctChanged:        pct,
-				NUpdatesTillWrite: nUpdates,
-				Seed:              g.Seed,
-			}
-			d, err := g.prepare(spec, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row, err := measureUpdateOps(d, g.MeasureOps, pct)
-			releaseDevice(d)
-			if err != nil {
-				return nil, fmt.Errorf("bench: exp3 %s pct=%g: %w", spec.Name(g.Params), pct, err)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	return g.sweep(specs, pcts, func(pct float64) workload.Config {
+		return workload.Config{PctChanged: pct, NUpdatesTillWrite: nUpdates}
+	}, (*workload.Driver).RunUpdateOps)
 }
 
 // Exp4 reproduces Figure 15: overall time per operation for mixes of
@@ -258,97 +222,35 @@ func Exp4(g Geometry, specs []MethodSpec, pcts []float64, nUpdates int) ([]Row, 
 	if len(pcts) == 0 {
 		pcts = []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	}
-	var rows []Row
-	for _, spec := range specs {
-		for _, pct := range pcts {
-			cfg := workload.Config{
-				NumPages:          g.NumPages(),
-				PctChanged:        2,
-				NUpdatesTillWrite: nUpdates,
-				PctUpdateOps:      pct,
-				Seed:              g.Seed,
-			}
-			d, err := g.prepare(spec, cfg)
-			if err != nil {
-				return nil, err
-			}
-			t, err := d.RunMixedOps(g.MeasureOps)
-			releaseDevice(d)
-			if err != nil {
-				return nil, fmt.Errorf("bench: exp4 %s pct=%g: %w", spec.Name(g.Params), pct, err)
-			}
-			gc := GCStatsOf(d.Method())
-			rows = append(rows, Row{
-				Method:  d.Method().Name(),
-				X:       pct,
-				Read:    float64(t.ReadPhase.TimeMicros) / float64(t.Ops),
-				Write:   float64(t.WritePhase.TimeMicros) / float64(t.Ops),
-				GC:      float64(gc.TimeMicros) / float64(t.Ops),
-				Overall: t.MicrosPerOp(),
-				Raw:     t,
-			})
-		}
-	}
-	return rows, nil
+	return g.sweep(specs, pcts, func(pct float64) workload.Config {
+		return workload.Config{PctChanged: 2, NUpdatesTillWrite: nUpdates, PctUpdateOps: pct}
+	}, (*workload.Driver).RunMixedOps)
 }
 
-// Exp5Point is one point of Figure 16: the overall time recomputed under
-// different flash timing parameters.
-type Exp5Point struct {
-	Method         string
-	Tread, Twrite  int64
-	OverallPerOp   float64
-	BaselineCounts flash.Stats
-}
-
-// Exp5 reproduces Figure 16: overall time per update operation as Tread
-// and Twrite vary. The access pattern of every method is independent of
-// the timing parameters, so each method runs once and the cost is
-// recomputed from the operation counts for every (Tread, Twrite) pair —
-// the same separation the paper's emulator methodology allows.
-func Exp5(g Geometry, specs []MethodSpec, treads []int64, twrites []int64) ([]Exp5Point, error) {
+// Exp5 reproduces one panel of Figure 16 from Experiment 1's rows: overall
+// time per update operation as Tread varies, at one Twrite. The access
+// pattern of every method is independent of the timing parameters, so
+// nothing runs again: each row's operation counts are recomputed under p
+// with each Tread and twrite — the same separation the paper's emulator
+// methodology allows. A returned row has X = Tread and its recomputed
+// Overall; the other times are not recomputed.
+func Exp5(p flash.Params, exp1 []Row, treads []int64, twrite int64) []Row {
 	if len(treads) == 0 {
 		treads = []int64{10, 50, 110, 250, 500, 1000, 1500}
 	}
-	if len(twrites) == 0 {
-		twrites = []int64{500, 1000}
-	}
-	rows, err := Exp1(g, specs)
-	if err != nil {
-		return nil, err
-	}
-	var points []Exp5Point
-	for _, row := range rows {
-		total := row.Raw.Overall()
-		for _, tw := range twrites {
-			for _, tr := range treads {
-				p := g.Params
-				p.ReadMicros, p.WriteMicros = tr, tw
-				points = append(points, Exp5Point{
-					Method:         row.Method,
-					Tread:          tr,
-					Twrite:         tw,
-					OverallPerOp:   float64(total.TimeOf(p)) / float64(row.Raw.Ops),
-					BaselineCounts: total,
-				})
-			}
+	var rows []Row
+	for _, r := range exp1 {
+		for _, tr := range treads {
+			p.ReadMicros, p.WriteMicros = tr, twrite
+			rows = append(rows, Row{
+				Method:  r.Method,
+				X:       float64(tr),
+				Overall: float64(r.Raw.Overall().TimeOf(p)) / float64(r.Raw.Ops),
+				Raw:     r.Raw,
+			})
 		}
 	}
-	return points, nil
-}
-
-// Exp6 reproduces Figure 17: erase operations per update operation as
-// N_updates_till_write varies (flash longevity).
-func Exp6(g Geometry, specs []MethodSpec, nValues []int) ([]Row, error) {
-	return Exp2(g, specs, nValues)
-}
-
-// Exp7Point is one point of Figure 18.
-type Exp7Point struct {
-	Method       string
-	BufferPct    float64
-	MicrosPerTxn float64
-	Txns         int64
+	return rows
 }
 
 // Exp7Config parameterizes the TPC-C experiment.
@@ -372,8 +274,12 @@ func DefaultExp7Config() Exp7Config {
 }
 
 // Exp7 reproduces Figure 18: TPC-C I/O time per transaction as the DBMS
-// buffer size varies.
-func Exp7(g Geometry, specs []MethodSpec, cfg Exp7Config) ([]Exp7Point, error) {
+// buffer size varies. A row has X = the buffer percentage and Overall =
+// the simulated microseconds per measured transaction.
+func Exp7(g Geometry, specs []MethodSpec, cfg Exp7Config) ([]Row, error) {
+	if err := g.Check(); err != nil {
+		return nil, err
+	}
 	pages, err := tpcc.PagesNeeded(cfg.Scale, g.Params.DataSize)
 	if err != nil {
 		return nil, err
@@ -384,22 +290,17 @@ func Exp7(g Geometry, specs []MethodSpec, cfg Exp7Config) ([]Exp7Point, error) {
 	if blocks > params.NumBlocks {
 		params.NumBlocks = blocks
 	}
-	var points []Exp7Point
+	var rows []Row
 	for _, spec := range specs {
 		for _, pct := range cfg.BufferPcts {
 			micros, err := g.exp7Point(params, spec, pct, pages, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("bench: exp7 %s: %w", spec.Name(params), err)
 			}
-			points = append(points, Exp7Point{
-				Method:       spec.Name(params),
-				BufferPct:    pct,
-				MicrosPerTxn: micros,
-				Txns:         int64(cfg.MeasureTxn),
-			})
+			rows = append(rows, Row{Method: spec.Name(params), X: pct, Overall: micros})
 		}
 	}
-	return points, nil
+	return rows, nil
 }
 
 // exp7Point loads TPC-C over one method, behind a DBMS buffer of pct percent
@@ -407,9 +308,6 @@ func Exp7(g Geometry, specs []MethodSpec, cfg Exp7Config) ([]Exp7Point, error) {
 // I/O time per measured transaction. The device is closed on every path.
 func (g Geometry) exp7Point(params flash.Params, spec MethodSpec, pct float64,
 	pages int, cfg Exp7Config) (float64, error) {
-	if err := g.Check(); err != nil {
-		return 0, err
-	}
 	bufPages := int(float64(pages) * pct / 100)
 	if bufPages < 4 {
 		bufPages = 4

@@ -3,6 +3,12 @@
 // garbage-collection steady state, and runs Experiments 1-7, emitting the
 // same rows and series the paper's figures plot.
 //
+// Experiments 1-4 are one sweep (prepare, measure, release, Row) over one
+// parameter each; Experiment 5 recomputes Experiment 1's rows under other
+// timings, Experiment 6 prints Experiment 2's erase counts, and Experiment
+// 7 runs TPC-C. A Suite runs them by id and prints each as a table,
+// reusing Experiment 1's and 2's rows for 5 and 6.
+//
 // All reported times are simulated flash I/O times (see internal/flash);
 // shapes and ratios are comparable with the paper even though the
 // default geometry is scaled down from the 2-Gbyte chip.

@@ -370,8 +370,9 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 				"batch TS order broken at position %d: ts %d follows %d", i, ops[i].ts, ops[i-1].ts)
 		}
 	}
+	// The fall-over choice is made before any channel lock is taken.
 	for i := range ops {
-		ops[i].ch = s.pickChannel(ops[i].home)
+		ops[i].ch = s.alloc.PickChannel(ops[i].home)
 	}
 	var refused []bool
 	for {

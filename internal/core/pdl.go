@@ -638,15 +638,6 @@ func (s *Store) ChannelGC(ch int) ftl.ChannelGCStats { return s.alloc.ChannelGC(
 // channels.
 func (s *Store) homeChannel(si int) int { return si % s.nchan }
 
-// pickChannel chooses the channel a program for shard si goes to: the
-// shard's home channel, unless the home is under reserve pressure while
-// another channel has erased blocks to spare (the allocator's fall-over
-// policy, read from atomics). It must be called BEFORE taking a channel
-// lock — that is what makes the fall-over deadlock-free.
-func (s *Store) pickChannel(si int) int {
-	return s.alloc.PickChannel(s.homeChannel(si))
-}
-
 // getPage borrows a scratch page buffer from the pool.
 func (s *Store) getPage() []byte { return s.pages.get() }
 
