@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -130,40 +129,82 @@ func (f *imageFIFO) take() int {
 }
 
 // heldImages is the held region: up to max page images, each named by the
-// pageStamp it was read under, in slots a write-back frees.
+// pageStamp it was read under, in slots a write-back frees. Every operation
+// is O(1): a map names the slots, freed slots wait on a stack, and the live
+// slots form a list in hold order, so the oldest hold is the list's head.
 type heldImages struct {
 	keys []pageStamp // keys[i] names imgs[i], the zero key a free slot
 	imgs [][]byte
-	// age is the number of holds when each slot was filled: the smallest
-	// one leaves when a hold finds no free slot.
-	age   []uint64
-	holds uint64
-	max   int
+	slot map[pageStamp]int // the slot of each held image
+	free []int             // freed slots, the last freed on top
+	// prev and next link the live slots from the oldest hold (head) to the
+	// newest (tail); -1 ends the list.
+	prev, next []int
+	head, tail int
+	max        int
 }
 
-// find returns the slot of the image named want, or -1.
-func (h *heldImages) find(want pageStamp) int { return slices.Index(h.keys, want) }
+func newHeldImages(max int) heldImages { return heldImages{head: -1, tail: -1, max: max} }
 
-// take returns the slot the next held image goes into: a freed one, a new
-// one while fewer than max exist, else the oldest hold's.
-func (h *heldImages) take() int {
-	h.holds++
-	i := h.find(pageStamp{})
-	switch {
-	case i >= 0:
-	case len(h.keys) < h.max:
-		i = len(h.keys)
-		h.keys, h.imgs, h.age = append(h.keys, pageStamp{}), append(h.imgs, nil), append(h.age, 0)
-	default:
-		i = 0
-		for j, a := range h.age {
-			if a < h.age[i] {
-				i = j
-			}
-		}
+// find returns the slot of the image named want, or -1.
+func (h *heldImages) find(want pageStamp) int {
+	if i, ok := h.slot[want]; ok {
+		return i
 	}
-	h.age[i] = h.holds
+	return -1
+}
+
+// take returns the slot the image named key is held in: a freed one, a new
+// one while fewer than max exist, else the oldest hold's, which leaves.
+func (h *heldImages) take(key pageStamp) int {
+	var i int
+	switch {
+	case len(h.free) > 0:
+		i = h.free[len(h.free)-1]
+		h.free = h.free[:len(h.free)-1]
+	case len(h.keys) < h.max:
+		if h.slot == nil {
+			h.slot = make(map[pageStamp]int, h.max)
+		}
+		i = len(h.keys)
+		h.keys, h.imgs = append(h.keys, pageStamp{}), append(h.imgs, nil)
+		h.prev, h.next = append(h.prev, -1), append(h.next, -1)
+	default:
+		i = h.head
+		h.unlink(i)
+		delete(h.slot, h.keys[i])
+	}
+	h.keys[i], h.slot[key] = key, i
+	h.prev[i], h.next[i] = h.tail, -1
+	if h.tail >= 0 {
+		h.next[h.tail] = i
+	} else {
+		h.head = i
+	}
+	h.tail = i
 	return i
+}
+
+// release frees slot i, whose image has gone back to the window.
+func (h *heldImages) release(i int) {
+	delete(h.slot, h.keys[i])
+	h.keys[i] = pageStamp{}
+	h.unlink(i)
+	h.free = append(h.free, i)
+}
+
+// unlink takes live slot i out of the hold order.
+func (h *heldImages) unlink(i int) {
+	if p := h.prev[i]; p >= 0 {
+		h.next[p] = h.next[i]
+	} else {
+		h.head = h.next[i]
+	}
+	if n := h.next[i]; n >= 0 {
+		h.prev[n] = h.prev[i]
+	} else {
+		h.tail = h.prev[i]
+	}
 }
 
 // baseImagesProbe is the number of writes and holds a dormant window lets miss
@@ -177,7 +218,7 @@ func newBaseImages(n, held int) *baseImages {
 	if n < 1 {
 		return nil
 	}
-	return &baseImages{win: imageFIFO{max: n}, held: heldImages{max: held}}
+	return &baseImages{win: imageFIFO{max: n}, held: newHeldImages(held)}
 }
 
 // put retains img, the verified base page image of pid stamped ts, unless the
@@ -196,7 +237,7 @@ func (b *baseImages) put(pid uint32, ts uint64, img []byte) {
 	b.win.keys[i] = pageStamp{pid, ts}
 	if b.idle++; b.idle >= 2*b.win.max {
 		b.dormant.Store(true)
-		b.held = heldImages{max: b.held.max}
+		b.held = newHeldImages(b.held.max)
 	}
 }
 
@@ -214,7 +255,8 @@ func (b *baseImages) get(pid uint32, ts uint64, dst []byte) bool {
 		copy(dst, b.held.imgs[i])
 		j := b.win.take()
 		b.win.imgs[j], b.held.imgs[i] = b.held.imgs[i], b.win.imgs[j]
-		b.win.keys[j], b.held.keys[i] = want, pageStamp{}
+		b.win.keys[j] = want
+		b.held.release(i)
 	} else if i := b.win.find(want); i >= 0 {
 		copy(dst, b.win.imgs[i])
 	} else {
@@ -236,13 +278,17 @@ func (b *baseImages) hold(pid uint32, ts uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	want := pageStamp{pid, ts}
-	if i := b.win.find(want); i >= 0 {
-		j := b.held.take()
+	// A page held already is a hit; a copy a read has put back in the window
+	// stays there.
+	if b.held.find(want) < 0 {
+		i := b.win.find(want)
+		if i < 0 {
+			b.miss()
+			return false
+		}
+		j := b.held.take(want)
 		b.win.imgs[i], b.held.imgs[j] = b.held.imgs[j], b.win.imgs[i]
-		b.win.keys[i], b.held.keys[j] = pageStamp{}, want
-	} else if b.held.find(want) < 0 {
-		b.miss()
-		return false
+		b.win.keys[i] = pageStamp{}
 	}
 	b.wake()
 	return true

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pdl/internal/flash"
@@ -222,6 +223,49 @@ func TestBaseImagesHold(t *testing.T) {
 	}
 	if !b.dormant.Load() || !b.hold(9, ts) || b.dormant.Load() || !serves(9, ts, 0x99) {
 		t.Fatal("a hold that found its image did not wake the window, or the image does not serve")
+	}
+}
+
+// TestHeldImagesEvictOldestHold drives the held region's slot map, free-slot
+// stack and hold-order list with seeded holds and write-backs against a model
+// that keeps the live holds in a slice, oldest first: after every step the
+// region names exactly the model's images, each in a slot of its own, its
+// list runs in the model's order, and a hold into a full region has pushed out
+// the model's oldest.
+func TestHeldImagesEvictOldestHold(t *testing.T) {
+	const maxHeld = 5
+	rng := rand.New(rand.NewSource(5))
+	h := newHeldImages(maxHeld)
+	var model []pageStamp
+	for step := 0; step < 5000; step++ {
+		key := pageStamp{uint32(1 + rng.Intn(12)), 1}
+		if i := slices.Index(model, key); i >= 0 && rng.Intn(4) > 0 { // the write-back
+			slot := h.find(key)
+			if slot < 0 {
+				t.Fatalf("step %d: held image %v not found", step, key)
+			}
+			h.release(slot)
+			model = slices.Delete(model, i, i+1)
+		} else if i < 0 {
+			if len(model) == maxHeld {
+				model = model[1:]
+			}
+			h.take(key)
+			model = append(model, key)
+		}
+		var order []pageStamp
+		for i := h.head; i >= 0 && len(order) <= maxHeld; i = h.next[i] {
+			order = append(order, h.keys[i])
+		}
+		if !slices.Equal(order, model) || len(h.slot) != len(model) || len(h.keys) > maxHeld {
+			t.Fatalf("step %d: held %v in hold order (%d named, %d slots), want %v",
+				step, order, len(h.slot), len(h.keys), model)
+		}
+		for _, key := range model {
+			if i := h.find(key); i < 0 || h.keys[i] != key {
+				t.Fatalf("step %d: %v is not named by its slot", step, key)
+			}
+		}
 	}
 }
 

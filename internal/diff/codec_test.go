@@ -129,6 +129,36 @@ func TestComputeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestComputeMatchesReferenceAtEveryOffset changes one byte at every offset
+// of 512-, 1024- and 2048-byte pages, so at every offset of every 256- and
+// 64-byte block the equal-block skip passes over, alone and beside a change
+// in the last byte: the scan that starts after the first range reaches that
+// one through a tail shorter than 64 bytes, for every offset not 63 mod 64.
+func TestComputeMatchesReferenceAtEveryOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, size := range []int{512, 1024, 2048} {
+		base := make([]byte, size)
+		rng.Read(base)
+		for off := 0; off < size; off++ {
+			cur := bytes.Clone(base)
+			cur[off] ^= byte(1 + rng.Intn(255))
+			for _, last := range []bool{false, true} {
+				if last {
+					cur[size-1] ^= 0x80
+				}
+				got, err := Compute(3, 5, base, cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := computeReference(3, 5, base, cur); !equalDifferentials(got, want) {
+					t.Fatalf("size %d, offset %d, last byte changed %v: Compute diverges from the byte loop:\n got %v\nwant %v",
+						size, off, last, got, want)
+				}
+			}
+		}
+	}
+}
+
 // encodePage packs differentials into a page image padded with the
 // erased-flash byte, exactly like the differential write buffer does.
 func encodePage(pageSize int, ds ...Differential) []byte {
@@ -300,6 +330,30 @@ func TestFindInZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestComputeZeroAllocsWhenIdentical: Compute allocates nothing for two equal
+// pages and one slice of ranges for a page with up to 16 changed ranges, a
+// second one past that. The ranges' data alias cur with
+// their capacity cut, so appending to one cannot reach into the page.
+func TestComputeZeroAllocsWhenIdentical(t *testing.T) {
+	base, cur := benchPages(2048, 0) // two buffers, as in a write: memequal short-cuts one
+	if n := testing.AllocsPerRun(100, func() { _, _ = Compute(1, 1, base, cur) }); n != 0 {
+		t.Errorf("Compute of identical pages allocates %.1f objects per run, want 0", n)
+	}
+	for _, c := range []struct{ changes, allocs int }{{1, 1}, {4, 1}, {40, 2}} {
+		base, cur := benchPages(2048, c.changes)
+		if n := testing.AllocsPerRun(100, func() { _, _ = Compute(1, 1, base, cur) }); n != float64(c.allocs) {
+			t.Errorf("Compute of %d changes allocates %.1f objects per run, want %d", c.changes, n, c.allocs)
+		}
+	}
+	base, cur = benchPages(2048, 4)
+	d, _ := Compute(1, 1, base, cur)
+	for _, r := range d.Ranges {
+		if &r.Data[0] != &cur[r.Off] || cap(r.Data) != len(r.Data) {
+			t.Fatalf("the range at %d is not cur's bytes, capacity cut", r.Off)
+		}
+	}
+}
+
 // benchPages builds a base page and an updated copy with nchanges short
 // scattered runs, the paper's update shape.
 func benchPages(size, nchanges int) (base, cur []byte) {
@@ -336,11 +390,11 @@ func BenchmarkComputeReferenceSparse(b *testing.B) {
 }
 
 func BenchmarkComputeIdentical(b *testing.B) {
-	base, _ := benchPages(2048, 0)
+	base, cur := benchPages(2048, 0) // two buffers, as in a write: memequal short-cuts one
 	b.SetBytes(2048)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compute(1, 1, base, base); err != nil {
+		if _, err := Compute(1, 1, base, cur); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,6 +50,10 @@ type page struct {
 	// checks; it does not affect legality (partial data programs of an
 	// erased region are allowed, as used by in-page logging).
 	programmed bool
+	// touched records whether any program — full, torn, partial or of the
+	// spare — has reached the page since the last erase. An untouched page
+	// is all 1s, so a full program of it is a copy with nothing to check.
+	touched bool
 }
 
 // block is the storage for one erase block.
@@ -216,6 +220,9 @@ func (c *Chip) checkProgram(ppn PPN, data, spare []byte) (*page, error) {
 		return nil, fmt.Errorf("%w: spare len %d, want %d (ppn %d)", ErrBufSize, len(spare), c.params.SpareSize, ppn)
 	}
 	p := &c.blocks[blk].pages[pg]
+	if !p.touched {
+		return p, nil // all 1s: every image is legal
+	}
 	if err := checkProgrammable(p.data, data); err != nil {
 		return nil, fmt.Errorf("%w (ppn %d)", err, ppn)
 	}
@@ -230,20 +237,28 @@ func (c *Chip) checkProgram(ppn PPN, data, spare []byte) (*page, error) {
 // commitProgram applies a validated full-page program, charging Twrite.
 // If the power-fail countdown fires, an unpredictable prefix of the page
 // is committed — the first half, modeling a torn program — and the spare
-// stays erased. The caller holds mu.
+// stays erased. Into an untouched page, whose bits are all 1, the AND is a
+// copy. The caller holds mu.
 func (c *Chip) commitProgram(p *page, data, spare []byte) error {
 	if c.tickPowerFail() {
 		half := len(data) / 2
 		andInto(p.data[:half], data[:half])
-		p.programmed = true
+		p.programmed, p.touched = true, true
 		c.stats.AddWrite(c.params.WriteMicros)
 		return ErrPowerLoss
 	}
-	andInto(p.data, data)
-	if spare != nil {
-		andInto(p.spare, spare)
+	if p.touched {
+		andInto(p.data, data)
+		if spare != nil {
+			andInto(p.spare, spare)
+		}
+	} else {
+		copy(p.data, data)
+		if spare != nil {
+			copy(p.spare, spare)
+		}
 	}
-	p.programmed = true
+	p.programmed, p.touched = true, true
 	p.sparePrograms++
 	c.stats.AddWrite(c.params.WriteMicros)
 	return nil
@@ -301,6 +316,7 @@ func (c *Chip) ProgramPartial(ppn PPN, off int, chunk []byte) error {
 	if err := checkProgrammable(p.data[off:off+len(chunk)], chunk); err != nil {
 		return fmt.Errorf("%w (ppn %d +%d)", err, ppn, off)
 	}
+	p.touched = true
 	if c.tickPowerFail() {
 		half := len(chunk) / 2
 		andInto(p.data[off:off+half], chunk[:half])
@@ -340,6 +356,7 @@ func (c *Chip) ProgramSpare(ppn PPN, spare []byte) error {
 	if p.sparePrograms >= c.params.maxSparePrograms() {
 		return fmt.Errorf("%w: ppn %d has %d programs", ErrSpareProgramLimit, ppn, p.sparePrograms)
 	}
+	p.touched = true
 	if c.tickPowerFail() {
 		half := len(spare) / 2
 		andInto(p.spare[:half], spare[:half])
@@ -384,7 +401,7 @@ func (c *Chip) eraseNow(b *block) {
 		copy(p.data, c.erased)
 		copy(p.spare, c.erased)
 		p.sparePrograms = 0
-		p.programmed = false
+		p.programmed, p.touched = false, false
 	}
 	b.eraseCount++
 	c.stats.AddErase(c.params.EraseMicros)

@@ -27,6 +27,15 @@
 // Programming, an AND in the logical domain, is an OR in the stored
 // domain.
 //
+// The device keeps one bit a page in RAM that says the page is erased:
+// formatting a new file and erasing a block set it, and every program —
+// full, partial or of the spare — clears it before it writes. A full
+// program into a page erased in this session stores the complement of its
+// data and spare as they are, with no read-back, conflict check or merge;
+// any other program reads the record back first. A reopened file starts
+// with no page known erased, so its first program of each page takes the
+// read-back path.
+//
 // # Durability
 //
 // Every mutation is written straight to the file (no user-space write
@@ -42,6 +51,8 @@
 package filedev
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -122,6 +133,13 @@ type Device struct {
 	pageMetaOff int64
 	pagesOff    int64
 	recordSize  int64
+
+	// erased holds the pages known to be erased in this session (see the
+	// package comment); only mutating operations read or write it.
+	erased pageBits
+	// ones is a page record of 0xFF bytes: XORing with it converts between
+	// the stored and the logical domain.
+	ones []byte
 
 	// scratch holds one stored-domain page record during read-modify-write;
 	// only mutating operations (which hold mu exclusively) may use it.
@@ -212,6 +230,8 @@ func (d *Device) layout() {
 	d.eraseCount = make([]uint32, p.NumBlocks)
 	d.bad = make([]bool, p.NumBlocks)
 	d.sparePrg = make([]uint8, p.NumPages())
+	d.erased = newPageBits(p.NumPages())
+	d.ones = bytes.Repeat([]byte{0xFF}, int(d.recordSize))
 	d.scratch = make([]byte, d.recordSize)
 	recordSize := d.recordSize
 	d.readBufs.New = func() any { return make([]byte, recordSize) }
@@ -242,6 +262,7 @@ func (d *Device) format() error {
 	if err := d.f.Truncate(size); err != nil {
 		return err
 	}
+	d.erased.fill()
 	if d.policy != SyncNever {
 		return d.f.Sync()
 	}
@@ -368,10 +389,10 @@ func (d *Device) Read(ppn flash.PPN, data, spare []byte) error {
 		return err
 	}
 	if data != nil {
-		complementInto(data, rec[:p.DataSize])
+		subtle.XORBytes(data, rec[:p.DataSize], d.ones)
 	}
 	if spare != nil {
-		complementInto(spare, rec[p.DataSize:])
+		subtle.XORBytes(spare, rec[p.DataSize:], d.ones)
 	}
 	d.stats.AddRead(p.ReadMicros)
 	return nil
@@ -386,9 +407,8 @@ func (d *Device) ReadBatch(batch []flash.PageRead) error { return flash.ReadEach
 // ReadSpare implements flash.Device.
 func (d *Device) ReadSpare(ppn flash.PPN, spare []byte) error { return d.Read(ppn, nil, spare) }
 
-// Program implements flash.Device with NAND AND semantics: the stored
-// record is read back, checked for 0->1 transitions, OR-merged (the
-// stored domain is complemented), and written in one pwrite. The page
+// Program implements flash.Device with NAND AND semantics (see
+// programRecord) and writes the page record in one pwrite. The page
 // payload is written before the page metadata, so a kill between the two
 // leaves at worst a torn page that recovery detects, never metadata
 // claiming an unwritten page.
@@ -400,12 +420,10 @@ func (d *Device) Program(ppn flash.PPN, data, spare []byte) error {
 		return err
 	}
 	p := d.params
-	if _, err := d.f.ReadAt(d.scratch, d.recordOff(ppn)); err != nil {
+	if err := d.programRecord(d.scratch, ppn, data, spare); err != nil {
 		return err
 	}
-	if err := d.mergeProgram(d.scratch, ppn, data, spare); err != nil {
-		return err
-	}
+	d.erased.remove(ppn)
 	if d.policy == SyncAlways && spare != nil {
 		// Durable write discipline: the data area must be on disk before
 		// the spare header that makes the page look valid. A single write
@@ -434,17 +452,32 @@ func (d *Device) Program(ppn flash.PPN, data, spare []byte) error {
 	return d.maybeSync()
 }
 
-// mergeProgram validates one full-page program — buffer sizes and
-// AND-legality — against the stored-domain record rec and merges it in
-// place, leaving rec the post-program image. It is the shared legality
+// programRecord validates one full-page program — buffer sizes and
+// AND-legality — and builds in rec the stored-domain record the page holds
+// after it. A page erased in this session holds all 1s, so its record is
+// the complement of data and spare (an erased spare for a nil one);
+// otherwise the record is read back, checked for 0->1 transitions and
+// OR-merged (the stored domain is complemented). It is the shared legality
 // core of Program and ProgramBatch. The caller holds mu.
-func (d *Device) mergeProgram(rec []byte, ppn flash.PPN, data, spare []byte) error {
+func (d *Device) programRecord(rec []byte, ppn flash.PPN, data, spare []byte) error {
 	p := d.params
 	if len(data) != p.DataSize {
 		return fmt.Errorf("%w: data len %d, want %d (ppn %d)", flash.ErrBufSize, len(data), p.DataSize, ppn)
 	}
 	if spare != nil && len(spare) != p.SpareSize {
 		return fmt.Errorf("%w: spare len %d, want %d (ppn %d)", flash.ErrBufSize, len(spare), p.SpareSize, ppn)
+	}
+	if d.erased.has(ppn) {
+		subtle.XORBytes(rec[:p.DataSize], data, d.ones)
+		if spare != nil {
+			subtle.XORBytes(rec[p.DataSize:], spare, d.ones)
+		} else {
+			clear(rec[p.DataSize:])
+		}
+		return nil
+	}
+	if _, err := d.f.ReadAt(rec, d.recordOff(ppn)); err != nil {
+		return err
 	}
 	if err := checkProgrammable(rec[:p.DataSize], data); err != nil {
 		return fmt.Errorf("%w (ppn %d)", err, ppn)
@@ -462,9 +495,9 @@ func (d *Device) mergeProgram(rec []byte, ppn flash.PPN, data, spare []byte) err
 }
 
 // ProgramBatch implements the batched half of the flash.Device contract.
-// The whole batch is read back, conflict-checked, and merged in memory
-// first, so a validation failure (bad address, wrong buffer size, duplicate
-// PPN, AND-conflict) programs nothing. The merged records are then written
+// The whole batch is validated and built in memory first (programRecord),
+// so a validation failure (bad address, wrong buffer size, duplicate PPN,
+// AND-conflict) programs nothing. The records are then written
 // with ordered pwrites — a killed process leaves exactly a prefix of the
 // batch at the file's granularity. Under SyncAlways the batch keeps the
 // per-program durability discipline at batch scope: every data area is
@@ -505,12 +538,12 @@ func (d *Device) ProgramBatch(batch []flash.PageProgram) error {
 		seen[pp.PPN] = struct{}{}
 		rec := d.readBufs.Get().([]byte)
 		recs[i] = rec
-		if _, err := d.f.ReadAt(rec, d.recordOff(pp.PPN)); err != nil {
+		if err := d.programRecord(rec, pp.PPN, pp.Data, pp.Spare); err != nil {
 			return err
 		}
-		if err := d.mergeProgram(rec, pp.PPN, pp.Data, pp.Spare); err != nil {
-			return err
-		}
+	}
+	for _, pp := range batch {
+		d.erased.remove(pp.PPN)
 	}
 
 	if d.policy == SyncAlways {
@@ -572,6 +605,7 @@ func (d *Device) ProgramPartial(ppn flash.PPN, off int, chunk []byte) error {
 		return fmt.Errorf("%w (ppn %d +%d)", err, ppn, off)
 	}
 	programInto(cur, chunk)
+	d.erased.remove(ppn)
 	if _, err := d.f.WriteAt(cur, d.recordOff(ppn)+int64(off)); err != nil {
 		return err
 	}
@@ -599,6 +633,7 @@ func (d *Device) ProgramSpare(ppn flash.PPN, spare []byte) error {
 		return err
 	}
 	programInto(cur, spare)
+	d.erased.remove(ppn)
 	if _, err := d.f.WriteAt(cur, d.recordOff(ppn)+int64(p.DataSize)); err != nil {
 		return err
 	}
@@ -632,6 +667,7 @@ func (d *Device) Erase(blk int) error {
 	}
 	for i := 0; i < p.PagesPerBlock; i++ {
 		d.sparePrg[first+flash.PPN(i)] = 0
+		d.erased.add(first + flash.PPN(i))
 	}
 	pm := make([]byte, p.PagesPerBlock*pageMetaSize)
 	if _, err := d.f.WriteAt(pm, d.pageMetaOff+int64(first)*pageMetaSize); err != nil {
@@ -758,19 +794,23 @@ func (d *Device) maxSparePrograms() int {
 	return d.params.MaxSparePrograms
 }
 
-// The three kernels below work eight bytes at a time, then the tail.
+// pageBits is a set of pages, one bit each.
+type pageBits []uint64
 
-// complementInto stores dst = ^src (stored domain -> logical domain).
-func complementInto(dst, src []byte) {
-	src = src[:len(dst)]
-	i := 0
-	for ; i+8 <= len(dst); i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], ^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = ^src[i]
+func newPageBits(n int) pageBits { return make(pageBits, (n+63)/64) }
+
+func (b pageBits) has(ppn flash.PPN) bool { return b[ppn/64]&(1<<(uint(ppn)%64)) != 0 }
+func (b pageBits) add(ppn flash.PPN)      { b[ppn/64] |= 1 << (uint(ppn) % 64) }
+func (b pageBits) remove(ppn flash.PPN)   { b[ppn/64] &^= 1 << (uint(ppn) % 64) }
+
+// fill adds every page.
+func (b pageBits) fill() {
+	for i := range b {
+		b[i] = ^uint64(0)
 	}
 }
+
+// The two kernels below work eight bytes at a time, then the tail.
 
 // checkProgrammable reports ErrProgramConflict if the logical image want
 // has a 1 bit where the stored (complemented) image says the cell is
