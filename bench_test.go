@@ -44,7 +44,8 @@ func BenchmarkPDLWritePage(b *testing.B) {
 }
 
 // BenchmarkPDLRecovery measures crash recovery: the full spare-area scan
-// and table reconstruction.
+// and table reconstruction, over an image of base pages and of differential
+// pages whose records recovery arbitrates.
 func BenchmarkPDLRecovery(b *testing.B) {
 	chip := pdl.NewChip(pdl.ScaledFlashParams(64))
 	store, err := pdl.Open(chip, 1024, pdl.Options{MaxDifferentialSize: 256})
@@ -53,11 +54,25 @@ func BenchmarkPDLRecovery(b *testing.B) {
 	}
 	size := chip.Params().DataSize
 	rng := rand.New(rand.NewSource(1))
-	page := make([]byte, size)
-	for pid := 0; pid < 1024; pid++ {
-		rng.Read(page)
+	pages := make([][]byte, 1024)
+	for pid := range pages {
+		pages[pid] = make([]byte, size)
+		rng.Read(pages[pid])
+		if err := store.WritePage(uint32(pid), pages[pid]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// A second pass changes 16 bytes of every page, flushing the write
+	// buffer every 32 writes.
+	for pid, page := range pages {
+		rng.Read(page[rng.Intn(size-16):][:16])
 		if err := store.WritePage(uint32(pid), page); err != nil {
 			b.Fatal(err)
+		}
+		if pid%32 == 31 {
+			if err := store.Flush(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	if err := store.Flush(); err != nil {

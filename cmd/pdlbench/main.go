@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"pdl/internal/bench"
+	"pdl/internal/diff"
 	"pdl/internal/flash"
 	"pdl/internal/flash/ecc"
 	"pdl/internal/flash/filedev"
@@ -75,6 +76,10 @@ func realMain() int {
 	}
 	if *pageSize <= 0 || *pageSize%ecc.SectorSize != 0 {
 		fmt.Fprintf(os.Stderr, "pdlbench: -pagesize %d is not a positive multiple of %d\n", *pageSize, ecc.SectorSize)
+		return 1
+	}
+	if *pageSize > diff.MaxPageSize {
+		fmt.Fprintf(os.Stderr, "pdlbench: -pagesize %d exceeds %d, the largest page a differential record addresses\n", *pageSize, diff.MaxPageSize)
 		return 1
 	}
 	g := bench.DefaultGeometry()

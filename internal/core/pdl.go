@@ -146,6 +146,11 @@ type Options struct {
 	// The paper evaluates PDL(2KB) and PDL(256B). Zero means the flash
 	// data-area size (one page).
 	//
+	// A record's offsets, lengths and size are 16 bits wide, and a size of
+	// 0xFFFF ends a differential page's records, so New refuses a page data
+	// area over 65,536 bytes and a bound (after its zero default) over
+	// 65,534: a 65,536-byte page needs an explicit bound.
+	//
 	// The bound governs what the store writes and is not persisted: a store
 	// recovered under a smaller bound than the one its flash was written
 	// under reads the larger records, and garbage collection relocates them
@@ -458,6 +463,10 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("core: database of %d pages exceeds flash capacity of %d pages",
 			numPages, p.NumPages())
 	}
+	if p.DataSize > diff.MaxPageSize {
+		return nil, fmt.Errorf("core: page data area %d exceeds %d, the largest a differential record addresses",
+			p.DataSize, diff.MaxPageSize)
+	}
 	maxDiff := opts.MaxDifferentialSize
 	if maxDiff == 0 {
 		maxDiff = p.DataSize
@@ -469,6 +478,10 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	if maxDiff > p.DataSize {
 		return nil, fmt.Errorf("core: MaxDifferentialSize %d exceeds page data area %d",
 			maxDiff, p.DataSize)
+	}
+	if maxDiff > diff.MaxRecordSize {
+		return nil, fmt.Errorf("core: MaxDifferentialSize %d exceeds %d, the largest differential record",
+			maxDiff, diff.MaxRecordSize)
 	}
 	if err := ftl.CheckSealable(p.DataSize, p.SpareSize); err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -21,15 +21,15 @@ import (
 // differential) obsolete in the allocator, and the records that lost
 // arbitration on the pages it keeps as their dead bytes.
 //
-// The scan is embarrassingly parallel over blocks — each physical page is
-// judged by its own spare header and contents, and arbitration is a pure
-// merge by time stamp — so Recover fans it out across one goroutine per
-// GOMAXPROCS (at most one per block), each scanning a contiguous block
-// range into a private candidate table; the tables are then merged in
-// block order with exactly the serial algorithm's arbitration rule
-// (greatest time stamp wins, first seen — i.e. lowest physical page —
-// wins ties). The recovered state is therefore identical for every
-// worker count, including the paper's serial scan (one worker).
+// The scan runs in two phases. Reading and verifying is embarrassingly
+// parallel over blocks — each physical page is judged by its own spare
+// header and contents — so Recover fans it out across one goroutine per
+// GOMAXPROCS (at most one per block), each filling the page table of a
+// contiguous block range and listing the key of every differential record
+// it found. Arbitration is then one serial pass in physical page order over
+// what the workers saw: greatest time stamp wins, the lowest physical page
+// wins ties. No worker decides anything, so the recovered state is the
+// paper's serial scan's for every worker count.
 //
 // The recovered state reflects exactly the data that had been written out
 // to flash; differentials that were still in the differential write buffer
@@ -61,71 +61,79 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 	p := dev.Params()
 	workers = min(workers, p.NumBlocks)
 
-	// Phase 1: scan every physical page's spare area (and the data area of
-	// differential pages and of suspicious free pages), one worker per
-	// block range. Workers write disjoint slices of infos and reduce what
-	// they see into private per-pid candidate tables; no decisions about
-	// winners are taken yet.
+	// Phase 1: read and verify every physical page, one worker per block
+	// range. Workers write disjoint slices of infos and return the keys of
+	// the records on their differential pages, in page order.
 	infos := make([]pageInfo, p.NumPages())
-	scans := make([]scanResult, workers)
+	keys := make([][]recordKey, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * p.NumBlocks / workers
-		hi := (w + 1) * p.NumBlocks / workers
+	for w := range workers {
 		wg.Add(1)
-		go func(res *scanResult, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			res.err = s.scanBlockRange(lo, hi, infos, res)
-		}(&scans[w], lo, hi)
+			keys[w], errs[w] = s.scanBlockRange(w*p.NumBlocks/workers, (w+1)*p.NumBlocks/workers, infos)
+		}()
 	}
 	wg.Wait()
-	for w := range scans {
-		if scans[w].err != nil {
-			return nil, scans[w].err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 
-	// Phase 2: merge the per-worker tables in block order, which preserves
-	// the serial scan's arbitration exactly. Base pages first — a
-	// differential can only be judged against the final winning base.
-	for w := range scans {
-		for pid, c := range scans[w].bases {
-			if s.mt.ppmt[pid].base == flash.NilPPN || c.ts > s.mt.baseTS[pid] {
-				s.mt.ppmt[pid].base = c.ppn
-				s.mt.baseTS[pid] = c.ts
-			}
-		}
-	}
+	// Phase 2: arbitrate, once, in physical page order. Base pages first —
+	// a differential can only be judged against the final winning base.
+	//
+	// New time stamps outrank everything the scan could trust, not only what
+	// it adopts: a quarantined page or a vetoed differential is still in
+	// flash and competes again at the next restart. A page's header stamp is
+	// no older than any record it carries.
+	//
 	// A quarantined (uncorrectably corrupt) base page poisons the
 	// differentials computed against it: when the quarantined image was
 	// newer than the surviving winner, any differential newer than the
 	// quarantined time stamp was computed against the lost image, and
 	// replaying it onto the older survivor would fabricate page content.
-	// The global poison threshold per pid is the OLDEST quarantined base
+	// The poison threshold per pid is the OLDEST quarantined base
 	// (conservative when several copies of a pid are corrupt at once).
+	var maxTS uint64
 	poison := make(map[uint32]uint64)
-	for w := range scans {
-		for pid, ts := range scans[w].poison {
-			if cur, ok := poison[pid]; !ok || ts < cur {
-				poison[pid] = ts
+	for ppn := range infos {
+		h := &infos[ppn].hdr
+		if h.Obsolete || (h.Type != ftl.TypeBase && h.Type != ftl.TypeDiff) {
+			continue
+		}
+		maxTS = max(maxTS, h.TS)
+		if h.Type != ftl.TypeBase || int(h.PID) >= numPages {
+			continue
+		}
+		if infos[ppn].quarantined {
+			if pts, ok := poison[h.PID]; !ok || h.TS < pts {
+				poison[h.PID] = h.TS
 			}
+		} else if s.mt.ppmt[h.PID].base == flash.NilPPN || h.TS > s.mt.baseTS[h.PID] {
+			s.mt.ppmt[h.PID].base = flash.PPN(ppn)
+			s.mt.baseTS[h.PID] = h.TS
 		}
 	}
-	for w := range scans {
-		for pid, c := range scans[w].diffs {
-			if s.mt.ppmt[pid].base == flash.NilPPN {
+	s.ts.Store(maxTS)
+	for _, ks := range keys {
+		for _, k := range ks {
+			e, bts := &s.mt.ppmt[k.pid], s.mt.baseTS[k.pid]
+			if e.base == flash.NilPPN {
 				continue // differential without a base page cannot be applied
 			}
-			if c.ts <= s.mt.baseTS[pid] {
+			if k.ts <= bts {
 				continue // the base page is newer (Fig. 11: ts(d) > ts(bp))
 			}
-			if pts, ok := poison[pid]; ok && pts > s.mt.baseTS[pid] && c.ts > pts {
+			if pts, ok := poison[k.pid]; ok && pts > bts && k.ts > pts {
 				continue // computed against a quarantined, lost base image
 			}
-			if s.mt.ppmt[pid].dif == flash.NilPPN || c.ts > s.mt.diffTS[pid] {
-				s.mt.ppmt[pid].dif = c.ppn
-				s.mt.diffTS[pid] = c.ts
-				s.mt.recLen[pid] = c.n
+			if e.dif == flash.NilPPN || k.ts > s.mt.diffTS[k.pid] {
+				e.dif = k.ppn
+				s.mt.diffTS[k.pid] = k.ts
+				s.mt.recLen[k.pid] = k.n
 			}
 		}
 	}
@@ -158,15 +166,6 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 			s.mt.rebase[pid] = struct{}{}
 		}
 	}
-	// New time stamps outrank everything the scan saw, not only what it
-	// adopted: a quarantined page or a vetoed differential is still in flash
-	// and competes again at the next restart.
-	var maxTS uint64
-	for w := range scans {
-		maxTS = max(maxTS, scans[w].maxTS)
-	}
-	s.ts.Store(maxTS)
-
 	// Rebuild the allocator's view: a block with any programmed page is
 	// adopted as full, and its erased tail counts as reclaimable, so a
 	// collection gives it back like garbage; fully erased blocks stay on the
@@ -200,7 +199,9 @@ type pageInfo struct {
 	torn bool // spare erased but data programmed (torn base write)
 	// quarantined marks a page that failed integrity verification (header
 	// checksum or uncorrectable data ECC): it is excluded from arbitration
-	// and counted obsolete.
+	// and counted obsolete. A page whose header failed its checksum keeps
+	// none of it (hdr is the zero Header, of no type recovery arbitrates);
+	// a quarantined base page's header still sets the pid's poison threshold.
 	quarantined bool
 	// recBytes is the bytes of the records on a differential page.
 	recBytes int32
@@ -231,38 +232,21 @@ func (s *Store) useless(ppn flash.PPN, pi *pageInfo) bool {
 	return true // unknown page type: written by another method
 }
 
-// candidate is one page competing to be a pid's base page or newest
-// differential, with the differential record's length.
-type candidate struct {
+// recordKey is one differential record the recovery scan found: the page
+// it lies on, the pid it belongs to, its creation time stamp and its wire
+// length.
+type recordKey struct {
 	ppn flash.PPN
+	pid uint32
 	ts  uint64
 	n   uint16
 }
 
-// scanResult is one worker's private reduction of its block range: the
-// best base-page and differential candidate per pid it encountered, under
-// the same arbitration rule the merge applies globally (greatest time
-// stamp wins, first seen wins ties — workers scan ascending physical
-// pages, so first seen is the lowest PPN).
-type scanResult struct {
-	bases map[uint32]candidate
-	diffs map[uint32]candidate
-	// poison records, per pid, the oldest time stamp of a quarantined
-	// (uncorrectably corrupt) base page the worker saw: differentials newer
-	// than it may have been computed against the lost image and are
-	// rejected by the merge when the quarantined page would have won.
-	poison map[uint32]uint64
-	// maxTS is the greatest creation time stamp of the programmed pages the
-	// worker could read a trustworthy header from, winners or not. A page's
-	// header stamp is no older than any record it carries.
-	maxTS uint64
-	err   error
-}
-
 // scanBlockRange reads blocks [lo, hi) for recovery: every page's spare
-// header lands in infos (indices disjoint between workers), and the
-// worker's candidate tables collect base pages and decoded differentials.
-// Each worker owns its buffers, and devices serve concurrent reads.
+// header lands in infos (indices disjoint between workers), and it returns
+// the key of every record on the block range's differential pages, in page
+// order. It decides no winner. Each worker owns its buffers, and devices
+// serve concurrent reads.
 //
 // A programmed page must pass its spare-area header
 // checksum and (base and differential pages) its data-area ECC before it
@@ -271,11 +255,9 @@ type scanResult struct {
 // masquerade as a valid mapping and corrupt data never silently wins
 // arbitration. Single-bit errors are corrected in place (and counted)
 // before differential pages are decoded.
-func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) error {
+func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo) ([]recordKey, error) {
 	dev, p, numPages := s.dev, s.params, s.numPages
-	res.bases = make(map[uint32]candidate)
-	res.diffs = make(map[uint32]candidate)
-	res.poison = make(map[uint32]uint64)
+	var keys []recordKey
 	spare := make([]byte, p.SpareSize)
 	data := make([]byte, p.DataSize)
 	for blk := lo; blk < hi; blk++ {
@@ -291,7 +273,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 			// needed anyway for torn-page detection, differential decoding,
 			// and ECC verification.
 			if err := s.scanRead(ppn, data, spare); err != nil {
-				return fmt.Errorf("core: recovery scan of ppn %d: %w", ppn, err)
+				return nil, fmt.Errorf("core: recovery scan of ppn %d: %w", ppn, err)
 			}
 			h := ftl.DecodeHeader(spare)
 			infos[ppn] = pageInfo{hdr: h}
@@ -301,11 +283,8 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 			if h.Type != ftl.TypeFree &&
 				!ftl.VerifyHeaderChecksum(spare, p.DataSize) {
 				s.itel.headerChecksumFailures.Add(1)
-				infos[ppn].quarantined = true
+				infos[ppn] = pageInfo{quarantined: true}
 				continue
-			}
-			if h.Type == ftl.TypeBase || h.Type == ftl.TypeDiff {
-				res.maxTS = max(res.maxTS, h.TS)
 			}
 			switch h.Type {
 			case ftl.TypeFree:
@@ -316,19 +295,9 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 					infos[ppn].torn = true
 				}
 			case ftl.TypeBase:
-				if int(h.PID) >= numPages {
-					continue
-				}
-				if len(s.verifyData(data, spare)) > 0 {
+				if int(h.PID) < numPages && len(s.verifyData(data, spare)) > 0 {
 					s.itel.unrecoverablePages.Add(1)
 					infos[ppn].quarantined = true
-					if ts, ok := res.poison[h.PID]; !ok || h.TS < ts {
-						res.poison[h.PID] = h.TS
-					}
-					continue
-				}
-				if c, ok := res.bases[h.PID]; !ok || h.TS > c.ts {
-					res.bases[h.PID] = candidate{ppn: ppn, ts: h.TS}
 				}
 			case ftl.TypeDiff:
 				if len(s.verifyData(data, spare)) > 0 {
@@ -345,17 +314,14 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 				for rec := range diff.Records(data) {
 					infos[ppn].recBytes += int32(len(rec))
 					pid, ts := diff.RecordKey(rec)
-					if int(pid) >= numPages {
-						continue
-					}
-					if c, ok := res.diffs[pid]; !ok || ts > c.ts {
-						res.diffs[pid] = candidate{ppn: ppn, ts: ts, n: uint16(len(rec))}
+					if int(pid) < numPages {
+						keys = append(keys, recordKey{ppn: ppn, pid: pid, ts: ts, n: uint16(len(rec))})
 					}
 				}
 			}
 		}
 	}
-	return nil
+	return keys, nil
 }
 
 // allErased reports whether every byte of b is 0xFF, the erased state. It

@@ -52,6 +52,14 @@ const (
 // HeaderSize is the encoded size of a differential with no changed ranges.
 const HeaderSize = headerSize
 
+// MaxPageSize is the largest page a record addresses: its offsets are 16
+// bits wide.
+const MaxPageSize = 1 << 16
+
+// MaxRecordSize is the largest encoded differential: its size field is 16
+// bits wide, and a size of 0xFFFF is the end marker.
+const MaxRecordSize = endMarker - 1
+
 // RangeOverhead is the per-range metadata cost in the encoding. Compute
 // coalesces nearby ranges when doing so shrinks the encoding.
 const RangeOverhead = rangeOverhead

@@ -40,6 +40,10 @@ type Options struct {
 	LogBufBytes int
 }
 
+// maxPageSize is the largest page an update-log record addresses: its
+// offset is 16 bits wide.
+const maxPageSize = 1 << 16
+
 // logRef locates one flushed log sector of a logical page.
 type logRef struct {
 	ppn flash.PPN // log page
@@ -86,6 +90,10 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	}
 	if err := ftl.CheckHeaderFits(p.SpareSize); err != nil {
 		return nil, fmt.Errorf("ipl: %w", err)
+	}
+	if p.DataSize > maxPageSize {
+		return nil, fmt.Errorf("ipl: page data area %d exceeds %d, the largest an update-log record addresses",
+			p.DataSize, maxPageSize)
 	}
 	logPages := opts.LogPagesPerBlock
 	if logPages == 0 {

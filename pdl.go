@@ -145,8 +145,10 @@
 // shard count the Options request; the on-flash format is
 // identical for every shard count and GC mode, so a multi-shard store
 // recovers the same logical state a single-shard store would. Recover
-// fans its spare-area scan over one goroutine per CPU; the recovered
-// state is the serial scan's.
+// fans the reading and verifying of its scan over one goroutine per CPU,
+// and then picks every winner in one serial pass in physical page order;
+// the recovered state is the serial scan's, because no goroutine decides
+// anything.
 //
 // # Serving layer
 //
@@ -297,7 +299,9 @@ type Store = core.Store
 // Options configures a PDL store. Its MaxDifferentialSize bounds the
 // differentials the store writes, not those it reads: it is not persisted,
 // so Recover under a smaller bound reads, and garbage collection relocates,
-// the records a larger one let through.
+// the records a larger one let through. A differential record's fields are
+// 16 bits wide, so Open and Recover refuse pages over 65,536 bytes and a
+// bound (the page size when zero) over 65,534.
 type Options = core.Options
 
 // Telemetry is a Store's event counters and the bytes its read caches hold
@@ -313,9 +317,11 @@ func Open(dev Device, numPages int, opts Options) (*Store, error) {
 
 // Recover reconstructs a PDL store from flash contents after a system
 // failure by one scan through the physical pages (the paper's
-// PDL_RecoveringfromCrash algorithm), fanned out across one goroutine per
-// CPU; the recovered state is the serial scan's. Differentials that were only in the in-memory
-// write buffer at the time of the failure are lost, exactly as the paper
+// PDL_RecoveringfromCrash algorithm). One goroutine per CPU reads and
+// verifies a range of blocks; one pass in physical page order then
+// arbitrates by time stamp, so the recovered state is the serial scan's
+// for any CPU count. Differentials that were only in the in-memory write
+// buffer at the time of the failure are lost, exactly as the paper
 // specifies. Recover only reads the device: the useless pages it finds are
 // counted obsolete in memory, not marked in flash, so recovering again
 // rebuilds the same state.
