@@ -173,6 +173,25 @@ func TestExp2Shapes(t *testing.T) {
 	if !(pdlSmall8 < 1.6*opu8) {
 		t.Errorf("PDL(256B) at N=8 (%.1f) should approach OPU (%.1f)", pdlSmall8, opu8)
 	}
+
+	// The rows themselves, to one decimal, as TestExp1Shapes pins Figure 12's:
+	// the overall time per reflection of each method at N = 1, 4 and 8.
+	for _, w := range []struct {
+		method  string
+		overall [3]float64
+	}{
+		{"OPU", [3]float64{2299.1, 2302.8, 2305.1}},
+		{"PDL(2KB)", [3]float64{805.9, 1798.3, 2221.1}},
+		{"PDL(256B)", [3]float64{542.7, 892.7, 1413.1}},
+		{"IPL(18KB)", [3]float64{1682.0, 3094.9, 5901.9}},
+	} {
+		for i, n := range []float64{1, 4, 8} {
+			got := fmt.Sprintf("%.1f", rowOf(t, rows, w.method, n).Overall)
+			if want := fmt.Sprintf("%.1f", w.overall[i]); got != want {
+				t.Errorf("%s at N=%g: overall = %s us per reflection, want %s", w.method, n, got, want)
+			}
+		}
+	}
 }
 
 // TestExp3Shapes checks Figure 14 at N=1: OPU rewrites a whole page

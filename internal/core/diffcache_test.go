@@ -98,76 +98,198 @@ func TestDiffCacheRefusesOversizeRecord(t *testing.T) {
 	}
 }
 
-// TestDiffCacheReclaim walks the arena once round: of the first segment's
-// records only the one that was hit and is still its pid's newest survives.
+// TestDiffCacheReclaim: when no segment's dead bytes make the room an insert
+// needs, the segment after the head is compacted keeping only the live
+// records no larger than the mean size of the records the cache admitted;
+// larger and superseded ones go, hit or not. If those it keeps still leave
+// the insert too little room, the segment is emptied.
 func TestDiffCacheReclaim(t *testing.T) {
 	const pageSize, budget = 512, 3*segPages*512 + 4*64
-	c := newDiffCache(budget, 64, pageSize)
-	if len(c.segs) != 3 || c.segSize != segPages*pageSize {
-		t.Fatalf("arena = %d segments of %d bytes, want 3 of %d", len(c.segs), c.segSize, segPages*pageSize)
-	}
-	hit, idle, stale, staleHit := uint32(1), uint32(2), uint32(3), uint32(4)
-	for _, pid := range []uint32{hit, idle, stale, staleHit} {
-		c.putPage(testRecord(pid, 10, 64, byte(pid)))
-	}
-	for _, pid := range []uint32{hit, staleHit} {
-		if _, ok := cached(c, pid, 10); !ok {
-			t.Fatalf("pid %d missing right after its insert", pid)
+	newCache := func(t *testing.T) *diffCache {
+		c := newDiffCache(budget, 64, pageSize)
+		if len(c.segs) != 3 || c.segSize != segPages*pageSize {
+			t.Fatalf("arena = %d segments of %d bytes, want 3 of %d", len(c.segs), c.segSize, segPages*pageSize)
 		}
+		return c
 	}
-	// Newer records of two pids follow; filler that is never hit then takes
-	// the head out of the first segment and once round, back into it.
-	c.putPage(testRecord(stale, 11, 64, 0xEE))
-	c.putPage(testRecord(staleHit, 11, 64, 0xEF))
-	next := uint32(10)
-	fill := func() int {
-		t.Helper()
-		rec := testRecord(next, 1, 1000, 0)
-		next++
-		c.putPage(rec)
-		if got := c.bytes(); got > budget {
-			t.Fatalf("cache allocated %d bytes of a %d-byte budget", got, budget)
+
+	t.Run("keeps records up to the mean", func(t *testing.T) {
+		c := newCache(t)
+		small, large, stale := uint32(1), uint32(2), uint32(3)
+		c.putPage(testRecord(small, 10, 64, 1))
+		c.putPage(testRecord(large, 10, 2000, 2))
+		c.putPage(testRecord(stale, 10, 64, 3))
+		c.putPage(testRecord(stale, 11, 64, 4))
+		for _, pid := range []uint32{small, large} {
+			if _, ok := cached(c, pid, 10); !ok {
+				t.Fatalf("pid %d missing right after its insert", pid)
+			}
 		}
-		return len(rec)
-	}
-	round := func() (last int) {
+		// Live filler of 1,020 bytes takes the head out of the first segment
+		// and once round, back into it: the first segment's 84 dead bytes never
+		// make room for one.
+		next := uint32(10)
+		last := len(testRecord(next, 1, 1000, 0))
+		fill := func() {
+			t.Helper()
+			c.putPage(testRecord(next, 1, 1000, 0))
+			next++
+			if got := c.bytes(); got > budget {
+				t.Fatalf("cache allocated %d bytes of a %d-byte budget", got, budget)
+			}
+		}
 		for c.head == 0 {
 			fill()
 		}
 		for c.head != 0 {
-			last = fill()
+			fill()
 		}
-		return last
+		if mean := c.admittedBytes / c.admitted; mean < 84 || mean >= last {
+			t.Fatalf("admitted mean %d bytes, want between the small records' 84 and the filler's %d", mean, last)
+		}
+		if got, ok := cached(c, small, 10); !ok || !bytes.Equal(got, testRecord(small, 10, 64, 1)) {
+			t.Error("a live record smaller than the mean did not survive its segment's reclaim")
+		}
+		if _, ok := cached(c, stale, 11); !ok {
+			t.Error("the newest record of a superseded pid, smaller than the mean, did not survive")
+		}
+		if _, ok := cached(c, large, 10); ok {
+			t.Error("a live record larger than the mean survived its segment's reclaim, though it was hit")
+		}
+		if _, ok := cached(c, stale, 10); ok {
+			t.Error("the superseded record matches again")
+		}
+		if _, ok := cached(c, 10, 1); ok {
+			t.Error("the filler record the first segment held, larger than the mean, survived")
+		}
+		// The first segment holds the two small survivors and the filler that
+		// brought the head here, and no dead byte.
+		if got, want := len(c.segs[0]), 2*len(testRecord(0, 0, 64, 0))+last; got != want || c.dead[0] != 0 {
+			t.Errorf("first segment holds %d bytes, %d dead, after reclaim, want %d and 0", got, c.dead[0], want)
+		}
+		if want := 2 + int(next-10) - 1; c.len() != want {
+			t.Errorf("%d records cached, want %d", c.len(), want)
+		}
+	})
+
+	t.Run("empties what still leaves too little room", func(t *testing.T) {
+		c := newCache(t)
+		// 48 small live records fill the first segment; three of 3,020 bytes
+		// take one segment each, the last back in the first, whose small
+		// records, all under the mean, leave it too little room.
+		for pid := uint32(0); pid < 48; pid++ {
+			c.putPage(testRecord(pid, 1, 64, byte(pid)))
+		}
+		if c.head != 0 {
+			t.Fatalf("48 small records moved the head to segment %d", c.head)
+		}
+		for pid := uint32(48); pid < 51; pid++ {
+			c.putPage(testRecord(pid, 1, 3000, byte(pid)))
+		}
+		if mean := c.admittedBytes / c.admitted; mean < 84 {
+			t.Fatalf("admitted mean %d bytes, want at least the small records' 84", mean)
+		}
+		if c.head != 0 || len(c.segs[0]) != len(testRecord(50, 1, 3000, 0)) {
+			t.Errorf("head %d, first segment %d bytes: want the first segment to hold only the last insert", c.head, len(c.segs[0]))
+		}
+		for pid := uint32(0); pid < 48; pid++ {
+			if _, ok := cached(c, pid, 1); ok {
+				t.Fatalf("pid %d survived a segment that had to be emptied", pid)
+			}
+		}
+		if c.len() != 3 {
+			t.Errorf("%d records cached, want the 3 large ones", c.len())
+		}
+	})
+}
+
+// TestDiffCacheRefusedRecordDropsOlder: a record larger than a segment is
+// refused, and the older record of its pid, which can never hit again, is
+// dead: it no longer counts as cached, its bytes count as its segment's dead
+// ones (recounted under -tags pdlinvariants at the reclaim that follows), and
+// dead-first compaction gives them back.
+func TestDiffCacheRefusedRecordDropsOlder(t *testing.T) {
+	// One page of budget: a table of 8 slots and one 480-byte segment.
+	c := newDiffCache(512, 8, 512)
+	old := testRecord(1, 1, 100, 1) // 120 bytes
+	c.putPage(old)
+	c.putPage(testRecord(1, 2, 470, 2)) // 490 bytes
+	if _, ok := cached(c, 1, 1); ok || c.len() != 0 || c.dead[0] != len(old) {
+		t.Fatalf("after the refused insert: old hits %v, %d records, %d dead bytes; want false, 0, %d", ok, c.len(), c.dead[0], len(old))
 	}
-	last := round()
-	if got, ok := cached(c, hit, 10); !ok || !bytes.Equal(got, testRecord(hit, 10, 64, byte(hit))) {
-		t.Error("the record that was hit and is current did not survive its segment's reclaim")
+	next := testRecord(2, 3, 400, 3) // 420 bytes: fits only once the old record goes
+	c.putPage(next)
+	if got, ok := cached(c, 2, 3); !ok || !bytes.Equal(got, next) || c.len() != 1 || len(c.segs[0]) != len(next) || c.dead[0] != 0 {
+		t.Errorf("after the next insert: hit %v, %d records, segment %d bytes, %d dead; want true, 1, %d, 0", ok, c.len(), len(c.segs[0]), c.dead[0], len(next))
 	}
-	if _, ok := cached(c, idle, 10); ok {
-		t.Error("a record that was never hit survived its segment's reclaim")
+}
+
+// TestDiffCacheKeepsSmallRecordsUnderPressure drives the cache alone with a
+// stream shaped like page_file: uniform pids, each pid's record growing by
+// one 41-byte run (and its 4-byte range header) a write, read once before the
+// next write supersedes it and dropped when it would pass 256 bytes (a new
+// base page). The live records are about twice the arena, so reclaim must
+// evict live ones; it keeps those no larger than the admitted mean, and they
+// hit more often than the larger ones. The hit share was 0.601 when this
+// was written, and 0.466 under the reclaim it replaced, which kept the
+// records hit since they were written whatever their size (second chance).
+func TestDiffCacheKeepsSmallRecordsUnderPressure(t *testing.T) {
+	const pageSize, numPages, segs, writes = 512, 512, 8, 100000
+	c := newDiffCache(segs*segPages*pageSize+4*numPages, numPages, pageSize)
+	if len(c.segs) != segs {
+		t.Fatalf("arena of %d segments, want %d", len(c.segs), segs)
 	}
-	for _, pid := range []uint32{stale, staleHit} {
-		if _, ok := cached(c, pid, 10); ok {
-			t.Errorf("the superseded record of pid %d matches again", pid)
+	size := func(runs int) int { return 16 + 45*runs }
+	runs := make([]int, numPages) // runs of each pid's current record, 0: none
+	stamp := make([]uint64, numPages)
+	rng := rand.New(rand.NewSource(11))
+	var reads, hits [2]int // [0]: records at most the admitted mean, [1]: larger
+	admitted, admittedBytes := 0, 0
+	for ts := uint64(1); ts <= writes; ts++ {
+		pid := uint32(rng.Intn(numPages))
+		if k := runs[pid]; k > 0 {
+			class := 0
+			if size(k)*admitted > admittedBytes {
+				class = 1
+			}
+			reads[class]++
+			if _, ok := cached(c, pid, stamp[pid]); ok {
+				hits[class]++
+			}
+		}
+		runs[pid]++
+		if size(runs[pid]) > 256 {
+			c.drop(pid, ts)
+			runs[pid] = 0
+			continue
+		}
+		d := diff.Differential{PID: pid, TS: ts}
+		for i := range runs[pid] {
+			d.Ranges = append(d.Ranges, diff.Range{Off: 64 * i, Data: bytes.Repeat([]byte{byte(ts)}, 41)})
+		}
+		c.putPage(d.AppendTo(nil))
+		stamp[pid] = ts
+		admitted++
+		admittedBytes += size(runs[pid])
+	}
+	live, arena := 0, segs*c.segSize
+	for _, k := range runs {
+		if k > 0 {
+			live += size(k)
 		}
 	}
-	// What is left of the first segment is the one survivor and the filler
-	// that brought the head here: everything else gave its bytes back.
-	if got, want := len(c.segs[0]), len(testRecord(hit, 10, 64, 0))+last; got != want {
-		t.Errorf("first segment holds %d bytes after reclaim, want %d", got, want)
+	if live < 3*arena/2 || live > 3*arena {
+		t.Fatalf("live records of %d bytes against an arena of %d: want about twice", live, arena)
 	}
-	// The check above hit the survivor again: it stays another round, and
-	// goes in the round after, in which nothing touches it.
-	round()
-	if len(c.segs[0]) <= last {
-		t.Error("a record hit since its last reclaim did not survive the next one")
+	small, large := float64(hits[0])/float64(reads[0]), float64(hits[1])/float64(reads[1])
+	share := float64(hits[0]+hits[1]) / float64(reads[0]+reads[1])
+	t.Logf("hit share %.3f: records up to the mean %.3f of %d reads, larger %.3f of %d", share, small, reads[0], large, reads[1])
+	if small <= large {
+		t.Errorf("records up to the mean hit %.3f of their reads, larger ones %.3f: want the small ones more", small, large)
 	}
-	round()
-	if got := len(c.segs[0]); got != last {
-		t.Errorf("first segment holds %d bytes, want only the %d of the filler: a record not hit since its last reclaim survived", got, last)
-	}
-	if int(next) > 64 {
-		t.Fatalf("the filler ran past the store's %d pids", 64)
+	const measured, margin = 0.601, 0.03
+	if share < measured-margin {
+		t.Errorf("hit share %.3f, want at least %.3f (measured %.3f, less a margin of %.2f)", share, measured-margin, measured, margin)
 	}
 }
 
@@ -337,7 +459,7 @@ func BenchmarkDiffCache(b *testing.B) {
 		binary.LittleEndian.PutUint64(rec[6:], ts)
 		return rec
 	}
-	rec := testRecord(0, 1, 200, 0x5A)
+	rec, large := testRecord(0, 1, 200, 0x5A), testRecord(0, 1, 600, 0xA5)
 	page := make([]byte, pageSize)
 	b.Run("hit", func(b *testing.B) {
 		c := newDiffCache(budget, numPages, pageSize)
@@ -354,25 +476,22 @@ func BenchmarkDiffCache(b *testing.B) {
 	})
 	// insert: the default budget, which 1000 records do not fill (so the
 	// time includes allocating segments on first use). reclaim: four
-	// segments, filled every 290 records, and every record is hit, so each
-	// reclaim moves a segment's worth once before the next drops it.
+	// segments, filled every 156 records, of 220 and 620 bytes in turn and
+	// never hit; a pid comes back only after 8192 inserts, so the records a
+	// reclaim meets are mostly live, and it keeps the small ones until they
+	// leave too little room and it empties the segment.
 	for _, c := range []struct {
 		name   string
 		budget int
-		hit    bool
-	}{{"insert", budget, false}, {"reclaim", 4*segPages*pageSize + 4*numPages, true}} {
+		recs   [][]byte
+	}{{"insert", budget, [][]byte{rec}}, {"reclaim", 4*segPages*pageSize + 4*numPages, [][]byte{rec, large}}} {
 		b.Run(c.name, func(b *testing.B) {
 			dc := newDiffCache(c.budget, numPages, pageSize)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pid, ts := uint32(i)%numPages, uint64(i/numPages)+1
-				dc.putPage(stamp(rec, pid, ts))
-				if c.hit {
-					if hit, err := dc.merge(pid, ts, page); !hit || err != nil {
-						b.Fatal(hit, err)
-					}
-				}
+				dc.putPage(stamp(c.recs[i%len(c.recs)], pid, ts))
 			}
 		})
 	}
