@@ -176,22 +176,12 @@ func TestExp2Shapes(t *testing.T) {
 
 	// The rows themselves, to one decimal, as TestExp1Shapes pins Figure 12's:
 	// the overall time per reflection of each method at N = 1, 4 and 8.
-	for _, w := range []struct {
-		method  string
-		overall [3]float64
-	}{
-		{"OPU", [3]float64{2299.1, 2302.8, 2305.1}},
-		{"PDL(2KB)", [3]float64{805.9, 1798.3, 2221.1}},
-		{"PDL(256B)", [3]float64{542.7, 892.7, 1413.1}},
-		{"IPL(18KB)", [3]float64{1682.0, 3094.9, 5901.9}},
-	} {
-		for i, n := range []float64{1, 4, 8} {
-			got := fmt.Sprintf("%.1f", rowOf(t, rows, w.method, n).Overall)
-			if want := fmt.Sprintf("%.1f", w.overall[i]); got != want {
-				t.Errorf("%s at N=%g: overall = %s us per reflection, want %s", w.method, n, got, want)
-			}
-		}
-	}
+	pinOverall(t, rows, []float64{1, 4, 8}, "N=%g", map[string][]float64{
+		"OPU":       {2299.1, 2302.8, 2305.1},
+		"PDL(2KB)":  {805.9, 1798.3, 2221.1},
+		"PDL(256B)": {542.7, 892.7, 1413.1},
+		"IPL(18KB)": {1682.0, 3094.9, 5901.9},
+	})
 }
 
 // TestExp3Shapes checks Figure 14 at N=1: OPU rewrites a whole page
@@ -236,6 +226,27 @@ func TestExp3Shapes(t *testing.T) {
 	if ipl, opu := rowOf(t, rows, "IPL(18KB)", 50).Overall, rowOf(t, rows, "OPU", 50).Overall; !(ipl > 2*opu) {
 		t.Errorf("IPL(18KB) at 50%% (%.1f) should cost over twice OPU (%.1f)", ipl, opu)
 	}
+
+	// The rows themselves, to one decimal, as TestExp2Shapes pins Figure 13's.
+	pinOverall(t, rows, pcts, "%g%% changed", map[string][]float64{
+		"OPU":       {2289.8, 2295.4, 2308.9},
+		"PDL(256B)": {459.3, 706.8, 1408.9},
+		"IPL(18KB)": {1724.2, 1773.0, 13184.8},
+	})
+}
+
+// pinOverall holds the Overall value of each method's row at each x to want,
+// to one decimal; at formats an x for the message.
+func pinOverall(t *testing.T, rows []Row, xs []float64, at string, want map[string][]float64) {
+	t.Helper()
+	for method, overall := range want {
+		for i, x := range xs {
+			got := fmt.Sprintf("%.1f", rowOf(t, rows, method, x).Overall)
+			if w := fmt.Sprintf("%.1f", overall[i]); got != w {
+				t.Errorf("%s at "+at+": overall = %s, want %s", method, x, got, w)
+			}
+		}
+	}
 }
 
 func TestExp4Shapes(t *testing.T) {
@@ -248,7 +259,8 @@ func TestExp4Shapes(t *testing.T) {
 		{Kind: KindOPU},
 		{Kind: KindPDL, Param: g.Params.DataSize / 8},
 	}
-	rows, err := Exp4(g, specs, []float64{0, 50, 100}, 1)
+	pcts := []float64{0, 50, 100}
+	rows, err := Exp4(g, specs, pcts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +277,11 @@ func TestExp4Shapes(t *testing.T) {
 	if !(pdl100 < opu100) {
 		t.Errorf("update-heavy: PDL (%.1f) should beat OPU (%.1f)", pdl100, opu100)
 	}
+	// Figure 15's rows, to one decimal.
+	pinOverall(t, rows, pcts, "%g%% updates", map[string][]float64{
+		"OPU":       {110.0, 1219.4, 2301.7},
+		"PDL(256B)": {204.1, 368.0, 546.0},
+	})
 }
 
 func TestExp5RecomputationConsistency(t *testing.T) {
@@ -383,6 +400,11 @@ func TestExp7Shapes(t *testing.T) {
 		t.Errorf("TPC-C: PDL(256B) (%.1f) should beat OPU (%.1f) at small buffers",
 			get("PDL(256B)", 0.5), get("OPU", 0.5))
 	}
+	// Figure 18's rows (us per transaction), to one decimal.
+	pinOverall(t, rows, cfg.BufferPcts, "%g%% buffer", map[string][]float64{
+		"OPU":       {16731.2, 301.4},
+		"PDL(256B)": {4766.6, 156.8},
+	})
 }
 
 // TestBadGeometryIsRejected runs every experiment path — the sweep and

@@ -5,20 +5,25 @@ package core
 // and holds it to the oracles no cell changes:
 //
 //   - every read returns the bytes the acknowledged writes left (the model);
-//   - the crash contract: what recovery reads back after a crash is a state
-//     of the serial re-run of the same calls (every batch as its writes one by
-//     one) — on one channel one of its states at and inside the calls around
-//     the crash, on a striped device one of them page by page;
-//   - recovery is read-only and a pure function of flash: four recoveries of
-//     one image (the scan with one worker, one per block, GOMAXPROCS, and the
-//     cell's options) rebuild one state, adopt exactly the pages flash holds,
-//     leave every erased page free, open or in a block a collection can pick,
-//     and cost no program and no erase; after a crash the recovered store
-//     carries on;
+//   - the crash contract at every point of the run's own mutation log (every
+//     simStride-th point in a build without pdlinvariants): flash cut there,
+//     a program torn or not begun, an erase not begun or completed, recovers
+//     to a state of the serial re-run of the same calls (every batch as its
+//     writes one by one) around the call the point fell in — one of them on
+//     one channel, and page by page one of them on a striped device, whose
+//     other channel also holds what that call did there that did not follow
+//     from the point's success;
+//   - recovery is read-only and a pure function of flash: the store recovered
+//     from every image adopts exactly the pages flash holds and leaves every
+//     erased page free, open or in a block a collection can pick; after the
+//     last flush and at the log's middle point four recoveries (the scan with
+//     one worker, one per block, GOMAXPROCS, and the cell's options) rebuild
+//     one state and cost no program and no erase, and the store recovered at
+//     the middle point carries on;
 //   - on a deterministic cell (synchronous collection) the store with its RAM
-//     caches and a DiffCacheOff twin given the same program read the same
-//     bytes behind the same programs, erases, base and GC reads, and every
-//     read the caches saved is a counted hit;
+//     caches and a DiffCacheOff twin given the same program, when it plants
+//     no fault, read the same bytes behind the same programs, erases, base
+//     and GC reads, and every read the caches saved is a counted hit;
 //   - Telemetry's read attribution sums to the device's reads;
 //   - no differential record in a shard buffer or on a differential page the
 //     store programmed is larger than its MaxDifferentialSize;
@@ -32,11 +37,12 @@ package core
 //     records the harness saw programmed there that are not their pid's
 //     newest differential (deadbytes);
 //   - every injected fault ends in the model's bytes or a typed
-//     *ftl.PageError, and recovery after one reads back no byte no write
-//     carried.
+//     *ftl.PageError, and recovery at every point of a faulted run reads back
+//     no byte no write carried.
 //
-// A failing program is shrunk by dropping steps and printed with the one
-// line that runs its subtest again.
+// A failing program is shrunk by dropping steps, each candidate enumerated
+// again, and printed with its crash point and the one line that runs its
+// subtest again.
 
 import (
 	"bytes"
@@ -105,6 +111,16 @@ var simCells = []simCell{
 // simSeeds is how many programs every cell runs.
 const simSeeds = 20
 
+// simStride is how far apart the crash points of one run lie: every point
+// under -tags pdlinvariants, else every simStride-th from the seed's residue,
+// which keeps a plain go test of the package within five seconds.
+func simStride() int {
+	if invariantsEnabled {
+		return 1
+	}
+	return 12
+}
+
 func TestSim(t *testing.T) {
 	for _, short := range []bool{false, true} {
 		values := map[string]bool{}
@@ -125,15 +141,19 @@ func TestSim(t *testing.T) {
 		}
 		t.Run(c.String(), func(t *testing.T) {
 			t.Parallel()
+			images := 0
 			for seed := int64(1); seed <= simSeeds; seed++ {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 					prog := c.program(seed)
-					if err := c.simulate(t, prog); err != nil {
-						prog, err = shrink(prog, err, func(p simProg) error { return c.simulate(t, p) })
+					n, err := c.simulate(t, prog)
+					images += n
+					if err != nil {
+						prog, err = shrink(prog, err, func(p simProg) error { _, err := c.simulate(t, p); return err })
 						t.Fatalf("%v\nreproduce: go test -run 'TestSim/%s/seed=%d$' ./internal/core/\nshrunk to:\n%v", err, c, seed, prog)
 					}
 				})
 			}
+			t.Logf("recovered %d crash states (stride %d)", images, simStride())
 		})
 	}
 }
@@ -198,12 +218,11 @@ const (
 	stepRetain                    // RetainBase, or MarkDirty of an unchanged frame
 	stepFlush                     // Flush, or the pool's Flush
 	stepCollect                   // one CollectOne per channel, then the quiescent oracles
-	stepKill                      // channel ch loses power at its nth program or erase from here
 	stepTear                      // channel ch tears its nth program from here and lives on
 	stepFault                     // a faultdev fault on pid's base or differential page
 )
 
-var stepNames = [...]string{"write", "update", "batch", "read", "readbatch", "retain", "flush", "collect", "kill", "tear", "fault"}
+var stepNames = [...]string{"write", "update", "batch", "read", "readbatch", "retain", "flush", "collect", "tear", "fault"}
 
 // simMix is the mix of a program's body, a twentieth each.
 var simMix = [20]stepKind{stepWrite, stepWrite, stepWrite, stepWrite, stepWrite, stepUpdate, stepUpdate,
@@ -214,7 +233,7 @@ type simStep struct {
 	kind    stepKind
 	pids    []uint32
 	edits   []simEdit // one per pid of a write
-	ch, nth int       // stepKill, stepTear
+	ch, nth int       // stepTear
 	fault   faultdev.Fault
 	onDiff  bool // stepFault: the differential page, else the base page
 	mid     bool // stepFault: between the read and the write of the update that follows
@@ -222,8 +241,8 @@ type simStep struct {
 
 func (st simStep) String() string {
 	switch st.kind {
-	case stepKill, stepTear:
-		return fmt.Sprintf("%s channel %d at its program or erase #%d from here", stepNames[st.kind], st.ch, st.nth)
+	case stepTear:
+		return fmt.Sprintf("tear channel %d's program #%d from here", st.ch, st.nth)
 	case stepFault:
 		return fmt.Sprintf("fault %v at byte %d of pid %d's %s page (mid-update: %v)",
 			st.fault.Kind, st.fault.Off, st.pids[0], either(st.onDiff, "differential", "base"), st.mid)
@@ -255,6 +274,7 @@ func (e simEdit) apply(page []byte, size int) []byte {
 
 // simProg is one program: steps[:load] write every page whole and flush.
 type simProg struct {
+	seed    int64
 	maxDiff int
 	load    int
 	steps   []simStep
@@ -271,13 +291,12 @@ func (p simProg) String() string {
 
 // program draws seed's program: the load, a hundred steps on a hot set and
 // the rest of the pages, with writes of every size (Case 1, the Case 2 spill
-// as the buffer fills, Case 3 by size), and an ending: a crash for two seeds
-// in three, else a fault the run goes on through, half the time followed by
-// a crash.
+// as the buffer fills, Case 3 by size), and for one seed in three a fault the
+// run goes on through.
 func (c simCell) program(seed int64) simProg {
 	rng := rand.New(rand.NewSource(seed))
 	n, size := c.numPages(), c.channel().DataSize
-	p := simProg{maxDiff: []int{128, 0}[rng.Intn(2)]}
+	p := simProg{seed: seed, maxDiff: []int{128, 0}[rng.Intn(2)]}
 	edit := func() simEdit {
 		w := size
 		switch r := rng.Intn(20); {
@@ -316,11 +335,14 @@ func (c simCell) program(seed int64) simProg {
 		}
 		p.steps = append(p.steps, st)
 	}
-	// insert puts sts before a drawn step from from on that programs or
-	// erases, a batch one time in three, and returns the index of the last.
-	insert := func(from int, sts ...simStep) int {
+	if seed%3 != 0 {
+		return p
+	}
+	// insert puts sts before a drawn body step that programs or erases, a
+	// batch one time in three.
+	insert := func(sts ...simStep) {
 		var at, batches []int
-		for i := from; i < len(p.steps); i++ {
+		for i := p.load; i < len(p.steps); i++ {
 			switch p.steps[i].kind {
 			case stepBatch:
 				batches = append(batches, i)
@@ -337,19 +359,9 @@ func (c simCell) program(seed int64) simProg {
 			i = at[rng.Intn(len(at))]
 		}
 		p.steps = slices.Insert(p.steps, i, sts...)
-		if i < p.load {
-			p.load += len(sts)
-		}
-		return i + len(sts) - 1
 	}
-	kill := func(from int) { insert(from, simStep{kind: stepKill, ch: rng.Intn(c.nchan()), nth: 1 + rng.Intn(4)}) }
-	if seed%3 != 0 {
-		kill(p.load / 2)
-		return p
-	}
-	var at int
 	if k := rng.Intn(4); k == 3 {
-		at = insert(p.load, simStep{kind: stepTear, ch: rng.Intn(c.nchan()), nth: 1 + rng.Intn(3)})
+		insert(simStep{kind: stepTear, ch: rng.Intn(c.nchan()), nth: 1 + rng.Intn(3)})
 	} else {
 		f := simStep{kind: stepFault, pids: []uint32{pid()}, onDiff: rng.Intn(3) == 0}
 		f.fault.Kind = []faultdev.Kind{faultdev.BitFlip, faultdev.SectorCorrupt, faultdev.PageLoss}[k]
@@ -360,13 +372,10 @@ func (c simCell) program(seed int64) simProg {
 		if !f.onDiff && rng.Intn(2) == 0 {
 			// Between a read and the write that reuses its retained image.
 			f.mid = true
-			at = insert(p.load, f, simStep{kind: stepUpdate, pids: f.pids, edits: []simEdit{edit()}})
+			insert(f, simStep{kind: stepUpdate, pids: f.pids, edits: []simEdit{edit()}})
 		} else {
-			at = insert(p.load, f)
+			insert(f)
 		}
-	}
-	if rng.Intn(2) == 0 {
-		kill(at + 1)
 	}
 	return p
 }
@@ -390,126 +399,214 @@ func shrink(p simProg, err error, fails func(simProg) error) (simProg, error) {
 	return p, err
 }
 
-// simulate runs prog on the cell — clean, as the DiffCacheOff twin on a
-// deterministic cell with caches, and with its ending — and returns the first
-// oracle it breaks.
-func (c simCell) simulate(t *testing.T, prog simProg) error {
+// simulate runs prog once on the cell, with the DiffCacheOff twin on a
+// deterministic cell with caches when it plants no fault, holds the store to
+// its oracles as it goes and after its last flush, then recovers the crash
+// states cut from the run's mutation log. It returns the first oracle it
+// breaks and how many crash states it recovered.
+func (c simCell) simulate(t *testing.T, prog simProg) (int, error) {
 	opts := c.options(prog.maxDiff)
 	r, err := c.start(t, opts)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer r.close()
-	if err := r.run(prog.steps, true); err != nil {
-		return err
+	if err := r.run(prog.steps); err != nil {
+		return 0, err
 	}
-	if !c.bg && c.cache != DiffCacheOff {
+	if !r.m.faulted && !c.bg && c.cache != DiffCacheOff {
 		off := opts
 		off.DiffCachePages = DiffCacheOff
 		twin, err := c.start(t, off)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		defer twin.close()
-		if err := twin.run(prog.steps, true); err != nil {
-			return fmt.Errorf("the DiffCacheOff twin: %w", err)
+		if err := twin.run(prog.steps); err != nil {
+			return 0, fmt.Errorf("the DiffCacheOff twin: %w", err)
 		}
 		if err := savedReadsOnly(r, twin); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if err := r.finish(); err != nil {
-		return err
+		return 0, err
 	}
 	rec, err := r.recovered()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	got, errs := pagesOf(rec)
 	rec.Close()
-	if !slices.EqualFunc(got, r.m.pages, bytes.Equal) || errors.Join(errs...) != nil {
-		return fmt.Errorf("recovery after the last flush did not read back every write (%v)", errors.Join(errs...))
+	if r.m.faulted {
+		err = carried(got, errs, r.m.versions)
+	} else if !slices.EqualFunc(got, r.m.pages, bytes.Equal) || errors.Join(errs...) != nil {
+		err = fmt.Errorf("recovery after the last flush did not read back every write (%v)", errors.Join(errs...))
 	}
-	return c.crash(t, prog, opts)
+	if err != nil {
+		return 0, err
+	}
+	return c.crashes(t, prog, r)
 }
 
-// crash runs prog with its ending and recovers after it: what recovery reads
-// back must be a state of the serial re-run around the crash (after a fault:
-// contents some write carried), and after a crash the recovered store must
-// carry on through some more steps whose writes survive one more restart.
-func (c simCell) crash(t *testing.T, prog simProg, opts Options) error {
-	r, err := c.start(t, opts)
-	if err != nil {
-		return err
-	}
-	defer func() { r.close() }()
-	if err := r.run(prog.steps, false); err != nil {
-		return err
-	}
-	trace, faulted, versions := r.m.trace, r.m.faulted, r.m.versions
-	r.s.Close() // the process dies: its buffers are lost, its collectors stop
-	fired := len(trace)
-	for _, d := range r.chans {
-		if d.fired && !d.tear {
-			fired = min(fired, int(d.firedAt))
+// crashes recovers the crash states cut from r's finished mutation log at
+// every simStride-th point and at the middle one: flash holds the log up to
+// point k, and mutation k is torn or not begun (an erase: completed or not
+// begun). On a striped device every other channel also holds the rest of k's
+// call, where the process would die, less what began after k landed: a
+// channel that loses power fails its mutation, so the store never issues
+// what follows from its success. What recovery reads back must be a state of
+// the serial re-run around k's call, or after a fault contents some write
+// carried. At the middle point four recoveries must agree, and the store
+// recovered from a crash carries on. It returns how many states it
+// recovered.
+func (c simCell) crashes(t *testing.T, prog simProg, r *simRun) (int, error) {
+	muts, trace, faulted := r.log.muts, r.m.trace, r.m.faulted
+	var all, points []int
+	for k, e := range muts {
+		if e.kind != mutFault {
+			all = append(all, k)
 		}
-		d.revive()
 	}
-	rec, err := r.recovered()
+	mid, stride := all[len(all)/2], simStride()
+	around := make([]bool, len(trace))
+	for i, k := range all {
+		if k == mid || i%stride == int(prog.seed)%stride {
+			points = append(points, k)
+			around[muts[k].call] = true
+		}
+	}
+	var states map[int][][][]byte
+	if !faulted {
+		var err error
+		if states, err = c.replay(t, prog.maxDiff, trace, around); err != nil {
+			return 0, err
+		}
+	}
+	shadow, err := c.emulated().devices(t, r.opts)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	r.attach(rec, false)
-	r.trusted = false
-	got, errs := pagesOf(rec)
-	if faulted {
-		var pe *ftl.PageError
-		for pid, page := range got {
-			switch {
-			case errs[pid] != nil && !errors.As(errs[pid], &pe):
-				return fmt.Errorf("after the fault recovery failed to read pid %d untyped: %v", pid, errs[pid])
-			case page != nil && !slices.ContainsFunc(versions[pid], func(v []byte) bool { return bytes.Equal(v, page) }):
-				return fmt.Errorf("after the fault recovery read back pid %d with bytes no write carried", pid)
+	defer shadow.close()
+	n, done := 0, 0
+	for _, k := range points {
+		if err := shadow.land(muts[done:k]); err != nil {
+			return n, err
+		}
+		done = k
+		e := muts[k]
+		held := func(got [][]byte, errs []error) error {
+			if faulted {
+				return carried(got, errs, r.m.versions)
+			}
+			return errors.Join(errors.Join(errs...), c.crashed(got, states[e.call]))
+		}
+		others := make([][]simMut, c.nchan()) // the rest of k's call on the other channels
+		for _, o := range muts[k+1:] {
+			if o.call != e.call {
+				break
+			}
+			if o.ch != e.ch && o.kind != mutFault && o.began <= k {
+				others[o.ch] = append(others[o.ch], o)
 			}
 		}
-		return nil // faultdev's lost page reads erased over programmed cells: a recovered store may reprogram it
+		var last simMapping // what the image not begun mapped, read back and held
+		for _, torn := range []bool{false, true} {
+			over := slices.Clone(others)
+			over[e.ch] = e.ended(torn)
+			var err error
+			if k == mid && torn {
+				err = c.carryOn(t, prog, r, muts[:k], over, held)
+			} else {
+				err = shadow.image(over, &last, held)
+			}
+			n++
+			if err != nil {
+				op := trace[e.call]
+				step := fmt.Sprintf("step %d", op.step)
+				if op.step < 0 {
+					step = "the closing flush"
+				}
+				return n, fmt.Errorf("%w\ncrash point: log entry %d of %d, %v, %s, in call %d (%s) of %s",
+					err, k, len(muts), e, either(!torn, "not begun", either(e.kind == mutErase, "completed", "torn")), e.call, stepNames[op.kind], step)
+			}
+		}
 	}
-	states, err := c.replay(t, prog.maxDiff, trace, fired)
-	if err = errors.Join(err, errors.Join(errs...)); err == nil {
-		err = c.crashed(got, states)
+	return n, nil
+}
+
+// carryOn recovers the crash image of muts with over laid on each channel,
+// made on fresh emulated chips, four times; holds what it reads back to held;
+// and, when r planted no fault, runs some more of prog's steps on the
+// recovered store, whose writes must survive one more restart.
+func (c simCell) carryOn(t *testing.T, prog simProg, r *simRun, muts []simMut, over [][]simMut, held func([][]byte, []error) error) error {
+	img, err := c.emulated().devices(t, r.opts)
+	if err != nil {
+		return err
+	}
+	defer img.close()
+	err = img.land(muts)
+	for _, o := range over {
+		err = errors.Join(err, img.land(o))
 	}
 	if err != nil {
-		return fmt.Errorf("%w (the crash fired in call %d of %d)", err, fired, len(trace))
+		return err
 	}
-	copy(r.m.pages, got)
+	rec, err := img.recovered()
+	if err != nil {
+		return err
+	}
+	img.attach(rec, false)
+	img.trusted = false
+	got, errs := pagesOf(rec)
+	if err := held(got, errs); err != nil || r.m.faulted {
+		return err // faultdev's lost page reads erased over programmed cells: a recovered store may reprogram it
+	}
+	copy(img.m.pages, got)
 	var tail []simStep
 	for _, st := range prog.steps[prog.load:] {
 		if st.kind <= stepCollect && len(tail) < 16 {
 			tail = append(tail, st)
 		}
 	}
-	if err := r.run(tail, true); err != nil {
+	if err := img.run(tail); err != nil {
 		return fmt.Errorf("after recovery: %w", err)
 	}
-	r.m.Flush()
+	img.m.Flush()
 	rec.Close()
-	again, err := Recover(r.dev, c.numPages(), Options{MaxDifferentialSize: prog.maxDiff})
+	again, err := Recover(img.dev, c.numPages(), Options{MaxDifferentialSize: prog.maxDiff})
 	if err != nil {
 		return err
 	}
 	got, errs = pagesOf(again)
 	for pid := range got {
-		r.m.read(uint32(pid), got[pid], errs[pid])
+		img.m.read(uint32(pid), got[pid], errs[pid])
 	}
-	if r.m.err != nil {
-		return fmt.Errorf("restarting the recovered store: %w", r.m.err)
+	if img.m.err != nil {
+		return fmt.Errorf("restarting the recovered store: %w", img.m.err)
+	}
+	return nil
+}
+
+// carried holds what recovery read back after a fault: each page contents
+// some write carried, never written, or a typed *ftl.PageError.
+func carried(got [][]byte, errs []error, versions [][][]byte) error {
+	var pe *ftl.PageError
+	for pid, page := range got {
+		switch {
+		case errs[pid] != nil && !errors.As(errs[pid], &pe):
+			return fmt.Errorf("after the fault recovery failed to read pid %d untyped: %v", pid, errs[pid])
+		case page != nil && !slices.ContainsFunc(versions[pid], func(v []byte) bool { return bytes.Equal(v, page) }):
+			return fmt.Errorf("after the fault recovery read back pid %d with bytes no write carried", pid)
+		}
 	}
 	return nil
 }
 
 // crashed holds got, what recovery read back after the crash, to the states
-// of the serial re-run: one of them on one channel, and page by page one of
-// them on a striped device, whose channels die one at a time.
+// of the serial re-run around the crash: one of them on one channel, and page
+// by page one of them on a striped device, whose channels are cut at
+// different points.
 func (c simCell) crashed(got [][]byte, states [][][]byte) error {
 	for pid := range got {
 		if !slices.ContainsFunc(states, func(st [][]byte) bool { return bytes.Equal(st[pid], got[pid]) }) {
@@ -524,55 +621,69 @@ func (c simCell) crashed(got [][]byte, states [][][]byte) error {
 
 // replay re-runs trace serially on a store over an emulated copy of the
 // cell's device, with synchronous collection — each batch as its writes one
-// by one, each flush from call lo on shard by shard — and returns what
-// recovery reads back from that image at every boundary of the calls from lo
-// on, and inside them.
-func (c simCell) replay(t *testing.T, maxDiff int, trace []simOp, lo int) ([][][]byte, error) {
+// by one, each flush of a call around marks shard by shard — and returns,
+// per call around marks, what recovery reads back from that image before the
+// call, inside it and after it.
+func (c simCell) replay(t *testing.T, maxDiff int, trace []simOp, around []bool) (map[int][][][]byte, error) {
 	opts := Options{MaxDifferentialSize: maxDiff, Shards: c.shards, DiffCachePages: DiffCacheOff}
 	if opts.Shards == 0 {
 		opts.Shards = c.nchan()
 	}
-	ref, err := simCell{backend: either(c.nchan() > 1, "striped", "emu"), big: c.big}.start(t, opts)
+	ref, err := simCell{backend: c.emulated().backend, big: c.big}.start(t, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer ref.close()
 	s := ref.s
-	var states [][][]byte
-	capture := func(here bool) error {
-		if !here {
-			return nil
-		}
+	states := map[int][][][]byte{}
+	var last [][]byte // the state after the previous call, when it was around
+	var sts [][][]byte
+	capture := func() error {
 		rec, err := Recover(ref.dev, c.numPages(), opts)
 		if err != nil {
 			return err
 		}
 		got, errs := pagesOf(rec)
-		states = append(states, got)
+		sts = append(sts, got)
 		return errors.Join(errs...)
 	}
 	for i, op := range trace {
-		err := capture(i >= lo)
-		switch op.kind {
-		case stepWrite, stepBatch:
-			for _, w := range op.writes {
-				err = errors.Join(err, s.WritePage(w.PID, w.Data), capture(i >= lo && op.kind == stepBatch))
-			}
-		case stepFlush:
-			if i < lo {
+		if !around[i] {
+			last = nil
+			switch op.kind {
+			case stepWrite, stepBatch:
+				for _, w := range op.writes {
+					err = errors.Join(err, s.WritePage(w.PID, w.Data))
+				}
+			case stepFlush:
 				err = s.Flush()
 			}
-			for sh := range s.shards {
-				if i >= lo && !s.shards[sh].dwb.empty() {
-					err = errors.Join(err, flushShard(s, sh), capture(true))
+		} else {
+			sts = nil
+			if last != nil {
+				sts = append(sts, last)
+			} else {
+				err = capture()
+			}
+			switch op.kind {
+			case stepWrite, stepBatch:
+				for _, w := range op.writes {
+					err = errors.Join(err, s.WritePage(w.PID, w.Data), capture())
+				}
+			case stepFlush:
+				for sh := range s.shards {
+					if !s.shards[sh].dwb.empty() {
+						err = errors.Join(err, flushShard(s, sh), capture())
+					}
 				}
 			}
+			states[i], last = sts, sts[len(sts)-1]
 		}
 		if err != nil {
 			return nil, fmt.Errorf("the serial re-run, call %d: %w", i, err)
 		}
 	}
-	return states, capture(true)
+	return states, nil
 }
 
 // flushShard is Flush of shard i alone: Flush programs every non-empty shard
@@ -593,9 +704,15 @@ func flushShard(s *Store, i int) error {
 // pagesOf reads every logical page of s: nil for a page never written, and
 // errs[pid] for a read that failed otherwise.
 func pagesOf(s *Store) (pages [][]byte, errs []error) {
+	return pagesInto(s, make([]byte, s.numPages*s.PageSize()))
+}
+
+// pagesInto is pagesOf reading into slab, a page-sized buffer per pid.
+func pagesInto(s *Store, slab []byte) (pages [][]byte, errs []error) {
 	pages, errs = make([][]byte, s.numPages), make([]error, s.numPages)
+	size := s.PageSize()
 	for pid := range pages {
-		buf := make([]byte, s.PageSize())
+		buf := slab[pid*size : (pid+1)*size : (pid+1)*size]
 		switch err := s.ReadPage(uint32(pid), buf); {
 		case err == nil:
 			pages[pid] = buf
@@ -615,19 +732,15 @@ func imageOf(s *Store) string {
 	return fmt.Sprint(s.mt.ppmt, s.mt.baseTS, s.mt.diffTS, s.mt.recLen, s.mt.vdct, s.mt.rebase, blocks, s.ts.Load(), s.Telemetry())
 }
 
-// adopted holds a recovered store's allocator to the flash under it: a block
-// is free iff every page of it is erased, and written with every page that
-// is not, a torn one included.
-func adopted(s *Store) error {
+// adopted holds a recovered store's allocator to the flash under it, whose
+// programmed pages, a torn one included, are written: a block is free iff
+// none of its pages is, and written with every page that is.
+func adopted(s *Store, written []bool) error {
 	p := s.params
-	data, spare := make([]byte, p.DataSize), make([]byte, p.SpareSize)
 	for blk := range p.NumBlocks {
 		n := 0
 		for i := range p.PagesPerBlock {
-			if err := s.dev.Read(p.PPNOf(blk, i), data, spare); err != nil {
-				return err
-			}
-			if !allErased(data) || !allErased(spare) {
+			if written[p.PPNOf(blk, i)] {
 				n++
 			}
 		}
@@ -636,6 +749,20 @@ func adopted(s *Store) error {
 		}
 	}
 	return nil
+}
+
+// programmed reads which pages of dev are not erased.
+func programmed(dev flash.Device) ([]bool, error) {
+	p := dev.Params()
+	data, spare := make([]byte, p.DataSize), make([]byte, p.SpareSize)
+	written := make([]bool, p.NumPages())
+	for ppn := range written {
+		if err := dev.Read(flash.PPN(ppn), data, spare); err != nil {
+			return nil, err
+		}
+		written[ppn] = !allErased(data) || !allErased(spare)
+	}
+	return written, nil
 }
 
 // unstranded holds a recovered store's allocator to the bitmap: every page
@@ -659,21 +786,47 @@ type simRun struct {
 	opts    Options
 	dev     flash.Device       // what the store is opened on
 	bits    *simBitmap         // what the harness saw reach flash
+	log     *simLog            // the same, in order
 	chans   []*simChan         // per channel, under the fault overlay
 	fds     []*faultdev.Device // per channel
-	s       *Store
+	s       *Store             // nil until a store is opened on dev
 	m       *simModel
 	pool    *buffer.Pool // the caller, or nil for the Store itself
 	app     [][]byte     // what the pool's caller wrote to each page
 	pending *simStep     // a fault for the update that follows
+	slab    []byte       // the pages image reads back, reused
 	trusted bool         // the bitmap follows the store: no crash, fault or recovery since it opened
 	reads0  int64        // the device reads that are not the store's
 }
 
-// start opens a store of the cell on a fresh device: per channel the backend
-// under a simChan under a faultdev overlay, and the channels striped.
+// start opens a store of the cell on a fresh device.
 func (c simCell) start(t *testing.T, opts Options) (*simRun, error) {
-	r := &simRun{c: c, opts: opts, trusted: true}
+	r, err := c.devices(t, opts)
+	if err != nil {
+		return nil, err
+	}
+	s, err := New(r.dev, c.numPages(), opts)
+	if err != nil {
+		return nil, errors.Join(err, r.dev.Close())
+	}
+	r.attach(s, c.pool)
+	return r, nil
+}
+
+// emulated is the cell on emulated chips, where crash images are made and
+// the serial re-run runs.
+func (c simCell) emulated() simCell {
+	if c.backend == "file" {
+		c.backend = "emu"
+	}
+	return c
+}
+
+// devices builds a run of the cell on a fresh device with no store open on
+// it: per channel the backend under a simChan under a faultdev overlay, and
+// the channels striped.
+func (c simCell) devices(t *testing.T, opts Options) (*simRun, error) {
+	r := &simRun{c: c, opts: opts, trusted: true, log: &simLog{}}
 	p := c.channel()
 	p.NumBlocks *= c.nchan()
 	r.bits = newSimBitmap(p, c.nchan(), c.numPages())
@@ -687,26 +840,27 @@ func (c simCell) start(t *testing.T, opts Options) (*simRun, error) {
 		} else {
 			dev = f
 		}
-		r.chans = append(r.chans, &simChan{Device: dev, bits: r.bits, ch: ch})
+		r.chans = append(r.chans, &simChan{Device: dev, bits: r.bits, log: r.log, ch: ch})
 		r.fds = append(r.fds, faultdev.Wrap(r.chans[ch]))
 		subs = append(subs, r.fds[ch])
 	}
-	r.dev = subs[0]
-	if len(subs) > 1 {
-		r.dev, _ = flash.NewStriped(subs...)
-	}
-	s, err := New(r.dev, c.numPages(), opts)
-	if err != nil {
-		return nil, errors.Join(err, r.dev.Close())
-	}
-	r.attach(s, c.pool)
+	r.dev = striped(subs)
 	return r, nil
+}
+
+// striped is the device of the channels subs.
+func striped(subs []flash.Device) flash.Device {
+	if len(subs) == 1 {
+		return subs[0]
+	}
+	dev, _ := flash.NewStriped(subs...)
+	return dev
 }
 
 // attach makes s the store the run drives, with an empty model.
 func (r *simRun) attach(s *Store, pool bool) {
 	n := r.c.numPages()
-	r.s, r.m = s, &simModel{Store: s, pages: make([][]byte, n), maybe: make([][][]byte, n), versions: make([][][]byte, n)}
+	r.s, r.m = s, &simModel{Store: s, log: r.log, pages: make([][]byte, n), maybe: make([][][]byte, n), versions: make([][][]byte, n)}
 	r.reads0 = r.dev.Stats().Reads - readsOf(s.Telemetry())
 	r.pool, r.app, r.pending = nil, nil, nil
 	if pool {
@@ -716,7 +870,9 @@ func (r *simRun) attach(s *Store, pool bool) {
 }
 
 func (r *simRun) close() {
-	r.s.Close()
+	if r.s != nil {
+		r.s.Close()
+	}
 	r.dev.Close()
 }
 
@@ -724,32 +880,26 @@ func readsOf(t Telemetry) int64 {
 	return t.BaseReads + t.DiffReads + t.WriteBaseReads + t.GCReads + t.RecoverReads
 }
 
-func (r *simRun) dead() bool { return slices.ContainsFunc(r.chans, (*simChan).isDead) }
-
 // run drives steps through the caller, holding every read to the model and
-// the store to the quiescent oracles after every collection step; a clean
-// run skips the crash and the faults. It stops at the first broken oracle
-// and, as a dead process does, at the first step after a device died. With
-// background collection it yields after every step: a run takes
-// milliseconds, and the collectors would otherwise wait it out.
-func (r *simRun) run(steps []simStep, clean bool) error {
+// the store to the quiescent oracles after every collection step. It stops
+// at the first broken oracle. With background collection it yields after
+// every step: a run takes milliseconds, and the collectors would otherwise
+// wait it out.
+func (r *simRun) run(steps []simStep) error {
 	for i := range steps {
 		if r.s.BackgroundGC() {
 			runtime.Gosched()
 		}
-		if r.m.err != nil || r.dead() {
+		if r.m.err != nil {
 			break
 		}
+		r.m.step = i
 		switch st := &steps[i]; st.kind {
-		case stepKill, stepTear:
-			if !clean {
-				r.chans[st.ch].arm(st.nth, st.kind == stepTear, &r.m.op)
-				r.m.faulted = r.m.faulted || st.kind == stepTear
-				r.trusted = r.trusted && st.kind == stepKill
-			}
+		case stepTear:
+			r.chans[st.ch].arm(st.nth)
+			r.m.faulted, r.trusted = true, false
 		case stepFault:
 			switch {
-			case clean:
 			case st.mid:
 				r.pending = st
 			default:
@@ -873,16 +1023,18 @@ func (r *simRun) inject(st *simStep) {
 	p, n, f := r.bits.p, len(r.fds), st.fault
 	f.PPN = p.PPNOf(p.BlockOf(ppn)/n, p.PageOf(ppn))
 	r.fds[p.BlockOf(ppn)%n].Inject(f)
+	r.log.add(simMut{kind: mutFault, ch: p.BlockOf(ppn) % n, fault: f})
 	r.m.faulted, r.trusted = true, false
 }
 
 // finish writes back the caller's pages and flushes the store, checks the
 // quiescent oracles once more, and stops the collectors.
 func (r *simRun) finish() error {
+	r.m.step = -1
 	if r.pool != nil {
 		r.pool.Flush()
 		for pid, page := range r.app {
-			if !bytes.Equal(page, r.m.pages[pid]) {
+			if !r.m.faulted && !bytes.Equal(page, r.m.pages[pid]) {
 				r.m.failf("pid %d: the pool wrote back other bytes than its caller's", pid)
 			}
 		}
@@ -893,7 +1045,7 @@ func (r *simRun) finish() error {
 	if err := r.quiescent(); err != nil {
 		return err
 	}
-	if err := r.s.Close(); err != nil {
+	if err := r.s.Close(); !r.m.allowed(err) {
 		r.m.failf("closing: %v", err)
 	}
 	return r.m.err
@@ -925,9 +1077,6 @@ func (r *simRun) quiescent() error {
 		if e.valid <= 0 {
 			return fmt.Errorf("the valid differential count table holds page %d at %d", ppn, e.valid)
 		}
-	}
-	if r.dead() {
-		return nil
 	}
 	if err := deadBytes(s, b); err != nil {
 		return err
@@ -1059,7 +1208,11 @@ func (r *simRun) recovered() (*Store, error) {
 		case err != nil:
 			return nil, err
 		case i == 0:
-			want, err = imageOf(s), errors.Join(adopted(s), unstranded(s, r.bits), deadBytes(s, r.bits))
+			var written []bool
+			if written, err = programmed(r.dev); err == nil {
+				err = errors.Join(adopted(s, written), unstranded(s, r.bits), deadBytes(s, r.bits))
+			}
+			want = imageOf(s)
 		case imageOf(s) != want:
 			err = fmt.Errorf("recovery %d (%d workers; 0: Recover) rebuilt another state than the first", i+1, w)
 		}
@@ -1105,24 +1258,27 @@ func savedReadsOnly(on, off *simRun) error {
 // one the pool cells would test another store.
 type simModel struct {
 	*Store
+	log      *simLog    // tagged with the call in progress
 	pages    [][]byte   // per pid: the newest acknowledged content; nil: never written
 	maybe    [][][]byte // per pid: the contents of failed writes, which may have landed
 	versions [][][]byte // per pid: every content a write carried
 	trace    []simOp
-	op       atomic.Int64 // the index in trace of the call in progress
-	faulted  bool         // a fault was injected: calls may fail typed
-	err      error        // the first broken oracle
+	step     int   // the program step in progress; -1: the closing flush
+	faulted  bool  // a fault was injected: calls may fail typed
+	err      error // the first broken oracle
 }
 
-// simOp is one call of a trace, with the pages a write carried.
+// simOp is one call of a trace, with the pages a write carried and the step
+// that made it.
 type simOp struct {
 	kind   stepKind
 	writes []ftl.PageWrite
+	step   int
 }
 
 func (m *simModel) call(kind stepKind, writes []ftl.PageWrite) {
-	m.op.Store(int64(len(m.trace)))
-	m.trace = append(m.trace, simOp{kind, writes})
+	m.log.call.Store(int64(len(m.trace)))
+	m.trace = append(m.trace, simOp{kind, writes, m.step})
 }
 
 func (m *simModel) failf(format string, args ...any) {
@@ -1131,11 +1287,11 @@ func (m *simModel) failf(format string, args ...any) {
 	}
 }
 
-// allowed reports whether a call may end in err: on a device that died, and
-// after a fault, typed or with the torn program's error.
+// allowed reports whether a call may end in err: after a fault, typed or
+// with the torn program's error.
 func (m *simModel) allowed(err error) bool {
 	var pe *ftl.PageError
-	return err == nil || errors.Is(err, errKilled) || m.faulted && (errors.As(err, &pe) || errors.Is(err, errTorn))
+	return err == nil || m.faulted && (errors.As(err, &pe) || errors.Is(err, errTorn))
 }
 
 func (m *simModel) WritePage(pid uint32, data []byte) error {
@@ -1284,16 +1440,23 @@ func (b *simBitmap) global(ch int, ppn flash.PPN) flash.PPN {
 	return b.p.PPNOf(b.p.BlockOf(ppn)*b.nchan+ch, b.p.PageOf(ppn))
 }
 
-// wrote records a page of channel ch that a power loss programmed without
-// arbitration: the torn one (spare nil), or one of its batch before it.
-func (b *simBitmap) wrote(ch int, pp flash.PageProgram) {
+// apply feeds one mutation that reached channel ch to the bitmap.
+func (b *simBitmap) apply(e simMut) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ppn := b.global(ch, pp.PPN)
-	b.written[ppn] = true
-	b.recs[ppn] = nil
-	if pp.Spare != nil && ftl.DecodeHeader(pp.Spare).Type == ftl.TypeDiff {
-		b.recs[ppn] = recsOf(pp.Data)
+	switch e.kind {
+	case mutProgram:
+		b.program(b.global(e.ch, e.ppn), e.data, e.spare)
+	case mutSpare:
+		b.spares++
+	case mutErase:
+		for i := range b.p.PagesPerBlock {
+			ppn := b.global(e.ch, b.p.PPNOf(e.blk, i))
+			if b.valid[ppn] && b.err == nil {
+				b.err = fmt.Errorf("page %d was erased valid", ppn)
+			}
+			b.valid[ppn], b.written[ppn], b.refs[ppn], b.recs[ppn] = false, false, 0, nil
+		}
 	}
 }
 
@@ -1307,44 +1470,43 @@ func recsOf(page []byte) []simRec {
 	return recs
 }
 
-// programmed arbitrates pages that channel ch programmed.
-func (b *simBitmap) programmed(ch int, pps []flash.PageProgram) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, pp := range pps {
-		ppn := b.global(ch, pp.PPN)
-		b.written[ppn] = true
-		b.recs[ppn] = nil
-		switch h := ftl.DecodeHeader(pp.Spare); h.Type {
-		case ftl.TypeBase:
-			cur := &b.base[h.PID]
-			if cur.ppn != flash.NilPPN {
-				if h.TS < cur.ts {
-					continue // a relocated copy that lost its race to a newer base
-				}
-				b.valid[cur.ppn] = false // superseded, or relocated under its stamp
+// program arbitrates the page programmed at ppn by its header; a torn
+// program (spare nil) has none and is only written.
+func (b *simBitmap) program(ppn flash.PPN, data, spare []byte) {
+	b.written[ppn] = true
+	b.recs[ppn] = nil
+	if spare == nil {
+		return
+	}
+	switch h := ftl.DecodeHeader(spare); h.Type {
+	case ftl.TypeBase:
+		cur := &b.base[h.PID]
+		if cur.ppn != flash.NilPPN {
+			if h.TS < cur.ts {
+				return // a relocated copy that lost its race to a newer base
 			}
-			*cur = simRef{ppn, h.TS}
-			b.valid[ppn] = true
-			if df := b.dif[h.PID]; df.ppn != flash.NilPPN && df.ts < h.TS {
-				b.unlink(h.PID)
-			}
-		case ftl.TypeDiff:
-			b.recs[ppn] = recsOf(pp.Data)
-			for rec := range diff.Records(pp.Data) {
-				b.largest = max(b.largest, len(rec))
-				pid, ts := diff.RecordKey(rec)
-				if df := b.dif[pid]; ts <= b.base[pid].ts || df.ppn != flash.NilPPN && ts < df.ts {
-					continue
-				}
-				if b.dif[pid].ppn != flash.NilPPN {
-					b.unlink(pid)
-				}
-				b.dif[pid] = simRef{ppn, ts}
-				b.refs[ppn]++
-			}
-			b.valid[ppn] = b.refs[ppn] > 0
+			b.valid[cur.ppn] = false // superseded, or relocated under its stamp
 		}
+		*cur = simRef{ppn, h.TS}
+		b.valid[ppn] = true
+		if df := b.dif[h.PID]; df.ppn != flash.NilPPN && df.ts < h.TS {
+			b.unlink(h.PID)
+		}
+	case ftl.TypeDiff:
+		b.recs[ppn] = recsOf(data)
+		for rec := range diff.Records(data) {
+			b.largest = max(b.largest, len(rec))
+			pid, ts := diff.RecordKey(rec)
+			if df := b.dif[pid]; ts <= b.base[pid].ts || df.ppn != flash.NilPPN && ts < df.ts {
+				continue
+			}
+			if b.dif[pid].ppn != flash.NilPPN {
+				b.unlink(pid)
+			}
+			b.dif[pid] = simRef{ppn, ts}
+			b.refs[ppn]++
+		}
+		b.valid[ppn] = b.refs[ppn] > 0
 	}
 }
 
@@ -1356,141 +1518,295 @@ func (b *simBitmap) unlink(pid uint32) {
 	b.dif[pid] = simRef{ppn: flash.NilPPN}
 }
 
-// erased empties block blk of channel ch.
-func (b *simBitmap) erased(ch, blk int) {
+// clone returns a copy of the bitmap that the mutations applied to either
+// leave the other alone.
+func (b *simBitmap) clone() *simBitmap {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i := range b.p.PagesPerBlock {
-		ppn := b.global(ch, b.p.PPNOf(blk, i))
-		if b.valid[ppn] && b.err == nil {
-			b.err = fmt.Errorf("page %d was erased valid", ppn)
-		}
-		b.valid[ppn], b.written[ppn], b.refs[ppn], b.recs[ppn] = false, false, 0, nil
-	}
+	return &simBitmap{p: b.p, nchan: b.nchan, valid: slices.Clone(b.valid), written: slices.Clone(b.written),
+		base: slices.Clone(b.base), dif: slices.Clone(b.dif), refs: slices.Clone(b.refs), recs: slices.Clone(b.recs),
+		spares: b.spares, largest: b.largest, err: b.err}
 }
 
-// simChan is one channel's device as the harness drives it: it feeds what
-// reaches flash to the bitmap, and it is the channel's power. Armed, the nth
-// program or erase from then on is its last: a program is torn (the first
-// half of its data, an erased spare), an erase is not begun, and every
-// mutation after it fails. Armed to tear, it tears the nth program and lets
-// everything else through: a program that failed on a device that lives on.
-type simChan struct {
-	flash.Device
-	bits    *simBitmap
-	ch      int
-	mu      sync.Mutex
-	left    int
-	tear    bool
-	dead    bool
-	fired   bool
-	firedAt int64 // the model's call in progress when it fired
-	op      *atomic.Int64
+// simMut is one mutation that reached a channel's flash, or a fault planted
+// on its overlay, tagged with the model's call in progress.
+type simMut struct {
+	kind  mutKind
+	ch    int
+	ppn   flash.PPN      // the channel's page: mutProgram, mutSpare
+	blk   int            // the channel's block: mutErase
+	data  []byte         // mutProgram
+	spare []byte         // mutProgram (nil for a torn one), mutSpare
+	fault faultdev.Fault // mutFault
+	call  int
+	began int // the length of the log when the device call began
 }
 
-var (
-	errKilled = errors.New("sim: power lost")
-	errTorn   = errors.New("sim: torn program")
+type mutKind uint8
+
+const (
+	mutProgram mutKind = iota
+	mutSpare
+	mutErase
+	mutFault
 )
 
-func (d *simChan) arm(nth int, tear bool, op *atomic.Int64) {
-	d.mu.Lock()
-	d.left, d.tear, d.op = nth, tear, op
-	d.mu.Unlock()
+func (e simMut) String() string {
+	switch e.kind {
+	case mutSpare:
+		return fmt.Sprintf("spare program of page %d of channel %d", e.ppn, e.ch)
+	case mutErase:
+		return fmt.Sprintf("erase of block %d of channel %d", e.blk, e.ch)
+	case mutFault:
+		return fmt.Sprintf("%v fault on page %d of channel %d", e.fault.Kind, e.fault.PPN, e.ch)
+	}
+	return fmt.Sprintf("program of page %d of channel %d", e.ppn, e.ch)
 }
 
-func (d *simChan) revive() {
-	d.mu.Lock()
-	d.left, d.dead = 0, false
-	d.mu.Unlock()
-}
-
-func (d *simChan) isDead() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dead
-}
-
-// mutate counts one mutation, a program of data at ppn (data nil for a spare
-// program) or an erase, and returns the error that stops it: always on a
-// dead device, and on the armed one, after tearing a program. The caller
-// holds mu.
-func (d *simChan) mutate(program bool, ppn flash.PPN, data []byte) error {
+// ended returns what e leaves on flash when the power goes in it: nothing
+// when it was not begun; when it was, a program torn (the first half of its
+// data, its spare erased), a spare program nothing, an erase completed.
+func (e simMut) ended(torn bool) []simMut {
 	switch {
-	case d.dead:
-		return errKilled
-	case d.left == 0 || d.tear && !program:
+	case !torn || e.kind == mutSpare:
+		return nil
+	case e.kind == mutErase:
+		return []simMut{e}
+	}
+	half := bytes.Repeat([]byte{0xFF}, len(e.data))
+	copy(half, e.data[:len(half)/2])
+	return []simMut{{kind: mutProgram, ch: e.ch, ppn: e.ppn, data: half, call: e.call}}
+}
+
+// simLog is a run's mutation log: what reached flash, in order.
+type simLog struct {
+	mu   sync.Mutex
+	muts []simMut
+	call atomic.Int64 // the index in the model's trace of the call in progress
+}
+
+func (l *simLog) add(e simMut) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e.call = int(l.call.Load())
+	l.muts = append(l.muts, e)
+}
+
+func (l *simLog) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.muts)
+}
+
+// land makes es reach the run's channels in order, each through its fault
+// overlay and its simChan.
+func (r *simRun) land(es []simMut) error {
+	for _, e := range es {
+		var err error
+		switch fd := r.fds[e.ch]; e.kind {
+		case mutProgram:
+			err = fd.Program(e.ppn, e.data, e.spare)
+		case mutSpare:
+			err = fd.ProgramSpare(e.ppn, e.spare)
+		case mutErase:
+			err = fd.Erase(e.blk)
+		case mutFault:
+			fd.Inject(e.fault)
+			r.trusted = false
+		}
+		if err != nil {
+			return fmt.Errorf("replaying the %v: %w", e, err)
+		}
+	}
+	return nil
+}
+
+// image recovers the run's flash with over laid on each channel, without
+// touching it, holds the recovered store to what that flash holds, and reads
+// every page of it to held unless the store maps every pid as *last, the
+// image it was cut beside, does. While no fault is planted, the bitmap is
+// what flash holds, and reads pass the fault overlays by.
+func (r *simRun) image(over [][]simMut, last *simMapping, held func([][]byte, []error) error) error {
+	bits := r.bits
+	subs := make([]flash.Device, len(over))
+	for ch, es := range over {
+		var dev flash.Device = r.fds[ch]
+		if r.trusted {
+			dev = r.chans[ch].Device
+		}
+		subs[ch] = &simImage{Device: dev, over: es}
+		for _, e := range es {
+			if bits == r.bits {
+				bits = r.bits.clone()
+			}
+			bits.apply(e)
+		}
+	}
+	sync := r.opts
+	sync.BackgroundGC = false
+	dev := striped(subs)
+	s, err := recoverWith(dev, r.c.numPages(), sync, 1)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	written := bits.written
+	if !r.trusted {
+		if written, err = programmed(dev); err != nil {
+			return err
+		}
+	}
+	if err := errors.Join(adopted(s, written), unstranded(s, bits), deadBytes(s, bits)); err != nil {
+		return err
+	}
+	m := simMapping{s.mt.ppmt, s.mt.baseTS, s.mt.diffTS}
+	if m.equal(*last) {
 		return nil
 	}
-	if d.left--; d.left > 0 {
-		return nil
+	*last = m
+	if r.slab == nil {
+		r.slab = make([]byte, s.numPages*s.PageSize())
 	}
-	d.fired, d.firedAt, d.dead = true, d.op.Load(), !d.tear
-	if data != nil {
-		torn := bytes.Repeat([]byte{0xFF}, len(data))
-		copy(torn, data[:len(data)/2])
-		d.Device.Program(ppn, torn, nil)
-		d.bits.wrote(d.ch, flash.PageProgram{PPN: ppn})
+	return held(pagesInto(s, r.slab))
+}
+
+// simMapping is what a recovered store's reads follow. The two images of a
+// crash point differ only where its mutation lands, on pages neither can
+// map, so when both map every pid alike they read back alike.
+type simMapping struct {
+	ppmt           []pageEntry
+	baseTS, diffTS []uint64
+}
+
+func (m simMapping) equal(o simMapping) bool {
+	return slices.Equal(m.ppmt, o.ppmt) && slices.Equal(m.baseTS, o.baseTS) && slices.Equal(m.diffTS, o.diffTS)
+}
+
+// simImage is one channel of a crash image: the channel's device under the
+// mutations over lays on it, which reads see and nothing writes.
+type simImage struct {
+	flash.Device
+	over []simMut
+}
+
+var errImage = errors.New("sim: a crash image is read-only")
+
+func (d *simImage) Read(ppn flash.PPN, data, spare []byte) error {
+	if err := d.Device.Read(ppn, data, spare); err != nil || len(d.over) == 0 {
+		return err
 	}
-	if d.tear {
-		return errTorn
+	blk := d.Params().BlockOf(ppn)
+	for _, e := range d.over {
+		switch {
+		case e.kind == mutErase && e.blk == blk:
+			copy(data, bytes.Repeat([]byte{0xFF}, len(data)))
+			copy(spare, bytes.Repeat([]byte{0xFF}, len(spare)))
+		case e.kind == mutProgram && e.ppn == ppn:
+			copy(data, e.data)
+			if e.spare != nil {
+				copy(spare, e.spare)
+			}
+		case e.kind == mutSpare && e.ppn == ppn:
+			for i := range spare {
+				spare[i] &= e.spare[i]
+			}
+		}
 	}
-	return errKilled
+	return nil
+}
+
+func (d *simImage) ReadData(ppn flash.PPN, data []byte) error   { return d.Read(ppn, data, nil) }
+func (d *simImage) ReadSpare(ppn flash.PPN, spare []byte) error { return d.Read(ppn, nil, spare) }
+func (d *simImage) ReadBatch(batch []flash.PageRead) error      { return flash.ReadEach(d, batch) }
+func (d *simImage) Program(flash.PPN, []byte, []byte) error     { return errImage }
+func (d *simImage) ProgramBatch([]flash.PageProgram) error      { return errImage }
+func (d *simImage) ProgramPartial(flash.PPN, int, []byte) error { return errImage }
+func (d *simImage) ProgramSpare(flash.PPN, []byte) error        { return errImage }
+func (d *simImage) Erase(int) error                             { return errImage }
+func (d *simImage) MarkBad(int) error                           { return errImage }
+
+// simChan is one channel's device as the harness drives it: it feeds every
+// mutation that reaches flash to the bitmap and the run's log. Armed, it
+// tears the nth program from then on (the first half of its data, an erased
+// spare) and fails it: a program that failed on a device that lives on.
+type simChan struct {
+	flash.Device
+	bits *simBitmap
+	log  *simLog
+	ch   int
+	mu   sync.Mutex
+	tear int // the programs up to the torn one; 0: none armed
+}
+
+var errTorn = errors.New("sim: torn program")
+
+func (d *simChan) arm(nth int) {
+	d.mu.Lock()
+	d.tear = nth
+	d.mu.Unlock()
+}
+
+// landed feeds one mutation that reached flash, by a device call that began
+// when the log held began entries, to the bitmap and the log. The caller
+// holds mu.
+func (d *simChan) landed(e simMut, began int) {
+	e.ch, e.began = d.ch, began
+	d.bits.apply(e)
+	d.log.add(e)
 }
 
 func (d *simChan) Program(ppn flash.PPN, data, spare []byte) error {
-	pp := []flash.PageProgram{{PPN: ppn, Data: data, Spare: spare}}
-	return d.program(pp, func() error { return d.Device.Program(ppn, data, spare) })
+	pps := []flash.PageProgram{{PPN: ppn, Data: data, Spare: spare}}
+	return d.program(pps, func() error { return d.Device.Program(ppn, data, spare) })
 }
 
 func (d *simChan) ProgramBatch(batch []flash.PageProgram) error {
 	return d.program(batch, func() error { return d.Device.ProgramBatch(batch) })
 }
 
-// program lets pps through unless the power goes in them, and feeds them to
-// the bitmap once they landed.
+// program lets pps through, or the pages before the torn one and the torn
+// one when it is among them, and logs what landed.
 func (d *simChan) program(pps []flash.PageProgram, do func() error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for i, pp := range pps {
-		if err := d.mutate(true, pp.PPN, pp.Data); err != nil {
-			if i > 0 {
-				d.Device.ProgramBatch(pps[:i])
-				for _, pp := range pps[:i] {
-					d.bits.wrote(d.ch, pp)
-				}
-			}
-			return err
-		}
+	began := d.log.len()
+	var torn error
+	if d.tear > len(pps) {
+		d.tear -= len(pps)
+	} else if d.tear > 0 {
+		i := d.tear - 1
+		tail := simMut{data: pps[i].Data}.ended(true)[0]
+		pps = append(pps[:i:i], flash.PageProgram{PPN: pps[i].PPN, Data: tail.data})
+		do = func() error { return d.Device.ProgramBatch(pps) }
+		d.tear, torn = 0, errTorn
 	}
-	err := do()
-	if err == nil {
-		d.bits.programmed(d.ch, pps)
+	if err := do(); err != nil {
+		return err
 	}
-	return err
+	for _, pp := range pps {
+		d.landed(simMut{kind: mutProgram, ppn: pp.PPN, data: bytes.Clone(pp.Data), spare: bytes.Clone(pp.Spare)}, began)
+	}
+	return torn
 }
 
 func (d *simChan) ProgramSpare(ppn flash.PPN, spare []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.bits.mu.Lock()
-	d.bits.spares++
-	d.bits.mu.Unlock()
-	if err := d.mutate(true, ppn, nil); err != nil {
+	began := d.log.len()
+	if err := d.Device.ProgramSpare(ppn, spare); err != nil {
 		return err
 	}
-	return d.Device.ProgramSpare(ppn, spare)
+	d.landed(simMut{kind: mutSpare, ppn: ppn, spare: bytes.Clone(spare)}, began)
+	return nil
 }
 
 func (d *simChan) Erase(blk int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	err := d.mutate(false, 0, nil)
-	if err == nil {
-		err = d.Device.Erase(blk)
+	began := d.log.len()
+	if err := d.Device.Erase(blk); err != nil {
+		return err
 	}
-	if err == nil {
-		d.bits.erased(d.ch, blk)
-	}
-	return err
+	d.landed(simMut{kind: mutErase, blk: blk}, began)
+	return nil
 }
