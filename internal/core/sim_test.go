@@ -20,10 +20,12 @@ package core
 //     one worker, one per block, GOMAXPROCS, and the cell's options) rebuild
 //     one state and cost no program and no erase, and the store recovered at
 //     the middle point carries on;
+//   - after the last flush recovery reads back every acknowledged write, and
+//     the pool has written back its caller's bytes;
 //   - on a deterministic cell (synchronous collection) the store with its RAM
-//     caches and a DiffCacheOff twin given the same program, when it plants
-//     no fault, read the same bytes behind the same programs, erases, base
-//     and GC reads, and every read the caches saved is a counted hit;
+//     caches and a DiffCacheOff twin given the same program read the same
+//     bytes behind the same programs, erases, base and GC reads, and every
+//     read the caches saved is a counted hit;
 //   - Telemetry's read attribution sums to the device's reads;
 //   - no differential record in a shard buffer or on a differential page the
 //     store programmed is larger than its MaxDifferentialSize;
@@ -37,8 +39,9 @@ package core
 //     records the harness saw programmed there that are not their pid's
 //     newest differential (deadbytes);
 //   - every injected fault ends in the model's bytes or a typed
-//     *ftl.PageError, and recovery at every point of a faulted run reads back
-//     no byte no write carried.
+//     *ftl.PageError, and recovery after the last flush and at every point of
+//     a faulted run reads back no byte no write carried. A program that plants
+//     faults also runs once without them, held to the exact oracles above.
 //
 // A failing program is shrunk by dropping steps, each candidate enumerated
 // again, and printed with its crash point and the one line that runs its
@@ -118,7 +121,7 @@ func simStride() int {
 	if invariantsEnabled {
 		return 1
 	}
-	return 12
+	return 24
 }
 
 func TestSim(t *testing.T) {
@@ -399,54 +402,73 @@ func shrink(p simProg, err error, fails func(simProg) error) (simProg, error) {
 	return p, err
 }
 
-// simulate runs prog once on the cell, with the DiffCacheOff twin on a
-// deterministic cell with caches when it plants no fault, holds the store to
-// its oracles as it goes and after its last flush, then recovers the crash
-// states cut from the run's mutation log. It returns the first oracle it
-// breaks and how many crash states it recovered.
+// simulate runs prog once on the cell and recovers the crash states cut from
+// the run's mutation log. A program that plants faults first runs once
+// without them, held to the oracles a fault weakens. It returns the first
+// oracle it breaks and how many crash states it recovered.
 func (c simCell) simulate(t *testing.T, prog simProg) (int, error) {
 	opts := c.options(prog.maxDiff)
+	clean := slices.DeleteFunc(slices.Clone(prog.steps), func(st simStep) bool { return st.kind >= stepTear })
+	if len(clean) < len(prog.steps) {
+		r, err := c.start(t, opts)
+		if err != nil {
+			return 0, err
+		}
+		err = r.whole(t, clean)
+		r.close()
+		if err != nil {
+			return 0, fmt.Errorf("the program without its faults: %w", err)
+		}
+	}
 	r, err := c.start(t, opts)
 	if err != nil {
 		return 0, err
 	}
 	defer r.close()
-	if err := r.run(prog.steps); err != nil {
+	if err := r.whole(t, prog.steps); err != nil {
 		return 0, err
 	}
-	if !r.m.faulted && !c.bg && c.cache != DiffCacheOff {
-		off := opts
+	return c.crashes(t, prog, r)
+}
+
+// whole runs steps, with the DiffCacheOff twin on a deterministic cell with
+// caches unless a fault was planted, and holds the store to its oracles as it
+// goes and after its last flush.
+func (r *simRun) whole(t *testing.T, steps []simStep) error {
+	if err := r.run(steps); err != nil {
+		return err
+	}
+	if c := r.c; !r.m.faulted && !c.bg && c.cache != DiffCacheOff {
+		off := r.opts
 		off.DiffCachePages = DiffCacheOff
 		twin, err := c.start(t, off)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		defer twin.close()
-		if err := twin.run(prog.steps); err != nil {
-			return 0, fmt.Errorf("the DiffCacheOff twin: %w", err)
+		if err := twin.run(steps); err != nil {
+			return fmt.Errorf("the DiffCacheOff twin: %w", err)
 		}
 		if err := savedReadsOnly(r, twin); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if err := r.finish(); err != nil {
-		return 0, err
+		return err
 	}
 	rec, err := r.recovered()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	got, errs := pagesOf(rec)
 	rec.Close()
 	if r.m.faulted {
-		err = carried(got, errs, r.m.versions)
-	} else if !slices.EqualFunc(got, r.m.pages, bytes.Equal) || errors.Join(errs...) != nil {
-		err = fmt.Errorf("recovery after the last flush did not read back every write (%v)", errors.Join(errs...))
+		return carried(got, errs, r.m.versions)
 	}
-	if err != nil {
-		return 0, err
+	if !slices.EqualFunc(got, r.m.pages, bytes.Equal) || errors.Join(errs...) != nil {
+		return fmt.Errorf("recovery after the last flush did not read back every write (%v)", errors.Join(errs...))
 	}
-	return c.crashes(t, prog, r)
+	return nil
 }
 
 // crashes recovers the crash states cut from r's finished mutation log at
@@ -704,15 +726,9 @@ func flushShard(s *Store, i int) error {
 // pagesOf reads every logical page of s: nil for a page never written, and
 // errs[pid] for a read that failed otherwise.
 func pagesOf(s *Store) (pages [][]byte, errs []error) {
-	return pagesInto(s, make([]byte, s.numPages*s.PageSize()))
-}
-
-// pagesInto is pagesOf reading into slab, a page-sized buffer per pid.
-func pagesInto(s *Store, slab []byte) (pages [][]byte, errs []error) {
 	pages, errs = make([][]byte, s.numPages), make([]error, s.numPages)
-	size := s.PageSize()
 	for pid := range pages {
-		buf := slab[pid*size : (pid+1)*size : (pid+1)*size]
+		buf := make([]byte, s.PageSize())
 		switch err := s.ReadPage(uint32(pid), buf); {
 		case err == nil:
 			pages[pid] = buf
@@ -794,7 +810,6 @@ type simRun struct {
 	pool    *buffer.Pool // the caller, or nil for the Store itself
 	app     [][]byte     // what the pool's caller wrote to each page
 	pending *simStep     // a fault for the update that follows
-	slab    []byte       // the pages image reads back, reused
 	trusted bool         // the bitmap follows the store: no crash, fault or recovery since it opened
 	reads0  int64        // the device reads that are not the store's
 }
@@ -1612,7 +1627,6 @@ func (r *simRun) land(es []simMut) error {
 			err = fd.Erase(e.blk)
 		case mutFault:
 			fd.Inject(e.fault)
-			r.trusted = false
 		}
 		if err != nil {
 			return fmt.Errorf("replaying the %v: %w", e, err)
@@ -1624,17 +1638,12 @@ func (r *simRun) land(es []simMut) error {
 // image recovers the run's flash with over laid on each channel, without
 // touching it, holds the recovered store to what that flash holds, and reads
 // every page of it to held unless the store maps every pid as *last, the
-// image it was cut beside, does. While no fault is planted, the bitmap is
-// what flash holds, and reads pass the fault overlays by.
+// image it was cut beside, does.
 func (r *simRun) image(over [][]simMut, last *simMapping, held func([][]byte, []error) error) error {
 	bits := r.bits
 	subs := make([]flash.Device, len(over))
 	for ch, es := range over {
-		var dev flash.Device = r.fds[ch]
-		if r.trusted {
-			dev = r.chans[ch].Device
-		}
-		subs[ch] = &simImage{Device: dev, over: es}
+		subs[ch] = &simImage{Device: r.fds[ch], over: es}
 		for _, e := range es {
 			if bits == r.bits {
 				bits = r.bits.clone()
@@ -1650,11 +1659,9 @@ func (r *simRun) image(over [][]simMut, last *simMapping, held func([][]byte, []
 		return err
 	}
 	defer s.Close()
-	written := bits.written
-	if !r.trusted {
-		if written, err = programmed(dev); err != nil {
-			return err
-		}
+	written, err := programmed(dev)
+	if err != nil {
+		return err
 	}
 	if err := errors.Join(adopted(s, written), unstranded(s, bits), deadBytes(s, bits)); err != nil {
 		return err
@@ -1664,10 +1671,7 @@ func (r *simRun) image(over [][]simMut, last *simMapping, held func([][]byte, []
 		return nil
 	}
 	*last = m
-	if r.slab == nil {
-		r.slab = make([]byte, s.numPages*s.PageSize())
-	}
-	return held(pagesInto(s, r.slab))
+	return held(pagesOf(s))
 }
 
 // simMapping is what a recovered store's reads follow. The two images of a
