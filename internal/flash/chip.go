@@ -37,14 +37,13 @@ type PPN int32
 // NilPPN is the sentinel "no page" value used by mapping tables.
 const NilPPN PPN = -1
 
-// page is the storage for one physical page.
+// page is the state of one physical page. Its data and spare areas live in
+// its block's slabs and are cut out when an operation needs them (areas).
 type page struct {
-	data  []byte
-	spare []byte
 	// sparePrograms counts partial programs of the spare area since the
 	// last erase of the containing block (the initial full-page program
 	// counts as the first).
-	sparePrograms int
+	sparePrograms int32
 	// programmed records whether the data area has ever been programmed
 	// since the last erase. Used for fast free-page queries and sanity
 	// checks; it does not affect legality (partial data programs of an
@@ -56,11 +55,16 @@ type page struct {
 	touched bool
 }
 
-// block is the storage for one erase block.
+// block is one erase block. data and spare are its slabs: every page's
+// data area back to back, and every page's spare area. Both are nil from
+// the block's erase (or the chip's creation) until the first program of
+// any kind reaches it, and a block without them reads erased; so the chip
+// holds bytes only for blocks programmed since their last erase, as the
+// file backend's sparse file does.
 type block struct {
-	pages      []page
-	eraseCount int
-	bad        bool
+	data, spare []byte
+	eraseCount  int
+	bad         bool
 }
 
 // Chip is an emulated NAND flash chip. Reads may run concurrently with
@@ -75,40 +79,60 @@ type Chip struct {
 	// hold it exclusively.
 	mu     sync.RWMutex
 	blocks []block
-	stats  Counters
+	// pages holds every page's state, indexed by PPN.
+	pages []page
+	stats Counters
 
 	// powerFailAfter, when non-negative, counts down on every program and
 	// erase; when it reaches zero the operation is interrupted mid-flight.
 	powerFailAfter int64
 	failed         bool
 
-	// erased is an erased page image, data or spare, that eraseNow copies.
+	// erased is an erased page image, data or spare: what a page of a
+	// block without slabs reads, and what a new slab is filled from.
 	erased []byte
 }
 
-// NewChip allocates an emulated chip in the erased state (all bits 1).
-// It panics if the parameters are invalid, mirroring the convention that
-// misconfigured hardware is a programming error, not a runtime condition.
+// NewChip returns an emulated chip in the erased state (all bits 1). It
+// allocates no page storage: a block's bytes exist from its first program
+// to its next erase, so a chip costs memory for what is programmed on it,
+// not for its geometry. It panics if the parameters are invalid, mirroring
+// the convention that misconfigured hardware is a programming error, not a
+// runtime condition.
 func NewChip(p Params) *Chip {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Chip{params: p, powerFailAfter: -1, erased: newErased(max(p.DataSize, p.SpareSize))}
-	c.blocks = make([]block, p.NumBlocks)
-	for i := range c.blocks {
-		// One data slab and one spare slab a block; each page's areas are
-		// cut out with their capacity capped, so no page reaches the next.
-		pages := make([]page, p.PagesPerBlock)
-		data := newErased(p.PagesPerBlock * p.DataSize)
-		spare := newErased(p.PagesPerBlock * p.SpareSize)
-		for j := range pages {
-			d, s := j*p.DataSize, j*p.SpareSize
-			pages[j].data = data[d : d+p.DataSize : d+p.DataSize]
-			pages[j].spare = spare[s : s+p.SpareSize : s+p.SpareSize]
-		}
-		c.blocks[i].pages = pages
+	return &Chip{
+		params:         p,
+		powerFailAfter: -1,
+		erased:         newErased(max(p.DataSize, p.SpareSize)),
+		blocks:         make([]block, p.NumBlocks),
+		pages:          make([]page, p.NumPages()),
 	}
-	return c
+}
+
+// areas returns the data and spare areas of page pg of b, each with its
+// capacity capped so no page reaches the next. A block without slabs
+// returns the erased image, which must not be written: mutations call
+// materialize instead.
+func (c *Chip) areas(b *block, pg int) (data, spare []byte) {
+	ds, ss := c.params.DataSize, c.params.SpareSize
+	if b.data == nil {
+		return c.erased[:ds:ds], c.erased[:ss:ss]
+	}
+	d, s := pg*ds, pg*ss
+	return b.data[d : d+ds : d+ds], b.spare[s : s+ss : s+ss]
+}
+
+// materialize is areas for a program: it first gives b its slabs, erased,
+// if no program has reached the block since its last erase.
+func (c *Chip) materialize(b *block, pg int) (data, spare []byte) {
+	if b.data == nil {
+		b.data = newErased(c.params.PagesPerBlock * c.params.DataSize)
+		b.spare = newErased(c.params.PagesPerBlock * c.params.SpareSize)
+	}
+	return c.areas(b, pg)
 }
 
 // newErased returns n bytes of 0xFF, filled by copies that double the
@@ -165,12 +189,12 @@ func (c *Chip) Read(ppn PPN, data, spare []byte) error {
 	if spare != nil && len(spare) != c.params.SpareSize {
 		return fmt.Errorf("%w: spare len %d, want %d (ppn %d)", ErrBufSize, len(spare), c.params.SpareSize, ppn)
 	}
-	p := &c.blocks[blk].pages[pg]
+	pd, ps := c.areas(&c.blocks[blk], pg)
 	if data != nil {
-		copy(data, p.data)
+		copy(data, pd)
 	}
 	if spare != nil {
-		copy(spare, p.spare)
+		copy(spare, ps)
 	}
 	c.stats.AddRead(c.params.ReadMicros)
 	return nil
@@ -193,45 +217,43 @@ func (c *Chip) ReadSpare(ppn PPN, spare []byte) error { return c.Read(ppn, nil, 
 func (c *Chip) Program(ppn PPN, data, spare []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, err := c.checkProgram(ppn, data, spare)
-	if err != nil {
+	if err := c.checkProgram(ppn, data, spare); err != nil {
 		return err
 	}
-	return c.commitProgram(p, data, spare)
+	return c.commitProgram(ppn, data, spare)
 }
 
 // checkProgram validates one full-page program against the current chip
-// state — address, bad block, buffer sizes, AND-legality — and returns
-// the target page. It is the shared validation of Program and
-// ProgramBatch, so the serial and batched paths stay definitionally
-// identical. The caller holds mu.
-func (c *Chip) checkProgram(ppn PPN, data, spare []byte) (*page, error) {
+// state — address, bad block, buffer sizes, AND-legality. It is the
+// shared validation of Program and ProgramBatch, so the serial and batched
+// paths stay definitionally identical. The caller holds mu.
+func (c *Chip) checkProgram(ppn PPN, data, spare []byte) error {
 	blk, pg, err := c.addr(ppn)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if c.blocks[blk].bad {
-		return nil, fmt.Errorf("%w: block %d", ErrBadBlock, blk)
+		return fmt.Errorf("%w: block %d", ErrBadBlock, blk)
 	}
 	if len(data) != c.params.DataSize {
-		return nil, fmt.Errorf("%w: data len %d, want %d (ppn %d)", ErrBufSize, len(data), c.params.DataSize, ppn)
+		return fmt.Errorf("%w: data len %d, want %d (ppn %d)", ErrBufSize, len(data), c.params.DataSize, ppn)
 	}
 	if spare != nil && len(spare) != c.params.SpareSize {
-		return nil, fmt.Errorf("%w: spare len %d, want %d (ppn %d)", ErrBufSize, len(spare), c.params.SpareSize, ppn)
+		return fmt.Errorf("%w: spare len %d, want %d (ppn %d)", ErrBufSize, len(spare), c.params.SpareSize, ppn)
 	}
-	p := &c.blocks[blk].pages[pg]
-	if !p.touched {
-		return p, nil // all 1s: every image is legal
+	if !c.pages[ppn].touched {
+		return nil // all 1s: every image is legal
 	}
-	if err := checkProgrammable(p.data, data); err != nil {
-		return nil, fmt.Errorf("%w (ppn %d)", err, ppn)
+	pd, ps := c.areas(&c.blocks[blk], pg)
+	if err := checkProgrammable(pd, data); err != nil {
+		return fmt.Errorf("%w (ppn %d)", err, ppn)
 	}
 	if spare != nil {
-		if err := checkProgrammable(p.spare, spare); err != nil {
-			return nil, fmt.Errorf("%w (ppn %d spare)", err, ppn)
+		if err := checkProgrammable(ps, spare); err != nil {
+			return fmt.Errorf("%w (ppn %d spare)", err, ppn)
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // commitProgram applies a validated full-page program, charging Twrite.
@@ -239,23 +261,25 @@ func (c *Chip) checkProgram(ppn PPN, data, spare []byte) (*page, error) {
 // is committed — the first half, modeling a torn program — and the spare
 // stays erased. Into an untouched page, whose bits are all 1, the AND is a
 // copy. The caller holds mu.
-func (c *Chip) commitProgram(p *page, data, spare []byte) error {
+func (c *Chip) commitProgram(ppn PPN, data, spare []byte) error {
+	b, p := &c.blocks[c.params.BlockOf(ppn)], &c.pages[ppn]
+	pd, ps := c.materialize(b, c.params.PageOf(ppn))
 	if c.tickPowerFail() {
 		half := len(data) / 2
-		andInto(p.data[:half], data[:half])
+		andInto(pd[:half], data[:half])
 		p.programmed, p.touched = true, true
 		c.stats.AddWrite(c.params.WriteMicros)
 		return ErrPowerLoss
 	}
 	if p.touched {
-		andInto(p.data, data)
+		andInto(pd, data)
 		if spare != nil {
-			andInto(p.spare, spare)
+			andInto(ps, spare)
 		}
 	} else {
-		copy(p.data, data)
+		copy(pd, data)
 		if spare != nil {
-			copy(p.spare, spare)
+			copy(ps, spare)
 		}
 	}
 	p.programmed, p.touched = true, true
@@ -275,20 +299,17 @@ func (c *Chip) ProgramBatch(batch []PageProgram) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	seen := make(map[PPN]struct{}, len(batch))
-	pages := make([]*page, len(batch))
-	for i, pp := range batch {
+	for _, pp := range batch {
 		if _, dup := seen[pp.PPN]; dup {
 			return fmt.Errorf("%w: ppn %d", ErrDuplicatePPN, pp.PPN)
 		}
 		seen[pp.PPN] = struct{}{}
-		p, err := c.checkProgram(pp.PPN, pp.Data, pp.Spare)
-		if err != nil {
+		if err := c.checkProgram(pp.PPN, pp.Data, pp.Spare); err != nil {
 			return err
 		}
-		pages[i] = p
 	}
-	for i, pp := range batch {
-		if err := c.commitProgram(pages[i], pp.Data, pp.Spare); err != nil {
+	for _, pp := range batch {
+		if err := c.commitProgram(pp.PPN, pp.Data, pp.Spare); err != nil {
 			return err
 		}
 	}
@@ -312,19 +333,22 @@ func (c *Chip) ProgramPartial(ppn PPN, off int, chunk []byte) error {
 		return fmt.Errorf("%w: partial program [%d,%d) beyond data area %d",
 			ErrOutOfRange, off, off+len(chunk), c.params.DataSize)
 	}
-	p := &c.blocks[blk].pages[pg]
-	if err := checkProgrammable(p.data[off:off+len(chunk)], chunk); err != nil {
+	// A block without slabs is all 1s, where no chunk conflicts, so
+	// materializing before the check allocates for no refused program.
+	b, p := &c.blocks[blk], &c.pages[ppn]
+	pd, _ := c.materialize(b, pg)
+	if err := checkProgrammable(pd[off:off+len(chunk)], chunk); err != nil {
 		return fmt.Errorf("%w (ppn %d +%d)", err, ppn, off)
 	}
 	p.touched = true
 	if c.tickPowerFail() {
 		half := len(chunk) / 2
-		andInto(p.data[off:off+half], chunk[:half])
+		andInto(pd[off:off+half], chunk[:half])
 		p.programmed = true
 		c.stats.AddWrite(c.params.WriteMicros)
 		return ErrPowerLoss
 	}
-	andInto(p.data[off:off+len(chunk)], chunk)
+	andInto(pd[off:off+len(chunk)], chunk)
 	p.programmed = true
 	c.stats.AddWrite(c.params.WriteMicros)
 	return nil
@@ -352,18 +376,19 @@ func (c *Chip) ProgramSpare(ppn PPN, spare []byte) error {
 	if len(spare) != c.params.SpareSize {
 		return fmt.Errorf("%w: spare len %d, want %d", ErrBufSize, len(spare), c.params.SpareSize)
 	}
-	p := &c.blocks[blk].pages[pg]
-	if p.sparePrograms >= c.params.maxSparePrograms() {
+	b, p := &c.blocks[blk], &c.pages[ppn]
+	if int(p.sparePrograms) >= c.params.maxSparePrograms() {
 		return fmt.Errorf("%w: ppn %d has %d programs", ErrSpareProgramLimit, ppn, p.sparePrograms)
 	}
+	_, ps := c.materialize(b, pg)
 	p.touched = true
 	if c.tickPowerFail() {
 		half := len(spare) / 2
-		andInto(p.spare[:half], spare[:half])
+		andInto(ps[:half], spare[:half])
 		c.stats.AddWrite(c.params.WriteMicros)
 		return ErrPowerLoss
 	}
-	andInto(p.spare, spare)
+	andInto(ps, spare)
 	p.sparePrograms++
 	c.stats.AddWrite(c.params.WriteMicros)
 	return nil
@@ -379,8 +404,7 @@ func (c *Chip) Erase(blk int) error {
 	if blk < 0 || blk >= c.params.NumBlocks {
 		return fmt.Errorf("%w: block %d", ErrOutOfRange, blk)
 	}
-	b := &c.blocks[blk]
-	if b.bad {
+	if c.blocks[blk].bad {
 		return fmt.Errorf("%w: block %d", ErrBadBlock, blk)
 	}
 	if c.tickPowerFail() {
@@ -388,21 +412,19 @@ func (c *Chip) Erase(blk int) error {
 		// complete or leave the block in an undefined state that a real
 		// driver would re-erase; completing keeps the emulator simple
 		// while still exercising the crash path of the caller.
-		c.eraseNow(b)
+		c.eraseNow(blk)
 		return ErrPowerLoss
 	}
-	c.eraseNow(b)
+	c.eraseNow(blk)
 	return nil
 }
 
-func (c *Chip) eraseNow(b *block) {
-	for i := range b.pages {
-		p := &b.pages[i]
-		copy(p.data, c.erased)
-		copy(p.spare, c.erased)
-		p.sparePrograms = 0
-		p.programmed, p.touched = false, false
-	}
+// eraseNow drops blk's slabs, so it reads erased, and resets its pages.
+func (c *Chip) eraseNow(blk int) {
+	b := &c.blocks[blk]
+	b.data, b.spare = nil, nil
+	first := c.params.PPNOf(blk, 0)
+	clear(c.pages[first : first+PPN(c.params.PagesPerBlock)])
 	b.eraseCount++
 	c.stats.AddErase(c.params.EraseMicros)
 }
@@ -441,11 +463,10 @@ func (c *Chip) EraseCount(blk int) int {
 func (c *Chip) Programmed(ppn PPN) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	blk, pg, err := c.addr(ppn)
-	if err != nil {
+	if _, _, err := c.addr(ppn); err != nil {
 		return false
 	}
-	return c.blocks[blk].pages[pg].programmed
+	return c.pages[ppn].programmed
 }
 
 // SchedulePowerFailure arranges for the n-th subsequent program or erase

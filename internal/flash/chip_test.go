@@ -57,8 +57,22 @@ func TestParamsDerived(t *testing.T) {
 	}
 }
 
+// residentBytes sums the slab bytes the chip holds.
+func (c *Chip) residentBytes() int {
+	n := 0
+	for i := range c.blocks {
+		n += len(c.blocks[i].data) + len(c.blocks[i].spare)
+	}
+	return n
+}
+
+// TestNewChipErased: a fresh chip holds no block storage, and a page of a
+// block without storage reads erased data and spare at the cost of Tread.
 func TestNewChipErased(t *testing.T) {
 	c := NewChip(testParams())
+	if n := c.residentBytes(); n != 0 {
+		t.Fatalf("fresh chip holds %d slab bytes", n)
+	}
 	data := make([]byte, c.Params().DataSize)
 	spare := make([]byte, c.Params().SpareSize)
 	if err := c.Read(0, data, spare); err != nil {
@@ -70,9 +84,126 @@ func TestNewChipErased(t *testing.T) {
 	if !bytes.Equal(spare, filled(len(spare), 0xFF)) {
 		t.Error("fresh chip spare not all-FF")
 	}
+	if got, want := c.Stats(), (Stats{Reads: 1, TimeMicros: c.Params().ReadMicros}); got != want {
+		t.Errorf("stats after one read = %+v, want %+v", got, want)
+	}
+	if n := c.residentBytes(); n != 0 {
+		t.Errorf("a read gave the chip %d slab bytes", n)
+	}
 }
 
-// TestChipSlabsKeepPagesApart: a block's pages are cut from one data slab
+// TestNewChipAllocsDoNotGrowWithBlocks: NewChip allocates no page storage,
+// so its allocation count is one constant at any geometry.
+func TestNewChipAllocsDoNotGrowWithBlocks(t *testing.T) {
+	allocs := func(blocks int) float64 {
+		return testing.AllocsPerRun(5, func() { NewChip(ScaledParams(blocks)) })
+	}
+	small, large := allocs(4), allocs(512)
+	if small != large || large > 4 {
+		t.Fatalf("NewChip allocates %v times at 4 blocks and %v at 512, want one constant of at most 4", small, large)
+	}
+}
+
+// TestChipHoldsOnlyProgrammedBlocks: the first program of any kind — full,
+// torn by a power loss, partial or of the spare, whole or torn — gives its
+// own block storage and no other block; a refused program gives none.
+func TestChipHoldsOnlyProgrammedBlocks(t *testing.T) {
+	p := Params{NumBlocks: 8, PagesPerBlock: 4, DataSize: 512, SpareSize: 16, ReadMicros: 1, WriteMicros: 1, EraseMicros: 1}
+	blockBytes := p.PagesPerBlock * (p.DataSize + p.SpareSize)
+	zeros, zeroSpare := make([]byte, p.DataSize), make([]byte, p.SpareSize)
+	c := NewChip(p)
+	for blk, tc := range []struct {
+		name    string
+		torn    bool
+		program func(ppn PPN) error
+	}{
+		{"program", false, func(ppn PPN) error { return c.Program(ppn, zeros, zeroSpare) }},
+		{"torn program", true, func(ppn PPN) error { return c.Program(ppn, zeros, zeroSpare) }},
+		{"partial program", false, func(ppn PPN) error { return c.ProgramPartial(ppn, 8, zeros[:8]) }},
+		{"torn partial program", true, func(ppn PPN) error { return c.ProgramPartial(ppn, 8, zeros[:8]) }},
+		{"spare program", false, func(ppn PPN) error { return c.ProgramSpare(ppn, zeroSpare) }},
+		{"torn spare program", true, func(ppn PPN) error { return c.ProgramSpare(ppn, zeroSpare) }},
+		{"batch program", false, func(ppn PPN) error {
+			return c.ProgramBatch([]PageProgram{{PPN: ppn, Data: zeros, Spare: zeroSpare}})
+		}},
+	} {
+		want := error(nil)
+		if tc.torn {
+			c.SchedulePowerFailure(1)
+			want = ErrPowerLoss
+		}
+		if err := tc.program(c.PPNOf(blk, 2)); !errors.Is(err, want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, want)
+		}
+		for b := range c.blocks {
+			if has := c.blocks[b].data != nil; has != (b <= blk) {
+				t.Fatalf("after the %s of block %d: block %d has storage %v", tc.name, blk, b, has)
+			}
+		}
+		if n := c.residentBytes(); n != (blk+1)*blockBytes {
+			t.Fatalf("after the %s of block %d: %d slab bytes, want %d", tc.name, blk, n, (blk+1)*blockBytes)
+		}
+	}
+	last := p.NumBlocks - 1
+	if err := c.Program(c.PPNOf(last, 0), zeros[:8], nil); !errors.Is(err, ErrBufSize) {
+		t.Fatalf("short program: err = %v, want ErrBufSize", err)
+	}
+	if err := c.ProgramPartial(c.PPNOf(last, 0), p.DataSize-4, zeros[:8]); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("partial program past the data area: err = %v, want ErrOutOfRange", err)
+	}
+	if c.blocks[last].data != nil {
+		t.Fatal("a refused program gave its block storage")
+	}
+}
+
+// TestEraseReleasesTheBlock: an erase, completed or cut by a power loss,
+// drops the block's storage, and every data and spare byte of the block
+// then reads 0xFF, whichever of the two areas is larger, at the cost of
+// Tread a page.
+func TestEraseReleasesTheBlock(t *testing.T) {
+	for _, p := range []Params{
+		{NumBlocks: 2, PagesPerBlock: 4, DataSize: 512, SpareSize: 16, ReadMicros: 1, WriteMicros: 1, EraseMicros: 1},
+		{NumBlocks: 2, PagesPerBlock: 4, DataSize: 24, SpareSize: 40, ReadMicros: 1, WriteMicros: 1, EraseMicros: 1},
+	} {
+		for _, torn := range []bool{false, true} {
+			c := NewChip(p)
+			for pg := 0; pg < p.PagesPerBlock; pg++ {
+				if err := c.Program(PPN(pg), make([]byte, p.DataSize), make([]byte, p.SpareSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.ProgramSpare(c.PPNOf(1, 0), make([]byte, p.SpareSize)); err != nil {
+				t.Fatal(err)
+			}
+			want := error(nil)
+			if torn {
+				c.SchedulePowerFailure(1)
+				want = ErrPowerLoss
+			}
+			if err := c.Erase(0); !errors.Is(err, want) {
+				t.Fatalf("%+v: erase err = %v, want %v", p, err, want)
+			}
+			if c.blocks[0].data != nil || c.blocks[0].spare != nil || c.blocks[1].data == nil {
+				t.Fatalf("%+v torn=%v: the erase did not drop block 0's storage alone", p, torn)
+			}
+			before := c.Stats()
+			data, spare := make([]byte, p.DataSize), make([]byte, p.SpareSize)
+			for pg := 0; pg < p.PagesPerBlock; pg++ {
+				if err := c.Read(PPN(pg), data, spare); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(data, newErased(p.DataSize)) || !bytes.Equal(spare, newErased(p.SpareSize)) {
+					t.Fatalf("%+v: page %d not erased", p, pg)
+				}
+			}
+			if got := c.Stats().Sub(before); got != (Stats{Reads: int64(p.PagesPerBlock), TimeMicros: int64(p.PagesPerBlock) * p.ReadMicros}) {
+				t.Fatalf("%+v: reads of the erased block cost %+v", p, got)
+			}
+		}
+	}
+}
+
+// TestChipSlabsKeepPagesApart: a block's pages are cut from its one data slab
 // and one spare slab. A fresh chip reads erased everywhere, and programming a
 // page whole, torn by a power failure, at the end of its data area or in its
 // spare area changes that page and leaves every other page erased.

@@ -147,8 +147,9 @@ type Device struct {
 	// readBufs pools stored-domain page records for Read, which runs
 	// shared-locked on any number of goroutines and so cannot touch scratch.
 	readBufs sync.Pool
-	// zeros is an erased (stored-domain) block image reused by Erase.
-	zeros []byte
+	// zeros pools an erased (stored-domain) block image for Erase, so a
+	// device between erases keeps no block-sized buffer alive.
+	zeros sync.Pool
 
 	stats flash.Counters
 }
@@ -235,7 +236,8 @@ func (d *Device) layout() {
 	d.scratch = make([]byte, d.recordSize)
 	recordSize := d.recordSize
 	d.readBufs.New = func() any { return make([]byte, recordSize) }
-	d.zeros = make([]byte, int64(p.PagesPerBlock)*d.recordSize)
+	blockSize := int64(p.PagesPerBlock) * recordSize
+	d.zeros.New = func() any { return make([]byte, blockSize) }
 }
 
 // format initializes a fresh file: header, zeroed metadata, and the page
@@ -662,7 +664,10 @@ func (d *Device) Erase(blk int) error {
 		return fmt.Errorf("%w: block %d", flash.ErrBadBlock, blk)
 	}
 	first := flash.PPN(blk * p.PagesPerBlock)
-	if _, err := d.f.WriteAt(d.zeros, d.recordOff(first)); err != nil {
+	zeros := d.zeros.Get().([]byte)
+	_, err := d.f.WriteAt(zeros, d.recordOff(first))
+	d.zeros.Put(zeros) //nolint:staticcheck // []byte header alloc is fine here
+	if err != nil {
 		return err
 	}
 	for i := 0; i < p.PagesPerBlock; i++ {

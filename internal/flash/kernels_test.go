@@ -87,37 +87,6 @@ func TestKernelsMatchByteLoops(t *testing.T) {
 	}
 }
 
-// TestEraseNowCopiesTheErasedImage: an erase returns every data and spare
-// byte of a programmed block to 0xFF, whichever of the two areas is larger.
-func TestEraseNowCopiesTheErasedImage(t *testing.T) {
-	for _, p := range []Params{
-		{NumBlocks: 2, PagesPerBlock: 4, DataSize: 512, SpareSize: 16, ReadMicros: 1, WriteMicros: 1, EraseMicros: 1},
-		{NumBlocks: 2, PagesPerBlock: 4, DataSize: 24, SpareSize: 40, ReadMicros: 1, WriteMicros: 1, EraseMicros: 1},
-	} {
-		c := NewChip(p)
-		for pg := 0; pg < p.PagesPerBlock; pg++ {
-			if err := c.Program(PPN(pg), make([]byte, p.DataSize), make([]byte, p.SpareSize)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.Erase(0); err != nil {
-			t.Fatal(err)
-		}
-		data, spare := make([]byte, p.DataSize), make([]byte, p.SpareSize)
-		for pg := 0; pg < p.PagesPerBlock; pg++ {
-			if err := c.Read(PPN(pg), data, spare); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(data, newErased(p.DataSize)) || !bytes.Equal(spare, newErased(p.SpareSize)) {
-				t.Fatalf("%+v: page %d not erased", p, pg)
-			}
-		}
-	}
-}
-
-// pageAt returns the storage of ppn.
-func (c *Chip) pageAt(ppn PPN) *page { return &c.blocks[c.BlockOf(ppn)].pages[c.PageOf(ppn)] }
-
 // TestFreshProgramMatchesAndMerge: a full program into a page no program has
 // touched since its erase is a copy, and must store what the checked
 // AND-merge stores. Each image goes to a fresh page and to a reference page
@@ -139,7 +108,7 @@ func TestFreshProgramMatchesAndMerge(t *testing.T) {
 		if err := c.ProgramPartial(merged, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-		if c.pageAt(fresh).touched || !c.pageAt(merged).touched {
+		if c.pages[fresh].touched || !c.pages[merged].touched {
 			t.Fatalf("pages %d and %d: want the first untouched and the second touched", fresh, merged)
 		}
 		return fresh, merged
@@ -245,7 +214,7 @@ func TestFreshProgramAfterErase(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pg := 0; pg < p.PagesPerBlock; pg++ {
-		if c.pageAt(c.PPNOf(1, pg)).touched {
+		if c.pages[c.PPNOf(1, pg)].touched {
 			t.Fatalf("page %d of an erased block is still touched", pg)
 		}
 	}
@@ -257,7 +226,7 @@ func TestFreshProgramAfterErase(t *testing.T) {
 	if err := c.Read(ppn, gotD, gotS); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotD, data) || !bytes.Equal(gotS, spare) || !c.pageAt(ppn).touched {
+	if !bytes.Equal(gotD, data) || !bytes.Equal(gotS, spare) || !c.pages[ppn].touched {
 		t.Fatal("the program after an erase does not read back, or left the page untouched")
 	}
 }

@@ -68,9 +68,10 @@ const (
 )
 
 // DefaultParams returns the exact parameters of Table 1 in the paper:
-// a 2-Gbyte MLC NAND chip. Beware that instantiating a chip of this size
-// allocates about 2 GB of memory; tests and benches usually scale
-// NumBlocks down, which does not change per-operation costs.
+// a 2-Gbyte MLC NAND chip. A fresh chip of this size holds only its page
+// and block state (about 19 MB), but one with every block programmed holds
+// about 4.4 GB; tests and benches usually scale NumBlocks down, which does
+// not change per-operation costs.
 func DefaultParams() Params {
 	return Params{
 		NumBlocks:        DefaultNumBlocks,

@@ -229,16 +229,19 @@ type FlashStats = flash.Stats
 type PPN = flash.PPN
 
 // DefaultFlashParams returns the Samsung K9L8G08U0M 2-Gbyte MLC NAND
-// parameters of the paper's Table 1. The full-size chip allocates about
-// 2 GB of memory; ScaledFlashParams builds smaller chips with identical
-// per-operation costs.
+// parameters of the paper's Table 1. A full-size chip holds about 4.4 GB
+// of memory once every block is programmed; ScaledFlashParams builds
+// smaller chips with identical per-operation costs.
 func DefaultFlashParams() FlashParams { return flash.DefaultParams() }
 
 // ScaledFlashParams returns the datasheet parameters with the block count
 // replaced (each block is 132 KB: 64 pages of 2048+64 bytes).
 func ScaledFlashParams(numBlocks int) FlashParams { return flash.ScaledParams(numBlocks) }
 
-// NewChip allocates an emulated chip in the erased state.
+// NewChip returns an emulated chip in the erased state. It holds bytes only
+// for what is programmed: a block's storage exists from its first program
+// to its next erase, so the chip's memory follows the data written to it,
+// not its geometry.
 func NewChip(p FlashParams) *Chip { return flash.NewChip(p) }
 
 // OpenFileDevice opens (or creates) a persistent file-backed flash device
