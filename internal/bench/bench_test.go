@@ -402,8 +402,8 @@ func TestExp7Shapes(t *testing.T) {
 	}
 	// Figure 18's rows (us per transaction), to one decimal.
 	pinOverall(t, rows, cfg.BufferPcts, "%g%% buffer", map[string][]float64{
-		"OPU":       {16731.2, 301.4},
-		"PDL(256B)": {4766.6, 156.8},
+		"OPU":       {16431.1, 337.3},
+		"PDL(256B)": {4940.7, 160.6},
 	})
 }
 

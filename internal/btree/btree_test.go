@@ -601,7 +601,7 @@ func TestRightSiblingNeverFaultedIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(pool, 0, 32) // pages 32.. are other pages of the pool
+	tr, err := New(pool, 0, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,15 +625,13 @@ func TestRightSiblingNeverFaultedIn(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Evict the tree with pages seen twice, then fault in the root and the
-	// first two leaves.
-	for p := uint32(40); p < 44; p++ {
-		if _, err := pool.GetNew(p); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pool.Get(p); err != nil {
-			t.Fatal(err)
-		}
+	// Reopen the tree on an empty pool and fault in the root and the first
+	// two leaves.
+	if pool, err = buffer.NewPool(m, 4); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err = Open(pool, 0, 32, tr.State()); err != nil {
+		t.Fatal(err)
 	}
 	for _, p := range []uint32{tr.root, leaves[0], leaves[1]} {
 		if _, err := pool.Get(p); err != nil {

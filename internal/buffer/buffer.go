@@ -4,24 +4,28 @@
 // other experiments bypass buffering entirely, which the paper arranges by
 // designing the update operation as read-change-write.
 //
-// Replacement is adaptive (ARC, Megiddo and Modha) with a clean-first tail
-// (CFLRU, Park et al.). The directory is four lists: T1 holds the resident
-// pages seen once since they entered it, T2 the resident pages seen again, and
-// B1 and B2 the page ids (no page buffer) of the pages T1 and T2 evicted last.
-// A miss on a pid in B1 says T1 was too short and raises the target size of
-// T1; a miss on a pid in B2 lowers it; a miss evicts from T1 when T1 is over
-// its target and from T2 otherwise, so a scan of once-touched pages flows
-// through T1 and leaves the re-used pages of T2 alone, and nothing is tuned by
-// hand. Inside the list ARC evicts from, the victim is the coldest clean frame
-// of the tail quarter (a quarter of the capacity), because evicting a dirty
-// page costs a program and its share of garbage collection where re-reading a
-// clean one costs a read; only when the tail quarter is all dirty is the tail
-// page itself written back and evicted.
+// Replacement admits by frequency (W-TinyLFU: Einziger, Friedman and Manes,
+// ACM TOS 2017) with a clean-first tail (CFLRU, Park et al.). A page enters a
+// window of the most recent arrivals, a tenth of the frames; the rest is the
+// main segment, split into probation (pages admitted there, not seen again)
+// and protected (pages seen again in probation, at most 80% of the segment,
+// whose coldest page steps down to probation when it overflows). On a miss in
+// a full pool the window's coldest page, which the newcomer pushes out,
+// competes with probation's victim, and the one a count-min sketch of recent
+// accesses counts less is evicted: a scan of once-touched pages flows through
+// the window without displacing a page used more, and nothing is tuned by
+// hand. The sketch exists from the pool's first eviction on; before it, a page
+// seen again in the window goes to protected, as it cannot carry a count.
+// Probation's victim is its coldest clean frame among the capacity/4 coldest,
+// because evicting a dirty page costs a program and its share of garbage
+// collection where re-reading a clean one costs a read; only when those are
+// all dirty is its coldest page written back and evicted.
 package buffer
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"pdl/internal/ftl"
@@ -30,17 +34,22 @@ import (
 // ErrClosed reports use of a closed pool.
 var ErrClosed = errors.New("buffer: pool is closed")
 
-// The four lists of the directory. The resident lists come first.
+// The three lists of the directory.
 const (
-	listT1 = iota // resident, seen once
-	listT2        // resident, seen again
-	listB1        // ghosts of T1's evictions
-	listB2        // ghosts of T2's evictions
+	listWindow    = iota // the most recent arrivals
+	listProbation        // admitted to the main segment, not seen again
+	listProtected        // seen again
 	numLists
 )
 
-// node is one directory entry: a frame (a cached logical page) while it is on
-// T1 or T2, a ghost (data == nil) while it is on B1 or B2. Nodes link
+// The policy's three constants, the defaults of the W-TinyLFU literature.
+const (
+	windowShare      = 10 // the window is capacity/windowShare frames, at least one
+	protectedPercent = 80 // protected's share of the main segment, in percent
+	sketchDecay      = 10 // the sketch halves its counters every sketchDecay x width accesses
+)
+
+// node is one directory entry: a frame, a cached logical page. Nodes link
 // themselves into their list.
 type node struct {
 	prev, next *node
@@ -50,13 +59,81 @@ type node struct {
 	dirty      bool
 }
 
-func (n *node) resident() bool { return n.list <= listT2 }
-
 // list is a ring through root: root.next is the most recently used node,
 // root.prev the least.
 type list struct {
 	root node
 	len  int
+}
+
+// sketch is TinyLFU's count-min sketch: four rows of width 4-bit counters,
+// sixteen to a word, each row indexed by its own hash of the pid. A page's
+// count is the least of its four counters, and every counter is halved each
+// sketchDecay x width accesses, so that what was popular long ago fades.
+type sketch struct {
+	table      []uint64 // row r's counter i is nibble r*width+i; nil until the first eviction
+	width      uint64   // a power of two
+	adds, next int      // accesses since the last halving, and between halvings
+}
+
+func newSketch(capacity int) sketch {
+	width := uint64(1) << bits.Len(uint(4*capacity-1)) // the next power of two at least 4 x capacity
+	return sketch{table: make([]uint64, width/4), width: width, next: sketchDecay * int(width)}
+}
+
+// counters returns the nibble index of pid's counter in each row: the rows
+// take 32 bits each of two rounds of the splitmix64 finalizer.
+func (s *sketch) counters(pid uint32) (a, b, c, d uint64) {
+	h1 := mix(uint64(pid))
+	h2 := mix(h1)
+	m := s.width - 1
+	return h1 & m, s.width + h1>>32&m, 2*s.width + h2&m, 3*s.width + h2>>32&m
+}
+
+// mix is the splitmix64 finalizer.
+func mix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// nibble returns counter i.
+func nibble(t []uint64, i uint64) uint64 { return t[i/16] >> (i % 16 * 4) & 15 }
+
+// inc adds one to counter i unless it is at 15.
+func inc(t []uint64, i uint64) {
+	if nibble(t, i) < 15 {
+		t[i/16] += 1 << (i % 16 * 4)
+	}
+}
+
+// count estimates how often pid was accessed lately, 0..15.
+func (s *sketch) count(pid uint32) uint64 {
+	a, b, c, d := s.counters(pid)
+	t := s.table
+	return min(nibble(t, a), nibble(t, b), nibble(t, c), nibble(t, d))
+}
+
+// add counts an access to pid, if the sketch has been allocated.
+func (s *sketch) add(pid uint32) {
+	t := s.table
+	if t == nil {
+		return
+	}
+	a, b, c, d := s.counters(pid)
+	inc(t, a)
+	inc(t, b)
+	inc(t, c)
+	inc(t, d)
+	if s.adds++; s.adds == s.next {
+		s.adds = 0
+		for i, w := range t {
+			t[i] = w >> 1 & 0x7777777777777777
+		}
+	}
 }
 
 // Pool is a fixed-capacity buffer pool; the package comment describes its
@@ -81,17 +158,18 @@ type Pool struct {
 	batcher  ftl.BatchWriter  // method, if it accepts write batches; nil otherwise
 	retainer ftl.BaseRetainer // method, if it takes the first-dirty hint; nil otherwise
 	capacity int
-	// dir finds every pid of the directory, resident or ghost: at most
-	// capacity of the first and 2 x capacity in all.
+	// dir finds every resident page: at most capacity of them.
 	dir   map[uint32]*node
 	lists [numLists]list
-	// target is ARC's p, the size T1 is steered towards (0..capacity).
-	target int
-	// window is how many frames from a list's cold end a clean victim is
-	// looked for before the tail page is written back.
-	window int
-	// free chains, through next, the nodes no pid owns. The ghosts' nodes are
-	// allocated together, by the pool's first eviction.
+	// windowCap and protectedCap bound the window and protected.
+	windowCap, protectedCap int
+	// tail is how many frames from probation's cold end a clean victim is
+	// looked for before its coldest page is written back.
+	tail int
+	// sketch counts the accesses from the pool's first eviction on, which
+	// allocates it: a pool that never evicts has no use for it.
+	sketch sketch
+	// free chains, through next, the nodes no pid owns.
 	free *node
 	// spare holds the page buffers of faults whose read failed, for the next
 	// misses.
@@ -111,9 +189,11 @@ func NewPool(method ftl.Method, capacity int) (*Pool, error) {
 		method:   method,
 		capacity: capacity,
 		dir:      make(map[uint32]*node, capacity),
-		window:   max(1, capacity/4),
+		tail:     max(1, capacity/4),
 		pageSize: method.PageSize(),
 	}
+	p.windowCap = max(1, capacity/windowShare)
+	p.protectedCap = (capacity - p.windowCap) * protectedPercent / 100
 	for i := range p.lists {
 		r := &p.lists[i].root
 		r.prev, r.next = r, r
@@ -131,7 +211,7 @@ func NewPool(method ftl.Method, capacity int) (*Pool, error) {
 func (p *Pool) Capacity() int { return p.capacity }
 
 // Len returns the number of resident pages.
-func (p *Pool) Len() int { return p.lists[listT1].len + p.lists[listT2].len }
+func (p *Pool) Len() int { return len(p.dir) }
 
 // PageSize returns the logical page size.
 func (p *Pool) PageSize() int { return p.pageSize }
@@ -153,23 +233,30 @@ func (p *Pool) Stats() Stats {
 }
 
 // frame returns pid's resident frame, or nil.
-func (p *Pool) frame(pid uint32) *node {
-	if n := p.dir[pid]; n != nil && n.resident() {
-		return n
-	}
-	return nil
-}
+func (p *Pool) frame(pid uint32) *node { return p.dir[pid] }
 
 // Resident reports whether pid's page is in a frame, so that a Get of it
 // would not fault and would evict nothing. It counts no use of the page.
 func (p *Pool) Resident(pid uint32) bool { return p.frame(pid) != nil }
 
-// hit records a use of the resident frame n: it has now been seen again.
+// hit records a use of the resident frame n. A page seen again in probation,
+// or in the window before the sketch counts, moves to the front of protected,
+// whose coldest page steps down to probation when that makes protected too
+// long; once the sketch counts, a page seen again in the window stays there
+// and carries its count into the admission contest.
 func (p *Pool) hit(n *node) {
 	p.hits++
-	if p.lists[listT2].root.next != n {
-		p.unlink(n)
-		p.pushMRU(n, listT2)
+	p.sketch.add(n.pid)
+	to := uint8(listProtected)
+	if n.list == listWindow && p.sketch.table != nil {
+		to = listWindow
+	}
+	if p.lists[to].root.next == n {
+		return
+	}
+	p.move(n, to)
+	if p.lists[listProtected].len > p.protectedCap {
+		p.move(p.lists[listProtected].root.prev, listProbation)
 	}
 }
 
@@ -177,10 +264,11 @@ func (p *Pool) hit(n *node) {
 // The returned slice aliases the frame; callers that modify it must call
 // MarkDirty before the page can be evicted. It is good until the next call
 // that can fault a page (Get, GetNew) and no longer: the policy may choose the
-// frame it has just returned as that call's victim (a once-seen page while
-// T1's target is 0), so a caller working on two pages fetches the first again
-// after fetching the second, as btree and storage do, or holds both only once
-// Resident says neither Get will fault, as btree's rotations do.
+// frame it has just returned as that call's victim (the page a window of one
+// frame holds, when the sketch counts it less than probation's victim), so a
+// caller working on two pages fetches the first again after fetching the
+// second, as btree and storage do, or holds both only once Resident says
+// neither Get will fault, as btree's rotations do.
 func (p *Pool) Get(pid uint32) ([]byte, error) {
 	if p.closed {
 		return nil, ErrClosed
@@ -245,7 +333,7 @@ func (p *Pool) Flush() error {
 		return ErrClosed
 	}
 	var dirty []uint32
-	for l := listT1; l <= listT2; l++ {
+	for l := range p.lists {
 		root := &p.lists[l].root
 		for n := root.next; n != root; n = n.next {
 			if n.dirty {
@@ -320,6 +408,12 @@ func (p *Pool) pushMRU(n *node, l uint8) {
 	p.lists[l].len++
 }
 
+// move puts n at the front of list l.
+func (p *Pool) move(n *node, l uint8) {
+	p.unlink(n)
+	p.pushMRU(n, l)
+}
+
 // release takes n out of the directory and keeps the node for a later page.
 func (p *Pool) release(n *node) {
 	p.unlink(n)
@@ -328,14 +422,11 @@ func (p *Pool) release(n *node) {
 	p.free = n
 }
 
-// forget releases the least recently used ghost of list l.
-func (p *Pool) forget(l uint8) { p.release(p.lists[l].root.prev) }
-
-// victim chooses the frame list l gives up: the coldest clean frame among the
-// window coldest, or else the coldest frame; nil if the list is empty.
-func (p *Pool) victim(l uint8) *node {
+// coldest returns the frame list l gives up: the coldest clean frame among
+// the tail coldest, or else the coldest frame; nil if the list is empty.
+func (p *Pool) coldest(l uint8) *node {
 	root := &p.lists[l].root
-	for n, seen := root.prev, 0; n != root && seen < p.window; n, seen = n.prev, seen+1 {
+	for n, seen := root.prev, 0; n != root && seen < p.tail; n, seen = n.prev, seen+1 {
 		if !n.dirty {
 			return n
 		}
@@ -346,97 +437,65 @@ func (p *Pool) victim(l uint8) *node {
 	return root.prev
 }
 
-// allocFrame makes pid, which is not resident, a resident frame and returns
-// it; every caller overwrites all of its page buffer, which may hold another
-// page's bytes. On a full pool it evicts: from T1 if T1 is over its target and
-// from T2 otherwise (ARC's REPLACE), the frame victim chooses there. A dirty
-// victim is written back first, alone: the dirty frames behind it stay dirty,
-// because one re-dirtied after an early write-back costs a second program.
-// The victim's node stays behind as a ghost and the new page takes over its
-// page buffer, in its own ghost's node when it has one: a miss on a full pool
-// allocates nothing.
-func (p *Pool) allocFrame(pid uint32) (*node, error) {
-	c := p.capacity
-	t1, b1 := p.lists[listT1].len, p.lists[listB1].len
-	t2, b2 := p.lists[listT2].len, p.lists[listB2].len
-	n := p.dir[pid] // a ghost, or nil
-	to, wasB2 := uint8(listT1), false
-	if n != nil {
-		// The page was evicted too early: by T1 if its ghost is in B1, and
-		// T1's target grows; by T2 otherwise, and it shrinks.
-		to = listT2
-		if n.list == listB1 {
-			p.target = min(c, p.target+max(1, b2/b1))
-		} else {
-			p.target = max(0, p.target-max(1, b1/b2))
-			wasB2 = true
-		}
+// victim chooses the frame a miss on a full pool evicts. When the newcomer
+// pushes the window's coldest page out, that page, the candidate, competes
+// with probation's victim: the candidate is evicted if the sketch counts it
+// less, and is otherwise admitted to probation (by allocFrame), the victim
+// evicted in its place. Probation is empty only in a pool of one frame.
+func (p *Pool) victim() *node {
+	w := &p.lists[listWindow]
+	v := p.coldest(listProbation)
+	if w.len < p.windowCap {
+		return v
 	}
-	var v *node
-	if t1+t2 >= c {
-		from := uint8(listT2)
-		if t1 > 0 && (t1 > p.target || (wasB2 && t1 == p.target)) {
-			from = listT1
+	if c := w.root.prev; v == nil || p.sketch.count(c.pid) < p.sketch.count(v.pid) {
+		return c
+	}
+	return v
+}
+
+// allocFrame makes pid, which is not resident, a resident frame at the front
+// of the window and returns it; every caller overwrites all of its page
+// buffer, which may hold another page's bytes. On a full pool it evicts the
+// frame victim chooses, allocating the sketch the first time. A dirty victim
+// is written back first, alone: the dirty frames behind it stay dirty, because
+// one re-dirtied after an early write-back costs a second program. The new
+// page takes over the victim's node and page buffer: a miss on a full pool
+// allocates nothing. A window grown past its bound hands its coldest page to
+// probation.
+func (p *Pool) allocFrame(pid uint32) (*node, error) {
+	var data []byte
+	if len(p.dir) >= p.capacity {
+		if p.sketch.table == nil {
+			p.sketch = newSketch(p.capacity)
 		}
-		if v = p.victim(from); v == nil {
-			// T2 is empty: once-seen pages fill the pool and T1's target is the
-			// whole of it (ARC deletes the LRU page of T1 here, as its own case).
-			v = p.victim(listT1)
-		}
+		v := p.victim()
 		if v.dirty {
 			if err := p.writeBack([]uint32{v.pid}); err != nil {
 				return nil, fmt.Errorf("buffer: evicting pid %d: %w", v.pid, err)
 			}
 		}
-		if p.evictions == 0 {
-			// From here on the directory grows to 2c pids: the ghosts' nodes,
-			// in one piece.
-			ghosts := make([]node, c)
-			for i := range ghosts {
-				ghosts[i].next, p.free = p.free, &ghosts[i]
-			}
-		}
 		p.evictions++
-	}
-	// The directory keeps at most c pids in T1 and B1 together and 2c in all.
-	keepGhost := true
-	if n == nil {
-		switch {
-		case t1+b1 >= c && b1 > 0:
-			p.forget(listB1)
-		case t1+b1 >= c:
-			keepGhost = false // T1 alone fills the pool, so v is of T1
-		case t1+t2+b1+b2 >= 2*c:
-			p.forget(listB2)
-		}
-	}
-	var data []byte
-	if v != nil {
-		data, v.data = v.data, nil
-		if keepGhost {
-			p.unlink(v)
-			p.pushMRU(v, v.list+listB1)
-		} else {
-			p.release(v)
-		}
+		data = v.data
+		p.release(v)
 	} else if k := len(p.spare); k > 0 {
 		data, p.spare = p.spare[k-1], p.spare[:k-1]
 	} else {
 		data = make([]byte, p.pageSize)
 	}
+	p.sketch.add(pid)
+	n := p.free
 	if n != nil {
-		p.unlink(n)
+		p.free = n.next
 	} else {
-		if n = p.free; n != nil {
-			p.free = n.next
-		} else {
-			n = new(node)
-		}
-		n.pid = pid
-		p.dir[pid] = n
+		n = new(node)
 	}
-	n.data = data
-	p.pushMRU(n, to)
+	n.pid, n.data = pid, data
+	p.dir[pid] = n
+	p.pushMRU(n, listWindow)
+	if w := &p.lists[listWindow]; w.len > p.windowCap {
+		p.move(w.root.prev, listProbation)
+	}
 	return n, nil
 }
 

@@ -3,6 +3,7 @@ package buffer
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pdl/internal/core"
@@ -119,7 +120,8 @@ func TestEvictionWritesBackDirty(t *testing.T) {
 }
 
 // TestResidentCountsNoUse: Resident answers without faulting, and without
-// the use a Get would count, so the page it asks about stays the next victim.
+// the use a Get would count: two pools fed the same calls, one of them also
+// asked about every page, hold the same pages after the next fault.
 func TestResidentCountsNoUse(t *testing.T) {
 	p, chip := newPool(t, 2, 16)
 	for pid := uint32(0); pid < 2; pid++ {
@@ -134,12 +136,47 @@ func TestResidentCountsNoUse(t *testing.T) {
 	if p.Stats() != stats || chip.Stats().Sub(before).Ops() != 0 {
 		t.Fatalf("Resident moved the counters: pool %+v -> %+v", stats, p.Stats())
 	}
-	// pid 0 is still the least recently used: the next fault evicts it.
-	if _, err := p.GetNew(2); err != nil {
+
+	const capacity = 8
+	asked := stubPool(t, &stubMethod{failing: noPage}, capacity)
+	plain := stubPool(t, &stubMethod{failing: noPage}, capacity)
+	pids := append(seq(0, 2*capacity), 3, 3, 12, 5, 14, 15, 15, 20)
+	for i, pid := range pids {
+		get(t, asked, pid)
+		get(t, plain, pid)
+		for q := range uint32(32) {
+			asked.Resident(q)
+		}
+		get(t, asked, 100+uint32(i))
+		get(t, plain, 100+uint32(i))
+		if in, want := resident(asked, seq(0, 200)...), resident(plain, seq(0, 200)...); !slices.Equal(in, want) {
+			t.Fatalf("call %d: the pool asked Resident holds %v, the other %v", i, in, want)
+		}
+	}
+	if asked.Stats() != plain.Stats() {
+		t.Errorf("the pool asked Resident counted %+v, the other %+v", asked.Stats(), plain.Stats())
+	}
+}
+
+// TestPoolThatNeverEvictsHasNoSketch: a pool whose pages all fit counts no
+// accesses and allocates nothing to count them; its first eviction allocates
+// the sketch, four rows of the next power of two at least 4 x capacity.
+func TestPoolThatNeverEvictsHasNoSketch(t *testing.T) {
+	const capacity = 24
+	p := stubPool(t, &stubMethod{failing: noPage}, capacity)
+	for range 10 {
+		get(t, p, seq(0, capacity)...)
+	}
+	dirty(t, p, seq(0, capacity)...)
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Resident(0) || !p.Resident(1) || !p.Resident(2) {
-		t.Errorf("after a fault Resident(0, 1, 2) = %v %v %v, want false true true", p.Resident(0), p.Resident(1), p.Resident(2))
+	if p.sketch.table != nil {
+		t.Fatalf("a pool that never evicted holds a sketch of %d words", len(p.sketch.table))
+	}
+	get(t, p, capacity)
+	if p.sketch.width != 128 || len(p.sketch.table) != 4*128/16 {
+		t.Errorf("after the first eviction the sketch is %d wide in %d words, want 128 in 32", p.sketch.width, len(p.sketch.table))
 	}
 }
 

@@ -195,7 +195,9 @@ func (h *poolModel) do(pick func(int) int) {
 	h.check()
 }
 
-// check asserts what must hold between any two calls.
+// check asserts what must hold between any two calls: every directory entry
+// is a resident frame, listed once, holding its page in a buffer of its own,
+// and no more of them than the capacity.
 func (h *poolModel) check() {
 	p, c := h.p, h.p.capacity
 	seen := make(map[uint32]bool, len(p.dir))
@@ -208,11 +210,8 @@ func (h *poolModel) check() {
 				h.fatalf("list %d holds %+v; page listed twice: %v; the directory has %p for it", l, n, seen[n.pid], p.dir[n.pid])
 			}
 			seen[n.pid] = true
-			if !n.resident() {
-				if n.data != nil || n.dirty {
-					h.fatalf("the ghost of page %d holds a page buffer (%v) or is dirty (%v)", n.pid, n.data != nil, n.dirty)
-				}
-				continue
+			if len(n.data) != modelPageSize {
+				h.fatalf("page %d is in the directory with a page buffer of %d bytes", n.pid, len(n.data))
 			}
 			if !bytes.Equal(n.data, h.want[n.pid]) {
 				h.fatalf("page %d's frame holds %x, want %x", n.pid, n.data, h.want[n.pid])
@@ -234,10 +233,8 @@ func (h *poolModel) check() {
 			h.fatalf("page %d's buffer is also a spare", pid)
 		}
 	}
-	t1, t2, b1 := p.lists[listT1].len, p.lists[listT2].len, p.lists[listB1].len
-	if len(seen) != len(p.dir) || t1+t2 > c || t1+b1 > c || len(p.dir) > 2*c || p.target < 0 || p.target > c || p.Len() != t1+t2 {
-		h.fatalf("capacity %d: T1 %d, T2 %d, B1 %d, B2 %d, %d listed, %d in the directory, target %d",
-			c, t1, t2, b1, p.lists[listB2].len, len(seen), len(p.dir), p.target)
+	if len(seen) != len(p.dir) || p.Len() > c {
+		h.fatalf("capacity %d: %d resident, %d listed, %d in the directory", c, p.Len(), len(seen), len(p.dir))
 	}
 	for pid, want := range h.want {
 		if p.frame(pid) == nil && !bytes.Equal(h.m.pages[pid], want) {

@@ -75,8 +75,10 @@ func seq(from, to uint32) []uint32 {
 }
 
 // TestTwiceTouchedPageSurvivesAScan: a scan of once-touched pages, twice the
-// pool long, flows through T1 and leaves a page that was used again where it
-// is. (An LRU of 8 has forgotten the page after 8 of the 16.)
+// pool long, flows through the window and leaves a page that was used again
+// where it is, whether it was used again before the sketch counted (it went
+// to protected) or after (its count wins the admission contest). An LRU of 8
+// has forgotten the page after 8 of the 16.
 func TestTwiceTouchedPageSurvivesAScan(t *testing.T) {
 	const capacity = 8
 	p := stubPool(t, &stubMethod{failing: noPage}, capacity)
@@ -87,19 +89,46 @@ func TestTwiceTouchedPageSurvivesAScan(t *testing.T) {
 	if after := p.Stats(); after.Misses != before.Misses || after.Hits != before.Hits+1 {
 		t.Errorf("the page touched twice was evicted by a scan of once-touched pages: %+v then %+v", before, after)
 	}
+
+	get(t, p, 2, 2)
+	get(t, p, seq(200, 200+2*capacity)...)
+	before = p.Stats()
+	get(t, p, 2, 1)
+	if after := p.Stats(); after.Misses != before.Misses || after.Hits != before.Hits+2 {
+		t.Errorf("a page touched twice once the sketch counts was evicted by a scan of once-touched pages: %+v then %+v", before, after)
+	}
 }
 
-// TestOnceTouchedPagesLeaveInArrivalOrder: with nothing seen twice and nothing
-// dirty, the policy is first in, first out.
-func TestOnceTouchedPagesLeaveInArrivalOrder(t *testing.T) {
-	const capacity = 8
+// TestFrequentPageWinsAdmission: once-seen candidates never displace a page
+// used more, in either direction of the contest. A page used four times
+// leaves the window for probation in place of probation's once-seen victim;
+// once it is probation's victim itself, every once-seen page the window
+// pushes out is evicted instead of it.
+func TestFrequentPageWinsAdmission(t *testing.T) {
+	const capacity = 10 // a window of 1 frame, 9 in the main segment
 	p := stubPool(t, &stubMethod{failing: noPage}, capacity)
-	get(t, p, seq(0, capacity)...)
-	for next := uint32(0); next < 3*capacity; next++ {
-		get(t, p, capacity+next)
-		if want, got := seq(next+1, next+1+capacity), resident(p, seq(0, 4*capacity)...); !slices.Equal(got, want) {
-			t.Fatalf("after %d evictions pages %v are resident, want %v", next+1, got, want)
+	get(t, p, seq(0, 2*capacity)...) // the sketch counts from the first eviction on
+	const used = 100
+	get(t, p, used, used, used, used)
+	if n := p.dir[used]; n == nil || n.list != listWindow {
+		t.Fatalf("the page used four times is not in the window: %+v", n)
+	}
+	victim := p.coldest(listProbation).pid
+	get(t, p, 200)
+	if !p.Resident(used) || p.Resident(victim) {
+		t.Fatalf("the page used four times left the window: resident %v; probation's once-seen victim %d resident %v",
+			p.Resident(used), victim, p.Resident(victim))
+	}
+	wasVictim := false
+	for pid := uint32(201); pid < 201+3*capacity; pid++ {
+		wasVictim = wasVictim || p.coldest(listProbation).pid == used
+		get(t, p, pid)
+		if !p.Resident(used) {
+			t.Fatalf("the once-seen page %d displaced the page used four times", pid)
 		}
+	}
+	if !wasVictim {
+		t.Error("the page used four times was never probation's victim")
 	}
 }
 
@@ -136,31 +165,5 @@ func TestCleanPageInTheTailQuarterLeavesFirst(t *testing.T) {
 	get(t, p, 22) // 2 and 3 are dirty, and 4, the third coldest, is outside the quarter
 	if want := []string{"read 20", "write 0", "read 21", "write 2", "read 22"}; !slices.Equal(m.log, want) {
 		t.Fatalf("the three misses did %v, want %v", m.log, want)
-	}
-}
-
-// TestGhostHitsMoveTheTarget: a miss on a page T1 evicted grows T1's target,
-// a miss on a page T2 evicted shrinks it, and both come back as seen again.
-func TestGhostHitsMoveTheTarget(t *testing.T) {
-	const capacity = 4
-	p := stubPool(t, &stubMethod{failing: noPage}, capacity)
-	get(t, p, 1, 1, 2, 3, 4) // T2: 1; T1: 2, 3, 4
-	get(t, p, 5)             // 2 leaves T1 for B1
-	if p.target != 0 || p.dir[2] == nil || p.dir[2].list != listB1 || p.dir[2].data != nil {
-		t.Fatalf("target %d, page 2's node %+v; want 0 and a ghost in B1", p.target, p.dir[2])
-	}
-	get(t, p, 2)
-	if p.target != 1 || p.dir[2].list != listT2 {
-		t.Fatalf("after a miss in B1: target %d, page 2 in list %d; want 1 and T2", p.target, p.dir[2].list)
-	}
-	// With 4 seen again, T1 (5 alone) is not over its target any more: T2's
-	// coldest page, 1, goes.
-	get(t, p, 4, 6)
-	if n := p.dir[1]; n == nil || n.list != listB2 {
-		t.Fatalf("page 1's node %+v, want a ghost in B2", n)
-	}
-	get(t, p, 1)
-	if p.target != 0 || p.dir[1].list != listT2 {
-		t.Fatalf("after a miss in B2: target %d, page 1 in list %d; want 0 and T2", p.target, p.dir[1].list)
 	}
 }

@@ -112,62 +112,88 @@ func TestMarkDirtyNamesThePageAtFirstDirty(t *testing.T) {
 }
 
 // TestPoolMissAllocations: a miss on a full pool takes over the victim's page
-// buffer and a node the directory already owns (its own ghost's, a forgotten
-// ghost's, or one of those the first eviction set aside), and a hit moves a
-// node between lists: neither allocates, whichever list gives up the victim.
+// buffer and node, and a hit moves a node between lists: neither allocates,
+// whether the window's coldest page loses the admission contest or wins it.
 func TestPoolMissAllocations(t *testing.T) {
 	const capacity = 8
 	p, err := NewPool(&stubMethod{failing: noPage}, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pid := uint32(0)
 	fetch := func(pid uint32) {
 		buf, err := p.Get(pid)
 		if err != nil || buf[0] != byte(pid) || buf[len(buf)-1] != byte(pid) {
 			t.Fatalf("Get(%d) = %v, %v", pid, buf[:1], err)
 		}
 	}
-	miss := func() { fetch(pid); pid++ }
-	for i := 0; i < 3*capacity; i++ {
+	// contest fetches pid, a miss on a full pool, and counts the misses that
+	// kept the window's coldest page (the candidate) and that evicted it.
+	admitted, rejected := 0, 0
+	contest := func(pid uint32) {
+		candidate := p.lists[listWindow].root.prev.pid
+		fetch(pid)
+		if p.Resident(candidate) {
+			admitted++
+		} else {
+			rejected++
+		}
+	}
+
+	// Candidate rejected: once the sketch counts (from the first eviction on),
+	// the main segment holds pages used once every call, and each call's miss
+	// is a page never seen before, so every candidate is a page seen once.
+	pid := uint32(0)
+	for range 2 * capacity {
+		fetch(pid)
+		pid++
+	}
+	hot := seq(1000, 1000+capacity-capacity/windowShare-1)
+	miss := func() {
+		for _, h := range hot {
+			fetch(h)
+		}
+		contest(pid)
+		pid++
+	}
+	for range 3 * capacity {
 		miss()
 	}
+	admitted, rejected = 0, 0
 	before := p.Stats()
 	if allocs := testing.AllocsPerRun(200, miss); allocs != 0 {
-		t.Errorf("a Get miss on a full pool allocates %v times, want 0", allocs)
+		t.Errorf("a Get miss whose candidate is rejected allocates %v times, want 0", allocs)
 	}
-	if after := p.Stats(); after.Hits != before.Hits || after.Evictions-before.Evictions != 201 {
-		t.Errorf("the measured calls were not all evicting misses: %+v then %+v", before, after)
+	if after := p.Stats(); after.Misses-before.Misses != 201 || rejected != 201 {
+		t.Errorf("%d of the 201 measured misses rejected the candidate: %+v then %+v", rejected, before, after)
 	}
 
-	// Misses on ghosts: with two pages seen again, evictions leave ghosts, and
-	// fetching the latest ghost of B1 and of B2 in turn evicts the next one.
-	fetch(pid - 1)
-	fetch(pid - 2)
-	ghosts := 0
-	ghostMiss := func() {
-		for _, l := range []int{listB1 + ghosts%2, listB2 - ghosts%2} {
-			if g := &p.lists[l]; g.len > 0 {
-				fetch(g.root.next.pid)
-				ghosts++
-				return
-			}
+	// Candidate admitted: the pages of a cycle twice the pool long are fetched
+	// in turn, skipping those resident, so the candidate, fetched last, is
+	// never counted less than probation's victim, fetched longest ago.
+	cycle := seq(2000, 2000+2*capacity)
+	i := 0
+	turn := func() {
+		for p.Resident(cycle[i%len(cycle)]) {
+			i++
 		}
-		miss()
+		contest(cycle[i%len(cycle)])
+		i++
 	}
-	for i := 0; i < 3*capacity; i++ {
-		ghostMiss()
+	for range 40 * len(cycle) {
+		turn()
 	}
-	before, ghosts = p.Stats(), 0
-	if allocs := testing.AllocsPerRun(200, ghostMiss); allocs != 0 {
-		t.Errorf("a Get miss on a ghost allocates %v times, want 0", allocs)
+	admitted, rejected = 0, 0
+	before = p.Stats()
+	if allocs := testing.AllocsPerRun(200, turn); allocs != 0 {
+		t.Errorf("a Get miss whose candidate is admitted allocates %v times, want 0", allocs)
 	}
-	if after := p.Stats(); after.Hits != before.Hits || ghosts != 201 {
-		t.Errorf("%d of the 201 measured calls were misses on ghosts: %+v then %+v", ghosts, before, after)
+	if after := p.Stats(); after.Hits != before.Hits || admitted != 201 {
+		t.Errorf("%d of the 201 measured misses admitted the candidate: %+v then %+v", admitted, before, after)
 	}
 
-	hit := func() { fetch(pid % capacity); pid++ }
-	for i := 0; i < 2*capacity; i++ {
+	in := resident(p, cycle...)
+	hit := func() { fetch(in[i%len(in)]); i++ }
+	for range 2 * capacity {
 		hit()
 	}
 	before = p.Stats()
@@ -207,8 +233,8 @@ func TestFailedFaultKeepsItsFrame(t *testing.T) {
 	if err := p.MarkDirty(3); err != nil {
 		t.Fatal(err)
 	}
-	// The failed page left no ghost behind, nor did the page evicted for it,
-	// which T1 gave up while it filled the pool alone.
+	// Neither the failed page nor the page evicted for it (probation's
+	// victim, on a tie with the window's page) is left in the directory.
 	if p.Len() != 2 || len(p.spare) != 0 || len(p.dir) != 2 {
 		t.Fatalf("%d resident, %d spare, %d in the directory; want 2, 0, 2", p.Len(), len(p.spare), len(p.dir))
 	}
