@@ -400,10 +400,14 @@ func TestExp7Shapes(t *testing.T) {
 		t.Errorf("TPC-C: PDL(256B) (%.1f) should beat OPU (%.1f) at small buffers",
 			get("PDL(256B)", 0.5), get("OPU", 0.5))
 	}
-	// Figure 18's rows (us per transaction), to one decimal.
+	// Figure 18's rows (us per transaction), to one decimal. The pool has 7
+	// frames at 0.5% and 159 at 10%. At 0.5% it misses about 40% of its
+	// accesses, so its window grows from one frame to three, and TPC-C's
+	// reuse soon after arrival hits there. At 10% it misses far fewer, the
+	// window stays a tenth, and only the wider sketch moves the rows.
 	pinOverall(t, rows, cfg.BufferPcts, "%g%% buffer", map[string][]float64{
-		"OPU":       {16431.1, 337.3},
-		"PDL(256B)": {4940.7, 160.6},
+		"OPU":       {15814.7, 339.3},
+		"PDL(256B)": {4630.2, 160.4},
 	})
 }
 

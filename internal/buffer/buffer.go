@@ -6,20 +6,26 @@
 //
 // Replacement admits by frequency (W-TinyLFU: Einziger, Friedman and Manes,
 // ACM TOS 2017) with a clean-first tail (CFLRU, Park et al.). A page enters a
-// window of the most recent arrivals, a tenth of the frames; the rest is the
-// main segment, split into probation (pages admitted there, not seen again)
-// and protected (pages seen again in probation, at most 80% of the segment,
-// whose coldest page steps down to probation when it overflows). On a miss in
-// a full pool the window's coldest page, which the newcomer pushes out,
-// competes with probation's victim, and the one a count-min sketch of recent
-// accesses counts less is evicted: a scan of once-touched pages flows through
-// the window without displacing a page used more, and nothing is tuned by
-// hand. The sketch exists from the pool's first eviction on; before it, a page
-// seen again in the window goes to protected, as it cannot carry a count.
-// Probation's victim is its coldest clean frame among the capacity/4 coldest,
-// because evicting a dirty page costs a program and its share of garbage
-// collection where re-reading a clean one costs a read; only when those are
-// all dirty is its coldest page written back and evicted.
+// window of the most recent arrivals; the rest is the main segment, split into
+// probation (pages admitted there, not seen again) and protected (pages seen
+// again in probation, at most 80% of the segment, whose coldest page steps
+// down to probation when it overflows). On a miss in a full pool the window's
+// coldest page, which the newcomer pushes out, competes with probation's
+// victim, and the one a count-min sketch of recent accesses counts less is
+// evicted: a scan of once-touched pages flows through the window without
+// displacing a page used more, and nothing is tuned by hand. The sketch is 16
+// counters a row per frame wide, so that a pool that serves ten times as many
+// pages as it holds still gives each its own counters, and exists from the
+// pool's first eviction on; before it, a page seen again in the window goes to
+// protected, as it cannot carry a count. The window sizes itself from then on
+// (sizer): a tenth of the frames while the pool hits at least 70% of its
+// accesses, up to half of them as the miss ratio rises to 35%, where the pool
+// holds too little for frequency to choose and what it still catches is
+// reuse soon after a page arrives (TPC-C's appends in Experiment 7's smaller
+// buffers). Probation's victim is its coldest clean frame among the
+// capacity/4 coldest, because evicting a dirty page costs a program and its
+// share of garbage collection where re-reading a clean one costs a read; only
+// when those are all dirty is its coldest page written back and evicted.
 package buffer
 
 import (
@@ -42,11 +48,22 @@ const (
 	numLists
 )
 
-// The policy's three constants, the defaults of the W-TinyLFU literature.
+// The policy's constants.
 const (
-	windowShare      = 10 // the window is capacity/windowShare frames, at least one
-	protectedPercent = 80 // protected's share of the main segment, in percent
+	sketchWidth      = 16 // a sketch row is the next power of two at least sketchWidth x capacity counters wide
 	sketchDecay      = 10 // the sketch halves its counters every sketchDecay x width accesses
+	protectedPercent = 80 // protected's share of the main segment, in percent
+	// The window is windowLow percent of the capacity after a sample that
+	// missed missLow percent of its accesses or less, windowHigh percent after
+	// one that missed missHigh percent or more, and in proportion between.
+	// Experiment 7's TPC-C misses 33-40% at 0.5-2% buffers, where a window
+	// of a quarter of the frames or more serves it best, and 10-23% at
+	// 5-10%, where a tenth does; ycsb_a's pools miss about 16%, and a tenth
+	// or less suits them.
+	windowLow, windowHigh = 10, 50
+	missLow, missHigh     = 30, 35
+	windowStep            = 5  // the most the window moves after a sample, in percent of the capacity
+	samplePeriod          = 10 // a sample is samplePeriod x capacity accesses
 )
 
 // node is one directory entry: a frame, a cached logical page. Nodes link
@@ -77,12 +94,12 @@ type sketch struct {
 }
 
 func newSketch(capacity int) sketch {
-	width := uint64(1) << bits.Len(uint(4*capacity-1)) // the next power of two at least 4 x capacity
+	width := uint64(1) << bits.Len(uint(sketchWidth*capacity-1))
 	return sketch{table: make([]uint64, width/4), width: width, next: sketchDecay * int(width)}
 }
 
 // counters returns the nibble index of pid's counter in each row: the rows
-// take 32 bits each of two rounds of the splitmix64 finalizer.
+// take 32 bits each of two rounds of MurmurHash3's 64-bit finalizer.
 func (s *sketch) counters(pid uint32) (a, b, c, d uint64) {
 	h1 := mix(uint64(pid))
 	h2 := mix(h1)
@@ -90,7 +107,7 @@ func (s *sketch) counters(pid uint32) (a, b, c, d uint64) {
 	return h1 & m, s.width + h1>>32&m, 2*s.width + h2&m, 3*s.width + h2>>32&m
 }
 
-// mix is the splitmix64 finalizer.
+// mix is MurmurHash3's 64-bit finalizer (fmix64).
 func mix(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -136,6 +153,44 @@ func (s *sketch) add(pid uint32) {
 	}
 }
 
+// sizer sizes the window from the pool's miss ratio. A pool that misses
+// often holds too small a part of the pages it serves for their counts to
+// choose among them, and what it still catches is reuse soon after a page
+// arrives, which the window serves; a pool that hits often keeps the pages
+// frequency chooses, in the main segment. From the pool's first eviction on,
+// after every sample of period accesses the window moves at most step frames
+// toward the size the sample's miss ratio calls for.
+type sizer struct {
+	lo, hi, step int // the window's bounds and its largest move, in frames
+	period       int // accesses in a sample
+	accesses     int // in the current sample
+	misses       int // of them
+}
+
+func newSizer(capacity int) sizer {
+	lo := max(1, capacity*windowLow/100)
+	return sizer{
+		lo:     lo,
+		hi:     max(lo, capacity*windowHigh/100),
+		step:   max(1, capacity*windowStep/100),
+		period: samplePeriod * capacity,
+	}
+}
+
+// count records one access and returns the size of a window of w frames after
+// it: w unless the access ends a sample.
+func (s *sizer) count(miss bool, w int) int {
+	if miss {
+		s.misses++
+	}
+	if s.accesses++; s.accesses < s.period {
+		return w
+	}
+	target := s.lo + (s.hi-s.lo)*(100*s.misses-missLow*s.accesses)/((missHigh-missLow)*s.accesses)
+	s.accesses, s.misses = 0, 0
+	return min(max(target, s.lo, w-s.step), s.hi, w+s.step)
+}
+
 // Pool is a fixed-capacity buffer pool; the package comment describes its
 // replacement policy. Dirty pages are written back through the underlying
 // method: the victim alone when an eviction finds it dirty, every dirty frame
@@ -161,8 +216,10 @@ type Pool struct {
 	// dir finds every resident page: at most capacity of them.
 	dir   map[uint32]*node
 	lists [numLists]list
-	// windowCap and protectedCap bound the window and protected.
+	// windowCap and protectedCap bound the window and protected; size
+	// moves windowCap.
 	windowCap, protectedCap int
+	size                    sizer
 	// tail is how many frames from probation's cold end a clean victim is
 	// looked for before its coldest page is written back.
 	tail int
@@ -192,12 +249,12 @@ func NewPool(method ftl.Method, capacity int) (*Pool, error) {
 		tail:     max(1, capacity/4),
 		pageSize: method.PageSize(),
 	}
-	p.windowCap = max(1, capacity/windowShare)
-	p.protectedCap = (capacity - p.windowCap) * protectedPercent / 100
 	for i := range p.lists {
 		r := &p.lists[i].root
 		r.prev, r.next = r, r
 	}
+	p.size = newSizer(capacity)
+	p.resize(p.size.lo)
 	if bw, ok := method.(ftl.BatchWriter); ok {
 		p.batcher = bw
 	}
@@ -247,6 +304,7 @@ func (p *Pool) Resident(pid uint32) bool { return p.frame(pid) != nil }
 func (p *Pool) hit(n *node) {
 	p.hits++
 	p.sketch.add(n.pid)
+	p.access(false)
 	to := uint8(listProtected)
 	if n.list == listWindow && p.sketch.table != nil {
 		to = listWindow
@@ -260,12 +318,38 @@ func (p *Pool) hit(n *node) {
 	}
 }
 
+// access counts a hit or a miss for the sizer once the sketch exists, and
+// resizes the window at the end of each sample.
+func (p *Pool) access(miss bool) {
+	if p.sketch.table == nil {
+		return
+	}
+	if w := p.size.count(miss, p.windowCap); w != p.windowCap {
+		p.resize(w)
+	}
+}
+
+// resize makes the window w frames and the main segment the rest: a window
+// over w hands its coldest pages to probation, and so does protected while it
+// holds more than its share of the main segment.
+func (p *Pool) resize(w int) {
+	p.windowCap = w
+	p.protectedCap = (p.capacity - w) * protectedPercent / 100
+	for l := &p.lists[listWindow]; l.len > w; {
+		p.move(l.root.prev, listProbation)
+	}
+	for l := &p.lists[listProtected]; l.len > p.protectedCap; {
+		p.move(l.root.prev, listProbation)
+	}
+}
+
 // Get returns the content of logical page pid, faulting it in on a miss.
 // The returned slice aliases the frame; callers that modify it must call
 // MarkDirty before the page can be evicted. It is good until the next call
 // that can fault a page (Get, GetNew) and no longer: the policy may choose the
 // frame it has just returned as that call's victim (the page a window of one
-// frame holds, when the sketch counts it less than probation's victim), so a
+// frame holds, as a pool of fewer than 20 frames has while it hits 70% of its
+// accesses, when the sketch counts it less than probation's victim), so a
 // caller working on two pages fetches the first again after fetching the
 // second, as btree and storage do, or holds both only once Resident says
 // neither Get will fault, as btree's rotations do.
@@ -278,6 +362,7 @@ func (p *Pool) Get(pid uint32) ([]byte, error) {
 		return n.data, nil
 	}
 	p.misses++
+	p.access(true)
 	n, err := p.allocFrame(pid)
 	if err != nil {
 		return nil, err
@@ -300,6 +385,7 @@ func (p *Pool) GetNew(pid uint32) ([]byte, error) {
 		return n.data, nil
 	}
 	p.misses++
+	p.access(true)
 	n, err := p.allocFrame(pid)
 	if err != nil {
 		return nil, err

@@ -159,12 +159,13 @@ func TestResidentCountsNoUse(t *testing.T) {
 }
 
 // TestPoolThatNeverEvictsHasNoSketch: a pool whose pages all fit counts no
-// accesses and allocates nothing to count them; its first eviction allocates
-// the sketch, four rows of the next power of two at least 4 x capacity.
+// accesses, allocates nothing to count them and keeps its window at a tenth of
+// its frames; its first eviction allocates the sketch, four rows of the next
+// power of two at least 16 x capacity.
 func TestPoolThatNeverEvictsHasNoSketch(t *testing.T) {
 	const capacity = 24
 	p := stubPool(t, &stubMethod{failing: noPage}, capacity)
-	for range 10 {
+	for range 11 { // not a whole number of samples: a count would show
 		get(t, p, seq(0, capacity)...)
 	}
 	dirty(t, p, seq(0, capacity)...)
@@ -174,9 +175,12 @@ func TestPoolThatNeverEvictsHasNoSketch(t *testing.T) {
 	if p.sketch.table != nil {
 		t.Fatalf("a pool that never evicted holds a sketch of %d words", len(p.sketch.table))
 	}
+	if p.windowCap != 2 || p.size.accesses != 0 {
+		t.Fatalf("a pool that never evicted has a window of %d frames and counted %d accesses, want 2 and 0", p.windowCap, p.size.accesses)
+	}
 	get(t, p, capacity)
-	if p.sketch.width != 128 || len(p.sketch.table) != 4*128/16 {
-		t.Errorf("after the first eviction the sketch is %d wide in %d words, want 128 in 32", p.sketch.width, len(p.sketch.table))
+	if p.sketch.width != 512 || len(p.sketch.table) != 4*512/16 {
+		t.Errorf("after the first eviction the sketch is %d wide in %d words, want 512 in 128", p.sketch.width, len(p.sketch.table))
 	}
 }
 

@@ -113,7 +113,8 @@ func TestMarkDirtyNamesThePageAtFirstDirty(t *testing.T) {
 
 // TestPoolMissAllocations: a miss on a full pool takes over the victim's page
 // buffer and node, and a hit moves a node between lists: neither allocates,
-// whether the window's coldest page loses the admission contest or wins it.
+// whether the window's coldest page loses the admission contest or wins it,
+// and neither does the sizer, which counts every access and moves the window.
 func TestPoolMissAllocations(t *testing.T) {
 	const capacity = 8
 	p, err := NewPool(&stubMethod{failing: noPage}, capacity)
@@ -147,7 +148,7 @@ func TestPoolMissAllocations(t *testing.T) {
 		fetch(pid)
 		pid++
 	}
-	hot := seq(1000, 1000+capacity-capacity/windowShare-1)
+	hot := seq(1000, 1000+capacity-1) // every frame but the window's one, at its least size
 	miss := func() {
 		for _, h := range hot {
 			fetch(h)
@@ -155,7 +156,7 @@ func TestPoolMissAllocations(t *testing.T) {
 		contest(pid)
 		pid++
 	}
-	for range 3 * capacity {
+	for range 10 * capacity { // time for the window to reach its least size
 		miss()
 	}
 	admitted, rejected = 0, 0
@@ -202,6 +203,14 @@ func TestPoolMissAllocations(t *testing.T) {
 	}
 	if after := p.Stats(); after.Misses != before.Misses {
 		t.Errorf("the measured calls were not all hits: %+v then %+v", before, after)
+	}
+
+	resize := func() {
+		p.resize(p.size.hi)
+		p.resize(p.size.lo)
+	}
+	if allocs := testing.AllocsPerRun(200, resize); allocs != 0 {
+		t.Errorf("moving the window between its bounds allocates %v times, want 0", allocs)
 	}
 }
 

@@ -52,8 +52,8 @@ func newLeafStream(t *testing.T) *leafStream {
 	for b := range s.pools {
 		s.pools[b] = stubPool(t, &countMethod{}, streamFrames)
 	}
-	// A bucket holds its keys in key order; kv's bucket hash is the
-	// splitmix64 finalizer, which is ycsb.Scramble.
+	// A bucket holds its keys in key order; kv's bucket hash is MurmurHash3's
+	// 64-bit finalizer (fmix64), which is ycsb.Scramble.
 	var filled [streamBuckets]uint32
 	for k := range s.bucket {
 		b := ycsb.Scramble(uint64(k)) % streamBuckets
@@ -110,11 +110,14 @@ func (s *leafStream) run(t *testing.T, n int, next func() uint64) (misses, write
 }
 
 // TestYCSBALeafStream: on ycsb_a's scrambled zipfian keys the pool faults and
-// writes back fewer pages per operation than the adaptive (ARC) pool it
-// replaced, which read 0.4936 and 0.2614 on this stream (the benchmark
-// measured 0.507 and 0.266 at seed 1); the bounds are halfway to this pool's
-// 0.4696 and 0.2449. On uniform keys no policy can tell the leaves apart:
-// ARC read 0.9190 misses per operation, and this pool must not read more.
+// writes back fewer pages per operation than it did with a sketch of 4 x
+// capacity counters a row, which read 0.4696 and 0.2449 on this stream (the
+// adaptive (ARC) pool before it 0.4936 and 0.2614; the benchmark measured
+// 0.482 and 0.251 at seed 1): a bucket's tree touches about 740 leaves, so
+// that sketch let three leaves share every counter. The bounds are halfway to
+// this pool's 0.4576 and 0.2391. On uniform keys no policy can tell the
+// leaves apart: ARC read 0.9190 misses per operation, and this pool must not
+// read more.
 func TestYCSBALeafStream(t *testing.T) {
 	const n = 200000
 	rng := rand.New(rand.NewSource(1))
@@ -122,8 +125,8 @@ func TestYCSBALeafStream(t *testing.T) {
 	s := newLeafStream(t)
 	misses, writebacks := s.run(t, n, func() uint64 { return ycsb.Scramble(zipf.Next(rng)) % streamRecords })
 	t.Logf("scrambled zipfian: %.4f misses and %.4f write-backs per operation", misses, writebacks)
-	if misses > 0.4816 || writebacks > 0.2532 {
-		t.Errorf("scrambled zipfian: %.4f misses and %.4f write-backs per operation, want at most 0.4816 and 0.2532", misses, writebacks)
+	if misses > 0.4636 || writebacks > 0.2420 {
+		t.Errorf("scrambled zipfian: %.4f misses and %.4f write-backs per operation, want at most 0.4636 and 0.2420", misses, writebacks)
 	}
 
 	s = newLeafStream(t)

@@ -178,8 +178,8 @@ func newMethod(m ftl.Method) ftl.Method {
 	return &serialMethod{m: m}
 }
 
-// mix is the splitmix64 finalizer: a full-avalanche integer hash, so
-// dense or strided key spaces still spread evenly across buckets.
+// mix is MurmurHash3's 64-bit finalizer (fmix64): a full-avalanche integer
+// hash, so dense or strided key spaces still spread evenly across buckets.
 func mix(k uint64) uint64 {
 	k ^= k >> 33
 	k *= 0xff51afd7ed558ccd

@@ -64,8 +64,8 @@ func (z *Zipfian) Next(r *rand.Rand) uint64 {
 }
 
 // Scramble spreads zipfian ranks over a key space so the hot keys are
-// not clustered at its start (YCSB's ScrambledZipfian), using the
-// splitmix64 finalizer as the hash.
+// not clustered at its start (YCSB's ScrambledZipfian), using
+// MurmurHash3's 64-bit finalizer (fmix64) as the hash.
 func Scramble(rank uint64) uint64 {
 	rank ^= rank >> 33
 	rank *= 0xff51afd7ed558ccd

@@ -366,9 +366,10 @@ func OpenIPL(dev Device, numPages int, opts IPLOptions) (*IPLStore, error) {
 // Pool is a buffer pool over any Method (the DBMS buffer of the paper's
 // Figure 10). Replacement admits by frequency (W-TinyLFU: a recency window
 // in front of a segmented main part, whose admission a sketch of recent
-// accesses decides) and prefers a clean victim among the coldest quarter of
-// probation, since a dirty one costs a program where a clean one costs a
-// re-read; there is nothing to set. A
+// accesses decides; the window grows from a tenth to half of the frames as
+// the pool's miss ratio rises from 30% to 35%) and prefers a clean victim
+// among the coldest quarter of probation, since a dirty one costs a program
+// where a clean one costs a re-read; there is nothing to set. A
 // page enters on the miss that asks for it, and a slice Get returns is good
 // until the next call that can fault a page. A dirty victim is written back
 // alone; Flush collects dirty frames in ascending pid order and hands them
