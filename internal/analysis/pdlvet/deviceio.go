@@ -26,20 +26,17 @@ import (
 //     reads, GC relocation, the recovery scan) must go
 //     through a funnel, so no read path can bypass spare-area
 //     verification by construction;
-//   - inside the core package, page validity is DRAM state: ProgramSpare
-//     is rejected outright, and the allocator call that issues it
-//     (Allocator.MarkObsolete) is allowed only from a function whose doc
-//     comment carries a `//pdlvet:physicalmark <reason>` directive — the
-//     discard of the one page that dies holding its pid's newest time
-//     stamp. Everything else retires pages through the allocator's
-//     bookkeeping (NoteObsolete), which recovery's time-stamp arbitration
-//     makes sufficient.
+//   - inside the core package, page validity is DRAM state: ProgramSpare,
+//     and the allocator call that issues it (Allocator.MarkObsolete), are
+//     rejected outright. Core retires pages through the allocator's
+//     bookkeeping (NoteObsolete), which recovery's arbitration — by time
+//     stamp and by the base each differential names — makes sufficient.
 var DeviceIO = &vetkit.Analyzer{
 	Name: "deviceio",
 	Doc: "check that flash.Device calls never run under the mapTable or diff-cache lock,\n" +
 		"that device mutations stay inside the allowlisted FTL packages, that core reads\n" +
 		"the device only through its annotated verifying funnels, and that core programs\n" +
-		"an obsolete flag only from its annotated physical-mark function",
+		"no obsolete flag",
 	Run: runDeviceIO,
 }
 
@@ -89,12 +86,11 @@ func runDeviceIO(pass *vetkit.Pass) error {
 				continue
 			}
 			isFunnel := funnelDecl(fd)
-			marks := physicalMarkDecl(fd)
 			walkFunc(pass, fd, hooks{
 				onCall: func(call *ast.CallExpr, callee types.Object, held lockSet) {
-					if funneled && !marks && physicalMarkCall(pass.TypesInfo, call) {
+					if funneled && obsoleteMarkCall(pass.TypesInfo, call) {
 						pass.Reportf(call.Pos(),
-							"physical obsolete mark outside a //pdlvet:physicalmark function: page validity is DRAM state, retire the page with NoteObsolete")
+							"physical obsolete mark in core: page validity is DRAM state, retire the page with NoteObsolete")
 					}
 					name, ok := deviceCall(pass.TypesInfo, call)
 					if !ok {
@@ -102,7 +98,7 @@ func runDeviceIO(pass *vetkit.Pass) error {
 					}
 					if funneled && name == "ProgramSpare" {
 						pass.Reportf(call.Pos(),
-							"device ProgramSpare in core: page validity is DRAM state; the one physical mark goes through Allocator.MarkObsolete")
+							"device ProgramSpare in core: page validity is DRAM state, retire the page with NoteObsolete")
 					}
 					for _, inner := range []lockClass{classMapTable, classDCache} {
 						if _, bad := held[inner]; bad {
@@ -151,24 +147,9 @@ func funnelDecl(fd *ast.FuncDecl) bool {
 	return false
 }
 
-// physicalMarkDecl reports whether fd is the function allowed to program an
-// obsolete flag: its doc comment carries `//pdlvet:physicalmark` followed by
-// a reason (a bare directive explains nothing and blesses nothing).
-func physicalMarkDecl(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if rest, ok := strings.CutPrefix(c.Text, "//pdlvet:physicalmark "); ok && strings.TrimSpace(rest) != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// physicalMarkCall reports whether call is Allocator.MarkObsolete, the
+// obsoleteMarkCall reports whether call is Allocator.MarkObsolete, the
 // allocator entry that programs a page's obsolete flag.
-func physicalMarkCall(info *types.Info, call *ast.CallExpr) bool {
+func obsoleteMarkCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == "MarkObsolete" && namedTypeName(info.Types[sel.X].Type) == "Allocator"
 }

@@ -88,23 +88,8 @@ func (s *Store) badSpareProgram(spare []byte) {
 	s.dev.ProgramSpare(0, spare) // want `device ProgramSpare in core: page validity is DRAM state`
 }
 
-// badPhysicalMark retires a page with the allocator's physical mark from an
-// ordinary function.
-func (s *Store) badPhysicalMark(p uint32) {
-	s.alloc.MarkObsolete(p) // want `physical obsolete mark outside a //pdlvet:physicalmark function`
-}
-
-// discardLostHeal is the annotated exception: silent.
-//
-//pdlvet:physicalmark the page outranks its live successor by time stamp
-func (s *Store) discardLostHeal(p uint32) error {
-	return s.alloc.MarkObsolete(p)
-}
-
-// bareDirective carries the directive without a reason, which blesses
-// nothing.
-//
-//pdlvet:physicalmark
-func (s *Store) bareDirective(p uint32) {
-	s.alloc.MarkObsolete(p) // want `physical obsolete mark outside a //pdlvet:physicalmark function`
+// badObsoleteMark retires a page with the allocator's physical mark: core
+// never does.
+func (s *Store) badObsoleteMark(p uint32) error {
+	return s.alloc.MarkObsolete(p) // want `physical obsolete mark in core: page validity is DRAM state`
 }

@@ -21,7 +21,7 @@ import (
 // rule over again (see diffCache): base time stamps come from the store's one
 // monotone counter, garbage collection relocates a base page with its content
 // and its stamp, and every new base page — an initial load, a Case 3
-// rewrite, a heal, a rebase — draws a new stamp, so for the life of the store
+// rewrite, a heal — draws a new stamp, so for the life of the store
 // (pid, baseTS) names one content wherever in flash it lives. Nothing is ever
 // invalidated: a superseded image cannot match a snapshot again and leaves
 // when its slot comes round. The writer holds the pid's shard lock, under

@@ -54,10 +54,11 @@ func (op *pendingOp) stream() ftl.Stream {
 
 // staged is what a writeStage knows, ahead of the mapping table, about a
 // pid an earlier write of the same batch touched: the base image staged
-// for it (nil: its base is still the one on flash) and whether a
-// differential page will exist for it once the staged ops commit.
+// for it and its time stamp (nil: its base is still the one on flash) and
+// whether a differential page will exist for it once the staged ops commit.
 type staged struct {
 	img []byte
+	ts  uint64
 	dif bool
 }
 
@@ -87,7 +88,7 @@ func (st *writeStage) note(pid uint32, p staged) {
 func (st *writeStage) stageBase(idx int, ts uint64, pid uint32, data []byte) {
 	st.buf.remove(pid)
 	st.ops = append(st.ops, pendingOp{idx: idx, ts: ts, home: st.home, pid: pid, data: data})
-	st.note(pid, staged{img: data})
+	st.note(pid, staged{img: data, ts: ts})
 }
 
 // stageWrite is the PDL_Writing algorithm (Figure 7) for one logical
@@ -96,9 +97,10 @@ func (st *writeStage) stageBase(idx int, ts uint64, pid uint32, data []byte) {
 // not issuing — the differential-page spill (Case 2) or new base page
 // (Case 3) the write causes. The cases are decided in the order 3, 1, 2: a
 // differential over Max_Differential_Size becomes a new base page even when
-// the buffer has room for it. idx and ts are the write's batch position and
-// time stamp; base is a scratch page. The caller holds pid's shard lock and
-// commits st.ops.
+// the buffer has room for it, and so does one whose base page is more than
+// diff.MaxBaseDistance time stamps older than it, which its record could not
+// name. idx and ts are the write's batch position and time stamp; base is a
+// scratch page. The caller holds pid's shard lock and commits st.ops.
 //
 //pdlvet:holds shard
 func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data, base []byte) error {
@@ -117,7 +119,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 	// (the only mutation another goroutine can make to this pid's entry
 	// while we hold its shard lock) and retries; relocation preserves
 	// content, so a stable read is always the current image.
-	img, difExists := known.img, known.dif
+	img, imgTS, difExists := known.img, known.ts, known.dif
 	for img == nil {
 		corrupt := false
 		switch {
@@ -135,33 +137,33 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 			}
 			corrupt = len(bad) > 0
 		}
-		if e.base == flash.NilPPN || corrupt || s.mt.mustRebase(pid) {
+		if e.base == flash.NilPPN || corrupt {
 			// Initial load (only the shard-lock holder creates a pid's base
 			// page, so the nil observation cannot be stale) — or an
 			// uncorrectably corrupt base page, which a write does not need:
 			// data is the complete up-to-date image, so writing it as a new
-			// base page heals the pid outright — or a pid recovery brought
-			// back behind a quarantined base, whose differentials the next
-			// restart would veto.
+			// base page heals the pid outright.
 			if corrupt {
 				s.itel.pagesHealed.Add(1)
 			}
 			st.stageBase(idx, ts, pid, data)
 			return nil
 		}
-		img = base
+		img, imgTS = base, baseTS
 		if !tracked {
 			difExists = e.dif != flash.NilPPN
 		}
 	}
 
-	// Step 2: create the differential. This is the expensive comparison of
-	// two page images; it runs under pid's shard lock, held exclusively, so
-	// the shard's other writers wait for it.
+	// Step 2: create the differential, named by the base it is computed
+	// against. This is the expensive comparison of two page images; it runs
+	// under pid's shard lock, held exclusively, so the shard's other writers
+	// wait for it.
 	d, err := diff.Compute(pid, ts, img, data)
 	if err != nil {
 		return fmt.Errorf("core: computing differential of pid %d: %w", pid, err)
 	}
+	d.Base = imgTS
 
 	// Step 3: write the differential into the differential write buffer.
 	st.buf.remove(pid)
@@ -175,7 +177,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		return nil
 	}
 	size := d.EncodedSize()
-	if size > s.maxDiff { // Case 3
+	if size > s.maxDiff || ts-imgTS > diff.MaxBaseDistance { // Case 3
 		st.stageBase(idx, ts, pid, data)
 		return nil
 	}
@@ -184,7 +186,9 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		if st.pend != nil {
 			// Committing a differential page links it.
 			for sp := range st.buf.index {
-				st.pend[sp] = staged{img: st.pend[sp].img, dif: true}
+				p := st.pend[sp]
+				p.dif = true
+				st.pend[sp] = p
 			}
 		}
 		st.buf.clear()
@@ -315,11 +319,11 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 	defer s.recycleSpills(ops)
 
 	// Program and commit what was staged (even if a shard stopped partway:
-	// its staged prefix is still valid). If nothing landed, every involved
-	// buffer gets its saved bytes back.
-	landed, err := s.commit(ops)
+	// its staged prefix is still valid). If the commit fails, nothing landed
+	// and every involved buffer gets its saved bytes back.
+	err := s.commit(ops)
 	for k, si := range involved {
-		if !landed {
+		if err != nil {
 			s.shards[si].dwb.restore(saved[k])
 		}
 		s.putPage(saved[k])
@@ -348,17 +352,15 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 // channel lock is held between attempts, so a one-op commit holds one
 // channel lock at a time.
 //
-// landed reports whether the programs reached the device and their
-// mappings are committed — the point after which the caller must treat
-// its staged buffer changes as applied. An allocation or program error
-// lands nothing; the one error there can be afterwards, programming the
-// obsolete flag of a heal that lost its race (discardLostHeal), is returned
-// with landed true.
+// Every error is an allocation or program error and lands nothing; without
+// one the programs reached the device and their mappings are committed —
+// the point after which the caller must treat its staged buffer changes as
+// applied.
 //
 //pdlvet:holds shard
-func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
+func (s *Store) commit(ops []pendingOp) error {
 	if len(ops) == 0 {
-		return true, nil
+		return nil
 	}
 	slices.SortFunc(ops, func(a, b pendingOp) int { return a.idx - b.idx })
 	if invariantsEnabled {
@@ -376,9 +378,9 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 	}
 	var refused []bool
 	for {
-		full, landed, err := s.programOps(ops)
-		if landed || s.nchan == 1 || !errors.Is(err, ftl.ErrNoSpace) {
-			return landed, err
+		full, err := s.programOps(ops)
+		if err == nil || s.nchan == 1 || !errors.Is(err, ftl.ErrNoSpace) {
+			return err
 		}
 		if refused == nil {
 			refused = make([]bool, s.nchan)
@@ -391,7 +393,7 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 			}
 		}
 		if to < 0 {
-			return false, err
+			return err
 		}
 		s.wtel.channelFallOvers.Add(1)
 		for i := range ops {
@@ -417,7 +419,10 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 // the program every mapping is committed and every superseded page retired
 // in the allocator's counters (NoteObsoleteFrom: no device operation), and
 // every record of a spilled page is in the differential cache, and none a
-// new base page superseded.
+// new base page superseded. A pinned base page whose pin no longer holds —
+// a heal that lost its race — is retired the same way: the writes after it
+// name the base the mapping kept, and recovery replays them onto that base
+// whatever time stamp the lost heal carries.
 //
 // On a single-channel device a crash mid-batch leaves exactly a
 // TS-ordered prefix. On a striped device each channel's leg is a prefix
@@ -427,7 +432,7 @@ func (s *Store) commit(ops []pendingOp) (landed bool, err error) {
 // exactly that.
 //
 //pdlvet:holds shard
-func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
+func (s *Store) programOps(ops []pendingOp) (full int, err error) {
 	locked := make([]int, 0, 4) // on the stack for up to four channels
 	for i := range ops {
 		if !slices.Contains(locked, ops[i].ch) {
@@ -458,7 +463,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 					s.alloc.NoteObsolete(ops[i].ppn) // its channel's lock is still held
 				}
 			}
-			return ch, false, err
+			return ch, err
 		}
 		for i := range ops {
 			if ops[i].ch == ch {
@@ -510,7 +515,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 		}
 	}
 	if err != nil {
-		return 0, false, fmt.Errorf("core: programming %d pages: %w", len(ops), err)
+		return 0, fmt.Errorf("core: programming %d pages: %w", len(ops), err)
 	}
 
 	for _, op := range ops {
@@ -529,7 +534,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 		}
 		old, n, ok := s.mt.setBasePage(op.pid, op.ppn, op.ts, op.pin)
 		if !ok {
-			err = errors.Join(err, s.discardLostHeal(op.ppn))
+			s.alloc.NoteObsoleteFrom(op.ppn, op.ch)
 			continue
 		}
 		s.wtel.newBasePages.Add(1)
@@ -543,28 +548,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, landed bool, err error) {
 			s.dcache.drop(op.pid, op.ts)
 		}
 	}
-	return 0, true, err
-}
-
-// discardLostHeal retires the page of a pinned commit that lost its race:
-// the read-path heal programmed its merged image at ppn, and a garbage
-// collection moved the pid's mapping before the commit, so the page is
-// unreachable. It is the one page of the store that dies holding the NEWEST
-// time stamp of its pid, and so the one page whose obsolete flag is
-// programmed: unmarked it would win recovery's arbitration, and a
-// differential written after the race — computed against the older base the
-// mapping kept — would be replayed onto it. Every other superseded page
-// loses to a greater time stamp (or ties with a content-identical twin) and
-// is retired in DRAM alone. ppn was allocated on the channel whose lock the
-// commit holds.
-//
-//pdlvet:physicalmark the only dead page that outranks its live successor by time stamp
-//pdlvet:holds channel
-func (s *Store) discardLostHeal(ppn flash.PPN) error {
-	if err := s.alloc.MarkObsolete(ppn); err != nil {
-		return fmt.Errorf("core: discarding the lost heal at ppn %d: %w", ppn, err)
-	}
-	return nil
+	return 0, nil
 }
 
 // allocPagesOn hands out one flash page of channel ch per element of kinds

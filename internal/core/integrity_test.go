@@ -539,54 +539,55 @@ func TestIntegrityRecoveryQuarantine(t *testing.T) {
 // TestIntegrityRecoveryPoisonTS crafts the dangerous crash shape by hand:
 // two base pages for one pid in flash (a superseded base page stays there,
 // unmarked, until its block is collected) plus a differential computed
-// against the NEWER one. When the
-// newer base is lost to corruption, recovery must NOT replay the
-// differential onto the older survivor — that would fabricate content that
-// never existed.
+// against the NEWER one, which it names. When the newer base is lost —
+// quarantined for an uncorrectable sector, or read as erased, spare and all —
+// recovery must NOT replay the differential onto the older survivor: that
+// would fabricate content that never existed. The pid falls back to the
+// survivor alone.
 func TestIntegrityRecoveryPoisonTS(t *testing.T) {
-	p := ftltest.SmallParams(8)
-	fd := faultdev.Wrap(flash.NewChip(p))
+	for _, loss := range []faultdev.Kind{faultdev.SectorCorrupt, faultdev.PageLoss} {
+		t.Run(loss.String(), func(t *testing.T) {
+			p := ftltest.SmallParams(8)
+			fd := faultdev.Wrap(flash.NewChip(p))
 
-	oldBase := make([]byte, p.DataSize) // content A, ts 10
-	newBase := make([]byte, p.DataSize) // content B, ts 20
-	for i := range oldBase {
-		oldBase[i] = byte(i)
-		newBase[i] = byte(i) ^ 0x0F
-	}
-	programRaw(t, fd, 0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
-	programRaw(t, fd, 1, newBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1})
-	// The differential (ts 30) patches bytes 0..3 of the NEW base.
-	d := diff.Differential{PID: 0, TS: 30, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}}
-	img := d.AppendTo(nil)
-	for len(img) < p.DataSize {
-		img = append(img, 0xFF)
-	}
-	programRaw(t, fd, 2, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 30, Seq: 1})
+			oldBase := make([]byte, p.DataSize) // content A, ts 10
+			newBase := make([]byte, p.DataSize) // content B, ts 20
+			for i := range oldBase {
+				oldBase[i] = byte(i)
+				newBase[i] = byte(i) ^ 0x0F
+			}
+			programRaw(t, fd, 0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
+			programRaw(t, fd, 1, newBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1})
+			// The differential (ts 30) patches bytes 0..3 of the NEW base.
+			img := make([]byte, p.DataSize)
+			encodeDiffPage(img, []diff.Differential{{PID: 0, TS: 30, Base: 20, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}}})
+			programRaw(t, fd, 2, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 30, Seq: 1})
 
-	fd.Inject(faultdev.Fault{PPN: 1, Kind: faultdev.SectorCorrupt, Off: 0})
-	s, err := Recover(fd, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
+			fd.Inject(faultdev.Fault{PPN: 1, Kind: loss, Off: 0})
+			s, err := Recover(fd, 4, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := entryOf(s, 0)
+			if e.base != 0 {
+				t.Fatalf("recovered base = %d, want the ts-10 survivor at ppn 0", e.base)
+			}
+			if e.dif != flash.NilPPN {
+				t.Fatal("the differential of the lost base was adopted — stale-base fabrication")
+			}
+			mustReadEqual(t, s, 0, oldBase)
+		})
 	}
-	e := entryOf(s, 0)
-	if e.base != 0 {
-		t.Fatalf("recovered base = %d, want the ts-10 survivor at ppn 0", e.base)
-	}
-	if e.dif != flash.NilPPN {
-		t.Fatal("poisoned differential was adopted — stale-base fabrication")
-	}
-	mustReadEqual(t, s, 0, oldBase)
 }
 
 // TestIntegrityRecoveryPoisonSparesOlderDiff adds to the shape above a
 // differential (ts 15) written between the two base pages, in another
-// block. It was computed against the surviving ts-10 base, so it stays
-// below the poison threshold and is adopted, and the ts-30 differential is
-// still vetoed — whatever the scan's worker count. When each worker kept
-// only its newest record per pid, a worker that scanned both differentials
-// dropped the ts-15 one behind the vetoed ts-30 one, so one and two
-// workers recovered the old base alone while one worker per block adopted
-// the differential.
+// block. It names the surviving ts-10 base, so it is adopted, and the ts-30
+// differential, which names the lost one, is not — whatever the scan's
+// worker count. When each worker kept only its newest record per pid, a
+// worker that scanned both differentials dropped the ts-15 one behind the
+// refused ts-30 one, so one and two workers recovered the old base alone
+// while one worker per block adopted the differential.
 func TestIntegrityRecoveryPoisonSparesOlderDiff(t *testing.T) {
 	p := ftltest.SmallParams(8)
 	fd := faultdev.Wrap(flash.NewChip(p))
@@ -604,9 +605,9 @@ func TestIntegrityRecoveryPoisonSparesOlderDiff(t *testing.T) {
 		encodeDiffPage(page, []diff.Differential{d})
 		programRaw(t, fd, ppn, page, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: d.TS, Seq: 1})
 	}
-	programDiff(2, diff.Differential{PID: 0, TS: 30, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}})
+	programDiff(2, diff.Differential{PID: 0, TS: 30, Base: 20, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}})
 	older := diff.Range{Off: 4, Data: []byte{0x11, 0x22, 0x33, 0x44}}
-	programDiff(flash.PPN(p.PagesPerBlock), diff.Differential{PID: 0, TS: 15, Ranges: []diff.Range{older}})
+	programDiff(flash.PPN(p.PagesPerBlock), diff.Differential{PID: 0, TS: 15, Base: 10, Ranges: []diff.Range{older}})
 	fd.Inject(faultdev.Fault{PPN: 1, Kind: faultdev.SectorCorrupt, Off: 0})
 
 	want := bytes.Clone(oldBase)

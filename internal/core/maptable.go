@@ -68,13 +68,6 @@ type mapTable struct {
 	// reaches zero — a zero count means the page is obsolete, and keeping
 	// dead keys would grow the map for the lifetime of the store.
 	vdct map[flash.PPN]diffPage
-	// rebase holds the pids recovery brought back behind a quarantined
-	// newer base page (see Recover): a differential written for such a pid
-	// would be vetoed again at the next restart, so its next write commits a
-	// whole base page, which clears the entry. Recover allocates the map,
-	// before the store is shared, only if it met such a pid: nil, which is
-	// what every other store has, is checked without the lock.
-	rebase map[uint32]struct{}
 }
 
 // newMapTable builds the tables of a database of numPages logical pages over
@@ -93,18 +86,6 @@ func newMapTable(numPages, flashPages int) *mapTable {
 		t.ppmt[i] = pageEntry{base: flash.NilPPN, dif: flash.NilPPN}
 	}
 	return t
-}
-
-// mustRebase reports whether pid's next write has to be a whole base page
-// (see the rebase field).
-func (t *mapTable) mustRebase(pid uint32) bool {
-	if t.rebase == nil {
-		return false
-	}
-	t.mu.RLock()
-	_, ok := t.rebase[pid]
-	t.mu.RUnlock()
-	return ok
 }
 
 // snapshot returns pid's entry with the time stamps of its base page and of
@@ -190,7 +171,6 @@ func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, pin *uint64
 	t.diffTS[pid] = 0
 	t.recLen[pid] = 0
 	t.reverseBase[ppn] = pid
-	delete(t.rebase, pid)
 	t.ver[pid]++
 	return old, oldLen, true
 }

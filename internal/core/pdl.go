@@ -71,10 +71,12 @@
 // that stays valid adds its bytes to its block's dead bytes (ftl.NoteDead),
 // which a collection's compaction gives back too. Recovery rebuilds both from
 // the creation time stamps, as PDL_RecoveringfromCrash must anyway (a crash
-// loses marks), and writes nothing. The invariant that makes this safe: a
-// page goes unmarked only if a page with a greater time stamp, or a
-// content-identical copy with the same one, supersedes it. The one page that
-// breaks it keeps its physical mark (discardLostHeal in batch.go).
+// loses marks), and writes nothing. What makes this safe is that every
+// differential names the base page it was computed against: recovery adopts
+// a pid's newest base page or its newest differential whose named base
+// survives, whichever is newer, so a superseded page never needs a mark — not
+// even a heal that lost its race and carries a newer time stamp than the
+// differentials written after it, which name the older base.
 //
 // # Concurrency model
 //
@@ -745,13 +747,13 @@ func (s *Store) Flush() error {
 	// mappings are committed: a failed flush (allocation or device error)
 	// leaves every buffered differential in place, still serving reads and
 	// still flushable by a retry.
-	landed, err := s.commit(ops)
-	if landed {
-		for _, op := range ops {
-			s.shards[op.idx].dwb.clear()
-		}
+	if err := s.commit(ops); err != nil {
+		return err
 	}
-	return err
+	for _, op := range ops {
+		s.shards[op.idx].dwb.clear()
+	}
+	return nil
 }
 
 // releaseDiffPage implements decreaseValidDifferentialCount of Figure 8 for

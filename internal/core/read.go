@@ -246,6 +246,10 @@ func (s *Store) applyFromPage(page []byte, r *pageRead) error {
 //
 //pdlvet:holds shard
 func (s *Store) applyRecord(rec []byte, r *pageRead, flushed bool) error {
+	if invariantsEnabled {
+		assertf(diff.RecordBase(rec) == r.baseTS, "pid %d: a record naming the base of ts %d merged onto the base of ts %d",
+			r.pid, diff.RecordBase(rec), r.baseTS)
+	}
 	if len(r.bad) > 0 {
 		d, _, err := diff.Decode(rec)
 		if err != nil {
@@ -260,7 +264,7 @@ func (s *Store) applyRecord(rec []byte, r *pageRead, flushed bool) error {
 	}
 	if flushed {
 		v := r.v
-		_, _ = s.commit([]pendingOp{{ts: s.nextTS(), home: s.homeChannel(s.shardIndex(r.pid)),
+		_ = s.commit([]pendingOp{{ts: s.nextTS(), home: s.homeChannel(s.shardIndex(r.pid)),
 			pid: r.pid, data: r.buf, pin: &v}})
 	}
 	s.itel.pagesHealed.Add(1)

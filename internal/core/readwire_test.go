@@ -40,19 +40,19 @@ func generationsStore(t *testing.T, opts Options) (*Store, *faultdev.Device, map
 	program(0, base5, ftl.Header{Type: ftl.TypeBase, PID: 5, TS: 1, Seq: 1})
 	program(1, base6, ftl.Header{Type: ftl.TypeBase, PID: 6, TS: 2, Seq: 1})
 
-	newest := diff.Differential{PID: 5, TS: 9, Ranges: []diff.Range{{Off: 0, Data: fill(256, 0xC3)}}}
-	only6 := diff.Differential{PID: 6, TS: 4, Ranges: []diff.Range{{Off: 10, Data: fill(4, 0xB2)}}}
+	newest := diff.Differential{PID: 5, TS: 9, Base: 1, Ranges: []diff.Range{{Off: 0, Data: fill(256, 0xC3)}}}
+	only6 := diff.Differential{PID: 6, TS: 4, Base: 2, Ranges: []diff.Range{{Off: 10, Data: fill(4, 0xB2)}}}
 	page := make([]byte, p.DataSize)
 	encodeDiffPage(page, []diff.Differential{
-		{PID: 5, TS: 3, Ranges: []diff.Range{{Off: 0, Data: fill(8, 0xA1)}}},
+		{PID: 5, TS: 3, Base: 1, Ranges: []diff.Range{{Off: 0, Data: fill(8, 0xA1)}}},
 		only6,
 		newest,
-		{PID: 5, TS: 6, Ranges: []diff.Range{{Off: 300, Data: fill(8, 0xD4)}}},
+		{PID: 5, TS: 6, Base: 1, Ranges: []diff.Range{{Off: 300, Data: fill(8, 0xD4)}}},
 	})
 	// The torn tail: a two-range record of pid 5 with the highest time
 	// stamp, cut after its first range. Its size field survives, its second
 	// range header reads as erased flash.
-	torn := diff.Differential{PID: 5, TS: 20, Ranges: []diff.Range{
+	torn := diff.Differential{PID: 5, TS: 20, Base: 1, Ranges: []diff.Range{
 		{Off: 400, Data: fill(8, 0xEE)}, {Off: 420, Data: fill(8, 0xEE)}}}.AppendTo(nil)
 	used := diff.UsedPrefix(page)
 	copy(page[used:], torn[:len(torn)-diff.RangeOverhead-8])

@@ -21,15 +21,25 @@ import (
 // differential) obsolete in the allocator, and the records that lost
 // arbitration on the pages it keeps as their dead bytes.
 //
+// Figure 11 replays a pid's newest differential onto whichever base page is
+// newest below it, which is only right while the base the differential was
+// computed against survives. Here every record names that base, and one rule
+// arbitrates: a pid's candidates are each surviving base page on its own and
+// each record whose named base survives, paired with that base, and the
+// newest candidate wins. A record whose base was lost — quarantined, or read
+// as erased — is no candidate, so the pid falls back to its newest surviving
+// version, as it does behind a lost differential page: consistent, just
+// older.
+//
 // The scan runs in two phases. Reading and verifying is embarrassingly
 // parallel over blocks — each physical page is judged by its own spare
 // header and contents — so Recover fans it out across one goroutine per
 // GOMAXPROCS (at most one per block), each filling the page table of a
 // contiguous block range and listing the key of every differential record
 // it found. Arbitration is then one serial pass in physical page order over
-// what the workers saw: greatest time stamp wins, the lowest physical page
+// what the workers saw: the newest candidate wins, the lowest physical page
 // wins ties. No worker decides anything, so the recovered state is the
-// paper's serial scan's for every worker count.
+// serial scan's for every worker count.
 //
 // The recovered state reflects exactly the data that had been written out
 // to flash; differentials that were still in the differential write buffer
@@ -44,9 +54,8 @@ import (
 // the flags say. The recovered state is a pure function of the flash
 // content, so recovery is idempotent by construction and a failure during
 // restart (section 4.5) leaves nothing half done. The obsolete flag is still
-// honoured where it is set: by the page-update methods that program it, by
-// stores written before validity moved to DRAM, and on the one page this
-// store marks itself (discardLostHeal).
+// honoured where it is set: by the page-update methods that program it, and
+// by stores written before validity moved to DRAM. This store programs none.
 func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	return recoverWith(dev, numPages, opts, runtime.GOMAXPROCS(0))
 }
@@ -82,37 +91,31 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 		}
 	}
 
-	// Phase 2: arbitrate, once, in physical page order. Base pages first —
-	// a differential can only be judged against the final winning base.
+	// Phase 2: arbitrate, once, in physical page order. Base pages first:
+	// each pid's newest survivor, and every survivor by its name (pid, time
+	// stamp), the lowest page of a name standing for its copies. Then each
+	// record whose named base survives competes with the pid's winner so far.
 	//
-	// New time stamps outrank everything the scan could trust, not only what
-	// it adopts: a quarantined page or a vetoed differential is still in
-	// flash and competes again at the next restart. A page's header stamp is
-	// no older than any record it carries.
-	//
-	// A quarantined (uncorrectably corrupt) base page poisons the
-	// differentials computed against it: when the quarantined image was
-	// newer than the surviving winner, any differential newer than the
-	// quarantined time stamp was computed against the lost image, and
-	// replaying it onto the older survivor would fabricate page content.
-	// The poison threshold per pid is the OLDEST quarantined base
-	// (conservative when several copies of a pid are corrupt at once).
+	// New time stamps outrank everything the scan saw, not only what it
+	// adopts: a quarantined page is still in flash and is read again at the
+	// next restart. A page's header stamp is no older than any record it
+	// carries.
 	var maxTS uint64
-	poison := make(map[uint32]uint64)
+	bases := make(map[pageStamp]flash.PPN)
 	for ppn := range infos {
 		h := &infos[ppn].hdr
 		if h.Obsolete || (h.Type != ftl.TypeBase && h.Type != ftl.TypeDiff) {
 			continue
 		}
 		maxTS = max(maxTS, h.TS)
-		if h.Type != ftl.TypeBase || int(h.PID) >= numPages {
+		if h.Type != ftl.TypeBase || int(h.PID) >= numPages || infos[ppn].quarantined {
 			continue
 		}
-		if infos[ppn].quarantined {
-			if pts, ok := poison[h.PID]; !ok || h.TS < pts {
-				poison[h.PID] = h.TS
-			}
-		} else if s.mt.ppmt[h.PID].base == flash.NilPPN || h.TS > s.mt.baseTS[h.PID] {
+		k := pageStamp{h.PID, h.TS}
+		if _, ok := bases[k]; !ok {
+			bases[k] = flash.PPN(ppn)
+		}
+		if s.mt.ppmt[h.PID].base == flash.NilPPN || h.TS > s.mt.baseTS[h.PID] {
 			s.mt.ppmt[h.PID].base = flash.PPN(ppn)
 			s.mt.baseTS[h.PID] = h.TS
 		}
@@ -120,21 +123,21 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 	s.ts.Store(maxTS)
 	for _, ks := range keys {
 		for _, k := range ks {
-			e, bts := &s.mt.ppmt[k.pid], s.mt.baseTS[k.pid]
-			if e.base == flash.NilPPN {
-				continue // differential without a base page cannot be applied
+			// The pid's winner so far is its newest record, else its newest
+			// base page (Fig. 11: ts(d) > ts(bp)).
+			e, won := &s.mt.ppmt[k.pid], s.mt.baseTS[k.pid]
+			if e.dif != flash.NilPPN {
+				won = s.mt.diffTS[k.pid]
 			}
-			if k.ts <= bts {
-				continue // the base page is newer (Fig. 11: ts(d) > ts(bp))
+			if k.ts <= won {
+				continue
 			}
-			if pts, ok := poison[k.pid]; ok && pts > bts && k.ts > pts {
-				continue // computed against a quarantined, lost base image
+			bp, ok := bases[pageStamp{k.pid, k.base}]
+			if !ok {
+				continue // computed against a base page that is lost
 			}
-			if e.dif == flash.NilPPN || k.ts > s.mt.diffTS[k.pid] {
-				e.dif = k.ppn
-				s.mt.diffTS[k.pid] = k.ts
-				s.mt.recLen[k.pid] = k.n
-			}
+			e.base, e.dif = bp, k.ppn
+			s.mt.baseTS[k.pid], s.mt.diffTS[k.pid], s.mt.recLen[k.pid] = k.base, k.ts, k.n
 		}
 	}
 	// A valid differential page's records that lost arbitration are dead
@@ -152,18 +155,6 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 		}
 		if e.base != flash.NilPPN {
 			s.mt.reverseBase[e.base] = uint32(pid)
-		}
-	}
-	for pid, pts := range poison {
-		if pts > s.mt.baseTS[pid] {
-			// The pid fell back behind a quarantined base that stays in
-			// flash, unmarked, until its block is collected, and keeps
-			// vetoing differentials newer than itself at every restart: the
-			// pid's next write has to outrank it as a base page.
-			if s.mt.rebase == nil {
-				s.mt.rebase = make(map[uint32]struct{})
-			}
-			s.mt.rebase[pid] = struct{}{}
 		}
 	}
 	// Rebuild the allocator's view: a block with any programmed page is
@@ -198,10 +189,11 @@ type pageInfo struct {
 	hdr  ftl.Header
 	torn bool // spare erased but data programmed (torn base write)
 	// quarantined marks a page that failed integrity verification (header
-	// checksum or uncorrectable data ECC): it is excluded from arbitration
-	// and counted obsolete. A page whose header failed its checksum keeps
-	// none of it (hdr is the zero Header, of no type recovery arbitrates);
-	// a quarantined base page's header still sets the pid's poison threshold.
+	// checksum or uncorrectable data ECC): it is excluded from arbitration,
+	// so the records that name it are too, and counted obsolete. A page
+	// whose header failed its checksum keeps none of it (hdr is the zero
+	// Header, of no type recovery arbitrates); a quarantined base page's
+	// header stamp still counts toward the store's newest time stamp.
 	quarantined bool
 	// recBytes is the bytes of the records on a differential page.
 	recBytes int32
@@ -233,13 +225,13 @@ func (s *Store) useless(ppn flash.PPN, pi *pageInfo) bool {
 }
 
 // recordKey is one differential record the recovery scan found: the page
-// it lies on, the pid it belongs to, its creation time stamp and its wire
-// length.
+// it lies on, the pid it belongs to, its creation time stamp, the time stamp
+// of the base page it names and its wire length.
 type recordKey struct {
-	ppn flash.PPN
-	pid uint32
-	ts  uint64
-	n   uint16
+	ppn      flash.PPN
+	pid      uint32
+	ts, base uint64
+	n        uint16
 }
 
 // scanBlockRange reads blocks [lo, hi) for recovery: every page's spare
@@ -315,7 +307,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo) ([]recordKey, error
 					infos[ppn].recBytes += int32(len(rec))
 					pid, ts := diff.RecordKey(rec)
 					if int(pid) < numPages {
-						keys = append(keys, recordKey{ppn: ppn, pid: pid, ts: ts, n: uint16(len(rec))})
+						keys = append(keys, recordKey{ppn: ppn, pid: pid, ts: ts, base: diff.RecordBase(rec), n: uint16(len(rec))})
 					}
 				}
 			}

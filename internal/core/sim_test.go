@@ -716,11 +716,11 @@ func flushShard(s *Store, i int) error {
 	defer sh.mu.Unlock()
 	ops := []pendingOp{s.snapshotSpill(&sh.dwb, i, s.nextTS(), s.homeChannel(i))}
 	defer s.recycleSpills(ops)
-	landed, err := s.commit(ops)
-	if landed {
-		sh.dwb.clear()
+	if err := s.commit(ops); err != nil {
+		return err
 	}
-	return err
+	sh.dwb.clear()
+	return nil
 }
 
 // pagesOf reads every logical page of s: nil for a page never written, and
@@ -745,7 +745,7 @@ func imageOf(s *Store) string {
 	for blk := range s.params.NumBlocks {
 		blocks = append(blocks, s.alloc.BlockStats(blk))
 	}
-	return fmt.Sprint(s.mt.ppmt, s.mt.baseTS, s.mt.diffTS, s.mt.recLen, s.mt.vdct, s.mt.rebase, blocks, s.ts.Load(), s.Telemetry())
+	return fmt.Sprint(s.mt.ppmt, s.mt.baseTS, s.mt.diffTS, s.mt.recLen, s.mt.vdct, blocks, s.ts.Load(), s.Telemetry())
 }
 
 // adopted holds a recovered store's allocator to the flash under it, whose

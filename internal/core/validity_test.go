@@ -15,8 +15,9 @@ import (
 )
 
 // Page validity is DRAM state: the tests of this file pin down what that
-// leaves in flash (no obsolete flag but one), and that recovery, which
-// arbitrates by time stamp, neither needs the flags nor writes any.
+// leaves in flash (no obsolete flag), and that recovery, which arbitrates by
+// time stamp and by the base each differential names, neither needs the
+// flags nor writes any.
 
 // probeDev is a flash.Device that counts the spare programs reaching the
 // device under it, and serves the next Read of page flaky with two flipped
@@ -76,8 +77,9 @@ func encodeDiffPage(page []byte, ds []diff.Differential) {
 	packDiffPage(page, recs)
 }
 
-// flaggedPages returns the pages of dev whose obsolete flag is programmed.
-func flaggedPages(t *testing.T, dev flash.Device) []flash.PPN {
+// newerBasePages returns the base pages of pid in dev whose time stamp is
+// greater than ts.
+func newerBasePages(t *testing.T, dev flash.Device, pid uint32, ts uint64) []flash.PPN {
 	t.Helper()
 	var out []flash.PPN
 	spare := make([]byte, dev.Params().SpareSize)
@@ -85,22 +87,23 @@ func flaggedPages(t *testing.T, dev flash.Device) []flash.PPN {
 		if err := dev.ReadSpare(ppn, spare); err != nil {
 			t.Fatal(err)
 		}
-		if ftl.DecodeHeader(spare).Obsolete {
+		if h := ftl.DecodeHeader(spare); h.Type == ftl.TypeBase && h.PID == pid && h.TS > ts {
 			out = append(out, ppn)
 		}
 	}
 	return out
 }
 
-// TestRecoverQuarantinesAtEveryRestart is the poison-TS crash shape of
+// TestRecoverQuarantinesAtEveryRestart is the lost-base crash shape of
 // TestIntegrityRecoveryPoisonTS with one more fact: the differential
 // computed against the lost base shares its page with another pid's live
 // one, so the page stays valid. A recovery that set the quarantined base
 // obsolete in flash left the next one no trace of it, and the next one
 // adopted the differential onto the older survivor. Quarantine lives in
-// DRAM now: every restart sees the corrupt page, vetoes the differential and
-// raises the counter, and the pid's next write, a whole base page newer than
-// all of it, is what retires the wreckage.
+// DRAM now: every restart sees the corrupt page, refuses the differential
+// that names it and raises the counter. The pid's next write is an ordinary
+// differential naming the survivor, and it outlives the next restart, which
+// still finds the corrupt page and the refused differential.
 func TestRecoverQuarantinesAtEveryRestart(t *testing.T) {
 	p := ftltest.SmallParams(8)
 	dev := flash.NewChip(p)
@@ -119,8 +122,8 @@ func TestRecoverQuarantinesAtEveryRestart(t *testing.T) {
 	// One differential page: pid 0's record (ts 30) patches the NEW base,
 	// pid 1's (ts 31) is live.
 	ds := []diff.Differential{
-		{PID: 0, TS: 30, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}},
-		{PID: 1, TS: 31, Ranges: []diff.Range{{Off: 8, Data: []byte{1, 2, 3, 4}}}},
+		{PID: 0, TS: 30, Base: 20, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}},
+		{PID: 1, TS: 31, Base: 5, Ranges: []diff.Range{{Off: 8, Data: []byte{1, 2, 3, 4}}}},
 	}
 	img := make([]byte, p.DataSize)
 	encodeDiffPage(img, ds)
@@ -155,8 +158,8 @@ func TestRecoverQuarantinesAtEveryRestart(t *testing.T) {
 		}
 	}
 
-	// The survivor is written on: the write must outlive the next restart,
-	// which still finds the corrupt page and the vetoed differential.
+	// The survivor is written on: the write goes the differential route,
+	// naming the survivor, and must outlive the next restart.
 	next := append([]byte(nil), oldBase...)
 	next[100] ^= 0xFF
 	if err := s.WritePage(0, next); err != nil {
@@ -165,28 +168,31 @@ func TestRecoverQuarantinesAtEveryRestart(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ts := s.mt.baseTS[0]; ts <= 31 {
-		t.Fatalf("the write after recovery committed a base page of ts %d, not newer than what flash holds", ts)
+	if e, tel := entryOf(s, 0), s.Telemetry(); e.base != 0 || e.dif == flash.NilPPN || tel.NewBasePages != 0 {
+		t.Fatalf("the write after recovery left pid 0 at %+v with %d new base pages, want a differential on the ts-10 base", e, tel.NewBasePages)
 	}
 	r, err := Recover(dev, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if e := entryOf(r, 0); e.base != 0 || e.dif == flash.NilPPN {
+		t.Fatalf("the next restart recovered pid 0 to %+v, want the differential on the ts-10 base", e)
+	}
 	mustReadEqual(t, r, 0, next)
 	mustReadEqual(t, r, 1, want1)
 }
 
-// TestLostHealKeepsItsObsoleteFlag drives the one path on which a dead page
-// outranks its live successor by time stamp. A transient read fault makes
-// ReadPage heal pid 4 from its flushed differential; the heal's own
-// allocation runs the collection that relocates the (by then readable) base
-// page, so the pinned commit loses its race and the merged image H, stamped
-// newest, is unreachable. Then the pid is written again, reverting the bytes
-// the healed differential had changed: the new differential is computed
-// against the old base and does not mention them. Unmarked, H would win
-// arbitration after a crash and the new differential would be replayed onto
-// it; so H is the one page whose obsolete flag the store programs.
-func TestLostHealKeepsItsObsoleteFlag(t *testing.T) {
+// TestLostHealNeedsNoMark drives the one path on which a dead page outranks
+// its live successor by time stamp. A transient read fault makes ReadPage
+// heal pid 4 from its flushed differential; the heal's own allocation runs
+// the collection that relocates the (by then readable) base page, so the
+// pinned commit loses its race and the merged image H, stamped newest, is
+// unreachable. Then the pid is written again, reverting the bytes the healed
+// differential had changed: the new differential is computed against the
+// old base and does not mention them. H is retired in DRAM like any
+// superseded page, with no spare program: the new differential names the old
+// base, so after a crash recovery replays it there, not onto H.
+func TestLostHealNeedsNoMark(t *testing.T) {
 	const numPages, pid = 16, 4
 	// Four blocks of 16 pages, two in reserve: the load fills block 0, the
 	// flushed differential and 15 whole-page rewrites fill block 1, and the
@@ -224,19 +230,8 @@ func TestLostHealKeepsItsObsoleteFlag(t *testing.T) {
 		t.Fatalf("scenario: the heal's allocation did not relocate the base page: %d collections, pid %d went %+v -> %+v",
 			s.alloc.GCRuns(), pid, before, after)
 	}
-	if n := dev.spares.Load(); n != 1 {
-		t.Fatalf("%d spare programs, want 1: the lost heal's obsolete flag", n)
-	}
-	flagged := flaggedPages(t, dev)
-	if len(flagged) != 1 {
-		t.Fatalf("flagged pages %v, want the lost heal alone", flagged)
-	}
-	spare := make([]byte, s.params.SpareSize)
-	if err := dev.ReadSpare(flagged[0], spare); err != nil {
-		t.Fatal(err)
-	}
-	if h := ftl.DecodeHeader(spare); h.Type != ftl.TypeBase || h.PID != pid || h.TS <= s.mt.diffTS[pid] {
-		t.Fatalf("flagged page %+v is not a base page of pid %d newer than its mapping", h, pid)
+	if lost := newerBasePages(t, dev, pid, s.mt.diffTS[pid]); len(lost) != 1 {
+		t.Fatalf("base pages of pid %d newer than its mapping: %v, want the lost heal alone", pid, lost)
 	}
 
 	// Revert sector 1 to the base page's bytes and change one byte elsewhere.
@@ -253,9 +248,6 @@ func TestLostHealKeepsItsObsoleteFlag(t *testing.T) {
 	if e := entryOf(s, pid); e.base != after.base || e.dif == flash.NilPPN {
 		t.Fatalf("scenario: the second write did not go the differential route: %+v", e)
 	}
-	if n := dev.spares.Load(); n != 1 {
-		t.Fatalf("%d spare programs after the second write, want still 1", n)
-	}
 	r, err := Recover(dev, numPages, opts) // kill: the live store is dropped
 	if err != nil {
 		t.Fatal(err)
@@ -263,8 +255,8 @@ func TestLostHealKeepsItsObsoleteFlag(t *testing.T) {
 	for i := range shadow {
 		mustReadEqual(t, r, uint32(i), shadow[i])
 	}
-	if n := dev.spares.Load(); n != 1 {
-		t.Fatalf("%d spare programs after recovery, want still 1", n)
+	if n := dev.spares.Load(); n != 0 {
+		t.Fatalf("%d spare programs, want none", n)
 	}
 }
 
@@ -326,6 +318,9 @@ func TestRecoverOldTaggedImage(t *testing.T) {
 				d, err := diff.Compute(uint32(pid), ts, base, changed)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if ts > baseTS {
+					d.Base = baseTS
 				}
 				ds = append(ds, d)
 				maxTS = max(maxTS, ts)

@@ -5,21 +5,34 @@
 // in flash memory and the up-to-date logical page in memory. Its wire form
 // is
 //
-//	<size, physical page ID, creation time stamp, [offset, length, changed data]+>
+//	<size, physical page ID, creation time stamp, base distance, [offset, length, changed data]+>
 //
-// exactly as defined in the paper, with a leading record size so that
-// multiple differentials can be packed into one differential page and
-// parsed back. Because erased flash reads as 0xFF, a size field of 0xFFFF
-// terminates the record sequence in a partially filled differential page.
+// the paper's <size, pid, ts, ranges> with one field more. The size lets
+// several differentials be packed into one differential page and parsed
+// back, and the ranges run to the end it sets. Because erased flash reads as
+// 0xFF, a size field of 0xFFFF terminates the record sequence in a
+// partially filled differential page.
+//
+// The base distance names the base page the differential was computed
+// against: the creation time stamp minus the base page's, in 32 bits, so
+// the name is exact. The paper's recovery replays a page's newest
+// differential onto the newest base page below it, which is only right
+// while the base it was computed against survives; a record that names its
+// base lets recovery tell a lost base from a superseded one (RecordBase).
+// The record carries no range count: the size field, and the ranges tiling
+// the record up to it, imply one. Nothing versions the format, so records
+// written with the earlier 16-byte header <size, pid, ts, range count> are
+// not readable.
 //
 // The wire record is the form a differential lives in: the store's write
 // buffer, differential pages, differential cache and read path hold and merge
-// records (Records, RecordKey, FindIn, ApplyRecord) and decode none. The
-// decoded Differential is the right form in three places: as Compute's
-// result, sized (EncodedSize) and then appended (AppendTo) once; where ranges
-// are walked, the store's check that a record covers a corrupt base sector
-// before it heals from it (Decode); and as the reference the tests hold the
-// wire-form functions to (DecodeAll and Apply, the MatchesDecodeAll tests).
+// records (Records, RecordKey, RecordBase, FindIn, ApplyRecord) and decode
+// none. The decoded Differential is the right form in three places: as
+// Compute's result, sized (EncodedSize) and then appended (AppendTo) once;
+// where ranges are walked, the store's check that a record covers a corrupt
+// base sector before it heals from it (Decode); and as the reference the
+// tests hold the wire-form functions to (DecodeAll and Apply, the
+// MatchesDecodeAll tests).
 package diff
 
 import (
@@ -28,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"math/bits"
 )
 
@@ -41,8 +55,8 @@ var (
 
 // Wire-format constants.
 const (
-	// headerSize is size(2) + pid(4) + ts(8) + nranges(2).
-	headerSize = 16
+	// headerSize is size(2) + pid(4) + ts(8) + base distance(4).
+	headerSize = 18
 	// rangeOverhead is off(2) + len(2) per changed range.
 	rangeOverhead = 4
 	// endMarker terminates the record sequence in a differential page.
@@ -59,6 +73,10 @@ const MaxPageSize = 1 << 16
 // MaxRecordSize is the largest encoded differential: its size field is 16
 // bits wide, and a size of 0xFFFF is the end marker.
 const MaxRecordSize = endMarker - 1
+
+// MaxBaseDistance is the largest gap between a differential's time stamp and
+// its base page's that a record carries: the field is 32 bits wide.
+const MaxBaseDistance = math.MaxUint32
 
 // RangeOverhead is the per-range metadata cost in the encoding. Compute
 // coalesces nearby ranges when doing so shrinks the encoding.
@@ -83,6 +101,11 @@ type Differential struct {
 	// TS is the creation time stamp used by crash recovery to arbitrate
 	// between versions.
 	TS uint64
+	// Base is the creation time stamp of the base page the differential was
+	// computed against. Compute leaves it zero; the caller names the base
+	// before AppendTo, which encodes TS - Base and requires it to be at most
+	// MaxBaseDistance.
+	Base uint64
 	// Ranges are the changed byte ranges, in ascending offset order,
 	// non-overlapping.
 	Ranges []Range
@@ -228,7 +251,7 @@ func (d Differential) AppendTo(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(size))
 	buf = binary.LittleEndian.AppendUint32(buf, d.PID)
 	buf = binary.LittleEndian.AppendUint64(buf, d.TS)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(d.Ranges)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.TS-d.Base))
 	for _, r := range d.Ranges {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(r.Off))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Data)))
@@ -249,13 +272,10 @@ func Decode(buf []byte) (Differential, int, error) {
 	if size == endMarker || size < headerSize || size > len(buf) {
 		return Differential{}, 0, fmt.Errorf("%w: size field %d", ErrCorrupt, size)
 	}
-	d := Differential{
-		PID: binary.LittleEndian.Uint32(buf[2:]),
-		TS:  binary.LittleEndian.Uint64(buf[6:]),
-	}
-	nr := int(binary.LittleEndian.Uint16(buf[14:]))
+	pid, ts := RecordKey(buf)
+	d := Differential{PID: pid, TS: ts, Base: RecordBase(buf)}
 	off := headerSize
-	for i := 0; i < nr; i++ {
+	for off < size {
 		if off+rangeOverhead > size {
 			return Differential{}, 0, fmt.Errorf("%w: range header past record end", ErrCorrupt)
 		}
@@ -269,9 +289,6 @@ func Decode(buf []byte) (Differential, int, error) {
 		copy(data, buf[off:off+rl])
 		off += rl
 		d.Ranges = append(d.Ranges, Range{Off: ro, Data: data})
-	}
-	if off != size {
-		return Differential{}, 0, fmt.Errorf("%w: record size %d, decoded %d", ErrCorrupt, size, off)
 	}
 	return d, size, nil
 }
@@ -322,6 +339,12 @@ func RecordKey(rec []byte) (pid uint32, ts uint64) {
 	return binary.LittleEndian.Uint32(rec[2:]), binary.LittleEndian.Uint64(rec[6:])
 }
 
+// RecordBase returns the creation time stamp of the base page an encoded
+// record yielded by Records was computed against.
+func RecordBase(rec []byte) uint64 {
+	return binary.LittleEndian.Uint64(rec[6:]) - uint64(binary.LittleEndian.Uint32(rec[14:]))
+}
+
 // UsedPrefix returns the length of the well-formed record sequence at the
 // front of a differential page's data area: everything Records, FindIn and
 // DecodeAll will ever look at. The rest is erased padding or a torn tail.
@@ -352,9 +375,8 @@ func FindIn(pageData []byte, pid uint32) (rec []byte, ok bool) {
 // range data tile the record exactly. It accepts precisely the records
 // Decode accepts, without copying any range data.
 func validRecord(rec []byte) bool {
-	nr := int(binary.LittleEndian.Uint16(rec[14:]))
 	off := headerSize
-	for i := 0; i < nr; i++ {
+	for off < len(rec) {
 		if off+rangeOverhead > len(rec) {
 			return false
 		}
@@ -375,9 +397,7 @@ func ApplyRecord(rec, page []byte) error {
 	if len(rec) < headerSize || int(binary.LittleEndian.Uint16(rec)) != len(rec) || !validRecord(rec) {
 		return fmt.Errorf("%w: malformed record of %d bytes", ErrCorrupt, len(rec))
 	}
-	nr := int(binary.LittleEndian.Uint16(rec[14:]))
-	off := headerSize
-	for i := 0; i < nr; i++ {
+	for off := headerSize; off < len(rec); {
 		ro := int(binary.LittleEndian.Uint16(rec[off:]))
 		rl := int(binary.LittleEndian.Uint16(rec[off+2:]))
 		if ro+rl > len(page) {
@@ -386,8 +406,7 @@ func ApplyRecord(rec, page []byte) error {
 		}
 		off += rangeOverhead + rl
 	}
-	off = headerSize
-	for i := 0; i < nr; i++ {
+	for off := headerSize; off < len(rec); {
 		ro := int(binary.LittleEndian.Uint16(rec[off:]))
 		rl := int(binary.LittleEndian.Uint16(rec[off+2:]))
 		off += rangeOverhead

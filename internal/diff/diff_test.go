@@ -121,6 +121,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Base = d.TS - MaxBaseDistance
 	enc := d.AppendTo(nil)
 	if len(enc) != d.EncodedSize() {
 		t.Errorf("encoded len %d, want %d", len(enc), d.EncodedSize())
@@ -132,8 +133,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if n != len(enc) {
 		t.Errorf("consumed %d of %d", n, len(enc))
 	}
-	if got.PID != 42 || got.TS != 1234567890123 {
-		t.Errorf("metadata = %+v", got)
+	if got.PID != 42 || got.TS != 1234567890123 || got.Base != d.Base || RecordBase(enc) != d.Base {
+		t.Errorf("metadata = %+v, RecordBase %d, want base %d", got, RecordBase(enc), d.Base)
 	}
 	page := append([]byte(nil), base...)
 	if err := got.Apply(page); err != nil {

@@ -660,11 +660,10 @@ func (a *Allocator) CollectOnceOn(ch int) (collected bool, err error) {
 // its spare area — which the paper counts as a write operation — and
 // updates validity bookkeeping. It is for a method whose recovery has
 // nothing but the flag to tell a dead page from a live one: OPU, which keeps
-// no time stamps, and the one page of PDL that dies holding the newest time
-// stamp of its pid (core's discardLostHeal). Everything a later time stamp
-// supersedes is retired with NoteObsolete instead. The caller holds the
-// serialization of the channel owning ppn (trivially true in single-channel
-// mode).
+// no time stamps. PDL never calls it: its recovery arbitrates by time stamp
+// and by the base each differential names, so it retires every superseded
+// page with NoteObsolete instead. The caller holds the serialization of the
+// channel owning ppn (trivially true in single-channel mode).
 func (a *Allocator) MarkObsolete(ppn flash.PPN) error {
 	c := &a.chans[a.ChannelOf(ppn)]
 	ObsoleteSpareInto(c.obsSpare)

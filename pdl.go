@@ -323,7 +323,9 @@ func Open(dev Device, numPages int, opts Options) (*Store, error) {
 // PDL_RecoveringfromCrash algorithm). One goroutine per CPU reads and
 // verifies a range of blocks; one pass in physical page order then
 // arbitrates by time stamp, so the recovered state is the serial scan's
-// for any CPU count. Differentials that were only in the in-memory write
+// for any CPU count. A differential is replayed only onto the base page it
+// names: if that base was lost, the page falls back to its newest surviving
+// version. Differentials that were only in the in-memory write
 // buffer at the time of the failure are lost, exactly as the paper
 // specifies. Recover only reads the device: the useless pages it finds are
 // counted obsolete in memory, not marked in flash, so recovering again
