@@ -39,8 +39,8 @@ type pendingOp struct {
 	pid   uint32
 	spill bool
 	// pin, when set, makes a base-page commit conditional on pid's mapping
-	// still being at that version (the read-path heal; see applyRecord).
-	pin *uint64
+	// still being that entry (the read-path heal; see applyRecord).
+	pin *mapEntry
 }
 
 // stream names the allocator append point the op's page comes from: a
@@ -107,7 +107,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 	known, tracked := st.pend[pid]
 	// The one mapping snapshot of the write; step 1 takes another only after
 	// a relocation moved the base under its read.
-	e, baseTS, _, v := s.mt.snapshot(pid)
+	e := s.mt.snapshot(pid)
 
 	// Step 1: resolve the base image this write diffs against — the one an
 	// earlier write of the batch staged, else the one a read has just
@@ -124,12 +124,12 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 		corrupt := false
 		switch {
 		case e.base == flash.NilPPN: // nothing to read: the initial load below
-		case s.bimg.get(pid, baseTS, base):
+		case s.bimg.get(pid, e.baseTS, base):
 			s.wtel.writeBaseHits.Add(1)
 		default:
-			stable, bad, err := s.verifiedReadStable(readWriteBase, e.base, base, pid, v)
+			stable, bad, err := s.verifiedReadStable(readWriteBase, e.base, base, pid, e)
 			if !stable {
-				e, baseTS, _, v = s.mt.snapshot(pid)
+				e = s.mt.snapshot(pid)
 				continue
 			}
 			if err != nil {
@@ -149,7 +149,7 @@ func (s *Store) stageWrite(st *writeStage, idx int, ts uint64, pid uint32, data,
 			st.stageBase(idx, ts, pid, data)
 			return nil
 		}
-		img, imgTS = base, baseTS
+		img, imgTS = base, e.baseTS
 		if !tracked {
 			difExists = e.dif != flash.NilPPN
 		}
@@ -525,14 +525,13 @@ func (s *Store) programOps(ops []pendingOp) (full int, err error) {
 			for rec := range diff.Records(op.data) {
 				s.wtel.diffsWritten.Add(1)
 				s.wtel.diffBytesWritten.Add(int64(len(rec)))
-				pid, ts := diff.RecordKey(rec)
-				if old, n := s.mt.setDiffPage(pid, op.ppn, ts, len(rec)); old != flash.NilPPN {
+				if old, n := s.mt.setDiffPage(op.ppn, rec); old != flash.NilPPN {
 					s.releaseDiffPage(old, n, op.ch)
 				}
 			}
 			continue
 		}
-		old, n, ok := s.mt.setBasePage(op.pid, op.ppn, op.ts, op.pin)
+		old, ok := s.mt.setBasePage(op.pid, op.ppn, op.ts, op.pin)
 		if !ok {
 			s.alloc.NoteObsoleteFrom(op.ppn, op.ch)
 			continue
@@ -544,7 +543,7 @@ func (s *Store) programOps(ops []pendingOp) (full int, err error) {
 			s.alloc.NoteObsoleteFrom(old.base, op.ch)
 		}
 		if old.dif != flash.NilPPN {
-			s.releaseDiffPage(old.dif, n, op.ch)
+			s.releaseDiffPage(old.dif, int(old.recLen), op.ch)
 			s.dcache.drop(op.pid, op.ts)
 		}
 	}

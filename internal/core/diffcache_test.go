@@ -430,7 +430,8 @@ func TestApplyFromPageChecksTimeStamp(t *testing.T) {
 		{3, 9, nil}, // no record at all
 	} {
 		buf := make([]byte, size)
-		err := s.applyFromPage(page, &pageRead{pid: c.pid, ts: c.ts, buf: buf})
+		// The mapping names the record of time stamp c.ts over a base of stamp 0.
+		err := s.applyFromPage(page, &pageRead{pid: c.pid, e: mapEntry{difDist: uint32(c.ts)}, buf: buf})
 		if c.want == nil {
 			if err == nil || !bytes.Equal(buf, make([]byte, size)) {
 				t.Errorf("(pid %d, ts %d): err=%v, buffer touched=%v; want an error and an untouched buffer",

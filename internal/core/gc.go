@@ -31,9 +31,12 @@ func (s *Store) relocate(victim int) error {
 	p := s.params
 	ch := s.alloc.ChannelOfBlock(victim)
 
-	// Pass 1: move valid base pages and collect valid differentials.
-	// Base pages move first so that the second pass never packs a
-	// differential whose base page is about to disappear.
+	// Pass 1, in physical page order: move valid base pages and collect
+	// valid differentials. Base pages move first so that the second pass
+	// never packs a differential whose base page is about to disappear.
+	// owners is each page's base owner as of one scan of the mapping: the
+	// block is full, so no base moves into it, and one that moved out since
+	// fails the check at its turn (or, later still, relocateBaseFrom).
 	// keep is the surviving records, back to back in the wire form they had
 	// in the victim's pages and will have in the new ones; the i-th of them
 	// survives from differential page from[i]: the repoint checks
@@ -46,13 +49,16 @@ func (s *Store) relocate(victim int) error {
 	// record and erased with its other live differentials still in it.
 	var keep []byte
 	var from, compacted []flash.PPN
-	for i := 0; i < p.PagesPerBlock; i++ {
+	owners := s.mt.basesIn(p.PPNOf(victim, 0), p.PagesPerBlock)
+	for i, pid := range owners {
 		ppn := p.PPNOf(victim, i)
-		if pid, ts, ok := s.mt.baseOwner(ppn); ok {
-			if err := s.relocateBasePage(pid, ts, ppn, ch); err != nil {
-				return err
+		if pid != ftl.NoPID {
+			if e := s.mt.snapshot(pid); e.base == ppn {
+				if err := s.relocateBasePage(pid, e.baseTS, ppn, ch); err != nil {
+					return err
+				}
+				continue
 			}
-			continue
 		}
 		if s.mt.diffCount(ppn) > 0 {
 			var n int
@@ -94,8 +100,8 @@ func (s *Store) relocate(victim int) error {
 }
 
 // relocateBasePage copies one valid base page out of a victim block to
-// the victim channel's cold stream. ts is the creation time stamp
-// baseOwner validated; the copy keeps it — relocation does not make the
+// the victim channel's cold stream. ts is the creation time stamp of the
+// base the mapping named; the copy keeps it — relocation does not make the
 // content newer, and recovery must still see any later differential as
 // the winner.
 //
@@ -138,7 +144,7 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 	}
 	if !s.mt.relocateBaseFrom(pid, ppn, dst) {
 		// A writer on another channel committed a newer base for pid
-		// between baseOwner and here: the copy at dst is stale content under
+		// since relocate checked the mapping: the copy at dst is stale content under
 		// an older time stamp than the winner's. Discard it (dst is on our
 		// channel).
 		s.alloc.NoteObsolete(dst)
@@ -181,7 +187,7 @@ func (s *Store) validDifferentials(ppn flash.PPN, keep []byte) (_ []byte, n int,
 		if int(pid) >= s.numPages {
 			continue
 		}
-		if dif, cur := s.mt.diffOf(pid); dif != ppn || cur != ts {
+		if e := s.mt.snapshot(pid); e.dif != ppn || e.diffTS() != ts {
 			continue
 		}
 		keep = append(keep, rec...)

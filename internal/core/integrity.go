@@ -131,17 +131,17 @@ const (
 
 // verifiedReadStable is the raw read of the optimistic (version-checked)
 // paths: it reads ppn's data area and, into a pooled scratch, its spare
-// area, re-checks the pid's mapping version, and only then verifies, so
-// corrected-bit counts and heal decisions are never taken on bytes a
-// concurrent relocation made stale.
+// area, re-checks the pid's mapping entry against snap, and only then
+// verifies, so corrected-bit counts and heal decisions are never taken on
+// bytes a concurrent relocation made stale.
 //
 //pdlvet:ignore deviceio raw-read funnel; every other core read goes through here
-func (s *Store) verifiedReadStable(kind readKind, ppn flash.PPN, data []byte, pid uint32, v uint64) (stable bool, bad []int, err error) {
+func (s *Store) verifiedReadStable(kind readKind, ppn flash.PPN, data []byte, pid uint32, snap mapEntry) (stable bool, bad []int, err error) {
 	spare := s.spares.get()
 	defer s.spares.put(spare)
 	err = s.dev.Read(ppn, data, spare)
 	s.countReads(kind, err)
-	if !s.mt.stable(pid, v) {
+	if !s.mt.stable(pid, snap) {
 		return false, nil, nil
 	}
 	if err != nil {

@@ -90,10 +90,7 @@ func rewriteSector(t *testing.T, s *Store, shadow [][]byte, pid uint32, sector i
 	}
 }
 
-func entryOf(s *Store, pid uint32) pageEntry {
-	e, _, _, _ := s.mt.snapshot(pid)
-	return e
-}
+func entryOf(s *Store, pid uint32) mapEntry { return s.mt.snapshot(pid) }
 
 func mustReadEqual(t *testing.T, s *Store, pid uint32, want []byte) {
 	t.Helper()

@@ -2,34 +2,39 @@ package core
 
 import (
 	"sync"
+	"unsafe"
 
 	"pdl/internal/diff"
 	"pdl/internal/flash"
+	"pdl/internal/ftl"
 )
 
-// mapTable owns PDL's mapping state — the physical page mapping table
-// (pid -> <base, differential>), the per-pid creation time stamps and
-// record lengths, the reverse base-page index, and the valid differential
-// count table — with its own synchronization, decoupled from the channel
-// locks.
+// mapTable owns PDL's mapping state — the physical page mapping table of
+// section 4.2, one 24-byte mapEntry per logical page and nothing per
+// physical page, and the valid differential count table — with its own
+// synchronization, decoupled from the channel locks.
 //
 // Concurrency model. Mutators hold their channel's lock, so mutators on
 // different channels run concurrently — the mapTable's RWMutex is the
-// real serializer for the maps and slices below, and it additionally
+// real serializer for the entries and the map below, and it additionally
 // orders mutations against lock-free readers (ReadPage and the read half
 // of WritePage, which deliberately take no store-level lock). Readers use
 // an optimistic versioned-snapshot protocol:
 //
-//	e, baseTS, diffTS, v := mt.snapshot(pid)    // entry + its two time stamps + per-pid version
+//	e := mt.snapshot(pid)         // the entry: pages, time stamps, version
 //	... read flash pages e points at, with no store-level lock held ...
-//	if !mt.stable(pid, v) { retry }
+//	if !mt.stable(pid, e) { retry }
 //
-// Every mutation of a pid's entry bumps its version, and garbage
+// Every mutation of a pid's entry bumps its 16-bit version, and garbage
 // collection always repoints the table BEFORE erasing the victim block,
-// so a reader that raced a relocation or a flush observes a version
-// change and retries against the new mapping; a reader whose version
-// check passes is guaranteed the flash bytes it read belonged to the
-// entry it looked up.
+// so a reader that raced a relocation or a flush observes a changed entry
+// and retries against the new mapping; a reader whose check passes is
+// guaranteed the flash bytes it read belonged to the entry it looked up.
+// The check compares the whole entry, version and both pages included: a
+// reader holds the pid's shard lock, under which only garbage collection
+// and racing heals move the entry, so an entry that came back to the same
+// pages and the same version within one read attempt would take 65,536
+// collections of that pid.
 //
 // Garbage collection is a CONCURRENT mutator too: one collector per
 // channel, each racing foreground writers on other channels for the
@@ -40,27 +45,11 @@ import (
 // differential, the conditional commit refuses and the collector
 // discards its copy instead of clobbering the newer mapping. Only
 // single-goroutine recovery, before the store is published, may touch
-// the fields directly.
+// the entries directly.
 type mapTable struct {
 	mu sync.RWMutex
-	// ppmt is the physical page mapping table of section 4.2.
-	ppmt []pageEntry
-	// baseTS caches the creation time stamp of each pid's base page, and
-	// diffTS of its newest differential; crash recovery rebuilds both.
-	baseTS []uint64
-	diffTS []uint64
-	// recLen is the wire length of each pid's newest differential record (0
-	// without one): the bytes its differential page loses when it is
-	// superseded. Crash recovery rebuilds it.
-	recLen []uint16
-	// ver counts mutations of each pid's entry, for the reader protocol.
-	ver []uint64
-	// reverseBase maps a base page's PPN back to its pid for GC: one slot per
-	// physical page of the device, written when a base page is committed at
-	// that PPN and never cleared. A slot is only a hint — a page that is no
-	// longer a base, or was never one (slot 0, pid 0), still names a pid —
-	// and baseOwner checks it against the forward mapping.
-	reverseBase []uint32
+	// ents is the physical page mapping table, indexed by pid.
+	ents []mapEntry
 	// vdct is the valid differential count table: differential page ->
 	// number of valid differentials it holds, and the bytes of the records
 	// on it that are no longer valid (the allocator's dead bytes of the
@@ -70,70 +59,88 @@ type mapTable struct {
 	vdct map[flash.PPN]diffPage
 }
 
-// newMapTable builds the tables of a database of numPages logical pages over
-// a device of flashPages physical ones.
-func newMapTable(numPages, flashPages int) *mapTable {
-	t := &mapTable{
-		ppmt:        make([]pageEntry, numPages),
-		baseTS:      make([]uint64, numPages),
-		diffTS:      make([]uint64, numPages),
-		recLen:      make([]uint16, numPages),
-		ver:         make([]uint64, numPages),
-		reverseBase: make([]uint32, flashPages),
-		vdct:        make(map[flash.PPN]diffPage),
+// mapEntry is one row of the physical page mapping table: the pair <base
+// page address, differential page address> of section 4.2; the base page's
+// creation time stamp (0: never written) and its newest differential's
+// distance from it (0: none; the record carries it too, and Case 3 keeps it
+// within diff.MaxBaseDistance); that record's wire length, which its page
+// loses when it is superseded; and the reader protocol's version, the one
+// field crash recovery does not rebuild.
+type mapEntry struct {
+	baseTS    uint64
+	base, dif flash.PPN
+	difDist   uint32
+	recLen    uint16
+	ver       uint16
+}
+
+// diffTS returns the time stamp of the entry's newest differential, 0
+// without one.
+func (e mapEntry) diffTS() uint64 {
+	if e.difDist == 0 {
+		return 0
 	}
-	for i := range t.ppmt {
-		t.ppmt[i] = pageEntry{base: flash.NilPPN, dif: flash.NilPPN}
+	return e.baseTS + uint64(e.difDist)
+}
+
+// newMapTable builds the tables of a database of numPages logical pages.
+func newMapTable(numPages int) *mapTable {
+	t := &mapTable{
+		ents: make([]mapEntry, numPages),
+		vdct: make(map[flash.PPN]diffPage),
+	}
+	for i := range t.ents {
+		t.ents[i].base, t.ents[i].dif = flash.NilPPN, flash.NilPPN
 	}
 	return t
 }
 
-// snapshot returns pid's entry with the time stamps of its base page and of
-// its differential (0 without one), which name the base image among the
-// retained ones (baseImages) and the record in the differential cache,
-// together with the entry's current version.
-func (t *mapTable) snapshot(pid uint32) (e pageEntry, baseTS, diffTS, v uint64) {
+// bytes returns the mapping state's size: the entries, and the valid
+// differential count table's keys and values (not the map's overhead).
+func (t *mapTable) bytes() int {
 	t.mu.RLock()
-	e, baseTS, diffTS, v = t.ppmt[pid], t.baseTS[pid], t.diffTS[pid], t.ver[pid]
+	n := len(t.vdct)
 	t.mu.RUnlock()
-	return e, baseTS, diffTS, v
+	return len(t.ents)*int(unsafe.Sizeof(mapEntry{})) + n*int(unsafe.Sizeof(flash.PPN(0))+unsafe.Sizeof(diffPage{}))
 }
 
-// stable reports whether pid's entry is still at version v: flash reads
+// snapshot returns pid's entry. Its time stamps name the base image among
+// the retained ones (baseImages) and the record in the differential cache.
+func (t *mapTable) snapshot(pid uint32) mapEntry {
+	t.mu.RLock()
+	e := t.ents[pid]
+	t.mu.RUnlock()
+	return e
+}
+
+// stable reports whether pid's entry is still the snapshot e: flash reads
 // made between snapshot and a passing stable call saw pages the entry
 // still owns.
-func (t *mapTable) stable(pid uint32, v uint64) bool {
+func (t *mapTable) stable(pid uint32, e mapEntry) bool {
 	t.mu.RLock()
-	cur := t.ver[pid]
+	cur := t.ents[pid]
 	t.mu.RUnlock()
-	if invariantsEnabled {
-		assertf(cur >= v, "mapTable version of pid %d moved backwards: snapshot saw %d, now %d", pid, v, cur)
-	}
-	return cur == v
+	return cur == e
 }
 
-// baseOwner returns the pid whose CURRENT base page is ppn, with its
-// creation time stamp. The reverse-index slot is validated against the
-// forward mapping inside one critical section, so neither a slot that was
-// never cleared nor a concurrent setBasePage on another channel can leave
-// the caller holding a stale (pid, ts) pair for a page that is no longer
-// anyone's base.
-func (t *mapTable) baseOwner(ppn flash.PPN) (pid uint32, ts uint64, ok bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	pid = t.reverseBase[ppn]
-	if t.ppmt[pid].base != ppn {
-		return 0, 0, false
+// basesIn returns, as one consistent set, the owners of the base pages among
+// the n physical pages from first: the i-th is the pid whose base page is
+// first+i, or ftl.NoPID. It is one scan of the whole table, for garbage
+// collection's relocation of a victim block, which checks each owner again
+// at its turn: a writer on another channel may have committed a newer base.
+func (t *mapTable) basesIn(first flash.PPN, n int) []uint32 {
+	owners := make([]uint32, n)
+	for i := range owners {
+		owners[i] = ftl.NoPID
 	}
-	return pid, t.baseTS[pid], true
-}
-
-// diffOf returns pid's current differential page and time stamp as one
-// consistent pair.
-func (t *mapTable) diffOf(pid uint32) (flash.PPN, uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.ppmt[pid].dif, t.diffTS[pid]
+	for pid, e := range t.ents {
+		if off := e.base - first; off >= 0 && int(off) < n {
+			owners[off] = uint32(pid)
+		}
+	}
+	return owners
 }
 
 // diffPage is a differential page's entry in the valid differential count
@@ -144,79 +151,77 @@ type diffPage struct {
 }
 
 // setBasePage commits a new base page: pid's base becomes ppn with
-// creation time stamp ts, and any previous base/differential linkage is
-// returned to the caller for release, with the length of the differential
-// record it drops (0 without one). A non-nil pin makes the commit
-// conditional on pid's entry still being at version *pin — the read-path
-// heal (applyRecord in read.go) pins its merged image to the version it
-// read: on false the copy at ppn is dead and must be discarded by the
-// caller, and the racing mutation (a GC relocation; flushes and writes are
-// excluded by the shard lock the healer holds) owns the mapping. Caller
-// holds a channel lock.
+// creation time stamp ts, and the previous entry is returned to the caller
+// for the release of its pages (old.recLen is the length of the
+// differential record it drops, 0 without one). A non-nil pin makes the
+// commit conditional on pid's entry still being the snapshot *pin — the
+// read-path heal (applyRecord in read.go) pins its merged image to the
+// entry it read: on false the copy at ppn is dead and must be discarded by
+// the caller, and the racing mutation (a GC relocation; flushes and writes
+// are excluded by the shard lock the healer holds) owns the mapping.
+// Caller holds a channel lock.
 //
 //pdlvet:holds channel
-func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, pin *uint64) (old pageEntry, oldLen int, ok bool) {
+func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, pin *mapEntry) (old mapEntry, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if pin != nil && t.ver[pid] != *pin {
-		return pageEntry{}, 0, false
+	e := &t.ents[pid]
+	if pin != nil && *e != *pin {
+		return mapEntry{}, false
 	}
-	old, oldLen = t.ppmt[pid], int(t.recLen[pid])
+	old = *e
 	if invariantsEnabled {
-		assertf(old.base == flash.NilPPN || ts > t.baseTS[pid],
-			"base page TS not monotone for pid %d: committed %d after %d", pid, ts, t.baseTS[pid])
+		assertf(old.base == flash.NilPPN || ts > old.baseTS,
+			"base page TS not monotone for pid %d: committed %d after %d", pid, ts, old.baseTS)
 	}
-	t.ppmt[pid] = pageEntry{base: ppn, dif: flash.NilPPN}
-	t.baseTS[pid] = ts
-	t.diffTS[pid] = 0
-	t.recLen[pid] = 0
-	t.reverseBase[ppn] = pid
-	t.ver[pid]++
-	return old, oldLen, true
+	*e = mapEntry{baseTS: ts, base: ppn, dif: flash.NilPPN, ver: old.ver + 1}
+	return old, true
 }
 
 // relocateBaseFrom moves pid's base page mapping from src to dst during
 // garbage collection, but only if src is still pid's base — a writer on
 // another channel may have committed a newer base since the collector's
-// baseOwner check. It reports whether the repoint was applied; on false
+// check. It reports whether the repoint was applied; on false
 // the collector's copy at dst is dead and must be discarded. The
 // creation time stamp is deliberately unchanged: relocation copies
 // content, it does not make it newer.
 func (t *mapTable) relocateBaseFrom(pid uint32, src, dst flash.PPN) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.ppmt[pid].base != src {
+	e := &t.ents[pid]
+	if e.base != src {
 		return false
 	}
-	t.ppmt[pid].base = dst
-	t.reverseBase[dst] = pid
-	t.ver[pid]++
+	e.base = dst
+	e.ver++
 	return true
 }
 
-// setDiffPage commits one flushed differential, a record of n bytes: pid's
-// differential page becomes ppn with time stamp ts, ppn's valid count grows,
-// and the previous differential page (if any) is returned for release with
-// the length of the record it loses. Caller holds a channel lock.
+// setDiffPage commits one flushed record, rec, of the pid's current base: its
+// differential page becomes ppn, ppn's valid count grows, and the previous
+// differential page (if any) is returned for release with the length of the
+// record it loses. Caller holds a channel lock.
 //
 //pdlvet:holds channel
-func (t *mapTable) setDiffPage(pid uint32, ppn flash.PPN, ts uint64, n int) (old flash.PPN, oldLen int) {
+func (t *mapTable) setDiffPage(ppn flash.PPN, rec []byte) (old flash.PPN, oldLen int) {
+	pid, ts := diff.RecordKey(rec)
 	t.mu.Lock()
-	old, oldLen = t.ppmt[pid].dif, int(t.recLen[pid])
+	e := &t.ents[pid]
+	old, oldLen = e.dif, int(e.recLen)
 	if invariantsEnabled {
 		// Equality is legal: a flush that failed after committing some
 		// mappings leaves the buffer intact, and the retry re-commits
 		// the same differentials with their original time stamps.
-		assertf(ts >= t.diffTS[pid],
-			"differential TS not monotone for pid %d: committed %d after %d", pid, ts, t.diffTS[pid])
+		assertf(ts >= e.diffTS(),
+			"differential TS not monotone for pid %d: committed %d after %d", pid, ts, e.diffTS())
+		assertf(diff.RecordBase(rec) == e.baseTS && ts > e.baseTS,
+			"pid %d: the differential of ts %d names the base of ts %d, the mapping holds %d", pid, ts, diff.RecordBase(rec), e.baseTS)
 	}
-	t.ppmt[pid].dif = ppn
-	t.diffTS[pid] = ts
-	t.recLen[pid] = uint16(n)
-	e := t.vdct[ppn]
-	e.valid++
-	t.vdct[ppn] = e
-	t.ver[pid]++
+	e.dif, e.difDist, e.recLen = ppn, uint32(ts-e.baseTS), uint16(len(rec))
+	e.ver++
+	dp := t.vdct[ppn]
+	dp.valid++
+	t.vdct[ppn] = dp
 	t.mu.Unlock()
 	return old, oldLen
 }
@@ -236,9 +241,9 @@ func (t *mapTable) repointCompacted(dst flash.PPN, recs []byte, from []flash.PPN
 	i := 0
 	for rec := range diff.Records(recs) {
 		pid, ts := diff.RecordKey(rec)
-		if t.ppmt[pid].dif == from[i] && t.diffTS[pid] == ts {
-			t.ppmt[pid].dif = dst
-			t.ver[pid]++
+		if e := &t.ents[pid]; e.dif == from[i] && e.diffTS() == ts {
+			e.dif = dst
+			e.ver++
 			valid++
 		} else {
 			lost += len(rec)
@@ -288,9 +293,9 @@ func (t *mapTable) diffsIn(dp flash.PPN) []pageStamp {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var keys []pageStamp
-	for pid, e := range t.ppmt {
+	for pid, e := range t.ents {
 		if e.dif == dp {
-			keys = append(keys, pageStamp{uint32(pid), t.diffTS[pid]})
+			keys = append(keys, pageStamp{uint32(pid), e.diffTS()})
 		}
 	}
 	return keys

@@ -98,10 +98,9 @@
 //	    parallel. It is held per commit — or, in background-GC mode, per
 //	    collected victim — never across a whole collection cycle. A commit
 //	    touching several channels locks them in ascending index order;
-//	  - the mapTable owns the mapping state (ppmt, time stamps, vdct,
-//	    reverseBase, a slot per physical page that is checked against ppmt
-//	    and never cleared) behind its own RWMutex plus a per-pid version
-//	    counter;
+//	  - the mapTable owns the mapping state (one 24-byte entry per logical
+//	    page — its pages, time stamps, record length and a version — and
+//	    vdct; nothing per physical page) behind its own RWMutex;
 //	  - the differential cache (see diffCache) and the retained base images
 //	    (see baseImages) each have an innermost mutex, only ever taken last
 //	    and never together.
@@ -109,7 +108,7 @@
 // Reads take NO store-level lock over the device: ReadPage snapshots the
 // pid's mapping entry with its version, reads the flash pages it points
 // at (devices allow concurrent reads), and retries in the rare case the
-// version moved — which only garbage-collection relocation or a flush of
+// entry moved — which only garbage-collection relocation or a flush of
 // the same pid can cause. Garbage collection always repoints the mapTable
 // before erasing a victim block, so a passing version check proves the
 // bytes read belonged to the looked-up entry. The expensive CPU work of
@@ -234,13 +233,6 @@ const reserveBlocks = 2
 // baseImagesShare sizes the window of retained base images: one page for
 // every baseImagesShare pages of the differential cache bound.
 const baseImagesShare = 8
-
-// pageEntry is one row of the physical page mapping table: the pair
-// <base page address, differential page address> of section 4.2.
-type pageEntry struct {
-	base flash.PPN
-	dif  flash.PPN
-}
 
 // shard is one partition of the differential write buffer, with the lock
 // that serializes writes to the pids hashed onto it. The padding keeps
@@ -383,6 +375,9 @@ type Telemetry struct {
 	// images, window and held region: with DiffCachePages x page size as P,
 	// their sum stays within (2 + 1/8) x P (see Options.DiffCachePages).
 	DiffCacheBytes, BaseImageBytes int64
+	// MapTableBytes is the mapping state's: 24 bytes a logical page, and 12
+	// per differential page with a valid record.
+	MapTableBytes int64
 	// ReadRetries counts optimistic read-path retries: a garbage-collection
 	// relocation or a flush moved the pid's mapping mid-read.
 	ReadRetries int64
@@ -512,7 +507,7 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		chans:    make([]storeChan, nchan),
 		numPages: numPages,
 		maxDiff:  maxDiff,
-		mt:       newMapTable(numPages, p.NumPages()),
+		mt:       newMapTable(numPages),
 		shards:   make([]shard, numShards),
 	}
 	s.pages.init(p.DataSize)
@@ -701,7 +696,7 @@ func (s *Store) RetainBase(pid uint32) {
 	if s.bimg == nil || int(pid) >= s.numPages {
 		return
 	}
-	_, baseTS, _, _ := s.mt.snapshot(pid)
+	baseTS := s.mt.snapshot(pid).baseTS
 	switch {
 	case baseTS == 0: // never written: the write-back is an initial load
 	case s.bimg.hold(pid, baseTS):
@@ -829,6 +824,7 @@ func (s *Store) Telemetry() Telemetry {
 	t.DiffCacheMisses = s.rtel.diffCacheMisses.Load()
 	t.DiffCacheBytes = int64(s.dcache.bytes())
 	t.BaseImageBytes = int64(s.bimg.bytes())
+	t.MapTableBytes = int64(s.mt.bytes())
 	t.ReadRetries = s.rtel.readRetries.Load()
 	t.BatchReads = s.rtel.batchReads.Load()
 	t.BatchedReads = s.rtel.batchedReads.Load()

@@ -447,8 +447,8 @@ func TestCompactionCopiesLiveRecords(t *testing.T) {
 	}
 	for pid, rec := range after {
 		_, ts := diff.RecordKey(rec)
-		if dif, cur := s.mt.diffOf(pid); dif != compacted || cur != ts {
-			t.Errorf("the compacted page carries a dead record: pid %d at time stamp %d, the mapping says page %d, time stamp %d", pid, ts, dif, cur)
+		if e := s.mt.snapshot(pid); e.dif != compacted || e.diffTS() != ts {
+			t.Errorf("the compacted page carries a dead record: pid %d at time stamp %d, the mapping says page %d, time stamp %d", pid, ts, e.dif, e.diffTS())
 		}
 	}
 	for pid := range shadow {

@@ -12,21 +12,14 @@ import (
 var _ ftl.BatchReader = (*Store)(nil)
 
 // pageRead is one logical page being recreated (PDL_Reading, Figure 9):
-// the pid, the mapping snapshot the current attempt reads against — entry e,
-// the time stamps baseTS of its base page and ts of its differential, at
-// version v — the caller's buffer, holding the base page image once it is
-// read, and the base page's uncorrectable sectors (nil when clean).
+// the pid, the mapping entry the current attempt reads against, the
+// caller's buffer, holding the base page image once it is read, and the base
+// page's uncorrectable sectors (nil when clean).
 type pageRead struct {
-	pid           uint32
-	e             pageEntry
-	baseTS, ts, v uint64
-	buf           []byte
-	bad           []int
-}
-
-// snapshot takes the mapping snapshot of one attempt.
-func (r *pageRead) snapshot(mt *mapTable) {
-	r.e, r.baseTS, r.ts, r.v = mt.snapshot(r.pid)
+	pid uint32
+	e   mapEntry
+	buf []byte
+	bad []int
 }
 
 // keepBaseImage keeps r.buf, the base image of r.pid as it was just read — under
@@ -36,7 +29,7 @@ func (r *pageRead) snapshot(mt *mapTable) {
 // itself and heals it by overwrite.
 func (s *Store) keepBaseImage(r *pageRead) {
 	if len(r.bad) == 0 {
-		s.bimg.put(r.pid, r.baseTS, r.buf)
+		s.bimg.put(r.pid, r.e.baseTS, r.buf)
 	}
 }
 
@@ -128,11 +121,11 @@ func (s *Store) readRetrying(sh *shard, pid uint32, buf []byte) error {
 //
 //pdlvet:holds shard
 func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
-	r.snapshot(s.mt)
+	r.e = s.mt.snapshot(r.pid)
 	if r.e.base == flash.NilPPN {
 		return false, fmt.Errorf("%w: pid %d", ftl.ErrNotWritten, r.pid)
 	}
-	stable, bad, err := s.verifiedReadStable(readBase, r.e.base, r.buf, r.pid, r.v)
+	stable, bad, err := s.verifiedReadStable(readBase, r.e.base, r.buf, r.pid, r.e)
 	if !stable {
 		return true, nil // relocated mid-read; retry on the new mapping
 	}
@@ -147,7 +140,7 @@ func (s *Store) readOnce(sh *shard, r *pageRead) (retry bool, err error) {
 	}
 	scratch := s.getPage()
 	defer s.putPage(scratch)
-	stable, bad, err = s.verifiedReadStable(readDiff, need, scratch, r.pid, r.v)
+	stable, bad, err = s.verifiedReadStable(readDiff, need, scratch, r.pid, r.e)
 	if !stable {
 		return true, nil // compacted mid-read; retry (base may have moved too)
 	}
@@ -189,14 +182,14 @@ func (s *Store) resolveDiff(sh *shard, r *pageRead) (need flash.PPN, err error) 
 	}
 	var hit bool
 	if len(r.bad) == 0 {
-		hit, err = s.dcache.merge(r.pid, r.ts, r.buf)
+		hit, err = s.dcache.merge(r.pid, r.e.diffTS(), r.buf)
 	} else if s.dcache != nil {
 		// Healing decodes the record and may commit a new base page: on a
 		// copy, outside the cache's lock.
 		scratch := s.getPage()
 		defer s.putPage(scratch)
 		var rec []byte
-		if rec, hit = s.dcache.copyOut(r.pid, r.ts, scratch[:0]); hit {
+		if rec, hit = s.dcache.copyOut(r.pid, r.e.diffTS(), scratch[:0]); hit {
 			err = s.applyRecord(rec, r, true)
 		}
 	}
@@ -219,8 +212,8 @@ func (s *Store) applyFromPage(page []byte, r *pageRead) error {
 	if !ok {
 		return fmt.Errorf("core: differential of pid %d missing from differential page %d", r.pid, r.e.dif)
 	}
-	if _, ts := diff.RecordKey(rec); ts != r.ts {
-		return fmt.Errorf("core: differential page %d holds time stamp %d for pid %d, the mapping says %d", r.e.dif, ts, r.pid, r.ts)
+	if _, ts := diff.RecordKey(rec); ts != r.e.diffTS() {
+		return fmt.Errorf("core: differential page %d holds time stamp %d for pid %d, the mapping says %d", r.e.dif, ts, r.pid, r.e.diffTS())
 	}
 	s.dcache.putRead(rec)
 	return s.applyRecord(rec, r, true)
@@ -247,8 +240,8 @@ func (s *Store) applyFromPage(page []byte, r *pageRead) error {
 //pdlvet:holds shard
 func (s *Store) applyRecord(rec []byte, r *pageRead, flushed bool) error {
 	if invariantsEnabled {
-		assertf(diff.RecordBase(rec) == r.baseTS, "pid %d: a record naming the base of ts %d merged onto the base of ts %d",
-			r.pid, diff.RecordBase(rec), r.baseTS)
+		assertf(diff.RecordBase(rec) == r.e.baseTS, "pid %d: a record naming the base of ts %d merged onto the base of ts %d",
+			r.pid, diff.RecordBase(rec), r.e.baseTS)
 	}
 	if len(r.bad) > 0 {
 		d, _, err := diff.Decode(rec)
@@ -263,9 +256,9 @@ func (s *Store) applyRecord(rec []byte, r *pageRead, flushed bool) error {
 		return err
 	}
 	if flushed {
-		v := r.v
+		pin := r.e
 		_ = s.commit([]pendingOp{{ts: s.nextTS(), home: s.homeChannel(s.shardIndex(r.pid)),
-			pid: r.pid, data: r.buf, pin: &v}})
+			pid: r.pid, data: r.buf, pin: &pin}})
 	}
 	s.itel.pagesHealed.Add(1)
 	return nil

@@ -310,7 +310,8 @@ func TestWritePathAllocations(t *testing.T) {
 
 // A Case 2 write allocates 3 times: diff.Compute's ranges are one slice
 // whose data aliases the page. The collection increment's bound is what
-// the decoded-form buffer cost; the slab makes it 9.
+// the decoded-form buffer cost; the slab makes it 10, one of them the
+// victim scan's owner list.
 const (
 	case2Allocs       = 3
 	gcIncrementAllocs = 28

@@ -115,9 +115,8 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 		if _, ok := bases[k]; !ok {
 			bases[k] = flash.PPN(ppn)
 		}
-		if s.mt.ppmt[h.PID].base == flash.NilPPN || h.TS > s.mt.baseTS[h.PID] {
-			s.mt.ppmt[h.PID].base = flash.PPN(ppn)
-			s.mt.baseTS[h.PID] = h.TS
+		if e := &s.mt.ents[h.PID]; e.base == flash.NilPPN || h.TS > e.baseTS {
+			e.base, e.baseTS = flash.PPN(ppn), h.TS
 		}
 	}
 	s.ts.Store(maxTS)
@@ -125,11 +124,8 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 		for _, k := range ks {
 			// The pid's winner so far is its newest record, else its newest
 			// base page (Fig. 11: ts(d) > ts(bp)).
-			e, won := &s.mt.ppmt[k.pid], s.mt.baseTS[k.pid]
-			if e.dif != flash.NilPPN {
-				won = s.mt.diffTS[k.pid]
-			}
-			if k.ts <= won {
+			e := &s.mt.ents[k.pid]
+			if k.ts <= max(e.baseTS, e.diffTS()) {
 				continue
 			}
 			bp, ok := bases[pageStamp{k.pid, k.base}]
@@ -137,24 +133,20 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 				continue // computed against a base page that is lost
 			}
 			e.base, e.dif = bp, k.ppn
-			s.mt.baseTS[k.pid], s.mt.diffTS[k.pid], s.mt.recLen[k.pid] = k.base, k.ts, k.n
+			e.baseTS, e.difDist, e.recLen = k.base, uint32(k.ts-k.base), k.n
 		}
 	}
 	// A valid differential page's records that lost arbitration are dead
 	// bytes on it: all it carries, less the records it is valid for.
-	for pid := range s.mt.ppmt {
-		e := &s.mt.ppmt[pid]
+	for _, e := range s.mt.ents {
 		if e.dif != flash.NilPPN {
 			dp, ok := s.mt.vdct[e.dif]
 			if !ok {
 				dp.dead = infos[e.dif].recBytes
 			}
 			dp.valid++
-			dp.dead -= int32(s.mt.recLen[pid])
+			dp.dead -= int32(e.recLen)
 			s.mt.vdct[e.dif] = dp
-		}
-		if e.base != flash.NilPPN {
-			s.mt.reverseBase[e.base] = uint32(pid)
 		}
 	}
 	// Rebuild the allocator's view: a block with any programmed page is
@@ -215,7 +207,7 @@ func (s *Store) useless(ppn flash.PPN, pi *pageInfo) bool {
 	}
 	switch h.Type {
 	case ftl.TypeBase:
-		return int(h.PID) >= s.numPages || s.mt.ppmt[h.PID].base != ppn
+		return int(h.PID) >= s.numPages || s.mt.ents[h.PID].base != ppn
 	case ftl.TypeDiff:
 		return s.mt.vdct[ppn].valid == 0
 	case ftl.TypeFree:

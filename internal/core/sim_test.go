@@ -745,7 +745,7 @@ func imageOf(s *Store) string {
 	for blk := range s.params.NumBlocks {
 		blocks = append(blocks, s.alloc.BlockStats(blk))
 	}
-	return fmt.Sprint(s.mt.ppmt, s.mt.baseTS, s.mt.diffTS, s.mt.recLen, s.mt.vdct, blocks, s.ts.Load(), s.Telemetry())
+	return fmt.Sprint(unversioned(s.mt.ents), s.mt.vdct, blocks, s.ts.Load(), s.Telemetry())
 }
 
 // adopted holds a recovered store's allocator to the flash under it, whose
@@ -1027,7 +1027,7 @@ func (r *simRun) injectPending() {
 
 // inject plants st's fault on the page pid maps to now.
 func (r *simRun) inject(st *simStep) {
-	e, _, _, _ := r.s.mt.snapshot(st.pids[0])
+	e := r.s.mt.snapshot(st.pids[0])
 	ppn := e.base
 	if st.onDiff {
 		ppn = e.dif
@@ -1121,10 +1121,10 @@ func (r *simRun) quiescent() error {
 			return fmt.Errorf("block %d holds %d valid pages, the allocator counts %d written and %d obsolete", blk, n, bs.Written, bs.Obsolete)
 		}
 	}
-	for pid, e := range s.mt.ppmt {
+	for pid, e := range s.mt.ents {
 		bp, df := b.base[pid], b.dif[pid]
-		if e != (pageEntry{bp.ppn, df.ppn}) || s.mt.baseTS[pid] != bp.ts || s.mt.diffTS[pid] != df.ts {
-			return fmt.Errorf("pid %d maps to %+v at time stamps %d and %d, the bitmap to %+v and %+v", pid, e, s.mt.baseTS[pid], s.mt.diffTS[pid], bp, df)
+		if e.base != bp.ppn || e.dif != df.ppn || e.baseTS != bp.ts || e.diffTS() != df.ts {
+			return fmt.Errorf("pid %d maps to %+v, the bitmap to %+v and %+v", pid, e, bp, df)
 		}
 	}
 	live := 0
@@ -1154,7 +1154,9 @@ func deadBytes(s *Store, b *simBitmap) error {
 	for ppn, e := range s.mt.vdct {
 		dead := 0
 		for _, rec := range b.recs[ppn] {
-			if int(rec.pid) >= s.numPages || s.mt.ppmt[rec.pid].dif != ppn || s.mt.diffTS[rec.pid] != rec.ts {
+			if int(rec.pid) >= s.numPages {
+				dead += rec.n
+			} else if e := s.mt.ents[rec.pid]; e.dif != ppn || e.diffTS() != rec.ts {
 				dead += rec.n
 			}
 		}
@@ -1666,7 +1668,7 @@ func (r *simRun) image(over [][]simMut, last *simMapping, held func([][]byte, []
 	if err := errors.Join(adopted(s, written), unstranded(s, bits), deadBytes(s, bits)); err != nil {
 		return err
 	}
-	m := simMapping{s.mt.ppmt, s.mt.baseTS, s.mt.diffTS}
+	m := simMapping(unversioned(s.mt.ents))
 	if m.equal(*last) {
 		return nil
 	}
@@ -1677,13 +1679,19 @@ func (r *simRun) image(over [][]simMut, last *simMapping, held func([][]byte, []
 // simMapping is what a recovered store's reads follow. The two images of a
 // crash point differ only where its mutation lands, on pages neither can
 // map, so when both map every pid alike they read back alike.
-type simMapping struct {
-	ppmt           []pageEntry
-	baseTS, diffTS []uint64
-}
+type simMapping []mapEntry
 
-func (m simMapping) equal(o simMapping) bool {
-	return slices.Equal(m.ppmt, o.ppmt) && slices.Equal(m.baseTS, o.baseTS) && slices.Equal(m.diffTS, o.diffTS)
+func (m simMapping) equal(o simMapping) bool { return slices.Equal(m, o) }
+
+// unversioned copies a mapping table's entries with their versions zeroed:
+// what the state oracles compare, since two stores that map alike may have
+// counted different mutations to get there.
+func unversioned(ents []mapEntry) []mapEntry {
+	out := slices.Clone(ents)
+	for i := range out {
+		out[i].ver = 0
+	}
+	return out
 }
 
 // simImage is one channel of a crash image: the channel's device under the

@@ -230,7 +230,7 @@ func TestLostHealNeedsNoMark(t *testing.T) {
 		t.Fatalf("scenario: the heal's allocation did not relocate the base page: %d collections, pid %d went %+v -> %+v",
 			s.alloc.GCRuns(), pid, before, after)
 	}
-	if lost := newerBasePages(t, dev, pid, s.mt.diffTS[pid]); len(lost) != 1 {
+	if lost := newerBasePages(t, dev, pid, s.mt.ents[pid].diffTS()); len(lost) != 1 {
 		t.Fatalf("base pages of pid %d newer than its mapping: %v, want the lost heal alone", pid, lost)
 	}
 

@@ -307,8 +307,10 @@ type Store = core.Store
 // bound (the page size when zero) over 65,534.
 type Options = core.Options
 
-// Telemetry is a Store's event counters and the bytes its read caches hold
-// (DiffCacheBytes, BaseImageBytes); see Store.Telemetry.
+// Telemetry is a Store's event counters, the bytes its read caches hold
+// (DiffCacheBytes, BaseImageBytes) and the bytes of its mapping state
+// (MapTableBytes: 24 a logical page, whatever the device's size, plus the
+// valid differential counts); see Store.Telemetry.
 type Telemetry = core.Telemetry
 
 // Open builds a PDL store for a database of numPages logical pages over a
