@@ -114,8 +114,8 @@ func TestExp1Shapes(t *testing.T) {
 	}{
 		{"IPL(18KB)", 241.8, 1512.4, 502.4, 1754.2},
 		{"IPL(64KB)", 604.5, 1285.8, 275.8, 1890.3},
-		{"PDL(2KB)", 219.8, 601.1, 38.1, 820.8},
-		{"PDL(256B)", 202.9, 338.4, 8.5, 541.3},
+		{"PDL(2KB)", 219.8, 598.0, 40.0, 817.8},
+		{"PDL(256B)", 202.5, 338.6, 7.7, 541.2},
 		{"OPU", 110.0, 2190.5, 170.5, 2300.5},
 		{"IPU", 110.0, 72414.8, 0.0, 72524.8},
 	} {
@@ -178,8 +178,8 @@ func TestExp2Shapes(t *testing.T) {
 	// the overall time per reflection of each method at N = 1, 4 and 8.
 	pinOverall(t, rows, []float64{1, 4, 8}, "N=%g", map[string][]float64{
 		"OPU":       {2299.1, 2302.8, 2305.1},
-		"PDL(2KB)":  {808.9, 1822.7, 2206.6},
-		"PDL(256B)": {544.8, 888.8, 1402.9},
+		"PDL(2KB)":  {804.6, 1737.0, 2258.3},
+		"PDL(256B)": {541.6, 885.3, 1409.8},
 		"IPL(18KB)": {1682.0, 3094.9, 5901.9},
 	})
 }
@@ -230,7 +230,7 @@ func TestExp3Shapes(t *testing.T) {
 	// The rows themselves, to one decimal, as TestExp2Shapes pins Figure 13's.
 	pinOverall(t, rows, pcts, "%g%% changed", map[string][]float64{
 		"OPU":       {2289.8, 2295.4, 2308.9},
-		"PDL(256B)": {457.9, 715.1, 1408.9},
+		"PDL(256B)": {459.3, 706.5, 1408.9},
 		"IPL(18KB)": {1724.2, 1773.0, 13184.8},
 	})
 }
@@ -280,7 +280,7 @@ func TestExp4Shapes(t *testing.T) {
 	// Figure 15's rows, to one decimal.
 	pinOverall(t, rows, pcts, "%g%% updates", map[string][]float64{
 		"OPU":       {110.0, 1219.4, 2301.7},
-		"PDL(256B)": {202.5, 370.5, 542.9},
+		"PDL(256B)": {203.4, 370.2, 544.0},
 	})
 }
 
@@ -407,7 +407,7 @@ func TestExp7Shapes(t *testing.T) {
 	// window stays a tenth, and only the wider sketch moves the rows.
 	pinOverall(t, rows, cfg.BufferPcts, "%g%% buffer", map[string][]float64{
 		"OPU":       {15814.7, 339.3},
-		"PDL(256B)": {4637.5, 160.4},
+		"PDL(256B)": {4521.8, 159.4},
 	})
 }
 

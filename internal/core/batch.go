@@ -256,7 +256,6 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 			return err
 		}
 	}
-	s.wtel.logicalWrites.Add(int64(len(writes)))
 
 	// Take the involved shard locks in ascending index order — the lock
 	// order that keeps concurrent WriteBatch calls deadlock-free.
@@ -282,8 +281,13 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 	// held — any concurrent writer to one of our pids is now ordered after
 	// this batch and will draw a strictly greater time stamp; reserving
 	// earlier would let such a writer commit a higher TS first and make
-	// recovery arbitrate against the live commit order.
-	tsBase := s.ts.Add(uint64(len(writes))) - uint64(len(writes))
+	// recovery arbitrate against the live commit order. A batch whose last
+	// stamp would not fit a record is refused whole, before it stages.
+	tsBase, err := s.reserveTS(uint64(len(writes)))
+	if err != nil {
+		return err
+	}
+	s.wtel.logicalWrites.Add(int64(len(writes)))
 
 	// Stage each shard's writes, in batch order (per-pid write order is
 	// defined by it), on its live buffer, after saving the buffer's bytes.
@@ -321,7 +325,7 @@ func (s *Store) WriteBatch(writes []ftl.PageWrite) error {
 	// Program and commit what was staged (even if a shard stopped partway:
 	// its staged prefix is still valid). If the commit fails, nothing landed
 	// and every involved buffer gets its saved bytes back.
-	err := s.commit(ops)
+	err = s.commit(ops)
 	for k, si := range involved {
 		if err != nil {
 			s.shards[si].dwb.restore(saved[k])

@@ -454,10 +454,12 @@ func TestApplyFromPageChecksTimeStamp(t *testing.T) {
 func BenchmarkDiffCache(b *testing.B) {
 	const pageSize, numPages = 2048, 8192
 	budget := defaultDiffCachePages * pageSize
-	// stamp rewrites the key of a record in place.
+	// stamp rewrites the key of a record in place: the pid and the 48-bit
+	// time stamp.
 	stamp := func(rec []byte, pid uint32, ts uint64) []byte {
 		binary.LittleEndian.PutUint32(rec[2:], pid)
-		binary.LittleEndian.PutUint64(rec[6:], ts)
+		binary.LittleEndian.PutUint16(rec[6:], uint16(ts))
+		binary.LittleEndian.PutUint32(rec[8:], uint32(ts>>16))
 		return rec
 	}
 	rec, large := testRecord(0, 1, 200, 0x5A), testRecord(0, 1, 600, 0xA5)

@@ -62,10 +62,10 @@ type mapTable struct {
 // mapEntry is one row of the physical page mapping table: the pair <base
 // page address, differential page address> of section 4.2; the base page's
 // creation time stamp (0: never written) and its newest differential's
-// distance from it (0: none; the record carries it too, and Case 3 keeps it
-// within diff.MaxBaseDistance); that record's wire length, which its page
-// loses when it is superseded; and the reader protocol's version, the one
-// field crash recovery does not rebuild.
+// distance from it (0: none; the record carries it too, in 24 bits, and
+// Case 3 keeps it within diff.MaxBaseDistance); that record's wire length,
+// which its page loses when it is superseded; and the reader protocol's
+// version, the one field crash recovery does not rebuild.
 type mapEntry struct {
 	baseTS    uint64
 	base, dif flash.PPN
@@ -123,25 +123,34 @@ func (t *mapTable) stable(pid uint32, e mapEntry) bool {
 	return cur == e
 }
 
-// basesIn returns, as one consistent set, the owners of the base pages among
-// the n physical pages from first: the i-th is the pid whose base page is
-// first+i, or ftl.NoPID. It is one scan of the whole table, for garbage
-// collection's relocation of a victim block, which checks each owner again
-// at its turn: a writer on another channel may have committed a newer base.
+// basesIn returns the owners of the base pages among the n physical pages
+// from first: the i-th is the pid whose base page is first+i, or ftl.NoPID.
+// It is one scan of the whole table, for garbage collection's relocation of
+// a full victim block, taken one basesInChunk of entries at a time so the
+// scan holds off no mutator for long. The set need not be consistent: a full
+// block gains no base page, so an entry that moves between two chunks can
+// only leave an owner that no longer owns its page, and relocation checks
+// each owner again at its turn.
 func (t *mapTable) basesIn(first flash.PPN, n int) []uint32 {
 	owners := make([]uint32, n)
 	for i := range owners {
 		owners[i] = ftl.NoPID
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for pid, e := range t.ents {
-		if off := e.base - first; off >= 0 && int(off) < n {
-			owners[off] = uint32(pid)
+	for lo := 0; lo < len(t.ents); lo += basesInChunk {
+		t.mu.RLock()
+		for i, e := range t.ents[lo:min(lo+basesInChunk, len(t.ents))] {
+			if off := e.base - first; off >= 0 && int(off) < n {
+				owners[off] = uint32(lo + i)
+			}
 		}
+		t.mu.RUnlock()
 	}
 	return owners
 }
+
+// basesInChunk is the number of entries basesIn scans under one hold of the
+// read lock: 24 KB of entries.
+const basesInChunk = 1024
 
 // diffPage is a differential page's entry in the valid differential count
 // table.

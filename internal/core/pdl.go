@@ -138,6 +138,11 @@ import (
 	"pdl/internal/gc"
 )
 
+// ErrTimeStampsExhausted reports a write the store refused because its
+// creation time stamp would pass diff.MaxTimeStamp, the largest a
+// differential record carries. Nothing of the refused call reaches flash.
+var ErrTimeStampsExhausted = errors.New("core: creation time stamps exhausted")
+
 // Options configures a PDL store.
 type Options struct {
 	// MaxDifferentialSize is the largest encoded differential (bytes) that
@@ -147,7 +152,7 @@ type Options struct {
 	// The paper evaluates PDL(2KB) and PDL(256B). Zero means the flash
 	// data-area size (one page).
 	//
-	// A record's offsets, lengths and size are 16 bits wide, and a size of
+	// A record's offsets and size are 16 bits wide, and a size of
 	// 0xFFFF ends a differential page's records, so New refuses a page data
 	// area over 65,536 bytes and a bound (after its zero default) over
 	// 65,534: a 65,536-byte page needs an explicit bound.
@@ -624,6 +629,21 @@ func (s *Store) Allocator() *ftl.Allocator { return s.alloc }
 
 // nextTS returns the next creation time stamp.
 func (s *Store) nextTS() uint64 { return s.ts.Add(1) }
+
+// reserveTS reserves n consecutive creation time stamps for a batch of
+// writes and returns the one below the first, or ErrTimeStampsExhausted if
+// the last would pass diff.MaxTimeStamp; a refused reservation takes none.
+func (s *Store) reserveTS(n uint64) (uint64, error) {
+	for {
+		cur := s.ts.Load()
+		if cur > diff.MaxTimeStamp-n {
+			return 0, fmt.Errorf("%w: %d writes after time stamp %d", ErrTimeStampsExhausted, n, cur)
+		}
+		if s.ts.CompareAndSwap(cur, cur+n) {
+			return cur, nil
+		}
+	}
+}
 
 // shardIndex maps a pid onto its write buffer shard index (Fibonacci
 // hashing, so strided pid patterns still spread across shards).

@@ -241,11 +241,16 @@ func TestBoundDecidesBeforeBufferRoom(t *testing.T) {
 		}
 	}
 	// change returns pid's page with a run of bytes flipped whose
-	// differential encodes to want bytes.
+	// differential encodes to want bytes: a run takes one range header per
+	// 255 bytes, two for the 279 bytes of a 300-byte record.
 	change := func(pid uint32, want int) []byte {
 		t.Helper()
 		page := bytes.Clone(shadow[pid])
-		for i := 0; i < want-diff.HeaderSize-diff.RangeOverhead; i++ {
+		n := want - diff.HeaderSize - diff.RangeOverhead
+		if n > 255 {
+			n -= diff.RangeOverhead
+		}
+		for i := 0; i < n; i++ {
 			page[100+i] ^= 0xFF
 		}
 		d, err := diff.Compute(pid, 1, shadow[pid], page)

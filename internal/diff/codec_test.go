@@ -10,6 +10,8 @@ package diff
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -291,6 +293,141 @@ func TestApplyRecordRejectsMalformed(t *testing.T) {
 	short := rec[:len(rec)-1] // size field no longer matches
 	if err := ApplyRecord(short, page); err == nil {
 		t.Error("truncated record accepted")
+	}
+}
+
+// TestLongRunsEncodeAsConsecutiveRanges holds the wire form on random
+// differentials whose runs reach 255 to 2,048 bytes: the size is what
+// AppendTo writes, the header carries the 48-bit time stamp and the 24-bit
+// base distance, a run longer than 255 bytes decodes as consecutive ranges of
+// at most 255, and the record found on a page by Records and FindIn and
+// merged by ApplyRecord recreates the page, as Apply of its decoded form does.
+func TestLongRunsEncodeAsConsecutiveRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(303))
+	const pageSize = 4096
+	base := make([]byte, pageSize)
+	for iter := 0; iter < 300; iter++ {
+		rng.Read(base)
+		cur := mutate(rng, base)
+		for k := rng.Intn(4); k >= 0; k-- {
+			l := 255 + rng.Intn(2048-255+1)
+			if rng.Intn(4) == 0 {
+				l = 1 + rng.Intn(300)
+			}
+			off := rng.Intn(pageSize - l + 1)
+			for i := off; i < off+l; i++ {
+				cur[i] = base[i] ^ byte(1+rng.Intn(255)) // every byte differs: one run
+			}
+		}
+		pid := uint32(rng.Intn(4))
+		ts := uint64(MaxBaseDistance) + uint64(rng.Int63n(MaxTimeStamp-MaxBaseDistance+1))
+		d, err := Compute(pid, ts, base, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Base = ts - uint64(rng.Intn(MaxBaseDistance+1))
+
+		rec := d.AppendTo(nil)
+		if len(rec) != d.EncodedSize() {
+			t.Fatalf("iter %d: AppendTo wrote %d bytes, EncodedSize says %d", iter, len(rec), d.EncodedSize())
+		}
+		headers, long := 0, false
+		for _, r := range d.Ranges {
+			headers += (len(r.Data) + 254) / 255
+			long = long || len(r.Data) > 255
+		}
+		if want := HeaderSize + RangeOverhead*headers + d.ChangedBytes(); len(rec) != want {
+			t.Fatalf("iter %d: a record of %d bytes, want %d", iter, len(rec), want)
+		}
+
+		got, n, err := Decode(rec)
+		if err != nil || n != len(rec) || got.PID != pid || got.TS != ts || got.Base != d.Base {
+			t.Fatalf("iter %d: Decode = %d bytes, pid %d ts %d base %d, %v; want %d, %d, %d, %d",
+				iter, n, got.PID, got.TS, got.Base, err, len(rec), pid, ts, d.Base)
+		}
+		if len(got.Ranges) != headers {
+			t.Fatalf("iter %d: decoded %d ranges, want %d", iter, len(got.Ranges), headers)
+		}
+		j := 0
+		for _, r := range d.Ranges {
+			for off := r.Off; off < r.Off+len(r.Data); j++ {
+				g := got.Ranges[j]
+				want := r.Data[off-r.Off : min(off-r.Off+255, len(r.Data))]
+				if g.Off != off || !bytes.Equal(g.Data, want) {
+					t.Fatalf("iter %d: decoded range %d is %d bytes at %d, want %d at %d", iter, j, len(g.Data), g.Off, len(want), off)
+				}
+				off += len(g.Data)
+			}
+		}
+		if !long && !equalDifferentials(got, d) {
+			t.Fatalf("iter %d: a differential of short ranges does not decode to itself", iter)
+		}
+
+		other := Differential{PID: pid, TS: ts - 1, Base: d.Base, Ranges: []Range{{Off: 7, Data: []byte{1, 2, 3}}}}
+		page := make([]byte, 0, MaxRecordSize)
+		page = other.AppendTo(page)
+		page = d.AppendTo(page)
+		var seen [][]byte
+		for r := range Records(page) {
+			seen = append(seen, r)
+		}
+		if len(seen) != 2 || !bytes.Equal(seen[1], rec) {
+			t.Fatalf("iter %d: Records yielded %d records, want the two written", iter, len(seen))
+		}
+		found, ok := FindIn(page, pid)
+		if k, fts := RecordKey(found); !ok || !bytes.Equal(found, rec) || k != pid || fts != ts || RecordBase(found) != d.Base {
+			t.Fatalf("iter %d: FindIn found %v a record of pid %d ts %d base %d", iter, ok, k, fts, RecordBase(found))
+		}
+		a, b := bytes.Clone(base), bytes.Clone(base)
+		if err := ApplyRecord(found, a); err != nil {
+			t.Fatalf("iter %d: ApplyRecord: %v", iter, err)
+		}
+		if err := got.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, cur) || !bytes.Equal(b, cur) {
+			t.Fatalf("iter %d: ApplyRecord (%v) or Apply of the decoded form (%v) does not recreate the page",
+				iter, bytes.Equal(a, cur), bytes.Equal(b, cur))
+		}
+	}
+}
+
+// TestBadRangeHeaderRejectedBeforeWriting cuts and stretches the 3-byte range
+// header of a record's last range: a header cut short (the size field says
+// the record ends inside it) and a length running past the record's end are
+// rejected by Decode, Records and ApplyRecord, the last before it writes the
+// record's valid first range.
+func TestBadRangeHeaderRejectedBeforeWriting(t *testing.T) {
+	d := Differential{PID: 2, TS: 9, Base: 4, Ranges: []Range{
+		{Off: 0, Data: []byte{1, 2, 3}}, {Off: 40, Data: []byte{4, 5, 6, 7}}}}
+	rec := d.AppendTo(nil)
+	last := HeaderSize + RangeOverhead + 3 // the last range's header
+	var bad [][]byte
+	for cut := 1; cut < RangeOverhead; cut++ { // a truncated header
+		r := bytes.Clone(rec[:last+cut])
+		binary.LittleEndian.PutUint16(r, uint16(len(r)))
+		bad = append(bad, r)
+	}
+	for _, l := range []byte{5, 0xFF} { // an overlong one
+		r := bytes.Clone(rec)
+		r[last+2] = l
+		bad = append(bad, r)
+	}
+	for i, r := range bad {
+		if _, _, err := Decode(r); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("case %d: Decode returned %v, want ErrCorrupt", i, err)
+		}
+		page := append(bytes.Clone(r), bytes.Repeat([]byte{0xFF}, 64)...)
+		if n := UsedPrefix(page); n != 0 {
+			t.Errorf("case %d: Records accepted %d bytes", i, n)
+		}
+		page = bytes.Repeat([]byte{0xEE}, 64)
+		if err := ApplyRecord(r, page); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("case %d: ApplyRecord returned %v, want ErrCorrupt", i, err)
+		}
+		if !bytes.Equal(page, bytes.Repeat([]byte{0xEE}, 64)) {
+			t.Errorf("case %d: the rejected record wrote the page", i)
+		}
 	}
 }
 

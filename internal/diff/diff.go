@@ -7,22 +7,25 @@
 //
 //	<size, physical page ID, creation time stamp, base distance, [offset, length, changed data]+>
 //
-// the paper's <size, pid, ts, ranges> with one field more. The size lets
-// several differentials be packed into one differential page and parsed
-// back, and the ranges run to the end it sets. Because erased flash reads as
-// 0xFF, a size field of 0xFFFF terminates the record sequence in a
-// partially filled differential page.
+// the paper's <size, pid, ts, ranges> with one field more, in a 15-byte
+// header: size (2 bytes), pid (4), time stamp (6: MaxTimeStamp) and base
+// distance (3: MaxBaseDistance), then 3 bytes of offset (2) and length (1)
+// in front of each range's data. A changed run longer than 255 bytes is
+// encoded as consecutive ranges. The size lets several differentials be
+// packed into one differential page and parsed back, and the ranges run to
+// the end it sets. Because erased flash reads as 0xFF, a size field of
+// 0xFFFF terminates the record sequence in a partially filled differential
+// page.
 //
 // The base distance names the base page the differential was computed
-// against: the creation time stamp minus the base page's, in 32 bits, so
+// against: the creation time stamp minus the base page's, in 24 bits, so
 // the name is exact. The paper's recovery replays a page's newest
 // differential onto the newest base page below it, which is only right
 // while the base it was computed against survives; a record that names its
 // base lets recovery tell a lost base from a superseded one (RecordBase).
 // The record carries no range count: the size field, and the ranges tiling
 // the record up to it, imply one. Nothing versions the format, so records
-// written with the earlier 16-byte header <size, pid, ts, range count> are
-// not readable.
+// written with an earlier header (16 or 18 bytes) are not readable.
 //
 // The wire record is the form a differential lives in: the store's write
 // buffer, differential pages, differential cache and read path hold and merge
@@ -41,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"math"
 	"math/bits"
 )
 
@@ -55,10 +57,12 @@ var (
 
 // Wire-format constants.
 const (
-	// headerSize is size(2) + pid(4) + ts(8) + base distance(4).
-	headerSize = 18
-	// rangeOverhead is off(2) + len(2) per changed range.
-	rangeOverhead = 4
+	// headerSize is size(2) + pid(4) + ts(6) + base distance(3).
+	headerSize = 15
+	// rangeOverhead is off(2) + len(1) per encoded range.
+	rangeOverhead = 3
+	// maxRangeLen is the longest range one range header carries.
+	maxRangeLen = 0xFF
 	// endMarker terminates the record sequence in a differential page.
 	endMarker = 0xFFFF
 )
@@ -75,8 +79,14 @@ const MaxPageSize = 1 << 16
 const MaxRecordSize = endMarker - 1
 
 // MaxBaseDistance is the largest gap between a differential's time stamp and
-// its base page's that a record carries: the field is 32 bits wide.
-const MaxBaseDistance = math.MaxUint32
+// its base page's that a record carries: the field is 24 bits wide. A
+// writer whose base is further back writes a new base page instead.
+const MaxBaseDistance = 1<<24 - 1
+
+// MaxTimeStamp is the largest creation time stamp a record carries: the
+// field is 48 bits wide. A writer refuses a write it would have to stamp
+// past it.
+const MaxTimeStamp = 1<<48 - 1
 
 // RangeOverhead is the per-range metadata cost in the encoding. Compute
 // coalesces nearby ranges when doing so shrinks the encoding.
@@ -107,7 +117,8 @@ type Differential struct {
 	// MaxBaseDistance.
 	Base uint64
 	// Ranges are the changed byte ranges, in ascending offset order,
-	// non-overlapping.
+	// non-overlapping. A range may be of any length: the encoding splits
+	// one longer than 255 bytes into consecutive ranges.
 	Ranges []Range
 }
 
@@ -242,20 +253,39 @@ func (d Differential) ChangedBytes() int {
 // space of the differential write buffer (Cases 1-3 of the PDL_Writing
 // algorithm).
 func (d Differential) EncodedSize() int {
-	return headerSize + rangeOverhead*len(d.Ranges) + d.ChangedBytes()
+	n := headerSize
+	for _, r := range d.Ranges {
+		// One range header per maxRangeLen bytes, and one for an empty range.
+		n += rangeOverhead*max(1, (len(r.Data)+maxRangeLen-1)/maxRangeLen) + len(r.Data)
+	}
+	return n
 }
 
-// AppendTo appends the wire encoding of d to buf and returns the result.
+// AppendTo appends the wire encoding of d to buf and returns the result. It
+// panics if d.TS is past MaxTimeStamp or further than MaxBaseDistance from
+// d.Base, which the record cannot carry.
 func (d Differential) AppendTo(buf []byte) []byte {
+	dist := d.TS - d.Base
+	if d.TS > MaxTimeStamp || dist > MaxBaseDistance {
+		panic(fmt.Sprintf("diff: time stamp %d of base %d does not fit a record", d.TS, d.Base))
+	}
 	size := d.EncodedSize()
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(size))
 	buf = binary.LittleEndian.AppendUint32(buf, d.PID)
-	buf = binary.LittleEndian.AppendUint64(buf, d.TS)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.TS-d.Base))
+	buf = append(buf, byte(d.TS), byte(d.TS>>8), byte(d.TS>>16), byte(d.TS>>24), byte(d.TS>>32), byte(d.TS>>40))
+	buf = append(buf, byte(dist), byte(dist>>8), byte(dist>>16))
 	for _, r := range d.Ranges {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(r.Off))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Data)))
-		buf = append(buf, r.Data...)
+		off, data := r.Off, r.Data
+		for {
+			n := min(len(data), maxRangeLen)
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(off))
+			buf = append(buf, byte(n))
+			buf = append(buf, data[:n]...)
+			off, data = off+n, data[n:]
+			if len(data) == 0 {
+				break
+			}
+		}
 	}
 	return buf
 }
@@ -279,8 +309,7 @@ func Decode(buf []byte) (Differential, int, error) {
 		if off+rangeOverhead > size {
 			return Differential{}, 0, fmt.Errorf("%w: range header past record end", ErrCorrupt)
 		}
-		ro := int(binary.LittleEndian.Uint16(buf[off:]))
-		rl := int(binary.LittleEndian.Uint16(buf[off+2:]))
+		ro, rl := rangeAt(buf, off)
 		off += rangeOverhead
 		if off+rl > size {
 			return Differential{}, 0, fmt.Errorf("%w: range data past record end", ErrCorrupt)
@@ -336,13 +365,21 @@ func Records(pageData []byte) iter.Seq[[]byte] {
 // RecordKey returns the logical page and the creation time stamp in the
 // header of an encoded record yielded by Records.
 func RecordKey(rec []byte) (pid uint32, ts uint64) {
-	return binary.LittleEndian.Uint32(rec[2:]), binary.LittleEndian.Uint64(rec[6:])
+	// The time stamp is bytes [6:12): the top six of the word at 4.
+	return binary.LittleEndian.Uint32(rec[2:]), binary.LittleEndian.Uint64(rec[4:]) >> 16
 }
 
 // RecordBase returns the creation time stamp of the base page an encoded
 // record yielded by Records was computed against.
 func RecordBase(rec []byte) uint64 {
-	return binary.LittleEndian.Uint64(rec[6:]) - uint64(binary.LittleEndian.Uint32(rec[14:]))
+	// The distance is bytes [12:15): the top three of the word at 11.
+	_, ts := RecordKey(rec)
+	return ts - uint64(binary.LittleEndian.Uint32(rec[11:])>>8)
+}
+
+// rangeAt returns the offset and length in the range header at rec[off:].
+func rangeAt(rec []byte, off int) (ro, rl int) {
+	return int(binary.LittleEndian.Uint16(rec[off:])), int(rec[off+2])
 }
 
 // UsedPrefix returns the length of the well-formed record sequence at the
@@ -380,7 +417,7 @@ func validRecord(rec []byte) bool {
 		if off+rangeOverhead > len(rec) {
 			return false
 		}
-		off += rangeOverhead + int(binary.LittleEndian.Uint16(rec[off+2:]))
+		off += rangeOverhead + int(rec[off+2])
 		if off > len(rec) {
 			return false
 		}
@@ -398,8 +435,7 @@ func ApplyRecord(rec, page []byte) error {
 		return fmt.Errorf("%w: malformed record of %d bytes", ErrCorrupt, len(rec))
 	}
 	for off := headerSize; off < len(rec); {
-		ro := int(binary.LittleEndian.Uint16(rec[off:]))
-		rl := int(binary.LittleEndian.Uint16(rec[off+2:]))
+		ro, rl := rangeAt(rec, off)
 		if ro+rl > len(page) {
 			return fmt.Errorf("%w: range [%d,%d) outside page of %d bytes",
 				ErrCorrupt, ro, ro+rl, len(page))
@@ -407,8 +443,7 @@ func ApplyRecord(rec, page []byte) error {
 		off += rangeOverhead + rl
 	}
 	for off := headerSize; off < len(rec); {
-		ro := int(binary.LittleEndian.Uint16(rec[off:]))
-		rl := int(binary.LittleEndian.Uint16(rec[off+2:]))
+		ro, rl := rangeAt(rec, off)
 		off += rangeOverhead
 		copy(page[ro:], rec[off:off+rl])
 		off += rl

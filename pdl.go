@@ -294,6 +294,10 @@ var (
 	// ErrPowerLoss reports that a scheduled (simulated) power failure
 	// interrupted a flash operation; see Chip.SchedulePowerFailure.
 	ErrPowerLoss = flash.ErrPowerLoss
+	// ErrTimeStampsExhausted reports a PDL write refused because its
+	// creation time stamp would pass the 48 bits a differential record
+	// carries; nothing of the refused call reaches flash.
+	ErrTimeStampsExhausted = core.ErrTimeStampsExhausted
 )
 
 // Store is a page-differential logging store (the paper's contribution).
