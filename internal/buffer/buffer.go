@@ -264,9 +264,6 @@ func NewPool(method ftl.Method, capacity int) (*Pool, error) {
 	return p, nil
 }
 
-// Capacity returns the pool capacity in pages.
-func (p *Pool) Capacity() int { return p.capacity }
-
 // Len returns the number of resident pages.
 func (p *Pool) Len() int { return len(p.dir) }
 

@@ -419,9 +419,10 @@ func (s *Store) commit(ops []pendingOp) error {
 // replays the mapping-table commits in the same order. An allocation that
 // fails returns before anything is programmed, naming the channel, with the
 // pages already allocated on lower channels counted obsolete (they stay
-// erased, and victim selection must see them as reclaimable); past
-// the program every mapping is committed and every superseded page retired
-// in the allocator's counters (NoteObsoleteFrom: no device operation), and
+// erased, and victim selection must see them as reclaimable). A program
+// that fails counts every page of the commit obsolete the same way: what
+// it landed is a prefix nothing maps. Past the program every mapping is
+// committed and every superseded page retired in the allocator's counters (NoteObsoleteFrom: no device operation), and
 // every record of a spilled page is in the differential cache, and none a
 // new base page superseded. A pinned base page whose pin no longer holds —
 // a heal that lost its race — is retired the same way: the writes after it
@@ -519,6 +520,11 @@ func (s *Store) programOps(ops []pendingOp) (full int, err error) {
 		}
 	}
 	if err != nil {
+		// What landed of a failed program is a prefix nothing maps: every
+		// page the commit was given is garbage, landed or still erased.
+		for i := range ops {
+			s.alloc.NoteObsolete(ops[i].ppn)
+		}
 		return 0, fmt.Errorf("core: programming %d pages: %w", len(ops), err)
 	}
 

@@ -473,162 +473,6 @@ func TestIntegrityGCCompactionRescue(t *testing.T) {
 	}
 }
 
-func TestIntegrityRecoveryQuarantine(t *testing.T) {
-	s, fd, shadow := faultedStore(t, 16, 8, Options{})
-	eBit, eSec, eHdr := entryOf(s, 1), entryOf(s, 2), entryOf(s, 3)
-	fd.Inject(faultdev.Fault{PPN: eBit.base, Kind: faultdev.BitFlip, Off: 77, Bit: 6})
-	fd.Inject(faultdev.Fault{PPN: eSec.base, Kind: faultdev.SectorCorrupt, Off: 256})
-	// Offset 4 lands in the header's PID field: the checksum must catch it.
-	fd.Inject(faultdev.Fault{PPN: eHdr.base, Kind: faultdev.SpareCorrupt, Off: 4})
-
-	r, err := Recover(fd, 8, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The bit-flipped page recovers byte-identically; the corrupt pages
-	// are quarantined — their pids read as never written, never as wrong
-	// bytes — and every untouched pid is intact.
-	for pid := 0; pid < 8; pid++ {
-		buf := make([]byte, r.params.DataSize)
-		err := r.ReadPage(uint32(pid), buf)
-		switch pid {
-		case 2, 3:
-			if !errors.Is(err, ftl.ErrNotWritten) {
-				t.Errorf("quarantined pid %d: err = %v, want ErrNotWritten", pid, err)
-			}
-		default:
-			if err != nil {
-				t.Errorf("pid %d: %v", pid, err)
-			} else if !bytes.Equal(buf, shadow[pid]) {
-				t.Errorf("pid %d recovered with wrong content", pid)
-			}
-		}
-	}
-	tel := r.Telemetry()
-	if tel.EccCorrectedBits == 0 {
-		t.Error("recovery corrected no bits")
-	}
-	if tel.UnrecoverablePages == 0 {
-		t.Error("recovery quarantined no uncorrectable page")
-	}
-	if tel.HeaderChecksumFailures == 0 {
-		t.Error("recovery caught no header checksum failure")
-	}
-	// Idempotence: recovering again (the quarantined pages are still there,
-	// unmarked, and are quarantined again) reproduces the same state.
-	r2, err := Recover(fd, 8, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pid := 0; pid < 8; pid++ {
-		buf := make([]byte, r2.params.DataSize)
-		err := r2.ReadPage(uint32(pid), buf)
-		if pid == 2 || pid == 3 {
-			if !errors.Is(err, ftl.ErrNotWritten) {
-				t.Errorf("re-recovery pid %d: err = %v", pid, err)
-			}
-		} else if err != nil || !bytes.Equal(buf, shadow[pid]) {
-			t.Errorf("re-recovery pid %d diverged: %v", pid, err)
-		}
-	}
-}
-
-// TestIntegrityRecoveryPoisonTS crafts the dangerous crash shape by hand:
-// two base pages for one pid in flash (a superseded base page stays there,
-// unmarked, until its block is collected) plus a differential computed
-// against the NEWER one, which it names. When the newer base is lost —
-// quarantined for an uncorrectable sector, or read as erased, spare and all —
-// recovery must NOT replay the differential onto the older survivor: that
-// would fabricate content that never existed. The pid falls back to the
-// survivor alone.
-func TestIntegrityRecoveryPoisonTS(t *testing.T) {
-	for _, loss := range []faultdev.Kind{faultdev.SectorCorrupt, faultdev.PageLoss} {
-		t.Run(loss.String(), func(t *testing.T) {
-			p := ftltest.SmallParams(8)
-			fd := faultdev.Wrap(flash.NewChip(p))
-
-			oldBase := make([]byte, p.DataSize) // content A, ts 10
-			newBase := make([]byte, p.DataSize) // content B, ts 20
-			for i := range oldBase {
-				oldBase[i] = byte(i)
-				newBase[i] = byte(i) ^ 0x0F
-			}
-			programRaw(t, fd, 0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
-			programRaw(t, fd, 1, newBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1})
-			// The differential (ts 30) patches bytes 0..3 of the NEW base.
-			img := make([]byte, p.DataSize)
-			encodeDiffPage(img, []diff.Differential{{PID: 0, TS: 30, Base: 20, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}}})
-			programRaw(t, fd, 2, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 30, Seq: 1})
-
-			fd.Inject(faultdev.Fault{PPN: 1, Kind: loss, Off: 0})
-			s, err := Recover(fd, 4, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := entryOf(s, 0)
-			if e.base != 0 {
-				t.Fatalf("recovered base = %d, want the ts-10 survivor at ppn 0", e.base)
-			}
-			if e.dif != flash.NilPPN {
-				t.Fatal("the differential of the lost base was adopted — stale-base fabrication")
-			}
-			mustReadEqual(t, s, 0, oldBase)
-		})
-	}
-}
-
-// TestIntegrityRecoveryPoisonSparesOlderDiff adds to the shape above a
-// differential (ts 15) written between the two base pages, in another
-// block. It names the surviving ts-10 base, so it is adopted, and the ts-30
-// differential, which names the lost one, is not — whatever the scan's
-// worker count. When each worker kept only its newest record per pid, a
-// worker that scanned both differentials dropped the ts-15 one behind the
-// refused ts-30 one, so one and two workers recovered the old base alone
-// while one worker per block adopted the differential.
-func TestIntegrityRecoveryPoisonSparesOlderDiff(t *testing.T) {
-	p := ftltest.SmallParams(8)
-	fd := faultdev.Wrap(flash.NewChip(p))
-
-	oldBase := make([]byte, p.DataSize) // ts 10
-	newBase := make([]byte, p.DataSize) // ts 20
-	for i := range oldBase {
-		oldBase[i] = byte(i)
-		newBase[i] = byte(i) ^ 0x0F
-	}
-	programRaw(t, fd, 0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
-	programRaw(t, fd, 1, newBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1})
-	programDiff := func(ppn flash.PPN, d diff.Differential) {
-		page := make([]byte, p.DataSize)
-		encodeDiffPage(page, []diff.Differential{d})
-		programRaw(t, fd, ppn, page, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: d.TS, Seq: 1})
-	}
-	programDiff(2, diff.Differential{PID: 0, TS: 30, Base: 20, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}})
-	older := diff.Range{Off: 4, Data: []byte{0x11, 0x22, 0x33, 0x44}}
-	programDiff(flash.PPN(p.PagesPerBlock), diff.Differential{PID: 0, TS: 15, Base: 10, Ranges: []diff.Range{older}})
-	fd.Inject(faultdev.Fault{PPN: 1, Kind: faultdev.SectorCorrupt, Off: 0})
-
-	want := bytes.Clone(oldBase)
-	copy(want[older.Off:], older.Data)
-	for _, w := range []int{1, 2, p.NumBlocks, 0} {
-		var s *Store
-		var err error
-		if w > 0 {
-			s, err = recoverWith(fd, 4, Options{}, w)
-		} else {
-			s, err = Recover(fd, 4, Options{})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e := entryOf(s, 0); e.base != 0 || e.dif != flash.PPN(p.PagesPerBlock) {
-			t.Fatalf("%d workers (0: Recover): pid 0 -> base %d, differential %d; want 0 and %d",
-				w, e.base, e.dif, p.PagesPerBlock)
-		}
-		mustReadEqual(t, s, 0, want)
-		s.Close()
-	}
-}
-
 // TestIntegrityFailedCollectionKeepsDiffCounts: a collection that fails
 // after it has gathered a differential page's survivors (here: the typed
 // error of a later, corrupt page of the same victim) must leave that

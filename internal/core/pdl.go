@@ -792,32 +792,6 @@ func (s *Store) releaseDiffPage(dp flash.PPN, n, ch int) {
 	s.alloc.NoteDeadFrom(dp, dead, ch)
 }
 
-// WriteBufferBytes returns the used bytes of the differential write buffer,
-// summed across shards (for tests and tooling).
-func (s *Store) WriteBufferBytes() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.dwb.slab)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// WriteBufferLen returns the number of differentials currently buffered
-// across all shards.
-func (s *Store) WriteBufferLen() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.dwb.index)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // ValidDifferentialPages returns the number of differential pages holding
 // at least one valid differential (for tests and tooling).
 func (s *Store) ValidDifferentialPages() int {
@@ -863,10 +837,3 @@ func (s *Store) Telemetry() Telemetry {
 	t.HeaderChecksumFailures = s.itel.headerChecksumFailures.Load()
 	return t
 }
-
-// DiffCacheLen returns the number of differential records currently held by
-// the differential cache (0 when disabled); for tests and tooling.
-func (s *Store) DiffCacheLen() int { return s.dcache.len() }
-
-// DiffCacheEnabled reports whether the differential cache is on.
-func (s *Store) DiffCacheEnabled() bool { return s.dcache != nil }

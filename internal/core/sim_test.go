@@ -7,19 +7,28 @@ package core
 //   - every read returns the bytes the acknowledged writes left (the model);
 //   - the crash contract at every point of the run's own mutation log (every
 //     simStride-th point in a build without pdlinvariants): flash cut there,
-//     a program torn or not begun, an erase not begun or completed, recovers
+//     a program not begun or torn (early: half its data, no spare; or late:
+//     all but its header checksum), an erase not begun or completed, recovers
 //     to a state of the serial re-run of the same calls (every batch as its
 //     writes one by one) around the call the point fell in — one of them on
 //     one channel, and page by page one of them on a striped device, whose
 //     other channel also holds what that call did there that did not follow
 //     from the point's success;
+//   - recovery is exact: every store recovered from an image, before any
+//     read, counts the header checksum failures, uncorrectable pages and
+//     corrected bits predict finds in that image, and reads back, every pid
+//     without an error, the version predict finds: the newest of its
+//     surviving base pages and of the records whose named base survives, a
+//     page surviving if its header checksum holds and its data corrects;
 //   - recovery is read-only and a pure function of flash: the store recovered
-//     from every image adopts exactly the pages flash holds and leaves every
-//     erased page free, open or in a block a collection can pick; after the
+//     from every image adopts exactly the pages flash holds, counts every one
+//     its mapping does not reach obsolete, and leaves every erased page free,
+//     open or in a block a collection can pick; after the
 //     last flush and at the log's middle point four recoveries (the scan with
 //     one worker, one per block, GOMAXPROCS, and the cell's options) rebuild
 //     one state and cost no program and no erase, and the store recovered at
-//     the middle point carries on;
+//     the middle point carries on, unless a page was lost, and restarts once
+//     more;
 //   - after the last flush recovery reads back every acknowledged write, and
 //     the pool has written back its caller's bytes;
 //   - on a deterministic cell (synchronous collection) the store with its RAM
@@ -38,14 +47,53 @@ package core
 //     differential page's dead bytes, and each block's, are a recount of the
 //     records the harness saw programmed there that are not their pid's
 //     newest differential (deadbytes);
-//   - every injected fault ends in the model's bytes or a typed
-//     *ftl.PageError, and recovery after the last flush and at every point of
-//     a faulted run reads back no byte no write carried. A program that plants
+//   - one program in three plants a faultdev fault (a bit flip, a corrupt
+//     sector, a corrupt spare or a lost page, on a base or a differential
+//     page) and tears a batch of whole-page writes; every read during the run
+//     returns the model's bytes or a typed *ftl.PageError, and after the
+//     fault flash holds no version no write carried. A program that plants
 //     faults also runs once without them, held to the exact oracles above.
 //
 // A failing program is shrunk by dropping steps, each candidate enumerated
 // again, and printed with its crash point and the one line that runs its
 // subtest again.
+//
+// What the oracles catch, measured by taking one check out of a copy of the
+// package and running the plain go test -run TestSim ./internal/core/: a
+// seed that fails, on a cell with synchronous collection where one does, and
+// how many of the 520 seeds fail (cells with background collection vary from
+// run to run, so a count may move by one or two). A check no seed catches
+// names the test that does.
+//
+//	recover.go
+//	  a header checksum failure neither counted nor quarantined emu-small-shards=ch-sync-cache=off-store/seed=1    501
+//	  a header checksum failure counted, the page adopted       emu-small-shards=ch-sync-cache=off-store/seed=1    461
+//	  a free-looking page with programmed data taken as clean   emu-small-shards=ch-sync-cache=off-store/seed=1    514
+//	  a torn page not counted obsolete                          emu-small-shards=ch-sync-cache=off-store/seed=1    515
+//	  an uncorrectable base page counted, and adopted           file-big-shards=4-sync-cache=default-store/seed=6   29
+//	  an uncorrectable differential page counted, its records
+//	  adopted                                                   striped-big-shards=ch-sync-cache=off-store/seed=6    7
+//	  a record adopted onto the pid's newest base, whatever
+//	  base it names (Figure 11's replay)                        emu-small-shards=ch-sync-cache=off-store/seed=9      3
+//	  a record's distance stored from the pid's newest base
+//	  page, not from the base it names                          emu-small-shards=ch-sync-cache=off-store/seed=3     30
+//	  each scan worker keeps only its newest record per pid     file-big-shards=4-sync-cache=7-store/seed=18         1
+//	  a record older than the pid's newest base page adopted    emu-small-shards=ch-sync-cache=off-store/seed=1    515
+//	  the oldest base page wins                                 emu-small-shards=ch-sync-cache=off-store/seed=1    520
+//	  new stamps above base pages only, not differential pages  emu-small-shards=ch-sync-cache=off-store/seed=4     25
+//	  a record of a pid past the store's pages kept             none: no image the harness recovers holds one
+//	read.go
+//	  an uncorrectable base page with no differential served    file-small-shards=ch-sync-cache=1-store/seed=6       3
+//	  a heal applied whether or not the record covers the
+//	  damage                                                    emu-small-shards=ch-sync-cache=off-store/seed=9     11
+//	  an uncorrectable differential page merged                 file-small-shards=ch-sync-cache=1-store/seed=18      4
+//	  a base image with uncorrectable sectors retained          none: TestWriteFromRetainedImageOverRottenBase
+//	  a record merged whatever stamp the mapping names          none: TestApplyFromPageChecksTimeStamp
+//	  a heal left transient, never committed                    none: TestIntegrityHealFromFlushedDiffIsDurable
+//	integrity.go
+//	  verifyData reports no uncorrectable sector                emu-small-shards=ch-sync-cache=off-store/seed=9     52
+//	batch.go
+//	  the pages of a failed program left counted live           emu-small-shards=4-bg-cache=8-pool/seed=15           1
 
 import (
 	"bytes"
@@ -63,6 +111,7 @@ import (
 	"pdl/internal/buffer"
 	"pdl/internal/diff"
 	"pdl/internal/flash"
+	"pdl/internal/flash/ecc"
 	"pdl/internal/flash/faultdev"
 	"pdl/internal/flash/filedev"
 	"pdl/internal/ftl"
@@ -221,7 +270,7 @@ const (
 	stepRetain                    // RetainBase, or MarkDirty of an unchanged frame
 	stepFlush                     // Flush, or the pool's Flush
 	stepCollect                   // one CollectOne per channel, then the quiescent oracles
-	stepTear                      // channel ch tears its nth program from here and lives on
+	stepTear                      // channel ch tears page nth of its next program of as many pages, and lives on
 	stepFault                     // a faultdev fault on pid's base or differential page
 )
 
@@ -245,10 +294,11 @@ type simStep struct {
 func (st simStep) String() string {
 	switch st.kind {
 	case stepTear:
-		return fmt.Sprintf("tear channel %d's program #%d from here", st.ch, st.nth)
+		return fmt.Sprintf("tear page #%d of channel %d's next program of as many pages", st.nth, st.ch)
 	case stepFault:
-		return fmt.Sprintf("fault %v at byte %d of pid %d's %s page (mid-update: %v)",
-			st.fault.Kind, st.fault.Off, st.pids[0], either(st.onDiff, "differential", "base"), st.mid)
+		return fmt.Sprintf("fault %v at %s byte %d of pid %d's %s page (mid-update: %v)", st.fault.Kind,
+			either(st.fault.Kind == faultdev.SpareCorrupt, "spare", "data"), st.fault.Off, st.pids[0],
+			either(st.onDiff, "differential (or the next pid's with one)", "base"), st.mid)
 	}
 	return fmt.Sprintf("%s %v %v", stepNames[st.kind], st.pids, st.edits)
 }
@@ -292,12 +342,12 @@ func (p simProg) String() string {
 	return b.String()
 }
 
-// program draws seed's program: the load, a hundred steps on a hot set and
-// the rest of the pages, with writes of every size (Case 1, the Case 2 spill
-// as the buffer fills, Case 3 by size), and for one seed in three a fault the
-// run goes on through.
+// program draws the cell's program of seed, no other cell's: the load, a
+// hundred steps on a hot set and the rest of the pages, with writes of every
+// size (Case 1, the Case 2 spill as the buffer fills, Case 3 by size), and
+// for one seed in three a fault the run goes on through.
 func (c simCell) program(seed int64) simProg {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(seed*int64(len(simCells)) + int64(slices.Index(simCells, c))))
 	n, size := c.numPages(), c.channel().DataSize
 	p := simProg{seed: seed, maxDiff: []int{128, 0}[rng.Intn(2)]}
 	edit := func() simEdit {
@@ -363,22 +413,40 @@ func (c simCell) program(seed int64) simProg {
 		}
 		p.steps = slices.Insert(p.steps, i, sts...)
 	}
-	if k := rng.Intn(4); k == 3 {
-		insert(simStep{kind: stepTear, ch: rng.Intn(c.nchan()), nth: 1 + rng.Intn(3)})
+	// A batch of whole-page writes torn at its nth page: the pages before it
+	// land and the store acknowledges none of them. Each page then takes a
+	// small write, a differential naming the base page the store kept, and
+	// the store flushes, so recovery must pass over the newer base pages the
+	// batch landed.
+	tear := simStep{kind: stepTear, ch: rng.Intn(c.nchan()), nth: 1 + rng.Intn(3)}
+	batch := simStep{kind: stepBatch}
+	var after []simStep
+	for range 3 {
+		pid := pid()
+		batch.pids = append(batch.pids, pid)
+		batch.edits = append(batch.edits, simEdit{n: size, seed: rng.Int63()})
+		after = append(after, simStep{kind: stepUpdate, pids: []uint32{pid}, edits: []simEdit{{off: rng.Intn(size - 8), n: 8, seed: rng.Int63()}}})
+	}
+	insert(slices.Concat([]simStep{tear, batch}, after, []simStep{{kind: stepFlush}})...)
+	kinds := []faultdev.Kind{faultdev.BitFlip, faultdev.SectorCorrupt, faultdev.PageLoss, faultdev.SpareCorrupt}
+	f := simStep{kind: stepFault, pids: []uint32{pid()}, onDiff: rng.Intn(3) == 0}
+	f.fault.Kind = kinds[rng.Intn(len(kinds))]
+	switch f.fault.Kind {
+	case faultdev.BitFlip:
+		f.fault.Off, f.fault.Bit = rng.Intn(size), uint8(rng.Intn(8))
+	case faultdev.SectorCorrupt:
+		f.fault.Off = rng.Intn(size/ecc.SectorSize) * ecc.SectorSize
+	case faultdev.SpareCorrupt:
+		// Three bytes from anywhere in the header or the integrity trailer:
+		// the type, the pid, the time stamp, the ECC or the checksum.
+		f.fault.Off = rng.Intn(ftl.HeaderSpareBytes + ftl.IntegritySpareBytes(size))
+	}
+	if !f.onDiff && rng.Intn(2) == 0 {
+		// Between a read and the write that reuses its retained image.
+		f.mid = true
+		insert(f, simStep{kind: stepUpdate, pids: f.pids, edits: []simEdit{edit()}})
 	} else {
-		f := simStep{kind: stepFault, pids: []uint32{pid()}, onDiff: rng.Intn(3) == 0}
-		f.fault.Kind = []faultdev.Kind{faultdev.BitFlip, faultdev.SectorCorrupt, faultdev.PageLoss}[k]
-		f.fault.Off, f.fault.Bit = rng.Intn(size/256)*256, uint8(rng.Intn(8))
-		if f.fault.Kind == faultdev.BitFlip {
-			f.fault.Off += rng.Intn(256)
-		}
-		if !f.onDiff && rng.Intn(2) == 0 {
-			// Between a read and the write that reuses its retained image.
-			f.mid = true
-			insert(f, simStep{kind: stepUpdate, pids: f.pids, edits: []simEdit{edit()}})
-		} else {
-			insert(f)
-		}
+		insert(f)
 	}
 	return p
 }
@@ -460,13 +528,15 @@ func (r *simRun) whole(t *testing.T, steps []simStep) error {
 	if err != nil {
 		return err
 	}
-	got, errs := pagesOf(rec)
-	rec.Close()
-	if r.m.faulted {
-		return carried(got, errs, r.m.versions)
-	}
-	if !slices.EqualFunc(got, r.m.pages, bytes.Equal) || errors.Join(errs...) != nil {
-		return fmt.Errorf("recovery after the last flush did not read back every write (%v)", errors.Join(errs...))
+	defer rec.Close()
+	got, err := readsBack(rec, r.dev, r.m.versions)
+	switch {
+	case err != nil:
+		return fmt.Errorf("after the last flush %w", err)
+	case r.m.faulted:
+		return carried(got, r.m.versions)
+	case !slices.EqualFunc(got, r.m.pages, bytes.Equal):
+		return fmt.Errorf("recovery after the last flush did not read back every write")
 	}
 	return nil
 }
@@ -477,11 +547,11 @@ func (r *simRun) whole(t *testing.T, steps []simStep) error {
 // begun). On a striped device every other channel also holds the rest of k's
 // call, where the process would die, less what began after k landed: a
 // channel that loses power fails its mutation, so the store never issues
-// what follows from its success. What recovery reads back must be a state of
-// the serial re-run around k's call, or after a fault contents some write
-// carried. At the middle point four recoveries must agree, and the store
-// recovered from a crash carries on. It returns how many states it
-// recovered.
+// what follows from its success. What recovery reads back must be what
+// predict reads in the image, and a state of the serial re-run around k's
+// call, or after a fault contents some write carried. At the middle point
+// four recoveries must agree, and the store recovered from a crash carries
+// on. It returns how many states it recovered.
 func (c simCell) crashes(t *testing.T, prog simProg, r *simRun) (int, error) {
 	muts, trace, faulted := r.log.muts, r.m.trace, r.m.faulted
 	var all, points []int
@@ -517,11 +587,16 @@ func (c simCell) crashes(t *testing.T, prog simProg, r *simRun) (int, error) {
 		}
 		done = k
 		e := muts[k]
-		held := func(got [][]byte, errs []error) error {
-			if faulted {
-				return carried(got, errs, r.m.versions)
+		held := func(s *Store, dev flash.Device) ([][]byte, error) {
+			got, err := readsBack(s, dev, r.m.versions)
+			switch {
+			case err != nil:
+			case faulted:
+				err = carried(got, r.m.versions)
+			default:
+				err = c.crashed(got, states[e.call])
 			}
-			return errors.Join(errors.Join(errs...), c.crashed(got, states[e.call]))
+			return got, err
 		}
 		others := make([][]simMut, c.nchan()) // the rest of k's call on the other channels
 		for _, o := range muts[k+1:] {
@@ -559,9 +634,10 @@ func (c simCell) crashes(t *testing.T, prog simProg, r *simRun) (int, error) {
 
 // carryOn recovers the crash image of muts with over laid on each channel,
 // made on fresh emulated chips, four times; holds what it reads back to held;
-// and, when r planted no fault, runs some more of prog's steps on the
-// recovered store, whose writes must survive one more restart.
-func (c simCell) carryOn(t *testing.T, prog simProg, r *simRun, muts []simMut, over [][]simMut, held func([][]byte, []error) error) error {
+// and, unless r planted a lost page, runs some more of prog's steps on the
+// recovered store, whose writes must survive one more restart, which meets
+// every quarantined page again.
+func (c simCell) carryOn(t *testing.T, prog simProg, r *simRun, muts []simMut, over [][]simMut, held func(*Store, flash.Device) ([][]byte, error)) error {
 	img, err := c.emulated().devices(t, r.opts)
 	if err != nil {
 		return err
@@ -578,10 +654,11 @@ func (c simCell) carryOn(t *testing.T, prog simProg, r *simRun, muts []simMut, o
 	if err != nil {
 		return err
 	}
+	got, err := held(rec, img.dev)
 	img.attach(rec, false)
 	img.trusted = false
-	got, errs := pagesOf(rec)
-	if err := held(got, errs); err != nil || r.m.faulted {
+	lost := slices.ContainsFunc(prog.steps, func(st simStep) bool { return st.kind == stepFault && st.fault.Kind == faultdev.PageLoss })
+	if err != nil || lost {
 		return err // faultdev's lost page reads erased over programmed cells: a recovered store may reprogram it
 	}
 	copy(img.m.pages, got)
@@ -600,9 +677,11 @@ func (c simCell) carryOn(t *testing.T, prog simProg, r *simRun, muts []simMut, o
 	if err != nil {
 		return err
 	}
-	got, errs = pagesOf(again)
+	if got, err = readsBack(again, img.dev, img.m.versions); err != nil {
+		return fmt.Errorf("restarting the recovered store: %w", err)
+	}
 	for pid := range got {
-		img.m.read(uint32(pid), got[pid], errs[pid])
+		img.m.read(uint32(pid), got[pid], nil)
 	}
 	if img.m.err != nil {
 		return fmt.Errorf("restarting the recovered store: %w", img.m.err)
@@ -610,19 +689,129 @@ func (c simCell) carryOn(t *testing.T, prog simProg, r *simRun, muts []simMut, o
 	return nil
 }
 
-// carried holds what recovery read back after a fault: each page contents
-// some write carried, never written, or a typed *ftl.PageError.
-func carried(got [][]byte, errs []error, versions [][][]byte) error {
-	var pe *ftl.PageError
+// carried holds what recovery read back after a fault, which readsBack found
+// on flash: each page never written or contents some write carried.
+func carried(got [][]byte, versions [][][]byte) error {
 	for pid, page := range got {
-		switch {
-		case errs[pid] != nil && !errors.As(errs[pid], &pe):
-			return fmt.Errorf("after the fault recovery failed to read pid %d untyped: %v", pid, errs[pid])
-		case page != nil && !slices.ContainsFunc(versions[pid], func(v []byte) bool { return bytes.Equal(v, page) }):
-			return fmt.Errorf("after the fault recovery read back pid %d with bytes no write carried", pid)
+		if page != nil && !slices.ContainsFunc(versions[pid], func(v []byte) bool { return bytes.Equal(v, page) }) {
+			return fmt.Errorf("after the fault flash holds pid %d as bytes no write carried", pid)
 		}
 	}
 	return nil
+}
+
+// simPrediction is what recovery must rebuild from one flash image: every
+// pid's version and the integrity counters of its scan.
+type simPrediction struct {
+	pages                               [][]byte // per pid; nil: never written
+	checksums, uncorrectable, corrected int64
+}
+
+// predict reads the flash image dev as the recovery scan must judge it, with
+// nothing of the store's but the wire forms: a programmed page survives if
+// its header checksum holds and its data corrects under its ECC, and a lost
+// page reads erased. A pid's version is the newest of its surviving base
+// pages and of the records on surviving differential pages whose named base
+// survives, applied to that base. Two survivors with one pid's newest stamp
+// must hold one content.
+func predict(dev flash.Device, numPages int) (*simPrediction, error) {
+	p := dev.Params()
+	pr := &simPrediction{pages: make([][]byte, numPages)}
+	newest := make([]uint64, numPages)
+	offer := func(pid uint32, ts uint64, page []byte) error {
+		switch cur := pr.pages[pid]; {
+		case cur == nil || ts > newest[pid]:
+			pr.pages[pid], newest[pid] = page, ts
+		case ts == newest[pid] && !bytes.Equal(cur, page):
+			return fmt.Errorf("two surviving versions of pid %d carry time stamp %d", pid, ts)
+		}
+		return nil
+	}
+	bases := map[pageStamp][]byte{}
+	var recs [][]byte
+	for ppn := range flash.PPN(p.NumPages()) {
+		data, spare := make([]byte, p.DataSize), make([]byte, p.SpareSize)
+		if err := dev.Read(ppn, data, spare); err != nil {
+			return nil, err
+		}
+		h := ftl.DecodeHeader(spare)
+		switch {
+		case h.Type == ftl.TypeFree:
+			continue
+		case !ftl.VerifyHeaderChecksum(spare, p.DataSize):
+			pr.checksums++
+			continue
+		case h.Type != ftl.TypeDiff && (h.Type != ftl.TypeBase || int(h.PID) >= numPages):
+			continue
+		}
+		n, bad, err := ecc.CorrectPageSectors(data, ftl.SpareECC(spare, p.DataSize))
+		if err != nil {
+			return nil, err
+		}
+		pr.corrected += int64(n)
+		switch {
+		case len(bad) > 0:
+			pr.uncorrectable++
+		case h.Type == ftl.TypeDiff:
+			for rec := range diff.Records(data) {
+				recs = append(recs, rec)
+			}
+		default:
+			bases[pageStamp{h.PID, h.TS}] = data
+			if err := offer(h.PID, h.TS, data); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, rec := range recs {
+		pid, ts := diff.RecordKey(rec)
+		base, ok := bases[pageStamp{pid, diff.RecordBase(rec)}]
+		if int(pid) >= numPages || !ok {
+			continue
+		}
+		page := bytes.Clone(base)
+		if err := diff.ApplyRecord(rec, page); err != nil {
+			return nil, err
+		}
+		if err := offer(pid, ts, page); err != nil {
+			return nil, err
+		}
+	}
+	return pr, nil
+}
+
+// readsBack holds s, recovered from dev and not read since, to predict's
+// account of dev: the integrity counters its scan raised, and every pid
+// read back as the version predicted. Recovery adopts only pages that
+// verify, so no read may fail. It returns what it read.
+func readsBack(s *Store, dev flash.Device, versions [][][]byte) ([][]byte, error) {
+	pr, err := predict(dev, s.numPages)
+	if err != nil {
+		return nil, err
+	}
+	if tel := s.Telemetry(); tel.HeaderChecksumFailures != pr.checksums || tel.UnrecoverablePages != pr.uncorrectable || tel.EccCorrectedBits != pr.corrected {
+		return nil, fmt.Errorf("recovery counted %d header checksum failures, %d uncorrectable pages and %d corrected bits, flash holds %d, %d and %d",
+			tel.HeaderChecksumFailures, tel.UnrecoverablePages, tel.EccCorrectedBits, pr.checksums, pr.uncorrectable, pr.corrected)
+	}
+	got, errs := pagesOf(s)
+	for pid := range got {
+		if errs[pid] != nil || !bytes.Equal(got[pid], pr.pages[pid]) {
+			return nil, fmt.Errorf("recovery read back pid %d as %s (%v), flash holds %s",
+				pid, versionOf(got[pid], versions[pid]), errs[pid], versionOf(pr.pages[pid], versions[pid]))
+		}
+	}
+	return got, nil
+}
+
+// versionOf names page among the versions of its pid.
+func versionOf(page []byte, versions [][]byte) string {
+	if page == nil {
+		return "nothing"
+	}
+	if i := slices.IndexFunc(versions, func(v []byte) bool { return bytes.Equal(v, page) }); i >= 0 {
+		return fmt.Sprintf("version %d of %d", i+1, len(versions))
+	}
+	return "bytes no write carried"
 }
 
 // crashed holds got, what recovery read back after the crash, to the states
@@ -750,9 +939,19 @@ func imageOf(s *Store) string {
 
 // adopted holds a recovered store's allocator to the flash under it, whose
 // programmed pages, a torn one included, are written: a block is free iff
-// none of its pages is, and written with every page that is.
+// none of its pages is, and written with every page that is, and its pages
+// that are not obsolete are the pages the mapping reaches.
 func adopted(s *Store, written []bool) error {
 	p := s.params
+	mapped := make([]int, p.NumBlocks)
+	for _, e := range s.mt.ents {
+		if e.base != flash.NilPPN {
+			mapped[p.BlockOf(e.base)]++
+		}
+	}
+	for ppn := range s.mt.vdct {
+		mapped[p.BlockOf(ppn)]++
+	}
 	for blk := range p.NumBlocks {
 		n := 0
 		for i := range p.PagesPerBlock {
@@ -760,8 +959,8 @@ func adopted(s *Store, written []bool) error {
 				n++
 			}
 		}
-		if bs := s.alloc.BlockStats(blk); bs.Written != n || bs.Free != (n == 0) {
-			return fmt.Errorf("recovery adopted block %d as %+v, flash holds %d programmed pages in it", blk, bs, n)
+		if bs := s.alloc.BlockStats(blk); bs.Written != n || bs.Free != (n == 0) || bs.Written-bs.Obsolete != mapped[blk] {
+			return fmt.Errorf("recovery adopted block %d as %+v, flash holds %d programmed pages in it, %d of them mapped", blk, bs, n, mapped[blk])
 		}
 	}
 	return nil
@@ -1025,12 +1224,15 @@ func (r *simRun) injectPending() {
 	}
 }
 
-// inject plants st's fault on the page pid maps to now.
+// inject plants st's fault on the page pid maps to now: on a differential
+// fault, the differential page of the first pid from pid on that has one.
 func (r *simRun) inject(st *simStep) {
-	e := r.s.mt.snapshot(st.pids[0])
-	ppn := e.base
+	ppn := r.s.mt.snapshot(st.pids[0]).base
 	if st.onDiff {
-		ppn = e.dif
+		ppn = flash.NilPPN
+		for i := 0; ppn == flash.NilPPN && i < r.s.numPages; i++ {
+			ppn = r.s.mt.snapshot((st.pids[0] + uint32(i)) % uint32(r.s.numPages)).dif
+		}
 	}
 	if ppn == flash.NilPPN {
 		return
@@ -1488,11 +1690,11 @@ func recsOf(page []byte) []simRec {
 }
 
 // program arbitrates the page programmed at ppn by its header; a torn
-// program (spare nil) has none and is only written.
+// program has none that verifies and is only written.
 func (b *simBitmap) program(ppn flash.PPN, data, spare []byte) {
 	b.written[ppn] = true
 	b.recs[ppn] = nil
-	if spare == nil {
+	if spare == nil || !ftl.VerifyHeaderChecksum(spare, len(data)) {
 		return
 	}
 	switch h := ftl.DecodeHeader(spare); h.Type {
@@ -1581,8 +1783,10 @@ func (e simMut) String() string {
 }
 
 // ended returns what e leaves on flash when the power goes in it: nothing
-// when it was not begun; when it was, a program torn (the first half of its
-// data, its spare erased), a spare program nothing, an erase completed.
+// when it was not begun; when it was, a spare program nothing, an erase
+// completed, and a program torn. A torn program of an even page lands the
+// first half of its data and none of its spare; of an odd page, all of its
+// data and every spare byte but the header checksum.
 func (e simMut) ended(torn bool) []simMut {
 	switch {
 	case !torn || e.kind == mutSpare:
@@ -1590,9 +1794,15 @@ func (e simMut) ended(torn bool) []simMut {
 	case e.kind == mutErase:
 		return []simMut{e}
 	}
-	half := bytes.Repeat([]byte{0xFF}, len(e.data))
-	copy(half, e.data[:len(half)/2])
-	return []simMut{{kind: mutProgram, ch: e.ch, ppn: e.ppn, data: half, call: e.call}}
+	tail := simMut{kind: mutProgram, ch: e.ch, ppn: e.ppn, call: e.call}
+	if e.ppn%2 == 0 || e.spare == nil {
+		tail.data = bytes.Repeat([]byte{0xFF}, len(e.data))
+		copy(tail.data, e.data[:len(e.data)/2])
+	} else {
+		tail.data, tail.spare = e.data, bytes.Clone(e.spare)
+		tail.spare[ftl.HeaderSpareBytes+ftl.ECCSpareBytes(len(e.data))] = 0xFF
+	}
+	return []simMut{tail}
 }
 
 // simLog is a run's mutation log: what reached flash, in order.
@@ -1638,10 +1848,10 @@ func (r *simRun) land(es []simMut) error {
 }
 
 // image recovers the run's flash with over laid on each channel, without
-// touching it, holds the recovered store to what that flash holds, and reads
-// every page of it to held unless the store maps every pid as *last, the
-// image it was cut beside, does.
-func (r *simRun) image(over [][]simMut, last *simMapping, held func([][]byte, []error) error) error {
+// touching it, holds the recovered store to what that flash holds, and to
+// held unless the store maps every pid as *last, the image it was cut
+// beside, does.
+func (r *simRun) image(over [][]simMut, last *simMapping, held func(*Store, flash.Device) ([][]byte, error)) error {
 	bits := r.bits
 	subs := make([]flash.Device, len(over))
 	for ch, es := range over {
@@ -1673,7 +1883,8 @@ func (r *simRun) image(over [][]simMut, last *simMapping, held func([][]byte, []
 		return nil
 	}
 	*last = m
-	return held(pagesOf(s))
+	_, err = held(s, dev)
+	return err
 }
 
 // simMapping is what a recovered store's reads follow. The two images of a
@@ -1739,15 +1950,16 @@ func (d *simImage) MarkBad(int) error                           { return errImag
 
 // simChan is one channel's device as the harness drives it: it feeds every
 // mutation that reaches flash to the bitmap and the run's log. Armed, it
-// tears the nth program from then on (the first half of its data, an erased
-// spare) and fails it: a program that failed on a device that lives on.
+// tears page nth of the next program call of at least nth pages
+// (simMut.ended) and fails the call: the pages before it land, and the
+// device lives on.
 type simChan struct {
 	flash.Device
 	bits *simBitmap
 	log  *simLog
 	ch   int
 	mu   sync.Mutex
-	tear int // the programs up to the torn one; 0: none armed
+	tear int // the page of the next program call to tear; 0: none armed
 }
 
 var errTorn = errors.New("sim: torn program")
@@ -1783,12 +1995,10 @@ func (d *simChan) program(pps []flash.PageProgram, do func() error) error {
 	defer d.mu.Unlock()
 	began := d.log.len()
 	var torn error
-	if d.tear > len(pps) {
-		d.tear -= len(pps)
-	} else if d.tear > 0 {
+	if d.tear > 0 && d.tear <= len(pps) {
 		i := d.tear - 1
-		tail := simMut{data: pps[i].Data}.ended(true)[0]
-		pps = append(pps[:i:i], flash.PageProgram{PPN: pps[i].PPN, Data: tail.data})
+		tail := simMut{ppn: pps[i].PPN, data: pps[i].Data, spare: pps[i].Spare}.ended(true)[0]
+		pps = append(pps[:i:i], flash.PageProgram{PPN: tail.ppn, Data: tail.data, Spare: tail.spare})
 		do = func() error { return d.Device.ProgramBatch(pps) }
 		d.tear, torn = 0, errTorn
 	}

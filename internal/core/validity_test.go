@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"pdl/internal/diff"
@@ -14,36 +13,10 @@ import (
 	"pdl/internal/ftltest"
 )
 
-// Page validity is DRAM state: the tests of this file pin down what that
-// leaves in flash (no obsolete flag), and that recovery, which arbitrates by
-// time stamp and by the base each differential names, neither needs the
-// flags nor writes any.
-
-// probeDev is a flash.Device that counts the spare programs reaching the
-// device under it, and serves the next Read of page flaky with two flipped
-// bits in its second ECC sector: a transient, uncorrectable read fault.
-type probeDev struct {
-	flash.Device
-	spares atomic.Int64
-	flaky  flash.PPN
-}
-
-func newProbeDev(dev flash.Device) *probeDev { return &probeDev{Device: dev, flaky: flash.NilPPN} }
-
-func (d *probeDev) ProgramSpare(ppn flash.PPN, spare []byte) error {
-	d.spares.Add(1)
-	return d.Device.ProgramSpare(ppn, spare)
-}
-
-func (d *probeDev) Read(ppn flash.PPN, data, spare []byte) error {
-	err := d.Device.Read(ppn, data, spare)
-	if ppn == d.flaky {
-		d.flaky = flash.NilPPN
-		data[256] ^= 0x01
-		data[511] ^= 0x80
-	}
-	return err
-}
+// Page validity is DRAM state: recovery, which arbitrates by time stamp and
+// by the base each differential names, neither needs obsolete flags nor
+// writes any. TestSim holds that on every image it recovers; the test of
+// this file on an image an older store left.
 
 // fileDevice is the ftltest.DeviceFactory of a file-backed device in the
 // test's temporary directory.
@@ -75,189 +48,6 @@ func encodeDiffPage(page []byte, ds []diff.Differential) {
 		recs = d.AppendTo(recs)
 	}
 	packDiffPage(page, recs)
-}
-
-// newerBasePages returns the base pages of pid in dev whose time stamp is
-// greater than ts.
-func newerBasePages(t *testing.T, dev flash.Device, pid uint32, ts uint64) []flash.PPN {
-	t.Helper()
-	var out []flash.PPN
-	spare := make([]byte, dev.Params().SpareSize)
-	for ppn := flash.PPN(0); int(ppn) < dev.Params().NumPages(); ppn++ {
-		if err := dev.ReadSpare(ppn, spare); err != nil {
-			t.Fatal(err)
-		}
-		if h := ftl.DecodeHeader(spare); h.Type == ftl.TypeBase && h.PID == pid && h.TS > ts {
-			out = append(out, ppn)
-		}
-	}
-	return out
-}
-
-// TestRecoverQuarantinesAtEveryRestart is the lost-base crash shape of
-// TestIntegrityRecoveryPoisonTS with one more fact: the differential
-// computed against the lost base shares its page with another pid's live
-// one, so the page stays valid. A recovery that set the quarantined base
-// obsolete in flash left the next one no trace of it, and the next one
-// adopted the differential onto the older survivor. Quarantine lives in
-// DRAM now: every restart sees the corrupt page, refuses the differential
-// that names it and raises the counter. The pid's next write is an ordinary
-// differential naming the survivor, and it outlives the next restart, which
-// still finds the corrupt page and the refused differential.
-func TestRecoverQuarantinesAtEveryRestart(t *testing.T) {
-	p := ftltest.SmallParams(8)
-	dev := flash.NewChip(p)
-	opts := Options{}
-
-	oldBase := make([]byte, p.DataSize) // pid 0, ts 10: the survivor
-	newBase := make([]byte, p.DataSize) // pid 0, ts 20: decays
-	other := make([]byte, p.DataSize)   // pid 1, ts 5
-	for i := range oldBase {
-		oldBase[i] = byte(i)
-		newBase[i] = byte(i) ^ 0x0F
-		other[i] = byte(3 * i)
-	}
-	programRaw(t, dev, 0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
-	programRaw(t, dev, 2, other, ftl.Header{Type: ftl.TypeBase, PID: 1, TS: 5, Seq: 1})
-	// One differential page: pid 0's record (ts 30) patches the NEW base,
-	// pid 1's (ts 31) is live.
-	ds := []diff.Differential{
-		{PID: 0, TS: 30, Base: 20, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}},
-		{PID: 1, TS: 31, Base: 5, Ranges: []diff.Range{{Off: 8, Data: []byte{1, 2, 3, 4}}}},
-	}
-	img := make([]byte, p.DataSize)
-	encodeDiffPage(img, ds)
-	programRaw(t, dev, 3, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 31, Seq: 1})
-	// The new base page, sealed for its content and programmed two bits off.
-	spare := make([]byte, p.SpareSize)
-	ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1}, spare)
-	ftl.SealSpare(newBase, spare)
-	newBase[0] ^= 0x01
-	newBase[255] ^= 0x80
-	if err := dev.Program(1, newBase, spare); err != nil {
-		t.Fatal(err)
-	}
-	want1 := append([]byte(nil), other...)
-	if err := ds[1].Apply(want1); err != nil {
-		t.Fatal(err)
-	}
-
-	var s *Store
-	for restart := 1; restart <= 2; restart++ {
-		var err error
-		if s, err = Recover(dev, 4, opts); err != nil {
-			t.Fatal(err)
-		}
-		if e := entryOf(s, 0); e.base != 0 || e.dif != flash.NilPPN {
-			t.Fatalf("restart %d: pid 0 recovered to %+v, want the ts-10 survivor alone", restart, e)
-		}
-		mustReadEqual(t, s, 0, oldBase)
-		mustReadEqual(t, s, 1, want1)
-		if s.Telemetry().UnrecoverablePages == 0 {
-			t.Fatalf("restart %d: the corrupt base page went unnoticed", restart)
-		}
-	}
-
-	// The survivor is written on: the write goes the differential route,
-	// naming the survivor, and must outlive the next restart.
-	next := append([]byte(nil), oldBase...)
-	next[100] ^= 0xFF
-	if err := s.WritePage(0, next); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if e, tel := entryOf(s, 0), s.Telemetry(); e.base != 0 || e.dif == flash.NilPPN || tel.NewBasePages != 0 {
-		t.Fatalf("the write after recovery left pid 0 at %+v with %d new base pages, want a differential on the ts-10 base", e, tel.NewBasePages)
-	}
-	r, err := Recover(dev, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := entryOf(r, 0); e.base != 0 || e.dif == flash.NilPPN {
-		t.Fatalf("the next restart recovered pid 0 to %+v, want the differential on the ts-10 base", e)
-	}
-	mustReadEqual(t, r, 0, next)
-	mustReadEqual(t, r, 1, want1)
-}
-
-// TestLostHealNeedsNoMark drives the one path on which a dead page outranks
-// its live successor by time stamp. A transient read fault makes ReadPage
-// heal pid 4 from its flushed differential; the heal's own allocation runs
-// the collection that relocates the (by then readable) base page, so the
-// pinned commit loses its race and the merged image H, stamped newest, is
-// unreachable. Then the pid is written again, reverting the bytes the healed
-// differential had changed: the new differential is computed against the
-// old base and does not mention them. H is retired in DRAM like any
-// superseded page, with no spare program: the new differential names the old
-// base, so after a crash recovery replays it there, not onto H.
-func TestLostHealNeedsNoMark(t *testing.T) {
-	const numPages, pid = 16, 4
-	// Four blocks of 16 pages, two in reserve: the load fills block 0, the
-	// flushed differential and 15 whole-page rewrites fill block 1, and the
-	// next allocation has to collect block 0, where only pid 4's base page
-	// is still valid.
-	dev := newProbeDev(flash.NewChip(ftltest.SmallParams(4)))
-	opts := Options{}
-	s, err := New(dev, numPages, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shadow := loadInto(t, s, numPages)
-	rewriteSector(t, s, shadow, pid, 1)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for other := 0; other < numPages; other++ {
-		if other != pid {
-			rng.Read(shadow[other])
-			if err := s.WritePage(uint32(other), shadow[other]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	before := entryOf(s, pid)
-	if s.alloc.GCRuns() != 0 || s.alloc.FreeBlocks() != 2 || before.dif == flash.NilPPN {
-		t.Fatalf("scenario: %d collections, %d free blocks, pid %d at %+v", s.alloc.GCRuns(), s.alloc.FreeBlocks(), pid, before)
-	}
-
-	dev.flaky = before.base
-	mustReadEqual(t, s, pid, shadow[pid])
-	after := entryOf(s, pid)
-	if s.alloc.GCRuns() != 1 || after.base == before.base || after.dif != before.dif {
-		t.Fatalf("scenario: the heal's allocation did not relocate the base page: %d collections, pid %d went %+v -> %+v",
-			s.alloc.GCRuns(), pid, before, after)
-	}
-	if lost := newerBasePages(t, dev, pid, s.mt.ents[pid].diffTS()); len(lost) != 1 {
-		t.Fatalf("base pages of pid %d newer than its mapping: %v, want the lost heal alone", pid, lost)
-	}
-
-	// Revert sector 1 to the base page's bytes and change one byte elsewhere.
-	for i := 256; i < 512; i++ {
-		shadow[pid][i] ^= 0x5A
-	}
-	shadow[pid][3] ^= 0xFF
-	if err := s.WritePage(pid, shadow[pid]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if e := entryOf(s, pid); e.base != after.base || e.dif == flash.NilPPN {
-		t.Fatalf("scenario: the second write did not go the differential route: %+v", e)
-	}
-	r, err := Recover(dev, numPages, opts) // kill: the live store is dropped
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range shadow {
-		mustReadEqual(t, r, uint32(i), shadow[i])
-	}
-	if n := dev.spares.Load(); n != 0 {
-		t.Fatalf("%d spare programs, want none", n)
-	}
 }
 
 // TestRecoverOldTaggedImage recovers an image whose base pages carry 0x4F at

@@ -239,15 +239,6 @@ func nextEqual(a, b []byte, i int) int {
 // Empty reports whether the differential records no change.
 func (d Differential) Empty() bool { return len(d.Ranges) == 0 }
 
-// ChangedBytes returns the total number of bytes carried by the ranges.
-func (d Differential) ChangedBytes() int {
-	n := 0
-	for _, r := range d.Ranges {
-		n += len(r.Data)
-	}
-	return n
-}
-
 // EncodedSize returns the number of bytes AppendTo will produce. The paper
 // compares this size against Max_Differential_Size and against the free
 // space of the differential write buffer (Cases 1-3 of the PDL_Writing

@@ -456,19 +456,6 @@ func (c *Chip) EraseCount(blk int) int {
 	return c.blocks[blk].eraseCount
 }
 
-// Programmed reports whether the data area of ppn has been programmed
-// since the last erase of its block. It is a free (zero-cost) emulator
-// query intended for assertions and debugging, not for use on the methods'
-// hot paths: a real driver must track free pages itself.
-func (c *Chip) Programmed(ppn PPN) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if _, _, err := c.addr(ppn); err != nil {
-		return false
-	}
-	return c.pages[ppn].programmed
-}
-
 // SchedulePowerFailure arranges for the n-th subsequent program or erase
 // operation (1-based) to be interrupted by a power loss. The interrupted
 // operation returns ErrPowerLoss and leaves a torn page behind. Pass a
@@ -478,13 +465,6 @@ func (c *Chip) SchedulePowerFailure(n int64) {
 	defer c.mu.Unlock()
 	c.powerFailAfter = n
 	c.failed = false
-}
-
-// PowerFailed reports whether a scheduled power failure has fired.
-func (c *Chip) PowerFailed() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.failed
 }
 
 func (c *Chip) tickPowerFail() bool {

@@ -213,21 +213,9 @@ func ComputePageInto(data, codes []byte) error {
 	return nil
 }
 
-// CorrectPage verifies a whole page against its concatenated ECC,
-// correcting up to one bit per sector. It returns the total corrected
-// bits, and an error naming the first uncorrectable sector if there is
-// one.
-func CorrectPage(data, codes []byte) (int, error) {
-	corrected, bad, err := CorrectPageSectors(data, codes)
-	if err == nil && bad != nil {
-		err = fmt.Errorf("sector %d: %w", bad[0], ErrUncorrectable)
-	}
-	return corrected, err
-}
-
-// CorrectPageSectors verifies a whole page against its concatenated ECC
-// like CorrectPage, but does not stop at the first uncorrectable sector:
-// every correctable sector is corrected in place and every uncorrectable
+// CorrectPageSectors verifies a whole page against its concatenated ECC,
+// correcting up to one bit per sector, and does not stop at the first
+// uncorrectable sector: every correctable sector is corrected in place and every uncorrectable
 // sector index is collected, so a healing layer can decide whether a
 // redundant source covers exactly the damaged sectors. It returns the
 // total corrected bits and the (nil when clean) sorted list of

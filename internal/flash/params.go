@@ -117,9 +117,6 @@ func (p Params) Validate() error {
 // PageSize returns the full size of a page including its spare area (Spage).
 func (p Params) PageSize() int { return p.DataSize + p.SpareSize }
 
-// BlockSize returns the full size of a block including spare areas (Sblock).
-func (p Params) BlockSize() int { return p.PagesPerBlock * p.PageSize() }
-
 // NumPages returns the total number of pages in the chip.
 func (p Params) NumPages() int { return p.NumBlocks * p.PagesPerBlock }
 
@@ -133,11 +130,6 @@ func (p Params) BlockOf(ppn PPN) int { return int(ppn) / p.PagesPerBlock }
 
 // PageOf returns the index within its block of ppn.
 func (p Params) PageOf(ppn PPN) int { return int(ppn) % p.PagesPerBlock }
-
-// DataCapacity returns the total data-area capacity of the chip in bytes.
-func (p Params) DataCapacity() int64 {
-	return int64(p.NumBlocks) * int64(p.PagesPerBlock) * int64(p.DataSize)
-}
 
 func (p Params) String() string {
 	return fmt.Sprintf("flash(%d blocks x %d pages x %d+%d B; Tread=%dus Twrite=%dus Terase=%dus)",

@@ -355,20 +355,6 @@ func (a *Allocator) PickChannel(home int) int {
 	return best
 }
 
-// FreePages returns the number of unwritten pages available without
-// garbage collection, summed over channels.
-func (a *Allocator) FreePages() int {
-	n := 0
-	for ch := range a.chans {
-		c := &a.chans[ch]
-		n += len(c.freeList) * a.params.PagesPerBlock
-		for st := range c.ap {
-			n += a.tail(&c.ap[st])
-		}
-	}
-	return n
-}
-
 // GCStats returns the flash cost accumulated inside garbage collection,
 // which the paper amortizes into the write cost (the slashed areas of
 // Figure 12(b)), summed over channels. Unlike GCRuns/FreeBlocks it is
@@ -403,32 +389,6 @@ func (a *Allocator) ChannelGC(ch int) ChannelGCStats {
 		ColdMigrations:  c.coldMigrations.Load(),
 		DiffStreamPages: c.diffStreamPages.Load(),
 	}
-}
-
-// MinVictimRounds returns the minimum number of times any single block has
-// been garbage-collected, the paper's steady-state criterion ("garbage
-// collection is invoked for each block at least ten times on the average
-// after loading the database"). Like GCStats, it requires the caller's
-// serialization against any background collector.
-func (a *Allocator) MinVictimRounds() int64 {
-	empty := true
-	for ch := range a.chans {
-		if len(a.chans[ch].gcVictims) > 0 {
-			empty = false
-			break
-		}
-	}
-	if empty {
-		return 0
-	}
-	var min int64 = 1<<63 - 1
-	for b := range a.blocks {
-		v := a.chans[a.chanOf(b)].gcVictims[b]
-		if v < min {
-			min = v
-		}
-	}
-	return min
 }
 
 // MeanVictimRounds returns the mean number of garbage collections per
@@ -757,10 +717,6 @@ func (a *Allocator) drainObsolete(ch int) {
 		a.note(e.ppn, int(e.dead))
 	}
 }
-
-// PendingObsolete returns the number of queued cross-channel obsolete
-// notes on channel ch (tests and tooling).
-func (a *Allocator) PendingObsolete(ch int) int { return int(a.chans[ch].obsLen.Load()) }
 
 // NoteWritten informs the allocator that ppn was programmed outside Alloc
 // (crash recovery rebuilding state from a chip image).

@@ -212,15 +212,6 @@ func erasedTemplate(n int) []byte {
 	return actual.([]byte)
 }
 
-// EncodeHeader writes h into a freshly allocated erased spare image of the
-// given size. Hot paths that can reuse a scratch buffer should prefer
-// EncodeHeaderInto.
-func EncodeHeader(h Header, spareSize int) []byte {
-	spare := make([]byte, spareSize)
-	EncodeHeaderInto(h, spare)
-	return spare
-}
-
 // EncodeHeaderInto writes h into spare, first resetting it to the erased
 // state. It allocates nothing; every page-update method keeps a per-store
 // spare scratch (written under its device serialization) and encodes into
@@ -249,15 +240,6 @@ func DecodeHeader(spare []byte) Header {
 		h.Seq = 0
 	}
 	return h
-}
-
-// ObsoleteSpare returns a spare image that, when partially programmed onto
-// a page, clears only the obsolete flag (paper footnote 6: "changing the
-// obsolete bit in the spare area of the page from 1 to 0").
-func ObsoleteSpare(spareSize int) []byte {
-	spare := make([]byte, spareSize)
-	ObsoleteSpareInto(spare)
-	return spare
 }
 
 // ObsoleteSpareInto fills spare with the obsolete-marking image without

@@ -78,7 +78,7 @@
 // read of a diff-bearing page whose record is cached costs one flash read
 // plus a table lookup instead of the paper's two serial flash reads. The
 // cache is filled as differential pages are written and as reads miss, and
-// Store.DiffCacheLen counts the records it holds. Hit or miss, a read merges
+// Telemetry.DiffCacheBytes counts the bytes it holds. Hit or miss, a read merges
 // its record straight from the wire form; nothing is decoded to be read. A
 // record is valid by its creation time stamp alone, so nothing is
 // invalidated when garbage collection moves or erases differential pages.
