@@ -473,6 +473,102 @@ func TestIntegrityGCCompactionRescue(t *testing.T) {
 	}
 }
 
+// TestIntegrityRecoveryPoisonTS crafts the dangerous crash shape by hand:
+// two base pages for one pid in flash (a superseded base page stays there,
+// unmarked, until its block is collected) plus a differential computed
+// against the NEWER one, which it names. When the newer base is lost —
+// quarantined for an uncorrectable sector, or read as erased, spare and all —
+// recovery must NOT replay the differential onto the older survivor: that
+// would fabricate content that never existed. The pid falls back to the
+// survivor alone.
+func TestIntegrityRecoveryPoisonTS(t *testing.T) {
+	for _, loss := range []faultdev.Kind{faultdev.SectorCorrupt, faultdev.PageLoss} {
+		t.Run(loss.String(), func(t *testing.T) {
+			p := ftltest.SmallParams(8)
+			fd := faultdev.Wrap(flash.NewChip(p))
+
+			oldBase := make([]byte, p.DataSize) // content A, ts 10
+			newBase := make([]byte, p.DataSize) // content B, ts 20
+			for i := range oldBase {
+				oldBase[i] = byte(i)
+				newBase[i] = byte(i) ^ 0x0F
+			}
+			programRaw(t, fd, 0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
+			programRaw(t, fd, 1, newBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1})
+			// The differential (ts 30) patches bytes 0..3 of the NEW base.
+			img := make([]byte, p.DataSize)
+			encodeDiffPage(img, []diff.Differential{{PID: 0, TS: 30, Base: 20, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}}})
+			programRaw(t, fd, 2, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 30, Seq: 1})
+
+			fd.Inject(faultdev.Fault{PPN: 1, Kind: loss, Off: 0})
+			s, err := Recover(fd, 4, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := entryOf(s, 0)
+			if e.base != 0 {
+				t.Fatalf("recovered base = %d, want the ts-10 survivor at ppn 0", e.base)
+			}
+			if e.dif != flash.NilPPN {
+				t.Fatal("the differential of the lost base was adopted — stale-base fabrication")
+			}
+			mustReadEqual(t, s, 0, oldBase)
+		})
+	}
+}
+
+// TestIntegrityRecoveryPoisonSparesOlderDiff adds to the shape above a
+// differential (ts 15) written between the two base pages, in another
+// block. It names the surviving ts-10 base, so it is adopted, and the ts-30
+// differential, which names the lost one, is not — whatever the scan's
+// worker count. When each worker kept only its newest record per pid, a
+// worker that scanned both differentials dropped the ts-15 one behind the
+// refused ts-30 one, so one and two workers recovered the old base alone
+// while one worker per block adopted the differential.
+func TestIntegrityRecoveryPoisonSparesOlderDiff(t *testing.T) {
+	p := ftltest.SmallParams(8)
+	fd := faultdev.Wrap(flash.NewChip(p))
+
+	oldBase := make([]byte, p.DataSize) // ts 10
+	newBase := make([]byte, p.DataSize) // ts 20
+	for i := range oldBase {
+		oldBase[i] = byte(i)
+		newBase[i] = byte(i) ^ 0x0F
+	}
+	programRaw(t, fd, 0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
+	programRaw(t, fd, 1, newBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1})
+	programDiff := func(ppn flash.PPN, d diff.Differential) {
+		page := make([]byte, p.DataSize)
+		encodeDiffPage(page, []diff.Differential{d})
+		programRaw(t, fd, ppn, page, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: d.TS, Seq: 1})
+	}
+	programDiff(2, diff.Differential{PID: 0, TS: 30, Base: 20, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}})
+	older := diff.Range{Off: 4, Data: []byte{0x11, 0x22, 0x33, 0x44}}
+	programDiff(flash.PPN(p.PagesPerBlock), diff.Differential{PID: 0, TS: 15, Base: 10, Ranges: []diff.Range{older}})
+	fd.Inject(faultdev.Fault{PPN: 1, Kind: faultdev.SectorCorrupt, Off: 0})
+
+	want := bytes.Clone(oldBase)
+	copy(want[older.Off:], older.Data)
+	for _, w := range []int{1, 2, p.NumBlocks, 0} {
+		var s *Store
+		var err error
+		if w > 0 {
+			s, err = recoverWith(fd, 4, Options{}, w)
+		} else {
+			s, err = Recover(fd, 4, Options{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := entryOf(s, 0); e.base != 0 || e.dif != flash.PPN(p.PagesPerBlock) {
+			t.Fatalf("%d workers (0: Recover): pid 0 -> base %d, differential %d; want 0 and %d",
+				w, e.base, e.dif, p.PagesPerBlock)
+		}
+		mustReadEqual(t, s, 0, want)
+		s.Close()
+	}
+}
+
 // TestIntegrityFailedCollectionKeepsDiffCounts: a collection that fails
 // after it has gathered a differential page's survivors (here: the typed
 // error of a later, corrupt page of the same victim) must leave that

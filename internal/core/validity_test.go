@@ -15,8 +15,9 @@ import (
 
 // Page validity is DRAM state: recovery, which arbitrates by time stamp and
 // by the base each differential names, neither needs obsolete flags nor
-// writes any. TestSim holds that on every image it recovers; the test of
-// this file on an image an older store left.
+// writes any. TestSim holds that on every image it recovers; the tests of
+// this file on a hand-built lost-base shape over two restarts and on an
+// image an older store left.
 
 // fileDevice is the ftltest.DeviceFactory of a file-backed device in the
 // test's temporary directory.
@@ -48,6 +49,94 @@ func encodeDiffPage(page []byte, ds []diff.Differential) {
 		recs = d.AppendTo(recs)
 	}
 	packDiffPage(page, recs)
+}
+
+// TestRecoverQuarantinesAtEveryRestart is the lost-base crash shape of
+// TestIntegrityRecoveryPoisonTS with one more fact: the differential
+// computed against the lost base shares its page with another pid's live
+// one, so the page stays valid. A recovery that set the quarantined base
+// obsolete in flash left the next one no trace of it, and the next one
+// adopted the differential onto the older survivor. Quarantine lives in
+// DRAM now: every restart sees the corrupt page, refuses the differential
+// that names it and raises the counter. The pid's next write is an ordinary
+// differential naming the survivor, and it outlives the next restart, which
+// still finds the corrupt page and the refused differential.
+func TestRecoverQuarantinesAtEveryRestart(t *testing.T) {
+	p := ftltest.SmallParams(8)
+	dev := flash.NewChip(p)
+	opts := Options{}
+
+	oldBase := make([]byte, p.DataSize) // pid 0, ts 10: the survivor
+	newBase := make([]byte, p.DataSize) // pid 0, ts 20: decays
+	other := make([]byte, p.DataSize)   // pid 1, ts 5
+	for i := range oldBase {
+		oldBase[i] = byte(i)
+		newBase[i] = byte(i) ^ 0x0F
+		other[i] = byte(3 * i)
+	}
+	programRaw(t, dev, 0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
+	programRaw(t, dev, 2, other, ftl.Header{Type: ftl.TypeBase, PID: 1, TS: 5, Seq: 1})
+	// One differential page: pid 0's record (ts 30) patches the NEW base,
+	// pid 1's (ts 31) is live.
+	ds := []diff.Differential{
+		{PID: 0, TS: 30, Base: 20, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}},
+		{PID: 1, TS: 31, Base: 5, Ranges: []diff.Range{{Off: 8, Data: []byte{1, 2, 3, 4}}}},
+	}
+	img := make([]byte, p.DataSize)
+	encodeDiffPage(img, ds)
+	programRaw(t, dev, 3, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 31, Seq: 1})
+	// The new base page, sealed for its content and programmed two bits off.
+	spare := make([]byte, p.SpareSize)
+	ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1}, spare)
+	ftl.SealSpare(newBase, spare)
+	newBase[0] ^= 0x01
+	newBase[255] ^= 0x80
+	if err := dev.Program(1, newBase, spare); err != nil {
+		t.Fatal(err)
+	}
+	want1 := append([]byte(nil), other...)
+	if err := ds[1].Apply(want1); err != nil {
+		t.Fatal(err)
+	}
+
+	var s *Store
+	for restart := 1; restart <= 2; restart++ {
+		var err error
+		if s, err = Recover(dev, 4, opts); err != nil {
+			t.Fatal(err)
+		}
+		if e := entryOf(s, 0); e.base != 0 || e.dif != flash.NilPPN {
+			t.Fatalf("restart %d: pid 0 recovered to %+v, want the ts-10 survivor alone", restart, e)
+		}
+		mustReadEqual(t, s, 0, oldBase)
+		mustReadEqual(t, s, 1, want1)
+		if s.Telemetry().UnrecoverablePages == 0 {
+			t.Fatalf("restart %d: the corrupt base page went unnoticed", restart)
+		}
+	}
+
+	// The survivor is written on: the write goes the differential route,
+	// naming the survivor, and must outlive the next restart.
+	next := append([]byte(nil), oldBase...)
+	next[100] ^= 0xFF
+	if err := s.WritePage(0, next); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if e, tel := entryOf(s, 0), s.Telemetry(); e.base != 0 || e.dif == flash.NilPPN || tel.NewBasePages != 0 {
+		t.Fatalf("the write after recovery left pid 0 at %+v with %d new base pages, want a differential on the ts-10 base", e, tel.NewBasePages)
+	}
+	r, err := Recover(dev, 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := entryOf(r, 0); e.base != 0 || e.dif == flash.NilPPN {
+		t.Fatalf("the next restart recovered pid 0 to %+v, want the differential on the ts-10 base", e)
+	}
+	mustReadEqual(t, r, 0, next)
+	mustReadEqual(t, r, 1, want1)
 }
 
 // TestRecoverOldTaggedImage recovers an image whose base pages carry 0x4F at
