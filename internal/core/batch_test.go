@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -132,113 +131,6 @@ func (d *failDev) Read(ppn flash.PPN, data, spare []byte) error {
 		return errInjectedKill
 	}
 	return d.Device.Read(ppn, data, spare)
-}
-
-// TestWriteBatchConcurrentHammer drives concurrent WriteBatch, WritePage,
-// and ReadPage traffic on disjoint pid partitions under -race, with a
-// background collector running, then verifies every partition's final
-// contents.
-func TestWriteBatchConcurrentHammer(t *testing.T) {
-	const (
-		workers = 4
-		rounds  = 30
-		perOp   = 6
-	)
-	chip := flash.NewChip(ftltest.SmallParams(24))
-	s, err := New(chip, batchNumPages, Options{
-		MaxDifferentialSize: batchMaxDiff,
-		Shards:              workers,
-		BackgroundGC:        true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	size := s.PageSize()
-	for pid := 0; pid < batchNumPages; pid++ {
-		if err := s.WritePage(uint32(pid), batchPage(uint32(pid), 0, size)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	final := make([][]byte, batchNumPages)
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 1))
-			shadow := make(map[uint32][]byte)
-			buf := make([]byte, size)
-			for r := 0; r < rounds; r++ {
-				batch := make([]ftl.PageWrite, 0, perOp)
-				used := make(map[uint32]bool)
-				for len(batch) < perOp {
-					pid := uint32(rng.Intn(batchNumPages/workers)*workers + w)
-					if used[pid] {
-						continue
-					}
-					used[pid] = true
-					data := batchPage(pid, r*workers+w+1, size)
-					if rng.Intn(2) == 0 { // small update against last known content
-						prev := shadow[pid]
-						if prev == nil {
-							prev = batchPage(pid, 0, size)
-						}
-						data = append([]byte(nil), prev...)
-						off := rng.Intn(size - 16)
-						rng.Read(data[off : off+16])
-					}
-					batch = append(batch, ftl.PageWrite{PID: pid, Data: data})
-					shadow[pid] = data
-				}
-				if r%3 == 0 {
-					if err := s.WriteBatch(batch); err != nil {
-						errs[w] = err
-						return
-					}
-				} else {
-					for _, pw := range batch {
-						if err := s.WritePage(pw.PID, pw.Data); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-				}
-				pid := batch[rng.Intn(len(batch))].PID
-				if err := s.ReadPage(pid, buf); err != nil {
-					errs[w] = err
-					return
-				}
-				if !bytes.Equal(buf, shadow[pid]) {
-					errs[w] = fmt.Errorf("worker %d round %d: pid %d readback mismatch", w, r, pid)
-					return
-				}
-			}
-			for pid, data := range shadow {
-				final[pid] = data
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	buf := make([]byte, size)
-	for pid := 0; pid < batchNumPages; pid++ {
-		want := final[pid]
-		if want == nil {
-			continue
-		}
-		if err := s.ReadPage(uint32(pid), buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, want) {
-			t.Fatalf("pid %d: final content mismatch", pid)
-		}
-	}
 }
 
 // TestFlushBatchesShards pins the batched Flush: dirtying several shards

@@ -12,21 +12,31 @@ import (
 	"pdl/internal/ftltest"
 )
 
-func factory(maxDiff int) ftltest.Factory {
-	return func(dev flash.Device, numPages int) (ftl.Method, error) {
-		return New(dev, numPages, Options{MaxDifferentialSize: maxDiff})
-	}
+// The method conformance suite over four option sets: PDL(page size) takes
+// differentials up to a whole page, PDL(64B) on the suite's 512-byte pages
+// mirrors the paper's PDL(256B) on 2-Kbyte pages (1/8 of the page), and
+// neither sharding nor collection off the write path may change what a
+// single-threaded caller observes.
+func TestConformanceFullPageDiff(t *testing.T) { conformance(t, Options{}) }
+func TestConformanceSmallDiff(t *testing.T)    { conformance(t, Options{MaxDifferentialSize: 64}) }
+func TestShardedConformance(t *testing.T) {
+	conformance(t, Options{MaxDifferentialSize: 64, Shards: 4})
+}
+func TestBackgroundGCConformance(t *testing.T) {
+	conformance(t, Options{MaxDifferentialSize: 64, Shards: 4, BackgroundGC: true})
 }
 
-func TestConformanceFullPageDiff(t *testing.T) {
-	// PDL(page size): differentials up to a whole page.
-	ftltest.RunMethodSuite(t, factory(0))
-}
-
-func TestConformanceSmallDiff(t *testing.T) {
-	// PDL(64B) on the 512-byte suite pages mirrors the paper's PDL(256B)
-	// on 2-Kbyte pages (1/8 of the page).
-	ftltest.RunMethodSuite(t, factory(64))
+// conformance runs ftltest's method suite on stores opened with opts, each
+// closed when t ends.
+func conformance(t *testing.T, opts Options) {
+	ftltest.RunMethodSuite(t, func(dev flash.Device, numPages int) (ftl.Method, error) {
+		s, err := New(dev, numPages, opts)
+		if err != nil {
+			return nil, err
+		}
+		t.Cleanup(func() { s.Close() })
+		return s, nil
+	})
 }
 
 func TestNewValidation(t *testing.T) {
@@ -42,6 +52,62 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(chip, 4, Options{MaxDifferentialSize: chip.Params().DataSize + 1}); err == nil {
 		t.Error("MaxDifferentialSize above page size accepted")
+	}
+	if _, err := New(chip, 4, Options{Shards: -1}); err == nil {
+		t.Error("negative Shards accepted")
+	}
+}
+
+// TestShardOptionValidation pins down the Options.Shards counts: one shard
+// by default over one channel, else the count asked for.
+func TestShardOptionValidation(t *testing.T) {
+	for _, shards := range []int{0, 6} {
+		s, err := New(flash.NewChip(ftltest.SmallParams(8)), 8, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := max(shards, 1); s.Shards() != want {
+			t.Errorf("Shards %d: %d shards, want %d", shards, s.Shards(), want)
+		}
+	}
+}
+
+// TestBackgroundGCOptionValidation pins down the new option contracts.
+func TestBackgroundGCOptionValidation(t *testing.T) {
+	chip := flash.NewChip(ftltest.SmallParams(8))
+	s, err := New(chip, 8, Options{BackgroundGC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !s.BackgroundGC() {
+		t.Error("BackgroundGC() = false on a background-GC store")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	// The store stays usable after Close (synchronous collection).
+	page := make([]byte, chip.Params().DataSize)
+	if err := s.WritePage(0, page); err != nil {
+		t.Fatalf("write after Close: %v", err)
+	}
+
+	chip2 := flash.NewChip(ftltest.SmallParams(8))
+	s2, err := New(chip2, 8, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.BackgroundGC() {
+		t.Error("BackgroundGC() = true on a synchronous store")
+	}
+	if got := s2.BackgroundGCStats(); got.Collected != 0 || got.Wakeups != 0 {
+		t.Errorf("BackgroundGCStats = %+v on a synchronous store", got)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatalf("Close on a synchronous store: %v", err)
 	}
 }
 
@@ -501,5 +567,125 @@ func TestReadUnwrittenAndValidation(t *testing.T) {
 	}
 	if err := s.ReadPage(99, buf); !errors.Is(err, ftl.ErrPageRange) {
 		t.Errorf("out-of-range read: %v", err)
+	}
+}
+
+// TestUnchangedWriteIsNoOp is the regression test for the empty-differential
+// bug: writing a page byte-identical to its base page must not consume
+// write-buffer space, and must not dirty the mapping tables on flush.
+func TestUnchangedWriteIsNoOp(t *testing.T) {
+	chip := flash.NewChip(ftltest.SmallParams(8))
+	s, err := New(chip, 8, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := chip.Params().DataSize
+	page := make([]byte, size)
+	rand.New(rand.NewSource(2)).Read(page)
+	if err := s.WritePage(0, page); err != nil {
+		t.Fatal(err)
+	}
+	// Rewriting the identical content buffers nothing.
+	for i := 0; i < 5; i++ {
+		if err := s.WritePage(0, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.WriteBufferBytes(); got != 0 {
+		t.Errorf("WriteBufferBytes = %d after unchanged writes, want 0", got)
+	}
+	if got := s.WriteBufferLen(); got != 0 {
+		t.Errorf("WriteBufferLen = %d after unchanged writes, want 0", got)
+	}
+	// Flush must not create a differential page or dirty vdct.
+	writesBefore := chip.Stats().Writes
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if w := chip.Stats().Writes - writesBefore; w != 0 {
+		t.Errorf("Flush after unchanged writes performed %d flash writes, want 0", w)
+	}
+	if got := s.ValidDifferentialPages(); got != 0 {
+		t.Errorf("ValidDifferentialPages = %d, want 0", got)
+	}
+	// An unchanged write also drops a pending buffered differential: the
+	// base page already equals the logical page.
+	page[0] ^= 1
+	if err := s.WritePage(0, page); err != nil {
+		t.Fatal(err)
+	}
+	if s.WriteBufferLen() != 1 {
+		t.Fatalf("WriteBufferLen = %d, want 1", s.WriteBufferLen())
+	}
+	page[0] ^= 1 // back to base content
+	if err := s.WritePage(0, page); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.WriteBufferBytes(); got != 0 {
+		t.Errorf("WriteBufferBytes = %d after revert-to-base write, want 0", got)
+	}
+	buf := make([]byte, size)
+	if err := s.ReadPage(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, page) {
+		t.Error("content mismatch after revert-to-base write")
+	}
+}
+
+// TestUnchangedWriteSupersedesFlushedDifferential covers the corner the
+// naive no-op would get wrong: when a stale differential already sits in a
+// differential page on flash, a revert-to-base write must still be made
+// durable (as an empty differential with a newer time stamp) so reads and
+// crash recovery do not resurrect the stale differential.
+func TestUnchangedWriteSupersedesFlushedDifferential(t *testing.T) {
+	chip := flash.NewChip(ftltest.SmallParams(8))
+	s, err := New(chip, 8, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := chip.Params().DataSize
+	base := make([]byte, size)
+	rand.New(rand.NewSource(4)).Read(base)
+	if err := s.WritePage(3, base); err != nil {
+		t.Fatal(err)
+	}
+	// Change, flush: a differential page now holds the change durably.
+	changed := make([]byte, size)
+	copy(changed, base)
+	changed[100] ^= 0xFF
+	if err := s.WritePage(3, changed); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Revert to the exact base content and flush again.
+	if err := s.WritePage(3, base); err != nil {
+		t.Fatal(err)
+	}
+	if s.WriteBufferLen() != 1 {
+		t.Fatalf("revert write with flushed differential must buffer an empty differential, have %d", s.WriteBufferLen())
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	if err := s.ReadPage(3, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, base) {
+		t.Error("read after revert returned stale differential content")
+	}
+	// Crash recovery must agree.
+	r, err := Recover(chip, 8, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ReadPage(3, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, base) {
+		t.Error("recovery resurrected the superseded differential")
 	}
 }

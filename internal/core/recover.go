@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -87,7 +88,9 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			// New started the background collectors: a store the caller
+			// never gets must not leave them running.
+			return nil, errors.Join(err, s.Close())
 		}
 	}
 

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"pdl/internal/flash"
 	"pdl/internal/ftl"
@@ -96,6 +99,29 @@ func TestRecoverEmptyChip(t *testing.T) {
 	// And it can be used as a fresh store.
 	if err := r.WritePage(0, buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// readFailDev is a device whose every read fails.
+type readFailDev struct{ flash.Device }
+
+func (readFailDev) Read(flash.PPN, []byte, []byte) error { return errInjectedKill }
+
+// TestFailedRecoverStopsCollectors recovers with background collection over a
+// device whose reads fail: each Recover returns the scan's error, and the
+// collector goroutine of the store it never returned does not outlive it.
+func TestFailedRecoverStopsCollectors(t *testing.T) {
+	dev, before := readFailDev{flash.NewChip(ftltest.SmallParams(8))}, runtime.NumGoroutine()
+	for range 10 {
+		if _, err := Recover(dev, 8, Options{BackgroundGC: true}); !errors.Is(err, errInjectedKill) {
+			t.Fatalf("Recover over failing reads returned %v, want the read's error", err)
+		}
+	}
+	// A stopped collector's goroutine returns just after it says so.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 10 failed recoveries, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

@@ -1046,13 +1046,9 @@ func (c simCell) devices(t *testing.T, opts Options) (*simRun, error) {
 	r.bits = newSimBitmap(p, c.nchan(), c.numPages())
 	var subs []flash.Device
 	for ch := range c.nchan() {
-		var dev flash.Device
-		if c.backend != "file" {
-			dev = flash.NewChip(c.channel())
-		} else if f, err := filedev.Open(filepath.Join(t.TempDir(), "flash"), filedev.Options{Params: c.channel()}); err != nil {
+		dev, err := c.channelDevice(t)
+		if err != nil {
 			return nil, err
-		} else {
-			dev = f
 		}
 		r.chans = append(r.chans, &simChan{Device: dev, bits: r.bits, log: r.log, ch: ch})
 		r.fds = append(r.fds, faultdev.Wrap(r.chans[ch]))
@@ -1060,6 +1056,15 @@ func (c simCell) devices(t *testing.T, opts Options) (*simRun, error) {
 	}
 	r.dev = striped(subs)
 	return r, nil
+}
+
+// channelDevice builds one fresh channel of the cell's backend: an emulated
+// chip, or a filedev under t.TempDir().
+func (c simCell) channelDevice(t *testing.T) (flash.Device, error) {
+	if c.backend != "file" {
+		return flash.NewChip(c.channel()), nil
+	}
+	return filedev.Open(filepath.Join(t.TempDir(), "flash"), filedev.Options{Params: c.channel()})
 }
 
 // striped is the device of the channels subs.
