@@ -65,8 +65,30 @@ const (
 
 func TestHammer(t *testing.T) {
 	for _, c := range hammerCells {
-		t.Run(c.String(), func(t *testing.T) { hammerRun(t, c) })
+		t.Run(c.String(), func(t *testing.T) { hammerRun(t, c, 0) })
 	}
+}
+
+// The five per-feature hammers TestHammer replaced keep their names, each one
+// cell of the same harness on the 16-block geometry TestHammer's cells leave
+// out, with the feature it named on and the 128-byte MaxDifferentialSize
+// where it set one: sharded writes; reads through a one-page differential
+// cache; background collection; WriteBatch on a file device with no cache;
+// and ReadBatch against WriteBatch and collection, on two striped channels.
+func TestConcurrentHammer(t *testing.T) {
+	hammerRun(t, simCell{"emu", true, 4, false, 0, false, false}, 128)
+}
+func TestConcurrentReaders(t *testing.T) {
+	hammerRun(t, simCell{"emu", true, 4, false, 1, false, false}, 0)
+}
+func TestBackgroundGCHammer(t *testing.T) {
+	hammerRun(t, simCell{"emu", true, 4, true, 0, false, false}, 128)
+}
+func TestWriteBatchConcurrentHammer(t *testing.T) {
+	hammerRun(t, simCell{"file", true, 4, true, DiffCacheOff, false, false}, 128)
+}
+func TestConcurrentReadBatchWriteBatchGC(t *testing.T) {
+	hammerRun(t, simCell{"striped", true, 0, true, 8, false, false}, 128)
 }
 
 // hammerPage writes version ver of pid's page into page: pid and ver in its
@@ -96,7 +118,8 @@ type hammer struct {
 	writing atomic.Int32 // writers still running
 }
 
-func hammerRun(t *testing.T, c simCell) {
+// hammerRun runs cell c with Options.MaxDifferentialSize maxDiff.
+func hammerRun(t *testing.T, c simCell, maxDiff int) {
 	var subs []flash.Device
 	for range c.nchan() {
 		dev, err := c.channelDevice(t)
@@ -105,7 +128,7 @@ func hammerRun(t *testing.T, c simCell) {
 		}
 		subs = append(subs, dev)
 	}
-	dev, opts := striped(subs), c.options(0)
+	dev, opts := striped(subs), c.options(maxDiff)
 	t.Cleanup(func() { dev.Close() })
 	s, err := New(dev, c.numPages(), opts)
 	if err != nil {
