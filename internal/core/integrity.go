@@ -113,8 +113,8 @@ func (s *Store) verifyData(data, spare []byte) []int {
 }
 
 // readKind says what a raw device read was for; the funnels below count
-// every page they read under one, so the kinds sum to the reads the store
-// cost the device (Telemetry.BaseReads and the fields after it).
+// every page they read under one, recovery its scan's, so the kinds sum to
+// the reads the store cost the device (Telemetry.BaseReads and after it).
 type readKind int
 
 const (
@@ -122,12 +122,11 @@ const (
 	readDiff                      // PDL_Reading: a differential page
 	readWriteBase                 // PDL_Writing step 1: the base page a write is compared with
 	readGC                        // relocation out of a victim block
-	readRecover                   // the recovery scan
 )
 
-// The three functions below are the package's raw device READ funnels;
-// pdlvet's deviceio analyzer rejects device reads anywhere else in core,
-// so no read path can bypass verification by construction.
+// The two functions below and scanRead are the package's raw device READ
+// funnels; pdlvet's deviceio analyzer rejects device reads anywhere else in
+// core, so no read path can bypass verification by construction.
 
 // verifiedReadStable is the raw read of the optimistic (version-checked)
 // paths: it reads ppn's data area and, into a pooled scratch, its spare
@@ -179,21 +178,7 @@ func (s *Store) countReads(kind readKind, err error) {
 		s.rtel.writeBaseReads.Add(1)
 	case readGC:
 		s.rtel.gcReads.Add(1)
-	case readRecover:
-		s.rtel.recoverReads.Add(1)
 	}
-}
-
-// scanRead is the raw read of the recovery scan: one charged device read
-// returning both areas, with header-checksum and ECC interpretation left to
-// the scan (erased and torn pages are exempt from verification by
-// construction, so the scan cannot delegate to verifyData blindly).
-//
-//pdlvet:ignore deviceio raw-read funnel
-func (s *Store) scanRead(ppn flash.PPN, data, spare []byte) error {
-	err := s.dev.Read(ppn, data, spare)
-	s.countReads(readRecover, err)
-	return err
 }
 
 // coversSectors reports whether differential d overwrites every byte of

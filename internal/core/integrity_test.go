@@ -549,24 +549,25 @@ func TestIntegrityRecoveryPoisonSparesOlderDiff(t *testing.T) {
 
 	want := bytes.Clone(oldBase)
 	copy(want[older.Off:], older.Data)
-	for _, w := range []int{1, 2, p.NumBlocks, 0} {
-		var s *Store
-		var err error
-		if w > 0 {
-			s, err = recoverWith(fd, 4, Options{}, w)
-		} else {
-			s, err = Recover(fd, 4, Options{})
-		}
+	for _, w := range []int{1, 2, p.NumBlocks} {
+		c, err := takeCensus(fd, 4, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := entryOf(s, 0); e.base != 0 || e.dif != flash.PPN(p.PagesPerBlock) {
-			t.Fatalf("%d workers (0: Recover): pid 0 -> base %d, differential %d; want 0 and %d",
+		if e := c.ents[0]; e.base != 0 || e.dif != flash.PPN(p.PagesPerBlock) {
+			t.Fatalf("%d workers: pid 0 -> base %d, differential %d; want 0 and %d",
 				w, e.base, e.dif, p.PagesPerBlock)
 		}
-		mustReadEqual(t, s, 0, want)
-		s.Close()
 	}
+	s, err := Recover(fd, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if e := entryOf(s, 0); e.base != 0 || e.dif != flash.PPN(p.PagesPerBlock) {
+		t.Fatalf("Recover: pid 0 -> base %d, differential %d; want 0 and %d", e.base, e.dif, p.PagesPerBlock)
+	}
+	mustReadEqual(t, s, 0, want)
 }
 
 // TestIntegrityFailedCollectionKeepsDiffCounts: a collection that fails

@@ -49,7 +49,7 @@
 // with applyRecord, whichever of the three it came from, and cache it. It
 // retains the clean base image it read, before the merge, for the write that
 // follows (keepBaseImage). ReadPage runs it on one pid until the mapping
-// holds still under it, and ReadBatch does the same for each pid of a batch.
+// holds still under it, and ReadBatch is a loop of ReadPage over a batch.
 //
 // And a differential has one representation, the wire record of
 // internal/diff, from the moment stageWrite appends diff.Compute's result to
@@ -88,8 +88,8 @@
 //
 //	  - each of the Options.Shards write-buffer shards has its own RWMutex
 //	    serializing the buffered differentials of the pids it owns (so
-//	    per-pid write order is well defined); ReadBatch/WriteBatch/Flush
-//	    take several shard locks together, always in ascending index order;
+//	    per-pid write order is well defined); WriteBatch and Flush take
+//	    several shard locks together, always in ascending index order;
 //	  - each channel lock (one per flash channel; a plain device has
 //	    exactly one) serializes that channel's mutations: allocation, page
 //	    programs with their mapping-table commits, and garbage collection;
@@ -421,9 +421,9 @@ type readTelemetry struct {
 	diffCacheHits, diffCacheMisses atomic.Int64
 	readRetries                    atomic.Int64
 	batchReads, batchedReads       atomic.Int64
-	// The flash pages read, by what they were read for (countReads). Garbage
-	// collection and recovery bump theirs under locks; they live here with
-	// the other counters of the raw-read funnels.
+	// The flash pages read, by what they were read for (countReads; recovery
+	// adopts its scan's count). Garbage collection bumps its own under locks;
+	// they live here with the other counters of the raw-read funnels.
 	baseReads, diffReads, writeBaseReads, gcReads, recoverReads atomic.Int64
 }
 
@@ -457,6 +457,15 @@ var (
 // New builds a PDL store for a database of numPages logical pages over any
 // flash device (the in-memory emulator or a persistent backend).
 func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
+	s, err := build(dev, numPages, opts)
+	if err == nil {
+		s.startCollectors()
+	}
+	return s, err
+}
+
+// build is New with the background collectors made but not started.
+func build(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	p := dev.Params()
 	if numPages <= 0 {
 		return nil, fmt.Errorf("core: numPages must be positive, got %d", numPages)
@@ -540,10 +549,16 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		s.gcEng = make([]*gc.Engine, nchan)
 		for ch := range s.gcEng {
 			s.gcEng[ch] = gc.New(chanCollector{s: s, ch: ch}, gc.Config{LowWater: chLow, HighWater: chLow + 2})
-			s.gcEng[ch].Start()
 		}
 	}
 	return s, nil
+}
+
+// startCollectors starts the background collectors, if the store has them.
+func (s *Store) startCollectors() {
+	for _, e := range s.gcEng {
+		e.Start()
+	}
 }
 
 // chanCollector adapts one channel of a Store to the background engine's

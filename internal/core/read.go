@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"pdl/internal/diff"
 	"pdl/internal/flash"
@@ -38,7 +37,8 @@ func (s *Store) keepBaseImage(r *pageRead) {
 // then the differential page), and merge. The whole read path runs without
 // a channel lock: concurrent readers proceed in parallel on the device, and
 // a racing garbage-collection relocation or flush is detected by the
-// mapping version and retried against a fresh snapshot.
+// mapping version and retried against a fresh snapshot, until an attempt
+// ends with the mapping unmoved.
 func (s *Store) ReadPage(pid uint32, buf []byte) error {
 	if err := ftl.CheckPID(pid, s.numPages); err != nil {
 		return err
@@ -49,16 +49,21 @@ func (s *Store) ReadPage(pid uint32, buf []byte) error {
 	sh := s.shardOf(pid)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return s.readRetrying(sh, pid, buf)
+	r := pageRead{pid: pid, buf: buf}
+	for {
+		retry, err := s.readOnce(sh, &r)
+		if !retry {
+			return err
+		}
+		s.rtel.readRetries.Add(1)
+	}
 }
 
-// ReadBatch implements ftl.BatchReader: it fills bufs[i] with the content of
-// pids[i] by running ReadPage's attempt on each pid in slice order, under the
-// read locks of every shard involved, taken once for the call in ascending
-// index order (the module-wide shard lock order, so concurrent WriteBatch and
-// Flush calls cannot deadlock against it). Each buffer therefore holds some
-// consistent version of its page from during the call, exactly as serial
-// ReadPage calls would return. On error the buffer contents are unspecified.
+// ReadBatch implements ftl.BatchReader: it validates every pid and buffer,
+// then fills bufs[i] with the content of pids[i] by ReadPage, in slice order.
+// Each buffer therefore holds some consistent version of its page from
+// during the call, exactly as serial ReadPage calls would return. On error
+// the buffer contents are unspecified.
 func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 	if len(pids) != len(bufs) {
 		return fmt.Errorf("core: ReadBatch of %d pids given %d buffers", len(pids), len(bufs))
@@ -71,25 +76,8 @@ func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 			return err
 		}
 	}
-	seen := make([]bool, len(s.shards))
-	var involved []int
-	for _, pid := range pids {
-		if si := s.shardIndex(pid); !seen[si] {
-			seen[si] = true
-			involved = append(involved, si)
-		}
-	}
-	sort.Ints(involved)
-	for _, si := range involved {
-		s.shards[si].mu.RLock()
-	}
-	defer func() {
-		for _, si := range involved {
-			s.shards[si].mu.RUnlock()
-		}
-	}()
 	for i, pid := range pids {
-		if err := s.readRetrying(s.shardOf(pid), pid, bufs[i]); err != nil {
+		if err := s.ReadPage(pid, bufs[i]); err != nil {
 			return err
 		}
 	}
@@ -98,21 +86,6 @@ func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 		s.rtel.batchedReads.Add(int64(len(pids)))
 	}
 	return nil
-}
-
-// readRetrying recreates pid into buf, retrying readOnce until an attempt
-// ends with the mapping unmoved. The caller holds pid's shard lock.
-//
-//pdlvet:holds shard
-func (s *Store) readRetrying(sh *shard, pid uint32, buf []byte) error {
-	r := pageRead{pid: pid, buf: buf}
-	for {
-		retry, err := s.readOnce(sh, &r)
-		if !retry {
-			return err
-		}
-		s.rtel.readRetries.Add(1)
-	}
 }
 
 // readOnce is one optimistic attempt of PDL_Reading: at most two single-page

@@ -2,14 +2,15 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"pdl/internal/diff"
 	"pdl/internal/flash"
+	"pdl/internal/flash/ecc"
 	"pdl/internal/ftl"
 )
 
@@ -32,15 +33,16 @@ import (
 // version, as it does behind a lost differential page: consistent, just
 // older.
 //
-// The scan runs in two phases. Reading and verifying is embarrassingly
-// parallel over blocks — each physical page is judged by its own spare
-// header and contents — so Recover fans it out across one goroutine per
-// GOMAXPROCS (at most one per block), each filling the page table of a
-// contiguous block range and listing the key of every differential record
-// it found. Arbitration is then one serial pass in physical page order over
-// what the workers saw: the newest candidate wins, the lowest physical page
-// wins ties. No worker decides anything, so the recovered state is the
-// serial scan's for every worker count.
+// The scan (takeCensus) runs in two phases. Reading and verifying is
+// embarrassingly parallel over blocks — each physical page is judged by its
+// own spare header and contents — so Recover fans it out across one
+// goroutine per GOMAXPROCS (at most one per block), each filling the page
+// table of a contiguous block range and listing the key of every
+// differential record it found. Arbitration is then one serial pass in
+// physical page order over what the workers saw: the newest candidate wins,
+// the lowest physical page wins ties. No worker decides anything, so the
+// census is the serial scan's for every worker count. Recover adopts it into
+// a store whose background collectors start only then.
 //
 // The recovered state reflects exactly the data that had been written out
 // to flash; differentials that were still in the differential write buffer
@@ -58,23 +60,40 @@ import (
 // honoured where it is set: by the page-update methods that program it, and
 // by stores written before validity moved to DRAM. This store programs none.
 func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
-	return recoverWith(dev, numPages, opts, runtime.GOMAXPROCS(0))
-}
-
-// recoverWith is Recover with the scan fanned out over workers goroutines,
-// at most one per block.
-func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*Store, error) {
-	s, err := New(dev, numPages, opts)
+	s, err := build(dev, numPages, opts)
 	if err != nil {
 		return nil, err
 	}
+	c, err := takeCensus(dev, numPages, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
+	}
+	s.adopt(c)
+	s.startCollectors()
+	return s, nil
+}
+
+// census is what recovery learns from flash: the mapping table (versions
+// zero), each physical page's scan result, the newest time stamp on any page
+// header, and the pages read, bits corrected, header checksum failures and
+// uncorrectable pages.
+type census struct {
+	*mapTable
+	pages                                             []pageInfo
+	maxTS                                             uint64
+	reads, corrected, checksumFailures, uncorrectable atomic.Int64
+}
+
+// takeCensus scans dev for a store of numPages logical pages with workers
+// goroutines, at most one per block, and arbitrates. It writes nothing.
+func takeCensus(dev flash.Device, numPages, workers int) (*census, error) {
 	p := dev.Params()
 	workers = min(workers, p.NumBlocks)
+	c := &census{mapTable: newMapTable(numPages), pages: make([]pageInfo, p.NumPages())}
 
 	// Phase 1: read and verify every physical page, one worker per block
-	// range. Workers write disjoint slices of infos and return the keys of
+	// range. Workers write disjoint slices of c.pages and return the keys of
 	// the records on their differential pages, in page order.
-	infos := make([]pageInfo, p.NumPages())
 	keys := make([][]recordKey, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -82,15 +101,13 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			keys[w], errs[w] = s.scanBlockRange(w*p.NumBlocks/workers, (w+1)*p.NumBlocks/workers, infos)
+			keys[w], errs[w] = scanBlockRange(dev, numPages, w*p.NumBlocks/workers, (w+1)*p.NumBlocks/workers, c)
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			// New started the background collectors: a store the caller
-			// never gets must not leave them running.
-			return nil, errors.Join(err, s.Close())
+			return nil, err
 		}
 	}
 
@@ -103,31 +120,29 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 	// adopts: a quarantined page is still in flash and is read again at the
 	// next restart. A page's header stamp is no older than any record it
 	// carries.
-	var maxTS uint64
 	bases := make(map[pageStamp]flash.PPN)
-	for ppn := range infos {
-		h := &infos[ppn].hdr
+	for ppn := range c.pages {
+		h := &c.pages[ppn].hdr
 		if h.Obsolete || (h.Type != ftl.TypeBase && h.Type != ftl.TypeDiff) {
 			continue
 		}
-		maxTS = max(maxTS, h.TS)
-		if h.Type != ftl.TypeBase || int(h.PID) >= numPages || infos[ppn].quarantined {
+		c.maxTS = max(c.maxTS, h.TS)
+		if h.Type != ftl.TypeBase || int(h.PID) >= numPages || c.pages[ppn].quarantined {
 			continue
 		}
 		k := pageStamp{h.PID, h.TS}
 		if _, ok := bases[k]; !ok {
 			bases[k] = flash.PPN(ppn)
 		}
-		if e := &s.mt.ents[h.PID]; e.base == flash.NilPPN || h.TS > e.baseTS {
+		if e := &c.ents[h.PID]; e.base == flash.NilPPN || h.TS > e.baseTS {
 			e.base, e.baseTS = flash.PPN(ppn), h.TS
 		}
 	}
-	s.ts.Store(maxTS)
 	for _, ks := range keys {
 		for _, k := range ks {
 			// The pid's winner so far is its newest record, else its newest
 			// base page (Fig. 11: ts(d) > ts(bp)).
-			e := &s.mt.ents[k.pid]
+			e := &c.ents[k.pid]
 			if k.ts <= max(e.baseTS, e.diffTS()) {
 				continue
 			}
@@ -141,42 +156,46 @@ func recoverWith(dev flash.Device, numPages int, opts Options, workers int) (*St
 	}
 	// A valid differential page's records that lost arbitration are dead
 	// bytes on it: all it carries, less the records it is valid for.
-	for _, e := range s.mt.ents {
+	for _, e := range c.ents {
 		if e.dif != flash.NilPPN {
-			dp, ok := s.mt.vdct[e.dif]
+			dp, ok := c.vdct[e.dif]
 			if !ok {
-				dp.dead = infos[e.dif].recBytes
+				dp.dead = c.pages[e.dif].recBytes
 			}
 			dp.valid++
 			dp.dead -= int32(e.recLen)
-			s.mt.vdct[e.dif] = dp
+			c.vdct[e.dif] = dp
 		}
 	}
-	// Rebuild the allocator's view: a block with any programmed page is
-	// adopted as full, and its erased tail counts as reclaimable, so a
-	// collection gives it back like garbage; fully erased blocks stay on the
-	// free list.
-	for blk := 0; blk < p.NumBlocks; blk++ {
-		written := false
-		for i := 0; i < p.PagesPerBlock; i++ {
-			ppn := p.PPNOf(blk, i)
-			pi := &infos[ppn]
-			if pi.hdr.Type == ftl.TypeFree && !pi.torn {
-				continue
-			}
-			if !written {
-				written = true
-				s.alloc.AdoptFullBlock(blk)
-			}
-			s.alloc.NoteWritten(ppn)
-			if s.useless(ppn, pi) {
-				s.alloc.NoteObsolete(ppn)
-			} else if pi.hdr.Type == ftl.TypeDiff {
-				s.alloc.NoteDead(ppn, int(s.mt.vdct[ppn].dead))
-			}
+	return c, nil
+}
+
+// adopt installs census c into s, which build made and nothing has used: the
+// mapping table, the time stamp counter, the scan's counts and the
+// allocator's view of every block. A block with any programmed page is
+// adopted as full, and its erased tail counts as reclaimable, so a
+// collection gives it back like garbage; fully erased blocks stay on the
+// free list.
+func (s *Store) adopt(c *census) {
+	s.mt = c.mapTable
+	s.ts.Store(c.maxTS)
+	s.rtel.recoverReads.Add(c.reads.Load())
+	s.itel.eccCorrectedBits.Add(c.corrected.Load())
+	s.itel.headerChecksumFailures.Add(c.checksumFailures.Load())
+	s.itel.unrecoverablePages.Add(c.uncorrectable.Load())
+	for i := range c.pages {
+		ppn, pi := flash.PPN(i), &c.pages[i]
+		if pi.hdr.Type == ftl.TypeFree && !pi.torn {
+			continue
+		}
+		s.alloc.AdoptFullBlock(s.params.BlockOf(ppn)) // a no-op after the block's first page
+		s.alloc.NoteWritten(ppn)
+		if c.useless(ppn) {
+			s.alloc.NoteObsolete(ppn)
+		} else if pi.hdr.Type == ftl.TypeDiff {
+			s.alloc.NoteDead(ppn, int(c.vdct[ppn].dead))
 		}
 	}
-	return s, nil
 }
 
 // pageInfo is what the recovery scan learned about one physical page.
@@ -199,8 +218,9 @@ type pageInfo struct {
 // flag, it was quarantined, it is a base page that lost arbitration, a
 // differential page holding no valid differential (the two kinds of useless
 // pages of section 4.5), a torn program, or a page of a type this method
-// never writes. The tables must be final.
-func (s *Store) useless(ppn flash.PPN, pi *pageInfo) bool {
+// never writes.
+func (c *census) useless(ppn flash.PPN) bool {
+	pi := &c.pages[ppn]
 	h := pi.hdr
 	// A quarantined page's content (or header) failed verification and it
 	// competed for nothing; a corrupt header cannot be trusted to classify
@@ -210,9 +230,9 @@ func (s *Store) useless(ppn flash.PPN, pi *pageInfo) bool {
 	}
 	switch h.Type {
 	case ftl.TypeBase:
-		return int(h.PID) >= s.numPages || s.mt.ents[h.PID].base != ppn
+		return int(h.PID) >= len(c.ents) || c.ents[h.PID].base != ppn
 	case ftl.TypeDiff:
-		return s.mt.vdct[ppn].valid == 0
+		return c.vdct[ppn].valid == 0
 	case ftl.TypeFree:
 		return pi.torn
 	}
@@ -229,11 +249,12 @@ type recordKey struct {
 	n        uint16
 }
 
-// scanBlockRange reads blocks [lo, hi) for recovery: every page's spare
-// header lands in infos (indices disjoint between workers), and it returns
-// the key of every record on the block range's differential pages, in page
-// order. It decides no winner. Each worker owns its buffers, and devices
-// serve concurrent reads.
+// scanBlockRange reads blocks [lo, hi) of dev for census c: every page's
+// spare header lands in c.pages (indices disjoint between workers), what it
+// read, corrected and rejected is counted in c, and it returns the key of
+// every record on the block range's differential pages, in page order. It
+// decides no winner. Each worker owns its buffers, and devices serve
+// concurrent reads.
 //
 // A programmed page must pass its spare-area header
 // checksum and (base and differential pages) its data-area ECC before it
@@ -242,8 +263,8 @@ type recordKey struct {
 // masquerade as a valid mapping and corrupt data never silently wins
 // arbitration. Single-bit errors are corrected in place (and counted)
 // before differential pages are decoded.
-func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo) ([]recordKey, error) {
-	dev, p, numPages := s.dev, s.params, s.numPages
+func scanBlockRange(dev flash.Device, numPages, lo, hi int, c *census) ([]recordKey, error) {
+	p, infos := dev.Params(), c.pages
 	var keys []recordKey
 	spare := make([]byte, p.SpareSize)
 	data := make([]byte, p.DataSize)
@@ -259,9 +280,10 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo) ([]recordKey, error
 			// One charged device read fetches both areas: the data area is
 			// needed anyway for torn-page detection, differential decoding,
 			// and ECC verification.
-			if err := s.scanRead(ppn, data, spare); err != nil {
+			if err := scanRead(dev, ppn, data, spare); err != nil {
 				return nil, fmt.Errorf("core: recovery scan of ppn %d: %w", ppn, err)
 			}
+			c.reads.Add(1)
 			h := ftl.DecodeHeader(spare)
 			infos[ppn] = pageInfo{hdr: h}
 			if h.Obsolete {
@@ -269,30 +291,30 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo) ([]recordKey, error
 			}
 			if h.Type != ftl.TypeFree &&
 				!ftl.VerifyHeaderChecksum(spare, p.DataSize) {
-				s.itel.headerChecksumFailures.Add(1)
+				c.checksumFailures.Add(1)
 				infos[ppn] = pageInfo{quarantined: true}
 				continue
 			}
-			switch h.Type {
-			case ftl.TypeFree:
+			switch {
+			case h.Type == ftl.TypeFree:
 				// A free-looking page may hide a torn program whose spare
 				// never made it; verify the data area is still erased so the
 				// allocator never hands out a dirty page.
-				if !allErased(data) {
-					infos[ppn].torn = true
-				}
-			case ftl.TypeBase:
-				if int(h.PID) < numPages && len(s.verifyData(data, spare)) > 0 {
-					s.itel.unrecoverablePages.Add(1)
+				infos[ppn].torn = !allErased(data)
+			case h.Type == ftl.TypeDiff || h.Type == ftl.TypeBase && int(h.PID) < numPages:
+				// build ruled out a geometry the codes do not fit.
+				corrected, bad, err := ecc.CorrectPageSectors(data, ftl.SpareECC(spare, p.DataSize))
+				c.corrected.Add(int64(corrected))
+				if err != nil || len(bad) > 0 {
+					// A differential page's records are unreadable; the pids
+					// it served fall back to their base images (or an older
+					// surviving differential), which is consistent — just
+					// older.
+					c.uncorrectable.Add(1)
 					infos[ppn].quarantined = true
+					continue
 				}
-			case ftl.TypeDiff:
-				if len(s.verifyData(data, spare)) > 0 {
-					// The page's records are unreadable; the pids it served
-					// fall back to their base images (or an older surviving
-					// differential), which is consistent — just older.
-					s.itel.unrecoverablePages.Add(1)
-					infos[ppn].quarantined = true
+				if h.Type == ftl.TypeBase {
 					continue
 				}
 				// Arbitration needs each record's key only, and a dead
@@ -309,6 +331,16 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo) ([]recordKey, error
 		}
 	}
 	return keys, nil
+}
+
+// scanRead is the raw read of the recovery scan: one charged device read
+// returning both areas, with header-checksum and ECC interpretation left to
+// the scan (erased and torn pages are exempt from verification by
+// construction, so the scan cannot delegate to verifyData blindly).
+//
+//pdlvet:ignore deviceio raw-read funnel
+func scanRead(dev flash.Device, ppn flash.PPN, data, spare []byte) error {
+	return dev.Read(ppn, data, spare)
 }
 
 // allErased reports whether every byte of b is 0xFF, the erased state. It

@@ -265,3 +265,91 @@ func TestRecoverUnderSmallerBound(t *testing.T) {
 		mustReadEqual(t, again, uint32(pid), shadow[pid])
 	}
 }
+
+// TestRecoverDropsPIDsPastTheStore recovers the image of a 16-page store as an
+// 8-page one. The image holds the base pages of all 16 pids, a differential
+// page mixing records of pids below and above 8, and one holding records of
+// higher pids only. Pids 0 to 7 read back exactly; the pages holding only
+// higher pids count obsolete; and the higher pids' records on the mixed page
+// count as its dead bytes. Against the same image recovered whole, nothing
+// else differs.
+func TestRecoverDropsPIDsPastTheStore(t *testing.T) {
+	p := ftltest.SmallParams(8)
+	chip := flash.NewChip(p)
+	opts := Options{DiffCachePages: DiffCacheOff}
+	s, err := New(chip, 16, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := make([][]byte, 16)
+	rng := rand.New(rand.NewSource(7))
+	for pid := range shadow {
+		shadow[pid] = make([]byte, p.DataSize)
+		rng.Read(shadow[pid])
+		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// touch changes 16 bytes of each pid, differentials small enough to
+	// share one differential page, and flushes them.
+	touch := func(pids ...uint32) {
+		t.Helper()
+		for _, pid := range pids {
+			for i := range 16 {
+				shadow[pid][i] ^= 0x5A
+			}
+			if err := s.WritePage(pid, shadow[pid]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	touch(6, 7, 8, 9)
+	touch(10, 11)
+	mixed, higher := entryOf(s, 6).dif, entryOf(s, 10).dif
+	for pid, want := range map[uint32]flash.PPN{7: mixed, 8: mixed, 9: mixed, 11: higher} {
+		if entryOf(s, pid).dif != want {
+			t.Fatalf("layout: pid %d's differential on page %d, want %d", pid, entryOf(s, pid).dif, want)
+		}
+	}
+	only := []flash.PPN{higher}
+	for pid := uint32(8); pid < 16; pid++ {
+		only = append(only, entryOf(s, pid).base)
+	}
+	recs := recordsOn(t, chip, mixed)
+	dead := len(recs[8]) + len(recs[9])
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	whole, err := Recover(chip, 16, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	r, err := Recover(chip, 8, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for pid := range 8 {
+		mustReadEqual(t, r, uint32(pid), shadow[pid])
+	}
+	for b := range p.NumBlocks {
+		want := whole.Allocator().BlockStats(b)
+		for _, ppn := range only {
+			if p.BlockOf(ppn) == b {
+				want.Obsolete++
+			}
+		}
+		if p.BlockOf(mixed) == b {
+			want.DeadBytes += dead
+		}
+		if got := r.Allocator().BlockStats(b); got.Written != want.Written || got.Obsolete != want.Obsolete || got.DeadBytes != want.DeadBytes {
+			t.Errorf("block %d: %d written, %d obsolete, %d dead bytes; want %d, %d and %d",
+				b, got.Written, got.Obsolete, got.DeadBytes, want.Written, want.Obsolete, want.DeadBytes)
+		}
+	}
+}

@@ -23,11 +23,12 @@ package core
 //   - recovery is read-only and a pure function of flash: the store recovered
 //     from every image adopts exactly the pages flash holds, counts every one
 //     its mapping does not reach obsolete, and leaves every erased page free,
-//     open or in a block a collection can pick; after the
-//     last flush and at the log's middle point four recoveries (the scan with
-//     one worker, one per block, GOMAXPROCS, and the cell's options) rebuild
-//     one state and cost no program and no erase, and the store recovered at
-//     the middle point carries on, unless a page was lost, and restarts once
+//     open or in a block a collection can pick; after the last flush and at
+//     the log's middle point the census of the image (takeCensus) at one
+//     worker, one per block and GOMAXPROCS agrees field by field, the store
+//     Recover builds with the cell's options is held to the oracles above,
+//     none of it costs a program or an erase, and the store recovered at the
+//     middle point carries on, unless a page was lost, and restarts once
 //     more;
 //   - after the last flush recovery reads back every acknowledged write, and
 //     the pool has written back its caller's bytes;
@@ -65,24 +66,24 @@ package core
 // run to run, so a count may move by one or two). A check no seed catches
 // names the test that does.
 //
-//	recover.go
+//	recover.go (scanBlockRange, takeCensus, census.useless)
 //	  a header checksum failure neither counted nor quarantined emu-small-shards=ch-sync-cache=off-store/seed=1    501
 //	  a header checksum failure counted, the page adopted       emu-small-shards=ch-sync-cache=off-store/seed=1    461
 //	  a free-looking page with programmed data taken as clean   emu-small-shards=ch-sync-cache=off-store/seed=1    514
-//	  a torn page not counted obsolete                          emu-small-shards=ch-sync-cache=off-store/seed=1    515
+//	  a torn page not counted obsolete                          emu-small-shards=ch-sync-cache=off-store/seed=1    516
 //	  an uncorrectable base page counted, and adopted           file-big-shards=4-sync-cache=default-store/seed=6   29
 //	  an uncorrectable differential page counted, its records
 //	  adopted                                                   striped-big-shards=ch-sync-cache=off-store/seed=6    7
 //	  a record adopted onto the pid's newest base, whatever
-//	  base it names (Figure 11's replay)                        emu-small-shards=ch-sync-cache=off-store/seed=9      3
+//	  base it names (Figure 11's replay)                        emu-small-shards=ch-sync-cache=off-store/seed=9     32
 //	  a record's distance stored from the pid's newest base
 //	  page, not from the base it names                          emu-small-shards=ch-sync-cache=off-store/seed=3     30
 //	  each scan worker keeps only its newest record per pid     file-big-shards=4-sync-cache=7-store/seed=18         1
 //	  a record older than the pid's newest base page adopted    emu-small-shards=ch-sync-cache=off-store/seed=1    515
 //	  the oldest base page wins                                 emu-small-shards=ch-sync-cache=off-store/seed=1    520
 //	  new stamps above base pages only, not differential pages  emu-small-shards=ch-sync-cache=off-store/seed=4     25
-//	  a record of a pid past the store's pages kept             none: no image the harness recovers holds one
-//	read.go
+//	  a record of a pid past the store's pages kept             none: TestRecoverDropsPIDsPastTheStore
+//	read.go (readOnce, applyFromPage)
 //	  an uncorrectable base page with no differential served    file-small-shards=ch-sync-cache=1-store/seed=6       3
 //	  a heal applied whether or not the record covers the
 //	  damage                                                    emu-small-shards=ch-sync-cache=off-store/seed=9     11
@@ -90,8 +91,8 @@ package core
 //	  a base image with uncorrectable sectors retained          none: TestWriteFromRetainedImageOverRottenBase
 //	  a record merged whatever stamp the mapping names          none: TestApplyFromPageChecksTimeStamp
 //	  a heal left transient, never committed                    none: TestIntegrityHealFromFlushedDiffIsDurable
-//	integrity.go
-//	  verifyData reports no uncorrectable sector                emu-small-shards=ch-sync-cache=off-store/seed=9     52
+//	integrity.go (reads and relocation; the scan checks ECC itself)
+//	  verifyData reports no uncorrectable sector                emu-small-shards=ch-sync-cache=off-store/seed=9     28
 //	batch.go
 //	  the pages of a failed program left counted live           emu-small-shards=4-bg-cache=8-pool/seed=15           1
 
@@ -99,6 +100,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -928,15 +930,6 @@ func pagesOf(s *Store) (pages [][]byte, errs []error) {
 	return pages, errs
 }
 
-// imageOf prints the state recovery rebuilt (maps print sorted).
-func imageOf(s *Store) string {
-	var blocks []ftl.BlockStats
-	for blk := range s.params.NumBlocks {
-		blocks = append(blocks, s.alloc.BlockStats(blk))
-	}
-	return fmt.Sprint(unversioned(s.mt.ents), s.mt.vdct, blocks, s.ts.Load(), s.Telemetry())
-}
-
 // adopted holds a recovered store's allocator to the flash under it, whose
 // programmed pages, a torn one included, are written: a block is free iff
 // none of its pages is, and written with every page that is, and its pages
@@ -1410,46 +1403,68 @@ func largestBuffered(sh *shard) int {
 	return n
 }
 
-// recovered recovers the run's image four times — the scan with one worker,
-// with one per block, with GOMAXPROCS, and Recover with the cell's options —
-// and holds them to one state that adopts exactly the pages flash holds,
-// strands no erased page, and cost no program and no erase. It returns the
-// last for the caller to use and close.
+// recovered takes the census of the run's image three times — the scan with
+// one worker, with one per block and with GOMAXPROCS — and holds them to one
+// census, field by field; then recovers the image with the cell's options and
+// holds that store to the flash under it: it adopts exactly the pages flash
+// holds, strands no erased page and counts the dead bytes the bitmap does.
+// None of it may program or erase. It returns the store for the caller to use
+// and close.
 func (r *simRun) recovered() (*Store, error) {
 	before, n := r.dev.Stats(), r.c.numPages()
-	sync := r.opts
-	sync.BackgroundGC = false
-	var want string
-	var s *Store
-	for i, w := range []int{1, r.bits.p.NumBlocks, runtime.GOMAXPROCS(0), 0} {
-		var err error
-		if w > 0 {
-			s, err = recoverWith(r.dev, n, sync, w)
-		} else {
-			s, err = Recover(r.dev, n, r.opts)
-		}
+	var first *census
+	for _, w := range []int{1, r.bits.p.NumBlocks, runtime.GOMAXPROCS(0)} {
+		c, err := takeCensus(r.dev, n, w)
 		switch {
 		case err != nil:
 			return nil, err
-		case i == 0:
-			var written []bool
-			if written, err = programmed(r.dev); err == nil {
-				err = errors.Join(adopted(s, written), unstranded(s, r.bits), deadBytes(s, r.bits))
+		case first == nil:
+			first = c
+		default:
+			if err := sameCensus(first, c); err != nil {
+				return nil, fmt.Errorf("the census at %d workers differs from the one at 1: %w", w, err)
 			}
-			want = imageOf(s)
-		case imageOf(s) != want:
-			err = fmt.Errorf("recovery %d (%d workers; 0: Recover) rebuilt another state than the first", i+1, w)
-		}
-		if err != nil {
-			s.Close()
-			return nil, err
 		}
 	}
-	if d := r.dev.Stats().Sub(before); d.Writes != 0 || d.Erases != 0 {
+	s, err := Recover(r.dev, n, r.opts)
+	if err != nil {
+		return nil, err
+	}
+	written, err := programmed(r.dev)
+	if err == nil {
+		err = errors.Join(adopted(s, written), unstranded(s, r.bits), deadBytes(s, r.bits))
+	}
+	if d := r.dev.Stats().Sub(before); err == nil && (d.Writes != 0 || d.Erases != 0) {
+		err = fmt.Errorf("three censuses and a recovery programmed %d pages and erased %d blocks", d.Writes, d.Erases)
+	}
+	if err != nil {
 		s.Close()
-		return nil, fmt.Errorf("four recoveries programmed %d pages and erased %d blocks", d.Writes, d.Erases)
+		return nil, err
 	}
 	return s, nil
+}
+
+// sameCensus names the first field in which census b differs from a.
+func sameCensus(a, b *census) error {
+	switch {
+	case !slices.Equal(a.ents, b.ents):
+		return errors.New("another mapping table")
+	case !maps.Equal(a.vdct, b.vdct):
+		return errors.New("another valid differential count table")
+	case !slices.Equal(a.pages, b.pages):
+		return errors.New("another page table")
+	case a.maxTS != b.maxTS:
+		return fmt.Errorf("newest time stamp %d, not %d", b.maxTS, a.maxTS)
+	case scanCounts(a) != scanCounts(b):
+		return fmt.Errorf("scan counts %v, not %v", scanCounts(b), scanCounts(a))
+	}
+	return nil
+}
+
+// scanCounts returns what c's scan counted: the pages it read, the bits ECC
+// corrected, the header checksum failures and the uncorrectable pages.
+func scanCounts(c *census) [4]int64 {
+	return [4]int64{c.reads.Load(), c.corrected.Load(), c.checksumFailures.Load(), c.uncorrectable.Load()}
 }
 
 // savedReadsOnly holds a store with its caches (on) and its DiffCacheOff twin
@@ -1871,7 +1886,7 @@ func (r *simRun) image(over [][]simMut, last *simMapping, held func(*Store, flas
 	sync := r.opts
 	sync.BackgroundGC = false
 	dev := striped(subs)
-	s, err := recoverWith(dev, r.c.numPages(), sync, 1)
+	s, err := Recover(dev, r.c.numPages(), sync)
 	if err != nil {
 		return err
 	}

@@ -113,8 +113,6 @@ type allocChan struct {
 	ap       [numStreams]appendPoint
 	inGC     bool
 	gcStats  flash.Stats
-	// gcVictims counts collections per victim block (steady-state checks).
-	gcVictims map[int]int64
 
 	// The per-channel counters the benchmark reports record: collections
 	// run on this channel, pages relocated by them, how many of those the
@@ -263,7 +261,6 @@ func newAllocator(dev flash.Device, reserve, nchan int, chanOf func(int) int) *A
 		for st := range c.ap {
 			c.ap[st].active = -1
 		}
-		c.gcVictims = make(map[int]int64)
 		c.obsSpare = make([]byte, p.SpareSize)
 	}
 	for b := 0; b < p.NumBlocks; b++ {
@@ -808,7 +805,6 @@ func (a *Allocator) collectOn(ch int, pressed bool) error {
 	}
 	a.gcRuns.Add(1)
 	c.runs.Add(1)
-	c.gcVictims[victim]++
 	bi.state = blockFree
 	bi.written = 0
 	bi.obsolete = 0
@@ -817,9 +813,6 @@ func (a *Allocator) collectOn(ch int, pressed bool) error {
 	c.freeCount.Store(int32(len(c.freeList)))
 	return nil
 }
-
-// pickVictim is pickVictimOn in single-channel mode (tests).
-func (a *Allocator) pickVictim() int { return a.pickVictimOn(0) }
 
 // pickVictimOn selects channel ch's garbage-collection victim: the full
 // block with the most reclaimable pages, obsolete ones and the dead records

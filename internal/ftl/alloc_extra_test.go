@@ -54,31 +54,6 @@ func TestAdoptFullBlock(t *testing.T) {
 	}
 }
 
-func TestMinVictimRounds(t *testing.T) {
-	c := smallChip(3)
-	a := NewAllocator(c, 1)
-	a.SetRelocator(func(int) error { return nil })
-	if a.MinVictimRounds() != 0 {
-		t.Errorf("MinVictimRounds on fresh allocator = %d", a.MinVictimRounds())
-	}
-	data := make([]byte, c.Params().DataSize)
-	for i := 0; i < 600; i++ {
-		ppn, err := a.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = c.Program(ppn, data, nil)
-		_ = a.MarkObsolete(ppn)
-	}
-	// After heavy uniform churn every block should have been collected at
-	// least once... except blocks never leaving reserve; assert only the
-	// non-negative invariant and that it does not exceed the mean.
-	min := a.MinVictimRounds()
-	if float64(min) > a.MeanVictimRounds() {
-		t.Errorf("min %d exceeds mean %.2f", min, a.MeanVictimRounds())
-	}
-}
-
 func TestPickVictimPrefersMostObsolete(t *testing.T) {
 	c := smallChip(4)
 	a := NewAllocator(c, 1)

@@ -16,31 +16,8 @@ func (a *Allocator) FreePages() int {
 	return n
 }
 
-// MinVictimRounds returns the minimum number of times any single block has
-// been garbage-collected, the paper's steady-state criterion ("garbage
-// collection is invoked for each block at least ten times on the average
-// after loading the database"). Like GCStats, it requires the caller's
-// serialization against any background collector.
-func (a *Allocator) MinVictimRounds() int64 {
-	empty := true
-	for ch := range a.chans {
-		if len(a.chans[ch].gcVictims) > 0 {
-			empty = false
-			break
-		}
-	}
-	if empty {
-		return 0
-	}
-	var min int64 = 1<<63 - 1
-	for b := range a.blocks {
-		v := a.chans[a.chanOf(b)].gcVictims[b]
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
+// pickVictim is pickVictimOn in single-channel mode.
+func (a *Allocator) pickVictim() int { return a.pickVictimOn(0) }
 
 // PendingObsolete returns the number of queued cross-channel obsolete
 // notes on channel ch.

@@ -258,8 +258,8 @@ func TestNoVictimRetiresOpenSecondaryBlocks(t *testing.T) {
 	if _, err := a.Alloc(); err != nil {
 		t.Fatalf("alloc at the floor = %v, want the open differential block collected", err)
 	}
-	if a.GCRuns() != 1 || a.chans[0].gcVictims[difBlk] != 1 {
-		t.Errorf("collections = %d, of block %d = %d, want 1 and 1", a.GCRuns(), difBlk, a.chans[0].gcVictims[difBlk])
+	if a.GCRuns() != 1 || a.dev.EraseCount(difBlk) != 1 {
+		t.Errorf("collections = %d, erases of block %d = %d, want 1 and 1", a.GCRuns(), difBlk, a.dev.EraseCount(difBlk))
 	}
 	// The cold block holds no garbage: closing it would strand its tail for
 	// nothing, so it stays open and the chip is simply full.
