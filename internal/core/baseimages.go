@@ -327,26 +327,3 @@ func (b *baseImages) bytes() (n int) {
 	}
 	return n
 }
-
-// len returns the number of images in the window, heldLen in the held region
-// (for tests).
-func (b *baseImages) len() int     { return b.count(false) }
-func (b *baseImages) heldLen() int { return b.count(true) }
-
-func (b *baseImages) count(held bool) (n int) {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	keys := b.win.keys
-	if held {
-		keys = b.held.keys
-	}
-	for _, key := range keys {
-		if key != (pageStamp{}) {
-			n++
-		}
-	}
-	return n
-}

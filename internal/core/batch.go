@@ -379,6 +379,9 @@ func (s *Store) commit(ops []pendingOp) error {
 	// The fall-over choice is made before any channel lock is taken.
 	for i := range ops {
 		ops[i].ch = s.alloc.PickChannel(ops[i].home)
+		if ops[i].ch != ops[i].home {
+			s.wtel.channelFallOvers.Add(1)
+		}
 	}
 	var refused []bool
 	for {

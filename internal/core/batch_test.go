@@ -445,7 +445,9 @@ func TestWriteBatchStagingErrorCommitsShardPrefix(t *testing.T) {
 // channel 0, loading fresh pages fills channel 0 with fully live blocks —
 // nothing to reclaim, although channel 1 still has room. A single
 // WritePage and then a WriteBatch must both land on the neighbour, each
-// counted in Telemetry.ChannelFallOvers.
+// counted once in Telemetry.ChannelFallOvers. While the channels hold as
+// many erased blocks as each other no write is diverted before it is
+// tried, so a rise in the counter there is the retry.
 func TestCommitFallsOverToNeighbourChannel(t *testing.T) {
 	p := ftltest.SmallParams(3)
 	p.PagesPerBlock = 4
@@ -459,27 +461,32 @@ func TestCommitFallsOverToNeighbourChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := s.PageSize()
+	alloc := s.Allocator()
 	pid := uint32(0)
-	for ; s.Telemetry().ChannelFallOvers == 0; pid++ {
+	for fellOver := false; !fellOver; pid++ {
 		if pid == numPages-2 {
 			t.Fatal("loaded every page without a channel fall-over")
 		}
+		level := alloc.FreeBlocksOn(0) == alloc.FreeBlocksOn(1)
+		before := s.Telemetry().ChannelFallOvers
 		if err := s.WritePage(pid, batchPage(pid, 0, size)); err != nil {
 			t.Fatalf("WritePage(%d): %v", pid, err)
 		}
+		fellOver = level && s.Telemetry().ChannelFallOvers == before+1
 	}
-	if free0, free1 := s.Allocator().FreeBlocksOn(0), s.Allocator().FreeBlocksOn(1); free0 != free1 {
+	if free0, free1 := alloc.FreeBlocksOn(0), alloc.FreeBlocksOn(1); free0 != free1 {
 		t.Fatalf("free blocks %d vs %d: the batch would be diverted before it could fall over", free0, free1)
 	}
 	batch := []ftl.PageWrite{
 		{PID: pid, Data: batchPage(pid, 0, size)},
 		{PID: pid + 1, Data: batchPage(pid+1, 0, size)},
 	}
+	before := s.Telemetry().ChannelFallOvers
 	if err := s.WriteBatch(batch); err != nil {
 		t.Fatalf("WriteBatch: %v", err)
 	}
-	if got := s.Telemetry().ChannelFallOvers; got != 2 {
-		t.Fatalf("ChannelFallOvers = %d, want 2 (one WritePage, one WriteBatch)", got)
+	if got := s.Telemetry().ChannelFallOvers - before; got != 1 {
+		t.Fatalf("the WriteBatch added %d to ChannelFallOvers, want 1", got)
 	}
 	buf := make([]byte, size)
 	for q := uint32(0); q < pid+2; q++ {
@@ -490,6 +497,53 @@ func TestCommitFallsOverToNeighbourChannel(t *testing.T) {
 			t.Fatalf("pid %d: wrong content after the fall-over", q)
 		}
 	}
+}
+
+// TestChannelFallOversCountDiversions: on a 2-channel device whose one
+// shard is homed on channel 0, loading fresh pages brings channel 0 down to
+// its reserve of erased blocks while channel 1 has more. From then on commit
+// sends each write to channel 1 before trying channel 0, and each such
+// write, placed off its home channel, is counted in
+// Telemetry.ChannelFallOvers.
+func TestChannelFallOversCountDiversions(t *testing.T) {
+	p := ftltest.SmallParams(4)
+	p.PagesPerBlock = 4
+	dev, err := flash.NewStriped(flash.NewChip(p), flash.NewChip(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const numPages = 16
+	s, err := New(dev, numPages, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := s.PageSize()
+	alloc := s.Allocator()
+	pid := uint32(0)
+	for ; alloc.FreeBlocksOn(0) > alloc.ChanReserve(); pid++ {
+		if pid == numPages {
+			t.Fatal("loaded every page without bringing channel 0 to its reserve")
+		}
+		if err := s.WritePage(pid, batchPage(pid, 0, size)); err != nil {
+			t.Fatalf("WritePage(%d): %v", pid, err)
+		}
+	}
+	if got := s.Telemetry().ChannelFallOvers; got != 0 {
+		t.Fatalf("ChannelFallOvers = %d before channel 0 reached its reserve, want 0", got)
+	}
+	if free1 := alloc.FreeBlocksOn(1); free1 <= alloc.ChanReserve() {
+		t.Fatalf("channel 1 has %d erased blocks, at or under the reserve of %d", free1, alloc.ChanReserve())
+	}
+	if err := s.WritePage(pid, batchPage(pid, 0, size)); err != nil {
+		t.Fatalf("WritePage(%d): %v", pid, err)
+	}
+	if got := s.Telemetry().ChannelFallOvers; got != 1 {
+		t.Fatalf("ChannelFallOvers = %d after one write diverted off its home channel, want 1", got)
+	}
+	if ch := alloc.ChannelOf(entryOf(s, pid).base); ch != 1 {
+		t.Fatalf("the diverted write landed on channel %d, want 1", ch)
+	}
+	mustReadEqual(t, s, pid, batchPage(pid, 0, size))
 }
 
 // TestRefusedCommitRetiresPagesOfLowerChannels: a commit across two channels

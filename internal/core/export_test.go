@@ -34,3 +34,27 @@ func (s *Store) DiffCacheLen() int { return s.dcache.len() }
 
 // DiffCacheEnabled reports whether the differential cache is on.
 func (s *Store) DiffCacheEnabled() bool { return s.dcache != nil }
+
+// len returns the number of images in the retained base images' window.
+func (b *baseImages) len() int { return b.count(false) }
+
+// heldLen returns the number of images in the held region.
+func (b *baseImages) heldLen() int { return b.count(true) }
+
+func (b *baseImages) count(held bool) (n int) {
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	keys := b.win.keys
+	if held {
+		keys = b.held.keys
+	}
+	for _, key := range keys {
+		if key != (pageStamp{}) {
+			n++
+		}
+	}
+	return n
+}

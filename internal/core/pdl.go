@@ -338,8 +338,10 @@ type Telemetry struct {
 	// floor and had to collect synchronously despite background GC — the
 	// backpressure events background mode is meant to make rare.
 	SyncGCFallbacks int64
-	// ChannelFallOvers counts the times a commit's share of programs could
-	// not be served by the channel picked for it — it was out of
+	// ChannelFallOvers counts the writes placed off their home channel:
+	// each op a commit sent elsewhere because its home channel sat at its
+	// reserve of erased blocks, plus each time a commit's share of programs
+	// could not be served by the channel picked for it — it was out of
 	// reclaimable space — and moved to another channel. Always zero on
 	// single-channel devices.
 	ChannelFallOvers int64

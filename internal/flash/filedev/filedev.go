@@ -27,6 +27,19 @@
 // Programming, an AND in the logical domain, is an OR in the stored
 // domain.
 //
+// # Reads
+//
+// The device maps its whole file once, read-only and shared, when it
+// opens it. Every read of a page record — Read, and the read-back of a
+// program into a page not known to be erased — comes from that mapping,
+// with no system call. Writes still go through the file: the operating
+// system's page cache backs both the mapping and the file, so a write is
+// visible to the mapping at once (the unified page cache of Linux, the
+// platform this backend is run and tested on). A fault in a mapped read,
+// from a host I/O error or from the file being cut short behind the
+// device, is returned as ErrUnreadable naming the page, never a crash.
+// The backend builds on unix systems only (syscall.Mmap).
+//
 // The device keeps one bit a page in RAM that says the page is erased:
 // formatting a new file and erasing a block set it, and every program —
 // full, partial or of the spare — clears it before it writes. A full
@@ -57,7 +70,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sync"
+	"syscall"
 
 	"pdl/internal/flash"
 )
@@ -74,6 +89,9 @@ var (
 	ErrGeometry = errors.New("filedev: geometry differs from the file's")
 	// ErrNeedParams reports an Open of a new (empty) file without Params.
 	ErrNeedParams = errors.New("filedev: new device file needs Options.Params")
+	// ErrUnreadable reports a page record whose mapped read faulted: the
+	// host could not read it, or the file was cut short behind the device.
+	ErrUnreadable = errors.New("filedev: page record could not be read")
 )
 
 // SyncPolicy selects when the device fsyncs the backing file.
@@ -116,14 +134,19 @@ const (
 )
 
 // Device is a persistent flash.Device backed by one file. Reads may run
-// concurrently (they share the lock and use pooled scratch buffers over
-// pread); mutations are exclusive.
+// concurrently (they share the lock and complement the record straight out
+// of the file's mapping into the caller's buffers); mutations are
+// exclusive.
 type Device struct {
 	mu     sync.RWMutex
 	f      *os.File
 	params flash.Params
 	policy SyncPolicy
 	closed bool
+
+	// mapped is the whole file, mapped read-only and shared from Open to
+	// Close: every read of a page record comes from it.
+	mapped []byte
 
 	// Metadata is cached in memory and written through on change.
 	eraseCount []uint32
@@ -144,9 +167,9 @@ type Device struct {
 	// scratch holds one stored-domain page record during read-modify-write;
 	// only mutating operations (which hold mu exclusively) may use it.
 	scratch []byte
-	// readBufs pools stored-domain page records for Read, which runs
-	// shared-locked on any number of goroutines and so cannot touch scratch.
-	readBufs sync.Pool
+	// recBufs pools the stored-domain page records ProgramBatch builds
+	// before it writes any of them.
+	recBufs sync.Pool
 	// zeros pools an erased (stored-domain) block image for Erase, so a
 	// device between erases keeps no block-sized buffer alive.
 	zeros sync.Pool
@@ -197,23 +220,42 @@ func open(f *os.File, opts Options) (*Device, error) {
 		if err := d.format(); err != nil {
 			return nil, err
 		}
-		return d, nil
+	} else {
+		if err := d.readHeader(); err != nil {
+			return nil, err
+		}
+		if opts.Params != (flash.Params{}) && !sameGeometry(opts.Params, d.params) {
+			return nil, fmt.Errorf("%w: file has %v, options want %v", ErrGeometry, d.params, opts.Params)
+		}
+		d.layout()
+		if size < d.fileSize() {
+			return nil, fmt.Errorf("%w: file truncated (%d bytes, the page region ends at %d)",
+				ErrFormat, size, d.fileSize())
+		}
+		if err := d.loadMeta(); err != nil {
+			return nil, err
+		}
 	}
-	if err := d.readHeader(); err != nil {
-		return nil, err
-	}
-	if opts.Params != (flash.Params{}) && !sameGeometry(opts.Params, d.params) {
-		return nil, fmt.Errorf("%w: file has %v, options want %v", ErrGeometry, d.params, opts.Params)
-	}
-	d.layout()
-	if size < d.pagesOff {
-		return nil, fmt.Errorf("%w: file truncated (%d bytes, metadata needs %d)",
-			ErrFormat, size, d.pagesOff)
-	}
-	if err := d.loadMeta(); err != nil {
+	if err := d.mapFile(); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// mapFile maps the file's header, metadata and page region read-only and
+// shared. The file is at least that long: format made it so, or open
+// checked it.
+func (d *Device) mapFile() error {
+	n := d.fileSize()
+	if int64(int(n)) != n {
+		return fmt.Errorf("filedev: a %d-byte file does not fit the address space", n)
+	}
+	m, err := syscall.Mmap(int(d.f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("filedev: map %s: %w", d.f.Name(), err)
+	}
+	d.mapped = m
+	return nil
 }
 
 func sameGeometry(a, b flash.Params) bool {
@@ -235,7 +277,7 @@ func (d *Device) layout() {
 	d.ones = bytes.Repeat([]byte{0xFF}, int(d.recordSize))
 	d.scratch = make([]byte, d.recordSize)
 	recordSize := d.recordSize
-	d.readBufs.New = func() any { return make([]byte, recordSize) }
+	d.recBufs.New = func() any { return make([]byte, recordSize) }
 	blockSize := int64(p.PagesPerBlock) * recordSize
 	d.zeros.New = func() any { return make([]byte, blockSize) }
 }
@@ -260,8 +302,7 @@ func (d *Device) format() error {
 	if _, err := d.f.WriteAt(hdr, 0); err != nil {
 		return err
 	}
-	size := d.pagesOff + int64(p.NumPages())*d.recordSize
-	if err := d.f.Truncate(size); err != nil {
+	if err := d.f.Truncate(d.fileSize()); err != nil {
 		return err
 	}
 	d.erased.fill()
@@ -345,6 +386,31 @@ func (d *Device) recordOff(ppn flash.PPN) int64 {
 	return d.pagesOff + int64(ppn)*d.recordSize
 }
 
+// fileSize returns the length of a device file: the page region's end.
+func (d *Device) fileSize() int64 {
+	return d.pagesOff + int64(d.params.NumPages())*d.recordSize
+}
+
+// readMapped calls fn with ppn's stored-domain record in the mapping. A
+// fault while fn reads it — the host could not read the file, or the file
+// was cut short behind the device — is returned as ErrUnreadable naming
+// ppn instead of crashing the process. The caller holds mu and has
+// checked that the device is open.
+func (d *Device) readMapped(ppn flash.PPN, fn func(rec []byte)) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+			err = fmt.Errorf("%w: ppn %d: %v", ErrUnreadable, ppn, r)
+		}
+	}()
+	off := d.recordOff(ppn)
+	fn(d.mapped[off : off+d.recordSize])
+	return nil
+}
+
 // Params implements flash.Device.
 func (d *Device) Params() flash.Params { return d.params }
 
@@ -366,12 +432,11 @@ func (d *Device) addr(ppn flash.PPN) (int, error) {
 	return blk, nil
 }
 
-// Read implements flash.Device: the page record is read from the file and
-// complemented into the caller's buffers. Either buffer may be nil.
-// Reads hold the lock shared, so any number of them proceed in parallel
-// (ReadAt is a pread: position-independent and safe across goroutines);
-// each takes its record scratch from a pool instead of the device's
-// exclusive scratch.
+// Read implements flash.Device: the page record is complemented straight
+// from the file's mapping into the caller's buffers. Either buffer may be
+// nil. Reads hold the lock shared, so any number of them proceed in
+// parallel, and Close, which unmaps the file, waits for them. A record
+// the mapping cannot deliver is an ErrUnreadable error naming the page.
 func (d *Device) Read(ppn flash.PPN, data, spare []byte) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -385,16 +450,16 @@ func (d *Device) Read(ppn flash.PPN, data, spare []byte) error {
 	if spare != nil && len(spare) != p.SpareSize {
 		return fmt.Errorf("%w: spare len %d, want %d", flash.ErrBufSize, len(spare), p.SpareSize)
 	}
-	rec := d.readBufs.Get().([]byte)
-	defer d.readBufs.Put(rec) //nolint:staticcheck // []byte header alloc is fine here
-	if _, err := d.f.ReadAt(rec, d.recordOff(ppn)); err != nil {
+	err := d.readMapped(ppn, func(rec []byte) {
+		if data != nil {
+			subtle.XORBytes(data, rec[:p.DataSize], d.ones)
+		}
+		if spare != nil {
+			subtle.XORBytes(spare, rec[p.DataSize:], d.ones)
+		}
+	})
+	if err != nil {
 		return err
-	}
-	if data != nil {
-		subtle.XORBytes(data, rec[:p.DataSize], d.ones)
-	}
-	if spare != nil {
-		subtle.XORBytes(spare, rec[p.DataSize:], d.ones)
 	}
 	d.stats.AddRead(p.ReadMicros)
 	return nil
@@ -478,7 +543,7 @@ func (d *Device) programRecord(rec []byte, ppn flash.PPN, data, spare []byte) er
 		}
 		return nil
 	}
-	if _, err := d.f.ReadAt(rec, d.recordOff(ppn)); err != nil {
+	if err := d.readMapped(ppn, func(m []byte) { copy(rec, m) }); err != nil {
 		return err
 	}
 	if err := checkProgrammable(rec[:p.DataSize], data); err != nil {
@@ -525,7 +590,7 @@ func (d *Device) ProgramBatch(batch []flash.PageProgram) error {
 	defer func() {
 		for _, rec := range recs {
 			if rec != nil {
-				d.readBufs.Put(rec) //nolint:staticcheck // []byte header alloc is fine here
+				d.recBufs.Put(rec) //nolint:staticcheck // []byte header alloc is fine here
 			}
 		}
 	}()
@@ -538,7 +603,7 @@ func (d *Device) ProgramBatch(batch []flash.PageProgram) error {
 			return fmt.Errorf("%w: ppn %d", flash.ErrDuplicatePPN, pp.PPN)
 		}
 		seen[pp.PPN] = struct{}{}
-		rec := d.readBufs.Get().([]byte)
+		rec := d.recBufs.Get().([]byte)
 		recs[i] = rec
 		if err := d.programRecord(rec, pp.PPN, pp.Data, pp.Spare); err != nil {
 			return err
@@ -600,7 +665,7 @@ func (d *Device) ProgramPartial(ppn flash.PPN, off int, chunk []byte) error {
 			flash.ErrOutOfRange, off, off+len(chunk), p.DataSize)
 	}
 	cur := d.scratch[:len(chunk)]
-	if _, err := d.f.ReadAt(cur, d.recordOff(ppn)+int64(off)); err != nil {
+	if err := d.readMapped(ppn, func(m []byte) { copy(cur, m[off:]) }); err != nil {
 		return err
 	}
 	if err := checkProgrammable(cur, chunk); err != nil {
@@ -631,7 +696,7 @@ func (d *Device) ProgramSpare(ppn flash.PPN, spare []byte) error {
 		return fmt.Errorf("%w: ppn %d has %d programs", flash.ErrSpareProgramLimit, ppn, d.sparePrg[ppn])
 	}
 	cur := d.scratch[:p.SpareSize]
-	if _, err := d.f.ReadAt(cur, d.recordOff(ppn)+int64(p.DataSize)); err != nil {
+	if err := d.readMapped(ppn, func(m []byte) { copy(cur, m[p.DataSize:]) }); err != nil {
 		return err
 	}
 	programInto(cur, spare)
@@ -756,7 +821,9 @@ func (d *Device) Sync() error {
 	return d.fsync()
 }
 
-// Close implements flash.Device: sync per policy and release the file.
+// Close implements flash.Device: sync per policy, unmap and release the
+// file. It holds the lock exclusively, so no read is inside the mapping,
+// and every later read finds the device closed before it touches it.
 // Close is idempotent.
 func (d *Device) Close() error {
 	d.mu.Lock()
@@ -769,6 +836,10 @@ func (d *Device) Close() error {
 	if d.policy != SyncNever {
 		err = d.fsync()
 	}
+	if uerr := syscall.Munmap(d.mapped); err == nil {
+		err = uerr
+	}
+	d.mapped = nil
 	if cerr := d.f.Close(); err == nil {
 		err = cerr
 	}

@@ -278,6 +278,19 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(good, Options{Params: wrong}); !errors.Is(err, ErrGeometry) {
 		t.Fatalf("mismatched geometry: err = %v, want ErrGeometry", err)
 	}
+	// A file cut inside its page region is refused: its missing pages
+	// cannot be read through the mapping.
+	st, err := os.Stat(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordSize := int64(testParams().DataSize + testParams().SpareSize)
+	if err := os.Truncate(good, st.Size()-3*recordSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(good, Options{}); !errors.Is(err, ErrFormat) {
+		t.Fatalf("file three records short: err = %v, want ErrFormat", err)
+	}
 }
 
 func TestClosedDevice(t *testing.T) {
@@ -291,6 +304,9 @@ func TestClosedDevice(t *testing.T) {
 	}
 	if err := d.ReadData(0, make([]byte, p.DataSize)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("read after close: err = %v, want ErrClosed", err)
+	}
+	if err := d.Read(1, make([]byte, p.DataSize), make([]byte, p.SpareSize)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read of data and spare after close: err = %v, want ErrClosed", err)
 	}
 	if err := d.Erase(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("erase after close: err = %v, want ErrClosed", err)

@@ -470,10 +470,6 @@ type TPCCScale = tpcc.Scale
 // TxType enumerates the five TPC-C transactions.
 type TxType = tpcc.TxType
 
-// DefaultTPCCScale returns a laptop-scale TPC-C sizing for the given
-// warehouse count.
-func DefaultTPCCScale(warehouses int) TPCCScale { return tpcc.DefaultScale(warehouses) }
-
 // TPCCPagesNeeded estimates the logical pages a TPC-C database of the
 // given scale occupies, for sizing the flash chip and method.
 func TPCCPagesNeeded(s TPCCScale, pageSize int) (int, error) {
